@@ -15,8 +15,6 @@ from .graph_core import (
     IsoMapping,
     VertexCapExceeded,
     WeightedRootedGraph,
-    enumerate_cycles,
-    enumerate_simple_paths,
     is_dominating,
     is_weight_preserving_homomorphism,
     is_weight_preserving_monomorphism,

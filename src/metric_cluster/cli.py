@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -49,25 +48,6 @@ from .recovery import (
     subsample_levels,
     validate_recovered_cluster,
 )
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters: the subcommand plus everything it needs."""
-
-    command: str
-    options: argparse.Namespace
-    json_output: bool = False
-    seed: int = 0  # reserved for randomized generators; all current commands are deterministic
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=ns.command,
-            options=ns,
-            json_output=getattr(ns, "json", False),
-            seed=getattr(ns, "seed", 0),
-        )
 
 
 def _read_json_file(path: str) -> dict:
@@ -154,12 +134,9 @@ def _cmd_complete(ns) -> int:
     g = _load_graph(ns.graph)
     completed = forced_completion(g)
     added = sorted(set(completed.weights) - set(g.weights))
-    out = completed.to_json_dict()
+    _write_output(json.dumps(completed.to_json_dict(), indent=2), ns.out)
     if ns.out:
-        Path(ns.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
         print(f"added {len(added)} forced edges: {added}")
-    else:
-        print(json.dumps(out, indent=2))
     return 0
 
 
@@ -194,7 +171,7 @@ def _cmd_embed(ns) -> int:
             + [f"  {v} at arc position {x}" for v, x in sorted(positions.items())]
         )
     if ns.out:
-        Path(ns.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_output(json.dumps(payload, indent=2), ns.out)
     else:
         _emit(payload, ns, human)
     return 0
@@ -500,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized generators (reserved)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -635,11 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(config: RunConfig) -> int:
-    """Run the selected command; exceptions map to exit code 2 in main()."""
-    return config.options.func(config.options)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -647,7 +618,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return dispatch(RunConfig.from_namespace(ns))
+        return ns.func(ns)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

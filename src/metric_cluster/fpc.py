@@ -25,12 +25,19 @@ from .graph_core import (
     Cycle,
     GraphError,
     WeightedRootedGraph,
-    enumerate_cycles,
+    _root_labels,
+    _undominated_vertex,
     format_rational,
     is_dominating,
     maximal_cliques_of,
 )
-from .metrization import DistanceMatrix
+from .metrization import (
+    DistanceMatrix,
+    _interval,
+    _tight_cycle,
+    check_metrizable,
+    shortest_path_metric,
+)
 
 
 @dataclass
@@ -83,17 +90,7 @@ class FpcCertificate:
 
 def root_labeling(g: WeightedRootedGraph) -> RootLabeling:
     """Labels each vertex by its root-edge weight (0 at the root itself)."""
-    if not is_dominating(g, g.root):
-        missing = next(
-            v for v in g.vertices if v != g.root and not g.has_edge(g.root, v)
-        )
-        raise GraphError(
-            f"root {g.root!r} is not dominating: no edge to {missing!r}"
-        )
-    values = {g.root: Fraction(0)}
-    for v in g.vertices:
-        if v != g.root:
-            values[v] = g.weight(g.root, v)
+    values = _root_labels(g)
     collision = _label_collision(values)
     return RootLabeling(values, injective=collision is None, collision=collision)
 
@@ -108,37 +105,44 @@ def _label_collision(values: dict[str, Fraction]) -> Optional[tuple[str, str]]:
     return None
 
 
-def certify_fpc(g: WeightedRootedGraph, max_vertices: Optional[int] = None) -> FpcCertificate:
+def certify_fpc(g: WeightedRootedGraph) -> FpcCertificate:
     """Certify the three cluster conditions, or fail with a concrete witness.
 
     Zero weights are accepted on input; they can never survive the
     conditions (a zero root edge collides labels, a zero non-root edge
     forces either a label collision or a cycle violation in the triangle
-    through the root), so they surface as ordinary failures.
+    through the root), so they surface as ordinary failures. When (ii) and
+    (iii) both fail, (ii) is reported.
     """
     # (i) dominating root
-    for v in g.vertices:
-        if v != g.root and not g.has_edge(g.root, v):
-            return FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex=v)
+    missing = _undominated_vertex(g)
+    if missing is not None:
+        return FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex=missing)
     # (i) injective labeling
     labeling = root_labeling(g)
     if not labeling.injective:
         return FpcCertificate(
             False, FAIL_LABELING_NOT_INJECTIVE, witness_pair=labeling.collision
         )
-    # (ii) and (iii) over an exact cycle enumeration
-    for cycle in enumerate_cycles(g, max_vertices):
-        if not cycle.satisfies_cycle_inequality():
-            return FpcCertificate(False, FAIL_CYCLE_INEQUALITY, witness_cycle=cycle)
-        if cycle.is_tight():
-            for u, v in combinations(sorted(cycle.vertices), 2):
-                if not g.has_edge(u, v):
-                    return FpcCertificate(
-                        False,
-                        FAIL_TIGHT_CYCLE_NOT_CLIQUE,
-                        witness_cycle=cycle,
-                        witness_pair=(u, v),
-                    )
+    # (ii): after (i) every zero weight closes a violating triangle, so the
+    # graph is metrizable or the verdict carries a violating cycle
+    verdict = check_metrizable(g)
+    if not verdict.metrizable:
+        return FpcCertificate(
+            False, FAIL_CYCLE_INEQUALITY, witness_cycle=verdict.witness_cycle
+        )
+    # (iii): a tight cycle through a non-edge forces its distance, and a
+    # forced distance closes a tight cycle through the pair
+    d = shortest_path_metric(g)
+    for mu, nu in g.non_edges():
+        interval, edge = _interval(g, d, mu, nu)
+        if interval.degenerate:
+            return FpcCertificate(
+                False,
+                FAIL_TIGHT_CYCLE_NOT_CLIQUE,
+                witness_cycle=_tight_cycle(g, mu, nu, edge),
+                witness_pair=(mu, nu),
+            )
     return FpcCertificate(True)
 
 
@@ -193,13 +197,7 @@ def synthesize_weights(g: WeightedRootedGraph) -> WeightedRootedGraph:
     strictly slack, so the certificate passes for any dominating root.
     Existing weights of the input are ignored.
     """
-    if not is_dominating(g, g.root):
-        missing = next(
-            v for v in g.vertices if v != g.root and not g.has_edge(g.root, v)
-        )
-        raise GraphError(
-            f"root {g.root!r} is not dominating: no edge to {missing!r}"
-        )
+    _root_labels(g)  # raises unless the root is dominating
     edges = g.edges()
     m = len(edges)
     weights = {e: Fraction(1) + Fraction(j + 1, m + 1) for j, e in enumerate(edges)}

@@ -13,9 +13,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-DEFAULT_ENUMERATION_CAP = 14
 DEFAULT_ISOMORPHISM_CAP = 12
 
 ENV_MAX_VERTICES = "METRIC_CLUSTER_MAX_VERTICES"
@@ -26,7 +25,7 @@ class GraphError(ValueError):
 
 
 class VertexCapExceeded(GraphError):
-    """Graph is larger than the configured bound for an exponential search."""
+    """Graph is larger than the configured bound for the isomorphism search."""
 
 
 class DisconnectedGraph(GraphError):
@@ -34,7 +33,7 @@ class DisconnectedGraph(GraphError):
 
 
 def vertex_cap(default: int, override: Optional[int] = None) -> int:
-    """Resolve an enumeration cap: explicit argument > env var > default."""
+    """Resolve a search cap: explicit argument > env var > default."""
     if override is not None:
         return override
     env = os.environ.get(ENV_MAX_VERTICES)
@@ -250,10 +249,13 @@ class WeightedRootedGraph:
         except (KeyError, TypeError) as exc:
             raise GraphError(f"graph JSON is missing field: {exc}") from exc
         weights = []
-        for item in raw_edges:
-            # "w" may be omitted for shape-only inputs (weight synthesis).
-            w = item.get("w", "1")
-            weights.append(((item["u"], item["v"]), parse_rational(w)))
+        try:
+            for item in raw_edges:
+                # "w" may be omitted for shape-only inputs (weight synthesis).
+                w = item.get("w", "1")
+                weights.append(((item["u"], item["v"]), parse_rational(w)))
+        except KeyError as exc:
+            raise GraphError(f"graph JSON edge is missing field: {exc}") from exc
         return cls(vertices, weights, root)
 
     def to_json(self) -> str:
@@ -371,77 +373,8 @@ def _weights_close(a: Fraction, b: Fraction, tol_rel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# cliques and domination
 # ---------------------------------------------------------------------------
-
-
-def enumerate_cycles(
-    g: WeightedRootedGraph, max_vertices: Optional[int] = None
-) -> Iterator[Cycle]:
-    """Yield every simple cycle exactly once, up to rotation and reflection.
-
-    Exponential DFS; refuses graphs above the configured vertex cap.
-    """
-    cap = vertex_cap(DEFAULT_ENUMERATION_CAP, max_vertices)
-    if len(g) > cap:
-        raise VertexCapExceeded(
-            f"cycle enumeration refused: {len(g)} vertices exceeds cap {cap}"
-        )
-    adj = {v: sorted(g._adj[v]) for v in g.vertices}
-
-    for start in g.vertices:
-        # Only cycles whose minimal vertex is `start`; dedupe the two
-        # traversal directions by requiring path[1] < path[-1].
-        path = [start]
-        on_path = {start}
-
-        def dfs():
-            u = path[-1]
-            for w in adj[u]:
-                if w <= start or w in on_path:
-                    if w == start and len(path) >= 3 and path[1] < path[-1]:
-                        yield Cycle.from_graph(g, tuple(path))
-                    continue
-                path.append(w)
-                on_path.add(w)
-                yield from dfs()
-                path.pop()
-                on_path.remove(w)
-
-        yield from dfs()
-
-
-def enumerate_simple_paths(
-    g: WeightedRootedGraph, u: str, v: str, max_vertices: Optional[int] = None
-) -> Iterator[tuple[str, ...]]:
-    """Yield every simple path from u to v exactly once."""
-    if u == v:
-        raise GraphError("path endpoints must be distinct")
-    if u not in g._adj or v not in g._adj:
-        raise GraphError("path endpoints must be vertices of the graph")
-    cap = vertex_cap(DEFAULT_ENUMERATION_CAP, max_vertices)
-    if len(g) > cap:
-        raise VertexCapExceeded(
-            f"path enumeration refused: {len(g)} vertices exceeds cap {cap}"
-        )
-    adj = {x: sorted(g._adj[x]) for x in g.vertices}
-    path = [u]
-    on_path = {u}
-
-    def dfs():
-        x = path[-1]
-        if x == v:
-            yield tuple(path)
-            return
-        for w in adj[x]:
-            if w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                yield from dfs()
-                path.pop()
-                on_path.remove(w)
-
-    yield from dfs()
 
 
 def maximal_cliques(g: WeightedRootedGraph) -> list[frozenset[str]]:
@@ -473,6 +406,26 @@ def is_dominating(g: WeightedRootedGraph, v: str) -> bool:
     if v not in g._adj:
         raise GraphError(f"{v!r} is not a vertex")
     return len(g._adj[v]) == len(g) - 1
+
+
+def _undominated_vertex(g: WeightedRootedGraph) -> Optional[str]:
+    """The least vertex with no edge to the root; None when the root dominates."""
+    return next((v for v in g.vertices if v != g.root and v not in g._adj[g.root]), None)
+
+
+def _root_labels(g: WeightedRootedGraph) -> dict[str, Fraction]:
+    """Distance-from-root labeling: 0 at the root, the root-edge weight elsewhere.
+
+    GraphError names a vertex the root misses unless the root is dominating.
+    """
+    if not is_dominating(g, g.root):
+        missing = _undominated_vertex(g)
+        raise GraphError(f"root {g.root!r} is not dominating: no edge to {missing!r}")
+    labels = {g.root: Fraction(0)}
+    for v in g.vertices:
+        if v != g.root:
+            labels[v] = g.weight(g.root, v)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -517,17 +470,6 @@ def isomorphic(
     return _backtracking_isomorphism(g1, g2, weighted, weight_tol_rel)
 
 
-def _root_labels(g: WeightedRootedGraph) -> Optional[dict[str, Fraction]]:
-    """Distance-from-root labeling; None unless the root is dominating."""
-    if not is_dominating(g, g.root):
-        return None
-    labels = {g.root: Fraction(0)}
-    for v in g.vertices:
-        if v != g.root:
-            labels[v] = g.weight(g.root, v)
-    return labels
-
-
 def _forced_mapping_by_root_labels(g1, g2, weight_tol_rel):
     """Fast path: injective root labelings force the only candidate mapping.
 
@@ -537,9 +479,10 @@ def _forced_mapping_by_root_labels(g1, g2, weight_tol_rel):
     tolerance the sorted-order pairing is only the best candidate, so a
     failed candidate must not be taken as a proof of non-isomorphism.
     """
-    lab1 = _root_labels(g1)
-    lab2 = _root_labels(g2)
-    if lab1 is None or lab2 is None:
+    try:
+        lab1 = _root_labels(g1)
+        lab2 = _root_labels(g2)
+    except GraphError:  # a root that does not dominate: no labels to use
         return None
     if len(set(lab1.values())) != len(lab1) or len(set(lab2.values())) != len(lab2):
         return None

@@ -18,10 +18,8 @@ from typing import Optional
 
 from .graph_core import (
     Cycle,
-    DisconnectedGraph,
     GraphError,
     WeightedRootedGraph,
-    enumerate_simple_paths,
     format_rational,
     parse_rational,
 )
@@ -163,25 +161,11 @@ class MetrizabilityVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _dijkstra(g: WeightedRootedGraph, source: str) -> dict[str, Fraction]:
-    dist: dict[str, Fraction] = {source: Fraction(0)}
-    heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
-    done: set[str] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v in g._adj[u]:
-            nd = d + g.weight(u, v)
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def _dijkstra_path(g: WeightedRootedGraph, source: str, target: str):
-    """Shortest source-target distance and one realizing simple path."""
+def _dijkstra(
+    g: WeightedRootedGraph, source: str
+) -> tuple[dict[str, Fraction], dict[str, str]]:
+    """Exact distances from source, and each reached vertex's predecessor on
+    one shortest path (the tree that ``_path`` walks)."""
     dist: dict[str, Fraction] = {source: Fraction(0)}
     prev: dict[str, str] = {}
     heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
@@ -191,31 +175,30 @@ def _dijkstra_path(g: WeightedRootedGraph, source: str, target: str):
         if u in done:
             continue
         done.add(u)
-        if u == target:
-            break
         for v in g._adj[u]:
             nd = d + g.weight(u, v)
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
-    if target not in dist:
-        return None, None
+    return dist, prev
+
+
+def _path(prev: dict[str, str], source: str, target: str) -> tuple[str, ...]:
+    """The source-target path of a shortest-path tree."""
     path = [target]
     while path[-1] != source:
         path.append(prev[path[-1]])
-    return dist[target], tuple(reversed(path))
+    return tuple(reversed(path))
 
 
 def shortest_path_metric(g: WeightedRootedGraph) -> DistanceMatrix:
     """Exact all-pairs shortest-path pseudometric of a connected graph."""
     g.require_connected()
-    n = len(g.vertices)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, u in enumerate(g.vertices):
-        dist = _dijkstra(g, u)
-        for j, v in enumerate(g.vertices):
-            rows[i][j] = dist[v]
+    rows = []
+    for u in g.vertices:
+        dist = _dijkstra(g, u)[0]
+        rows.append([dist[v] for v in g.vertices])
     # Dijkstra output satisfies the axioms by construction; skip the O(n^3) recheck.
     return DistanceMatrix(g.vertices, rows, validate=False)
 
@@ -225,22 +208,18 @@ def shortest_path_metric(g: WeightedRootedGraph) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def check_metrizable(g: WeightedRootedGraph) -> MetrizabilityVerdict:
-    """Decide metrizability in polynomial time via the edge-detour test.
+def _classify(g: WeightedRootedGraph, d: DistanceMatrix) -> MetrizabilityVerdict:
+    """Metrizability of g from its shortest-path pseudometric d.
 
-    An edge whose weight exceeds the shortest detour between its endpoints
-    closes, together with that detour, a cycle violating the cycle inequality;
-    conversely any violating cycle contains such an edge (its heaviest one).
-    So one shortest-path run per deleted edge decides the cycle condition.
+    An edge heavier than d between its endpoints closes, with the shortest
+    detour around it, a cycle violating the cycle inequality; conversely any
+    violating cycle contains such an edge (its heaviest one). So the cycle
+    condition holds iff every edge weight equals d.
     """
-    g.require_connected()
     for (u, v), w in sorted(g.weights.items()):
-        reduced = g.without_edge(u, v)
-        detour, path = _dijkstra_path(reduced, u, v)
-        if detour is None:
-            continue  # bridge: no cycle through this edge
-        if w > detour:
-            cycle = Cycle.from_graph(g, path)
+        if w > d.get(u, v):
+            prev = _dijkstra(g.without_edge(u, v), u)[1]
+            cycle = Cycle.from_graph(g, _path(prev, u, v))
             # path closes with edge {u,v}; re-check the violation exactly
             assert not cycle.satisfies_cycle_inequality()
             return MetrizabilityVerdict(
@@ -254,10 +233,19 @@ def check_metrizable(g: WeightedRootedGraph) -> MetrizabilityVerdict:
     return MetrizabilityVerdict(Metrizability.METRIZABLE)
 
 
-def require_metrizable(g: WeightedRootedGraph) -> None:
-    verdict = check_metrizable(g)
+def check_metrizable(g: WeightedRootedGraph) -> MetrizabilityVerdict:
+    """Decide metrizability in polynomial time from the shortest-path metric,
+    with a violating cycle as witness."""
+    return _classify(g, shortest_path_metric(g))
+
+
+def require_metrizable(g: WeightedRootedGraph) -> DistanceMatrix:
+    """The shortest-path metric of g; GraphError unless g is metrizable."""
+    d = shortest_path_metric(g)
+    verdict = _classify(g, d)
     if not verdict.metrizable:
         raise GraphError(f"graph is not metrizable ({verdict.classification.value})")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -265,38 +253,71 @@ def require_metrizable(g: WeightedRootedGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
-def admissible_interval(
-    g: WeightedRootedGraph, mu: str, nu: str, max_vertices: Optional[int] = None
-) -> IntervalQ:
-    """Exact interval of values a metric extension may assign to a non-edge.
+def _interval(g: WeightedRootedGraph, d: DistanceMatrix, mu: str, nu: str):
+    """Admissible interval of a non-edge of a metrizable graph with metric d,
+    and the oriented edge (a, b) whose slack sets a positive lower end.
 
-    Over every simple mu-nu path P: the lower end is the largest positive
-    part of (2 * heaviest edge of P - length of P); the upper end is the
-    smallest path length. Exhaustive path enumeration: a shortest-path
-    shortcut would be unsound for the lower end.
+    The upper end is d(mu, nu). The lower end is the largest slack
+    w(ab) - d(mu, a) - d(b, nu) over edges ab in both orientations, or 0:
+    the triangle inequality along mu..a, ab, b..nu makes it necessary, and
+    when it is positive the three pieces form a simple path (a shared vertex
+    would give a route from a to b shorter than the edge ab), so it is attained.
     """
-    require_metrizable(g)
+    if mu not in g._adj or nu not in g._adj:
+        raise GraphError(f"{mu!r} and {nu!r} must both be vertices of the graph")
     if g.has_edge(mu, nu):
         raise GraphError(f"{mu!r} and {nu!r} are adjacent; interval applies to non-edges")
-    lo = Fraction(0)
-    hi: Optional[Fraction] = None
-    for path in enumerate_simple_paths(g, mu, nu, max_vertices):
-        ws = [g.weight(path[i], path[i + 1]) for i in range(len(path) - 1)]
-        total = sum(ws, Fraction(0))
-        slack = 2 * max(ws) - total
-        if slack > lo:
-            lo = slack
-        if hi is None or total < hi:
-            hi = total
-    if hi is None:
-        raise DisconnectedGraph(f"no path joins {mu!r} and {nu!r}")
-    assert lo <= hi, "admissible interval inverted on a metrizable graph"
-    return IntervalQ(lo, hi)
+    index = d._index
+    from_mu, from_nu = d.rows[index[mu]], d.rows[index[nu]]
+    lo, edge = Fraction(0), None
+    for (x, y), w in sorted(g.weights.items()):
+        for a, b in ((x, y), (y, x)):
+            slack = w - from_mu[index[a]] - from_nu[index[b]]
+            if slack > lo:
+                lo, edge = slack, (a, b)
+    return IntervalQ(lo, from_mu[index[nu]]), edge
 
 
-def extend_metric(
-    g: WeightedRootedGraph, mu: str, nu: str, t, max_vertices: Optional[int] = None
-) -> DistanceMatrix:
+def _tight_cycle(g: WeightedRootedGraph, mu: str, nu: str, edge) -> Cycle:
+    """The cycle a..mu..nu..b closed by the edge (a, b) that pins the
+    degenerate interval of (mu, nu), built from three shortest paths.
+
+    It is tight because w(ab) = d(a, mu) + d(mu, nu) + d(nu, b), and simple
+    on positive weights by the argument in ``_interval``.
+    """
+    a, b = edge
+    from_mu = _dijkstra(g, mu)[1]
+    from_nu = _dijkstra(g, nu)[1]
+    order = _path(from_mu, mu, a)[::-1] + _path(from_mu, mu, nu)[1:] + _path(from_nu, nu, b)[1:]
+    return Cycle.from_graph(g, order)
+
+
+def _extension(d: DistanceMatrix, mu: str, nu: str, t: Fraction) -> DistanceMatrix:
+    """Shortest-path metric of the graph behind d with the edge {mu, nu} of
+    weight t added: a shortest path uses the new edge at most once."""
+    i, j = d._index[mu], d._index[nu]
+    from_mu, from_nu = d.rows[i], d.rows[j]
+    out = []
+    for row in d.rows:
+        via_mu, via_nu = row[i] + t, row[j] + t
+        out.append(
+            [min(direct, via_mu + nu_y, via_nu + mu_y)
+             for direct, nu_y, mu_y in zip(row, from_nu, from_mu)]
+        )
+    return DistanceMatrix(d.vertices, out, validate=False)
+
+
+def admissible_interval(g: WeightedRootedGraph, mu: str, nu: str) -> IntervalQ:
+    """Exact interval of values a metric extension may assign to a non-edge.
+
+    Equal, over every simple mu-nu path P, to [largest positive part of
+    (2 * heaviest edge of P - length of P), smallest length of P]; computed
+    from the shortest-path metric (see ``_interval``).
+    """
+    return _interval(g, require_metrizable(g), mu, nu)[0]
+
+
+def extend_metric(g: WeightedRootedGraph, mu: str, nu: str, t) -> DistanceMatrix:
     """A metric agreeing with the weights and assigning exactly t to (mu, nu).
 
     Realized as the shortest-path metric of the graph augmented with the edge
@@ -304,39 +325,32 @@ def extend_metric(
     admissible interval.
     """
     t = parse_rational(t)
-    interval = admissible_interval(g, mu, nu, max_vertices)
+    d = require_metrizable(g)
+    interval = _interval(g, d, mu, nu)[0]
     if t <= 0:
         raise GraphError(f"extension value must be positive, got {t}")
     if not interval.contains(t):
         raise GraphError(
             f"value {t} for ({mu!r},{nu!r}) lies outside the admissible interval {interval}"
         )
-    return shortest_path_metric(g.with_edge(mu, nu, t))
+    return _extension(d, mu, nu, t)
 
 
-def unique_pairs(
-    g: WeightedRootedGraph, max_vertices: Optional[int] = None
-) -> tuple[tuple[str, str], ...]:
+def unique_pairs(g: WeightedRootedGraph) -> tuple[tuple[str, str], ...]:
     """Non-adjacent pairs whose distance is the same in every metric extension.
 
     Exactly the pairs with a degenerate admissible interval.
     """
-    require_metrizable(g)
-    out = []
-    for u, v in g.non_edges():
-        if admissible_interval(g, u, v, max_vertices).degenerate:
-            out.append((u, v))
-    return tuple(out)
+    d = require_metrizable(g)
+    return tuple(p for p in g.non_edges() if _interval(g, d, *p)[0].degenerate)
 
 
-def forced_completion(
-    g: WeightedRootedGraph, max_vertices: Optional[int] = None
-) -> WeightedRootedGraph:
+def forced_completion(g: WeightedRootedGraph) -> WeightedRootedGraph:
     """Single-pass completion: add each unique pair as an edge with its forced weight."""
-    require_metrizable(g)
+    d = require_metrizable(g)
     out = g
     for u, v in g.non_edges():
-        interval = admissible_interval(g, u, v, max_vertices)
+        interval = _interval(g, d, u, v)[0]
         if interval.degenerate:
             out = out.with_edge(u, v, interval.lo)
     return out

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .metrization import DistanceMatrix, extend_metric, shortest_path_metric, admissible_interval
+from .metrization import DistanceMatrix, _extension, _interval, shortest_path_metric
 from .fpc import certify_fpc
 
 MAX_FLOAT_EXPONENT = 1023  # binary64 overflow guard for scaling values
@@ -163,26 +163,33 @@ class LeveledPointCloud:
         except (KeyError, TypeError) as exc:
             raise GraphError(f"cloud JSON is missing field: {exc}") from exc
         levels = []
-        for entry in raw_levels:
-            points = []
-            for item in entry["points"]:
-                exact = item.get("exact")
-                points.append(
-                    CloudPoint(
-                        label=item.get("label"),
-                        coords=tuple(float(c) for c in item["coords"]),
-                        exact=tuple(parse_rational(x) for x in exact) if exact else None,
+        try:
+            for entry in raw_levels:
+                points = []
+                for item in entry["points"]:
+                    coords = tuple(float(c) for c in item["coords"])
+                    exact = item.get("exact")
+                    exact = tuple(parse_rational(x) for x in exact) if exact else None
+                    # sup_distance zips coordinates: a short list would be cut silently
+                    if len(coords) != dimension or (exact is not None and len(exact) != dimension):
+                        raise GraphError(
+                            f"point {item.get('label')!r} at level {entry.get('n')} "
+                            f"does not have {dimension} coordinates"
+                        )
+                    points.append(
+                        CloudPoint(label=item.get("label"), coords=coords, exact=exact)
+                    )
+                r_exact = entry.get("r_exact")
+                levels.append(
+                    CloudLevel(
+                        n=int(entry["n"]),
+                        r=float(entry["r"]),
+                        r_exact=parse_rational(r_exact) if r_exact is not None else None,
+                        points=points,
                     )
                 )
-            r_exact = entry.get("r_exact")
-            levels.append(
-                CloudLevel(
-                    n=int(entry["n"]),
-                    r=float(entry["r"]),
-                    r_exact=parse_rational(r_exact) if r_exact is not None else None,
-                    points=points,
-                )
-            )
+        except KeyError as exc:
+            raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
         return cls(
             dimension=dimension,
             levels=levels,
@@ -212,7 +219,6 @@ def build_plan(
     g: WeightedRootedGraph,
     depth: int,
     rule: ScalingRule | None = None,
-    max_vertices: Optional[int] = None,
 ) -> RealizationPlan:
     """Choose the metric family and scaling for a certified graph.
 
@@ -224,7 +230,7 @@ def build_plan(
     """
     if depth < 1:
         raise GraphError("depth must be at least 1")
-    cert = certify_fpc(g, max_vertices)
+    cert = certify_fpc(g)
     if not cert.ok:
         raise GraphError(
             f"graph does not certify (failed: {cert.failure}); realization needs a certified graph"
@@ -233,22 +239,22 @@ def build_plan(
     non_edges = list(g.non_edges())
     warnings: list[str] = []
 
+    d = shortest_path_metric(g)
     if not non_edges:
-        family = [shortest_path_metric(g)]
+        family = [d]
         chosen: list[tuple[Fraction, Fraction]] = []
     else:
         lower_members: list[DistanceMatrix] = []
-        upper_members: list[DistanceMatrix] = []
         chosen = []
         for u, v in non_edges:
-            interval = admissible_interval(g, u, v, max_vertices)
+            interval = _interval(g, d, u, v)[0]
             assert interval.lo < interval.hi, "certified graphs have no forced distances"
             t1 = interval.midpoint() if interval.lo > 0 else interval.hi / 2
             t2 = interval.hi
-            lower_members.append(extend_metric(g, u, v, t1, max_vertices))
-            upper_members.append(extend_metric(g, u, v, t2, max_vertices))
+            lower_members.append(_extension(d, u, v, t1))
             chosen.append((t1, t2))
-        family = lower_members + upper_members
+        # fixing a non-edge at its upper end hi = d(u, v) leaves d unchanged
+        family = lower_members + [d] * len(non_edges)
         if depth < len(family):
             warnings.append(
                 f"depth {depth} is shorter than one full metric-family period "
@@ -316,10 +322,9 @@ def realize(
     g: WeightedRootedGraph,
     depth: int,
     rule: ScalingRule | None = None,
-    max_vertices: Optional[int] = None,
 ) -> LeveledPointCloud:
     """build_plan + generate_cloud in one call."""
-    return generate_cloud(build_plan(g, depth, rule, max_vertices))
+    return generate_cloud(build_plan(g, depth, rule))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Independent brute-force oracles and small-graph corpora for the test suite.
 
 networkx appears here only as a corpus generator (graph atlas, trees) and as
-a second opinion on cycle counts; every quantity the library is tested
-against is recomputed by the plain enumeration oracles below.
+a second opinion on cycle and path counts; every quantity the library is
+tested against is recomputed by the plain, exponential enumeration oracles
+below.
 """
 
 from __future__ import annotations
@@ -13,7 +14,34 @@ from itertools import combinations
 
 import networkx as nx
 
-from metric_cluster.graph_core import Cycle, WeightedRootedGraph, enumerate_cycles
+from metric_cluster.graph_core import Cycle, WeightedRootedGraph
+from metric_cluster.metrization import IntervalQ
+
+
+def enumerate_cycles(g: WeightedRootedGraph):
+    """Yield every simple cycle exactly once, up to rotation and reflection."""
+    adj = {v: sorted(nb) for v, nb in g.adjacency().items()}
+
+    for start in g.vertices:
+        # Only cycles whose minimal vertex is `start`; dedupe the two
+        # traversal directions by requiring path[1] < path[-1].
+        path = [start]
+        on_path = {start}
+
+        def dfs():
+            u = path[-1]
+            for w in adj[u]:
+                if w <= start or w in on_path:
+                    if w == start and len(path) >= 3 and path[1] < path[-1]:
+                        yield Cycle.from_graph(g, tuple(path))
+                    continue
+                path.append(w)
+                on_path.add(w)
+                yield from dfs()
+                path.pop()
+                on_path.remove(w)
+
+        yield from dfs()
 
 
 def brute_force_maximal_cliques(vertices, adj):
@@ -43,6 +71,38 @@ def brute_force_simple_paths(adj, u, v):
             if nb not in path:
                 stack.append((nb, path + [nb]))
     return out
+
+
+def interval_by_paths(g: WeightedRootedGraph, u: str, v: str) -> IntervalQ:
+    """Admissible interval over every simple u-v path P: the largest positive
+    part of (2 * heaviest edge of P - length of P), up to the shortest length."""
+    lo, hi = Fraction(0), None
+    for path in brute_force_simple_paths(g.adjacency(), u, v):
+        ws = [g.weight(a, b) for a, b in zip(path, path[1:])]
+        total = sum(ws, Fraction(0))
+        lo = max(lo, 2 * max(ws) - total)
+        hi = total if hi is None else min(hi, total)
+    return IntervalQ(lo, hi)
+
+
+def certifies_by_cycles(g: WeightedRootedGraph) -> bool:
+    """The three cluster conditions checked literally: dominating root with
+    injective root-edge labels, the cycle inequality on every cycle, and every
+    tight cycle a clique."""
+    others = [v for v in g.vertices if v != g.root]
+    if not all(g.has_edge(g.root, v) for v in others):
+        return False
+    labels = [Fraction(0)] + [g.weight(g.root, v) for v in others]
+    if len(set(labels)) != len(labels):
+        return False
+    for cycle in enumerate_cycles(g):
+        if not cycle.satisfies_cycle_inequality():
+            return False
+        if cycle.is_tight() and not all(
+            g.has_edge(a, b) for a, b in combinations(cycle.vertices, 2)
+        ):
+            return False
+    return True
 
 
 def metrizability_by_cycles(g: WeightedRootedGraph) -> str:

@@ -15,7 +15,6 @@ import pytest
 from metric_cluster.graph_core import (
     WeightedRootedGraph,
     GraphError,
-    enumerate_cycles,
     isomorphic,
 )
 from metric_cluster.metrization import (
@@ -55,6 +54,7 @@ from oracles import (
     collinear_k4,
     complete_multipartite,
     dominating_rooted_shapes,
+    enumerate_cycles,
     moon_moser_parts,
     nx_to_graph,
     random_metrizable_graph,

@@ -288,3 +288,49 @@ def test_disconnected_graph_exit_2(tmp_path, capsys):
     )
     assert main(["spm", str(g)]) == 2
     assert "component" in capsys.readouterr().err
+
+
+def realized_cloud(cert_graph, tmp_path) -> dict:
+    cloud = tmp_path / "cloud.json"
+    assert main(["realize", str(cert_graph), "--depth", "12", "--out", str(cloud)]) == 0
+    return json.loads(cloud.read_text(encoding="utf-8"))
+
+
+def test_short_coordinates_exit_2(cert_graph, tmp_path, capsys):
+    data = realized_cloud(cert_graph, tmp_path)
+    for key in ("coords", "exact"):
+        cut = json.loads(json.dumps(data))
+        for level in cut["levels"]:
+            for point in level["points"]:
+                point[key] = point[key][:2]
+        short = tmp_path / f"short_{key}.json"
+        short.write_text(json.dumps(cut), encoding="utf-8")
+        assert main(["recover", str(short), "--exact"]) == 2
+        assert "does not have 4 coordinates" in capsys.readouterr().err
+
+
+def test_cloud_level_missing_field_exit_2(cert_graph, tmp_path, capsys):
+    data = realized_cloud(cert_graph, tmp_path)
+    for drop in ("points", "n"):
+        broken = json.loads(json.dumps(data))
+        del broken["levels"][3][drop]
+        path = tmp_path / f"no_{drop}.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        assert main(["recover", str(path)]) == 2
+        assert drop in capsys.readouterr().err
+    broken = json.loads(json.dumps(data))
+    del broken["levels"][3]["points"][1]["coords"]
+    path = tmp_path / "no_coords.json"
+    path.write_text(json.dumps(broken), encoding="utf-8")
+    assert main(["recover", str(path)]) == 2
+    assert "coords" in capsys.readouterr().err
+
+
+def test_graph_edge_missing_endpoint_exit_2(tmp_path, capsys):
+    for drop in ("u", "v"):
+        edge = {"u": "a", "v": "b", "w": "1"}
+        del edge[drop]
+        path = tmp_path / f"no_{drop}.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "root": "a", "edges": [edge]}))
+        assert main(["check", str(path)]) == 2
+        assert f"'{drop}'" in capsys.readouterr().err

@@ -6,9 +6,11 @@ import pytest
 from metric_cluster.graph_core import GraphError, WeightedRootedGraph, maximal_cliques
 from metric_cluster.metrization import (
     Metrizability,
+    admissible_interval,
     check_metrizable,
     metric_agrees_with_weights,
     shortest_path_metric,
+    unique_pairs,
 )
 from metric_cluster.fpc import (
     FAIL_CYCLE_INEQUALITY,
@@ -24,9 +26,11 @@ from metric_cluster.fpc import (
     witness_is_genuine,
 )
 from metric_cluster.metrization import DistanceMatrix, line_distance_matrix
+from metric_cluster.realization import build_plan
 
 from oracles import (
     brute_force_maximal_cliques,
+    certifies_by_cycles,
     collinear_k4,
     complete_multipartite,
     dominating_rooted_shapes,
@@ -165,6 +169,53 @@ def test_certification_invariant_under_renaming_and_rescaling():
         # rescaling a failing graph keeps the same failure
         broken = collinear_k4(Fraction(1), Fraction(1), Fraction(2)).without_edge("u", "z")
         assert certify_fpc(broken.scale_weights(Fraction(5, 2))).failure == FAIL_TIGHT_CYCLE_NOT_CLIQUE
+
+
+def test_certification_matches_cycle_oracle_on_all_small_shapes():
+    rng = random.Random(607)
+    failures = set()
+    for shape in dominating_rooted_shapes(7):
+        # points of a half line, the root at 0: labels are injective, every
+        # cycle inequality holds and tight cycles abound
+        others = [v for v in shape.vertices if v != shape.root]
+        position = {shape.root: 0, **dict(zip(others, rng.sample(range(1, 25), len(others))))}
+        line = {(u, v): abs(position[u] - position[v]) for u, v in shape.edges()}
+        small = {e: rng.randint(1, 6) for e in shape.edges()}
+        for g in (
+            synthesize_weights(shape),
+            WeightedRootedGraph(shape.vertices, line, shape.root),
+            WeightedRootedGraph(shape.vertices, small, shape.root),
+        ):
+            cert = certify_fpc(g)
+            assert cert.ok == certifies_by_cycles(g), f"disagreement on {g.to_json()}"
+            if not cert.ok:
+                assert witness_is_genuine(g, cert), f"stale witness on {g.to_json()}"
+                failures.add(cert.failure)
+    assert failures == {
+        FAIL_LABELING_NOT_INJECTIVE,
+        FAIL_CYCLE_INEQUALITY,
+        FAIL_TIGHT_CYCLE_NOT_CLIQUE,
+    }
+
+
+def test_large_synthesized_graph_certifies_and_gets_a_plan():
+    rng = random.Random(24)
+    names = ["root"] + [f"v{i:02d}" for i in range(23)]
+    edges = {("root", v): Fraction(1) for v in names[1:]}
+    for i in range(1, 23):
+        for j in range(i + 1, 24):
+            if rng.random() < 0.5:
+                edges[(names[i], names[j])] = Fraction(1)
+    g = synthesize_weights(WeightedRootedGraph(names, edges, "root"))
+    assert certify_fpc(g).ok
+    non_edges = g.non_edges()
+    assert unique_pairs(g) == ()  # every interval, none of them degenerate
+    for u, v in (non_edges[0], non_edges[-1]):
+        interval = admissible_interval(g, u, v)
+        assert 0 <= interval.lo < interval.hi
+    plan = build_plan(g, depth=2 * len(non_edges) + 4)
+    assert plan.period == 2 * len(non_edges) and not plan.warnings
+    assert all(metric_agrees_with_weights(d, g) for d in plan.family)
 
 
 # ---------------------------------------------------------------------------

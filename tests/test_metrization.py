@@ -24,7 +24,9 @@ from metric_cluster.metrization import (
 )
 
 from oracles import (
+    interval_by_paths,
     metrizability_by_cycles,
+    random_connected_graph,
     random_metrizable_graph,
     random_rational,
     random_weighted_graph,
@@ -211,6 +213,37 @@ def test_interval_rejects_adjacent_and_nonmetrizable():
     bad = graph(["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 3}, "a")
     with pytest.raises(GraphError):
         admissible_interval(bad, "a", "b")
+
+
+def test_interval_rejects_equal_and_unknown_endpoints():
+    g = quad_cycle(1, 2, 3, 4)
+    for mu, nu in (("nu2", "nu2"), ("nu2", "x")):
+        with pytest.raises(GraphError):
+            admissible_interval(g, mu, nu)
+
+
+def line_restricted_graph(rng, n):
+    """Random connected graph on distinct integer points of a line, weighted
+    by their distances: metrizable, with many tight cycles and forced pairs."""
+    G = random_connected_graph(rng, n)
+    x = rng.sample(range(20), n)
+    names = [f"v{i}" for i in range(n)]
+    weights = {(names[a], names[b]): Fraction(abs(x[a] - x[b])) for a, b in G.edges()}
+    return WeightedRootedGraph(names, weights, names[0])
+
+
+def test_interval_matches_simple_path_oracle():
+    rng = random.Random(53)
+    corpus = [random_metrizable_graph(rng, rng.randint(3, 8)) for _ in range(60)]
+    corpus += [line_restricted_graph(rng, rng.randint(3, 8)) for _ in range(30)]
+    pairs = degenerate = 0
+    for g in corpus:
+        for u, v in g.non_edges():
+            interval = admissible_interval(g, u, v)
+            assert interval == interval_by_paths(g, u, v), f"({u},{v}) of {g.to_json()}"
+            pairs += 1
+            degenerate += interval.degenerate
+    assert pairs > 300 and degenerate > 10
 
 
 # ---------------------------------------------------------------------------
