@@ -33,9 +33,9 @@ from .graph_core import (
 )
 from .metrization import (
     DistanceMatrix,
+    _classify,
     _interval,
     _tight_cycle,
-    check_metrizable,
     shortest_path_metric,
 )
 
@@ -126,14 +126,14 @@ def certify_fpc(g: WeightedRootedGraph) -> FpcCertificate:
         )
     # (ii): after (i) every zero weight closes a violating triangle, so the
     # graph is metrizable or the verdict carries a violating cycle
-    verdict = check_metrizable(g)
+    d = shortest_path_metric(g)
+    verdict = _classify(g, d.get)
     if not verdict.metrizable:
         return FpcCertificate(
             False, FAIL_CYCLE_INEQUALITY, witness_cycle=verdict.witness_cycle
         )
     # (iii): a tight cycle through a non-edge forces its distance, and a
     # forced distance closes a tight cycle through the pair
-    d = shortest_path_metric(g)
     for mu, nu in g.non_edges():
         interval, edge = _interval(g, d, mu, nu)
         if interval.degenerate:

@@ -208,16 +208,19 @@ def shortest_path_metric(g: WeightedRootedGraph) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _classify(g: WeightedRootedGraph, d: DistanceMatrix) -> MetrizabilityVerdict:
-    """Metrizability of g from its shortest-path pseudometric d.
+def _classify(g: WeightedRootedGraph, dist) -> MetrizabilityVerdict:
+    """Metrizability of g from its shortest-path pseudometric, read through
+    ``dist(u, v)``.
 
     An edge heavier than d between its endpoints closes, with the shortest
     detour around it, a cycle violating the cycle inequality; conversely any
     violating cycle contains such an edge (its heaviest one). So the cycle
-    condition holds iff every edge weight equals d.
+    condition holds iff every edge weight equals d. Edges are checked in
+    sorted order and the first heavy one decides, so ``dist`` is asked only
+    for rows up to it.
     """
     for (u, v), w in sorted(g.weights.items()):
-        if w > d.get(u, v):
+        if w > dist(u, v):
             prev = _dijkstra(g.without_edge(u, v), u)[1]
             cycle = Cycle.from_graph(g, _path(prev, u, v))
             # path closes with edge {u,v}; re-check the violation exactly
@@ -235,14 +238,27 @@ def _classify(g: WeightedRootedGraph, d: DistanceMatrix) -> MetrizabilityVerdict
 
 def check_metrizable(g: WeightedRootedGraph) -> MetrizabilityVerdict:
     """Decide metrizability in polynomial time from the shortest-path metric,
-    with a violating cycle as witness."""
-    return _classify(g, shortest_path_metric(g))
+    with a violating cycle as witness.
+
+    Sorted edges come grouped by their smaller endpoint u, so one Dijkstra
+    row from u is run when its first edge comes up, and a graph that is not
+    metrizable stops at its first heavy edge without the rows after it.
+    """
+    g.require_connected()
+    rows: dict[str, dict[str, Fraction]] = {}
+
+    def dist(u: str, v: str) -> Fraction:
+        if u not in rows:
+            rows[u] = _dijkstra(g, u)[0]
+        return rows[u][v]
+
+    return _classify(g, dist)
 
 
 def require_metrizable(g: WeightedRootedGraph) -> DistanceMatrix:
     """The shortest-path metric of g; GraphError unless g is metrizable."""
     d = shortest_path_metric(g)
-    verdict = _classify(g, d)
+    verdict = _classify(g, d.get)
     if not verdict.metrizable:
         raise GraphError(f"graph is not metrizable ({verdict.classification.value})")
     return d

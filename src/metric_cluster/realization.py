@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -165,26 +166,33 @@ class LeveledPointCloud:
         levels = []
         try:
             for entry in raw_levels:
+                n = entry["n"]
                 points = []
                 for item in entry["points"]:
-                    coords = tuple(float(c) for c in item["coords"])
+                    label = item.get("label")
+                    try:
+                        coords = tuple(map(float, item["coords"]))
+                    except (TypeError, ValueError) as exc:
+                        raise GraphError(
+                            f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
+                        ) from exc
+                    if not all(map(math.isfinite, coords)):
+                        raise GraphError(
+                            f"point {label!r} at level {n} has a NaN or infinite coordinate"
+                        )
                     exact = item.get("exact")
                     exact = tuple(parse_rational(x) for x in exact) if exact else None
                     # sup_distance zips coordinates: a short list would be cut silently
                     if len(coords) != dimension or (exact is not None and len(exact) != dimension):
                         raise GraphError(
-                            f"point {item.get('label')!r} at level {entry.get('n')} "
-                            f"does not have {dimension} coordinates"
+                            f"point {label!r} at level {n} does not have {dimension} coordinates"
                         )
-                    points.append(
-                        CloudPoint(label=item.get("label"), coords=coords, exact=exact)
-                    )
-                r_exact = entry.get("r_exact")
+                    points.append(CloudPoint(label=label, coords=coords, exact=exact))
                 levels.append(
                     CloudLevel(
-                        n=int(entry["n"]),
-                        r=float(entry["r"]),
-                        r_exact=parse_rational(r_exact) if r_exact is not None else None,
+                        n=int(n),
+                        r=_positive_scale(entry["r"], n),
+                        r_exact=_positive_exact_scale(entry.get("r_exact"), n),
                         points=points,
                     )
                 )
@@ -205,9 +213,30 @@ class LeveledPointCloud:
         return cls.from_json_dict(json.loads(text))
 
 
+def _positive_scale(value, n) -> float:
+    """A level's binary64 scale r: recovery divides by it, so it must be a
+    finite number above zero."""
+    try:
+        r = float(value)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"level {n} has a non-numeric scale r: {exc}") from exc
+    if not (math.isfinite(r) and r > 0):
+        raise GraphError(f"level {n} has scale r = {r}; it must be finite and positive")
+    return r
+
+
+def _positive_exact_scale(value, n) -> Optional[Fraction]:
+    if value is None:
+        return None
+    r_exact = parse_rational(value)
+    if r_exact <= 0:
+        raise GraphError(f"level {n} has exact scale r_exact = {r_exact}; it must be positive")
+    return r_exact
+
+
 def sup_distance(a: Sequence, b: Sequence):
-    """Sup-norm distance; works for float tuples and Fraction tuples alike."""
-    return max(abs(x - y) for x, y in zip(a, b))
+    """Sup-norm distance; works for float, int and Fraction tuples alike."""
+    return max(map(abs, map(operator.sub, a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ tail minimum/maximum double as lower/upper limit estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -77,6 +78,19 @@ def _spread(values):
     return max(values) - min(values)
 
 
+def _common_denominator_rows(pts: dict[str, CloudPoint], r: Fraction):
+    """One level's exact coordinates as integer numerators over their least
+    common denominator q, and the (numerator, denominator) pair that turns an
+    integer sup distance D between two rows into the normalized distance
+    D / (q * r) = Fraction(D * r.denominator, q * r.numerator)."""
+    q = math.lcm(*{c.denominator for p in pts.values() for c in p.exact})
+    rows = {
+        lbl: tuple(c.numerator * (q // c.denominator) for c in p.exact)
+        for lbl, p in pts.items()
+    }
+    return rows, (r.denominator, q * r.numerator)
+
+
 def recover_cluster(
     cloud: LeveledPointCloud,
     tol_rel: float = DEFAULT_TOL_REL,
@@ -88,6 +102,8 @@ def recover_cluster(
 
     ``use_exact`` switches all measurements to the rational shadows (when the
     cloud carries them), making edge weights and adjacency decisions exact.
+    Exact distances are taken on integer numerators over each level's common
+    denominator; every normalized value is still the exact rational.
     """
     if not cloud.levels:
         raise GraphError("empty cloud")
@@ -123,36 +139,30 @@ def recover_cluster(
     if use_exact:
         if not cloud.has_exact():
             raise GraphError("cloud carries no exact shadows; cannot recover exactly")
+        rows, units = zip(
+            *(_common_denominator_rows(pts, lvl.r_exact) for lvl, pts in per_level)
+        )
 
-        def coords(p: CloudPoint):
-            return p.exact
-
-        def scale(lvl: CloudLevel):
-            return lvl.r_exact
+        def normalized(dist, unit):
+            return Fraction(dist * unit[0], unit[1])
 
         zero = Fraction(0)
         t_rel = Fraction(tol_rel)
         t_abs = Fraction(tol_abs)
     else:
+        rows = [{lbl: p.coords for lbl, p in pts.items()} for _, pts in per_level]
+        units = [lvl.r for lvl, _ in per_level]
 
-        def coords(p: CloudPoint):
-            return p.coords
-
-        def scale(lvl: CloudLevel):
-            return lvl.r
+        def normalized(dist, r):
+            return dist / r
 
         zero = 0.0
         t_rel = tol_rel
         t_abs = tol_abs
 
-    def base_distance(p: CloudPoint):
-        return max(abs(c) for c in coords(p))
-
     b: dict = {_BASE: [zero] * window}
     for lbl in labels:
-        b[lbl] = [
-            base_distance(pts[lbl]) / scale(lvl) for (lvl, pts) in per_level
-        ]
+        b[lbl] = [normalized(max(map(abs, row[lbl])), unit) for row, unit in zip(rows, units)]
 
     def pair_values(x, y):
         if x is _BASE:
@@ -160,8 +170,7 @@ def recover_cluster(
         if y is _BASE:
             return b[x]
         return [
-            sup_distance(coords(pts[x]), coords(pts[y])) / scale(lvl)
-            for (lvl, pts) in per_level
+            normalized(sup_distance(row[x], row[y]), unit) for row, unit in zip(rows, units)
         ]
 
     all_traces = [_BASE] + list(labels)

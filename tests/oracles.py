@@ -123,6 +123,30 @@ def tight_cycle_through_pair(g: WeightedRootedGraph, u: str, v: str) -> bool:
     return False
 
 
+def normalized_values_by_fractions(cloud, window: int):
+    """Recovery's normalized values over the last ``window`` levels, by plain
+    Fraction arithmetic on the exact shadows: per label the basepoint values
+    sup|x_n| / r_n, and per label pair (x < y) the values sup|x_n - y_n| / r_n."""
+    labels = cloud.labels()
+    base = {x: [] for x in labels}
+    pairs = {pair: [] for pair in combinations(labels, 2)}
+    for lvl in cloud.levels[-window:]:
+        pts = {p.label: p.exact for p in lvl.points}
+        for x in labels:
+            base[x].append(max(abs(c) for c in pts[x]) / lvl.r_exact)
+        for x, y in pairs:
+            dist = max(abs(a - b) for a, b in zip(pts[x], pts[y]))
+            pairs[(x, y)].append(dist / lvl.r_exact)
+    return base, pairs
+
+
+def fraction_rows(pts, r: Fraction):
+    """Stand-in for ``recovery._common_denominator_rows`` that keeps each
+    level's Fraction coordinates and scales by r itself: recovery then builds
+    every value as Fraction(sup distance of the exact shadows, r_exact)."""
+    return {label: p.exact for label, p in pts.items()}, (1, r)
+
+
 def cycle_count_networkx(g: WeightedRootedGraph) -> int:
     G = nx.Graph()
     G.add_nodes_from(g.vertices)

@@ -334,3 +334,47 @@ def test_graph_edge_missing_endpoint_exit_2(tmp_path, capsys):
         path.write_text(json.dumps({"vertices": ["a", "b"], "root": "a", "edges": [edge]}))
         assert main(["check", str(path)]) == 2
         assert f"'{drop}'" in capsys.readouterr().err
+
+
+def _set_coordinate(value):
+    def edit(data):
+        data["levels"][3]["points"][1]["coords"][0] = value
+    return edit
+
+
+def _set_level(field, value):
+    def edit(data):
+        data["levels"][3][field] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_coordinate("x"), "non-numeric coordinate"),
+        (_set_coordinate(float("nan")), "NaN or infinite coordinate"),
+        (_set_coordinate(float("inf")), "NaN or infinite coordinate"),
+        (_set_level("r", "0"), "finite and positive"),
+        (_set_level("r", "-24"), "finite and positive"),
+        (_set_level("r", "inf"), "finite and positive"),
+        (_set_level("r_exact", "0"), "r_exact = 0"),
+        (_set_level("r_exact", "-24"), "r_exact = -24"),
+    ],
+    ids=[
+        "coordinate-non-numeric",
+        "coordinate-nan",
+        "coordinate-inf",
+        "r-zero",
+        "r-negative",
+        "r-inf",
+        "r_exact-zero",
+        "r_exact-negative",
+    ],
+)
+def test_bad_cloud_number_exit_2(cert_graph, tmp_path, capsys, edit, message):
+    data = realized_cloud(cert_graph, tmp_path)
+    edit(data)
+    path = tmp_path / "bad_number.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["recover", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -9,6 +9,7 @@ from metric_cluster.graph_core import Cycle, GraphError, WeightedRootedGraph
 from metric_cluster.metrization import (
     DistanceMatrix,
     Metrizability,
+    _classify,
     admissible_interval,
     check_metrizable,
     cycle_from_graph,
@@ -180,6 +181,17 @@ def test_detour_check_agrees_with_cycle_oracle():
     for _ in range(40):
         g = random_weighted_graph(rng, rng.randint(3, 8))
         assert check_metrizable(g).classification.value == metrizability_by_cycles(g)
+
+
+def test_early_exit_matches_full_matrix_verdict_and_witness():
+    rng = random.Random(37)
+    failing = 0
+    for _ in range(120):
+        g = random_weighted_graph(rng, rng.randint(3, 9))
+        expected = _classify(g, shortest_path_metric(g).get)
+        assert check_metrizable(g) == expected
+        failing += expected.classification is Metrizability.NOT_PSEUDOMETRIZABLE
+    assert failing >= 60
 
 
 # ---------------------------------------------------------------------------

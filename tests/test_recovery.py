@@ -11,10 +11,12 @@ from metric_cluster.graph_core import (
     isomorphic,
 )
 from metric_cluster.fpc import synthesize_weights
+from metric_cluster import recovery
 from metric_cluster.realization import (
     CloudLevel,
     CloudPoint,
     LeveledPointCloud,
+    ScalingRule,
     build_plan,
     generate_cloud,
     realize,
@@ -31,7 +33,7 @@ from metric_cluster.recovery import (
     validate_recovered_cluster,
 )
 
-from oracles import dominating_rooted_shapes
+from oracles import dominating_rooted_shapes, fraction_rows, normalized_values_by_fractions
 
 
 def graph(vertices, edges, root):
@@ -78,6 +80,48 @@ def test_round_trip_sweep_over_shapes():
         cloud = realize(weighted, depth=depth)
         rc = recover_cluster(cloud, use_exact=True)
         assert rc.graph == weighted, f"round trip failed for {weighted!r}"
+
+
+def hand_built_cloud() -> LeveledPointCloud:
+    """Non-integer scales, negative coordinates and mixed denominators; 'b'
+    swaps its coordinates every level, so 'a|b' and 'b|c' oscillate."""
+    a = (Fraction(-1, 2), Fraction(2, 5))
+    c = (Fraction(-7, 3), Fraction(1, 9))
+    levels = []
+    for n in range(1, 9):
+        r = Fraction(7 * n**3, 3)
+        b = (Fraction(3, 4), Fraction(-5, 6))[:: 1 if n % 2 else -1]
+        points = [CloudPoint("p", (0.0, 0.0), (Fraction(0), Fraction(0)))]
+        for label, vec in (("a", a), ("b", b), ("c", c)):
+            exact = tuple(r * x for x in vec)
+            points.append(CloudPoint(label, tuple(map(float, exact)), exact))
+        levels.append(CloudLevel(n=n, r=float(r), r_exact=r, points=points))
+    return LeveledPointCloud(dimension=2, levels=levels, period=2)
+
+
+def oracle_clouds():
+    shape = next(g for g in dominating_rooted_shapes(6) if len(g.non_edges()) == 4)
+    factorial = realize(synthesize_weights(shape), depth=20)
+    alternating = alternating_period_indices(factorial)
+    return {
+        "factorial": (factorial, None),
+        "power_square": (realize(ONE_GAP, depth=6, rule=ScalingRule("power_square", 3)), None),
+        "hand_built": (hand_built_cloud(), None),
+        "alternating_periods": (subsample_levels(factorial, alternating), len(alternating)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(oracle_clouds()))
+def test_exact_values_match_fraction_oracle(name, monkeypatch):
+    cloud, window = oracle_clouds()[name]
+    rc = recover_cluster(cloud, use_exact=True, window=window)
+    base, pairs = normalized_values_by_fractions(cloud, rc.window)
+    for x, trace in rc.traces.items():
+        assert trace.base_values == base[x]
+        for y, vals in trace.pair_values.items():
+            assert vals == pairs[min(x, y), max(x, y)]
+    monkeypatch.setattr(recovery, "_common_denominator_rows", fraction_rows)
+    assert recover_cluster(cloud, use_exact=True, window=window) == rc
 
 
 def test_round_trip_diagnostics_capture_oscillation():
