@@ -73,6 +73,13 @@ def _load_cloud(path: str) -> LeveledPointCloud:
     return LeveledPointCloud.from_json_dict(_read_json_file(path))
 
 
+def _number_list(text: str, kind, option: str) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise GraphError(f"{option} takes comma-separated numbers: {exc}") from exc
+
+
 def _emit(payload: dict, ns: argparse.Namespace, human: str) -> None:
     if getattr(ns, "json", False):
         print(json.dumps(payload, indent=2))
@@ -316,7 +323,7 @@ def _cmd_recover(ns) -> int:
 def _cmd_subsample(ns) -> int:
     cloud = _load_cloud(ns.cloud)
     if ns.indices:
-        indices = [int(x) for x in ns.indices.split(",")]
+        indices = _number_list(ns.indices, int, "--indices")
     elif ns.stride_offset is not None:
         indices = period_stride_indices(cloud, ns.stride_offset)
     elif ns.alternate_periods:
@@ -352,7 +359,7 @@ def _cmd_diag_fn(ns) -> int:
 def _cmd_diag_psi(ns) -> int:
     cloud = _load_cloud(ns.cloud)
     if ns.radii:
-        radii = [float(x) for x in ns.radii.split(",")]
+        radii = _number_list(ns.radii, float, "--radii")
     else:
         radii = [lvl.r for lvl in cloud.levels]
     table = annulus_diameter_table(cloud, ns.k, radii)

@@ -114,16 +114,22 @@ def certify_fpc(g: WeightedRootedGraph) -> FpcCertificate:
     through the root), so they surface as ordinary failures. When (ii) and
     (iii) both fail, (ii) is reported.
     """
+    return _certify(g)[0]
+
+
+def _certify(g: WeightedRootedGraph) -> tuple[FpcCertificate, Optional[DistanceMatrix]]:
+    """``certify_fpc``'s certificate and the shortest-path matrix it decided
+    (ii) and (iii) on (None when (i) fails first)."""
     # (i) dominating root
     missing = _undominated_vertex(g)
     if missing is not None:
-        return FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex=missing)
+        return FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex=missing), None
     # (i) injective labeling
     labeling = root_labeling(g)
     if not labeling.injective:
         return FpcCertificate(
             False, FAIL_LABELING_NOT_INJECTIVE, witness_pair=labeling.collision
-        )
+        ), None
     # (ii): after (i) every zero weight closes a violating triangle, so the
     # graph is metrizable or the verdict carries a violating cycle
     d = shortest_path_metric(g)
@@ -131,7 +137,7 @@ def certify_fpc(g: WeightedRootedGraph) -> FpcCertificate:
     if not verdict.metrizable:
         return FpcCertificate(
             False, FAIL_CYCLE_INEQUALITY, witness_cycle=verdict.witness_cycle
-        )
+        ), d
     # (iii): a tight cycle through a non-edge forces its distance, and a
     # forced distance closes a tight cycle through the pair
     for mu, nu in g.non_edges():
@@ -142,8 +148,8 @@ def certify_fpc(g: WeightedRootedGraph) -> FpcCertificate:
                 FAIL_TIGHT_CYCLE_NOT_CLIQUE,
                 witness_cycle=_tight_cycle(g, mu, nu, edge),
                 witness_pair=(mu, nu),
-            )
-    return FpcCertificate(True)
+            ), d
+    return FpcCertificate(True), d
 
 
 def witness_is_genuine(g: WeightedRootedGraph, cert: FpcCertificate) -> bool:

@@ -37,9 +37,12 @@ def vertex_cap(default: int, override: Optional[int] = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(ENV_MAX_VERTICES)
-    if env is not None:
+    if env is None:
+        return default
+    try:
         return int(env)
-    return default
+    except ValueError as exc:
+        raise GraphError(f"{ENV_MAX_VERTICES}={env!r} is not an integer") from exc
 
 
 def parse_rational(text) -> Fraction:
@@ -248,14 +251,24 @@ class WeightedRootedGraph:
             raw_edges = data["edges"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"graph JSON is missing field: {exc}") from exc
+        if not (isinstance(vertices, list) and isinstance(raw_edges, list)):
+            raise GraphError("graph JSON vertices and edges must be lists")
         weights = []
+        ids = [root, *vertices]
         try:
             for item in raw_edges:
+                if not isinstance(item, dict):
+                    raise GraphError(f"graph JSON edge {item!r} is not an object")
+                u, v = item["u"], item["v"]
+                ids += (u, v)
                 # "w" may be omitted for shape-only inputs (weight synthesis).
-                w = item.get("w", "1")
-                weights.append(((item["u"], item["v"]), parse_rational(w)))
+                weights.append(((u, v), parse_rational(item.get("w", "1"))))
         except KeyError as exc:
             raise GraphError(f"graph JSON edge is missing field: {exc}") from exc
+        # vertex ids are ordered as strings; other JSON values do not compare
+        bad = next((x for x in ids if not isinstance(x, str)), None)
+        if bad is not None:
+            raise GraphError(f"vertex id {bad!r} is not a string")
         return cls(vertices, weights, root)
 
     def to_json(self) -> str:

@@ -1,12 +1,13 @@
 """Building finite truncations of spaces whose cluster at infinity is a given graph.
 
-Given a certified graph, a family of metrics is produced: one pair per
-non-edge, the two members of a pair disagreeing exactly at that non-edge.
-Levels n = 1..depth place an isometric copy of (V, r_n * d_i) into sup-norm
-coordinate space via distance-difference coordinates, cycling i through the
-family. The scaling sequence grows so fast (ratio of consecutive terms
-increasing without bound) that different levels separate after rescaling,
-which is what makes the cluster recoverable from the finite truncation.
+Given a certified graph, a family of two metrics is produced: both agree
+with the edge weights, and the lower one is strictly below the shortest-path
+metric on every non-edge. Levels n = 1..depth place an isometric copy of
+(V, r_n * d_i) into sup-norm coordinate space via distance-difference
+coordinates, alternating i between the two members. The scaling sequence
+grows so fast (ratio of consecutive terms increasing without bound) that
+different levels separate after rescaling, which is what makes the cluster
+recoverable from the finite truncation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .metrization import DistanceMatrix, _extension, _interval, shortest_path_metric
-from .fpc import certify_fpc
+from .metrization import DistanceMatrix, _extension, _interval
+from .fpc import _certify
 
 MAX_FLOAT_EXPONENT = 1023  # binary64 overflow guard for scaling values
 
@@ -36,6 +37,12 @@ class ScalingRule:
 
     name: str = "factorial"
     base: int = 2
+
+    def __post_init__(self):
+        # base 1 keeps every scale at 1 and base <= 0 gives zero or
+        # alternating-sign scales: none of them tends to infinity
+        if self.name == "power_square" and self.base < 2:
+            raise GraphError("base must be an integer >= 2")
 
     def value(self, n: int) -> int:
         if n < 1:
@@ -61,15 +68,15 @@ class ScalingRule:
 class RealizationPlan:
     """Recipe for a point cloud realizing a certified graph.
 
-    ``family`` holds 2*m metrics for m non-edges (a single shortest-path
-    metric when the graph is complete); member i and member i+m agree with
-    the edge weights everywhere but give different values to non-edge i.
+    ``family`` is ``[lower, d]``: d is the shortest-path metric and lower
+    agrees with every edge weight but lies strictly below d on every
+    non-edge, so each non-edge oscillates with period 2 while each edge
+    stays put. A complete graph has the single member ``[d]``.
     """
 
     graph: WeightedRootedGraph
     family: list[DistanceMatrix]
     non_edges: list[tuple[str, str]]
-    chosen_values: list[tuple[Fraction, Fraction]]
     rule: ScalingRule
     dimension: int
     coordinate_order: tuple[str, ...]
@@ -251,15 +258,18 @@ def build_plan(
 ) -> RealizationPlan:
     """Choose the metric family and scaling for a certified graph.
 
-    For each non-edge with admissible interval [lo, hi] the pair of metrics
-    fixes the non-edge distance at t1 = (lo+hi)/2 (or hi/2 when lo = 0) and
-    at t2 = hi. Certification guarantees lo < hi, so the pair genuinely
-    disagrees; the midpoint/endpoint choice maximizes that gap, which eases
-    recovery at finite depth.
+    The upper member is the shortest-path metric d. For each of the m
+    non-edges (u, v), with admissible interval [lo, hi] and hi = d(u, v),
+    the extension of d fixing (u, v) at the midpoint (lo+hi)/2 is a metric
+    that agrees with every edge weight, lies at or below d everywhere and
+    strictly below it at (u, v); certification guarantees lo < hi. The
+    lower member is the exact average of these m extensions: a convex
+    combination of metrics agreeing on the edges is again one, and it lies
+    strictly below d on every non-edge at once.
     """
     if depth < 1:
         raise GraphError("depth must be at least 1")
-    cert = certify_fpc(g)
+    cert, d = _certify(g)
     if not cert.ok:
         raise GraphError(
             f"graph does not certify (failed: {cert.failure}); realization needs a certified graph"
@@ -268,22 +278,20 @@ def build_plan(
     non_edges = list(g.non_edges())
     warnings: list[str] = []
 
-    d = shortest_path_metric(g)
     if not non_edges:
         family = [d]
-        chosen: list[tuple[Fraction, Fraction]] = []
     else:
-        lower_members: list[DistanceMatrix] = []
-        chosen = []
+        total = None
         for u, v in non_edges:
             interval = _interval(g, d, u, v)[0]
             assert interval.lo < interval.hi, "certified graphs have no forced distances"
-            t1 = interval.midpoint() if interval.lo > 0 else interval.hi / 2
-            t2 = interval.hi
-            lower_members.append(_extension(d, u, v, t1))
-            chosen.append((t1, t2))
-        # fixing a non-edge at its upper end hi = d(u, v) leaves d unchanged
-        family = lower_members + [d] * len(non_edges)
+            rows = _extension(d, u, v, interval.midpoint()).rows
+            total = rows if total is None else [
+                list(map(operator.add, a, b)) for a, b in zip(total, rows)
+            ]
+        m = len(non_edges)
+        lower = DistanceMatrix(d.vertices, [[x / m for x in row] for row in total], validate=False)
+        family = [lower, d]
         if depth < len(family):
             warnings.append(
                 f"depth {depth} is shorter than one full metric-family period "
@@ -294,7 +302,6 @@ def build_plan(
         graph=g,
         family=family,
         non_edges=non_edges,
-        chosen_values=chosen,
         rule=rule,
         dimension=len(g),
         coordinate_order=g.vertices,

@@ -15,7 +15,11 @@ from itertools import combinations
 import networkx as nx
 
 from metric_cluster.graph_core import Cycle, WeightedRootedGraph
-from metric_cluster.metrization import IntervalQ
+from metric_cluster.metrization import (
+    IntervalQ,
+    metric_agrees_with_weights,
+    shortest_path_metric,
+)
 
 
 def enumerate_cycles(g: WeightedRootedGraph):
@@ -234,6 +238,32 @@ def dominating_rooted_shapes(max_vertices: int = 6):
             edges[key] = Fraction(1)
         shapes.append(WeightedRootedGraph(vertices, edges, "root"))
     return shapes
+
+
+def random_dominating_shape(rng: random.Random, n: int, p: float = 0.5) -> WeightedRootedGraph:
+    """A root joined to n - 1 further vertices, each pair of which is an edge
+    with probability p; unit weights, a shape for weight synthesis."""
+    names = ["root"] + [f"v{i:02d}" for i in range(n - 1)]
+    edges = {("root", v): Fraction(1) for v in names[1:]}
+    for i in range(1, n - 1):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges[(names[i], names[j])] = Fraction(1)
+    return WeightedRootedGraph(names, edges, "root")
+
+
+def assert_two_member_family(plan) -> None:
+    """The realization family is [lower, d]: d is the shortest-path metric,
+    and lower agrees with every edge weight and lies strictly below d on
+    every non-edge. A complete graph has the single member [d]."""
+    g = plan.graph
+    d = shortest_path_metric(g)
+    assert plan.period == (2 if plan.non_edges else 1)
+    assert plan.family[-1] == d
+    lower = plan.family[0]
+    assert metric_agrees_with_weights(lower, g)
+    for u, v in plan.non_edges:
+        assert 0 < lower.get(u, v) < d.get(u, v), f"lower member not below d at {(u, v)}"
 
 
 def moon_moser_parts(n: int) -> list[int]:

@@ -127,13 +127,17 @@ def test_cliques_json(cert_graph, capsys):
     assert ["r", "u", "v"] in payload["maximal_cliques"]
 
 
-def test_isomorphic_exit_codes(tmp_path, capsys):
+def test_isomorphic_exit_codes(tmp_path, capsys, monkeypatch):
     g1 = write_graph(tmp_path / "g1.json", ["a", "b"], {("a", "b"): 1}, "a")
     g2 = write_graph(tmp_path / "g2.json", ["x", "y"], {("x", "y"): 1}, "y")
     g3 = write_graph(tmp_path / "g3.json", ["x", "y"], {("x", "y"): 2}, "y")
     assert main(["isomorphic", str(g1), str(g2)]) == 0
     assert main(["isomorphic", str(g1), str(g3)]) == 1
     assert main(["isomorphic", str(g1), str(g3), "--unweighted"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("METRIC_CLUSTER_MAX_VERTICES", "abc")
+    assert main(["isomorphic", str(g1), str(g3), "--unweighted"]) == 2
+    assert "METRIC_CLUSTER_MAX_VERTICES='abc' is not an integer" in capsys.readouterr().err
 
 
 def test_fpc_certify_exit_codes(cert_graph, bad_triangle, capsys):
@@ -206,6 +210,30 @@ def test_end_to_end_chain(cert_graph, tmp_path, capsys):
     assert main(["isomorphic", str(cert_graph), str(recovered)]) == 0
 
 
+def test_readme_flow_at_default_depth_with_seven_non_edges(tmp_path, capsys):
+    # a root and a 6-vertex path plus one chord: 7 vertices, 7 non-edges
+    shape = write_graph(
+        tmp_path / "shape.json",
+        ["r", "a", "b", "c", "d", "e", "f"],
+        {**{("r", v): 1 for v in "abcdef"},
+         ("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1, ("d", "e"): 1, ("e", "f"): 1,
+         ("a", "c"): 1, ("b", "d"): 1, ("a", "f"): 1},
+        "r",
+    )
+    g, cloud, h = (tmp_path / name for name in ("g.json", "c.json", "h.json"))
+    assert main(["fpc", "synthesize", str(shape), "--out", str(g)]) == 0
+    assert len(WeightedRootedGraph.from_json(g.read_text()).non_edges()) == 7
+    assert main(["fpc", "certify", str(g)]) == 0
+    assert main(["realize", str(g), "--out", str(cloud)]) == 0
+    assert main(["recover", str(cloud), "--out", str(h)]) == 0
+    assert main(["isomorphic", str(g), str(h)]) == 0
+
+
+def test_power_square_base_below_two_exit_2(cert_graph, capsys):
+    assert main(["realize", str(cert_graph), "--rule", "power_square", "--base", "1"]) == 2
+    assert "base must be an integer >= 2" in capsys.readouterr().err
+
+
 def test_recover_diag_out(cert_graph, tmp_path, capsys):
     cloud = tmp_path / "cloud.json"
     diag = tmp_path / "diag.json"
@@ -228,6 +256,9 @@ def test_subsample_stride(cert_graph, tmp_path, capsys):
     assert main(["subsample", str(cloud), "--stride-offset", "0", "--out", str(sub)]) == 0
     payload = json.loads(sub.read_text())
     assert [lvl["n"] for lvl in payload["levels"]] == [1, 3, 5, 7, 9, 11]
+    capsys.readouterr()
+    assert main(["subsample", str(cloud), "--indices", "1,x", "--out", str(sub)]) == 2
+    assert "--indices takes comma-separated numbers" in capsys.readouterr().err
 
 
 def test_diag_fn_and_psi(tmp_path, capsys):
@@ -247,6 +278,8 @@ def test_diag_fn_and_psi(tmp_path, capsys):
     table = json.loads(capsys.readouterr().out)["table"]
     assert len(table) == 8
     assert table[-1]["value"] == pytest.approx(5 / 2, rel=1e-9)
+    assert main(["diag", "psi", str(cloud), "--radii", "1,x"]) == 2
+    assert "--radii takes comma-separated numbers" in capsys.readouterr().err
 
 
 def test_demo_corpus_self_consistent(tmp_path, capsys):
@@ -334,6 +367,18 @@ def test_graph_edge_missing_endpoint_exit_2(tmp_path, capsys):
         path.write_text(json.dumps({"vertices": ["a", "b"], "root": "a", "edges": [edge]}))
         assert main(["check", str(path)]) == 2
         assert f"'{drop}'" in capsys.readouterr().err
+    for name, graph, message in (
+        ("int_id", {"vertices": ["a", 1], "root": "a", "edges": [{"u": "a", "v": 1}]},
+         "vertex id 1 is not a string"),
+        ("list_edge", {"vertices": ["a", "b"], "root": "a", "edges": [["a", "b", "1"]]},
+         "is not an object"),
+        ("vertex_number", {"vertices": 2, "root": "a", "edges": []},
+         "vertices and edges must be lists"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(graph))
+        assert main(["check", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def _set_coordinate(value):

@@ -17,7 +17,7 @@ from metric_cluster.realization import (
     sup_distance,
 )
 
-from oracles import dominating_rooted_shapes
+from oracles import assert_two_member_family, dominating_rooted_shapes
 
 
 def graph(vertices, edges, root):
@@ -53,6 +53,9 @@ def test_factorial_rule_values_and_ratios():
 def test_power_square_rule():
     rule = ScalingRule("power_square", base=3)
     assert [rule.value(n) for n in (1, 2, 3)] == [3, 81, 19683]
+    for base in (1, 0, -2):  # scales that do not tend to infinity
+        with pytest.raises(GraphError, match="base"):
+            ScalingRule("power_square", base)
 
 
 def test_unknown_rule_rejected():
@@ -75,9 +78,7 @@ def test_complete_graph_has_single_member_family():
 def test_star_plan_picks_midpoint_and_upper_end():
     plan = build_plan(STAR_15, depth=8)
     assert plan.non_edges == [("u", "v")]
-    assert plan.chosen_values == [(Fraction(5), Fraction(6))]
-    assert plan.family[0].get("u", "v") == 5
-    assert plan.family[1].get("u", "v") == 6
+    assert [d.get("u", "v") for d in plan.family] == [5, 6]
 
 
 def test_plan_family_members_agree_with_weights_and_split_pairs():
@@ -170,11 +171,7 @@ def test_cloud_json_round_trip():
 def test_realization_of_synthesized_shapes_has_full_family():
     rng = random.Random(83)
     for g in rng.sample(dominating_rooted_shapes(5), 10):
-        weighted = synthesize_weights(g)
-        plan = build_plan(weighted, depth=4)
-        assert len(plan.family) == max(1, 2 * len(weighted.non_edges()))
-        for t1, t2 in plan.chosen_values:
-            assert 0 < t1 < t2
+        assert_two_member_family(build_plan(synthesize_weights(g), depth=4))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,12 @@ from metric_cluster.recovery import (
     validate_recovered_cluster,
 )
 
-from oracles import dominating_rooted_shapes, fraction_rows, normalized_values_by_fractions
+from oracles import (
+    dominating_rooted_shapes,
+    fraction_rows,
+    normalized_values_by_fractions,
+    random_dominating_shape,
+)
 
 
 def graph(vertices, edges, root):
@@ -80,6 +85,13 @@ def test_round_trip_sweep_over_shapes():
         cloud = realize(weighted, depth=depth)
         rc = recover_cluster(cloud, use_exact=True)
         assert rc.graph == weighted, f"round trip failed for {weighted!r}"
+
+
+def test_large_synthesized_graph_round_trips_at_default_depth():
+    # 24 vertices, 127 non-edges: the family period stays 2, so depth 12 suffices
+    g = synthesize_weights(random_dominating_shape(random.Random(24), 24))
+    cloud = realize(g, depth=12)
+    assert recover_cluster(cloud, use_exact=True).graph == g
 
 
 def hand_built_cloud() -> LeveledPointCloud:
@@ -236,7 +248,8 @@ def test_period_stride_subsample_gains_edges():
     cloud = realize(ONE_GAP, depth=12)
     plan = build_plan(ONE_GAP, depth=12)
     full = recover_cluster(cloud, use_exact=True)
-    for offset, expected in ((0, plan.chosen_values[0][0]), (1, plan.chosen_values[0][1])):
+    for offset, member in enumerate(plan.family):
+        expected = member.get("u", "z")
         indices = period_stride_indices(cloud, offset)
         sub = subsample_levels(cloud, indices)
         got = recover_cluster(sub, use_exact=True, window=len(indices))
