@@ -2,8 +2,10 @@
 
 Exit codes: 0 for success and positive verdicts, 1 for negative verdicts
 (not metrizable, certification failed, not isomorphic), 2 for usage or I/O
-errors. ``--json`` switches any output-producing command to machine-readable
-JSON on stdout. All commands are deterministic given identical inputs.
+errors. ``--json`` switches the commands that report a verdict, an interval,
+an embedding or a table to machine-readable JSON on stdout; the commands that
+write a graph, a matrix or a cloud always write JSON and do not take it. All
+commands are deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -256,7 +258,11 @@ def _cmd_fpc_bound(ns) -> int:
 
 def _cmd_fpc_f(ns) -> int:
     value = fpc_mod.moon_moser_f(ns.n)
-    _emit({"n": ns.n, "f": value}, ns, str(value))
+    try:
+        text = str(value)
+    except ValueError as exc:  # beyond the interpreter's int-to-str digit limit
+        raise GraphError(f"f({ns.n}) has too many digits to print: {exc}") from exc
+    _emit({"n": ns.n, "f": value}, ns, text)
     return 0
 
 
@@ -491,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("spm", parents=[common], help="shortest-path metric of a connected graph")
+    p = sub.add_parser("spm", help="shortest-path metric of a connected graph")
     p.add_argument("graph")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spm)
@@ -502,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v")
     p.set_defaults(func=_cmd_interval)
 
-    p = sub.add_parser("extend", parents=[common], help="metric pinning a chosen non-edge distance")
+    p = sub.add_parser("extend", help="metric pinning a chosen non-edge distance")
     p.add_argument("graph")
     p.add_argument("u")
     p.add_argument("v")
@@ -510,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("complete", parents=[common], help="add all forced distances as edges")
+    p = sub.add_parser("complete", help="add all forced distances as edges")
     p.add_argument("graph")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_complete)
@@ -544,12 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(func=_cmd_fpc_certify)
 
-    p = fpc_sub.add_parser("synthesize", parents=[common], help="deterministic certifiable weights")
+    p = fpc_sub.add_parser("synthesize", help="deterministic certifiable weights")
     p.add_argument("graph", help="graph whose shape is kept; weights are replaced")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fpc_synthesize)
 
-    p = fpc_sub.add_parser("from-metric", parents=[common], help="certified graph of a metric space")
+    p = fpc_sub.add_parser("from-metric", help="certified graph of a metric space")
     p.add_argument("matrix", help="distance matrix JSON")
     p.add_argument("basepoint")
     p.add_argument("--out")
@@ -563,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_fpc_f)
 
-    p = sub.add_parser("realize", parents=[common], help="point cloud realizing a certified graph")
+    p = sub.add_parser("realize", help="point cloud realizing a certified graph")
     p.add_argument("graph")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--rule", choices=["factorial", "power_square"], default="factorial")
@@ -572,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_realize)
 
-    p = sub.add_parser("single-point", parents=[common], help="the one-point-cluster example cloud")
+    p = sub.add_parser("single-point", help="the one-point-cluster example cloud")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--base", type=int, default=2)
     p.add_argument("--out")
@@ -588,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diag-out", help="write per-pair diagnostics JSON here")
     p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("subsample", parents=[common], help="restrict a cloud to chosen levels")
+    p = sub.add_parser("subsample", help="restrict a cloud to chosen levels")
     p.add_argument("cloud")
     p.add_argument("--indices", help="comma-separated level numbers")
     p.add_argument("--stride-offset", type=int, default=None, help="keep one residue class per family period")
@@ -611,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", help="comma-separated radii; defaults to the cloud's scaling values")
     p.set_defaults(func=_cmd_diag_psi)
 
-    p = sub.add_parser("demo", parents=[common], help="write worked-example fixtures")
+    p = sub.add_parser("demo", help="write worked-example fixtures")
     p.add_argument("--out", default="demo")
     p.set_defaults(func=_cmd_demo)
 

@@ -33,6 +33,7 @@ from .graph_core import (
 )
 from .metrization import (
     DistanceMatrix,
+    IntervalQ,
     _classify,
     _interval,
     _tight_cycle,
@@ -117,19 +118,22 @@ def certify_fpc(g: WeightedRootedGraph) -> FpcCertificate:
     return _certify(g)[0]
 
 
-def _certify(g: WeightedRootedGraph) -> tuple[FpcCertificate, Optional[DistanceMatrix]]:
-    """``certify_fpc``'s certificate and the shortest-path matrix it decided
-    (ii) and (iii) on (None when (i) fails first)."""
+def _certify(
+    g: WeightedRootedGraph,
+) -> tuple[FpcCertificate, Optional[DistanceMatrix], Optional[dict[tuple[str, str], IntervalQ]]]:
+    """``certify_fpc``'s certificate, the shortest-path matrix it decided
+    (ii) and (iii) on (None when (i) fails first) and, on a pass only, the
+    admissible interval of every non-edge in ``g.non_edges()`` order."""
     # (i) dominating root
     missing = _undominated_vertex(g)
     if missing is not None:
-        return FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex=missing), None
+        return FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex=missing), None, None
     # (i) injective labeling
     labeling = root_labeling(g)
     if not labeling.injective:
         return FpcCertificate(
             False, FAIL_LABELING_NOT_INJECTIVE, witness_pair=labeling.collision
-        ), None
+        ), None, None
     # (ii): after (i) every zero weight closes a violating triangle, so the
     # graph is metrizable or the verdict carries a violating cycle
     d = shortest_path_metric(g)
@@ -137,9 +141,10 @@ def _certify(g: WeightedRootedGraph) -> tuple[FpcCertificate, Optional[DistanceM
     if not verdict.metrizable:
         return FpcCertificate(
             False, FAIL_CYCLE_INEQUALITY, witness_cycle=verdict.witness_cycle
-        ), d
+        ), d, None
     # (iii): a tight cycle through a non-edge forces its distance, and a
     # forced distance closes a tight cycle through the pair
+    intervals = {}
     for mu, nu in g.non_edges():
         interval, edge = _interval(g, d, mu, nu)
         if interval.degenerate:
@@ -148,8 +153,9 @@ def _certify(g: WeightedRootedGraph) -> tuple[FpcCertificate, Optional[DistanceM
                 FAIL_TIGHT_CYCLE_NOT_CLIQUE,
                 witness_cycle=_tight_cycle(g, mu, nu, edge),
                 witness_pair=(mu, nu),
-            ), d
-    return FpcCertificate(True), d
+            ), d, None
+        intervals[mu, nu] = interval
+    return FpcCertificate(True), d, intervals
 
 
 def witness_is_genuine(g: WeightedRootedGraph, cert: FpcCertificate) -> bool:

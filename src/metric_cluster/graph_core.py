@@ -210,13 +210,6 @@ class WeightedRootedGraph:
         new = {e: w for e, w in self.weights.items() if e != key}
         return WeightedRootedGraph(self.vertices, new, self.root)
 
-    def without_vertex(self, v: str) -> "WeightedRootedGraph":
-        if v == self.root:
-            raise GraphError("cannot delete the root; pick a new root first")
-        rest = [x for x in self.vertices if x != v]
-        new = {e: w for e, w in self.weights.items() if v not in e}
-        return WeightedRootedGraph(rest, new, self.root)
-
     def relabel(self, mapping: Mapping[str, str]) -> "WeightedRootedGraph":
         """Rename vertices through a bijective mapping."""
         if set(mapping) != set(self.vertices) or len(set(mapping.values())) != len(self.vertices):
@@ -266,9 +259,9 @@ class WeightedRootedGraph:
         except KeyError as exc:
             raise GraphError(f"graph JSON edge is missing field: {exc}") from exc
         # vertex ids are ordered as strings; other JSON values do not compare
-        bad = next((x for x in ids if not isinstance(x, str)), None)
-        if bad is not None:
-            raise GraphError(f"vertex id {bad!r} is not a string")
+        for x in ids:
+            if not isinstance(x, str):
+                raise GraphError(f"vertex id {x!r} is not a string")
         return cls(vertices, weights, root)
 
     def to_json(self) -> str:
@@ -347,9 +340,6 @@ class IsoMapping:
     """Vertex bijection witnessing a (weighted) rooted isomorphism."""
 
     mapping: dict[str, str]
-
-    def apply(self, v: str) -> str:
-        return self.mapping[v]
 
     def inverse(self) -> "IsoMapping":
         return IsoMapping({v: u for u, v in self.mapping.items()})

@@ -95,9 +95,16 @@ class DistanceMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DistanceMatrix":
         try:
-            return cls(data["vertices"], data["matrix"])
+            vertices, rows = data["vertices"], data["matrix"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"distance matrix JSON is missing field: {exc}") from exc
+        # points are ordered as strings; other JSON values do not compare
+        if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
+            raise GraphError("distance matrix JSON vertices must be a list of strings")
+        try:
+            return cls(vertices, rows)
+        except TypeError as exc:
+            raise GraphError(f"distance matrix JSON matrix must be a list of rows: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .metrization import DistanceMatrix, _extension, _interval
+from .metrization import DistanceMatrix, _extension
 from .fpc import _certify
 
 MAX_FLOAT_EXPONENT = 1023  # binary64 overflow guard for scaling values
@@ -53,16 +53,6 @@ class ScalingRule:
             return self.base ** (n * n)
         raise GraphError(f"unknown scaling rule {self.name!r}")
 
-    def to_json_dict(self) -> dict:
-        out = {"name": self.name}
-        if self.name == "power_square":
-            out["base"] = self.base
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ScalingRule":
-        return cls(data.get("name", "factorial"), data.get("base", 2))
-
 
 @dataclass
 class RealizationPlan:
@@ -78,8 +68,6 @@ class RealizationPlan:
     family: list[DistanceMatrix]
     non_edges: list[tuple[str, str]]
     rule: ScalingRule
-    dimension: int
-    coordinate_order: tuple[str, ...]
     depth: int
     warnings: list[str] = field(default_factory=list)
 
@@ -115,7 +103,6 @@ class LeveledPointCloud:
     dimension: int
     levels: list[CloudLevel]
     period: Optional[int] = None
-    norm: str = "sup"
 
     @property
     def depth(self) -> int:
@@ -156,7 +143,7 @@ class LeveledPointCloud:
                 entry["r_exact"] = format_rational(lvl.r_exact)
             levels.append(entry)
         return {
-            "norm": self.norm,
+            "norm": "sup",
             "dimension": self.dimension,
             "basepoint": [0.0] * self.dimension,
             "period": self.period,
@@ -166,29 +153,54 @@ class LeveledPointCloud:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
         try:
-            dimension = int(data["dimension"])
+            dimension = _positive_integer(data["dimension"], "dimension")
             raw_levels = data["levels"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"cloud JSON is missing field: {exc}") from exc
+        period = data.get("period")
+        if period is not None:
+            _positive_integer(period, "period")
+        if data.get("norm", "sup") != "sup":
+            raise GraphError(f"cloud norm {data['norm']!r} is not supported; only 'sup' is")
+        if not isinstance(raw_levels, list):
+            raise GraphError("cloud JSON levels must be a list")
         levels = []
         try:
             for entry in raw_levels:
-                n = entry["n"]
+                if not isinstance(entry, dict):
+                    raise GraphError(f"cloud level {entry!r} is not an object")
+                n = _positive_integer(entry["n"], "level n")
+                if not isinstance(entry["points"], list):
+                    raise GraphError(f"points of level {n} must be a list")
                 points = []
                 for item in entry["points"]:
+                    if not isinstance(item, dict):
+                        raise GraphError(f"point {item!r} at level {n} is not an object")
                     label = item.get("label")
+                    # labels are sorted as strings; None marks an unlabeled point
+                    if label is not None and not isinstance(label, str):
+                        raise GraphError(f"point label {label!r} at level {n} is not a string")
                     try:
                         coords = tuple(map(float, item["coords"]))
                     except (TypeError, ValueError) as exc:
                         raise GraphError(
                             f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
                         ) from exc
+                    except OverflowError as exc:
+                        raise GraphError(
+                            f"point {label!r} at level {n} has a coordinate beyond binary64: {exc}"
+                        ) from exc
                     if not all(map(math.isfinite, coords)):
                         raise GraphError(
                             f"point {label!r} at level {n} has a NaN or infinite coordinate"
                         )
                     exact = item.get("exact")
-                    exact = tuple(parse_rational(x) for x in exact) if exact else None
+                    try:
+                        exact = tuple(map(parse_rational, exact)) if exact else None
+                    except TypeError as exc:
+                        raise GraphError(
+                            f"point {label!r} at level {n} has non-list exact coordinates"
+                        ) from exc
                     # sup_distance zips coordinates: a short list would be cut silently
                     if len(coords) != dimension or (exact is not None and len(exact) != dimension):
                         raise GraphError(
@@ -197,7 +209,7 @@ class LeveledPointCloud:
                     points.append(CloudPoint(label=label, coords=coords, exact=exact))
                 levels.append(
                     CloudLevel(
-                        n=int(n),
+                        n=n,
                         r=_positive_scale(entry["r"], n),
                         r_exact=_positive_exact_scale(entry.get("r_exact"), n),
                         points=points,
@@ -205,12 +217,14 @@ class LeveledPointCloud:
                 )
         except KeyError as exc:
             raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
-        return cls(
-            dimension=dimension,
-            levels=levels,
-            period=data.get("period"),
-            norm=data.get("norm", "sup"),
-        )
+        # recovery and the writer build `dimension`-long origins; only the
+        # points' coordinate lists tie `dimension` to the size of the input
+        if not any(lvl.points for lvl in levels):
+            raise GraphError("cloud JSON has no points")
+        # recovery measures every distance to the origin
+        if "basepoint" in data and data["basepoint"] != [0] * dimension:
+            raise GraphError(f"cloud basepoint must be the origin, {dimension} zeros")
+        return cls(dimension=dimension, levels=levels, period=period)
 
     def to_json(self, include_exact: bool = True) -> str:
         return json.dumps(self.to_json_dict(include_exact), indent=2)
@@ -220,13 +234,21 @@ class LeveledPointCloud:
         return cls.from_json_dict(json.loads(text))
 
 
+def _positive_integer(value, what: str) -> int:
+    """An integer field of the cloud JSON that counts from 1."""
+    # bool is an int subclass, but JSON true is not a count
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise GraphError(f"cloud {what} must be a positive integer, got {value!r}")
+    return value
+
+
 def _positive_scale(value, n) -> float:
     """A level's binary64 scale r: recovery divides by it, so it must be a
     finite number above zero."""
     try:
         r = float(value)
-    except (TypeError, ValueError) as exc:
-        raise GraphError(f"level {n} has a non-numeric scale r: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphError(f"level {n} has a scale r that is not a binary64 number: {exc}") from exc
     if not (math.isfinite(r) and r > 0):
         raise GraphError(f"level {n} has scale r = {r}; it must be finite and positive")
     return r
@@ -262,28 +284,27 @@ def build_plan(
     non-edges (u, v), with admissible interval [lo, hi] and hi = d(u, v),
     the extension of d fixing (u, v) at the midpoint (lo+hi)/2 is a metric
     that agrees with every edge weight, lies at or below d everywhere and
-    strictly below it at (u, v); certification guarantees lo < hi. The
-    lower member is the exact average of these m extensions: a convex
-    combination of metrics agreeing on the edges is again one, and it lies
-    strictly below d on every non-edge at once.
+    strictly below it at (u, v); certification computes the intervals and
+    guarantees lo < hi. The lower member is the exact average of these m
+    extensions: a convex combination of metrics agreeing on the edges is
+    again one, and it lies strictly below d on every non-edge at once.
     """
     if depth < 1:
         raise GraphError("depth must be at least 1")
-    cert, d = _certify(g)
+    cert, d, intervals = _certify(g)
     if not cert.ok:
         raise GraphError(
             f"graph does not certify (failed: {cert.failure}); realization needs a certified graph"
         )
     rule = rule or ScalingRule()
-    non_edges = list(g.non_edges())
+    non_edges = list(intervals)
     warnings: list[str] = []
 
     if not non_edges:
         family = [d]
     else:
         total = None
-        for u, v in non_edges:
-            interval = _interval(g, d, u, v)[0]
+        for (u, v), interval in intervals.items():
             assert interval.lo < interval.hi, "certified graphs have no forced distances"
             rows = _extension(d, u, v, interval.midpoint()).rows
             total = rows if total is None else [
@@ -303,8 +324,6 @@ def build_plan(
         family=family,
         non_edges=non_edges,
         rule=rule,
-        dimension=len(g),
-        coordinate_order=g.vertices,
         depth=depth,
         warnings=warnings,
     )
@@ -318,12 +337,16 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     level, and within a level the sup-norm distances reproduce r_n * d_i
     exactly at the rational level.
     """
-    g = plan.graph
-    order = plan.coordinate_order
-    root = g.root
+    order = plan.graph.vertices
+    root = plan.graph.root
     max_entry = max(
         (x for d in plan.family for row in d.rows for x in row), default=Fraction(0)
     )
+    # the differences depend on the level only through the factor r_n
+    differences = [
+        [[d.get(v, vj) - d.get(vj, root) for vj in order] for v in order]
+        for d in plan.family
+    ]
     levels = []
     for n in range(1, plan.depth + 1):
         r_exact = Fraction(plan.rule.value(n))
@@ -333,12 +356,9 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
             raise GraphError(
                 f"scaling value at level {n} overflows binary64; reduce depth"
             )
-        d = plan.family[(n - 1) % len(plan.family)]
         points = []
-        for v in order:
-            exact = tuple(
-                r_exact * (d.get(v, vj) - d.get(vj, root)) for vj in order
-            )
+        for v, row in zip(order, differences[(n - 1) % len(differences)]):
+            exact = tuple(r_exact * x for x in row)
             points.append(
                 CloudPoint(
                     label=v,

@@ -42,8 +42,6 @@ class SequenceTrace:
     label: str
     base_values: list
     pair_values: dict[str, list]
-    merged_into_root: bool = False
-    merge_reason: Optional[str] = None
 
 
 @dataclass
@@ -107,6 +105,12 @@ def recover_cluster(
     """
     if not cloud.levels:
         raise GraphError("empty cloud")
+    # exact recovery turns the tolerances into rationals, which NaN and the
+    # infinities have none of; a negative tolerance would identify nothing
+    if not (0 <= tol_rel < math.inf and 0 <= tol_abs < math.inf):
+        raise GraphError(
+            f"tolerances must be finite and non-negative, got {tol_rel!r} and {tol_abs!r}"
+        )
     labels = cloud.labels()
     if any(lbl is None for lbl in labels):
         raise GraphError(
@@ -146,7 +150,7 @@ def recover_cluster(
         def normalized(dist, unit):
             return Fraction(dist * unit[0], unit[1])
 
-        zero = Fraction(0)
+        zero = 0
         t_rel = Fraction(tol_rel)
         t_abs = Fraction(tol_abs)
     else:
@@ -160,38 +164,37 @@ def recover_cluster(
         t_rel = tol_rel
         t_abs = tol_abs
 
-    b: dict = {_BASE: [zero] * window}
-    for lbl in labels:
-        b[lbl] = [normalized(max(map(abs, row[lbl])), unit) for row, unit in zip(rows, units)]
-
-    def pair_values(x, y):
-        if x is _BASE:
-            return b[y]
-        if y is _BASE:
-            return b[x]
-        return [
-            normalized(sup_distance(row[x], row[y]), unit) for row, unit in zip(rows, units)
-        ]
-
+    # the basepoint is one more row, at the origin of every level
+    origin = (zero,) * cloud.dimension
+    for row in rows:
+        row[_BASE] = origin
     all_traces = [_BASE] + list(labels)
-    base_scale = max((max(b[lbl]) for lbl in labels), default=zero)
+    values: dict = {}
+    for i, x in enumerate(all_traces):
+        for y in all_traces[i + 1 :]:
+            values[x, y] = values[y, x] = [
+                normalized(sup_distance(row[x], row[y]), unit) for row, unit in zip(rows, units)
+            ]
+
+    base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=zero)
     eq_thresh = t_abs + t_rel * base_scale
 
     merge_log: list[str] = []
     warnings: list[str] = []
+    traces = {
+        x: SequenceTrace(x, values[_BASE, x], {y: values[x, y] for y in labels if y != x})
+        for x in labels
+    }
 
     # --- which sequences vanish at the basepoint ---------------------------
-    traces = {lbl: SequenceTrace(lbl, b[lbl], {}) for lbl in labels}
     decayed: set = set()
     for lbl in labels:
-        vals = b[lbl]
+        vals = values[_BASE, lbl]
         if all(v <= eq_thresh for v in vals):
             continue  # equivalence handles it below
         nonincreasing = all(vals[i + 1] <= vals[i] + eq_thresh for i in range(len(vals) - 1))
         if nonincreasing and vals[-1] <= vals[0] / 2:
             decayed.add(lbl)
-            traces[lbl].merged_into_root = True
-            traces[lbl].merge_reason = "decay"
             merge_log.append(
                 f"{lbl!r} absorbed into the root class: normalized basepoint "
                 f"distance decays {float(vals[0]):.3g} -> {float(vals[-1]):.3g}"
@@ -211,19 +214,10 @@ def recover_cluster(
         if rs != rt:
             parent[rs] = rt
 
-    pair_cache: dict = {}
     for i, x in enumerate(all_traces):
         for y in all_traces[i + 1 :]:
-            vals = pair_values(x, y)
-            pair_cache[(x, y)] = vals
-            if x is not _BASE and y is not _BASE:
-                traces[x].pair_values[y] = vals
-                traces[y].pair_values[x] = vals
-            if all(v <= eq_thresh for v in vals):
+            if all(v <= eq_thresh for v in values[x, y]):
                 union(x, y)
-                if x is _BASE and not traces[y].merged_into_root:
-                    traces[y].merged_into_root = True
-                    traces[y].merge_reason = "threshold"
     for lbl in decayed:
         union(lbl, _BASE)
 
@@ -238,7 +232,7 @@ def recover_cluster(
             for y in members[i + 1 :]:
                 if x in decayed or y in decayed:
                     continue
-                vals = pair_cache.get((x, y)) or pair_cache.get((y, x)) or pair_values(x, y)
+                vals = values[x, y]
                 if _tail_mean(vals) > 3 * eq_thresh:
                     raise GraphError(
                         "equivalence closure merged sequences that are not close: "
@@ -269,7 +263,7 @@ def recover_cluster(
         if rep is _BASE:
             kept.append((name, rep, members))
             continue
-        vals = b[rep]
+        vals = values[_BASE, rep]
         thr = t_abs + t_rel * _tail_mean(vals)
         if _spread(vals) > thr:
             warnings.append(
@@ -285,8 +279,7 @@ def recover_cluster(
     edges = {}
     for i, (name_a, rep_a, _) in enumerate(kept):
         for name_b, rep_b, _ in kept[i + 1 :]:
-            x, y = (rep_a, rep_b) if rep_a is not _BASE else (rep_b, rep_a)
-            vals = pair_cache.get((x, y)) or pair_cache.get((y, x)) or pair_values(x, y)
+            vals = values[rep_a, rep_b]
             mean = _tail_mean(vals)
             spread = _spread(vals)
             thr = t_abs + t_rel * mean
@@ -302,16 +295,14 @@ def recover_cluster(
                 }
             )
             if adjacent:
-                weight = mean if isinstance(mean, Fraction) else Fraction(mean)
-                edges[(name_a, name_b)] = weight
+                edges[(name_a, name_b)] = Fraction(mean)
 
     rho0: dict[str, Fraction] = {}
     for name, rep, _ in kept:
         if rep is _BASE:
             rho0[name] = Fraction(0)
         else:
-            mean = _tail_mean(b[rep])
-            rho0[name] = mean if isinstance(mean, Fraction) else Fraction(mean)
+            rho0[name] = Fraction(_tail_mean(values[_BASE, rep]))
 
     graph = WeightedRootedGraph([name for name, _, _ in kept], edges, root_name)
     classes = {
@@ -409,7 +400,6 @@ def subsample_levels(cloud: LeveledPointCloud, indices: Sequence[int]) -> Levele
         dimension=cloud.dimension,
         levels=[available[n] for n in idx],
         period=None,
-        norm=cloud.norm,
     )
 
 
@@ -552,5 +542,4 @@ def label_unlabeled_cloud(cloud: LeveledPointCloud) -> LeveledPointCloud:
         dimension=cloud.dimension,
         levels=new_levels,
         period=cloud.period,
-        norm=cloud.norm,
     )

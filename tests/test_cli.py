@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metric_cluster.cli import main
 from metric_cluster.graph_core import WeightedRootedGraph
+from metric_cluster.realization import realize
 
 
 def write_graph(path: Path, vertices, edges, root) -> Path:
@@ -66,6 +70,12 @@ def test_spm_writes_matrix(quad, tmp_path, capsys):
     idx = {v: i for i, v in enumerate(payload["vertices"])}
     assert payload["matrix"][idx["nu1"]][idx["nu3"]] == "3"
     assert payload["matrix"][idx["nu2"]][idx["nu4"]] == "5"
+
+
+def test_spm_rejects_json_flag(quad, capsys):
+    # spm always writes JSON, so --json is a usage error
+    assert main(["spm", str(quad), "--json"]) == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_interval_human_and_json(quad, capsys):
@@ -200,6 +210,12 @@ def test_fpc_bound_and_f(cert_graph, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["holds"] and payload["maximal_cliques_without_root"] == 2
     assert main(["fpc", "f", "1"]) == 2
+
+
+def test_fpc_f_beyond_digit_limit_exit_2(capsys):
+    # f(30000) = 3**10000 has 4772 digits, above the default limit of 4300
+    assert main(["fpc", "f", "30000"]) == 2
+    assert "too many digits" in capsys.readouterr().err
 
 
 def test_end_to_end_chain(cert_graph, tmp_path, capsys):
@@ -381,6 +397,24 @@ def test_graph_edge_missing_endpoint_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
+    graph = {"vertices": ["a", "b"], "root": "a", "edges": [{"u": "a", "v": None}]}
+    path = tmp_path / "null_endpoint.json"
+    path.write_text(json.dumps(graph))
+    assert main(["check", str(path)]) == 2
+    assert "vertex id None is not a string" in capsys.readouterr().err
+    matrix = {"vertices": [1.5, "a"], "matrix": [["0", "1"], ["1", "0"]]}
+    path = tmp_path / "number_point.json"
+    path.write_text(json.dumps(matrix))
+    assert main(["fpc", "from-metric", str(path), "a"]) == 2
+    assert "vertices must be a list of strings" in capsys.readouterr().err
+    realized_cloud(cert_graph, tmp_path)
+    cloud = tmp_path / "cloud.json"
+    for tol in ("nan", "inf", "-1"):
+        assert main(["recover", str(cloud), "--exact", "--tol-rel", tol]) == 2
+        assert "tolerances must be finite and non-negative" in capsys.readouterr().err
+
+
 def _set_coordinate(value):
     def edit(data):
         data["levels"][3]["points"][1]["coords"][0] = value
@@ -390,6 +424,15 @@ def _set_coordinate(value):
 def _set_level(field, value):
     def edit(data):
         data["levels"][3][field] = value
+    return edit
+
+
+def _set_at(path, value):
+    def edit(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
     return edit
 
 
@@ -404,6 +447,22 @@ def _set_level(field, value):
         (_set_level("r", "inf"), "finite and positive"),
         (_set_level("r_exact", "0"), "r_exact = 0"),
         (_set_level("r_exact", "-24"), "r_exact = -24"),
+        (_set_coordinate(10**400), "coordinate beyond binary64"),
+        (_set_level("r", 10**400), "scale r that is not a binary64 number"),
+        (_set_level("n", "x"), "level n must be a positive integer"),
+        (_set_level("n", None), "level n must be a positive integer"),
+        (_set_at(["dimension"], "x"), "dimension must be a positive integer"),
+        (_set_at(["period"], "x"), "period must be a positive integer"),
+        (_set_at(["period"], 0), "period must be a positive integer"),
+        (_set_level("points", {"label": "u"}), "points of level 4 must be a list"),
+        (_set_at(["levels", 3], [4, "24"]), "is not an object"),
+        (_set_at(["levels", 3, "points", 1], "u"), "is not an object"),
+        (_set_at(["levels", 3, "points", 1, "label"], 7), "point label 7 at level 4 is not a string"),
+        (_set_at(["norm"], "euclidean"), "norm 'euclidean' is not supported"),
+        (_set_at(["norm"], 42), "norm 42 is not supported"),
+        (_set_at(["basepoint"], "nonsense"), "basepoint must be the origin"),
+        (_set_at(["basepoint"], [1e300, 0, 0, 0]), "basepoint must be the origin"),
+        (_set_at(["levels"], []), "cloud JSON has no points"),
     ],
     ids=[
         "coordinate-non-numeric",
@@ -414,6 +473,22 @@ def _set_level(field, value):
         "r-inf",
         "r_exact-zero",
         "r_exact-negative",
+        "coordinate-beyond-binary64",
+        "r-beyond-binary64",
+        "n-non-numeric",
+        "n-null",
+        "dimension-non-numeric",
+        "period-non-numeric",
+        "period-zero",
+        "points-not-a-list",
+        "level-not-an-object",
+        "point-not-an-object",
+        "label-not-a-string",
+        "norm-euclidean",
+        "norm-number",
+        "basepoint-nonsense",
+        "basepoint-not-the-origin",
+        "no-points",
     ],
 )
 def test_bad_cloud_number_exit_2(cert_graph, tmp_path, capsys, edit, message):
@@ -423,3 +498,138 @@ def test_bad_cloud_number_exit_2(cert_graph, tmp_path, capsys, edit, message):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["recover", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+# ---------------------------------------------------------------------------
+
+FUZZ_GRAPH = {
+    "vertices": ["r", "u", "v", "z"],
+    "root": "r",
+    "edges": [
+        {"u": "r", "v": "u", "w": "1"},
+        {"u": "r", "v": "v", "w": "2"},
+        {"u": "r", "v": "z", "w": "3"},
+        {"u": "u", "v": "v", "w": "3"},
+        {"u": "v", "v": "z", "w": "5"},
+    ],
+}
+FUZZ_MATRIX = {
+    "vertices": ["o", "a", "b"],
+    "matrix": [["0", "1", "3"], ["1", "0", "2"], ["3", "2", "0"]],
+}
+# only these report a negative verdict; every other command exits 0 or 2
+VERDICT_COMMANDS = {("check",), ("isomorphic",), ("fpc", "certify"), ("fpc", "bound")}
+NUMBERS = ["0", "1", "-1", "2", "3/2", "4", "12", "x", "nan", "inf", "1e-6"]
+VERTICES = ["r", "u", "v", "z", "o", "a", "nope"]
+# command -> (positional arguments, options); a positional is an input file
+# kind or a list of values, an option is a flag or (flag, values)
+FUZZ_COMMANDS = {
+    ("check",): (["graph"], ["--json"]),
+    ("spm",): (["graph"], ["--out"]),
+    ("interval",): (["graph", VERTICES, VERTICES], ["--json"]),
+    ("extend",): (["graph", VERTICES, VERTICES, NUMBERS], ["--out"]),
+    ("complete",): (["graph"], ["--out"]),
+    ("embed",): (["graph"], ["--json", "--out", ("--mode", ["auto", "circle", "line"])]),
+    ("cliques",): (["graph"], ["--json"]),
+    ("isomorphic",): (
+        ["graph", "graph"],
+        ["--json", "--unweighted", "--exact-weights", ("--weight-tol-rel", NUMBERS)],
+    ),
+    ("fpc", "certify"): (["graph"], ["--json"]),
+    ("fpc", "synthesize"): (["graph"], ["--out"]),
+    ("fpc", "from-metric"): (["matrix", VERTICES], ["--out"]),
+    ("fpc", "bound"): (["graph"], ["--json"]),
+    ("fpc", "f"): ([NUMBERS], ["--json"]),
+    ("realize",): (
+        ["graph"],
+        ["--out", "--no-exact", ("--depth", NUMBERS),
+         ("--rule", ["factorial", "power_square", "x"]), ("--base", NUMBERS)],
+    ),
+    ("single-point",): ([], ["--out", ("--depth", NUMBERS), ("--base", NUMBERS)]),
+    ("recover",): (
+        ["cloud"],
+        ["--json", "--exact", "--out", "--diag-out", ("--window", NUMBERS),
+         ("--tol-rel", NUMBERS), ("--tol-abs", NUMBERS)],
+    ),
+    ("subsample",): (
+        ["cloud"],
+        ["--out", "--alternate-periods", ("--indices", ["1,2", "2,1", "1,x", "3"]),
+         ("--stride-offset", NUMBERS)],
+    ),
+    ("diag", "fn"): (
+        ["cloud"], ["--json", ("--level", NUMBERS), ("--labels", ["u,v", "r,z", "u", "nope"])]
+    ),
+    ("diag", "psi"): (["cloud"], ["--json", ("--k", NUMBERS), ("--radii", ["1,2", "1,x", "0"])]),
+    ("demo",): ([], ["--out"]),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([0, -1, 10**400, 1e300, "x", "0", "1/2", "sup", "r", "u"]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, doc):
+    """Replace or delete one node below the top of a JSON document, found by a
+    random walk that stops at each level with probability 1/2, so fields near
+    the top are hit about as often as single coordinates."""
+    key = draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+    out = json.loads(json.dumps(doc))
+    child = doc[key]
+    if draw(st.integers(0, 5)) == 0:
+        del out[key]
+    elif isinstance(child, (dict, list)) and child and draw(st.booleans()):
+        out[key] = _mutate(draw, child)
+    else:
+        out[key] = draw(JSON_VALUES)
+    return out
+
+
+def test_cli_fuzz_exit_codes(tmp_path, monkeypatch):
+    """Random argv over every subcommand, with well-formed, mutated or
+    arbitrary input files: main exits 0, 1 or 2 without an exception, and
+    exits 1 only with a negative verdict."""
+    g = WeightedRootedGraph.from_json_dict(FUZZ_GRAPH)
+    documents = {
+        "graph": FUZZ_GRAPH,
+        "matrix": FUZZ_MATRIX,
+        "cloud": json.loads(realize(g, depth=4).to_json()),
+    }
+    monkeypatch.chdir(tmp_path)  # demo writes to ./demo without --out
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def run(data):
+        draw = data.draw
+        command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+        positional, options = FUZZ_COMMANDS[command]
+        argv = list(command)
+        for i, kind in enumerate(positional):
+            if isinstance(kind, list):
+                argv.append(draw(st.sampled_from(kind)))
+                continue
+            doc = documents[kind]
+            form = draw(st.sampled_from(["well-formed", "mutated", "mutated", "arbitrary"]))
+            if form == "mutated":
+                doc = _mutate(draw, doc)
+            elif form == "arbitrary":
+                doc = draw(JSON_VALUES)
+            path = tmp_path / f"{kind}{i}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv.append(str(path))
+        for option in draw(st.lists(st.sampled_from(options), max_size=3, unique_by=str)):
+            if isinstance(option, tuple):
+                argv += [option[0], draw(st.sampled_from(option[1]))]
+            elif option in ("--out", "--diag-out"):
+                argv += [option, str(tmp_path / ("demo" if command == ("demo",) else "out.json"))]
+            else:
+                argv.append(option)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert code != 1 or command in VERDICT_COMMANDS, argv
+
+    run()

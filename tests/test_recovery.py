@@ -360,7 +360,7 @@ def strip_labels(cloud):
         )
         for lvl in cloud.levels
     ]
-    return LeveledPointCloud(cloud.dimension, levels, cloud.period, cloud.norm)
+    return LeveledPointCloud(cloud.dimension, levels, cloud.period)
 
 
 def test_unlabeled_cloud_rejected_then_recovered_after_matching():
