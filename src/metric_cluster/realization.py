@@ -78,17 +78,30 @@ class RealizationPlan:
 
 @dataclass
 class CloudPoint:
+    """One point of a level: binary64 coordinates and, when the cloud has an
+    exact shadow for it, the integer numerators of its rational coordinates
+    over the level's common denominator ``q``."""
+
     label: Optional[str]
     coords: tuple[float, ...]
-    exact: Optional[tuple[Fraction, ...]] = None
+    exact: Optional[tuple[int, ...]] = None
 
 
 @dataclass
 class CloudLevel:
+    """One level: scale r (binary64 and, optionally, exact) and its points.
+
+    ``q`` is the least common denominator of the exact shadows of the
+    level's points, which carry integer numerators over it: point p's j-th
+    exact coordinate is p.exact[j] / q. It is None when no point of the level
+    has a shadow.
+    """
+
     n: int
     r: float
     r_exact: Optional[Fraction]
     points: list[CloudPoint]
+    q: Optional[int] = None
 
 
 @dataclass
@@ -97,7 +110,8 @@ class LeveledPointCloud:
 
     Points live in sup-norm coordinate space; the basepoint is the origin and
     appears at every level (as the root's image in generated clouds). Exact
-    rational shadows accompany the binary64 data wherever they exist.
+    rational shadows accompany the binary64 data wherever they exist, as
+    integer numerators over one denominator per level (see ``CloudLevel``).
     """
 
     dimension: int
@@ -124,6 +138,7 @@ class LeveledPointCloud:
         return out
 
     def has_exact(self) -> bool:
+        """Every level has an exact scale and every point an exact shadow."""
         return all(
             lvl.r_exact is not None and all(p.exact is not None for p in lvl.points)
             for lvl in self.levels
@@ -136,7 +151,7 @@ class LeveledPointCloud:
             for p in lvl.points:
                 item: dict = {"label": p.label, "coords": list(p.coords)}
                 if include_exact and p.exact is not None:
-                    item["exact"] = [format_rational(x) for x in p.exact]
+                    item["exact"] = _format_over(p.exact, lvl.q)
                 points.append(item)
             entry: dict = {"n": lvl.n, "r": repr(lvl.r), "points": points}
             if include_exact and lvl.r_exact is not None:
@@ -172,7 +187,7 @@ class LeveledPointCloud:
                 n = _positive_integer(entry["n"], "level n")
                 if not isinstance(entry["points"], list):
                     raise GraphError(f"points of level {n} must be a list")
-                points = []
+                labeled, shadows = [], []
                 for item in entry["points"]:
                     if not isinstance(item, dict):
                         raise GraphError(f"point {item!r} at level {n} is not an object")
@@ -180,8 +195,14 @@ class LeveledPointCloud:
                     # labels are sorted as strings; None marks an unlabeled point
                     if label is not None and not isinstance(label, str):
                         raise GraphError(f"point label {label!r} at level {n} is not a string")
+                    coords, exact = item["coords"], item.get("exact")
+                    # a string would be read character by character
+                    if not isinstance(coords, list) or not isinstance(exact, (list, type(None))):
+                        raise GraphError(
+                            f"point {label!r} at level {n} has coordinates that are not a JSON list"
+                        )
                     try:
-                        coords = tuple(map(float, item["coords"]))
+                        coords = tuple(map(float, coords))
                     except (TypeError, ValueError) as exc:
                         raise GraphError(
                             f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
@@ -194,25 +215,26 @@ class LeveledPointCloud:
                         raise GraphError(
                             f"point {label!r} at level {n} has a NaN or infinite coordinate"
                         )
-                    exact = item.get("exact")
-                    try:
-                        exact = tuple(map(parse_rational, exact)) if exact else None
-                    except TypeError as exc:
-                        raise GraphError(
-                            f"point {label!r} at level {n} has non-list exact coordinates"
-                        ) from exc
                     # sup_distance zips coordinates: a short list would be cut silently
-                    if len(coords) != dimension or (exact is not None and len(exact) != dimension):
+                    if len(coords) != dimension or (exact and len(exact) != dimension):
                         raise GraphError(
                             f"point {label!r} at level {n} does not have {dimension} coordinates"
                         )
-                    points.append(CloudPoint(label=label, coords=coords, exact=exact))
+                    labeled.append((label, coords))
+                    # an empty list, like a missing one, is no shadow
+                    shadows.append(list(map(_rational_pair, exact)) if exact else None)
+                q, numerators = _over_least_common_denominator(shadows)
+                points = [
+                    CloudPoint(label=label, coords=coords, exact=exact)
+                    for (label, coords), exact in zip(labeled, numerators)
+                ]
                 levels.append(
                     CloudLevel(
                         n=n,
                         r=_positive_scale(entry["r"], n),
                         r_exact=_positive_exact_scale(entry.get("r_exact"), n),
                         points=points,
+                        q=q,
                     )
                 )
         except KeyError as exc:
@@ -232,6 +254,61 @@ class LeveledPointCloud:
     @classmethod
     def from_json(cls, text: str) -> "LeveledPointCloud":
         return cls.from_json_dict(json.loads(text))
+
+
+def _rational_pair(value) -> tuple[int, int]:
+    """(numerator, positive denominator) of one exact coordinate.
+
+    Accepts exactly what ``parse_rational`` accepts, with the same value.
+    The canonical strings the writer prints, ``-?digits`` and
+    ``-?digits/digits`` with a nonzero denominator, are split by hand;
+    every other value goes through ``parse_rational``.
+    """
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        # isdecimal accepts what the \d of Fraction's pattern matches, and int reads it
+        if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
+            try:
+                q = int(den) if slash else 1
+                if q:
+                    return int(num), q
+            except ValueError:  # beyond the interpreter's limit on integer digits
+                pass
+    x = parse_rational(value)
+    return x.numerator, x.denominator
+
+
+def _over_least_common_denominator(
+    shadows: Sequence[Optional[Sequence[tuple[int, int]]]],
+) -> tuple[Optional[int], list[Optional[tuple[int, ...]]]]:
+    """Bring rational rows, each a sequence of (numerator, positive
+    denominator) pairs or None, onto their least common denominator q.
+
+    Returns q (None when every row is None) and each row's integer
+    numerators over q.
+    """
+    denominators = {b for pairs in shadows if pairs for _, b in pairs}
+    if not denominators:
+        return None, [None] * len(shadows)
+    q = math.lcm(*denominators)
+    rows = [tuple([a * (q // b) for a, b in pairs]) if pairs else None for pairs in shadows]
+    # unreduced input such as "2/4" leaves a factor common to all numerators
+    g = math.gcd(q, *(a for row in rows if row for a in row)) if q > 1 else 1
+    if g > 1:
+        q //= g
+        rows = [tuple([a // g for a in row]) if row else None for row in rows]
+    return q, rows
+
+
+def _format_over(numerators: Sequence[int], q: int) -> list[str]:
+    """Each a/q in lowest terms, as ``str(Fraction(a, q))`` prints it."""
+    if q == 1:
+        return list(map(str, numerators))
+    out = []
+    for a in numerators:
+        g = math.gcd(a, q)
+        out.append(str(a // g) if g == q else f"{a // g}/{q // g}")
+    return out
 
 
 def _positive_integer(value, what: str) -> int:
@@ -342,33 +419,35 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     max_entry = max(
         (x for d in plan.family for row in d.rows for x in row), default=Fraction(0)
     )
-    # the differences depend on the level only through the factor r_n
-    differences = [
-        [[d.get(v, vj) - d.get(vj, root) for vj in order] for v in order]
-        for d in plan.family
-    ]
+    # the differences depend on the level only through the factor r_n: each
+    # member's are brought onto one integer denominator q once
+    differences = []
+    for d in plan.family:
+        pairs = []
+        for v in order:
+            row = [d.get(v, vj) - d.get(vj, root) for vj in order]
+            pairs.append([(x.numerator, x.denominator) for x in row])
+        differences.append(_over_least_common_denominator(pairs))
     levels = []
     for n in range(1, plan.depth + 1):
-        r_exact = Fraction(plan.rule.value(n))
+        r = plan.rule.value(n)
+        r_exact = Fraction(r)
         # overflow guard for the binary64 side of the cloud
         largest = r_exact * max(max_entry, 1)
         if largest.numerator.bit_length() - largest.denominator.bit_length() > MAX_FLOAT_EXPONENT:
             raise GraphError(
                 f"scaling value at level {n} overflows binary64; reduce depth"
             )
+        # r_n * a / q in lowest terms: q and the numerators a share no factor
+        q, rows = differences[(n - 1) % len(differences)]
+        g = math.gcd(q, r)
+        q, k = q // g, r // g
         points = []
-        for v, row in zip(order, differences[(n - 1) % len(differences)]):
-            exact = tuple(r_exact * x for x in row)
-            points.append(
-                CloudPoint(
-                    label=v,
-                    coords=tuple(float(x) for x in exact),
-                    exact=exact,
-                )
-            )
-        levels.append(
-            CloudLevel(n=n, r=float(r_exact), r_exact=r_exact, points=points)
-        )
+        for v, row in zip(order, rows):
+            exact = tuple(k * a for a in row)
+            # int / int is correctly rounded, as float(Fraction(a, q)) is
+            points.append(CloudPoint(label=v, coords=tuple(a / q for a in exact), exact=exact))
+        levels.append(CloudLevel(n=n, r=float(r), r_exact=r_exact, points=points, q=q))
     return LeveledPointCloud(
         dimension=len(order), levels=levels, period=len(plan.family)
     )
@@ -409,11 +488,11 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
         # factor the root so neither operand overflows binary64
         r = math.sqrt(x_n) * math.sqrt(x_next)
         points = [
-            CloudPoint(label="p", coords=(0.0,), exact=(Fraction(0),)),
-            CloudPoint(label="x", coords=(float(x_n),), exact=(Fraction(x_n),)),
+            CloudPoint(label="p", coords=(0.0,), exact=(0,)),
+            CloudPoint(label="x", coords=(float(x_n),), exact=(x_n,)),
         ]
         # r is irrational (odd power of the base under a square root): no exact shadow
-        levels.append(CloudLevel(n=n, r=r, r_exact=None, points=points))
+        levels.append(CloudLevel(n=n, r=r, r_exact=None, points=points, q=1))
     return LeveledPointCloud(dimension=1, levels=levels, period=None)
 
 

@@ -76,19 +76,6 @@ def _spread(values):
     return max(values) - min(values)
 
 
-def _common_denominator_rows(pts: dict[str, CloudPoint], r: Fraction):
-    """One level's exact coordinates as integer numerators over their least
-    common denominator q, and the (numerator, denominator) pair that turns an
-    integer sup distance D between two rows into the normalized distance
-    D / (q * r) = Fraction(D * r.denominator, q * r.numerator)."""
-    q = math.lcm(*{c.denominator for p in pts.values() for c in p.exact})
-    rows = {
-        lbl: tuple(c.numerator * (q // c.denominator) for c in p.exact)
-        for lbl, p in pts.items()
-    }
-    return rows, (r.denominator, q * r.numerator)
-
-
 def recover_cluster(
     cloud: LeveledPointCloud,
     tol_rel: float = DEFAULT_TOL_REL,
@@ -100,8 +87,9 @@ def recover_cluster(
 
     ``use_exact`` switches all measurements to the rational shadows (when the
     cloud carries them), making edge weights and adjacency decisions exact.
-    Exact distances are taken on integer numerators over each level's common
-    denominator; every normalized value is still the exact rational.
+    Exact distances are taken on the integer numerators the cloud holds over
+    each level's common denominator q; every normalized value is still the
+    exact rational.
     """
     if not cloud.levels:
         raise GraphError("empty cloud")
@@ -120,7 +108,8 @@ def recover_cluster(
 
     depth = cloud.depth
     if window is None:
-        window = cloud.period if cloud.period else max(4, depth // 3)
+        # a window of one level has spread 0 and so cannot tell a non-edge
+        window = max(cloud.period, min(2, depth)) if cloud.period else max(4, depth // 3)
     if window < 1:
         raise GraphError("window must be positive")
     if window > depth:
@@ -143,9 +132,9 @@ def recover_cluster(
     if use_exact:
         if not cloud.has_exact():
             raise GraphError("cloud carries no exact shadows; cannot recover exactly")
-        rows, units = zip(
-            *(_common_denominator_rows(pts, lvl.r_exact) for lvl, pts in per_level)
-        )
+        rows = [{lbl: p.exact for lbl, p in pts.items()} for _, pts in per_level]
+        # an integer sup distance D is D / q on the level, and D / (q * r) normalized
+        units = [(lvl.r_exact.denominator, lvl.q * lvl.r_exact.numerator) for lvl, _ in per_level]
 
         def normalized(dist, unit):
             return Fraction(dist * unit[0], unit[1])
@@ -178,6 +167,16 @@ def recover_cluster(
 
     base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=zero)
     eq_thresh = t_abs + t_rel * base_scale
+    # an overflowed value makes every tolerance infinite and merges everything;
+    # the values are non-negative, so a finite window sum (the tail mean's)
+    # means every value is finite too
+    if not use_exact and not (
+        math.isfinite(eq_thresh) and all(math.isfinite(sum(vals)) for vals in values.values())
+    ):
+        raise GraphError(
+            "a normalized distance, its window sum or the identification threshold is not "
+            "finite in binary64: a scale r is too small for its coordinates"
+        )
 
     merge_log: list[str] = []
     warnings: list[str] = []
@@ -536,7 +535,7 @@ def label_unlabeled_cloud(cloud: LeveledPointCloud) -> LeveledPointCloud:
             (lbl, norm_of(p, lvl)) for lbl, p in sorted(assigned.items())
         ]
         new_levels.append(
-            CloudLevel(n=lvl.n, r=lvl.r, r_exact=lvl.r_exact, points=new_points)
+            CloudLevel(n=lvl.n, r=lvl.r, r_exact=lvl.r_exact, points=new_points, q=lvl.q)
         )
     return LeveledPointCloud(
         dimension=cloud.dimension,

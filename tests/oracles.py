@@ -8,18 +8,21 @@ below.
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 
-from metric_cluster.graph_core import Cycle, WeightedRootedGraph
+from metric_cluster.graph_core import Cycle, WeightedRootedGraph, parse_rational
 from metric_cluster.metrization import (
     IntervalQ,
     metric_agrees_with_weights,
     shortest_path_metric,
 )
+from metric_cluster.realization import CloudLevel, CloudPoint
 
 
 def enumerate_cycles(g: WeightedRootedGraph):
@@ -129,26 +132,38 @@ def tight_cycle_through_pair(g: WeightedRootedGraph, u: str, v: str) -> bool:
 
 def normalized_values_by_fractions(cloud, window: int):
     """Recovery's normalized values over the last ``window`` levels, by plain
-    Fraction arithmetic on the exact shadows: per label the basepoint values
-    sup|x_n| / r_n, and per label pair (x < y) the values sup|x_n - y_n| / r_n."""
+    Fraction arithmetic on the exact shadows as the cloud's JSON spells them:
+    per label the basepoint values sup|x_n| / r_n, and per label pair (x < y)
+    the values sup|x_n - y_n| / r_n."""
     labels = cloud.labels()
     base = {x: [] for x in labels}
     pairs = {pair: [] for pair in combinations(labels, 2)}
-    for lvl in cloud.levels[-window:]:
-        pts = {p.label: p.exact for p in lvl.points}
+    for lvl in json.loads(cloud.to_json())["levels"][-window:]:
+        r = parse_rational(lvl["r_exact"])
+        pts = {p["label"]: [parse_rational(c) for c in p["exact"]] for p in lvl["points"]}
         for x in labels:
-            base[x].append(max(abs(c) for c in pts[x]) / lvl.r_exact)
+            base[x].append(max(abs(c) for c in pts[x]) / r)
         for x, y in pairs:
             dist = max(abs(a - b) for a, b in zip(pts[x], pts[y]))
-            pairs[(x, y)].append(dist / lvl.r_exact)
+            pairs[(x, y)].append(dist / r)
     return base, pairs
 
 
-def fraction_rows(pts, r: Fraction):
-    """Stand-in for ``recovery._common_denominator_rows`` that keeps each
-    level's Fraction coordinates and scales by r itself: recovery then builds
-    every value as Fraction(sup distance of the exact shadows, r_exact)."""
-    return {label: p.exact for label, p in pts.items()}, (1, r)
+def level_from_fractions(n: int, r: Fraction, points: dict) -> CloudLevel:
+    """A cloud level with exact scale r from {label: Fraction coordinates}:
+    binary64 coordinates by float(), and the shadows as integer numerators
+    over the least common denominator of all coordinates of the level."""
+    q = math.lcm(*(c.denominator for coords in points.values() for c in coords))
+    return CloudLevel(
+        n=n,
+        r=float(r),
+        r_exact=r,
+        points=[
+            CloudPoint(label, tuple(map(float, coords)), tuple(int(c * q) for c in coords))
+            for label, coords in points.items()
+        ],
+        q=q,
+    )
 
 
 def cycle_count_networkx(g: WeightedRootedGraph) -> int:

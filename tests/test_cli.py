@@ -463,6 +463,8 @@ def _set_at(path, value):
         (_set_at(["basepoint"], "nonsense"), "basepoint must be the origin"),
         (_set_at(["basepoint"], [1e300, 0, 0, 0]), "basepoint must be the origin"),
         (_set_at(["levels"], []), "cloud JSON has no points"),
+        (_set_at(["levels", 3, "points", 1, "coords"], "1234"), "not a JSON list"),
+        (_set_at(["levels", 3, "points", 1, "exact"], "1234"), "not a JSON list"),
     ],
     ids=[
         "coordinate-non-numeric",
@@ -489,6 +491,8 @@ def _set_at(path, value):
         "basepoint-nonsense",
         "basepoint-not-the-origin",
         "no-points",
+        "coords-a-string",
+        "exact-a-string",
     ],
 )
 def test_bad_cloud_number_exit_2(cert_graph, tmp_path, capsys, edit, message):
@@ -496,8 +500,27 @@ def test_bad_cloud_number_exit_2(cert_graph, tmp_path, capsys, edit, message):
     edit(data)
     path = tmp_path / "bad_number.json"
     path.write_text(json.dumps(data), encoding="utf-8")
+    # the loader checks every field, the exact shadows too, for both recoveries
+    for exact in ([], ["--exact"]):
+        assert main(["recover", str(path), *exact]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_tiny_scale_exit_2(cert_graph, tmp_path, capsys):
+    # finite and positive, so the loader accepts it, but every normalized
+    # distance of the level overflows binary64
+    data = realized_cloud(cert_graph, tmp_path)
+    data["levels"][-1]["r"] = "5e-324"
+    path = tmp_path / "tiny_scale.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["recover", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    assert "not finite" in capsys.readouterr().err
+    # exact recovery measures against r_exact, which is intact
+    out = tmp_path / "h.json"
+    assert main(["recover", str(path), "--exact", "--out", str(out)]) == 0
+    assert WeightedRootedGraph.from_json(out.read_text()) == WeightedRootedGraph.from_json(
+        cert_graph.read_text()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from metric_cluster.graph_core import GraphError, WeightedRootedGraph
+from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphic, parse_rational
 from metric_cluster.fpc import synthesize_weights
 from metric_cluster.realization import (
     LeveledPointCloud,
     ScalingRule,
+    _rational_pair,
     build_plan,
     cross_level_separation,
     generate_cloud,
@@ -16,6 +20,7 @@ from metric_cluster.realization import (
     single_point_space,
     sup_distance,
 )
+from metric_cluster.recovery import recover_cluster
 
 from oracles import assert_two_member_family, dominating_rooted_shapes
 
@@ -125,18 +130,18 @@ def test_within_level_distances_reproduce_scaled_metric_exactly():
         for u in plan.graph.vertices:
             for v in plan.graph.vertices:
                 if u < v:
-                    got = sup_distance(pts[u].exact, pts[v].exact)
+                    got = Fraction(sup_distance(pts[u].exact, pts[v].exact), lvl.q)
                     assert got == lvl.r_exact * d.get(u, v)
 
 
 def test_norm_over_scaling_equals_root_labels():
     plan = build_plan(ONE_GAP, depth=8)
     cloud = generate_cloud(plan)
-    origin = (Fraction(0),) * cloud.dimension
+    origin = (0,) * cloud.dimension
     for lvl in cloud.levels:
         pts = cloud.points_by_label(lvl)
         for v in plan.graph.vertices:
-            norm = sup_distance(pts[v].exact, origin)
+            norm = Fraction(sup_distance(pts[v].exact, origin), lvl.q)
             expected = Fraction(0) if v == "r" else plan.graph.weight("r", v)
             assert norm / lvl.r_exact == expected
 
@@ -159,13 +164,120 @@ def test_cloud_json_round_trip():
     assert again.period == cloud.period
     assert [l.n for l in again.levels] == [l.n for l in cloud.levels]
     for la, lb in zip(again.levels, cloud.levels):
-        assert la.r == lb.r and la.r_exact == lb.r_exact
+        assert la.r == lb.r and la.r_exact == lb.r_exact and la.q == lb.q
         for pa, pb in zip(la.points, lb.points):
             assert pa.label == pb.label
             assert pa.coords == pb.coords
             assert pa.exact == pb.exact
     stripped = LeveledPointCloud.from_json(cloud.to_json(include_exact=False))
     assert not stripped.has_exact()
+
+
+# SHA-256 of the cloud bytes as recorded when every coordinate was built as a
+# Fraction; a change of the realization family changes them by design
+PINNED_CLOUDS = [
+    (12, None, "05d61c90495f2e19ea0360cac6c657cea208df007d1f3cd5eb02e3083e0f310b"),
+    (6, ScalingRule("power_square", 3), "9321a9e6792711e2176a3a3ea424d49b93b5bcb810621e0dc6241969276938cd"),
+]
+
+
+@pytest.mark.parametrize("depth, rule, digest", PINNED_CLOUDS)
+def test_cloud_bytes_are_pinned(depth, rule, digest):
+    text = realize(ONE_GAP, depth, rule).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        realize(ONE_GAP, 12),
+        realize(CERT_TRIANGLE, 6, ScalingRule("power_square", 3)),
+        realize(synthesize_weights(next(iter(dominating_rooted_shapes(6)))), 20),
+        single_point_space(8),
+    ],
+    ids=["factorial", "power_square", "synthesized", "single_point"],
+)
+def test_load_and_write_reproduces_the_cloud(cloud):
+    for include_exact in (True, False):
+        text = cloud.to_json(include_exact)
+        again = LeveledPointCloud.from_json(text)
+        assert again.to_json() == text
+    assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
+
+
+def test_unreduced_shadows_load_over_the_least_denominator():
+    cloud = realize(CERT_TRIANGLE, 8)
+    level = next(lvl for lvl in cloud.levels if lvl.q > 1)
+    data = json.loads(cloud.to_json())
+    for item in data["levels"][level.n - 1]["points"]:
+        # a/b becomes 6a/6b, and an integer a becomes 6a/6
+        item["exact"] = [
+            "{}/{}".format(6 * x.numerator, 6 * x.denominator) for x in map(Fraction, item["exact"])
+        ]
+    again = LeveledPointCloud.from_json(json.dumps(data))
+    assert again.levels[level.n - 1] == level
+    assert again.to_json() == cloud.to_json()
+
+
+def test_partly_shadowed_level_loads_writes_back_and_is_not_exact():
+    data = json.loads(realize(CERT_TRIANGLE, 12).to_json())
+    level = data["levels"][0]
+    assert any("/" in x for item in level["points"] for x in item["exact"])
+    # keep the shadow only where a coordinate has a denominator
+    for item in level["points"]:
+        if not any("/" in x for x in item["exact"]):
+            del item["exact"]
+    cloud = LeveledPointCloud.from_json(json.dumps(data))
+    assert json.loads(cloud.to_json()) == data
+    assert not cloud.has_exact()
+    with pytest.raises(GraphError, match="no exact shadows"):
+        recover_cluster(cloud, use_exact=True)
+    assert isomorphic(CERT_TRIANGLE, recover_cluster(cloud).graph, weighted=True,
+                      weight_tol_rel=Fraction(1, 10**9))
+
+
+# what the loader's fast path reads: signs, digits from several scripts,
+# separators and the characters of decimal and exponent literals
+_RATIONAL_TEXT = st.one_of(
+    st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/ _.eE\t٣²０", max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        _RATIONAL_TEXT,
+        st.integers(),
+        st.floats(),
+        st.booleans(),
+        st.none(),
+        st.lists(st.integers(), max_size=2),
+    )
+)
+def test_exact_coordinate_parse_accepts_what_parse_rational_accepts(value):
+    check_rational_pair(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["-0", "0/7", "2/4", "-3/9", "+3", " 3", "3 ", "1_000", "1.5", "-1.5e3", "1E-2",
+     "x/0", "3/0", "0/0", "3/-3", "-3/3", "3/", "/3", "--3", "", "-", "٣/٤", "²", "０",
+     "1" * 5000, "1/" + "1" * 5000],
+)
+def test_exact_coordinate_parse_edge_cases(value):
+    check_rational_pair(value)
+
+
+def check_rational_pair(value):
+    try:
+        expected = parse_rational(value)
+    except GraphError:
+        with pytest.raises(GraphError):
+            _rational_pair(value)
+        return
+    a, b = _rational_pair(value)
+    assert b > 0 and Fraction(a, b) == expected
 
 
 def test_realization_of_synthesized_shapes_has_full_family():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from metric_cluster.graph_core import (
     isomorphic,
 )
 from metric_cluster.fpc import synthesize_weights
-from metric_cluster import recovery
 from metric_cluster.realization import (
     CloudLevel,
     CloudPoint,
@@ -35,7 +35,7 @@ from metric_cluster.recovery import (
 
 from oracles import (
     dominating_rooted_shapes,
-    fraction_rows,
+    level_from_fractions,
     normalized_values_by_fractions,
     random_dominating_shape,
 )
@@ -103,11 +103,10 @@ def hand_built_cloud() -> LeveledPointCloud:
     for n in range(1, 9):
         r = Fraction(7 * n**3, 3)
         b = (Fraction(3, 4), Fraction(-5, 6))[:: 1 if n % 2 else -1]
-        points = [CloudPoint("p", (0.0, 0.0), (Fraction(0), Fraction(0)))]
+        points = {"p": (Fraction(0), Fraction(0))}
         for label, vec in (("a", a), ("b", b), ("c", c)):
-            exact = tuple(r * x for x in vec)
-            points.append(CloudPoint(label, tuple(map(float, exact)), exact))
-        levels.append(CloudLevel(n=n, r=float(r), r_exact=r, points=points))
+            points[label] = tuple(r * x for x in vec)
+        levels.append(level_from_fractions(n, r, points))
     return LeveledPointCloud(dimension=2, levels=levels, period=2)
 
 
@@ -124,7 +123,7 @@ def oracle_clouds():
 
 
 @pytest.mark.parametrize("name", sorted(oracle_clouds()))
-def test_exact_values_match_fraction_oracle(name, monkeypatch):
+def test_exact_values_match_fraction_oracle(name):
     cloud, window = oracle_clouds()[name]
     rc = recover_cluster(cloud, use_exact=True, window=window)
     base, pairs = normalized_values_by_fractions(cloud, rc.window)
@@ -132,8 +131,9 @@ def test_exact_values_match_fraction_oracle(name, monkeypatch):
         assert trace.base_values == base[x]
         for y, vals in trace.pair_values.items():
             assert vals == pairs[min(x, y), max(x, y)]
-    monkeypatch.setattr(recovery, "_common_denominator_rows", fraction_rows)
-    assert recover_cluster(cloud, use_exact=True, window=window) == rc
+    # the numerators the loader derives from the JSON strings recover the same
+    loaded = LeveledPointCloud.from_json(cloud.to_json())
+    assert recover_cluster(loaded, use_exact=True, window=window) == rc
 
 
 def test_round_trip_diagnostics_capture_oscillation():
@@ -176,12 +176,7 @@ def test_single_point_cloud_recovers_one_vertex():
 
 
 def test_basepoint_only_cloud_recovers_k1():
-    levels = [
-        CloudLevel(n=n, r=float(n), r_exact=Fraction(n), points=[
-            CloudPoint("p", (0.0,), (Fraction(0),))
-        ])
-        for n in (1, 2, 3, 4)
-    ]
+    levels = [level_from_fractions(n, Fraction(n), {"p": (Fraction(0),)}) for n in (1, 2, 3, 4)]
     rc = recover_cluster(LeveledPointCloud(dimension=1, levels=levels))
     assert rc.graph.vertices == ("p",) and rc.graph.root == "p"
 
@@ -196,6 +191,40 @@ def test_window_shorter_than_period_rejected():
     assert cloud.period == 2
     with pytest.raises(GraphError):
         recover_cluster(cloud, window=1)
+
+
+def test_default_window_spans_two_levels_when_the_period_is_one():
+    # a window of one level has spread 0 and would make the non-edge u|z an edge
+    cloud = realize(ONE_GAP, depth=12)
+    period_one = LeveledPointCloud(cloud.dimension, cloud.levels, period=1)
+    rc = recover_cluster(period_one, use_exact=True)
+    assert rc.window == 2 and rc.graph == ONE_GAP
+    rc = recover_cluster(period_one)
+    assert isomorphic(ONE_GAP, rc.graph, weighted=True, weight_tol_rel=Fraction(1, 10**9))
+    # a complete graph is realized with period 1 and still recovers
+    complete = realize(CERT_TRIANGLE, depth=12)
+    assert complete.period == 1
+    rc = recover_cluster(complete, use_exact=True)
+    assert rc.window == 2 and rc.graph == CERT_TRIANGLE
+
+
+def test_non_finite_float_values_rejected():
+    cloud = realize(ONE_GAP, depth=12)
+    levels = cloud.levels[:-1] + [dataclasses.replace(cloud.levels[-1], r=5e-324)]
+    tiny = LeveledPointCloud(cloud.dimension, levels, cloud.period)
+    with pytest.raises(GraphError, match="not finite"):
+        recover_cluster(tiny)
+    assert recover_cluster(tiny, use_exact=True).graph == ONE_GAP
+    # finite values, but a threshold beyond binary64
+    with pytest.raises(GraphError, match="not finite"):
+        recover_cluster(cloud, tol_rel=1e308)
+    # finite values whose window sum, and so the tail mean, overflows
+    huge = LeveledPointCloud(1, [
+        CloudLevel(n=n, r=1.0, r_exact=None, points=[CloudPoint("a", (1e308,))])
+        for n in (1, 2, 3, 4)
+    ])
+    with pytest.raises(GraphError, match="not finite"):
+        recover_cluster(huge)
 
 
 def test_missing_label_rejected():
@@ -357,6 +386,7 @@ def strip_labels(cloud):
             r=lvl.r,
             r_exact=lvl.r_exact,
             points=[CloudPoint(None, p.coords, p.exact) for p in lvl.points],
+            q=lvl.q,
         )
         for lvl in cloud.levels
     ]
