@@ -33,11 +33,10 @@ from .graph_core import (
 )
 from .metrization import (
     DistanceMatrix,
-    IntervalQ,
     _classify,
     _interval,
+    _ScaledGraph,
     _tight_cycle,
-    shortest_path_metric,
 )
 
 
@@ -120,10 +119,10 @@ def certify_fpc(g: WeightedRootedGraph) -> FpcCertificate:
 
 def _certify(
     g: WeightedRootedGraph,
-) -> tuple[FpcCertificate, Optional[DistanceMatrix], Optional[dict[tuple[str, str], IntervalQ]]]:
-    """``certify_fpc``'s certificate, the shortest-path matrix it decided
-    (ii) and (iii) on (None when (i) fails first) and, on a pass only, the
-    admissible interval of every non-edge in ``g.non_edges()`` order."""
+) -> tuple[FpcCertificate, Optional[_ScaledGraph], Optional[dict[tuple[str, str], tuple[int, int]]]]:
+    """``certify_fpc``'s certificate and, on a pass only, the graph scaled to
+    integers that (ii) and (iii) were decided on and the scaled admissible
+    interval (lo, hi) of every non-edge in ``g.non_edges()`` order."""
     # (i) dominating root
     missing = _undominated_vertex(g)
     if missing is not None:
@@ -136,26 +135,26 @@ def _certify(
         ), None, None
     # (ii): after (i) every zero weight closes a violating triangle, so the
     # graph is metrizable or the verdict carries a violating cycle
-    d = shortest_path_metric(g)
-    verdict = _classify(g, d.get)
+    sg = _ScaledGraph(g)
+    verdict = _classify(g, sg)
     if not verdict.metrizable:
         return FpcCertificate(
             False, FAIL_CYCLE_INEQUALITY, witness_cycle=verdict.witness_cycle
-        ), d, None
+        ), None, None
     # (iii): a tight cycle through a non-edge forces its distance, and a
     # forced distance closes a tight cycle through the pair
     intervals = {}
     for mu, nu in g.non_edges():
-        interval, edge = _interval(g, d, mu, nu)
-        if interval.degenerate:
+        lo, hi, edge = _interval(sg, mu, nu)
+        if lo == hi:
             return FpcCertificate(
                 False,
                 FAIL_TIGHT_CYCLE_NOT_CLIQUE,
-                witness_cycle=_tight_cycle(g, mu, nu, edge),
+                witness_cycle=_tight_cycle(g, sg, mu, nu, edge),
                 witness_pair=(mu, nu),
-            ), d, None
-        intervals[mu, nu] = interval
-    return FpcCertificate(True), d, intervals
+            ), None, None
+        intervals[mu, nu] = lo, hi
+    return FpcCertificate(True), sg, intervals
 
 
 def witness_is_genuine(g: WeightedRootedGraph, cert: FpcCertificate) -> bool:

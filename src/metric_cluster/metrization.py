@@ -3,8 +3,12 @@
 Shortest-path pseudometric, the metrizability decision, admissible distance
 intervals for non-adjacent pairs, the completion that adds forced distances
 as edges, and the circle/line embeddings of weighted cycles. Every comparison
-in this module is an exact rational comparison; there are no tolerances here,
-because the interesting boundary cases are exact equalities.
+in this module is exact; there are no tolerances here, because the
+interesting boundary cases are exact equalities. The decisions (the cycle
+inequality, degenerate intervals, extensions) run on integer numerators over
+L, the least common multiple of the weight denominators: every weight and
+shortest-path distance is an integer multiple of 1/L. Fractions are built
+only for the values handed out (``DistanceMatrix`` rows, ``IntervalQ``).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import enum
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -42,8 +47,28 @@ class DistanceMatrix:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise GraphError("distance matrix must be square")
         self.rows: list[list[Fraction]] = [[parse_rational(x) for x in r] for r in rows]
+        self._over: Optional[tuple[list[list[int]], int]] = None
         if validate:
             self.validate()
+
+    @classmethod
+    def _from_numerators(cls, vertices, numerators: list[list[int]], denominator: int) -> "DistanceMatrix":
+        """The matrix numerators / denominator, which keeps the integer form
+        for ``_numerators``; its Fractions are built here, once."""
+        d = cls(
+            vertices,
+            [[Fraction(x, denominator) for x in row] for row in numerators],
+            validate=False,
+        )
+        d._over = (numerators, denominator)
+        return d
+
+    def _numerators(self) -> tuple[list[list[int]], int]:
+        """The rows as integer numerators over one positive common denominator."""
+        if self._over is not None:
+            return self._over
+        q = math.lcm(*(x.denominator for row in self.rows for x in row))
+        return [[x.numerator * (q // x.denominator) for x in row] for row in self.rows], q
 
     def validate(self) -> None:
         n = len(self.vertices)
@@ -168,46 +193,86 @@ class MetrizabilityVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _dijkstra(
-    g: WeightedRootedGraph, source: str
-) -> tuple[dict[str, Fraction], dict[str, str]]:
-    """Exact distances from source, and each reached vertex's predecessor on
-    one shortest path (the tree that ``_path`` walks)."""
-    dist: dict[str, Fraction] = {source: Fraction(0)}
-    prev: dict[str, str] = {}
-    heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
-    done: set[str] = set()
+class _ScaledGraph:
+    """A connected graph on vertex indices (the order of ``g.vertices``) with
+    every weight multiplied by ``scale``, the least common multiple of the
+    weight denominators, so that sums and comparisons of weights and
+    distances are exact on Python ints.
+
+    ``edges`` lists (i, j, scale * w(ij)) in sorted edge order, i < j;
+    ``row(i)`` is the scaled shortest-path distances from vertex i, run on
+    first use.
+    """
+
+    def __init__(self, g: WeightedRootedGraph):
+        g.require_connected()
+        self.vertices = g.vertices
+        self.index = {v: i for i, v in enumerate(g.vertices)}
+        self.scale = math.lcm(*(w.denominator for w in g.weights.values()))
+        self.edges = [
+            (self.index[u], self.index[v], w.numerator * (self.scale // w.denominator))
+            for (u, v), w in sorted(g.weights.items())
+        ]
+        self.adj = _adjacency(len(self.vertices), self.edges)
+        self._rows: list[Optional[list[int]]] = [None] * len(self.vertices)
+
+    def row(self, i: int) -> list[int]:
+        if self._rows[i] is None:
+            self._rows[i] = _dijkstra(self.adj, i)[0]
+        return self._rows[i]
+
+    @property
+    def rows(self) -> list[list[int]]:
+        return [self.row(i) for i in range(len(self.vertices))]
+
+    def matrix(self) -> DistanceMatrix:
+        return DistanceMatrix._from_numerators(self.vertices, self.rows, self.scale)
+
+
+def _adjacency(n: int, edges) -> list[list[tuple[int, int]]]:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, j, w in edges:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    return adj
+
+
+def _dijkstra(adj, source: int) -> tuple[list, list]:
+    """Integer distances from source over an index adjacency list, and each
+    reached vertex's predecessor on one shortest path (the tree that
+    ``_path`` walks)."""
+    n = len(adj)
+    dist: list = [None] * n
+    prev: list = [None] * n
+    done = [False] * n
+    dist[source] = 0
+    heap = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u in done:
+        if done[u]:
             continue
-        done.add(u)
-        for v in g._adj[u]:
-            nd = d + g.weight(u, v)
-            if v not in dist or nd < dist[v]:
+        done[u] = True
+        for v, w in adj[u]:
+            nd = d + w
+            if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
     return dist, prev
 
 
-def _path(prev: dict[str, str], source: str, target: str) -> tuple[str, ...]:
+def _path(prev: list, source: int, target: int) -> list[int]:
     """The source-target path of a shortest-path tree."""
     path = [target]
     while path[-1] != source:
         path.append(prev[path[-1]])
-    return tuple(reversed(path))
+    path.reverse()
+    return path
 
 
 def shortest_path_metric(g: WeightedRootedGraph) -> DistanceMatrix:
     """Exact all-pairs shortest-path pseudometric of a connected graph."""
-    g.require_connected()
-    rows = []
-    for u in g.vertices:
-        dist = _dijkstra(g, u)[0]
-        rows.append([dist[v] for v in g.vertices])
-    # Dijkstra output satisfies the axioms by construction; skip the O(n^3) recheck.
-    return DistanceMatrix(g.vertices, rows, validate=False)
+    return _ScaledGraph(g).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -215,60 +280,54 @@ def shortest_path_metric(g: WeightedRootedGraph) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _classify(g: WeightedRootedGraph, dist) -> MetrizabilityVerdict:
-    """Metrizability of g from its shortest-path pseudometric, read through
-    ``dist(u, v)``.
+def _classify(g: WeightedRootedGraph, sg: _ScaledGraph) -> MetrizabilityVerdict:
+    """Metrizability of g from its scaled shortest-path rows.
 
     An edge heavier than d between its endpoints closes, with the shortest
     detour around it, a cycle violating the cycle inequality; conversely any
     violating cycle contains such an edge (its heaviest one). So the cycle
-    condition holds iff every edge weight equals d. Edges are checked in
-    sorted order and the first heavy one decides, so ``dist`` is asked only
-    for rows up to it.
+    condition holds iff every edge weight equals d. Sorted edges come grouped
+    by their smaller endpoint and the first heavy one decides, so only the
+    rows up to it are run.
     """
-    for (u, v), w in sorted(g.weights.items()):
-        if w > dist(u, v):
-            prev = _dijkstra(g.without_edge(u, v), u)[1]
-            cycle = Cycle.from_graph(g, _path(prev, u, v))
-            # path closes with edge {u,v}; re-check the violation exactly
+    for i, j, w in sg.edges:
+        if w > sg.row(i)[j]:
+            detours = _adjacency(len(sg.vertices), [e for e in sg.edges if e[:2] != (i, j)])
+            path = _path(_dijkstra(detours, i)[1], i, j)
+            cycle = Cycle.from_graph(g, [sg.vertices[k] for k in path])
+            # path closes with edge {i,j}; re-check the violation exactly
             assert not cycle.satisfies_cycle_inequality()
             return MetrizabilityVerdict(
                 Metrizability.NOT_PSEUDOMETRIZABLE, witness_cycle=cycle
             )
-    for (u, v), w in sorted(g.weights.items()):
+    for i, j, w in sg.edges:
         if w == 0:
             return MetrizabilityVerdict(
-                Metrizability.PSEUDOMETRIZABLE_ONLY, zero_weight_edge=(u, v)
+                Metrizability.PSEUDOMETRIZABLE_ONLY,
+                zero_weight_edge=(sg.vertices[i], sg.vertices[j]),
             )
     return MetrizabilityVerdict(Metrizability.METRIZABLE)
 
 
 def check_metrizable(g: WeightedRootedGraph) -> MetrizabilityVerdict:
     """Decide metrizability in polynomial time from the shortest-path metric,
-    with a violating cycle as witness.
+    with a violating cycle as witness; a graph that is not metrizable stops
+    at its first heavy edge without the Dijkstra rows after it."""
+    return _classify(g, _ScaledGraph(g))
 
-    Sorted edges come grouped by their smaller endpoint u, so one Dijkstra
-    row from u is run when its first edge comes up, and a graph that is not
-    metrizable stops at its first heavy edge without the rows after it.
-    """
-    g.require_connected()
-    rows: dict[str, dict[str, Fraction]] = {}
 
-    def dist(u: str, v: str) -> Fraction:
-        if u not in rows:
-            rows[u] = _dijkstra(g, u)[0]
-        return rows[u][v]
-
-    return _classify(g, dist)
+def _metrizable(g: WeightedRootedGraph) -> _ScaledGraph:
+    """g scaled to integers; GraphError unless g is metrizable."""
+    sg = _ScaledGraph(g)
+    verdict = _classify(g, sg)
+    if not verdict.metrizable:
+        raise GraphError(f"graph is not metrizable ({verdict.classification.value})")
+    return sg
 
 
 def require_metrizable(g: WeightedRootedGraph) -> DistanceMatrix:
     """The shortest-path metric of g; GraphError unless g is metrizable."""
-    d = shortest_path_metric(g)
-    verdict = _classify(g, d.get)
-    if not verdict.metrizable:
-        raise GraphError(f"graph is not metrizable ({verdict.classification.value})")
-    return d
+    return _metrizable(g).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +335,10 @@ def require_metrizable(g: WeightedRootedGraph) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _interval(g: WeightedRootedGraph, d: DistanceMatrix, mu: str, nu: str):
-    """Admissible interval of a non-edge of a metrizable graph with metric d,
-    and the oriented edge (a, b) whose slack sets a positive lower end.
+def _interval(sg: _ScaledGraph, mu: str, nu: str) -> tuple[int, int, Optional[tuple[int, int]]]:
+    """Scaled admissible interval (lo, hi) of a non-edge of a metrizable
+    graph, and the oriented edge (a, b), as vertex indices, whose slack sets
+    a positive lower end.
 
     The upper end is d(mu, nu). The lower end is the largest slack
     w(ab) - d(mu, a) - d(b, nu) over edges ab in both orientations, or 0:
@@ -286,22 +346,20 @@ def _interval(g: WeightedRootedGraph, d: DistanceMatrix, mu: str, nu: str):
     when it is positive the three pieces form a simple path (a shared vertex
     would give a route from a to b shorter than the edge ab), so it is attained.
     """
-    if mu not in g._adj or nu not in g._adj:
-        raise GraphError(f"{mu!r} and {nu!r} must both be vertices of the graph")
-    if g.has_edge(mu, nu):
-        raise GraphError(f"{mu!r} and {nu!r} are adjacent; interval applies to non-edges")
-    index = d._index
-    from_mu, from_nu = d.rows[index[mu]], d.rows[index[nu]]
-    lo, edge = Fraction(0), None
-    for (x, y), w in sorted(g.weights.items()):
-        for a, b in ((x, y), (y, x)):
-            slack = w - from_mu[index[a]] - from_nu[index[b]]
-            if slack > lo:
-                lo, edge = slack, (a, b)
-    return IntervalQ(lo, from_mu[index[nu]]), edge
+    i, j = sg.index[mu], sg.index[nu]
+    from_mu, from_nu = sg.row(i), sg.row(j)
+    lo, edge = 0, None
+    for a, b, w in sg.edges:
+        slack = w - from_mu[a] - from_nu[b]
+        if slack > lo:
+            lo, edge = slack, (a, b)
+        slack = w - from_mu[b] - from_nu[a]
+        if slack > lo:
+            lo, edge = slack, (b, a)
+    return lo, from_mu[j], edge
 
 
-def _tight_cycle(g: WeightedRootedGraph, mu: str, nu: str, edge) -> Cycle:
+def _tight_cycle(g: WeightedRootedGraph, sg: _ScaledGraph, mu: str, nu: str, edge) -> Cycle:
     """The cycle a..mu..nu..b closed by the edge (a, b) that pins the
     degenerate interval of (mu, nu), built from three shortest paths.
 
@@ -309,25 +367,36 @@ def _tight_cycle(g: WeightedRootedGraph, mu: str, nu: str, edge) -> Cycle:
     on positive weights by the argument in ``_interval``.
     """
     a, b = edge
-    from_mu = _dijkstra(g, mu)[1]
-    from_nu = _dijkstra(g, nu)[1]
-    order = _path(from_mu, mu, a)[::-1] + _path(from_mu, mu, nu)[1:] + _path(from_nu, nu, b)[1:]
-    return Cycle.from_graph(g, order)
+    i, j = sg.index[mu], sg.index[nu]
+    from_mu = _dijkstra(sg.adj, i)[1]
+    from_nu = _dijkstra(sg.adj, j)[1]
+    order = _path(from_mu, i, a)[::-1] + _path(from_mu, i, j)[1:] + _path(from_nu, j, b)[1:]
+    return Cycle.from_graph(g, [sg.vertices[k] for k in order])
 
 
-def _extension(d: DistanceMatrix, mu: str, nu: str, t: Fraction) -> DistanceMatrix:
-    """Shortest-path metric of the graph behind d with the edge {mu, nu} of
-    weight t added: a shortest path uses the new edge at most once."""
-    i, j = d._index[mu], d._index[nu]
-    from_mu, from_nu = d.rows[i], d.rows[j]
+def _extension(rows: list[list[int]], i: int, j: int, t: int) -> list[list[int]]:
+    """Shortest-path distances, on the integer scale of rows and t, of the
+    graph behind rows with the edge {i, j} of weight t added: a shortest
+    path uses the new edge at most once."""
+    from_i, from_j = rows[i], rows[j]
     out = []
-    for row in d.rows:
-        via_mu, via_nu = row[i] + t, row[j] + t
+    for row in rows:
+        via_i, via_j = row[i] + t, row[j] + t
         out.append(
-            [min(direct, via_mu + nu_y, via_nu + mu_y)
-             for direct, nu_y, mu_y in zip(row, from_nu, from_mu)]
+            [min(direct, via_i + j_y, via_j + i_y)
+             for direct, j_y, i_y in zip(row, from_j, from_i)]
         )
-    return DistanceMatrix(d.vertices, out, validate=False)
+    return out
+
+
+def _admissible(g: WeightedRootedGraph, mu: str, nu: str) -> tuple[_ScaledGraph, IntervalQ]:
+    sg = _metrizable(g)
+    if mu not in g._adj or nu not in g._adj:
+        raise GraphError(f"{mu!r} and {nu!r} must both be vertices of the graph")
+    if g.has_edge(mu, nu):
+        raise GraphError(f"{mu!r} and {nu!r} are adjacent; interval applies to non-edges")
+    lo, hi, _ = _interval(sg, mu, nu)
+    return sg, IntervalQ(Fraction(lo, sg.scale), Fraction(hi, sg.scale))
 
 
 def admissible_interval(g: WeightedRootedGraph, mu: str, nu: str) -> IntervalQ:
@@ -337,7 +406,7 @@ def admissible_interval(g: WeightedRootedGraph, mu: str, nu: str) -> IntervalQ:
     (2 * heaviest edge of P - length of P), smallest length of P]; computed
     from the shortest-path metric (see ``_interval``).
     """
-    return _interval(g, require_metrizable(g), mu, nu)[0]
+    return _admissible(g, mu, nu)[1]
 
 
 def extend_metric(g: WeightedRootedGraph, mu: str, nu: str, t) -> DistanceMatrix:
@@ -348,15 +417,29 @@ def extend_metric(g: WeightedRootedGraph, mu: str, nu: str, t) -> DistanceMatrix
     admissible interval.
     """
     t = parse_rational(t)
-    d = require_metrizable(g)
-    interval = _interval(g, d, mu, nu)[0]
+    sg, interval = _admissible(g, mu, nu)
     if t <= 0:
         raise GraphError(f"extension value must be positive, got {t}")
     if not interval.contains(t):
         raise GraphError(
             f"value {t} for ({mu!r},{nu!r}) lies outside the admissible interval {interval}"
         )
-    return _extension(d, mu, nu, t)
+    # over the denominator q * scale, t = p/q is the integer p * scale
+    q = t.denominator
+    rows = [[q * x for x in row] for row in sg.rows]
+    extended = _extension(rows, sg.index[mu], sg.index[nu], t.numerator * sg.scale)
+    return DistanceMatrix._from_numerators(sg.vertices, extended, q * sg.scale)
+
+
+def _forced_distances(g: WeightedRootedGraph) -> list[tuple[tuple[str, str], Fraction]]:
+    """Each non-edge with a degenerate admissible interval, and its distance."""
+    sg = _metrizable(g)
+    forced = []
+    for u, v in g.non_edges():
+        lo, hi, _ = _interval(sg, u, v)
+        if lo == hi:
+            forced.append(((u, v), Fraction(hi, sg.scale)))
+    return forced
 
 
 def unique_pairs(g: WeightedRootedGraph) -> tuple[tuple[str, str], ...]:
@@ -364,18 +447,14 @@ def unique_pairs(g: WeightedRootedGraph) -> tuple[tuple[str, str], ...]:
 
     Exactly the pairs with a degenerate admissible interval.
     """
-    d = require_metrizable(g)
-    return tuple(p for p in g.non_edges() if _interval(g, d, *p)[0].degenerate)
+    return tuple(pair for pair, _ in _forced_distances(g))
 
 
 def forced_completion(g: WeightedRootedGraph) -> WeightedRootedGraph:
     """Single-pass completion: add each unique pair as an edge with its forced weight."""
-    d = require_metrizable(g)
     out = g
-    for u, v in g.non_edges():
-        interval = _interval(g, d, u, v)[0]
-        if interval.degenerate:
-            out = out.with_edge(u, v, interval.lo)
+    for (u, v), t in _forced_distances(g):
+        out = out.with_edge(u, v, t)
     return out
 
 

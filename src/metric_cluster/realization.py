@@ -291,13 +291,18 @@ def _over_least_common_denominator(
     if not denominators:
         return None, [None] * len(shadows)
     q = math.lcm(*denominators)
-    rows = [tuple([a * (q // b) for a, b in pairs]) if pairs else None for pairs in shadows]
     # unreduced input such as "2/4" leaves a factor common to all numerators
+    return _in_lowest_terms(q, [tuple([a * (q // b) for a, b in pairs]) if pairs else None for pairs in shadows])
+
+
+def _in_lowest_terms(q: int, rows: list) -> tuple[int, list]:
+    """Integer rows (or None) over q, with the factor that q shares with
+    every numerator divided out: q becomes the least common denominator of
+    the values, the least common multiple of their reduced denominators."""
     g = math.gcd(q, *(a for row in rows if row for a in row)) if q > 1 else 1
-    if g > 1:
-        q //= g
-        rows = [tuple([a // g for a in row]) if row else None for row in rows]
-    return q, rows
+    if g == 1:
+        return q, rows
+    return q // g, [tuple([a // g for a in row]) if row else None for row in rows]
 
 
 def _format_over(numerators: Sequence[int], q: int) -> list[str]:
@@ -365,10 +370,15 @@ def build_plan(
     guarantees lo < hi. The lower member is the exact average of these m
     extensions: a convex combination of metrics agreeing on the edges is
     again one, and it lies strictly below d on every non-edge at once.
+
+    Certification hands over d and the intervals as integer numerators over
+    L, the least common multiple of the weight denominators. The extensions
+    and their sum run in units of 1/(2L), where every midpoint is the
+    integer lo + hi, and the sum is divided by 2Lm once, at the end.
     """
     if depth < 1:
         raise GraphError("depth must be at least 1")
-    cert, d, intervals = _certify(g)
+    cert, sg, intervals = _certify(g)
     if not cert.ok:
         raise GraphError(
             f"graph does not certify (failed: {cert.failure}); realization needs a certified graph"
@@ -376,19 +386,20 @@ def build_plan(
     rule = rule or ScalingRule()
     non_edges = list(intervals)
     warnings: list[str] = []
+    d = sg.matrix()
 
     if not non_edges:
         family = [d]
     else:
+        doubled = [[2 * x for x in row] for row in sg.rows]
         total = None
-        for (u, v), interval in intervals.items():
-            assert interval.lo < interval.hi, "certified graphs have no forced distances"
-            rows = _extension(d, u, v, interval.midpoint()).rows
+        for (u, v), (lo, hi) in intervals.items():
+            assert lo < hi, "certified graphs have no forced distances"
+            rows = _extension(doubled, sg.index[u], sg.index[v], lo + hi)
             total = rows if total is None else [
                 list(map(operator.add, a, b)) for a, b in zip(total, rows)
             ]
-        m = len(non_edges)
-        lower = DistanceMatrix(d.vertices, [[x / m for x in row] for row in total], validate=False)
+        lower = DistanceMatrix._from_numerators(sg.vertices, total, 2 * sg.scale * len(non_edges))
         family = [lower, d]
         if depth < len(family):
             warnings.append(
@@ -415,19 +426,18 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     exactly at the rational level.
     """
     order = plan.graph.vertices
-    root = plan.graph.root
-    max_entry = max(
-        (x for d in plan.family for row in d.rows for x in row), default=Fraction(0)
-    )
+    root = order.index(plan.graph.root)
     # the differences depend on the level only through the factor r_n: each
-    # member's are brought onto one integer denominator q once
+    # member's are taken once, on its integer numerators over one denominator
     differences = []
+    max_entry = Fraction(0)
     for d in plan.family:
-        pairs = []
-        for v in order:
-            row = [d.get(v, vj) - d.get(vj, root) for vj in order]
-            pairs.append([(x.numerator, x.denominator) for x in row])
-        differences.append(_over_least_common_denominator(pairs))
+        numerators, q = d._numerators()
+        at = [d._index[v] for v in order]
+        rows = [[numerators[i][j] for j in at] for i in at]
+        to_root = [row[root] for row in rows]
+        differences.append(_in_lowest_terms(q, [list(map(operator.sub, row, to_root)) for row in rows]))
+        max_entry = max(max_entry, Fraction(max(map(max, rows)), q))
     levels = []
     for n in range(1, plan.depth + 1):
         r = plan.rule.value(n)

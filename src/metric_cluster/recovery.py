@@ -107,9 +107,15 @@ def recover_cluster(
         )
 
     depth = cloud.depth
-    if window is None:
-        # a window of one level has spread 0 and so cannot tell a non-edge
-        window = max(cloud.period, min(2, depth)) if cloud.period else max(4, depth // 3)
+    # a window of one level has spread 0 and so cannot tell a non-edge
+    if window is None and cloud.period:
+        window = max(cloud.period, min(2, depth))
+    elif window is None:
+        if depth < 2:
+            raise GraphError(
+                "cloud has one level and no period: one level cannot decide a non-edge"
+            )
+        window = min(depth, max(4, depth // 3))
     if window < 1:
         raise GraphError("window must be positive")
     if window > depth:

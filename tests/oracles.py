@@ -18,6 +18,7 @@ import networkx as nx
 
 from metric_cluster.graph_core import Cycle, WeightedRootedGraph, parse_rational
 from metric_cluster.metrization import (
+    DistanceMatrix,
     IntervalQ,
     metric_agrees_with_weights,
     shortest_path_metric,
@@ -130,6 +131,48 @@ def tight_cycle_through_pair(g: WeightedRootedGraph, u: str, v: str) -> bool:
     return False
 
 
+def shortest_paths_by_fractions(g: WeightedRootedGraph) -> list[list[Fraction]]:
+    """All-pairs shortest-path distances of a connected graph by
+    Floyd-Warshall on Fractions, rows and columns in ``g.vertices`` order."""
+    n = len(g.vertices)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    d = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+    for (u, v), w in g.weights.items():
+        d[index[u]][index[v]] = d[index[v]][index[u]] = w
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] is not None and d[k][j] is not None:
+                    via = d[i][k] + d[k][j]
+                    if d[i][j] is None or via < d[i][j]:
+                        d[i][j] = via
+    return d
+
+
+def lower_member_by_fractions(g: WeightedRootedGraph) -> DistanceMatrix:
+    """The realization family's lower member, all in Fractions: the average,
+    over the non-edges (u, v) of a certified graph with at least one, of the
+    shortest-path metric of g plus the edge {u, v} weighted at the midpoint
+    of (u, v)'s admissible interval [largest slack w(ab) - d(u, a) - d(b, v)
+    over oriented edges ab, or 0; d(u, v)]."""
+    d = shortest_paths_by_fractions(g)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n, non_edges = len(g.vertices), g.non_edges()
+    total = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in non_edges:
+        i, j = index[u], index[v]
+        lo = max(
+            [Fraction(0)]
+            + [w - d[i][index[a]] - d[index[b]][j]
+               for (x, y), w in g.weights.items() for a, b in ((x, y), (y, x))]
+        )
+        t = (lo + d[i][j]) / 2
+        for x in range(n):
+            for y in range(n):
+                total[x][y] += min(d[x][y], d[x][i] + t + d[j][y], d[x][j] + t + d[i][y])
+    return DistanceMatrix(g.vertices, [[s / len(non_edges) for s in row] for row in total])
+
+
 def normalized_values_by_fractions(cloud, window: int):
     """Recovery's normalized values over the last ``window`` levels, by plain
     Fraction arithmetic on the exact shadows as the cloud's JSON spells them:
@@ -180,6 +223,23 @@ def cycle_count_networkx(g: WeightedRootedGraph) -> int:
 
 def random_rational(rng: random.Random, max_num: int = 8, max_den: int = 3) -> Fraction:
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
+
+
+def with_mixed_denominators(
+    rng: random.Random, g: WeightedRootedGraph, max_num: int = 40
+) -> WeightedRootedGraph:
+    """g's shape with random positive weights over 1, 2, 3, 7, 11 or 13, so
+    that the least common multiple of the denominators is usually large."""
+    weights = {e: Fraction(rng.randint(1, max_num), rng.choice((1, 2, 3, 7, 11, 13))) for e in g.edges()}
+    return WeightedRootedGraph(g.vertices, weights, g.root)
+
+
+def with_unrelated_denominators(rng: random.Random, g: WeightedRootedGraph) -> WeightedRootedGraph:
+    """g's shape (at most 28 edges) with distinct weights 1 + a/7, 1 + a/11
+    and 1 + a/13 inside (1, 2): every cycle is then strictly slack and the
+    labels are injective, so a dominating root certifies."""
+    pool = [1 + Fraction(a, q) for q in (7, 11, 13) for a in range(1, q)]
+    return WeightedRootedGraph(g.vertices, dict(zip(g.edges(), rng.sample(pool, len(g.edges())))), g.root)
 
 
 def vertex_names(n: int) -> list[str]:

@@ -277,6 +277,34 @@ def test_subsample_stride(cert_graph, tmp_path, capsys):
     assert "--indices takes comma-separated numbers" in capsys.readouterr().err
 
 
+def test_period_less_subsample_of_a_shallow_cloud_recovers(tmp_path, capsys):
+    # a complete triangle has period 1; --alternate-periods keeps levels 1, 3, 5
+    # of the depth-6 cloud and drops the period
+    k3 = write_graph(
+        tmp_path / "k3.json",
+        ["r", "u", "v"],
+        {("r", "u"): 1, ("r", "v"): 2, ("u", "v"): Fraction(5, 2)},
+        "r",
+    )
+    cloud, sub, out = (tmp_path / name for name in ("c.json", "s.json", "h.json"))
+    assert main(["realize", str(k3), "--depth", "6", "--out", str(cloud)]) == 0
+    assert main(["subsample", str(cloud), "--alternate-periods", "--out", str(sub)]) == 0
+    payload = json.loads(sub.read_text())
+    assert payload["period"] is None and [lvl["n"] for lvl in payload["levels"]] == [1, 3, 5]
+    assert main(["recover", str(sub), "--out", str(out)]) == 0
+    assert main(["isomorphic", str(k3), str(out)]) == 0
+    assert main(["recover", str(sub), "--exact", "--out", str(out)]) == 0
+    assert WeightedRootedGraph.from_json(out.read_text()) == WeightedRootedGraph.from_json(
+        k3.read_text()
+    )
+    # one level without a period still cannot decide a non-edge
+    one = tmp_path / "one.json"
+    assert main(["subsample", str(cloud), "--indices", "6", "--out", str(one)]) == 0
+    capsys.readouterr()
+    assert main(["recover", str(one)]) == 2
+    assert "one level cannot decide a non-edge" in capsys.readouterr().err
+
+
 def test_diag_fn_and_psi(tmp_path, capsys):
     cert = write_graph(
         tmp_path / "t.json",

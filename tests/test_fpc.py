@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from oracles import (
     moon_moser_parts,
     random_dominating_shape,
     rooted_extremal_cluster,
+    with_mixed_denominators,
 )
 
 
@@ -198,6 +200,78 @@ def test_certification_matches_cycle_oracle_on_all_small_shapes():
         FAIL_CYCLE_INEQUALITY,
         FAIL_TIGHT_CYCLE_NOT_CLIQUE,
     }
+
+
+def test_certification_matches_cycle_oracle_on_mixed_denominators():
+    rng = random.Random(613)
+    failures = set()
+    for k in range(200):
+        shape = random_dominating_shape(rng, rng.randint(3, 7), rng.random())
+        g = with_mixed_denominators(rng, shape, max_num=rng.choice((6, 40)))
+        if k % 2:
+            # the same denominators as points of a half line, the root at 0:
+            # tight cycles abound
+            line = {v: g.weight(g.root, v) for v in g.vertices if v != g.root}
+            line[g.root] = Fraction(0)
+            g = WeightedRootedGraph(
+                g.vertices, {(u, v): abs(line[u] - line[v]) for u, v in g.edges()}, g.root
+            )
+        cert = certify_fpc(g)
+        assert cert.ok == certifies_by_cycles(g), f"disagreement on {g.to_json()}"
+        if not cert.ok:
+            assert witness_is_genuine(g, cert), f"stale witness on {g.to_json()}"
+        failures.add(cert.failure)
+    assert failures == {
+        None,
+        FAIL_LABELING_NOT_INJECTIVE,
+        FAIL_CYCLE_INEQUALITY,
+        FAIL_TIGHT_CYCLE_NOT_CLIQUE,
+    }
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (
+            collinear_k4(Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)).without_edge("u", "z"),
+            {
+                "verdict": "fail",
+                "failed_condition": "tight_cycle_not_clique",
+                "witness_pair": ["u", "z"],
+                "witness_cycle": {
+                    "vertices": ["r", "u", "v", "z"],
+                    "weights": ["1/3", "2/7", "5/11", "248/231"],
+                },
+            },
+        ),
+        (
+            graph(
+                ["r", "u", "v", "w"],
+                {
+                    ("r", "u"): 3,
+                    ("r", "v"): Fraction(1, 7),
+                    ("r", "w"): Fraction(2, 3),
+                    ("v", "w"): Fraction(2, 11),
+                    ("u", "w"): Fraction(5, 13),
+                },
+                "r",
+            ),
+            {
+                "verdict": "fail",
+                "failed_condition": "cycle_inequality_violated",
+                "witness_cycle": {
+                    "vertices": ["r", "v", "w", "u"],
+                    "weights": ["1/7", "2/11", "5/13", "3"],
+                },
+            },
+        ),
+    ],
+    ids=["tight_cycle_not_clique", "cycle_inequality_violated"],
+)
+def test_failure_certificates_are_pinned(g, expected):
+    # weights over several denominators; the witnesses name the same cycles
+    # as the Fraction-valued decisions did
+    assert certify_fpc(g).to_json() == json.dumps(expected, indent=2)
 
 
 def test_large_synthesized_graph_certifies_and_gets_a_plan():

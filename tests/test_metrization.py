@@ -10,6 +10,7 @@ from metric_cluster.metrization import (
     DistanceMatrix,
     Metrizability,
     _classify,
+    _ScaledGraph,
     admissible_interval,
     check_metrizable,
     cycle_from_graph,
@@ -31,7 +32,9 @@ from oracles import (
     random_metrizable_graph,
     random_rational,
     random_weighted_graph,
+    shortest_paths_by_fractions,
     tight_cycle_through_pair,
+    with_mixed_denominators,
 )
 
 
@@ -188,7 +191,9 @@ def test_early_exit_matches_full_matrix_verdict_and_witness():
     failing = 0
     for _ in range(120):
         g = random_weighted_graph(rng, rng.randint(3, 9))
-        expected = _classify(g, shortest_path_metric(g).get)
+        full = _ScaledGraph(g)
+        full.rows  # every Dijkstra row run before the verdict
+        expected = _classify(g, full)
         assert check_metrizable(g) == expected
         failing += expected.classification is Metrizability.NOT_PSEUDOMETRIZABLE
     assert failing >= 60
@@ -256,6 +261,52 @@ def test_interval_matches_simple_path_oracle():
             pairs += 1
             degenerate += interval.degenerate
     assert pairs > 300 and degenerate > 10
+
+
+def mixed_denominator_corpus(rng):
+    """Metrizable graphs with weights over 1, 2, 3, 7, 11 and 13: random
+    weights, and distances between points of a line at such positions, which
+    give tight cycles and forced pairs."""
+    corpus = []
+    while len(corpus) < 40:
+        g = with_mixed_denominators(rng, random_weighted_graph(rng, rng.randint(3, 8)))
+        if check_metrizable(g).metrizable:
+            corpus.append(g)
+    positions = sorted({Fraction(a, q) for q in (1, 2, 3, 7, 11, 13) for a in range(2 * q)})
+    for _ in range(30):
+        n = rng.randint(3, 8)
+        x = rng.sample(positions, n)
+        names = [f"v{i}" for i in range(n)]
+        edges = random_connected_graph(rng, n).edges()
+        weights = {(names[a], names[b]): abs(x[a] - x[b]) for a, b in edges}
+        corpus.append(WeightedRootedGraph(names, weights, names[0]))
+    return corpus
+
+
+def test_integer_decisions_match_fraction_oracles_on_mixed_denominators():
+    rng = random.Random(59)
+    pairs = degenerate = 0
+    for g in mixed_denominator_corpus(rng):
+        assert shortest_path_metric(g).rows == shortest_paths_by_fractions(g)
+        forced = {}
+        for u, v in g.non_edges():
+            interval = interval_by_paths(g, u, v)
+            assert admissible_interval(g, u, v) == interval, f"({u},{v}) of {g.to_json()}"
+            if interval.degenerate:
+                forced[u, v] = interval.lo
+            else:
+                # a value over a denominator that no weight has
+                t = interval.lo + (interval.hi - interval.lo) * Fraction(4, 17)
+                expected = shortest_paths_by_fractions(g.with_edge(u, v, t))
+                assert extend_metric(g, u, v, t).rows == expected
+        assert unique_pairs(g) == tuple(forced)
+        completed = g
+        for (u, v), t in forced.items():
+            completed = completed.with_edge(u, v, t)
+        assert forced_completion(g) == completed
+        pairs += len(g.non_edges())
+        degenerate += len(forced)
+    assert pairs > 200 and degenerate > 10
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphic, parse_rational
 from metric_cluster.fpc import synthesize_weights
+from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
 from metric_cluster.realization import (
     LeveledPointCloud,
     ScalingRule,
@@ -22,7 +24,13 @@ from metric_cluster.realization import (
 )
 from metric_cluster.recovery import recover_cluster
 
-from oracles import assert_two_member_family, dominating_rooted_shapes
+from oracles import (
+    assert_two_member_family,
+    dominating_rooted_shapes,
+    lower_member_by_fractions,
+    random_dominating_shape,
+    with_unrelated_denominators,
+)
 
 
 def graph(vertices, edges, root):
@@ -157,6 +165,15 @@ def test_depth_overflow_guard():
         realize(CERT_TRIANGLE, depth=200)
 
 
+def test_cloud_of_a_family_loaded_from_json_is_the_same():
+    # members built from Fractions, not from the plan's integer rows
+    plan = build_plan(ONE_GAP, depth=12)
+    loaded = [DistanceMatrix.from_json(d.to_json()) for d in plan.family]
+    assert loaded == plan.family
+    cloud = generate_cloud(dataclasses.replace(plan, family=loaded))
+    assert cloud.to_json() == generate_cloud(plan).to_json()
+
+
 def test_cloud_json_round_trip():
     cloud = realize(ONE_GAP, depth=6)
     again = LeveledPointCloud.from_json(cloud.to_json())
@@ -284,6 +301,39 @@ def test_realization_of_synthesized_shapes_has_full_family():
     rng = random.Random(83)
     for g in rng.sample(dominating_rooted_shapes(5), 10):
         assert_two_member_family(build_plan(synthesize_weights(g), depth=4))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_lower_member_equals_the_fraction_construction(n):
+    rng = random.Random(n)
+    shape = random_dominating_shape(rng, n)
+    while not shape.non_edges():
+        shape = random_dominating_shape(rng, n)
+    g = synthesize_weights(shape)
+    assert build_plan(g, depth=12).family == [lower_member_by_fractions(g), shortest_path_metric(g)]
+
+
+def test_lower_member_with_unrelated_denominators():
+    # weights over 7, 11 and 13: the integer scale is their product, 1001
+    rng = random.Random(89)
+    for n in range(3, 9):
+        for _ in range(3):
+            shape = random_dominating_shape(rng, n)
+            if not shape.non_edges():
+                continue
+            g = with_unrelated_denominators(rng, shape)
+            plan = build_plan(g, depth=12)
+            assert plan.family == [lower_member_by_fractions(g), shortest_path_metric(g)]
+            assert_two_member_family(plan)
+
+
+def test_forty_vertex_shape_round_trips_exactly():
+    # 374 non-edges; guards the combinatorics against sliding back to
+    # per-coordinate Fraction cost, which took about 10 s here
+    g = synthesize_weights(random_dominating_shape(random.Random(40), 40))
+    assert len(g.non_edges()) == 374
+    cloud = generate_cloud(build_plan(g, depth=12))
+    assert recover_cluster(cloud, use_exact=True).graph == g
 
 
 # ---------------------------------------------------------------------------
