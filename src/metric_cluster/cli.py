@@ -57,10 +57,16 @@ def _read_json_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise GraphError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_graph(path: str) -> WeightedRootedGraph:
@@ -391,9 +397,11 @@ def _cmd_demo(ns) -> int:
 
     written = []
 
-    def write(name: str, payload: dict) -> None:
+    def write(name: str, payload) -> None:
+        # a string is a document its own writer made, as every cloud file is
+        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
         path = out_dir / name
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        path.write_text(text + "\n", encoding="utf-8")
         written.append(str(path))
 
     # a quadrilateral with weights 1,2,3,4: metrizable, both diagonals free
@@ -453,7 +461,7 @@ def _cmd_demo(ns) -> int:
 
     # the one-point space: every sequence collapses into the basepoint class
     cloud = single_point_space(depth=12, base=2)
-    write("single_point.json", cloud.to_json_dict())
+    write("single_point.json", cloud.to_json())
     rc = recover_cluster(cloud)
     write(
         "single_point.expected.json",

@@ -17,6 +17,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
@@ -189,41 +191,16 @@ class LeveledPointCloud:
                     raise GraphError(f"points of level {n} must be a list")
                 labeled, shadows = [], []
                 for item in entry["points"]:
-                    if not isinstance(item, dict):
-                        raise GraphError(f"point {item!r} at level {n} is not an object")
-                    label = item.get("label")
-                    # labels are sorted as strings; None marks an unlabeled point
-                    if label is not None and not isinstance(label, str):
-                        raise GraphError(f"point label {label!r} at level {n} is not a string")
-                    coords, exact = item["coords"], item.get("exact")
-                    # a string would be read character by character
-                    if not isinstance(coords, list) or not isinstance(exact, (list, type(None))):
-                        raise GraphError(
-                            f"point {label!r} at level {n} has coordinates that are not a JSON list"
-                        )
                     try:
-                        coords = tuple(map(float, coords))
-                    except (TypeError, ValueError) as exc:
-                        raise GraphError(
-                            f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
-                        ) from exc
-                    except OverflowError as exc:
-                        raise GraphError(
-                            f"point {label!r} at level {n} has a coordinate beyond binary64: {exc}"
-                        ) from exc
-                    if not all(map(math.isfinite, coords)):
-                        raise GraphError(
-                            f"point {label!r} at level {n} has a NaN or infinite coordinate"
-                        )
-                    # sup_distance zips coordinates: a short list would be cut silently
-                    if len(coords) != dimension or (exact and len(exact) != dimension):
-                        raise GraphError(
-                            f"point {label!r} at level {n} does not have {dimension} coordinates"
-                        )
+                        label, coords, exact = _read_point(item, n, dimension)
+                    except (GraphError, KeyError):
+                        # in point order, an earlier point's malformed shadow comes first
+                        _rational_pairs(shadows)
+                        raise
                     labeled.append((label, coords))
                     # an empty list, like a missing one, is no shadow
-                    shadows.append(list(map(_rational_pair, exact)) if exact else None)
-                q, numerators = _over_least_common_denominator(shadows)
+                    shadows.append(exact if exact else None)
+                q, numerators = _level_numerators(shadows)
                 points = [
                     CloudPoint(label=label, coords=coords, exact=exact)
                     for (label, coords), exact in zip(labeled, numerators)
@@ -249,11 +226,118 @@ class LeveledPointCloud:
         return cls(dimension=dimension, levels=levels, period=period)
 
     def to_json(self, include_exact: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_exact), indent=2)
+        """``json.dumps(self.to_json_dict(include_exact), indent=2)``, byte for
+        byte, written directly instead of by json's pure-Python indenting
+        encoder."""
+        levels = []
+        for lvl in self.levels:
+            points = []
+            for p in lvl.points:
+                item = (
+                    f'{{\n          "label": {_json_scalar(p.label)},'
+                    f'\n          "coords": {_float_array(p.coords, _PAD_POINT)}'
+                )
+                if include_exact and p.exact is not None:
+                    exact = map('"{}"'.format, _format_over(p.exact, lvl.q))
+                    item += f',\n          "exact": {_array(list(exact), _PAD_POINT)}'
+                points.append(item + "\n        }")
+            entry = (
+                f'{{\n      "n": {json.dumps(lvl.n)},\n      "r": {_json_scalar(repr(lvl.r))},'
+                f'\n      "points": {_array(points, _PAD_LEVEL)}'
+            )
+            if include_exact and lvl.r_exact is not None:
+                entry += f',\n      "r_exact": {_json_scalar(format_rational(lvl.r_exact))}'
+            levels.append(entry + "\n    }")
+        return (
+            f'{{\n  "norm": "sup",\n  "dimension": {json.dumps(self.dimension)},'
+            f'\n  "basepoint": {_float_array([0.0] * self.dimension, _PAD_CLOUD)},'
+            f'\n  "period": {json.dumps(self.period)},'
+            f'\n  "levels": {_array(levels, _PAD_CLOUD)}\n}}'
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "LeveledPointCloud":
         return cls.from_json_dict(json.loads(text))
+
+
+def _read_point(item, n: int, dimension: int) -> tuple:
+    """Label, float coordinates and raw ``exact`` list of one point object,
+    with everything but the exact values checked."""
+    if not isinstance(item, dict):
+        raise GraphError(f"point {item!r} at level {n} is not an object")
+    label = item.get("label")
+    # labels are sorted as strings; None marks an unlabeled point
+    if label is not None and not isinstance(label, str):
+        raise GraphError(f"point label {label!r} at level {n} is not a string")
+    coords, exact = item["coords"], item.get("exact")
+    # a string would be read character by character
+    if not isinstance(coords, list) or not isinstance(exact, (list, type(None))):
+        raise GraphError(
+            f"point {label!r} at level {n} has coordinates that are not a JSON list"
+        )
+    try:
+        coords = tuple(map(float, coords))
+    except (TypeError, ValueError) as exc:
+        raise GraphError(
+            f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
+        ) from exc
+    except OverflowError as exc:
+        raise GraphError(
+            f"point {label!r} at level {n} has a coordinate beyond binary64: {exc}"
+        ) from exc
+    if not all(map(math.isfinite, coords)):
+        raise GraphError(f"point {label!r} at level {n} has a NaN or infinite coordinate")
+    # sup_distance zips coordinates: a short list would be cut silently
+    if len(coords) != dimension or (exact and len(exact) != dimension):
+        raise GraphError(f"point {label!r} at level {n} does not have {dimension} coordinates")
+    return label, coords, exact
+
+
+def _level_numerators(
+    shadows: Sequence[Optional[list]],
+) -> tuple[Optional[int], list[Optional[tuple[int, ...]]]]:
+    """One level's raw ``exact`` lists (or None) as numerators over their
+    least common denominator q, as ``_over_least_common_denominator`` of
+    their ``_rational_pair`` values gives them.
+
+    When every value is a canonical string, ``-?digits`` or
+    ``-?digits/digits`` in ASCII digits with a positive denominator, the
+    level is read in one pass: one ``int`` per numerator and denominator.
+    Otherwise every value goes through ``_rational_pair`` in point order, so
+    the first malformed one names the error.
+    """
+    rows = [row for row in shadows if row]
+    if not rows:
+        return None, [None] * len(shadows)
+    values = list(chain.from_iterable(rows))
+    try:
+        text = ",".join(values)  # TypeError unless every value is a string
+        # int() also reads blanks, "+" and "_", which Fraction may refuse
+        if text.isascii() and not text.encode().translate(None, b"0123456789-/,"):
+            if "/" in text:
+                parts = list(map(str.partition, values, repeat("/")))
+                numerators = list(map(int, map(operator.itemgetter(0), parts)))
+                # "3/" has a separator and an empty denominator: int refuses it
+                denominators = [int(b) if slash else 1 for _, slash, b in parts]
+            else:
+                numerators, denominators = list(map(int, values)), [1]
+            # the digits alone let "1/-2" and "1/0" through
+            if min(denominators) > 0:
+                q = math.lcm(*set(denominators))
+                if q > 1:
+                    scales = map(operator.floordiv, repeat(q), denominators)
+                    numerators = list(map(operator.mul, numerators, scales))
+                flat = iter(numerators)
+                return _in_lowest_terms(
+                    q, [tuple(islice(flat, len(row))) if row else None for row in shadows]
+                )
+    except (TypeError, ValueError):  # a non-string, "", "-", "1/2/3", digits beyond the limit
+        pass
+    return _over_least_common_denominator(_rational_pairs(shadows))
+
+
+def _rational_pairs(shadows: Sequence[Optional[list]]) -> list[Optional[list[tuple[int, int]]]]:
+    return [list(map(_rational_pair, row)) if row else None for row in shadows]
 
 
 def _rational_pair(value) -> tuple[int, int]:
@@ -314,6 +398,35 @@ def _format_over(numerators: Sequence[int], q: int) -> list[str]:
         g = math.gcd(a, q)
         out.append(str(a // g) if g == q else f"{a // g}/{q // g}")
     return out
+
+
+# indentation of the fields of the cloud, of a level and of a point in the
+# indent=2 layout
+_PAD_CLOUD, _PAD_LEVEL, _PAD_POINT = " " * 2, " " * 6, " " * 10
+
+
+def _array(items: list[str], pad: str) -> str:
+    """A JSON array of encoded items, laid out as ``json.dumps(indent=2)``
+    nests it in a field indented by ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n  " + pad
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _float_array(values: Sequence[float], pad: str) -> str:
+    try:
+        items = list(map(float.__repr__, values))
+    except TypeError:  # json spells an int, a bool or None its own way
+        items = None
+    # float.__repr__ spells inf and nan, which json writes as Infinity and NaN
+    if items is None or "n" in "".join(items):
+        return json.dumps(list(values), indent=2).replace("\n", "\n" + pad)
+    return _array(items, pad)
+
+
+def _json_scalar(value) -> str:
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
 
 
 def _positive_integer(value, what: str) -> int:

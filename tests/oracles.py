@@ -209,6 +209,19 @@ def level_from_fractions(n: int, r: Fraction, points: dict) -> CloudLevel:
     )
 
 
+def shadows_by_fractions(shadows: list) -> tuple:
+    """One level's ``exact`` lists (or None for no shadow) read value by
+    value with ``parse_rational``, in point order: their least common
+    denominator q (None without shadows) and each list's numerators over q.
+    Raises the ``GraphError`` of the first value it refuses."""
+    values = [[parse_rational(x) for x in row] if row else None for row in shadows]
+    denominators = [x.denominator for row in values if row for x in row]
+    if not denominators:
+        return None, [None] * len(shadows)
+    q = math.lcm(*denominators)
+    return q, [tuple(int(x * q) for x in row) if row else None for row in values]
+
+
 def cycle_count_networkx(g: WeightedRootedGraph) -> int:
     G = nx.Graph()
     G.add_nodes_from(g.vertices)

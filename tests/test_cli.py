@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from metric_cluster.cli import main
 from metric_cluster.graph_core import WeightedRootedGraph
-from metric_cluster.realization import realize
+from metric_cluster.realization import realize, single_point_space
 
 
 def write_graph(path: Path, vertices, edges, root) -> Path:
@@ -336,6 +336,8 @@ def test_demo_corpus_self_consistent(tmp_path, capsys):
     assert main(["check", str(out_dir / "cycle4_1234.json")]) == 0
     assert main(["fpc", "certify", str(out_dir / "cert_triangle.json")]) == 0
     capsys.readouterr()
+    # every cloud file comes from the cloud's own writer
+    assert (out_dir / "single_point.json").read_text() == single_point_space(12).to_json() + "\n"
     assert main(["recover", str(out_dir / "single_point.json"), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["graph"]["vertices"] == ["p"]
@@ -349,6 +351,19 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "bad.json:1:" in err
+    # files that are not clean JSON text: the decoder, the parser's nesting
+    # and the interpreter's integer digit limit refuse them with exceptions
+    # other than JSONDecodeError
+    for name, data, message in (
+        ("utf16.json", b"\xff\xfe{}", "is not UTF-8 text"),
+        ("deep.json", b"[" * 200000 + b"]" * 200000, "nested too deeply"),
+        ("nines.json", b'{"dimension": ' + b"9" * 5000 + b', "levels": []}', "digits"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        for command in ("recover", "check"):
+            assert main([command, str(path)]) == 2
+            assert message in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(capsys):
@@ -639,6 +654,25 @@ def _mutate(draw, doc):
     return out
 
 
+def _raw_bytes(draw, doc) -> bytes:
+    """File bytes that json.dumps never writes: a document cut short, a byte
+    that is not UTF-8 put in, arrays or objects nested about as deep as the
+    parser's limit or far beyond it, or an integer past the interpreter's
+    digit limit."""
+    text = json.dumps(doc).encode()
+    at = draw(st.integers(0, len(text) - 1))
+    kind = draw(st.sampled_from(["truncated", "not-utf8", "deep", "digits"]))
+    if kind == "truncated":
+        return text[:at]
+    if kind == "not-utf8":
+        return text[:at] + draw(st.sampled_from([b"\xff\xfe", b"\xc3", b"\x80", b"\xed\xa0\x80"])) + text[at:]
+    if kind == "deep":
+        depth = draw(st.sampled_from([900, 1000, 5000, 200000]))
+        opener, middle, closer = draw(st.sampled_from([(b"[", b"", b"]"), (b'{"a": ', b"0", b"}")]))
+        return opener * depth + middle + closer * depth
+    return text[:at] + b"9" * 5000 + text[at:]
+
+
 def test_cli_fuzz_exit_codes(tmp_path, monkeypatch):
     """Random argv over every subcommand, with well-formed, mutated or
     arbitrary input files: main exits 0, 1 or 2 without an exception, and
@@ -663,13 +697,16 @@ def test_cli_fuzz_exit_codes(tmp_path, monkeypatch):
                 argv.append(draw(st.sampled_from(kind)))
                 continue
             doc = documents[kind]
-            form = draw(st.sampled_from(["well-formed", "mutated", "mutated", "arbitrary"]))
-            if form == "mutated":
-                doc = _mutate(draw, doc)
-            elif form == "arbitrary":
-                doc = draw(JSON_VALUES)
+            form = draw(st.sampled_from(["well-formed", "mutated", "mutated", "arbitrary", "raw"]))
             path = tmp_path / f"{kind}{i}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
+            if form == "raw":
+                path.write_bytes(_raw_bytes(draw, doc))
+            else:
+                if form == "mutated":
+                    doc = _mutate(draw, doc)
+                elif form == "arbitrary":
+                    doc = draw(JSON_VALUES)
+                path.write_text(json.dumps(doc), encoding="utf-8")
             argv.append(str(path))
         for option in draw(st.lists(st.sampled_from(options), max_size=3, unique_by=str)):
             if isinstance(option, tuple):

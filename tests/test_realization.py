@@ -12,8 +12,11 @@ from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphi
 from metric_cluster.fpc import synthesize_weights
 from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
 from metric_cluster.realization import (
+    CloudLevel,
+    CloudPoint,
     LeveledPointCloud,
     ScalingRule,
+    _level_numerators,
     _rational_pair,
     build_plan,
     cross_level_separation,
@@ -22,13 +25,14 @@ from metric_cluster.realization import (
     single_point_space,
     sup_distance,
 )
-from metric_cluster.recovery import recover_cluster
+from metric_cluster.recovery import alternating_period_indices, recover_cluster, subsample_levels
 
 from oracles import (
     assert_two_member_family,
     dominating_rooted_shapes,
     lower_member_by_fractions,
     random_dominating_shape,
+    shadows_by_fractions,
     with_unrelated_denominators,
 )
 
@@ -295,6 +299,150 @@ def check_rational_pair(value):
         return
     a, b = _rational_pair(value)
     assert b > 0 and Fraction(a, b) == expected
+
+
+# what int() reads but Fraction may refuse ("1_000" on Python 3.10, blanks,
+# "+"), what a loose split takes ("3/", "1/-2"), zero and unreduced
+# denominators, other scripts' digits, digits beyond the interpreter's limit
+# and JSON values that are not strings
+ONE_PASS_CASES = [
+    "1_000", "3/", "1/-2", "1/0", "1/00", " 1", "+1", "١/٢", "2/4", "1" * 5000, 3, 1.5, True,
+    "-0", "0/7", "-3/9", "007/014", "1/2/3", "", "-", "/3", "--3", "1 /2", "1/+2", "1,2",
+    "1.5", "1e3", None, [1],
+]
+
+
+def check_level(shadows):
+    """The one-pass level parse gives what the per-value oracle gives: the
+    same q and numerators, or the same GraphError message."""
+    try:
+        expected = shadows_by_fractions(shadows)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as caught:
+            _level_numerators(shadows)
+        assert str(caught.value) == str(exc)
+        return
+    assert _level_numerators(shadows) == expected
+
+
+@pytest.mark.parametrize("value", ONE_PASS_CASES)
+def test_one_pass_level_parse_matches_the_per_value_oracle(value):
+    check_level([[value]])
+    # one value among canonical ones, and points without a shadow
+    check_level([["1/2", value, "-3"], None, ["4", "5/6", value]])
+    check_level([None, ["10", "-20"], [value, "0"]])
+
+
+def test_two_faults_in_a_level_are_named_in_point_order():
+    shadows = [["1/2", "3"], ["1/4", "3/"], ["1/-2", "4"]]
+    check_level(shadows)
+    with pytest.raises(GraphError, match="'3/'"):
+        _level_numerators(shadows)
+    with pytest.raises(GraphError, match="'1/-2'"):
+        _level_numerators([["1/-2", "3/"]])
+
+
+# no exponents: Fraction reads "1e9999999" as a number of ten million digits,
+# which takes seconds to build; "1e3" is one of the cases above
+_LEVEL_TEXT = st.one_of(
+    st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/ _.\t٣²０,", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.none() | st.lists(_LEVEL_TEXT, min_size=1, max_size=3), max_size=4))
+def test_one_pass_level_parse_matches_the_oracle_on_random_levels(shadows):
+    check_level(shadows)
+
+
+def test_a_malformed_shadow_is_named_before_a_later_point_fault():
+    data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
+    points = data["levels"][1]["points"]
+    points[2]["coords"][0] = "x"
+    points[1]["exact"][0] = "1/-2"
+    points[0]["exact"][1] = "3/"
+
+    def error():
+        with pytest.raises(GraphError) as caught:
+            LeveledPointCloud.from_json_dict(json.loads(json.dumps(data)))
+        return str(caught.value)
+
+    assert "'3/'" in error()
+    points[0]["exact"][1] = "0"
+    assert "'1/-2'" in error()
+    points[1]["exact"][0] = "0"
+    assert "non-numeric coordinate" in error()
+
+
+def check_writer(cloud):
+    for include_exact in (True, False):
+        assert cloud.to_json(include_exact) == json.dumps(cloud.to_json_dict(include_exact), indent=2)
+
+
+def _odd_cloud():
+    """A cloud only memory holds: a non-finite and an integer coordinate,
+    unlabeled and non-ASCII points, a level without points, one without
+    exact data."""
+    inf, nan = float("inf"), float("nan")
+    return LeveledPointCloud(
+        dimension=2,
+        levels=[
+            CloudLevel(1, 2.0, Fraction(2), [
+                CloudPoint(None, (0.0, -inf), (0, 3)),
+                CloudPoint("é\n\"µ", (nan, 1.5), (1, -3)),
+                CloudPoint("v", (1, 2.5e-300), None),
+                CloudPoint("w", (True, None), ()),
+            ], q=2),
+            CloudLevel(2, 6.0, None, [], q=None),
+            CloudLevel(3, 1e300, None, [CloudPoint("z", (0.1, 1e22))], q=None),
+        ],
+        period=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        realize(ONE_GAP, 12),
+        subsample_levels(realize(ONE_GAP, 12), alternating_period_indices(realize(ONE_GAP, 12))),
+        realize(CERT_TRIANGLE, 6, ScalingRule("power_square", 3)),
+        single_point_space(8),
+        LeveledPointCloud(dimension=3, levels=[], period=2),
+        _odd_cloud(),
+    ],
+    ids=["factorial", "subsample", "power_square", "single_point", "no_levels", "odd"],
+)
+def test_writer_prints_what_json_dumps_prints(cloud):
+    check_writer(cloud)
+
+
+_COORDINATE = st.floats() | st.integers(-3, 3)
+
+
+@st.composite
+def _clouds(draw):
+    dimension = draw(st.integers(1, 3))
+    row = st.tuples(*[_COORDINATE] * dimension)
+    levels = []
+    for n in range(1, draw(st.integers(0, 3)) + 1):
+        points = [
+            CloudPoint(
+                draw(st.none() | st.text(max_size=3)),
+                draw(row),
+                draw(st.none() | st.tuples(*[st.integers(-10**30, 10**30)] * dimension)),
+            )
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        r_exact = draw(st.none() | st.fractions(min_value=Fraction(1, 10**6)))
+        levels.append(CloudLevel(n, draw(st.floats()), r_exact, points, q=draw(st.integers(1, 60))))
+    return LeveledPointCloud(dimension, levels, period=draw(st.none() | st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clouds())
+def test_writer_prints_what_json_dumps_prints_on_random_clouds(cloud):
+    check_writer(cloud)
 
 
 def test_realization_of_synthesized_shapes_has_full_family():
