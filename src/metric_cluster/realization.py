@@ -309,31 +309,37 @@ def _level_numerators(
     rows = [row for row in shadows if row]
     if not rows:
         return None, [None] * len(shadows)
-    values = list(chain.from_iterable(rows))
+    read = _read_canonical(list(chain.from_iterable(rows)))
+    if read is None:
+        return _over_least_common_denominator(_rational_pairs(shadows))
+    q, numerators = read
+    flat = iter(numerators)
+    return _in_lowest_terms(q, [tuple(islice(flat, len(row))) if row else None for row in shadows])
+
+
+def _read_canonical(values: list) -> Optional[tuple[int, list[int]]]:
+    """The least common denominator q of the values and their numerators
+    over q, or None unless every value is a canonical string."""
     try:
         text = ",".join(values)  # TypeError unless every value is a string
-        # int() also reads blanks, "+" and "_", which Fraction may refuse
-        if text.isascii() and not text.encode().translate(None, b"0123456789-/,"):
-            if "/" in text:
-                parts = list(map(str.partition, values, repeat("/")))
-                numerators = list(map(int, map(operator.itemgetter(0), parts)))
-                # "3/" has a separator and an empty denominator: int refuses it
-                denominators = [int(b) if slash else 1 for _, slash, b in parts]
-            else:
-                numerators, denominators = list(map(int, values)), [1]
-            # the digits alone let "1/-2" and "1/0" through
-            if min(denominators) > 0:
-                q = math.lcm(*set(denominators))
-                if q > 1:
-                    scales = map(operator.floordiv, repeat(q), denominators)
-                    numerators = list(map(operator.mul, numerators, scales))
-                flat = iter(numerators)
-                return _in_lowest_terms(
-                    q, [tuple(islice(flat, len(row))) if row else None for row in shadows]
-                )
+        # int() also reads blanks, "+", "_" and other scripts' digits, which
+        # Fraction may refuse; a character beyond ASCII encodes to bytes >= 0x80
+        if text.encode().translate(None, b"0123456789-/,"):
+            return None
+        # most levels of a realized cloud hold integers only: no split, no scaling
+        if "/" not in text:
+            return 1, list(map(int, values))
+        parts = list(map(str.partition, values, repeat("/")))
+        numerators = list(map(int, map(operator.itemgetter(0), parts)))
+        # "3/" has a separator and an empty denominator: int refuses it
+        denominators = [int(b) if slash else 1 for _, slash, b in parts]
     except (TypeError, ValueError):  # a non-string, "", "-", "1/2/3", digits beyond the limit
-        pass
-    return _over_least_common_denominator(_rational_pairs(shadows))
+        return None
+    # the digits alone let "1/-2" and "1/0" through
+    if min(denominators) <= 0:
+        return None
+    q = math.lcm(*set(denominators))
+    return q, list(map(operator.mul, numerators, map(operator.floordiv, repeat(q), denominators)))
 
 
 def _rational_pairs(shadows: Sequence[Optional[list]]) -> list[Optional[list[tuple[int, int]]]]:
@@ -341,23 +347,8 @@ def _rational_pairs(shadows: Sequence[Optional[list]]) -> list[Optional[list[tup
 
 
 def _rational_pair(value) -> tuple[int, int]:
-    """(numerator, positive denominator) of one exact coordinate.
-
-    Accepts exactly what ``parse_rational`` accepts, with the same value.
-    The canonical strings the writer prints, ``-?digits`` and
-    ``-?digits/digits`` with a nonzero denominator, are split by hand;
-    every other value goes through ``parse_rational``.
-    """
-    if type(value) is str:
-        num, slash, den = value.partition("/")
-        # isdecimal accepts what the \d of Fraction's pattern matches, and int reads it
-        if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
-            try:
-                q = int(den) if slash else 1
-                if q:
-                    return int(num), q
-            except ValueError:  # beyond the interpreter's limit on integer digits
-                pass
+    """(numerator, positive denominator) of one exact coordinate, read by
+    ``parse_rational``."""
     x = parse_rational(value)
     return x.numerator, x.denominator
 
