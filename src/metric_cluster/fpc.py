@@ -119,10 +119,11 @@ def certify_fpc(g: WeightedRootedGraph) -> FpcCertificate:
 
 def _certify(
     g: WeightedRootedGraph,
-) -> tuple[FpcCertificate, Optional[_ScaledGraph], Optional[dict[tuple[str, str], tuple[int, int]]]]:
+) -> tuple[FpcCertificate, Optional[_ScaledGraph], Optional[int]]:
     """``certify_fpc``'s certificate and, on a pass only, the graph scaled to
-    integers that (ii) and (iii) were decided on and the scaled admissible
-    interval (lo, hi) of every non-edge in ``g.non_edges()`` order."""
+    integers that (ii) and (iii) were decided on and the least scaled width
+    hi - lo of an admissible interval over the non-edges (positive, or None
+    when g is complete)."""
     # (i) dominating root
     missing = _undominated_vertex(g)
     if missing is not None:
@@ -143,7 +144,7 @@ def _certify(
         ), None, None
     # (iii): a tight cycle through a non-edge forces its distance, and a
     # forced distance closes a tight cycle through the pair
-    intervals = {}
+    delta = None
     for mu, nu in g.non_edges():
         lo, hi, edge = _interval(sg, mu, nu)
         if lo == hi:
@@ -153,8 +154,8 @@ def _certify(
                 witness_cycle=_tight_cycle(g, sg, mu, nu, edge),
                 witness_pair=(mu, nu),
             ), None, None
-        intervals[mu, nu] = lo, hi
-    return FpcCertificate(True), sg, intervals
+        delta = hi - lo if delta is None else min(delta, hi - lo)
+    return FpcCertificate(True), sg, delta
 
 
 def witness_is_genuine(g: WeightedRootedGraph, cert: FpcCertificate) -> bool:

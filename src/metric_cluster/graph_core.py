@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -55,10 +56,35 @@ def parse_rational(text) -> Fraction:
         raise GraphError(
             f"refusing float weight {text!r}: pass a string ('3/2' or '1.5') for exactness"
         )
+    literal = str(text).strip()
+    # Fraction builds the power of ten of an exponent in full, and str()
+    # prints no int over the interpreter's digit limit; its default, 4300,
+    # also bounds the work where the limit is absent or switched off
+    if "e" in literal.lower():
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if _exponent_digits(literal) > limit:
+            raise GraphError(f"rational literal {text!r} needs more than {limit} digits")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise GraphError(f"not a rational literal: {text!r}") from exc
+
+
+def _exponent_digits(text: str) -> int:
+    """Digits of the numerator (or denominator) that the decimal exponent of
+    a literal such as ``"1.5e3"`` makes ``Fraction`` build before it reduces;
+    0 for text that is no such literal, which ``Fraction`` then refuses."""
+    mantissa, _, exponent = text.lower().partition("e")
+    unsigned = mantissa[1:] if mantissa[:1] in ("+", "-") else mantissa
+    whole, _, decimals = unsigned.partition(".")
+    digits = (whole + decimals).replace("_", "")
+    try:
+        shift = int(exponent) - len(decimals.replace("_", ""))
+    except ValueError:
+        return 0
+    if not digits.isdecimal():
+        return 0
+    return 1 - shift if shift < 0 else len(digits.lstrip("0")) + shift
 
 
 def format_rational(value: Fraction) -> str:

@@ -237,6 +237,13 @@ def _adjacency(n: int, edges) -> list[list[tuple[int, int]]]:
     return adj
 
 
+def _closure(n: int, edges) -> list[list[int]]:
+    """Integer shortest-path rows of the graph on vertex indices 0..n-1 with
+    the edges (i, j, w): one Dijkstra run per vertex."""
+    adj = _adjacency(n, edges)
+    return [_dijkstra(adj, i)[0] for i in range(n)]
+
+
 def _dijkstra(adj, source: int) -> tuple[list, list]:
     """Integer distances from source over an index adjacency list, and each
     reached vertex's predecessor on one shortest path (the tree that
@@ -374,21 +381,6 @@ def _tight_cycle(g: WeightedRootedGraph, sg: _ScaledGraph, mu: str, nu: str, edg
     return Cycle.from_graph(g, [sg.vertices[k] for k in order])
 
 
-def _extension(rows: list[list[int]], i: int, j: int, t: int) -> list[list[int]]:
-    """Shortest-path distances, on the integer scale of rows and t, of the
-    graph behind rows with the edge {i, j} of weight t added: a shortest
-    path uses the new edge at most once."""
-    from_i, from_j = rows[i], rows[j]
-    out = []
-    for row in rows:
-        via_i, via_j = row[i] + t, row[j] + t
-        out.append(
-            [min(direct, via_i + j_y, via_j + i_y)
-             for direct, j_y, i_y in zip(row, from_j, from_i)]
-        )
-    return out
-
-
 def _admissible(g: WeightedRootedGraph, mu: str, nu: str) -> tuple[_ScaledGraph, IntervalQ]:
     sg = _metrizable(g)
     if mu not in g._adj or nu not in g._adj:
@@ -426,9 +418,9 @@ def extend_metric(g: WeightedRootedGraph, mu: str, nu: str, t) -> DistanceMatrix
         )
     # over the denominator q * scale, t = p/q is the integer p * scale
     q = t.denominator
-    rows = [[q * x for x in row] for row in sg.rows]
-    extended = _extension(rows, sg.index[mu], sg.index[nu], t.numerator * sg.scale)
-    return DistanceMatrix._from_numerators(sg.vertices, extended, q * sg.scale)
+    edges = [(i, j, q * w) for i, j, w in sg.edges]
+    edges.append((sg.index[mu], sg.index[nu], t.numerator * sg.scale))
+    return DistanceMatrix._from_numerators(sg.vertices, _closure(len(sg.vertices), edges), q * sg.scale)
 
 
 def _forced_distances(g: WeightedRootedGraph) -> list[tuple[tuple[str, str], Fraction]]:

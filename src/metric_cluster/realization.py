@@ -1,13 +1,14 @@
 """Building finite truncations of spaces whose cluster at infinity is a given graph.
 
-Given a certified graph, a family of two metrics is produced: both agree
-with the edge weights, and the lower one is strictly below the shortest-path
-metric on every non-edge. Levels n = 1..depth place an isometric copy of
-(V, r_n * d_i) into sup-norm coordinate space via distance-difference
-coordinates, alternating i between the two members. The scaling sequence
-grows so fast (ratio of consecutive terms increasing without bound) that
-different levels separate after rescaling, which is what makes the cluster
-recoverable from the finite truncation.
+Given a certified graph, a family of two shortest-path metrics is produced:
+d of the graph, and a lower one of the graph plus every non-edge as an edge
+a little shorter than in d. Both agree with the edge weights, and the lower
+one is strictly below d on every non-edge. Levels n = 1..depth place an
+isometric copy of (V, r_n * d_i) into sup-norm coordinate space via
+distance-difference coordinates, alternating i between the two members. The
+scaling sequence grows so fast (ratio of consecutive terms increasing
+without bound) that different levels separate after rescaling, which is
+what makes the cluster recoverable from the finite truncation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .metrization import DistanceMatrix, _extension
+from .metrization import DistanceMatrix, _closure
 from .fpc import _certify
 
 MAX_FLOAT_EXPONENT = 1023  # binary64 overflow guard for scaling values
@@ -61,9 +62,9 @@ class RealizationPlan:
     """Recipe for a point cloud realizing a certified graph.
 
     ``family`` is ``[lower, d]``: d is the shortest-path metric and lower
-    agrees with every edge weight but lies strictly below d on every
-    non-edge, so each non-edge oscillates with period 2 while each edge
-    stays put. A complete graph has the single member ``[d]``.
+    (see ``build_plan``) agrees with every edge weight but lies strictly
+    below d on every non-edge, so each non-edge oscillates with period 2
+    while each edge stays put. A complete graph has the single member ``[d]``.
     """
 
     graph: WeightedRootedGraph
@@ -466,44 +467,41 @@ def build_plan(
 ) -> RealizationPlan:
     """Choose the metric family and scaling for a certified graph.
 
-    The upper member is the shortest-path metric d. For each of the m
-    non-edges (u, v), with admissible interval [lo, hi] and hi = d(u, v),
-    the extension of d fixing (u, v) at the midpoint (lo+hi)/2 is a metric
-    that agrees with every edge weight, lies at or below d everywhere and
-    strictly below it at (u, v); certification computes the intervals and
-    guarantees lo < hi. The lower member is the exact average of these m
-    extensions: a convex combination of metrics agreeing on the edges is
-    again one, and it lies strictly below d on every non-edge at once.
+    The upper member is the shortest-path metric d. Let delta be the least
+    width hi - lo of an admissible interval over the m non-edges (positive on
+    a certified graph) and c = min(m + 1, n). The lower member is the
+    shortest-path metric of g plus every non-edge (u, v) as an edge of weight
+    d(u, v) - delta/c. Between the ends of an edge ab, a simple path through
+    added edges is at least w(ab) + delta long in d (the lower end of its
+    first added edge's interval says so) and has fewer than c added edges,
+    each taking off delta/c; so every edge weight survives, and each non-edge
+    drops by at least delta/c below d, staying positive.
 
-    Certification hands over d and the intervals as integer numerators over
-    L, the least common multiple of the weight denominators. The extensions
-    and their sum run in units of 1/(2L), where every midpoint is the
-    integer lo + hi, and the sum is divided by 2Lm once, at the end.
+    Certification hands over d and delta as integers over L, the least
+    common multiple of the weight denominators; the closure runs in units of
+    1/(cL), where every added weight is the integer c * d(u, v) - delta.
     """
     if depth < 1:
         raise GraphError("depth must be at least 1")
-    cert, sg, intervals = _certify(g)
+    cert, sg, delta = _certify(g)
     if not cert.ok:
         raise GraphError(
             f"graph does not certify (failed: {cert.failure}); realization needs a certified graph"
         )
     rule = rule or ScalingRule()
-    non_edges = list(intervals)
+    non_edges = list(g.non_edges())
     warnings: list[str] = []
     d = sg.matrix()
 
     if not non_edges:
         family = [d]
     else:
-        doubled = [[2 * x for x in row] for row in sg.rows]
-        total = None
-        for (u, v), (lo, hi) in intervals.items():
-            assert lo < hi, "certified graphs have no forced distances"
-            rows = _extension(doubled, sg.index[u], sg.index[v], lo + hi)
-            total = rows if total is None else [
-                list(map(operator.add, a, b)) for a, b in zip(total, rows)
-            ]
-        lower = DistanceMatrix._from_numerators(sg.vertices, total, 2 * sg.scale * len(non_edges))
+        c = min(len(non_edges) + 1, len(g))
+        edges = [(i, j, c * w) for i, j, w in sg.edges]
+        for u, v in non_edges:
+            i, j = sg.index[u], sg.index[v]
+            edges.append((i, j, c * sg.row(i)[j] - delta))
+        lower = DistanceMatrix._from_numerators(sg.vertices, _closure(len(g), edges), c * sg.scale)
         family = [lower, d]
         if depth < len(family):
             warnings.append(

@@ -474,15 +474,15 @@ def annulus_diameter_table(
     staying small as r grows (for k near 1) is the finite-scale shadow of the
     sphere-collapse condition; no limit is decided here.
     """
-    if k < 1:
-        raise GraphError("annulus parameter k must be >= 1")
+    if not (math.isfinite(k) and k >= 1):
+        raise GraphError(f"annulus parameter k must be finite and >= 1, got {k}")
     pts = [p.coords for lvl in cloud.levels for p in lvl.points]
     origin = (0.0,) * cloud.dimension
     norms = [sup_distance(p, origin) for p in pts]
     table = []
     for r in radii:
-        if r <= 0:
-            raise GraphError("radii must be positive")
+        if not (math.isfinite(r) and r > 0):
+            raise GraphError(f"radii must be finite and positive, got {r}")
         members = [p for p, nrm in zip(pts, norms) if r / k <= nrm <= r * k]
         if len(members) < 2:
             diam = 0.0

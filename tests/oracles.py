@@ -150,15 +150,16 @@ def shortest_paths_by_fractions(g: WeightedRootedGraph) -> list[list[Fraction]]:
 
 
 def lower_member_by_fractions(g: WeightedRootedGraph) -> DistanceMatrix:
-    """The realization family's lower member, all in Fractions: the average,
-    over the non-edges (u, v) of a certified graph with at least one, of the
-    shortest-path metric of g plus the edge {u, v} weighted at the midpoint
-    of (u, v)'s admissible interval [largest slack w(ab) - d(u, a) - d(b, v)
-    over oriented edges ab, or 0; d(u, v)]."""
+    """The realization family's lower member, all in Fractions, for a
+    certified graph with m >= 1 non-edges: the shortest-path metric of g plus
+    every non-edge (u, v) as an edge of weight d(u, v) - delta/min(m + 1, n),
+    where delta is the least width of an admissible interval [largest slack
+    w(ab) - d(u, a) - d(b, v) over oriented edges ab, or 0; d(u, v)] over the
+    non-edges."""
     d = shortest_paths_by_fractions(g)
     index = {v: i for i, v in enumerate(g.vertices)}
-    n, non_edges = len(g.vertices), g.non_edges()
-    total = [[Fraction(0)] * n for _ in range(n)]
+    non_edges = g.non_edges()
+    widths = []
     for u, v in non_edges:
         i, j = index[u], index[v]
         lo = max(
@@ -166,11 +167,13 @@ def lower_member_by_fractions(g: WeightedRootedGraph) -> DistanceMatrix:
             + [w - d[i][index[a]] - d[index[b]][j]
                for (x, y), w in g.weights.items() for a, b in ((x, y), (y, x))]
         )
-        t = (lo + d[i][j]) / 2
-        for x in range(n):
-            for y in range(n):
-                total[x][y] += min(d[x][y], d[x][i] + t + d[j][y], d[x][j] + t + d[i][y])
-    return DistanceMatrix(g.vertices, [[s / len(non_edges) for s in row] for row in total])
+        widths.append(d[i][j] - lo)
+    step = min(widths) / min(len(non_edges) + 1, len(g.vertices))
+    weights = dict(g.weights)
+    for u, v in non_edges:
+        weights[u, v] = d[index[u]][index[v]] - step
+    closed = WeightedRootedGraph(g.vertices, weights, g.root)
+    return DistanceMatrix(g.vertices, shortest_paths_by_fractions(closed))
 
 
 def normalized_values_by_fractions(cloud, window: int):

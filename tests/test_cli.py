@@ -325,6 +325,9 @@ def test_diag_fn_and_psi(tmp_path, capsys):
     assert table[-1]["value"] == pytest.approx(5 / 2, rel=1e-9)
     assert main(["diag", "psi", str(cloud), "--radii", "1,x"]) == 2
     assert "--radii takes comma-separated numbers" in capsys.readouterr().err
+    for args in (["--k", "nan"], ["--k", "inf"], ["--radii", "nan,inf", "--json"], ["--radii", "1,inf"]):
+        assert main(["diag", "psi", str(cloud), *args]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_demo_corpus_self_consistent(tmp_path, capsys):
@@ -463,6 +466,21 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
     for tol in ("nan", "inf", "-1"):
         assert main(["recover", str(cloud), "--exact", "--tol-rel", tol]) == 2
         assert "tolerances must be finite and non-negative" in capsys.readouterr().err
+    # an exponent literal would build a power of ten beyond what str() prints
+    for value in ("1e10000000", "1e5000"):
+        graph = {"vertices": ["a", "b"], "root": "a", "edges": [{"u": "a", "v": "b", "w": value}]}
+        path = tmp_path / "exponent_weight.json"
+        path.write_text(json.dumps(graph))
+        assert main(["check", str(path)]) == 2
+        assert "needs more than 4300 digits" in capsys.readouterr().err
+        data = json.loads(cloud.read_text(encoding="utf-8"))
+        data["levels"][3]["points"][1]["exact"][0] = value
+        path = tmp_path / "exponent_exact.json"
+        path.write_text(json.dumps(data))
+        for args in (["subsample", str(path), "--indices", "1,2", "--out", str(tmp_path / "s.json")],
+                     ["recover", str(path)], ["recover", str(path), "--exact"]):
+            assert main(args) == 2
+            assert "needs more than 4300 digits" in capsys.readouterr().err
 
 
 def _set_coordinate(value):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphic, parse_rational
 from metric_cluster.fpc import synthesize_weights
-from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
+from metric_cluster.metrization import DistanceMatrix, admissible_interval, shortest_path_metric
 from metric_cluster.realization import (
     CloudLevel,
     CloudPoint,
@@ -475,12 +475,20 @@ def test_lower_member_with_unrelated_denominators():
             assert_two_member_family(plan)
 
 
-def test_forty_vertex_shape_round_trips_exactly():
-    # 374 non-edges; guards the combinatorics against sliding back to
-    # per-coordinate Fraction cost, which took about 10 s here
-    g = synthesize_weights(random_dominating_shape(random.Random(40), 40))
-    assert len(g.non_edges()) == 374
-    cloud = generate_cloud(build_plan(g, depth=12))
+@pytest.mark.parametrize("n, m", [(40, 374), (64, 968)], ids=["40", "64"])
+def test_forty_vertex_shape_round_trips_exactly(n, m):
+    # m non-edges; guards the combinatorics against sliding back to
+    # per-coordinate Fraction cost, which took about 10 s at n = 40
+    g = synthesize_weights(random_dominating_shape(random.Random(n), n))
+    assert len(g.non_edges()) == m
+    plan = build_plan(g, depth=12)
+    # each non-edge sits at least delta / min(m + 1, n) below d in the lower member
+    intervals = [admissible_interval(g, u, v) for u, v in g.non_edges()]
+    margin = min(i.hi - i.lo for i in intervals) / min(m + 1, n)
+    lower, d = plan.family
+    for u, v in g.non_edges():
+        assert d.get(u, v) - lower.get(u, v) >= margin, (u, v)
+    cloud = generate_cloud(plan)
     assert recover_cluster(cloud, use_exact=True).graph == g
 
 

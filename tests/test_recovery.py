@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -372,6 +373,9 @@ def test_annulus_parameter_validation():
         annulus_diameter_table(cloud, k=0.5, radii=[1.0])
     with pytest.raises(GraphError):
         annulus_diameter_table(cloud, k=2.0, radii=[0.0])
+    for k, radii in ((math.nan, [1.0]), (math.inf, [1.0]), (2.0, [math.nan]), (2.0, [1.0, math.inf])):
+        with pytest.raises(GraphError, match="finite"):
+            annulus_diameter_table(cloud, k=k, radii=radii)
 
 
 # ---------------------------------------------------------------------------
