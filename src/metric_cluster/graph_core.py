@@ -33,19 +33,6 @@ class DisconnectedGraph(GraphError):
     """Operation requires a connected graph."""
 
 
-def vertex_cap(default: int, override: Optional[int] = None) -> int:
-    """Resolve a search cap: explicit argument > env var > default."""
-    if override is not None:
-        return override
-    env = os.environ.get(ENV_MAX_VERTICES)
-    if env is None:
-        return default
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise GraphError(f"{ENV_MAX_VERTICES}={env!r} is not an integer") from exc
-
-
 def parse_rational(text) -> Fraction:
     """Parse an exact rational from a ``p/q`` or decimal literal (or number)."""
     if isinstance(text, Fraction):
@@ -57,10 +44,11 @@ def parse_rational(text) -> Fraction:
             f"refusing float weight {text!r}: pass a string ('3/2' or '1.5') for exactness"
         )
     literal = str(text).strip()
-    # Fraction builds the power of ten of an exponent in full, and str()
-    # prints no int over the interpreter's digit limit; its default, 4300,
-    # also bounds the work where the limit is absent or switched off
-    if "e" in literal.lower():
+    # Fraction builds the power of ten of an exponent or of the decimal
+    # places in full, and str() prints no int over the interpreter's digit
+    # limit; its default, 4300, also bounds the work where the limit is
+    # absent or switched off
+    if "." in literal or "e" in literal.lower():
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
         if _exponent_digits(literal) > limit:
             raise GraphError(f"rational literal {text!r} needs more than {limit} digits")
@@ -71,15 +59,16 @@ def parse_rational(text) -> Fraction:
 
 
 def _exponent_digits(text: str) -> int:
-    """Digits of the numerator (or denominator) that the decimal exponent of
-    a literal such as ``"1.5e3"`` makes ``Fraction`` build before it reduces;
-    0 for text that is no such literal, which ``Fraction`` then refuses."""
+    """Digits of the numerator (or denominator) that the decimal exponent
+    and places of a literal such as ``"1.5e3"`` or ``"0.25"`` make
+    ``Fraction`` build before it reduces; 0 for text that is no such
+    literal, which ``Fraction`` then refuses."""
     mantissa, _, exponent = text.lower().partition("e")
     unsigned = mantissa[1:] if mantissa[:1] in ("+", "-") else mantissa
     whole, _, decimals = unsigned.partition(".")
     digits = (whole + decimals).replace("_", "")
     try:
-        shift = int(exponent) - len(decimals.replace("_", ""))
+        shift = int(exponent or 0) - len(decimals.replace("_", ""))
     except ValueError:
         return 0
     if not digits.isdecimal():
@@ -377,28 +366,50 @@ class IsoMapping:
         weighted: bool = True,
         weight_tol_rel: Fraction | float = 0,
     ) -> bool:
-        """Re-evaluate the isomorphism conditions from scratch."""
+        """Re-evaluate the isomorphism conditions from scratch: a bijection
+        onto g2's vertices, as many edges in g2 as in g1, and root to root
+        and each edge of g1 onto an edge of g2 (of a weight within the
+        relative tolerance when ``weighted``), so non-edges map onto non-edges.
+
+        GraphError refuses a negative or non-finite tolerance.
+        """
+        tol = _tolerance(weight_tol_rel)
         m = self.mapping
         if set(m) != set(g1.vertices) or sorted(m.values()) != list(g2.vertices):
             return False
-        if m[g1.root] != g2.root:
+        return len(g1.weights) == len(g2.weights) and _maps_edges(g1, g2, m, weighted, tol)
+
+
+def _tolerance(weight_tol_rel) -> Fraction:
+    """A relative weight tolerance as an exact rational; GraphError unless it
+    is finite and non-negative."""
+    try:
+        tol = Fraction(weight_tol_rel)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        tol = None
+    if tol is None or tol < 0:
+        raise GraphError(
+            f"weight tolerance must be finite and non-negative, got {weight_tol_rel!r}"
+        )
+    return tol
+
+
+def _weights_close(a: Fraction, b: Fraction, tol: Fraction) -> bool:
+    return a == b or abs(a - b) <= tol * max(a, b)
+
+
+def _maps_edges(g1, g2, mapping, weighted: bool, tol: Fraction) -> bool:
+    """Root to root, and each edge of g1 onto an edge of g2, of a close weight
+    when ``weighted``; ``mapping`` takes g1's vertices to g2's."""
+    if mapping[g1.root] != g2.root:
+        return False
+    for (u, v), w in g1.weights.items():
+        a, b = mapping[u], mapping[v]
+        # a == b is no key: g2 has no loops
+        image = g2.weights.get((a, b) if a < b else (b, a))
+        if image is None or weighted and not _weights_close(w, image, tol):
             return False
-        for u, v in combinations(g1.vertices, 2):
-            e1 = g1.has_edge(u, v)
-            e2 = g2.has_edge(m[u], m[v])
-            if e1 != e2:
-                return False
-            if weighted and e1:
-                if not _weights_close(g1.weight(u, v), g2.weight(m[u], m[v]), weight_tol_rel):
-                    return False
-        return True
-
-
-def _weights_close(a: Fraction, b: Fraction, tol_rel) -> bool:
-    if tol_rel == 0:
-        return a == b
-    tol = Fraction(tol_rel) if not isinstance(tol_rel, Fraction) else tol_rel
-    return abs(a - b) <= tol * max(abs(a), abs(b))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -471,70 +482,58 @@ def isomorphic(
 ) -> Optional[IsoMapping]:
     """Search for a rooted (optionally weight-preserving) isomorphism.
 
-    Returns the lexicographically least witness (images of the sorted g1
-    vertices tried in sorted order), or None. In weighted mode, graphs whose
-    distance-from-root labeling is injective skip the backtracking search:
-    the labels force the only possible mapping, which is then verified.
+    Returns a witness or None. In weighted mode, when both graphs have
+    injective distance-from-root labels, the vertices paired in increasing
+    label order are the one candidate, returned if it verifies. With exact
+    weights a failed candidate means no isomorphism; under a tolerance, and
+    for other graphs, the backtracking search returns the lexicographically
+    least witness (images of the sorted g1 vertices tried in sorted order).
+
+    The search refuses graphs above a cap of ``max_vertices``, else the
+    environment variable ``METRIC_CLUSTER_MAX_VERTICES``, else 12 vertices.
+    GraphError refuses a negative or non-finite tolerance.
     """
+    tol = _tolerance(weight_tol_rel)
     if len(g1) != len(g2) or len(g1.weights) != len(g2.weights):
         return None
 
-    if weighted:
-        forced = _forced_mapping_by_root_labels(g1, g2, weight_tol_rel)
-        if forced is not None:
-            candidate, definitive = forced
-            if candidate is not None:
-                iso = IsoMapping(candidate)
-                if iso.verify(g1, g2, weighted=True, weight_tol_rel=weight_tol_rel):
-                    return iso
-            if definitive:
-                return None
-            # tolerant pairing is only heuristic: fall through to the search
+    # a labels dict holds the root, so it is never empty
+    if weighted and (labels1 := _injective_labels(g1)) and (labels2 := _injective_labels(g2)):
+        order1 = sorted(labels1, key=labels1.__getitem__)
+        pairs = dict(zip(order1, sorted(labels2, key=labels2.__getitem__)))
+        # the key order `isomorphic --json` prints: the root and then g1's
+        # vertex order with exact weights, increasing label under a tolerance
+        candidate = {v: pairs[v] for v in (labels1 if tol == 0 else order1)}
+        # a bijection between graphs with as many edges: what verify() checks
+        if _maps_edges(g1, g2, candidate, True, tol):
+            return IsoMapping(candidate)
+        if tol == 0:
+            return None
 
-    cap = vertex_cap(DEFAULT_ISOMORPHISM_CAP, max_vertices)
+    cap = max_vertices
+    if cap is None:
+        env = os.environ.get(ENV_MAX_VERTICES, DEFAULT_ISOMORPHISM_CAP)
+        try:
+            cap = int(env)
+        except ValueError as exc:
+            raise GraphError(f"{ENV_MAX_VERTICES}={env!r} is not an integer") from exc
     if len(g1) > cap:
         raise VertexCapExceeded(
             f"isomorphism search refused: {len(g1)} vertices exceeds cap {cap}"
         )
-    return _backtracking_isomorphism(g1, g2, weighted, weight_tol_rel)
+    return _backtracking_isomorphism(g1, g2, weighted, tol)
 
 
-def _forced_mapping_by_root_labels(g1, g2, weight_tol_rel):
-    """Fast path: injective root labelings force the only candidate mapping.
-
-    Returns None when the fast path does not apply, else a pair
-    (mapping-or-None, definitive). With exact weights the answer is
-    definitive: any isomorphism must match labels exactly. Under a weight
-    tolerance the sorted-order pairing is only the best candidate, so a
-    failed candidate must not be taken as a proof of non-isomorphism.
-    """
-    try:
-        lab1 = _root_labels(g1)
-        lab2 = _root_labels(g2)
-    except GraphError:  # a root that does not dominate: no labels to use
+def _injective_labels(g: WeightedRootedGraph) -> Optional[dict[str, Fraction]]:
+    """The distance-from-root labels, or None unless the root dominates and
+    they are injective."""
+    if not is_dominating(g, g.root):
         return None
-    if len(set(lab1.values())) != len(lab1) or len(set(lab2.values())) != len(lab2):
-        return None
-
-    if weight_tol_rel != 0:
-        order1 = sorted(lab1, key=lambda v: (lab1[v], v))
-        order2 = sorted(lab2, key=lambda v: (lab2[v], v))
-        for a, b in zip(order1, order2):
-            if not _weights_close(lab1[a], lab2[b], weight_tol_rel):
-                return (None, False)
-        return (dict(zip(order1, order2)), False)
-
-    by_value = {w: v for v, w in lab2.items()}
-    mapping = {}
-    for v, w in lab1.items():
-        img = by_value.get(w)
-        if img is None:
-            return (None, True)
-        mapping[v] = img
-    return (mapping, True)
+    labels = _root_labels(g)
+    return labels if len(set(labels.values())) == len(labels) else None
 
 
-def _backtracking_isomorphism(g1, g2, weighted, weight_tol_rel):
+def _backtracking_isomorphism(g1, g2, weighted, tol):
     verts1 = list(g1.vertices)
     verts2 = list(g2.vertices)
     deg1 = {v: len(g1._adj[v]) for v in verts1}
@@ -545,7 +544,7 @@ def _backtracking_isomorphism(g1, g2, weighted, weight_tol_rel):
     def weight_profile(g, v):
         return sorted(g.weight(v, nb) for nb in g._adj[v])
 
-    if weighted and weight_tol_rel == 0:
+    if weighted and tol == 0:
         prof1 = {v: weight_profile(g1, v) for v in verts1}
         prof2 = {v: weight_profile(g2, v) for v in verts2}
     else:
@@ -567,7 +566,7 @@ def _backtracking_isomorphism(g1, g2, weighted, weight_tol_rel):
             if adj_in_1 != adj_in_2:
                 return False
             if weighted and adj_in_1:
-                if not _weights_close(g1.weight(u, nb), g2.weight(w, img), weight_tol_rel):
+                if not _weights_close(g1.weight(u, nb), g2.weight(w, img), tol):
                     return False
         return True
 
@@ -598,19 +597,12 @@ def is_weight_preserving_homomorphism(
     weight_tol_rel: Fraction | float = 0,
 ) -> bool:
     """Check: root maps to root, edges map to edges, edge weights preserved."""
+    tol = _tolerance(weight_tol_rel)
     if set(mapping) != set(g1.vertices):
         return False
     if any(img not in g2._adj for img in mapping.values()):
         return False
-    if mapping[g1.root] != g2.root:
-        return False
-    for (u, v), w in g1.weights.items():
-        fu, fv = mapping[u], mapping[v]
-        if fu == fv or not g2.has_edge(fu, fv):
-            return False
-        if not _weights_close(w, g2.weight(fu, fv), weight_tol_rel):
-            return False
-    return True
+    return _maps_edges(g1, g2, mapping, True, tol)
 
 
 def is_weight_preserving_monomorphism(
@@ -620,6 +612,5 @@ def is_weight_preserving_monomorphism(
     weight_tol_rel: Fraction | float = 0,
 ) -> bool:
     """Injective weight preserving homomorphism."""
-    return len(set(mapping.values())) == len(g1.vertices) and is_weight_preserving_homomorphism(
-        g1, g2, mapping, weight_tol_rel
-    )
+    injective = len(set(mapping.values())) == len(g1.vertices)
+    return is_weight_preserving_homomorphism(g1, g2, mapping, weight_tol_rel) and injective

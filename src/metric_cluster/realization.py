@@ -196,7 +196,7 @@ class LeveledPointCloud:
                         label, coords, exact = _read_point(item, n, dimension)
                     except (GraphError, KeyError):
                         # in point order, an earlier point's malformed shadow comes first
-                        _rational_pairs(shadows)
+                        _level_numerators(shadows)
                         raise
                     labeled.append((label, coords))
                     # an empty list, like a missing one, is no shadow
@@ -297,22 +297,25 @@ def _read_point(item, n: int, dimension: int) -> tuple:
 def _level_numerators(
     shadows: Sequence[Optional[list]],
 ) -> tuple[Optional[int], list[Optional[tuple[int, ...]]]]:
-    """One level's raw ``exact`` lists (or None) as numerators over their
-    least common denominator q, as ``_over_least_common_denominator`` of
-    their ``_rational_pair`` values gives them.
+    """One level's raw ``exact`` lists (or None) as integer numerators over
+    the least common denominator q of their values; q is None when no point
+    has a shadow.
 
     When every value is a canonical string, ``-?digits`` or
     ``-?digits/digits`` in ASCII digits with a positive denominator, the
     level is read in one pass: one ``int`` per numerator and denominator.
-    Otherwise every value goes through ``_rational_pair`` in point order, so
-    the first malformed one names the error.
+    Otherwise ``parse_rational`` reads the values one by one in point order,
+    so the first malformed one names the error, and they are put over the
+    least common multiple of their denominators.
     """
     rows = [row for row in shadows if row]
     if not rows:
         return None, [None] * len(shadows)
     read = _read_canonical(list(chain.from_iterable(rows)))
     if read is None:
-        return _over_least_common_denominator(_rational_pairs(shadows))
+        values = [parse_rational(x) for x in chain.from_iterable(rows)]
+        q = math.lcm(*(x.denominator for x in values))
+        read = q, [x.numerator * (q // x.denominator) for x in values]
     q, numerators = read
     flat = iter(numerators)
     return _in_lowest_terms(q, [tuple(islice(flat, len(row))) if row else None for row in shadows])
@@ -341,34 +344,6 @@ def _read_canonical(values: list) -> Optional[tuple[int, list[int]]]:
         return None
     q = math.lcm(*set(denominators))
     return q, list(map(operator.mul, numerators, map(operator.floordiv, repeat(q), denominators)))
-
-
-def _rational_pairs(shadows: Sequence[Optional[list]]) -> list[Optional[list[tuple[int, int]]]]:
-    return [list(map(_rational_pair, row)) if row else None for row in shadows]
-
-
-def _rational_pair(value) -> tuple[int, int]:
-    """(numerator, positive denominator) of one exact coordinate, read by
-    ``parse_rational``."""
-    x = parse_rational(value)
-    return x.numerator, x.denominator
-
-
-def _over_least_common_denominator(
-    shadows: Sequence[Optional[Sequence[tuple[int, int]]]],
-) -> tuple[Optional[int], list[Optional[tuple[int, ...]]]]:
-    """Bring rational rows, each a sequence of (numerator, positive
-    denominator) pairs or None, onto their least common denominator q.
-
-    Returns q (None when every row is None) and each row's integer
-    numerators over q.
-    """
-    denominators = {b for pairs in shadows if pairs for _, b in pairs}
-    if not denominators:
-        return None, [None] * len(shadows)
-    q = math.lcm(*denominators)
-    # unreduced input such as "2/4" leaves a factor common to all numerators
-    return _in_lowest_terms(q, [tuple([a * (q // b) for a, b in pairs]) if pairs else None for pairs in shadows])
 
 
 def _in_lowest_terms(q: int, rows: list) -> tuple[int, list]:

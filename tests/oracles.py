@@ -1,9 +1,9 @@
 """Independent brute-force oracles and small-graph corpora for the test suite.
 
 networkx appears here only as a corpus generator (graph atlas, trees) and as
-a second opinion on cycle and path counts; every quantity the library is
-tested against is recomputed by the plain, exponential enumeration oracles
-below.
+a second opinion on cycle and path counts and on isomorphism verdicts; every
+quantity the library is tested against is recomputed by the plain,
+exponential enumeration oracles below.
 """
 
 from __future__ import annotations
@@ -149,6 +149,25 @@ def shortest_paths_by_fractions(g: WeightedRootedGraph) -> list[list[Fraction]]:
     return d
 
 
+def least_interval_width(g: WeightedRootedGraph) -> Fraction:
+    """The least width hi - lo of an admissible interval over the non-edges
+    of a metrizable graph with at least one: for a non-edge (u, v), hi is
+    d(u, v) and lo the largest slack w(ab) - d(u, a) - d(b, v) over oriented
+    edges ab, or 0. Evaluated on integers over the least common multiple L
+    of the weight denominators, with d from ``shortest_paths_by_fractions``."""
+    scale = math.lcm(*(w.denominator for w in g.weights.values()))
+    d = [[int(x * scale) for x in row] for row in shortest_paths_by_fractions(g)]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    oriented = [(index[a], index[b], int(w * scale))
+                for (x, y), w in g.weights.items() for a, b in ((x, y), (y, x))]
+    widths = []
+    for u, v in g.non_edges():
+        du, dv = d[index[u]], d[index[v]]
+        lo = max(0, max(w - du[a] - dv[b] for a, b, w in oriented))
+        widths.append(du[index[v]] - lo)
+    return Fraction(min(widths), scale)
+
+
 def lower_member_by_fractions(g: WeightedRootedGraph) -> DistanceMatrix:
     """The realization family's lower member, all in Fractions, for a
     certified graph with m >= 1 non-edges: the shortest-path metric of g plus
@@ -223,6 +242,46 @@ def shadows_by_fractions(shadows: list) -> tuple:
         return None, [None] * len(shadows)
     q = math.lcm(*denominators)
     return q, [tuple(int(x * q) for x in row) if row else None for row in values]
+
+
+def is_isomorphism_by_pairs(g1, g2, mapping: dict, weighted: bool, tol: Fraction) -> bool:
+    """Does ``mapping`` take g1 onto g2, root to root, with every vertex pair
+    an edge in g1 exactly when its image is one in g2, of a weight within the
+    relative tolerance when ``weighted``? Every pair is looked at."""
+    if sorted(mapping) != list(g1.vertices) or sorted(mapping.values()) != list(g2.vertices):
+        return False
+    if mapping[g1.root] != g2.root:
+        return False
+    for u, v in combinations(g1.vertices, 2):
+        a, b = mapping[u], mapping[v]
+        if g1.has_edge(u, v) != g2.has_edge(a, b):
+            return False
+        if weighted and g1.has_edge(u, v):
+            w1, w2 = g1.weight(u, v), g2.weight(a, b)
+            if abs(w1 - w2) > tol * max(w1, w2):
+                return False
+    return True
+
+
+def isomorphic_by_networkx(g1, g2, weighted: bool, tol: Fraction) -> bool:
+    """networkx's VF2 verdict on rooted isomorphism: the root is a node
+    attribute, and in weighted mode an edge matches an edge whose weight is
+    within the relative tolerance."""
+
+    def to_nx(g):
+        G = nx.Graph()
+        G.add_nodes_from((v, {"root": v == g.root}) for v in g.vertices)
+        G.add_edges_from((u, v, {"w": w}) for (u, v), w in g.weights.items())
+        return G
+
+    def close(e1, e2):
+        return abs(e1["w"] - e2["w"]) <= tol * max(e1["w"], e2["w"])
+
+    return nx.is_isomorphic(
+        to_nx(g1), to_nx(g2),
+        node_match=lambda x, y: x["root"] == y["root"],
+        edge_match=close if weighted else None,
+    )
 
 
 def cycle_count_networkx(g: WeightedRootedGraph) -> int:

@@ -146,6 +146,10 @@ def test_isomorphic_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["isomorphic", str(g1), str(g3)]) == 1
     assert main(["isomorphic", str(g1), str(g3), "--unweighted"]) == 0
     capsys.readouterr()
+    for tol in ("-1", "-1/1000000000", "nan", "inf"):
+        assert main(["isomorphic", str(g1), str(g2), f"--weight-tol-rel={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert "weight tolerance must be finite and non-negative" in err or "not a rational literal" in err
     monkeypatch.setenv("METRIC_CLUSTER_MAX_VERTICES", "abc")
     assert main(["isomorphic", str(g1), str(g3), "--unweighted"]) == 2
     assert "METRIC_CLUSTER_MAX_VERTICES='abc' is not an integer" in capsys.readouterr().err
@@ -467,12 +471,14 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         assert main(["recover", str(cloud), "--exact", "--tol-rel", tol]) == 2
         assert "tolerances must be finite and non-negative" in capsys.readouterr().err
     # an exponent literal would build a power of ten beyond what str() prints
-    for value in ("1e10000000", "1e5000"):
+    # so would the places of a decimal without one
+    for value in ("1e10000000", "1e5000", "0." + "1" * 4300):
         graph = {"vertices": ["a", "b"], "root": "a", "edges": [{"u": "a", "v": "b", "w": value}]}
         path = tmp_path / "exponent_weight.json"
         path.write_text(json.dumps(graph))
-        assert main(["check", str(path)]) == 2
-        assert "needs more than 4300 digits" in capsys.readouterr().err
+        for command in ("check", "spm"):
+            assert main([command, str(path)]) == 2
+            assert "needs more than 4300 digits" in capsys.readouterr().err
         data = json.loads(cloud.read_text(encoding="utf-8"))
         data["levels"][3]["points"][1]["exact"][0] = value
         path = tmp_path / "exponent_exact.json"

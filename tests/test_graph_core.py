@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from metric_cluster.graph_core import (
     Cycle,
     GraphError,
+    IsoMapping,
     VertexCapExceeded,
     WeightedRootedGraph,
     is_dominating,
@@ -24,6 +26,8 @@ from oracles import (
     brute_force_simple_paths,
     cycle_count_networkx,
     enumerate_cycles,
+    is_isomorphism_by_pairs,
+    isomorphic_by_networkx,
     nx_to_graph,
     random_weighted_graph,
 )
@@ -333,6 +337,19 @@ def test_weight_tolerance_mode():
     h = triangle("1", "2", "3.000000000001")
     assert isomorphic(g, h, weighted=True) is None
     assert isomorphic(g, h, weighted=True, weight_tol_rel=Fraction(1, 10**6)) is not None
+    # a negative tolerance would answer "no" to g against itself; NaN and the
+    # infinities have no rational value
+    identity = {v: v for v in g.vertices}
+    for tol in (-1, Fraction(-1, 10**6), -1e-9, float("nan"), float("inf"), float("-inf")):
+        for check in (
+            lambda: isomorphic(g, g, weighted=True, weight_tol_rel=tol),
+            lambda: isomorphic(g, g, weighted=False, weight_tol_rel=tol),
+            lambda: IsoMapping(identity).verify(g, g, True, tol),
+            lambda: is_weight_preserving_homomorphism(g, g, identity, tol),
+            lambda: is_weight_preserving_monomorphism(g, g, identity, tol),
+        ):
+            with pytest.raises(GraphError, match="finite and non-negative"):
+                check()
 
 
 def test_weight_tolerance_near_tie_crossing():
@@ -355,6 +372,51 @@ def test_weight_tolerance_near_tie_crossing():
     assert witness is not None
     assert witness.mapping["u"] == "x"
     assert witness.verify(g, h, weighted=True, weight_tol_rel=Fraction(1, 10**6))
+
+
+def random_rooted_graph(rng, n, dominating):
+    """n vertices, each pair an edge with probability 1/2, weights from a
+    small set (ties, automorphisms) or over random denominators; the root
+    joined to everything when ``dominating``."""
+    names = [f"v{i}" for i in range(n)]
+    root = rng.choice(names)
+    pool = [Fraction(1), Fraction(2), Fraction(3)] if rng.random() < 0.5 else None
+    weights = {}
+    for u, v in combinations(names, 2):
+        if (dominating and root in (u, v)) or rng.random() < 0.5:
+            weights[u, v] = rng.choice(pool) if pool else Fraction(rng.randint(1, 50), rng.randint(1, 7))
+    return WeightedRootedGraph(names, weights, root)
+
+
+def renamed_variant(rng, g):
+    """A renamed copy of g, as it is or with one weight nudged (within and
+    beyond a 1e-5 tolerance), one edge dropped or the root moved."""
+    h = g.relabel(dict(zip(g.vertices, rng.sample([f"w{i}" for i in range(len(g))], len(g)))))
+    change = rng.choice(["none", "none", "nudge", "push", "drop", "root"])
+    if change in ("nudge", "push") and h.weights:
+        (u, v), w = rng.choice(sorted(h.weights.items()))
+        return h.with_weight(u, v, w * (1 + (Fraction(1, 10**6) if change == "nudge" else Fraction(1, 100))))
+    if change == "drop" and h.weights:
+        return h.without_edge(*rng.choice(h.edges()))
+    if change == "root":
+        return WeightedRootedGraph(h.vertices, h.weights, rng.choice(h.vertices))
+    return h
+
+
+def test_isomorphism_verdicts_match_networkx():
+    rng = random.Random(71)
+    found = {True: 0, False: 0}
+    for _ in range(300):
+        g = random_rooted_graph(rng, rng.randint(1, 8), dominating=rng.random() < 0.5)
+        h = renamed_variant(rng, g)
+        for weighted, tol in ((True, Fraction(0)), (True, Fraction(1, 10**5)), (False, Fraction(0))):
+            witness = isomorphic(g, h, weighted=weighted, weight_tol_rel=tol)
+            expected = isomorphic_by_networkx(g, h, weighted, tol)
+            assert (witness is not None) == expected, (g.to_json(), h.to_json(), weighted, tol)
+            if witness is not None:
+                assert is_isomorphism_by_pairs(g, h, witness.mapping, weighted, tol)
+            found[expected] += 1
+    assert min(found.values()) > 200
 
 
 def test_nonisomorphic_same_degree_sequence():

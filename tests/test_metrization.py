@@ -27,6 +27,7 @@ from metric_cluster.metrization import (
 
 from oracles import (
     interval_by_paths,
+    least_interval_width,
     metrizability_by_cycles,
     random_connected_graph,
     random_metrizable_graph,
@@ -281,6 +282,18 @@ def mixed_denominator_corpus(rng):
         weights = {(names[a], names[b]): abs(x[a] - x[b]) for a, b in edges}
         corpus.append(WeightedRootedGraph(names, weights, names[0]))
     return corpus
+
+
+def test_least_interval_width_oracle_matches_admissible_intervals():
+    rng = random.Random(61)
+    corpus = mixed_denominator_corpus(rng) + [random_metrizable_graph(rng, rng.randint(3, 8)) for _ in range(40)]
+    checked = 0
+    for g in corpus:
+        if g.non_edges():
+            intervals = [admissible_interval(g, u, v) for u, v in g.non_edges()]
+            assert least_interval_width(g) == min(i.hi - i.lo for i in intervals), g.to_json()
+            checked += 1
+    assert checked > 50
 
 
 def test_integer_decisions_match_fraction_oracles_on_mixed_denominators():

@@ -8,16 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphic, parse_rational
+from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphic
 from metric_cluster.fpc import synthesize_weights
-from metric_cluster.metrization import DistanceMatrix, admissible_interval, shortest_path_metric
+from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
 from metric_cluster.realization import (
     CloudLevel,
     CloudPoint,
     LeveledPointCloud,
     ScalingRule,
     _level_numerators,
-    _rational_pair,
     build_plan,
     cross_level_separation,
     generate_cloud,
@@ -30,6 +29,7 @@ from metric_cluster.recovery import alternating_period_indices, recover_cluster,
 from oracles import (
     assert_two_member_family,
     dominating_rooted_shapes,
+    least_interval_width,
     lower_member_by_fractions,
     random_dominating_shape,
     shadows_by_fractions,
@@ -277,7 +277,7 @@ _RATIONAL_TEXT = st.one_of(
     )
 )
 def test_exact_coordinate_parse_accepts_what_parse_rational_accepts(value):
-    check_rational_pair(value)
+    check_level([[value]])
 
 
 @pytest.mark.parametrize(
@@ -287,18 +287,7 @@ def test_exact_coordinate_parse_accepts_what_parse_rational_accepts(value):
      "1" * 5000, "1/" + "1" * 5000],
 )
 def test_exact_coordinate_parse_edge_cases(value):
-    check_rational_pair(value)
-
-
-def check_rational_pair(value):
-    try:
-        expected = parse_rational(value)
-    except GraphError:
-        with pytest.raises(GraphError):
-            _rational_pair(value)
-        return
-    a, b = _rational_pair(value)
-    assert b > 0 and Fraction(a, b) == expected
+    check_level([[value]])
 
 
 # what int() reads but Fraction may refuse ("1_000" on Python 3.10, blanks,
@@ -483,8 +472,7 @@ def test_forty_vertex_shape_round_trips_exactly(n, m):
     assert len(g.non_edges()) == m
     plan = build_plan(g, depth=12)
     # each non-edge sits at least delta / min(m + 1, n) below d in the lower member
-    intervals = [admissible_interval(g, u, v) for u, v in g.non_edges()]
-    margin = min(i.hi - i.lo for i in intervals) / min(m + 1, n)
+    margin = least_interval_width(g) / min(m + 1, n)
     lower, d = plan.family
     for u, v in g.non_edges():
         assert d.get(u, v) - lower.get(u, v) >= margin, (u, v)
