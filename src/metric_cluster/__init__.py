@@ -10,7 +10,6 @@ exact rational shadows alongside).
 
 from .graph_core import (
     Cycle,
-    DisconnectedGraph,
     GraphError,
     IsoMapping,
     VertexCapExceeded,
@@ -33,7 +32,6 @@ from .metrization import (
     embed_tight_cycle_on_line,
     extend_metric,
     forced_completion,
-    is_between,
     shortest_path_metric,
     unique_pairs,
 )
@@ -54,7 +52,6 @@ from .realization import (
     RealizationPlan,
     ScalingRule,
     build_plan,
-    cross_level_separation,
     generate_cloud,
     realize,
     single_point_space,
@@ -64,7 +61,6 @@ from .recovery import (
     SequenceTrace,
     alternating_period_indices,
     annulus_diameter_table,
-    label_unlabeled_cloud,
     period_stride_indices,
     recover_cluster,
     spread_functional,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -263,6 +264,10 @@ def _cmd_fpc_bound(ns) -> int:
 
 
 def _cmd_fpc_f(ns) -> int:
+    # f(n) >= 3**(n // 3): refuse a value str() cannot print before computing it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and ns.n // 3 * math.log10(3) > limit:
+        raise GraphError(f"f({ns.n}) has too many digits to print: more than {limit}")
     value = fpc_mod.moon_moser_f(ns.n)
     try:
         text = str(value)

@@ -29,14 +29,13 @@ class VertexCapExceeded(GraphError):
     """Graph is larger than the configured bound for the isomorphism search."""
 
 
-class DisconnectedGraph(GraphError):
-    """Operation requires a connected graph."""
-
-
 def parse_rational(text) -> Fraction:
     """Parse an exact rational from a ``p/q`` or decimal literal (or number)."""
     if isinstance(text, Fraction):
         return text
+    # bool is an int subclass, but JSON true is no rational
+    if isinstance(text, bool):
+        raise GraphError(f"not a rational literal: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
@@ -130,9 +129,6 @@ class WeightedRootedGraph:
 
     # -- basic queries ----------------------------------------------------
 
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(self._adj[v]))
-
     def adjacency(self) -> dict[str, set[str]]:
         return {v: set(nb) for v, nb in self._adj.items()}
 
@@ -195,7 +191,7 @@ class WeightedRootedGraph:
         if len(comps) > 1:
             a = min(comps[0])
             b = min(comps[1])
-            raise DisconnectedGraph(
+            raise GraphError(
                 f"graph is disconnected: {a!r} and {b!r} lie in different components"
             )
 
@@ -231,13 +227,6 @@ class WeightedRootedGraph:
             raise GraphError("relabel mapping must be a bijection on the vertex set")
         new = {(mapping[u], mapping[v]): w for (u, v), w in self.weights.items()}
         return WeightedRootedGraph([mapping[v] for v in self.vertices], new, mapping[self.root])
-
-    def scale_weights(self, factor: Fraction) -> "WeightedRootedGraph":
-        factor = parse_rational(factor)
-        if factor <= 0:
-            raise GraphError("scale factor must be positive")
-        new = {e: w * factor for e, w in self.weights.items()}
-        return WeightedRootedGraph(self.vertices, new, self.root)
 
     # -- serialization -----------------------------------------------------
 
@@ -318,12 +307,6 @@ class Cycle:
             weights.append(g.weight(u, v))
         return cls(order, tuple(weights))
 
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        n = len(self.vertices)
-        return tuple(
-            edge_key(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)
-        )
-
     def total_weight(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
@@ -338,26 +321,12 @@ class Cycle:
         """Exact equality case: twice the heaviest edge == total length."""
         return 2 * self.max_weight() == self.total_weight()
 
-    def canonical_key(self) -> tuple[str, ...]:
-        """Vertex tuple normalized up to rotation and reflection."""
-        n = len(self.vertices)
-        best = None
-        for seq in (self.vertices, tuple(reversed(self.vertices))):
-            for shift in range(n):
-                rot = seq[shift:] + seq[:shift]
-                if best is None or rot < best:
-                    best = rot
-        return best
-
 
 @dataclass
 class IsoMapping:
     """Vertex bijection witnessing a (weighted) rooted isomorphism."""
 
     mapping: dict[str, str]
-
-    def inverse(self) -> "IsoMapping":
-        return IsoMapping({v: u for u, v in self.mapping.items()})
 
     def verify(
         self,

@@ -126,10 +126,10 @@ class DistanceMatrix:
         # points are ordered as strings; other JSON values do not compare
         if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
             raise GraphError("distance matrix JSON vertices must be a list of strings")
-        try:
-            return cls(vertices, rows)
-        except TypeError as exc:
-            raise GraphError(f"distance matrix JSON matrix must be a list of rows: {exc}") from exc
+        # a string row would be read character by character
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise GraphError("distance matrix JSON matrix must be a list of rows, each a list")
+        return cls(vertices, rows)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -148,9 +148,6 @@ class IntervalQ:
 
     def contains(self, t: Fraction) -> bool:
         return self.lo <= t <= self.hi
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     @property
     def degenerate(self) -> bool:
@@ -450,13 +447,6 @@ def forced_completion(g: WeightedRootedGraph) -> WeightedRootedGraph:
     return out
 
 
-def is_between(d: DistanceMatrix, x: str, y: str, z: str) -> bool:
-    """True iff y lies metrically between x and z: d(x,z) == d(x,y) + d(y,z)."""
-    if len({x, y, z}) != 3:
-        raise GraphError("betweenness needs three pairwise distinct points")
-    return d.get(x, z) == d.get(x, y) + d.get(y, z)
-
-
 # ---------------------------------------------------------------------------
 # cycle embeddings
 # ---------------------------------------------------------------------------
@@ -509,19 +499,14 @@ def embed_tight_cycle_on_line(cycle: Cycle) -> dict[str, Fraction]:
         )
     n = len(cycle.vertices)
     k = cycle.weights.index(cycle.max_weight())
-    a, b = cycle.vertices[k], cycle.vertices[(k + 1) % n]
-    # Walk the non-heaviest arc from one endpoint of the heaviest edge.
-    if a < b:
-        arc = [cycle.vertices[(k + 1 + i) % n] for i in range(n)]  # b .. a
-        arc.reverse()  # a first, reaching b along the light arc
-        weights_along = [cycle.weights[(k + 1 + i) % n] for i in range(n - 1)]
+    # Walk the non-heaviest arc b .. a of the heaviest edge (a, b), from its
+    # lesser endpoint.
+    arc = [cycle.vertices[(k + 1 + i) % n] for i in range(n)]
+    weights_along = [cycle.weights[(k + 1 + i) % n] for i in range(n - 1)]
+    if arc[-1] < arc[0]:
+        arc.reverse()
         weights_along.reverse()
-        start = a
-    else:
-        arc = [cycle.vertices[(k + 1 + i) % n] for i in range(n)]  # b, ..., a
-        weights_along = [cycle.weights[(k + 1 + i) % n] for i in range(n - 1)]
-        start = b
-    coords: dict[str, Fraction] = {start: Fraction(0)}
+    coords: dict[str, Fraction] = {arc[0]: Fraction(0)}
     s = Fraction(0)
     for v, w in zip(arc[1:], weights_along):
         s += w
@@ -556,8 +541,3 @@ def cycle_from_graph(g: WeightedRootedGraph) -> Cycle:
             break
         order.append(nxt)
     return Cycle.from_graph(g, order)
-
-
-def metric_agrees_with_weights(d: DistanceMatrix, g: WeightedRootedGraph) -> bool:
-    """True iff d reproduces every edge weight of g exactly."""
-    return all(d.get(u, v) == w for (u, v), w in g.weights.items())

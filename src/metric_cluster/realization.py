@@ -581,33 +581,3 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
         # r is irrational (odd power of the base under a square root): no exact shadow
         levels.append(CloudLevel(n=n, r=r, r_exact=None, points=points, q=1))
     return LeveledPointCloud(dimension=1, levels=levels, period=None)
-
-
-# ---------------------------------------------------------------------------
-# cloud diagnostics used by tests and the CLI
-# ---------------------------------------------------------------------------
-
-
-def cross_level_separation(cloud: LeveledPointCloud) -> dict[int, float]:
-    """Smallest normalized distance between non-basepoint points g levels apart.
-
-    For each gap g returns min over n of min_{x in level n, y in level n+g}
-    d(x, y) / r_n, skipping points at the origin. Generated clouds show this
-    diverging monotonically once the gap exceeds one level.
-    """
-    out: dict[int, float] = {}
-    for i, lvl in enumerate(cloud.levels):
-        xs = [p for p in lvl.points if any(c != 0 for c in p.coords)]
-        if not xs:
-            continue
-        for j in range(i + 1, len(cloud.levels)):
-            other = cloud.levels[j]
-            ys = [p for p in other.points if any(c != 0 for c in p.coords)]
-            if not ys:
-                continue
-            gap = j - i
-            val = min(
-                sup_distance(x.coords, y.coords) / lvl.r for x in xs for y in ys
-            )
-            out[gap] = min(out.get(gap, math.inf), val)
-    return out

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .graph_core import GraphError, WeightedRootedGraph, is_dominating
 from .metrization import Metrizability, check_metrizable
 from .fpc import clique_bound_check
-from .realization import CloudLevel, CloudPoint, LeveledPointCloud, sup_distance
+from .realization import LeveledPointCloud, sup_distance
 
 DEFAULT_TOL_REL = 1e-6
 DEFAULT_TOL_ABS = 1e-9
@@ -101,10 +101,7 @@ def recover_cluster(
         )
     labels = cloud.labels()
     if any(lbl is None for lbl in labels):
-        raise GraphError(
-            "cloud has unlabeled points; recovery needs sequences "
-            "(label_unlabeled_cloud offers a best-effort matching)"
-        )
+        raise GraphError("cloud has unlabeled points; recovery needs sequences")
 
     depth = cloud.depth
     # a window of one level has spread 0 and so cannot tell a non-edge
@@ -494,57 +491,3 @@ def annulus_diameter_table(
             )
         table.append({"r": float(r), "value": diam / r, "points": len(members)})
     return table
-
-
-# ---------------------------------------------------------------------------
-# best-effort labeling of raw clouds (heuristic)
-# ---------------------------------------------------------------------------
-
-
-def label_unlabeled_cloud(cloud: LeveledPointCloud) -> LeveledPointCloud:
-    """Heuristic: thread unlabeled points into sequences by basepoint distance.
-
-    Greedy nearest-normalized-distance matching across consecutive levels.
-    Best effort only: recovery proper requires honest sequences, and this
-    matching can be wrong whenever distinct sequences cross scales. Levels
-    must all contain the same number of points.
-    """
-    if not cloud.levels:
-        raise GraphError("empty cloud")
-    counts = {len(lvl.points) for lvl in cloud.levels}
-    if len(counts) != 1:
-        raise GraphError("levels have differing point counts; cannot thread sequences")
-    origin = (0.0,) * cloud.dimension
-
-    def norm_of(p: CloudPoint, lvl: CloudLevel) -> float:
-        return sup_distance(p.coords, origin) / lvl.r
-
-    new_levels: list[CloudLevel] = []
-    prev_values: list[tuple[str, float]] = []
-    for lvl in cloud.levels:
-        ranked = sorted(lvl.points, key=lambda p: norm_of(p, lvl))
-        if not prev_values:
-            assigned = {f"s{i + 1}": p for i, p in enumerate(ranked)}
-        else:
-            assigned = {}
-            free = dict(prev_values)
-            for p in ranked:
-                val = norm_of(p, lvl)
-                best = min(free, key=lambda lbl: abs(free[lbl] - val))
-                assigned[best] = p
-                del free[best]
-        new_points = [
-            CloudPoint(label=lbl, coords=p.coords, exact=p.exact)
-            for lbl, p in sorted(assigned.items())
-        ]
-        prev_values = [
-            (lbl, norm_of(p, lvl)) for lbl, p in sorted(assigned.items())
-        ]
-        new_levels.append(
-            CloudLevel(n=lvl.n, r=lvl.r, r_exact=lvl.r_exact, points=new_points, q=lvl.q)
-        )
-    return LeveledPointCloud(
-        dimension=cloud.dimension,
-        levels=new_levels,
-        period=cloud.period,
-    )

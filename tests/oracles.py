@@ -17,13 +17,8 @@ from itertools import combinations
 import networkx as nx
 
 from metric_cluster.graph_core import Cycle, WeightedRootedGraph, parse_rational
-from metric_cluster.metrization import (
-    DistanceMatrix,
-    IntervalQ,
-    metric_agrees_with_weights,
-    shortest_path_metric,
-)
-from metric_cluster.realization import CloudLevel, CloudPoint
+from metric_cluster.metrization import DistanceMatrix, IntervalQ, shortest_path_metric
+from metric_cluster.realization import CloudLevel, CloudPoint, LeveledPointCloud, sup_distance
 
 
 def enumerate_cycles(g: WeightedRootedGraph):
@@ -400,6 +395,41 @@ def random_dominating_shape(rng: random.Random, n: int, p: float = 0.5) -> Weigh
             if rng.random() < p:
                 edges[(names[i], names[j])] = Fraction(1)
     return WeightedRootedGraph(names, edges, "root")
+
+
+def metric_agrees_with_weights(d: DistanceMatrix, g: WeightedRootedGraph) -> bool:
+    """True iff d reproduces every edge weight of g exactly."""
+    return all(d.get(u, v) == w for (u, v), w in g.weights.items())
+
+
+def scaled_weights(g: WeightedRootedGraph, factor: Fraction) -> WeightedRootedGraph:
+    """g with every edge weight multiplied by factor."""
+    return WeightedRootedGraph(g.vertices, {e: w * factor for e, w in g.weights.items()}, g.root)
+
+
+def cross_level_separation(cloud: LeveledPointCloud) -> dict[int, float]:
+    """Smallest normalized distance between non-basepoint points g levels apart.
+
+    For each gap g returns min over n of min_{x in level n, y in level n+g}
+    d(x, y) / r_n, skipping points at the origin. Generated clouds show this
+    diverging monotonically once the gap exceeds one level.
+    """
+    out: dict[int, float] = {}
+    for i, lvl in enumerate(cloud.levels):
+        xs = [p for p in lvl.points if any(c != 0 for c in p.coords)]
+        if not xs:
+            continue
+        for j in range(i + 1, len(cloud.levels)):
+            other = cloud.levels[j]
+            ys = [p for p in other.points if any(c != 0 for c in p.coords)]
+            if not ys:
+                continue
+            gap = j - i
+            val = min(
+                sup_distance(x.coords, y.coords) / lvl.r for x in xs for y in ys
+            )
+            out[gap] = min(out.get(gap, math.inf), val)
+    return out
 
 
 def assert_two_member_family(plan) -> None:

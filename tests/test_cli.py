@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metric_cluster.cli import main
-from metric_cluster.graph_core import WeightedRootedGraph
+from metric_cluster.graph_core import IsoMapping, WeightedRootedGraph
+from metric_cluster.metrization import Metrizability
 from metric_cluster.realization import realize, single_point_space
 
 
@@ -218,9 +220,11 @@ def test_fpc_bound_and_f(cert_graph, capsys):
 
 
 def test_fpc_f_beyond_digit_limit_exit_2(capsys):
-    # f(30000) = 3**10000 has 4772 digits, above the default limit of 4300
-    assert main(["fpc", "f", "30000"]) == 2
-    assert "too many digits" in capsys.readouterr().err
+    # f(30000) = 3**10000 has 4772 digits, above the default limit of 4300;
+    # f(100000000) is refused before 3**33333333 is computed
+    for n in ("30000", "100000000"):
+        assert main(["fpc", "f", n]) == 2
+        assert "too many digits" in capsys.readouterr().err
 
 
 def test_end_to_end_chain(cert_graph, tmp_path, capsys):
@@ -248,6 +252,26 @@ def test_readme_flow_at_default_depth_with_seven_non_edges(tmp_path, capsys):
     assert main(["realize", str(g), "--out", str(cloud)]) == 0
     assert main(["recover", str(cloud), "--out", str(h)]) == 0
     assert main(["isomorphic", str(g), str(h)]) == 0
+
+
+def test_readme_library_quickstart_runs_as_written():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # run the block statement by statement, keeping each bare expression's value
+    namespace, results = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            results.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    classification, interval, certified, witness, exact = results
+    assert classification is Metrizability.METRIZABLE
+    assert (interval.lo, interval.hi) == (2, 4)
+    assert certified is True
+    assert isinstance(witness, IsoMapping)
+    assert exact is True
 
 
 def test_power_square_base_below_two_exit_2(cert_graph, capsys):
@@ -487,11 +511,39 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
                      ["recover", str(path)], ["recover", str(path), "--exact"]):
             assert main(args) == 2
             assert "needs more than 4300 digits" in capsys.readouterr().err
+    # JSON true and false are no rationals, though Python's bool is an int
+    graph = {"vertices": ["a", "b"], "root": "a", "edges": [{"u": "a", "v": "b", "w": True}]}
+    path = tmp_path / "boolean_weight.json"
+    path.write_text(json.dumps(graph))
+    assert main(["check", str(path)]) == 2
+    assert "not a rational literal: True" in capsys.readouterr().err
+    # a boolean entry, and string rows, which would be read character by character
+    for matrix, message in (
+        ({"vertices": ["p", "x"], "matrix": [[0, True], [True, False]]}, "not a rational literal"),
+        ({"vertices": ["p", "x", "y"], "matrix": ["012", "103", "230"]}, "must be a list of rows"),
+    ):
+        path = tmp_path / "odd_matrix.json"
+        path.write_text(json.dumps(matrix))
+        assert main(["fpc", "from-metric", str(path), "p"]) == 2
+        assert message in capsys.readouterr().err
+    for edit in (_set_exact(False), _set_level("r_exact", True)):
+        data = json.loads(cloud.read_text(encoding="utf-8"))
+        edit(data)
+        path = tmp_path / "boolean_exact.json"
+        path.write_text(json.dumps(data))
+        assert main(["recover", str(path), "--exact"]) == 2
+        assert "not a rational literal" in capsys.readouterr().err
 
 
 def _set_coordinate(value):
     def edit(data):
         data["levels"][3]["points"][1]["coords"][0] = value
+    return edit
+
+
+def _set_exact(value):
+    def edit(data):
+        data["levels"][3]["points"][1]["exact"][0] = value
     return edit
 
 

@@ -18,9 +18,7 @@ from metric_cluster.metrization import (
     embed_tight_cycle_on_line,
     extend_metric,
     forced_completion,
-    is_between,
     line_distance_matrix,
-    metric_agrees_with_weights,
     shortest_path_metric,
     unique_pairs,
 )
@@ -28,6 +26,7 @@ from metric_cluster.metrization import (
 from oracles import (
     interval_by_paths,
     least_interval_width,
+    metric_agrees_with_weights,
     metrizability_by_cycles,
     random_connected_graph,
     random_metrizable_graph,
@@ -495,29 +494,3 @@ def test_circle_and_line_embeddings_isometric_on_tight_cycles():
             _, circle = embed_cycle_on_circle(c)
             line = line_distance_matrix(embed_tight_cycle_on_line(c))
             assert circle == line
-
-
-# ---------------------------------------------------------------------------
-# betweenness
-# ---------------------------------------------------------------------------
-
-
-def test_betweenness_on_the_line():
-    d = line_distance_matrix({"x": Fraction(0), "y": Fraction(1), "z": Fraction(3)})
-    assert is_between(d, "x", "y", "z")
-    assert not is_between(d, "y", "x", "z")
-
-
-def test_betweenness_fails_for_equilateral_triple():
-    d = DistanceMatrix(
-        ["a", "b", "c"],
-        [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]],
-    )
-    for x, y, z in [("a", "b", "c"), ("b", "a", "c"), ("c", "a", "b")]:
-        assert not is_between(d, x, y, z)
-
-
-def test_betweenness_needs_distinct_points():
-    d = line_distance_matrix({"x": Fraction(0), "y": Fraction(1), "z": Fraction(3)})
-    with pytest.raises(GraphError):
-        is_between(d, "x", "x", "z")

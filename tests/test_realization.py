@@ -18,7 +18,6 @@ from metric_cluster.realization import (
     ScalingRule,
     _level_numerators,
     build_plan,
-    cross_level_separation,
     generate_cloud,
     realize,
     single_point_space,
@@ -28,6 +27,7 @@ from metric_cluster.recovery import alternating_period_indices, recover_cluster,
 
 from oracles import (
     assert_two_member_family,
+    cross_level_separation,
     dominating_rooted_shapes,
     least_interval_width,
     lower_member_by_fractions,

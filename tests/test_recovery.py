@@ -26,7 +26,6 @@ from metric_cluster.realization import (
 from metric_cluster.recovery import (
     alternating_period_indices,
     annulus_diameter_table,
-    label_unlabeled_cloud,
     period_stride_indices,
     recover_cluster,
     spread_functional,
@@ -379,7 +378,7 @@ def test_annulus_parameter_validation():
 
 
 # ---------------------------------------------------------------------------
-# heuristic labeling
+# unlabeled clouds
 # ---------------------------------------------------------------------------
 
 
@@ -398,10 +397,10 @@ def strip_labels(cloud):
 
 
 def test_unlabeled_cloud_rejected_then_recovered_after_matching():
-    cloud = strip_labels(realize(ONE_GAP, depth=12))
-    with pytest.raises(GraphError):
+    matched = realize(ONE_GAP, depth=12)
+    cloud = strip_labels(matched)
+    with pytest.raises(GraphError, match="unlabeled points"):
         recover_cluster(cloud)
-    matched = label_unlabeled_cloud(cloud)
     rc = recover_cluster(matched)
     witness = isomorphic(ONE_GAP, rc.graph, weighted=True, weight_tol_rel=Fraction(1, 10**9))
     assert witness is not None
