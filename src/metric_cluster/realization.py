@@ -221,8 +221,10 @@ class LeveledPointCloud:
         # points' coordinate lists tie `dimension` to the size of the input
         if not any(lvl.points for lvl in levels):
             raise GraphError("cloud JSON has no points")
-        # recovery measures every distance to the origin
-        if "basepoint" in data and data["basepoint"] != [0] * dimension:
+        # recovery measures every distance to the origin; JSON false loads as
+        # Python's False, which equals 0
+        basepoint = data.get("basepoint", [0] * dimension)
+        if basepoint != [0] * dimension or bool in map(type, basepoint):
             raise GraphError(f"cloud basepoint must be the origin, {dimension} zeros")
         return cls(dimension=dimension, levels=levels, period=period)
 
@@ -276,16 +278,25 @@ def _read_point(item, n: int, dimension: int) -> tuple:
         raise GraphError(
             f"point {label!r} at level {n} has coordinates that are not a JSON list"
         )
-    try:
-        coords = tuple(map(float, coords))
-    except (TypeError, ValueError) as exc:
+    kinds = set(map(type, coords))
+    # float() would read JSON true and false as 1.0 and 0.0
+    if bool in kinds:
         raise GraphError(
-            f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
-        ) from exc
-    except OverflowError as exc:
-        raise GraphError(
-            f"point {label!r} at level {n} has a coordinate beyond binary64: {exc}"
-        ) from exc
+            f"point {label!r} at level {n} has a non-numeric coordinate: a JSON true or false"
+        )
+    if kinds == {float}:  # what the writer's coordinates load as
+        coords = tuple(coords)
+    else:
+        try:
+            coords = tuple(map(float, coords))
+        except (TypeError, ValueError) as exc:
+            raise GraphError(
+                f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
+            ) from exc
+        except OverflowError as exc:
+            raise GraphError(
+                f"point {label!r} at level {n} has a coordinate beyond binary64: {exc}"
+            ) from exc
     if not all(map(math.isfinite, coords)):
         raise GraphError(f"point {label!r} at level {n} has a NaN or infinite coordinate")
     # sup_distance zips coordinates: a short list would be cut silently
@@ -407,6 +418,8 @@ def _positive_integer(value, what: str) -> int:
 def _positive_scale(value, n) -> float:
     """A level's binary64 scale r: recovery divides by it, so it must be a
     finite number above zero."""
+    if isinstance(value, bool):
+        raise GraphError(f"level {n} has a scale r that is not a binary64 number: {value!r}")
     try:
         r = float(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -15,6 +15,7 @@ tail minimum/maximum double as lower/upper limit estimates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,14 +69,6 @@ class RecoveredCluster:
         }
 
 
-def _tail_mean(values):
-    return sum(values) / len(values)
-
-
-def _spread(values):
-    return max(values) - min(values)
-
-
 def recover_cluster(
     cloud: LeveledPointCloud,
     tol_rel: float = DEFAULT_TOL_REL,
@@ -88,8 +81,12 @@ def recover_cluster(
     ``use_exact`` switches all measurements to the rational shadows (when the
     cloud carries them), making edge weights and adjacency decisions exact.
     Exact distances are taken on the integer numerators the cloud holds over
-    each level's common denominator q; every normalized value is still the
-    exact rational.
+    each level's common denominator q, and every normalized value of the
+    window is one integer over one common denominator U. Window sums, spreads
+    and every threshold test are then integer arithmetic, with the tolerances
+    put over one denominator; Fractions are built only for what is handed
+    out (the trace values, ``rho0`` and the edge weights), and they equal the
+    exact rationals d(x_n, y_n)/r_n and their tail means.
     """
     if not cloud.levels:
         raise GraphError("empty cloud")
@@ -136,15 +133,55 @@ def recover_cluster(
         if not cloud.has_exact():
             raise GraphError("cloud carries no exact shadows; cannot recover exactly")
         rows = [{lbl: p.exact for lbl, p in pts.items()} for _, pts in per_level]
-        # an integer sup distance D is D / q on the level, and D / (q * r) normalized
-        units = [(lvl.r_exact.denominator, lvl.q * lvl.r_exact.numerator) for lvl, _ in per_level]
+        # an integer sup distance D is D / q on the level and D / (q * r) normalized;
+        # over U, the lcm of the window's q * r.numerator, it is the int D * factor
+        common = math.lcm(*(lvl.q * lvl.r_exact.numerator for lvl, _ in per_level))
+        units = [
+            lvl.r_exact.denominator * (common // (lvl.q * lvl.r_exact.numerator))
+            for lvl, _ in per_level
+        ]
 
-        def normalized(dist, unit):
-            return Fraction(dist * unit[0], unit[1])
+        def normalized(dist, factor):
+            return dist * factor
 
         zero = 0
+        # values are ints over U and a window sum S has mean S / (window U);
+        # with t_rel = rel / den and t_abs = ab / den, every test below is one
+        # integer cross-multiplication
         t_rel = Fraction(tol_rel)
         t_abs = Fraction(tol_abs)
+        den = math.lcm(t_rel.denominator, t_abs.denominator)
+        rel = t_rel.numerator * (den // t_rel.denominator)
+        ab = t_abs.numerator * (den // t_abs.denominator)
+
+        def identification(scale):
+            # E = t_abs + t_rel * scale as an int over den U, and the largest
+            # value over U within it
+            eq_thresh = ab * common + rel * scale
+            return eq_thresh, eq_thresh // den
+
+        def half(v):
+            return v // 2  # an int is at most v / 2 exactly when at most v // 2
+
+        def beyond_closure(total, eq_thresh):
+            return total * den > 3 * window * eq_thresh
+
+        def stable(spread, total):
+            return spread * den * window <= ab * window * common + rel * total
+
+        def as_float(x, count=1):
+            return x / (count * common)  # int / int rounds correctly, as float(Fraction) does
+
+        def mean_fraction(total):
+            return Fraction(total, window * common)
+
+        @functools.cache  # equal values hand out one Fraction
+        def as_value(v):
+            return Fraction(v, common)
+
+        def handed_out(vals):
+            return list(map(as_value, vals))
+
     else:
         rows = [{lbl: p.coords for lbl, p in pts.items()} for _, pts in per_level]
         units = [lvl.r for lvl, _ in per_level]
@@ -156,20 +193,45 @@ def recover_cluster(
         t_rel = tol_rel
         t_abs = tol_abs
 
+        def identification(scale):
+            eq_thresh = t_abs + t_rel * scale
+            return eq_thresh, eq_thresh
+
+        def half(v):
+            return v / 2
+
+        def beyond_closure(total, eq_thresh):
+            return total / window > 3 * eq_thresh
+
+        def stable(spread, total):
+            return spread <= t_abs + t_rel * (total / window)
+
+        def as_float(x, count=1):
+            return x / count
+
+        def mean_fraction(total):
+            return Fraction(total / window)
+
+        def handed_out(vals):
+            return vals
+
     # the basepoint is one more row, at the origin of every level
     origin = (zero,) * cloud.dimension
     for row in rows:
         row[_BASE] = origin
     all_traces = [_BASE] + list(labels)
     values: dict = {}
+    shown: dict = {}  # the values traces hand out, one list per pair for both orders
     for i, x in enumerate(all_traces):
         for y in all_traces[i + 1 :]:
-            values[x, y] = values[y, x] = [
+            values[x, y] = values[y, x] = vals = [
                 normalized(sup_distance(row[x], row[y]), unit) for row, unit in zip(rows, units)
             ]
+            shown[x, y] = shown[y, x] = handed_out(vals)
 
     base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=zero)
-    eq_thresh = t_abs + t_rel * base_scale
+    # a value is identified with another when it is at most eq_bound
+    eq_thresh, eq_bound = identification(base_scale)
     # an overflowed value makes every tolerance infinite and merges everything;
     # the values are non-negative, so a finite window sum (the tail mean's)
     # means every value is finite too
@@ -184,7 +246,7 @@ def recover_cluster(
     merge_log: list[str] = []
     warnings: list[str] = []
     traces = {
-        x: SequenceTrace(x, values[_BASE, x], {y: values[x, y] for y in labels if y != x})
+        x: SequenceTrace(x, shown[_BASE, x], {y: shown[x, y] for y in labels if y != x})
         for x in labels
     }
 
@@ -192,14 +254,14 @@ def recover_cluster(
     decayed: set = set()
     for lbl in labels:
         vals = values[_BASE, lbl]
-        if all(v <= eq_thresh for v in vals):
+        if all(v <= eq_bound for v in vals):
             continue  # equivalence handles it below
-        nonincreasing = all(vals[i + 1] <= vals[i] + eq_thresh for i in range(len(vals) - 1))
-        if nonincreasing and vals[-1] <= vals[0] / 2:
+        nonincreasing = all(vals[i + 1] <= vals[i] + eq_bound for i in range(len(vals) - 1))
+        if nonincreasing and vals[-1] <= half(vals[0]):
             decayed.add(lbl)
             merge_log.append(
                 f"{lbl!r} absorbed into the root class: normalized basepoint "
-                f"distance decays {float(vals[0]):.3g} -> {float(vals[-1]):.3g}"
+                f"distance decays {as_float(vals[0]):.3g} -> {as_float(vals[-1]):.3g}"
             )
 
     # --- equivalence classes ------------------------------------------------
@@ -218,7 +280,7 @@ def recover_cluster(
 
     for i, x in enumerate(all_traces):
         for y in all_traces[i + 1 :]:
-            if all(v <= eq_thresh for v in values[x, y]):
+            if all(v <= eq_bound for v in values[x, y]):
                 union(x, y)
     for lbl in decayed:
         union(lbl, _BASE)
@@ -235,11 +297,11 @@ def recover_cluster(
                 if x in decayed or y in decayed:
                     continue
                 vals = values[x, y]
-                if _tail_mean(vals) > 3 * eq_thresh:
+                if beyond_closure(sum(vals), eq_thresh):
                     raise GraphError(
                         "equivalence closure merged sequences that are not close: "
                         f"{x!r} and {y!r} have mean normalized distance "
-                        f"{float(_tail_mean(vals)):.3g} > 3x tolerance; "
+                        f"{as_float(sum(vals), window):.3g} > 3x tolerance; "
                         "tolerances are inconsistent with this cloud"
                     )
 
@@ -266,11 +328,11 @@ def recover_cluster(
             kept.append((name, rep, members))
             continue
         vals = values[_BASE, rep]
-        thr = t_abs + t_rel * _tail_mean(vals)
-        if _spread(vals) > thr:
+        spread = max(vals) - min(vals)
+        if not stable(spread, sum(vals)):
             warnings.append(
                 f"dropped {name!r}: normalized basepoint distance does not "
-                f"stabilize (spread {float(_spread(vals)):.3g})"
+                f"stabilize (spread {as_float(spread):.3g})"
             )
             continue
         kept.append((name, rep, members))
@@ -282,29 +344,27 @@ def recover_cluster(
     for i, (name_a, rep_a, _) in enumerate(kept):
         for name_b, rep_b, _ in kept[i + 1 :]:
             vals = values[rep_a, rep_b]
-            mean = _tail_mean(vals)
-            spread = _spread(vals)
-            thr = t_abs + t_rel * mean
-            adjacent = spread <= thr
+            low, high, total = min(vals), max(vals), sum(vals)
+            adjacent = stable(high - low, total)
             diagnostics.append(
                 {
                     "pair": f"{name_a}|{name_b}",
-                    "spread": float(spread),
-                    "liminf_estimate": float(min(vals)),
-                    "limsup_estimate": float(max(vals)),
-                    "mean": float(mean),
+                    "spread": as_float(high - low),
+                    "liminf_estimate": as_float(low),
+                    "limsup_estimate": as_float(high),
+                    "mean": as_float(total, window),
                     "adjacent": adjacent,
                 }
             )
             if adjacent:
-                edges[(name_a, name_b)] = Fraction(mean)
+                edges[(name_a, name_b)] = mean_fraction(total)
 
     rho0: dict[str, Fraction] = {}
     for name, rep, _ in kept:
         if rep is _BASE:
             rho0[name] = Fraction(0)
         else:
-            rho0[name] = Fraction(_tail_mean(values[_BASE, rep]))
+            rho0[name] = mean_fraction(sum(values[_BASE, rep]))
 
     graph = WeightedRootedGraph([name for name, _, _ in kept], edges, root_name)
     classes = {

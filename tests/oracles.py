@@ -13,12 +13,14 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 import networkx as nx
 
-from metric_cluster.graph_core import Cycle, WeightedRootedGraph, parse_rational
+from metric_cluster.graph_core import Cycle, GraphError, WeightedRootedGraph, parse_rational
 from metric_cluster.metrization import DistanceMatrix, IntervalQ, shortest_path_metric
 from metric_cluster.realization import CloudLevel, CloudPoint, LeveledPointCloud, sup_distance
+from metric_cluster.recovery import RecoveredCluster, SequenceTrace
 
 
 def enumerate_cycles(g: WeightedRootedGraph):
@@ -207,6 +209,235 @@ def normalized_values_by_fractions(cloud, window: int):
             dist = max(abs(a - b) for a, b in zip(pts[x], pts[y]))
             pairs[(x, y)].append(dist / r)
     return base, pairs
+
+
+_BASE = object()  # the basepoint's trace in recover_by_fractions
+
+
+def _fraction_mean(values):
+    return sum(values) / len(values)
+
+
+def _fraction_spread(values):
+    return max(values) - min(values)
+
+
+def recover_by_fractions(
+    cloud: LeveledPointCloud,
+    tol_rel: float = 1e-6,
+    tol_abs: float = 1e-9,
+    window: Optional[int] = None,
+) -> RecoveredCluster:
+    """``recover_cluster(cloud, tol_rel, tol_abs, window, use_exact=True)`` as
+    plain Fraction arithmetic: one Fraction per normalized value, and tail
+    means, spreads and every threshold computed and compared as Fractions."""
+    if not cloud.levels:
+        raise GraphError("empty cloud")
+    # exact recovery turns the tolerances into rationals, which NaN and the
+    # infinities have none of; a negative tolerance would identify nothing
+    if not (0 <= tol_rel < math.inf and 0 <= tol_abs < math.inf):
+        raise GraphError(
+            f"tolerances must be finite and non-negative, got {tol_rel!r} and {tol_abs!r}"
+        )
+    labels = cloud.labels()
+    if any(lbl is None for lbl in labels):
+        raise GraphError("cloud has unlabeled points; recovery needs sequences")
+
+    depth = cloud.depth
+    # a window of one level has spread 0 and so cannot tell a non-edge
+    if window is None and cloud.period:
+        window = max(cloud.period, min(2, depth))
+    elif window is None:
+        if depth < 2:
+            raise GraphError(
+                "cloud has one level and no period: one level cannot decide a non-edge"
+            )
+        window = min(depth, max(4, depth // 3))
+    if window < 1:
+        raise GraphError("window must be positive")
+    if window > depth:
+        raise GraphError(f"window {window} exceeds cloud depth {depth}")
+    if cloud.period and window < cloud.period:
+        raise GraphError(
+            f"window {window} is shorter than the metric-family period {cloud.period}: "
+            "oscillation between family members would be undetectable"
+        )
+
+    tail = cloud.levels[-window:]
+    per_level = []
+    for lvl in tail:
+        pts = cloud.points_by_label(lvl)
+        if set(pts) != set(labels):
+            missing = sorted(set(labels) - set(pts))
+            raise GraphError(f"level {lvl.n} is missing labels {missing}")
+        per_level.append((lvl, pts))
+
+    if not cloud.has_exact():
+        raise GraphError("cloud carries no exact shadows; cannot recover exactly")
+    rows = [{lbl: p.exact for lbl, p in pts.items()} for _, pts in per_level]
+    # an integer sup distance D is D / q on the level, and D / (q * r) normalized
+    units = [(lvl.r_exact.denominator, lvl.q * lvl.r_exact.numerator) for lvl, _ in per_level]
+
+    def normalized(dist, unit):
+        return Fraction(dist * unit[0], unit[1])
+
+    zero = 0
+    t_rel = Fraction(tol_rel)
+    t_abs = Fraction(tol_abs)
+    # the basepoint is one more row, at the origin of every level
+    origin = (zero,) * cloud.dimension
+    for row in rows:
+        row[_BASE] = origin
+    all_traces = [_BASE] + list(labels)
+    values: dict = {}
+    for i, x in enumerate(all_traces):
+        for y in all_traces[i + 1 :]:
+            values[x, y] = values[y, x] = [
+                normalized(sup_distance(row[x], row[y]), unit) for row, unit in zip(rows, units)
+            ]
+
+    base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=zero)
+    eq_thresh = t_abs + t_rel * base_scale
+
+    merge_log: list[str] = []
+    warnings: list[str] = []
+    traces = {
+        x: SequenceTrace(x, values[_BASE, x], {y: values[x, y] for y in labels if y != x})
+        for x in labels
+    }
+
+    # --- which sequences vanish at the basepoint ---------------------------
+    decayed: set = set()
+    for lbl in labels:
+        vals = values[_BASE, lbl]
+        if all(v <= eq_thresh for v in vals):
+            continue  # equivalence handles it below
+        nonincreasing = all(vals[i + 1] <= vals[i] + eq_thresh for i in range(len(vals) - 1))
+        if nonincreasing and vals[-1] <= vals[0] / 2:
+            decayed.add(lbl)
+            merge_log.append(
+                f"{lbl!r} absorbed into the root class: normalized basepoint "
+                f"distance decays {float(vals[0]):.3g} -> {float(vals[-1]):.3g}"
+            )
+
+    # --- equivalence classes ------------------------------------------------
+    parent = {t: t for t in all_traces}
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    def union(s, t):
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            parent[rs] = rt
+
+    for i, x in enumerate(all_traces):
+        for y in all_traces[i + 1 :]:
+            if all(v <= eq_thresh for v in values[x, y]):
+                union(x, y)
+    for lbl in decayed:
+        union(lbl, _BASE)
+
+    classes_by_root: dict = {}
+    for t in all_traces:
+        classes_by_root.setdefault(find(t), []).append(t)
+
+    # Transitive closure must not chain far-apart sequences together. Decayed
+    # sequences are exempt: they join the root by trend, not by proximity.
+    for members in classes_by_root.values():
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
+                if x in decayed or y in decayed:
+                    continue
+                vals = values[x, y]
+                if _fraction_mean(vals) > 3 * eq_thresh:
+                    raise GraphError(
+                        "equivalence closure merged sequences that are not close: "
+                        f"{x!r} and {y!r} have mean normalized distance "
+                        f"{float(_fraction_mean(vals)):.3g} > 3x tolerance; "
+                        "tolerances are inconsistent with this cloud"
+                    )
+
+    # --- name classes, pick representatives ---------------------------------
+    root_key = find(_BASE)
+    class_info: list[tuple[str, object, list]] = []  # (name, representative, members)
+    for key, members in classes_by_root.items():
+        real = sorted(m for m in members if m is not _BASE)
+        if key == root_key:
+            name = real[0] if real else "nu0"
+            rep = _BASE  # the origin is the cleanest root representative
+        else:
+            name = real[0]
+            rep = real[0]
+        class_info.append((name, rep, real))
+    class_info.sort(key=lambda item: item[0])
+    if len({name for name, _, _ in class_info}) != len(class_info):
+        raise GraphError("class naming collision; labels are not distinct")
+
+    # --- drop sequences with no stable normalized basepoint distance --------
+    kept: list[tuple[str, object, list]] = []
+    for name, rep, members in class_info:
+        if rep is _BASE:
+            kept.append((name, rep, members))
+            continue
+        vals = values[_BASE, rep]
+        thr = t_abs + t_rel * _fraction_mean(vals)
+        if _fraction_spread(vals) > thr:
+            warnings.append(
+                f"dropped {name!r}: normalized basepoint distance does not "
+                f"stabilize (spread {float(_fraction_spread(vals)):.3g})"
+            )
+            continue
+        kept.append((name, rep, members))
+
+    # --- adjacency between classes ------------------------------------------
+    root_name = next(name for name, rep, _ in kept if rep is _BASE)
+    diagnostics: list[dict] = []
+    edges = {}
+    for i, (name_a, rep_a, _) in enumerate(kept):
+        for name_b, rep_b, _ in kept[i + 1 :]:
+            vals = values[rep_a, rep_b]
+            mean = _fraction_mean(vals)
+            spread = _fraction_spread(vals)
+            thr = t_abs + t_rel * mean
+            adjacent = spread <= thr
+            diagnostics.append(
+                {
+                    "pair": f"{name_a}|{name_b}",
+                    "spread": float(spread),
+                    "liminf_estimate": float(min(vals)),
+                    "limsup_estimate": float(max(vals)),
+                    "mean": float(mean),
+                    "adjacent": adjacent,
+                }
+            )
+            if adjacent:
+                edges[(name_a, name_b)] = Fraction(mean)
+
+    rho0: dict[str, Fraction] = {}
+    for name, rep, _ in kept:
+        if rep is _BASE:
+            rho0[name] = Fraction(0)
+        else:
+            rho0[name] = Fraction(_fraction_mean(values[_BASE, rep]))
+
+    graph = WeightedRootedGraph([name for name, _, _ in kept], edges, root_name)
+    classes = {
+        name: tuple(members) if members else (name,) for name, _, members in kept
+    }
+    return RecoveredCluster(
+        graph=graph,
+        rho0=rho0,
+        classes=classes,
+        traces=traces,
+        diagnostics=diagnostics,
+        merge_log=merge_log,
+        warnings=warnings,
+        window=window,
+    )
 
 
 def level_from_fractions(n: int, r: Fraction, points: dict) -> CloudLevel:

@@ -533,6 +533,19 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert main(["recover", str(path), "--exact"]) == 2
         assert "not a rational literal" in capsys.readouterr().err
+    # nor are they numbers, though float() reads them as 1.0 and 0.0
+    dimension = json.loads(cloud.read_text(encoding="utf-8"))["dimension"]
+    for edit, message in (
+        (_set_coordinate(True), "non-numeric coordinate"),
+        (_set_level("r", True), "not a binary64 number"),
+        (_set_at(["basepoint"], [False] * dimension), "basepoint must be the origin"),
+    ):
+        data = json.loads(cloud.read_text(encoding="utf-8"))
+        edit(data)
+        path = tmp_path / "boolean_number.json"
+        path.write_text(json.dumps(data))
+        assert main(["recover", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def _set_coordinate(value):

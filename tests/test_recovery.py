@@ -38,6 +38,7 @@ from oracles import (
     level_from_fractions,
     normalized_values_by_fractions,
     random_dominating_shape,
+    recover_by_fractions,
 )
 
 
@@ -134,6 +135,180 @@ def test_exact_values_match_fraction_oracle(name):
     # the numerators the loader derives from the JSON strings recover the same
     loaded = LeveledPointCloud.from_json(cloud.to_json())
     assert recover_cluster(loaded, use_exact=True, window=window) == rc
+
+
+# ---------------------------------------------------------------------------
+# exact decisions against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def positions_cloud(sequences: dict, scales=(1, 2)) -> LeveledPointCloud:
+    """A period-less cloud from {label: one normalized position per level}:
+    level n has exact scale scales[n - 1] and holds r_n times each position."""
+    levels = []
+    for n, r in enumerate(map(Fraction, scales), 1):
+        points = {lbl: tuple(r * Fraction(c) for c in seq[n - 1]) for lbl, seq in sequences.items()}
+        levels.append(level_from_fractions(n, r, points))
+    dimension = len(next(iter(sequences.values()))[0])
+    return LeveledPointCloud(dimension=dimension, levels=levels)
+
+
+def decaying_and_drifting_cloud() -> LeveledPointCloud:
+    """'d' halves its normalized basepoint distance every level, 'w' keeps
+    growing it, 's' and 't' stay put."""
+    levels = 6
+    return positions_cloud(
+        {
+            "d": [(Fraction(8, 2**n), 0) for n in range(levels)],
+            "w": [(0, 1 + n) for n in range(levels)],
+            "s": [(Fraction(-3, 2), 1)] * levels,
+            "t": [(Fraction(5, 3), Fraction(-2, 7))] * levels,
+        },
+        scales=[Fraction(n**3, 3) for n in range(1, levels + 1)],
+    )
+
+
+def chain_cloud() -> LeveledPointCloud:
+    """Five sequences a tenth apart in a row: tolerances that identify
+    neighbors chain the ends 0.4 apart into one class."""
+    return positions_cloud(
+        {"far": [(1,)] * 4} | {f"t{i}": [(Fraction(1, 2) + Fraction(i, 10),)] * 4 for i in range(5)},
+        scales=(1, 2, 6, 24),
+    )
+
+
+def fraction_oracle_clouds():
+    rng = random.Random(12)
+    clouds = [hand_built_cloud(), decaying_and_drifting_cloud(), chain_cloud()]
+    for n in (3, 4, 5, 6):
+        g = synthesize_weights(random_dominating_shape(rng, n))
+        factorial = realize(g, depth=8)
+        clouds.append(factorial)
+        clouds.append(realize(g, depth=4, rule=ScalingRule("power_square", 2)))
+        clouds.append(subsample_levels(factorial, [1, 2, 4, 7]))  # no period
+    return clouds
+
+
+def outcome(recover, *args, **kwargs):
+    """The recovered cluster, or the message of the GraphError raised."""
+    try:
+        return recover(*args, **kwargs)
+    except GraphError as exc:
+        return str(exc)
+
+
+def test_exact_recovery_matches_fraction_oracle():
+    # (0.125, 0) chains the sequences of chain_cloud, and (10, 3) merges
+    # every class of the synthesized clouds
+    seen = set()
+    for cloud in fraction_oracle_clouds():
+        for window in (None, 2, cloud.depth):
+            for tol_rel, tol_abs in ((0, 0), (1e-6, 1e-9), (0.125, 0), (10.0, 3.0)):
+                expected = outcome(recover_by_fractions, cloud, tol_rel, tol_abs, window)
+                got = outcome(recover_cluster, cloud, tol_rel, tol_abs, window, use_exact=True)
+                assert got == expected, (window, tol_rel, tol_abs)
+                if isinstance(got, str):
+                    seen.add("closure" if "closure" in got else got)
+                else:
+                    seen.add("merged" * any(len(m) > 1 for m in got.classes.values()))
+                    seen.add("decayed" * bool(got.merge_log))
+                    seen.add("dropped" * bool(got.warnings))
+    assert {"closure", "merged", "decayed", "dropped"} <= seen
+
+
+# binary tolerances: every threshold below is exact in binary64 as well
+TOL_REL, TOL_ABS = 0.5, 0.25
+
+
+def decide(cloud):
+    """Exact recovery with TOL_REL and TOL_ABS, checked against the Fraction
+    oracle; the GraphError message stands in for a raised error."""
+    got = outcome(recover_cluster, cloud, TOL_REL, TOL_ABS, use_exact=True)
+    assert got == outcome(recover_by_fractions, cloud, TOL_REL, TOL_ABS)
+    return got
+
+
+def test_adjacency_at_its_threshold():
+    # every basepoint distance is 3; a|b has values 1 and 2, so its spread 1
+    # equals 1/4 + 1/2 * mean 3/2, and a|c exceeds that by the least step 1/8
+    rc = decide(
+        positions_cloud(
+            {
+                "a": [(3, 0), (3, 0)],
+                "b": [(3, 1), (3, 2)],
+                "c": [(3, -1), (3, Fraction(-17, 8))],
+            }
+        )
+    )
+    by_pair = {d["pair"]: d for d in rc.diagnostics}
+    assert by_pair["a|b"]["adjacent"] and rc.graph.weights["a", "b"] == Fraction(3, 2)
+    assert not by_pair["a|c"]["adjacent"] and ("a", "c") not in rc.graph.weights
+    assert by_pair["a|c"]["spread"] == 9 / 8
+
+
+def test_basepoint_stability_at_its_threshold():
+    # a's basepoint values 1 and 2 spread by exactly 1/4 + 1/2 * 3/2; b's
+    # values 1 and 17/8 exceed that by 1/8, so b is dropped
+    rc = decide(positions_cloud({"a": [(1, 0), (2, 0)], "b": [(0, 1), (0, Fraction(17, 8))]}))
+    assert set(rc.graph.vertices) == {"nu0", "a"}
+    assert rc.warnings == ["dropped 'b': normalized basepoint distance does not stabilize (spread 1.12)"]
+
+
+def test_identification_at_its_threshold():
+    # the largest basepoint distance 25/8 puts the identification threshold
+    # at E = 1/4 + 25/16 = 29/16, between the grid's 7/4 and 15/8: a and b,
+    # 7/4 apart, are identified, while c, 15/8 from a, is not
+    rc = decide(
+        positions_cloud(
+            {
+                "a": [(3, 0)] * 2,
+                "b": [(3, Fraction(7, 4))] * 2,
+                "c": [(3, Fraction(-15, 8))] * 2,
+                "far": [(Fraction(-25, 8), 0)] * 2,
+            }
+        )
+    )
+    assert rc.classes["a"] == ("a", "b") and rc.classes["c"] == ("c",)
+    # and at E exactly: with the largest basepoint distance 3, E = 7/4
+    rc = decide(positions_cloud({"a": [(3, 0)] * 2, "b": [(3, Fraction(7, 4))] * 2}))
+    assert rc.classes["a"] == ("a", "b")
+    rc = decide(positions_cloud({"a": [(3, 0)] * 2, "b": [(3, Fraction(15, 8))] * 2}))
+    assert rc.classes["a"] == ("a",)
+
+
+def test_decay_at_its_threshold():
+    # d's basepoint distance falls from 4 to exactly half of it and is
+    # absorbed into the root class; e's falls from 31/8 to 2, the step of
+    # eighths just above half of it
+    rc = decide(positions_cloud({"d": [(4,), (2,)]}))
+    assert rc.graph.vertices == ("d",) and rc.graph.root == "d"
+    assert rc.merge_log == [
+        "'d' absorbed into the root class: normalized basepoint distance decays 4 -> 2"
+    ]
+    rc = decide(positions_cloud({"e": [(Fraction(31, 8),), (2,)]}))
+    assert not rc.merge_log and rc.warnings[0].startswith("dropped 'e'")
+    # a rise by at most E still counts as non-increasing: with 'far' at
+    # distance 10, E = 1/4 + 5 = 21/4, and d rises from 4 to 4 + E
+    rise = [(4,), (Fraction(37, 4),), (2,)]
+    far = [(-10,)] * 3
+    rc = decide(positions_cloud({"d": rise, "far": far}, scales=(1, 2, 3)))
+    assert rc.classes["d"] == ("d",) and rc.merge_log
+    rise[1] = (Fraction(75, 8),)
+    rc = decide(positions_cloud({"d": rise, "far": far}, scales=(1, 2, 3)))
+    assert not rc.merge_log
+
+
+def test_closure_error_at_its_threshold():
+    # with every basepoint distance 4, E = 1/4 + 2 = 9/4; four sequences E
+    # apart chain into one class whose ends are exactly 3E apart, and a fifth
+    # one the least step beyond the last makes the ends exceed 3E
+    row = [Fraction(-27, 8) + i * Fraction(9, 4) for i in range(4)]
+    sequences = {f"t{i}": [(4, x)] * 2 for i, x in enumerate(row)}
+    rc = decide(positions_cloud(sequences))
+    assert rc.classes["t0"] == ("t0", "t1", "t2", "t3")
+    sequences["t4"] = [(4, row[-1] + Fraction(1, 8))] * 2
+    message = decide(positions_cloud(sequences))
+    assert "'t0' and 't4' have mean normalized distance 6.88 > 3x tolerance" in message
 
 
 def test_round_trip_diagnostics_capture_oscillation():
