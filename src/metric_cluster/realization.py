@@ -234,15 +234,24 @@ class LeveledPointCloud:
         encoder."""
         levels = []
         for lvl in self.levels:
+            # each distinct number of the level is spelled once
+            coords = _level_float_items(list(chain.from_iterable(p.coords for p in lvl.points)))
+            shadows = [p.exact for p in lvl.points if p.exact is not None] if include_exact else []
+            exact = iter(_format_over(list(chain.from_iterable(shadows)), lvl.q))
+            coords_left = iter(coords or ())
             points = []
             for p in lvl.points:
+                if coords is None:
+                    coords_text = _float_array(p.coords, _PAD_POINT)
+                else:
+                    coords_text = _array(list(islice(coords_left, len(p.coords))), _PAD_POINT)
                 item = (
                     f'{{\n          "label": {_json_scalar(p.label)},'
-                    f'\n          "coords": {_float_array(p.coords, _PAD_POINT)}'
+                    f'\n          "coords": {coords_text}'
                 )
                 if include_exact and p.exact is not None:
-                    exact = map('"{}"'.format, _format_over(p.exact, lvl.q))
-                    item += f',\n          "exact": {_array(list(exact), _PAD_POINT)}'
+                    exact_text = _array(list(islice(exact, len(p.exact))), _PAD_POINT, '"')
+                    item += f',\n          "exact": {exact_text}'
                 points.append(item + "\n        }")
             entry = (
                 f'{{\n      "n": {json.dumps(lvl.n)},\n      "r": {_json_scalar(repr(lvl.r))},'
@@ -334,27 +343,38 @@ def _level_numerators(
 
 def _read_canonical(values: list) -> Optional[tuple[int, list[int]]]:
     """The least common denominator q of the values and their numerators
-    over q, or None unless every value is a canonical string."""
+    over q, or None unless every value is a canonical string.
+
+    When some value repeats, as most do in a realized level, each distinct
+    string is read once and the values are looked up by their spelling."""
     try:
         text = ",".join(values)  # TypeError unless every value is a string
         # int() also reads blanks, "+", "_" and other scripts' digits, which
         # Fraction may refuse; a character beyond ASCII encodes to bytes >= 0x80
         if text.encode().translate(None, b"0123456789-/,"):
             return None
+        distinct = set(values)
+        keys = values if len(distinct) == len(values) else list(distinct)
         # most levels of a realized cloud hold integers only: no split, no scaling
         if "/" not in text:
-            return 1, list(map(int, values))
-        parts = list(map(str.partition, values, repeat("/")))
-        numerators = list(map(int, map(operator.itemgetter(0), parts)))
-        # "3/" has a separator and an empty denominator: int refuses it
-        denominators = [int(b) if slash else 1 for _, slash, b in parts]
+            q, numerators = 1, list(map(int, keys))
+        else:
+            parts = list(map(str.partition, keys, repeat("/")))
+            numerators = list(map(int, map(operator.itemgetter(0), parts)))
+            # "3/" has a separator and an empty denominator: int refuses it
+            denominators = [int(b) if slash else 1 for _, slash, b in parts]
+            # the digits alone let "1/-2" and "1/0" through
+            if min(denominators) <= 0:
+                return None
+            q = math.lcm(*set(denominators))
+            numerators = list(
+                map(operator.mul, numerators, map(operator.floordiv, repeat(q), denominators))
+            )
     except (TypeError, ValueError):  # a non-string, "", "-", "1/2/3", digits beyond the limit
         return None
-    # the digits alone let "1/-2" and "1/0" through
-    if min(denominators) <= 0:
-        return None
-    q = math.lcm(*set(denominators))
-    return q, list(map(operator.mul, numerators, map(operator.floordiv, repeat(q), denominators)))
+    if keys is not values:
+        numerators = list(map(dict(zip(keys, numerators)).__getitem__, values))
+    return q, numerators
 
 
 def _in_lowest_terms(q: int, rows: list) -> tuple[int, list]:
@@ -370,12 +390,23 @@ def _in_lowest_terms(q: int, rows: list) -> tuple[int, list]:
 def _format_over(numerators: Sequence[int], q: int) -> list[str]:
     """Each a/q in lowest terms, as ``str(Fraction(a, q))`` prints it."""
     if q == 1:
-        return list(map(str, numerators))
-    out = []
-    for a in numerators:
+        return _each_once(str, numerators)
+
+    def spell(a: int) -> str:
         g = math.gcd(a, q)
-        out.append(str(a // g) if g == q else f"{a // g}/{q // g}")
-    return out
+        return str(a // g) if g == q else f"{a // g}/{q // g}"
+
+    return _each_once(spell, numerators)
+
+
+def _each_once(convert, values: Sequence) -> list:
+    """``list(map(convert, values))``, with ``convert`` called once per
+    distinct value when some value repeats. Values that compare equal must
+    convert alike, as ints and strings do (floats do not: 0.0 == -0.0)."""
+    distinct = set(values)
+    if len(distinct) == len(values):  # a table would cost more than it saves
+        return list(map(convert, values))
+    return list(map(dict(zip(distinct, map(convert, distinct))).__getitem__, values))
 
 
 # indentation of the fields of the cloud, of a level and of a point in the
@@ -383,13 +414,35 @@ def _format_over(numerators: Sequence[int], q: int) -> list[str]:
 _PAD_CLOUD, _PAD_LEVEL, _PAD_POINT = " " * 2, " " * 6, " " * 10
 
 
-def _array(items: list[str], pad: str) -> str:
+def _array(items: list[str], pad: str, quote: str = "") -> str:
     """A JSON array of encoded items, laid out as ``json.dumps(indent=2)``
-    nests it in a field indented by ``pad``."""
+    nests it in a field indented by ``pad``; ``quote`` encloses each item,
+    which makes strings of items json needs no escape for."""
     if not items:
         return "[]"
-    inner = "\n  " + pad
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+    inner = "\n  " + pad + quote
+    return "[" + inner + (quote + "," + inner).join(items) + quote + "\n" + pad + "]"
+
+
+def _level_float_items(values: list) -> Optional[list[str]]:
+    """The JSON spelling of each of a level's coordinates, ``float.__repr__``
+    computed once per distinct value, or None when json spells one of them
+    its own way: a value that is not a float, an infinity or a NaN."""
+    distinct = set(values)
+    if len(distinct) == len(values):  # no table; 0.0 and -0.0 are not both here
+        try:
+            items = list(map(float.__repr__, values))
+        except TypeError:
+            return None
+    # 1 == 1.0 and True == 1.0 as keys: a table must hold floats alone
+    elif set(map(type, values)) != {float}:
+        return None
+    else:
+        table = dict(zip(distinct, map(float.__repr__, distinct)))
+        # 0.0 == -0.0 as keys: each zero keeps its own sign
+        items = [table[x] if x else float.__repr__(x) for x in values]
+    # float.__repr__ spells inf and nan, which json writes as Infinity and NaN
+    return None if "n" in "".join(items) else items
 
 
 def _float_array(values: Sequence[float], pad: str) -> str:

@@ -134,12 +134,11 @@ def recover_cluster(
             raise GraphError("cloud carries no exact shadows; cannot recover exactly")
         rows = [{lbl: p.exact for lbl, p in pts.items()} for _, pts in per_level]
         # an integer sup distance D is D / q on the level and D / (q * r) normalized;
-        # over U, the lcm of the window's q * r.numerator, it is the int D * factor
-        common = math.lcm(*(lvl.q * lvl.r_exact.numerator for lvl, _ in per_level))
-        units = [
-            lvl.r_exact.denominator * (common // (lvl.q * lvl.r_exact.numerator))
-            for lvl, _ in per_level
-        ]
+        # over U, the lcm of the window's q * r.numerator, it is the int D * factor.
+        # A level without points has no q and no distance to put over it.
+        scales = [(lvl.q or 1) * lvl.r_exact.numerator for lvl, _ in per_level]
+        common = math.lcm(*scales)
+        units = [lvl.r_exact.denominator * (common // s) for (lvl, _), s in zip(per_level, scales)]
 
         def normalized(dist, factor):
             return dist * factor

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_cluster.cli import main
+from metric_cluster.cli import build_parser, main
 from metric_cluster.graph_core import IsoMapping, WeightedRootedGraph
 from metric_cluster.metrization import Metrizability
 from metric_cluster.realization import realize, single_point_space
@@ -817,3 +817,79 @@ def test_cli_fuzz_exit_codes(tmp_path, monkeypatch):
         assert code != 1 or command in VERDICT_COMMANDS, argv
 
     run()
+
+
+# ---------------------------------------------------------------------------
+# a run builds only its own command's parser; help and usage are unchanged
+# ---------------------------------------------------------------------------
+
+COMMANDS = (
+    "check", "spm", "interval", "extend", "complete", "embed", "cliques", "isomorphic",
+    "fpc", "realize", "single-point", "recover", "subsample", "diag", "demo",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["-h"], 0),
+        ([], 2),
+        (["nope"], 2),
+        (["fpc"], 2),
+        (["fpc", "--help"], 0),
+        (["diag", "--help"], 0),
+        (["recover"], 2),
+        (["recovr", "x"], 2),
+    ],
+)
+def test_help_and_usage_exit_codes(argv, code, capsys):
+    assert main(argv) == code
+
+
+def test_top_level_help_lists_every_command(capsys):
+    main(["--help"])
+    out = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    for command in COMMANDS:
+        assert f"\n    {command} " in out
+
+
+def test_fpc_help_lists_its_sub_commands(capsys):
+    main(["fpc", "--help"])
+    out = capsys.readouterr().out
+    assert "{certify,synthesize,from-metric,bound,f}" in out
+
+
+def full_parser_output(argv) -> tuple:
+    """What the parser of every command prints and returns for argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            build_parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c, "--help"] for c in COMMANDS]
+    + [[c] for c in COMMANDS if c not in ("single-point", "demo")]
+    + [["fpc", "f", "--help"], ["diag", "psi", "--help"], ["fpc", "nope"], ["diag", "fn", "c"]]
+    + [["recover", "c.json", "--bogus"], ["fpc", "certify", "g.json", "--bogus"], ["spm", "g", "--json"]],
+)
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys):
+    code, out, err = full_parser_output(argv)
+    assert main(argv) == (code or 0)
+    assert capsys.readouterr() == (out, err)
+
+
+def test_main_without_arguments_reads_sys_argv(cert_graph, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["metric-cluster", "fpc", "certify", str(cert_graph)])
+    assert main() == 0
+    assert capsys.readouterr().out.strip() == "certificate: pass"
+    monkeypatch.setattr(sys, "argv", ["metric-cluster", "nope"])
+    assert main() == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err

@@ -390,6 +390,30 @@ def _odd_cloud():
     )
 
 
+def _equal_but_spelled_apart_cloud():
+    """Values that compare equal but print apart, which a table keyed on the
+    values of a level would print alike: 0.0 before -0.0 and 1.0 before an
+    int 1 in one level; -0.0 before 0.0 among repeated values and shadows in
+    another."""
+    return LeveledPointCloud(
+        dimension=2,
+        levels=[
+            CloudLevel(1, 1.0, None, [
+                CloudPoint("a", (0.0, 1.0)),
+                CloudPoint("b", (-0.0, 1)),
+                CloudPoint("c", (1.0, -0.0)),
+            ]),
+            CloudLevel(2, 6.0, Fraction(6), [
+                CloudPoint("a", (-0.0, 0.0), (0, 0)),
+                CloudPoint("b", (1.5, -2.5), (3, -5)),
+                CloudPoint("c", (1.5, 1.5), (3, 3)),
+                CloudPoint("d", (0.0, -2.5), (0, -5)),
+            ], q=2),
+        ],
+        period=None,
+    )
+
+
 @pytest.mark.parametrize(
     "cloud",
     [
@@ -399,11 +423,22 @@ def _odd_cloud():
         single_point_space(8),
         LeveledPointCloud(dimension=3, levels=[], period=2),
         _odd_cloud(),
+        _equal_but_spelled_apart_cloud(),
     ],
-    ids=["factorial", "subsample", "power_square", "single_point", "no_levels", "odd"],
+    ids=["factorial", "subsample", "power_square", "single_point", "no_levels", "odd", "equal_apart"],
 )
 def test_writer_prints_what_json_dumps_prints(cloud):
     check_writer(cloud)
+
+
+def test_signed_zeros_of_one_level_load_and_write_back_with_their_signs():
+    # the level of floats alone: the loader reads an int coordinate as a float
+    text = LeveledPointCloud(2, _equal_but_spelled_apart_cloud().levels[1:]).to_json()
+    assert '"coords": [\n            -0.0,\n            0.0\n          ]' in text
+    level = LeveledPointCloud.from_json(text).levels[0]
+    signs = [math.copysign(1.0, x) for p in level.points for x in p.coords if x == 0]
+    assert signs == [-1.0, 1.0, 1.0]
+    assert LeveledPointCloud.from_json(text).to_json() == text
 
 
 _COORDINATE = st.floats() | st.integers(-3, 3)

@@ -356,6 +356,16 @@ def test_basepoint_only_cloud_recovers_k1():
     assert rc.graph.vertices == ("p",) and rc.graph.root == "p"
 
 
+def test_pointless_levels_recover_one_vertex_exactly_as_in_binary64():
+    # a level without points has no common denominator q
+    levels = [CloudLevel(1, 1.0, Fraction(1), []), CloudLevel(2, 2.0, Fraction(2), [])]
+    cloud = LeveledPointCloud(1, levels)
+    exact, approx = recover_cluster(cloud, use_exact=True), recover_cluster(cloud)
+    assert exact.graph == approx.graph
+    assert exact.graph.vertices == ("nu0",) and exact.graph.root == "nu0"
+    assert exact.diagnostics_json_dict() == approx.diagnostics_json_dict()
+
+
 def test_empty_cloud_rejected():
     with pytest.raises(GraphError):
         recover_cluster(LeveledPointCloud(dimension=1, levels=[]))
