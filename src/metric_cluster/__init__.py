@@ -12,7 +12,6 @@ from .graph_core import (
     Cycle,
     GraphError,
     IsoMapping,
-    VertexCapExceeded,
     WeightedRootedGraph,
     is_dominating,
     is_weight_preserving_homomorphism,

@@ -43,6 +43,8 @@ from .metrization import (
 )
 from .realization import LeveledPointCloud, ScalingRule, build_plan, generate_cloud, single_point_space
 from .recovery import (
+    DEFAULT_TOL_ABS,
+    DEFAULT_TOL_REL,
     alternating_period_indices,
     annulus_diameter_table,
     period_stride_indices,
@@ -127,7 +129,7 @@ def _cmd_check(ns) -> int:
 
 def _cmd_spm(ns) -> int:
     d = shortest_path_metric(_load_graph(ns.graph))
-    _write_output(json.dumps(d.to_json_dict(), indent=2), ns.out)
+    _write_output(d.to_json(), ns.out)
     return 0
 
 
@@ -142,7 +144,7 @@ def _cmd_interval(ns) -> int:
 def _cmd_extend(ns) -> int:
     g = _load_graph(ns.graph)
     d = extend_metric(g, ns.u, ns.v, parse_rational(ns.t))
-    _write_output(json.dumps(d.to_json_dict(), indent=2), ns.out)
+    _write_output(d.to_json(), ns.out)
     return 0
 
 
@@ -150,7 +152,7 @@ def _cmd_complete(ns) -> int:
     g = _load_graph(ns.graph)
     completed = forced_completion(g)
     added = sorted(set(completed.weights) - set(g.weights))
-    _write_output(json.dumps(completed.to_json_dict(), indent=2), ns.out)
+    _write_output(completed.to_json(), ns.out)
     if ns.out:
         print(f"added {len(added)} forced edges: {added}")
     return 0
@@ -240,14 +242,14 @@ def _cmd_fpc_certify(ns) -> int:
 def _cmd_fpc_synthesize(ns) -> int:
     g = _load_graph(ns.graph)
     weighted = fpc_mod.synthesize_weights(g)
-    _write_output(json.dumps(weighted.to_json_dict(), indent=2), ns.out)
+    _write_output(weighted.to_json(), ns.out)
     return 0
 
 
 def _cmd_fpc_from_metric(ns) -> int:
     d = _load_matrix(ns.matrix)
     g = fpc_mod.graph_from_metric_space(d, ns.basepoint)
-    _write_output(json.dumps(g.to_json_dict(), indent=2), ns.out)
+    _write_output(g.to_json(), ns.out)
     return 0
 
 
@@ -284,15 +286,12 @@ def _cmd_realize(ns) -> int:
     for w in plan.warnings:
         print(f"warning: {w}", file=sys.stderr)
     cloud = generate_cloud(plan)
-    text = cloud.to_json(include_exact=not ns.no_exact)
+    _write_output(cloud.to_json(include_exact=not ns.no_exact), ns.out)
     if ns.out:
-        Path(ns.out).write_text(text + "\n", encoding="utf-8")
         print(
             f"wrote {cloud.depth} levels, {cloud.dimension} dimensions, "
             f"family period {cloud.period}, to {ns.out}"
         )
-    else:
-        print(text)
     return 0
 
 
@@ -312,7 +311,7 @@ def _cmd_recover(ns) -> int:
         use_exact=ns.exact,
     )
     problems = validate_recovered_cluster(rc, ns.tol_rel, ns.tol_abs)
-    graph_json = json.dumps(rc.graph.to_json_dict(), indent=2)
+    graph_json = rc.graph.to_json()
     if ns.out:
         Path(ns.out).write_text(graph_json + "\n", encoding="utf-8")
     diag = rc.diagnostics_json_dict()
@@ -420,7 +419,7 @@ def _cmd_demo(ns) -> int:
         },
         "nu1",
     )
-    write("cycle4_1234.json", quad.to_json_dict())
+    write("cycle4_1234.json", quad.to_json())
     spm = shortest_path_metric(quad)
     i24 = admissible_interval(quad, "nu2", "nu4")
     i13 = admissible_interval(quad, "nu1", "nu3")
@@ -450,7 +449,7 @@ def _cmd_demo(ns) -> int:
         },
         "v1",
     )
-    write("tight4.json", tight.to_json_dict())
+    write("tight4.json", tight.to_json())
     coords = embed_tight_cycle_on_line(cycle_from_graph(tight))
     write(
         "tight4.expected.json",
@@ -483,8 +482,8 @@ def _cmd_demo(ns) -> int:
         {("r", "u"): Fraction(1), ("r", "v"): Fraction(2), ("u", "v"): Fraction(5, 2)},
         "r",
     )
-    write("cert_triangle.json", triangle.to_json_dict())
-    write("cert_triangle.expected.json", fpc_mod.certify_fpc(triangle).to_json_dict())
+    write("cert_triangle.json", triangle.to_json())
+    write("cert_triangle.expected.json", fpc_mod.certify_fpc(triangle).to_json())
 
     for path in written:
         print(f"wrote {path}")
@@ -625,8 +624,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if command in (None, "recover"):
         p = sub.add_parser("recover", parents=[common], help="recover the cluster graph from a cloud")
         p.add_argument("cloud")
-        p.add_argument("--tol-rel", type=float, default=1e-6)
-        p.add_argument("--tol-abs", type=float, default=1e-9)
+        p.add_argument("--tol-rel", type=float, default=DEFAULT_TOL_REL)
+        p.add_argument("--tol-abs", type=float, default=DEFAULT_TOL_ABS)
         p.add_argument("--window", type=int, default=None)
         p.add_argument("--exact", action="store_true", help="measure on the exact rational shadows")
         p.add_argument("--out", help="write the recovered graph JSON here")
@@ -678,10 +677,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return ns.func(ns)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

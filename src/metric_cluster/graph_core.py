@@ -25,10 +25,6 @@ class GraphError(ValueError):
     """Invalid graph input or violated operation precondition."""
 
 
-class VertexCapExceeded(GraphError):
-    """Graph is larger than the configured bound for the isomorphism search."""
-
-
 def parse_rational(text) -> Fraction:
     """Parse an exact rational from a ``p/q`` or decimal literal (or number)."""
     if isinstance(text, Fraction):
@@ -447,7 +443,6 @@ def isomorphic(
     g2: WeightedRootedGraph,
     weighted: bool = True,
     weight_tol_rel: Fraction | float = 0,
-    max_vertices: Optional[int] = None,
 ) -> Optional[IsoMapping]:
     """Search for a rooted (optionally weight-preserving) isomorphism.
 
@@ -458,9 +453,9 @@ def isomorphic(
     for other graphs, the backtracking search returns the lexicographically
     least witness (images of the sorted g1 vertices tried in sorted order).
 
-    The search refuses graphs above a cap of ``max_vertices``, else the
-    environment variable ``METRIC_CLUSTER_MAX_VERTICES``, else 12 vertices.
-    GraphError refuses a negative or non-finite tolerance.
+    GraphError refuses a negative or non-finite tolerance, and a search on
+    graphs above a cap of 12 vertices, which the environment variable
+    ``METRIC_CLUSTER_MAX_VERTICES`` overrides.
     """
     tol = _tolerance(weight_tol_rel)
     if len(g1) != len(g2) or len(g1.weights) != len(g2.weights):
@@ -479,15 +474,13 @@ def isomorphic(
         if tol == 0:
             return None
 
-    cap = max_vertices
-    if cap is None:
-        env = os.environ.get(ENV_MAX_VERTICES, DEFAULT_ISOMORPHISM_CAP)
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise GraphError(f"{ENV_MAX_VERTICES}={env!r} is not an integer") from exc
+    env = os.environ.get(ENV_MAX_VERTICES, DEFAULT_ISOMORPHISM_CAP)
+    try:
+        cap = int(env)
+    except ValueError as exc:
+        raise GraphError(f"{ENV_MAX_VERTICES}={env!r} is not an integer") from exc
     if len(g1) > cap:
-        raise VertexCapExceeded(
+        raise GraphError(
             f"isomorphism search refused: {len(g1)} vertices exceeds cap {cap}"
         )
     return _backtracking_isomorphism(g1, g2, weighted, tol)

@@ -441,10 +441,7 @@ def unique_pairs(g: WeightedRootedGraph) -> tuple[tuple[str, str], ...]:
 
 def forced_completion(g: WeightedRootedGraph) -> WeightedRootedGraph:
     """Single-pass completion: add each unique pair as an edge with its forced weight."""
-    out = g
-    for (u, v), t in _forced_distances(g):
-        out = out.with_edge(u, v, t)
-    return out
+    return WeightedRootedGraph(g.vertices, {**g.weights, **dict(_forced_distances(g))}, g.root)
 
 
 # ---------------------------------------------------------------------------

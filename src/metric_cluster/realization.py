@@ -188,6 +188,9 @@ class LeveledPointCloud:
                 if not isinstance(entry, dict):
                     raise GraphError(f"cloud level {entry!r} is not an object")
                 n = _positive_integer(entry["n"], "level n")
+                # recovery's window is the last levels; subsample and diag look a level up by n
+                if levels and n <= levels[-1].n:
+                    raise GraphError(f"level {n} follows level {levels[-1].n}: levels must strictly increase")
                 if not isinstance(entry["points"], list):
                     raise GraphError(f"points of level {n} must be a list")
                 labeled, shadows = [], []
@@ -241,8 +244,8 @@ class LeveledPointCloud:
             coords_left = iter(coords or ())
             points = []
             for p in lvl.points:
-                if coords is None:
-                    coords_text = _float_array(p.coords, _PAD_POINT)
+                if coords is None:  # json's own spelling, point by point
+                    coords_text = json.dumps(list(p.coords), indent=2).replace("\n", "\n" + _PAD_POINT)
                 else:
                     coords_text = _array(list(islice(coords_left, len(p.coords))), _PAD_POINT)
                 item = (
@@ -262,7 +265,7 @@ class LeveledPointCloud:
             levels.append(entry + "\n    }")
         return (
             f'{{\n  "norm": "sup",\n  "dimension": {json.dumps(self.dimension)},'
-            f'\n  "basepoint": {_float_array([0.0] * self.dimension, _PAD_CLOUD)},'
+            f'\n  "basepoint": {_array(["0.0"] * self.dimension, _PAD_CLOUD)},'
             f'\n  "period": {json.dumps(self.period)},'
             f'\n  "levels": {_array(levels, _PAD_CLOUD)}\n}}'
         )
@@ -443,17 +446,6 @@ def _level_float_items(values: list) -> Optional[list[str]]:
         items = [table[x] if x else float.__repr__(x) for x in values]
     # float.__repr__ spells inf and nan, which json writes as Infinity and NaN
     return None if "n" in "".join(items) else items
-
-
-def _float_array(values: Sequence[float], pad: str) -> str:
-    try:
-        items = list(map(float.__repr__, values))
-    except TypeError:  # json spells an int, a bool or None its own way
-        items = None
-    # float.__repr__ spells inf and nan, which json writes as Infinity and NaN
-    if items is None or "n" in "".join(items):
-        return json.dumps(list(values), indent=2).replace("\n", "\n" + pad)
-    return _array(items, pad)
 
 
 def _json_scalar(value) -> str:

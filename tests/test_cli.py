@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from metric_cluster.cli import build_parser, main
 from metric_cluster.graph_core import IsoMapping, WeightedRootedGraph
-from metric_cluster.metrization import Metrizability
+from metric_cluster.fpc import graph_from_metric_space, synthesize_weights
+from metric_cluster.metrization import Metrizability, extend_metric, forced_completion, shortest_path_metric
 from metric_cluster.realization import realize, single_point_space
 
 
@@ -208,6 +209,33 @@ def test_fpc_from_metric(tmp_path, capsys):
         encoding="utf-8",
     )
     assert main(["fpc", "from-metric", str(eq), "a"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command", [["spm"], ["extend"], ["complete"], ["fpc", "synthesize"], ["fpc", "from-metric"]]
+)
+def test_documents_are_written_by_their_objects(command, cert_graph, tmp_path, capsys):
+    # the tight quadrilateral has forced diagonals; the root of cert_graph dominates
+    tight = WeightedRootedGraph(
+        ["v1", "v2", "v3", "v4"],
+        {("v1", "v2"): 1, ("v2", "v3"): 1, ("v3", "v4"): 1, ("v1", "v4"): 3},
+        "v1",
+    )
+    graph = tmp_path / "tight.json"
+    graph.write_text(tight.to_json(), encoding="utf-8")
+    cert = WeightedRootedGraph.from_json(cert_graph.read_text(encoding="utf-8"))
+    matrix = tmp_path / "d.json"
+    matrix.write_text(shortest_path_metric(cert).to_json(), encoding="utf-8")
+    args, document = {
+        "spm": lambda: ([graph], shortest_path_metric(tight)),
+        "extend": lambda: ([graph, "v1", "v3", "2"], extend_metric(tight, "v1", "v3", Fraction(2))),
+        "complete": lambda: ([graph], forced_completion(tight)),
+        "synthesize": lambda: ([cert_graph], synthesize_weights(cert)),
+        "from-metric": lambda: ([matrix, "r"], graph_from_metric_space(shortest_path_metric(cert), "r")),
+    }[command[-1]]()
+    out = tmp_path / "out.json"
+    assert main([*command, *map(str, args), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == document.to_json() + "\n"
 
 
 def test_fpc_bound_and_f(cert_graph, capsys):
@@ -546,6 +574,21 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert main(["recover", str(path)]) == 2
         assert message in capsys.readouterr().err
+    # a repeated level number, and levels in reverse: subsample and diag would
+    # find different levels by one number, and recovery would read its window
+    # from the shallowest levels
+    for edit in (_set_level("n", 3), lambda data: data["levels"].reverse()):
+        data = json.loads(cloud.read_text(encoding="utf-8"))
+        edit(data)
+        path = tmp_path / "level_order.json"
+        path.write_text(json.dumps(data))
+        for args in (
+            ["recover", str(path)],
+            ["subsample", str(path), "--indices", "3", "--out", str(tmp_path / "s.json")],
+            ["diag", "fn", str(path), "--level", "3", "--labels", "u,v"],
+        ):
+            assert main(args) == 2
+            assert "levels must strictly increase" in capsys.readouterr().err
 
 
 def _set_coordinate(value):
