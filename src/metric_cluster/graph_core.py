@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -74,6 +75,46 @@ def _exponent_digits(text: str) -> int:
 def format_rational(value: Fraction) -> str:
     """Format a rational so that ``parse_rational`` round-trips bit-exactly."""
     return str(value)
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common multiple q of the rationals' denominators, and each
+    value's integer numerator over q: the layout of exact values held in
+    bulk, a distance matrix's entries and a cloud level's shadows."""
+    q = math.lcm(*(x.denominator for x in values))
+    return q, [x.numerator * (q // x.denominator) for x in values]
+
+
+def _in_lowest_terms(q: int, rows: list) -> tuple[int, list]:
+    """Integer rows (or None) over q, with the factor that q shares with
+    every numerator divided out: q becomes the least common denominator of
+    the values, the least common multiple of their reduced denominators."""
+    g = math.gcd(q, *(a for row in rows if row for a in row)) if q > 1 else 1
+    if g == 1:
+        return q, rows
+    return q // g, [tuple([a // g for a in row]) if row else None for row in rows]
+
+
+def _format_over(numerators: Sequence[int], q: int) -> list[str]:
+    """Each a/q in lowest terms, as ``format_rational(Fraction(a, q))`` prints it."""
+    if q == 1:
+        return _each_once(str, numerators)
+
+    def spell(a: int) -> str:
+        g = math.gcd(a, q)
+        return str(a // g) if g == q else f"{a // g}/{q // g}"
+
+    return _each_once(spell, numerators)
+
+
+def _each_once(convert, values: Sequence) -> list:
+    """``list(map(convert, values))``, with ``convert`` called once per
+    distinct value when some value repeats. Values that compare equal must
+    convert alike, as ints and strings do (floats do not: 0.0 == -0.0)."""
+    distinct = set(values)
+    if len(distinct) == len(values):  # a table would cost more than it saves
+        return list(map(convert, values))
+    return list(map(dict(zip(distinct, map(convert, distinct))).__getitem__, values))
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:

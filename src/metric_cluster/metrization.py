@@ -7,8 +7,10 @@ in this module is exact; there are no tolerances here, because the
 interesting boundary cases are exact equalities. The decisions (the cycle
 inequality, degenerate intervals, extensions) run on integer numerators over
 L, the least common multiple of the weight denominators: every weight and
-shortest-path distance is an integer multiple of 1/L. Fractions are built
-only for the values handed out (``DistanceMatrix`` rows, ``IntervalQ``).
+shortest-path distance is an integer multiple of 1/L. A ``DistanceMatrix``
+keeps the same layout, integer numerators over its least common denominator;
+Fractions are built only when a value is handed out (``DistanceMatrix.rows``
+and ``get``, ``IntervalQ``).
 """
 
 from __future__ import annotations
@@ -16,29 +18,26 @@ from __future__ import annotations
 import enum
 import heapq
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph_core import (
-    Cycle,
-    GraphError,
-    WeightedRootedGraph,
-    format_rational,
-    parse_rational,
-)
+from .graph_core import Cycle, GraphError, WeightedRootedGraph, format_rational, parse_rational
+from .graph_core import _format_over, _in_lowest_terms, _over_lcm
 
 
 class DistanceMatrix:
     """Exact symmetric matrix of pairwise distances on a finite vertex set.
 
-    Validates the pseudometric axioms on construction (zero diagonal,
-    symmetry, triangle inequality over every triple). ``is_metric`` reports
-    whether the off-diagonal entries are additionally strictly positive.
+    Held as integer numerators over the least common denominator of the
+    entries, as a cloud level holds its shadows; ``rows`` and ``get`` build
+    the Fractions. A matrix built from outside data is validated against
+    the pseudometric axioms (zero diagonal, symmetry, triangle inequality
+    over every triple). ``is_metric`` reports whether the off-diagonal
+    entries are additionally strictly positive.
     """
 
-    def __init__(self, vertices, rows, validate: bool = True):
+    def __init__(self, vertices, rows):
         self.vertices: tuple[str, ...] = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphError("distance matrix vertices must be distinct")
@@ -46,48 +45,43 @@ class DistanceMatrix:
         n = len(self.vertices)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise GraphError("distance matrix must be square")
-        self.rows: list[list[Fraction]] = [[parse_rational(x) for x in r] for r in rows]
-        self._over: Optional[tuple[list[list[int]], int]] = None
-        if validate:
-            self.validate()
+        # the lcm of reduced denominators leaves no factor to divide out
+        self._q, flat = _over_lcm([parse_rational(x) for r in rows for x in r])
+        self._num = [tuple(flat[i * n:(i + 1) * n]) for i in range(n)]
+        self.validate()
 
     @classmethod
-    def _from_numerators(cls, vertices, numerators: list[list[int]], denominator: int) -> "DistanceMatrix":
-        """The matrix numerators / denominator, which keeps the integer form
-        for ``_numerators``; its Fractions are built here, once."""
-        d = cls(
-            vertices,
-            [[Fraction(x, denominator) for x in row] for row in numerators],
-            validate=False,
-        )
-        d._over = (numerators, denominator)
+    def _from_numerators(cls, vertices, numerators: list[list[int]], q: int) -> "DistanceMatrix":
+        """The matrix numerators / q, unchecked: for a matrix that is a
+        pseudometric by construction."""
+        d = cls.__new__(cls)
+        d.vertices = tuple(vertices)
+        d._index = {v: i for i, v in enumerate(d.vertices)}
+        d._q, d._num = _in_lowest_terms(q, list(map(tuple, numerators)))
         return d
 
-    def _numerators(self) -> tuple[list[list[int]], int]:
-        """The rows as integer numerators over one positive common denominator."""
-        if self._over is not None:
-            return self._over
-        q = math.lcm(*(x.denominator for row in self.rows for x in row))
-        return [[x.numerator * (q // x.denominator) for x in row] for row in self.rows], q
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        return [[Fraction(a, self._q) for a in row] for row in self._num]
 
     def validate(self) -> None:
-        n = len(self.vertices)
+        n, m = len(self.vertices), self._num
         for i in range(n):
-            if self.rows[i][i] != 0:
+            if m[i][i] != 0:
                 raise GraphError(f"nonzero diagonal at {self.vertices[i]!r}")
             for j in range(i + 1, n):
-                if self.rows[i][j] != self.rows[j][i]:
+                if m[i][j] != m[j][i]:
                     raise GraphError(
                         f"asymmetry at ({self.vertices[i]!r},{self.vertices[j]!r})"
                     )
-                if self.rows[i][j] < 0:
+                if m[i][j] < 0:
                     raise GraphError(
                         f"negative distance at ({self.vertices[i]!r},{self.vertices[j]!r})"
                     )
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if self.rows[i][j] > self.rows[i][k] + self.rows[k][j]:
+                    if m[i][j] > m[i][k] + m[k][j]:
                         raise GraphError(
                             "triangle inequality fails for "
                             f"({self.vertices[i]!r},{self.vertices[j]!r},{self.vertices[k]!r})"
@@ -96,16 +90,18 @@ class DistanceMatrix:
     @property
     def is_metric(self) -> bool:
         n = len(self.vertices)
-        return all(self.rows[i][j] > 0 for i in range(n) for j in range(i + 1, n))
+        return all(self._num[i][j] > 0 for i in range(n) for j in range(i + 1, n))
 
     def get(self, u: str, v: str) -> Fraction:
-        return self.rows[self._index[u]][self._index[v]]
+        return Fraction(self._num[self._index[u]][self._index[v]], self._q)
 
     def __eq__(self, other) -> bool:
+        # both in lowest terms: equal values have equal q and numerators
         return (
             isinstance(other, DistanceMatrix)
             and self.vertices == other.vertices
-            and self.rows == other.rows
+            and self._q == other._q
+            and self._num == other._num
         )
 
     def __repr__(self) -> str:
@@ -114,7 +110,7 @@ class DistanceMatrix:
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
-            "matrix": [[format_rational(x) for x in row] for row in self.rows],
+            "matrix": [_format_over(row, self._q) for row in self._num],
         }
 
     @classmethod
@@ -205,11 +201,9 @@ class _ScaledGraph:
         g.require_connected()
         self.vertices = g.vertices
         self.index = {v: i for i, v in enumerate(g.vertices)}
-        self.scale = math.lcm(*(w.denominator for w in g.weights.values()))
-        self.edges = [
-            (self.index[u], self.index[v], w.numerator * (self.scale // w.denominator))
-            for (u, v), w in sorted(g.weights.items())
-        ]
+        pairs = sorted(g.weights)
+        self.scale, scaled = _over_lcm([g.weights[e] for e in pairs])
+        self.edges = [(self.index[u], self.index[v], w) for (u, v), w in zip(pairs, scaled)]
         self.adj = _adjacency(len(self.vertices), self.edges)
         self._rows: list[Optional[list[int]]] = [None] * len(self.vertices)
 
@@ -462,20 +456,23 @@ def embed_cycle_on_circle(cycle: Cycle) -> tuple[dict[str, Fraction], DistanceMa
         raise GraphError(
             f"cycle is not metrizable: 2*{cycle.max_weight()} > {total}"
         )
-    positions: dict[str, Fraction] = {}
-    s = Fraction(0)
-    for v, w in zip(cycle.vertices, cycle.weights):
-        positions[v] = s
+    # arc positions and minor arcs as integers over the lcm q of the weights
+    q, scaled = _over_lcm(list(map(parse_rational, cycle.weights)))
+    at: dict[str, int] = {}
+    s = 0
+    for v, w in zip(cycle.vertices, scaled):
+        at[v] = s
         s += w
     verts = sorted(cycle.vertices)
     rows = []
     for u in verts:
         row = []
         for v in verts:
-            gap = abs(positions[u] - positions[v])
-            row.append(min(gap, total - gap))
+            gap = abs(at[u] - at[v])
+            row.append(min(gap, s - gap))
         rows.append(row)
-    return positions, DistanceMatrix(verts, rows, validate=False)
+    positions = {v: Fraction(a, q) for v, a in at.items()}
+    return positions, DistanceMatrix._from_numerators(verts, rows, q)
 
 
 def embed_tight_cycle_on_line(cycle: Cycle) -> dict[str, Fraction]:
@@ -513,8 +510,8 @@ def embed_tight_cycle_on_line(cycle: Cycle) -> dict[str, Fraction]:
 
 def line_distance_matrix(coords: dict[str, Fraction]) -> DistanceMatrix:
     verts = sorted(coords)
-    rows = [[abs(coords[u] - coords[v]) for v in verts] for u in verts]
-    return DistanceMatrix(verts, rows, validate=False)
+    q, at = _over_lcm([parse_rational(coords[v]) for v in verts])
+    return DistanceMatrix._from_numerators(verts, [[abs(a - b) for b in at] for a in at], q)
 
 
 def cycle_from_graph(g: WeightedRootedGraph) -> Cycle:

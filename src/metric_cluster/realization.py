@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
+from .graph_core import _format_over, _in_lowest_terms, _over_lcm
 from .metrization import DistanceMatrix, _closure
 from .fpc import _certify
 
@@ -42,9 +43,12 @@ class ScalingRule:
     base: int = 2
 
     def __post_init__(self):
+        if self.name not in ("factorial", "power_square"):
+            raise GraphError(f"unknown scaling rule {self.name!r}")
         # base 1 keeps every scale at 1 and base <= 0 gives zero or
-        # alternating-sign scales: none of them tends to infinity
-        if self.name == "power_square" and self.base < 2:
+        # alternating-sign scales: none of them tends to infinity; a float
+        # base gives no integer scale, and a bool is no base
+        if self.name == "power_square" and (type(self.base) is not int or self.base < 2):
             raise GraphError("base must be an integer >= 2")
 
     def value(self, n: int) -> int:
@@ -52,9 +56,7 @@ class ScalingRule:
             raise GraphError("levels are numbered from 1")
         if self.name == "factorial":
             return math.factorial(n)
-        if self.name == "power_square":
-            return self.base ** (n * n)
-        raise GraphError(f"unknown scaling rule {self.name!r}")
+        return self.base ** (n * n)
 
 
 @dataclass
@@ -336,9 +338,7 @@ def _level_numerators(
         return None, [None] * len(shadows)
     read = _read_canonical(list(chain.from_iterable(rows)))
     if read is None:
-        values = [parse_rational(x) for x in chain.from_iterable(rows)]
-        q = math.lcm(*(x.denominator for x in values))
-        read = q, [x.numerator * (q // x.denominator) for x in values]
+        read = _over_lcm([parse_rational(x) for x in chain.from_iterable(rows)])
     q, numerators = read
     flat = iter(numerators)
     return _in_lowest_terms(q, [tuple(islice(flat, len(row))) if row else None for row in shadows])
@@ -378,38 +378,6 @@ def _read_canonical(values: list) -> Optional[tuple[int, list[int]]]:
     if keys is not values:
         numerators = list(map(dict(zip(keys, numerators)).__getitem__, values))
     return q, numerators
-
-
-def _in_lowest_terms(q: int, rows: list) -> tuple[int, list]:
-    """Integer rows (or None) over q, with the factor that q shares with
-    every numerator divided out: q becomes the least common denominator of
-    the values, the least common multiple of their reduced denominators."""
-    g = math.gcd(q, *(a for row in rows if row for a in row)) if q > 1 else 1
-    if g == 1:
-        return q, rows
-    return q // g, [tuple([a // g for a in row]) if row else None for row in rows]
-
-
-def _format_over(numerators: Sequence[int], q: int) -> list[str]:
-    """Each a/q in lowest terms, as ``str(Fraction(a, q))`` prints it."""
-    if q == 1:
-        return _each_once(str, numerators)
-
-    def spell(a: int) -> str:
-        g = math.gcd(a, q)
-        return str(a // g) if g == q else f"{a // g}/{q // g}"
-
-    return _each_once(spell, numerators)
-
-
-def _each_once(convert, values: Sequence) -> list:
-    """``list(map(convert, values))``, with ``convert`` called once per
-    distinct value when some value repeats. Values that compare equal must
-    convert alike, as ints and strings do (floats do not: 0.0 == -0.0)."""
-    distinct = set(values)
-    if len(distinct) == len(values):  # a table would cost more than it saves
-        return list(map(convert, values))
-    return list(map(dict(zip(distinct, map(convert, distinct))).__getitem__, values))
 
 
 # indentation of the fields of the cloud, of a level and of a point in the
@@ -567,12 +535,11 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     differences = []
     max_entry = Fraction(0)
     for d in plan.family:
-        numerators, q = d._numerators()
         at = [d._index[v] for v in order]
-        rows = [[numerators[i][j] for j in at] for i in at]
+        rows = [[d._num[i][j] for j in at] for i in at]
         to_root = [row[root] for row in rows]
-        differences.append(_in_lowest_terms(q, [list(map(operator.sub, row, to_root)) for row in rows]))
-        max_entry = max(max_entry, Fraction(max(map(max, rows)), q))
+        differences.append(_in_lowest_terms(d._q, [list(map(operator.sub, row, to_root)) for row in rows]))
+        max_entry = max(max_entry, Fraction(max(map(max, rows)), d._q))
     levels = []
     for n in range(1, plan.depth + 1):
         r = plan.rule.value(n)

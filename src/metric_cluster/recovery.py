@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graph_core import GraphError, WeightedRootedGraph, is_dominating
+from .graph_core import GraphError, WeightedRootedGraph, _over_lcm, is_dominating
 from .metrization import Metrizability, check_metrizable
 from .fpc import clique_bound_check
 from .realization import LeveledPointCloud, sup_distance
@@ -145,16 +145,12 @@ def recover_cluster(
 
         zero = 0
         # values are ints over U and a window sum S has mean S / (window U);
-        # with t_rel = rel / den and t_abs = ab / den, every test below is one
+        # with tol_rel = rel / den and tol_abs = ab / den, every test below is one
         # integer cross-multiplication
-        t_rel = Fraction(tol_rel)
-        t_abs = Fraction(tol_abs)
-        den = math.lcm(t_rel.denominator, t_abs.denominator)
-        rel = t_rel.numerator * (den // t_rel.denominator)
-        ab = t_abs.numerator * (den // t_abs.denominator)
+        den, (rel, ab) = _over_lcm([Fraction(tol_rel), Fraction(tol_abs)])
 
         def identification(scale):
-            # E = t_abs + t_rel * scale as an int over den U, and the largest
+            # E = tol_abs + tol_rel * scale as an int over den U, and the largest
             # value over U within it
             eq_thresh = ab * common + rel * scale
             return eq_thresh, eq_thresh // den
@@ -509,6 +505,11 @@ def spread_functional(points: Sequence[Sequence[float]], basepoint: Sequence[flo
     if n < 2:
         raise GraphError("the spread functional needs at least 2 points")
     base = tuple(float(c) for c in basepoint)
+    # sup_distance zips coordinates: a short point would be cut silently
+    if any(len(p) != len(base) for p in pts):
+        raise GraphError(f"every point needs {len(base)} coordinates, as the basepoint has")
+    if not all(math.isfinite(c) for p in (base, *pts) for c in p):
+        raise GraphError("the spread functional needs finite coordinates")
     base_dists = [sup_distance(p, base) for p in pts]
     top = max(base_dists)
     if top == 0:

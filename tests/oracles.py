@@ -146,6 +146,18 @@ def shortest_paths_by_fractions(g: WeightedRootedGraph) -> list[list[Fraction]]:
     return d
 
 
+def minor_arc_rows_by_fractions(cycle: Cycle) -> list[list[Fraction]]:
+    """Minor-arc distances between the vertices of a cycle laid around a
+    circle of its total length, by Fractions, rows and columns in sorted
+    vertex order."""
+    at, total = {}, Fraction(0)
+    for v, w in zip(cycle.vertices, cycle.weights):
+        at[v] = total
+        total += w
+    verts = sorted(at)
+    return [[min(abs(at[u] - at[v]), total - abs(at[u] - at[v])) for v in verts] for u in verts]
+
+
 def least_interval_width(g: WeightedRootedGraph) -> Fraction:
     """The least width hi - lo of an admissible interval over the non-edges
     of a metrizable graph with at least one: for a non-edge (u, v), hi is

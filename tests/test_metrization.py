@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -28,6 +29,7 @@ from oracles import (
     least_interval_width,
     metric_agrees_with_weights,
     metrizability_by_cycles,
+    minor_arc_rows_by_fractions,
     random_connected_graph,
     random_metrizable_graph,
     random_rational,
@@ -69,15 +71,45 @@ TIGHT4 = graph(
 
 
 def test_distance_matrix_validation():
-    with pytest.raises(GraphError):
-        DistanceMatrix(["a", "b"], [["0", "1"], ["2", "0"]])  # asymmetric
-    with pytest.raises(GraphError):
-        DistanceMatrix(["a", "b"], [["1", "1"], ["1", "0"]])  # nonzero diagonal
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="asymmetry"):
+        DistanceMatrix(["a", "b"], [["0", "1"], ["2", "0"]])
+    with pytest.raises(GraphError, match="nonzero diagonal"):
+        DistanceMatrix(["a", "b"], [["1", "1"], ["1", "0"]])
+    with pytest.raises(GraphError, match="triangle inequality fails"):
         DistanceMatrix(
             ["a", "b", "c"],
             [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]],
-        )  # triangle violation
+        )
+    with pytest.raises(GraphError, match="negative distance"):
+        DistanceMatrix(["a", "b"], [["0", "-1/2"], ["-0.5", "0"]])
+    # entries over 2, 4 and 5 are compared over their common denominator 20
+    with pytest.raises(GraphError, match="triangle inequality fails"):
+        DistanceMatrix(["a", "b", "c"], [["0", "1/2", "4/5"], ["1/2", "0", "0.25"], ["0.8", "0.25", "0"]])
+    tight = DistanceMatrix(["a", "b", "c"], [["0", "1/2", "3/4"], ["1/2", "0", "0.25"], ["0.75", "0.25", "0"]])
+    assert tight.get("a", "c") == tight.get("a", "b") + tight.get("b", "c")
+
+
+def test_distance_matrix_holds_integers_over_its_least_common_denominator():
+    vertices = ["a", "b", "c"]
+    fractions = [
+        [Fraction(0), Fraction(1, 2), Fraction(5, 6)],
+        [Fraction(1, 2), Fraction(0), Fraction(1, 3)],
+        [Fraction(5, 6), Fraction(1, 3), Fraction(0)],
+    ]
+    parsed = DistanceMatrix(vertices, fractions)
+    # the same values over 36, six times their least common denominator
+    unreduced = DistanceMatrix._from_numerators(vertices, [[int(x * 36) for x in row] for row in fractions], 36)
+    assert parsed == unreduced
+    assert parsed.to_json() == unreduced.to_json()
+    assert json.loads(unreduced.to_json())["matrix"][0] == ["0", "1/2", "5/6"]
+    for d in (parsed, unreduced):
+        # no attribute holds a Fraction: one int denominator, rows of int numerators
+        assert d._q == 6 and all(type(a) is int for row in d._num for a in row)
+        handed_out = [x for row in d.rows for x in row] + [d.get(u, v) for u in vertices for v in vertices]
+        assert all(type(x) is Fraction for x in handed_out)
+        assert [(x.numerator, x.denominator) for x in d.rows[0]] == [(0, 1), (1, 2), (5, 6)]
+        assert (d.get("b", "c").numerator, d.get("b", "c").denominator) == (1, 3)
+    assert unreduced.rows == fractions
 
 
 def test_distance_matrix_metric_flag_and_json():
@@ -484,6 +516,30 @@ def test_strict_triangle_rejected_by_line():
     with pytest.raises(GraphError) as err:
         embed_tight_cycle_on_line(c)
     assert "circle" in str(err.value)
+
+
+def test_embeddings_match_fraction_distances_on_mixed_denominators():
+    rng = random.Random(61)
+    checked = 0
+    for n in range(3, 9):
+        for _ in range(8):
+            arc = [Fraction(rng.randint(1, 40), rng.choice((1, 2, 3, 7, 11, 13))) for _ in range(n - 1)]
+            closing = sum(arc) if rng.random() < 0.5 else sum(arc) - Fraction(1, rng.choice((5, 6, 9)))
+            c = Cycle(tuple(rng.sample("abcdefghij", n)), tuple(arc) + (closing,))
+            if closing <= 0 or not c.satisfies_cycle_inequality():
+                continue
+            positions, circle = embed_cycle_on_circle(c)
+            assert list(positions.values()) == [sum(c.weights[:i], Fraction(0)) for i in range(n)]
+            assert circle.vertices == tuple(sorted(c.vertices))
+            assert circle.rows == minor_arc_rows_by_fractions(c)
+            if c.is_tight():
+                coords = embed_tight_cycle_on_line(c)
+                line = line_distance_matrix(coords)
+                verts = sorted(coords)
+                assert line.rows == [[abs(coords[u] - coords[v]) for v in verts] for u in verts]
+                assert line == circle
+            checked += 1
+    assert checked > 30
 
 
 def test_circle_and_line_embeddings_isometric_on_tight_cycles():

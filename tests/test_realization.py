@@ -73,6 +73,9 @@ def test_power_square_rule():
     for base in (1, 0, -2):  # scales that do not tend to infinity
         with pytest.raises(GraphError, match="base"):
             ScalingRule("power_square", base)
+    for base in (2.5, 2.0, True):  # no integer base: refused before any cloud is built
+        with pytest.raises(GraphError, match="base"):
+            ScalingRule("power_square", base)
 
 
 def test_unknown_rule_rejected():

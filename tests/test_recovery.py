@@ -515,6 +515,11 @@ def test_spread_functional_conventions():
     assert spread_functional([(1.0,), (2.0,)], p) == pytest.approx(0.25)
     with pytest.raises(GraphError):
         spread_functional([(1.0,)], p)
+    # zip would drop the missing coordinate; NaN would come back as the value
+    with pytest.raises(GraphError, match="2 coordinates"):
+        spread_functional([(1.0, 5.0), (2.0,)], (0.0, 0.0))
+    with pytest.raises(GraphError, match="finite"):
+        spread_functional([(math.nan,), (1.0,)], p)
 
 
 def test_spread_functional_on_cloud_levels():
