@@ -91,14 +91,14 @@ class FpcCertificate:
 def root_labeling(g: WeightedRootedGraph) -> RootLabeling:
     """Labels each vertex by its root-edge weight (0 at the root itself)."""
     values = _root_labels(g)
-    collision = _label_collision(values)
+    collision = _label_collision({v: values[v] for v in sorted(values)})
     return RootLabeling(values, injective=collision is None, collision=collision)
 
 
 def _label_collision(values: dict[str, Fraction]) -> Optional[tuple[str, str]]:
+    """(u, v): v is the first vertex in dict order with the value of an earlier one, u."""
     seen: dict[Fraction, str] = {}
-    for v in sorted(values):
-        w = values[v]
+    for v, w in values.items():
         if w in seen:
             return (seen[w], v)
         seen[w] = v
@@ -146,12 +146,12 @@ def _certify(
     # forced distance closes a tight cycle through the pair
     delta = None
     for mu, nu in g.non_edges():
-        lo, hi, edge = _interval(sg, mu, nu)
+        lo, hi = _interval(sg, mu, nu)
         if lo == hi:
             return FpcCertificate(
                 False,
                 FAIL_TIGHT_CYCLE_NOT_CLIQUE,
-                witness_cycle=_tight_cycle(g, sg, mu, nu, edge),
+                witness_cycle=_tight_cycle(g, sg, mu, nu, lo),
                 witness_pair=(mu, nu),
             ), None, None
         delta = hi - lo if delta is None else min(delta, hi - lo)
@@ -227,21 +227,14 @@ def graph_from_metric_space(d: DistanceMatrix, basepoint: str) -> WeightedRooted
         raise GraphError(f"{basepoint!r} is not a point of the metric space")
     if not d.is_metric:
         raise GraphError("input must be a metric (strictly positive off-diagonal)")
-    dist_from_base: dict[str, Fraction] = {}
-    for v in d.vertices:
-        if v == basepoint:
-            continue
-        val = d.get(basepoint, v)
-        for u, prior in dist_from_base.items():
-            if prior == val:
-                raise GraphError(
-                    f"distances from {basepoint!r} collide: "
-                    f"d({basepoint!r},{u!r}) == d({basepoint!r},{v!r}) == {val}"
-                )
-        dist_from_base[v] = val
-    weights = {
-        (u, v): d.get(u, v) for u, v in combinations(sorted(d.vertices), 2)
-    }
+    collision = _label_collision({v: d.get(basepoint, v) for v in d.vertices if v != basepoint})
+    if collision is not None:
+        u, v = collision
+        raise GraphError(
+            f"distances from {basepoint!r} collide: "
+            f"d({basepoint!r},{u!r}) == d({basepoint!r},{v!r}) == {d.get(basepoint, v)}"
+        )
+    weights = {(u, v): d.get(u, v) for u, v in combinations(sorted(d.vertices), 2)}
     return WeightedRootedGraph(d.vertices, weights, basepoint)
 
 

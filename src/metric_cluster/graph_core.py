@@ -464,14 +464,11 @@ def _root_labels(g: WeightedRootedGraph) -> dict[str, Fraction]:
 
     GraphError names a vertex the root misses unless the root is dominating.
     """
-    if not is_dominating(g, g.root):
-        missing = _undominated_vertex(g)
+    missing = _undominated_vertex(g)
+    if missing is not None:
         raise GraphError(f"root {g.root!r} is not dominating: no edge to {missing!r}")
-    labels = {g.root: Fraction(0)}
-    for v in g.vertices:
-        if v != g.root:
-            labels[v] = g.weight(g.root, v)
-    return labels
+    # the root first: isomorphic() hands out its candidate mapping in this order
+    return {g.root: Fraction(0), **{v: g.weight(g.root, v) for v in g.vertices if v != g.root}}
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import heapq
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -194,7 +195,8 @@ class _ScaledGraph:
 
     ``edges`` lists (i, j, scale * w(ij)) in sorted edge order, i < j;
     ``row(i)`` is the scaled shortest-path distances from vertex i, run on
-    first use.
+    first use; ``slack(i)`` holds, for each vertex b, the largest
+    w(ab) - d(i, a) over the edges ab at b, built from ``row(i)`` on first use.
     """
 
     def __init__(self, g: WeightedRootedGraph):
@@ -206,11 +208,27 @@ class _ScaledGraph:
         self.edges = [(self.index[u], self.index[v], w) for (u, v), w in zip(pairs, scaled)]
         self.adj = _adjacency(len(self.vertices), self.edges)
         self._rows: list[Optional[list[int]]] = [None] * len(self.vertices)
+        self._slacks: list[Optional[list[int]]] = [None] * len(self.vertices)
 
     def row(self, i: int) -> list[int]:
         if self._rows[i] is None:
             self._rows[i] = _dijkstra(self.adj, i)[0]
         return self._rows[i]
+
+    def slack(self, i: int) -> list[int]:
+        if self._slacks[i] is None:
+            d = self.row(i)
+            # no slack is below -max(d), and in a connected graph each vertex has an edge
+            s = [-max(d)] * len(d)
+            for a, b, w in self.edges:
+                x = w - d[a]
+                if x > s[b]:
+                    s[b] = x
+                x = w - d[b]
+                if x > s[a]:
+                    s[a] = x
+            self._slacks[i] = s
+        return self._slacks[i]
 
     @property
     def rows(self) -> list[list[int]]:
@@ -333,38 +351,40 @@ def require_metrizable(g: WeightedRootedGraph) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _interval(sg: _ScaledGraph, mu: str, nu: str) -> tuple[int, int, Optional[tuple[int, int]]]:
-    """Scaled admissible interval (lo, hi) of a non-edge of a metrizable
-    graph, and the oriented edge (a, b), as vertex indices, whose slack sets
-    a positive lower end.
+def _interval(sg: _ScaledGraph, mu: str, nu: str) -> tuple[int, int]:
+    """Scaled admissible interval (lo, hi) of a non-edge of a metrizable graph.
 
     The upper end is d(mu, nu). The lower end is the largest slack
     w(ab) - d(mu, a) - d(b, nu) over edges ab in both orientations, or 0:
     the triangle inequality along mu..a, ab, b..nu makes it necessary, and
     when it is positive the three pieces form a simple path (a shared vertex
     would give a route from a to b shorter than the edge ab), so it is attained.
+    Grouped by b, it is the max-plus product max_b [slack(mu)[b] - d(b, nu)].
     """
-    i, j = sg.index[mu], sg.index[nu]
-    from_mu, from_nu = sg.row(i), sg.row(j)
-    lo, edge = 0, None
+    from_nu = sg.row(sg.index[nu])
+    lo = max(0, max(map(operator.sub, sg.slack(sg.index[mu]), from_nu)))
+    return lo, from_nu[sg.index[mu]]
+
+
+def _pinning_edge(sg: _ScaledGraph, mu: str, nu: str, lo: int) -> tuple[int, int]:
+    """The first oriented edge (a, b), as vertex indices in sorted edge
+    order, whose slack w(ab) - d(mu, a) - d(b, nu) is the lower end lo > 0."""
+    from_mu, from_nu = sg.row(sg.index[mu]), sg.row(sg.index[nu])
     for a, b, w in sg.edges:
-        slack = w - from_mu[a] - from_nu[b]
-        if slack > lo:
-            lo, edge = slack, (a, b)
-        slack = w - from_mu[b] - from_nu[a]
-        if slack > lo:
-            lo, edge = slack, (b, a)
-    return lo, from_mu[j], edge
+        if w - from_mu[a] - from_nu[b] == lo:
+            return a, b
+        if w - from_mu[b] - from_nu[a] == lo:
+            return b, a
 
 
-def _tight_cycle(g: WeightedRootedGraph, sg: _ScaledGraph, mu: str, nu: str, edge) -> Cycle:
+def _tight_cycle(g: WeightedRootedGraph, sg: _ScaledGraph, mu: str, nu: str, lo: int) -> Cycle:
     """The cycle a..mu..nu..b closed by the edge (a, b) that pins the
-    degenerate interval of (mu, nu), built from three shortest paths.
+    degenerate interval [lo, lo] of (mu, nu), built from three shortest paths.
 
     It is tight because w(ab) = d(a, mu) + d(mu, nu) + d(nu, b), and simple
     on positive weights by the argument in ``_interval``.
     """
-    a, b = edge
+    a, b = _pinning_edge(sg, mu, nu, lo)
     i, j = sg.index[mu], sg.index[nu]
     from_mu = _dijkstra(sg.adj, i)[1]
     from_nu = _dijkstra(sg.adj, j)[1]
@@ -378,7 +398,7 @@ def _admissible(g: WeightedRootedGraph, mu: str, nu: str) -> tuple[_ScaledGraph,
         raise GraphError(f"{mu!r} and {nu!r} must both be vertices of the graph")
     if g.has_edge(mu, nu):
         raise GraphError(f"{mu!r} and {nu!r} are adjacent; interval applies to non-edges")
-    lo, hi, _ = _interval(sg, mu, nu)
+    lo, hi = _interval(sg, mu, nu)
     return sg, IntervalQ(Fraction(lo, sg.scale), Fraction(hi, sg.scale))
 
 
@@ -419,7 +439,7 @@ def _forced_distances(g: WeightedRootedGraph) -> list[tuple[tuple[str, str], Fra
     sg = _metrizable(g)
     forced = []
     for u, v in g.non_edges():
-        lo, hi, _ = _interval(sg, u, v)
+        lo, hi = _interval(sg, u, v)
         if lo == hi:
             forced.append(((u, v), Fraction(hi, sg.scale)))
     return forced

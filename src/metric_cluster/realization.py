@@ -587,7 +587,7 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
     or far above the scale r_n, so all normalized distances collapse to zero
     and the recovered cluster is the one-vertex graph.
     """
-    if base < 2:
+    if type(base) is not int or base < 2:  # a bool is no base, as in ScalingRule
         raise GraphError("base must be an integer >= 2")
     if depth < 2:
         raise GraphError("depth must be at least 2")

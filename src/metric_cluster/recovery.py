@@ -19,11 +19,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, _over_lcm, is_dominating
-from .metrization import Metrizability, check_metrizable
-from .fpc import clique_bound_check
+from .metrization import _interval, _pinning_edge, _ScaledGraph
 from .realization import LeveledPointCloud, sup_distance
 
 DEFAULT_TOL_REL = 1e-6
@@ -90,12 +90,7 @@ def recover_cluster(
     """
     if not cloud.levels:
         raise GraphError("empty cloud")
-    # exact recovery turns the tolerances into rationals, which NaN and the
-    # infinities have none of; a negative tolerance would identify nothing
-    if not (0 <= tol_rel < math.inf and 0 <= tol_abs < math.inf):
-        raise GraphError(
-            f"tolerances must be finite and non-negative, got {tol_rel!r} and {tol_abs!r}"
-        )
+    _check_tolerances(tol_rel, tol_abs)
     labels = cloud.labels()
     if any(lbl is None for lbl in labels):
         raise GraphError("cloud has unlabeled points; recovery needs sequences")
@@ -185,11 +180,9 @@ def recover_cluster(
             return dist / r
 
         zero = 0.0
-        t_rel = tol_rel
-        t_abs = tol_abs
 
         def identification(scale):
-            eq_thresh = t_abs + t_rel * scale
+            eq_thresh = tol_abs + tol_rel * scale
             return eq_thresh, eq_thresh
 
         def half(v):
@@ -199,7 +192,7 @@ def recover_cluster(
             return total / window > 3 * eq_thresh
 
         def stable(spread, total):
-            return spread <= t_abs + t_rel * (total / window)
+            return spread <= tol_abs + tol_rel * (total / window)
 
         def as_float(x, count=1):
             return x / count
@@ -354,17 +347,12 @@ def recover_cluster(
             if adjacent:
                 edges[(name_a, name_b)] = mean_fraction(total)
 
-    rho0: dict[str, Fraction] = {}
-    for name, rep, _ in kept:
-        if rep is _BASE:
-            rho0[name] = Fraction(0)
-        else:
-            rho0[name] = mean_fraction(sum(values[_BASE, rep]))
-
-    graph = WeightedRootedGraph([name for name, _, _ in kept], edges, root_name)
-    classes = {
-        name: tuple(members) if members else (name,) for name, _, members in kept
+    rho0 = {
+        name: Fraction(0) if rep is _BASE else mean_fraction(sum(values[_BASE, rep]))
+        for name, rep, _ in kept
     }
+    graph = WeightedRootedGraph([name for name, _, _ in kept], edges, root_name)
+    classes = {name: tuple(members) or (name,) for name, _, members in kept}
     return RecoveredCluster(
         graph=graph,
         rho0=rho0,
@@ -382,52 +370,64 @@ def recover_cluster(
 # ---------------------------------------------------------------------------
 
 
+def _check_tolerances(tol_rel: float, tol_abs: float) -> None:
+    """GraphError unless the tolerances are finite, as the exact decisions need, and >= 0."""
+    if not (0 <= tol_rel < math.inf and 0 <= tol_abs < math.inf):
+        raise GraphError(f"tolerances must be finite and non-negative, got {tol_rel!r} and {tol_abs!r}")
+
+
 def validate_recovered_cluster(
     rc: RecoveredCluster,
     tol_rel: float = DEFAULT_TOL_REL,
     tol_abs: float = DEFAULT_TOL_ABS,
 ) -> list[str]:
-    """Check the structural invariants every true cluster satisfies.
-
-    Returns a list of violation descriptions (empty means all hold): the root
-    dominates, the graph is metrizable (up to float tolerance when weights
-    came from binary64 data), the maximal-clique bound holds, and the
-    root-distance values are pairwise distinct beyond tolerance.
+    """The violations (none when all hold) of ``certify_fpc``'s three conditions,
+    where a gap within tol_abs + tol_rel * size counts as zero: (i) the root
+    dominates and the ``rho0`` values are distinct; (ii) every edge ab has
+    w(ab) = d(a, b), the shortest-path distance; once (ii) holds, (iii) no
+    non-edge has a degenerate admissible interval, reported with the edge that
+    pins its lower end. Decided on certification's integer rows, so at zero
+    tolerances on exact weights, with ``rho0`` the root-edge weights, this
+    returns [] exactly when ``certify_fpc`` passes. No clique is counted: every
+    graph meets the extremal bound on maximal cliques.
     """
+    _check_tolerances(tol_rel, tol_abs)
+    den, (rel, ab) = _over_lcm([Fraction(tol_rel), Fraction(tol_abs)])
+
+    def negligible(gap, size, q):
+        # gap / q <= tol_abs + tol_rel * size / q, on integers
+        return gap * den <= ab * q + rel * size
+
     problems: list[str] = []
     g = rc.graph
     if not is_dominating(g, g.root):
         problems.append(f"root {g.root!r} is not dominating")
+    q, labels = _over_lcm(list(rc.rho0.values()))
+    problems += [
+        f"root-distance values of {u!r} and {v!r} are not distinct beyond tolerance"
+        for (u, a), (v, b) in combinations(sorted(zip(rc.rho0, labels)), 2)
+        if negligible(abs(a - b), max(abs(a), abs(b)), q)
+    ]
 
-    verdict = check_metrizable(g)
-    if verdict.classification is Metrizability.NOT_PSEUDOMETRIZABLE:
-        c = verdict.witness_cycle
-        violation = float(2 * c.max_weight() - c.total_weight())
-        scale = float(c.total_weight())
-        if violation > tol_abs + tol_rel * scale:
+    sg = _ScaledGraph(g)
+    vs, scale = sg.vertices, sg.scale
+    heavy = [
+        f"cycle inequality fails: edge {vs[a]!r}-{vs[b]!r} of weight {w / scale:.6g} "
+        f"exceeds their distance by {(w - sg.row(a)[b]) / scale:.3g}"
+        for a, b, w in sg.edges
+        if not negligible(w - sg.row(a)[b], w, scale)
+    ]
+    if heavy:
+        return problems + heavy
+    for mu, nu in g.non_edges():
+        lo, hi = _interval(sg, mu, nu)
+        if negligible(hi - lo, hi, scale):
+            edge = lo and _pinning_edge(sg, mu, nu, lo)  # a zero lower end has none
+            pin = f", pinned by edge {vs[edge[0]]!r}-{vs[edge[1]]!r}" if edge else ""
             problems.append(
-                f"not metrizable: cycle {c.vertices} violates by {violation:.3g}"
+                f"near-tight cycle: non-edge {mu!r}-{nu!r} has admissible interval "
+                f"[{lo / scale:.6g}, {hi / scale:.6g}] of width {(hi - lo) / scale:.3g}{pin}"
             )
-    elif verdict.classification is Metrizability.PSEUDOMETRIZABLE_ONLY:
-        problems.append(f"zero-weight edge {verdict.zero_weight_edge}")
-
-    try:
-        report = clique_bound_check(g)
-        if not report.holds:
-            problems.append(
-                f"maximal clique count {report.clique_count} exceeds bound {report.bound}"
-            )
-    except GraphError as exc:
-        problems.append(f"clique bound not checkable: {exc}")
-
-    names = sorted(rc.rho0)
-    for i, u in enumerate(names):
-        for v in names[i + 1 :]:
-            a, bb = float(rc.rho0[u]), float(rc.rho0[v])
-            if abs(a - bb) <= tol_abs + tol_rel * max(abs(a), abs(bb)):
-                problems.append(
-                    f"root-distance values of {u!r} and {v!r} are not distinct beyond tolerance"
-                )
     return problems
 
 
@@ -514,10 +514,7 @@ def spread_functional(points: Sequence[Sequence[float]], basepoint: Sequence[flo
     top = max(base_dists)
     if top == 0:
         return 0.0
-    product = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            product *= sup_distance(pts[i], pts[j])
+    product = math.prod(sup_distance(a, bb) for a, bb in combinations(pts, 2))
     return min(base_dists) * product / top ** (n * (n - 1) // 2 + 1)
 
 
@@ -541,13 +538,6 @@ def annulus_diameter_table(
         if not (math.isfinite(r) and r > 0):
             raise GraphError(f"radii must be finite and positive, got {r}")
         members = [p for p, nrm in zip(pts, norms) if r / k <= nrm <= r * k]
-        if len(members) < 2:
-            diam = 0.0
-        else:
-            diam = max(
-                sup_distance(a, bb)
-                for i, a in enumerate(members)
-                for bb in members[i + 1 :]
-            )
+        diam = max((sup_distance(a, bb) for a, bb in combinations(members, 2)), default=0.0)
         table.append({"r": float(r), "value": diam / r, "points": len(members)})
     return table

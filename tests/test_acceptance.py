@@ -369,8 +369,8 @@ def test_criterion_09_recovered_cluster_invariants():
     assert not failures, f"invariant violations: {failures}"
     report(
         9,
-        f"dominating root, metrizability, clique bound and distinct root "
-        f"labels hold on all {len(recoveries)} recoveries",
+        f"dominating root, distinct root labels, the cycle inequality and no "
+        f"near-forced non-edge hold on all {len(recoveries)} recoveries",
     )
 
 

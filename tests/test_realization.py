@@ -567,3 +567,10 @@ def test_single_point_guards():
         single_point_space(depth=5, base=1)
     with pytest.raises(GraphError):
         single_point_space(depth=40, base=2)  # overflow
+
+
+def test_single_point_space_refuses_a_base_that_is_not_an_int():
+    # a float base used to build a float shadow where a cloud holds int numerators
+    for base in (2.5, True):
+        with pytest.raises(GraphError, match="base"):
+            single_point_space(3, base)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from metric_cluster import fpc, graph_core
 from metric_cluster.graph_core import (
     GraphError,
     WeightedRootedGraph,
@@ -12,7 +13,12 @@ from metric_cluster.graph_core import (
     is_weight_preserving_monomorphism,
     isomorphic,
 )
-from metric_cluster.fpc import synthesize_weights
+from metric_cluster.fpc import (
+    FAIL_CYCLE_INEQUALITY,
+    FAIL_TIGHT_CYCLE_NOT_CLIQUE,
+    certify_fpc,
+    synthesize_weights,
+)
 from metric_cluster.realization import (
     CloudLevel,
     CloudPoint,
@@ -24,6 +30,7 @@ from metric_cluster.realization import (
     single_point_space,
 )
 from metric_cluster.recovery import (
+    RecoveredCluster,
     alternating_period_indices,
     annulus_diameter_table,
     period_stride_indices,
@@ -34,11 +41,14 @@ from metric_cluster.recovery import (
 )
 
 from oracles import (
+    certifies_by_cycles,
     dominating_rooted_shapes,
     level_from_fractions,
     normalized_values_by_fractions,
     random_dominating_shape,
+    random_rational,
     recover_by_fractions,
+    rooted_extremal_cluster,
 )
 
 
@@ -340,6 +350,77 @@ def test_round_trip_with_tight_cycles_tolerates_float_noise():
     assert validate_recovered_cluster(rc) == []
     assert isomorphic(g, rc.graph, weighted=True, weight_tol_rel=Fraction(1, 10**9))
     assert recover_cluster(cloud, use_exact=True).graph == g
+
+
+def hand_recovery(g: WeightedRootedGraph) -> RecoveredCluster:
+    """g as a recovery would hand it out, with its root-edge weights as rho0."""
+    rho0 = {v: Fraction(0) if v == g.root else g.weight(g.root, v) for v in g.vertices}
+    return RecoveredCluster(g, rho0, {v: (v,) for v in g.vertices}, {}, [], [], [], window=2)
+
+
+EPS = Fraction(1, 10**12)
+
+
+def two_triangles(ab) -> RecoveredCluster:
+    edges = {("r", "a"): 1, ("r", "b"): 2, ("a", "b"): ab, ("r", "c"): 4, ("r", "d"): 5, ("c", "d"): 100}
+    return hand_recovery(graph(["r", "a", "b", "c", "d"], edges, "r"))
+
+
+def test_validation_reports_every_edge_beyond_its_distance():
+    # a-b exceeds d(a, b) = 3 by 1e-12, within tolerance; c-d exceeds d(c, d) = 9 by 91
+    problems = validate_recovered_cluster(two_triangles(3 + EPS))
+    assert len(problems) == 1 and "edge 'c'-'d' of weight 100 exceeds their distance by 91" in problems[0]
+    # judged while c-d breaks the cycle inequality, the intervals of a-c, a-d,
+    # b-c and b-d would come out degenerate: (iii) waits for (ii)
+    assert validate_recovered_cluster(two_triangles(3)) == problems
+
+
+def test_validation_reports_a_non_edge_forced_within_tolerance():
+    # u-z has admissible interval [2 - 1e-12, 2], pinned by the root edge of z
+    g = graph(
+        ["r", "u", "x", "z"],
+        {("r", "u"): 1, ("r", "x"): 2, ("r", "z"): 3 - EPS, ("u", "x"): 1, ("x", "z"): 1},
+        "r",
+    )
+    assert certify_fpc(g).ok
+    problems = validate_recovered_cluster(hand_recovery(g))
+    assert len(problems) == 1
+    assert "non-edge 'u'-'z' has admissible interval [2, 2] of width 1e-12" in problems[0]
+    assert problems[0].endswith("pinned by edge 'r'-'z'")
+    assert validate_recovered_cluster(hand_recovery(g), tol_rel=0, tol_abs=0) == []
+
+
+def test_validation_at_zero_tolerance_is_certification():
+    # two random weightings per shape, and one by points on a line, which
+    # makes tight cycles
+    rng = random.Random(16)
+    outcomes = set()
+    for shape in dominating_rooted_shapes(5):
+        points = iter(rng.sample(range(1, 10), len(shape) - 1))
+        at = {v: 0 if v == shape.root else next(points) for v in shape.vertices}
+        weightings = [{e: random_rational(rng, 6, 2) for e in shape.edges()} for _ in range(2)]
+        weightings.append({(u, v): Fraction(abs(at[u] - at[v])) for u, v in shape.edges()})
+        for weights in weightings:
+            g = WeightedRootedGraph(shape.vertices, weights, shape.root)
+            problems = validate_recovered_cluster(hand_recovery(g), tol_rel=0, tol_abs=0)
+            assert (problems == []) == certifies_by_cycles(g), g.to_json()
+            outcomes.add(certify_fpc(g).failure)
+    # passes and every metric failure occur
+    assert {None, FAIL_TIGHT_CYCLE_NOT_CLIQUE, FAIL_CYCLE_INEQUALITY} <= outcomes
+
+
+def test_validation_enumerates_no_cliques(monkeypatch):
+    # a root and the complete 12-partite graph with parts of 3: it has 3**12
+    # maximal cliques, the most any graph on 36 vertices has
+    g = synthesize_weights(rooted_extremal_cluster(36))
+    rc = recover_cluster(realize(g, depth=12))
+
+    def refuse(*args):
+        raise AssertionError("maximal cliques enumerated")
+
+    for module in (graph_core, fpc):
+        monkeypatch.setattr(module, "maximal_cliques_of", refuse)
+    assert validate_recovered_cluster(rc) == []
 
 
 def test_single_point_cloud_recovers_one_vertex():
