@@ -57,7 +57,6 @@ from .realization import (
 )
 from .recovery import (
     RecoveredCluster,
-    SequenceTrace,
     alternating_period_indices,
     annulus_diameter_table,
     period_stride_indices,

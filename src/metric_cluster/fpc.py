@@ -136,7 +136,7 @@ def _certify(
         ), None, None
     # (ii): after (i) every zero weight closes a violating triangle, so the
     # graph is metrizable or the verdict carries a violating cycle
-    sg = _ScaledGraph(g)
+    sg = _ScaledGraph.of(g)
     verdict = _classify(g, sg)
     if not verdict.metrizable:
         return FpcCertificate(

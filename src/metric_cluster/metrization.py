@@ -21,6 +21,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .graph_core import Cycle, GraphError, WeightedRootedGraph, format_rational, parse_rational
@@ -188,32 +189,49 @@ class MetrizabilityVerdict:
 
 
 class _ScaledGraph:
-    """A connected graph on vertex indices (the order of ``g.vertices``) with
-    every weight multiplied by ``scale``, the least common multiple of the
-    weight denominators, so that sums and comparisons of weights and
-    distances are exact on Python ints.
+    """The shortest-path primitive: edges (i, j, w) on vertex indices (the
+    order of ``vertices``), each w an integer over ``scale``, so that sums and
+    comparisons of distances are exact on Python ints. ``of(g)`` scales a
+    connected graph's sorted edges, i < j, by the lcm of their denominators.
 
-    ``edges`` lists (i, j, scale * w(ij)) in sorted edge order, i < j;
-    ``row(i)`` is the scaled shortest-path distances from vertex i, run on
-    first use; ``slack(i)`` holds, for each vertex b, the largest
-    w(ab) - d(i, a) over the edges ab at b, built from ``row(i)`` on first use.
+    ``row(i)``, the distances from vertex i, runs on first use and keeps its
+    shortest-path tree, which ``path(i, j)`` walks; ``slack(i)`` holds, for
+    each vertex b, the largest w(ab) - d(i, a) over the edges ab at b.
     """
 
-    def __init__(self, g: WeightedRootedGraph):
+    def __init__(self, vertices, edges, scale: int):
+        self.vertices = vertices
+        self.index = {v: i for i, v in enumerate(vertices)}
+        self.edges = edges
+        self.scale = scale
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in vertices]
+        for i, j, w in edges:
+            self.adj[i].append((j, w))
+            self.adj[j].append((i, w))
+        self._runs: list[Optional[tuple[list, list]]] = [None] * len(vertices)  # (row, tree)
+        self._slacks: list[Optional[list[int]]] = [None] * len(vertices)
+
+    @classmethod
+    def of(cls, g: WeightedRootedGraph) -> "_ScaledGraph":
         g.require_connected()
-        self.vertices = g.vertices
-        self.index = {v: i for i, v in enumerate(g.vertices)}
+        index = {v: i for i, v in enumerate(g.vertices)}
         pairs = sorted(g.weights)
-        self.scale, scaled = _over_lcm([g.weights[e] for e in pairs])
-        self.edges = [(self.index[u], self.index[v], w) for (u, v), w in zip(pairs, scaled)]
-        self.adj = _adjacency(len(self.vertices), self.edges)
-        self._rows: list[Optional[list[int]]] = [None] * len(self.vertices)
-        self._slacks: list[Optional[list[int]]] = [None] * len(self.vertices)
+        scale, scaled = _over_lcm([g.weights[e] for e in pairs])
+        return cls(g.vertices, [(index[u], index[v], w) for (u, v), w in zip(pairs, scaled)], scale)
 
     def row(self, i: int) -> list[int]:
-        if self._rows[i] is None:
-            self._rows[i] = _dijkstra(self.adj, i)[0]
-        return self._rows[i]
+        if self._runs[i] is None:
+            self._runs[i] = _dijkstra(self.adj, i)
+        return self._runs[i][0]
+
+    def path(self, i: int, j: int) -> list[int]:
+        """The vertex indices of the i-j path in row i's shortest-path tree."""
+        self.row(i)
+        prev, path = self._runs[i][1], [j]
+        while path[-1] != i:
+            path.append(prev[path[-1]])
+        path.reverse()
+        return path
 
     def slack(self, i: int) -> list[int]:
         if self._slacks[i] is None:
@@ -230,33 +248,14 @@ class _ScaledGraph:
             self._slacks[i] = s
         return self._slacks[i]
 
-    @property
-    def rows(self) -> list[list[int]]:
-        return [self.row(i) for i in range(len(self.vertices))]
-
     def matrix(self) -> DistanceMatrix:
-        return DistanceMatrix._from_numerators(self.vertices, self.rows, self.scale)
-
-
-def _adjacency(n: int, edges) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, j, w in edges:
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-    return adj
-
-
-def _closure(n: int, edges) -> list[list[int]]:
-    """Integer shortest-path rows of the graph on vertex indices 0..n-1 with
-    the edges (i, j, w): one Dijkstra run per vertex."""
-    adj = _adjacency(n, edges)
-    return [_dijkstra(adj, i)[0] for i in range(n)]
+        rows = [self.row(i) for i in range(len(self.vertices))]
+        return DistanceMatrix._from_numerators(self.vertices, rows, self.scale)
 
 
 def _dijkstra(adj, source: int) -> tuple[list, list]:
     """Integer distances from source over an index adjacency list, and each
-    reached vertex's predecessor on one shortest path (the tree that
-    ``_path`` walks)."""
+    reached vertex's predecessor on one shortest path."""
     n = len(adj)
     dist: list = [None] * n
     prev: list = [None] * n
@@ -277,18 +276,9 @@ def _dijkstra(adj, source: int) -> tuple[list, list]:
     return dist, prev
 
 
-def _path(prev: list, source: int, target: int) -> list[int]:
-    """The source-target path of a shortest-path tree."""
-    path = [target]
-    while path[-1] != source:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
 def shortest_path_metric(g: WeightedRootedGraph) -> DistanceMatrix:
     """Exact all-pairs shortest-path pseudometric of a connected graph."""
-    return _ScaledGraph(g).matrix()
+    return _ScaledGraph.of(g).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +298,8 @@ def _classify(g: WeightedRootedGraph, sg: _ScaledGraph) -> MetrizabilityVerdict:
     """
     for i, j, w in sg.edges:
         if w > sg.row(i)[j]:
-            detours = _adjacency(len(sg.vertices), [e for e in sg.edges if e[:2] != (i, j)])
-            path = _path(_dijkstra(detours, i)[1], i, j)
-            cycle = Cycle.from_graph(g, [sg.vertices[k] for k in path])
+            detours = _ScaledGraph(sg.vertices, [e for e in sg.edges if e[:2] != (i, j)], sg.scale)
+            cycle = Cycle.from_graph(g, [sg.vertices[k] for k in detours.path(i, j)])
             # path closes with edge {i,j}; re-check the violation exactly
             assert not cycle.satisfies_cycle_inequality()
             return MetrizabilityVerdict(
@@ -329,12 +318,12 @@ def check_metrizable(g: WeightedRootedGraph) -> MetrizabilityVerdict:
     """Decide metrizability in polynomial time from the shortest-path metric,
     with a violating cycle as witness; a graph that is not metrizable stops
     at its first heavy edge without the Dijkstra rows after it."""
-    return _classify(g, _ScaledGraph(g))
+    return _classify(g, _ScaledGraph.of(g))
 
 
 def _metrizable(g: WeightedRootedGraph) -> _ScaledGraph:
     """g scaled to integers; GraphError unless g is metrizable."""
-    sg = _ScaledGraph(g)
+    sg = _ScaledGraph.of(g)
     verdict = _classify(g, sg)
     if not verdict.metrizable:
         raise GraphError(f"graph is not metrizable ({verdict.classification.value})")
@@ -379,16 +368,15 @@ def _pinning_edge(sg: _ScaledGraph, mu: str, nu: str, lo: int) -> tuple[int, int
 
 def _tight_cycle(g: WeightedRootedGraph, sg: _ScaledGraph, mu: str, nu: str, lo: int) -> Cycle:
     """The cycle a..mu..nu..b closed by the edge (a, b) that pins the
-    degenerate interval [lo, lo] of (mu, nu), built from three shortest paths.
+    degenerate interval [lo, lo] of (mu, nu), built from three shortest paths
+    in the trees of the rows ``_interval`` ran.
 
     It is tight because w(ab) = d(a, mu) + d(mu, nu) + d(nu, b), and simple
     on positive weights by the argument in ``_interval``.
     """
     a, b = _pinning_edge(sg, mu, nu, lo)
     i, j = sg.index[mu], sg.index[nu]
-    from_mu = _dijkstra(sg.adj, i)[1]
-    from_nu = _dijkstra(sg.adj, j)[1]
-    order = _path(from_mu, i, a)[::-1] + _path(from_mu, i, j)[1:] + _path(from_nu, j, b)[1:]
+    order = sg.path(i, a)[::-1] + sg.path(i, j)[1:] + sg.path(j, b)[1:]
     return Cycle.from_graph(g, [sg.vertices[k] for k in order])
 
 
@@ -431,7 +419,7 @@ def extend_metric(g: WeightedRootedGraph, mu: str, nu: str, t) -> DistanceMatrix
     q = t.denominator
     edges = [(i, j, q * w) for i, j, w in sg.edges]
     edges.append((sg.index[mu], sg.index[nu], t.numerator * sg.scale))
-    return DistanceMatrix._from_numerators(sg.vertices, _closure(len(sg.vertices), edges), q * sg.scale)
+    return _ScaledGraph(sg.vertices, edges, q * sg.scale).matrix()
 
 
 def _forced_distances(g: WeightedRootedGraph) -> list[tuple[tuple[str, str], Fraction]]:
@@ -467,7 +455,8 @@ def embed_cycle_on_circle(cycle: Cycle) -> tuple[dict[str, Fraction], DistanceMa
     """Place a metrizable weighted cycle on a circle of matching circumference.
 
     Positions are cumulative arc lengths along the cycle order; the returned
-    matrix is the minor-arc metric, which agrees with the edge weights.
+    matrix is the minor-arc metric, the shortest-path metric of the cycle,
+    which agrees with the edge weights.
     """
     if any(w <= 0 for w in cycle.weights):
         raise GraphError("circle embedding needs strictly positive weights")
@@ -476,23 +465,13 @@ def embed_cycle_on_circle(cycle: Cycle) -> tuple[dict[str, Fraction], DistanceMa
         raise GraphError(
             f"cycle is not metrizable: 2*{cycle.max_weight()} > {total}"
         )
-    # arc positions and minor arcs as integers over the lcm q of the weights
+    # arc positions and distances as integers over the lcm q of the weights
     q, scaled = _over_lcm(list(map(parse_rational, cycle.weights)))
-    at: dict[str, int] = {}
-    s = 0
-    for v, w in zip(cycle.vertices, scaled):
-        at[v] = s
-        s += w
     verts = sorted(cycle.vertices)
-    rows = []
-    for u in verts:
-        row = []
-        for v in verts:
-            gap = abs(at[u] - at[v])
-            row.append(min(gap, s - gap))
-        rows.append(row)
-    positions = {v: Fraction(a, q) for v, a in at.items()}
-    return positions, DistanceMatrix._from_numerators(verts, rows, q)
+    ring = [verts.index(v) for v in cycle.vertices]
+    edges = list(zip(ring, ring[1:] + ring[:1], scaled))
+    positions = {v: Fraction(a, q) for v, a in zip(cycle.vertices, accumulate(scaled, initial=0))}
+    return positions, _ScaledGraph(verts, edges, q).matrix()
 
 
 def embed_tight_cycle_on_line(cycle: Cycle) -> dict[str, Fraction]:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
 from .graph_core import _format_over, _in_lowest_terms, _over_lcm
-from .metrization import DistanceMatrix, _closure
+from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
 MAX_FLOAT_EXPONENT = 1023  # binary64 overflow guard for scaling values
@@ -502,7 +502,7 @@ def build_plan(
         for u, v in non_edges:
             i, j = sg.index[u], sg.index[v]
             edges.append((i, j, c * sg.row(i)[j] - delta))
-        lower = DistanceMatrix._from_numerators(sg.vertices, _closure(len(g), edges), c * sg.scale)
+        lower = _ScaledGraph(sg.vertices, edges, c * sg.scale).matrix()
         family = [lower, d]
         if depth < len(family):
             warnings.append(

@@ -15,8 +15,8 @@ tail minimum/maximum double as lower/upper limit estimates.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -33,26 +33,13 @@ _BASE = object()  # sentinel trace for the basepoint (origin at every level)
 
 
 @dataclass
-class SequenceTrace:
-    """Per-label normalized measurements over the analysis window.
-
-    ``base_values`` holds d(x_n, p)/r_n per analyzed level; ``pair_values``
-    holds d(x_n, y_n)/r_n against every other label.
-    """
-
-    label: str
-    base_values: list
-    pair_values: dict[str, list]
-
-
-@dataclass
 class RecoveredCluster:
-    """Recovered weighted rooted graph plus the evidence it was built from."""
+    """Recovered weighted rooted graph plus the evidence it was built from: the
+    pair diagnostics, the classes of merged labels, and the merge and drop logs."""
 
     graph: WeightedRootedGraph
     rho0: dict[str, Fraction]
     classes: dict[str, tuple[str, ...]]
-    traces: dict[str, SequenceTrace]
     diagnostics: list[dict]
     merge_log: list[str]
     warnings: list[str]
@@ -85,8 +72,8 @@ def recover_cluster(
     window is one integer over one common denominator U. Window sums, spreads
     and every threshold test are then integer arithmetic, with the tolerances
     put over one denominator; Fractions are built only for what is handed
-    out (the trace values, ``rho0`` and the edge weights), and they equal the
-    exact rationals d(x_n, y_n)/r_n and their tail means.
+    out (``rho0`` and the edge weights), and they equal the exact tail means
+    of d(x_n, y_n)/r_n.
     """
     if not cloud.levels:
         raise GraphError("empty cloud")
@@ -135,20 +122,11 @@ def recover_cluster(
         common = math.lcm(*scales)
         units = [lvl.r_exact.denominator * (common // s) for (lvl, _), s in zip(per_level, scales)]
 
-        def normalized(dist, factor):
-            return dist * factor
-
-        zero = 0
+        normalized = operator.mul
         # values are ints over U and a window sum S has mean S / (window U);
         # with tol_rel = rel / den and tol_abs = ab / den, every test below is one
         # integer cross-multiplication
         den, (rel, ab) = _over_lcm([Fraction(tol_rel), Fraction(tol_abs)])
-
-        def identification(scale):
-            # E = tol_abs + tol_rel * scale as an int over den U, and the largest
-            # value over U within it
-            eq_thresh = ab * common + rel * scale
-            return eq_thresh, eq_thresh // den
 
         def half(v):
             return v // 2  # an int is at most v / 2 exactly when at most v // 2
@@ -159,31 +137,14 @@ def recover_cluster(
         def stable(spread, total):
             return spread * den * window <= ab * window * common + rel * total
 
-        def as_float(x, count=1):
-            return x / (count * common)  # int / int rounds correctly, as float(Fraction) does
-
         def mean_fraction(total):
             return Fraction(total, window * common)
-
-        @functools.cache  # equal values hand out one Fraction
-        def as_value(v):
-            return Fraction(v, common)
-
-        def handed_out(vals):
-            return list(map(as_value, vals))
 
     else:
         rows = [{lbl: p.coords for lbl, p in pts.items()} for _, pts in per_level]
         units = [lvl.r for lvl, _ in per_level]
-
-        def normalized(dist, r):
-            return dist / r
-
-        zero = 0.0
-
-        def identification(scale):
-            eq_thresh = tol_abs + tol_rel * scale
-            return eq_thresh, eq_thresh
+        normalized = operator.truediv
+        common, rel, ab = 1, tol_rel, tol_abs
 
         def half(v):
             return v / 2
@@ -194,32 +155,29 @@ def recover_cluster(
         def stable(spread, total):
             return spread <= tol_abs + tol_rel * (total / window)
 
-        def as_float(x, count=1):
-            return x / count
-
         def mean_fraction(total):
             return Fraction(total / window)
 
-        def handed_out(vals):
-            return vals
+    def as_float(x, count=1):
+        return x / (count * common)  # int / int rounds correctly, as float(Fraction) does
 
-    # the basepoint is one more row, at the origin of every level
-    origin = (zero,) * cloud.dimension
+    # the basepoint is one more row, at the origin (x - 0 is x - 0.0 for a float x)
+    origin = (0,) * cloud.dimension
     for row in rows:
         row[_BASE] = origin
     all_traces = [_BASE] + list(labels)
     values: dict = {}
-    shown: dict = {}  # the values traces hand out, one list per pair for both orders
     for i, x in enumerate(all_traces):
         for y in all_traces[i + 1 :]:
-            values[x, y] = values[y, x] = vals = [
+            values[x, y] = values[y, x] = [
                 normalized(sup_distance(row[x], row[y]), unit) for row, unit in zip(rows, units)
             ]
-            shown[x, y] = shown[y, x] = handed_out(vals)
 
-    base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=zero)
-    # a value is identified with another when it is at most eq_bound
-    eq_thresh, eq_bound = identification(base_scale)
+    base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=0)
+    # E = tol_abs + tol_rel * base_scale (an int over den U when exact); a value
+    # is identified with another when it is at most eq_bound, the largest within E
+    eq_thresh = ab * common + rel * base_scale
+    eq_bound = eq_thresh // den if use_exact else eq_thresh
     # an overflowed value makes every tolerance infinite and merges everything;
     # the values are non-negative, so a finite window sum (the tail mean's)
     # means every value is finite too
@@ -233,10 +191,6 @@ def recover_cluster(
 
     merge_log: list[str] = []
     warnings: list[str] = []
-    traces = {
-        x: SequenceTrace(x, shown[_BASE, x], {y: shown[x, y] for y in labels if y != x})
-        for x in labels
-    }
 
     # --- which sequences vanish at the basepoint ---------------------------
     decayed: set = set()
@@ -357,7 +311,6 @@ def recover_cluster(
         graph=graph,
         rho0=rho0,
         classes=classes,
-        traces=traces,
         diagnostics=diagnostics,
         merge_log=merge_log,
         warnings=warnings,
@@ -408,8 +361,10 @@ def validate_recovered_cluster(
         for (u, a), (v, b) in combinations(sorted(zip(rc.rho0, labels)), 2)
         if negligible(abs(a - b), max(abs(a), abs(b)), q)
     ]
+    if not g.is_connected():
+        return problems  # a dominating root connects the graph: (i) has failed
 
-    sg = _ScaledGraph(g)
+    sg = _ScaledGraph.of(g)
     vs, scale = sg.vertices, sg.scale
     heavy = [
         f"cycle inequality fails: edge {vs[a]!r}-{vs[b]!r} of weight {w / scale:.6g} "

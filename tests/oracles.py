@@ -20,7 +20,7 @@ import networkx as nx
 from metric_cluster.graph_core import Cycle, GraphError, WeightedRootedGraph, parse_rational
 from metric_cluster.metrization import DistanceMatrix, IntervalQ, shortest_path_metric
 from metric_cluster.realization import CloudLevel, CloudPoint, LeveledPointCloud, sup_distance
-from metric_cluster.recovery import RecoveredCluster, SequenceTrace
+from metric_cluster.recovery import RecoveredCluster
 
 
 def enumerate_cycles(g: WeightedRootedGraph):
@@ -313,10 +313,6 @@ def recover_by_fractions(
 
     merge_log: list[str] = []
     warnings: list[str] = []
-    traces = {
-        x: SequenceTrace(x, values[_BASE, x], {y: values[x, y] for y in labels if y != x})
-        for x in labels
-    }
 
     # --- which sequences vanish at the basepoint ---------------------------
     decayed: set = set()
@@ -444,7 +440,6 @@ def recover_by_fractions(
         graph=graph,
         rho0=rho0,
         classes=classes,
-        traces=traces,
         diagnostics=diagnostics,
         merge_log=merge_log,
         warnings=warnings,

@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metric_cluster import metrization
+from metric_cluster.fpc import FAIL_TIGHT_CYCLE_NOT_CLIQUE, certify_fpc
 from metric_cluster.graph_core import Cycle, GraphError, WeightedRootedGraph
 from metric_cluster.metrization import (
     DistanceMatrix,
@@ -25,6 +27,7 @@ from metric_cluster.metrization import (
 )
 
 from oracles import (
+    collinear_k4,
     interval_by_paths,
     least_interval_width,
     metric_agrees_with_weights,
@@ -223,12 +226,55 @@ def test_early_exit_matches_full_matrix_verdict_and_witness():
     failing = 0
     for _ in range(120):
         g = random_weighted_graph(rng, rng.randint(3, 9))
-        full = _ScaledGraph(g)
-        full.rows  # every Dijkstra row run before the verdict
+        full = _ScaledGraph.of(g)
+        full.matrix()  # every Dijkstra row run before the verdict
         expected = _classify(g, full)
         assert check_metrizable(g) == expected
         failing += expected.classification is Metrizability.NOT_PSEUDOMETRIZABLE
     assert failing >= 60
+
+
+@pytest.fixture
+def dijkstra_runs(monkeypatch):
+    """Every Dijkstra run as (adjacency list, source); holding the lists
+    keeps their ids distinct."""
+    runs = []
+    run = metrization._dijkstra
+
+    def recording(adj, source):
+        runs.append((adj, source))
+        return run(adj, source)
+
+    monkeypatch.setattr(metrization, "_dijkstra", recording)
+    return runs
+
+
+def assert_no_source_runs_twice(runs):
+    sources = [(id(adj), source) for adj, source in runs]
+    assert len(set(sources)) == len(sources)
+
+
+def test_tight_cycle_witness_reuses_the_interval_rows(dijkstra_runs):
+    broken = collinear_k4(Fraction(1), Fraction(2), Fraction(3)).without_edge("u", "z")
+    cert = certify_fpc(broken)
+    assert cert.failure == FAIL_TIGHT_CYCLE_NOT_CLIQUE and cert.witness_pair == ("u", "z")
+    assert {source for _, source in dijkstra_runs} >= {broken.vertices.index(v) for v in "uz"}
+    assert_no_source_runs_twice(dijkstra_runs)
+
+
+def test_violating_cycle_takes_one_detour_search(dijkstra_runs):
+    rng = random.Random(43)
+    failing = 0
+    for _ in range(30):
+        dijkstra_runs.clear()
+        g = random_weighted_graph(rng, rng.randint(3, 8))
+        if check_metrizable(g).classification is not Metrizability.NOT_PSEUDOMETRIZABLE:
+            continue
+        failing += 1
+        detours = dijkstra_runs[-1][0]
+        assert sum(adj is detours for adj, _ in dijkstra_runs) == 1
+        assert_no_source_runs_twice(dijkstra_runs)
+    assert failing >= 10
 
 
 # ---------------------------------------------------------------------------

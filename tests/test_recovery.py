@@ -138,10 +138,24 @@ def test_exact_values_match_fraction_oracle(name):
     cloud, window = oracle_clouds()[name]
     rc = recover_cluster(cloud, use_exact=True, window=window)
     base, pairs = normalized_values_by_fractions(cloud, rc.window)
-    for x, trace in rc.traces.items():
-        assert trace.base_values == base[x]
-        for y, vals in trace.pair_values.items():
-            assert vals == pairs[min(x, y), max(x, y)]
+    root = rc.graph.root
+
+    def values(a, b):
+        # the root class is measured at the basepoint, every other class at its name
+        if root in (a, b):
+            return base[b if a == root else a]
+        return pairs[min(a, b), max(a, b)]
+
+    def mean(vals):
+        return sum(vals) / len(vals)
+
+    assert rc.rho0 == {x: Fraction(0) if x == root else mean(base[x]) for x in rc.graph.vertices}
+    assert rc.graph.weights == {e: mean(values(*e)) for e in rc.graph.weights}
+    assert len(rc.diagnostics) == len(rc.graph) * (len(rc.graph) - 1) // 2
+    for diag in rc.diagnostics:
+        vals = values(*diag["pair"].split("|"))
+        estimates = diag["liminf_estimate"], diag["limsup_estimate"], diag["mean"]
+        assert estimates == (float(min(vals)), float(max(vals)), float(mean(vals)))
     # the numerators the loader derives from the JSON strings recover the same
     loaded = LeveledPointCloud.from_json(cloud.to_json())
     assert recover_cluster(loaded, use_exact=True, window=window) == rc
@@ -355,7 +369,7 @@ def test_round_trip_with_tight_cycles_tolerates_float_noise():
 def hand_recovery(g: WeightedRootedGraph) -> RecoveredCluster:
     """g as a recovery would hand it out, with its root-edge weights as rho0."""
     rho0 = {v: Fraction(0) if v == g.root else g.weight(g.root, v) for v in g.vertices}
-    return RecoveredCluster(g, rho0, {v: (v,) for v in g.vertices}, {}, [], [], [], window=2)
+    return RecoveredCluster(g, rho0, {v: (v,) for v in g.vertices}, [], [], [], window=2)
 
 
 EPS = Fraction(1, 10**12)
@@ -373,6 +387,13 @@ def test_validation_reports_every_edge_beyond_its_distance():
     # judged while c-d breaks the cycle inequality, the intervals of a-c, a-d,
     # b-c and b-d would come out degenerate: (iii) waits for (ii)
     assert validate_recovered_cluster(two_triangles(3)) == problems
+
+
+def test_validation_reports_a_disconnected_graph_by_its_root():
+    # no shortest-path rows exist across components; (i) already names the fault
+    g = graph(["r", "a", "b"], {("a", "b"): 1}, "r")
+    rc = RecoveredCluster(g, {"r": Fraction(0), "a": Fraction(1), "b": Fraction(2)}, {}, [], [], [], window=2)
+    assert validate_recovered_cluster(rc) == ["root 'r' is not dominating"]
 
 
 def test_validation_reports_a_non_edge_forced_within_tolerance():
