@@ -193,24 +193,13 @@ class LeveledPointCloud:
                 # recovery's window is the last levels; subsample and diag look a level up by n
                 if levels and n <= levels[-1].n:
                     raise GraphError(f"level {n} follows level {levels[-1].n}: levels must strictly increase")
-                if not isinstance(entry["points"], list):
+                items = entry["points"]
+                if not isinstance(items, list):
                     raise GraphError(f"points of level {n} must be a list")
-                labeled, shadows = [], []
-                for item in entry["points"]:
-                    try:
-                        label, coords, exact = _read_point(item, n, dimension)
-                    except (GraphError, KeyError):
-                        # in point order, an earlier point's malformed shadow comes first
-                        _level_numerators(shadows)
-                        raise
-                    labeled.append((label, coords))
-                    # an empty list, like a missing one, is no shadow
-                    shadows.append(exact if exact else None)
+                read = _read_level_points(items, dimension)
+                labels, coords, shadows = read or _read_points_one_by_one(items, n, dimension)
                 q, numerators = _level_numerators(shadows)
-                points = [
-                    CloudPoint(label=label, coords=coords, exact=exact)
-                    for (label, coords), exact in zip(labeled, numerators)
-                ]
+                points = list(map(CloudPoint, labels, coords, numerators))
                 levels.append(
                     CloudLevel(
                         n=n,
@@ -236,45 +225,72 @@ class LeveledPointCloud:
     def to_json(self, include_exact: bool = True) -> str:
         """``json.dumps(self.to_json_dict(include_exact), indent=2)``, byte for
         byte, written directly instead of by json's pure-Python indenting
-        encoder."""
-        levels = []
+        encoder. Every piece of the text goes into one list, joined once."""
+        out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
+        _array(out, ["0.0"] * self.dimension, _BASEPOINT)
+        out += (',\n  "period": ', json.dumps(self.period), ',\n  "levels": ')
+        opening = "[\n    {"
         for lvl in self.levels:
-            # each distinct number of the level is spelled once
-            coords = _level_float_items(list(chain.from_iterable(p.coords for p in lvl.points)))
-            shadows = [p.exact for p in lvl.points if p.exact is not None] if include_exact else []
-            exact = iter(_format_over(list(chain.from_iterable(shadows)), lvl.q))
-            coords_left = iter(coords or ())
-            points = []
-            for p in lvl.points:
-                if coords is None:  # json's own spelling, point by point
-                    coords_text = json.dumps(list(p.coords), indent=2).replace("\n", "\n" + _PAD_POINT)
-                else:
-                    coords_text = _array(list(islice(coords_left, len(p.coords))), _PAD_POINT)
-                item = (
-                    f'{{\n          "label": {_json_scalar(p.label)},'
-                    f'\n          "coords": {coords_text}'
-                )
-                if include_exact and p.exact is not None:
-                    exact_text = _array(list(islice(exact, len(p.exact))), _PAD_POINT, '"')
-                    item += f',\n          "exact": {exact_text}'
-                points.append(item + "\n        }")
-            entry = (
-                f'{{\n      "n": {json.dumps(lvl.n)},\n      "r": {_json_scalar(repr(lvl.r))},'
-                f'\n      "points": {_array(points, _PAD_LEVEL)}'
+            out += (
+                opening, '\n      "n": ', json.dumps(lvl.n),
+                ',\n      "r": ', _json_scalar(repr(lvl.r)), ',\n      "points": ',
             )
+            opening = ",\n    {"
+            _write_points(out, lvl, include_exact)
             if include_exact and lvl.r_exact is not None:
-                entry += f',\n      "r_exact": {_json_scalar(format_rational(lvl.r_exact))}'
-            levels.append(entry + "\n    }")
-        return (
-            f'{{\n  "norm": "sup",\n  "dimension": {json.dumps(self.dimension)},'
-            f'\n  "basepoint": {_array(["0.0"] * self.dimension, _PAD_CLOUD)},'
-            f'\n  "period": {json.dumps(self.period)},'
-            f'\n  "levels": {_array(levels, _PAD_CLOUD)}\n}}'
-        )
+                out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
+            out.append("\n    }")
+        out.append("\n  ]\n}" if self.levels else "[]\n}")
+        return "".join(out)
 
     @classmethod
     def from_json(cls, text: str) -> "LeveledPointCloud":
         return cls.from_json_dict(json.loads(text))
+
+
+def _read_level_points(items: list, dimension: int) -> Optional[tuple[list, list, list]]:
+    """The labels, float coordinate tuples and raw ``exact`` lists (None for
+    no shadow) of one level's point objects, checked for the whole level at
+    once, or None unless every point is what the writer writes: an object
+    with a string or null label, a ``coords`` list of ``dimension`` finite
+    floats and an ``exact`` list of ``dimension`` entries, or an empty, null
+    or missing one. ``_level_numerators`` reads the exact values."""
+    if not set(map(type, items)) <= {dict}:
+        return None
+    labels = list(map(dict.get, items, repeat("label")))
+    coords = list(map(dict.get, items, repeat("coords")))
+    exacts = list(map(dict.get, items, repeat("exact")))
+    if not (
+        set(map(type, labels)) <= {str, type(None)}
+        and set(map(type, coords)) <= {list}
+        and set(map(type, exacts)) <= {list, type(None)}
+        and set(map(len, chain(coords, filter(None, exacts)))) <= {dimension}
+    ):
+        return None
+    flat = list(chain.from_iterable(coords))
+    # a JSON true or false is no coordinate, and an int is read point by point
+    if not (set(map(type, flat)) <= {float} and all(map(math.isfinite, flat))):
+        return None
+    # an empty list, like a missing one, is no shadow
+    return labels, list(map(tuple, coords)), [exact or None for exact in exacts]
+
+
+def _read_points_one_by_one(items: list, n: int, dimension: int) -> tuple[list, list, list]:
+    """What ``_read_level_points`` returns, for a level it does not take,
+    read point by point, so that the level's first fault in point order
+    names the error."""
+    labels, coords, shadows = [], [], []
+    for item in items:
+        try:
+            label, point_coords, exact = _read_point(item, n, dimension)
+        except (GraphError, KeyError):
+            # in point order, an earlier point's malformed shadow comes first
+            _level_numerators(shadows)
+            raise
+        labels.append(label)
+        coords.append(point_coords)
+        shadows.append(exact if exact else None)
+    return labels, coords, shadows
 
 
 def _read_point(item, n: int, dimension: int) -> tuple:
@@ -380,19 +396,58 @@ def _read_canonical(values: list) -> Optional[tuple[int, list[int]]]:
     return q, numerators
 
 
-# indentation of the fields of the cloud, of a level and of a point in the
-# indent=2 layout
-_PAD_CLOUD, _PAD_LEVEL, _PAD_POINT = " " * 2, " " * 6, " " * 10
-
-
-def _array(items: list[str], pad: str, quote: str = "") -> str:
-    """A JSON array of encoded items, laid out as ``json.dumps(indent=2)``
-    nests it in a field indented by ``pad``; ``quote`` encloses each item,
-    which makes strings of items json needs no escape for."""
-    if not items:
-        return "[]"
+def _layout(pad: str, quote: str = "") -> tuple[str, str, str]:
+    """The opening, separator and closing of a JSON array of encoded items,
+    laid out as ``json.dumps(indent=2)`` nests it in a field indented by
+    ``pad``; ``quote`` encloses each item, which makes strings of items json
+    needs no escape for."""
     inner = "\n  " + pad + quote
-    return "[" + inner + (quote + "," + inner).join(items) + quote + "\n" + pad + "]"
+    return "[" + inner, quote + "," + inner, quote + "\n" + pad + "]"
+
+
+# indentation of a point's fields in the indent=2 layout, and the arrays of
+# the cloud's basepoint and of a point's coords and exact values
+_PAD_POINT = " " * 10
+_BASEPOINT, _COORDS, _EXACT = _layout(" " * 2), _layout(_PAD_POINT), _layout(_PAD_POINT, '"')
+
+
+def _array(out: list, items: list[str], layout: tuple[str, str, str]) -> None:
+    """Appends the JSON array of encoded items in ``layout`` to ``out``."""
+    if items:
+        opening, separator, closing = layout
+        out += (opening, separator.join(items), closing)
+    else:
+        out.append("[]")
+
+
+def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
+    """Appends the ``points`` array of a level to ``out``. Each distinct
+    number of the level is spelled once, and each point's ``coords`` and
+    ``exact`` are one join over its slice of the level's spellings."""
+    if not lvl.points:
+        out.append("[]")
+        return
+    coords = _level_float_items(list(chain.from_iterable(p.coords for p in lvl.points)))
+    shadows = [p.exact for p in lvl.points if p.exact is not None] if include_exact else []
+    exact = _format_over(list(chain.from_iterable(shadows)), lvl.q)
+    at_coords = at_exact = 0
+    opening = "[\n        {"
+    for p in lvl.points:
+        out += (opening, '\n          "label": ', _json_scalar(p.label), ',\n          "coords": ')
+        opening = ",\n        {"
+        if coords is None:  # json's own spelling, point by point
+            out.append(json.dumps(list(p.coords), indent=2).replace("\n", "\n" + _PAD_POINT))
+        else:
+            end = at_coords + len(p.coords)
+            _array(out, coords[at_coords:end], _COORDS)
+            at_coords = end
+        if include_exact and p.exact is not None:
+            out.append(',\n          "exact": ')
+            end = at_exact + len(p.exact)
+            _array(out, exact[at_exact:end], _EXACT)
+            at_exact = end
+        out.append("\n        }")
+    out.append("\n      ]")
 
 
 def _level_float_items(values: list) -> Optional[list[str]]:
@@ -402,7 +457,7 @@ def _level_float_items(values: list) -> Optional[list[str]]:
     distinct = set(values)
     if len(distinct) == len(values):  # no table; 0.0 and -0.0 are not both here
         try:
-            items = list(map(float.__repr__, values))
+            items = spelled = list(map(float.__repr__, values))
         except TypeError:
             return None
     # 1 == 1.0 and True == 1.0 as keys: a table must hold floats alone
@@ -410,10 +465,11 @@ def _level_float_items(values: list) -> Optional[list[str]]:
         return None
     else:
         table = dict(zip(distinct, map(float.__repr__, distinct)))
+        spelled = table.values()
         # 0.0 == -0.0 as keys: each zero keeps its own sign
         items = [table[x] if x else float.__repr__(x) for x in values]
     # float.__repr__ spells inf and nan, which json writes as Infinity and NaN
-    return None if "n" in "".join(items) else items
+    return None if "n" in "".join(spelled) else items
 
 
 def _json_scalar(value) -> str:
@@ -531,38 +587,53 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     order = plan.graph.vertices
     root = order.index(plan.graph.root)
     # the differences depend on the level only through the factor r_n: each
-    # member's are taken once, on its integer numerators over one denominator
-    differences = []
+    # member's distinct values are taken once, on its integer numerators over
+    # one denominator, with one picker per vertex that takes its row out of
+    # them, so a level computes each distinct value once
+    members = []
     max_entry = Fraction(0)
     for d in plan.family:
         at = [d._index[v] for v in order]
         rows = [[d._num[i][j] for j in at] for i in at]
         to_root = [row[root] for row in rows]
-        differences.append(_in_lowest_terms(d._q, [list(map(operator.sub, row, to_root)) for row in rows]))
+        q, differences = _in_lowest_terms(d._q, [list(map(operator.sub, row, to_root)) for row in rows])
+        values = list(set(chain.from_iterable(differences)))
+        position = dict(zip(values, range(len(values))))
+        members.append((q, values, [_picker(list(map(position.__getitem__, row))) for row in differences]))
         max_entry = max(max_entry, Fraction(max(map(max, rows)), d._q))
+    # overflow guard for the binary64 side of the cloud, on integers: with
+    # mn/md in lowest terms and g = gcd(r, md), r * mn/md is (r//g * mn)/(md//g)
+    # in lowest terms
+    mn, md = max(max_entry, 1).as_integer_ratio()
     levels = []
     for n in range(1, plan.depth + 1):
         r = plan.rule.value(n)
-        r_exact = Fraction(r)
-        # overflow guard for the binary64 side of the cloud
-        largest = r_exact * max(max_entry, 1)
-        if largest.numerator.bit_length() - largest.denominator.bit_length() > MAX_FLOAT_EXPONENT:
+        g = math.gcd(r, md)
+        if (r // g * mn).bit_length() - (md // g).bit_length() > MAX_FLOAT_EXPONENT:
             raise GraphError(
                 f"scaling value at level {n} overflows binary64; reduce depth"
             )
         # r_n * a / q in lowest terms: q and the numerators a share no factor
-        q, rows = differences[(n - 1) % len(differences)]
+        q, values, pickers = members[(n - 1) % len(members)]
         g = math.gcd(q, r)
         q, k = q // g, r // g
-        points = []
-        for v, row in zip(order, rows):
-            exact = tuple(k * a for a in row)
-            # int / int is correctly rounded, as float(Fraction(a, q)) is
-            points.append(CloudPoint(label=v, coords=tuple(a / q for a in exact), exact=exact))
-        levels.append(CloudLevel(n=n, r=float(r), r_exact=r_exact, points=points, q=q))
+        exact = [k * a for a in values]
+        # int / int is correctly rounded, as float(Fraction(a, q)) is
+        coords = [a / q for a in exact]
+        points = [CloudPoint(v, pick(coords), pick(exact)) for v, pick in zip(order, pickers)]
+        levels.append(CloudLevel(n=n, r=float(r), r_exact=Fraction(r), points=points, q=q))
     return LeveledPointCloud(
         dimension=len(order), levels=levels, period=len(plan.family)
     )
+
+
+def _picker(indices: list[int]):
+    """``operator.itemgetter(*indices)``, which returns a tuple also for a
+    single index."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda values: (values[i],)
+    return operator.itemgetter(*indices)
 
 
 def realize(

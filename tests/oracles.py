@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -17,9 +18,21 @@ from typing import Optional
 
 import networkx as nx
 
-from metric_cluster.graph_core import Cycle, GraphError, WeightedRootedGraph, parse_rational
+from metric_cluster.graph_core import (
+    Cycle,
+    GraphError,
+    WeightedRootedGraph,
+    _in_lowest_terms,
+    parse_rational,
+)
 from metric_cluster.metrization import DistanceMatrix, IntervalQ, shortest_path_metric
-from metric_cluster.realization import CloudLevel, CloudPoint, LeveledPointCloud, sup_distance
+from metric_cluster.realization import (
+    MAX_FLOAT_EXPONENT,
+    CloudLevel,
+    CloudPoint,
+    LeveledPointCloud,
+    sup_distance,
+)
 from metric_cluster.recovery import RecoveredCluster
 
 
@@ -475,6 +488,38 @@ def shadows_by_fractions(shadows: list) -> tuple:
         return None, [None] * len(shadows)
     q = math.lcm(*denominators)
     return q, [tuple(int(x * q) for x in row) if row else None for row in values]
+
+
+def cloud_by_coordinates(plan) -> LeveledPointCloud:
+    """``generate_cloud`` computed coordinate by coordinate: every level
+    multiplies and divides each coordinate of each point, and the overflow
+    guard compares Fractions level by level."""
+    order = plan.graph.vertices
+    root = order.index(plan.graph.root)
+    differences = []
+    max_entry = Fraction(0)
+    for d in plan.family:
+        at = [d._index[v] for v in order]
+        rows = [[d._num[i][j] for j in at] for i in at]
+        to_root = [row[root] for row in rows]
+        differences.append(_in_lowest_terms(d._q, [list(map(operator.sub, row, to_root)) for row in rows]))
+        max_entry = max(max_entry, Fraction(max(map(max, rows)), d._q))
+    levels = []
+    for n in range(1, plan.depth + 1):
+        r = plan.rule.value(n)
+        r_exact = Fraction(r)
+        largest = r_exact * max(max_entry, 1)
+        if largest.numerator.bit_length() - largest.denominator.bit_length() > MAX_FLOAT_EXPONENT:
+            raise GraphError(f"scaling value at level {n} overflows binary64; reduce depth")
+        q, rows = differences[(n - 1) % len(differences)]
+        g = math.gcd(q, r)
+        q, k = q // g, r // g
+        points = []
+        for v, row in zip(order, rows):
+            exact = tuple(k * a for a in row)
+            points.append(CloudPoint(label=v, coords=tuple(a / q for a in exact), exact=exact))
+        levels.append(CloudLevel(n=n, r=float(r), r_exact=r_exact, points=points, q=q))
+    return LeveledPointCloud(dimension=len(order), levels=levels, period=len(plan.family))
 
 
 def is_isomorphism_by_pairs(g1, g2, mapping: dict, weighted: bool, tol: Fraction) -> bool:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from metric_cluster.realization import (
     LeveledPointCloud,
     ScalingRule,
     _level_numerators,
+    _read_level_points,
+    _read_points_one_by_one,
     build_plan,
     generate_cloud,
     realize,
@@ -27,11 +30,13 @@ from metric_cluster.recovery import alternating_period_indices, recover_cluster,
 
 from oracles import (
     assert_two_member_family,
+    cloud_by_coordinates,
     cross_level_separation,
     dominating_rooted_shapes,
     least_interval_width,
     lower_member_by_fractions,
     random_dominating_shape,
+    scaled_weights,
     shadows_by_fractions,
     with_unrelated_denominators,
 )
@@ -170,6 +175,70 @@ def test_cloud_generation_is_deterministic():
 def test_depth_overflow_guard():
     with pytest.raises(GraphError):
         realize(CERT_TRIANGLE, depth=200)
+
+
+# the default factorial rule and power_square
+RULES = [None, ScalingRule("power_square", 3)]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=["factorial", "power_square"])
+@pytest.mark.parametrize(
+    "g",
+    [
+        CERT_TRIANGLE,
+        # largest distances over 3 that bring r_n * largest within a bit of
+        # the limit at the boundary: a guard that left it unreduced would
+        # refuse a level early, under the factorial rule for 61/3 and under
+        # power_square for 25769803780/3
+        scaled_weights(ONE_GAP, Fraction(61, 15)),
+        scaled_weights(ONE_GAP, Fraction(25769803780, 15)),
+    ],
+    ids=["triangle", "largest_61/3", "largest_25769803780/3"],
+)
+def test_depth_overflow_guard_at_its_boundary(g, rule):
+    # the deepest cloud the oracle's Fraction guard accepts ends a level
+    # before the first level it refuses
+    with pytest.raises(GraphError, match="overflows binary64") as caught:
+        cloud_by_coordinates(build_plan(g, 400, rule))
+    last = int(re.search(r"level (\d+)", str(caught.value)).group(1)) - 1
+    assert realize(g, last, rule) == cloud_by_coordinates(build_plan(g, last, rule))
+    with pytest.raises(GraphError, match=f"level {last + 1} overflows binary64"):
+        realize(g, last + 1, rule)
+
+
+def _generation_cases():
+    rng = random.Random(19)
+    return [
+        pytest.param(WeightedRootedGraph(["r"], {}, "r"), None, id="one_vertex"),
+        pytest.param(synthesize_weights(dominating_rooted_shapes(6)[-1]), None, id="complete"),
+        *(
+            pytest.param(g, rule, id=f"{name}-{rule.name if rule else 'factorial'}")
+            for name, g in (("one_gap", ONE_GAP), ("triangle", CERT_TRIANGLE))
+            for rule in RULES
+        ),
+        *(
+            pytest.param(synthesize_weights(random_dominating_shape(rng, n, p)), None, id=f"random-{n}-{p}")
+            for n in (12, 40)
+            for p in (0.2, 0.5)
+        ),
+    ]
+
+
+def check_generation(plan):
+    cloud, expected = generate_cloud(plan), cloud_by_coordinates(plan)
+    assert cloud == expected
+    for include_exact in (True, False):
+        assert cloud.to_json(include_exact) == expected.to_json(include_exact)
+
+
+@pytest.mark.parametrize("g, rule", _generation_cases())
+def test_generation_matches_the_coordinate_oracle(g, rule):
+    check_generation(build_plan(g, 12, rule))
+
+
+def test_generation_matches_the_coordinate_oracle_on_synthesized_shapes():
+    for shape in dominating_rooted_shapes(6):
+        check_generation(build_plan(synthesize_weights(shape), 12))
 
 
 def test_cloud_of_a_family_loaded_from_json_is_the_same():
@@ -365,6 +434,22 @@ def test_a_malformed_shadow_is_named_before_a_later_point_fault():
     assert "'1/-2'" in error()
     points[1]["exact"][0] = "0"
     assert "non-numeric coordinate" in error()
+
+
+def test_a_level_checked_at_once_reads_as_point_by_point():
+    data = json.loads(realize(ONE_GAP, 6).to_json())
+    dimension, levels = data["dimension"], data["levels"]
+    levels[2]["points"][1]["exact"] = []
+    del levels[3]["points"][2]["exact"]
+    levels[4]["points"][0]["label"] = None
+    for level in levels:
+        read = _read_level_points(level["points"], dimension)
+        assert read is not None
+        assert read == _read_points_one_by_one(level["points"], level["n"], dimension)
+    # the writer writes no int coordinate: its level is read point by point
+    levels[0]["points"][1]["coords"][0] = 0
+    assert _read_level_points(levels[0]["points"], dimension) is None
+    assert LeveledPointCloud.from_json_dict(data).levels[0].points[1].coords[0] == 0.0
 
 
 def check_writer(cloud):
