@@ -23,11 +23,11 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .graph_core import _format_over, _in_lowest_terms, _over_lcm
+from .graph_core import _each_once, _format_over, _in_lowest_terms, _over_lcm
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
-MAX_FLOAT_EXPONENT = 1023  # binary64 overflow guard for scaling values
+MAX_FLOAT_EXPONENT = 1023  # largest binary64 exponent: the one-point space's depth check
 
 
 @dataclass(frozen=True)
@@ -364,36 +364,30 @@ def _read_canonical(values: list) -> Optional[tuple[int, list[int]]]:
     """The least common denominator q of the values and their numerators
     over q, or None unless every value is a canonical string.
 
-    When some value repeats, as most do in a realized level, each distinct
-    string is read once and the values are looked up by their spelling."""
+    Each distinct string is read once, as most values of a realized level
+    repeat, and the values are looked up by their spelling."""
     try:
         text = ",".join(values)  # TypeError unless every value is a string
         # int() also reads blanks, "+", "_" and other scripts' digits, which
         # Fraction may refuse; a character beyond ASCII encodes to bytes >= 0x80
         if text.encode().translate(None, b"0123456789-/,"):
             return None
-        distinct = set(values)
-        keys = values if len(distinct) == len(values) else list(distinct)
         # most levels of a realized cloud hold integers only: no split, no scaling
         if "/" not in text:
-            q, numerators = 1, list(map(int, keys))
-        else:
-            parts = list(map(str.partition, keys, repeat("/")))
-            numerators = list(map(int, map(operator.itemgetter(0), parts)))
-            # "3/" has a separator and an empty denominator: int refuses it
-            denominators = [int(b) if slash else 1 for _, slash, b in parts]
-            # the digits alone let "1/-2" and "1/0" through
-            if min(denominators) <= 0:
-                return None
-            q = math.lcm(*set(denominators))
-            numerators = list(
-                map(operator.mul, numerators, map(operator.floordiv, repeat(q), denominators))
-            )
+            return 1, _each_once(int, values)
+        distinct = list(set(values))
+        parts = list(map(str.partition, distinct, repeat("/")))
+        numerators = list(map(int, map(operator.itemgetter(0), parts)))
+        # "3/" has a separator and an empty denominator: int refuses it
+        denominators = [int(b) if slash else 1 for _, slash, b in parts]
+        # the digits alone let "1/-2" and "1/0" through
+        if min(denominators) <= 0:
+            return None
+        q = math.lcm(*set(denominators))
+        numerators = map(operator.mul, numerators, map(operator.floordiv, repeat(q), denominators))
     except (TypeError, ValueError):  # a non-string, "", "-", "1/2/3", digits beyond the limit
         return None
-    if keys is not values:
-        numerators = list(map(dict(zip(keys, numerators)).__getitem__, values))
-    return q, numerators
+    return q, list(map(dict(zip(distinct, numerators)).__getitem__, values))
 
 
 def _layout(pad: str, quote: str = "") -> tuple[str, str, str]:
@@ -435,12 +429,9 @@ def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
     for p in lvl.points:
         out += (opening, '\n          "label": ', _json_scalar(p.label), ',\n          "coords": ')
         opening = ",\n        {"
-        if coords is None:  # json's own spelling, point by point
-            out.append(json.dumps(list(p.coords), indent=2).replace("\n", "\n" + _PAD_POINT))
-        else:
-            end = at_coords + len(p.coords)
-            _array(out, coords[at_coords:end], _COORDS)
-            at_coords = end
+        end = at_coords + len(p.coords)
+        _array(out, coords[at_coords:end], _COORDS)
+        at_coords = end
         if include_exact and p.exact is not None:
             out.append(',\n          "exact": ')
             end = at_exact + len(p.exact)
@@ -450,26 +441,21 @@ def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
     out.append("\n      ]")
 
 
-def _level_float_items(values: list) -> Optional[list[str]]:
-    """The JSON spelling of each of a level's coordinates, ``float.__repr__``
-    computed once per distinct value, or None when json spells one of them
-    its own way: a value that is not a float, an infinity or a NaN."""
-    distinct = set(values)
-    if len(distinct) == len(values):  # no table; 0.0 and -0.0 are not both here
-        try:
-            items = spelled = list(map(float.__repr__, values))
-        except TypeError:
-            return None
+def _level_float_items(values: list) -> list[str]:
+    """The JSON spelling of each of a level's coordinates. When every value
+    is a finite float, ``float.__repr__`` is computed once per distinct
+    value; otherwise, in a level built in code, each value is spelled by
+    ``json.dumps``, as json spells an int, a boolean, None, an infinity or a
+    NaN its own way."""
     # 1 == 1.0 and True == 1.0 as keys: a table must hold floats alone
-    elif set(map(type, values)) != {float}:
-        return None
-    else:
+    if set(map(type, values)) <= {float}:
+        distinct = set(values)
         table = dict(zip(distinct, map(float.__repr__, distinct)))
-        spelled = table.values()
-        # 0.0 == -0.0 as keys: each zero keeps its own sign
-        items = [table[x] if x else float.__repr__(x) for x in values]
-    # float.__repr__ spells inf and nan, which json writes as Infinity and NaN
-    return None if "n" in "".join(spelled) else items
+        # float.__repr__ spells inf and nan, which json writes as Infinity and NaN
+        if "n" not in "".join(table.values()):
+            # 0.0 == -0.0 as keys: each zero keeps its own sign
+            return [table[x] if x else float.__repr__(x) for x in values]
+    return list(map(json.dumps, values))
 
 
 def _json_scalar(value) -> str:
@@ -583,6 +569,9 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     with i cycling through the family; the root lands on the origin at every
     level, and within a level the sup-norm distances reproduce r_n * d_i
     exactly at the rational level.
+
+    A level is refused with ``GraphError`` exactly when one of its
+    coordinates, or r_n itself, rounds beyond binary64.
     """
     order = plan.graph.vertices
     root = order.index(plan.graph.root)
@@ -591,7 +580,6 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     # one denominator, with one picker per vertex that takes its row out of
     # them, so a level computes each distinct value once
     members = []
-    max_entry = Fraction(0)
     for d in plan.family:
         at = [d._index[v] for v in order]
         rows = [[d._num[i][j] for j in at] for i in at]
@@ -600,28 +588,24 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         values = list(set(chain.from_iterable(differences)))
         position = dict(zip(values, range(len(values))))
         members.append((q, values, [_picker(list(map(position.__getitem__, row))) for row in differences]))
-        max_entry = max(max_entry, Fraction(max(map(max, rows)), d._q))
-    # overflow guard for the binary64 side of the cloud, on integers: with
-    # mn/md in lowest terms and g = gcd(r, md), r * mn/md is (r//g * mn)/(md//g)
-    # in lowest terms
-    mn, md = max(max_entry, 1).as_integer_ratio()
     levels = []
     for n in range(1, plan.depth + 1):
         r = plan.rule.value(n)
-        g = math.gcd(r, md)
-        if (r // g * mn).bit_length() - (md // g).bit_length() > MAX_FLOAT_EXPONENT:
-            raise GraphError(
-                f"scaling value at level {n} overflows binary64; reduce depth"
-            )
         # r_n * a / q in lowest terms: q and the numerators a share no factor
         q, values, pickers = members[(n - 1) % len(members)]
         g = math.gcd(q, r)
         q, k = q // g, r // g
         exact = [k * a for a in values]
-        # int / int is correctly rounded, as float(Fraction(a, q)) is
-        coords = [a / q for a in exact]
+        # float(int) and int / int round correctly, as float(Fraction(a, q))
+        # does, and raise OverflowError exactly when the rounded value leaves
+        # binary64: the conversion is the overflow guard
+        try:
+            r_float = float(r)
+            coords = [a / q for a in exact]
+        except OverflowError as exc:
+            raise GraphError(f"scaling value at level {n} overflows binary64; reduce depth") from exc
         points = [CloudPoint(v, pick(coords), pick(exact)) for v, pick in zip(order, pickers)]
-        levels.append(CloudLevel(n=n, r=float(r), r_exact=Fraction(r), points=points, q=q))
+        levels.append(CloudLevel(n=n, r=r_float, r_exact=Fraction(r), points=points, q=q))
     return LeveledPointCloud(
         dimension=len(order), levels=levels, period=len(plan.family)
     )

@@ -159,7 +159,15 @@ def recover_cluster(
             return Fraction(total / window)
 
     def as_float(x, count=1):
-        return x / (count * common)  # int / int rounds correctly, as float(Fraction) does
+        # int / int rounds correctly, as float(Fraction) does, and raises
+        # OverflowError when the rounded value leaves binary64
+        try:
+            return x / (count * common)
+        except OverflowError as exc:
+            raise GraphError(
+                "a normalized distance that recovery reports does not fit binary64: "
+                "the exact coordinates are too large for their scale r_exact"
+            ) from exc
 
     # the basepoint is one more row, at the origin (x - 0 is x - 0.0 for a float x)
     origin = (0,) * cloud.dimension
@@ -186,7 +194,8 @@ def recover_cluster(
     ):
         raise GraphError(
             "a normalized distance, its window sum or the identification threshold is not "
-            "finite in binary64: a scale r is too small for its coordinates"
+            "finite in binary64: a scale r is too small for its coordinates, or two points of "
+            "a level lie too far apart"
         )
 
     merge_log: list[str] = []
@@ -454,6 +463,7 @@ def spread_functional(points: Sequence[Sequence[float]], basepoint: Sequence[flo
     Zero when all points coincide with the basepoint (by convention) or any
     two points coincide. Values near zero for all large tuples indicate the
     space cannot sustain more than n-1 separated directions at infinity.
+    A value that is not finite in binary64 is refused with ``GraphError``.
     """
     pts = [tuple(float(c) for c in p) for p in points]
     n = len(pts)
@@ -469,8 +479,13 @@ def spread_functional(points: Sequence[Sequence[float]], basepoint: Sequence[flo
     top = max(base_dists)
     if top == 0:
         return 0.0
-    product = math.prod(sup_distance(a, bb) for a, bb in combinations(pts, 2))
-    return min(base_dists) * product / top ** (n * (n - 1) // 2 + 1)
+    # the functional is scale-free: with every distance over top, no power of
+    # top is formed, which would leave binary64 at a realized level
+    ratios = (sup_distance(a, bb) / top for a, bb in combinations(pts, 2))
+    value = min(base_dists) / top * math.prod(ratios)
+    if not math.isfinite(value):
+        raise GraphError("the spread functional of these points is not finite in binary64")
+    return value
 
 
 def annulus_diameter_table(

@@ -27,7 +27,6 @@ from metric_cluster.graph_core import (
 )
 from metric_cluster.metrization import DistanceMatrix, IntervalQ, shortest_path_metric
 from metric_cluster.realization import (
-    MAX_FLOAT_EXPONENT,
     CloudLevel,
     CloudPoint,
     LeveledPointCloud,
@@ -492,33 +491,33 @@ def shadows_by_fractions(shadows: list) -> tuple:
 
 def cloud_by_coordinates(plan) -> LeveledPointCloud:
     """``generate_cloud`` computed coordinate by coordinate: every level
-    multiplies and divides each coordinate of each point, and the overflow
-    guard compares Fractions level by level."""
+    multiplies and divides each coordinate of each point, as a Fraction, and
+    refuses the level when ``float`` of a coordinate or of r overflows."""
     order = plan.graph.vertices
     root = order.index(plan.graph.root)
     differences = []
-    max_entry = Fraction(0)
     for d in plan.family:
         at = [d._index[v] for v in order]
         rows = [[d._num[i][j] for j in at] for i in at]
         to_root = [row[root] for row in rows]
         differences.append(_in_lowest_terms(d._q, [list(map(operator.sub, row, to_root)) for row in rows]))
-        max_entry = max(max_entry, Fraction(max(map(max, rows)), d._q))
     levels = []
     for n in range(1, plan.depth + 1):
         r = plan.rule.value(n)
         r_exact = Fraction(r)
-        largest = r_exact * max(max_entry, 1)
-        if largest.numerator.bit_length() - largest.denominator.bit_length() > MAX_FLOAT_EXPONENT:
-            raise GraphError(f"scaling value at level {n} overflows binary64; reduce depth")
         q, rows = differences[(n - 1) % len(differences)]
         g = math.gcd(q, r)
         q, k = q // g, r // g
         points = []
-        for v, row in zip(order, rows):
-            exact = tuple(k * a for a in row)
-            points.append(CloudPoint(label=v, coords=tuple(a / q for a in exact), exact=exact))
-        levels.append(CloudLevel(n=n, r=float(r), r_exact=r_exact, points=points, q=q))
+        try:
+            r_float = float(r_exact)
+            for v, row in zip(order, rows):
+                exact = tuple(k * a for a in row)
+                coords = tuple(float(Fraction(a, q)) for a in exact)
+                points.append(CloudPoint(label=v, coords=coords, exact=exact))
+        except OverflowError as exc:
+            raise GraphError(f"scaling value at level {n} overflows binary64; reduce depth") from exc
+        levels.append(CloudLevel(n=n, r=r_float, r_exact=r_exact, points=points, q=q))
     return LeveledPointCloud(dimension=len(order), levels=levels, period=len(plan.family))
 
 
@@ -688,6 +687,14 @@ def metric_agrees_with_weights(d: DistanceMatrix, g: WeightedRootedGraph) -> boo
 def scaled_weights(g: WeightedRootedGraph, factor: Fraction) -> WeightedRootedGraph:
     """g with every edge weight multiplied by factor."""
     return WeightedRootedGraph(g.vertices, {e: w * factor for e, w in g.weights.items()}, g.root)
+
+
+def halfway_past_binary64() -> WeightedRootedGraph:
+    """The edge r-v of weight (2**1024 - 2**969) / 170!: at level 170 of the
+    factorial rule its coordinate is r_170 times the weight, halfway between
+    the largest binary64 value and 2**1024, and it rounds to infinity; at
+    level 169 it is 170 times smaller."""
+    return WeightedRootedGraph(["r", "v"], {("r", "v"): Fraction(2**1024 - 2**969, math.factorial(170))}, "r")
 
 
 def cross_level_separation(cloud: LeveledPointCloud) -> dict[int, float]:

@@ -2,6 +2,8 @@ import ast
 import contextlib
 import io
 import json
+import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +16,8 @@ from metric_cluster.graph_core import IsoMapping, WeightedRootedGraph
 from metric_cluster.fpc import graph_from_metric_space, synthesize_weights
 from metric_cluster.metrization import Metrizability, extend_metric, forced_completion, shortest_path_metric
 from metric_cluster.realization import realize, single_point_space
+
+from oracles import halfway_past_binary64, random_dominating_shape
 
 
 def write_graph(path: Path, vertices, edges, root) -> Path:
@@ -307,6 +311,13 @@ def test_power_square_base_below_two_exit_2(cert_graph, capsys):
     assert "base must be an integer >= 2" in capsys.readouterr().err
 
 
+def test_realize_past_binary64_exit_2(tmp_path, capsys):
+    path = tmp_path / "halfway.json"
+    path.write_text(halfway_past_binary64().to_json(), encoding="utf-8")
+    assert main(["realize", str(path), "--depth", "170"]) == 2
+    assert "level 170 overflows binary64" in capsys.readouterr().err
+
+
 def test_recover_diag_out(cert_graph, tmp_path, capsys):
     cloud = tmp_path / "cloud.json"
     diag = tmp_path / "diag.json"
@@ -384,6 +395,17 @@ def test_diag_fn_and_psi(tmp_path, capsys):
     for args in (["--k", "nan"], ["--k", "inf"], ["--radii", "nan,inf", "--json"], ["--radii", "1,inf"]):
         assert main(["diag", "psi", str(cloud), *args]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+
+def test_diag_fn_of_a_realized_cluster_is_finite(tmp_path, capsys):
+    # the largest basepoint distance of the eleven points, raised to the
+    # power 11 * 10 / 2 + 1, leaves binary64
+    g = synthesize_weights(random_dominating_shape(random.Random(3), 12, 0.5))
+    cloud = tmp_path / "cloud.json"
+    cloud.write_text(realize(g, 12).to_json(), encoding="utf-8")
+    labels = ",".join(v for v in g.vertices if v != g.root)
+    assert main(["diag", "fn", str(cloud), "--level", "12", "--labels", labels, "--json"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["value"])
 
 
 def test_demo_corpus_self_consistent(tmp_path, capsys):
@@ -703,6 +725,21 @@ def test_tiny_scale_exit_2(cert_graph, tmp_path, capsys):
     assert WeightedRootedGraph.from_json(out.read_text()) == WeightedRootedGraph.from_json(
         cert_graph.read_text()
     )
+
+
+def test_exact_values_beyond_binary64_exit_2(cert_graph, tmp_path, capsys):
+    # the loader takes exact values of any size; the normalized distances
+    # exact recovery reports in binary64 are 10**400 times too large for it
+    data = realized_cloud(cert_graph, tmp_path)
+    for level in data["levels"]:
+        for point in level["points"]:
+            point["exact"] = [str(Fraction(x) * 10**400) for x in point["exact"]]
+    path = tmp_path / "huge_exact.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["recover", str(path), "--exact"]) == 2
+    assert "does not fit binary64" in capsys.readouterr().err
+    # float recovery reads the coordinates, which are intact
+    assert main(["recover", str(path)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from oracles import (
     cloud_by_coordinates,
     cross_level_separation,
     dominating_rooted_shapes,
+    halfway_past_binary64,
     least_interval_width,
     lower_member_by_fractions,
     random_dominating_shape,
@@ -187,23 +188,39 @@ RULES = [None, ScalingRule("power_square", 3)]
     [
         CERT_TRIANGLE,
         # largest distances over 3 that bring r_n * largest within a bit of
-        # the limit at the boundary: a guard that left it unreduced would
-        # refuse a level early, under the factorial rule for 61/3 and under
-        # power_square for 25769803780/3
+        # the limit at the boundary, under the factorial rule for 61/3 and
+        # under power_square for 25769803780/3
         scaled_weights(ONE_GAP, Fraction(61, 15)),
         scaled_weights(ONE_GAP, Fraction(25769803780, 15)),
+        # the largest distance, 27 between u and v, is no coordinate: a guard
+        # on it refuses level 170 of the factorial rule, where every
+        # coordinate, at most 14 * 170!, fits
+        graph(["r", "u", "v"], {("r", "u"): 13, ("r", "v"): 14}, "r"),
+        # a coordinate below 2**1024 that rounds to infinity at level 170
+        halfway_past_binary64(),
     ],
-    ids=["triangle", "largest_61/3", "largest_25769803780/3"],
+    ids=["triangle", "largest_61/3", "largest_25769803780/3", "largest_off_the_root", "halfway"],
 )
 def test_depth_overflow_guard_at_its_boundary(g, rule):
-    # the deepest cloud the oracle's Fraction guard accepts ends a level
-    # before the first level it refuses
+    # the deepest cloud the oracle accepts, refusing a level when float() of
+    # one of its coordinates or of r overflows, ends a level before the
+    # first level it refuses
     with pytest.raises(GraphError, match="overflows binary64") as caught:
         cloud_by_coordinates(build_plan(g, 400, rule))
     last = int(re.search(r"level (\d+)", str(caught.value)).group(1)) - 1
-    assert realize(g, last, rule) == cloud_by_coordinates(build_plan(g, last, rule))
+    cloud = realize(g, last, rule)
+    assert cloud == cloud_by_coordinates(build_plan(g, last, rule))
+    assert all(math.isfinite(c) for p in cloud.levels[-1].points for c in p.coords)
     with pytest.raises(GraphError, match=f"level {last + 1} overflows binary64"):
         realize(g, last + 1, rule)
+
+
+def test_a_coordinate_that_rounds_to_infinity_is_refused_at_its_level():
+    g = halfway_past_binary64()
+    cloud = realize(g, 169)
+    assert all(math.isfinite(c) for lvl in cloud.levels for p in lvl.points for c in p.coords)
+    with pytest.raises(GraphError, match="level 170 overflows binary64"):
+        realize(g, 170)
 
 
 def _generation_cases():

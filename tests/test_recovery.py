@@ -624,6 +624,18 @@ def test_spread_functional_conventions():
         spread_functional([(math.nan,), (1.0,)], p)
 
 
+def test_spread_functional_is_scale_free():
+    # the largest basepoint distance, 10**11, to the power 10 * 9 / 2 + 1
+    # leaves binary64; the value itself is far inside it
+    exact = [Fraction(10**10 * k) for k in range(1, 11)]
+    product = math.prod(abs(a - b) for i, a in enumerate(exact) for b in exact[i + 1 :])
+    expected = min(exact) * product / max(exact) ** (10 * 9 // 2 + 1)
+    assert spread_functional([(float(x),) for x in exact], (0.0,)) == pytest.approx(float(expected), rel=1e-12)
+    # finite points whose distance, and so the value, is not
+    with pytest.raises(GraphError, match="not finite"):
+        spread_functional([(1e308,), (-1e308,)], (0.0,))
+
+
 def test_spread_functional_on_cloud_levels():
     cloud = realize(CERT_TRIANGLE, depth=8)
     lvl = cloud.levels[-1]
