@@ -19,12 +19,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Generator, Optional
 
 from .graph_core import (
     Cycle,
     GraphError,
     WeightedRootedGraph,
+    _over_lcm,
     _root_labels,
     _undominated_vertex,
     format_rational,
@@ -33,7 +34,7 @@ from .graph_core import (
 )
 from .metrization import (
     DistanceMatrix,
-    _classify,
+    _detour_cycle,
     _interval,
     _ScaledGraph,
     _tight_cycle,
@@ -124,38 +125,71 @@ def _certify(
     integers that (ii) and (iii) were decided on and the least scaled width
     hi - lo of an admissible interval over the non-edges (positive, or None
     when g is complete)."""
-    # (i) dominating root
+    violations = _violations(g, lambda gap, size, q: gap == 0)
+    try:
+        kind, *data = next(violations)
+    except StopIteration as passed:
+        return (FpcCertificate(True), *passed.value)
+    cert = FpcCertificate(False, kind)
+    if kind == FAIL_ROOT_NOT_DOMINATING:
+        cert.witness_vertex = data[0]
+    elif kind == FAIL_LABELING_NOT_INJECTIVE:
+        # the first vertex whose label an earlier one has, and the first with that label
+        cert.witness_pair = min(data[0], key=lambda pair: pair[::-1])
+    elif kind == FAIL_CYCLE_INEQUALITY:
+        cert.witness_cycle = _detour_cycle(g, *data[:3])
+    else:
+        sg, mu, nu, lo, _ = data
+        cert.witness_cycle, cert.witness_pair = _tight_cycle(g, sg, mu, nu, lo), (mu, nu)
+    return cert, None, None
+
+
+def _violations(g: WeightedRootedGraph, negligible) -> Generator[tuple, None, Optional[tuple]]:
+    """Each violation of the three conditions, in certification's order, where
+    ``negligible(gap, size, q)`` says whether the gap between two values,
+    integers over q of which the larger is size, counts as zero: the least
+    vertex the root misses, ``(FAIL_ROOT_NOT_DOMINATING, v)``; the sorted pairs
+    u < v of the root (label 0) and its neighbours whose labels are negligibly
+    apart, ``(FAIL_LABELING_NOT_INJECTIVE, pairs)``; each edge heavier than
+    the distance d(i, j) of its ends, ``(FAIL_CYCLE_INEQUALITY, sg, i, j, w)``;
+    when there is none, each non-edge whose admissible interval is negligibly
+    wide, ``(FAIL_TIGHT_CYCLE_NOT_CLIQUE, sg, mu, nu, lo, hi)``. sg is g scaled
+    to integers. A disconnected graph stops after (i); otherwise the generator
+    returns sg and the least width hi - lo (None when g is complete).
+    """
     missing = _undominated_vertex(g)
     if missing is not None:
-        return FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex=missing), None, None
-    # (i) injective labeling
-    labeling = root_labeling(g)
-    if not labeling.injective:
-        return FpcCertificate(
-            False, FAIL_LABELING_NOT_INJECTIVE, witness_pair=labeling.collision
-        ), None, None
-    # (ii): after (i) every zero weight closes a violating triangle, so the
-    # graph is metrizable or the verdict carries a violating cycle
+        yield FAIL_ROOT_NOT_DOMINATING, missing
+    names = sorted(g._adj[g.root] | {g.root})
+    q, labels = _over_lcm([Fraction(0) if v == g.root else g.weight(g.root, v) for v in names])
+    pairs = [
+        (u, v)
+        for (u, a), (v, b) in combinations(zip(names, labels), 2)
+        if negligible(abs(a - b), max(a, b), q)
+    ]
+    if pairs:
+        yield FAIL_LABELING_NOT_INJECTIVE, pairs
+    if missing is not None and not g.is_connected():
+        return None  # no shortest-path rows exist across components
+    # (ii): a violating cycle has an edge heavier than its detour, its heaviest;
+    # after (i) holds exactly, every zero weight closes a violating triangle
     sg = _ScaledGraph.of(g)
-    verdict = _classify(g, sg)
-    if not verdict.metrizable:
-        return FpcCertificate(
-            False, FAIL_CYCLE_INEQUALITY, witness_cycle=verdict.witness_cycle
-        ), None, None
+    heavy = False
+    for i, j, w in sg.edges:
+        if not negligible(w - sg.row(i)[j], w, sg.scale):
+            heavy = True
+            yield FAIL_CYCLE_INEQUALITY, sg, i, j, w
+    if heavy:
+        return None
     # (iii): a tight cycle through a non-edge forces its distance, and a
     # forced distance closes a tight cycle through the pair
     delta = None
     for mu, nu in g.non_edges():
         lo, hi = _interval(sg, mu, nu)
-        if lo == hi:
-            return FpcCertificate(
-                False,
-                FAIL_TIGHT_CYCLE_NOT_CLIQUE,
-                witness_cycle=_tight_cycle(g, sg, mu, nu, lo),
-                witness_pair=(mu, nu),
-            ), None, None
+        if negligible(hi - lo, hi, sg.scale):
+            yield FAIL_TIGHT_CYCLE_NOT_CLIQUE, sg, mu, nu, lo, hi
         delta = hi - lo if delta is None else min(delta, hi - lo)
-    return FpcCertificate(True), sg, delta
+    return sg, delta
 
 
 def witness_is_genuine(g: WeightedRootedGraph, cert: FpcCertificate) -> bool:
@@ -212,7 +246,7 @@ def synthesize_weights(g: WeightedRootedGraph) -> WeightedRootedGraph:
     _root_labels(g)  # raises unless the root is dominating
     edges = g.edges()
     m = len(edges)
-    weights = {e: Fraction(1) + Fraction(j + 1, m + 1) for j, e in enumerate(edges)}
+    weights = {e: Fraction(m + 2 + j, m + 1) for j, e in enumerate(edges)}
     return WeightedRootedGraph(g.vertices, weights, g.root)
 
 
@@ -255,7 +289,6 @@ class CliqueBoundReport:
     vertex_count: int
     clique_count: int
     bound: int
-    holds: bool
     slack: int
 
     def to_json_dict(self) -> dict:
@@ -263,7 +296,6 @@ class CliqueBoundReport:
             "vertices": self.vertex_count,
             "maximal_cliques_without_root": self.clique_count,
             "bound": self.bound,
-            "holds": self.holds,
             "slack": self.slack,
         }
 
@@ -290,6 +322,5 @@ def clique_bound_check(g: WeightedRootedGraph) -> CliqueBoundReport:
         vertex_count=n,
         clique_count=count,
         bound=bound,
-        holds=count <= bound,
         slack=bound - count,
     )

@@ -401,7 +401,9 @@ def _tolerance(weight_tol_rel) -> Fraction:
 
 
 def _weights_close(a: Fraction, b: Fraction, tol: Fraction) -> bool:
-    return a == b or abs(a - b) <= tol * max(a, b)
+    """|a - b| <= tol * max(a, b), times the three denominators."""
+    x, y = a.numerator * b.denominator, b.numerator * a.denominator
+    return abs(x - y) * tol.denominator <= tol.numerator * max(x, y)
 
 
 def _maps_edges(g1, g2, mapping, weighted: bool, tol: Fraction) -> bool:
@@ -486,10 +488,11 @@ def isomorphic(
 
     Returns a witness or None. In weighted mode, when both graphs have
     injective distance-from-root labels, the vertices paired in increasing
-    label order are the one candidate, returned if it verifies. With exact
-    weights a failed candidate means no isomorphism; under a tolerance, and
-    for other graphs, the backtracking search returns the lexicographically
-    least witness (images of the sorted g1 vertices tried in sorted order).
+    label order are the one candidate, returned if it verifies. A failed
+    candidate means no isomorphism with exact weights, and under a tolerance
+    unless both graphs have a near-tie (see ``_has_near_tie``). Then, and for
+    other graphs, the backtracking search returns the lexicographically least
+    witness (images of the sorted g1 vertices tried in sorted order).
 
     GraphError refuses a negative or non-finite tolerance, and a search on
     graphs above a cap of 12 vertices, which the environment variable
@@ -509,7 +512,7 @@ def isomorphic(
         # a bijection between graphs with as many edges: what verify() checks
         if _maps_edges(g1, g2, candidate, True, tol):
             return IsoMapping(candidate)
-        if tol == 0:
+        if not (_has_near_tie(labels1, tol) and _has_near_tie(labels2, tol)):
             return None
 
     env = os.environ.get(ENV_MAX_VERTICES, DEFAULT_ISOMORPHISM_CAP)
@@ -531,6 +534,15 @@ def _injective_labels(g: WeightedRootedGraph) -> Optional[dict[str, Fraction]]:
         return None
     labels = _root_labels(g)
     return labels if len(set(labels.values())) == len(labels) else None
+
+
+def _has_near_tie(labels: dict[str, Fraction], tol: Fraction) -> bool:
+    """Two non-root labels a <= b with a >= (1 - tol)**2 * b, or any two when
+    tol >= 1: an isomorphism within tol that takes labels a < b to a' > b'
+    needs one in both graphs, as (1 - tol) * b <= b' < a' <= a / (1 - tol)."""
+    values = sorted(labels.values())[1:]  # injective labels: the root's 0 is least
+    factor = 0 if tol >= 1 else (1 - tol) ** 2
+    return any(a >= factor * b for a, b in zip(values, values[1:]))
 
 
 def _backtracking_isomorphism(g1, g2, weighted, tol):

@@ -298,12 +298,8 @@ def _classify(g: WeightedRootedGraph, sg: _ScaledGraph) -> MetrizabilityVerdict:
     """
     for i, j, w in sg.edges:
         if w > sg.row(i)[j]:
-            detours = _ScaledGraph(sg.vertices, [e for e in sg.edges if e[:2] != (i, j)], sg.scale)
-            cycle = Cycle.from_graph(g, [sg.vertices[k] for k in detours.path(i, j)])
-            # path closes with edge {i,j}; re-check the violation exactly
-            assert not cycle.satisfies_cycle_inequality()
             return MetrizabilityVerdict(
-                Metrizability.NOT_PSEUDOMETRIZABLE, witness_cycle=cycle
+                Metrizability.NOT_PSEUDOMETRIZABLE, witness_cycle=_detour_cycle(g, sg, i, j)
             )
     for i, j, w in sg.edges:
         if w == 0:
@@ -312,6 +308,15 @@ def _classify(g: WeightedRootedGraph, sg: _ScaledGraph) -> MetrizabilityVerdict:
                 zero_weight_edge=(sg.vertices[i], sg.vertices[j]),
             )
     return MetrizabilityVerdict(Metrizability.METRIZABLE)
+
+
+def _detour_cycle(g: WeightedRootedGraph, sg: _ScaledGraph, i: int, j: int) -> Cycle:
+    """The edge ij, heavier than d(i, j), closed by its shortest detour."""
+    detours = _ScaledGraph(sg.vertices, [e for e in sg.edges if e[:2] != (i, j)], sg.scale)
+    cycle = Cycle.from_graph(g, [sg.vertices[k] for k in detours.path(i, j)])
+    # path closes with edge {i,j}; re-check the violation exactly
+    assert not cycle.satisfies_cycle_inequality()
+    return cycle
 
 
 def check_metrizable(g: WeightedRootedGraph) -> MetrizabilityVerdict:

@@ -22,8 +22,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph_core import GraphError, WeightedRootedGraph, _over_lcm, is_dominating
-from .metrization import _interval, _pinning_edge, _ScaledGraph
+from .fpc import (
+    FAIL_CYCLE_INEQUALITY,
+    FAIL_LABELING_NOT_INJECTIVE,
+    FAIL_ROOT_NOT_DOMINATING,
+    _violations,
+)
+from .graph_core import GraphError, WeightedRootedGraph, _over_lcm
+from .metrization import _pinning_edge
 from .realization import LeveledPointCloud, sup_distance
 
 DEFAULT_TOL_REL = 1e-6
@@ -38,7 +44,6 @@ class RecoveredCluster:
     pair diagnostics, the classes of merged labels, and the merge and drop logs."""
 
     graph: WeightedRootedGraph
-    rho0: dict[str, Fraction]
     classes: dict[str, tuple[str, ...]]
     diagnostics: list[dict]
     merge_log: list[str]
@@ -46,10 +51,12 @@ class RecoveredCluster:
     window: int
 
     def diagnostics_json_dict(self) -> dict:
+        g = self.graph
         return {
             "window": self.window,
             "classes": {k: list(v) for k, v in self.classes.items()},
-            "rho0": {k: str(v) for k, v in self.rho0.items()},
+            # the root-distance values: 0 and the root-edge weights
+            "rho0": {v: "0" if v == g.root else str(g.weight(g.root, v)) for v in g.vertices},
             "pairs": self.diagnostics,
             "merge_log": self.merge_log,
             "warnings": self.warnings,
@@ -71,9 +78,8 @@ def recover_cluster(
     each level's common denominator q, and every normalized value of the
     window is one integer over one common denominator U. Window sums, spreads
     and every threshold test are then integer arithmetic, with the tolerances
-    put over one denominator; Fractions are built only for what is handed
-    out (``rho0`` and the edge weights), and they equal the exact tail means
-    of d(x_n, y_n)/r_n.
+    put over one denominator; Fractions are built only for the edge weights,
+    and they equal the exact tail means of d(x_n, y_n)/r_n.
     """
     if not cloud.levels:
         raise GraphError("empty cloud")
@@ -310,15 +316,10 @@ def recover_cluster(
             if adjacent:
                 edges[(name_a, name_b)] = mean_fraction(total)
 
-    rho0 = {
-        name: Fraction(0) if rep is _BASE else mean_fraction(sum(values[_BASE, rep]))
-        for name, rep, _ in kept
-    }
     graph = WeightedRootedGraph([name for name, _, _ in kept], edges, root_name)
     classes = {name: tuple(members) or (name,) for name, _, members in kept}
     return RecoveredCluster(
         graph=graph,
-        rho0=rho0,
         classes=classes,
         diagnostics=diagnostics,
         merge_log=merge_log,
@@ -345,13 +346,14 @@ def validate_recovered_cluster(
 ) -> list[str]:
     """The violations (none when all hold) of ``certify_fpc``'s three conditions,
     where a gap within tol_abs + tol_rel * size counts as zero: (i) the root
-    dominates and the ``rho0`` values are distinct; (ii) every edge ab has
+    dominates and its edges have distinct weights; (ii) every edge ab has
     w(ab) = d(a, b), the shortest-path distance; once (ii) holds, (iii) no
     non-edge has a degenerate admissible interval, reported with the edge that
-    pins its lower end. Decided on certification's integer rows, so at zero
-    tolerances on exact weights, with ``rho0`` the root-edge weights, this
-    returns [] exactly when ``certify_fpc`` passes. No clique is counted: every
-    graph meets the extremal bound on maximal cliques.
+    pins its lower end. Decided by certification's own routine on its integer
+    rows, so at zero tolerances on exact weights this returns [] exactly when
+    ``certify_fpc`` passes, and its first text names the condition that
+    certification reports. No clique is counted: every graph meets the
+    extremal bound on maximal cliques.
     """
     _check_tolerances(tol_rel, tol_abs)
     den, (rel, ab) = _over_lcm([Fraction(tol_rel), Fraction(tol_abs)])
@@ -360,32 +362,26 @@ def validate_recovered_cluster(
         # gap / q <= tol_abs + tol_rel * size / q, on integers
         return gap * den <= ab * q + rel * size
 
-    problems: list[str] = []
     g = rc.graph
-    if not is_dominating(g, g.root):
-        problems.append(f"root {g.root!r} is not dominating")
-    q, labels = _over_lcm(list(rc.rho0.values()))
-    problems += [
-        f"root-distance values of {u!r} and {v!r} are not distinct beyond tolerance"
-        for (u, a), (v, b) in combinations(sorted(zip(rc.rho0, labels)), 2)
-        if negligible(abs(a - b), max(abs(a), abs(b)), q)
-    ]
-    if not g.is_connected():
-        return problems  # a dominating root connects the graph: (i) has failed
-
-    sg = _ScaledGraph.of(g)
-    vs, scale = sg.vertices, sg.scale
-    heavy = [
-        f"cycle inequality fails: edge {vs[a]!r}-{vs[b]!r} of weight {w / scale:.6g} "
-        f"exceeds their distance by {(w - sg.row(a)[b]) / scale:.3g}"
-        for a, b, w in sg.edges
-        if not negligible(w - sg.row(a)[b], w, scale)
-    ]
-    if heavy:
-        return problems + heavy
-    for mu, nu in g.non_edges():
-        lo, hi = _interval(sg, mu, nu)
-        if negligible(hi - lo, hi, scale):
+    problems: list[str] = []
+    for kind, *data in _violations(g, negligible):
+        if kind == FAIL_ROOT_NOT_DOMINATING:
+            problems.append(f"root {g.root!r} is not dominating")
+        elif kind == FAIL_LABELING_NOT_INJECTIVE:
+            problems += [
+                f"root-distance values of {u!r} and {v!r} are not distinct beyond tolerance"
+                for u, v in data[0]
+            ]
+        elif kind == FAIL_CYCLE_INEQUALITY:
+            sg, a, b, w = data
+            vs, scale = sg.vertices, sg.scale
+            problems.append(
+                f"cycle inequality fails: edge {vs[a]!r}-{vs[b]!r} of weight {w / scale:.6g} "
+                f"exceeds their distance by {(w - sg.row(a)[b]) / scale:.3g}"
+            )
+        else:
+            sg, mu, nu, lo, hi = data
+            vs, scale = sg.vertices, sg.scale
             edge = lo and _pinning_edge(sg, mu, nu, lo)  # a zero lower end has none
             pin = f", pinned by edge {vs[edge[0]]!r}-{vs[edge[1]]!r}" if edge else ""
             problems.append(

@@ -437,20 +437,12 @@ def recover_by_fractions(
             if adjacent:
                 edges[(name_a, name_b)] = Fraction(mean)
 
-    rho0: dict[str, Fraction] = {}
-    for name, rep, _ in kept:
-        if rep is _BASE:
-            rho0[name] = Fraction(0)
-        else:
-            rho0[name] = Fraction(_fraction_mean(values[_BASE, rep]))
-
     graph = WeightedRootedGraph([name for name, _, _ in kept], edges, root_name)
     classes = {
         name: tuple(members) if members else (name,) for name, _, members in kept
     }
     return RecoveredCluster(
         graph=graph,
-        rho0=rho0,
         classes=classes,
         diagnostics=diagnostics,
         merge_log=merge_log,

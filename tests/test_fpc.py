@@ -430,17 +430,17 @@ def test_extremal_values_match_brute_force_counts():
 def test_clique_bound_on_tiny_clusters():
     k1 = WeightedRootedGraph(["r"], {}, "r")
     report = clique_bound_check(k1)
-    assert (report.clique_count, report.bound, report.holds) == (1, 1, True)
+    assert (report.clique_count, report.bound) == (1, 1)
     k2 = graph(["r", "a"], {("r", "a"): 1}, "r")
     report = clique_bound_check(k2)
-    assert (report.clique_count, report.bound, report.holds) == (1, 1, True)
+    assert (report.clique_count, report.bound) == (1, 1)
 
 
 def test_clique_bound_tight_on_root_plus_extremal():
     g = rooted_extremal_cluster(6)  # 7 vertices total
     report = clique_bound_check(g)
     assert report.clique_count == 9 == report.bound
-    assert report.slack == 0 and report.holds
+    assert report.slack == 0
 
 
 def test_clique_bound_with_slack_on_root_plus_path():
@@ -450,7 +450,7 @@ def test_clique_bound_with_slack_on_root_plus_path():
         "r",
     )
     report = clique_bound_check(g)
-    assert report.clique_count == 2 and report.bound == 3 and report.holds
+    assert report.clique_count == 2 and report.bound == 3 and report.slack == 1
 
 
 def test_clique_bound_requires_dominating_root():

@@ -6,6 +6,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from metric_cluster import graph_core, synthesize_weights
 from metric_cluster.graph_core import (
     Cycle,
     GraphError,
@@ -17,6 +18,7 @@ from metric_cluster.graph_core import (
     isomorphic,
     maximal_cliques,
     parse_rational,
+    _weights_close,
 )
 
 from oracles import (
@@ -28,6 +30,7 @@ from oracles import (
     is_isomorphism_by_pairs,
     isomorphic_by_networkx,
     nx_to_graph,
+    random_dominating_shape,
     random_weighted_graph,
 )
 
@@ -374,6 +377,78 @@ def test_weight_tolerance_near_tie_crossing():
     assert witness is not None
     assert witness.mapping["u"] == "x"
     assert witness.verify(g, h, weighted=True, weight_tol_rel=Fraction(1, 10**6))
+    # at t = 1/10 the labels 85 and 100 are a near-tie, as 85 >= (1 - t)**2 * 100,
+    # though 85 < (1 - t) * 100; the edge to w maps 85 onto 94 and 100 onto 91
+    g = graph(["r", "u", "v", "w"], {("r", "u"): 85, ("r", "v"): 100, ("r", "w"): 300, ("u", "w"): 7}, "r")
+    h = graph(["r", "x", "y", "z"], {("r", "x"): 94, ("r", "y"): 91, ("r", "z"): 300, ("x", "z"): 7}, "r")
+    witness = isomorphic(g, h, weighted=True, weight_tol_rel=Fraction(1, 10))
+    assert witness is not None and witness.mapping["u"] == "x"
+
+
+def test_tolerant_isomorphism_without_a_near_tie_answers_without_search(monkeypatch):
+    # 14 vertices exceed the search cap; labels 1 + j/(m+1) lie further apart
+    # than any tolerance below 1/(m+1) can close, so the sorted pairing is the
+    # one candidate, and its failure answers
+    g = synthesize_weights(random_dominating_shape(random.Random(14), 14, 0.5))
+    u, v = next(e for e in g.edges() if g.root not in e)
+    w = g.weight(u, v)
+    tol = Fraction(1, 10**9)
+
+    def refuse(*args):
+        raise AssertionError("backtracking search ran")
+
+    monkeypatch.setattr(graph_core, "_backtracking_isomorphism", refuse)
+    assert isomorphic(g, g.with_weight(u, v, w * Fraction(101, 100))) is None
+    assert isomorphic(g, g.with_weight(u, v, w * Fraction(101, 100)), weight_tol_rel=tol) is None
+    nudged = g.with_weight(u, v, w * (1 + Fraction(1, 10**12)))
+    assert isomorphic(g, nudged, weight_tol_rel=tol).verify(g, nudged, True, tol)
+
+
+def test_tolerant_isomorphism_on_injective_labels_matches_networkx(monkeypatch):
+    # dominating roots with distinct labels from a small range, so that near-ties
+    # come and go with the tolerance; h is a renamed copy with each weight times
+    # or over a factor 1, 1 + t/2, 1 + t or 1 + 2t, and two root edges
+    # sometimes swapped
+    rng = random.Random(2)
+    tolerances = [Fraction(0), Fraction(1, 10**9), Fraction(1, 20), Fraction(1, 5), Fraction(1, 2), 1, 2]
+    searches = []
+    search = graph_core._backtracking_isomorphism
+    monkeypatch.setattr(graph_core, "_backtracking_isomorphism", lambda *a: searches.append(a) or search(*a))
+    answered = 0
+    for _ in range(600):
+        n = rng.randint(2, 7)
+        names = [f"v{i}" for i in range(n)]
+        weights = {("v0", v): Fraction(a) for v, a in zip(names[1:], rng.sample(range(4, 4 + 3 * n), n - 1))}
+        for e in combinations(names[1:], 2):
+            if rng.random() < 0.5:
+                weights[e] = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+        t = Fraction(rng.choice(tolerances))
+        moved = {}
+        for e, w in weights.items():
+            f = rng.choice([1, 1 + t / 2, 1 + t, 1 + 2 * t])
+            moved[e] = w * f if rng.random() < 0.5 else w / f
+        if n > 2 and rng.random() < 0.3:
+            a, b = (("v0", v) for v in rng.sample(names[1:], 2))
+            moved[a], moved[b] = moved[b], moved[a]
+        g = WeightedRootedGraph(names, weights, "v0")
+        h = WeightedRootedGraph(names, moved, "v0").relabel(dict(zip(names, rng.sample([f"w{i}" for i in range(n)], n))))
+        before = len(searches)
+        witness = isomorphic(g, h, weight_tol_rel=t)
+        assert (witness is not None) == isomorphic_by_networkx(g, h, True, t), (g.to_json(), h.to_json(), t)
+        assert witness is None or witness.verify(g, h, True, t)
+        answered += len(searches) == before
+    assert len(searches) > 50 and answered > 300
+
+
+def test_weights_close_is_the_fraction_formula():
+    rng = random.Random(403)
+    pool = [Fraction(0), Fraction(1), Fraction(7, 3), Fraction(10**12 + 1, 10**12)]
+    for _ in range(20000):
+        a = rng.choice(pool) if rng.random() < 0.2 else Fraction(rng.randint(0, 60), rng.randint(1, 9))
+        near = a * (1 + Fraction(rng.randint(-40, 40), rng.choice([10, 100, 10**9])))
+        b = rng.choice([a, near, near, Fraction(rng.randint(0, 60), rng.randint(1, 9))])
+        t = rng.choice([Fraction(0), Fraction(1, 10**9), Fraction(1, 2), Fraction(1), Fraction(3)])
+        assert _weights_close(a, b, t) == (abs(a - b) <= t * max(a, b)), (a, b, t)
 
 
 def random_rooted_graph(rng, n, dominating):

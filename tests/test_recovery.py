@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from metric_cluster import fpc, graph_core
@@ -15,6 +16,8 @@ from metric_cluster.graph_core import (
 )
 from metric_cluster.fpc import (
     FAIL_CYCLE_INEQUALITY,
+    FAIL_LABELING_NOT_INJECTIVE,
+    FAIL_ROOT_NOT_DOMINATING,
     FAIL_TIGHT_CYCLE_NOT_CLIQUE,
     certify_fpc,
     synthesize_weights,
@@ -41,12 +44,15 @@ from metric_cluster.recovery import (
 )
 
 from oracles import (
+    atlas_connected_graphs,
     certifies_by_cycles,
     dominating_rooted_shapes,
     level_from_fractions,
     normalized_values_by_fractions,
+    nx_to_graph,
     random_dominating_shape,
     random_rational,
+    random_weighting,
     recover_by_fractions,
     rooted_extremal_cluster,
 )
@@ -85,7 +91,8 @@ def test_round_trip_exact_recovery_reproduces_weights():
     cloud = realize(ONE_GAP, depth=12)
     rc = recover_cluster(cloud, use_exact=True)
     assert rc.graph == ONE_GAP
-    assert rc.rho0 == {"r": 0, "u": 1, "v": 2, "z": 3}
+    # --diag-out's root-distance values are the root-edge weights
+    assert rc.diagnostics_json_dict()["rho0"] == {"r": "0", "u": "1", "v": "2", "z": "3"}
 
 
 def test_round_trip_sweep_over_shapes():
@@ -149,7 +156,8 @@ def test_exact_values_match_fraction_oracle(name):
     def mean(vals):
         return sum(vals) / len(vals)
 
-    assert rc.rho0 == {x: Fraction(0) if x == root else mean(base[x]) for x in rc.graph.vertices}
+    others = [x for x in rc.graph.vertices if x != root]
+    assert [rc.graph.weight(root, x) for x in others] == [mean(base[x]) for x in others]
     assert rc.graph.weights == {e: mean(values(*e)) for e in rc.graph.weights}
     assert len(rc.diagnostics) == len(rc.graph) * (len(rc.graph) - 1) // 2
     for diag in rc.diagnostics:
@@ -367,9 +375,8 @@ def test_round_trip_with_tight_cycles_tolerates_float_noise():
 
 
 def hand_recovery(g: WeightedRootedGraph) -> RecoveredCluster:
-    """g as a recovery would hand it out, with its root-edge weights as rho0."""
-    rho0 = {v: Fraction(0) if v == g.root else g.weight(g.root, v) for v in g.vertices}
-    return RecoveredCluster(g, rho0, {v: (v,) for v in g.vertices}, [], [], [], window=2)
+    """g as a recovery would hand it out."""
+    return RecoveredCluster(g, {v: (v,) for v in g.vertices}, [], [], [], window=2)
 
 
 EPS = Fraction(1, 10**12)
@@ -392,7 +399,7 @@ def test_validation_reports_every_edge_beyond_its_distance():
 def test_validation_reports_a_disconnected_graph_by_its_root():
     # no shortest-path rows exist across components; (i) already names the fault
     g = graph(["r", "a", "b"], {("a", "b"): 1}, "r")
-    rc = RecoveredCluster(g, {"r": Fraction(0), "a": Fraction(1), "b": Fraction(2)}, {}, [], [], [], window=2)
+    rc = RecoveredCluster(g, {}, [], [], [], window=2)
     assert validate_recovered_cluster(rc) == ["root 'r' is not dominating"]
 
 
@@ -430,6 +437,56 @@ def test_validation_at_zero_tolerance_is_certification():
     assert {None, FAIL_TIGHT_CYCLE_NOT_CLIQUE, FAIL_CYCLE_INEQUALITY} <= outcomes
 
 
+# the condition each validation text names, by its opening words
+CONDITION_OF_TEXT = {
+    "root '": FAIL_ROOT_NOT_DOMINATING,
+    "root-distance values": FAIL_LABELING_NOT_INJECTIVE,
+    "cycle inequality fails": FAIL_CYCLE_INEQUALITY,
+    "near-tight cycle": FAIL_TIGHT_CYCLE_NOT_CLIQUE,
+}
+
+
+def condition_named(text: str) -> str:
+    return next(kind for opening, kind in CONDITION_OF_TEXT.items() if text.startswith(opening))
+
+
+def test_certification_and_validation_make_one_decision():
+    # random weightings of every dominating-root shape on up to 6 vertices, and
+    # of every connected graph on up to 6 vertices rooted at a dominating vertex;
+    # each shape also weighted by points on a line, which makes tight cycles
+    rng = random.Random(21)
+    graphs = []
+    for shape in dominating_rooted_shapes(6):
+        weights = random_weighting(nx.Graph(shape.edges()), rng)
+        graphs.append(WeightedRootedGraph(shape.vertices, dict(zip(shape.edges(), weights)), shape.root))
+        at = dict(zip(shape.vertices, rng.sample(range(1, 12), len(shape))), **{shape.root: 0})
+        line = {(u, v): Fraction(abs(at[u] - at[v])) for u, v in shape.edges()}
+        graphs.append(WeightedRootedGraph(shape.vertices, line, shape.root))
+    for G in atlas_connected_graphs(6):
+        g = nx_to_graph(G, random_weighting(G, rng), None)
+        graphs += [WeightedRootedGraph(g.vertices, g.weights, v) for v in g.vertices if graph_core.is_dominating(g, v)]
+    outcomes = set()
+    for g in graphs:
+        cert = certify_fpc(g)
+        problems = validate_recovered_cluster(hand_recovery(g), tol_rel=0, tol_abs=0)
+        assert (problems == []) == cert.ok, g.to_json()
+        assert cert.ok or condition_named(problems[0]) == cert.failure, (g.to_json(), problems[0])
+        outcomes.add(cert.failure)
+    assert {None, FAIL_LABELING_NOT_INJECTIVE, FAIL_CYCLE_INEQUALITY, FAIL_TIGHT_CYCLE_NOT_CLIQUE} <= outcomes
+
+
+def test_label_pairs_keep_their_two_orders():
+    # labels a = 1, b = 2, c = 2, d = 1: certification names the first vertex whose
+    # label an earlier one has, c, with b; validation lists the pairs in sorted order
+    g = graph(["r", "a", "b", "c", "d"], {("r", "a"): 1, ("r", "b"): 2, ("r", "c"): 2, ("r", "d"): 1}, "r")
+    assert certify_fpc(g).witness_pair == ("b", "c")
+    problems = validate_recovered_cluster(hand_recovery(g), tol_rel=0, tol_abs=0)
+    assert problems == [
+        f"root-distance values of {u!r} and {v!r} are not distinct beyond tolerance"
+        for u, v in (("a", "d"), ("b", "c"))
+    ]
+
+
 def test_validation_enumerates_no_cliques(monkeypatch):
     # a root and the complete 12-partite graph with parts of 3: it has 3**12
     # maximal cliques, the most any graph on 36 vertices has
@@ -447,7 +504,7 @@ def test_validation_enumerates_no_cliques(monkeypatch):
 def test_single_point_cloud_recovers_one_vertex():
     rc = recover_cluster(single_point_space(depth=12, base=2))
     assert rc.graph.vertices == ("p",)
-    assert rc.rho0 == {"p": 0}
+    assert rc.diagnostics_json_dict()["rho0"] == {"p": "0"}
     assert rc.merge_log  # the decaying sequence was absorbed
     assert validate_recovered_cluster(rc) == []
 
