@@ -210,7 +210,7 @@ def _cmd_isomorphic(ns) -> int:
     g1 = _load_graph(ns.graph1)
     g2 = _load_graph(ns.graph2)
     tol = 0 if ns.exact_weights else parse_rational(ns.weight_tol_rel)
-    witness = isomorphic(g1, g2, weighted=not ns.unweighted, weight_tol_rel=tol)
+    witness = isomorphic(g1, g2, weight_tol_rel=tol)
     if witness is None:
         _emit({"isomorphic": False}, ns, "not isomorphic")
         return 1
@@ -568,7 +568,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p = sub.add_parser("isomorphic", parents=[common], help="weighted rooted isomorphism test")
         p.add_argument("graph1")
         p.add_argument("graph2")
-        p.add_argument("--unweighted", action="store_true", help="ignore weights")
         p.add_argument(
             "--weight-tol-rel",
             default="1/1000000000",

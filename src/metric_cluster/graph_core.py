@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
-
-DEFAULT_ISOMORPHISM_CAP = 12
-
-ENV_MAX_VERTICES = "METRIC_CLUSTER_MAX_VERTICES"
 
 
 class GraphError(ValueError):
@@ -361,7 +356,7 @@ class Cycle:
 
 @dataclass
 class IsoMapping:
-    """Vertex bijection witnessing a (weighted) rooted isomorphism."""
+    """Vertex bijection witnessing a weighted rooted isomorphism."""
 
     mapping: dict[str, str]
 
@@ -369,13 +364,12 @@ class IsoMapping:
         self,
         g1: WeightedRootedGraph,
         g2: WeightedRootedGraph,
-        weighted: bool = True,
         weight_tol_rel: Fraction | float = 0,
     ) -> bool:
         """Re-evaluate the isomorphism conditions from scratch: a bijection
         onto g2's vertices, as many edges in g2 as in g1, and root to root
-        and each edge of g1 onto an edge of g2 (of a weight within the
-        relative tolerance when ``weighted``), so non-edges map onto non-edges.
+        and each edge of g1 onto an edge of g2 of a weight within the
+        relative tolerance, so non-edges map onto non-edges.
 
         GraphError refuses a negative or non-finite tolerance.
         """
@@ -383,7 +377,7 @@ class IsoMapping:
         m = self.mapping
         if set(m) != set(g1.vertices) or sorted(m.values()) != list(g2.vertices):
             return False
-        return len(g1.weights) == len(g2.weights) and _maps_edges(g1, g2, m, weighted, tol)
+        return len(g1.weights) == len(g2.weights) and _maps_edges(g1, g2, m, tol)
 
 
 def _tolerance(weight_tol_rel) -> Fraction:
@@ -406,16 +400,16 @@ def _weights_close(a: Fraction, b: Fraction, tol: Fraction) -> bool:
     return abs(x - y) * tol.denominator <= tol.numerator * max(x, y)
 
 
-def _maps_edges(g1, g2, mapping, weighted: bool, tol: Fraction) -> bool:
-    """Root to root, and each edge of g1 onto an edge of g2, of a close weight
-    when ``weighted``; ``mapping`` takes g1's vertices to g2's."""
+def _maps_edges(g1, g2, mapping, tol: Fraction) -> bool:
+    """Root to root, and each edge of g1 onto an edge of g2 of a close weight;
+    ``mapping`` takes g1's vertices to g2's."""
     if mapping[g1.root] != g2.root:
         return False
     for (u, v), w in g1.weights.items():
         a, b = mapping[u], mapping[v]
         # a == b is no key: g2 has no loops
         image = g2.weights.get((a, b) if a < b else (b, a))
-        if image is None or weighted and not _weights_close(w, image, tol):
+        if image is None or not _weights_close(w, image, tol):
             return False
     return True
 
@@ -484,122 +478,59 @@ def isomorphic(
     weighted: bool = True,
     weight_tol_rel: Fraction | float = 0,
 ) -> Optional[IsoMapping]:
-    """Search for a rooted (optionally weight-preserving) isomorphism.
+    """Decide a weighted rooted isomorphism, in polynomial time.
 
-    Returns a witness or None. In weighted mode, when both graphs have
-    injective distance-from-root labels, the vertices paired in increasing
-    label order are the one candidate, returned if it verifies. A failed
-    candidate means no isomorphism with exact weights, and under a tolerance
-    unless both graphs have a near-tie (see ``_has_near_tie``). Then, and for
-    other graphs, the backtracking search returns the lexicographically least
-    witness (images of the sorted g1 vertices tried in sorted order).
+    Returns a witness or None. Every cluster's root dominates, and a graph
+    whose root dominates is isomorphic to no graph whose root does not. With
+    both roots dominating, the vertices paired in increasing distance-from-root
+    label (the root first, ties in vertex order) are the one candidate,
+    returned if it verifies. A failed candidate means no isomorphism unless
+    both graphs have a near-tie (see ``_near_tie``): only then could an
+    isomorphism pair two vertices out of label order.
 
-    GraphError refuses a negative or non-finite tolerance, and a search on
-    graphs above a cap of 12 vertices, which the environment variable
-    ``METRIC_CLUSTER_MAX_VERTICES`` overrides.
+    GraphError refuses a negative or non-finite tolerance, ``weighted=False``,
+    two graphs whose roots do not dominate, and a failed candidate between two
+    graphs with near-ties, which the label order does not decide.
     """
     tol = _tolerance(weight_tol_rel)
+    if not weighted:
+        raise GraphError("isomorphic compares weighted graphs: weighted=False is refused")
     if len(g1) != len(g2) or len(g1.weights) != len(g2.weights):
         return None
-
-    # a labels dict holds the root, so it is never empty
-    if weighted and (labels1 := _injective_labels(g1)) and (labels2 := _injective_labels(g2)):
-        order1 = sorted(labels1, key=labels1.__getitem__)
-        pairs = dict(zip(order1, sorted(labels2, key=labels2.__getitem__)))
-        # the key order `isomorphic --json` prints: the root and then g1's
-        # vertex order with exact weights, increasing label under a tolerance
-        candidate = {v: pairs[v] for v in (labels1 if tol == 0 else order1)}
-        # a bijection between graphs with as many edges: what verify() checks
-        if _maps_edges(g1, g2, candidate, True, tol):
-            return IsoMapping(candidate)
-        if not (_has_near_tie(labels1, tol) and _has_near_tie(labels2, tol)):
-            return None
-
-    env = os.environ.get(ENV_MAX_VERTICES, DEFAULT_ISOMORPHISM_CAP)
-    try:
-        cap = int(env)
-    except ValueError as exc:
-        raise GraphError(f"{ENV_MAX_VERTICES}={env!r} is not an integer") from exc
-    if len(g1) > cap:
-        raise GraphError(
-            f"isomorphism search refused: {len(g1)} vertices exceeds cap {cap}"
-        )
-    return _backtracking_isomorphism(g1, g2, weighted, tol)
-
-
-def _injective_labels(g: WeightedRootedGraph) -> Optional[dict[str, Fraction]]:
-    """The distance-from-root labels, or None unless the root dominates and
-    they are injective."""
-    if not is_dominating(g, g.root):
+    if is_dominating(g1, g1.root) != is_dominating(g2, g2.root):
         return None
-    labels = _root_labels(g)
-    return labels if len(set(labels.values())) == len(labels) else None
+    labels1, labels2 = _root_labels(g1), _root_labels(g2)
+    # a stable sort: the root's 0 stays first and equal labels keep vertex order
+    order1 = sorted(labels1, key=labels1.__getitem__)
+    order2 = sorted(labels2, key=labels2.__getitem__)
+    pairs = dict(zip(order1, order2))
+    # the key order `isomorphic --json` prints: the root and then g1's
+    # vertex order with exact weights, increasing label under a tolerance
+    candidate = {v: pairs[v] for v in (labels1 if tol == 0 else order1)}
+    # a bijection between graphs with as many edges: what verify() checks
+    if _maps_edges(g1, g2, candidate, tol):
+        return IsoMapping(candidate)
+    tie = _near_tie(order1, labels1, tol)
+    if tie is None or _near_tie(order2, labels2, tol) is None:
+        return None
+    u, v = tie
+    raise GraphError(
+        f"the label order does not decide this isomorphism: {u!r} and {v!r} of the "
+        f"first graph have the near-tied root labels {labels1[u]} and {labels1[v]} "
+        f"under tolerance {tol}, and the second graph has a near-tie too"
+    )
 
 
-def _has_near_tie(labels: dict[str, Fraction], tol: Fraction) -> bool:
-    """Two non-root labels a <= b with a >= (1 - tol)**2 * b, or any two when
-    tol >= 1: an isomorphism within tol that takes labels a < b to a' > b'
-    needs one in both graphs, as (1 - tol) * b <= b' < a' <= a / (1 - tol)."""
-    values = sorted(labels.values())[1:]  # injective labels: the root's 0 is least
+def _near_tie(order: list[str], labels: dict[str, Fraction], tol: Fraction):
+    """The first two non-root vertices, next to each other in ``order`` (the
+    root, then increasing label), whose labels a <= b have
+    a >= (1 - tol)**2 * b, or any two when tol >= 1; None if there are none.
+    At tol = 0 that is two equal labels. An isomorphism within tol that takes
+    labels a < b to a' >= b' needs one in both graphs, as
+    (1 - tol) * b <= b' <= a' <= a / (1 - tol)."""
     factor = 0 if tol >= 1 else (1 - tol) ** 2
-    return any(a >= factor * b for a, b in zip(values, values[1:]))
-
-
-def _backtracking_isomorphism(g1, g2, weighted, tol):
-    verts1 = list(g1.vertices)
-    verts2 = list(g2.vertices)
-    deg1 = {v: len(g1._adj[v]) for v in verts1}
-    deg2 = {v: len(g2._adj[v]) for v in verts2}
-    if sorted(deg1.values()) != sorted(deg2.values()):
-        return None
-
-    def weight_profile(g, v):
-        return sorted(g.weight(v, nb) for nb in g._adj[v])
-
-    if weighted and tol == 0:
-        prof1 = {v: weight_profile(g1, v) for v in verts1}
-        prof2 = {v: weight_profile(g2, v) for v in verts2}
-    else:
-        prof1 = prof2 = None
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def feasible(u, w):
-        if (u == g1.root) != (w == g2.root):
-            return False
-        if deg1[u] != deg2[w]:
-            return False
-        if prof1 is not None and prof1[u] != prof2[w]:
-            return False
-        for nb, img in mapping.items():
-            adj_in_1 = nb in g1._adj[u]
-            adj_in_2 = img in g2._adj[w]
-            if adj_in_1 != adj_in_2:
-                return False
-            if weighted and adj_in_1:
-                if not _weights_close(g1.weight(u, nb), g2.weight(w, img), tol):
-                    return False
-        return True
-
-    def extend(i):
-        if i == len(verts1):
-            return True
-        u = verts1[i]
-        for w in verts2:
-            if w in used or not feasible(u, w):
-                continue
-            mapping[u] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[u]
-            used.remove(w)
-        return False
-
-    if extend(0):
-        return IsoMapping(dict(mapping))
-    return None
+    rest = order[1:]
+    return next(((u, v) for u, v in zip(rest, rest[1:]) if labels[u] >= factor * labels[v]), None)
 
 
 def is_weight_preserving_homomorphism(
@@ -614,7 +545,7 @@ def is_weight_preserving_homomorphism(
         return False
     if any(img not in g2._adj for img in mapping.values()):
         return False
-    return _maps_edges(g1, g2, mapping, True, tol)
+    return _maps_edges(g1, g2, mapping, tol)
 
 
 def is_weight_preserving_monomorphism(

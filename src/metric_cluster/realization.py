@@ -570,8 +570,10 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     level, and within a level the sup-norm distances reproduce r_n * d_i
     exactly at the rational level.
 
-    A level is refused with ``GraphError`` exactly when one of its
-    coordinates, or r_n itself, rounds beyond binary64.
+    A level is refused with ``GraphError`` exactly when r_n, or r_n times the
+    largest distance of d_i, rounds beyond binary64: that product is the
+    level's largest sup-norm distance, and it bounds every coordinate, as
+    |d_i(v, v_j) - d_i(v_j, root)| <= d_i(v, root).
     """
     order = plan.graph.vertices
     root = order.index(plan.graph.root)
@@ -587,23 +589,26 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         q, differences = _in_lowest_terms(d._q, [list(map(operator.sub, row, to_root)) for row in rows])
         values = list(set(chain.from_iterable(differences)))
         position = dict(zip(values, range(len(values))))
-        members.append((q, values, [_picker(list(map(position.__getitem__, row))) for row in differences]))
+        pickers = [_picker(list(map(position.__getitem__, row))) for row in differences]
+        members.append((q, values, pickers, max(map(max, d._num)), d._q))
     levels = []
     for n in range(1, plan.depth + 1):
         r = plan.rule.value(n)
         # r_n * a / q in lowest terms: q and the numerators a share no factor
-        q, values, pickers = members[(n - 1) % len(members)]
+        q, values, pickers, diameter, q_diameter = members[(n - 1) % len(members)]
         g = math.gcd(q, r)
         q, k = q // g, r // g
         exact = [k * a for a in values]
         # float(int) and int / int round correctly, as float(Fraction(a, q))
         # does, and raise OverflowError exactly when the rounded value leaves
-        # binary64: the conversion is the overflow guard
+        # binary64: the conversion is the overflow guard, of r_n and of the
+        # level's largest distance, which bounds the coordinates
         try:
             r_float = float(r)
+            r * diameter / q_diameter
             coords = [a / q for a in exact]
         except OverflowError as exc:
-            raise GraphError(f"scaling value at level {n} overflows binary64; reduce depth") from exc
+            raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
         points = [CloudPoint(v, pick(coords), pick(exact)) for v, pick in zip(order, pickers)]
         levels.append(CloudLevel(n=n, r=r_float, r_exact=Fraction(r), points=points, q=q))
     return LeveledPointCloud(

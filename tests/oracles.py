@@ -484,7 +484,8 @@ def shadows_by_fractions(shadows: list) -> tuple:
 def cloud_by_coordinates(plan) -> LeveledPointCloud:
     """``generate_cloud`` computed coordinate by coordinate: every level
     multiplies and divides each coordinate of each point, as a Fraction, and
-    refuses the level when ``float`` of a coordinate or of r overflows."""
+    refuses the level when ``float`` of a coordinate, of r or of the largest
+    sup-norm distance between two of its points overflows."""
     order = plan.graph.vertices
     root = order.index(plan.graph.root)
     differences = []
@@ -507,16 +508,21 @@ def cloud_by_coordinates(plan) -> LeveledPointCloud:
                 exact = tuple(k * a for a in row)
                 coords = tuple(float(Fraction(a, q)) for a in exact)
                 points.append(CloudPoint(label=v, coords=coords, exact=exact))
+            widest = max(
+                (abs(a - b) for p, o in combinations(points, 2) for a, b in zip(p.exact, o.exact)),
+                default=0,
+            )
+            float(Fraction(widest, q))
         except OverflowError as exc:
-            raise GraphError(f"scaling value at level {n} overflows binary64; reduce depth") from exc
+            raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
         levels.append(CloudLevel(n=n, r=r_float, r_exact=r_exact, points=points, q=q))
     return LeveledPointCloud(dimension=len(order), levels=levels, period=len(plan.family))
 
 
-def is_isomorphism_by_pairs(g1, g2, mapping: dict, weighted: bool, tol: Fraction) -> bool:
+def is_isomorphism_by_pairs(g1, g2, mapping: dict, tol: Fraction) -> bool:
     """Does ``mapping`` take g1 onto g2, root to root, with every vertex pair
     an edge in g1 exactly when its image is one in g2, of a weight within the
-    relative tolerance when ``weighted``? Every pair is looked at."""
+    relative tolerance? Every pair is looked at."""
     if sorted(mapping) != list(g1.vertices) or sorted(mapping.values()) != list(g2.vertices):
         return False
     if mapping[g1.root] != g2.root:
@@ -525,17 +531,17 @@ def is_isomorphism_by_pairs(g1, g2, mapping: dict, weighted: bool, tol: Fraction
         a, b = mapping[u], mapping[v]
         if g1.has_edge(u, v) != g2.has_edge(a, b):
             return False
-        if weighted and g1.has_edge(u, v):
+        if g1.has_edge(u, v):
             w1, w2 = g1.weight(u, v), g2.weight(a, b)
             if abs(w1 - w2) > tol * max(w1, w2):
                 return False
     return True
 
 
-def isomorphic_by_networkx(g1, g2, weighted: bool, tol: Fraction) -> bool:
-    """networkx's VF2 verdict on rooted isomorphism: the root is a node
-    attribute, and in weighted mode an edge matches an edge whose weight is
-    within the relative tolerance."""
+def isomorphic_by_networkx(g1, g2, tol: Fraction) -> bool:
+    """networkx's VF2 verdict on weighted rooted isomorphism: the root is a
+    node attribute, and an edge matches an edge whose weight is within the
+    relative tolerance."""
 
     def to_nx(g):
         G = nx.Graph()
@@ -549,7 +555,7 @@ def isomorphic_by_networkx(g1, g2, weighted: bool, tol: Fraction) -> bool:
     return nx.is_isomorphic(
         to_nx(g1), to_nx(g2),
         node_match=lambda x, y: x["root"] == y["root"],
-        edge_match=close if weighted else None,
+        edge_match=close,
     )
 
 

@@ -255,11 +255,9 @@ def test_criterion_04_unique_pair_equivalence():
 def test_criterion_05_fpc_round_trip():
     data, elapsed = round_trip_results()
     for weighted, cloud, rc_float, rc_exact in data:
-        witness = isomorphic(
-            weighted, rc_float.graph, weighted=True, weight_tol_rel=WEIGHT_TOL
-        )
+        witness = isomorphic(weighted, rc_float.graph, weight_tol_rel=WEIGHT_TOL)
         assert witness is not None, f"round trip failed for {weighted!r}"
-        assert witness.verify(weighted, rc_float.graph, True, WEIGHT_TOL)
+        assert witness.verify(weighted, rc_float.graph, WEIGHT_TOL)
         assert rc_exact.graph == weighted  # bit-exact on the rational shadows
     assert elapsed < 300, f"criterion 5 overran its budget: {elapsed:.1f}s"
     report(

@@ -145,21 +145,27 @@ def test_cliques_json(cert_graph, capsys):
     assert ["r", "u", "v"] in payload["maximal_cliques"]
 
 
-def test_isomorphic_exit_codes(tmp_path, capsys, monkeypatch):
+def test_isomorphic_exit_codes(tmp_path, capsys):
     g1 = write_graph(tmp_path / "g1.json", ["a", "b"], {("a", "b"): 1}, "a")
     g2 = write_graph(tmp_path / "g2.json", ["x", "y"], {("x", "y"): 1}, "y")
     g3 = write_graph(tmp_path / "g3.json", ["x", "y"], {("x", "y"): 2}, "y")
     assert main(["isomorphic", str(g1), str(g2)]) == 0
     assert main(["isomorphic", str(g1), str(g3)]) == 1
-    assert main(["isomorphic", str(g1), str(g3), "--unweighted"]) == 0
     capsys.readouterr()
     for tol in ("-1", "-1/1000000000", "nan", "inf"):
         assert main(["isomorphic", str(g1), str(g2), f"--weight-tol-rel={tol}"]) == 2
         err = capsys.readouterr().err
         assert "weight tolerance must be finite and non-negative" in err or "not a rational literal" in err
-    monkeypatch.setenv("METRIC_CLUSTER_MAX_VERTICES", "abc")
-    assert main(["isomorphic", str(g1), str(g3), "--unweighted"]) == 2
-    assert "METRIC_CLUSTER_MAX_VERTICES='abc' is not an integer" in capsys.readouterr().err
+    # what the labels do not decide is refused: two roots that miss a vertex,
+    # and a pairing that fails between equal labels
+    path = write_graph(tmp_path / "path.json", ["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1}, "a")
+    assert main(["isomorphic", str(path), str(path)]) == 2
+    assert "root 'a' is not dominating" in capsys.readouterr().err
+    star = {("r", "u"): 1, ("r", "v"): 1, ("r", "w"): 2}
+    g4 = write_graph(tmp_path / "g4.json", ["r", "u", "v", "w"], {**star, ("u", "w"): 3}, "r")
+    g5 = write_graph(tmp_path / "g5.json", ["r", "u", "v", "w"], {**star, ("v", "w"): 3}, "r")
+    assert main(["isomorphic", str(g4), str(g5)]) == 2
+    assert "'u' and 'v' of the first graph" in capsys.readouterr().err
 
 
 def test_fpc_certify_exit_codes(cert_graph, bad_triangle, capsys):
@@ -317,6 +323,18 @@ def test_realize_past_binary64_exit_2(tmp_path, capsys):
     path.write_text(halfway_past_binary64().to_json(), encoding="utf-8")
     assert main(["realize", str(path), "--depth", "170"]) == 2
     assert "level 170 overflows binary64" in capsys.readouterr().err
+
+
+def test_realize_a_level_whose_points_lie_past_binary64_exit_2(tmp_path, capsys):
+    # every coordinate of level 170, at most 14 * 170!, fits binary64, but
+    # the distance 27 * 170! between u and v does not: float recovery would
+    # refuse the cloud, so realization refuses the level
+    star = write_graph(tmp_path / "star.json", ["r", "u", "v"], {("r", "u"): 13, ("r", "v"): 14}, "r")
+    assert main(["realize", str(star), "--depth", "170"]) == 2
+    assert "level 170 overflows binary64" in capsys.readouterr().err
+    out = tmp_path / "c.json"
+    assert main(["realize", str(star), "--depth", "169", "--out", str(out)]) == 0
+    assert main(["recover", str(out)]) == 0
 
 
 def test_recover_diag_out(cert_graph, tmp_path, capsys):
@@ -778,7 +796,7 @@ FUZZ_COMMANDS = {
     ("cliques",): (["graph"], ["--json"]),
     ("isomorphic",): (
         ["graph", "graph"],
-        ["--json", "--unweighted", "--exact-weights", ("--weight-tol-rel", NUMBERS)],
+        ["--json", "--exact-weights", ("--weight-tol-rel", NUMBERS)],
     ),
     ("fpc", "certify"): (["graph"], ["--json"]),
     ("fpc", "synthesize"): (["graph"], ["--out"]),

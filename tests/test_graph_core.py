@@ -6,7 +6,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from metric_cluster import graph_core, synthesize_weights
+from metric_cluster import synthesize_weights
 from metric_cluster.graph_core import (
     Cycle,
     GraphError,
@@ -164,16 +164,6 @@ def test_cycle_multiset_invariant_under_renaming():
         assert orig == relab
 
 
-def test_cap_env_override(monkeypatch):
-    names = ["a", "b", "c", "d"]
-    g = complete(names)
-    h = g.relabel({v: v.upper() for v in names})
-    assert isomorphic(g, h, weighted=False) is not None
-    monkeypatch.setenv("METRIC_CLUSTER_MAX_VERTICES", "3")
-    with pytest.raises(GraphError, match="exceeds cap"):
-        isomorphic(g, h, weighted=False)
-
-
 def test_cycle_type_validation():
     with pytest.raises(GraphError):
         Cycle(("a", "b"), (Fraction(1), Fraction(1)))
@@ -270,11 +260,25 @@ def test_single_vertex_dominates_vacuously():
 # ---------------------------------------------------------------------------
 
 
+def injective_rooted_graph(rng, n):
+    """A root joined to n - 1 vertices by pairwise distinct weights, and each
+    other pair an edge of a random weight with probability 1/2: the labels
+    of every cluster are injective."""
+    names = [f"v{i}" for i in range(n)]
+    root = rng.choice(names)
+    others = [v for v in names if v != root]
+    weights = {(root, v): Fraction(a, 3) for v, a in zip(others, rng.sample(range(1, 40), n - 1))}
+    for e in combinations(others, 2):
+        if rng.random() < 0.5:
+            weights[e] = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+    return WeightedRootedGraph(names, weights, root)
+
+
 def test_self_isomorphism_is_identity():
     rng = random.Random(11)
     for _ in range(10):
-        g = random_weighted_graph(rng, 6)
-        witness = isomorphic(g, g, weighted=True)
+        g = injective_rooted_graph(rng, 6)
+        witness = isomorphic(g, g)
         assert witness is not None
         assert witness.mapping == {v: v for v in g.vertices}
 
@@ -282,26 +286,28 @@ def test_self_isomorphism_is_identity():
 def test_renamed_copy_recovers_the_renaming():
     rng = random.Random(13)
     for _ in range(10):
-        g = random_weighted_graph(rng, 6)
+        g = injective_rooted_graph(rng, 6)
         names = sorted(g.vertices)
         renaming = dict(zip(names, [f"w{i}" for i in rng.sample(range(20), len(names))]))
         h = g.relabel(renaming)
-        witness = isomorphic(g, h, weighted=True)
-        assert witness is not None
-        assert witness.verify(g, h, weighted=True)
+        witness = isomorphic(g, h)
+        assert witness is not None and witness.mapping == renaming
+        assert witness.verify(g, h)
 
 
 def test_changed_weight_breaks_weighted_isomorphism():
     g = triangle("1", "2", "3")
     h = triangle("1", "2", "7/2")
-    assert isomorphic(g, h, weighted=True) is None
-    assert isomorphic(g, h, weighted=False) is not None
+    assert isomorphic(g, h) is None
+    # weights are what a cluster is compared by
+    with pytest.raises(GraphError, match="weighted=False is refused"):
+        isomorphic(g, h, weighted=False)
 
 
 def test_root_must_map_to_root():
     g = graph(["a", "b"], {("a", "b"): "1"}, "a")
     h = graph(["a", "b"], {("a", "b"): "1"}, "b")
-    witness = isomorphic(g, h, weighted=True)
+    witness = isomorphic(g, h)
     assert witness is not None
     assert witness.mapping == {"a": "b", "b": "a"}
 
@@ -309,47 +315,38 @@ def test_root_must_map_to_root():
 def test_isomorphism_symmetry_composes_to_identity():
     rng = random.Random(17)
     for _ in range(10):
-        g = random_weighted_graph(rng, 5)
+        g = injective_rooted_graph(rng, 5)
         h = g.relabel({v: f"n{i}" for i, v in enumerate(sorted(g.vertices))})
-        f = isomorphic(g, h, weighted=True)
-        b = isomorphic(h, g, weighted=True)
+        f = isomorphic(g, h)
+        b = isomorphic(h, g)
         assert f is not None and b is not None
-        assert all(b.mapping[f.mapping[v]] == v for v in g.vertices) or all(
-            f.mapping[b.mapping[v]] == v for v in h.vertices
-        )
-        # the forward witness composed with its inverse is always the identity
-        inv = {w: v for v, w in f.mapping.items()}
-        assert all(inv[f.mapping[v]] == v for v in g.vertices)
+        assert all(b.mapping[f.mapping[v]] == v for v in g.vertices)
+        assert all(f.mapping[b.mapping[v]] == v for v in h.vertices)
 
 
-def test_injective_label_fast_path_beats_cap():
-    # 20 vertices exceeds the backtracking cap, but injective root labels
-    # force the mapping without any search
+def test_injective_labels_decide_twenty_vertices():
+    # injective root labels force the mapping, at any size
     n = 20
     names = [f"v{i:02d}" for i in range(n)]
     weights = {("v00", v): Fraction(i + 1) for i, v in enumerate(names[1:])}
     g = WeightedRootedGraph(names, weights, "v00")
     renamed = g.relabel({v: f"w{i:02d}" for i, v in enumerate(names)})
-    witness = isomorphic(g, renamed, weighted=True)
-    assert witness is not None and witness.verify(g, renamed, weighted=True)
-    # unweighted mode has no labels to use: cap applies
-    with pytest.raises(GraphError, match="exceeds cap"):
-        isomorphic(g, renamed, weighted=False)
+    witness = isomorphic(g, renamed)
+    assert witness is not None and witness.verify(g, renamed)
 
 
 def test_weight_tolerance_mode():
     g = triangle("1", "2", "3")
     h = triangle("1", "2", "3.000000000001")
-    assert isomorphic(g, h, weighted=True) is None
-    assert isomorphic(g, h, weighted=True, weight_tol_rel=Fraction(1, 10**6)) is not None
+    assert isomorphic(g, h) is None
+    assert isomorphic(g, h, weight_tol_rel=Fraction(1, 10**6)) is not None
     # a negative tolerance would answer "no" to g against itself; NaN and the
     # infinities have no rational value
     identity = {v: v for v in g.vertices}
     for tol in (-1, Fraction(-1, 10**6), -1e-9, float("nan"), float("inf"), float("-inf")):
         for check in (
-            lambda: isomorphic(g, g, weighted=True, weight_tol_rel=tol),
-            lambda: isomorphic(g, g, weighted=False, weight_tol_rel=tol),
-            lambda: IsoMapping(identity).verify(g, g, True, tol),
+            lambda: isomorphic(g, g, weight_tol_rel=tol),
+            lambda: IsoMapping(identity).verify(g, g, tol),
             lambda: is_weight_preserving_homomorphism(g, g, identity, tol),
             lambda: is_weight_preserving_monomorphism(g, g, identity, tol),
         ):
@@ -359,8 +356,8 @@ def test_weight_tolerance_mode():
 
 def test_weight_tolerance_near_tie_crossing():
     # two root labels within tolerance of each other, but the extra edge
-    # forces the mapping to cross the label ranking; the forced-candidate
-    # shortcut must fall back to the search instead of answering "no"
+    # forces the mapping to cross the label ranking; the sorted pairing fails,
+    # and with a near-tie in both graphs that is refused, not answered "no"
     eps = Fraction(1, 10**12)
     g = graph(
         ["r", "u", "v", "w"],
@@ -372,48 +369,85 @@ def test_weight_tolerance_near_tie_crossing():
         {("r", "x"): 1 + eps, ("r", "y"): 1, ("r", "z"): 3, ("x", "z"): 7},
         "r",
     )
-    assert isomorphic(g, h, weighted=True) is None  # exact weights differ
-    witness = isomorphic(g, h, weighted=True, weight_tol_rel=Fraction(1, 10**6))
-    assert witness is not None
-    assert witness.mapping["u"] == "x"
-    assert witness.verify(g, h, weighted=True, weight_tol_rel=Fraction(1, 10**6))
+    assert isomorphic(g, h) is None  # exact weights differ
+    tol = Fraction(1, 10**6)
+    assert isomorphic_by_networkx(g, h, tol)
+    with pytest.raises(GraphError, match="'u' and 'v' of the first graph"):
+        isomorphic(g, h, weight_tol_rel=tol)
     # at t = 1/10 the labels 85 and 100 are a near-tie, as 85 >= (1 - t)**2 * 100,
     # though 85 < (1 - t) * 100; the edge to w maps 85 onto 94 and 100 onto 91
     g = graph(["r", "u", "v", "w"], {("r", "u"): 85, ("r", "v"): 100, ("r", "w"): 300, ("u", "w"): 7}, "r")
     h = graph(["r", "x", "y", "z"], {("r", "x"): 94, ("r", "y"): 91, ("r", "z"): 300, ("x", "z"): 7}, "r")
-    witness = isomorphic(g, h, weighted=True, weight_tol_rel=Fraction(1, 10))
-    assert witness is not None and witness.mapping["u"] == "x"
+    assert isomorphic_by_networkx(g, h, Fraction(1, 10))
+    with pytest.raises(GraphError, match="'u' and 'v'"):
+        isomorphic(g, h, weight_tol_rel=Fraction(1, 10))
 
 
-def test_tolerant_isomorphism_without_a_near_tie_answers_without_search(monkeypatch):
-    # 14 vertices exceed the search cap; labels 1 + j/(m+1) lie further apart
-    # than any tolerance below 1/(m+1) can close, so the sorted pairing is the
-    # one candidate, and its failure answers
-    g = synthesize_weights(random_dominating_shape(random.Random(14), 14, 0.5))
-    u, v = next(e for e in g.edges() if g.root not in e)
-    w = g.weight(u, v)
-    tol = Fraction(1, 10**9)
+def test_tolerant_isomorphism_without_a_near_tie_answers_without_search():
+    # labels 1 + j/(m+1) lie further apart than any tolerance below 1/(m+1)
+    # can close, so the sorted pairing is the one candidate, and its failure
+    # answers: against one weight 1 % heavier, off the root or on it, and
+    # against the second non-root label set equal to the first, either way round
+    for n in (14, 100):
+        g = synthesize_weights(random_dominating_shape(random.Random(n), n, 0.5))
+        u, v = next(e for e in g.edges() if g.root not in e)
+        first, second = [x for x in g.vertices if x != g.root][:2]
+        heavier = [g.with_weight(a, b, g.weight(a, b) * Fraction(101, 100)) for a, b in ((u, v), (g.root, first))]
+        tied = g.with_weight(g.root, second, g.weight(g.root, first))
+        for tol in (0, Fraction(1, 10**9)):
+            for h in heavier:
+                assert isomorphic(g, h, weight_tol_rel=tol) is None
+            assert isomorphic(g, tied, weight_tol_rel=tol) is None
+            assert isomorphic(tied, g, weight_tol_rel=tol) is None
+        tol = Fraction(1, 10**9)
+        nudged = g.with_weight(u, v, g.weight(u, v) * (1 + Fraction(1, 10**12)))
+        assert isomorphic(g, nudged, weight_tol_rel=tol).verify(g, nudged, tol)
 
-    def refuse(*args):
-        raise AssertionError("backtracking search ran")
 
-    monkeypatch.setattr(graph_core, "_backtracking_isomorphism", refuse)
-    assert isomorphic(g, g.with_weight(u, v, w * Fraction(101, 100))) is None
-    assert isomorphic(g, g.with_weight(u, v, w * Fraction(101, 100)), weight_tol_rel=tol) is None
-    nudged = g.with_weight(u, v, w * (1 + Fraction(1, 10**12)))
-    assert isomorphic(g, nudged, weight_tol_rel=tol).verify(g, nudged, True, tol)
+def test_near_tied_labels_are_refused_by_name_at_any_size():
+    # unit weights: every label ties, so the label order cannot decide a
+    # pairing that fails, and the refusal names the first two tied vertices
+    g = random_dominating_shape(random.Random(14), 14, 0.5)
+    others = [v for v in g.vertices if v != g.root]
+    h = g.relabel({g.root: g.root, **dict(zip(others, random.Random(3).sample(others, len(others))))})
+    for tol in (0, Fraction(1, 10**9)):
+        with pytest.raises(GraphError, match="'v00' and 'v01' of the first graph") as caught:
+            isomorphic(g, h, weight_tol_rel=tol)
+        assert "cap" not in str(caught.value)
 
 
-def test_tolerant_isomorphism_on_injective_labels_matches_networkx(monkeypatch):
+def has_near_tie(g, tol):
+    """Two non-root labels a <= b of g, out of every pair, with
+    a >= (1 - tol)**2 * b, or any two when tol >= 1."""
+    labels = sorted(g.weight(g.root, v) for v in g.vertices if v != g.root)
+    return any(tol >= 1 or a >= (1 - tol) ** 2 * b for a, b in combinations(labels, 2))
+
+
+def check_against_networkx(g, h, tol):
+    """isomorphic(g, h) agrees with networkx, or refuses where it may: when
+    neither root dominates, or when both graphs have a near-tie. Returns the
+    verdict, None for a refusal."""
+    try:
+        witness = isomorphic(g, h, weight_tol_rel=tol)
+    except GraphError as exc:
+        if "is not dominating" in str(exc):
+            assert not is_dominating(g, g.root) and not is_dominating(h, h.root)
+        else:
+            assert "label order does not decide" in str(exc)
+            assert has_near_tie(g, tol) and has_near_tie(h, tol), (g.to_json(), h.to_json(), tol)
+        return None
+    assert (witness is not None) == isomorphic_by_networkx(g, h, tol), (g.to_json(), h.to_json(), tol)
+    assert witness is None or is_isomorphism_by_pairs(g, h, witness.mapping, tol)
+    return witness is not None
+
+
+def test_tolerant_isomorphism_on_injective_labels_matches_networkx():
     # dominating roots with distinct labels from a small range, so that near-ties
     # come and go with the tolerance; h is a renamed copy with each weight times
     # or over a factor 1, 1 + t/2, 1 + t or 1 + 2t, and two root edges
     # sometimes swapped
     rng = random.Random(2)
     tolerances = [Fraction(0), Fraction(1, 10**9), Fraction(1, 20), Fraction(1, 5), Fraction(1, 2), 1, 2]
-    searches = []
-    search = graph_core._backtracking_isomorphism
-    monkeypatch.setattr(graph_core, "_backtracking_isomorphism", lambda *a: searches.append(a) or search(*a))
     answered = 0
     for _ in range(600):
         n = rng.randint(2, 7)
@@ -432,14 +466,8 @@ def test_tolerant_isomorphism_on_injective_labels_matches_networkx(monkeypatch):
             moved[a], moved[b] = moved[b], moved[a]
         g = WeightedRootedGraph(names, weights, "v0")
         h = WeightedRootedGraph(names, moved, "v0").relabel(dict(zip(names, rng.sample([f"w{i}" for i in range(n)], n))))
-        before = len(searches)
-        witness = isomorphic(g, h, weight_tol_rel=t)
-        assert (witness is not None) == isomorphic_by_networkx(g, h, True, t), (g.to_json(), h.to_json(), t)
-        assert witness is None or witness.verify(g, h, True, t)
-        answered += len(searches) == before
-    assert len(searches) > 50 and answered > 300
-
-
+        answered += check_against_networkx(g, h, t) is not None
+    assert 300 < answered < 550
 def test_weights_close_is_the_fraction_formula():
     rng = random.Random(403)
     pool = [Fraction(0), Fraction(1), Fraction(7, 3), Fraction(10**12 + 1, 10**12)]
@@ -482,34 +510,30 @@ def renamed_variant(rng, g):
 
 def test_isomorphism_verdicts_match_networkx():
     rng = random.Random(71)
-    found = {True: 0, False: 0}
-    for _ in range(300):
+    found = {True: 0, False: 0, None: 0}
+    for _ in range(450):
         g = random_rooted_graph(rng, rng.randint(1, 8), dominating=rng.random() < 0.5)
         h = renamed_variant(rng, g)
-        for weighted, tol in ((True, Fraction(0)), (True, Fraction(1, 10**5)), (False, Fraction(0))):
-            witness = isomorphic(g, h, weighted=weighted, weight_tol_rel=tol)
-            expected = isomorphic_by_networkx(g, h, weighted, tol)
-            assert (witness is not None) == expected, (g.to_json(), h.to_json(), weighted, tol)
-            if witness is not None:
-                assert is_isomorphism_by_pairs(g, h, witness.mapping, weighted, tol)
-            found[expected] += 1
-    assert min(found.values()) > 200
+        for tol in (Fraction(0), Fraction(1, 10**5)):
+            found[check_against_networkx(g, h, tol)] += 1
+    assert min(found[True], found[False]) > 200
 
 
 def test_nonisomorphic_same_degree_sequence():
-    # C6 vs two triangles is the classic degree-sequence tie, but two
-    # triangles are disconnected; use C5+chord variants instead
-    g = graph(
-        ["a", "b", "c", "d", "e", "f"],
-        {("a", "b"): "1", ("b", "c"): "1", ("c", "d"): "1", ("d", "e"): "1", ("e", "f"): "1", ("a", "f"): "1"},
-        "a",
-    )
-    h = graph(
-        ["a", "b", "c", "d", "e", "f"],
-        {("a", "b"): "1", ("b", "c"): "1", ("a", "c"): "1", ("d", "e"): "1", ("e", "f"): "1", ("d", "f"): "1"},
-        "a",
-    )
-    assert isomorphic(g, h, weighted=False) is None
+    # C6 against two triangles, the classic degree-sequence tie, each with a
+    # root joined to all six vertices by the weights 1 to 6: every vertex has
+    # degree 3 in both, and the labels pair the vertices by name
+    six = ["a", "b", "c", "d", "e", "f"]
+    spokes = {("r", v): str(i) for i, v in enumerate(six, 1)}
+    cycle = {("a", "b"): "1", ("b", "c"): "1", ("c", "d"): "1", ("d", "e"): "1", ("e", "f"): "1", ("a", "f"): "1"}
+    triangles = {("a", "b"): "1", ("b", "c"): "1", ("a", "c"): "1", ("d", "e"): "1", ("e", "f"): "1", ("d", "f"): "1"}
+    g = graph(["r", *six], {**spokes, **cycle}, "r")
+    h = graph(["r", *six], {**spokes, **triangles}, "r")
+    assert isomorphic(g, h) is None
+    assert not isomorphic_by_networkx(g, h, Fraction(0))
+    # without the root a is no dominating root, and nothing else decides
+    with pytest.raises(GraphError, match="root 'a' is not dominating"):
+        isomorphic(graph(six, cycle, "a"), graph(six, triangles, "a"))
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,7 @@ def test_partly_shadowed_level_loads_writes_back_and_is_not_exact():
     assert not cloud.has_exact()
     with pytest.raises(GraphError, match="no exact shadows"):
         recover_cluster(cloud, use_exact=True)
-    assert isomorphic(CERT_TRIANGLE, recover_cluster(cloud).graph, weighted=True,
-                      weight_tol_rel=Fraction(1, 10**9))
+    assert isomorphic(CERT_TRIANGLE, recover_cluster(cloud).graph, weight_tol_rel=Fraction(1, 10**9))
 
 
 # what the loader's fast path reads: signs, digits from several scripts,

@@ -83,7 +83,7 @@ def test_round_trip_float_recovery():
     rc = recover_cluster(cloud)
     assert rc.graph.root == "r"
     assert not rc.warnings
-    witness = isomorphic(ONE_GAP, rc.graph, weighted=True, weight_tol_rel=Fraction(1, 10**9))
+    witness = isomorphic(ONE_GAP, rc.graph, weight_tol_rel=Fraction(1, 10**9))
     assert witness is not None
 
 
@@ -370,7 +370,7 @@ def test_round_trip_with_tight_cycles_tolerates_float_noise():
     cloud = realize(g, depth=12)
     rc = recover_cluster(cloud)
     assert validate_recovered_cluster(rc) == []
-    assert isomorphic(g, rc.graph, weighted=True, weight_tol_rel=Fraction(1, 10**9))
+    assert isomorphic(g, rc.graph, weight_tol_rel=Fraction(1, 10**9))
     assert recover_cluster(cloud, use_exact=True).graph == g
 
 
@@ -544,7 +544,7 @@ def test_default_window_spans_two_levels_when_the_period_is_one():
     rc = recover_cluster(period_one, use_exact=True)
     assert rc.window == 2 and rc.graph == ONE_GAP
     rc = recover_cluster(period_one)
-    assert isomorphic(ONE_GAP, rc.graph, weighted=True, weight_tol_rel=Fraction(1, 10**9))
+    assert isomorphic(ONE_GAP, rc.graph, weight_tol_rel=Fraction(1, 10**9))
     # a complete graph is realized with period 1 and still recovers
     complete = realize(CERT_TRIANGLE, depth=12)
     assert complete.period == 1
@@ -763,5 +763,5 @@ def test_unlabeled_cloud_rejected_then_recovered_after_matching():
     with pytest.raises(GraphError, match="unlabeled points"):
         recover_cluster(cloud)
     rc = recover_cluster(matched)
-    witness = isomorphic(ONE_GAP, rc.graph, weighted=True, weight_tol_rel=Fraction(1, 10**9))
+    witness = isomorphic(ONE_GAP, rc.graph, weight_tol_rel=Fraction(1, 10**9))
     assert witness is not None
