@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -122,9 +123,11 @@ def edge_key(u: str, v: str) -> tuple[str, str]:
 class WeightedRootedGraph:
     """Finite simple loopless graph with rational edge weights and a root.
 
-    Instances are immutable in practice: all operations on them are pure and
-    return new graphs. Weights must be >= 0; strict positivity is validated
-    separately where an operation needs it.
+    Construction checks, in this order: there is a vertex; the root is one;
+    then, edge by edge: no loop, both ends are vertices, no duplicate in
+    either orientation, a rational weight (``parse_rational``), weight >= 0.
+    Strict positivity is validated where an operation needs it. Instances
+    are immutable in practice: all operations on them return new graphs.
     """
 
     def __init__(
@@ -133,29 +136,27 @@ class WeightedRootedGraph:
         weights: Mapping[tuple[str, str], Fraction] | Iterable[tuple[tuple[str, str], Fraction]],
         root: str,
     ):
-        self.vertices: tuple[str, ...] = tuple(sorted(set(vertices)))
+        vertex_set = set(vertices)
+        self.vertices: tuple[str, ...] = tuple(sorted(vertex_set))
         if not self.vertices:
             raise GraphError("graph needs at least one vertex")
-        vertex_set = set(self.vertices)
         if root not in vertex_set:
             raise GraphError(f"root {root!r} is not a vertex")
         self.root = root
 
-        items = weights.items() if isinstance(weights, Mapping) else weights
+        items = weights.items() if isinstance(weights, abc.Mapping) else weights
         self.weights: dict[tuple[str, str], Fraction] = {}
+        self._adj: dict[str, set[str]] = {v: set() for v in self.vertices}
         for (u, v), w in items:
-            key = edge_key(u, v)
-            if key[0] not in vertex_set or key[1] not in vertex_set:
+            key = (u, v) if u < v else edge_key(u, v)
+            if u not in vertex_set or v not in vertex_set:
                 raise GraphError(f"edge {key} uses unknown vertices")
             if key in self.weights:
                 raise GraphError(f"duplicate edge {key}")
             w = parse_rational(w)
-            if w < 0:
+            if w.numerator < 0:  # a Fraction's denominator is positive
                 raise GraphError(f"negative weight {w} on edge {key}")
             self.weights[key] = w
-
-        self._adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.weights:
             self._adj[u].add(v)
             self._adj[v].add(u)
 

@@ -827,7 +827,8 @@ FUZZ_COMMANDS = {
 }
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-    | st.sampled_from([0, -1, 10**400, 1e300, "x", "0", "1/2", "sup", "r", "u"]),
+    | st.sampled_from([0, -1, 10**400, 1e300, "x", "0", "1/2", "sup", "r", "u",
+                     "1e5000", "٣/٢", "1_000", "+1"]),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
     max_leaves=6,
 )

@@ -1,5 +1,6 @@
 import json
 import random
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -75,6 +76,46 @@ def test_rejects_bad_root_and_negative_weight():
 def test_rejects_float_weights():
     with pytest.raises(GraphError):
         WeightedRootedGraph(["a", "b"], {("a", "b"): 1.5}, "a")
+
+
+def test_construction_refuses_in_order_with_exact_messages():
+    """Each refusal names its fault; an edge with two faults names the one
+    checked first: loop, unknown end, duplicate, no rational, negative."""
+    ab = ("a", "b")
+    cases = [
+        ([], {}, "a", "graph needs at least one vertex"),
+        (["a", "b"], {}, "z", "root 'z' is not a vertex"),
+        (["a"], {("a", "a"): "1"}, "a", "loop edge {'a','a'} is not allowed"),
+        (["a"], {("z", "z"): "-1"}, "a", "loop edge {'z','z'} is not allowed"),
+        (["a"], {("a", "z"): "1"}, "a", "edge ('a', 'z') uses unknown vertices"),
+        (["a"], {("z", "a"): "x"}, "a", "edge ('a', 'z') uses unknown vertices"),
+        (["a", "b"], [(ab, "1"), (("b", "a"), "1")], "a", "duplicate edge ('a', 'b')"),
+        (["a", "b"], [(ab, "1"), (("b", "a"), "-1")], "a", "duplicate edge ('a', 'b')"),
+        (["a", "b"], {ab: 1.5}, "a",
+         "refusing float weight 1.5: pass a string ('3/2' or '1.5') for exactness"),
+        (["a", "b"], {ab: True}, "a", "not a rational literal: True"),
+        (["a", "b"], {ab: "x"}, "a", "not a rational literal: 'x'"),
+        (["a", "b"], {ab: "-1"}, "a", "negative weight -1 on edge ('a', 'b')"),
+        (["a", "b"], {("b", "a"): Fraction(-1, 2)}, "a", "negative weight -1/2 on edge ('a', 'b')"),
+    ]
+    for vertices, weights, root, message in cases:
+        with pytest.raises(GraphError) as caught:
+            WeightedRootedGraph(vertices, weights, root)
+        assert str(caught.value) == message
+
+    for zero in ("0", "-0"):
+        assert WeightedRootedGraph(["a", "b"], {("b", "a"): zero}, "a").weights == {ab: 0}
+
+    pairs = [(("c", "a"), "1/2"), (ab, Fraction(3)), (("c", "b"), 2)]
+    built = [
+        WeightedRootedGraph("cab", given, "b")
+        for given in (dict(pairs), types.MappingProxyType(dict(pairs)), pairs)
+    ]
+    assert built[0] == built[1] == built[2]
+    for g in built:
+        assert list(g.weights.items()) == [
+            (("a", "c"), Fraction(1, 2)), (ab, Fraction(3)), (("b", "c"), Fraction(2))
+        ]
 
 
 def test_parse_rational_formats():
