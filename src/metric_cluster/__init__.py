@@ -37,12 +37,10 @@ from .metrization import (
 from .fpc import (
     CliqueBoundReport,
     FpcCertificate,
-    RootLabeling,
     certify_fpc,
     clique_bound_check,
     graph_from_metric_space,
     moon_moser_f,
-    root_labeling,
     synthesize_weights,
     witness_is_genuine,
 )

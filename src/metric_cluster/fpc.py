@@ -26,10 +26,10 @@ from .graph_core import (
     GraphError,
     WeightedRootedGraph,
     _over_lcm,
+    _require_dominating_root,
     _root_labels,
     _undominated_vertex,
     format_rational,
-    is_dominating,
     maximal_cliques_of,
 )
 from .metrization import (
@@ -39,15 +39,6 @@ from .metrization import (
     _ScaledGraph,
     _tight_cycle,
 )
-
-
-@dataclass
-class RootLabeling:
-    """Distance-from-root labels: 0 at the root, root-edge weight elsewhere."""
-
-    values: dict[str, Fraction]
-    injective: bool
-    collision: Optional[tuple[str, str]] = None
 
 
 FAIL_ROOT_NOT_DOMINATING = "root_not_dominating"
@@ -87,13 +78,6 @@ class FpcCertificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-
-def root_labeling(g: WeightedRootedGraph) -> RootLabeling:
-    """Labels each vertex by its root-edge weight (0 at the root itself)."""
-    values = _root_labels(g)
-    collision = _label_collision({v: values[v] for v in sorted(values)})
-    return RootLabeling(values, injective=collision is None, collision=collision)
 
 
 def _label_collision(values: dict[str, Fraction]) -> Optional[tuple[str, str]]:
@@ -160,8 +144,9 @@ def _violations(g: WeightedRootedGraph, negligible) -> Generator[tuple, None, Op
     missing = _undominated_vertex(g)
     if missing is not None:
         yield FAIL_ROOT_NOT_DOMINATING, missing
-    names = sorted(g._adj[g.root] | {g.root})
-    q, labels = _over_lcm([Fraction(0) if v == g.root else g.weight(g.root, v) for v in names])
+    root_labels = _root_labels(g)
+    names = sorted(root_labels)
+    q, labels = _over_lcm([root_labels[v] for v in names])
     pairs = [
         (u, v)
         for (u, a), (v, b) in combinations(zip(names, labels), 2)
@@ -196,18 +181,15 @@ def witness_is_genuine(g: WeightedRootedGraph, cert: FpcCertificate) -> bool:
     """Re-evaluate a failure witness against the graph from scratch."""
     if cert.ok:
         return False
+    labels = _root_labels(g)
     if cert.failure == FAIL_ROOT_NOT_DOMINATING:
-        v = cert.witness_vertex
-        return v is not None and v != g.root and not g.has_edge(g.root, v)
+        # a vertex of the graph that has no label (the root has one)
+        return cert.witness_vertex in g._adj and cert.witness_vertex not in labels
     if cert.failure == FAIL_LABELING_NOT_INJECTIVE:
         if cert.witness_pair is None:
             return False
         u, v = cert.witness_pair
-
-        def label(x):
-            return Fraction(0) if x == g.root else g.weight(g.root, x)
-
-        return u != v and label(u) == label(v)
+        return u != v and u in labels and v in labels and labels[u] == labels[v]
     if cert.failure == FAIL_CYCLE_INEQUALITY:
         c = cert.witness_cycle
         return c is not None and _cycle_in_graph(g, c) and not c.satisfies_cycle_inequality()
@@ -243,7 +225,7 @@ def synthesize_weights(g: WeightedRootedGraph) -> WeightedRootedGraph:
     strictly slack, so the certificate passes for any dominating root.
     Existing weights of the input are ignored.
     """
-    _root_labels(g)  # raises unless the root is dominating
+    _require_dominating_root(g)
     edges = g.edges()
     m = len(edges)
     weights = {e: Fraction(m + 2 + j, m + 1) for j, e in enumerate(edges)}
@@ -308,8 +290,7 @@ def clique_bound_check(g: WeightedRootedGraph) -> CliqueBoundReport:
     their number is capped by 1 for up to two vertices, else by the extremal
     value at |V| - 1.
     """
-    if not is_dominating(g, g.root):
-        raise GraphError(f"root {g.root!r} is not dominating")
+    _require_dominating_root(g)
     n = len(g)
     if n == 1:
         count = 1  # the lone root is the single maximal clique

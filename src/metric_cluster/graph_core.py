@@ -457,15 +457,19 @@ def _undominated_vertex(g: WeightedRootedGraph) -> Optional[str]:
 
 
 def _root_labels(g: WeightedRootedGraph) -> dict[str, Fraction]:
-    """Distance-from-root labeling: 0 at the root, the root-edge weight elsewhere.
+    """Distance-from-root labeling: 0 at the root and the root-edge weight at
+    each vertex the root reaches, the root first and then vertex order (the
+    order isomorphic() hands out its candidate mapping in). A vertex the root
+    misses has no label; ``_undominated_vertex`` names the least one."""
+    reached = g._adj[g.root]
+    return {g.root: Fraction(0), **{v: g.weight(g.root, v) for v in g.vertices if v in reached}}
 
-    GraphError names a vertex the root misses unless the root is dominating.
-    """
+
+def _require_dominating_root(g: WeightedRootedGraph) -> None:
+    """GraphError naming the least vertex the root misses, if there is one."""
     missing = _undominated_vertex(g)
     if missing is not None:
         raise GraphError(f"root {g.root!r} is not dominating: no edge to {missing!r}")
-    # the root first: isomorphic() hands out its candidate mapping in this order
-    return {g.root: Fraction(0), **{v: g.weight(g.root, v) for v in g.vertices if v != g.root}}
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +502,9 @@ def isomorphic(
         raise GraphError("isomorphic compares weighted graphs: weighted=False is refused")
     if len(g1) != len(g2) or len(g1.weights) != len(g2.weights):
         return None
-    if is_dominating(g1, g1.root) != is_dominating(g2, g2.root):
+    if (_undominated_vertex(g1) is None) != (_undominated_vertex(g2) is None):
         return None
+    _require_dominating_root(g1)  # neither root dominates
     labels1, labels2 = _root_labels(g1), _root_labels(g2)
     # a stable sort: the root's 0 stays first and equal labels keep vertex order
     order1 = sorted(labels1, key=labels1.__getitem__)

@@ -198,6 +198,8 @@ class LeveledPointCloud:
                     raise GraphError(f"points of level {n} must be a list")
                 read = _read_level_points(items, dimension)
                 labels, coords, shadows = read or _read_points_one_by_one(items, n, dimension)
+                if len(set(labels)) < len(labels):
+                    _refuse_repeated_label(labels, n)
                 q, numerators = _level_numerators(shadows)
                 points = list(map(CloudPoint, labels, coords, numerators))
                 levels.append(
@@ -333,6 +335,18 @@ def _read_point(item, n: int, dimension: int) -> tuple:
     if len(coords) != dimension or (exact and len(exact) != dimension):
         raise GraphError(f"point {label!r} at level {n} does not have {dimension} coordinates")
     return label, coords, exact
+
+
+def _refuse_repeated_label(labels: list, n: int) -> None:
+    """GraphError naming the first label of level n, in point order, that an
+    earlier point has: a label names one sequence. Unlabeled points (None)
+    may repeat."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise GraphError(f"duplicate label {label!r} at level {n}")
+        if label is not None:
+            seen.add(label)
 
 
 def _level_numerators(

@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Optional, Sequence
 
 from .fpc import (
@@ -28,7 +28,7 @@ from .fpc import (
     FAIL_ROOT_NOT_DOMINATING,
     _violations,
 )
-from .graph_core import GraphError, WeightedRootedGraph, _over_lcm
+from .graph_core import GraphError, WeightedRootedGraph, _over_lcm, _root_labels
 from .metrization import _pinning_edge
 from .realization import LeveledPointCloud, sup_distance
 
@@ -51,12 +51,11 @@ class RecoveredCluster:
     window: int
 
     def diagnostics_json_dict(self) -> dict:
-        g = self.graph
         return {
             "window": self.window,
             "classes": {k: list(v) for k, v in self.classes.items()},
-            # the root-distance values: 0 and the root-edge weights
-            "rho0": {v: "0" if v == g.root else str(g.weight(g.root, v)) for v in g.vertices},
+            # the root-distance values in vertex order: 0 and the root-edge weights
+            "rho0": {v: str(w) for v, w in sorted(_root_labels(self.graph).items())},
             "pairs": self.diagnostics,
             "merge_log": self.merge_log,
             "warnings": self.warnings,
@@ -268,15 +267,14 @@ def recover_cluster(
     for key, members in classes_by_root.items():
         real = sorted(m for m in members if m is not _BASE)
         if key == root_key:
-            name = real[0] if real else "nu0"
+            # a bare root class takes the first of nu0, nu1, ... that no label is
+            name = real[0] if real else next(f"nu{i}" for i in count() if f"nu{i}" not in labels)
             rep = _BASE  # the origin is the cleanest root representative
         else:
             name = real[0]
             rep = real[0]
         class_info.append((name, rep, real))
     class_info.sort(key=lambda item: item[0])
-    if len({name for name, _, _ in class_info}) != len(class_info):
-        raise GraphError("class naming collision; labels are not distinct")
 
     # --- drop sequences with no stable normalized basepoint distance --------
     kept: list[tuple[str, object, list]] = []

@@ -13,7 +13,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Optional
 
 import networkx as nx
@@ -387,15 +387,14 @@ def recover_by_fractions(
     for key, members in classes_by_root.items():
         real = sorted(m for m in members if m is not _BASE)
         if key == root_key:
-            name = real[0] if real else "nu0"
+            # a bare root class takes the first of nu0, nu1, ... that no label is
+            name = real[0] if real else next(f"nu{i}" for i in count() if f"nu{i}" not in labels)
             rep = _BASE  # the origin is the cleanest root representative
         else:
             name = real[0]
             rep = real[0]
         class_info.append((name, rep, real))
     class_info.sort(key=lambda item: item[0])
-    if len({name for name, _, _ in class_info}) != len(class_info):
-        raise GraphError("class naming collision; labels are not distinct")
 
     # --- drop sequences with no stable normalized basepoint distance --------
     kept: list[tuple[str, object, list]] = []

@@ -525,6 +525,110 @@ def test_cloud_level_missing_field_exit_2(cert_graph, tmp_path, capsys):
     assert "coords" in capsys.readouterr().err
 
 
+def test_duplicate_label_in_a_level_exit_2(cert_graph, tmp_path, capsys):
+    # level 1 lies outside recovery's window, and only diag fn used to look
+    data = realized_cloud(cert_graph, tmp_path)
+    points = data["levels"][0]["points"]
+    points.append(dict(next(p for p in points if p["label"] == "u")))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (
+        ["recover", str(path)],
+        ["recover", str(path), "--exact"],
+        ["subsample", str(path), "--indices", "1,2", "--out", str(tmp_path / "s.json")],
+        ["diag", "fn", str(path), "--level", "1", "--labels", "u,v"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: duplicate label 'u' at level 1\n"
+    # unlabeled points may repeat
+    points[-1]["label"] = None
+    points.append(dict(points[-1]))
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["diag", "psi", str(path), "--radii", "1"]) == 0
+
+
+def test_a_bare_root_class_is_named_by_no_label(cert_graph, tmp_path, capsys):
+    # without the root's points the root class has no label to be named by,
+    # and nu0 is taken
+    data = realized_cloud(cert_graph, tmp_path)
+    for level in data["levels"]:
+        level["points"] = [p for p in level["points"] if p["label"] != "r"]
+        for p in level["points"]:
+            p["label"] = {"u": "nu0"}.get(p["label"], p["label"])
+    path, out, diag = (tmp_path / name for name in ("bare.json", "h.json", "d.json"))
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["recover", str(path), "--exact", "--out", str(out), "--diag-out", str(diag)]) == 0
+    h = WeightedRootedGraph.from_json(out.read_text(encoding="utf-8"))
+    assert h.vertices == ("nu0", "nu1", "v", "z") and h.root == "nu1"
+    rho0 = json.loads(diag.read_text(encoding="utf-8"))["rho0"]
+    assert rho0 == {"nu0": "1", "nu1": "0", "v": "2", "z": "3"}
+    assert main(["isomorphic", str(cert_graph), str(out), "--exact-weights"]) == 0
+
+
+def test_verdicts_that_no_other_test_prints(tmp_path, capsys):
+    zero = write_graph(
+        tmp_path / "zero.json", ["a", "b", "c"], {("a", "b"): 0, ("b", "c"): 1, ("a", "c"): 1}, "a"
+    )
+    assert main(["check", str(zero)]) == 1
+    assert capsys.readouterr().out == "classification: pseudometrizable_only\nzero-weight edge: ('a', 'b')\n"
+    assert main(["check", str(zero), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "classification": "pseudometrizable_only",
+        "zero_weight_edge": ["a", "b"],
+    }
+    pendant = write_graph(
+        tmp_path / "pendant.json", ["r", "u", "v"], {("r", "u"): 1, ("u", "v"): 1}, "r"
+    )
+    assert main(["fpc", "certify", str(pendant), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "fail",
+        "failed_condition": "root_not_dominating",
+        "witness_vertex": "v",
+    }
+
+
+def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
+    cloud = str(tmp_path / "cloud.json")
+    assert main(["realize", str(cert_graph), "--depth", "12", "--out", cloud]) == 0
+    triangle = ["a", "b", "c"]
+    zero = write_graph(
+        tmp_path / "zero.json", triangle, {("a", "b"): 0, ("b", "c"): 1, ("a", "c"): 1}, "a"
+    )
+    heavy = write_graph(
+        tmp_path / "heavy.json", triangle, {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 3}, "a"
+    )
+    edge = write_graph(tmp_path / "edge.json", ["a", "b"], {("a", "b"): 1}, "a")
+    documents = {
+        "no_matrix.json": {"vertices": ["a", "b"]},
+        "repeated.json": {"vertices": ["a", "a"], "matrix": [["0", "1"], ["1", "0"]]},
+        "ragged.json": {"vertices": ["a", "b"], "matrix": [["0", "1"], ["1"]]},
+        "levels.json": {"dimension": 1, "levels": {"n": 1}},
+    }
+    for name, document in documents.items():
+        (tmp_path / name).write_text(json.dumps(document), encoding="utf-8")
+    matrix = {name: str(tmp_path / f"{name}.json") for name in ("no_matrix", "repeated", "ragged")}
+    cases = [
+        (["fpc", "from-metric", matrix["no_matrix"], "a"], "distance matrix JSON is missing field: 'matrix'"),
+        (["fpc", "from-metric", matrix["repeated"], "a"], "distance matrix vertices must be distinct"),
+        (["fpc", "from-metric", matrix["ragged"], "a"], "distance matrix must be square"),
+        (["recover", str(tmp_path / "levels.json")], "cloud JSON levels must be a list"),
+        (["realize", str(cert_graph), "--depth", "0"], "depth must be at least 1"),
+        (["recover", cloud, "--window", "0"], "window must be positive"),
+        (["recover", cloud, "--window", "13"], "window 13 exceeds cloud depth 12"),
+        (["subsample", cloud, "--stride-offset", "2"], "offset must lie in [0, 2)"),
+        (["subsample", cloud, "--stride-offset", "-1"], "offset must lie in [0, 2)"),
+        (["diag", "fn", cloud, "--level", "13", "--labels", "u,v"], "level 13 not present in the cloud"),
+        (["diag", "fn", cloud, "--level", "12", "--labels", "u,x"], "labels ['x'] not present at level 12"),
+        (["embed", str(zero), "--mode", "circle"], "circle embedding needs strictly positive weights"),
+        (["embed", str(zero), "--mode", "line"], "line embedding needs strictly positive weights"),
+        (["embed", str(heavy), "--mode", "line"], "cycle is not metrizable"),
+        (["embed", str(edge)], "a cycle needs at least 3 vertices"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_graph_edge_missing_endpoint_exit_2(tmp_path, capsys):
     for drop in ("u", "v"):
         edge = {"u": "a", "v": "b", "w": "1"}

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from metric_cluster.graph_core import GraphError, WeightedRootedGraph, maximal_cliques
+from metric_cluster.graph_core import (
+    Cycle,
+    GraphError,
+    WeightedRootedGraph,
+    _require_dominating_root,
+    _root_labels,
+    maximal_cliques,
+)
 from metric_cluster.metrization import (
     Metrizability,
     admissible_interval,
@@ -17,11 +24,11 @@ from metric_cluster.fpc import (
     FAIL_LABELING_NOT_INJECTIVE,
     FAIL_ROOT_NOT_DOMINATING,
     FAIL_TIGHT_CYCLE_NOT_CLIQUE,
+    FpcCertificate,
     certify_fpc,
     clique_bound_check,
     graph_from_metric_space,
     moon_moser_f,
-    root_labeling,
     synthesize_weights,
     witness_is_genuine,
 )
@@ -59,27 +66,100 @@ def star(weights_by_leaf):
 
 
 def test_star_labeling_injective():
-    lab = root_labeling(star({"a": 1, "b": 2, "c": 3}))
-    assert lab.values == {"r": 0, "a": 1, "b": 2, "c": 3}
-    assert lab.injective
+    g = star({"c": 3, "a": 1, "b": 2})
+    labels = _root_labels(g)
+    # the root first, then vertex order
+    assert list(labels.items()) == [("r", 0), ("a", 1), ("b", 2), ("c", 3)]
+    assert certify_fpc(g).ok
 
 
 def test_star_labeling_collision_witness():
-    lab = root_labeling(star({"a": 2, "b": 2, "c": 3}))
-    assert not lab.injective
-    assert lab.collision == ("a", "b")
+    g = star({"a": 2, "b": 2, "c": 3})
+    cert = certify_fpc(g)
+    assert cert.failure == FAIL_LABELING_NOT_INJECTIVE and cert.witness_pair == ("a", "b")
+    assert witness_is_genuine(g, cert)
 
 
 def test_single_vertex_labeling():
-    lab = root_labeling(WeightedRootedGraph(["r"], {}, "r"))
-    assert lab.values == {"r": 0} and lab.injective
+    g = WeightedRootedGraph(["r"], {}, "r")
+    assert _root_labels(g) == {"r": 0} and certify_fpc(g).ok
 
 
 def test_labeling_requires_dominating_root():
-    g = graph(["r", "a", "b"], {("r", "a"): 1, ("a", "b"): 1}, "r")
-    with pytest.raises(GraphError) as err:
-        root_labeling(g)
-    assert "'b'" in str(err.value)
+    g = graph(["r", "a", "b", "c"], {("r", "a"): 1, ("r", "c"): 2, ("a", "b"): 1}, "r")
+    # the labels never raise: a vertex the root misses has none
+    assert _root_labels(g) == {"r": 0, "a": 1, "c": 2}
+    message = "root 'r' is not dominating: no edge to 'b'"
+    for refuse in (_require_dominating_root, synthesize_weights, clique_bound_check):
+        with pytest.raises(GraphError) as err:
+            refuse(g)
+        assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# witness checks
+# ---------------------------------------------------------------------------
+
+
+TRIANGLE = graph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 2, ("u", "v"): Fraction(5, 2)}, "r")
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        FpcCertificate(True),
+        FpcCertificate(False, "no_such_condition", witness_vertex="u"),
+        # a witness vertex must be a vertex that the root misses
+        FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING),
+        FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex="zzz"),
+        FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex="r"),
+        FpcCertificate(False, FAIL_ROOT_NOT_DOMINATING, witness_vertex="u"),
+        # a witness pair must be two distinct vertices with one label
+        FpcCertificate(False, FAIL_LABELING_NOT_INJECTIVE),
+        FpcCertificate(False, FAIL_LABELING_NOT_INJECTIVE, witness_pair=("r", "zzz")),
+        FpcCertificate(False, FAIL_LABELING_NOT_INJECTIVE, witness_pair=("u", "u")),
+        FpcCertificate(False, FAIL_LABELING_NOT_INJECTIVE, witness_pair=("u", "v")),
+        # a violated cycle must be one of the graph's, with its weights
+        FpcCertificate(False, FAIL_CYCLE_INEQUALITY),
+        FpcCertificate(False, FAIL_CYCLE_INEQUALITY, witness_cycle=Cycle(("r", "u", "x"), (1, 5, 1))),
+        FpcCertificate(False, FAIL_CYCLE_INEQUALITY, witness_cycle=Cycle(("r", "u", "v"), (1, 4, 2))),
+        FpcCertificate(
+            False, FAIL_CYCLE_INEQUALITY, witness_cycle=Cycle(("r", "u", "v"), (1, Fraction(5, 2), 2))
+        ),
+    ],
+    ids=[
+        "ok", "unknown_condition", "no_vertex", "not_a_vertex", "the_root", "a_neighbour",
+        "no_pair", "pair_with_a_non_vertex", "one_vertex_twice", "distinct_labels",
+        "no_cycle", "not_in_the_graph", "weights_not_the_graphs", "cycle_inequality_holds",
+    ],
+)
+def test_forged_witnesses_are_not_genuine(cert):
+    assert not witness_is_genuine(TRIANGLE, cert)
+
+
+def test_forged_tight_cycle_witnesses_are_not_genuine():
+    g = collinear_k4(Fraction(1), Fraction(2), Fraction(3)).without_edge("u", "z")
+    cert = certify_fpc(g)
+    assert cert.failure == FAIL_TIGHT_CYCLE_NOT_CLIQUE and witness_is_genuine(g, cert)
+    tight, pair = cert.witness_cycle, cert.witness_pair
+    for cycle, witness_pair in (
+        (None, pair),
+        (tight, None),
+        (Cycle(tight.vertices, tight.weights[::-1]), pair),  # not the graph's weights
+        (tight, ("u", "zzz")),  # off the cycle
+        (tight, ("r", "z")),  # adjacent
+    ):
+        forged = FpcCertificate(False, FAIL_TIGHT_CYCLE_NOT_CLIQUE, None, witness_pair, cycle)
+        assert not witness_is_genuine(g, forged)
+    # a cycle of a graph through a non-edge u-z, strictly slack: 2 * 3 < 1 + 2 + 2 + 3
+    square = graph(
+        ["r", "u", "v", "z"],
+        {("r", "u"): 1, ("r", "v"): 2, ("r", "z"): 3, ("u", "v"): 2, ("v", "z"): 2},
+        "r",
+    )
+    slack = Cycle.from_graph(square, ("r", "u", "v", "z"))
+    forged = FpcCertificate(False, FAIL_TIGHT_CYCLE_NOT_CLIQUE, None, ("u", "z"), slack)
+    assert not witness_is_genuine(square, forged)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,14 @@ def test_unknown_rule_rejected():
         ScalingRule("fibonacci").value(3)
 
 
+def test_levels_and_depths_count_from_one():
+    for rule in (ScalingRule(), ScalingRule("power_square", 3)):
+        with pytest.raises(GraphError, match="^levels are numbered from 1$"):
+            rule.value(0)
+    with pytest.raises(GraphError, match="^depth must be at least 1$"):
+        build_plan(CERT_TRIANGLE, 0)
+
+
 # ---------------------------------------------------------------------------
 # plans
 # ---------------------------------------------------------------------------
