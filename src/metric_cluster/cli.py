@@ -209,8 +209,7 @@ def _cmd_cliques(ns) -> int:
 def _cmd_isomorphic(ns) -> int:
     g1 = _load_graph(ns.graph1)
     g2 = _load_graph(ns.graph2)
-    tol = 0 if ns.exact_weights else parse_rational(ns.weight_tol_rel)
-    witness = isomorphic(g1, g2, weight_tol_rel=tol)
+    witness = isomorphic(g1, g2, weight_tol_rel=parse_rational(ns.weight_tol_rel))
     if witness is None:
         _emit({"isomorphic": False}, ns, "not isomorphic")
         return 1
@@ -338,14 +337,12 @@ def _cmd_recover(ns) -> int:
 
 def _cmd_subsample(ns) -> int:
     cloud = _load_cloud(ns.cloud)
-    if ns.indices:
+    if ns.indices is not None:
         indices = _number_list(ns.indices, int, "--indices")
     elif ns.stride_offset is not None:
         indices = period_stride_indices(cloud, ns.stride_offset)
-    elif ns.alternate_periods:
-        indices = alternating_period_indices(cloud)
     else:
-        raise GraphError("choose --indices, --stride-offset, or --alternate-periods")
+        indices = alternating_period_indices(cloud)
     sub = subsample_levels(cloud, indices)
     _write_output(sub.to_json(), ns.out)
     return 0
@@ -571,9 +568,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument(
             "--weight-tol-rel",
             default="1/1000000000",
-            help="relative weight tolerance (rational); use --exact-weights for equality",
+            help="relative weight tolerance (rational); 0 compares weights for equality",
         )
-        p.add_argument("--exact-weights", action="store_true")
         p.set_defaults(func=_cmd_isomorphic)
 
     if command in (None, "fpc"):
@@ -634,9 +630,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if command in (None, "subsample"):
         p = sub.add_parser("subsample", help="restrict a cloud to chosen levels")
         p.add_argument("cloud")
-        p.add_argument("--indices", help="comma-separated level numbers")
-        p.add_argument("--stride-offset", type=int, default=None, help="keep one residue class per family period")
-        p.add_argument("--alternate-periods", action="store_true", help="keep every other whole period")
+        selector = p.add_mutually_exclusive_group(required=True)
+        selector.add_argument("--indices", help="comma-separated level numbers")
+        selector.add_argument("--stride-offset", type=int, help="keep one residue class per family period")
+        selector.add_argument("--alternate-periods", action="store_true", help="keep every other whole period")
         p.add_argument("--out")
         p.set_defaults(func=_cmd_subsample)
 

@@ -192,14 +192,14 @@ def witness_is_genuine(g: WeightedRootedGraph, cert: FpcCertificate) -> bool:
         return u != v and u in labels and v in labels and labels[u] == labels[v]
     if cert.failure == FAIL_CYCLE_INEQUALITY:
         c = cert.witness_cycle
-        return c is not None and _cycle_in_graph(g, c) and not c.satisfies_cycle_inequality()
+        return c is not None and _is_cycle_of(g, c) and not c.satisfies_cycle_inequality()
     if cert.failure == FAIL_TIGHT_CYCLE_NOT_CLIQUE:
         c = cert.witness_cycle
         if c is None or cert.witness_pair is None:
             return False
         u, v = cert.witness_pair
         return (
-            _cycle_in_graph(g, c)
+            _is_cycle_of(g, c)
             and c.is_tight()
             and u in c.vertices
             and v in c.vertices
@@ -208,13 +208,12 @@ def witness_is_genuine(g: WeightedRootedGraph, cert: FpcCertificate) -> bool:
     return False
 
 
-def _cycle_in_graph(g: WeightedRootedGraph, c: Cycle) -> bool:
-    n = len(c.vertices)
-    for i, u in enumerate(c.vertices):
-        v = c.vertices[(i + 1) % n]
-        if not g.has_edge(u, v) or g.weight(u, v) != c.weights[i]:
-            return False
-    return True
+def _is_cycle_of(g: WeightedRootedGraph, c: Cycle) -> bool:
+    """Whether c runs along edges of g with g's weights."""
+    try:
+        return Cycle.from_graph(g, c.vertices) == c
+    except GraphError:
+        return False
 
 
 def synthesize_weights(g: WeightedRootedGraph) -> WeightedRootedGraph:

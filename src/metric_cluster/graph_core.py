@@ -367,18 +367,17 @@ class IsoMapping:
         g2: WeightedRootedGraph,
         weight_tol_rel: Fraction | float = 0,
     ) -> bool:
-        """Re-evaluate the isomorphism conditions from scratch: a bijection
-        onto g2's vertices, as many edges in g2 as in g1, and root to root
-        and each edge of g1 onto an edge of g2 of a weight within the
-        relative tolerance, so non-edges map onto non-edges.
+        """Re-evaluate the isomorphism conditions from scratch: a weight
+        preserving monomorphism between graphs with as many vertices and as
+        many edges, so a bijection under which non-edges map onto non-edges.
 
         GraphError refuses a negative or non-finite tolerance.
         """
-        tol = _tolerance(weight_tol_rel)
-        m = self.mapping
-        if set(m) != set(g1.vertices) or sorted(m.values()) != list(g2.vertices):
-            return False
-        return len(g1.weights) == len(g2.weights) and _maps_edges(g1, g2, m, tol)
+        return (
+            is_weight_preserving_monomorphism(g1, g2, self.mapping, weight_tol_rel)
+            and len(g1) == len(g2)
+            and len(g1.weights) == len(g2.weights)
+        )
 
 
 def _tolerance(weight_tol_rel) -> Fraction:

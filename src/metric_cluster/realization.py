@@ -27,8 +27,6 @@ from .graph_core import _each_once, _format_over, _in_lowest_terms, _over_lcm
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
-MAX_FLOAT_EXPONENT = 1023  # largest binary64 exponent: the one-point space's depth check
-
 
 @dataclass(frozen=True)
 class ScalingRule:
@@ -135,11 +133,11 @@ class LeveledPointCloud:
         return tuple(sorted(seen, key=lambda x: (x is None, x or "")))
 
     def points_by_label(self, level: CloudLevel) -> dict[str, CloudPoint]:
-        out = {}
-        for p in level.points:
-            if p.label in out:
-                raise GraphError(f"duplicate label {p.label!r} at level {level.n}")
-            out[p.label] = p
+        """The level's labeled points by label; GraphError if a label repeats."""
+        out = {p.label: p for p in level.points}
+        if len(out) < len(level.points):
+            _refuse_repeated_label([p.label for p in level.points], level.n)
+        out.pop(None, None)
         return out
 
     def has_exact(self) -> bool:
@@ -310,25 +308,21 @@ def _read_point(item, n: int, dimension: int) -> tuple:
         raise GraphError(
             f"point {label!r} at level {n} has coordinates that are not a JSON list"
         )
-    kinds = set(map(type, coords))
     # float() would read JSON true and false as 1.0 and 0.0
-    if bool in kinds:
+    if bool in map(type, coords):
         raise GraphError(
             f"point {label!r} at level {n} has a non-numeric coordinate: a JSON true or false"
         )
-    if kinds == {float}:  # what the writer's coordinates load as
-        coords = tuple(coords)
-    else:
-        try:
-            coords = tuple(map(float, coords))
-        except (TypeError, ValueError) as exc:
-            raise GraphError(
-                f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
-            ) from exc
-        except OverflowError as exc:
-            raise GraphError(
-                f"point {label!r} at level {n} has a coordinate beyond binary64: {exc}"
-            ) from exc
+    try:
+        coords = tuple(map(float, coords))
+    except (TypeError, ValueError) as exc:
+        raise GraphError(
+            f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
+        ) from exc
+    except OverflowError as exc:
+        raise GraphError(
+            f"point {label!r} at level {n} has a coordinate beyond binary64: {exc}"
+        ) from exc
     if not all(map(math.isfinite, coords)):
         raise GraphError(f"point {label!r} at level {n} has a NaN or infinite coordinate")
     # sup_distance zips coordinates: a short list would be cut silently
@@ -661,16 +655,20 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
     or far above the scale r_n, so all normalized distances collapse to zero
     and the recovered cluster is the one-vertex graph.
     """
-    if type(base) is not int or base < 2:  # a bool is no base, as in ScalingRule
-        raise GraphError("base must be an integer >= 2")
+    rule = ScalingRule("power_square", base)
     if depth < 2:
         raise GraphError("depth must be at least 2")
-    if (depth + 1) ** 2 * math.log2(base) > MAX_FLOAT_EXPONENT:
-        raise GraphError(f"depth {depth} overflows binary64 for base {base}")
+    # the last level's scale needs x_{depth+1} in binary64; as base >=
+    # 2**(bit_length - 1), the bound refuses before a power beyond 2**1024 is built
+    try:
+        if (depth + 1) ** 2 * (base.bit_length() - 1) >= 1024:
+            raise OverflowError
+        xs = [rule.value(n) for n in range(1, depth + 2)]
+        float(xs[-1])
+    except OverflowError as exc:
+        raise GraphError(f"depth {depth} overflows binary64 for base {base}") from exc
     levels = []
-    for n in range(1, depth + 1):
-        x_n = base ** (n * n)
-        x_next = base ** ((n + 1) * (n + 1))
+    for n, x_n, x_next in zip(range(1, depth + 1), xs, xs[1:]):
         # factor the root so neither operand overflows binary64
         r = math.sqrt(x_n) * math.sqrt(x_next)
         points = [

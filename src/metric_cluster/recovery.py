@@ -333,7 +333,11 @@ def recover_cluster(
 
 def _check_tolerances(tol_rel: float, tol_abs: float) -> None:
     """GraphError unless the tolerances are finite, as the exact decisions need, and >= 0."""
-    if not (0 <= tol_rel < math.inf and 0 <= tol_abs < math.inf):
+    try:
+        ok = 0 <= tol_rel < math.inf and 0 <= tol_abs < math.inf
+    except TypeError:  # not a number, such as None or a string
+        ok = False
+    if not ok:
         raise GraphError(f"tolerances must be finite and non-negative, got {tol_rel!r} and {tol_abs!r}")
 
 

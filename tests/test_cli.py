@@ -362,6 +362,14 @@ def test_subsample_stride(cert_graph, tmp_path, capsys):
     capsys.readouterr()
     assert main(["subsample", str(cloud), "--indices", "1,x", "--out", str(sub)]) == 2
     assert "--indices takes comma-separated numbers" in capsys.readouterr().err
+    # exactly one selector: a second one is a usage error, not ignored
+    for extra in (["--alternate-periods"], ["--stride-offset", "1"]):
+        assert main(["subsample", str(cloud), "--indices", "1,2", *extra, "--out", str(sub)]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+    assert main(["subsample", str(cloud), "--out", str(sub)]) == 2
+    assert "one of the arguments --indices --stride-offset --alternate-periods is required" in (
+        capsys.readouterr().err
+    )
 
 
 def test_period_less_subsample_of_a_shallow_cloud_recovers(tmp_path, capsys):
@@ -540,11 +548,16 @@ def test_duplicate_label_in_a_level_exit_2(cert_graph, tmp_path, capsys):
     ):
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: duplicate label 'u' at level 1\n"
-    # unlabeled points may repeat
+    # unlabeled points may repeat, and diag fn reads the labeled ones alone
     points[-1]["label"] = None
     points.append(dict(points[-1]))
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["diag", "psi", str(path), "--radii", "1"]) == 0
+    capsys.readouterr()
+    for cloud in (tmp_path / "cloud.json", path):
+        assert main(["diag", "fn", str(cloud), "--level", "1", "--labels", "u,v"]) == 0
+    clean, with_unlabeled = capsys.readouterr().out.splitlines()
+    assert with_unlabeled == clean
 
 
 def test_a_bare_root_class_is_named_by_no_label(cert_graph, tmp_path, capsys):
@@ -562,7 +575,7 @@ def test_a_bare_root_class_is_named_by_no_label(cert_graph, tmp_path, capsys):
     assert h.vertices == ("nu0", "nu1", "v", "z") and h.root == "nu1"
     rho0 = json.loads(diag.read_text(encoding="utf-8"))["rho0"]
     assert rho0 == {"nu0": "1", "nu1": "0", "v": "2", "z": "3"}
-    assert main(["isomorphic", str(cert_graph), str(out), "--exact-weights"]) == 0
+    assert main(["isomorphic", str(cert_graph), str(out), "--weight-tol-rel", "0"]) == 0
 
 
 def test_verdicts_that_no_other_test_prints(tmp_path, capsys):
@@ -900,7 +913,7 @@ FUZZ_COMMANDS = {
     ("cliques",): (["graph"], ["--json"]),
     ("isomorphic",): (
         ["graph", "graph"],
-        ["--json", "--exact-weights", ("--weight-tol-rel", NUMBERS)],
+        ["--json", ("--weight-tol-rel", NUMBERS)],
     ),
     ("fpc", "certify"): (["graph"], ["--json"]),
     ("fpc", "synthesize"): (["graph"], ["--out"]),

@@ -148,6 +148,14 @@ def test_root_is_origin_at_every_level():
         root_pt = cloud.points_by_label(lvl)["r"]
         assert all(c == 0 for c in root_pt.coords)
         assert all(x == 0 for x in root_pt.exact)
+    # a label names one point of a level; unlabeled points may repeat and are left out
+    lvl = cloud.levels[0]
+    labeled = cloud.points_by_label(lvl)
+    unlabeled = [CloudPoint(None, (0.0,) * cloud.dimension)] * 2
+    assert cloud.points_by_label(dataclasses.replace(lvl, points=lvl.points + unlabeled)) == labeled
+    twice = dataclasses.replace(lvl, points=lvl.points + unlabeled + [labeled["u"]])
+    with pytest.raises(GraphError, match="^duplicate label 'u' at level 1$"):
+        cloud.points_by_label(twice)
 
 
 def test_within_level_distances_reproduce_scaled_metric_exactly():
@@ -651,6 +659,12 @@ def test_single_point_space_values():
     assert xs == [2.0, 16.0, 512.0]
     assert cloud.levels[0].r == pytest.approx(math.sqrt(32), rel=1e-15)
     assert cloud.levels[1].r == pytest.approx(math.sqrt(8192), rel=1e-15)
+    # the last level's scale needs x_21 = 5**441, about 1.76e308, which fits binary64
+    cloud = single_point_space(depth=20, base=5)
+    assert all(math.isfinite(lvl.r) and math.isfinite(lvl.points[1].coords[0]) for lvl in cloud.levels)
+    assert len(recover_cluster(cloud).graph) == 1
+    with pytest.raises(GraphError, match="^depth 21 overflows binary64 for base 5$"):
+        single_point_space(depth=21, base=5)
 
 
 def test_single_point_normalized_values_decay():
@@ -676,6 +690,16 @@ def test_single_point_guards():
         single_point_space(depth=5, base=1)
     with pytest.raises(GraphError):
         single_point_space(depth=40, base=2)  # overflow
+    # a depth is refused exactly when x_{depth+1} rounds beyond binary64
+    for base in range(2, 65):
+        for depth in range(2, 40):
+            try:
+                float(base ** ((depth + 1) ** 2))
+            except OverflowError:
+                with pytest.raises(GraphError, match="overflows binary64"):
+                    single_point_space(depth, base)
+            else:
+                assert single_point_space(depth, base).depth == depth
 
 
 def test_single_point_space_refuses_a_base_that_is_not_an_int():

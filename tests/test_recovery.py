@@ -562,6 +562,14 @@ def test_non_finite_float_values_rejected():
     # finite values, but a threshold beyond binary64
     with pytest.raises(GraphError, match="not finite"):
         recover_cluster(cloud, tol_rel=1e308)
+    # tolerances that are not numbers
+    for check in (
+        lambda: recover_cluster(cloud, tol_rel=None),
+        lambda: recover_cluster(cloud, tol_abs="1e-9", use_exact=True),
+        lambda: validate_recovered_cluster(recover_cluster(cloud), tol_abs="1e-9"),
+    ):
+        with pytest.raises(GraphError, match="tolerances must be finite and non-negative, got"):
+            check()
     # finite values whose window sum, and so the tail mean, overflows
     huge = LeveledPointCloud(1, [
         CloudLevel(n=n, r=1.0, r_exact=None, points=[CloudPoint("a", (1e308,))])
