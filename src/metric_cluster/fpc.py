@@ -25,6 +25,7 @@ from .graph_core import (
     Cycle,
     GraphError,
     WeightedRootedGraph,
+    _integer,
     _over_lcm,
     _require_dominating_root,
     _root_labels,
@@ -255,9 +256,7 @@ def graph_from_metric_space(d: DistanceMatrix, basepoint: str) -> WeightedRooted
 
 def moon_moser_f(n: int) -> int:
     """Maximum possible number of maximal cliques in a graph on n >= 2 vertices."""
-    if n < 2:
-        raise GraphError(f"the bound is defined for n >= 2, got {n}")
-    q, r = divmod(n, 3)
+    q, r = divmod(_integer(n, 2, "the bound is defined for n >= 2, got {value}"), 3)
     if r == 0:
         return 3**q
     if r == 1:

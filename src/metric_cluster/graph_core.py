@@ -13,6 +13,7 @@ import math
 import sys
 from collections import abc
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
@@ -20,6 +21,32 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 class GraphError(ValueError):
     """Invalid graph input or violated operation precondition."""
+
+
+def _integer(value, least: int, refusal: str) -> int:
+    """The one rule for integer arguments: ``value`` when it is an int, not a
+    bool, of at least ``least``; GraphError otherwise, with the caller's
+    ``refusal`` text, in which ``{value!r}`` names the value."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise GraphError(refusal.format(value=value))
+    return value
+
+
+def _real(value, least, refusal: str, kind=Fraction) -> Fraction | float:
+    """The one rule for real arguments, tolerances among them: a finite int,
+    float, Fraction or Decimal, read as the Fraction it equals or, with
+    ``kind=float``, as the nearest binary64 number, which must be finite, and
+    at least ``least``; GraphError otherwise, with ``refusal`` as ``_integer``
+    gives it. A bool is no number, and a string is refused, not parsed."""
+    x = None
+    if not isinstance(value, bool) and isinstance(value, (int, float, Fraction, Decimal)):
+        try:
+            x = kind(Fraction(value))
+        except (ValueError, OverflowError):  # a NaN, an infinity, beyond binary64
+            pass
+    if x is None or x < least:
+        raise GraphError(refusal.format(value=value))
+    return x
 
 
 def parse_rational(text) -> Fraction:
@@ -371,7 +398,7 @@ class IsoMapping:
         preserving monomorphism between graphs with as many vertices and as
         many edges, so a bijection under which non-edges map onto non-edges.
 
-        GraphError refuses a negative or non-finite tolerance.
+        GraphError refuses a tolerance that ``isomorphic`` refuses.
         """
         return (
             is_weight_preserving_monomorphism(g1, g2, self.mapping, weight_tol_rel)
@@ -380,18 +407,7 @@ class IsoMapping:
         )
 
 
-def _tolerance(weight_tol_rel) -> Fraction:
-    """A relative weight tolerance as an exact rational; GraphError unless it
-    is finite and non-negative."""
-    try:
-        tol = Fraction(weight_tol_rel)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        tol = None
-    if tol is None or tol < 0:
-        raise GraphError(
-            f"weight tolerance must be finite and non-negative, got {weight_tol_rel!r}"
-        )
-    return tol
+_WEIGHT_TOLERANCE = "weight tolerance must be finite and non-negative, got {value!r}"
 
 
 def _weights_close(a: Fraction, b: Fraction, tol: Fraction) -> bool:
@@ -492,11 +508,12 @@ def isomorphic(
     both graphs have a near-tie (see ``_near_tie``): only then could an
     isomorphism pair two vertices out of label order.
 
-    GraphError refuses a negative or non-finite tolerance, ``weighted=False``,
-    two graphs whose roots do not dominate, and a failed candidate between two
-    graphs with near-ties, which the label order does not decide.
+    GraphError refuses a tolerance that is not a finite, non-negative int,
+    float, Fraction or Decimal, ``weighted=False``, two graphs whose roots do
+    not dominate, and a failed candidate between two graphs with near-ties,
+    which the label order does not decide.
     """
-    tol = _tolerance(weight_tol_rel)
+    tol = _real(weight_tol_rel, 0, _WEIGHT_TOLERANCE)
     if not weighted:
         raise GraphError("isomorphic compares weighted graphs: weighted=False is refused")
     if len(g1) != len(g2) or len(g1.weights) != len(g2.weights):
@@ -545,7 +562,7 @@ def is_weight_preserving_homomorphism(
     weight_tol_rel: Fraction | float = 0,
 ) -> bool:
     """Check: root maps to root, edges map to edges, edge weights preserved."""
-    tol = _tolerance(weight_tol_rel)
+    tol = _real(weight_tol_rel, 0, _WEIGHT_TOLERANCE)
     if set(mapping) != set(g1.vertices):
         return False
     if any(img not in g2._adj for img in mapping.values()):

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .graph_core import _each_once, _format_over, _in_lowest_terms, _over_lcm
+from .graph_core import _each_once, _format_over, _in_lowest_terms, _integer, _over_lcm
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
@@ -45,13 +45,12 @@ class ScalingRule:
             raise GraphError(f"unknown scaling rule {self.name!r}")
         # base 1 keeps every scale at 1 and base <= 0 gives zero or
         # alternating-sign scales: none of them tends to infinity; a float
-        # base gives no integer scale, and a bool is no base
-        if self.name == "power_square" and (type(self.base) is not int or self.base < 2):
-            raise GraphError("base must be an integer >= 2")
+        # base gives no integer scale
+        if self.name == "power_square":
+            _integer(self.base, 2, "base must be an integer >= 2")
 
     def value(self, n: int) -> int:
-        if n < 1:
-            raise GraphError("levels are numbered from 1")
+        _integer(n, 1, "levels are numbered from 1")
         if self.name == "factorial":
             return math.factorial(n)
         return self.base ** (n * n)
@@ -171,13 +170,15 @@ class LeveledPointCloud:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
         try:
-            dimension = _positive_integer(data["dimension"], "dimension")
+            dimension = _integer(
+                data["dimension"], 1, "cloud dimension must be a positive integer, got {value!r}"
+            )
             raw_levels = data["levels"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"cloud JSON is missing field: {exc}") from exc
         period = data.get("period")
         if period is not None:
-            _positive_integer(period, "period")
+            _integer(period, 1, "cloud period must be a positive integer, got {value!r}")
         if data.get("norm", "sup") != "sup":
             raise GraphError(f"cloud norm {data['norm']!r} is not supported; only 'sup' is")
         if not isinstance(raw_levels, list):
@@ -187,7 +188,7 @@ class LeveledPointCloud:
             for entry in raw_levels:
                 if not isinstance(entry, dict):
                     raise GraphError(f"cloud level {entry!r} is not an object")
-                n = _positive_integer(entry["n"], "level n")
+                n = _integer(entry["n"], 1, "cloud level n must be a positive integer, got {value!r}")
                 # recovery's window is the last levels; subsample and diag look a level up by n
                 if levels and n <= levels[-1].n:
                     raise GraphError(f"level {n} follows level {levels[-1].n}: levels must strictly increase")
@@ -470,14 +471,6 @@ def _json_scalar(value) -> str:
     return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
 
 
-def _positive_integer(value, what: str) -> int:
-    """An integer field of the cloud JSON that counts from 1."""
-    # bool is an int subclass, but JSON true is not a count
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise GraphError(f"cloud {what} must be a positive integer, got {value!r}")
-    return value
-
-
 def _positive_scale(value, n) -> float:
     """A level's binary64 scale r: recovery divides by it, so it must be a
     finite number above zero."""
@@ -532,8 +525,7 @@ def build_plan(
     common multiple of the weight denominators; the closure runs in units of
     1/(cL), where every added weight is the integer c * d(u, v) - delta.
     """
-    if depth < 1:
-        raise GraphError("depth must be at least 1")
+    _integer(depth, 1, "depth must be at least 1")
     cert, sg, delta = _certify(g)
     if not cert.ok:
         raise GraphError(
@@ -656,8 +648,7 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
     and the recovered cluster is the one-vertex graph.
     """
     rule = ScalingRule("power_square", base)
-    if depth < 2:
-        raise GraphError("depth must be at least 2")
+    _integer(depth, 2, "depth must be at least 2")
     # the last level's scale needs x_{depth+1} in binary64; as base >=
     # 2**(bit_length - 1), the bound refuses before a power beyond 2**1024 is built
     try:

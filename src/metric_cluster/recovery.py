@@ -28,12 +28,15 @@ from .fpc import (
     FAIL_ROOT_NOT_DOMINATING,
     _violations,
 )
-from .graph_core import GraphError, WeightedRootedGraph, _over_lcm, _root_labels
+from .graph_core import GraphError, WeightedRootedGraph, _integer, _over_lcm, _real, _root_labels
 from .metrization import _pinning_edge
 from .realization import LeveledPointCloud, sup_distance
 
 DEFAULT_TOL_REL = 1e-6
 DEFAULT_TOL_ABS = 1e-9
+_TOLERANCE = "tolerances must be finite and non-negative, got {value!r}"
+_RADIUS = "radii must be finite and positive, got {value}"
+_COORDINATE = "the spread functional needs finite numbers as coordinates, got {value!r}"
 
 _BASE = object()  # sentinel trace for the basepoint (origin at every level)
 
@@ -82,7 +85,9 @@ def recover_cluster(
     """
     if not cloud.levels:
         raise GraphError("empty cloud")
-    _check_tolerances(tol_rel, tol_abs)
+    # exact decisions take the tolerances as rationals, float ones in binary64
+    kind = Fraction if use_exact else float
+    rel, ab = _real(tol_rel, 0, _TOLERANCE, kind), _real(tol_abs, 0, _TOLERANCE, kind)
     labels = cloud.labels()
     if any(lbl is None for lbl in labels):
         raise GraphError("cloud has unlabeled points; recovery needs sequences")
@@ -97,9 +102,7 @@ def recover_cluster(
                 "cloud has one level and no period: one level cannot decide a non-edge"
             )
         window = min(depth, max(4, depth // 3))
-    if window < 1:
-        raise GraphError("window must be positive")
-    if window > depth:
+    if _integer(window, 1, "window must be positive") > depth:
         raise GraphError(f"window {window} exceeds cloud depth {depth}")
     if cloud.period and window < cloud.period:
         raise GraphError(
@@ -131,7 +134,7 @@ def recover_cluster(
         # values are ints over U and a window sum S has mean S / (window U);
         # with tol_rel = rel / den and tol_abs = ab / den, every test below is one
         # integer cross-multiplication
-        den, (rel, ab) = _over_lcm([Fraction(tol_rel), Fraction(tol_abs)])
+        den, (rel, ab) = _over_lcm([rel, ab])
 
         def half(v):
             return v // 2  # an int is at most v / 2 exactly when at most v // 2
@@ -149,7 +152,7 @@ def recover_cluster(
         rows = [{lbl: p.coords for lbl, p in pts.items()} for _, pts in per_level]
         units = [lvl.r for lvl, _ in per_level]
         normalized = operator.truediv
-        common, rel, ab = 1, tol_rel, tol_abs
+        common = 1
 
         def half(v):
             return v / 2
@@ -158,7 +161,7 @@ def recover_cluster(
             return total / window > 3 * eq_thresh
 
         def stable(spread, total):
-            return spread <= tol_abs + tol_rel * (total / window)
+            return spread <= ab + rel * (total / window)
 
         def mean_fraction(total):
             return Fraction(total / window)
@@ -331,16 +334,6 @@ def recover_cluster(
 # ---------------------------------------------------------------------------
 
 
-def _check_tolerances(tol_rel: float, tol_abs: float) -> None:
-    """GraphError unless the tolerances are finite, as the exact decisions need, and >= 0."""
-    try:
-        ok = 0 <= tol_rel < math.inf and 0 <= tol_abs < math.inf
-    except TypeError:  # not a number, such as None or a string
-        ok = False
-    if not ok:
-        raise GraphError(f"tolerances must be finite and non-negative, got {tol_rel!r} and {tol_abs!r}")
-
-
 def validate_recovered_cluster(
     rc: RecoveredCluster,
     tol_rel: float = DEFAULT_TOL_REL,
@@ -357,8 +350,7 @@ def validate_recovered_cluster(
     certification reports. No clique is counted: every graph meets the
     extremal bound on maximal cliques.
     """
-    _check_tolerances(tol_rel, tol_abs)
-    den, (rel, ab) = _over_lcm([Fraction(tol_rel), Fraction(tol_abs)])
+    den, (rel, ab) = _over_lcm([_real(tol_rel, 0, _TOLERANCE), _real(tol_abs, 0, _TOLERANCE)])
 
     def negligible(gap, size, q):
         # gap / q <= tol_abs + tol_rel * size / q, on integers
@@ -408,7 +400,7 @@ def subsample_levels(cloud: LeveledPointCloud, indices: Sequence[int]) -> Levele
     """
     if not indices:
         raise GraphError("empty level selection")
-    idx = list(indices)
+    idx = [_integer(n, 1, "level numbers are integers from 1, got {value!r}") for n in indices]
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise GraphError("level selection must be strictly increasing")
     available = {lvl.n: lvl for lvl in cloud.levels}
@@ -444,8 +436,9 @@ def period_stride_indices(cloud: LeveledPointCloud, offset: int = 0) -> list[int
     if not cloud.period:
         raise GraphError("cloud carries no family-period metadata")
     p = cloud.period
-    if not 0 <= offset < p:
-        raise GraphError(f"offset must lie in [0, {p})")
+    refusal = f"offset must lie in [0, {p})"
+    if _integer(offset, 0, refusal) >= p:
+        raise GraphError(refusal)
     return [lvl.n for i, lvl in enumerate(cloud.levels) if i % p == offset]
 
 
@@ -461,18 +454,17 @@ def spread_functional(points: Sequence[Sequence[float]], basepoint: Sequence[flo
     Zero when all points coincide with the basepoint (by convention) or any
     two points coincide. Values near zero for all large tuples indicate the
     space cannot sustain more than n-1 separated directions at infinity.
-    A value that is not finite in binary64 is refused with ``GraphError``.
+    A coordinate or a value that is not finite in binary64 is refused with
+    ``GraphError``.
     """
-    pts = [tuple(float(c) for c in p) for p in points]
+    pts = [tuple(_real(c, -math.inf, _COORDINATE, float) for c in p) for p in points]
     n = len(pts)
     if n < 2:
         raise GraphError("the spread functional needs at least 2 points")
-    base = tuple(float(c) for c in basepoint)
+    base = tuple(_real(c, -math.inf, _COORDINATE, float) for c in basepoint)
     # sup_distance zips coordinates: a short point would be cut silently
     if any(len(p) != len(base) for p in pts):
         raise GraphError(f"every point needs {len(base)} coordinates, as the basepoint has")
-    if not all(math.isfinite(c) for p in (base, *pts) for c in p):
-        raise GraphError("the spread functional needs finite coordinates")
     base_dists = [sup_distance(p, base) for p in pts]
     top = max(base_dists)
     if top == 0:
@@ -496,16 +488,16 @@ def annulus_diameter_table(
     staying small as r grows (for k near 1) is the finite-scale shadow of the
     sphere-collapse condition; no limit is decided here.
     """
-    if not (math.isfinite(k) and k >= 1):
-        raise GraphError(f"annulus parameter k must be finite and >= 1, got {k}")
+    k = _real(k, 1, "annulus parameter k must be finite and >= 1, got {value}", float)
     pts = [p.coords for lvl in cloud.levels for p in lvl.points]
     origin = (0.0,) * cloud.dimension
     norms = [sup_distance(p, origin) for p in pts]
     table = []
-    for r in radii:
-        if not (math.isfinite(r) and r > 0):
-            raise GraphError(f"radii must be finite and positive, got {r}")
+    for radius in radii:
+        r = _real(radius, 0, _RADIUS, float)
+        if not r:  # zero, or so small that it rounds to zero
+            raise GraphError(_RADIUS.format(value=radius))
         members = [p for p, nrm in zip(pts, norms) if r / k <= nrm <= r * k]
         diam = max((sup_distance(a, bb) for a, bb in combinations(members, 2)), default=0.0)
-        table.append({"r": float(r), "value": diam / r, "points": len(members)})
+        table.append({"r": r, "value": diam / r, "points": len(members)})
     return table

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import networkx as nx
@@ -562,11 +563,16 @@ def test_non_finite_float_values_rejected():
     # finite values, but a threshold beyond binary64
     with pytest.raises(GraphError, match="not finite"):
         recover_cluster(cloud, tol_rel=1e308)
-    # tolerances that are not numbers
+    # tolerances that are not numbers, a Decimal NaN (it raised a bare
+    # decimal.InvalidOperation) and, in float recovery, an int beyond binary64
+    # (it raised a bare OverflowError)
     for check in (
         lambda: recover_cluster(cloud, tol_rel=None),
         lambda: recover_cluster(cloud, tol_abs="1e-9", use_exact=True),
         lambda: validate_recovered_cluster(recover_cluster(cloud), tol_abs="1e-9"),
+        lambda: recover_cluster(cloud, tol_rel=Decimal("NaN")),
+        lambda: validate_recovered_cluster(recover_cluster(cloud), Decimal("NaN")),
+        lambda: recover_cluster(cloud, tol_rel=10**400),
     ):
         with pytest.raises(GraphError, match="tolerances must be finite and non-negative, got"):
             check()
@@ -577,6 +583,23 @@ def test_non_finite_float_values_rejected():
     ])
     with pytest.raises(GraphError, match="not finite"):
         recover_cluster(huge)
+
+
+def test_decimal_and_fraction_tolerances_read_as_their_values():
+    # a Decimal tolerance met a float in float recovery's threshold arithmetic
+    # and raised a bare TypeError
+    point = single_point_space(4)
+    realized = realize(ONE_GAP, depth=12)
+    for cloud, exact in ((point, False), (realized, False), (realized, True)):
+        expected = recover_cluster(cloud, tol_rel=1e-6, use_exact=exact)
+        for tol in (Decimal("1e-6"), Fraction(1, 10**6)):
+            rc = recover_cluster(cloud, tol_rel=tol, use_exact=exact)
+            assert rc.graph == expected.graph and rc.diagnostics == expected.diagnostics
+            assert validate_recovered_cluster(rc, tol) == validate_recovered_cluster(rc, 1e-6)
+    # the one-point space carries no exact shadows: exact recovery refuses it alike
+    for tol in (1e-6, Decimal("1e-6"), Fraction(1, 10**6)):
+        with pytest.raises(GraphError, match="no exact shadows"):
+            recover_cluster(point, tol_rel=tol, use_exact=True)
 
 
 def test_missing_label_rejected():
