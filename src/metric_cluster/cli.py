@@ -26,6 +26,7 @@ from .graph_core import (
     isomorphic,
     maximal_cliques,
     parse_rational,
+    _json_document,
 )
 from .metrization import (
     DistanceMatrix,
@@ -62,14 +63,7 @@ def _read_json_file(path: str) -> dict:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path} is not UTF-8 text: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer beyond the interpreter's digit limit
-        raise GraphError(f"{path}: {exc}") from exc
-    except RecursionError as exc:
-        raise GraphError(f"{path}: JSON nested too deeply") from exc
+    return _json_document(text, path)
 
 
 def _load_graph(path: str) -> WeightedRootedGraph:
@@ -309,7 +303,7 @@ def _cmd_recover(ns) -> int:
         window=ns.window,
         use_exact=ns.exact,
     )
-    problems = validate_recovered_cluster(rc, ns.tol_rel, ns.tol_abs)
+    problems = validate_recovered_cluster(rc)
     graph_json = rc.graph.to_json()
     if ns.out:
         Path(ns.out).write_text(graph_json + "\n", encoding="utf-8")

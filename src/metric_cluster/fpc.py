@@ -110,7 +110,7 @@ def _certify(
     integers that (ii) and (iii) were decided on and the least scaled width
     hi - lo of an admissible interval over the non-edges (positive, or None
     when g is complete)."""
-    violations = _violations(g, lambda gap, size, q: gap == 0)
+    violations = _violations(g, lambda size, q: 0)
     try:
         kind, *data = next(violations)
     except StopIteration as passed:
@@ -129,10 +129,10 @@ def _certify(
     return cert, None, None
 
 
-def _violations(g: WeightedRootedGraph, negligible) -> Generator[tuple, None, Optional[tuple]]:
+def _violations(g: WeightedRootedGraph, zero_gap) -> Generator[tuple, None, Optional[tuple]]:
     """Each violation of the three conditions, in certification's order, where
-    ``negligible(gap, size, q)`` says whether the gap between two values,
-    integers over q of which the larger is size, counts as zero: the least
+    a gap between two values, integers over q of which the larger is size,
+    counts as zero when at most ``zero_gap(size, q)``: the least
     vertex the root misses, ``(FAIL_ROOT_NOT_DOMINATING, v)``; the sorted pairs
     u < v of the root (label 0) and its neighbours whose labels are negligibly
     apart, ``(FAIL_LABELING_NOT_INJECTIVE, pairs)``; each edge heavier than
@@ -151,7 +151,7 @@ def _violations(g: WeightedRootedGraph, negligible) -> Generator[tuple, None, Op
     pairs = [
         (u, v)
         for (u, a), (v, b) in combinations(zip(names, labels), 2)
-        if negligible(abs(a - b), max(a, b), q)
+        if abs(a - b) <= zero_gap(max(a, b), q)
     ]
     if pairs:
         yield FAIL_LABELING_NOT_INJECTIVE, pairs
@@ -162,7 +162,7 @@ def _violations(g: WeightedRootedGraph, negligible) -> Generator[tuple, None, Op
     sg = _ScaledGraph.of(g)
     heavy = False
     for i, j, w in sg.edges:
-        if not negligible(w - sg.row(i)[j], w, sg.scale):
+        if w - sg.row(i)[j] > zero_gap(w, sg.scale):
             heavy = True
             yield FAIL_CYCLE_INEQUALITY, sg, i, j, w
     if heavy:
@@ -172,7 +172,7 @@ def _violations(g: WeightedRootedGraph, negligible) -> Generator[tuple, None, Op
     delta = None
     for mu, nu in g.non_edges():
         lo, hi = _interval(sg, mu, nu)
-        if negligible(hi - lo, hi, sg.scale):
+        if hi - lo <= zero_gap(hi, sg.scale):
             yield FAIL_TIGHT_CYCLE_NOT_CLIQUE, sg, mu, nu, lo, hi
         delta = hi - lo if delta is None else min(delta, hi - lo)
     return sg, delta

@@ -28,7 +28,7 @@ def _integer(value, least: int, refusal: str) -> int:
     bool, of at least ``least``; GraphError otherwise, with the caller's
     ``refusal`` text, in which ``{value!r}`` names the value."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise GraphError(refusal.format(value=value))
+        raise _refused(refusal, value)
     return value
 
 
@@ -45,8 +45,57 @@ def _real(value, least, refusal: str, kind=Fraction) -> Fraction | float:
         except (ValueError, OverflowError):  # a NaN, an infinity, beyond binary64
             pass
     if x is None or x < least:
-        raise GraphError(refusal.format(value=value))
+        raise _refused(refusal, value)
     return x
+
+
+def _refused(refusal: str, value) -> GraphError:
+    """GraphError with ``refusal``, in which ``{value!r}`` or ``{value}``
+    names the value, or ``_spelled(value)`` when it has no repr."""
+    try:
+        return GraphError(refusal.format(value=value))
+    except ValueError:
+        return GraphError(refusal.replace("!r}", "}").format(value=_spelled(value)))
+
+
+def _spelled(value) -> str:
+    """``str(value)``, or, for an int or a Fraction whose digits pass the
+    interpreter's int-to-str limit and so has no str, its sign and bit length."""
+    try:
+        return str(value)
+    except ValueError:
+        n, d = value.numerator, value.denominator
+        bits = f"{n.bit_length()} bits" + (f" over {d.bit_length()} bits" if d > 1 else "")
+        return f"a {'negative' if n < 0 else 'positive'} {type(value).__name__} of {bits}"
+
+
+def _collection(value, refusal: str, kind=tuple):
+    """The one rule for sequence and mapping arguments: ``kind(value)``, where
+    ``tuple`` and ``set`` take any iterable, ``dict`` only a mapping, and a
+    reader of items refuses one of the wrong shape by TypeError or ValueError,
+    which ends as GraphError with ``refusal``; the reader's own passes through."""
+    try:
+        if kind is dict and not isinstance(value, abc.Mapping):
+            raise TypeError
+        return kind(value)
+    except GraphError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"{refusal}, got {type(value).__name__}") from exc
+
+
+def _json_document(text: str, source: str):
+    """The JSON value of ``text``; GraphError, named by ``source``, for text
+    that is no JSON, holds an integer past the interpreter's digit limit or
+    nests past the parser's limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise GraphError(f"{source}: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphError(f"{source}: JSON nested too deeply") from exc
 
 
 def parse_rational(text) -> Fraction:
@@ -163,7 +212,7 @@ class WeightedRootedGraph:
         weights: Mapping[tuple[str, str], Fraction] | Iterable[tuple[tuple[str, str], Fraction]],
         root: str,
     ):
-        vertex_set = set(vertices)
+        vertex_set = _collection(vertices, "graph vertices must be an iterable of vertex ids", set)
         self.vertices: tuple[str, ...] = tuple(sorted(vertex_set))
         if not self.vertices:
             raise GraphError("graph needs at least one vertex")
@@ -171,21 +220,25 @@ class WeightedRootedGraph:
             raise GraphError(f"root {root!r} is not a vertex")
         self.root = root
 
-        items = weights.items() if isinstance(weights, abc.Mapping) else weights
         self.weights: dict[tuple[str, str], Fraction] = {}
         self._adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        _collection(weights, "graph weights must be a mapping or pairs ((u, v), w)", self._add_edges)
+
+    def _add_edges(self, edges) -> None:
+        items = edges.items() if isinstance(edges, abc.Mapping) else edges
+        weights, adj = self.weights, self._adj
         for (u, v), w in items:
             key = (u, v) if u < v else edge_key(u, v)
-            if u not in vertex_set or v not in vertex_set:
+            if u not in adj or v not in adj:
                 raise GraphError(f"edge {key} uses unknown vertices")
-            if key in self.weights:
+            if key in weights:
                 raise GraphError(f"duplicate edge {key}")
             w = parse_rational(w)
             if w.numerator < 0:  # a Fraction's denominator is positive
-                raise GraphError(f"negative weight {w} on edge {key}")
-            self.weights[key] = w
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+                raise GraphError(f"negative weight {_spelled(w)} on edge {key}")
+            weights[key] = w
+            adj[u].add(v)
+            adj[v].add(u)
 
     # -- basic queries ----------------------------------------------------
 
@@ -283,6 +336,7 @@ class WeightedRootedGraph:
 
     def relabel(self, mapping: Mapping[str, str]) -> "WeightedRootedGraph":
         """Rename vertices through a bijective mapping."""
+        mapping = _collection(mapping, "relabel mapping must be a mapping", dict)
         if set(mapping) != set(self.vertices) or len(set(mapping.values())) != len(self.vertices):
             raise GraphError("relabel mapping must be a bijection on the vertex set")
         new = {(mapping[u], mapping[v]): w for (u, v), w in self.weights.items()}
@@ -333,7 +387,7 @@ class WeightedRootedGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedRootedGraph":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_json_document(text, "graph JSON"))
 
 
 @dataclass(frozen=True)
@@ -358,7 +412,7 @@ class Cycle:
 
     @classmethod
     def from_graph(cls, g: WeightedRootedGraph, order: Sequence[str]) -> "Cycle":
-        order = tuple(order)
+        order = _collection(order, "cycle order must be a sequence of vertices")
         weights = []
         for i, u in enumerate(order):
             v = order[(i + 1) % len(order)]
@@ -563,6 +617,7 @@ def is_weight_preserving_homomorphism(
 ) -> bool:
     """Check: root maps to root, edges map to edges, edge weights preserved."""
     tol = _real(weight_tol_rel, 0, _WEIGHT_TOLERANCE)
+    mapping = _collection(mapping, "a vertex mapping must be a mapping", dict)
     if set(mapping) != set(g1.vertices):
         return False
     if any(img not in g2._adj for img in mapping.values()):
@@ -577,5 +632,7 @@ def is_weight_preserving_monomorphism(
     weight_tol_rel: Fraction | float = 0,
 ) -> bool:
     """Injective weight preserving homomorphism."""
-    injective = len(set(mapping.values())) == len(g1.vertices)
-    return is_weight_preserving_homomorphism(g1, g2, mapping, weight_tol_rel) and injective
+    return (
+        is_weight_preserving_homomorphism(g1, g2, mapping, weight_tol_rel)
+        and len(set(mapping.values())) == len(g1.vertices)
+    )

@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .graph_core import Cycle, GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .graph_core import _format_over, _in_lowest_terms, _over_lcm
+from .graph_core import _collection, _format_over, _in_lowest_terms, _json_document, _over_lcm
 
 
 class DistanceMatrix:
@@ -40,7 +40,10 @@ class DistanceMatrix:
     """
 
     def __init__(self, vertices, rows):
-        self.vertices: tuple[str, ...] = tuple(vertices)
+        refusal = "distance matrix vertices must be a sequence"
+        self.vertices: tuple[str, ...] = _collection(vertices, refusal)
+        refusal = "distance matrix rows must be a sequence of sequences"
+        rows = [_collection(row, refusal) for row in _collection(rows, refusal)]
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphError("distance matrix vertices must be distinct")
         self._index = {v: i for i, v in enumerate(self.vertices)}
@@ -134,7 +137,7 @@ class DistanceMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "DistanceMatrix":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_json_document(text, "distance matrix JSON"))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
 from .graph_core import _each_once, _format_over, _in_lowest_terms, _integer, _over_lcm
+from .graph_core import _json_document, _spelled
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
@@ -191,7 +192,8 @@ class LeveledPointCloud:
                 n = _integer(entry["n"], 1, "cloud level n must be a positive integer, got {value!r}")
                 # recovery's window is the last levels; subsample and diag look a level up by n
                 if levels and n <= levels[-1].n:
-                    raise GraphError(f"level {n} follows level {levels[-1].n}: levels must strictly increase")
+                    previous = _spelled(levels[-1].n)
+                    raise GraphError(f"level {n} follows level {previous}: levels must strictly increase")
                 items = entry["points"]
                 if not isinstance(items, list):
                     raise GraphError(f"points of level {n} must be a list")
@@ -246,7 +248,7 @@ class LeveledPointCloud:
 
     @classmethod
     def from_json(cls, text: str) -> "LeveledPointCloud":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_json_document(text, "cloud JSON"))
 
 
 def _read_level_points(items: list, dimension: int) -> Optional[tuple[list, list, list]]:
@@ -309,14 +311,15 @@ def _read_point(item, n: int, dimension: int) -> tuple:
         raise GraphError(
             f"point {label!r} at level {n} has coordinates that are not a JSON list"
         )
-    # float() would read JSON true and false as 1.0 and 0.0
-    if bool in map(type, coords):
-        raise GraphError(
-            f"point {label!r} at level {n} has a non-numeric coordinate: a JSON true or false"
-        )
+    # float() would read JSON true and false as 1.0 and 0.0, and a string as
+    # the number it spells
+    for x in coords:
+        if isinstance(x, (bool, str)):
+            kind = "a JSON string" if isinstance(x, str) else "a JSON true or false"
+            raise GraphError(f"point {label!r} at level {n} has a non-numeric coordinate: {kind}")
     try:
         coords = tuple(map(float, coords))
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise GraphError(
             f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
         ) from exc
@@ -328,7 +331,8 @@ def _read_point(item, n: int, dimension: int) -> tuple:
         raise GraphError(f"point {label!r} at level {n} has a NaN or infinite coordinate")
     # sup_distance zips coordinates: a short list would be cut silently
     if len(coords) != dimension or (exact and len(exact) != dimension):
-        raise GraphError(f"point {label!r} at level {n} does not have {dimension} coordinates")
+        coordinates = f"{_spelled(dimension)} coordinates"
+        raise GraphError(f"point {label!r} at level {n} does not have {coordinates}")
     return label, coords, exact
 
 
@@ -490,7 +494,7 @@ def _positive_exact_scale(value, n) -> Optional[Fraction]:
         return None
     r_exact = parse_rational(value)
     if r_exact <= 0:
-        raise GraphError(f"level {n} has exact scale r_exact = {r_exact}; it must be positive")
+        raise GraphError(f"level {n} has exact scale r_exact = {_spelled(r_exact)}; it must be positive")
     return r_exact
 
 
@@ -657,7 +661,8 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
         xs = [rule.value(n) for n in range(1, depth + 2)]
         float(xs[-1])
     except OverflowError as exc:
-        raise GraphError(f"depth {depth} overflows binary64 for base {base}") from exc
+        refusal = f"depth {_spelled(depth)} overflows binary64 for base {_spelled(base)}"
+        raise GraphError(refusal) from exc
     levels = []
     for n, x_n, x_next in zip(range(1, depth + 1), xs, xs[1:]):
         # factor the root so neither operand overflows binary64

@@ -29,6 +29,7 @@ from .fpc import (
     _violations,
 )
 from .graph_core import GraphError, WeightedRootedGraph, _integer, _over_lcm, _real, _root_labels
+from .graph_core import _collection, _spelled
 from .metrization import _pinning_edge
 from .realization import LeveledPointCloud, sup_distance
 
@@ -43,8 +44,8 @@ _BASE = object()  # sentinel trace for the basepoint (origin at every level)
 
 @dataclass
 class RecoveredCluster:
-    """Recovered weighted rooted graph plus the evidence it was built from: the
-    pair diagnostics, the classes of merged labels, and the merge and drop logs."""
+    """Recovered weighted rooted graph, the evidence it was built from (pair
+    diagnostics, merged classes, merge and drop logs), its window and tolerances."""
 
     graph: WeightedRootedGraph
     classes: dict[str, tuple[str, ...]]
@@ -52,6 +53,8 @@ class RecoveredCluster:
     merge_log: list[str]
     warnings: list[str]
     window: int
+    tol_rel: float
+    tol_abs: float
 
     def diagnostics_json_dict(self) -> dict:
         return {
@@ -103,7 +106,7 @@ def recover_cluster(
             )
         window = min(depth, max(4, depth // 3))
     if _integer(window, 1, "window must be positive") > depth:
-        raise GraphError(f"window {window} exceeds cloud depth {depth}")
+        raise GraphError(f"window {_spelled(window)} exceeds cloud depth {depth}")
     if cloud.period and window < cloud.period:
         raise GraphError(
             f"window {window} is shorter than the metric-family period {cloud.period}: "
@@ -131,19 +134,17 @@ def recover_cluster(
         units = [lvl.r_exact.denominator * (common // s) for (lvl, _), s in zip(per_level, scales)]
 
         normalized = operator.mul
-        # values are ints over U and a window sum S has mean S / (window U);
-        # with tol_rel = rel / den and tol_abs = ab / den, every test below is one
-        # integer cross-multiplication
-        den, (rel, ab) = _over_lcm([rel, ab])
+        # values are ints over U, window sums over window U (see _zero_gap)
+        zero_gap = _zero_gap(tol_rel, tol_abs)
 
         def half(v):
             return v // 2  # an int is at most v / 2 exactly when at most v // 2
 
-        def beyond_closure(total, eq_thresh):
-            return total * den > 3 * window * eq_thresh
+        def beyond_closure(total, base_scale):
+            return total > zero_gap(3 * window * base_scale, 3 * window * common)
 
         def stable(spread, total):
-            return spread * den * window <= ab * window * common + rel * total
+            return spread * window <= zero_gap(total, window * common)
 
         def mean_fraction(total):
             return Fraction(total, window * common)
@@ -157,8 +158,8 @@ def recover_cluster(
         def half(v):
             return v / 2
 
-        def beyond_closure(total, eq_thresh):
-            return total / window > 3 * eq_thresh
+        def beyond_closure(total, base_scale):
+            return total / window > 3 * (ab + rel * base_scale)
 
         def stable(spread, total):
             return spread <= ab + rel * (total / window)
@@ -190,15 +191,14 @@ def recover_cluster(
             ]
 
     base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=0)
-    # E = tol_abs + tol_rel * base_scale (an int over den U when exact); a value
-    # is identified with another when it is at most eq_bound, the largest within E
-    eq_thresh = ab * common + rel * base_scale
-    eq_bound = eq_thresh // den if use_exact else eq_thresh
+    # a value is identified with another when it is at most eq_bound, the
+    # largest within E = tol_abs + tol_rel * base_scale
+    eq_bound = zero_gap(base_scale, common) if use_exact else ab + rel * base_scale
     # an overflowed value makes every tolerance infinite and merges everything;
     # the values are non-negative, so a finite window sum (the tail mean's)
     # means every value is finite too
     if not use_exact and not (
-        math.isfinite(eq_thresh) and all(math.isfinite(sum(vals)) for vals in values.values())
+        math.isfinite(eq_bound) and all(math.isfinite(sum(vals)) for vals in values.values())
     ):
         raise GraphError(
             "a normalized distance, its window sum or the identification threshold is not "
@@ -256,7 +256,7 @@ def recover_cluster(
                 if x in decayed or y in decayed:
                     continue
                 vals = values[x, y]
-                if beyond_closure(sum(vals), eq_thresh):
+                if beyond_closure(sum(vals), base_scale):
                     raise GraphError(
                         "equivalence closure merged sequences that are not close: "
                         f"{x!r} and {y!r} have mean normalized distance "
@@ -326,6 +326,8 @@ def recover_cluster(
         merge_log=merge_log,
         warnings=warnings,
         window=window,
+        tol_rel=tol_rel,
+        tol_abs=tol_abs,
     )
 
 
@@ -334,13 +336,17 @@ def recover_cluster(
 # ---------------------------------------------------------------------------
 
 
-def validate_recovered_cluster(
-    rc: RecoveredCluster,
-    tol_rel: float = DEFAULT_TOL_REL,
-    tol_abs: float = DEFAULT_TOL_ABS,
-) -> list[str]:
-    """The violations (none when all hold) of ``certify_fpc``'s three conditions,
-    where a gap within tol_abs + tol_rel * size counts as zero: (i) the root
+def _zero_gap(tol_rel, tol_abs):
+    """The largest gap between integers over q, the larger of them size, that
+    lies within tol_abs + tol_rel * size / q: (ab * q + rel * size) // den, with
+    the tolerances over one denominator, tol_abs = ab / den, tol_rel = rel / den."""
+    den, (rel, ab) = _over_lcm([_real(tol_rel, 0, _TOLERANCE), _real(tol_abs, 0, _TOLERANCE)])
+    return lambda size, q: (ab * q + rel * size) // den
+
+
+def validate_recovered_cluster(rc: RecoveredCluster) -> list[str]:
+    """The violations (none when all hold) of ``certify_fpc``'s three conditions, where
+    a gap within the cluster's tol_abs + tol_rel * size counts as zero: (i) the root
     dominates and its edges have distinct weights; (ii) every edge ab has
     w(ab) = d(a, b), the shortest-path distance; once (ii) holds, (iii) no
     non-edge has a degenerate admissible interval, reported with the edge that
@@ -350,15 +356,9 @@ def validate_recovered_cluster(
     certification reports. No clique is counted: every graph meets the
     extremal bound on maximal cliques.
     """
-    den, (rel, ab) = _over_lcm([_real(tol_rel, 0, _TOLERANCE), _real(tol_abs, 0, _TOLERANCE)])
-
-    def negligible(gap, size, q):
-        # gap / q <= tol_abs + tol_rel * size / q, on integers
-        return gap * den <= ab * q + rel * size
-
     g = rc.graph
     problems: list[str] = []
-    for kind, *data in _violations(g, negligible):
+    for kind, *data in _violations(g, _zero_gap(rc.tol_rel, rc.tol_abs)):
         if kind == FAIL_ROOT_NOT_DOMINATING:
             problems.append(f"root {g.root!r} is not dominating")
         elif kind == FAIL_LABELING_NOT_INJECTIVE:
@@ -398,6 +398,7 @@ def subsample_levels(cloud: LeveledPointCloud, indices: Sequence[int]) -> Levele
     root-distance values are pairwise distinct. Family-period metadata does
     not survive subsampling and is cleared.
     """
+    indices = _collection(indices, "level selection must be a sequence of level numbers")
     if not indices:
         raise GraphError("empty level selection")
     idx = [_integer(n, 1, "level numbers are integers from 1, got {value!r}") for n in indices]
@@ -406,7 +407,8 @@ def subsample_levels(cloud: LeveledPointCloud, indices: Sequence[int]) -> Levele
     available = {lvl.n: lvl for lvl in cloud.levels}
     missing = [n for n in idx if n not in available]
     if missing:
-        raise GraphError(f"levels {missing} are not present in the cloud")
+        named = ", ".join(map(_spelled, missing))
+        raise GraphError(f"levels [{named}] are not present in the cloud")
     return LeveledPointCloud(
         dimension=cloud.dimension,
         levels=[available[n] for n in idx],
@@ -457,11 +459,11 @@ def spread_functional(points: Sequence[Sequence[float]], basepoint: Sequence[flo
     A coordinate or a value that is not finite in binary64 is refused with
     ``GraphError``.
     """
-    pts = [tuple(_real(c, -math.inf, _COORDINATE, float) for c in p) for p in points]
+    pts = [_coordinates(p) for p in _collection(points, "points must be a sequence of points")]
     n = len(pts)
     if n < 2:
         raise GraphError("the spread functional needs at least 2 points")
-    base = tuple(_real(c, -math.inf, _COORDINATE, float) for c in basepoint)
+    base = _coordinates(basepoint)
     # sup_distance zips coordinates: a short point would be cut silently
     if any(len(p) != len(base) for p in pts):
         raise GraphError(f"every point needs {len(base)} coordinates, as the basepoint has")
@@ -476,6 +478,12 @@ def spread_functional(points: Sequence[Sequence[float]], basepoint: Sequence[flo
     if not math.isfinite(value):
         raise GraphError("the spread functional of these points is not finite in binary64")
     return value
+
+
+def _coordinates(point) -> tuple[float, ...]:
+    """A point's coordinates in binary64, as the spread functional reads them."""
+    point = _collection(point, "a point must be a sequence of coordinates")
+    return tuple(_real(c, -math.inf, _COORDINATE, float) for c in point)
 
 
 def annulus_diameter_table(
@@ -493,7 +501,7 @@ def annulus_diameter_table(
     origin = (0.0,) * cloud.dimension
     norms = [sup_distance(p, origin) for p in pts]
     table = []
-    for radius in radii:
+    for radius in _collection(radii, "radii must be a sequence of numbers"):
         r = _real(radius, 0, _RADIUS, float)
         if not r:  # zero, or so small that it rounds to zero
             raise GraphError(_RADIUS.format(value=radius))

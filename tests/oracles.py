@@ -447,6 +447,8 @@ def recover_by_fractions(
         merge_log=merge_log,
         warnings=warnings,
         window=window,
+        tol_rel=tol_rel,
+        tol_abs=tol_abs,
     )
 
 

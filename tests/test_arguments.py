@@ -1,9 +1,11 @@
 """The argument contract at the library boundary: an integer argument is an
 int (not a bool) from its lower bound on, a real argument such as a
 tolerance is a finite int, float, Fraction or Decimal (not a bool or a
-string), and every other value ends as a GraphError, never as another
+string), a sequence argument is an iterable and a mapping argument a
+mapping, and every other value ends as a GraphError, never as another
 exception."""
 
+import dataclasses
 import json
 import math
 from decimal import Decimal
@@ -37,6 +39,11 @@ def _loaded(path, value):
     return mc.LeveledPointCloud.from_json_dict(doc)
 
 
+def _recorded(**tolerances):
+    """RC as if recovered with the given tolerances, which validation reads."""
+    return dataclasses.replace(RC, **tolerances)
+
+
 # each public entry point with an integer or real parameter, as a function of
 # the value put in that parameter, and whether a huge int may be passed: only
 # where it is refused before the work starts. moon_moser_f(10**9) would build
@@ -54,8 +61,8 @@ CALLS = {
     "recover_cluster tol_abs": (lambda x: mc.recover_cluster(CLOUD, tol_abs=x), True),
     "recover_cluster exact tol_rel": (lambda x: mc.recover_cluster(CLOUD, tol_rel=x, use_exact=True), True),
     "recover_cluster exact tol_abs": (lambda x: mc.recover_cluster(CLOUD, tol_abs=x, use_exact=True), True),
-    "validate_recovered_cluster tol_rel": (lambda x: mc.validate_recovered_cluster(RC, x), True),
-    "validate_recovered_cluster tol_abs": (lambda x: mc.validate_recovered_cluster(RC, tol_abs=x), True),
+    "validate_recovered_cluster tol_rel": (lambda x: mc.validate_recovered_cluster(_recorded(tol_rel=x)), True),
+    "validate_recovered_cluster tol_abs": (lambda x: mc.validate_recovered_cluster(_recorded(tol_abs=x)), True),
     "isomorphic": (lambda x: mc.isomorphic(G, RC.graph, weight_tol_rel=x), True),
     "IsoMapping.verify": (lambda x: mc.IsoMapping(IDENTITY).verify(G, G, x), True),
     "homomorphism": (lambda x: mc.is_weight_preserving_homomorphism(G, G, IDENTITY, x), True),
@@ -69,6 +76,22 @@ CALLS = {
     "cloud dimension": (lambda x: _loaded(["dimension"], x), True),
     "cloud period": (lambda x: _loaded(["period"], x), True),
     "cloud level n": (lambda x: _loaded(["levels", 0, "n"], x), True),
+    # sequence and mapping arguments
+    "subsample_levels indices": (lambda x: mc.subsample_levels(CLOUD, x), True),
+    "annulus_diameter_table radii": (lambda x: mc.annulus_diameter_table(CLOUD, 2.0, x), True),
+    "spread_functional points": (lambda x: mc.spread_functional(x, (0.0,)), True),
+    "spread_functional point": (lambda x: mc.spread_functional([x, (1.0,)], (0.0,)), True),
+    "spread_functional basepoint": (lambda x: mc.spread_functional([(1.0,), (2.0,)], x), True),
+    "homomorphism mapping": (lambda x: mc.is_weight_preserving_homomorphism(G, G, x), True),
+    "monomorphism mapping": (lambda x: mc.is_weight_preserving_monomorphism(G, G, x), True),
+    "graph vertices": (lambda x: mc.WeightedRootedGraph(x, {}, "r"), True),
+    "graph weights": (lambda x: mc.WeightedRootedGraph(["r", "u"], x, "r"), True),
+    "graph weight item": (lambda x: mc.WeightedRootedGraph(["r", "u"], [x], "r"), True),
+    "relabel mapping": (lambda x: G.relabel(x), True),
+    "Cycle.from_graph order": (lambda x: mc.Cycle.from_graph(G, x), True),
+    "DistanceMatrix vertices": (lambda x: mc.DistanceMatrix(x, []), True),
+    "DistanceMatrix rows": (lambda x: mc.DistanceMatrix(["a"], x), True),
+    "DistanceMatrix row": (lambda x: mc.DistanceMatrix(["a"], [x]), True),
 }
 
 SWAPPED = [
@@ -79,7 +102,8 @@ SWAPPED = [
     -1, 0, 1, 2, 3,
 ]
 SMALL = st.sampled_from(SWAPPED) | st.integers(-3, 40) | st.floats() | st.text(max_size=3)
-HUGE = st.sampled_from([10**400, -10**400, 2**1100])
+# 10**5000 has more digits than the interpreter prints of an int by default
+HUGE = st.sampled_from([10**400, -10**400, 2**1100, 10**5000, -10**5000])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -105,7 +129,7 @@ def test_library_fuzz_argument_types(call, data):
         lambda: mc.single_point_space(4.0),
         lambda: mc.recover_cluster(CLOUD, window=2.0),
         lambda: mc.recover_cluster(CLOUD, tol_rel=True),
-        lambda: mc.validate_recovered_cluster(RC, True),
+        lambda: mc.validate_recovered_cluster(_recorded(tol_rel=True)),
         lambda: mc.isomorphic(G, G, weight_tol_rel=True),
         lambda: mc.isomorphic(G, G, weight_tol_rel="1/2"),
         lambda: mc.moon_moser_f(2.5),
@@ -117,12 +141,27 @@ def test_library_fuzz_argument_types(call, data):
         lambda: mc.annulus_diameter_table(CLOUD, 2.0, [True]),
         lambda: mc.annulus_diameter_table(CLOUD, 10**400, [1.0]),
         lambda: mc.spread_functional([("1",), (1.0,)], (0.0,)),
+        # past the int-to-str digit limit, which no refusal text can spell
+        lambda: mc.recover_cluster(CLOUD, tol_rel=10**5000),
+        lambda: mc.moon_moser_f(-10**5000),
+        lambda: mc.recover_cluster(CLOUD, window=10**5000),
+        # sequences and mappings
+        lambda: mc.subsample_levels(CLOUD, 3),
+        lambda: mc.annulus_diameter_table(CLOUD, 2, 5),
+        lambda: mc.is_weight_preserving_homomorphism(G, G, None),
+        lambda: mc.WeightedRootedGraph(3, {}, "r"),
+        lambda: mc.WeightedRootedGraph(["r"], [1], "r"),
+        lambda: G.relabel(None),
+        lambda: mc.spread_functional(3, (0.0,)),
+        lambda: mc.Cycle.from_graph(G, 3),
+        lambda: mc.DistanceMatrix(3, []),
     ],
 )
 def test_arguments_refused_as_graph_error(call):
-    """Values the two rules refuse: a bool, though Python reads it as 1, a
-    whole float, a string, and an int beyond binary64 where binary64
-    arithmetic takes the value."""
+    """Values the rules refuse: a bool, though Python reads it as 1, a whole
+    float, a string, an int beyond binary64 where binary64 arithmetic takes
+    the value, an int past the digit limit, and a number or None where a
+    sequence or a mapping belongs."""
     with pytest.raises(GraphError):
         call()
 
@@ -135,3 +174,33 @@ def test_numbers_of_every_accepted_type_read_alike():
     value = mc.spread_functional([(1.0,), (2.0,)], (0.0,))
     assert mc.spread_functional([(Decimal(1),), (Fraction(2),)], (0,)) == value
     assert mc.isomorphic(G, G, weight_tol_rel=Decimal("0.5")) == mc.isomorphic(G, G, weight_tol_rel=0.5)
+
+
+def test_an_int_past_the_digit_limit_is_named_by_its_bits():
+    # its repr raised a bare ValueError inside the refusal
+    with pytest.raises(GraphError, match="got a positive int of 16610 bits$"):
+        mc.recover_cluster(CLOUD, tol_rel=10**5000)
+    with pytest.raises(GraphError, match="got a negative int of 16610 bits$"):
+        mc.moon_moser_f(-10**5000)
+
+
+@pytest.mark.parametrize(
+    "reader, source",
+    [
+        (mc.WeightedRootedGraph.from_json, "graph JSON"),
+        (mc.DistanceMatrix.from_json, "distance matrix JSON"),
+        (mc.LeveledPointCloud.from_json, "cloud JSON"),
+    ],
+)
+def test_from_json_refuses_text_that_is_no_json(reader, source):
+    """The CLI's reader of JSON files: a syntax error is named by line and
+    column, and nesting past the parser's limit, which raised RecursionError,
+    and an integer past the digit limit are refused alike."""
+    for text, message in (
+        ("{", f"{source}:1:2: Expecting property name enclosed in double quotes"),
+        ("[" * 100_000, f"{source}: JSON nested too deeply"),
+        ("1" * 5000, f"{source}: Exceeds the limit"),
+    ):
+        with pytest.raises(GraphError) as refused:
+            reader(text)
+        assert str(refused.value).startswith(message)

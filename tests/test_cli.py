@@ -305,10 +305,11 @@ def test_readme_library_quickstart_runs_as_written():
             results.append(eval(code, namespace))
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
-    classification, interval, certified, witness, exact = results
+    classification, interval, certified, problems, witness, exact = results
     assert classification is Metrizability.METRIZABLE
     assert (interval.lo, interval.hi) == (2, 4)
     assert certified is True
+    assert problems == []
     assert isinstance(witness, IsoMapping)
     assert exact is True
 
@@ -780,6 +781,7 @@ def _set_at(path, value):
     "edit, message",
     [
         (_set_coordinate("x"), "non-numeric coordinate"),
+        (_set_coordinate("1.5"), "non-numeric coordinate"),
         (_set_coordinate(float("nan")), "NaN or infinite coordinate"),
         (_set_coordinate(float("inf")), "NaN or infinite coordinate"),
         (_set_level("r", "0"), "finite and positive"),
@@ -808,6 +810,7 @@ def _set_at(path, value):
     ],
     ids=[
         "coordinate-non-numeric",
+        "coordinate-a-string",
         "coordinate-nan",
         "coordinate-inf",
         "r-zero",

@@ -34,6 +34,8 @@ from metric_cluster.realization import (
     single_point_space,
 )
 from metric_cluster.recovery import (
+    DEFAULT_TOL_ABS,
+    DEFAULT_TOL_REL,
     RecoveredCluster,
     alternating_period_indices,
     annulus_diameter_table,
@@ -375,9 +377,12 @@ def test_round_trip_with_tight_cycles_tolerates_float_noise():
     assert recover_cluster(cloud, use_exact=True).graph == g
 
 
-def hand_recovery(g: WeightedRootedGraph) -> RecoveredCluster:
-    """g as a recovery would hand it out."""
-    return RecoveredCluster(g, {v: (v,) for v in g.vertices}, [], [], [], window=2)
+def hand_recovery(
+    g: WeightedRootedGraph, tol_rel=DEFAULT_TOL_REL, tol_abs=DEFAULT_TOL_ABS
+) -> RecoveredCluster:
+    """g as a recovery at these tolerances would hand it out."""
+    classes = {v: (v,) for v in g.vertices}
+    return RecoveredCluster(g, classes, [], [], [], window=2, tol_rel=tol_rel, tol_abs=tol_abs)
 
 
 EPS = Fraction(1, 10**12)
@@ -400,8 +405,7 @@ def test_validation_reports_every_edge_beyond_its_distance():
 def test_validation_reports_a_disconnected_graph_by_its_root():
     # no shortest-path rows exist across components; (i) already names the fault
     g = graph(["r", "a", "b"], {("a", "b"): 1}, "r")
-    rc = RecoveredCluster(g, {}, [], [], [], window=2)
-    assert validate_recovered_cluster(rc) == ["root 'r' is not dominating"]
+    assert validate_recovered_cluster(hand_recovery(g)) == ["root 'r' is not dominating"]
 
 
 def test_validation_reports_a_non_edge_forced_within_tolerance():
@@ -416,7 +420,23 @@ def test_validation_reports_a_non_edge_forced_within_tolerance():
     assert len(problems) == 1
     assert "non-edge 'u'-'z' has admissible interval [2, 2] of width 1e-12" in problems[0]
     assert problems[0].endswith("pinned by edge 'r'-'z'")
-    assert validate_recovered_cluster(hand_recovery(g), tol_rel=0, tol_abs=0) == []
+    assert validate_recovered_cluster(hand_recovery(g, 0, 0)) == []
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**6), Fraction(1, 10**9), Fraction(1, 10**12)])
+def test_validation_reads_the_tolerances_of_the_recovery(eps):
+    # u-z has admissible interval [2 - eps, 2]: exact recovery at tolerance 0
+    # gives the graph back, and validation at the default tolerances would
+    # call u-z forced
+    g = graph(
+        ["r", "u", "x", "z"],
+        {("r", "u"): 1, ("r", "x"): 2, ("r", "z"): 3 - eps, ("u", "x"): 1, ("x", "z"): 1},
+        "r",
+    )
+    rc = recover_cluster(realize(g, 12), tol_rel=0, tol_abs=0, use_exact=True)
+    assert rc.graph == g and (rc.tol_rel, rc.tol_abs) == (0, 0)
+    assert validate_recovered_cluster(rc) == []
+    assert validate_recovered_cluster(hand_recovery(g))[0].startswith("near-tight cycle: non-edge 'u'-'z'")
 
 
 def test_validation_at_zero_tolerance_is_certification():
@@ -431,7 +451,7 @@ def test_validation_at_zero_tolerance_is_certification():
         weightings.append({(u, v): Fraction(abs(at[u] - at[v])) for u, v in shape.edges()})
         for weights in weightings:
             g = WeightedRootedGraph(shape.vertices, weights, shape.root)
-            problems = validate_recovered_cluster(hand_recovery(g), tol_rel=0, tol_abs=0)
+            problems = validate_recovered_cluster(hand_recovery(g, 0, 0))
             assert (problems == []) == certifies_by_cycles(g), g.to_json()
             outcomes.add(certify_fpc(g).failure)
     # passes and every metric failure occur
@@ -469,7 +489,7 @@ def test_certification_and_validation_make_one_decision():
     outcomes = set()
     for g in graphs:
         cert = certify_fpc(g)
-        problems = validate_recovered_cluster(hand_recovery(g), tol_rel=0, tol_abs=0)
+        problems = validate_recovered_cluster(hand_recovery(g, 0, 0))
         assert (problems == []) == cert.ok, g.to_json()
         assert cert.ok or condition_named(problems[0]) == cert.failure, (g.to_json(), problems[0])
         outcomes.add(cert.failure)
@@ -481,7 +501,7 @@ def test_label_pairs_keep_their_two_orders():
     # label an earlier one has, c, with b; validation lists the pairs in sorted order
     g = graph(["r", "a", "b", "c", "d"], {("r", "a"): 1, ("r", "b"): 2, ("r", "c"): 2, ("r", "d"): 1}, "r")
     assert certify_fpc(g).witness_pair == ("b", "c")
-    problems = validate_recovered_cluster(hand_recovery(g), tol_rel=0, tol_abs=0)
+    problems = validate_recovered_cluster(hand_recovery(g, 0, 0))
     assert problems == [
         f"root-distance values of {u!r} and {v!r} are not distinct beyond tolerance"
         for u, v in (("a", "d"), ("b", "c"))
@@ -569,9 +589,9 @@ def test_non_finite_float_values_rejected():
     for check in (
         lambda: recover_cluster(cloud, tol_rel=None),
         lambda: recover_cluster(cloud, tol_abs="1e-9", use_exact=True),
-        lambda: validate_recovered_cluster(recover_cluster(cloud), tol_abs="1e-9"),
+        lambda: validate_recovered_cluster(dataclasses.replace(recover_cluster(cloud), tol_abs="1e-9")),
         lambda: recover_cluster(cloud, tol_rel=Decimal("NaN")),
-        lambda: validate_recovered_cluster(recover_cluster(cloud), Decimal("NaN")),
+        lambda: validate_recovered_cluster(dataclasses.replace(recover_cluster(cloud), tol_rel=Decimal("NaN"))),
         lambda: recover_cluster(cloud, tol_rel=10**400),
     ):
         with pytest.raises(GraphError, match="tolerances must be finite and non-negative, got"):
@@ -595,7 +615,9 @@ def test_decimal_and_fraction_tolerances_read_as_their_values():
         for tol in (Decimal("1e-6"), Fraction(1, 10**6)):
             rc = recover_cluster(cloud, tol_rel=tol, use_exact=exact)
             assert rc.graph == expected.graph and rc.diagnostics == expected.diagnostics
-            assert validate_recovered_cluster(rc, tol) == validate_recovered_cluster(rc, 1e-6)
+            # recorded as given, and validation reads the value it equals
+            assert rc.tol_rel is tol and rc.tol_abs == expected.tol_abs
+            assert validate_recovered_cluster(rc) == validate_recovered_cluster(expected)
     # the one-point space carries no exact shadows: exact recovery refuses it alike
     for tol in (1e-6, Decimal("1e-6"), Fraction(1, 10**6)):
         with pytest.raises(GraphError, match="no exact shadows"):
