@@ -15,7 +15,7 @@ from collections import abc
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -71,10 +71,14 @@ def _spelled(value) -> str:
 
 def _collection(value, refusal: str, kind=tuple):
     """The one rule for sequence and mapping arguments: ``kind(value)``, where
-    ``tuple`` and ``set`` take any iterable, ``dict`` only a mapping, and a
-    reader of items refuses one of the wrong shape by TypeError or ValueError,
-    which ends as GraphError with ``refusal``; the reader's own passes through."""
+    ``tuple`` and ``set`` take any iterable, ``list`` any but a string or a
+    mapping, which it would read as its characters or its keys, ``dict`` only
+    a mapping, and a reader of items refuses one of the wrong shape by
+    TypeError or ValueError, which ends as GraphError with ``refusal``; the
+    reader's own passes through."""
     try:
+        if kind is list and isinstance(value, (str, abc.Mapping)):
+            raise TypeError
         if kind is dict and not isinstance(value, abc.Mapping):
             raise TypeError
         return kind(value)
@@ -189,18 +193,28 @@ def _each_once(convert, values: Sequence) -> list:
     return list(map(dict(zip(distinct, map(convert, distinct))).__getitem__, values))
 
 
+def _not_an_id(*values) -> GraphError:
+    """GraphError naming the first of ``values`` that is no vertex id, a string."""
+    bad = next(x for x in values if not isinstance(x, str))
+    return _refused("vertex id {value!r} is not a string", bad)
+
+
 def edge_key(u: str, v: str) -> tuple[str, str]:
     """Canonical (sorted) form of an undirected edge."""
-    if u == v:
-        raise GraphError(f"loop edge {{{u!r},{u!r}}} is not allowed")
-    return (u, v) if u < v else (v, u)
+    try:
+        if u != v:
+            return (u, v) if u < v else (v, u)
+    except TypeError:  # ids are strings; a value of another class does not compare
+        raise _not_an_id(u, v) from None
+    raise GraphError(f"loop edge {{{u!r},{u!r}}} is not allowed")
 
 
 class WeightedRootedGraph:
     """Finite simple loopless graph with rational edge weights and a root.
 
-    Construction checks, in this order: there is a vertex; the root is one;
-    then, edge by edge: no loop, both ends are vertices, no duplicate in
+    Construction checks, in this order: the root and every vertex are strings;
+    there is a vertex; the root is one; then, edge by edge: no loop, both ends
+    are vertices (an end that is no string is refused as one), no duplicate in
     either orientation, a rational weight (``parse_rational``), weight >= 0.
     Strict positivity is validated where an operation needs it. Instances
     are immutable in practice: all operations on them return new graphs.
@@ -212,25 +226,30 @@ class WeightedRootedGraph:
         weights: Mapping[tuple[str, str], Fraction] | Iterable[tuple[tuple[str, str], Fraction]],
         root: str,
     ):
-        vertex_set = _collection(vertices, "graph vertices must be an iterable of vertex ids", set)
-        self.vertices: tuple[str, ...] = tuple(sorted(vertex_set))
+        ids = _collection(vertices, "graph vertices must be an iterable of vertex ids")
+        if not (isinstance(root, str) and all(map(isinstance, ids, repeat(str)))):
+            raise _not_an_id(root, *ids)
+        self.vertices: tuple[str, ...] = tuple(sorted(set(ids)))
         if not self.vertices:
             raise GraphError("graph needs at least one vertex")
-        if root not in vertex_set:
+        self._adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        if root not in self._adj:
             raise GraphError(f"root {root!r} is not a vertex")
         self.root = root
 
         self.weights: dict[tuple[str, str], Fraction] = {}
-        self._adj: dict[str, set[str]] = {v: set() for v in self.vertices}
         _collection(weights, "graph weights must be a mapping or pairs ((u, v), w)", self._add_edges)
 
     def _add_edges(self, edges) -> None:
         items = edges.items() if isinstance(edges, abc.Mapping) else edges
         weights, adj = self.weights, self._adj
         for (u, v), w in items:
-            key = (u, v) if u < v else edge_key(u, v)
-            if u not in adj or v not in adj:
-                raise GraphError(f"edge {key} uses unknown vertices")
+            try:
+                key = (u, v) if u < v else edge_key(u, v)
+                if u not in adj or v not in adj:
+                    raise GraphError(f"edge {key} uses unknown vertices")
+            except TypeError:  # an end that is no string: it does not compare or hash
+                raise _not_an_id(u, v) from None
             if key in weights:
                 raise GraphError(f"duplicate edge {key}")
             w = parse_rational(w)
@@ -249,7 +268,10 @@ class WeightedRootedGraph:
         return edge_key(u, v) in self.weights
 
     def weight(self, u: str, v: str) -> Fraction:
-        return self.weights[edge_key(u, v)]
+        try:
+            return self.weights[edge_key(u, v)]
+        except (KeyError, TypeError):  # no such key, or an unhashable one
+            raise GraphError(f"edge {edge_key(u, v)} not present") from None
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.weights))
@@ -312,20 +334,17 @@ class WeightedRootedGraph:
 
     def with_edge(self, u: str, v: str, w: Fraction) -> "WeightedRootedGraph":
         """Copy of the graph with one extra weighted edge."""
-        if self.has_edge(u, v):
-            raise GraphError(f"edge {edge_key(u, v)} already present")
-        new = dict(self.weights)
-        new[edge_key(u, v)] = parse_rational(w)
-        return WeightedRootedGraph(self.vertices, new, self.root)
+        key = edge_key(u, v)
+        if key in self.weights:
+            raise GraphError(f"edge {key} already present")
+        return WeightedRootedGraph(self.vertices, {**self.weights, key: w}, self.root)
 
     def with_weight(self, u: str, v: str, w: Fraction) -> "WeightedRootedGraph":
         """Copy of the graph with one edge weight replaced."""
         key = edge_key(u, v)
         if key not in self.weights:
             raise GraphError(f"edge {key} not present")
-        new = dict(self.weights)
-        new[key] = parse_rational(w)
-        return WeightedRootedGraph(self.vertices, new, self.root)
+        return WeightedRootedGraph(self.vertices, {**self.weights, key: w}, self.root)
 
     def without_edge(self, u: str, v: str) -> "WeightedRootedGraph":
         key = edge_key(u, v)
@@ -365,21 +384,14 @@ class WeightedRootedGraph:
         if not (isinstance(vertices, list) and isinstance(raw_edges, list)):
             raise GraphError("graph JSON vertices and edges must be lists")
         weights = []
-        ids = [root, *vertices]
         try:
             for item in raw_edges:
                 if not isinstance(item, dict):
                     raise GraphError(f"graph JSON edge {item!r} is not an object")
-                u, v = item["u"], item["v"]
-                ids += (u, v)
                 # "w" may be omitted for shape-only inputs (weight synthesis).
-                weights.append(((u, v), parse_rational(item.get("w", "1"))))
+                weights.append(((item["u"], item["v"]), item.get("w", "1")))
         except KeyError as exc:
             raise GraphError(f"graph JSON edge is missing field: {exc}") from exc
-        # vertex ids are ordered as strings; other JSON values do not compare
-        for x in ids:
-            if not isinstance(x, str):
-                raise GraphError(f"vertex id {x!r} is not a string")
         return cls(vertices, weights, root)
 
     def to_json(self) -> str:

@@ -21,11 +21,11 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Optional
 
 from .graph_core import Cycle, GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .graph_core import _collection, _format_over, _in_lowest_terms, _json_document, _over_lcm
+from .graph_core import _collection, _format_over, _in_lowest_terms, _json_document, _not_an_id, _over_lcm
 
 
 class DistanceMatrix:
@@ -40,10 +40,12 @@ class DistanceMatrix:
     """
 
     def __init__(self, vertices, rows):
-        refusal = "distance matrix vertices must be a sequence"
-        self.vertices: tuple[str, ...] = _collection(vertices, refusal)
-        refusal = "distance matrix rows must be a sequence of sequences"
-        rows = [_collection(row, refusal) for row in _collection(rows, refusal)]
+        refusal = "distance matrix vertices must be a list of strings"
+        self.vertices: tuple[str, ...] = tuple(_collection(vertices, refusal, list))
+        if not all(map(isinstance, self.vertices, repeat(str))):  # points become graph vertex ids
+            raise GraphError(f"{refusal}: {_not_an_id(*self.vertices)}")
+        refusal = "distance matrix must be a list of rows, each a list"
+        rows = [_collection(row, refusal, list) for row in _collection(rows, refusal, list)]
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphError("distance matrix vertices must be distinct")
         self._index = {v: i for i, v in enumerate(self.vertices)}
@@ -98,7 +100,10 @@ class DistanceMatrix:
         return all(self._num[i][j] > 0 for i in range(n) for j in range(i + 1, n))
 
     def get(self, u: str, v: str) -> Fraction:
-        return Fraction(self._num[self._index[u]][self._index[v]], self._q)
+        try:
+            return Fraction(self._num[self._index[u]][self._index[v]], self._q)
+        except (KeyError, TypeError):  # no such key, or an unhashable one
+            raise GraphError(f"{u!r} and {v!r} are not both points of the matrix") from None
 
     def __eq__(self, other) -> bool:
         # both in lowest terms: equal values have equal q and numerators
@@ -124,12 +129,6 @@ class DistanceMatrix:
             vertices, rows = data["vertices"], data["matrix"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"distance matrix JSON is missing field: {exc}") from exc
-        # points are ordered as strings; other JSON values do not compare
-        if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
-            raise GraphError("distance matrix JSON vertices must be a list of strings")
-        # a string row would be read character by character
-        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-            raise GraphError("distance matrix JSON matrix must be a list of rows, each a list")
         return cls(vertices, rows)
 
     def to_json(self) -> str:

@@ -190,24 +190,25 @@ class LeveledPointCloud:
                 if not isinstance(entry, dict):
                     raise GraphError(f"cloud level {entry!r} is not an object")
                 n = _integer(entry["n"], 1, "cloud level n must be a positive integer, got {value!r}")
+                level = _spelled(n)  # n may pass the int-to-str digit limit
                 # recovery's window is the last levels; subsample and diag look a level up by n
                 if levels and n <= levels[-1].n:
                     previous = _spelled(levels[-1].n)
-                    raise GraphError(f"level {n} follows level {previous}: levels must strictly increase")
+                    raise GraphError(f"level {level} follows level {previous}: levels must strictly increase")
                 items = entry["points"]
                 if not isinstance(items, list):
-                    raise GraphError(f"points of level {n} must be a list")
+                    raise GraphError(f"points of level {level} must be a list")
                 read = _read_level_points(items, dimension)
-                labels, coords, shadows = read or _read_points_one_by_one(items, n, dimension)
+                labels, coords, shadows = read or _read_points_one_by_one(items, level, dimension)
                 if len(set(labels)) < len(labels):
-                    _refuse_repeated_label(labels, n)
+                    _refuse_repeated_label(labels, level)
                 q, numerators = _level_numerators(shadows)
                 points = list(map(CloudPoint, labels, coords, numerators))
                 levels.append(
                     CloudLevel(
                         n=n,
-                        r=_positive_scale(entry["r"], n),
-                        r_exact=_positive_exact_scale(entry.get("r_exact"), n),
+                        r=_positive_scale(entry["r"], level),
+                        r_exact=_positive_exact_scale(entry.get("r_exact"), level),
                         points=points,
                         q=q,
                     )
@@ -278,14 +279,14 @@ def _read_level_points(items: list, dimension: int) -> Optional[tuple[list, list
     return labels, list(map(tuple, coords)), [exact or None for exact in exacts]
 
 
-def _read_points_one_by_one(items: list, n: int, dimension: int) -> tuple[list, list, list]:
+def _read_points_one_by_one(items: list, level: str, dimension: int) -> tuple[list, list, list]:
     """What ``_read_level_points`` returns, for a level it does not take,
     read point by point, so that the level's first fault in point order
     names the error."""
     labels, coords, shadows = [], [], []
     for item in items:
         try:
-            label, point_coords, exact = _read_point(item, n, dimension)
+            label, point_coords, exact = _read_point(item, level, dimension)
         except (GraphError, KeyError):
             # in point order, an earlier point's malformed shadow comes first
             _level_numerators(shadows)
@@ -296,54 +297,54 @@ def _read_points_one_by_one(items: list, n: int, dimension: int) -> tuple[list, 
     return labels, coords, shadows
 
 
-def _read_point(item, n: int, dimension: int) -> tuple:
+def _read_point(item, level: str, dimension: int) -> tuple:
     """Label, float coordinates and raw ``exact`` list of one point object,
     with everything but the exact values checked."""
     if not isinstance(item, dict):
-        raise GraphError(f"point {item!r} at level {n} is not an object")
+        raise GraphError(f"point {item!r} at level {level} is not an object")
     label = item.get("label")
     # labels are sorted as strings; None marks an unlabeled point
     if label is not None and not isinstance(label, str):
-        raise GraphError(f"point label {label!r} at level {n} is not a string")
+        raise GraphError(f"point label {label!r} at level {level} is not a string")
     coords, exact = item["coords"], item.get("exact")
     # a string would be read character by character
     if not isinstance(coords, list) or not isinstance(exact, (list, type(None))):
         raise GraphError(
-            f"point {label!r} at level {n} has coordinates that are not a JSON list"
+            f"point {label!r} at level {level} has coordinates that are not a JSON list"
         )
     # float() would read JSON true and false as 1.0 and 0.0, and a string as
     # the number it spells
     for x in coords:
         if isinstance(x, (bool, str)):
             kind = "a JSON string" if isinstance(x, str) else "a JSON true or false"
-            raise GraphError(f"point {label!r} at level {n} has a non-numeric coordinate: {kind}")
+            raise GraphError(f"point {label!r} at level {level} has a non-numeric coordinate: {kind}")
     try:
         coords = tuple(map(float, coords))
     except TypeError as exc:
         raise GraphError(
-            f"point {label!r} at level {n} has a non-numeric coordinate: {exc}"
+            f"point {label!r} at level {level} has a non-numeric coordinate: {exc}"
         ) from exc
     except OverflowError as exc:
         raise GraphError(
-            f"point {label!r} at level {n} has a coordinate beyond binary64: {exc}"
+            f"point {label!r} at level {level} has a coordinate beyond binary64: {exc}"
         ) from exc
     if not all(map(math.isfinite, coords)):
-        raise GraphError(f"point {label!r} at level {n} has a NaN or infinite coordinate")
+        raise GraphError(f"point {label!r} at level {level} has a NaN or infinite coordinate")
     # sup_distance zips coordinates: a short list would be cut silently
     if len(coords) != dimension or (exact and len(exact) != dimension):
         coordinates = f"{_spelled(dimension)} coordinates"
-        raise GraphError(f"point {label!r} at level {n} does not have {coordinates}")
+        raise GraphError(f"point {label!r} at level {level} does not have {coordinates}")
     return label, coords, exact
 
 
-def _refuse_repeated_label(labels: list, n: int) -> None:
-    """GraphError naming the first label of level n, in point order, that an
+def _refuse_repeated_label(labels: list, level: str) -> None:
+    """GraphError naming the first label of the level, in point order, that an
     earlier point has: a label names one sequence. Unlabeled points (None)
     may repeat."""
     seen = set()
     for label in labels:
         if label in seen:
-            raise GraphError(f"duplicate label {label!r} at level {n}")
+            raise GraphError(f"duplicate label {label!r} at level {level}")
         if label is not None:
             seen.add(label)
 
@@ -475,26 +476,26 @@ def _json_scalar(value) -> str:
     return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
 
 
-def _positive_scale(value, n) -> float:
+def _positive_scale(value, level: str) -> float:
     """A level's binary64 scale r: recovery divides by it, so it must be a
     finite number above zero."""
     if isinstance(value, bool):
-        raise GraphError(f"level {n} has a scale r that is not a binary64 number: {value!r}")
+        raise GraphError(f"level {level} has a scale r that is not a binary64 number: {value!r}")
     try:
         r = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise GraphError(f"level {n} has a scale r that is not a binary64 number: {exc}") from exc
+        raise GraphError(f"level {level} has a scale r that is not a binary64 number: {exc}") from exc
     if not (math.isfinite(r) and r > 0):
-        raise GraphError(f"level {n} has scale r = {r}; it must be finite and positive")
+        raise GraphError(f"level {level} has scale r = {r}; it must be finite and positive")
     return r
 
 
-def _positive_exact_scale(value, n) -> Optional[Fraction]:
+def _positive_exact_scale(value, level: str) -> Optional[Fraction]:
     if value is None:
         return None
     r_exact = parse_rational(value)
     if r_exact <= 0:
-        raise GraphError(f"level {n} has exact scale r_exact = {_spelled(r_exact)}; it must be positive")
+        raise GraphError(f"level {level} has exact scale r_exact = {_spelled(r_exact)}; it must be positive")
     return r_exact
 
 

@@ -26,6 +26,7 @@ CLOUD = mc.realize(G, 6)
 CLOUD_JSON = CLOUD.to_json()
 RC = mc.recover_cluster(CLOUD)
 IDENTITY = {v: v for v in G.vertices}
+D = mc.shortest_path_metric(G)
 
 
 def _loaded(path, value):
@@ -110,13 +111,17 @@ HUGE = st.sampled_from([10**400, -10**400, 2**1100, 10**5000, -10**5000])
 @given(call=st.sampled_from(sorted(CALLS)), data=st.data())
 def test_library_fuzz_argument_types(call, data):
     """Any value in any integer or real parameter: the call returns or raises
-    GraphError, and nothing else."""
+    GraphError, and nothing else; a graph or a matrix it returns survives its
+    JSON round trip."""
     function, huge = CALLS[call]
     value = data.draw((SMALL | HUGE) if huge else SMALL)
     try:
-        function(value)
+        result = function(value)
     except GraphError:
-        pass
+        return
+    # what a constructor accepts, its file format writes and reads back
+    if isinstance(result, (mc.WeightedRootedGraph, mc.DistanceMatrix)):
+        assert type(result).from_json(result.to_json()) == result
 
 
 @pytest.mark.parametrize(
@@ -155,6 +160,24 @@ def test_library_fuzz_argument_types(call, data):
         lambda: mc.spread_functional(3, (0.0,)),
         lambda: mc.Cycle.from_graph(G, 3),
         lambda: mc.DistanceMatrix(3, []),
+        # vertex ids are strings: a value of another class is refused where it
+        # is given or where the ends of an edge are compared
+        lambda: mc.WeightedRootedGraph(["r", 1], {}, "r"),
+        lambda: mc.WeightedRootedGraph([1, 2], {(1, 2): 1}, 1),
+        lambda: mc.WeightedRootedGraph(["r", "u"], {("r", 1): 1}, "r"),
+        lambda: G.relabel({**IDENTITY, "r": 1}),
+        lambda: G.has_edge("u", 1),
+        lambda: G.with_edge("u", 1, 1),
+        lambda: G.without_edge("u", 1),
+        lambda: mc.Cycle.from_graph(G, ["r", 1, "v"]),
+        # a string row would be read character by character
+        lambda: mc.DistanceMatrix(["a", "b", "c"], ["012", "101", "210"]),
+        # ... and points given as one string, or a mapping row, as characters or keys
+        lambda: mc.DistanceMatrix("ab", [["0", "1"], ["1", "0"]]),
+        lambda: mc.DistanceMatrix(["a"], [{"0": None}]),
+        # lookups of a pair that is no edge, or no pair of points
+        lambda: G.weight("u", "z"),
+        lambda: D.get("u", "zz"),
     ],
 )
 def test_arguments_refused_as_graph_error(call):
@@ -182,6 +205,22 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
         mc.recover_cluster(CLOUD, tol_rel=10**5000)
     with pytest.raises(GraphError, match="got a negative int of 16610 bits$"):
         mc.moon_moser_f(-10**5000)
+    # a cloud built in code may hold such a level n: its second fault names the level by its bits
+    faults = {
+        "non-numeric coordinate": lambda level: level["points"][1]["coords"].__setitem__(0, None),
+        "scale r that is not a binary64 number": lambda level: level.__setitem__("r", "x"),
+        "duplicate label 'u'": lambda level: level["points"].append(dict(level["points"][1])),
+        "exact scale r_exact = -1": lambda level: level.__setitem__("r_exact", "-1"),
+        "point label 7": lambda level: level["points"][1].__setitem__("label", 7),
+    }
+    for message, fault in faults.items():
+        doc = json.loads(CLOUD_JSON)
+        doc["levels"][-1]["n"] = 10**5000
+        fault(doc["levels"][-1])
+        with pytest.raises(GraphError) as refused:
+            mc.LeveledPointCloud.from_json_dict(doc)
+        assert message in str(refused.value)
+        assert "level a positive int of 16610 bits" in str(refused.value)
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,15 @@ def test_construction_refuses_in_order_with_exact_messages():
         (["a", "b"], {ab: "x"}, "a", "not a rational literal: 'x'"),
         (["a", "b"], {ab: "-1"}, "a", "negative weight -1 on edge ('a', 'b')"),
         (["a", "b"], {("b", "a"): Fraction(-1, 2)}, "a", "negative weight -1/2 on edge ('a', 'b')"),
+        # vertex ids are strings: the root and the vertices first, then each
+        # edge end where it is compared, before its weight is read
+        ([], {}, None, "vertex id None is not a string"),
+        (["a", 1], {}, "z", "vertex id 1 is not a string"),
+        ([1, 2], {(1, 2): "1"}, 1, "vertex id 1 is not a string"),
+        (["a", "b"], {ab: "1", ("a", None): "x"}, "a", "vertex id None is not a string"),
+        (["a", "b"], [((1, "b"), "-1")], "a", "vertex id 1 is not a string"),
+        (["a", "b"], [((["a"], ["b"]), "1")], "a", "vertex id ['a'] is not a string"),
+        (["a", "b"], {(1, 2): "1"}, "a", "edge (1, 2) uses unknown vertices"),
     ]
     for vertices, weights, root, message in cases:
         with pytest.raises(GraphError) as caught:
@@ -116,6 +125,24 @@ def test_construction_refuses_in_order_with_exact_messages():
         assert list(g.weights.items()) == [
             (("a", "c"), Fraction(1, 2)), (ab, Fraction(3)), (("b", "c"), Fraction(2))
         ]
+
+
+def test_a_graph_file_names_the_fault_the_constructor_names():
+    """The reader hands each raw weight to the constructor, so a file and
+    the same graph in code name the same first fault: here the duplicate,
+    which the constructor checks before it reads the weight."""
+    edges = [(("a", "b"), "1"), (("b", "a"), "x")]
+    text = json.dumps({
+        "vertices": ["a", "b"], "root": "a",
+        "edges": [{"u": u, "v": v, "w": w} for (u, v), w in edges],
+    })
+    messages = set()
+    for build in (lambda: WeightedRootedGraph(["a", "b"], edges, "a"),
+                  lambda: WeightedRootedGraph.from_json(text)):
+        with pytest.raises(GraphError) as refused:
+            build()
+        messages.add(str(refused.value))
+    assert messages == {"duplicate edge ('a', 'b')"}
 
 
 def test_parse_rational_formats():
