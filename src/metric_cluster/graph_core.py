@@ -15,7 +15,7 @@ from collections import abc
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -165,7 +165,7 @@ def _in_lowest_terms(q: int, rows: list) -> tuple[int, list]:
     """Integer rows (or None) over q, with the factor that q shares with
     every numerator divided out: q becomes the least common denominator of
     the values, the least common multiple of their reduced denominators."""
-    g = math.gcd(q, *(a for row in rows if row for a in row)) if q > 1 else 1
+    g = math.gcd(q, *chain.from_iterable(filter(None, rows))) if q > 1 else 1
     if g == 1:
         return q, rows
     return q // g, [tuple([a // g for a in row]) if row else None for row in rows]
@@ -200,11 +200,13 @@ def _not_an_id(*values) -> GraphError:
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
-    """Canonical (sorted) form of an undirected edge."""
+    """Canonical (sorted) form of an undirected edge, a key that hashes."""
     try:
         if u != v:
-            return (u, v) if u < v else (v, u)
-    except TypeError:  # ids are strings; a value of another class does not compare
+            key = (u, v) if u < v else (v, u)
+            hash(key)
+            return key
+    except TypeError:  # ids are strings; a value of another class does not compare or hash
         raise _not_an_id(u, v) from None
     raise GraphError(f"loop edge {{{u!r},{u!r}}} is not allowed")
 
@@ -270,7 +272,7 @@ class WeightedRootedGraph:
     def weight(self, u: str, v: str) -> Fraction:
         try:
             return self.weights[edge_key(u, v)]
-        except (KeyError, TypeError):  # no such key, or an unhashable one
+        except KeyError:
             raise GraphError(f"edge {edge_key(u, v)} not present") from None
 
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -356,6 +358,8 @@ class WeightedRootedGraph:
     def relabel(self, mapping: Mapping[str, str]) -> "WeightedRootedGraph":
         """Rename vertices through a bijective mapping."""
         mapping = _collection(mapping, "relabel mapping must be a mapping", dict)
+        if not all(map(isinstance, mapping.values(), repeat(str))):  # a list would not hash
+            raise _not_an_id(*mapping.values())
         if set(mapping) != set(self.vertices) or len(set(mapping.values())) != len(self.vertices):
             raise GraphError("relabel mapping must be a bijection on the vertex set")
         new = {(mapping[u], mapping[v]): w for (u, v), w in self.weights.items()}
@@ -426,11 +430,11 @@ class Cycle:
     def from_graph(cls, g: WeightedRootedGraph, order: Sequence[str]) -> "Cycle":
         order = _collection(order, "cycle order must be a sequence of vertices")
         weights = []
-        for i, u in enumerate(order):
-            v = order[(i + 1) % len(order)]
-            if not g.has_edge(u, v):
+        for u, v in zip(order, order[1:] + order[:1]):
+            w = g.weights.get(edge_key(u, v))
+            if w is None:
                 raise GraphError(f"{u!r}-{v!r} is not an edge; not a cycle of the graph")
-            weights.append(g.weight(u, v))
+            weights.append(w)
         return cls(order, tuple(weights))
 
     def total_weight(self) -> Fraction:
@@ -527,6 +531,8 @@ def maximal_cliques_of(vertices: set[str], adj: dict[str, set[str]]) -> list[fro
 
 def is_dominating(g: WeightedRootedGraph, v: str) -> bool:
     """True iff v is adjacent to every other vertex."""
+    if not isinstance(v, str):  # a list would not hash
+        raise _not_an_id(v)
     if v not in g._adj:
         raise GraphError(f"{v!r} is not a vertex")
     return len(g._adj[v]) == len(g) - 1

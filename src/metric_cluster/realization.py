@@ -115,11 +115,36 @@ class LeveledPointCloud:
     appears at every level (as the root's image in generated clouds). Exact
     rational shadows accompany the binary64 data wherever they exist, as
     integer numerators over one denominator per level (see ``CloudLevel``).
+
+    Construction checks ``dimension``, ``period``, then each level's ``n``,
+    points, labels, ``q``, ``r`` and ``r_exact``, and that a level has a
+    point; it holds an int coordinate as its float and shadows in lowest
+    terms. The JSON reader hands its fields over, so a file and the same
+    value in code are refused alike.
     """
 
     dimension: int
     levels: list[CloudLevel]
     period: Optional[int] = None
+
+    def __post_init__(self):
+        dimension = _integer(self.dimension, 1, "cloud dimension must be a positive integer, got {value!r}")
+        if self.period is not None:
+            _integer(self.period, 1, "cloud period must be a positive integer, got {value!r}")
+        if not isinstance(self.levels, (list, tuple)):
+            raise GraphError("cloud JSON levels must be a list")
+        levels: list[CloudLevel] = []
+        for lvl in self.levels:
+            levels.append(_checked_level(lvl, levels[-1].n if levels else 0, dimension))
+        self.levels = _with_points(levels)
+
+    @classmethod
+    def _of_levels(cls, dimension: int, levels: list[CloudLevel], period) -> "LeveledPointCloud":
+        """The cloud of levels that keep the rules by construction, unchecked
+        but for the one rule that a selection of such levels may break."""
+        cloud = cls.__new__(cls)
+        cloud.dimension, cloud.levels, cloud.period = dimension, _with_points(levels), period
+        return cloud
 
     @property
     def depth(self) -> int:
@@ -170,61 +195,26 @@ class LeveledPointCloud:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
+        """The cloud of a JSON document: objects become levels and points and
+        shadow literals numerators; the constructor checks the rest."""
         try:
-            dimension = _integer(
-                data["dimension"], 1, "cloud dimension must be a positive integer, got {value!r}"
-            )
-            raw_levels = data["levels"]
+            dimension, levels = data["dimension"], data["levels"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"cloud JSON is missing field: {exc}") from exc
-        period = data.get("period")
-        if period is not None:
-            _integer(period, 1, "cloud period must be a positive integer, got {value!r}")
         if data.get("norm", "sup") != "sup":
             raise GraphError(f"cloud norm {data['norm']!r} is not supported; only 'sup' is")
-        if not isinstance(raw_levels, list):
-            raise GraphError("cloud JSON levels must be a list")
-        levels = []
         try:
-            for entry in raw_levels:
-                if not isinstance(entry, dict):
-                    raise GraphError(f"cloud level {entry!r} is not an object")
-                n = _integer(entry["n"], 1, "cloud level n must be a positive integer, got {value!r}")
-                level = _spelled(n)  # n may pass the int-to-str digit limit
-                # recovery's window is the last levels; subsample and diag look a level up by n
-                if levels and n <= levels[-1].n:
-                    previous = _spelled(levels[-1].n)
-                    raise GraphError(f"level {level} follows level {previous}: levels must strictly increase")
-                items = entry["points"]
-                if not isinstance(items, list):
-                    raise GraphError(f"points of level {level} must be a list")
-                read = _read_level_points(items, dimension)
-                labels, coords, shadows = read or _read_points_one_by_one(items, level, dimension)
-                if len(set(labels)) < len(labels):
-                    _refuse_repeated_label(labels, level)
-                q, numerators = _level_numerators(shadows)
-                points = list(map(CloudPoint, labels, coords, numerators))
-                levels.append(
-                    CloudLevel(
-                        n=n,
-                        r=_positive_scale(entry["r"], level),
-                        r_exact=_positive_exact_scale(entry.get("r_exact"), level),
-                        points=points,
-                        q=q,
-                    )
-                )
+            if isinstance(levels, list):
+                levels = [_unpacked_level(entry) if isinstance(entry, dict) else entry for entry in levels]
         except KeyError as exc:
             raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
-        # recovery and the writer build `dimension`-long origins; only the
-        # points' coordinate lists tie `dimension` to the size of the input
-        if not any(lvl.points for lvl in levels):
-            raise GraphError("cloud JSON has no points")
+        cloud = cls(dimension, levels, data.get("period"))
         # recovery measures every distance to the origin; JSON false loads as
         # Python's False, which equals 0
         basepoint = data.get("basepoint", [0] * dimension)
         if basepoint != [0] * dimension or bool in map(type, basepoint):
             raise GraphError(f"cloud basepoint must be the origin, {dimension} zeros")
-        return cls(dimension=dimension, levels=levels, period=period)
+        return cloud
 
     def to_json(self, include_exact: bool = True) -> str:
         """``json.dumps(self.to_json_dict(include_exact), indent=2)``, byte for
@@ -244,7 +234,7 @@ class LeveledPointCloud:
             if include_exact and lvl.r_exact is not None:
                 out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
             out.append("\n    }")
-        out.append("\n  ]\n}" if self.levels else "[]\n}")
+        out.append("\n  ]\n}")
         return "".join(out)
 
     @classmethod
@@ -252,63 +242,99 @@ class LeveledPointCloud:
         return cls.from_json_dict(_json_document(text, "cloud JSON"))
 
 
-def _read_level_points(items: list, dimension: int) -> Optional[tuple[list, list, list]]:
-    """The labels, float coordinate tuples and raw ``exact`` lists (None for
-    no shadow) of one level's point objects, checked for the whole level at
-    once, or None unless every point is what the writer writes: an object
-    with a string or null label, a ``coords`` list of ``dimension`` finite
-    floats and an ``exact`` list of ``dimension`` entries, or an empty, null
-    or missing one. ``_level_numerators`` reads the exact values."""
-    if not set(map(type, items)) <= {dict}:
+def _unpacked_level(entry: dict) -> CloudLevel:
+    """A level object of a cloud file as a ``CloudLevel``: its point objects
+    as points, with a ``coords`` list as a tuple and an ``exact`` list as
+    numerators over the level's least common denominator."""
+    points, q = entry["points"], None
+    if isinstance(points, list):
+        exacts = [item.get("exact") if isinstance(item, dict) else None for item in points]
+        q, shadows = _level_numerators([e if isinstance(e, list) else None for e in exacts])
+        points = [
+            CloudPoint(
+                item.get("label"),
+                tuple(coords) if isinstance(coords := item["coords"], list) else coords,
+                shadow if isinstance(exact, list) else exact,
+            )
+            if isinstance(item, dict) else item
+            for item, exact, shadow in zip(points, exacts, shadows)
+        ]
+    return CloudLevel(entry["n"], entry["r"], entry.get("r_exact"), points, q)
+
+
+def _with_points(levels: list[CloudLevel]) -> list[CloudLevel]:
+    """The levels, when one has a point: recovery and the writer build
+    ``dimension``-long origins, and only points tie ``dimension`` to the input."""
+    if not any(lvl.points for lvl in levels):
+        raise GraphError("cloud JSON has no points")
+    return levels
+
+
+def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
+    """The level as a cloud holds it, checked after level ``previous`` (0 for none)."""
+    if not isinstance(lvl, CloudLevel):
+        raise GraphError(f"cloud level {lvl!r} is not an object")
+    n = _integer(lvl.n, 1, "cloud level n must be a positive integer, got {value!r}")
+    level = _spelled(n)  # n may pass the int-to-str digit limit
+    # recovery's window is the last levels; subsample and diag look a level up by n
+    if n <= previous:
+        raise GraphError(f"level {level} follows level {_spelled(previous)}: levels must strictly increase")
+    if not isinstance(lvl.points, (list, tuple)):
+        raise GraphError(f"points of level {level} must be a list")
+    # a level the whole-level check does not take is read point by point, so
+    # that its first fault in point order names the error
+    points = _read_level_points(lvl.points, dimension) or [_read_point(p, level, dimension) for p in lvl.points]
+    labels = list(map(_LABEL_OF, points))
+    if len(set(labels)) < len(labels):
+        _refuse_repeated_label(labels, level)
+    q = None
+    shadows = list(map(_EXACT_OF, points))
+    if any(shadows):
+        refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
+        q, reduced = _in_lowest_terms(_integer(lvl.q, 1, refusal), shadows)
+        if reduced is not shadows:
+            points = list(map(CloudPoint, labels, map(_COORDS_OF, points), reduced))
+    r = _positive_scale(lvl.r, level)
+    return CloudLevel(n, r, _positive_exact_scale(lvl.r_exact, level), points, q)
+
+
+def _read_level_points(points: Sequence, dimension: int) -> Optional[list[CloudPoint]]:
+    """The level's points, checked for the whole level at once, or None
+    unless each is a ``CloudPoint`` as a cloud holds it: a string or None
+    label, a tuple of ``dimension`` finite floats and None or a tuple of
+    ``dimension`` ints."""
+    if not set(map(type, points)) <= {CloudPoint}:
         return None
-    labels = list(map(dict.get, items, repeat("label")))
-    coords = list(map(dict.get, items, repeat("coords")))
-    exacts = list(map(dict.get, items, repeat("exact")))
+    coords = list(map(_COORDS_OF, points))
+    exacts = [exact for exact in map(_EXACT_OF, points) if exact is not None]
     if not (
-        set(map(type, labels)) <= {str, type(None)}
-        and set(map(type, coords)) <= {list}
-        and set(map(type, exacts)) <= {list, type(None)}
-        and set(map(len, chain(coords, filter(None, exacts)))) <= {dimension}
+        set(map(type, map(_LABEL_OF, points))) <= {str, type(None)}
+        and set(map(type, chain(coords, exacts))) <= {tuple}
+        and set(map(len, chain(coords, exacts))) <= {dimension}
+        and set(map(type, chain.from_iterable(exacts))) <= {int}
     ):
         return None
     flat = list(chain.from_iterable(coords))
-    # a JSON true or false is no coordinate, and an int is read point by point
+    # an int coordinate is held as its float, point by point
     if not (set(map(type, flat)) <= {float} and all(map(math.isfinite, flat))):
         return None
-    # an empty list, like a missing one, is no shadow
-    return labels, list(map(tuple, coords)), [exact or None for exact in exacts]
+    return list(points)
 
 
-def _read_points_one_by_one(items: list, level: str, dimension: int) -> tuple[list, list, list]:
-    """What ``_read_level_points`` returns, for a level it does not take,
-    read point by point, so that the level's first fault in point order
-    names the error."""
-    labels, coords, shadows = [], [], []
-    for item in items:
-        try:
-            label, point_coords, exact = _read_point(item, level, dimension)
-        except (GraphError, KeyError):
-            # in point order, an earlier point's malformed shadow comes first
-            _level_numerators(shadows)
-            raise
-        labels.append(label)
-        coords.append(point_coords)
-        shadows.append(exact if exact else None)
-    return labels, coords, shadows
+_LABEL_OF, _COORDS_OF, _EXACT_OF = map(operator.attrgetter, ("label", "coords", "exact"))
 
 
-def _read_point(item, level: str, dimension: int) -> tuple:
-    """Label, float coordinates and raw ``exact`` list of one point object,
-    with everything but the exact values checked."""
-    if not isinstance(item, dict):
-        raise GraphError(f"point {item!r} at level {level} is not an object")
-    label = item.get("label")
+def _read_point(p, level: str, dimension: int) -> CloudPoint:
+    """One point as a cloud holds it: float coordinates, and a tuple of ints
+    or None for its shadow."""
+    if not isinstance(p, CloudPoint):
+        raise GraphError(f"point {p!r} at level {level} is not an object")
+    label, coords, exact = p.label, p.coords, p.exact
     # labels are sorted as strings; None marks an unlabeled point
     if label is not None and not isinstance(label, str):
         raise GraphError(f"point label {label!r} at level {level} is not a string")
-    coords, exact = item["coords"], item.get("exact")
     # a string would be read character by character
-    if not isinstance(coords, list) or not isinstance(exact, (list, type(None))):
+    if not isinstance(coords, (list, tuple)) or not isinstance(exact, (list, tuple, type(None))):
         raise GraphError(
             f"point {label!r} at level {level} has coordinates that are not a JSON list"
         )
@@ -330,11 +356,14 @@ def _read_point(item, level: str, dimension: int) -> tuple:
         ) from exc
     if not all(map(math.isfinite, coords)):
         raise GraphError(f"point {label!r} at level {level} has a NaN or infinite coordinate")
-    # sup_distance zips coordinates: a short list would be cut silently
+    # sup_distance zips coordinates: a short list would be cut silently; an
+    # empty shadow, like a missing one, is none
     if len(coords) != dimension or (exact and len(exact) != dimension):
         coordinates = f"{_spelled(dimension)} coordinates"
         raise GraphError(f"point {label!r} at level {level} does not have {coordinates}")
-    return label, coords, exact
+    for a in exact or ():
+        _integer(a, -math.inf, f"level {level} has a shadow numerator that is no int: {{value!r}}")
+    return CloudPoint(label, coords, tuple(exact) if exact else None)
 
 
 def _refuse_repeated_label(labels: list, level: str) -> None:
@@ -420,12 +449,9 @@ _BASEPOINT, _COORDS, _EXACT = _layout(" " * 2), _layout(_PAD_POINT), _layout(_PA
 
 
 def _array(out: list, items: list[str], layout: tuple[str, str, str]) -> None:
-    """Appends the JSON array of encoded items in ``layout`` to ``out``."""
-    if items:
-        opening, separator, closing = layout
-        out += (opening, separator.join(items), closing)
-    else:
-        out.append("[]")
+    """Appends the JSON array of encoded items, at least one, in ``layout`` to ``out``."""
+    opening, separator, closing = layout
+    out += (opening, separator.join(items), closing)
 
 
 def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
@@ -455,21 +481,13 @@ def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
     out.append("\n      ]")
 
 
-def _level_float_items(values: list) -> list[str]:
-    """The JSON spelling of each of a level's coordinates. When every value
-    is a finite float, ``float.__repr__`` is computed once per distinct
-    value; otherwise, in a level built in code, each value is spelled by
-    ``json.dumps``, as json spells an int, a boolean, None, an infinity or a
-    NaN its own way."""
-    # 1 == 1.0 and True == 1.0 as keys: a table must hold floats alone
-    if set(map(type, values)) <= {float}:
-        distinct = set(values)
-        table = dict(zip(distinct, map(float.__repr__, distinct)))
-        # float.__repr__ spells inf and nan, which json writes as Infinity and NaN
-        if "n" not in "".join(table.values()):
-            # 0.0 == -0.0 as keys: each zero keeps its own sign
-            return [table[x] if x else float.__repr__(x) for x in values]
-    return list(map(json.dumps, values))
+def _level_float_items(values: list[float]) -> list[str]:
+    """The JSON spelling of each of a level's coordinates, finite floats:
+    ``float.__repr__`` is computed once per distinct value."""
+    distinct = set(values)
+    table = dict(zip(distinct, map(float.__repr__, distinct)))
+    # 0.0 == -0.0 as keys: each zero keeps its own sign
+    return [table[x] if x else float.__repr__(x) for x in values]
 
 
 def _json_scalar(value) -> str:
@@ -616,9 +634,7 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
             raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
         points = [CloudPoint(v, pick(coords), pick(exact)) for v, pick in zip(order, pickers)]
         levels.append(CloudLevel(n=n, r=r_float, r_exact=Fraction(r), points=points, q=q))
-    return LeveledPointCloud(
-        dimension=len(order), levels=levels, period=len(plan.family)
-    )
+    return LeveledPointCloud._of_levels(len(order), levels, len(plan.family))
 
 
 def _picker(indices: list[int]):
@@ -674,4 +690,4 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
         ]
         # r is irrational (odd power of the base under a square root): no exact shadow
         levels.append(CloudLevel(n=n, r=r, r_exact=None, points=points, q=1))
-    return LeveledPointCloud(dimension=1, levels=levels, period=None)
+    return LeveledPointCloud._of_levels(1, levels, None)

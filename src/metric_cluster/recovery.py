@@ -86,8 +86,6 @@ def recover_cluster(
     put over one denominator; Fractions are built only for the edge weights,
     and they equal the exact tail means of d(x_n, y_n)/r_n.
     """
-    if not cloud.levels:
-        raise GraphError("empty cloud")
     # exact decisions take the tolerances as rationals, float ones in binary64
     kind = Fraction if use_exact else float
     rel, ab = _real(tol_rel, 0, _TOLERANCE, kind), _real(tol_abs, 0, _TOLERANCE, kind)
@@ -128,8 +126,7 @@ def recover_cluster(
         rows = [{lbl: p.exact for lbl, p in pts.items()} for _, pts in per_level]
         # an integer sup distance D is D / q on the level and D / (q * r) normalized;
         # over U, the lcm of the window's q * r.numerator, it is the int D * factor.
-        # A level without points has no q and no distance to put over it.
-        scales = [(lvl.q or 1) * lvl.r_exact.numerator for lvl, _ in per_level]
+        scales = [lvl.q * lvl.r_exact.numerator for lvl, _ in per_level]
         common = math.lcm(*scales)
         units = [lvl.r_exact.denominator * (common // s) for (lvl, _), s in zip(per_level, scales)]
 
@@ -409,11 +406,7 @@ def subsample_levels(cloud: LeveledPointCloud, indices: Sequence[int]) -> Levele
     if missing:
         named = ", ".join(map(_spelled, missing))
         raise GraphError(f"levels [{named}] are not present in the cloud")
-    return LeveledPointCloud(
-        dimension=cloud.dimension,
-        levels=[available[n] for n in idx],
-        period=None,
-    )
+    return LeveledPointCloud._of_levels(cloud.dimension, [available[n] for n in idx], None)
 
 
 def alternating_period_indices(cloud: LeveledPointCloud) -> list[int]:

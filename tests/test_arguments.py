@@ -178,6 +178,12 @@ def test_library_fuzz_argument_types(call, data):
         # lookups of a pair that is no edge, or no pair of points
         lambda: G.weight("u", "z"),
         lambda: D.get("u", "zz"),
+        # vertex ids that do not hash, which raised a bare TypeError
+        lambda: G.has_edge([1], [2]),
+        lambda: G.with_edge([1], [2], 1),
+        lambda: G.without_edge([1], [2]),
+        lambda: G.relabel({**IDENTITY, "r": [1]}),
+        lambda: mc.is_dominating(G, [1]),
     ],
 )
 def test_arguments_refused_as_graph_error(call):

@@ -239,6 +239,22 @@ def test_cycle_type_validation():
         Cycle(("a", "b", "a"), (Fraction(1),) * 3)
 
 
+def test_a_cycle_of_the_graph_needs_each_edge_once():
+    g = graph(["r", "u", "v", "z"], {("r", "u"): "1", ("u", "v"): "2", ("r", "v"): "3", ("r", "z"): "1"}, "r")
+    assert Cycle.from_graph(g, ["r", "u", "v"]).weights == (1, 2, 3)
+    with pytest.raises(GraphError, match="^'v'-'z' is not an edge; not a cycle of the graph$"):
+        Cycle.from_graph(g, ["r", "u", "v", "z"])
+    with pytest.raises(GraphError, match="^'u'-'z' is not an edge; not a cycle of the graph$"):
+        Cycle.from_graph(g, ["r", "u", "z"])
+    # an id that is no string, also one that does not hash, is refused as one
+    for order, bad in ((["r", 1, "v"], "1"), (["r", ["u"], "v"], r"\['u'\]")):
+        with pytest.raises(GraphError, match=f"^vertex id {bad} is not a string$"):
+            Cycle.from_graph(g, order)
+    for lookup in (g.has_edge, g.weight, g.without_edge, lambda u, v: g.with_edge(u, v, 1)):
+        with pytest.raises(GraphError, match=r"^vertex id \[1\] is not a string$"):
+            lookup([1], [2])
+
+
 # ---------------------------------------------------------------------------
 # paths: the path oracle of oracles.py
 # ---------------------------------------------------------------------------

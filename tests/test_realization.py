@@ -19,14 +19,20 @@ from metric_cluster.realization import (
     ScalingRule,
     _level_numerators,
     _read_level_points,
-    _read_points_one_by_one,
+    _read_point,
+    _unpacked_level,
     build_plan,
     generate_cloud,
     realize,
     single_point_space,
     sup_distance,
 )
-from metric_cluster.recovery import alternating_period_indices, recover_cluster, subsample_levels
+from metric_cluster.recovery import (
+    alternating_period_indices,
+    period_stride_indices,
+    recover_cluster,
+    subsample_levels,
+)
 
 from oracles import (
     assert_two_member_family,
@@ -474,13 +480,13 @@ def test_a_level_checked_at_once_reads_as_point_by_point():
     levels[2]["points"][1]["exact"] = []
     del levels[3]["points"][2]["exact"]
     levels[4]["points"][0]["label"] = None
-    for level in levels:
-        read = _read_level_points(level["points"], dimension)
+    for level in map(_unpacked_level, levels):
+        read = _read_level_points(level.points, dimension)
         assert read is not None
-        assert read == _read_points_one_by_one(level["points"], level["n"], dimension)
+        assert read == [_read_point(p, str(level.n), dimension) for p in level.points]
     # the writer writes no int coordinate: its level is read point by point
     levels[0]["points"][1]["coords"][0] = 0
-    assert _read_level_points(levels[0]["points"], dimension) is None
+    assert _read_level_points(_unpacked_level(levels[0]).points, dimension) is None
     assert LeveledPointCloud.from_json_dict(data).levels[0].points[1].coords[0] == 0.0
 
 
@@ -490,18 +496,16 @@ def check_writer(cloud):
 
 
 def _odd_cloud():
-    """A cloud only memory holds: a non-finite and an integer coordinate,
-    unlabeled and non-ASCII points, a level without points, one without
-    exact data."""
-    inf, nan = float("inf"), float("nan")
+    """Unlabeled and non-ASCII points, an int coordinate, subnormal and huge
+    ones, an empty shadow, a level without points and one without exact data."""
     return LeveledPointCloud(
         dimension=2,
         levels=[
             CloudLevel(1, 2.0, Fraction(2), [
-                CloudPoint(None, (0.0, -inf), (0, 3)),
-                CloudPoint("é\n\"µ", (nan, 1.5), (1, -3)),
+                CloudPoint(None, (0.0, -5e-324), (0, 3)),
+                CloudPoint("é\n\"µ", (-7.5, 1.5), (1, -3)),
                 CloudPoint("v", (1, 2.5e-300), None),
-                CloudPoint("w", (True, None), ()),
+                CloudPoint("w", (0.5, -0.0), ()),
             ], q=2),
             CloudLevel(2, 6.0, None, [], q=None),
             CloudLevel(3, 1e300, None, [CloudPoint("z", (0.1, 1e22))], q=None),
@@ -513,8 +517,8 @@ def _odd_cloud():
 def _equal_but_spelled_apart_cloud():
     """Values that compare equal but print apart, which a table keyed on the
     values of a level would print alike: 0.0 before -0.0 and 1.0 before an
-    int 1 in one level; -0.0 before 0.0 among repeated values and shadows in
-    another."""
+    int 1, which the cloud holds as 1.0, in one level; -0.0 before 0.0 among
+    repeated values and shadows in another."""
     return LeveledPointCloud(
         dimension=2,
         levels=[
@@ -541,14 +545,14 @@ def _equal_but_spelled_apart_cloud():
         subsample_levels(realize(ONE_GAP, 12), alternating_period_indices(realize(ONE_GAP, 12))),
         realize(CERT_TRIANGLE, 6, ScalingRule("power_square", 3)),
         single_point_space(8),
-        LeveledPointCloud(dimension=3, levels=[], period=2),
         _odd_cloud(),
         _equal_but_spelled_apart_cloud(),
     ],
-    ids=["factorial", "subsample", "power_square", "single_point", "no_levels", "odd", "equal_apart"],
+    ids=["factorial", "subsample", "power_square", "single_point", "odd", "equal_apart"],
 )
 def test_writer_prints_what_json_dumps_prints(cloud):
     check_writer(cloud)
+    assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
 
 
 def test_signed_zeros_of_one_level_load_and_write_back_with_their_signs():
@@ -561,7 +565,7 @@ def test_signed_zeros_of_one_level_load_and_write_back_with_their_signs():
     assert LeveledPointCloud.from_json(text).to_json() == text
 
 
-_COORDINATE = st.floats() | st.integers(-3, 3)
+_COORDINATE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3)
 
 
 @st.composite
@@ -569,17 +573,19 @@ def _clouds(draw):
     dimension = draw(st.integers(1, 3))
     row = st.tuples(*[_COORDINATE] * dimension)
     levels = []
-    for n in range(1, draw(st.integers(0, 3)) + 1):
+    for n in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True).map(sorted)):
+        labels = draw(st.lists(st.text(max_size=3), unique=True, min_size=not levels, max_size=3))
         points = [
             CloudPoint(
-                draw(st.none() | st.text(max_size=3)),
+                None if draw(st.booleans()) else label,
                 draw(row),
                 draw(st.none() | st.tuples(*[st.integers(-10**30, 10**30)] * dimension)),
             )
-            for _ in range(draw(st.integers(0, 3)))
+            for label in labels
         ]
+        r = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
         r_exact = draw(st.none() | st.fractions(min_value=Fraction(1, 10**6)))
-        levels.append(CloudLevel(n, draw(st.floats()), r_exact, points, q=draw(st.integers(1, 60))))
+        levels.append(CloudLevel(n, r, r_exact, points, q=draw(st.integers(1, 60))))
     return LeveledPointCloud(dimension, levels, period=draw(st.none() | st.integers(1, 3)))
 
 
@@ -587,6 +593,260 @@ def _clouds(draw):
 @given(_clouds())
 def test_writer_prints_what_json_dumps_prints_on_random_clouds(cloud):
     check_writer(cloud)
+    assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
+
+
+# r-u, r-v: the cloud that a bad cloud below is made from, in code and as JSON
+R_UV = realize(synthesize_weights(WeightedRootedGraph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 1}, "r")), 8)
+NAN, INF = float("nan"), float("inf")
+
+
+class _InCode:
+    """R_UV's fields in code, to edit: ``dimension``, ``period`` and copies
+    of its levels and their point lists."""
+
+    def __init__(self):
+        levels = [dataclasses.replace(lvl, points=list(lvl.points)) for lvl in R_UV.levels]
+        self.fields = {"dimension": R_UV.dimension, "period": R_UV.period, "levels": levels}
+
+    def level(self, i, **values):
+        self.fields["levels"][i] = dataclasses.replace(self.fields["levels"][i], **values)
+
+    def points(self, i):
+        return self.fields["levels"][i].points
+
+    def point(self, i, j, **values):
+        self.points(i)[j] = dataclasses.replace(self.points(i)[j], **values)
+
+    def cut(self, i, j, size):
+        p = self.points(i)[j]
+        self.point(i, j, coords=p.coords[:size], exact=p.exact[:size])
+
+    def build(self):
+        return LeveledPointCloud(**self.fields)
+
+
+class _InFile(_InCode):
+    """The same fields of R_UV's JSON document, to edit; a Fraction is
+    written as its literal."""
+
+    def __init__(self):
+        self.fields = json.loads(R_UV.to_json())
+
+    def level(self, i, **values):
+        self.fields["levels"][i].update({k: str(v) if isinstance(v, Fraction) else v for k, v in values.items()})
+
+    def points(self, i):
+        return self.fields["levels"][i]["points"]
+
+    def point(self, i, j, **values):
+        self.points(i)[j].update(values)
+
+    def cut(self, i, j, size):
+        p = self.points(i)[j]
+        self.point(i, j, coords=p["coords"][:size], exact=p["exact"][:size])
+
+    def build(self):
+        return LeveledPointCloud.from_json(json.dumps(self.fields))
+
+
+def _cut_u(edit):
+    for i in range(R_UV.depth):
+        edit.cut(i, 1, 1)
+
+
+def _points_cleared(edit):
+    for i in range(R_UV.depth):
+        edit.level(i, points=[])
+
+
+# each case is one bad cloud, as a change that makes it from R_UV in code and
+# in its JSON document alike, with the text both are refused with. Left in
+# code, the first four mislead: exact recovery of the cut cloud finds an extra
+# edge u-v of weight 1/3, the zero scale divides by zero, recovery of the
+# reversed levels decides on levels 2 and 1, and annulus_diameter_table drops
+# the NaN point.
+REFUSALS = {
+    "u cut to one entry": (_cut_u, "point 'u' at level 1 does not have 3 coordinates"),
+    "last scale zero": (
+        lambda e: e.level(-1, r=0.0, r_exact=Fraction(0)),
+        "level 8 has scale r = 0.0; it must be finite and positive",
+    ),
+    "levels reversed": (
+        lambda e: e.fields.update(levels=e.fields["levels"][::-1]),
+        "level 7 follows level 8: levels must strictly increase",
+    ),
+    "NaN coordinate": (
+        lambda e: e.point(0, 1, coords=(NAN, 0.0, 1.0)),
+        "point 'u' at level 1 has a NaN or infinite coordinate",
+    ),
+    "infinite coordinate": (
+        lambda e: e.point(2, 2, coords=(0.0, 1.0, -INF)),
+        "point 'v' at level 3 has a NaN or infinite coordinate",
+    ),
+    "coordinate a string": (
+        lambda e: e.point(0, 1, coords=("1.5", 0.0, 1.0)),
+        "point 'u' at level 1 has a non-numeric coordinate: a JSON string",
+    ),
+    "coordinate true": (
+        lambda e: e.point(0, 1, coords=(True, 0.0, 1.0)),
+        "point 'u' at level 1 has a non-numeric coordinate: a JSON true or false",
+    ),
+    "coordinate null": (
+        lambda e: e.point(0, 1, coords=(None, 0.0, 1.0)),
+        "point 'u' at level 1 has a non-numeric coordinate: "
+        "float() argument must be a string or a real number, not 'NoneType'",
+    ),
+    "coordinate beyond binary64": (
+        lambda e: e.point(0, 1, coords=(10**400, 0.0, 1.0)),
+        "point 'u' at level 1 has a coordinate beyond binary64: int too large to convert to float",
+    ),
+    "coordinates a string": (
+        lambda e: e.point(0, 1, coords="123"),
+        "point 'u' at level 1 has coordinates that are not a JSON list",
+    ),
+    "shadow a string": (
+        lambda e: e.point(0, 1, exact="123"),
+        "point 'u' at level 1 has coordinates that are not a JSON list",
+    ),
+    "short shadow": (
+        lambda e: e.point(0, 2, exact=(0, 0)),
+        "point 'v' at level 1 does not have 3 coordinates",
+    ),
+    "label an int": (
+        lambda e: e.point(0, 1, label=1),
+        "point label 1 at level 1 is not a string",
+    ),
+    "label repeated": (
+        lambda e: e.point(1, 2, label="u"),
+        "duplicate label 'u' at level 2",
+    ),
+    "dimension 0": (lambda e: e.fields.update(dimension=0), "cloud dimension must be a positive integer, got 0"),
+    "dimension 3.0": (
+        lambda e: e.fields.update(dimension=3.0), "cloud dimension must be a positive integer, got 3.0"
+    ),
+    "period 0": (lambda e: e.fields.update(period=0), "cloud period must be a positive integer, got 0"),
+    "period true": (lambda e: e.fields.update(period=True), "cloud period must be a positive integer, got True"),
+    "level n 0": (
+        lambda e: e.level(0, n=0), "cloud level n must be a positive integer, got 0"
+    ),
+    "level n 1.5": (
+        lambda e: e.level(0, n=1.5), "cloud level n must be a positive integer, got 1.5"
+    ),
+    "level n repeated": (
+        lambda e: e.level(1, n=1), "level 1 follows level 1: levels must strictly increase"
+    ),
+    "scale NaN": (
+        lambda e: e.level(0, r=NAN),
+        "level 1 has scale r = nan; it must be finite and positive",
+    ),
+    "scale negative": (
+        lambda e: e.level(1, r=-2.0),
+        "level 2 has scale r = -2.0; it must be finite and positive",
+    ),
+    "scale a word": (
+        lambda e: e.level(1, r="x"),
+        "level 2 has a scale r that is not a binary64 number: could not convert string to float: 'x'",
+    ),
+    "scale true": (
+        lambda e: e.level(1, r=True),
+        "level 2 has a scale r that is not a binary64 number: True",
+    ),
+    "exact scale zero": (
+        lambda e: e.level(2, r_exact=Fraction(0)),
+        "level 3 has exact scale r_exact = 0; it must be positive",
+    ),
+    "exact scale a float": (
+        lambda e: e.level(2, r_exact=1.5),
+        "refusing float weight 1.5: pass a string ('3/2' or '1.5') for exactness",
+    ),
+    "exact scale a word": (lambda e: e.level(2, r_exact="x"), "not a rational literal: 'x'"),
+    "no points": (_points_cleared, "cloud JSON has no points"),
+    "no levels": (lambda e: e.fields.update(levels=[]), "cloud JSON has no points"),
+    "levels a string": (lambda e: e.fields.update(levels="x"), "cloud JSON levels must be a list"),
+    "level a number": (
+        lambda e: e.fields["levels"].__setitem__(1, 5), "cloud level 5 is not an object"
+    ),
+    "points a string": (lambda e: e.level(1, points="x"), "points of level 2 must be a list"),
+    "point a number": (
+        lambda e: e.points(1).__setitem__(2, 5),
+        "point 5 at level 2 is not an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_a_file_and_code_refuse_alike(case):
+    change, text = REFUSALS[case]
+    for edit in (_InCode(), _InFile()):
+        change(edit)
+        with pytest.raises(GraphError) as caught:
+            edit.build()
+        assert str(caught.value) == text, type(edit).__name__
+
+
+def test_construction_holds_values_as_the_reader_does():
+    """What a cloud holds of a value built in code: an int coordinate as its
+    float, an empty shadow as none, shadows in lowest terms, no q without
+    them, a list of coordinates as a tuple and a level's r as a float; the
+    reader gives the same cloud."""
+    cloud = LeveledPointCloud(2, [
+        CloudLevel(1, 2, "6", [CloudPoint("a", [1, -0.5], [6, -3]), CloudPoint("b", (0.0, 2.0), ())], q=6),
+        CloudLevel(2, "3.5", None, [CloudPoint("a", (1.0, 2.0))], q=7),
+    ])
+    level, other = cloud.levels
+    assert level == CloudLevel(1, 2.0, Fraction(6), [
+        CloudPoint("a", (1.0, -0.5), (2, -1)), CloudPoint("b", (0.0, 2.0), None)
+    ], q=2)
+    assert other == CloudLevel(2, 3.5, None, [CloudPoint("a", (1.0, 2.0))], q=None)
+    assert type(level.points[0].coords[0]) is float
+    assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
+
+
+@pytest.mark.parametrize(
+    "points, q, text",
+    [
+        ([CloudPoint("a", (1.0,), (1.5,))], 1, "level 1 has a shadow numerator that is no int: 1.5"),
+        ([CloudPoint("a", (1.0,), (True,))], 1, "level 1 has a shadow numerator that is no int: True"),
+        ([CloudPoint("a", (1.0,), (1,))], 0, "level 1 has exact shadows over q = 0; q must be a positive integer"),
+        ([CloudPoint("a", (1.0,), (1,))], None, "level 1 has exact shadows over q = None; q must be a positive integer"),
+        ([CloudPoint("a", (1.0,), (1,))], 2.0, "level 1 has exact shadows over q = 2.0; q must be a positive integer"),
+    ],
+)
+def test_construction_refuses_shadows_no_file_holds(points, q, text):
+    # the reader makes every numerator and q itself; code may hand in others
+    with pytest.raises(GraphError) as caught:
+        LeveledPointCloud(1, [CloudLevel(1, 1.0, None, points, q)])
+    assert str(caught.value) == text
+
+
+def _rebuilt(cloud):
+    """The cloud built anew through the checked constructor."""
+    return LeveledPointCloud(cloud.dimension, cloud.levels, cloud.period)
+
+
+def test_the_unchecked_path_builds_only_what_construction_accepts():
+    # generate_cloud, single_point_space and subsample_levels skip the checks
+    rules = [ScalingRule(), ScalingRule("power_square", 2)]
+    for shape in dominating_rooted_shapes(6):
+        g = synthesize_weights(shape)
+        for rule in rules:
+            plan = build_plan(g, 12, rule)
+            for depth in range(1, 13):
+                cloud = generate_cloud(dataclasses.replace(plan, depth=depth))
+                assert _rebuilt(cloud) == cloud
+            selections = [alternating_period_indices(cloud), [1], [2, 5, 12], list(range(1, 13))]
+            selections += [period_stride_indices(cloud, k) for k in range(cloud.period)]
+            for indices in selections:
+                sub = subsample_levels(cloud, indices)
+                assert _rebuilt(sub) == sub
+    for base in (2, 3, 5):
+        for depth in range(2, 24):
+            try:
+                cloud = single_point_space(depth, base)
+            except GraphError:
+                continue
+            assert _rebuilt(cloud) == cloud
 
 
 def test_realization_of_synthesized_shapes_has_full_family():

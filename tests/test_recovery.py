@@ -536,18 +536,20 @@ def test_basepoint_only_cloud_recovers_k1():
     assert rc.graph.vertices == ("p",) and rc.graph.root == "p"
 
 
-def test_pointless_levels_recover_one_vertex_exactly_as_in_binary64():
-    # a level without points has no common denominator q
+def test_a_cloud_of_pointless_levels_is_refused_at_construction():
+    # a level without points has no q, and a cloud of them no sequence to recover
     levels = [CloudLevel(1, 1.0, Fraction(1), []), CloudLevel(2, 2.0, Fraction(2), [])]
-    cloud = LeveledPointCloud(1, levels)
-    exact, approx = recover_cluster(cloud, use_exact=True), recover_cluster(cloud)
-    assert exact.graph == approx.graph
-    assert exact.graph.vertices == ("nu0",) and exact.graph.root == "nu0"
-    assert exact.diagnostics_json_dict() == approx.diagnostics_json_dict()
+    with pytest.raises(GraphError, match="^cloud JSON has no points$"):
+        LeveledPointCloud(1, levels)
+    # a subsample skips the checks its levels have passed, but not this one
+    cloud = LeveledPointCloud(1, levels + [CloudLevel(3, 3.0, None, [CloudPoint("p", (0.0,))])])
+    assert subsample_levels(cloud, [2, 3]).depth == 2
+    with pytest.raises(GraphError, match="^cloud JSON has no points$"):
+        subsample_levels(cloud, [1, 2])
 
 
 def test_empty_cloud_rejected():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^cloud JSON has no points$"):
         recover_cluster(LeveledPointCloud(dimension=1, levels=[]))
 
 
