@@ -30,8 +30,7 @@ from .graph_core import (
     _require_dominating_root,
     _root_labels,
     _undominated_vertex,
-    format_rational,
-    maximal_cliques_of,
+    maximal_cliques,
 )
 from .metrization import (
     DistanceMatrix,
@@ -71,10 +70,7 @@ class FpcCertificate:
         if self.witness_pair is not None:
             out["witness_pair"] = list(self.witness_pair)
         if self.witness_cycle is not None:
-            out["witness_cycle"] = {
-                "vertices": list(self.witness_cycle.vertices),
-                "weights": [format_rational(w) for w in self.witness_cycle.weights],
-            }
+            out["witness_cycle"] = self.witness_cycle.to_json_dict()
         return out
 
     def to_json(self) -> str:
@@ -283,19 +279,14 @@ class CliqueBoundReport:
 def clique_bound_check(g: WeightedRootedGraph) -> CliqueBoundReport:
     """Count maximal cliques of the root-deleted subgraph against the extremal bound.
 
-    For a cluster-shaped graph (dominating root) the maximal cliques of the
-    root-deleted subgraph are in bijection with those through the root, and
-    their number is capped by 1 for up to two vertices, else by the extremal
-    value at |V| - 1.
+    For a cluster-shaped graph (dominating root) the maximal cliques of g are
+    those of the root-deleted subgraph, each with the root added (the lone
+    root when there are none), so g's are counted; their number is capped by
+    1 for up to two vertices, else by the extremal value at |V| - 1.
     """
     _require_dominating_root(g)
     n = len(g)
-    if n == 1:
-        count = 1  # the lone root is the single maximal clique
-    else:
-        rest = set(g.vertices) - {g.root}
-        adj = {v: nb & rest for v, nb in g.adjacency().items() if v in rest}
-        count = len(maximal_cliques_of(rest, adj))
+    count = len(maximal_cliques(g))
     bound = 1 if n <= 2 else moon_moser_f(n - 1)
     return CliqueBoundReport(
         vertex_count=n,

@@ -411,14 +411,21 @@ class Cycle:
     """Simple cycle: an ordered vertex tuple with the aligned edge weights.
 
     ``weights[i]`` is the weight of ``{vertices[i], vertices[i+1]}``, the last
-    entry closing the cycle back to ``vertices[0]``.
+    entry closing the cycle back to ``vertices[0]``. Construction reads each
+    vertex as a vertex id, a string, and each weight with ``parse_rational``.
     """
 
     vertices: tuple[str, ...]
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        n = len(self.vertices)
+        vertices = _collection(self.vertices, "cycle vertices must be a sequence of vertex ids", list)
+        if not all(map(isinstance, vertices, repeat(str))):
+            raise _not_an_id(*vertices)
+        weights = _collection(self.weights, "cycle weights must be a sequence of rationals", list)
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "weights", tuple(map(parse_rational, weights)))
+        n = len(vertices)
         if n < 3:
             raise GraphError("a cycle needs at least 3 vertices")
         if len(set(self.vertices)) != n:
@@ -428,14 +435,18 @@ class Cycle:
 
     @classmethod
     def from_graph(cls, g: WeightedRootedGraph, order: Sequence[str]) -> "Cycle":
-        order = _collection(order, "cycle order must be a sequence of vertices")
+        order = _collection(order, "cycle order must be a sequence of vertices", list)
         weights = []
         for u, v in zip(order, order[1:] + order[:1]):
             w = g.weights.get(edge_key(u, v))
             if w is None:
                 raise GraphError(f"{u!r}-{v!r} is not an edge; not a cycle of the graph")
             weights.append(w)
-        return cls(order, tuple(weights))
+        return cls(order, weights)
+
+    def to_json_dict(self) -> dict:
+        """The one JSON spelling of a cycle, as witnesses print it."""
+        return {"vertices": list(self.vertices), "weights": [format_rational(w) for w in self.weights]}
 
     def total_weight(self) -> Fraction:
         return sum(self.weights, Fraction(0))
@@ -507,11 +518,7 @@ def _maps_edges(g1, g2, mapping, tol: Fraction) -> bool:
 
 def maximal_cliques(g: WeightedRootedGraph) -> list[frozenset[str]]:
     """All maximal cliques, lexicographically sorted (Bron-Kerbosch, pivoting)."""
-    return maximal_cliques_of(set(g.vertices), g.adjacency())
-
-
-def maximal_cliques_of(vertices: set[str], adj: dict[str, set[str]]) -> list[frozenset[str]]:
-    """Bron-Kerbosch with pivoting over an explicit adjacency structure."""
+    adj = g._adj
     out: list[frozenset[str]] = []
 
     def expand(r: set[str], p: set[str], x: set[str]):
@@ -524,8 +531,7 @@ def maximal_cliques_of(vertices: set[str], adj: dict[str, set[str]]) -> list[fro
             p.remove(v)
             x.add(v)
 
-    if vertices:
-        expand(set(), set(vertices), set())
+    expand(set(), set(g.vertices), set())
     return sorted(out, key=lambda c: sorted(c))
 
 

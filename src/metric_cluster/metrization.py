@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Optional
 
-from .graph_core import Cycle, GraphError, WeightedRootedGraph, format_rational, parse_rational
+from .graph_core import Cycle, GraphError, WeightedRootedGraph, parse_rational
 from .graph_core import _collection, _format_over, _in_lowest_terms, _json_document, _not_an_id, _over_lcm
 
 
@@ -176,10 +176,7 @@ class MetrizabilityVerdict:
     def to_json_dict(self) -> dict:
         out: dict = {"classification": self.classification.value}
         if self.witness_cycle is not None:
-            out["witness_cycle"] = {
-                "vertices": list(self.witness_cycle.vertices),
-                "weights": [format_rational(w) for w in self.witness_cycle.weights],
-            }
+            out["witness_cycle"] = self.witness_cycle.to_json_dict()
         if self.zero_weight_edge is not None:
             out["zero_weight_edge"] = list(self.zero_weight_edge)
         return out
@@ -473,7 +470,7 @@ def embed_cycle_on_circle(cycle: Cycle) -> tuple[dict[str, Fraction], DistanceMa
             f"cycle is not metrizable: 2*{cycle.max_weight()} > {total}"
         )
     # arc positions and distances as integers over the lcm q of the weights
-    q, scaled = _over_lcm(list(map(parse_rational, cycle.weights)))
+    q, scaled = _over_lcm(cycle.weights)
     verts = sorted(cycle.vertices)
     ring = [verts.index(v) for v in cycle.vertices]
     edges = list(zip(ring, ring[1:] + ring[:1], scaled))
@@ -506,12 +503,7 @@ def embed_tight_cycle_on_line(cycle: Cycle) -> dict[str, Fraction]:
     if arc[-1] < arc[0]:
         arc.reverse()
         weights_along.reverse()
-    coords: dict[str, Fraction] = {arc[0]: Fraction(0)}
-    s = Fraction(0)
-    for v, w in zip(arc[1:], weights_along):
-        s += w
-        coords[v] = s
-    return coords
+    return dict(zip(arc, accumulate(weights_along, initial=Fraction(0))))
 
 
 def line_distance_matrix(coords: dict[str, Fraction]) -> DistanceMatrix:

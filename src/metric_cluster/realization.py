@@ -219,27 +219,43 @@ class LeveledPointCloud:
     def to_json(self, include_exact: bool = True) -> str:
         """``json.dumps(self.to_json_dict(include_exact), indent=2)``, byte for
         byte, written directly instead of by json's pure-Python indenting
-        encoder. Every piece of the text goes into one list, joined once."""
+        encoder. Every piece of the text goes into one list, joined once.
+        GraphError names a value past the interpreter's int-to-str digit limit."""
         out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
         _array(out, ["0.0"] * self.dimension, _BASEPOINT)
-        out += (',\n  "period": ', json.dumps(self.period), ',\n  "levels": ')
-        opening = "[\n    {"
-        for lvl in self.levels:
-            out += (
-                opening, '\n      "n": ', json.dumps(lvl.n),
-                ',\n      "r": ', _json_scalar(repr(lvl.r)), ',\n      "points": ',
-            )
-            opening = ",\n    {"
-            _write_points(out, lvl, include_exact)
-            if include_exact and lvl.r_exact is not None:
-                out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
-            out.append("\n    }")
+        try:
+            out += (',\n  "period": ', json.dumps(self.period), ',\n  "levels": ')
+            opening = "[\n    {"
+            for lvl in self.levels:
+                out += (
+                    opening, '\n      "n": ', json.dumps(lvl.n),
+                    ',\n      "r": ', _json_scalar(repr(lvl.r)), ',\n      "points": ',
+                )
+                opening = ",\n    {"
+                _write_points(out, lvl, include_exact)
+                if include_exact and lvl.r_exact is not None:
+                    out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
+                out.append("\n    }")
+        except ValueError:  # an int past the interpreter's int-to-str digit limit
+            raise _unwritable(self, include_exact) from None
         out.append("\n  ]\n}")
         return "".join(out)
 
     @classmethod
     def from_json(cls, text: str) -> "LeveledPointCloud":
         return cls.from_json_dict(_json_document(text, "cloud JSON"))
+
+
+def _unwritable(cloud: LeveledPointCloud, include_exact: bool) -> GraphError:
+    """GraphError naming, by its sign and bit length, the first value that
+    ``to_json`` writes and str() cannot spell."""
+    for lvl in cloud.levels:
+        exact = [*(Fraction(a, lvl.q) for p in lvl.points for a in p.exact or ()), lvl.r_exact]
+        for value in [cloud.period, lvl.n, *(exact if include_exact else ())]:
+            try:
+                str(value)
+            except ValueError:
+                return GraphError(f"cloud value {_spelled(value)} has more digits than to_json can write")
 
 
 def _unpacked_level(entry: dict) -> CloudLevel:
@@ -596,16 +612,25 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     A level is refused with ``GraphError`` exactly when r_n, or r_n times the
     largest distance of d_i, rounds beyond binary64: that product is the
     level's largest sup-norm distance, and it bounds every coordinate, as
-    |d_i(v, v_j) - d_i(v_j, root)| <= d_i(v, root).
+    |d_i(v, v_j) - d_i(v_j, root)| <= d_i(v, root). A plan field it cannot
+    realize from, its depth, graph, rule or family, is named by GraphError.
     """
-    order = plan.graph.vertices
+    depth = _integer(plan.depth, 1, "depth must be at least 1")
+    for name, value, kind in (("graph", plan.graph, WeightedRootedGraph), ("rule", plan.rule, ScalingRule)):
+        if not isinstance(value, kind):
+            raise GraphError(f"plan {name} must be a {kind.__name__}, got {type(value).__name__}")
+    order, family = plan.graph.vertices, plan.family
+    if not (isinstance(family, (list, tuple)) and family) or any(
+        not isinstance(d, DistanceMatrix) or set(d.vertices) != set(order) for d in family
+    ):
+        raise GraphError("plan family must be a non-empty list of distance matrices on the graph's vertices")
     root = order.index(plan.graph.root)
     # the differences depend on the level only through the factor r_n: each
     # member's distinct values are taken once, on its integer numerators over
     # one denominator, with one picker per vertex that takes its row out of
     # them, so a level computes each distinct value once
     members = []
-    for d in plan.family:
+    for d in family:
         at = [d._index[v] for v in order]
         rows = [[d._num[i][j] for j in at] for i in at]
         to_root = [row[root] for row in rows]
@@ -615,7 +640,7 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         pickers = [_picker(list(map(position.__getitem__, row))) for row in differences]
         members.append((q, values, pickers, max(map(max, d._num)), d._q))
     levels = []
-    for n in range(1, plan.depth + 1):
+    for n in range(1, depth + 1):
         r = plan.rule.value(n)
         # r_n * a / q in lowest terms: q and the numerators a share no factor
         q, values, pickers, diameter, q_diameter = members[(n - 1) % len(members)]
@@ -634,7 +659,7 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
             raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
         points = [CloudPoint(v, pick(coords), pick(exact)) for v, pick in zip(order, pickers)]
         levels.append(CloudLevel(n=n, r=r_float, r_exact=Fraction(r), points=points, q=q))
-    return LeveledPointCloud._of_levels(len(order), levels, len(plan.family))
+    return LeveledPointCloud._of_levels(len(order), levels, len(family))
 
 
 def _picker(indices: list[int]):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import metric_cluster as mc
 from metric_cluster import GraphError
+from metric_cluster.realization import CloudLevel, CloudPoint
 
 G = mc.WeightedRootedGraph(
     ["r", "u", "v", "z"],
@@ -27,6 +28,8 @@ CLOUD_JSON = CLOUD.to_json()
 RC = mc.recover_cluster(CLOUD)
 IDENTITY = {v: v for v in G.vertices}
 D = mc.shortest_path_metric(G)
+PLAN = mc.build_plan(mc.WeightedRootedGraph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 2}, "r"), 4)
+HUGE_INT = 10**5000  # more digits than the interpreter prints of an int by default
 
 
 def _loaded(path, value):
@@ -38,6 +41,12 @@ def _loaded(path, value):
         target = target[key]
     target[last] = value
     return mc.LeveledPointCloud.from_json_dict(doc)
+
+
+def _one_point(period=None, n=1, shadow=None, r_exact=None):
+    """A one-point cloud built in code with these values."""
+    point = CloudPoint("a", (1.0,), shadow)
+    return mc.LeveledPointCloud(1, [CloudLevel(n, 1.0, r_exact, [point], 1)], period)
 
 
 def _recorded(**tolerances):
@@ -184,6 +193,26 @@ def test_library_fuzz_argument_types(call, data):
         lambda: G.without_edge([1], [2]),
         lambda: G.relabel({**IDENTITY, "r": [1]}),
         lambda: mc.is_dominating(G, [1]),
+        # a cycle reads its vertices as ids and its weights as rationals: floats
+        # made a line embedding of mixed binary64, a bool is no weight, a list
+        # vertex raised a bare TypeError, and a string was read as its characters
+        lambda: mc.embed_tight_cycle_on_line(mc.Cycle(("a", "b", "c", "d"), (1.0, 1.0, 1.0, 3.0))),
+        lambda: mc.Cycle(("a", "b", "c"), (True, True, True)),
+        lambda: mc.Cycle(("a", ["b"], "c"), (1, 1, 1)),
+        lambda: mc.Cycle("abc", (1, 1, 1)),
+        # a plan generate_cloud cannot realize: AttributeError, a one-level cloud,
+        # "cloud JSON has no points", ZeroDivisionError and KeyError
+        lambda: mc.generate_cloud(dataclasses.replace(PLAN, rule=None)),
+        lambda: mc.generate_cloud(dataclasses.replace(PLAN, depth=True)),
+        lambda: mc.generate_cloud(dataclasses.replace(PLAN, depth=-3)),
+        lambda: mc.generate_cloud(dataclasses.replace(PLAN, family=[])),
+        lambda: mc.generate_cloud(dataclasses.replace(PLAN, family=[mc.DistanceMatrix(["r", "u"], [[0, 1], [1, 0]])])),
+        lambda: mc.generate_cloud(dataclasses.replace(PLAN, graph=None)),
+        # values past the int-to-str digit limit, which the writer raised a bare ValueError for
+        lambda: _one_point(n=HUGE_INT).to_json(),
+        lambda: _one_point(period=HUGE_INT).to_json(),
+        lambda: _one_point(shadow=(HUGE_INT,)).to_json(),
+        lambda: _one_point(r_exact=Fraction(HUGE_INT)).to_json(),
     ],
 )
 def test_arguments_refused_as_graph_error(call):
@@ -227,6 +256,17 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
             mc.LeveledPointCloud.from_json_dict(doc)
         assert message in str(refused.value)
         assert "level a positive int of 16610 bits" in str(refused.value)
+    # the writer names the first such value it would write, which no JSON text holds
+    for values, spelled in (
+        ({"n": HUGE_INT}, "a positive int of 16610 bits"),
+        ({"period": HUGE_INT, "n": HUGE_INT}, "a positive int of 16610 bits"),
+        ({"shadow": (-HUGE_INT,)}, "a negative Fraction of 16610 bits"),
+        ({"r_exact": Fraction(1, HUGE_INT)}, "a positive Fraction of 1 bits over 16610 bits"),
+    ):
+        with pytest.raises(GraphError, match=f"^cloud value {spelled} has more digits than to_json can write$"):
+            _one_point(**values).to_json()
+    # ... and writes what it can: without shadows, a huge shadow is not written
+    assert '"exact"' not in _one_point(shadow=(HUGE_INT,)).to_json(include_exact=False)
 
 
 @pytest.mark.parametrize(

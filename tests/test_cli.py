@@ -136,6 +136,10 @@ def test_embed_circle(quad, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["circumference"] == "10"
     assert payload["positions"]["nu3"] == "3"
+    # a cycle that is not tight goes on the circle, whose matrix is the cycle's metric
+    assert main(["embed", str(quad), "--json"]) == 0
+    auto = json.loads(capsys.readouterr().out)
+    assert auto == payload and auto["matrix"]["matrix"][1][3] == "5"
 
 
 def test_cliques_json(cert_graph, capsys):
@@ -166,6 +170,21 @@ def test_isomorphic_exit_codes(tmp_path, capsys):
     g5 = write_graph(tmp_path / "g5.json", ["r", "u", "v", "w"], {**star, ("v", "w"): 3}, "r")
     assert main(["isomorphic", str(g4), str(g5)]) == 2
     assert "'u' and 'v' of the first graph" in capsys.readouterr().err
+    # 14 vertices, with labels apart beyond the tolerance: one weight 1 % heavier
+    # is no isomorphism, and neither is a copy with the labels of v00 and v01 equal
+    names = ["root"] + [f"v{i:02d}" for i in range(13)]
+    shape = {**{("root", v): 1 for v in names[1:]}, **dict.fromkeys(zip(names[1:], names[2:]), 1)}
+    a14 = synthesize_weights(WeightedRootedGraph(names, shape, "root"))
+    u, v = next(e for e in a14.edges() if "root" not in e)
+    files = [tmp_path / f"{name}14.json" for name in "abt"]
+    for path, graph in zip(files, (
+        a14,
+        a14.with_weight(u, v, a14.weight(u, v) * Fraction(101, 100)),
+        a14.with_weight("root", "v01", a14.weight("root", "v00")),
+    )):
+        path.write_text(graph.to_json(), encoding="utf-8")
+    for other in files[1:]:
+        assert main(["isomorphic", str(files[0]), str(other)]) == 1
 
 
 def test_fpc_certify_exit_codes(cert_graph, bad_triangle, capsys):
@@ -291,6 +310,12 @@ def test_readme_flow_at_default_depth_with_seven_non_edges(tmp_path, capsys):
     assert main(["realize", str(g), "--out", str(cloud)]) == 0
     assert main(["recover", str(cloud), "--out", str(h)]) == 0
     assert main(["isomorphic", str(g), str(h)]) == 0
+    # the recovered graph meets the three conditions, and exact recovery gives back g itself
+    capsys.readouterr()
+    assert main(["recover", str(cloud), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["invariant_violations"] == []
+    assert main(["recover", str(cloud), "--exact", "--out", str(h)]) == 0
+    assert main(["isomorphic", str(g), str(h), "--weight-tol-rel", "0"]) == 0
 
 
 def test_readme_library_quickstart_runs_as_written():
@@ -351,6 +376,9 @@ def test_recover_diag_out(cert_graph, tmp_path, capsys):
     assert payload["invariant_violations"] == []
     assert payload["rho0"]["r"] == "0"
     assert any(not row["adjacent"] for row in payload["pairs"])
+    # float recovery too: rho0 is 0 at the root and the root-edge weight elsewhere
+    assert main(["recover", str(cloud), "--out", str(out), "--diag-out", str(diag)]) == 0
+    assert json.loads(diag.read_text())["rho0"] == {"r": "0", "u": "1", "v": "2", "z": "3"}
 
 
 def test_subsample_stride(cert_graph, tmp_path, capsys):
@@ -371,6 +399,29 @@ def test_subsample_stride(cert_graph, tmp_path, capsys):
     assert "one of the arguments --indices --stride-offset --alternate-periods is required" in (
         capsys.readouterr().err
     )
+
+
+def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_path, capsys):
+    # with and without shadows, their subsamples and the one-point space
+    c, s, ne, nes, one, p5 = (str(tmp_path / f"{name}.json") for name in ("c", "s", "ne", "nes", "one", "p5"))
+    for argv in (
+        ["realize", str(cert_graph), "--out", c],
+        ["subsample", c, "--alternate-periods", "--out", s],
+        ["realize", str(cert_graph), "--no-exact", "--out", ne],
+        ["subsample", ne, "--alternate-periods", "--out", nes],
+        ["single-point", "--depth", "12", "--out", one],
+        # x_21 = 5**441 fits binary64
+        ["single-point", "--depth", "20", "--base", "5", "--out", p5],
+    ):
+        assert main(argv) == 0, argv
+    for path in (c, s, ne, nes, one, p5):
+        text = Path(path).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    for argv in (["recover", c, "--exact"], ["recover", s], ["recover", one]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert main(["recover", p5]) == 0
+    assert "recovered 1 classes" in capsys.readouterr().out
 
 
 def test_period_less_subsample_of_a_shallow_cloud_recovers(tmp_path, capsys):
@@ -599,6 +650,20 @@ def test_verdicts_that_no_other_test_prints(tmp_path, capsys):
         "failed_condition": "root_not_dominating",
         "witness_vertex": "v",
     }
+    # the tight cycle r-u-v-z lacks the chord u-z
+    tight = write_graph(
+        tmp_path / "tight.json",
+        ["r", "u", "v", "z"],
+        {("r", "u"): 1, ("r", "v"): 3, ("r", "z"): 6, ("u", "v"): 2, ("v", "z"): 3},
+        "r",
+    )
+    assert main(["fpc", "certify", str(tight), "--json"]) == 1
+    assert capsys.readouterr().out == json.dumps({
+        "verdict": "fail",
+        "failed_condition": "tight_cycle_not_clique",
+        "witness_pair": ["u", "z"],
+        "witness_cycle": {"vertices": ["r", "u", "v", "z"], "weights": ["1", "2", "3", "6"]},
+    }, indent=2) + "\n"
 
 
 def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
@@ -627,6 +692,10 @@ def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
         (["fpc", "from-metric", matrix["ragged"], "a"], "distance matrix must be square"),
         (["recover", str(tmp_path / "levels.json")], "cloud JSON levels must be a list"),
         (["realize", str(cert_graph), "--depth", "0"], "depth must be at least 1"),
+        # at level 171 the scale r = 171! itself leaves binary64
+        (["realize", str(cert_graph), "--depth", "171"], "level 171 overflows binary64; reduce depth"),
+        # x_22 = 5**484 does not fit binary64
+        (["single-point", "--depth", "21", "--base", "5"], "depth 21 overflows binary64 for base 5"),
         (["recover", cloud, "--window", "0"], "window must be positive"),
         (["recover", cloud, "--window", "13"], "window 13 exceeds cloud depth 12"),
         (["subsample", cloud, "--stride-offset", "2"], "offset must lie in [0, 2)"),

@@ -33,6 +33,7 @@ from metric_cluster.fpc import (
     witness_is_genuine,
 )
 from metric_cluster.metrization import DistanceMatrix, line_distance_matrix
+from metric_cluster.cli import main
 from metric_cluster.realization import build_plan
 
 from oracles import (
@@ -539,13 +540,28 @@ def test_clique_bound_requires_dominating_root():
         clique_bound_check(g)
 
 
-def test_cluster_cliques_match_deleted_subgraph_cliques():
+def test_cluster_cliques_match_deleted_subgraph_cliques(tmp_path, capsys):
     # with a dominating root, maximal cliques of the graph and of the
-    # root-deleted subgraph correspond one to one
+    # root-deleted subgraph correspond one to one, so the bound counts g's;
+    # fpc bound prints the count of the root-deleted subgraph's, brute force
     rng = random.Random(79)
-    for g in rng.sample(dominating_rooted_shapes(6), 20):
+    shapes = rng.sample(dominating_rooted_shapes(6), 20)
+    shapes += [random_dominating_shape(rng, n, p) for n in range(1, 12) for p in (0.2, 0.5, 0.8)]
+    shapes += [rooted_extremal_cluster(n) for n in range(1, 9)]
+    path = tmp_path / "g.json"
+    for g in shapes:
         with_root = maximal_cliques(g)
         report = clique_bound_check(g)
-        if len(g) >= 2:
-            assert len(with_root) == report.clique_count
+        assert len(with_root) == report.clique_count
         assert all(g.root in c for c in with_root)
+        rest = set(g.vertices) - {g.root}
+        count = len(brute_force_maximal_cliques(rest, {v: g._adj[v] & rest for v in rest})) or 1
+        bound = 1 if len(g) <= 2 else moon_moser_f(len(g) - 1)
+        path.write_text(g.to_json(), encoding="utf-8")
+        assert main(["fpc", "bound", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps({
+            "vertices": len(g),
+            "maximal_cliques_without_root": count,
+            "bound": bound,
+            "slack": bound - count,
+        }, indent=2) + "\n"

@@ -237,6 +237,20 @@ def test_cycle_type_validation():
         Cycle(("a", "b"), (Fraction(1), Fraction(1)))
     with pytest.raises(GraphError):
         Cycle(("a", "b", "a"), (Fraction(1),) * 3)
+    # vertices are vertex ids and weights rationals, read as a graph reads them
+    for vertices, weights, message in (
+        ("abc", (1, 1, 1), "cycle vertices must be a sequence of vertex ids, got str"),
+        (("a", ["b"], "c"), (1, 1, 1), "vertex id ['b'] is not a string"),
+        (("a", "b", "c"), 3, "cycle weights must be a sequence of rationals, got int"),
+        (("a", "b", "c"), (True, True, True), "not a rational literal: True"),
+        (("a", "b", "c"), (1.0, 1.0, 2.0), "refusing float weight 1.0: pass a string ('3/2' or '1.5') for exactness"),
+    ):
+        with pytest.raises(GraphError) as refused:
+            Cycle(vertices, weights)
+        assert str(refused.value) == message
+    c = Cycle(["a", "b", "c"], ("1", 1, Fraction(2)))
+    assert (c.vertices, c.weights) == (("a", "b", "c"), (1, 1, 2))
+    assert {type(w) for w in c.weights} == {Fraction} and c.is_tight()
 
 
 def test_a_cycle_of_the_graph_needs_each_edge_once():

@@ -289,6 +289,25 @@ def test_cloud_of_a_family_loaded_from_json_is_the_same():
     assert cloud.to_json() == generate_cloud(plan).to_json()
 
 
+def test_generate_cloud_refuses_a_plan_it_cannot_realize():
+    # a plan is a mutable dataclass: each field generate_cloud reads is named
+    plan = build_plan(graph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 2}, "r"), 4)
+    family = "plan family must be a non-empty list of distance matrices on the graph's vertices"
+    for field, value, message in (
+        ("depth", True, "depth must be at least 1"),
+        ("depth", -3, "depth must be at least 1"),
+        ("graph", None, "plan graph must be a WeightedRootedGraph, got NoneType"),
+        ("rule", None, "plan rule must be a ScalingRule, got NoneType"),
+        ("family", [], family),
+        ("family", plan.family[0], family),
+        ("family", [plan.family[0], None], family),
+        ("family", [DistanceMatrix(["r", "u"], [[0, 1], [1, 0]])], family),
+    ):
+        with pytest.raises(GraphError) as refused:
+            generate_cloud(dataclasses.replace(plan, **{field: value}))
+        assert str(refused.value) == message
+
+
 def test_cloud_json_round_trip():
     cloud = realize(ONE_GAP, depth=6)
     again = LeveledPointCloud.from_json(cloud.to_json())

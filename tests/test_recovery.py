@@ -7,7 +7,8 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from metric_cluster import fpc, graph_core
+import metric_cluster
+from metric_cluster import cli, fpc, graph_core
 from metric_cluster.graph_core import (
     GraphError,
     WeightedRootedGraph,
@@ -517,8 +518,11 @@ def test_validation_enumerates_no_cliques(monkeypatch):
     def refuse(*args):
         raise AssertionError("maximal cliques enumerated")
 
-    for module in (graph_core, fpc):
-        monkeypatch.setattr(module, "maximal_cliques_of", refuse)
+    # the one clique routine, wherever the package imports it
+    routine = graph_core.maximal_cliques
+    for module in (graph_core, fpc, cli, metric_cluster):
+        assert module.maximal_cliques is routine
+        monkeypatch.setattr(module, "maximal_cliques", refuse)
     assert validate_recovered_cluster(rc) == []
 
 
