@@ -13,7 +13,6 @@ from .graph_core import (
     GraphError,
     IsoMapping,
     WeightedRootedGraph,
-    is_dominating,
     is_weight_preserving_homomorphism,
     is_weight_preserving_monomorphism,
     isomorphic,

@@ -150,7 +150,7 @@ def _exponent_digits(text: str) -> int:
 
 def format_rational(value: Fraction) -> str:
     """Format a rational so that ``parse_rational`` round-trips bit-exactly."""
-    return str(value)
+    return _format_over([value.numerator], value.denominator)[0]
 
 
 def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -172,15 +172,21 @@ def _in_lowest_terms(q: int, rows: list) -> tuple[int, list]:
 
 
 def _format_over(numerators: Sequence[int], q: int) -> list[str]:
-    """Each a/q in lowest terms, as ``format_rational(Fraction(a, q))`` prints it."""
-    if q == 1:
-        return _each_once(str, numerators)
+    """Each a/q in lowest terms, as ``str(Fraction(a, q))`` prints it;
+    GraphError names the first past the int-to-str digit limit."""
 
     def spell(a: int) -> str:
         g = math.gcd(a, q)
         return str(a // g) if g == q else f"{a // g}/{q // g}"
 
-    return _each_once(spell, numerators)
+    try:
+        return _each_once(str if q == 1 else spell, numerators)
+    except ValueError:
+        for value in numerators if q == 1 else map(Fraction, numerators, repeat(q)):
+            try:
+                str(value)
+            except ValueError:
+                raise GraphError(f"value {_spelled(value)} has more digits than to_json can write") from None
 
 
 def _each_once(convert, values: Sequence) -> list:
@@ -533,15 +539,6 @@ def maximal_cliques(g: WeightedRootedGraph) -> list[frozenset[str]]:
 
     expand(set(), set(g.vertices), set())
     return sorted(out, key=lambda c: sorted(c))
-
-
-def is_dominating(g: WeightedRootedGraph, v: str) -> bool:
-    """True iff v is adjacent to every other vertex."""
-    if not isinstance(v, str):  # a list would not hash
-        raise _not_an_id(v)
-    if v not in g._adj:
-        raise GraphError(f"{v!r} is not a vertex")
-    return len(g._adj[v]) == len(g) - 1
 
 
 def _undominated_vertex(g: WeightedRootedGraph) -> Optional[str]:

@@ -83,16 +83,18 @@ class RealizationPlan:
 class CloudPoint:
     """One point of a level: binary64 coordinates and, when the cloud has an
     exact shadow for it, the integer numerators of its rational coordinates
-    over the level's common denominator ``q``."""
+    over the level's common denominator ``q``; the coordinates are then the
+    shadow rounded to binary64, derived from it where given as None."""
 
     label: Optional[str]
-    coords: tuple[float, ...]
+    coords: Optional[tuple[float, ...]]
     exact: Optional[tuple[int, ...]] = None
 
 
 @dataclass
 class CloudLevel:
-    """One level: scale r (binary64 and, optionally, exact) and its points.
+    """One level: scale r (binary64 and, optionally, exact: r is then
+    r_exact rounded, derived from it where given as None) and its points.
 
     ``q`` is the least common denominator of the exact shadows of the
     level's points, which carry integer numerators over it: point p's j-th
@@ -101,7 +103,7 @@ class CloudLevel:
     """
 
     n: int
-    r: float
+    r: Optional[float]
     r_exact: Optional[Fraction]
     points: list[CloudPoint]
     q: Optional[int] = None
@@ -118,9 +120,9 @@ class LeveledPointCloud:
 
     Construction checks ``dimension``, ``period``, then each level's ``n``,
     points, labels, ``q``, ``r`` and ``r_exact``, and that a level has a
-    point; it holds an int coordinate as its float and shadows in lowest
-    terms. The JSON reader hands its fields over, so a file and the same
-    value in code are refused alike.
+    point; it holds an int coordinate as its float, shadows in lowest terms
+    and the floats it derives from them. The JSON reader hands its fields
+    over, so a file and the same value in code are refused alike.
     """
 
     dimension: int
@@ -177,14 +179,14 @@ class LeveledPointCloud:
         for lvl in self.levels:
             points = []
             for p in lvl.points:
-                item: dict = {"label": p.label, "coords": list(p.coords)}
                 if include_exact and p.exact is not None:
-                    item["exact"] = _format_over(p.exact, lvl.q)
-                points.append(item)
-            entry: dict = {"n": lvl.n, "r": repr(lvl.r), "points": points}
+                    points.append({"label": p.label, "exact": _format_over(p.exact, lvl.q)})
+                else:
+                    points.append({"label": p.label, "coords": list(p.coords)})
             if include_exact and lvl.r_exact is not None:
-                entry["r_exact"] = format_rational(lvl.r_exact)
-            levels.append(entry)
+                levels.append({"n": lvl.n, "points": points, "r_exact": format_rational(lvl.r_exact)})
+            else:
+                levels.append({"n": lvl.n, "r": repr(lvl.r), "points": points})
         return {
             "norm": "sup",
             "dimension": self.dimension,
@@ -223,39 +225,26 @@ class LeveledPointCloud:
         GraphError names a value past the interpreter's int-to-str digit limit."""
         out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
         _array(out, ["0.0"] * self.dimension, _BASEPOINT)
-        try:
-            out += (',\n  "period": ', json.dumps(self.period), ',\n  "levels": ')
-            opening = "[\n    {"
-            for lvl in self.levels:
-                out += (
-                    opening, '\n      "n": ', json.dumps(lvl.n),
-                    ',\n      "r": ', _json_scalar(repr(lvl.r)), ',\n      "points": ',
-                )
-                opening = ",\n    {"
-                _write_points(out, lvl, include_exact)
-                if include_exact and lvl.r_exact is not None:
-                    out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
-                out.append("\n    }")
-        except ValueError:  # an int past the interpreter's int-to-str digit limit
-            raise _unwritable(self, include_exact) from None
+        period = "null" if self.period is None else format_rational(self.period)
+        out += (',\n  "period": ', period, ',\n  "levels": ')
+        opening = "[\n    {"
+        for lvl in self.levels:
+            out += (opening, '\n      "n": ', format_rational(lvl.n))
+            opening = ",\n    {"
+            shadowed = include_exact and lvl.r_exact is not None
+            if not shadowed:
+                out += (',\n      "r": ', _json_scalar(repr(lvl.r)))
+            out.append(',\n      "points": ')
+            _write_points(out, lvl, include_exact)
+            if shadowed:
+                out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
+            out.append("\n    }")
         out.append("\n  ]\n}")
         return "".join(out)
 
     @classmethod
     def from_json(cls, text: str) -> "LeveledPointCloud":
         return cls.from_json_dict(_json_document(text, "cloud JSON"))
-
-
-def _unwritable(cloud: LeveledPointCloud, include_exact: bool) -> GraphError:
-    """GraphError naming, by its sign and bit length, the first value that
-    ``to_json`` writes and str() cannot spell."""
-    for lvl in cloud.levels:
-        exact = [*(Fraction(a, lvl.q) for p in lvl.points for a in p.exact or ()), lvl.r_exact]
-        for value in [cloud.period, lvl.n, *(exact if include_exact else ())]:
-            try:
-                str(value)
-            except ValueError:
-                return GraphError(f"cloud value {_spelled(value)} has more digits than to_json can write")
 
 
 def _unpacked_level(entry: dict) -> CloudLevel:
@@ -269,13 +258,13 @@ def _unpacked_level(entry: dict) -> CloudLevel:
         points = [
             CloudPoint(
                 item.get("label"),
-                tuple(coords) if isinstance(coords := item["coords"], list) else coords,
+                tuple(coords) if isinstance(coords := item.get("coords"), list) else coords,
                 shadow if isinstance(exact, list) else exact,
             )
             if isinstance(item, dict) else item
             for item, exact, shadow in zip(points, exacts, shadows)
         ]
-    return CloudLevel(entry["n"], entry["r"], entry.get("r_exact"), points, q)
+    return CloudLevel(entry["n"], entry.get("r"), entry.get("r_exact"), points, q)
 
 
 def _with_points(levels: list[CloudLevel]) -> list[CloudLevel]:
@@ -307,24 +296,49 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
     shadows = list(map(_EXACT_OF, points))
     if any(shadows):
         refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
-        q, reduced = _in_lowest_terms(_integer(lvl.q, 1, refusal), shadows)
-        if reduced is not shadows:
-            points = list(map(CloudPoint, labels, map(_COORDS_OF, points), reduced))
-    r = _positive_scale(lvl.r, level)
-    return CloudLevel(n, r, _positive_exact_scale(lvl.r_exact, level), points, q)
+        q, shadows = _in_lowest_terms(_integer(lvl.q, 1, refusal), shadows)
+        points = _with_shadow_coords(points, shadows, q, level)
+    r = None if lvl.r is None else _positive_scale(lvl.r, level)
+    r_exact = _positive_exact_scale(lvl.r_exact, level)
+    if r_exact is not None:
+        r_float = _positive_scale(r_exact, level)
+        if r not in (None, r_float):
+            raise GraphError(f"level {level} has scale r = {r!r}, but r_exact rounds to {r_float!r}")
+        r = r_float
+    if r is None:
+        raise GraphError(f"level {level} has neither r nor r_exact")
+    return CloudLevel(n, r, r_exact, points, q)
+
+
+def _with_shadow_coords(points: list[CloudPoint], shadows: list, q: int, level: str) -> list[CloudPoint]:
+    """The points, each with its shadow over q and, from a shadow, the
+    coordinates ``a / q``, which int true division rounds correctly: GraphError
+    when one leaves binary64 or differs from a coordinate given."""
+    out = []
+    for p, shadow in zip(points, shadows):
+        try:
+            coords = shadow and tuple([a / q for a in shadow])
+        except OverflowError as exc:
+            raise GraphError(f"point {p.label!r} at level {level} has a coordinate beyond binary64: {exc}") from exc
+        if shadow and p.coords not in (None, coords):
+            refusal = f"has coords {list(p.coords)}, but its exact shadow rounds to {list(coords)}"
+            raise GraphError(f"point {p.label!r} at level {level} {refusal}")
+        out.append(CloudPoint(p.label, coords or p.coords, shadow))
+    return out
 
 
 def _read_level_points(points: Sequence, dimension: int) -> Optional[list[CloudPoint]]:
     """The level's points, checked for the whole level at once, or None
     unless each is a ``CloudPoint`` as a cloud holds it: a string or None
-    label, a tuple of ``dimension`` finite floats and None or a tuple of
-    ``dimension`` ints."""
+    label, and a tuple of ``dimension`` finite floats, a tuple of
+    ``dimension`` ints, or both."""
     if not set(map(type, points)) <= {CloudPoint}:
         return None
-    coords = list(map(_COORDS_OF, points))
+    coords = [c for c in map(_COORDS_OF, points) if c is not None]
     exacts = [exact for exact in map(_EXACT_OF, points) if exact is not None]
     if not (
-        set(map(type, map(_LABEL_OF, points))) <= {str, type(None)}
+        (None, None) not in zip(map(_COORDS_OF, points), map(_EXACT_OF, points))
+        and set(map(type, map(_LABEL_OF, points))) <= {str, type(None)}
         and set(map(type, chain(coords, exacts))) <= {tuple}
         and set(map(len, chain(coords, exacts))) <= {dimension}
         and set(map(type, chain.from_iterable(exacts))) <= {int}
@@ -341,8 +355,8 @@ _LABEL_OF, _COORDS_OF, _EXACT_OF = map(operator.attrgetter, ("label", "coords", 
 
 
 def _read_point(p, level: str, dimension: int) -> CloudPoint:
-    """One point as a cloud holds it: float coordinates, and a tuple of ints
-    or None for its shadow."""
+    """One point as a cloud holds it: float coordinates, a tuple of ints for
+    its shadow, or both, and None for what it lacks."""
     if not isinstance(p, CloudPoint):
         raise GraphError(f"point {p!r} at level {level} is not an object")
     label, coords, exact = p.label, p.coords, p.exact
@@ -350,18 +364,21 @@ def _read_point(p, level: str, dimension: int) -> CloudPoint:
     if label is not None and not isinstance(label, str):
         raise GraphError(f"point label {label!r} at level {level} is not a string")
     # a string would be read character by character
-    if not isinstance(coords, (list, tuple)) or not isinstance(exact, (list, tuple, type(None))):
+    if not all(isinstance(x, (list, tuple, type(None))) for x in (coords, exact)):
         raise GraphError(
             f"point {label!r} at level {level} has coordinates that are not a JSON list"
         )
+    # an empty shadow, like a missing one, is none
+    if coords is None and not exact:
+        raise GraphError(f"point {label!r} at level {level} has neither coords nor an exact shadow")
     # float() would read JSON true and false as 1.0 and 0.0, and a string as
     # the number it spells
-    for x in coords:
+    for x in coords or ():
         if isinstance(x, (bool, str)):
             kind = "a JSON string" if isinstance(x, str) else "a JSON true or false"
             raise GraphError(f"point {label!r} at level {level} has a non-numeric coordinate: {kind}")
     try:
-        coords = tuple(map(float, coords))
+        coords = None if coords is None else tuple(map(float, coords))
     except TypeError as exc:
         raise GraphError(
             f"point {label!r} at level {level} has a non-numeric coordinate: {exc}"
@@ -370,16 +387,16 @@ def _read_point(p, level: str, dimension: int) -> CloudPoint:
         raise GraphError(
             f"point {label!r} at level {level} has a coordinate beyond binary64: {exc}"
         ) from exc
-    if not all(map(math.isfinite, coords)):
+    if not all(map(math.isfinite, coords or ())):
         raise GraphError(f"point {label!r} at level {level} has a NaN or infinite coordinate")
-    # sup_distance zips coordinates: a short list would be cut silently; an
-    # empty shadow, like a missing one, is none
-    if len(coords) != dimension or (exact and len(exact) != dimension):
+    # sup_distance zips coordinates: a short list would be cut silently
+    exact = tuple(exact) if exact else None
+    if any(x is not None and len(x) != dimension for x in (coords, exact)):
         coordinates = f"{_spelled(dimension)} coordinates"
         raise GraphError(f"point {label!r} at level {level} does not have {coordinates}")
     for a in exact or ():
         _integer(a, -math.inf, f"level {level} has a shadow numerator that is no int: {{value!r}}")
-    return CloudPoint(label, coords, tuple(exact) if exact else None)
+    return CloudPoint(label, coords, exact)
 
 
 def _refuse_repeated_label(labels: list, level: str) -> None:
@@ -471,39 +488,26 @@ def _array(out: list, items: list[str], layout: tuple[str, str, str]) -> None:
 
 
 def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
-    """Appends the ``points`` array of a level to ``out``. Each distinct
-    number of the level is spelled once, and each point's ``coords`` and
-    ``exact`` are one join over its slice of the level's spellings."""
+    """Appends the ``points`` array of a level to ``out``: each point's
+    ``exact`` when it is written, and its ``coords`` otherwise. Each distinct
+    exact value of the level is spelled once."""
     if not lvl.points:
         out.append("[]")
         return
-    coords = _level_float_items(list(chain.from_iterable(p.coords for p in lvl.points)))
-    shadows = [p.exact for p in lvl.points if p.exact is not None] if include_exact else []
-    exact = _format_over(list(chain.from_iterable(shadows)), lvl.q)
-    at_coords = at_exact = 0
+    shadowed = [include_exact and p.exact is not None for p in lvl.points]
+    exact = iter(_format_over([a for p, s in zip(lvl.points, shadowed) if s for a in p.exact], lvl.q))
     opening = "[\n        {"
-    for p in lvl.points:
-        out += (opening, '\n          "label": ', _json_scalar(p.label), ',\n          "coords": ')
+    for p, s in zip(lvl.points, shadowed):
+        out += (opening, '\n          "label": ', _json_scalar(p.label))
         opening = ",\n        {"
-        end = at_coords + len(p.coords)
-        _array(out, coords[at_coords:end], _COORDS)
-        at_coords = end
-        if include_exact and p.exact is not None:
+        if s:
             out.append(',\n          "exact": ')
-            end = at_exact + len(p.exact)
-            _array(out, exact[at_exact:end], _EXACT)
-            at_exact = end
+            _array(out, list(islice(exact, len(p.exact))), _EXACT)
+        else:
+            out.append(',\n          "coords": ')
+            _array(out, list(map(float.__repr__, p.coords)), _COORDS)
         out.append("\n        }")
     out.append("\n      ]")
-
-
-def _level_float_items(values: list[float]) -> list[str]:
-    """The JSON spelling of each of a level's coordinates, finite floats:
-    ``float.__repr__`` is computed once per distinct value."""
-    distinct = set(values)
-    table = dict(zip(distinct, map(float.__repr__, distinct)))
-    # 0.0 == -0.0 as keys: each zero keeps its own sign
-    return [table[x] if x else float.__repr__(x) for x in values]
 
 
 def _json_scalar(value) -> str:

@@ -43,10 +43,11 @@ def _loaded(path, value):
     return mc.LeveledPointCloud.from_json_dict(doc)
 
 
-def _one_point(period=None, n=1, shadow=None, r_exact=None):
-    """A one-point cloud built in code with these values."""
+def _one_point(period=None, n=1, shadow=None, r_exact=None, q=1):
+    """A one-point cloud built in code with these values, at 1.0 and scale
+    1.0: a shadow over q and r_exact must round to 1.0."""
     point = CloudPoint("a", (1.0,), shadow)
-    return mc.LeveledPointCloud(1, [CloudLevel(n, 1.0, r_exact, [point], 1)], period)
+    return mc.LeveledPointCloud(1, [CloudLevel(n, 1.0, r_exact, [point], q)], period)
 
 
 def _recorded(**tolerances):
@@ -192,7 +193,7 @@ def test_library_fuzz_argument_types(call, data):
         lambda: G.with_edge([1], [2], 1),
         lambda: G.without_edge([1], [2]),
         lambda: G.relabel({**IDENTITY, "r": [1]}),
-        lambda: mc.is_dominating(G, [1]),
+        lambda: G.weight([1], [2]),
         # a cycle reads its vertices as ids and its weights as rationals: floats
         # made a line embedding of mixed binary64, a bool is no weight, a list
         # vertex raised a bare TypeError, and a string was read as its characters
@@ -208,11 +209,18 @@ def test_library_fuzz_argument_types(call, data):
         lambda: mc.generate_cloud(dataclasses.replace(PLAN, family=[])),
         lambda: mc.generate_cloud(dataclasses.replace(PLAN, family=[mc.DistanceMatrix(["r", "u"], [[0, 1], [1, 0]])])),
         lambda: mc.generate_cloud(dataclasses.replace(PLAN, graph=None)),
-        # values past the int-to-str digit limit, which the writer raised a bare ValueError for
+        # values past the int-to-str digit limit, which the writers raised a bare ValueError for
         lambda: _one_point(n=HUGE_INT).to_json(),
         lambda: _one_point(period=HUGE_INT).to_json(),
-        lambda: _one_point(shadow=(HUGE_INT,)).to_json(),
-        lambda: _one_point(r_exact=Fraction(HUGE_INT)).to_json(),
+        lambda: _one_point(shadow=(HUGE_INT + 1,), q=HUGE_INT).to_json(),
+        lambda: _one_point(r_exact=Fraction(HUGE_INT + 1, HUGE_INT)).to_json(),
+        lambda: mc.WeightedRootedGraph(["r", "u"], {("r", "u"): HUGE_INT}, "r").to_json(),
+        lambda: mc.DistanceMatrix(["a", "b"], [[0, HUGE_INT], [HUGE_INT, 0]]).to_json(),
+        lambda: mc.FpcCertificate(False, witness_cycle=mc.Cycle(("a", "b", "c"), (HUGE_INT, HUGE_INT, 1))).to_json(),
+        lambda: _one_point(shadow=(HUGE_INT + 1,), q=HUGE_INT).to_json_dict(),
+        # a shadow or an exact scale beyond binary64, where its float is derived
+        lambda: _one_point(shadow=(HUGE_INT,)),
+        lambda: _one_point(r_exact=Fraction(HUGE_INT)),
     ],
 )
 def test_arguments_refused_as_graph_error(call):
@@ -242,7 +250,7 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
         mc.moon_moser_f(-10**5000)
     # a cloud built in code may hold such a level n: its second fault names the level by its bits
     faults = {
-        "non-numeric coordinate": lambda level: level["points"][1]["coords"].__setitem__(0, None),
+        "non-numeric coordinate": lambda level: level["points"][1].__setitem__("coords", [None] * 4),
         "scale r that is not a binary64 number": lambda level: level.__setitem__("r", "x"),
         "duplicate label 'u'": lambda level: level["points"].append(dict(level["points"][1])),
         "exact scale r_exact = -1": lambda level: level.__setitem__("r_exact", "-1"),
@@ -256,17 +264,21 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
             mc.LeveledPointCloud.from_json_dict(doc)
         assert message in str(refused.value)
         assert "level a positive int of 16610 bits" in str(refused.value)
-    # the writer names the first such value it would write, which no JSON text holds
-    for values, spelled in (
-        ({"n": HUGE_INT}, "a positive int of 16610 bits"),
-        ({"period": HUGE_INT, "n": HUGE_INT}, "a positive int of 16610 bits"),
-        ({"shadow": (-HUGE_INT,)}, "a negative Fraction of 16610 bits"),
-        ({"r_exact": Fraction(1, HUGE_INT)}, "a positive Fraction of 1 bits over 16610 bits"),
+    # a writer names the first such value it would write, which no JSON text holds
+    huge = Fraction(HUGE_INT + 1, HUGE_INT)  # 1.0 in binary64
+    for write, spelled in (
+        (_one_point(n=HUGE_INT).to_json, "a positive int of 16610 bits"),
+        (_one_point(period=HUGE_INT, n=HUGE_INT).to_json, "a positive int of 16610 bits"),
+        (_one_point(shadow=(HUGE_INT + 1,), q=HUGE_INT).to_json, "a positive Fraction of 16610 bits over 16610 bits"),
+        (_one_point(r_exact=huge).to_json, "a positive Fraction of 16610 bits over 16610 bits"),
+        (mc.WeightedRootedGraph(["r", "u"], {("r", "u"): HUGE_INT}, "r").to_json, "a positive int of 16610 bits"),
+        (mc.DistanceMatrix(["a", "b"], [[0, huge], [huge, 0]]).to_json, "a positive Fraction of 16610 bits over 16610 bits"),
+        (mc.Cycle(("a", "b", "c"), (1, -HUGE_INT, 1)).to_json_dict, "a negative int of 16610 bits"),
     ):
-        with pytest.raises(GraphError, match=f"^cloud value {spelled} has more digits than to_json can write$"):
-            _one_point(**values).to_json()
+        with pytest.raises(GraphError, match=f"^value {spelled} has more digits than to_json can write$"):
+            write()
     # ... and writes what it can: without shadows, a huge shadow is not written
-    assert '"exact"' not in _one_point(shadow=(HUGE_INT,)).to_json(include_exact=False)
+    assert '"exact"' not in _one_point(shadow=(HUGE_INT + 1,), q=HUGE_INT).to_json(include_exact=False)
 
 
 @pytest.mark.parametrize(

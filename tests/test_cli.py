@@ -549,15 +549,16 @@ def test_disconnected_graph_exit_2(tmp_path, capsys):
     assert "component" in capsys.readouterr().err
 
 
-def realized_cloud(cert_graph, tmp_path) -> dict:
+def realized_cloud(cert_graph, tmp_path, *options) -> dict:
     cloud = tmp_path / "cloud.json"
-    assert main(["realize", str(cert_graph), "--depth", "12", "--out", str(cloud)]) == 0
+    assert main(["realize", str(cert_graph), "--depth", "12", "--out", str(cloud), *options]) == 0
     return json.loads(cloud.read_text(encoding="utf-8"))
 
 
 def test_short_coordinates_exit_2(cert_graph, tmp_path, capsys):
-    data = realized_cloud(cert_graph, tmp_path)
-    for key in ("coords", "exact"):
+    # a point's coords are written where it has no shadow written
+    floats = realized_cloud(cert_graph, tmp_path, "--no-exact")
+    for key, data in (("coords", floats), ("exact", realized_cloud(cert_graph, tmp_path))):
         cut = json.loads(json.dumps(data))
         for level in cut["levels"]:
             for point in level["points"]:
@@ -577,12 +578,26 @@ def test_cloud_level_missing_field_exit_2(cert_graph, tmp_path, capsys):
         path.write_text(json.dumps(broken), encoding="utf-8")
         assert main(["recover", str(path)]) == 2
         assert drop in capsys.readouterr().err
-    broken = json.loads(json.dumps(data))
-    del broken["levels"][3]["points"][1]["coords"]
-    path = tmp_path / "no_coords.json"
-    path.write_text(json.dumps(broken), encoding="utf-8")
-    assert main(["recover", str(path)]) == 2
-    assert "coords" in capsys.readouterr().err
+    # a point's coordinates and a level's scale come from the shadows and
+    # r_exact where a cloud has them, and from coords and r where it has not
+    floats = realized_cloud(cert_graph, tmp_path, "--no-exact")
+    for doc, drop, message in (
+        (floats, ["levels", 3, "points", 1, "coords"], "point 'u' at level 4 has neither coords nor an exact shadow"),
+        (data, ["levels", 3, "points", 1, "exact"], "point 'u' at level 4 has neither coords nor an exact shadow"),
+        (floats, ["levels", 3, "r"], "level 4 has neither r nor r_exact"),
+        (data, ["levels", 3, "r_exact"], "level 4 has neither r nor r_exact"),
+    ):
+        broken = json.loads(json.dumps(doc))
+        *parents, last = drop
+        target = broken
+        for key in parents:
+            target = target[key]
+        del target[last]
+        path = tmp_path / "no_field.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        for exact in ([], ["--exact"]):
+            assert main(["recover", str(path), *exact]) == 2
+            assert message in capsys.readouterr().err
 
 
 def test_duplicate_label_in_a_level_exit_2(cert_graph, tmp_path, capsys):
@@ -820,8 +835,11 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
 
 
 def _set_coordinate(value):
+    """The point given coords next to its shadow, the first one ``value``: a
+    coordinate is checked before it is compared with its shadow."""
     def edit(data):
-        data["levels"][3]["points"][1]["coords"][0] = value
+        point = data["levels"][3]["points"][1]
+        point["coords"] = [value] + [0.0] * (len(point["exact"]) - 1)
     return edit
 
 
@@ -918,36 +936,82 @@ def test_bad_cloud_number_exit_2(cert_graph, tmp_path, capsys, edit, message):
         assert message in capsys.readouterr().err
 
 
+TINY = Fraction(1, 2**1074)  # 5e-324, the least subnormal binary64 number
+
+
 def test_tiny_scale_exit_2(cert_graph, tmp_path, capsys):
-    # finite and positive, so the loader accepts it, but every normalized
-    # distance of the level overflows binary64
-    data = realized_cloud(cert_graph, tmp_path)
-    data["levels"][-1]["r"] = "5e-324"
-    path = tmp_path / "tiny_scale.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["recover", str(path)]) == 2
-    assert "not finite" in capsys.readouterr().err
-    # exact recovery measures against r_exact, which is intact
-    out = tmp_path / "h.json"
-    assert main(["recover", str(path), "--exact", "--out", str(out)]) == 0
-    assert WeightedRootedGraph.from_json(out.read_text()) == WeightedRootedGraph.from_json(
-        cert_graph.read_text()
-    )
+    # a subnormal scale, finite and positive, so the loader accepts it, but
+    # every normalized distance of the level overflows binary64: the scale is
+    # r_exact in a cloud with shadows and r in one without
+    for options, field, value in (((), "r_exact", str(TINY)), (("--no-exact",), "r", "5e-324")):
+        data = realized_cloud(cert_graph, tmp_path, *options)
+        data["levels"][-1][field] = value
+        path = tmp_path / "tiny_scale.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["recover", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
 
 
 def test_exact_values_beyond_binary64_exit_2(cert_graph, tmp_path, capsys):
-    # the loader takes exact values of any size; the normalized distances
-    # exact recovery reports in binary64 are 10**400 times too large for it
+    # exact recovery reports its normalized distances in binary64: against a
+    # subnormal exact scale they are too large for it
+    data = realized_cloud(cert_graph, tmp_path)
+    data["levels"][-1]["r_exact"] = str(TINY)
+    path = tmp_path / "tiny_exact_scale.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["recover", str(path), "--exact"]) == 2
+    assert "does not fit binary64" in capsys.readouterr().err
+    # shadows 10**400 times too large for binary64 give no coordinates
     data = realized_cloud(cert_graph, tmp_path)
     for level in data["levels"]:
         for point in level["points"]:
             point["exact"] = [str(Fraction(x) * 10**400) for x in point["exact"]]
     path = tmp_path / "huge_exact.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["recover", str(path), "--exact"]) == 2
-    assert "does not fit binary64" in capsys.readouterr().err
-    # float recovery reads the coordinates, which are intact
-    assert main(["recover", str(path)]) == 0
+    for exact in ([], ["--exact"]):
+        assert main(["recover", str(path), *exact]) == 2
+        assert "point 'u' at level 1 has a coordinate beyond binary64" in capsys.readouterr().err
+
+
+def test_coordinates_or_a_scale_apart_from_their_shadows_exit_2(tmp_path, capsys):
+    # both halves written, as a file may hold them: r-u 1, r-v 2 with u's
+    # coordinates 1.5 times its shadow read r-u 3/2 in float recovery and r-u
+    # 1 in exact recovery, and both exited 0
+    g = write_graph(tmp_path / "g.json", ["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 2}, "r")
+    cloud = tmp_path / "c.json"
+    assert main(["realize", str(g), "--depth", "8", "--out", str(cloud)]) == 0
+    # the writer writes one half: the shadow and r_exact
+    written = json.loads(cloud.read_text(encoding="utf-8"))["levels"]
+    assert not any("r" in level or any("coords" in p for p in level["points"]) for level in written)
+
+    def rounded(point):
+        return [float(Fraction(x)) for x in point["exact"]]
+
+    def scale_u(data):
+        for level in data["levels"]:
+            level["points"][1]["coords"] = [1.5 * x for x in rounded(level["points"][1])]
+
+    def one_ulp(data):
+        point = data["levels"][3]["points"][1]
+        point["coords"] = [math.nextafter(x, math.inf) if j == 0 else x for j, x in enumerate(rounded(point))]
+
+    def scale_apart(data):
+        level = data["levels"][3]
+        level["r"] = repr(math.nextafter(float(Fraction(level["r_exact"])), 0))
+
+    for edit, message in (
+        (scale_u, "point 'u' at level 1 has coords [1.5, -1.5, 0.0], but its exact shadow rounds to [1.0, -1.0, 0.0]"),
+        (one_ulp, "point 'u' at level 4 has coords [24.000000000000004, -24.0, 24.0], but its exact shadow rounds to "
+                  "[24.0, -24.0, 24.0]"),
+        (scale_apart, "level 4 has scale r = 23.999999999999996, but r_exact rounds to 24.0"),
+    ):
+        data = json.loads(cloud.read_text(encoding="utf-8"))
+        edit(data)
+        path = tmp_path / "apart.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for exact in ([], ["--exact"]):
+            assert main(["recover", str(path), *exact]) == 2
+            assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -324,18 +324,43 @@ def test_cloud_json_round_trip():
     assert not stripped.has_exact()
 
 
-# SHA-256 of the cloud bytes as recorded when every coordinate was built as a
-# Fraction; a change of the realization family changes them by design
+def _both_halves(cloud) -> str:
+    """The cloud's text as the writer laid it out while it wrote both halves
+    of a shadowed point: each point's coords before its exact, and each
+    level's r before its points and r_exact after them."""
+    doc, shadows = cloud.to_json_dict(include_exact=False), cloud.to_json_dict()
+    for level, shadowed in zip(doc["levels"], shadows["levels"]):
+        for point, exact in zip(level["points"], shadowed["points"]):
+            point.update({"exact": exact["exact"]} if "exact" in exact else {})
+        level.update({"r_exact": shadowed["r_exact"]} if "r_exact" in shadowed else {})
+    return json.dumps(doc, indent=2)
+
+
+# SHA-256 of the cloud bytes: of both halves as recorded when every
+# coordinate was built as a Fraction, and of the text now written, from which
+# the binary64 half of every shadowed value is derived; a change of the
+# realization family changes them by design
 PINNED_CLOUDS = [
-    (12, None, "05d61c90495f2e19ea0360cac6c657cea208df007d1f3cd5eb02e3083e0f310b"),
-    (6, ScalingRule("power_square", 3), "9321a9e6792711e2176a3a3ea424d49b93b5bcb810621e0dc6241969276938cd"),
+    (12, None, "05d61c90495f2e19ea0360cac6c657cea208df007d1f3cd5eb02e3083e0f310b",
+     "3179984457112400d7e64f3e13c713b030b2f4a1c83f0d6a825f040e83c73469"),
+    (6, ScalingRule("power_square", 3), "9321a9e6792711e2176a3a3ea424d49b93b5bcb810621e0dc6241969276938cd",
+     "5bd5ede5672c448a07fdf449e66188af08b8f1473fbaee5cf0124ce9460662a2"),
 ]
 
 
-@pytest.mark.parametrize("depth, rule, digest", PINNED_CLOUDS)
-def test_cloud_bytes_are_pinned(depth, rule, digest):
-    text = realize(ONE_GAP, depth, rule).to_json()
+@pytest.mark.parametrize(
+    "depth, rule, both_digest, digest",
+    PINNED_CLOUDS,
+    ids=[f"{depth}-{'rule1' if rule else None}-{both}" for depth, rule, both, _ in PINNED_CLOUDS],
+)
+def test_cloud_bytes_are_pinned(depth, rule, both_digest, digest):
+    cloud = realize(ONE_GAP, depth, rule)
+    text, both = cloud.to_json(), _both_halves(cloud)
+    assert hashlib.sha256(both.encode()).hexdigest() == both_digest
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # a file with both halves, which agree, loads to the same cloud
+    assert LeveledPointCloud.from_json(both) == cloud
+    assert LeveledPointCloud.from_json(both).to_json() == text
 
 
 @pytest.mark.parametrize(
@@ -371,13 +396,16 @@ def test_unreduced_shadows_load_over_the_least_denominator():
 
 
 def test_partly_shadowed_level_loads_writes_back_and_is_not_exact():
-    data = json.loads(realize(CERT_TRIANGLE, 12).to_json())
+    realized = realize(CERT_TRIANGLE, 12)
+    data = json.loads(realized.to_json())
     level = data["levels"][0]
     assert any("/" in x for item in level["points"] for x in item["exact"])
-    # keep the shadow only where a coordinate has a denominator
-    for item in level["points"]:
+    # keep the shadow only where a coordinate has a denominator, and the
+    # coordinates elsewhere
+    for item, point in zip(level["points"], realized.levels[0].points):
         if not any("/" in x for x in item["exact"]):
             del item["exact"]
+            item["coords"] = list(point.coords)
     cloud = LeveledPointCloud.from_json(json.dumps(data))
     assert json.loads(cloud.to_json()) == data
     assert not cloud.has_exact()
@@ -477,7 +505,7 @@ def test_one_pass_level_parse_matches_the_oracle_on_random_levels(shadows):
 def test_a_malformed_shadow_is_named_before_a_later_point_fault():
     data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
     points = data["levels"][1]["points"]
-    points[2]["coords"][0] = "x"
+    points[2]["coords"] = ["x", 0.0, 0.0]
     points[1]["exact"][0] = "1/-2"
     points[0]["exact"][1] = "3/"
 
@@ -496,17 +524,18 @@ def test_a_malformed_shadow_is_named_before_a_later_point_fault():
 def test_a_level_checked_at_once_reads_as_point_by_point():
     data = json.loads(realize(ONE_GAP, 6).to_json())
     dimension, levels = data["dimension"], data["levels"]
-    levels[2]["points"][1]["exact"] = []
-    del levels[3]["points"][2]["exact"]
+    levels[2]["points"][1].update(coords=[0.5] * dimension, exact=[])
+    levels[3]["points"][2] = {"label": "v", "coords": [1.5] * dimension}
     levels[4]["points"][0]["label"] = None
+    levels[5]["points"][0]["coords"] = [0.0] * dimension  # the root's shadow rounded
     for level in map(_unpacked_level, levels):
         read = _read_level_points(level.points, dimension)
         assert read is not None
         assert read == [_read_point(p, str(level.n), dimension) for p in level.points]
     # the writer writes no int coordinate: its level is read point by point
-    levels[0]["points"][1]["coords"][0] = 0
+    levels[0]["points"][0]["coords"] = [0] * dimension
     assert _read_level_points(_unpacked_level(levels[0]).points, dimension) is None
-    assert LeveledPointCloud.from_json_dict(data).levels[0].points[1].coords[0] == 0.0
+    assert type(LeveledPointCloud.from_json_dict(data).levels[0].points[0].coords[0]) is float
 
 
 def check_writer(cloud):
@@ -515,16 +544,17 @@ def check_writer(cloud):
 
 
 def _odd_cloud():
-    """Unlabeled and non-ASCII points, an int coordinate, subnormal and huge
-    ones, an empty shadow, a level without points and one without exact data."""
+    """Unlabeled and non-ASCII points, shadowed points with and without their
+    coordinates, an int coordinate, subnormal and huge ones, an empty shadow,
+    a level without points and one without exact data."""
     return LeveledPointCloud(
         dimension=2,
         levels=[
-            CloudLevel(1, 2.0, Fraction(2), [
-                CloudPoint(None, (0.0, -5e-324), (0, 3)),
-                CloudPoint("é\n\"µ", (-7.5, 1.5), (1, -3)),
-                CloudPoint("v", (1, 2.5e-300), None),
-                CloudPoint("w", (0.5, -0.0), ()),
+            CloudLevel(1, None, Fraction(2), [
+                CloudPoint(None, None, (0, 3)),
+                CloudPoint("é\n\"µ", (0.5, -1.5), (1, -3)),
+                CloudPoint("v", (1, -5e-324), None),
+                CloudPoint("w", (2.5e-300, -0.0), ()),
             ], q=2),
             CloudLevel(2, 6.0, None, [], q=None),
             CloudLevel(3, 1e300, None, [CloudPoint("z", (0.1, 1e22))], q=None),
@@ -537,7 +567,8 @@ def _equal_but_spelled_apart_cloud():
     """Values that compare equal but print apart, which a table keyed on the
     values of a level would print alike: 0.0 before -0.0 and 1.0 before an
     int 1, which the cloud holds as 1.0, in one level; -0.0 before 0.0 among
-    repeated values and shadows in another."""
+    repeated values and shadows in another, on a point without a shadow, as
+    a shadow's 0 is 0.0."""
     return LeveledPointCloud(
         dimension=2,
         levels=[
@@ -547,7 +578,7 @@ def _equal_but_spelled_apart_cloud():
                 CloudPoint("c", (1.0, -0.0)),
             ]),
             CloudLevel(2, 6.0, Fraction(6), [
-                CloudPoint("a", (-0.0, 0.0), (0, 0)),
+                CloudPoint("a", (-0.0, 0.0)),
                 CloudPoint("b", (1.5, -2.5), (3, -5)),
                 CloudPoint("c", (1.5, 1.5), (3, 3)),
                 CloudPoint("d", (0.0, -2.5), (0, -5)),
@@ -576,7 +607,7 @@ def test_writer_prints_what_json_dumps_prints(cloud):
 
 def test_signed_zeros_of_one_level_load_and_write_back_with_their_signs():
     # the level of floats alone: the loader reads an int coordinate as a float
-    text = LeveledPointCloud(2, _equal_but_spelled_apart_cloud().levels[1:]).to_json()
+    text = LeveledPointCloud(2, _equal_but_spelled_apart_cloud().levels[1:]).to_json(include_exact=False)
     assert '"coords": [\n            -0.0,\n            0.0\n          ]' in text
     level = LeveledPointCloud.from_json(text).levels[0]
     signs = [math.copysign(1.0, x) for p in level.points for x in p.coords if x == 0]
@@ -594,17 +625,16 @@ def _clouds(draw):
     levels = []
     for n in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True).map(sorted)):
         labels = draw(st.lists(st.text(max_size=3), unique=True, min_size=not levels, max_size=3))
-        points = [
-            CloudPoint(
-                None if draw(st.booleans()) else label,
-                draw(row),
-                draw(st.none() | st.tuples(*[st.integers(-10**30, 10**30)] * dimension)),
-            )
-            for label in labels
-        ]
-        r = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
-        r_exact = draw(st.none() | st.fractions(min_value=Fraction(1, 10**6)))
-        levels.append(CloudLevel(n, r, r_exact, points, q=draw(st.integers(1, 60))))
+        q = draw(st.integers(1, 60))
+        points = []
+        for label in labels:
+            # a shadow's coordinates are its numerators over q, given or derived
+            shadow = draw(st.none() | st.tuples(*[st.integers(-10**30, 10**30)] * dimension))
+            coords = draw(row) if shadow is None else draw(st.sampled_from([None, tuple(a / q for a in shadow)]))
+            points.append(CloudPoint(None if draw(st.booleans()) else label, coords, shadow))
+        r_exact = draw(st.none() | st.fractions(min_value=Fraction(1, 10**6), max_value=10**30))
+        r = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)) if r_exact is None else None
+        levels.append(CloudLevel(n, r, r_exact, points, q))
     return LeveledPointCloud(dimension, levels, period=draw(st.none() | st.integers(1, 3)))
 
 
@@ -618,6 +648,7 @@ def test_writer_prints_what_json_dumps_prints_on_random_clouds(cloud):
 # r-u, r-v: the cloud that a bad cloud below is made from, in code and as JSON
 R_UV = realize(synthesize_weights(WeightedRootedGraph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 1}, "r")), 8)
 NAN, INF = float("nan"), float("inf")
+U_4 = R_UV.levels[3].points[1].coords
 
 
 class _InCode:
@@ -663,7 +694,7 @@ class _InFile(_InCode):
 
     def cut(self, i, j, size):
         p = self.points(i)[j]
-        self.point(i, j, coords=p["coords"][:size], exact=p["exact"][:size])
+        self.point(i, j, exact=p["exact"][:size])
 
     def build(self):
         return LeveledPointCloud.from_json(json.dumps(self.fields))
@@ -780,6 +811,36 @@ REFUSALS = {
         "refusing float weight 1.5: pass a string ('3/2' or '1.5') for exactness",
     ),
     "exact scale a word": (lambda e: e.level(2, r_exact="x"), "not a rational literal: 'x'"),
+    "coordinates apart from their shadow": (
+        lambda e: e.point(0, 1, coords=tuple(1.5 * x for x in R_UV.levels[0].points[1].coords)),
+        "point 'u' at level 1 has coords [2.0, -2.0, 0.0], but its exact shadow rounds to "
+        "[1.3333333333333333, -1.3333333333333333, 0.0]",
+    ),
+    "coordinate one ulp apart from its shadow": (
+        lambda e: e.point(3, 1, coords=(math.nextafter(U_4[0], INF), *U_4[1:])),
+        "point 'u' at level 4 has coords [32.00000000000001, -32.0, 32.0], but its exact shadow rounds to "
+        "[32.0, -32.0, 32.0]",
+    ),
+    "scale one ulp apart from r_exact": (
+        lambda e: e.level(3, r=math.nextafter(R_UV.levels[3].r, 0)),
+        "level 4 has scale r = 23.999999999999996, but r_exact rounds to 24.0",
+    ),
+    "shadow beyond binary64": (
+        lambda e: e.point(0, 1, exact=(10**400, 0, 0)),
+        "point 'u' at level 1 has a coordinate beyond binary64: integer division result too large for a float",
+    ),
+    "exact scale beyond binary64": (
+        lambda e: e.level(2, r_exact=Fraction(10**400)),
+        "level 3 has a scale r that is not a binary64 number: integer division result too large for a float",
+    ),
+    "neither coords nor shadow": (
+        lambda e: e.point(0, 1, coords=None, exact=None),
+        "point 'u' at level 1 has neither coords nor an exact shadow",
+    ),
+    "neither r nor r_exact": (
+        lambda e: e.level(0, r=None, r_exact=None),
+        "level 1 has neither r nor r_exact",
+    ),
     "no points": (_points_cleared, "cloud JSON has no points"),
     "no levels": (lambda e: e.fields.update(levels=[]), "cloud JSON has no points"),
     "levels a string": (lambda e: e.fields.update(levels="x"), "cloud JSON levels must be a list"),
@@ -810,11 +871,11 @@ def test_construction_holds_values_as_the_reader_does():
     them, a list of coordinates as a tuple and a level's r as a float; the
     reader gives the same cloud."""
     cloud = LeveledPointCloud(2, [
-        CloudLevel(1, 2, "6", [CloudPoint("a", [1, -0.5], [6, -3]), CloudPoint("b", (0.0, 2.0), ())], q=6),
+        CloudLevel(1, 6, "6", [CloudPoint("a", [1, -0.5], [6, -3]), CloudPoint("b", (0.0, 2.0), ())], q=6),
         CloudLevel(2, "3.5", None, [CloudPoint("a", (1.0, 2.0))], q=7),
     ])
     level, other = cloud.levels
-    assert level == CloudLevel(1, 2.0, Fraction(6), [
+    assert level == CloudLevel(1, 6.0, Fraction(6), [
         CloudPoint("a", (1.0, -0.5), (2, -1)), CloudPoint("b", (0.0, 2.0), None)
     ], q=2)
     assert other == CloudLevel(2, 3.5, None, [CloudPoint("a", (1.0, 2.0))], q=None)

@@ -486,7 +486,8 @@ def test_certification_and_validation_make_one_decision():
         graphs.append(WeightedRootedGraph(shape.vertices, line, shape.root))
     for G in atlas_connected_graphs(6):
         g = nx_to_graph(G, random_weighting(G, rng), None)
-        graphs += [WeightedRootedGraph(g.vertices, g.weights, v) for v in g.vertices if graph_core.is_dominating(g, v)]
+        rooted = (WeightedRootedGraph(g.vertices, g.weights, v) for v in g.vertices)
+        graphs += [h for h in rooted if graph_core._undominated_vertex(h) is None]
     outcomes = set()
     for g in graphs:
         cert = certify_fpc(g)
@@ -581,11 +582,15 @@ def test_default_window_spans_two_levels_when_the_period_is_one():
 
 def test_non_finite_float_values_rejected():
     cloud = realize(ONE_GAP, depth=12)
-    levels = cloud.levels[:-1] + [dataclasses.replace(cloud.levels[-1], r=5e-324)]
+    # a subnormal scale, exact and so also in binary64: every normalized
+    # distance of the level overflows binary64
+    levels = cloud.levels[:-1] + [dataclasses.replace(cloud.levels[-1], r=None, r_exact=Fraction(1, 2**1074))]
     tiny = LeveledPointCloud(cloud.dimension, levels, cloud.period)
+    assert tiny.levels[-1].r == 5e-324
     with pytest.raises(GraphError, match="not finite"):
         recover_cluster(tiny)
-    assert recover_cluster(tiny, use_exact=True).graph == ONE_GAP
+    with pytest.raises(GraphError, match="does not fit binary64"):
+        recover_cluster(tiny, use_exact=True)
     # finite values, but a threshold beyond binary64
     with pytest.raises(GraphError, match="not finite"):
         recover_cluster(cloud, tol_rel=1e308)
