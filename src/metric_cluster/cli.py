@@ -44,8 +44,6 @@ from .metrization import (
 )
 from .realization import LeveledPointCloud, ScalingRule, build_plan, generate_cloud, single_point_space
 from .recovery import (
-    DEFAULT_TOL_ABS,
-    DEFAULT_TOL_REL,
     alternating_period_indices,
     annulus_diameter_table,
     period_stride_indices,
@@ -311,21 +309,15 @@ def _cmd_recover(ns) -> int:
     diag["invariant_violations"] = problems
     if ns.diag_out:
         Path(ns.diag_out).write_text(json.dumps(diag, indent=2) + "\n", encoding="utf-8")
-    if getattr(ns, "json", False):
-        print(json.dumps({"graph": rc.graph.to_json_dict(), "diagnostics": diag}, indent=2))
-    else:
-        if not ns.out:
-            print(graph_json)
-        print(
-            f"recovered {len(rc.graph.vertices)} classes, root {rc.graph.root!r}, "
-            f"{len(rc.graph.weights)} edges, window {rc.window}"
-        )
-        for line in rc.merge_log:
-            print(f"  merge: {line}")
-        for line in rc.warnings:
-            print(f"  warning: {line}")
-        for line in problems:
-            print(f"  invariant violation: {line}")
+    lines = [] if ns.out else [graph_json]
+    lines.append(
+        f"recovered {len(rc.graph.vertices)} classes, root {rc.graph.root!r}, "
+        f"{len(rc.graph.weights)} edges, window {rc.window}, decided {diag['decided']}"
+    )
+    lines += [f"  merge: {line}" for line in rc.merge_log]
+    lines += [f"  warning: {line}" for line in rc.warnings]
+    lines += [f"  invariant violation: {line}" for line in problems]
+    _emit({"graph": rc.graph.to_json_dict(), "diagnostics": diag}, ns, "\n".join(lines))
     return 0
 
 
@@ -613,10 +605,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if command in (None, "recover"):
         p = sub.add_parser("recover", parents=[common], help="recover the cluster graph from a cloud")
         p.add_argument("cloud")
-        p.add_argument("--tol-rel", type=float, default=DEFAULT_TOL_REL)
-        p.add_argument("--tol-abs", type=float, default=DEFAULT_TOL_ABS)
+        p.add_argument("--tol-rel", type=float, help="default 0 on exact shadows, 1e-6 in binary64")
+        p.add_argument("--tol-abs", type=float, help="default 0 on exact shadows, 1e-9 in binary64")
         p.add_argument("--window", type=int, default=None)
-        p.add_argument("--exact", action="store_true", help="measure on the exact rational shadows")
+        p.add_argument("--exact", action="store_true", help="refuse a cloud without exact shadows")
         p.add_argument("--out", help="write the recovered graph JSON here")
         p.add_argument("--diag-out", help="write per-pair diagnostics JSON here")
         p.set_defaults(func=_cmd_recover)

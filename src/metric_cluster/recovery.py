@@ -45,7 +45,8 @@ _BASE = object()  # sentinel trace for the basepoint (origin at every level)
 @dataclass
 class RecoveredCluster:
     """Recovered weighted rooted graph, the evidence it was built from (pair
-    diagnostics, merged classes, merge and drop logs), its window and tolerances."""
+    diagnostics, merged classes, merge and drop logs), its window, its tolerances
+    and whether it was decided on exact shadows or in binary64."""
 
     graph: WeightedRootedGraph
     classes: dict[str, tuple[str, ...]]
@@ -55,10 +56,14 @@ class RecoveredCluster:
     window: int
     tol_rel: float
     tol_abs: float
+    _exact: bool = False
 
     def diagnostics_json_dict(self) -> dict:
         return {
             "window": self.window,
+            "tol_rel": _spelled(self.tol_rel),
+            "tol_abs": _spelled(self.tol_abs),
+            "decided": "on exact shadows" if self._exact else "in binary64",
             "classes": {k: list(v) for k, v in self.classes.items()},
             # the root-distance values in vertex order: 0 and the root-edge weights
             "rho0": {v: str(w) for v, w in sorted(_root_labels(self.graph).items())},
@@ -70,24 +75,31 @@ class RecoveredCluster:
 
 def recover_cluster(
     cloud: LeveledPointCloud,
-    tol_rel: float = DEFAULT_TOL_REL,
-    tol_abs: float = DEFAULT_TOL_ABS,
+    tol_rel: Optional[float] = None,
+    tol_abs: Optional[float] = None,
     window: Optional[int] = None,
     use_exact: bool = False,
 ) -> RecoveredCluster:
     """Quotient the cloud's labeled sequences into a weighted rooted graph.
 
-    ``use_exact`` switches all measurements to the rational shadows (when the
-    cloud carries them), making edge weights and adjacency decisions exact.
-    Exact distances are taken on the integer numerators the cloud holds over
+    A cloud with every exact shadow (``cloud.has_exact()``) is decided on them:
+    exact distances are taken on the integer numerators the cloud holds over
     each level's common denominator q, and every normalized value of the
     window is one integer over one common denominator U. Window sums, spreads
     and every threshold test are then integer arithmetic, with the tolerances
     put over one denominator; Fractions are built only for the edge weights,
-    and they equal the exact tail means of d(x_n, y_n)/r_n.
+    and they equal the exact tail means of d(x_n, y_n)/r_n. Any other cloud is
+    decided on its coordinates in binary64. A tolerance left None is 0 on
+    shadows and DEFAULT_TOL_REL or DEFAULT_TOL_ABS in binary64; the cluster
+    records the values used. ``use_exact`` only refuses a cloud without shadows.
     """
+    exact = cloud.has_exact()
+    if use_exact and not exact:
+        raise GraphError("cloud carries no exact shadows; cannot recover exactly")
+    tol_rel = (0 if exact else DEFAULT_TOL_REL) if tol_rel is None else tol_rel
+    tol_abs = (0 if exact else DEFAULT_TOL_ABS) if tol_abs is None else tol_abs
     # exact decisions take the tolerances as rationals, float ones in binary64
-    kind = Fraction if use_exact else float
+    kind = Fraction if exact else float
     rel, ab = _real(tol_rel, 0, _TOLERANCE, kind), _real(tol_abs, 0, _TOLERANCE, kind)
     labels = cloud.labels()
     if any(lbl is None for lbl in labels):
@@ -120,9 +132,7 @@ def recover_cluster(
             raise GraphError(f"level {lvl.n} is missing labels {missing}")
         per_level.append((lvl, pts))
 
-    if use_exact:
-        if not cloud.has_exact():
-            raise GraphError("cloud carries no exact shadows; cannot recover exactly")
+    if exact:
         rows = [{lbl: p.exact for lbl, p in pts.items()} for _, pts in per_level]
         # an integer sup distance D is D / q on the level and D / (q * r) normalized;
         # over U, the lcm of the window's q * r.numerator, it is the int D * factor.
@@ -133,9 +143,6 @@ def recover_cluster(
         normalized = operator.mul
         # values are ints over U, window sums over window U (see _zero_gap)
         zero_gap = _zero_gap(tol_rel, tol_abs)
-
-        def half(v):
-            return v // 2  # an int is at most v / 2 exactly when at most v // 2
 
         def beyond_closure(total, base_scale):
             return total > zero_gap(3 * window * base_scale, 3 * window * common)
@@ -151,9 +158,6 @@ def recover_cluster(
         units = [lvl.r for lvl, _ in per_level]
         normalized = operator.truediv
         common = 1
-
-        def half(v):
-            return v / 2
 
         def beyond_closure(total, base_scale):
             return total / window > 3 * (ab + rel * base_scale)
@@ -190,11 +194,11 @@ def recover_cluster(
     base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=0)
     # a value is identified with another when it is at most eq_bound, the
     # largest within E = tol_abs + tol_rel * base_scale
-    eq_bound = zero_gap(base_scale, common) if use_exact else ab + rel * base_scale
+    eq_bound = zero_gap(base_scale, common) if exact else ab + rel * base_scale
     # an overflowed value makes every tolerance infinite and merges everything;
     # the values are non-negative, so a finite window sum (the tail mean's)
     # means every value is finite too
-    if not use_exact and not (
+    if not exact and not (
         math.isfinite(eq_bound) and all(math.isfinite(sum(vals)) for vals in values.values())
     ):
         raise GraphError(
@@ -213,7 +217,7 @@ def recover_cluster(
         if all(v <= eq_bound for v in vals):
             continue  # equivalence handles it below
         nonincreasing = all(vals[i + 1] <= vals[i] + eq_bound for i in range(len(vals) - 1))
-        if nonincreasing and vals[-1] <= half(vals[0]):
+        if nonincreasing and 2 * vals[-1] <= vals[0]:  # exact in binary64 too
             decayed.add(lbl)
             merge_log.append(
                 f"{lbl!r} absorbed into the root class: normalized basepoint "
@@ -325,6 +329,7 @@ def recover_cluster(
         window=window,
         tol_rel=tol_rel,
         tol_abs=tol_abs,
+        _exact=exact,
     )
 
 

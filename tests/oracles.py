@@ -449,6 +449,7 @@ def recover_by_fractions(
         window=window,
         tol_rel=tol_rel,
         tol_abs=tol_abs,
+        _exact=True,
     )
 
 

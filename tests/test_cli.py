@@ -313,7 +313,8 @@ def test_readme_flow_at_default_depth_with_seven_non_edges(tmp_path, capsys):
     # the recovered graph meets the three conditions, and exact recovery gives back g itself
     capsys.readouterr()
     assert main(["recover", str(cloud), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["diagnostics"]["invariant_violations"] == []
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diagnostics["invariant_violations"] == [] and diagnostics["decided"] == "on exact shadows"
     assert main(["recover", str(cloud), "--exact", "--out", str(h)]) == 0
     assert main(["isomorphic", str(g), str(h), "--weight-tol-rel", "0"]) == 0
 
@@ -359,8 +360,9 @@ def test_realize_a_level_whose_points_lie_past_binary64_exit_2(tmp_path, capsys)
     assert main(["realize", str(star), "--depth", "170"]) == 2
     assert "level 170 overflows binary64" in capsys.readouterr().err
     out = tmp_path / "c.json"
-    assert main(["realize", str(star), "--depth", "169", "--out", str(out)]) == 0
-    assert main(["recover", str(out)]) == 0
+    for shadows in ([], ["--no-exact"]):  # decided exactly and in binary64
+        assert main(["realize", str(star), "--depth", "169", "--out", str(out), *shadows]) == 0
+        assert main(["recover", str(out)]) == 0
 
 
 def test_recover_diag_out(cert_graph, tmp_path, capsys):
@@ -376,9 +378,40 @@ def test_recover_diag_out(cert_graph, tmp_path, capsys):
     assert payload["invariant_violations"] == []
     assert payload["rho0"]["r"] == "0"
     assert any(not row["adjacent"] for row in payload["pairs"])
-    # float recovery too: rho0 is 0 at the root and the root-edge weight elsewhere
+    # the default recovery too: rho0 is 0 at the root and the root-edge weight elsewhere
     assert main(["recover", str(cloud), "--out", str(out), "--diag-out", str(diag)]) == 0
     assert json.loads(diag.read_text())["rho0"] == {"r": "0", "u": "1", "v": "2", "z": "3"}
+    # the tolerances and the arithmetic that decided: 0 on shadows, 1e-6 and
+    # 1e-9 in binary64, or as given
+    floats = tmp_path / "floats.json"
+    main(["realize", str(cert_graph), "--depth", "12", "--no-exact", "--out", str(floats)])
+    for path, options, recorded in (
+        (cloud, [], ("0", "0", "on exact shadows")),
+        (floats, [], ("1e-06", "1e-09", "in binary64")),
+        (cloud, ["--tol-rel", "0.5", "--tol-abs", "0.25"], ("0.5", "0.25", "on exact shadows")),
+    ):
+        assert main(["recover", str(path), "--diag-out", str(diag), "--out", str(out), *options]) == 0
+        payload = json.loads(diag.read_text())
+        assert (payload["tol_rel"], payload["tol_abs"], payload["decided"]) == recorded
+
+
+@pytest.mark.parametrize("k", [3, 6, 9, 12])
+def test_recover_gives_back_a_near_tight_graph(tmp_path, capsys, k):
+    # the non-edge u-z has admissible interval [2 - 10**-k, 2]; from k = 6 on,
+    # the default recovery took it for an edge and reported no violation
+    eps = Fraction(1, 10**k)
+    g = write_graph(
+        tmp_path / "g.json",
+        ["r", "u", "x", "z"],
+        {("r", "u"): 1, ("r", "x"): 2, ("r", "z"): 3 - eps, ("u", "x"): 1, ("x", "z"): 1},
+        "r",
+    )
+    cloud, h = tmp_path / "c.json", tmp_path / "h.json"
+    assert main(["realize", str(g), "--out", str(cloud)]) == 0
+    capsys.readouterr()
+    assert main(["recover", str(cloud), "--out", str(h)]) == 0
+    assert "invariant violation" not in capsys.readouterr().out
+    assert WeightedRootedGraph.from_json(h.read_text()) == WeightedRootedGraph.from_json(g.read_text())
 
 
 def test_subsample_stride(cert_graph, tmp_path, capsys):
@@ -417,9 +450,14 @@ def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_p
     for path in (c, s, ne, nes, one, p5):
         text = Path(path).read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
-    for argv in (["recover", c, "--exact"], ["recover", s], ["recover", one]):
+    # shadows decide exactly and floats in binary64; --exact only refuses a cloud without shadows
+    for argv, arithmetic in ((["recover", c, "--exact"], "on exact shadows"), (["recover", s], "on exact shadows"),
+                             (["recover", ne], "in binary64"), (["recover", one], "in binary64")):
         assert main(argv) == 0, argv
-    capsys.readouterr()
+        assert f"decided {arithmetic}" in capsys.readouterr().out
+    for path in (ne, nes, one):
+        assert main(["recover", path, "--exact"]) == 2
+        assert "cloud carries no exact shadows; cannot recover exactly" in capsys.readouterr().err
     assert main(["recover", p5]) == 0
     assert "recovered 1 classes" in capsys.readouterr().out
 
@@ -501,7 +539,7 @@ def test_demo_corpus_self_consistent(tmp_path, capsys):
     assert (out_dir / "single_point.json").read_text() == single_point_space(12).to_json() + "\n"
     assert main(["recover", str(out_dir / "single_point.json"), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["graph"]["vertices"] == ["p"]
+    assert payload["graph"]["vertices"] == ["p"] and payload["diagnostics"]["decided"] == "in binary64"
     tight_expected = json.loads((out_dir / "tight4.expected.json").read_text())
     assert tight_expected["line_embedding"] == {"v1": "0", "v2": "1", "v3": "2", "v4": "3"}
 
@@ -942,14 +980,18 @@ TINY = Fraction(1, 2**1074)  # 5e-324, the least subnormal binary64 number
 def test_tiny_scale_exit_2(cert_graph, tmp_path, capsys):
     # a subnormal scale, finite and positive, so the loader accepts it, but
     # every normalized distance of the level overflows binary64: the scale is
-    # r_exact in a cloud with shadows and r in one without
-    for options, field, value in (((), "r_exact", str(TINY)), (("--no-exact",), "r", "5e-324")):
+    # r_exact in a cloud with shadows, which decide exactly and report in
+    # binary64, and r in one without, which decides in binary64
+    for options, field, value, message in (
+        ((), "r_exact", str(TINY), "does not fit binary64"),
+        (("--no-exact",), "r", "5e-324", "not finite"),
+    ):
         data = realized_cloud(cert_graph, tmp_path, *options)
         data["levels"][-1][field] = value
         path = tmp_path / "tiny_scale.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["recover", str(path)]) == 2
-        assert "not finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_exact_values_beyond_binary64_exit_2(cert_graph, tmp_path, capsys):

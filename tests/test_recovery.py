@@ -66,6 +66,11 @@ def graph(vertices, edges, root):
     return WeightedRootedGraph(vertices, {e: Fraction(w) for e, w in edges.items()}, root)
 
 
+def shadowless(cloud: LeveledPointCloud) -> LeveledPointCloud:
+    """The cloud written without its exact shadows, which recovery decides in binary64."""
+    return LeveledPointCloud.from_json(cloud.to_json(include_exact=False))
+
+
 ONE_GAP = graph(
     ["r", "u", "v", "z"],
     {("r", "u"): 1, ("r", "v"): 2, ("r", "z"): 3, ("u", "v"): 3, ("v", "z"): 5},
@@ -83,8 +88,8 @@ CERT_TRIANGLE = graph(
 
 
 def test_round_trip_float_recovery():
-    cloud = realize(ONE_GAP, depth=12)
-    rc = recover_cluster(cloud)
+    rc = recover_cluster(shadowless(realize(ONE_GAP, depth=12)))
+    assert rc.diagnostics_json_dict()["decided"] == "in binary64"
     assert rc.graph.root == "r"
     assert not rc.warnings
     witness = isomorphic(ONE_GAP, rc.graph, weight_tol_rel=Fraction(1, 10**9))
@@ -243,6 +248,8 @@ def test_exact_recovery_matches_fraction_oracle():
                 expected = outcome(recover_by_fractions, cloud, tol_rel, tol_abs, window)
                 got = outcome(recover_cluster, cloud, tol_rel, tol_abs, window, use_exact=True)
                 assert got == expected, (window, tol_rel, tol_abs)
+                # shadows decide exactly by default, at explicit tolerances too
+                assert outcome(recover_cluster, cloud, tol_rel, tol_abs, window) == got
                 if isinstance(got, str):
                     seen.add("closure" if "closure" in got else got)
                 else:
@@ -360,8 +367,9 @@ def test_round_trip_diagnostics_capture_oscillation():
 
 def test_recovered_invariants_hold():
     for g in (ONE_GAP, CERT_TRIANGLE):
-        rc = recover_cluster(realize(g, depth=12))
-        assert validate_recovered_cluster(rc) == []
+        cloud = realize(g, depth=12)
+        for decided in (cloud, shadowless(cloud)):  # exactly and in binary64
+            assert validate_recovered_cluster(recover_cluster(decided)) == []
 
 
 def test_round_trip_with_tight_cycles_tolerates_float_noise():
@@ -372,7 +380,8 @@ def test_round_trip_with_tight_cycles_tolerates_float_noise():
 
     g = collinear_k4(Fraction(1, 3), Fraction(1, 7), Fraction(2, 5))
     cloud = realize(g, depth=12)
-    rc = recover_cluster(cloud)
+    rc = recover_cluster(shadowless(cloud))
+    assert rc.diagnostics_json_dict()["decided"] == "in binary64"
     assert validate_recovered_cluster(rc) == []
     assert isomorphic(g, rc.graph, weight_tol_rel=Fraction(1, 10**9))
     assert recover_cluster(cloud, use_exact=True).graph == g
@@ -387,6 +396,13 @@ def hand_recovery(
 
 
 EPS = Fraction(1, 10**12)
+
+
+def near_tight(eps) -> WeightedRootedGraph:
+    """Root r, r-u 1, r-x 2, r-z 3 - eps and u-x = x-z = 1: the non-edge u-z
+    has admissible interval [2 - eps, 2], pinned by the root edge of z."""
+    edges = {("r", "u"): 1, ("r", "x"): 2, ("r", "z"): 3 - eps, ("u", "x"): 1, ("x", "z"): 1}
+    return graph(["r", "u", "x", "z"], edges, "r")
 
 
 def two_triangles(ab) -> RecoveredCluster:
@@ -411,11 +427,7 @@ def test_validation_reports_a_disconnected_graph_by_its_root():
 
 def test_validation_reports_a_non_edge_forced_within_tolerance():
     # u-z has admissible interval [2 - 1e-12, 2], pinned by the root edge of z
-    g = graph(
-        ["r", "u", "x", "z"],
-        {("r", "u"): 1, ("r", "x"): 2, ("r", "z"): 3 - EPS, ("u", "x"): 1, ("x", "z"): 1},
-        "r",
-    )
+    g = near_tight(EPS)
     assert certify_fpc(g).ok
     problems = validate_recovered_cluster(hand_recovery(g))
     assert len(problems) == 1
@@ -429,15 +441,30 @@ def test_validation_reads_the_tolerances_of_the_recovery(eps):
     # u-z has admissible interval [2 - eps, 2]: exact recovery at tolerance 0
     # gives the graph back, and validation at the default tolerances would
     # call u-z forced
-    g = graph(
-        ["r", "u", "x", "z"],
-        {("r", "u"): 1, ("r", "x"): 2, ("r", "z"): 3 - eps, ("u", "x"): 1, ("x", "z"): 1},
-        "r",
-    )
+    g = near_tight(eps)
     rc = recover_cluster(realize(g, 12), tol_rel=0, tol_abs=0, use_exact=True)
     assert rc.graph == g and (rc.tol_rel, rc.tol_abs) == (0, 0)
     assert validate_recovered_cluster(rc) == []
     assert validate_recovered_cluster(hand_recovery(g))[0].startswith("near-tight cycle: non-edge 'u'-'z'")
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**k) for k in (3, 6, 9, 12)])
+def test_shadows_decide_by_default(eps):
+    # from eps = 1e-6 on, the default recovery decided in binary64 at tolerance
+    # 1e-6, took u-z for an edge and validated to []
+    cloud = realize(near_tight(eps), 12)
+    rc = recover_cluster(cloud)
+    assert rc.graph == near_tight(eps) and rc.tol_rel == rc.tol_abs == 0
+    assert validate_recovered_cluster(rc) == []
+    # explicit tolerances apply on shadows as well, as exact recovery applied them
+    explicit = recover_cluster(cloud, tol_rel=1e-6, tol_abs=1e-9)
+    assert explicit == recover_by_fractions(cloud, 1e-6, 1e-9)
+    assert ("u", "z") in explicit.graph.weights or eps == Fraction(1, 10**3)
+    # without their shadows, the same points decide in binary64 at 1e-6 and
+    # 1e-9, and take the same edges
+    floats = recover_cluster(shadowless(cloud))
+    assert (floats.tol_rel, floats.tol_abs) == (DEFAULT_TOL_REL, DEFAULT_TOL_ABS) == (1e-6, 1e-9)
+    assert floats.graph.weights.keys() == explicit.graph.weights.keys()
 
 
 def test_validation_at_zero_tolerance_is_certification():
@@ -587,23 +614,25 @@ def test_non_finite_float_values_rejected():
     levels = cloud.levels[:-1] + [dataclasses.replace(cloud.levels[-1], r=None, r_exact=Fraction(1, 2**1074))]
     tiny = LeveledPointCloud(cloud.dimension, levels, cloud.period)
     assert tiny.levels[-1].r == 5e-324
-    with pytest.raises(GraphError, match="not finite"):
-        recover_cluster(tiny)
+    # its shadows decide exactly, and its floats, once the shadows are gone, in binary64
     with pytest.raises(GraphError, match="does not fit binary64"):
-        recover_cluster(tiny, use_exact=True)
+        recover_cluster(tiny)
+    with pytest.raises(GraphError, match="not finite"):
+        recover_cluster(shadowless(tiny))
+    floats = shadowless(cloud)
     # finite values, but a threshold beyond binary64
     with pytest.raises(GraphError, match="not finite"):
-        recover_cluster(cloud, tol_rel=1e308)
+        recover_cluster(floats, tol_rel=1e308)
     # tolerances that are not numbers, a Decimal NaN (it raised a bare
     # decimal.InvalidOperation) and, in float recovery, an int beyond binary64
     # (it raised a bare OverflowError)
     for check in (
-        lambda: recover_cluster(cloud, tol_rel=None),
+        lambda: validate_recovered_cluster(dataclasses.replace(recover_cluster(cloud), tol_rel=None)),
         lambda: recover_cluster(cloud, tol_abs="1e-9", use_exact=True),
         lambda: validate_recovered_cluster(dataclasses.replace(recover_cluster(cloud), tol_abs="1e-9")),
         lambda: recover_cluster(cloud, tol_rel=Decimal("NaN")),
         lambda: validate_recovered_cluster(dataclasses.replace(recover_cluster(cloud), tol_rel=Decimal("NaN"))),
-        lambda: recover_cluster(cloud, tol_rel=10**400),
+        lambda: recover_cluster(floats, tol_rel=10**400),
     ):
         with pytest.raises(GraphError, match="tolerances must be finite and non-negative, got"):
             check()
@@ -621,7 +650,7 @@ def test_decimal_and_fraction_tolerances_read_as_their_values():
     # and raised a bare TypeError
     point = single_point_space(4)
     realized = realize(ONE_GAP, depth=12)
-    for cloud, exact in ((point, False), (realized, False), (realized, True)):
+    for cloud, exact in ((point, False), (shadowless(realized), False), (realized, False), (realized, True)):
         expected = recover_cluster(cloud, tol_rel=1e-6, use_exact=exact)
         for tol in (Decimal("1e-6"), Fraction(1, 10**6)):
             rc = recover_cluster(cloud, tol_rel=tol, use_exact=exact)
