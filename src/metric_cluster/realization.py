@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .graph_core import _each_once, _format_over, _in_lowest_terms, _integer, _over_lcm
+from .graph_core import _format_over, _in_lowest_terms, _integer, _over_lcm
 from .graph_core import _json_document, _spelled
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
@@ -121,8 +121,8 @@ class LeveledPointCloud:
     Construction checks ``dimension``, ``period``, then each level's ``n``,
     points, labels, ``q``, ``r`` and ``r_exact``, and that a level has a
     point; it holds an int coordinate as its float, shadows in lowest terms
-    and the floats it derives from them. The JSON reader hands its fields
-    over, so a file and the same value in code are refused alike.
+    and the floats it derives from them. Every file the JSON reader refuses
+    goes through it, so a file and the same value in code are refused alike.
     """
 
     dimension: int
@@ -197,20 +197,23 @@ class LeveledPointCloud:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
-        """The cloud of a JSON document: objects become levels and points and
-        shadow literals numerators; the constructor checks the rest."""
+        """The cloud of a JSON document. A file in a layout the writer writes
+        is read in one pass per level; any other becomes levels, points and
+        shadow numerators that the constructor checks, so it words a refusal."""
         try:
             dimension, levels = data["dimension"], data["levels"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"cloud JSON is missing field: {exc}") from exc
         if data.get("norm", "sup") != "sup":
             raise GraphError(f"cloud norm {data['norm']!r} is not supported; only 'sup' is")
-        try:
-            if isinstance(levels, list):
-                levels = [_unpacked_level(entry) if isinstance(entry, dict) else entry for entry in levels]
-        except KeyError as exc:
-            raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
-        cloud = cls(dimension, levels, data.get("period"))
+        cloud = _read_at_once(dimension, levels, data.get("period"))
+        if cloud is None:
+            try:
+                if isinstance(levels, list):
+                    levels = [_unpacked_level(entry) if isinstance(entry, dict) else entry for entry in levels]
+            except KeyError as exc:
+                raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
+            cloud = cls(dimension, levels, data.get("period"))
         # recovery measures every distance to the origin; JSON false loads as
         # Python's False, which equals 0
         basepoint = data.get("basepoint", [0] * dimension)
@@ -267,6 +270,91 @@ def _unpacked_level(entry: dict) -> CloudLevel:
     return CloudLevel(entry["n"], entry.get("r"), entry.get("r_exact"), points, q)
 
 
+def _read_at_once(dimension, levels, period) -> Optional[LeveledPointCloud]:
+    """The cloud of a document's fields, its levels read one pass each by
+    ``_level_at_once``, or None where the checked path must decide."""
+    fields = (dimension, 1 if period is None else period)
+    if type(levels) is not list or not all(type(x) is int and x > 0 for x in fields):
+        return None
+    read: list[CloudLevel] = []
+    try:
+        for entry in levels:
+            read.append(_level_at_once(entry, read[-1].n if read else 0, dimension))
+        return LeveledPointCloud._of_levels(dimension, read, period)
+    except (KeyError, TypeError, ValueError, OverflowError):  # GraphError is a ValueError
+        return None
+
+
+def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
+    """A level object of a file, after level ``previous``, as the checked
+    path makes it, in a layout the writer writes: each point an ``exact``
+    list of ``_shadows_at_once`` values, alone or with ``coords`` that are
+    its rounding, or each point ``coords`` of finite floats alone; labels
+    distinct strings or None. KeyError, TypeError or ValueError for any other."""
+    n, points = entry["n"], entry["points"]
+    if not (type(n) is int and n > previous and type(points) is list):
+        raise ValueError(n)
+    # TypeError unless each point is an object
+    labels, given, exacts = (list(map(dict.get, points, repeat(key))) for key in ("label", "coords", "exact"))
+    named = [label for label in labels if label is not None]  # unlabeled points may repeat
+    if set(map(type, named)) - {str} or len(set(named)) < len(named):
+        raise ValueError(labels)
+    q, kinds = None, set(map(type, exacts))
+    if kinds <= {type(None)}:
+        flat = list(chain.from_iterable(given))
+        if not (
+            set(map(type, given)) <= {list}
+            and set(map(len, given)) <= {dimension}
+            and set(map(type, flat)) <= {float}
+            and all(map(math.isfinite, flat))
+        ):
+            raise ValueError(given)
+        coords, shadows = list(map(tuple, given)), repeat(None)
+    elif kinds == {list} and set(map(len, exacts)) == {dimension}:
+        q, coords, shadows = _shadows_at_once(list(chain.from_iterable(exacts)), dimension)
+        for c, x in zip(given, coords):
+            if c is not None and not (type(c) is list and set(map(type, c)) <= {float} and tuple(c) == x):
+                raise ValueError(c)
+    else:
+        raise ValueError(exacts)
+    r_exact = entry.get("r_exact")
+    if type(r_exact) is str and r_exact.isascii() and r_exact.isdigit():
+        r_exact = int(r_exact)  # ValueError past the digit limit
+    return CloudLevel(n, *_scales(entry.get("r"), r_exact, n), list(map(CloudPoint, labels, coords, shadows)), q)
+
+
+def _shadows_at_once(values: list, dimension: int) -> tuple[int, list[tuple], list[tuple]]:
+    """A level's exact values, each ``-?digits`` or ``-?digits/digits`` in
+    ASCII digits with a positive denominator, as their least common
+    denominator q, and in ``dimension``-tuples their rounding to binary64 and
+    their numerators over q. Each distinct value is read and rounded once, as
+    most values of a realized level repeat. TypeError or ValueError for any
+    other value, OverflowError for a rounding beyond binary64."""
+    distinct = list(set(values))  # TypeError for a list
+    text = ",".join(distinct)  # TypeError unless each value is a string
+    # int() also reads blanks, "+", "_" and other scripts' digits, which
+    # Fraction may refuse; a character beyond ASCII encodes to bytes >= 0x80
+    if text.encode().translate(None, b"0123456789-/,"):
+        raise ValueError(text)
+    # int() refuses "", "-", "--3", "1,2" and digits beyond the limit; most
+    # levels of a realized cloud hold integers only: no split, no scaling
+    if "/" not in text:
+        q, numerators = 1, list(map(int, distinct))
+    else:
+        parts = list(map(str.partition, distinct, repeat("/")))
+        # "3/" and "1/2/3" leave a denominator int refuses
+        denominators = [int(b) if slash else 1 for _, slash, b in parts]
+        # the digits alone let "1/-2" and "1/0" through
+        if min(denominators) <= 0:
+            raise ValueError(text)
+        q = math.lcm(*set(denominators))
+        numerators = [int(a) * (q // b) for (a, _, _), b in zip(parts, denominators)]
+        q, (numerators,) = _in_lowest_terms(q, [numerators])
+    rounded, numerator = dict(zip(distinct, [a / q for a in numerators])), dict(zip(distinct, numerators))
+    coords = list(zip(*[map(rounded.__getitem__, values)] * dimension))
+    return q, coords, list(zip(*[map(numerator.__getitem__, values)] * dimension))
+
+
 def _with_points(levels: list[CloudLevel]) -> list[CloudLevel]:
     """The levels, when one has a point: recovery and the writer build
     ``dimension``-long origins, and only points tie ``dimension`` to the input."""
@@ -286,20 +374,24 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
         raise GraphError(f"level {level} follows level {_spelled(previous)}: levels must strictly increase")
     if not isinstance(lvl.points, (list, tuple)):
         raise GraphError(f"points of level {level} must be a list")
-    # a level the whole-level check does not take is read point by point, so
-    # that its first fault in point order names the error
-    points = _read_level_points(lvl.points, dimension) or [_read_point(p, level, dimension) for p in lvl.points]
-    labels = list(map(_LABEL_OF, points))
+    points = [_read_point(p, level, dimension) for p in lvl.points]
+    labels = [p.label for p in points]
     if len(set(labels)) < len(labels):
         _refuse_repeated_label(labels, level)
     q = None
-    shadows = list(map(_EXACT_OF, points))
+    shadows = [p.exact for p in points]
     if any(shadows):
         refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
         q, shadows = _in_lowest_terms(_integer(lvl.q, 1, refusal), shadows)
         points = _with_shadow_coords(points, shadows, q, level)
-    r = None if lvl.r is None else _positive_scale(lvl.r, level)
-    r_exact = _positive_exact_scale(lvl.r_exact, level)
+    return CloudLevel(n, *_scales(lvl.r, lvl.r_exact, level), points, q)
+
+
+def _scales(r, r_exact, level) -> tuple[float, Optional[Fraction]]:
+    """A level's scale r and exact scale r_exact, checked; r is r_exact
+    rounded where r_exact is given."""
+    r = None if r is None else _positive_scale(r, level)
+    r_exact = _positive_exact_scale(r_exact, level)
     if r_exact is not None:
         r_float = _positive_scale(r_exact, level)
         if r not in (None, r_float):
@@ -307,7 +399,7 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
         r = r_float
     if r is None:
         raise GraphError(f"level {level} has neither r nor r_exact")
-    return CloudLevel(n, r, r_exact, points, q)
+    return r, r_exact
 
 
 def _with_shadow_coords(points: list[CloudPoint], shadows: list, q: int, level: str) -> list[CloudPoint]:
@@ -325,33 +417,6 @@ def _with_shadow_coords(points: list[CloudPoint], shadows: list, q: int, level: 
             raise GraphError(f"point {p.label!r} at level {level} {refusal}")
         out.append(CloudPoint(p.label, coords or p.coords, shadow))
     return out
-
-
-def _read_level_points(points: Sequence, dimension: int) -> Optional[list[CloudPoint]]:
-    """The level's points, checked for the whole level at once, or None
-    unless each is a ``CloudPoint`` as a cloud holds it: a string or None
-    label, and a tuple of ``dimension`` finite floats, a tuple of
-    ``dimension`` ints, or both."""
-    if not set(map(type, points)) <= {CloudPoint}:
-        return None
-    coords = [c for c in map(_COORDS_OF, points) if c is not None]
-    exacts = [exact for exact in map(_EXACT_OF, points) if exact is not None]
-    if not (
-        (None, None) not in zip(map(_COORDS_OF, points), map(_EXACT_OF, points))
-        and set(map(type, map(_LABEL_OF, points))) <= {str, type(None)}
-        and set(map(type, chain(coords, exacts))) <= {tuple}
-        and set(map(len, chain(coords, exacts))) <= {dimension}
-        and set(map(type, chain.from_iterable(exacts))) <= {int}
-    ):
-        return None
-    flat = list(chain.from_iterable(coords))
-    # an int coordinate is held as its float, point by point
-    if not (set(map(type, flat)) <= {float} and all(map(math.isfinite, flat))):
-        return None
-    return list(points)
-
-
-_LABEL_OF, _COORDS_OF, _EXACT_OF = map(operator.attrgetter, ("label", "coords", "exact"))
 
 
 def _read_point(p, level: str, dimension: int) -> CloudPoint:
@@ -416,54 +481,15 @@ def _level_numerators(
 ) -> tuple[Optional[int], list[Optional[tuple[int, ...]]]]:
     """One level's raw ``exact`` lists (or None) as integer numerators over
     the least common denominator q of their values; q is None when no point
-    has a shadow.
-
-    When every value is a canonical string, ``-?digits`` or
-    ``-?digits/digits`` in ASCII digits with a positive denominator, the
-    level is read in one pass: one ``int`` per numerator and denominator.
-    Otherwise ``parse_rational`` reads the values one by one in point order,
-    so the first malformed one names the error, and they are put over the
-    least common multiple of their denominators.
-    """
+    has a shadow. ``parse_rational`` reads the values one by one in point
+    order, so the first malformed one names the error."""
     rows = [row for row in shadows if row]
     if not rows:
         return None, [None] * len(shadows)
-    read = _read_canonical(list(chain.from_iterable(rows)))
-    if read is None:
-        read = _over_lcm([parse_rational(x) for x in chain.from_iterable(rows)])
-    q, numerators = read
+    # the least common multiple of reduced denominators puts them in lowest terms
+    q, numerators = _over_lcm([parse_rational(x) for x in chain.from_iterable(rows)])
     flat = iter(numerators)
-    return _in_lowest_terms(q, [tuple(islice(flat, len(row))) if row else None for row in shadows])
-
-
-def _read_canonical(values: list) -> Optional[tuple[int, list[int]]]:
-    """The least common denominator q of the values and their numerators
-    over q, or None unless every value is a canonical string.
-
-    Each distinct string is read once, as most values of a realized level
-    repeat, and the values are looked up by their spelling."""
-    try:
-        text = ",".join(values)  # TypeError unless every value is a string
-        # int() also reads blanks, "+", "_" and other scripts' digits, which
-        # Fraction may refuse; a character beyond ASCII encodes to bytes >= 0x80
-        if text.encode().translate(None, b"0123456789-/,"):
-            return None
-        # most levels of a realized cloud hold integers only: no split, no scaling
-        if "/" not in text:
-            return 1, _each_once(int, values)
-        distinct = list(set(values))
-        parts = list(map(str.partition, distinct, repeat("/")))
-        numerators = list(map(int, map(operator.itemgetter(0), parts)))
-        # "3/" has a separator and an empty denominator: int refuses it
-        denominators = [int(b) if slash else 1 for _, slash, b in parts]
-        # the digits alone let "1/-2" and "1/0" through
-        if min(denominators) <= 0:
-            return None
-        q = math.lcm(*set(denominators))
-        numerators = map(operator.mul, numerators, map(operator.floordiv, repeat(q), denominators))
-    except (TypeError, ValueError):  # a non-string, "", "-", "1/2/3", digits beyond the limit
-        return None
-    return q, list(map(dict(zip(distinct, numerators)).__getitem__, values))
+    return q, [tuple(islice(flat, len(row))) if row else None for row in shadows]
 
 
 def _layout(pad: str, quote: str = "") -> tuple[str, str, str]:

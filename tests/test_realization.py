@@ -4,7 +4,9 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,8 @@ from metric_cluster.realization import (
     LeveledPointCloud,
     ScalingRule,
     _level_numerators,
-    _read_level_points,
-    _read_point,
+    _read_at_once,
+    _shadows_at_once,
     _unpacked_level,
     build_plan,
     generate_cloud,
@@ -459,16 +461,28 @@ ONE_PASS_CASES = [
 
 
 def check_level(shadows):
-    """The one-pass level parse gives what the per-value oracle gives: the
-    same q and numerators, or the same GraphError message."""
+    """The per-value level parse gives what the per-value oracle gives: the
+    same q and numerators, or the same GraphError message. The one pass over
+    the level's values takes none that the oracle refuses, and reads those it
+    takes as the oracle does, each rounded as a/q."""
+    rows = [row for row in shadows if row]
+    try:
+        at_once = _shadows_at_once(list(chain.from_iterable(rows)), 1) if rows else None
+    except (TypeError, ValueError, OverflowError):
+        at_once = None
     try:
         expected = shadows_by_fractions(shadows)
     except GraphError as exc:
+        assert at_once is None
         with pytest.raises(GraphError) as caught:
             _level_numerators(shadows)
         assert str(caught.value) == str(exc)
         return
     assert _level_numerators(shadows) == expected
+    if at_once is not None:
+        q, coords, numerators = at_once
+        assert (q, numerators) == (expected[0], [(a,) for a in chain.from_iterable(filter(None, expected[1]))])
+        assert coords == [(a / q,) for a, in numerators]
 
 
 @pytest.mark.parametrize("value", ONE_PASS_CASES)
@@ -521,21 +535,200 @@ def test_a_malformed_shadow_is_named_before_a_later_point_fault():
     assert "non-numeric coordinate" in error()
 
 
+def checked_path(data):
+    """The reader's checked path, the reference for the one pass: level
+    objects unpacked as they are, and the constructor's checks."""
+    levels = [_unpacked_level(entry) for entry in data["levels"]]
+    return LeveledPointCloud(data["dimension"], levels, data.get("period"))
+
+
+def one_pass(data):
+    return _read_at_once(data["dimension"], data["levels"], data.get("period"))
+
+
 def test_a_level_checked_at_once_reads_as_point_by_point():
-    data = json.loads(realize(ONE_GAP, 6).to_json())
-    dimension, levels = data["dimension"], data["levels"]
-    levels[2]["points"][1].update(coords=[0.5] * dimension, exact=[])
-    levels[3]["points"][2] = {"label": "v", "coords": [1.5] * dimension}
-    levels[4]["points"][0]["label"] = None
-    levels[5]["points"][0]["coords"] = [0.0] * dimension  # the root's shadow rounded
-    for level in map(_unpacked_level, levels):
-        read = _read_level_points(level.points, dimension)
-        assert read is not None
-        assert read == [_read_point(p, str(level.n), dimension) for p in level.points]
-    # the writer writes no int coordinate: its level is read point by point
-    levels[0]["points"][0]["coords"] = [0] * dimension
-    assert _read_level_points(_unpacked_level(levels[0]).points, dimension) is None
+    """The one pass takes unlabeled points and a shadow's rounding given as
+    coords; it leaves a repeated label, an empty shadow, a partly shadowed
+    level and an int coordinate to the checked path. The reader gives the
+    checked path's cloud or refusal either way."""
+    text = realize(ONE_GAP, 6).to_json()
+    dimension = json.loads(text)["dimension"]
+    edits = [
+        (4, lambda points: points[0].update(label=None), True),
+        (4, lambda points: [point.update(label=None) for point in points], True),
+        (4, lambda points: points[1].update(label=points[0]["label"]), False),  # refused
+        (5, lambda points: points[0].update(coords=[0.0] * dimension), True),  # the root's shadow rounded
+        (2, lambda points: points[1].update(coords=[0.5] * dimension, exact=[]), False),
+        (3, lambda points: points.__setitem__(2, {"label": "v", "coords": [1.5] * dimension}), False),
+        # the writer writes no int coordinate
+        (0, lambda points: points[0].update(coords=[0] * dimension), False),
+    ]
+    for level, edit, taken in edits:
+        data = json.loads(text)
+        edit(data["levels"][level]["points"])
+        assert (one_pass(data) is not None) is taken
+        try:
+            expected = checked_path(data)
+        except GraphError as exc:
+            assert refusal(data) == str(exc) == "duplicate label 'r' at level 5"
+            continue
+        assert LeveledPointCloud.from_json_dict(data) == expected
     assert type(LeveledPointCloud.from_json_dict(data).levels[0].points[0].coords[0]) is float
+
+
+def with_coords(cloud) -> str:
+    """The cloud's file as the writer wrote it before a shadow stood alone:
+    each shadowed point with its coords as well, and each level with r."""
+    data = cloud.to_json_dict()
+    for entry, lvl in zip(data["levels"], cloud.levels):
+        entry["r"] = repr(lvl.r)
+        for item, p in zip(entry["points"], lvl.points):
+            item["coords"] = list(p.coords)
+    return json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_one_pass_loads_every_layout_as_the_checked_path(n):
+    """Realized clouds and their alternating-period subsamples, written with
+    shadows alone, without them and with both, load through the one pass to
+    the checked path's cloud, signed zeros included, and as a value the
+    constructor keeps."""
+    rng = random.Random(n)
+    for p in (0.2, 0.5, 0.8):
+        g = synthesize_weights(random_dominating_shape(rng, n, p))
+        for rule in (ScalingRule(), ScalingRule("power_square", 2)):
+            cloud = realize(g, 12, rule)
+            for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
+                for text in (c.to_json(), c.to_json(include_exact=False), with_coords(c)):
+                    data = json.loads(text)
+                    assert one_pass(data) is not None
+                    loaded, expected = LeveledPointCloud.from_json(text), checked_path(data)
+                    assert loaded == expected
+                    assert loaded.to_json(include_exact=False) == expected.to_json(include_exact=False)
+                    assert LeveledPointCloud(loaded.dimension, loaded.levels, loaded.period) == loaded
+                assert LeveledPointCloud.from_json(c.to_json()) == c
+
+
+# the reader's refusal of each of ONE_PASS_CASES in the last level of a
+# realized file, as the checked path words it, or None where the file loads
+ONE_PASS_REFUSALS = [
+    # Fraction reads "1_000" from Python 3.11 on
+    None if sys.version_info >= (3, 11) else "not a rational literal: '1_000'",
+    "not a rational literal: '3/'",
+    "not a rational literal: '1/-2'",
+    "not a rational literal: '1/0'",
+    "not a rational literal: '1/00'",
+    None,
+    None,
+    None,
+    None,
+    "not a rational literal: '" + "1" * 5000 + "'",
+    None,
+    "refusing float weight 1.5: pass a string ('3/2' or '1.5') for exactness",
+    "not a rational literal: True",
+    None,
+    None,
+    None,
+    None,
+    "not a rational literal: '1/2/3'",
+    "not a rational literal: ''",
+    "not a rational literal: '-'",
+    "not a rational literal: '/3'",
+    "not a rational literal: '--3'",
+    "not a rational literal: '1 /2'",
+    "not a rational literal: '1/+2'",
+    "not a rational literal: '1,2'",
+    None,
+    None,
+    "not a rational literal: None",
+    "not a rational literal: [1]",
+]
+
+
+def refusal(data):
+    with pytest.raises(GraphError) as caught:
+        LeveledPointCloud.from_json(json.dumps(data))
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
+def test_a_value_in_the_last_level_loads_or_is_refused_as_on_the_checked_path(index):
+    assert len(ONE_PASS_REFUSALS) == len(ONE_PASS_CASES)
+    data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
+    data["levels"][-1]["points"][1]["exact"][0] = ONE_PASS_CASES[index]
+    if ONE_PASS_REFUSALS[index] is None:
+        assert LeveledPointCloud.from_json(json.dumps(data)) == checked_path(data)
+    else:
+        assert refusal(data) == ONE_PASS_REFUSALS[index]
+
+
+def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
+    """Shadow literals are read in every level before any level is checked,
+    and the fields before the levels; the one pass leaves each such file to
+    the checked path, which keeps that order."""
+
+    def faults(*edits):
+        data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
+        levels = data["levels"]
+        for level, point, field, value in edits:
+            target = data if level is None else levels[level] if point is None else levels[level]["points"][point]
+            if field == "exact":
+                target["exact"][0] = value
+            else:
+                target[field] = value
+        return refusal(data)
+
+    assert faults((0, 2, "label", "u"), (-1, 1, "exact", "3/")) == "not a rational literal: '3/'"
+    assert faults((1, 1, "coords", [0.5] * 3), (-1, 2, "label", "u")) == (
+        "point 'u' at level 2 has coords [0.5, 0.5, 0.5], but its exact shadow rounds to [2.0, -2.0, 1.0]"
+    )
+    assert faults((None, None, "dimension", "2"), (0, 2, "label", "u")) == (
+        "cloud dimension must be a positive integer, got '2'"
+    )
+    assert faults((2, None, "n", 2), (-1, 1, "coords", [0.5] * 3)) == (
+        "level 2 follows level 2: levels must strictly increase"
+    )
+    assert faults((1, None, "r_exact", "0"), (-1, None, "n", 1)) == (
+        "level 2 has exact scale r_exact = 0; it must be positive"
+    )
+
+
+def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
+    """The one pass takes finite float coordinates only, and JSON arrays only,
+    where a dict built in code may hold tuples; the reader loads or refuses
+    the rest as the checked path does."""
+    text = realize(CERT_TRIANGLE, 4).to_json(include_exact=False)
+
+    def edited(level, point, value):
+        data = json.loads(text)
+        data["levels"][level]["points"][point]["coords"][0] = value
+        return data
+
+    refused = {
+        float("nan"): "point 'u' at level 4 has a NaN or infinite coordinate",
+        float("-inf"): "point 'u' at level 4 has a NaN or infinite coordinate",
+        True: "point 'u' at level 4 has a non-numeric coordinate: a JSON true or false",
+        "1.5": "point 'u' at level 4 has a non-numeric coordinate: a JSON string",
+    }
+    for value, text_of_refusal in refused.items():
+        assert refusal(edited(-1, 1, value)) == text_of_refusal
+    data = edited(-1, 1, 2)
+    assert one_pass(data) is None
+    assert LeveledPointCloud.from_json_dict(data) == checked_path(data)
+    assert LeveledPointCloud.from_json_dict(data).levels[-1].points[1].coords == (2.0, -24.0, 12.0)
+    data = json.loads(text)
+    data["levels"][-1]["points"] = tuple(data["levels"][-1]["points"])
+    point = "{'label': 'r', 'coords': [0.0, 0.0, 0.0]}"
+    with pytest.raises(GraphError, match=re.escape(f"point {point} at level 4 is not an object")):
+        LeveledPointCloud.from_json_dict(data)
+    data = json.loads(text)
+    data["levels"] = tuple(data["levels"])
+    level = (
+        "{'n': 1, 'r': '1.0', 'points': [{'label': 'r', 'coords': [0.0, 0.0, 0.0]}, "
+        "{'label': 'u', 'coords': [1.0, -1.0, 0.5]}, {'label': 'v', 'coords': [2.0, 1.5, -2.0]}]}"
+    )
+    with pytest.raises(GraphError, match=re.escape(f"cloud level {level} is not an object")):
+        LeveledPointCloud.from_json_dict(data)
 
 
 def check_writer(cloud):
