@@ -11,7 +11,6 @@ exact rational shadows alongside).
 from .graph_core import (
     Cycle,
     GraphError,
-    IsoMapping,
     WeightedRootedGraph,
     is_weight_preserving_homomorphism,
     is_weight_preserving_monomorphism,

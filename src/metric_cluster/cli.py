@@ -206,9 +206,9 @@ def _cmd_isomorphic(ns) -> int:
         _emit({"isomorphic": False}, ns, "not isomorphic")
         return 1
     _emit(
-        {"isomorphic": True, "mapping": witness.mapping},
+        {"isomorphic": True, "mapping": witness},
         ns,
-        "\n".join(["isomorphic:"] + [f"  {u} -> {v}" for u, v in sorted(witness.mapping.items())]),
+        "\n".join(["isomorphic:"] + [f"  {u} -> {v}" for u, v in sorted(witness.items())]),
     )
     return 0
 

@@ -469,31 +469,6 @@ class Cycle:
         return 2 * self.max_weight() == self.total_weight()
 
 
-@dataclass
-class IsoMapping:
-    """Vertex bijection witnessing a weighted rooted isomorphism."""
-
-    mapping: dict[str, str]
-
-    def verify(
-        self,
-        g1: WeightedRootedGraph,
-        g2: WeightedRootedGraph,
-        weight_tol_rel: Fraction | float = 0,
-    ) -> bool:
-        """Re-evaluate the isomorphism conditions from scratch: a weight
-        preserving monomorphism between graphs with as many vertices and as
-        many edges, so a bijection under which non-edges map onto non-edges.
-
-        GraphError refuses a tolerance that ``isomorphic`` refuses.
-        """
-        return (
-            is_weight_preserving_monomorphism(g1, g2, self.mapping, weight_tol_rel)
-            and len(g1) == len(g2)
-            and len(g1.weights) == len(g2.weights)
-        )
-
-
 _WEIGHT_TOLERANCE = "weight tolerance must be finite and non-negative, got {value!r}"
 
 
@@ -572,16 +547,17 @@ def isomorphic(
     g2: WeightedRootedGraph,
     weighted: bool = True,
     weight_tol_rel: Fraction | float = 0,
-) -> Optional[IsoMapping]:
+) -> Optional[dict[str, str]]:
     """Decide a weighted rooted isomorphism, in polynomial time.
 
-    Returns a witness or None. Every cluster's root dominates, and a graph
-    whose root dominates is isomorphic to no graph whose root does not. With
-    both roots dominating, the vertices paired in increasing distance-from-root
-    label (the root first, ties in vertex order) are the one candidate,
-    returned if it verifies. A failed candidate means no isomorphism unless
-    both graphs have a near-tie (see ``_near_tie``): only then could an
-    isomorphism pair two vertices out of label order.
+    Returns the vertex mapping, g1's vertices to g2's, or None. Every
+    cluster's root dominates, and a graph whose root dominates is isomorphic
+    to no graph whose root does not. With both roots dominating, the vertices
+    paired in increasing distance-from-root label (the root first, ties in
+    vertex order) are the one candidate, returned if it maps the edges. A
+    failed candidate means no isomorphism unless both graphs have a near-tie
+    (see ``_near_tie``): only then could an isomorphism pair two vertices out
+    of label order.
 
     GraphError refuses a tolerance that is not a finite, non-negative int,
     float, Fraction or Decimal, ``weighted=False``, two graphs whose roots do
@@ -604,9 +580,9 @@ def isomorphic(
     # the key order `isomorphic --json` prints: the root and then g1's
     # vertex order with exact weights, increasing label under a tolerance
     candidate = {v: pairs[v] for v in (labels1 if tol == 0 else order1)}
-    # a bijection between graphs with as many edges: what verify() checks
+    # a bijection between graphs with as many edges: mapping each edge onto one suffices
     if _maps_edges(g1, g2, candidate, tol):
-        return IsoMapping(candidate)
+        return candidate
     tie = _near_tie(order1, labels1, tol)
     if tie is None or _near_tie(order2, labels2, tol) is None:
         return None

@@ -69,7 +69,6 @@ class RealizationPlan:
 
     graph: WeightedRootedGraph
     family: list[DistanceMatrix]
-    non_edges: list[tuple[str, str]]
     rule: ScalingRule
     depth: int
     warnings: list[str] = field(default_factory=list)
@@ -130,11 +129,7 @@ class LeveledPointCloud:
     period: Optional[int] = None
 
     def __post_init__(self):
-        dimension = _integer(self.dimension, 1, "cloud dimension must be a positive integer, got {value!r}")
-        if self.period is not None:
-            _integer(self.period, 1, "cloud period must be a positive integer, got {value!r}")
-        if not isinstance(self.levels, (list, tuple)):
-            raise GraphError("cloud JSON levels must be a list")
+        dimension = _checked_fields(self.dimension, self.period, self.levels)
         levels: list[CloudLevel] = []
         for lvl in self.levels:
             levels.append(_checked_level(lvl, levels[-1].n if levels else 0, dimension))
@@ -174,46 +169,31 @@ class LeveledPointCloud:
             for lvl in self.levels
         )
 
-    def to_json_dict(self, include_exact: bool = True) -> dict:
-        levels = []
-        for lvl in self.levels:
-            points = []
-            for p in lvl.points:
-                if include_exact and p.exact is not None:
-                    points.append({"label": p.label, "exact": _format_over(p.exact, lvl.q)})
-                else:
-                    points.append({"label": p.label, "coords": list(p.coords)})
-            if include_exact and lvl.r_exact is not None:
-                levels.append({"n": lvl.n, "points": points, "r_exact": format_rational(lvl.r_exact)})
-            else:
-                levels.append({"n": lvl.n, "r": repr(lvl.r), "points": points})
-        return {
-            "norm": "sup",
-            "dimension": self.dimension,
-            "basepoint": [0.0] * self.dimension,
-            "period": self.period,
-            "levels": levels,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
-        """The cloud of a JSON document. A file in a layout the writer writes
-        is read in one pass per level; any other becomes levels, points and
-        shadow numerators that the constructor checks, so it words a refusal."""
+        """The cloud of a JSON document. A level in a layout the writer writes
+        is read in one pass, any other by the constructor's level check. A
+        document a check refuses goes whole through the checked path, which
+        reads every level's shadow literals first and words the refusal."""
         try:
             dimension, levels = data["dimension"], data["levels"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"cloud JSON is missing field: {exc}") from exc
         if data.get("norm", "sup") != "sup":
             raise GraphError(f"cloud norm {data['norm']!r} is not supported; only 'sup' is")
-        cloud = _read_at_once(dimension, levels, data.get("period"))
+        period = data.get("period")
+        try:
+            # a tuple of levels, in a dict built in code, goes whole through the constructor
+            cloud = _read_by_level(dimension, levels, period) if type(levels) is list else None
+        except (KeyError, TypeError, GraphError):  # refused: the checked path words it
+            cloud = None
         if cloud is None:
             try:
                 if isinstance(levels, list):
                     levels = [_unpacked_level(entry) if isinstance(entry, dict) else entry for entry in levels]
             except KeyError as exc:
                 raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
-            cloud = cls(dimension, levels, data.get("period"))
+            cloud = cls(dimension, levels, period)
         # recovery measures every distance to the origin; JSON false loads as
         # Python's False, which equals 0
         basepoint = data.get("basepoint", [0] * dimension)
@@ -222,10 +202,10 @@ class LeveledPointCloud:
         return cloud
 
     def to_json(self, include_exact: bool = True) -> str:
-        """``json.dumps(self.to_json_dict(include_exact), indent=2)``, byte for
-        byte, written directly instead of by json's pure-Python indenting
-        encoder. Every piece of the text goes into one list, joined once.
-        GraphError names a value past the interpreter's int-to-str digit limit."""
+        """The cloud file in the README's layout, byte for byte as
+        ``json.dumps(..., indent=2)`` lays it out: where given, shadows as
+        ``exact`` and ``r_exact`` unless ``include_exact`` is false, else
+        ``coords`` and ``r``. GraphError names a value past the digit limit."""
         out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
         _array(out, ["0.0"] * self.dimension, _BASEPOINT)
         period = "null" if self.period is None else format_rational(self.period)
@@ -270,19 +250,18 @@ def _unpacked_level(entry: dict) -> CloudLevel:
     return CloudLevel(entry["n"], entry.get("r"), entry.get("r_exact"), points, q)
 
 
-def _read_at_once(dimension, levels, period) -> Optional[LeveledPointCloud]:
-    """The cloud of a document's fields, its levels read one pass each by
-    ``_level_at_once``, or None where the checked path must decide."""
-    fields = (dimension, 1 if period is None else period)
-    if type(levels) is not list or not all(type(x) is int and x > 0 for x in fields):
-        return None
+def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
+    """The cloud of a document's fields, each level read by ``_level_at_once``
+    or, where it declines, checked as the constructor checks it."""
+    dimension = _checked_fields(dimension, period, levels)
     read: list[CloudLevel] = []
-    try:
-        for entry in levels:
-            read.append(_level_at_once(entry, read[-1].n if read else 0, dimension))
-        return LeveledPointCloud._of_levels(dimension, read, period)
-    except (KeyError, TypeError, ValueError, OverflowError):  # GraphError is a ValueError
-        return None
+    for entry in levels:
+        previous = read[-1].n if read else 0
+        try:
+            read.append(_level_at_once(entry, previous, dimension))
+        except (KeyError, TypeError, ValueError, OverflowError):  # GraphError is a ValueError
+            read.append(_checked_level(_unpacked_level(entry), previous, dimension))
+    return LeveledPointCloud._of_levels(dimension, read, period)
 
 
 def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
@@ -353,6 +332,16 @@ def _shadows_at_once(values: list, dimension: int) -> tuple[int, list[tuple], li
     rounded, numerator = dict(zip(distinct, [a / q for a in numerators])), dict(zip(distinct, numerators))
     coords = list(zip(*[map(rounded.__getitem__, values)] * dimension))
     return q, coords, list(zip(*[map(numerator.__getitem__, values)] * dimension))
+
+
+def _checked_fields(dimension, period, levels) -> int:
+    """A cloud's dimension, once it, its period and its levels are checked."""
+    dimension = _integer(dimension, 1, "cloud dimension must be a positive integer, got {value!r}")
+    if period is not None:
+        _integer(period, 1, "cloud period must be a positive integer, got {value!r}")
+    if not isinstance(levels, (list, tuple)):
+        raise GraphError("cloud JSON levels must be a list")
+    return dimension
 
 
 def _with_points(levels: list[CloudLevel]) -> list[CloudLevel]:
@@ -624,7 +613,6 @@ def build_plan(
     return RealizationPlan(
         graph=g,
         family=family,
-        non_edges=non_edges,
         rule=rule,
         depth=depth,
         warnings=warnings,

@@ -23,6 +23,7 @@ from metric_cluster.graph_core import (
     GraphError,
     WeightedRootedGraph,
     _in_lowest_terms,
+    is_weight_preserving_monomorphism,
     parse_rational,
 )
 from metric_cluster.metrization import DistanceMatrix, IntervalQ, shortest_path_metric
@@ -521,6 +522,44 @@ def cloud_by_coordinates(plan) -> LeveledPointCloud:
     return LeveledPointCloud(dimension=len(order), levels=levels, period=len(plan.family))
 
 
+def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dict:
+    """The cloud file as a dict, which ``json.dumps(..., indent=2)`` lays
+    out as ``to_json`` writes it: a point's shadow as ``exact`` values a/q
+    in lowest terms, as Fraction prints them, and a level's ``r_exact``,
+    where given, unless ``include_exact`` is false; ``coords`` and ``r``
+    otherwise."""
+    levels = []
+    for lvl in cloud.levels:
+        points = []
+        for p in lvl.points:
+            if include_exact and p.exact is not None:
+                points.append({"label": p.label, "exact": [str(Fraction(a, lvl.q)) for a in p.exact]})
+            else:
+                points.append({"label": p.label, "coords": list(p.coords)})
+        if include_exact and lvl.r_exact is not None:
+            levels.append({"n": lvl.n, "points": points, "r_exact": str(lvl.r_exact)})
+        else:
+            levels.append({"n": lvl.n, "r": repr(lvl.r), "points": points})
+    return {
+        "norm": "sup",
+        "dimension": cloud.dimension,
+        "basepoint": [0.0] * cloud.dimension,
+        "period": cloud.period,
+        "levels": levels,
+    }
+
+
+def verifies_isomorphism(g1, g2, mapping: dict, tol=0) -> bool:
+    """The conditions an ``isomorphic`` witness meets: a weight preserving
+    monomorphism between graphs with as many vertices and as many edges, so
+    a bijection under which non-edges map onto non-edges."""
+    return (
+        is_weight_preserving_monomorphism(g1, g2, mapping, tol)
+        and len(g1) == len(g2)
+        and len(g1.weights) == len(g2.weights)
+    )
+
+
 def is_isomorphism_by_pairs(g1, g2, mapping: dict, tol: Fraction) -> bool:
     """Does ``mapping`` take g1 onto g2, root to root, with every vertex pair
     an edge in g1 exactly when its image is one in g2, of a weight within the
@@ -728,11 +767,11 @@ def assert_two_member_family(plan) -> None:
     every non-edge. A complete graph has the single member [d]."""
     g = plan.graph
     d = shortest_path_metric(g)
-    assert plan.period == (2 if plan.non_edges else 1)
+    assert plan.period == (2 if g.non_edges() else 1)
     assert plan.family[-1] == d
     lower = plan.family[0]
     assert metric_agrees_with_weights(lower, g)
-    for u, v in plan.non_edges:
+    for u, v in g.non_edges():
         assert 0 < lower.get(u, v) < d.get(u, v), f"lower member not below d at {(u, v)}"
 
 

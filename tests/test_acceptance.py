@@ -61,6 +61,7 @@ from oracles import (
     random_rational,
     rooted_extremal_cluster,
     tight_cycle_through_pair,
+    verifies_isomorphism,
 )
 
 WEIGHT_TOL = Fraction(1, 10**9)
@@ -258,7 +259,7 @@ def test_criterion_05_fpc_round_trip():
     for weighted, cloud, rc_float, rc_exact in data:
         witness = isomorphic(weighted, rc_float.graph, weight_tol_rel=WEIGHT_TOL)
         assert witness is not None, f"round trip failed for {weighted!r}"
-        assert witness.verify(weighted, rc_float.graph, WEIGHT_TOL)
+        assert verifies_isomorphism(weighted, rc_float.graph, witness, WEIGHT_TOL)
         assert rc_exact.graph == weighted  # bit-exact on the rational shadows
     assert elapsed < 300, f"criterion 5 overran its budget: {elapsed:.1f}s"
     report(

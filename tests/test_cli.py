@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metric_cluster.cli import build_parser, main
-from metric_cluster.graph_core import IsoMapping, WeightedRootedGraph
+from metric_cluster.graph_core import WeightedRootedGraph
 from metric_cluster.fpc import graph_from_metric_space, synthesize_weights
 from metric_cluster.metrization import Metrizability, extend_metric, forced_completion, shortest_path_metric
 from metric_cluster.realization import realize, single_point_space
@@ -129,6 +129,15 @@ def test_embed_auto_picks_line_for_tight(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mode"] == "line"
     assert payload["coordinates"] == {"v1": "0", "v2": "1", "v3": "2", "v4": "3"}
+
+
+def test_embed_out_writes_the_json_payload(quad, tmp_path, capsys):
+    assert main(["embed", str(quad), "--json"]) == 0
+    payload = capsys.readouterr().out
+    out = tmp_path / "embedding.json"
+    assert main(["embed", str(quad), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == payload
 
 
 def test_embed_circle(quad, capsys):
@@ -283,6 +292,10 @@ def test_fpc_f_beyond_digit_limit_exit_2(capsys):
     for n in ("30000", "100000000"):
         assert main(["fpc", "f", n]) == 2
         assert "too many digits" in capsys.readouterr().err
+    # f(27038) = 2 * 3**9012 passes the estimate, which counts 3**9012 alone,
+    # and has 4301 digits: str() refuses it
+    assert main(["fpc", "f", "27038"]) == 2
+    assert capsys.readouterr().err.startswith("error: f(27038) has too many digits to print: Exceeds the limit")
 
 
 def test_end_to_end_chain(cert_graph, tmp_path, capsys):
@@ -336,13 +349,21 @@ def test_readme_library_quickstart_runs_as_written():
     assert (interval.lo, interval.hi) == (2, 4)
     assert certified is True
     assert problems == []
-    assert isinstance(witness, IsoMapping)
+    assert witness == {"r": "r", "u": "u", "v": "v", "z": "z"}
     assert exact is True
 
 
 def test_power_square_base_below_two_exit_2(cert_graph, capsys):
     assert main(["realize", str(cert_graph), "--rule", "power_square", "--base", "1"]) == 2
     assert "base must be an integer >= 2" in capsys.readouterr().err
+
+
+def test_realize_shorter_than_the_family_period_warns(cert_graph, tmp_path, capsys):
+    out = tmp_path / "cloud.json"
+    assert main(["realize", str(cert_graph), "--depth", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: depth 1 is shorter than one full metric-family period (2): recovery cannot see every member\n"
+    )
 
 
 def test_realize_past_binary64_exit_2(tmp_path, capsys):
@@ -523,6 +544,13 @@ def test_diag_fn_of_a_realized_cluster_is_finite(tmp_path, capsys):
     labels = ",".join(v for v in g.vertices if v != g.root)
     assert main(["diag", "fn", str(cloud), "--level", "12", "--labels", labels, "--json"]) == 0
     assert math.isfinite(json.loads(capsys.readouterr().out)["value"])
+
+
+def test_demo_out_under_a_file_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["demo", "--out", str(blocker / "fixtures")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot create {blocker / 'fixtures'}: ")
 
 
 def test_demo_corpus_self_consistent(tmp_path, capsys):

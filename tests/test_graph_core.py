@@ -11,7 +11,6 @@ from metric_cluster import synthesize_weights
 from metric_cluster.graph_core import (
     Cycle,
     GraphError,
-    IsoMapping,
     WeightedRootedGraph,
     is_weight_preserving_homomorphism,
     is_weight_preserving_monomorphism,
@@ -33,6 +32,7 @@ from oracles import (
     nx_to_graph,
     random_dominating_shape,
     random_weighted_graph,
+    verifies_isomorphism,
 )
 
 
@@ -244,6 +244,8 @@ def test_cycle_type_validation():
         (("a", "b", "c"), 3, "cycle weights must be a sequence of rationals, got int"),
         (("a", "b", "c"), (True, True, True), "not a rational literal: True"),
         (("a", "b", "c"), (1.0, 1.0, 2.0), "refusing float weight 1.0: pass a string ('3/2' or '1.5') for exactness"),
+        (("a", "b", "c"), (1, 1), "cycle needs one weight per edge"),
+        (("a", "b", "c"), (1, 1, 1, 1), "cycle needs one weight per edge"),
     ):
         with pytest.raises(GraphError) as refused:
             Cycle(vertices, weights)
@@ -267,6 +269,21 @@ def test_a_cycle_of_the_graph_needs_each_edge_once():
     for lookup in (g.has_edge, g.weight, g.without_edge, lambda u, v: g.with_edge(u, v, 1)):
         with pytest.raises(GraphError, match=r"^vertex id \[1\] is not a string$"):
             lookup([1], [2])
+
+
+def test_derived_graphs_refuse_an_edge_they_cannot_add_or_change():
+    g = graph(["r", "u", "v"], {("r", "u"): "1", ("r", "v"): "2"}, "r")
+    for derive, message in (
+        (lambda: g.with_edge("u", "r", 3), "edge ('r', 'u') already present"),
+        (lambda: g.with_weight("v", "u", 3), "edge ('u', 'v') not present"),
+        (lambda: g.without_edge("u", "v"), "edge ('u', 'v') not present"),
+        (lambda: g.relabel({"r": "a", "u": "b"}), "relabel mapping must be a bijection on the vertex set"),
+        (lambda: g.relabel({"r": "a", "u": "b", "v": "b"}), "relabel mapping must be a bijection on the vertex set"),
+    ):
+        with pytest.raises(GraphError) as refused:
+            derive()
+        assert str(refused.value) == message
+    assert g.with_edge("u", "v", 3).weight("v", "u") == 3
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +395,7 @@ def test_self_isomorphism_is_identity():
         g = injective_rooted_graph(rng, 6)
         witness = isomorphic(g, g)
         assert witness is not None
-        assert witness.mapping == {v: v for v in g.vertices}
+        assert witness == {v: v for v in g.vertices}
 
 
 def test_renamed_copy_recovers_the_renaming():
@@ -389,8 +406,8 @@ def test_renamed_copy_recovers_the_renaming():
         renaming = dict(zip(names, [f"w{i}" for i in rng.sample(range(20), len(names))]))
         h = g.relabel(renaming)
         witness = isomorphic(g, h)
-        assert witness is not None and witness.mapping == renaming
-        assert witness.verify(g, h)
+        assert witness is not None and witness == renaming
+        assert verifies_isomorphism(g, h, witness)
 
 
 def test_changed_weight_breaks_weighted_isomorphism():
@@ -407,7 +424,7 @@ def test_root_must_map_to_root():
     h = graph(["a", "b"], {("a", "b"): "1"}, "b")
     witness = isomorphic(g, h)
     assert witness is not None
-    assert witness.mapping == {"a": "b", "b": "a"}
+    assert witness == {"a": "b", "b": "a"}
 
 
 def test_isomorphism_symmetry_composes_to_identity():
@@ -418,8 +435,8 @@ def test_isomorphism_symmetry_composes_to_identity():
         f = isomorphic(g, h)
         b = isomorphic(h, g)
         assert f is not None and b is not None
-        assert all(b.mapping[f.mapping[v]] == v for v in g.vertices)
-        assert all(f.mapping[b.mapping[v]] == v for v in h.vertices)
+        assert all(b[f[v]] == v for v in g.vertices)
+        assert all(f[b[v]] == v for v in h.vertices)
 
 
 def test_injective_labels_decide_twenty_vertices():
@@ -430,7 +447,7 @@ def test_injective_labels_decide_twenty_vertices():
     g = WeightedRootedGraph(names, weights, "v00")
     renamed = g.relabel({v: f"w{i:02d}" for i, v in enumerate(names)})
     witness = isomorphic(g, renamed)
-    assert witness is not None and witness.verify(g, renamed)
+    assert witness is not None and verifies_isomorphism(g, renamed, witness)
 
 
 def test_weight_tolerance_mode():
@@ -444,7 +461,6 @@ def test_weight_tolerance_mode():
     for tol in (-1, Fraction(-1, 10**6), -1e-9, float("nan"), float("inf"), float("-inf")):
         for check in (
             lambda: isomorphic(g, g, weight_tol_rel=tol),
-            lambda: IsoMapping(identity).verify(g, g, tol),
             lambda: is_weight_preserving_homomorphism(g, g, identity, tol),
             lambda: is_weight_preserving_monomorphism(g, g, identity, tol),
         ):
@@ -499,7 +515,7 @@ def test_tolerant_isomorphism_without_a_near_tie_answers_without_search():
             assert isomorphic(tied, g, weight_tol_rel=tol) is None
         tol = Fraction(1, 10**9)
         nudged = g.with_weight(u, v, g.weight(u, v) * (1 + Fraction(1, 10**12)))
-        assert isomorphic(g, nudged, weight_tol_rel=tol).verify(g, nudged, tol)
+        assert verifies_isomorphism(g, nudged, isomorphic(g, nudged, weight_tol_rel=tol), tol)
 
 
 def test_near_tied_labels_are_refused_by_name_at_any_size():
@@ -535,7 +551,7 @@ def check_against_networkx(g, h, tol):
             assert has_near_tie(g, tol) and has_near_tie(h, tol), (g.to_json(), h.to_json(), tol)
         return None
     assert (witness is not None) == isomorphic_by_networkx(g, h, tol), (g.to_json(), h.to_json(), tol)
-    assert witness is None or is_isomorphism_by_pairs(g, h, witness.mapping, tol)
+    assert witness is None or is_isomorphism_by_pairs(g, h, witness, tol)
     return witness is not None
 
 
@@ -646,3 +662,5 @@ def test_weight_preserving_homomorphism_checks():
     assert is_weight_preserving_monomorphism(g, h, {"r": "r", "u": "u"})
     assert not is_weight_preserving_homomorphism(g, h, {"r": "r", "u": "v"})  # weight 3 != 2
     assert not is_weight_preserving_homomorphism(g, h, {"r": "u", "u": "r"})  # root moves
+    assert not is_weight_preserving_homomorphism(g, h, {"r": "r"})  # u has no image
+    assert not is_weight_preserving_homomorphism(g, h, {"r": "r", "u": "x"})  # x is no vertex of h

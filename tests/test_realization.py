@@ -11,6 +11,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metric_cluster import realization
 from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphic
 from metric_cluster.fpc import synthesize_weights
 from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
@@ -19,8 +20,8 @@ from metric_cluster.realization import (
     CloudPoint,
     LeveledPointCloud,
     ScalingRule,
+    _level_at_once,
     _level_numerators,
-    _read_at_once,
     _shadows_at_once,
     _unpacked_level,
     build_plan,
@@ -39,6 +40,7 @@ from metric_cluster.recovery import (
 from oracles import (
     assert_two_member_family,
     cloud_by_coordinates,
+    cloud_json_dict,
     cross_level_separation,
     dominating_rooted_shapes,
     halfway_past_binary64,
@@ -113,23 +115,23 @@ def test_levels_and_depths_count_from_one():
 def test_complete_graph_has_single_member_family():
     plan = build_plan(CERT_TRIANGLE, depth=6)
     assert len(plan.family) == 1
-    assert plan.non_edges == []
+    assert plan.graph.non_edges() == ()
     assert plan.family[0].get("u", "v") == Fraction(5, 2)
 
 
 def test_star_plan_picks_midpoint_and_upper_end():
     plan = build_plan(STAR_15, depth=8)
-    assert plan.non_edges == [("u", "v")]
+    assert plan.graph.non_edges() == (("u", "v"),)
     assert [d.get("u", "v") for d in plan.family] == [5, 6]
 
 
 def test_plan_family_members_agree_with_weights_and_split_pairs():
     plan = build_plan(ONE_GAP, depth=12)
-    m = len(plan.non_edges)
+    m = len(plan.graph.non_edges())
     for d in plan.family:
         for (a, b), w in plan.graph.weights.items():
             assert d.get(a, b) == w
-    for i, (u, v) in enumerate(plan.non_edges):
+    for i, (u, v) in enumerate(plan.graph.non_edges()):
         assert plan.family[i].get(u, v) != plan.family[i + m].get(u, v)
 
 
@@ -330,7 +332,7 @@ def _both_halves(cloud) -> str:
     """The cloud's text as the writer laid it out while it wrote both halves
     of a shadowed point: each point's coords before its exact, and each
     level's r before its points and r_exact after them."""
-    doc, shadows = cloud.to_json_dict(include_exact=False), cloud.to_json_dict()
+    doc, shadows = cloud_json_dict(cloud, include_exact=False), cloud_json_dict(cloud)
     for level, shadowed in zip(doc["levels"], shadows["levels"]):
         for point, exact in zip(level["points"], shadowed["points"]):
             point.update({"exact": exact["exact"]} if "exact" in exact else {})
@@ -542,15 +544,26 @@ def checked_path(data):
     return LeveledPointCloud(data["dimension"], levels, data.get("period"))
 
 
-def one_pass(data):
-    return _read_at_once(data["dimension"], data["levels"], data.get("period"))
+def taken_levels(data) -> list[bool]:
+    """Whether the one pass, ``_level_at_once``, takes each level of a
+    document, in level order."""
+    taken, previous = [], 0
+    for entry in data["levels"]:
+        try:
+            _level_at_once(entry, previous, data["dimension"])
+            taken.append(True)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            taken.append(False)
+        previous = entry["n"]
+    return taken
 
 
 def test_a_level_checked_at_once_reads_as_point_by_point():
     """The one pass takes unlabeled points and a shadow's rounding given as
-    coords; it leaves a repeated label, an empty shadow, a partly shadowed
-    level and an int coordinate to the checked path. The reader gives the
-    checked path's cloud or refusal either way."""
+    coords; it leaves a level with a repeated label, an empty shadow, points
+    with and without shadows or an int coordinate to the checked path, and
+    takes every other level. The reader gives the checked path's cloud or
+    refusal either way."""
     text = realize(ONE_GAP, 6).to_json()
     dimension = json.loads(text)["dimension"]
     edits = [
@@ -566,7 +579,7 @@ def test_a_level_checked_at_once_reads_as_point_by_point():
     for level, edit, taken in edits:
         data = json.loads(text)
         edit(data["levels"][level]["points"])
-        assert (one_pass(data) is not None) is taken
+        assert taken_levels(data) == [taken or i != level for i in range(len(data["levels"]))]
         try:
             expected = checked_path(data)
         except GraphError as exc:
@@ -579,7 +592,7 @@ def test_a_level_checked_at_once_reads_as_point_by_point():
 def with_coords(cloud) -> str:
     """The cloud's file as the writer wrote it before a shadow stood alone:
     each shadowed point with its coords as well, and each level with r."""
-    data = cloud.to_json_dict()
+    data = cloud_json_dict(cloud)
     for entry, lvl in zip(data["levels"], cloud.levels):
         entry["r"] = repr(lvl.r)
         for item, p in zip(entry["points"], lvl.points):
@@ -601,7 +614,7 @@ def test_one_pass_loads_every_layout_as_the_checked_path(n):
             for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
                 for text in (c.to_json(), c.to_json(include_exact=False), with_coords(c)):
                     data = json.loads(text)
-                    assert one_pass(data) is not None
+                    assert all(taken_levels(data))
                     loaded, expected = LeveledPointCloud.from_json(text), checked_path(data)
                     assert loaded == expected
                     assert loaded.to_json(include_exact=False) == expected.to_json(include_exact=False)
@@ -713,7 +726,7 @@ def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
     for value, text_of_refusal in refused.items():
         assert refusal(edited(-1, 1, value)) == text_of_refusal
     data = edited(-1, 1, 2)
-    assert one_pass(data) is None
+    assert taken_levels(data) == [True] * 3 + [False]
     assert LeveledPointCloud.from_json_dict(data) == checked_path(data)
     assert LeveledPointCloud.from_json_dict(data).levels[-1].points[1].coords == (2.0, -24.0, 12.0)
     data = json.loads(text)
@@ -731,9 +744,41 @@ def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
         LeveledPointCloud.from_json_dict(data)
 
 
+def test_a_level_the_pass_declines_alone_takes_the_checked_path(monkeypatch):
+    """A partly shadowed level, which the writer writes for a cloud built in
+    code with partial shadows, and a level with an int coordinate reach the
+    constructor's level check alone, and the pass reads every other level;
+    each file loads to the checked path's cloud. A malformed literal in a
+    later level is still named before a fault of another kind."""
+    cloud = realize(ONE_GAP, 12)
+    partly = json.loads(cloud.to_json())
+    point = cloud.levels[0].points[1]
+    partly["levels"][0]["points"][1] = {"label": point.label, "coords": list(point.coords)}
+    floats = json.loads(cloud.to_json(include_exact=False))
+    floats["levels"][5]["points"][1]["coords"][0] = 2
+    files = [(partly, 0, checked_path(partly)), (floats, 5, checked_path(floats))]
+    checked_level, checked = realization._checked_level, []
+
+    def counted(lvl, *rest):
+        checked.append(lvl.n)
+        return checked_level(lvl, *rest)
+
+    monkeypatch.setattr(realization, "_checked_level", counted)
+    for data, level, expected in files:
+        assert taken_levels(data) == [i != level for i in range(12)]
+        checked.clear()
+        loaded = LeveledPointCloud.from_json(json.dumps(data))
+        assert checked == [level + 1]
+        assert loaded == expected
+    assert not files[0][2].has_exact() and files[0][2].levels[0].points[1].exact is None
+    partly["levels"][1]["r_exact"] = "0"
+    partly["levels"][-1]["points"][1]["exact"][0] = "3/"
+    assert refusal(partly) == "not a rational literal: '3/'"
+
+
 def check_writer(cloud):
     for include_exact in (True, False):
-        assert cloud.to_json(include_exact) == json.dumps(cloud.to_json_dict(include_exact), indent=2)
+        assert cloud.to_json(include_exact) == json.dumps(cloud_json_dict(cloud, include_exact), indent=2)
 
 
 def _odd_cloud():
