@@ -43,6 +43,7 @@ from .metrization import (
     unique_pairs,
 )
 from .realization import LeveledPointCloud, ScalingRule, build_plan, generate_cloud, single_point_space
+from .realization import _level_floats
 from .recovery import (
     alternating_period_indices,
     annulus_diameter_table,
@@ -344,7 +345,8 @@ def _cmd_diag_fn(ns) -> int:
     missing = [lbl for lbl in labels if lbl not in by_label]
     if missing:
         raise GraphError(f"labels {missing} not present at level {ns.level}")
-    points = [by_label[lbl].coords for lbl in labels]
+    floats = dict(zip([p.label for p in level.points], _level_floats(level)))
+    points = [floats[lbl] for lbl in labels]
     basepoint = (0.0,) * cloud.dimension
     value = spread_functional(points, basepoint)
     _emit(

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
 from .graph_core import _format_over, _in_lowest_terms, _integer, _over_lcm
-from .graph_core import _json_document, _spelled
+from .graph_core import _each_once, _json_document, _spelled
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
@@ -80,10 +80,10 @@ class RealizationPlan:
 
 @dataclass
 class CloudPoint:
-    """One point of a level: binary64 coordinates and, when the cloud has an
-    exact shadow for it, the integer numerators of its rational coordinates
-    over the level's common denominator ``q``; the coordinates are then the
-    shadow rounded to binary64, derived from it where given as None."""
+    """One point of a level: the integer numerators of its exact rational
+    coordinates over the level's common denominator ``q`` where the cloud has
+    a shadow for it, and binary64 ``coords`` otherwise. A shadowed point holds
+    no coords: a binary64 reader rounds its shadow (see ``CloudLevel``)."""
 
     label: Optional[str]
     coords: Optional[tuple[float, ...]]
@@ -98,7 +98,8 @@ class CloudLevel:
     ``q`` is the least common denominator of the exact shadows of the
     level's points, which carry integer numerators over it: point p's j-th
     exact coordinate is p.exact[j] / q. It is None when no point of the level
-    has a shadow.
+    has a shadow. A binary64 reader takes that value rounded, derived when it
+    asks; construction makes sure that every such rounding is finite.
     """
 
     n: int
@@ -113,15 +114,16 @@ class LeveledPointCloud:
     """Finite truncation of an unbounded space, one labeled point set per level.
 
     Points live in sup-norm coordinate space; the basepoint is the origin and
-    appears at every level (as the root's image in generated clouds). Exact
-    rational shadows accompany the binary64 data wherever they exist, as
-    integer numerators over one denominator per level (see ``CloudLevel``).
+    appears at every level (as the root's image in generated clouds). A point
+    holds either an exact rational shadow, as integer numerators over one
+    denominator per level (see ``CloudLevel``), or binary64 coordinates.
 
     Construction checks ``dimension``, ``period``, then each level's ``n``,
     points, labels, ``q``, ``r`` and ``r_exact``, and that a level has a
     point; it holds an int coordinate as its float, shadows in lowest terms
-    and the floats it derives from them. Every file the JSON reader refuses
-    goes through it, so a file and the same value in code are refused alike.
+    and no coords next to a shadow, once they equal its rounding. Every file
+    the JSON reader refuses goes through it, so a file and the same value in
+    code are refused alike.
     """
 
     dimension: int
@@ -205,7 +207,7 @@ class LeveledPointCloud:
         """The cloud file in the README's layout, byte for byte as
         ``json.dumps(..., indent=2)`` lays it out: where given, shadows as
         ``exact`` and ``r_exact`` unless ``include_exact`` is false, else
-        ``coords`` and ``r``. GraphError names a value past the digit limit."""
+        ``coords``, a shadow rounded, and ``r``. GraphError names a value past the digit limit."""
         out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
         _array(out, ["0.0"] * self.dimension, _BASEPOINT)
         period = "null" if self.period is None else format_rational(self.period)
@@ -269,7 +271,8 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
     path makes it, in a layout the writer writes: each point an ``exact``
     list of ``_shadows_at_once`` values, alone or with ``coords`` that are
     its rounding, or each point ``coords`` of finite floats alone; labels
-    distinct strings or None. KeyError, TypeError or ValueError for any other."""
+    distinct strings or None. KeyError, TypeError or ValueError for any
+    other, OverflowError for a shadow that rounds beyond binary64."""
     n, points = entry["n"], entry["points"]
     if not (type(n) is int and n > previous and type(points) is list):
         raise ValueError(n)
@@ -290,10 +293,11 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
             raise ValueError(given)
         coords, shadows = list(map(tuple, given)), repeat(None)
     elif kinds == {list} and set(map(len, exacts)) == {dimension}:
-        q, coords, shadows = _shadows_at_once(list(chain.from_iterable(exacts)), dimension)
-        for c, x in zip(given, coords):
-            if c is not None and not (type(c) is list and set(map(type, c)) <= {float} and tuple(c) == x):
+        q, shadows = _shadows_at_once(list(chain.from_iterable(exacts)), dimension)
+        for c, shadow in zip(given, shadows):
+            if c is not None and not (type(c) is list and set(map(type, c)) <= {float} and c == [a / q for a in shadow]):
                 raise ValueError(c)
+        coords = repeat(None)
     else:
         raise ValueError(exacts)
     r_exact = entry.get("r_exact")
@@ -302,13 +306,13 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
     return CloudLevel(n, *_scales(entry.get("r"), r_exact, n), list(map(CloudPoint, labels, coords, shadows)), q)
 
 
-def _shadows_at_once(values: list, dimension: int) -> tuple[int, list[tuple], list[tuple]]:
+def _shadows_at_once(values: list, dimension: int) -> tuple[int, list[tuple]]:
     """A level's exact values, each ``-?digits`` or ``-?digits/digits`` in
     ASCII digits with a positive denominator, as their least common
-    denominator q, and in ``dimension``-tuples their rounding to binary64 and
-    their numerators over q. Each distinct value is read and rounded once, as
-    most values of a realized level repeat. TypeError or ValueError for any
-    other value, OverflowError for a rounding beyond binary64."""
+    denominator q and, in ``dimension``-tuples, their numerators over q. Each
+    distinct value is read once, as most values of a realized level repeat.
+    TypeError or ValueError for any other value, OverflowError for a value
+    that rounds beyond binary64."""
     distinct = list(set(values))  # TypeError for a list
     text = ",".join(distinct)  # TypeError unless each value is a string
     # int() also reads blanks, "+", "_" and other scripts' digits, which
@@ -329,9 +333,15 @@ def _shadows_at_once(values: list, dimension: int) -> tuple[int, list[tuple], li
         q = math.lcm(*set(denominators))
         numerators = [int(a) * (q // b) for (a, _, _), b in zip(parts, denominators)]
         q, (numerators,) = _in_lowest_terms(q, [numerators])
-    rounded, numerator = dict(zip(distinct, [a / q for a in numerators])), dict(zip(distinct, numerators))
-    coords = list(zip(*[map(rounded.__getitem__, values)] * dimension))
-    return q, coords, list(zip(*[map(numerator.__getitem__, values)] * dimension))
+    _binary64_guard(numerators, q)
+    numerator = dict(zip(distinct, numerators))
+    return q, list(zip(*[map(numerator.__getitem__, values)] * dimension))
+
+
+def _binary64_guard(numerators, q: int) -> None:
+    """OverflowError exactly when some a / q rounds beyond binary64: rounding
+    is monotone, so the one division of the largest |a| over q is the test."""
+    max(map(abs, numerators), default=0) / q
 
 
 def _checked_fields(dimension, period, levels) -> int:
@@ -372,7 +382,7 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
     if any(shadows):
         refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
         q, shadows = _in_lowest_terms(_integer(lvl.q, 1, refusal), shadows)
-        points = _with_shadow_coords(points, shadows, q, level)
+        points = _with_shadows(points, shadows, q, level)
     return CloudLevel(n, *_scales(lvl.r, lvl.r_exact, level), points, q)
 
 
@@ -391,20 +401,28 @@ def _scales(r, r_exact, level) -> tuple[float, Optional[Fraction]]:
     return r, r_exact
 
 
-def _with_shadow_coords(points: list[CloudPoint], shadows: list, q: int, level: str) -> list[CloudPoint]:
-    """The points, each with its shadow over q and, from a shadow, the
-    coordinates ``a / q``, which int true division rounds correctly: GraphError
-    when one leaves binary64 or differs from a coordinate given."""
+def _with_shadows(points: list[CloudPoint], shadows: list, q: int, level: str) -> list[CloudPoint]:
+    """The points, each with its shadow over q and without coords where it
+    has one. A shadow is rounded, as int true division ``a / q`` rounds it,
+    only where coords are given or the level's guard fails: GraphError names
+    the first point whose rounding leaves binary64 or differs from its coords."""
+    try:
+        _binary64_guard(chain.from_iterable(filter(None, shadows)), q)
+        fits = True
+    except OverflowError:
+        fits = False
     out = []
     for p, shadow in zip(points, shadows):
-        try:
-            coords = shadow and tuple([a / q for a in shadow])
-        except OverflowError as exc:
-            raise GraphError(f"point {p.label!r} at level {level} has a coordinate beyond binary64: {exc}") from exc
-        if shadow and p.coords not in (None, coords):
-            refusal = f"has coords {list(p.coords)}, but its exact shadow rounds to {list(coords)}"
-            raise GraphError(f"point {p.label!r} at level {level} {refusal}")
-        out.append(CloudPoint(p.label, coords or p.coords, shadow))
+        if shadow and (p.coords is not None or not fits):
+            try:
+                coords = tuple([a / q for a in shadow])
+            except OverflowError as exc:
+                refusal = f"has a coordinate beyond binary64: {exc}"
+                raise GraphError(f"point {p.label!r} at level {level} {refusal}") from exc
+            if p.coords not in (None, coords):
+                refusal = f"has coords {list(p.coords)}, but its exact shadow rounds to {list(coords)}"
+                raise GraphError(f"point {p.label!r} at level {level} {refusal}")
+        out.append(CloudPoint(p.label, None if shadow else p.coords, shadow))
     return out
 
 
@@ -511,8 +529,9 @@ def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
         return
     shadowed = [include_exact and p.exact is not None for p in lvl.points]
     exact = iter(_format_over([a for p, s in zip(lvl.points, shadowed) if s for a in p.exact], lvl.q))
+    rows = [p.coords for p in lvl.points] if include_exact else _level_floats(lvl)
     opening = "[\n        {"
-    for p, s in zip(lvl.points, shadowed):
+    for p, s, coords in zip(lvl.points, shadowed, rows):
         out += (opening, '\n          "label": ', _json_scalar(p.label))
         opening = ",\n        {"
         if s:
@@ -520,9 +539,21 @@ def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
             _array(out, list(islice(exact, len(p.exact))), _EXACT)
         else:
             out.append(',\n          "coords": ')
-            _array(out, list(map(float.__repr__, p.coords)), _COORDS)
+            _array(out, list(map(float.__repr__, coords)), _COORDS)
         out.append("\n        }")
     out.append("\n      ]")
+
+
+def _level_floats(lvl: CloudLevel) -> list[tuple[float, ...]]:
+    """The binary64 coordinates of the level's points, in point order: a
+    point's coords, or its shadow over q rounded as int true division rounds
+    it, each distinct value once. The level's guard keeps every one finite."""
+    shadows = [p.exact for p in lvl.points if p.exact is not None]
+    if not shadows:
+        return [p.coords for p in lvl.points]
+    q = lvl.q
+    rounded = iter(_each_once(lambda a: a / q, list(chain.from_iterable(shadows))))
+    return [p.coords if p.exact is None else tuple(islice(rounded, len(p.exact))) for p in lvl.points]
 
 
 def _json_scalar(value) -> str:
@@ -622,10 +653,12 @@ def build_plan(
 def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     """Materialize the plan: distance-difference coordinates per level.
 
-    Point v at level n has j-th coordinate r_n * (d_i(v, v_j) - d_i(v_j, root))
-    with i cycling through the family; the root lands on the origin at every
-    level, and within a level the sup-norm distances reproduce r_n * d_i
-    exactly at the rational level.
+    Point v at level n has the coordinate r_n * (d_i(v, v_j) - d_i(v_j, root))
+    for each non-root vertex v_j (the root alone in a one-vertex graph), with
+    i cycling through the family. The root lands on the origin, and within a
+    level the sup-norm distances reproduce r_n * d_i exactly: no column exceeds
+    d_i(u, v), and that of a non-root end of the pair attains it. A point
+    holds its shadow alone.
 
     A level is refused with ``GraphError`` exactly when r_n, or r_n times the
     largest distance of d_i, rounds beyond binary64: that product is the
@@ -643,6 +676,7 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     ):
         raise GraphError("plan family must be a non-empty list of distance matrices on the graph's vertices")
     root = order.index(plan.graph.root)
+    columns = [j for j in range(len(order)) if j != root] or [root]
     # the differences depend on the level only through the factor r_n: each
     # member's distinct values are taken once, on its integer numerators over
     # one denominator, with one picker per vertex that takes its row out of
@@ -650,9 +684,10 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     members = []
     for d in family:
         at = [d._index[v] for v in order]
-        rows = [[d._num[i][j] for j in at] for i in at]
-        to_root = [row[root] for row in rows]
-        q, differences = _in_lowest_terms(d._q, [list(map(operator.sub, row, to_root)) for row in rows])
+        cols = [at[j] for j in columns]
+        to_root = [d._num[at[root]][j] for j in cols]
+        rows = [[d._num[i][j] - t for j, t in zip(cols, to_root)] for i in at]
+        q, differences = _in_lowest_terms(d._q, rows)
         values = list(set(chain.from_iterable(differences)))
         position = dict(zip(values, range(len(values))))
         pickers = [_picker(list(map(position.__getitem__, row))) for row in differences]
@@ -672,12 +707,11 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         try:
             r_float = float(r)
             r * diameter / q_diameter
-            coords = [a / q for a in exact]
         except OverflowError as exc:
             raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
-        points = [CloudPoint(v, pick(coords), pick(exact)) for v, pick in zip(order, pickers)]
+        points = [CloudPoint(v, None, pick(exact)) for v, pick in zip(order, pickers)]
         levels.append(CloudLevel(n=n, r=r_float, r_exact=Fraction(r), points=points, q=q))
-    return LeveledPointCloud._of_levels(len(order), levels, len(family))
+    return LeveledPointCloud._of_levels(len(columns), levels, len(family))
 
 
 def _picker(indices: list[int]):
@@ -727,10 +761,7 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
     for n, x_n, x_next in zip(range(1, depth + 1), xs, xs[1:]):
         # factor the root so neither operand overflows binary64
         r = math.sqrt(x_n) * math.sqrt(x_next)
-        points = [
-            CloudPoint(label="p", coords=(0.0,), exact=(0,)),
-            CloudPoint(label="x", coords=(float(x_n),), exact=(x_n,)),
-        ]
+        points = [CloudPoint(label="p", coords=None, exact=(0,)), CloudPoint(label="x", coords=None, exact=(x_n,))]
         # r is irrational (odd power of the base under a square root): no exact shadow
         levels.append(CloudLevel(n=n, r=r, r_exact=None, points=points, q=1))
     return LeveledPointCloud._of_levels(1, levels, None)

@@ -31,7 +31,7 @@ from .fpc import (
 from .graph_core import GraphError, WeightedRootedGraph, _integer, _over_lcm, _real, _root_labels
 from .graph_core import _collection, _spelled
 from .metrization import _pinning_edge
-from .realization import LeveledPointCloud, sup_distance
+from .realization import LeveledPointCloud, _level_floats, sup_distance
 
 DEFAULT_TOL_REL = 1e-6
 DEFAULT_TOL_ABS = 1e-9
@@ -154,7 +154,7 @@ def recover_cluster(
             return Fraction(total, window * common)
 
     else:
-        rows = [{lbl: p.coords for lbl, p in pts.items()} for _, pts in per_level]
+        rows = [dict(zip([p.label for p in lvl.points], _level_floats(lvl))) for lvl, _ in per_level]
         units = [lvl.r for lvl, _ in per_level]
         normalized = operator.truediv
         common = 1
@@ -397,8 +397,10 @@ def subsample_levels(cloud: LeveledPointCloud, indices: Sequence[int]) -> Levele
 
     The recovered cluster of any subsample receives a weight preserving
     homomorphism from the full recovery; it is injective whenever the full
-    root-distance values are pairwise distinct. Family-period metadata does
-    not survive subsampling and is cleared.
+    root-distance values are pairwise distinct. The subsample keeps the
+    cloud's period p when its k-th level sits at a position of the cloud
+    that is k modulo p, as whole periods in order do, so that each keeps its
+    family member; otherwise the period is cleared.
     """
     indices = _collection(indices, "level selection must be a sequence of level numbers")
     if not indices:
@@ -406,12 +408,15 @@ def subsample_levels(cloud: LeveledPointCloud, indices: Sequence[int]) -> Levele
     idx = [_integer(n, 1, "level numbers are integers from 1, got {value!r}") for n in indices]
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise GraphError("level selection must be strictly increasing")
-    available = {lvl.n: lvl for lvl in cloud.levels}
+    available = {lvl.n: (i, lvl) for i, lvl in enumerate(cloud.levels)}
     missing = [n for n in idx if n not in available]
     if missing:
         named = ", ".join(map(_spelled, missing))
         raise GraphError(f"levels [{named}] are not present in the cloud")
-    return LeveledPointCloud._of_levels(cloud.dimension, [available[n] for n in idx], None)
+    p = cloud.period
+    if p and any(available[n][0] % p != k % p for k, n in enumerate(idx)):
+        p = None
+    return LeveledPointCloud._of_levels(cloud.dimension, [available[n][1] for n in idx], p)
 
 
 def alternating_period_indices(cloud: LeveledPointCloud) -> list[int]:
@@ -495,7 +500,7 @@ def annulus_diameter_table(
     sphere-collapse condition; no limit is decided here.
     """
     k = _real(k, 1, "annulus parameter k must be finite and >= 1, got {value}", float)
-    pts = [p.coords for lvl in cloud.levels for p in lvl.points]
+    pts = [coords for lvl in cloud.levels for coords in _level_floats(lvl)]
     origin = (0.0,) * cloud.dimension
     norms = [sup_distance(p, origin) for p in pts]
     table = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import random
 from fractions import Fraction
 from itertools import combinations, count
@@ -22,7 +21,6 @@ from metric_cluster.graph_core import (
     Cycle,
     GraphError,
     WeightedRootedGraph,
-    _in_lowest_terms,
     is_weight_preserving_monomorphism,
     parse_rational,
 )
@@ -486,17 +484,19 @@ def shadows_by_fractions(shadows: list) -> tuple:
 
 def cloud_by_coordinates(plan) -> LeveledPointCloud:
     """``generate_cloud`` computed coordinate by coordinate: every level
-    multiplies and divides each coordinate of each point, as a Fraction, and
-    refuses the level when ``float`` of a coordinate, of r or of the largest
-    sup-norm distance between two of its points overflows."""
+    multiplies and divides each coordinate of each point, as a Fraction, in
+    one column per non-root vertex (the root's alone for a one-vertex graph),
+    and refuses the level when ``float`` of a coordinate, of r or of the
+    largest sup-norm distance between two of its points overflows. Each
+    point is handed to the constructor with its rounded coordinates, which it
+    checks against the shadow."""
     order = plan.graph.vertices
-    root = order.index(plan.graph.root)
+    columns = [v for v in order if v != plan.graph.root] or [plan.graph.root]
     differences = []
     for d in plan.family:
-        at = [d._index[v] for v in order]
-        rows = [[d._num[i][j] for j in at] for i in at]
-        to_root = [row[root] for row in rows]
-        differences.append(_in_lowest_terms(d._q, [list(map(operator.sub, row, to_root)) for row in rows]))
+        rows = [[d.get(v, w) - d.get(w, plan.graph.root) for w in columns] for v in order]
+        q = math.lcm(*(x.denominator for row in rows for x in row))
+        differences.append((q, [[int(x * q) for x in row] for row in rows]))
     levels = []
     for n in range(1, plan.depth + 1):
         r = plan.rule.value(n)
@@ -519,7 +519,13 @@ def cloud_by_coordinates(plan) -> LeveledPointCloud:
         except OverflowError as exc:
             raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
         levels.append(CloudLevel(n=n, r=r_float, r_exact=r_exact, points=points, q=q))
-    return LeveledPointCloud(dimension=len(order), levels=levels, period=len(plan.family))
+    return LeveledPointCloud(dimension=len(columns), levels=levels, period=len(plan.family))
+
+
+def point_floats(lvl: CloudLevel, p: CloudPoint) -> tuple[float, ...]:
+    """A point's binary64 coordinates: its coords, or each value of its
+    shadow rounded as ``float(Fraction(a, q))`` rounds it."""
+    return p.coords if p.exact is None else tuple(float(Fraction(a, lvl.q)) for a in p.exact)
 
 
 def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dict:
@@ -535,7 +541,7 @@ def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dic
             if include_exact and p.exact is not None:
                 points.append({"label": p.label, "exact": [str(Fraction(a, lvl.q)) for a in p.exact]})
             else:
-                points.append({"label": p.label, "coords": list(p.coords)})
+                points.append({"label": p.label, "coords": list(point_floats(lvl, p))})
         if include_exact and lvl.r_exact is not None:
             levels.append({"n": lvl.n, "points": points, "r_exact": str(lvl.r_exact)})
         else:
@@ -745,18 +751,16 @@ def cross_level_separation(cloud: LeveledPointCloud) -> dict[int, float]:
     """
     out: dict[int, float] = {}
     for i, lvl in enumerate(cloud.levels):
-        xs = [p for p in lvl.points if any(c != 0 for c in p.coords)]
+        xs = [x for x in (point_floats(lvl, p) for p in lvl.points) if any(x)]
         if not xs:
             continue
         for j in range(i + 1, len(cloud.levels)):
             other = cloud.levels[j]
-            ys = [p for p in other.points if any(c != 0 for c in p.coords)]
+            ys = [y for y in (point_floats(other, p) for p in other.points) if any(y)]
             if not ys:
                 continue
             gap = j - i
-            val = min(
-                sup_distance(x.coords, y.coords) / lvl.r for x in xs for y in ys
-            )
+            val = min(sup_distance(x, y) / lvl.r for x in xs for y in ys)
             out[gap] = min(out.get(gap, math.inf), val)
     return out
 

@@ -484,8 +484,8 @@ def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_p
 
 
 def test_period_less_subsample_of_a_shallow_cloud_recovers(tmp_path, capsys):
-    # a complete triangle has period 1; --alternate-periods keeps levels 1, 3, 5
-    # of the depth-6 cloud and drops the period
+    # a complete triangle has period 1, which every selection keeps;
+    # --alternate-periods keeps levels 1, 3, 5 of the depth-6 cloud
     k3 = write_graph(
         tmp_path / "k3.json",
         ["r", "u", "v"],
@@ -496,16 +496,25 @@ def test_period_less_subsample_of_a_shallow_cloud_recovers(tmp_path, capsys):
     assert main(["realize", str(k3), "--depth", "6", "--out", str(cloud)]) == 0
     assert main(["subsample", str(cloud), "--alternate-periods", "--out", str(sub)]) == 0
     payload = json.loads(sub.read_text())
-    assert payload["period"] is None and [lvl["n"] for lvl in payload["levels"]] == [1, 3, 5]
+    assert payload["period"] == 1 and [lvl["n"] for lvl in payload["levels"]] == [1, 3, 5]
     assert main(["recover", str(sub), "--out", str(out)]) == 0
     assert main(["isomorphic", str(k3), str(out)]) == 0
     assert main(["recover", str(sub), "--exact", "--out", str(out)]) == 0
     assert WeightedRootedGraph.from_json(out.read_text()) == WeightedRootedGraph.from_json(
         k3.read_text()
     )
+    # r-u 1, r-v 2 has period 2: levels 2-5 start on the other member and
+    # lose the period, and the default window of 4 levels still sees both
+    g = write_graph(tmp_path / "g.json", ["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 2}, "r")
+    assert main(["realize", str(g), "--depth", "6", "--out", str(cloud)]) == 0
+    assert main(["subsample", str(cloud), "--indices", "2,3,4,5", "--out", str(sub)]) == 0
+    assert json.loads(sub.read_text())["period"] is None
+    assert main(["recover", str(sub), "--out", str(out)]) == 0
+    assert main(["isomorphic", str(g), str(out), "--weight-tol-rel", "0"]) == 0
     # one level without a period still cannot decide a non-edge
     one = tmp_path / "one.json"
-    assert main(["subsample", str(cloud), "--indices", "6", "--out", str(one)]) == 0
+    assert main(["subsample", str(cloud), "--indices", "2", "--out", str(one)]) == 0
+    assert json.loads(one.read_text())["period"] is None
     capsys.readouterr()
     assert main(["recover", str(one)]) == 2
     assert "one level cannot decide a non-edge" in capsys.readouterr().err
@@ -632,7 +641,7 @@ def test_short_coordinates_exit_2(cert_graph, tmp_path, capsys):
         short = tmp_path / f"short_{key}.json"
         short.write_text(json.dumps(cut), encoding="utf-8")
         assert main(["recover", str(short), "--exact"]) == 2
-        assert "does not have 4 coordinates" in capsys.readouterr().err
+        assert "does not have 3 coordinates" in capsys.readouterr().err
 
 
 def test_cloud_level_missing_field_exit_2(cert_graph, tmp_path, capsys):
@@ -1070,9 +1079,9 @@ def test_coordinates_or_a_scale_apart_from_their_shadows_exit_2(tmp_path, capsys
         level["r"] = repr(math.nextafter(float(Fraction(level["r_exact"])), 0))
 
     for edit, message in (
-        (scale_u, "point 'u' at level 1 has coords [1.5, -1.5, 0.0], but its exact shadow rounds to [1.0, -1.0, 0.0]"),
-        (one_ulp, "point 'u' at level 4 has coords [24.000000000000004, -24.0, 24.0], but its exact shadow rounds to "
-                  "[24.0, -24.0, 24.0]"),
+        (scale_u, "point 'u' at level 1 has coords [-1.5, 0.0], but its exact shadow rounds to [-1.0, 0.0]"),
+        (one_ulp, "point 'u' at level 4 has coords [-23.999999999999996, 24.0], but its exact shadow rounds to "
+                  "[-24.0, 24.0]"),
         (scale_apart, "level 4 has scale r = 23.999999999999996, but r_exact rounds to 24.0"),
     ):
         data = json.loads(cloud.read_text(encoding="utf-8"))

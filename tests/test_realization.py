@@ -6,7 +6,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +21,7 @@ from metric_cluster.realization import (
     LeveledPointCloud,
     ScalingRule,
     _level_at_once,
+    _level_floats,
     _level_numerators,
     _shadows_at_once,
     _unpacked_level,
@@ -46,6 +47,7 @@ from oracles import (
     halfway_past_binary64,
     least_interval_width,
     lower_member_by_fractions,
+    point_floats,
     random_dominating_shape,
     scaled_weights,
     shadows_by_fractions,
@@ -156,7 +158,7 @@ def test_root_is_origin_at_every_level():
     cloud = realize(ONE_GAP, depth=10)
     for lvl in cloud.levels:
         root_pt = cloud.points_by_label(lvl)["r"]
-        assert all(c == 0 for c in root_pt.coords)
+        assert root_pt.coords is None
         assert all(x == 0 for x in root_pt.exact)
     # a label names one point of a level; unlabeled points may repeat and are left out
     lvl = cloud.levels[0]
@@ -191,6 +193,33 @@ def test_norm_over_scaling_equals_root_labels():
             norm = Fraction(sup_distance(pts[v].exact, origin), lvl.q)
             expected = Fraction(0) if v == "r" else plan.graph.weight("r", v)
             assert norm / lvl.r_exact == expected
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_realized_levels_are_isometric_whatever_the_columns(n):
+    """Every level of a realized cloud is an isometric copy of (V, r_n * d_i),
+    checked on distances, not on the coordinate layout: the sup distance of
+    two shadows over q is r_n * d_i(u, v) as a Fraction, and the root sits at
+    the origin. There is one column per non-root vertex, and one for a
+    one-vertex graph. The cloud and its alternating-period subsample, which
+    keeps the period, recover the graph at the default window."""
+    rng = random.Random(n)
+    for p in (0.2, 0.5, 0.8):
+        g = synthesize_weights(random_dominating_shape(rng, n, p))
+        for rule in (ScalingRule(), ScalingRule("power_square", 2)):
+            plan = build_plan(g, 12, rule)
+            cloud = generate_cloud(plan)
+            assert cloud.dimension == max(1, n - 1)
+            for i, lvl in enumerate(cloud.levels):
+                d = plan.family[i % plan.period]
+                pts = cloud.points_by_label(lvl)
+                assert not any(pts[g.root].exact)
+                for u, v in combinations(g.vertices, 2):
+                    assert Fraction(sup_distance(pts[u].exact, pts[v].exact), lvl.q) == lvl.r_exact * d.get(u, v)
+            sub = subsample_levels(cloud, alternating_period_indices(cloud))
+            assert sub.period == cloud.period
+            assert recover_cluster(cloud).graph == g
+            assert recover_cluster(sub).graph == g
 
 
 def test_cloud_generation_is_deterministic():
@@ -236,7 +265,7 @@ def test_depth_overflow_guard_at_its_boundary(g, rule):
     last = int(re.search(r"level (\d+)", str(caught.value)).group(1)) - 1
     cloud = realize(g, last, rule)
     assert cloud == cloud_by_coordinates(build_plan(g, last, rule))
-    assert all(math.isfinite(c) for p in cloud.levels[-1].points for c in p.coords)
+    assert all(math.isfinite(c) for row in _level_floats(cloud.levels[-1]) for c in row)
     with pytest.raises(GraphError, match=f"level {last + 1} overflows binary64"):
         realize(g, last + 1, rule)
 
@@ -244,7 +273,7 @@ def test_depth_overflow_guard_at_its_boundary(g, rule):
 def test_a_coordinate_that_rounds_to_infinity_is_refused_at_its_level():
     g = halfway_past_binary64()
     cloud = realize(g, 169)
-    assert all(math.isfinite(c) for lvl in cloud.levels for p in lvl.points for c in p.coords)
+    assert all(math.isfinite(c) for lvl in cloud.levels for row in _level_floats(lvl) for c in row)
     with pytest.raises(GraphError, match="level 170 overflows binary64"):
         realize(g, 170)
 
@@ -340,22 +369,22 @@ def _both_halves(cloud) -> str:
     return json.dumps(doc, indent=2)
 
 
-# SHA-256 of the cloud bytes: of both halves as recorded when every
-# coordinate was built as a Fraction, and of the text now written, from which
-# the binary64 half of every shadowed value is derived; a change of the
-# realization family changes them by design
+# SHA-256 of the cloud bytes: of both halves, the binary64 one rounded by the
+# oracle from Fractions, and of the text now written, from which the binary64
+# half of every shadowed value is derived; a change of the realization family
+# or of its columns (the root has none) changes them by design
 PINNED_CLOUDS = [
-    (12, None, "05d61c90495f2e19ea0360cac6c657cea208df007d1f3cd5eb02e3083e0f310b",
-     "3179984457112400d7e64f3e13c713b030b2f4a1c83f0d6a825f040e83c73469"),
-    (6, ScalingRule("power_square", 3), "9321a9e6792711e2176a3a3ea424d49b93b5bcb810621e0dc6241969276938cd",
-     "5bd5ede5672c448a07fdf449e66188af08b8f1473fbaee5cf0124ce9460662a2"),
+    (12, None, "152c69d94c9b7f964821258481e5ec3229ad579c2f3bb24713b7b94688daada7",
+     "60f6dc067687247d1a96f66045162e9f5e69006bc1ceec2ca23e979cdfae8903"),
+    (6, ScalingRule("power_square", 3), "c0b0f6e75d25ed09cea5e08bd28b2c41d24be2e346da539853e9b3fc75947a08",
+     "37064f4cecc4c822d4e692f44b4b5a7c7fb7d0f2fe3471d4ffc045a94d8d6679"),
 ]
 
 
 @pytest.mark.parametrize(
     "depth, rule, both_digest, digest",
     PINNED_CLOUDS,
-    ids=[f"{depth}-{'rule1' if rule else None}-{both}" for depth, rule, both, _ in PINNED_CLOUDS],
+    ids=[f"{depth}-{'rule1' if rule else None}" for depth, rule, _, _ in PINNED_CLOUDS],
 )
 def test_cloud_bytes_are_pinned(depth, rule, both_digest, digest):
     cloud = realize(ONE_GAP, depth, rule)
@@ -409,13 +438,51 @@ def test_partly_shadowed_level_loads_writes_back_and_is_not_exact():
     for item, point in zip(level["points"], realized.levels[0].points):
         if not any("/" in x for x in item["exact"]):
             del item["exact"]
-            item["coords"] = list(point.coords)
+            item["coords"] = list(point_floats(realized.levels[0], point))
     cloud = LeveledPointCloud.from_json(json.dumps(data))
     assert json.loads(cloud.to_json()) == data
     assert not cloud.has_exact()
     with pytest.raises(GraphError, match="no exact shadows"):
         recover_cluster(cloud, use_exact=True)
     assert isomorphic(CERT_TRIANGLE, recover_cluster(cloud).graph, weight_tol_rel=Fraction(1, 10**9))
+    # the floats derived from the shadows decide as the floats of a file without them
+    floats = LeveledPointCloud.from_json(cloud.to_json(include_exact=False))
+    assert all(p.exact is None for lvl in floats.levels for p in lvl.points)
+    assert recover_cluster(cloud) == recover_cluster(floats)
+
+
+# the least integer that rounds beyond binary64, halfway between the largest
+# binary64 number and 2**1024, where rounding to even goes up
+_PAST_BINARY64 = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64(q):
+    """One division of the level's largest |a| by q is the guard: a shadow
+    value just below the halfway point rounds to the largest binary64 number
+    and loads, and one at it is refused. The one pass declines that level and
+    the checked path names the first point beyond binary64, in a file and in
+    code alike, with the text of the per-point rounding."""
+    for a, fits in ((_PAST_BINARY64 * q - 1, True), (_PAST_BINARY64 * q, False)):
+        shadows = {"r": (0, 0), "u": (1, 2), "v": (1, -a), "w": (-a, 0)}
+        level = CloudLevel(1, 1.0, None, [CloudPoint(v, None, x) for v, x in shadows.items()], q)
+        entry = {"n": 1, "r": "1.0", "points": [
+            {"label": v, "exact": [str(Fraction(c, q)) for c in x]} for v, x in shadows.items()
+        ]}
+        document = {"dimension": 2, "levels": [entry]}
+        if fits:
+            in_code = LeveledPointCloud(2, [level])
+            assert LeveledPointCloud.from_json_dict(document) == in_code
+            assert _level_at_once(entry, 0, 2) == in_code.levels[0]
+            assert _level_floats(in_code.levels[0])[2] == (1 / q, -sys.float_info.max)
+            continue
+        with pytest.raises(OverflowError):
+            _level_at_once(entry, 0, 2)
+        text = "point 'v' at level 1 has a coordinate beyond binary64: integer division result too large for a float"
+        for build in (lambda: LeveledPointCloud(2, [level]), lambda: LeveledPointCloud.from_json_dict(document)):
+            with pytest.raises(GraphError) as caught:
+                build()
+            assert str(caught.value) == text
 
 
 # what the loader's fast path reads: signs, digits from several scripts,
@@ -466,7 +533,7 @@ def check_level(shadows):
     """The per-value level parse gives what the per-value oracle gives: the
     same q and numerators, or the same GraphError message. The one pass over
     the level's values takes none that the oracle refuses, and reads those it
-    takes as the oracle does, each rounded as a/q."""
+    takes as the oracle does."""
     rows = [row for row in shadows if row]
     try:
         at_once = _shadows_at_once(list(chain.from_iterable(rows)), 1) if rows else None
@@ -482,9 +549,7 @@ def check_level(shadows):
         return
     assert _level_numerators(shadows) == expected
     if at_once is not None:
-        q, coords, numerators = at_once
-        assert (q, numerators) == (expected[0], [(a,) for a in chain.from_iterable(filter(None, expected[1]))])
-        assert coords == [(a / q,) for a, in numerators]
+        assert at_once == (expected[0], [(a,) for a in chain.from_iterable(filter(None, expected[1]))])
 
 
 @pytest.mark.parametrize("value", ONE_PASS_CASES)
@@ -586,7 +651,8 @@ def test_a_level_checked_at_once_reads_as_point_by_point():
             assert refusal(data) == str(exc) == "duplicate label 'r' at level 5"
             continue
         assert LeveledPointCloud.from_json_dict(data) == expected
-    assert type(LeveledPointCloud.from_json_dict(data).levels[0].points[0].coords[0]) is float
+    # coords next to a shadow, once they equal its rounding, are not held
+    assert LeveledPointCloud.from_json_dict(data).levels[0].points[0].coords is None
 
 
 def with_coords(cloud) -> str:
@@ -596,7 +662,7 @@ def with_coords(cloud) -> str:
     for entry, lvl in zip(data["levels"], cloud.levels):
         entry["r"] = repr(lvl.r)
         for item, p in zip(entry["points"], lvl.points):
-            item["coords"] = list(p.coords)
+            item["coords"] = list(point_floats(lvl, p))
     return json.dumps(data, indent=2)
 
 
@@ -692,13 +758,13 @@ def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
         return refusal(data)
 
     assert faults((0, 2, "label", "u"), (-1, 1, "exact", "3/")) == "not a rational literal: '3/'"
-    assert faults((1, 1, "coords", [0.5] * 3), (-1, 2, "label", "u")) == (
-        "point 'u' at level 2 has coords [0.5, 0.5, 0.5], but its exact shadow rounds to [2.0, -2.0, 1.0]"
+    assert faults((1, 1, "coords", [0.5] * 2), (-1, 2, "label", "u")) == (
+        "point 'u' at level 2 has coords [0.5, 0.5], but its exact shadow rounds to [-2.0, 1.0]"
     )
     assert faults((None, None, "dimension", "2"), (0, 2, "label", "u")) == (
         "cloud dimension must be a positive integer, got '2'"
     )
-    assert faults((2, None, "n", 2), (-1, 1, "coords", [0.5] * 3)) == (
+    assert faults((2, None, "n", 2), (-1, 1, "coords", [0.5] * 2)) == (
         "level 2 follows level 2: levels must strictly increase"
     )
     assert faults((1, None, "r_exact", "0"), (-1, None, "n", 1)) == (
@@ -728,17 +794,17 @@ def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
     data = edited(-1, 1, 2)
     assert taken_levels(data) == [True] * 3 + [False]
     assert LeveledPointCloud.from_json_dict(data) == checked_path(data)
-    assert LeveledPointCloud.from_json_dict(data).levels[-1].points[1].coords == (2.0, -24.0, 12.0)
+    assert LeveledPointCloud.from_json_dict(data).levels[-1].points[1].coords == (2.0, 12.0)
     data = json.loads(text)
     data["levels"][-1]["points"] = tuple(data["levels"][-1]["points"])
-    point = "{'label': 'r', 'coords': [0.0, 0.0, 0.0]}"
+    point = "{'label': 'r', 'coords': [0.0, 0.0]}"
     with pytest.raises(GraphError, match=re.escape(f"point {point} at level 4 is not an object")):
         LeveledPointCloud.from_json_dict(data)
     data = json.loads(text)
     data["levels"] = tuple(data["levels"])
     level = (
-        "{'n': 1, 'r': '1.0', 'points': [{'label': 'r', 'coords': [0.0, 0.0, 0.0]}, "
-        "{'label': 'u', 'coords': [1.0, -1.0, 0.5]}, {'label': 'v', 'coords': [2.0, 1.5, -2.0]}]}"
+        "{'n': 1, 'r': '1.0', 'points': [{'label': 'r', 'coords': [0.0, 0.0]}, "
+        "{'label': 'u', 'coords': [-1.0, 0.5]}, {'label': 'v', 'coords': [1.5, -2.0]}]}"
     )
     with pytest.raises(GraphError, match=re.escape(f"cloud level {level} is not an object")):
         LeveledPointCloud.from_json_dict(data)
@@ -753,7 +819,7 @@ def test_a_level_the_pass_declines_alone_takes_the_checked_path(monkeypatch):
     cloud = realize(ONE_GAP, 12)
     partly = json.loads(cloud.to_json())
     point = cloud.levels[0].points[1]
-    partly["levels"][0]["points"][1] = {"label": point.label, "coords": list(point.coords)}
+    partly["levels"][0]["points"][1] = {"label": point.label, "coords": list(point_floats(cloud.levels[0], point))}
     floats = json.loads(cloud.to_json(include_exact=False))
     floats["levels"][5]["points"][1]["coords"][0] = 2
     files = [(partly, 0, checked_path(partly)), (floats, 5, checked_path(floats))]
@@ -886,7 +952,7 @@ def test_writer_prints_what_json_dumps_prints_on_random_clouds(cloud):
 # r-u, r-v: the cloud that a bad cloud below is made from, in code and as JSON
 R_UV = realize(synthesize_weights(WeightedRootedGraph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 1}, "r")), 8)
 NAN, INF = float("nan"), float("inf")
-U_4 = R_UV.levels[3].points[1].coords
+U_4 = point_floats(R_UV.levels[3], R_UV.levels[3].points[1])
 
 
 class _InCode:
@@ -908,7 +974,7 @@ class _InCode:
 
     def cut(self, i, j, size):
         p = self.points(i)[j]
-        self.point(i, j, coords=p.coords[:size], exact=p.exact[:size])
+        self.point(i, j, exact=p.exact[:size])
 
     def build(self):
         return LeveledPointCloud(**self.fields)
@@ -955,7 +1021,7 @@ def _points_cleared(edit):
 # reversed levels decides on levels 2 and 1, and annulus_diameter_table drops
 # the NaN point.
 REFUSALS = {
-    "u cut to one entry": (_cut_u, "point 'u' at level 1 does not have 3 coordinates"),
+    "u cut to one entry": (_cut_u, "point 'u' at level 1 does not have 2 coordinates"),
     "last scale zero": (
         lambda e: e.level(-1, r=0.0, r_exact=Fraction(0)),
         "level 8 has scale r = 0.0; it must be finite and positive",
@@ -998,8 +1064,8 @@ REFUSALS = {
         "point 'u' at level 1 has coordinates that are not a JSON list",
     ),
     "short shadow": (
-        lambda e: e.point(0, 2, exact=(0, 0)),
-        "point 'v' at level 1 does not have 3 coordinates",
+        lambda e: e.point(0, 2, exact=(0,)),
+        "point 'v' at level 1 does not have 2 coordinates",
     ),
     "label an int": (
         lambda e: e.point(0, 1, label=1),
@@ -1050,21 +1116,21 @@ REFUSALS = {
     ),
     "exact scale a word": (lambda e: e.level(2, r_exact="x"), "not a rational literal: 'x'"),
     "coordinates apart from their shadow": (
-        lambda e: e.point(0, 1, coords=tuple(1.5 * x for x in R_UV.levels[0].points[1].coords)),
-        "point 'u' at level 1 has coords [2.0, -2.0, 0.0], but its exact shadow rounds to "
-        "[1.3333333333333333, -1.3333333333333333, 0.0]",
+        lambda e: e.point(0, 1, coords=tuple(1.5 * x for x in point_floats(R_UV.levels[0], R_UV.levels[0].points[1]))),
+        "point 'u' at level 1 has coords [-2.0, 0.0], but its exact shadow rounds to "
+        "[-1.3333333333333333, 0.0]",
     ),
     "coordinate one ulp apart from its shadow": (
         lambda e: e.point(3, 1, coords=(math.nextafter(U_4[0], INF), *U_4[1:])),
-        "point 'u' at level 4 has coords [32.00000000000001, -32.0, 32.0], but its exact shadow rounds to "
-        "[32.0, -32.0, 32.0]",
+        "point 'u' at level 4 has coords [-31.999999999999996, 32.0], but its exact shadow rounds to "
+        "[-32.0, 32.0]",
     ),
     "scale one ulp apart from r_exact": (
         lambda e: e.level(3, r=math.nextafter(R_UV.levels[3].r, 0)),
         "level 4 has scale r = 23.999999999999996, but r_exact rounds to 24.0",
     ),
     "shadow beyond binary64": (
-        lambda e: e.point(0, 1, exact=(10**400, 0, 0)),
+        lambda e: e.point(0, 1, exact=(10**400, 0)),
         "point 'u' at level 1 has a coordinate beyond binary64: integer division result too large for a float",
     ),
     "exact scale beyond binary64": (
@@ -1105,19 +1171,19 @@ def test_a_file_and_code_refuse_alike(case):
 
 def test_construction_holds_values_as_the_reader_does():
     """What a cloud holds of a value built in code: an int coordinate as its
-    float, an empty shadow as none, shadows in lowest terms, no q without
-    them, a list of coordinates as a tuple and a level's r as a float; the
-    reader gives the same cloud."""
+    float, an empty shadow as none, shadows in lowest terms and without the
+    coordinates given next to them, no q without them, a list of coordinates
+    as a tuple and a level's r as a float; the reader gives the same cloud."""
     cloud = LeveledPointCloud(2, [
-        CloudLevel(1, 6, "6", [CloudPoint("a", [1, -0.5], [6, -3]), CloudPoint("b", (0.0, 2.0), ())], q=6),
-        CloudLevel(2, "3.5", None, [CloudPoint("a", (1.0, 2.0))], q=7),
+        CloudLevel(1, 6, "6", [CloudPoint("a", [1, -0.5], [6, -3]), CloudPoint("b", (0, 2.0), ())], q=6),
+        CloudLevel(2, "3.5", None, [CloudPoint("a", [1.0, 2.0])], q=7),
     ])
     level, other = cloud.levels
     assert level == CloudLevel(1, 6.0, Fraction(6), [
-        CloudPoint("a", (1.0, -0.5), (2, -1)), CloudPoint("b", (0.0, 2.0), None)
+        CloudPoint("a", None, (2, -1)), CloudPoint("b", (0.0, 2.0), None)
     ], q=2)
     assert other == CloudLevel(2, 3.5, None, [CloudPoint("a", (1.0, 2.0))], q=None)
-    assert type(level.points[0].coords[0]) is float
+    assert type(level.points[1].coords[0]) is float
     assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
 
 
@@ -1233,13 +1299,14 @@ def test_normalized_cross_level_distances_diverge_beyond_one_gap():
 
 def test_single_point_space_values():
     cloud = single_point_space(depth=3, base=2)
-    xs = [lvl.points[1].coords[0] for lvl in cloud.levels]
+    xs = [_level_floats(lvl)[1][0] for lvl in cloud.levels]
     assert xs == [2.0, 16.0, 512.0]
+    assert [lvl.points[1].exact for lvl in cloud.levels] == [(2,), (16,), (512,)]
     assert cloud.levels[0].r == pytest.approx(math.sqrt(32), rel=1e-15)
     assert cloud.levels[1].r == pytest.approx(math.sqrt(8192), rel=1e-15)
     # the last level's scale needs x_21 = 5**441, about 1.76e308, which fits binary64
     cloud = single_point_space(depth=20, base=5)
-    assert all(math.isfinite(lvl.r) and math.isfinite(lvl.points[1].coords[0]) for lvl in cloud.levels)
+    assert all(math.isfinite(lvl.r) and math.isfinite(_level_floats(lvl)[1][0]) for lvl in cloud.levels)
     assert len(recover_cluster(cloud).graph) == 1
     with pytest.raises(GraphError, match="^depth 21 overflows binary64 for base 5$"):
         single_point_space(depth=21, base=5)
@@ -1247,7 +1314,7 @@ def test_single_point_space_values():
 
 def test_single_point_normalized_values_decay():
     cloud = single_point_space(depth=12, base=2)
-    values = [lvl.points[1].coords[0] / lvl.r for lvl in cloud.levels]
+    values = [_level_floats(lvl)[1][0] / lvl.r for lvl in cloud.levels]
     for n, got in enumerate(values, start=1):
         assert got == pytest.approx(2 ** (-(2 * n + 1) / 2), rel=1e-12)
     assert all(b2 < b1 for b1, b2 in zip(values, values[1:]))
@@ -1257,8 +1324,8 @@ def test_single_point_basepoint_is_exact_zero():
     cloud = single_point_space(depth=5, base=3)
     for lvl in cloud.levels:
         assert lvl.points[0].label == "p"
-        assert lvl.points[0].coords == (0.0,)
         assert lvl.points[0].exact == (Fraction(0),)
+        assert _level_floats(lvl)[0] == (0.0,)
 
 
 def test_single_point_guards():

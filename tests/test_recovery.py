@@ -29,6 +29,7 @@ from metric_cluster.realization import (
     CloudPoint,
     LeveledPointCloud,
     ScalingRule,
+    _level_floats,
     build_plan,
     generate_cloud,
     realize,
@@ -710,6 +711,26 @@ def test_alternating_period_subsample_preserves_the_cluster():
     assert got.graph == full.graph
 
 
+def test_a_subsample_of_whole_periods_in_order_keeps_the_period():
+    """The k-th kept level at a position of the cloud that is k modulo the
+    period keeps the period, as alternating whole periods and any selection
+    from a period-1 cloud do; stride selections and shifted ones clear it. A
+    kept period makes the default window one period, which decides."""
+    cloud = realize(ONE_GAP, depth=12)
+    assert cloud.period == 2
+    kept = [alternating_period_indices(cloud), [1, 2], [3, 4, 7, 8], [1, 4, 5], [1], list(range(1, 13))]
+    cleared = [period_stride_indices(cloud, 0), period_stride_indices(cloud, 1), [2, 3], [1, 2, 4], [2]]
+    assert [subsample_levels(cloud, indices).period for indices in kept + cleared] == [2] * 6 + [None] * 5
+    sub = subsample_levels(cloud, alternating_period_indices(cloud))
+    rc = recover_cluster(sub)
+    assert (rc.window, rc.graph) == (2, ONE_GAP)
+    # a subsample's positions are its own: levels 5 and 6 are its third and fourth
+    assert [subsample_levels(sub, indices).period for indices in ([5, 6], [2, 5])] == [2, None]
+    complete = realize(CERT_TRIANGLE, depth=6)
+    for indices in ([1, 3, 5], [2], [2, 3]):
+        assert subsample_levels(complete, indices).period == 1
+
+
 def test_period_stride_subsample_gains_edges():
     cloud = realize(ONE_GAP, depth=12)
     plan = build_plan(ONE_GAP, depth=12)
@@ -789,10 +810,10 @@ def test_spread_functional_is_scale_free():
 def test_spread_functional_on_cloud_levels():
     cloud = realize(CERT_TRIANGLE, depth=8)
     lvl = cloud.levels[-1]
-    pts = cloud.points_by_label(lvl)
+    pts = dict(zip([p.label for p in lvl.points], _level_floats(lvl)))
     basepoint = (0.0,) * cloud.dimension
     # scale-free: min * d / max^2 = (r * 5r/2) / (2r)^2 = 5/8 at every level
-    val = spread_functional([pts["u"].coords, pts["v"].coords], basepoint)
+    val = spread_functional([pts["u"], pts["v"]], basepoint)
     assert val == pytest.approx(5 / 8, rel=1e-9)
 
 
