@@ -607,8 +607,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if command in (None, "recover"):
         p = sub.add_parser("recover", parents=[common], help="recover the cluster graph from a cloud")
         p.add_argument("cloud")
-        p.add_argument("--tol-rel", type=float, help="default 0 on exact shadows, 1e-6 in binary64")
-        p.add_argument("--tol-abs", type=float, help="default 0 on exact shadows, 1e-9 in binary64")
+        p.add_argument("--tol-rel", type=float, help="default 0 on exact shadows, else 1e-6")
+        p.add_argument("--tol-abs", type=float, help="default 0 on exact shadows, else 1e-9")
         p.add_argument("--window", type=int, default=None)
         p.add_argument("--exact", action="store_true", help="refuse a cloud without exact shadows")
         p.add_argument("--out", help="write the recovered graph JSON here")

@@ -16,10 +16,9 @@ tail minimum/maximum double as lower/upper limit estimates.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from typing import Optional, Sequence
 
 from .fpc import (
@@ -46,7 +45,8 @@ _BASE = object()  # sentinel trace for the basepoint (origin at every level)
 class RecoveredCluster:
     """Recovered weighted rooted graph, the evidence it was built from (pair
     diagnostics, merged classes, merge and drop logs), its window, its tolerances
-    and whether it was decided on exact shadows or in binary64."""
+    and whether it was decided on exact shadows alone or, exactly, on binary64
+    coordinates too."""
 
     graph: WeightedRootedGraph
     classes: dict[str, tuple[str, ...]]
@@ -63,7 +63,7 @@ class RecoveredCluster:
             "window": self.window,
             "tol_rel": _spelled(self.tol_rel),
             "tol_abs": _spelled(self.tol_abs),
-            "decided": "on exact shadows" if self._exact else "in binary64",
+            "decided": "on exact shadows" if self._exact else "on binary64 coordinates, exactly",
             "classes": {k: list(v) for k, v in self.classes.items()},
             # the root-distance values in vertex order: 0 and the root-edge weights
             "rho0": {v: str(w) for v, w in sorted(_root_labels(self.graph).items())},
@@ -82,25 +82,26 @@ def recover_cluster(
 ) -> RecoveredCluster:
     """Quotient the cloud's labeled sequences into a weighted rooted graph.
 
-    A cloud with every exact shadow (``cloud.has_exact()``) is decided on them:
-    exact distances are taken on the integer numerators the cloud holds over
-    each level's common denominator q, and every normalized value of the
-    window is one integer over one common denominator U. Window sums, spreads
-    and every threshold test are then integer arithmetic, with the tolerances
-    put over one denominator; Fractions are built only for the edge weights,
-    and they equal the exact tail means of d(x_n, y_n)/r_n. Any other cloud is
-    decided on its coordinates in binary64. A tolerance left None is 0 on
-    shadows and DEFAULT_TOL_REL or DEFAULT_TOL_ABS in binary64; the cluster
-    records the values used. ``use_exact`` only refuses a cloud without shadows.
+    Every cloud is decided exactly. Distances are taken on integer coordinates
+    over one denominator q per level: the numerators of the exact shadows where
+    every point has one, and otherwise the shadows together with each binary64
+    coordinate read as the dyadic rational a / 2**k it is. The scale is
+    r_exact, or r read the same way where a level has none. Every normalized
+    value of the window is then one integer over one common denominator U;
+    window sums, spreads and every threshold test are integer arithmetic, with
+    the tolerances put over one denominator. Fractions are built only for the
+    edge weights, and they equal the exact tail means of d(x_n, y_n)/r_n. A
+    tolerance left None is 0 when the cloud has every shadow
+    (``cloud.has_exact()``) and DEFAULT_TOL_REL or DEFAULT_TOL_ABS otherwise;
+    the cluster records the values used. ``use_exact`` only refuses a cloud
+    without every shadow.
     """
     exact = cloud.has_exact()
     if use_exact and not exact:
         raise GraphError("cloud carries no exact shadows; cannot recover exactly")
     tol_rel = (0 if exact else DEFAULT_TOL_REL) if tol_rel is None else tol_rel
     tol_abs = (0 if exact else DEFAULT_TOL_ABS) if tol_abs is None else tol_abs
-    # exact decisions take the tolerances as rationals, float ones in binary64
-    kind = Fraction if exact else float
-    rel, ab = _real(tol_rel, 0, _TOLERANCE, kind), _real(tol_abs, 0, _TOLERANCE, kind)
+    zero_gap = _zero_gap(tol_rel, tol_abs)
     labels = cloud.labels()
     if any(lbl is None for lbl in labels):
         raise GraphError("cloud has unlabeled points; recovery needs sequences")
@@ -123,50 +124,19 @@ def recover_cluster(
             "oscillation between family members would be undetectable"
         )
 
-    tail = cloud.levels[-window:]
-    per_level = []
-    for lvl in tail:
+    rows, scales = [], []
+    for lvl in cloud.levels[-window:]:
         pts = cloud.points_by_label(lvl)
         if set(pts) != set(labels):
             missing = sorted(set(labels) - set(pts))
             raise GraphError(f"level {lvl.n} is missing labels {missing}")
-        per_level.append((lvl, pts))
-
-    if exact:
-        rows = [{lbl: p.exact for lbl, p in pts.items()} for _, pts in per_level]
-        # an integer sup distance D is D / q on the level and D / (q * r) normalized;
-        # over U, the lcm of the window's q * r.numerator, it is the int D * factor.
-        scales = [lvl.q * lvl.r_exact.numerator for lvl, _ in per_level]
-        common = math.lcm(*scales)
-        units = [lvl.r_exact.denominator * (common // s) for (lvl, _), s in zip(per_level, scales)]
-
-        normalized = operator.mul
-        # values are ints over U, window sums over window U (see _zero_gap)
-        zero_gap = _zero_gap(tol_rel, tol_abs)
-
-        def beyond_closure(total, base_scale):
-            return total > zero_gap(3 * window * base_scale, 3 * window * common)
-
-        def stable(spread, total):
-            return spread * window <= zero_gap(total, window * common)
-
-        def mean_fraction(total):
-            return Fraction(total, window * common)
-
-    else:
-        rows = [dict(zip([p.label for p in lvl.points], _level_floats(lvl))) for lvl, _ in per_level]
-        units = [lvl.r for lvl, _ in per_level]
-        normalized = operator.truediv
-        common = 1
-
-        def beyond_closure(total, base_scale):
-            return total / window > 3 * (ab + rel * base_scale)
-
-        def stable(spread, total):
-            return spread <= ab + rel * (total / window)
-
-        def mean_fraction(total):
-            return Fraction(total / window)
+        row, q = _level_integers(pts, lvl.q)
+        rows.append(row)
+        scales.append((q, Fraction(lvl.r) if lvl.r_exact is None else lvl.r_exact))
+    # an integer sup distance D is D / q on the level and D / (q * r) normalized;
+    # over U, the lcm of the window's q * r.numerator, it is the int D * unit
+    common = math.lcm(*(q * r.numerator for q, r in scales))
+    units = [r.denominator * (common // (q * r.numerator)) for q, r in scales]
 
     def as_float(x, count=1):
         # int / int rounds correctly, as float(Fraction) does, and raises
@@ -176,10 +146,10 @@ def recover_cluster(
         except OverflowError as exc:
             raise GraphError(
                 "a normalized distance that recovery reports does not fit binary64: "
-                "the exact coordinates are too large for their scale r_exact"
+                "a level's coordinates are too large for its scale"
             ) from exc
 
-    # the basepoint is one more row, at the origin (x - 0 is x - 0.0 for a float x)
+    # the basepoint is one more row, at the origin
     origin = (0,) * cloud.dimension
     for row in rows:
         row[_BASE] = origin
@@ -188,24 +158,17 @@ def recover_cluster(
     for i, x in enumerate(all_traces):
         for y in all_traces[i + 1 :]:
             values[x, y] = values[y, x] = [
-                normalized(sup_distance(row[x], row[y]), unit) for row, unit in zip(rows, units)
+                sup_distance(row[x], row[y]) * unit for row, unit in zip(rows, units)
             ]
 
+    # every value is an int over U and every window sum one over window U (see _zero_gap)
     base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=0)
     # a value is identified with another when it is at most eq_bound, the
     # largest within E = tol_abs + tol_rel * base_scale
-    eq_bound = zero_gap(base_scale, common) if exact else ab + rel * base_scale
-    # an overflowed value makes every tolerance infinite and merges everything;
-    # the values are non-negative, so a finite window sum (the tail mean's)
-    # means every value is finite too
-    if not exact and not (
-        math.isfinite(eq_bound) and all(math.isfinite(sum(vals)) for vals in values.values())
-    ):
-        raise GraphError(
-            "a normalized distance, its window sum or the identification threshold is not "
-            "finite in binary64: a scale r is too small for its coordinates, or two points of "
-            "a level lie too far apart"
-        )
+    eq_bound = zero_gap(base_scale, common)
+
+    def stable(spread, total):
+        return spread * window <= zero_gap(total, window * common)
 
     merge_log: list[str] = []
     warnings: list[str] = []
@@ -217,7 +180,7 @@ def recover_cluster(
         if all(v <= eq_bound for v in vals):
             continue  # equivalence handles it below
         nonincreasing = all(vals[i + 1] <= vals[i] + eq_bound for i in range(len(vals) - 1))
-        if nonincreasing and 2 * vals[-1] <= vals[0]:  # exact in binary64 too
+        if nonincreasing and 2 * vals[-1] <= vals[0]:
             decayed.add(lbl)
             merge_log.append(
                 f"{lbl!r} absorbed into the root class: normalized basepoint "
@@ -257,7 +220,7 @@ def recover_cluster(
                 if x in decayed or y in decayed:
                     continue
                 vals = values[x, y]
-                if beyond_closure(sum(vals), base_scale):
+                if sum(vals) > zero_gap(3 * window * base_scale, 3 * window * common):
                     raise GraphError(
                         "equivalence closure merged sequences that are not close: "
                         f"{x!r} and {y!r} have mean normalized distance "
@@ -316,7 +279,7 @@ def recover_cluster(
                 }
             )
             if adjacent:
-                edges[(name_a, name_b)] = mean_fraction(total)
+                edges[(name_a, name_b)] = Fraction(total, window * common)
 
     graph = WeightedRootedGraph([name for name, _, _ in kept], edges, root_name)
     classes = {name: tuple(members) or (name,) for name, _, members in kept}
@@ -331,6 +294,24 @@ def recover_cluster(
         tol_abs=tol_abs,
         _exact=exact,
     )
+
+
+def _level_integers(pts: dict, q: Optional[int]) -> tuple[dict, int]:
+    """A level's points by label as integer coordinates over one denominator,
+    and that denominator: the shadows over the level's q where every point has
+    one, and otherwise the shadows and the exact dyadic value a / 2**k of each
+    binary64 coordinate over their least common denominator."""
+    if all(p.exact is not None for p in pts.values()):
+        return {lbl: p.exact for lbl, p in pts.items()}, q
+    floats = set(chain.from_iterable(p.coords for p in pts.values() if p.exact is None))
+    ratios = {x: x.as_integer_ratio() for x in floats}
+    common = math.lcm(q or 1, *{b for _, b in ratios.values()})
+    over = {x: a * (common // b) for x, (a, b) in ratios.items()}
+    k = common // (q or 1)
+    return {
+        lbl: tuple([over[x] for x in p.coords]) if p.exact is None else tuple([a * k for a in p.exact])
+        for lbl, p in pts.items()
+    }, common
 
 
 # ---------------------------------------------------------------------------

@@ -251,9 +251,11 @@ def recover_by_fractions(
     tol_abs: float = 1e-9,
     window: Optional[int] = None,
 ) -> RecoveredCluster:
-    """``recover_cluster(cloud, tol_rel, tol_abs, window, use_exact=True)`` as
-    plain Fraction arithmetic: one Fraction per normalized value, and tail
-    means, spreads and every threshold computed and compared as Fractions."""
+    """``recover_cluster(cloud, tol_rel, tol_abs, window)`` as plain Fraction
+    arithmetic: a coordinate is its shadow or, without one, ``Fraction`` of
+    its binary64 value, a scale is r_exact or ``Fraction(r)``, one Fraction
+    stands for each normalized value, and tail means, spreads and every
+    threshold are computed and compared as Fractions."""
     if not cloud.levels:
         raise GraphError("empty cloud")
     # exact recovery turns the tolerances into rationals, which NaN and the
@@ -295,14 +297,13 @@ def recover_by_fractions(
             raise GraphError(f"level {lvl.n} is missing labels {missing}")
         per_level.append((lvl, pts))
 
-    if not cloud.has_exact():
-        raise GraphError("cloud carries no exact shadows; cannot recover exactly")
-    rows = [{lbl: p.exact for lbl, p in pts.items()} for _, pts in per_level]
-    # an integer sup distance D is D / q on the level, and D / (q * r) normalized
-    units = [(lvl.r_exact.denominator, lvl.q * lvl.r_exact.numerator) for lvl, _ in per_level]
+    def coordinates(lvl, p):
+        if p.exact is None:
+            return tuple(Fraction(x) for x in p.coords)
+        return tuple(Fraction(a, lvl.q) for a in p.exact)
 
-    def normalized(dist, unit):
-        return Fraction(dist * unit[0], unit[1])
+    rows = [{lbl: coordinates(lvl, p) for lbl, p in pts.items()} for lvl, pts in per_level]
+    scales = [Fraction(lvl.r) if lvl.r_exact is None else lvl.r_exact for lvl, _ in per_level]
 
     zero = 0
     t_rel = Fraction(tol_rel)
@@ -316,7 +317,7 @@ def recover_by_fractions(
     for i, x in enumerate(all_traces):
         for y in all_traces[i + 1 :]:
             values[x, y] = values[y, x] = [
-                normalized(sup_distance(row[x], row[y]), unit) for row, unit in zip(rows, units)
+                sup_distance(row[x], row[y]) / r for row, r in zip(rows, scales)
             ]
 
     base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=zero)
@@ -448,7 +449,7 @@ def recover_by_fractions(
         window=window,
         tol_rel=tol_rel,
         tol_abs=tol_abs,
-        _exact=True,
+        _exact=cloud.has_exact(),
     )
 
 

@@ -81,7 +81,8 @@ _cache: dict = {}
 def round_trip_results():
     """Certified graph, cloud, float and exact recoveries for every
     dominating-rooted shape with at most 6 vertices: the float recovery is
-    of the cloud written without its shadows, which decides in binary64."""
+    of the cloud written without its shadows, decided on its binary64
+    coordinates read exactly."""
     if "round_trips" not in _cache:
         start = time.monotonic()
         data = []

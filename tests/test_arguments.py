@@ -25,7 +25,7 @@ G = mc.WeightedRootedGraph(
 )
 CLOUD = mc.realize(G, 6)
 CLOUD_JSON = CLOUD.to_json()
-FLOATS = mc.LeveledPointCloud.from_json(CLOUD.to_json(include_exact=False))  # decided in binary64
+FLOATS = mc.LeveledPointCloud.from_json(CLOUD.to_json(include_exact=False))  # no shadows, default tolerances
 RC = mc.recover_cluster(CLOUD)
 IDENTITY = {v: v for v in G.vertices}
 D = mc.shortest_path_metric(G)
@@ -157,7 +157,7 @@ def test_library_fuzz_argument_types(call, data):
         lambda: mc.annulus_diameter_table(CLOUD, 10**400, [1.0]),
         lambda: mc.spread_functional([("1",), (1.0,)], (0.0,)),
         # past the int-to-str digit limit, which no refusal text can spell
-        lambda: mc.recover_cluster(FLOATS, tol_rel=10**5000),
+        lambda: mc.recover_cluster(FLOATS, tol_rel=-10**5000),
         lambda: mc.moon_moser_f(-10**5000),
         lambda: mc.recover_cluster(CLOUD, window=10**5000),
         # sequences and mappings
@@ -244,12 +244,13 @@ def test_numbers_of_every_accepted_type_read_alike():
 
 def test_an_int_past_the_digit_limit_is_named_by_its_bits():
     # its repr raised a bare ValueError inside the refusal
-    with pytest.raises(GraphError, match="got a positive int of 16610 bits$"):
-        mc.recover_cluster(FLOATS, tol_rel=10**5000)
-    # shadows decide exactly, where it is a tolerance like any other, and the
-    # diagnostics name it as the refusal would
-    huge_tol = mc.recover_cluster(CLOUD, tol_rel=10**5000).diagnostics_json_dict()
-    assert huge_tol["tol_rel"] == "a positive int of 16610 bits"
+    with pytest.raises(GraphError, match="got a negative int of 16610 bits$"):
+        mc.recover_cluster(FLOATS, tol_rel=-10**5000)
+    # every cloud decides exactly, where it is a tolerance like any other, and
+    # the diagnostics name it as the refusal would
+    for cloud in (CLOUD, FLOATS):
+        huge_tol = mc.recover_cluster(cloud, tol_rel=10**5000).diagnostics_json_dict()
+        assert huge_tol["tol_rel"] == "a positive int of 16610 bits"
     with pytest.raises(GraphError, match="got a negative int of 16610 bits$"):
         mc.moon_moser_f(-10**5000)
     # a cloud built in code may hold such a level n: its second fault names the level by its bits

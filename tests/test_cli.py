@@ -375,13 +375,13 @@ def test_realize_past_binary64_exit_2(tmp_path, capsys):
 
 def test_realize_a_level_whose_points_lie_past_binary64_exit_2(tmp_path, capsys):
     # every coordinate of level 170, at most 14 * 170!, fits binary64, but
-    # the distance 27 * 170! between u and v does not: float recovery would
-    # refuse the cloud, so realization refuses the level
+    # the distance 27 * 170! between u and v does not: a binary64 reader such
+    # as diag psi would meet an infinite distance, so realization refuses the level
     star = write_graph(tmp_path / "star.json", ["r", "u", "v"], {("r", "u"): 13, ("r", "v"): 14}, "r")
     assert main(["realize", str(star), "--depth", "170"]) == 2
     assert "level 170 overflows binary64" in capsys.readouterr().err
     out = tmp_path / "c.json"
-    for shadows in ([], ["--no-exact"]):  # decided exactly and in binary64
+    for shadows in ([], ["--no-exact"]):  # decided on shadows and on binary64 coordinates
         assert main(["realize", str(star), "--depth", "169", "--out", str(out), *shadows]) == 0
         assert main(["recover", str(out)]) == 0
 
@@ -402,13 +402,13 @@ def test_recover_diag_out(cert_graph, tmp_path, capsys):
     # the default recovery too: rho0 is 0 at the root and the root-edge weight elsewhere
     assert main(["recover", str(cloud), "--out", str(out), "--diag-out", str(diag)]) == 0
     assert json.loads(diag.read_text())["rho0"] == {"r": "0", "u": "1", "v": "2", "z": "3"}
-    # the tolerances and the arithmetic that decided: 0 on shadows, 1e-6 and
-    # 1e-9 in binary64, or as given
+    # the tolerances and the values that decided: 0 on shadows, 1e-6 and
+    # 1e-9 on binary64 coordinates, or as given
     floats = tmp_path / "floats.json"
     main(["realize", str(cert_graph), "--depth", "12", "--no-exact", "--out", str(floats)])
     for path, options, recorded in (
         (cloud, [], ("0", "0", "on exact shadows")),
-        (floats, [], ("1e-06", "1e-09", "in binary64")),
+        (floats, [], ("1e-06", "1e-09", "on binary64 coordinates, exactly")),
         (cloud, ["--tol-rel", "0.5", "--tol-abs", "0.25"], ("0.5", "0.25", "on exact shadows")),
     ):
         assert main(["recover", str(path), "--diag-out", str(diag), "--out", str(out), *options]) == 0
@@ -471,9 +471,10 @@ def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_p
     for path in (c, s, ne, nes, one, p5):
         text = Path(path).read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
-    # shadows decide exactly and floats in binary64; --exact only refuses a cloud without shadows
+    # shadows and floats both decide exactly; --exact only refuses a cloud without shadows
+    floats = "on binary64 coordinates, exactly"
     for argv, arithmetic in ((["recover", c, "--exact"], "on exact shadows"), (["recover", s], "on exact shadows"),
-                             (["recover", ne], "in binary64"), (["recover", one], "in binary64")):
+                             (["recover", ne], floats), (["recover", one], floats)):
         assert main(argv) == 0, argv
         assert f"decided {arithmetic}" in capsys.readouterr().out
     for path in (ne, nes, one):
@@ -576,7 +577,7 @@ def test_demo_corpus_self_consistent(tmp_path, capsys):
     assert (out_dir / "single_point.json").read_text() == single_point_space(12).to_json() + "\n"
     assert main(["recover", str(out_dir / "single_point.json"), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["graph"]["vertices"] == ["p"] and payload["diagnostics"]["decided"] == "in binary64"
+    assert payload["graph"]["vertices"] == ["p"] and payload["diagnostics"]["decided"] == "on binary64 coordinates, exactly"
     tight_expected = json.loads((out_dir / "tight4.expected.json").read_text())
     assert tight_expected["line_embedding"] == {"v1": "0", "v2": "1", "v3": "2", "v4": "3"}
 
@@ -1016,19 +1017,16 @@ TINY = Fraction(1, 2**1074)  # 5e-324, the least subnormal binary64 number
 
 def test_tiny_scale_exit_2(cert_graph, tmp_path, capsys):
     # a subnormal scale, finite and positive, so the loader accepts it, but
-    # every normalized distance of the level overflows binary64: the scale is
-    # r_exact in a cloud with shadows, which decide exactly and report in
-    # binary64, and r in one without, which decides in binary64
-    for options, field, value, message in (
-        ((), "r_exact", str(TINY), "does not fit binary64"),
-        (("--no-exact",), "r", "5e-324", "not finite"),
-    ):
+    # every normalized distance of the level overflows binary64, where recovery
+    # reports it: the scale is r_exact in a cloud with shadows and r in one
+    # without, and either decides exactly
+    for options, field, value in (((), "r_exact", str(TINY)), (("--no-exact",), "r", "5e-324")):
         data = realized_cloud(cert_graph, tmp_path, *options)
         data["levels"][-1][field] = value
         path = tmp_path / "tiny_scale.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["recover", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        assert "does not fit binary64: a level's coordinates are too large for its scale" in capsys.readouterr().err
 
 
 def test_exact_values_beyond_binary64_exit_2(cert_graph, tmp_path, capsys):

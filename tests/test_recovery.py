@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import metric_cluster
 from metric_cluster import cli, fpc, graph_core
@@ -51,6 +52,7 @@ from metric_cluster.recovery import (
 from oracles import (
     atlas_connected_graphs,
     certifies_by_cycles,
+    cloud_json_dict,
     dominating_rooted_shapes,
     level_from_fractions,
     normalized_values_by_fractions,
@@ -68,7 +70,8 @@ def graph(vertices, edges, root):
 
 
 def shadowless(cloud: LeveledPointCloud) -> LeveledPointCloud:
-    """The cloud written without its exact shadows, which recovery decides in binary64."""
+    """The cloud written without its exact shadows: recovery reads its binary64
+    coordinates as the dyadic rationals they are."""
     return LeveledPointCloud.from_json(cloud.to_json(include_exact=False))
 
 
@@ -90,7 +93,7 @@ CERT_TRIANGLE = graph(
 
 def test_round_trip_float_recovery():
     rc = recover_cluster(shadowless(realize(ONE_GAP, depth=12)))
-    assert rc.diagnostics_json_dict()["decided"] == "in binary64"
+    assert rc.diagnostics_json_dict()["decided"] == "on binary64 coordinates, exactly"
     assert rc.graph.root == "r"
     assert not rc.warnings
     witness = isomorphic(ONE_GAP, rc.graph, weight_tol_rel=Fraction(1, 10**9))
@@ -260,15 +263,65 @@ def test_exact_recovery_matches_fraction_oracle():
     assert {"closure", "merged", "decayed", "dropped"} <= seen
 
 
+def partly_shadowed(cloud: LeveledPointCloud, rng: random.Random) -> LeveledPointCloud:
+    """The cloud with half of each level's points, and about half of its
+    exact scales, replaced by their binary64 values."""
+    doc, floats = cloud_json_dict(cloud), cloud_json_dict(cloud, include_exact=False)
+    for level, rounded in zip(doc["levels"], floats["levels"]):
+        points = level["points"]
+        for i in rng.sample(range(len(points)), len(points) // 2):
+            points[i] = rounded["points"][i]
+        if rng.random() < 0.5:
+            del level["r_exact"]
+            level["r"] = rounded["r"]
+    return LeveledPointCloud.from_json_dict(doc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 9),
+    p=st.sampled_from([0.2, 0.5, 0.8]),
+    rule=st.sampled_from([ScalingRule(), ScalingRule("power_square", 2)]),
+    seed=st.integers(0, 2**16),
+    zero=st.booleans(),
+)
+def test_binary64_coordinates_decide_as_the_fraction_oracle(n, p, rule, seed, zero):
+    # clouds without shadows and with some: each binary64 coordinate is the
+    # rational it equals, at the default tolerances (the oracle's) and at 0
+    rng = random.Random(seed)
+    cloud = realize(synthesize_weights(random_dominating_shape(rng, n, p)), 12, rule)
+    tolerances = (0, 0) if zero else ()
+    for mixed in (shadowless(cloud), partly_shadowed(cloud, rng)):
+        assert not mixed.has_exact()
+        got = outcome(recover_cluster, mixed, *tolerances)
+        assert got == outcome(recover_by_fractions, mixed, *tolerances)
+
+
+def test_shadows_and_binary64_values_of_a_level_share_one_denominator():
+    # the hand-built cloud's shadows and scales are not dyadic, so a level
+    # with both kinds of points puts its shadows over a multiple of their q
+    for seed in range(4):
+        mixed = partly_shadowed(hand_built_cloud(), random.Random(seed))
+        for tolerances in ((), (0, 0), (0.125, 0)):
+            got = outcome(recover_cluster, mixed, *tolerances)
+            assert got == outcome(recover_by_fractions, mixed, *tolerances)
+
+
 # binary tolerances: every threshold below is exact in binary64 as well
 TOL_REL, TOL_ABS = 0.5, 0.25
 
 
 def decide(cloud):
-    """Exact recovery with TOL_REL and TOL_ABS, checked against the Fraction
-    oracle; the GraphError message stands in for a raised error."""
+    """Recovery with TOL_REL and TOL_ABS of the cloud and of its copy without
+    shadows, each checked against the Fraction oracle: every position is a
+    multiple of 1/8, exact in binary64, so both copies decide alike. The
+    GraphError message stands in for a raised error."""
     got = outcome(recover_cluster, cloud, TOL_REL, TOL_ABS, use_exact=True)
     assert got == outcome(recover_by_fractions, cloud, TOL_REL, TOL_ABS)
+    floats = shadowless(cloud)
+    from_floats = outcome(recover_cluster, floats, TOL_REL, TOL_ABS)
+    assert from_floats == outcome(recover_by_fractions, floats, TOL_REL, TOL_ABS)
+    assert from_floats == (got if isinstance(got, str) else dataclasses.replace(got, _exact=False))
     return got
 
 
@@ -369,20 +422,20 @@ def test_round_trip_diagnostics_capture_oscillation():
 def test_recovered_invariants_hold():
     for g in (ONE_GAP, CERT_TRIANGLE):
         cloud = realize(g, depth=12)
-        for decided in (cloud, shadowless(cloud)):  # exactly and in binary64
+        for decided in (cloud, shadowless(cloud)):  # on shadows and on binary64 coordinates
             assert validate_recovered_cluster(recover_cluster(decided)) == []
 
 
 def test_round_trip_with_tight_cycles_tolerates_float_noise():
     # complete graph of collinear points: every triangle is exactly tight, so
-    # binary64 round-off can tip cycle sums either way; the invariant check
-    # must absorb that while the exact path reproduces the graph verbatim
+    # rounding the coordinates to binary64 can tip cycle sums either way; the
+    # invariant check must absorb that while the shadows reproduce the graph verbatim
     from oracles import collinear_k4
 
     g = collinear_k4(Fraction(1, 3), Fraction(1, 7), Fraction(2, 5))
     cloud = realize(g, depth=12)
     rc = recover_cluster(shadowless(cloud))
-    assert rc.diagnostics_json_dict()["decided"] == "in binary64"
+    assert rc.diagnostics_json_dict()["decided"] == "on binary64 coordinates, exactly"
     assert validate_recovered_cluster(rc) == []
     assert isomorphic(g, rc.graph, weight_tol_rel=Fraction(1, 10**9))
     assert recover_cluster(cloud, use_exact=True).graph == g
@@ -461,7 +514,7 @@ def test_shadows_decide_by_default(eps):
     explicit = recover_cluster(cloud, tol_rel=1e-6, tol_abs=1e-9)
     assert explicit == recover_by_fractions(cloud, 1e-6, 1e-9)
     assert ("u", "z") in explicit.graph.weights or eps == Fraction(1, 10**3)
-    # without their shadows, the same points decide in binary64 at 1e-6 and
+    # without their shadows, the same points decide at the defaults 1e-6 and
     # 1e-9, and take the same edges
     floats = recover_cluster(shadowless(cloud))
     assert (floats.tol_rel, floats.tol_abs) == (DEFAULT_TOL_REL, DEFAULT_TOL_ABS) == (1e-6, 1e-9)
@@ -611,39 +664,42 @@ def test_default_window_spans_two_levels_when_the_period_is_one():
 def test_non_finite_float_values_rejected():
     cloud = realize(ONE_GAP, depth=12)
     # a subnormal scale, exact and so also in binary64: every normalized
-    # distance of the level overflows binary64
+    # distance of the level overflows binary64 where recovery reports it
     levels = cloud.levels[:-1] + [dataclasses.replace(cloud.levels[-1], r=None, r_exact=Fraction(1, 2**1074))]
     tiny = LeveledPointCloud(cloud.dimension, levels, cloud.period)
     assert tiny.levels[-1].r == 5e-324
-    # its shadows decide exactly, and its floats, once the shadows are gone, in binary64
-    with pytest.raises(GraphError, match="does not fit binary64"):
-        recover_cluster(tiny)
-    with pytest.raises(GraphError, match="not finite"):
-        recover_cluster(shadowless(tiny))
+    # its shadows, and its floats once the shadows are gone, both decide exactly
+    for decided in (tiny, shadowless(tiny)):
+        with pytest.raises(GraphError, match="does not fit binary64: a level's coordinates are too large for its scale"):
+            recover_cluster(decided)
     floats = shadowless(cloud)
-    # finite values, but a threshold beyond binary64
-    with pytest.raises(GraphError, match="not finite"):
-        recover_cluster(floats, tol_rel=1e308)
+    # a threshold beyond binary64 is a tolerance like any other, on floats as on
+    # shadows: it identifies every sequence with the basepoint
+    for tol_rel in (1e308, 10**400):
+        merged = recover_cluster(floats, tol_rel=tol_rel).graph
+        assert merged == recover_cluster(cloud, tol_rel=tol_rel).graph and merged.vertices == ("r",)
     # tolerances that are not numbers, a Decimal NaN (it raised a bare
-    # decimal.InvalidOperation) and, in float recovery, an int beyond binary64
-    # (it raised a bare OverflowError)
+    # decimal.InvalidOperation), and a NaN, an infinity or a negative value
+    # on a cloud without shadows
     for check in (
         lambda: validate_recovered_cluster(dataclasses.replace(recover_cluster(cloud), tol_rel=None)),
         lambda: recover_cluster(cloud, tol_abs="1e-9", use_exact=True),
         lambda: validate_recovered_cluster(dataclasses.replace(recover_cluster(cloud), tol_abs="1e-9")),
         lambda: recover_cluster(cloud, tol_rel=Decimal("NaN")),
         lambda: validate_recovered_cluster(dataclasses.replace(recover_cluster(cloud), tol_rel=Decimal("NaN"))),
-        lambda: recover_cluster(floats, tol_rel=10**400),
+        lambda: recover_cluster(floats, tol_rel=math.nan),
+        lambda: recover_cluster(floats, tol_abs=math.inf),
+        lambda: recover_cluster(floats, tol_rel=-1e-6),
     ):
         with pytest.raises(GraphError, match="tolerances must be finite and non-negative, got"):
             check()
-    # finite values whose window sum, and so the tail mean, overflows
+    # values whose window sum leaves binary64: the exact sum does not overflow,
+    # and the tail mean is the value itself
     huge = LeveledPointCloud(1, [
         CloudLevel(n=n, r=1.0, r_exact=None, points=[CloudPoint("a", (1e308,))])
         for n in (1, 2, 3, 4)
     ])
-    with pytest.raises(GraphError, match="not finite"):
-        recover_cluster(huge)
+    assert recover_cluster(huge).graph.weight("nu0", "a") == Fraction(1e308)
 
 
 def test_decimal_and_fraction_tolerances_read_as_their_values():
