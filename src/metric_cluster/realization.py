@@ -173,10 +173,14 @@ class LeveledPointCloud:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
-        """The cloud of a JSON document. A level in a layout the writer writes
-        is read in one pass, any other by the constructor's level check. A
-        document a check refuses goes whole through the checked path, which
-        reads every level's shadow literals first and words the refusal."""
+        """The cloud of a JSON document. A level with ``over`` holds its
+        shadows in units of its scale, each coordinate r_exact * value /
+        over, and a level without it holds them as absolute rationals, as
+        every file written before ``over`` does. A level in a layout the
+        writer writes is read in one pass, any other by the constructor's
+        level check. A document a check refuses goes whole through the
+        checked path, which reads every level's shadow literals first and
+        words the refusal."""
         try:
             dimension, levels = data["dimension"], data["levels"]
         except (KeyError, TypeError) as exc:
@@ -207,7 +211,10 @@ class LeveledPointCloud:
         """The cloud file in the README's layout, byte for byte as
         ``json.dumps(..., indent=2)`` lays it out: where given, shadows as
         ``exact`` and ``r_exact`` unless ``include_exact`` is false, else
-        ``coords``, a shadow rounded, and ``r``. GraphError names a value past the digit limit."""
+        ``coords``, a shadow rounded, and ``r``. A level with ``r_exact``
+        writes its shadows in units of its scale: each ``exact`` value is an
+        integer over the level's ``over``, and a coordinate is r_exact times
+        value / over. GraphError names a value past the digit limit."""
         out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
         _array(out, ["0.0"] * self.dimension, _BASEPOINT)
         period = "null" if self.period is None else format_rational(self.period)
@@ -220,9 +227,11 @@ class LeveledPointCloud:
             if not shadowed:
                 out += (',\n      "r": ', _json_scalar(repr(lvl.r)))
             out.append(',\n      "points": ')
-            _write_points(out, lvl, include_exact)
+            over = _write_points(out, lvl, include_exact)
             if shadowed:
                 out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
+            if over is not None:
+                out += (',\n      "over": ', format_rational(over))
             out.append("\n    }")
         out.append("\n  ]\n}")
         return "".join(out)
@@ -235,11 +244,15 @@ class LeveledPointCloud:
 def _unpacked_level(entry: dict) -> CloudLevel:
     """A level object of a cloud file as a ``CloudLevel``: its point objects
     as points, with a ``coords`` list as a tuple and an ``exact`` list as
-    numerators over the level's least common denominator."""
+    numerators over one denominator, of the values themselves or, where the
+    level has ``over``, of r_exact times each value over ``over``."""
     points, q = entry["points"], None
     if isinstance(points, list):
         exacts = [item.get("exact") if isinstance(item, dict) else None for item in points]
-        q, shadows = _level_numerators([e if isinstance(e, list) else None for e in exacts])
+        rows = [e if isinstance(e, list) else None for e in exacts]
+        q, shadows = _level_numerators(rows)
+        if "over" in entry:
+            q, shadows = _in_units_of_scale(entry, rows, q, shadows)
         points = [
             CloudPoint(
                 item.get("label"),
@@ -250,6 +263,36 @@ def _unpacked_level(entry: dict) -> CloudLevel:
             for item, exact, shadow in zip(points, exacts, shadows)
         ]
     return CloudLevel(entry["n"], entry.get("r"), entry.get("r_exact"), points, q)
+
+
+def _in_units_of_scale(entry: dict, rows: list, q: Optional[int], shadows: list) -> tuple:
+    """The numerators and denominator of a level's shadows written in units of
+    its scale, each ``exact`` value an integer and a coordinate r_exact times
+    value / over: GraphError for an ``over`` that is no positive int, a level
+    without ``r_exact`` and, in point order, the first value that is no
+    integer. A malformed ``r_exact`` leaves the values as they are, for the
+    level check to name."""
+    level = _spelled(entry["n"])
+    over = _integer(entry["over"], 1, f"level {level} has exact values over {{value!r}}; over must be a positive integer")
+    if entry.get("r_exact") is None:
+        raise GraphError(f"level {level} has exact values over {_spelled(over)} but no r_exact")
+    if q is None:
+        return q, shadows
+    if q != 1:
+        value = next(x for x in chain.from_iterable(filter(None, rows)) if parse_rational(x).denominator != 1)
+        raise GraphError(f"level {level} has exact value {value!r} over {_spelled(over)}; it must be an integer")
+    try:
+        q, k = _scaled(over, parse_rational(entry["r_exact"]))
+    except GraphError:
+        return over, shadows
+    return q, [tuple([k * a for a in row]) if row else None for row in shadows]
+
+
+def _scaled(q: int, r) -> tuple[int, int]:
+    """The denominator q' and factor k, coprime, with r * a / q = k * a / q'
+    for every integer a: r is a Fraction or an int."""
+    g = math.gcd(q, r.numerator)
+    return q // g * r.denominator, r.numerator // g
 
 
 def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
@@ -271,11 +314,22 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
     path makes it, in a layout the writer writes: each point an ``exact``
     list of ``_shadows_at_once`` values, alone or with ``coords`` that are
     its rounding, or each point ``coords`` of finite floats alone; labels
-    distinct strings or None. KeyError, TypeError or ValueError for any
-    other, OverflowError for a shadow that rounds beyond binary64."""
+    distinct strings or None; where the level has ``over``, a positive int,
+    an ``r_exact`` and integer values. KeyError, TypeError or ValueError for
+    any other, OverflowError for a shadow that rounds beyond binary64."""
     n, points = entry["n"], entry["points"]
     if not (type(n) is int and n > previous and type(points) is list):
         raise ValueError(n)
+    r_exact = entry.get("r_exact")
+    if type(r_exact) is str and r_exact.isascii() and r_exact.isdigit():
+        r_exact = int(r_exact)  # ValueError past the digit limit
+    r, r_exact = _scales(entry.get("r"), r_exact, n)
+    scale = None
+    if "over" in entry:
+        over = entry["over"]
+        if not (type(over) is int and over > 0 and r_exact is not None):
+            raise ValueError(over)
+        scale = (over, r_exact)
     # TypeError unless each point is an object
     labels, given, exacts = (list(map(dict.get, points, repeat(key))) for key in ("label", "coords", "exact"))
     named = [label for label in labels if label is not None]  # unlabeled points may repeat
@@ -293,26 +347,24 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
             raise ValueError(given)
         coords, shadows = list(map(tuple, given)), repeat(None)
     elif kinds == {list} and set(map(len, exacts)) == {dimension}:
-        q, shadows = _shadows_at_once(list(chain.from_iterable(exacts)), dimension)
+        q, shadows = _shadows_at_once(list(chain.from_iterable(exacts)), dimension, scale)
         for c, shadow in zip(given, shadows):
             if c is not None and not (type(c) is list and set(map(type, c)) <= {float} and c == [a / q for a in shadow]):
                 raise ValueError(c)
         coords = repeat(None)
     else:
         raise ValueError(exacts)
-    r_exact = entry.get("r_exact")
-    if type(r_exact) is str and r_exact.isascii() and r_exact.isdigit():
-        r_exact = int(r_exact)  # ValueError past the digit limit
-    return CloudLevel(n, *_scales(entry.get("r"), r_exact, n), list(map(CloudPoint, labels, coords, shadows)), q)
+    return CloudLevel(n, r, r_exact, list(map(CloudPoint, labels, coords, shadows)), q)
 
 
-def _shadows_at_once(values: list, dimension: int) -> tuple[int, list[tuple]]:
+def _shadows_at_once(values: list, dimension: int, scale=None) -> tuple[int, list[tuple]]:
     """A level's exact values, each ``-?digits`` or ``-?digits/digits`` in
     ASCII digits with a positive denominator, as their least common
-    denominator q and, in ``dimension``-tuples, their numerators over q. Each
-    distinct value is read once, as most values of a realized level repeat.
-    TypeError or ValueError for any other value, OverflowError for a value
-    that rounds beyond binary64."""
+    denominator q and, in ``dimension``-tuples, their numerators over q; with
+    ``scale`` (over, r_exact), each value an integer, the coordinates
+    r_exact * value / over. Each distinct value is read once, as most values
+    of a realized level repeat. TypeError or ValueError for any other value,
+    OverflowError for a coordinate that rounds beyond binary64."""
     distinct = list(set(values))  # TypeError for a list
     text = ",".join(distinct)  # TypeError unless each value is a string
     # int() also reads blanks, "+", "_" and other scripts' digits, which
@@ -321,7 +373,13 @@ def _shadows_at_once(values: list, dimension: int) -> tuple[int, list[tuple]]:
         raise ValueError(text)
     # int() refuses "", "-", "--3", "1,2" and digits beyond the limit; most
     # levels of a realized cloud hold integers only: no split, no scaling
-    if "/" not in text:
+    if scale is not None:
+        if "/" in text:
+            raise ValueError(text)
+        # r * a / over in lowest terms, as generate_cloud scales a level
+        q, k = _scaled(*scale)
+        q, (numerators,) = _in_lowest_terms(q, [list(map(k.__mul__, map(int, distinct)))])
+    elif "/" not in text:
         q, numerators = 1, list(map(int, distinct))
     else:
         parts = list(map(str.partition, distinct, repeat("/")))
@@ -520,15 +578,25 @@ def _array(out: list, items: list[str], layout: tuple[str, str, str]) -> None:
     out += (opening, separator.join(items), closing)
 
 
-def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
+def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> Optional[int]:
     """Appends the ``points`` array of a level to ``out``: each point's
     ``exact`` when it is written, and its ``coords`` otherwise. Each distinct
-    exact value of the level is spelled once."""
+    exact value of the level is spelled once. Returns the level's ``over``
+    when it writes shadows in units of ``r_exact``, else None."""
     if not lvl.points:
         out.append("[]")
-        return
+        return None
     shadowed = [include_exact and p.exact is not None for p in lvl.points]
-    exact = iter(_format_over([a for p, s in zip(lvl.points, shadowed) if s for a in p.exact], lvl.q))
+    values = [a for p, s in zip(lvl.points, shadowed) if s for a in p.exact]
+    over = None
+    if values and lvl.r_exact is not None:
+        # a/q = r_exact * (r.den * a / h) / (q * r.num / h), h the greatest
+        # common divisor of q * r.num and every r.den * a: integers in lowest terms
+        num, den, distinct = lvl.r_exact.numerator, lvl.r_exact.denominator, list(set(values))
+        h = math.gcd(lvl.q * num, den * math.gcd(*distinct))
+        over, spelled = lvl.q * num // h, _format_over([den * a // h for a in distinct], 1)
+        values = list(map(dict(zip(distinct, spelled)).__getitem__, values))
+    exact = iter(values if over is not None else _format_over(values, lvl.q))
     rows = [p.coords for p in lvl.points] if include_exact else _level_floats(lvl)
     opening = "[\n        {"
     for p, s, coords in zip(lvl.points, shadowed, rows):
@@ -542,6 +610,7 @@ def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> None:
             _array(out, list(map(float.__repr__, coords)), _COORDS)
         out.append("\n        }")
     out.append("\n      ]")
+    return over
 
 
 def _level_floats(lvl: CloudLevel) -> list[tuple[float, ...]]:
@@ -697,8 +766,7 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         r = plan.rule.value(n)
         # r_n * a / q in lowest terms: q and the numerators a share no factor
         q, values, pickers, diameter, q_diameter = members[(n - 1) % len(members)]
-        g = math.gcd(q, r)
-        q, k = q // g, r // g
+        q, k = _scaled(q, r)
         exact = [k * a for a in values]
         # float(int) and int / int round correctly, as float(Fraction(a, q))
         # does, and raise OverflowError exactly when the rounded value leaves

@@ -98,7 +98,7 @@ def recover_cluster(
     """
     exact = cloud.has_exact()
     if use_exact and not exact:
-        raise GraphError("cloud carries no exact shadows; cannot recover exactly")
+        raise GraphError("use_exact needs every point's exact shadow and every level's r_exact")
     tol_rel = (0 if exact else DEFAULT_TOL_REL) if tol_rel is None else tol_rel
     tol_abs = (0 if exact else DEFAULT_TOL_ABS) if tol_abs is None else tol_abs
     zero_gap = _zero_gap(tol_rel, tol_abs)

@@ -1,4 +1,4 @@
-"""Mutation check for recovery's decisions.
+"""Mutation check for recovery's decisions and the cloud reader's checks.
 
 Each mutant below changes one comparison of the library: a file under src/,
 an exact old text that must occur there once, the new text, and the tests
@@ -29,7 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 RECOVERY = "metric_cluster/recovery.py"
+REALIZATION = "metric_cluster/realization.py"
 THRESHOLDS = "tests/test_recovery.py::test_{}_at_its_threshold"
+UNITS = "tests/test_cli.py::test_malformed_shadows_in_units_of_the_scale_exit_2[{}]"
 
 # (file under src/, old text, new text, the tests that must fail)
 MUTANTS = [
@@ -71,6 +73,26 @@ MUTANTS = [
      ["tests/test_recovery.py::test_a_subsample_of_whole_periods_in_order_keeps_the_period"]),
     (RECOVERY, "available[n][0] % p != k % p", "available[n][0] % p != 0",
      ["tests/test_recovery.py::test_a_subsample_of_whole_periods_in_order_keeps_the_period"]),
+    # the one-pass reader takes shadows in units of the scale over a positive
+    # over only, in lowest terms, and rounds none beyond binary64
+    (REALIZATION, "over > 0 and r_exact is not None", "over != 0 and r_exact is not None",
+     [UNITS.format("over-negative")]),
+    (REALIZATION, "over = _integer(entry[\"over\"], 1,", "over = _integer(entry[\"over\"], 0,",
+     [UNITS.format("over-zero")]),
+    (REALIZATION, "q, (numerators,) = _in_lowest_terms(q, [list(map(k.__mul__, map(int, distinct)))])",
+     "numerators = list(map(k.__mul__, map(int, distinct)))",
+     ["tests/test_realization.py::test_unreduced_shadows_load_over_the_least_denominator"]),
+    (REALIZATION, "    _binary64_guard(numerators, q)\n", "",
+     ["tests/test_realization.py::test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64"]),
+    # a level with over is read in units of its scale, in one pass and checked
+    (REALIZATION, 'scale = None\n    if "over" in entry:', 'scale = None\n    if False:',
+     ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud"]),
+    (REALIZATION, 'if "over" in entry:\n            q, shadows = _in_units_of_scale(',
+     'if False:\n            q, shadows = _in_units_of_scale(',
+     ["tests/test_realization.py::test_partly_shadowed_level_loads_writes_back_and_is_not_exact"]),
+    # generate_cloud refuses a level whose largest distance leaves binary64
+    (REALIZATION, "            r * diameter / q_diameter\n", "",
+     ["tests/test_cli.py::test_realize_a_level_whose_points_lie_past_binary64_exit_2"]),
 ]
 
 

@@ -12,7 +12,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from typing import Optional
 
 import networkx as nx
@@ -225,7 +225,7 @@ def normalized_values_by_fractions(cloud, window: int):
     pairs = {pair: [] for pair in combinations(labels, 2)}
     for lvl in json.loads(cloud.to_json())["levels"][-window:]:
         r = parse_rational(lvl["r_exact"])
-        pts = {p["label"]: [parse_rational(c) for c in p["exact"]] for p in lvl["points"]}
+        pts = {p["label"]: file_shadow(lvl, p) for p in lvl["points"]}
         for x in labels:
             base[x].append(max(abs(c) for c in pts[x]) / r)
         for x, y in pairs:
@@ -529,12 +529,41 @@ def point_floats(lvl: CloudLevel, p: CloudPoint) -> tuple[float, ...]:
     return p.coords if p.exact is None else tuple(float(Fraction(a, lvl.q)) for a in p.exact)
 
 
+def file_shadow(level: dict, point: dict) -> list[Fraction]:
+    """A point's exact coordinates as a cloud file's level object spells
+    them: each ``exact`` value itself or, where the level has ``over``,
+    r_exact times the value over ``over``."""
+    if "over" not in level:
+        return [parse_rational(x) for x in point["exact"]]
+    r = parse_rational(level["r_exact"])
+    return [r * Fraction(int(x), level["over"]) for x in point["exact"]]
+
+
 def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dict:
     """The cloud file as a dict, which ``json.dumps(..., indent=2)`` lays
-    out as ``to_json`` writes it: a point's shadow as ``exact`` values a/q
-    in lowest terms, as Fraction prints them, and a level's ``r_exact``,
-    where given, unless ``include_exact`` is false; ``coords`` and ``r``
-    otherwise."""
+    out as ``to_json`` writes it: a point's shadow as ``exact`` values, and a
+    level's ``r_exact``, where given, unless ``include_exact`` is false;
+    ``coords`` and ``r`` otherwise. A level with ``r_exact`` and a shadow
+    writes each value x = (a/q) / r_exact as the integer x * over, with
+    ``over`` the least common denominator of its values x; a level without
+    ``r_exact`` writes a/q in lowest terms, as Fraction prints it."""
+    data = legacy_cloud_json_dict(cloud, include_exact)
+    for entry, lvl in zip(data["levels"], cloud.levels):
+        shadowed = [(item, p) for item, p in zip(entry["points"], lvl.points) if "exact" in item]
+        if "r_exact" in entry and shadowed:
+            units = [[Fraction(a, lvl.q) / lvl.r_exact for a in p.exact] for _, p in shadowed]
+            over = math.lcm(*(x.denominator for x in chain.from_iterable(units)))
+            for (item, _), values in zip(shadowed, units):
+                item["exact"] = [str(x * over) for x in values]
+            entry["over"] = over
+    return data
+
+
+def legacy_cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dict:
+    """The cloud file as a dict in the layout written before shadows were
+    written in units of their level's scale, which the reader still reads:
+    ``cloud_json_dict`` but for a point's shadow as its absolute ``exact``
+    values a/q in lowest terms, as Fraction prints them, and no ``over``."""
     levels = []
     for lvl in cloud.levels:
         points = []

@@ -15,9 +15,9 @@ from metric_cluster.cli import build_parser, main
 from metric_cluster.graph_core import WeightedRootedGraph
 from metric_cluster.fpc import graph_from_metric_space, synthesize_weights
 from metric_cluster.metrization import Metrizability, extend_metric, forced_completion, shortest_path_metric
-from metric_cluster.realization import realize, single_point_space
+from metric_cluster.realization import LeveledPointCloud, realize, single_point_space
 
-from oracles import halfway_past_binary64, random_dominating_shape
+from oracles import file_shadow, halfway_past_binary64, legacy_cloud_json_dict, random_dominating_shape
 
 
 def write_graph(path: Path, vertices, edges, root) -> Path:
@@ -479,7 +479,7 @@ def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_p
         assert f"decided {arithmetic}" in capsys.readouterr().out
     for path in (ne, nes, one):
         assert main(["recover", path, "--exact"]) == 2
-        assert "cloud carries no exact shadows; cannot recover exactly" in capsys.readouterr().err
+        assert "use_exact needs every point's exact shadow and every level's r_exact" in capsys.readouterr().err
     assert main(["recover", p5]) == 0
     assert "recovered 1 classes" in capsys.readouterr().out
 
@@ -631,6 +631,12 @@ def realized_cloud(cert_graph, tmp_path, *options) -> dict:
     return json.loads(cloud.read_text(encoding="utf-8"))
 
 
+def with_absolute_shadows(data: dict) -> dict:
+    """The cloud document as the writer wrote it before it wrote shadows in
+    units of their level's scale: each ``exact`` value the coordinate itself."""
+    return legacy_cloud_json_dict(LeveledPointCloud.from_json_dict(data))
+
+
 def test_short_coordinates_exit_2(cert_graph, tmp_path, capsys):
     # a point's coords are written where it has no shadow written
     floats = realized_cloud(cert_graph, tmp_path, "--no-exact")
@@ -661,7 +667,9 @@ def test_cloud_level_missing_field_exit_2(cert_graph, tmp_path, capsys):
         (floats, ["levels", 3, "points", 1, "coords"], "point 'u' at level 4 has neither coords nor an exact shadow"),
         (data, ["levels", 3, "points", 1, "exact"], "point 'u' at level 4 has neither coords nor an exact shadow"),
         (floats, ["levels", 3, "r"], "level 4 has neither r nor r_exact"),
-        (data, ["levels", 3, "r_exact"], "level 4 has neither r nor r_exact"),
+        (with_absolute_shadows(data), ["levels", 3, "r_exact"], "level 4 has neither r nor r_exact"),
+        # shadows in units of the level's scale need it
+        (data, ["levels", 3, "r_exact"], f"level 4 has exact values over {data['levels'][3]['over']} but no r_exact"),
     ):
         broken = json.loads(json.dumps(doc))
         *parents, last = drop
@@ -1018,10 +1026,12 @@ TINY = Fraction(1, 2**1074)  # 5e-324, the least subnormal binary64 number
 def test_tiny_scale_exit_2(cert_graph, tmp_path, capsys):
     # a subnormal scale, finite and positive, so the loader accepts it, but
     # every normalized distance of the level overflows binary64, where recovery
-    # reports it: the scale is r_exact in a cloud with shadows and r in one
-    # without, and either decides exactly
+    # reports it: the scale is r_exact in a cloud with absolute shadows and r
+    # in one without, and either decides exactly; shadows written in units of
+    # r_exact shrink with it
     for options, field, value in (((), "r_exact", str(TINY)), (("--no-exact",), "r", "5e-324")):
         data = realized_cloud(cert_graph, tmp_path, *options)
+        data = with_absolute_shadows(data) if field == "r_exact" else data
         data["levels"][-1][field] = value
         path = tmp_path / "tiny_scale.json"
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -1031,23 +1041,76 @@ def test_tiny_scale_exit_2(cert_graph, tmp_path, capsys):
 
 def test_exact_values_beyond_binary64_exit_2(cert_graph, tmp_path, capsys):
     # exact recovery reports its normalized distances in binary64: against a
-    # subnormal exact scale they are too large for it
-    data = realized_cloud(cert_graph, tmp_path)
+    # subnormal exact scale, absolute shadows are too large for it
+    data = with_absolute_shadows(realized_cloud(cert_graph, tmp_path))
     data["levels"][-1]["r_exact"] = str(TINY)
     path = tmp_path / "tiny_exact_scale.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["recover", str(path), "--exact"]) == 2
     assert "does not fit binary64" in capsys.readouterr().err
-    # shadows 10**400 times too large for binary64 give no coordinates
+    # shadows 10**400 times too large for binary64 give no coordinates, in
+    # units of the scale and absolute
+    written = realized_cloud(cert_graph, tmp_path)
+    for data in (written, with_absolute_shadows(written)):
+        for level in data["levels"]:
+            for point in level["points"]:
+                point["exact"] = [str(Fraction(x) * 10**400) for x in point["exact"]]
+        path = tmp_path / "huge_exact.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for exact in ([], ["--exact"]):
+            assert main(["recover", str(path), *exact]) == 2
+            assert "point 'u' at level 1 has a coordinate beyond binary64" in capsys.readouterr().err
+
+
+def _drop_level(field):
+    def edit(data):
+        del data["levels"][3][field]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_level("over", 0), "level 4 has exact values over 0; over must be a positive integer"),
+        (_set_level("over", -1), "level 4 has exact values over -1; over must be a positive integer"),
+        (_set_level("over", True), "level 4 has exact values over True; over must be a positive integer"),
+        (_set_level("over", "1"), "level 4 has exact values over '1'; over must be a positive integer"),
+        (_set_level("over", 1.0), "level 4 has exact values over 1.0; over must be a positive integer"),
+        (_set_level("over", None), "level 4 has exact values over None; over must be a positive integer"),
+        (_set_exact("1/2"), "level 4 has exact value '1/2' over {over}; it must be an integer"),
+        (_drop_level("r_exact"), "level 4 has exact values over {over} but no r_exact"),
+        # r_exact * value / over rounds beyond binary64, though value / over does not
+        (_set_exact(str(10**308)), "point 'u' at level 4 has a coordinate beyond binary64"),
+    ],
+    ids=["over-zero", "over-negative", "over-true", "over-a-string", "over-a-float", "over-null",
+         "value-no-integer", "no-r_exact", "coordinate-beyond-binary64"],
+)
+def test_malformed_shadows_in_units_of_the_scale_exit_2(cert_graph, tmp_path, capsys, edit, message):
     data = realized_cloud(cert_graph, tmp_path)
-    for level in data["levels"]:
-        for point in level["points"]:
-            point["exact"] = [str(Fraction(x) * 10**400) for x in point["exact"]]
-    path = tmp_path / "huge_exact.json"
+    message = message.format(over=data["levels"][3]["over"])
+    edit(data)
+    path = tmp_path / "bad_units.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    for exact in ([], ["--exact"]):
-        assert main(["recover", str(path), *exact]) == 2
-        assert "point 'u' at level 1 has a coordinate beyond binary64" in capsys.readouterr().err
+    for args in (["recover", str(path)], ["subsample", str(path), "--indices", "1", "--out", str(tmp_path / "s.json")]):
+        assert main(args) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_a_cloud_with_absolute_shadows_recovers(cert_graph, tmp_path, capsys):
+    # the layout written before shadows were written in units of their
+    # level's scale loads as the cloud it was written from; subsample writes
+    # it in units
+    data = realized_cloud(cert_graph, tmp_path)
+    absolute = tmp_path / "absolute.json"
+    absolute.write_text(json.dumps(with_absolute_shadows(data), indent=2) + "\n", encoding="utf-8")
+    assert "over" not in absolute.read_text(encoding="utf-8")
+    h, sub = tmp_path / "h.json", tmp_path / "sub.json"
+    assert main(["recover", str(absolute), "--exact", "--out", str(h)]) == 0
+    assert main(["isomorphic", str(cert_graph), str(h), "--weight-tol-rel", "0"]) == 0
+    assert main(["subsample", str(absolute), "--indices", "1,2,3,4,5,6,7,8,9,10,11,12", "--out", str(sub)]) == 0
+    capsys.readouterr()
+    assert json.loads(sub.read_text(encoding="utf-8")) == data
+    assert LeveledPointCloud.from_json(absolute.read_text(encoding="utf-8")) == LeveledPointCloud.from_json_dict(data)
 
 
 def test_coordinates_or_a_scale_apart_from_their_shadows_exit_2(tmp_path, capsys):
@@ -1061,16 +1124,17 @@ def test_coordinates_or_a_scale_apart_from_their_shadows_exit_2(tmp_path, capsys
     written = json.loads(cloud.read_text(encoding="utf-8"))["levels"]
     assert not any("r" in level or any("coords" in p for p in level["points"]) for level in written)
 
-    def rounded(point):
-        return [float(Fraction(x)) for x in point["exact"]]
+    def rounded(level, point):
+        return [float(x) for x in file_shadow(level, point)]
 
     def scale_u(data):
         for level in data["levels"]:
-            level["points"][1]["coords"] = [1.5 * x for x in rounded(level["points"][1])]
+            level["points"][1]["coords"] = [1.5 * x for x in rounded(level, level["points"][1])]
 
     def one_ulp(data):
-        point = data["levels"][3]["points"][1]
-        point["coords"] = [math.nextafter(x, math.inf) if j == 0 else x for j, x in enumerate(rounded(point))]
+        level = data["levels"][3]
+        point = level["points"][1]
+        point["coords"] = [math.nextafter(x, math.inf) if j == 0 else x for j, x in enumerate(rounded(level, point))]
 
     def scale_apart(data):
         level = data["levels"][3]

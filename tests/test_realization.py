@@ -6,7 +6,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,8 +44,10 @@ from oracles import (
     cloud_json_dict,
     cross_level_separation,
     dominating_rooted_shapes,
+    file_shadow,
     halfway_past_binary64,
     least_interval_width,
+    legacy_cloud_json_dict,
     lower_member_by_fractions,
     point_floats,
     random_dominating_shape,
@@ -360,8 +362,8 @@ def test_cloud_json_round_trip():
 def _both_halves(cloud) -> str:
     """The cloud's text as the writer laid it out while it wrote both halves
     of a shadowed point: each point's coords before its exact, and each
-    level's r before its points and r_exact after them."""
-    doc, shadows = cloud_json_dict(cloud, include_exact=False), cloud_json_dict(cloud)
+    level's r before its points and r_exact after them, with absolute shadows."""
+    doc, shadows = cloud_json_dict(cloud, include_exact=False), legacy_cloud_json_dict(cloud)
     for level, shadowed in zip(doc["levels"], shadows["levels"]):
         for point, exact in zip(level["points"], shadowed["points"]):
             point.update({"exact": exact["exact"]} if "exact" in exact else {})
@@ -369,31 +371,38 @@ def _both_halves(cloud) -> str:
     return json.dumps(doc, indent=2)
 
 
-# SHA-256 of the cloud bytes: of both halves, the binary64 one rounded by the
-# oracle from Fractions, and of the text now written, from which the binary64
-# half of every shadowed value is derived; a change of the realization family
-# or of its columns (the root has none) changes them by design
+# SHA-256 of the cloud bytes: of two files with absolute shadows, which the
+# writer wrote before it wrote shadows in units of their level's scale and
+# which must still load, both halves, the binary64 one rounded by the oracle
+# from Fractions, and the shadows alone; and of the text now written. The
+# binary64 half of every shadowed value is derived; a change of the
+# realization family or of its columns (the root has none) changes them by design
 PINNED_CLOUDS = [
     (12, None, "152c69d94c9b7f964821258481e5ec3229ad579c2f3bb24713b7b94688daada7",
-     "60f6dc067687247d1a96f66045162e9f5e69006bc1ceec2ca23e979cdfae8903"),
+     "60f6dc067687247d1a96f66045162e9f5e69006bc1ceec2ca23e979cdfae8903",
+     "0bb619878e6a8810201dd1df17fe7c922ee4b0a18916353bdf72f12cb4191a67"),
     (6, ScalingRule("power_square", 3), "c0b0f6e75d25ed09cea5e08bd28b2c41d24be2e346da539853e9b3fc75947a08",
-     "37064f4cecc4c822d4e692f44b4b5a7c7fb7d0f2fe3471d4ffc045a94d8d6679"),
+     "37064f4cecc4c822d4e692f44b4b5a7c7fb7d0f2fe3471d4ffc045a94d8d6679",
+     "7a707bbe6988d34f493b52c0df3e21b8f5e4f298949fa67c0de6cdbd9c87b68f"),
 ]
 
 
 @pytest.mark.parametrize(
-    "depth, rule, both_digest, digest",
+    "depth, rule, both_digest, legacy_digest, digest",
     PINNED_CLOUDS,
-    ids=[f"{depth}-{'rule1' if rule else None}" for depth, rule, _, _ in PINNED_CLOUDS],
+    ids=[f"{depth}-{'rule1' if rule else None}" for depth, rule, *_ in PINNED_CLOUDS],
 )
-def test_cloud_bytes_are_pinned(depth, rule, both_digest, digest):
+def test_cloud_bytes_are_pinned(depth, rule, both_digest, legacy_digest, digest):
     cloud = realize(ONE_GAP, depth, rule)
-    text, both = cloud.to_json(), _both_halves(cloud)
+    text, both, legacy = cloud.to_json(), _both_halves(cloud), json.dumps(legacy_cloud_json_dict(cloud), indent=2)
     assert hashlib.sha256(both.encode()).hexdigest() == both_digest
+    assert hashlib.sha256(legacy.encode()).hexdigest() == legacy_digest
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    # a file with both halves, which agree, loads to the same cloud
-    assert LeveledPointCloud.from_json(both) == cloud
-    assert LeveledPointCloud.from_json(both).to_json() == text
+    # the files with absolute shadows, the one with both halves, which
+    # agree, among them, load to the same cloud
+    for old in (both, legacy):
+        assert LeveledPointCloud.from_json(old) == cloud
+        assert LeveledPointCloud.from_json(old).to_json() == text
 
 
 @pytest.mark.parametrize(
@@ -412,12 +421,33 @@ def test_load_and_write_reproduces_the_cloud(cloud):
         again = LeveledPointCloud.from_json(text)
         assert again.to_json() == text
     assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
+    # the layout with absolute shadows, written before, loads to an equal cloud
+    legacy = json.dumps(legacy_cloud_json_dict(cloud), indent=2)
+    assert LeveledPointCloud.from_json(legacy) == cloud
+    assert ('"over"' in cloud.to_json()) == any(lvl.r_exact is not None for lvl in cloud.levels)
+
+
+@pytest.mark.parametrize("depth, rule", [(12, None), (6, ScalingRule("power_square", 3)), (110, None)])
+def test_shadows_are_written_in_units_of_their_level_scale(depth, rule):
+    """Each ``exact`` value of a realized level is an integer over the level's
+    ``over``, in lowest terms together, and r_exact times value / over is the
+    shadow; r_exact's digits are not repeated in the values."""
+    cloud = realize(ONE_GAP, depth, rule)
+    data = json.loads(cloud.to_json())
+    for entry, lvl in zip(data["levels"], cloud.levels):
+        values = [int(x) for item in entry["points"] for x in item["exact"]]
+        assert math.gcd(entry["over"], *values) == 1
+        assert all(str(int(x)) == x for item in entry["points"] for x in item["exact"])
+        for item, p in zip(entry["points"], lvl.points):
+            assert file_shadow(entry, item) == [Fraction(a, lvl.q) for a in p.exact]
+    assert max(len(x) for item in data["levels"][-1]["points"] for x in item["exact"]) < 4
+    assert len(cloud.to_json()) < len(json.dumps(legacy_cloud_json_dict(cloud), indent=2))
 
 
 def test_unreduced_shadows_load_over_the_least_denominator():
     cloud = realize(CERT_TRIANGLE, 8)
     level = next(lvl for lvl in cloud.levels if lvl.q > 1)
-    data = json.loads(cloud.to_json())
+    data = legacy_cloud_json_dict(cloud)
     for item in data["levels"][level.n - 1]["points"]:
         # a/b becomes 6a/6b, and an integer a becomes 6a/6
         item["exact"] = [
@@ -426,23 +456,36 @@ def test_unreduced_shadows_load_over_the_least_denominator():
     again = LeveledPointCloud.from_json(json.dumps(data))
     assert again.levels[level.n - 1] == level
     assert again.to_json() == cloud.to_json()
+    # in units of the scale: every value and over times 6
+    for n in (level.n, cloud.depth // 2, cloud.depth):
+        data = json.loads(cloud.to_json())
+        entry = data["levels"][n - 1]
+        entry["over"] *= 6
+        for item in entry["points"]:
+            item["exact"] = [str(6 * int(x)) for x in item["exact"]]
+        assert taken_levels(data) == [True] * cloud.depth
+        again = LeveledPointCloud.from_json(json.dumps(data))
+        assert again.levels[n - 1] == cloud.levels[n - 1] and again == checked_path(data)
+        assert again.to_json() == cloud.to_json()
 
 
 def test_partly_shadowed_level_loads_writes_back_and_is_not_exact():
     realized = realize(CERT_TRIANGLE, 12)
-    data = json.loads(realized.to_json())
-    level = data["levels"][0]
-    assert any("/" in x for item in level["points"] for x in item["exact"])
+    first = realized.levels[0]
+    assert first.q > 1
     # keep the shadow only where a coordinate has a denominator, and the
     # coordinates elsewhere
-    for item, point in zip(level["points"], realized.levels[0].points):
-        if not any("/" in x for x in item["exact"]):
-            del item["exact"]
-            item["coords"] = list(point_floats(realized.levels[0], point))
+    points = [p if any(a % first.q for a in p.exact) else CloudPoint(p.label, point_floats(first, p)) for p in first.points]
+    assert 0 < sum(p.exact is None for p in points) < len(points)
+    built = LeveledPointCloud(realized.dimension, [dataclasses.replace(first, points=points), *realized.levels[1:]])
+    data = cloud_json_dict(built)
+    assert "over" in data["levels"][0]
     cloud = LeveledPointCloud.from_json(json.dumps(data))
-    assert json.loads(cloud.to_json()) == data
+    assert cloud == built and json.loads(cloud.to_json()) == data
+    # and with absolute shadows, as written before
+    assert LeveledPointCloud.from_json_dict(legacy_cloud_json_dict(built)) == cloud
     assert not cloud.has_exact()
-    with pytest.raises(GraphError, match="no exact shadows"):
+    with pytest.raises(GraphError, match="^use_exact needs every point's exact shadow"):
         recover_cluster(cloud, use_exact=True)
     assert isomorphic(CERT_TRIANGLE, recover_cluster(cloud).graph, weight_tol_rel=Fraction(1, 10**9))
     # the floats derived from the shadows decide as the floats of a file without them
@@ -462,13 +505,17 @@ def test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64(q):
     value just below the halfway point rounds to the largest binary64 number
     and loads, and one at it is refused. The one pass declines that level and
     the checked path names the first point beyond binary64, in a file and in
-    code alike, with the text of the per-point rounding."""
-    for a, fits in ((_PAST_BINARY64 * q - 1, True), (_PAST_BINARY64 * q, False)):
+    code alike, with the text of the per-point rounding, also where the file
+    writes the shadows in units of the level's scale."""
+    for (a, fits), units in product(((_PAST_BINARY64 * q - 1, True), (_PAST_BINARY64 * q, False)), (False, True)):
         shadows = {"r": (0, 0), "u": (1, 2), "v": (1, -a), "w": (-a, 0)}
-        level = CloudLevel(1, 1.0, None, [CloudPoint(v, None, x) for v, x in shadows.items()], q)
-        entry = {"n": 1, "r": "1.0", "points": [
-            {"label": v, "exact": [str(Fraction(c, q)) for c in x]} for v, x in shadows.items()
-        ]}
+        points = [CloudPoint(v, None, x) for v, x in shadows.items()]
+        level = CloudLevel(1, None, Fraction(7), points, q) if units else CloudLevel(1, 1.0, None, points, q)
+        # in units of the scale 7, each numerator itself is the value over 7q
+        entry = {"n": 1, "r_exact": "7", "over": 7 * q} if units else {"n": 1, "r": "1.0"}
+        entry["points"] = [
+            {"label": v, "exact": [str(c) if units else str(Fraction(c, q)) for c in x]} for v, x in shadows.items()
+        ]
         document = {"dimension": 2, "levels": [entry]}
         if fits:
             in_code = LeveledPointCloud(2, [level])
@@ -732,13 +779,36 @@ def refusal(data):
 
 @pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
 def test_a_value_in_the_last_level_loads_or_is_refused_as_on_the_checked_path(index):
+    # absolute shadows, as the writer wrote them before it wrote them in
+    # units of their level's scale
     assert len(ONE_PASS_REFUSALS) == len(ONE_PASS_CASES)
-    data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
+    data = legacy_cloud_json_dict(realize(CERT_TRIANGLE, 4))
     data["levels"][-1]["points"][1]["exact"][0] = ONE_PASS_CASES[index]
     if ONE_PASS_REFUSALS[index] is None:
         assert LeveledPointCloud.from_json(json.dumps(data)) == checked_path(data)
     else:
         assert refusal(data) == ONE_PASS_REFUSALS[index]
+
+
+# the cases above that read as a rational which is no integer
+_NOT_INTEGERS = ["١/٢", "2/4", "-3/9", "007/014", "1.5"]
+
+
+@pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
+def test_a_value_in_units_of_the_scale_loads_or_is_refused_as_on_the_checked_path(index):
+    """In a level with ``over``, each value is read as with absolute shadows,
+    and one that is no integer is refused too."""
+    value = ONE_PASS_CASES[index]
+    data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
+    level = data["levels"][-1]
+    level["points"][1]["exact"][0] = value
+    expected = ONE_PASS_REFUSALS[index]
+    if value in _NOT_INTEGERS:
+        expected = f"level 4 has exact value {value!r} over {level['over']}; it must be an integer"
+    if expected is None:
+        assert LeveledPointCloud.from_json(json.dumps(data)) == checked_path(data)
+    else:
+        assert refusal(data) == expected
 
 
 def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
@@ -981,11 +1051,12 @@ class _InCode:
 
 
 class _InFile(_InCode):
-    """The same fields of R_UV's JSON document, to edit; a Fraction is
-    written as its literal."""
+    """The same fields of R_UV's JSON document with absolute shadows, as the
+    writer wrote it before it wrote them in units of their level's scale, to
+    edit; a Fraction is written as its literal."""
 
     def __init__(self):
-        self.fields = json.loads(R_UV.to_json())
+        self.fields = json.loads(json.dumps(legacy_cloud_json_dict(R_UV)))
 
     def level(self, i, **values):
         self.fields["levels"][i].update({k: str(v) if isinstance(v, Fraction) else v for k, v in values.items()})
@@ -1002,6 +1073,14 @@ class _InFile(_InCode):
 
     def build(self):
         return LeveledPointCloud.from_json(json.dumps(self.fields))
+
+
+class _InUnits(_InFile):
+    """R_UV's JSON document as the writer writes it, to edit: a shadow
+    written in code is read in units of its level's scale, r_exact / over."""
+
+    def __init__(self):
+        self.fields = json.loads(R_UV.to_json())
 
 
 def _cut_u(edit):
@@ -1159,14 +1238,25 @@ REFUSALS = {
 }
 
 
+# the cases refused with another text in the file as the writer writes it,
+# where r_exact scales the shadows and a level needs it for them
+IN_UNITS = {
+    "exact scale beyond binary64": (
+        "point 'u' at level 3 has a coordinate beyond binary64: integer division result too large for a float"
+    ),
+    "neither r nor r_exact": "level 1 has exact values over 3 but no r_exact",
+}
+
+
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_a_file_and_code_refuse_alike(case):
     change, text = REFUSALS[case]
-    for edit in (_InCode(), _InFile()):
+    for edit in (_InCode(), _InFile(), _InUnits()):
         change(edit)
         with pytest.raises(GraphError) as caught:
             edit.build()
-        assert str(caught.value) == text, type(edit).__name__
+        expected = IN_UNITS.get(case, text) if isinstance(edit, _InUnits) else text
+        assert str(caught.value) == expected, type(edit).__name__
 
 
 def test_construction_holds_values_as_the_reader_does():

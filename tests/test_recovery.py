@@ -54,6 +54,7 @@ from oracles import (
     certifies_by_cycles,
     cloud_json_dict,
     dominating_rooted_shapes,
+    legacy_cloud_json_dict,
     level_from_fractions,
     normalized_values_by_fractions,
     nx_to_graph,
@@ -265,8 +266,9 @@ def test_exact_recovery_matches_fraction_oracle():
 
 def partly_shadowed(cloud: LeveledPointCloud, rng: random.Random) -> LeveledPointCloud:
     """The cloud with half of each level's points, and about half of its
-    exact scales, replaced by their binary64 values."""
-    doc, floats = cloud_json_dict(cloud), cloud_json_dict(cloud, include_exact=False)
+    exact scales, replaced by their binary64 values: edits of a document with
+    absolute shadows, which need no r_exact."""
+    doc, floats = legacy_cloud_json_dict(cloud), cloud_json_dict(cloud, include_exact=False)
     for level, rounded in zip(doc["levels"], floats["levels"]):
         points = level["points"]
         for i in rng.sample(range(len(points)), len(points) // 2):
@@ -715,9 +717,9 @@ def test_decimal_and_fraction_tolerances_read_as_their_values():
             # recorded as given, and validation reads the value it equals
             assert rc.tol_rel is tol and rc.tol_abs == expected.tol_abs
             assert validate_recovered_cluster(rc) == validate_recovered_cluster(expected)
-    # the one-point space carries no exact shadows: exact recovery refuses it alike
+    # the one-point space has no r_exact: use_exact refuses it alike
     for tol in (1e-6, Decimal("1e-6"), Fraction(1, 10**6)):
-        with pytest.raises(GraphError, match="no exact shadows"):
+        with pytest.raises(GraphError, match="^use_exact needs every point's exact shadow"):
             recover_cluster(point, tol_rel=tol, use_exact=True)
 
 
