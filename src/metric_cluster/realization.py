@@ -80,9 +80,9 @@ class RealizationPlan:
 
 @dataclass
 class CloudPoint:
-    """One point of a level: the integer numerators of its exact rational
-    coordinates over the level's common denominator ``q`` where the cloud has
-    a shadow for it, and binary64 ``coords`` otherwise. A shadowed point holds
+    """One point of a level: the integer numerators over the level's ``q`` of
+    its exact coordinates in units of the level's scale where the cloud has a
+    shadow for it, and binary64 ``coords`` otherwise. A shadowed point holds
     no coords: a binary64 reader rounds its shadow (see ``CloudLevel``)."""
 
     label: Optional[str]
@@ -95,11 +95,12 @@ class CloudLevel:
     """One level: scale r (binary64 and, optionally, exact: r is then
     r_exact rounded, derived from it where given as None) and its points.
 
-    ``q`` is the least common denominator of the exact shadows of the
-    level's points, which carry integer numerators over it: point p's j-th
-    exact coordinate is p.exact[j] / q. It is None when no point of the level
-    has a shadow. A binary64 reader takes that value rounded, derived when it
-    asks; construction makes sure that every such rounding is finite.
+    Shadows are held in units of the level's scale R, r_exact or r read
+    exactly, as recovery's normalized distances d / r_n are: ``q`` is their
+    least common denominator, and point p's j-th exact coordinate is
+    R * p.exact[j] / q; a file's ``over`` and values are q and the numerators.
+    q is None when no point has a shadow. A binary64 reader takes that value
+    rounded, derived when it asks; construction makes it finite.
     """
 
     n: int
@@ -115,11 +116,12 @@ class LeveledPointCloud:
 
     Points live in sup-norm coordinate space; the basepoint is the origin and
     appears at every level (as the root's image in generated clouds). A point
-    holds either an exact rational shadow, as integer numerators over one
-    denominator per level (see ``CloudLevel``), or binary64 coordinates.
+    holds either an exact rational shadow, integer numerators over one
+    denominator per level in units of its scale (see ``CloudLevel``), as the
+    constructor takes them, or binary64 coordinates.
 
     Construction checks ``dimension``, ``period``, then each level's ``n``,
-    points, labels, ``q``, ``r`` and ``r_exact``, and that a level has a
+    points, labels, ``r``, ``r_exact`` and ``q``, and that a level has a
     point; it holds an int coordinate as its float, shadows in lowest terms
     and no coords next to a shadow, once they equal its rounding. Every file
     the JSON reader refuses goes through it, so a file and the same value in
@@ -174,13 +176,12 @@ class LeveledPointCloud:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
         """The cloud of a JSON document. A level with ``over`` holds its
-        shadows in units of its scale, each coordinate r_exact * value /
-        over, and a level without it holds them as absolute rationals, as
-        every file written before ``over`` does. A level in a layout the
-        writer writes is read in one pass, any other by the constructor's
-        level check. A document a check refuses goes whole through the
-        checked path, which reads every level's shadow literals first and
-        words the refusal."""
+        shadows in units of its scale, as the cloud does, and a level without
+        it as absolute rationals, as every file written before ``over`` does.
+        A level in a layout the writer writes is read in one pass, any other
+        by the constructor's level check. A document a check refuses goes
+        whole through the checked path, which reads every level's shadow
+        literals first and words the refusal."""
         try:
             dimension, levels = data["dimension"], data["levels"]
         except (KeyError, TypeError) as exc:
@@ -212,9 +213,9 @@ class LeveledPointCloud:
         ``json.dumps(..., indent=2)`` lays it out: where given, shadows as
         ``exact`` and ``r_exact`` unless ``include_exact`` is false, else
         ``coords``, a shadow rounded, and ``r``. A level with ``r_exact``
-        writes its shadows in units of its scale: each ``exact`` value is an
-        integer over the level's ``over``, and a coordinate is r_exact times
-        value / over. GraphError names a value past the digit limit."""
+        writes its shadows as the cloud holds them, each ``exact`` value a
+        numerator over the level's q as ``over``: a coordinate is r_exact
+        times value / over. GraphError names a value past the digit limit."""
         out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
         _array(out, ["0.0"] * self.dimension, _BASEPOINT)
         period = "null" if self.period is None else format_rational(self.period)
@@ -244,15 +245,23 @@ class LeveledPointCloud:
 def _unpacked_level(entry: dict) -> CloudLevel:
     """A level object of a cloud file as a ``CloudLevel``: its point objects
     as points, with a ``coords`` list as a tuple and an ``exact`` list as
-    numerators over one denominator, of the values themselves or, where the
-    level has ``over``, of r_exact times each value over ``over``."""
+    numerators over one denominator in units of the level's scale, the values
+    over ``over`` or else each value over the scale, which the level check
+    names where it is malformed."""
     points, q = entry["points"], None
     if isinstance(points, list):
         exacts = [item.get("exact") if isinstance(item, dict) else None for item in points]
         rows = [e if isinstance(e, list) else None for e in exacts]
         q, shadows = _level_numerators(rows)
         if "over" in entry:
-            q, shadows = _in_units_of_scale(entry, rows, q, shadows)
+            q = _in_units_of_scale(entry, rows, q)
+        elif q is not None:
+            try:
+                scale = _scale(*_scales(entry.get("r"), entry.get("r_exact"), entry.get("n")))
+            except GraphError:
+                pass
+            else:
+                q, shadows = _in_units(q, shadows, scale)
         points = [
             CloudPoint(
                 item.get("label"),
@@ -265,34 +274,32 @@ def _unpacked_level(entry: dict) -> CloudLevel:
     return CloudLevel(entry["n"], entry.get("r"), entry.get("r_exact"), points, q)
 
 
-def _in_units_of_scale(entry: dict, rows: list, q: Optional[int], shadows: list) -> tuple:
-    """The numerators and denominator of a level's shadows written in units of
-    its scale, each ``exact`` value an integer and a coordinate r_exact times
-    value / over: GraphError for an ``over`` that is no positive int, a level
-    without ``r_exact`` and, in point order, the first value that is no
-    integer. A malformed ``r_exact`` leaves the values as they are, for the
-    level check to name."""
+def _in_units_of_scale(entry: dict, rows: list, q: Optional[int]) -> Optional[int]:
+    """The denominator ``over`` of a level's shadows in units of its scale,
+    each value an integer, or None without shadows (q None): GraphError for
+    an ``over`` that is no positive int, a level without ``r_exact`` and, in
+    point order, the first value that is no integer."""
     level = _spelled(entry["n"])
     over = _integer(entry["over"], 1, f"level {level} has exact values over {{value!r}}; over must be a positive integer")
     if entry.get("r_exact") is None:
         raise GraphError(f"level {level} has exact values over {_spelled(over)} but no r_exact")
-    if q is None:
-        return q, shadows
-    if q != 1:
+    if q not in (None, 1):
         value = next(x for x in chain.from_iterable(filter(None, rows)) if parse_rational(x).denominator != 1)
         raise GraphError(f"level {level} has exact value {value!r} over {_spelled(over)}; it must be an integer")
-    try:
-        q, k = _scaled(over, parse_rational(entry["r_exact"]))
-    except GraphError:
-        return over, shadows
-    return q, [tuple([k * a for a in row]) if row else None for row in shadows]
+    return None if q is None else over
 
 
-def _scaled(q: int, r) -> tuple[int, int]:
-    """The denominator q' and factor k, coprime, with r * a / q = k * a / q'
-    for every integer a: r is a Fraction or an int."""
-    g = math.gcd(q, r.numerator)
-    return q // g * r.denominator, r.numerator // g
+def _in_units(q: int, rows: list, scale: Fraction) -> tuple[int, list]:
+    """Rows of numerators (or None) over q as those of each value over
+    ``scale``, in lowest terms, and their denominator."""
+    g = math.gcd(q, scale.denominator)
+    q, k = q // g * scale.numerator, scale.denominator // g
+    return _in_lowest_terms(q, [tuple([k * a for a in row]) if row else None for row in rows])
+
+
+def _scale(r: float, r_exact: Optional[Fraction]) -> Fraction:
+    """A level's scale, its shadows' unit: r_exact, or r read exactly."""
+    return Fraction(r) if r_exact is None else r_exact
 
 
 def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
@@ -324,12 +331,9 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
     if type(r_exact) is str and r_exact.isascii() and r_exact.isdigit():
         r_exact = int(r_exact)  # ValueError past the digit limit
     r, r_exact = _scales(entry.get("r"), r_exact, n)
-    scale = None
-    if "over" in entry:
-        over = entry["over"]
-        if not (type(over) is int and over > 0 and r_exact is not None):
-            raise ValueError(over)
-        scale = (over, r_exact)
+    over = entry.get("over")
+    if "over" in entry and not (type(over) is int and over > 0 and r_exact is not None):
+        raise ValueError(over)
     # TypeError unless each point is an object
     labels, given, exacts = (list(map(dict.get, points, repeat(key))) for key in ("label", "coords", "exact"))
     named = [label for label in labels if label is not None]  # unlabeled points may repeat
@@ -347,9 +351,17 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
             raise ValueError(given)
         coords, shadows = list(map(tuple, given)), repeat(None)
     elif kinds == {list} and set(map(len, exacts)) == {dimension}:
-        q, shadows = _shadows_at_once(list(chain.from_iterable(exacts)), dimension, scale)
+        values = list(chain.from_iterable(exacts))
+        q, distinct, numerators = _shadows_at_once(values)
+        if over is not None and q != 1:
+            raise ValueError(over)
+        scale = _scale(r, r_exact)
+        q, (numerators,) = _in_units(q, [numerators], scale) if over is None else _in_lowest_terms(over, [numerators])
+        _binary64_guard(numerators, q, scale)
+        shadows = list(zip(*[map(dict(zip(distinct, numerators)).__getitem__, values)] * dimension))
+        num, den = scale.numerator, q * scale.denominator
         for c, shadow in zip(given, shadows):
-            if c is not None and not (type(c) is list and set(map(type, c)) <= {float} and c == [a / q for a in shadow]):
+            if c is not None and not (type(c) is list and set(map(type, c)) <= {float} and c == [a * num / den for a in shadow]):
                 raise ValueError(c)
         coords = repeat(None)
     else:
@@ -357,29 +369,21 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
     return CloudLevel(n, r, r_exact, list(map(CloudPoint, labels, coords, shadows)), q)
 
 
-def _shadows_at_once(values: list, dimension: int, scale=None) -> tuple[int, list[tuple]]:
+def _shadows_at_once(values: list) -> tuple[int, list[str], list[int]]:
     """A level's exact values, each ``-?digits`` or ``-?digits/digits`` in
-    ASCII digits with a positive denominator, as their least common
-    denominator q and, in ``dimension``-tuples, their numerators over q; with
-    ``scale`` (over, r_exact), each value an integer, the coordinates
-    r_exact * value / over. Each distinct value is read once, as most values
-    of a realized level repeat. TypeError or ValueError for any other value,
-    OverflowError for a coordinate that rounds beyond binary64."""
+    ASCII digits with a positive denominator, read once each, as most values
+    of a realized level repeat: their least common denominator q, the
+    distinct values and their numerators over q. TypeError or ValueError for
+    any other value."""
     distinct = list(set(values))  # TypeError for a list
     text = ",".join(distinct)  # TypeError unless each value is a string
     # int() also reads blanks, "+", "_" and other scripts' digits, which
     # Fraction may refuse; a character beyond ASCII encodes to bytes >= 0x80
     if text.encode().translate(None, b"0123456789-/,"):
         raise ValueError(text)
-    # int() refuses "", "-", "--3", "1,2" and digits beyond the limit; most
-    # levels of a realized cloud hold integers only: no split, no scaling
-    if scale is not None:
-        if "/" in text:
-            raise ValueError(text)
-        # r * a / over in lowest terms, as generate_cloud scales a level
-        q, k = _scaled(*scale)
-        q, (numerators,) = _in_lowest_terms(q, [list(map(k.__mul__, map(int, distinct)))])
-    elif "/" not in text:
+    # int() refuses "", "-", "--3", "1,2" and digits beyond the limit; the
+    # levels of a realized cloud hold integers only: no split
+    if "/" not in text:
         q, numerators = 1, list(map(int, distinct))
     else:
         parts = list(map(str.partition, distinct, repeat("/")))
@@ -391,15 +395,13 @@ def _shadows_at_once(values: list, dimension: int, scale=None) -> tuple[int, lis
         q = math.lcm(*set(denominators))
         numerators = [int(a) * (q // b) for (a, _, _), b in zip(parts, denominators)]
         q, (numerators,) = _in_lowest_terms(q, [numerators])
-    _binary64_guard(numerators, q)
-    numerator = dict(zip(distinct, numerators))
-    return q, list(zip(*[map(numerator.__getitem__, values)] * dimension))
+    return q, distinct, numerators
 
 
-def _binary64_guard(numerators, q: int) -> None:
-    """OverflowError exactly when some a / q rounds beyond binary64: rounding
-    is monotone, so the one division of the largest |a| over q is the test."""
-    max(map(abs, numerators), default=0) / q
+def _binary64_guard(numerators, q: int, scale: Fraction) -> None:
+    """OverflowError exactly when some scale * a / q rounds beyond binary64:
+    rounding is monotone, so the one division for the largest |a| is the test."""
+    max(map(abs, numerators), default=0) * scale.numerator / (q * scale.denominator)
 
 
 def _checked_fields(dimension, period, levels) -> int:
@@ -435,13 +437,14 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
     labels = [p.label for p in points]
     if len(set(labels)) < len(labels):
         _refuse_repeated_label(labels, level)
+    r, r_exact = _scales(lvl.r, lvl.r_exact, level)
     q = None
     shadows = [p.exact for p in points]
     if any(shadows):
         refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
         q, shadows = _in_lowest_terms(_integer(lvl.q, 1, refusal), shadows)
-        points = _with_shadows(points, shadows, q, level)
-    return CloudLevel(n, *_scales(lvl.r, lvl.r_exact, level), points, q)
+        points = _with_shadows(points, shadows, q, _scale(r, r_exact), level)
+    return CloudLevel(n, r, r_exact, points, q)
 
 
 def _scales(r, r_exact, level) -> tuple[float, Optional[Fraction]]:
@@ -459,13 +462,15 @@ def _scales(r, r_exact, level) -> tuple[float, Optional[Fraction]]:
     return r, r_exact
 
 
-def _with_shadows(points: list[CloudPoint], shadows: list, q: int, level: str) -> list[CloudPoint]:
+def _with_shadows(points: list[CloudPoint], shadows: list, q: int, scale: Fraction, level: str) -> list[CloudPoint]:
     """The points, each with its shadow over q and without coords where it
-    has one. A shadow is rounded, as int true division ``a / q`` rounds it,
-    only where coords are given or the level's guard fails: GraphError names
-    the first point whose rounding leaves binary64 or differs from its coords."""
+    has one. A shadow is rounded, as int true division of scale * a by q
+    rounds it, only where coords are given or the level's guard fails:
+    GraphError names the first point whose rounding leaves binary64 or
+    differs from its coords."""
+    num, den = scale.numerator, q * scale.denominator
     try:
-        _binary64_guard(chain.from_iterable(filter(None, shadows)), q)
+        _binary64_guard(chain.from_iterable(filter(None, shadows)), q, scale)
         fits = True
     except OverflowError:
         fits = False
@@ -473,7 +478,7 @@ def _with_shadows(points: list[CloudPoint], shadows: list, q: int, level: str) -
     for p, shadow in zip(points, shadows):
         if shadow and (p.coords is not None or not fits):
             try:
-                coords = tuple([a / q for a in shadow])
+                coords = tuple([a * num / den for a in shadow])
             except OverflowError as exc:
                 refusal = f"has a coordinate beyond binary64: {exc}"
                 raise GraphError(f"point {p.label!r} at level {level} {refusal}") from exc
@@ -581,22 +586,20 @@ def _array(out: list, items: list[str], layout: tuple[str, str, str]) -> None:
 def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> Optional[int]:
     """Appends the ``points`` array of a level to ``out``: each point's
     ``exact`` when it is written, and its ``coords`` otherwise. Each distinct
-    exact value of the level is spelled once. Returns the level's ``over``
-    when it writes shadows in units of ``r_exact``, else None."""
+    exact value of the level is spelled once. Returns the level's ``over``,
+    its q, when it writes shadows in units of ``r_exact``, else None."""
     if not lvl.points:
         out.append("[]")
         return None
     shadowed = [include_exact and p.exact is not None for p in lvl.points]
     values = [a for p, s in zip(lvl.points, shadowed) if s for a in p.exact]
-    over = None
-    if values and lvl.r_exact is not None:
-        # a/q = r_exact * (r.den * a / h) / (q * r.num / h), h the greatest
-        # common divisor of q * r.num and every r.den * a: integers in lowest terms
-        num, den, distinct = lvl.r_exact.numerator, lvl.r_exact.denominator, list(set(values))
-        h = math.gcd(lvl.q * num, den * math.gcd(*distinct))
-        over, spelled = lvl.q * num // h, _format_over([den * a // h for a in distinct], 1)
-        values = list(map(dict(zip(distinct, spelled)).__getitem__, values))
-    exact = iter(values if over is not None else _format_over(values, lvl.q))
+    over = lvl.q if values and lvl.r_exact is not None else None
+    q = 1
+    if values and over is None:
+        # without r_exact, each coordinate r * a / q itself, as a rational
+        scale = _scale(lvl.r, lvl.r_exact)
+        values, q = [a * scale.numerator for a in values], lvl.q * scale.denominator
+    exact = iter(_format_over(values, q))
     rows = [p.coords for p in lvl.points] if include_exact else _level_floats(lvl)
     opening = "[\n        {"
     for p, s, coords in zip(lvl.points, shadowed, rows):
@@ -615,13 +618,14 @@ def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> Optional[i
 
 def _level_floats(lvl: CloudLevel) -> list[tuple[float, ...]]:
     """The binary64 coordinates of the level's points, in point order: a
-    point's coords, or its shadow over q rounded as int true division rounds
-    it, each distinct value once. The level's guard keeps every one finite."""
+    point's coords, or its shadow rounded as int true division of scale * a
+    by q rounds it, each distinct value once. The guard keeps them finite."""
     shadows = [p.exact for p in lvl.points if p.exact is not None]
     if not shadows:
         return [p.coords for p in lvl.points]
-    q = lvl.q
-    rounded = iter(_each_once(lambda a: a / q, list(chain.from_iterable(shadows))))
+    scale = _scale(lvl.r, lvl.r_exact)
+    num, den = scale.numerator, lvl.q * scale.denominator
+    rounded = iter(_each_once(lambda a: a * num / den, list(chain.from_iterable(shadows))))
     return [p.coords if p.exact is None else tuple(islice(rounded, len(p.exact))) for p in lvl.points]
 
 
@@ -727,7 +731,7 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     i cycling through the family. The root lands on the origin, and within a
     level the sup-norm distances reproduce r_n * d_i exactly: no column exceeds
     d_i(u, v), and that of a non-root end of the pair attains it. A point
-    holds its shadow alone.
+    holds its shadow alone, over r_n: the levels of a member hold equal rows.
 
     A level is refused with ``GraphError`` exactly when r_n, or r_n times the
     largest distance of d_i, rounds beyond binary64: that product is the
@@ -746,28 +750,18 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         raise GraphError("plan family must be a non-empty list of distance matrices on the graph's vertices")
     root = order.index(plan.graph.root)
     columns = [j for j in range(len(order)) if j != root] or [root]
-    # the differences depend on the level only through the factor r_n: each
-    # member's distinct values are taken once, on its integer numerators over
-    # one denominator, with one picker per vertex that takes its row out of
-    # them, so a level computes each distinct value once
+    # over r_n, a level's coordinates are its member's differences, taken once
     members = []
     for d in family:
         at = [d._index[v] for v in order]
         cols = [at[j] for j in columns]
         to_root = [d._num[at[root]][j] for j in cols]
-        rows = [[d._num[i][j] - t for j, t in zip(cols, to_root)] for i in at]
-        q, differences = _in_lowest_terms(d._q, rows)
-        values = list(set(chain.from_iterable(differences)))
-        position = dict(zip(values, range(len(values))))
-        pickers = [_picker(list(map(position.__getitem__, row))) for row in differences]
-        members.append((q, values, pickers, max(map(max, d._num)), d._q))
+        rows = [tuple([d._num[i][j] - t for j, t in zip(cols, to_root)]) for i in at]
+        members.append((*_in_lowest_terms(d._q, rows), max(map(max, d._num)), d._q))
     levels = []
     for n in range(1, depth + 1):
         r = plan.rule.value(n)
-        # r_n * a / q in lowest terms: q and the numerators a share no factor
-        q, values, pickers, diameter, q_diameter = members[(n - 1) % len(members)]
-        q, k = _scaled(q, r)
-        exact = [k * a for a in values]
+        q, rows, diameter, q_diameter = members[(n - 1) % len(members)]
         # float(int) and int / int round correctly, as float(Fraction(a, q))
         # does, and raise OverflowError exactly when the rounded value leaves
         # binary64: the conversion is the overflow guard, of r_n and of the
@@ -777,18 +771,9 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
             r * diameter / q_diameter
         except OverflowError as exc:
             raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
-        points = [CloudPoint(v, None, pick(exact)) for v, pick in zip(order, pickers)]
+        points = list(map(CloudPoint, order, repeat(None), rows))
         levels.append(CloudLevel(n=n, r=r_float, r_exact=Fraction(r), points=points, q=q))
     return LeveledPointCloud._of_levels(len(columns), levels, len(family))
-
-
-def _picker(indices: list[int]):
-    """``operator.itemgetter(*indices)``, which returns a tuple also for a
-    single index."""
-    if len(indices) == 1:
-        i = indices[0]
-        return lambda values: (values[i],)
-    return operator.itemgetter(*indices)
 
 
 def realize(
@@ -829,7 +814,9 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
     for n, x_n, x_next in zip(range(1, depth + 1), xs, xs[1:]):
         # factor the root so neither operand overflows binary64
         r = math.sqrt(x_n) * math.sqrt(x_next)
-        points = [CloudPoint(label="p", coords=None, exact=(0,)), CloudPoint(label="x", coords=None, exact=(x_n,))]
-        # r is irrational (odd power of the base under a square root): no exact shadow
-        levels.append(CloudLevel(n=n, r=r, r_exact=None, points=points, q=1))
+        # r is irrational (odd power of the base under a square root): no
+        # exact scale, and the shadows are taken over r as binary64 holds it
+        q, rows = _in_units(1, [(0,), (x_n,)], Fraction(r))
+        points = list(map(CloudPoint, ("p", "x"), repeat(None), rows))
+        levels.append(CloudLevel(n=n, r=r, r_exact=None, points=points, q=q))
     return LeveledPointCloud._of_levels(1, levels, None)

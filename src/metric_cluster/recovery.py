@@ -30,7 +30,7 @@ from .fpc import (
 from .graph_core import GraphError, WeightedRootedGraph, _integer, _over_lcm, _real, _root_labels
 from .graph_core import _collection, _spelled
 from .metrization import _pinning_edge
-from .realization import LeveledPointCloud, _level_floats, sup_distance
+from .realization import CloudLevel, LeveledPointCloud, _level_floats, _scale, sup_distance
 
 DEFAULT_TOL_REL = 1e-6
 DEFAULT_TOL_ABS = 1e-9
@@ -82,14 +82,14 @@ def recover_cluster(
 ) -> RecoveredCluster:
     """Quotient the cloud's labeled sequences into a weighted rooted graph.
 
-    Every cloud is decided exactly. Distances are taken on integer coordinates
-    over one denominator q per level: the numerators of the exact shadows where
-    every point has one, and otherwise the shadows together with each binary64
-    coordinate read as the dyadic rational a / 2**k it is. The scale is
-    r_exact, or r read the same way where a level has none. Every normalized
-    value of the window is then one integer over one common denominator U;
-    window sums, spreads and every threshold test are integer arithmetic, with
-    the tolerances put over one denominator. Fractions are built only for the
+    Every cloud is decided exactly, on integer coordinates in units of each
+    level's scale (r_exact, or r read exactly) over one denominator q per
+    level: the shadows, which a level holds so, where every point has one,
+    and otherwise the shadows and each binary64 coordinate, read as the
+    dyadic rational it is, over the scale. A normalized distance D / q is one
+    integer over U, the least common multiple of the window's q; window
+    sums, spreads and every threshold test are integer arithmetic, with the
+    tolerances put over one denominator. Fractions are built only for the
     edge weights, and they equal the exact tail means of d(x_n, y_n)/r_n. A
     tolerance left None is 0 when the cloud has every shadow
     (``cloud.has_exact()``) and DEFAULT_TOL_REL or DEFAULT_TOL_ABS otherwise;
@@ -124,19 +124,18 @@ def recover_cluster(
             "oscillation between family members would be undetectable"
         )
 
-    rows, scales = [], []
+    rows, denominators = [], []
     for lvl in cloud.levels[-window:]:
         pts = cloud.points_by_label(lvl)
         if set(pts) != set(labels):
             missing = sorted(set(labels) - set(pts))
             raise GraphError(f"level {lvl.n} is missing labels {missing}")
-        row, q = _level_integers(pts, lvl.q)
+        row, q = _level_integers(pts, lvl)
         rows.append(row)
-        scales.append((q, Fraction(lvl.r) if lvl.r_exact is None else lvl.r_exact))
-    # an integer sup distance D is D / q on the level and D / (q * r) normalized;
-    # over U, the lcm of the window's q * r.numerator, it is the int D * unit
-    common = math.lcm(*(q * r.numerator for q, r in scales))
-    units = [r.denominator * (common // (q * r.numerator)) for q, r in scales]
+        denominators.append(q)
+    # a normalized distance D / q is the int D * unit over U, the lcm of the window's q
+    common = math.lcm(*denominators)
+    units = [common // q for q in denominators]
 
     def as_float(x, count=1):
         # int / int rounds correctly, as float(Fraction) does, and raises
@@ -296,17 +295,21 @@ def recover_cluster(
     )
 
 
-def _level_integers(pts: dict, q: Optional[int]) -> tuple[dict, int]:
-    """A level's points by label as integer coordinates over one denominator,
-    and that denominator: the shadows over the level's q where every point has
-    one, and otherwise the shadows and the exact dyadic value a / 2**k of each
-    binary64 coordinate over their least common denominator."""
+def _level_integers(pts: dict, lvl: CloudLevel) -> tuple[dict, int]:
+    """A level's points by label as integer coordinates in units of its scale
+    over one denominator, and that denominator: the shadows over the level's
+    q where every point has one, and otherwise the shadows and each binary64
+    coordinate x, read as the rational x / scale it gives, over their common
+    denominator."""
+    q = lvl.q
     if all(p.exact is not None for p in pts.values()):
         return {lbl: p.exact for lbl, p in pts.items()}, q
+    scale = _scale(lvl.r, lvl.r_exact)
     floats = set(chain.from_iterable(p.coords for p in pts.values() if p.exact is None))
+    # x = a / b exactly, so x / scale = (a * scale.den) / (b * scale.num)
     ratios = {x: x.as_integer_ratio() for x in floats}
-    common = math.lcm(q or 1, *{b for _, b in ratios.values()})
-    over = {x: a * (common // b) for x, (a, b) in ratios.items()}
+    common = math.lcm(q or 1, scale.numerator * math.lcm(*{b for _, b in ratios.values()}))
+    over = {x: a * scale.denominator * (common // (b * scale.numerator)) for x, (a, b) in ratios.items()}
     k = common // (q or 1)
     return {
         lbl: tuple([over[x] for x in p.coords]) if p.exact is None else tuple([a * k for a in p.exact])
@@ -478,7 +481,8 @@ def annulus_diameter_table(
     A(p, r, k) is the annulus of points whose basepoint distance lies in
     [r/k, r*k]; an empty or one-point annulus contributes 0. The values
     staying small as r grows (for k near 1) is the finite-scale shadow of the
-    sphere-collapse condition; no limit is decided here.
+    sphere-collapse condition; no limit is decided here. A value that is not
+    finite in binary64 is refused with ``GraphError``.
     """
     k = _real(k, 1, "annulus parameter k must be finite and >= 1, got {value}", float)
     pts = [coords for lvl in cloud.levels for coords in _level_floats(lvl)]
@@ -491,5 +495,7 @@ def annulus_diameter_table(
             raise GraphError(_RADIUS.format(value=radius))
         members = [p for p, nrm in zip(pts, norms) if r / k <= nrm <= r * k]
         diam = max((sup_distance(a, bb) for a, bb in combinations(members, 2)), default=0.0)
+        if not math.isfinite(diam / r):
+            raise GraphError(f"the annulus diameter ratio at radius {r!r} is not finite in binary64")
         table.append({"r": r, "value": diam / r, "points": len(members)})
     return table

@@ -1,4 +1,6 @@
-"""Mutation check for recovery's decisions and the cloud reader's checks.
+"""Mutation check for the library's decisions: recovery's, the cloud reader's,
+certification's, the admissible interval's, the isomorphism's near-ties and
+the realization plan's.
 
 Each mutant below changes one comparison of the library: a file under src/,
 an exact old text that must occur there once, the new text, and the tests
@@ -30,8 +32,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 RECOVERY = "metric_cluster/recovery.py"
 REALIZATION = "metric_cluster/realization.py"
+FPC = "metric_cluster/fpc.py"
+METRIZATION = "metric_cluster/metrization.py"
+GRAPH_CORE = "metric_cluster/graph_core.py"
 THRESHOLDS = "tests/test_recovery.py::test_{}_at_its_threshold"
 UNITS = "tests/test_cli.py::test_malformed_shadows_in_units_of_the_scale_exit_2[{}]"
+LOWER = "tests/test_realization.py::test_lower_member_equals_the_fraction_construction[{}]"
 
 # (file under src/, old text, new text, the tests that must fail)
 MUTANTS = [
@@ -58,11 +64,11 @@ MUTANTS = [
     (RECOVERY, "edges[(name_a, name_b)] = Fraction(total, window * common)",
      "edges[(name_a, name_b)] = Fraction(total, common)", [THRESHOLDS.format("adjacency")]),
     # the values a level holds: shadows over q, each binary64 coordinate as its
-    # dyadic rational, and r_exact where a level has one
+    # dyadic rational over the scale, and r_exact as the scale where a level has one
     (RECOVERY, "k = common // (q or 1)", "k = 1",
      ["tests/test_recovery.py::test_shadows_and_binary64_values_of_a_level_share_one_denominator"]),
-    (RECOVERY, "Fraction(lvl.r) if lvl.r_exact is None else lvl.r_exact", "Fraction(lvl.r)",
-     ["tests/test_recovery.py::test_exact_recovery_matches_fraction_oracle"]),
+    (REALIZATION, "return Fraction(r) if r_exact is None else r_exact", "return Fraction(r)",
+     ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud[power_square]"]),
     # _zero_gap: the largest integer gap within tol_abs + tol_rel * size
     (RECOVERY, "return lambda size, q: (ab * q + rel * size) // den",
      "return lambda size, q: (ab * q + rel * size) // den - 1", [THRESHOLDS.format("adjacency")]),
@@ -79,20 +85,45 @@ MUTANTS = [
      [UNITS.format("over-negative")]),
     (REALIZATION, "over = _integer(entry[\"over\"], 1,", "over = _integer(entry[\"over\"], 0,",
      [UNITS.format("over-zero")]),
-    (REALIZATION, "q, (numerators,) = _in_lowest_terms(q, [list(map(k.__mul__, map(int, distinct)))])",
-     "numerators = list(map(k.__mul__, map(int, distinct)))",
+    (REALIZATION, "if over is None else _in_lowest_terms(over, [numerators])", "if over is None else (over, [numerators])",
      ["tests/test_realization.py::test_unreduced_shadows_load_over_the_least_denominator"]),
-    (REALIZATION, "    _binary64_guard(numerators, q)\n", "",
+    (REALIZATION, "        _binary64_guard(numerators, q, scale)\n", "",
      ["tests/test_realization.py::test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64"]),
-    # a level with over is read in units of its scale, in one pass and checked
-    (REALIZATION, 'scale = None\n    if "over" in entry:', 'scale = None\n    if False:',
+    # a level without over holds coordinates, put over the scale in lowest terms
+    (REALIZATION, "    return _in_lowest_terms(q, [tuple([k * a for a in row]) if row else None for row in rows])",
+     "    return q, [tuple([k * a for a in row]) if row else None for row in rows]",
      ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud"]),
-    (REALIZATION, 'if "over" in entry:\n            q, shadows = _in_units_of_scale(',
-     'if False:\n            q, shadows = _in_units_of_scale(',
+    # a level with over is read in units of its scale, in one pass and checked
+    (REALIZATION, "q, (numerators,) = _in_units(q, [numerators], scale) if over is None else",
+     "q, (numerators,) = _in_units(q, [numerators], scale) if True else",
+     ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud"]),
+    (REALIZATION, 'if "over" in entry:\n            q = _in_units_of_scale(',
+     'if False:\n            q = _in_units_of_scale(',
      ["tests/test_realization.py::test_partly_shadowed_level_loads_writes_back_and_is_not_exact"]),
     # generate_cloud refuses a level whose largest distance leaves binary64
     (REALIZATION, "            r * diameter / q_diameter\n", "",
      ["tests/test_cli.py::test_realize_a_level_whose_points_lie_past_binary64_exit_2"]),
+    # build_plan: each non-edge goes in at c * d(u, v) - delta, c = min(m + 1, n)
+    (REALIZATION, "c = min(len(non_edges) + 1, len(g))", "c = min(len(non_edges), len(g))",
+     [LOWER.format(3)]),
+    (REALIZATION, "c = min(len(non_edges) + 1, len(g))", "c = min(len(non_edges) + 1, len(g) + 1)",
+     [LOWER.format(12)]),
+    (REALIZATION, "edges.append((i, j, c * sg.row(i)[j] - delta))", "edges.append((i, j, c * sg.row(i)[j] - 2 * delta))",
+     [LOWER.format(3)]),
+    # certification's three conditions, a gap within the tolerance counting as zero
+    (FPC, "if abs(a - b) <= zero_gap(max(a, b), q)", "if abs(a - b) < zero_gap(max(a, b), q)",
+     ["tests/test_fpc.py::test_star_labeling_collision_witness"]),
+    (FPC, "if w - sg.row(i)[j] > zero_gap(w, sg.scale):", "if w - sg.row(i)[j] >= zero_gap(w, sg.scale):",
+     ["tests/test_fpc.py::test_star_labeling_injective"]),
+    (FPC, "if hi - lo <= zero_gap(hi, sg.scale):", "if hi - lo < zero_gap(hi, sg.scale):",
+     ["tests/test_fpc.py::test_certify_tight_cycle_not_clique"]),
+    # an admissible interval's lower end is never below 0
+    (METRIZATION, "lo = max(0, max(map(operator.sub, sg.slack(sg.index[mu]), from_nu)))",
+     "lo = max(map(operator.sub, sg.slack(sg.index[mu]), from_nu))",
+     ["tests/test_metrization.py::test_interval_matches_simple_path_oracle"]),
+    # a near-tie: labels a <= b with a >= (1 - tol)**2 * b
+    (GRAPH_CORE, "if labels[u] >= factor * labels[v]), None)", "if labels[u] > factor * labels[v]), None)",
+     ["tests/test_graph_core.py::test_a_near_tie_at_its_boundary_is_refused"]),
 ]
 
 

@@ -300,7 +300,7 @@ def recover_by_fractions(
     def coordinates(lvl, p):
         if p.exact is None:
             return tuple(Fraction(x) for x in p.coords)
-        return tuple(Fraction(a, lvl.q) for a in p.exact)
+        return point_shadow(lvl, p)
 
     rows = [{lbl: coordinates(lvl, p) for lbl, p in pts.items()} for lvl, pts in per_level]
     scales = [Fraction(lvl.r) if lvl.r_exact is None else lvl.r_exact for lvl, _ in per_level]
@@ -455,19 +455,35 @@ def recover_by_fractions(
 
 def level_from_fractions(n: int, r: Fraction, points: dict) -> CloudLevel:
     """A cloud level with exact scale r from {label: Fraction coordinates}:
-    binary64 coordinates by float(), and the shadows as integer numerators
-    over the least common denominator of all coordinates of the level."""
-    q = math.lcm(*(c.denominator for coords in points.values() for c in coords))
+    binary64 coordinates by float(), and the shadows in units of r, as
+    ``shadows_in_units`` puts them."""
+    q, shadows = shadows_in_units(list(points.values()), r)
     return CloudLevel(
         n=n,
         r=float(r),
         r_exact=r,
         points=[
-            CloudPoint(label, tuple(map(float, coords)), tuple(int(c * q) for c in coords))
-            for label, coords in points.items()
+            CloudPoint(label, tuple(map(float, coords)), shadow)
+            for (label, coords), shadow in zip(points.items(), shadows)
         ],
         q=q,
     )
+
+
+def shadows_in_units(shadows: list, scale: Fraction) -> tuple:
+    """Exact coordinates (sequences of rationals, or None) as a level holds
+    them: each coordinate over ``scale``, as integer numerators over the
+    least common denominator q of those values; q and the numerator tuples."""
+    units = [None if row is None else [Fraction(x) / scale for x in row] for row in shadows]
+    q = math.lcm(*(x.denominator for row in units if row for x in row))
+    return q, [None if row is None else tuple(int(x * q) for x in row) for row in units]
+
+
+def point_shadow(lvl: CloudLevel, p: CloudPoint) -> tuple[Fraction, ...]:
+    """A shadowed point's exact coordinates: each numerator over the level's
+    q, times the level's scale, r_exact or the binary64 r as a Fraction."""
+    scale = Fraction(lvl.r) if lvl.r_exact is None else lvl.r_exact
+    return tuple(scale * Fraction(a, lvl.q) for a in p.exact)
 
 
 def shadows_by_fractions(shadows: list) -> tuple:
@@ -485,48 +501,39 @@ def shadows_by_fractions(shadows: list) -> tuple:
 
 def cloud_by_coordinates(plan) -> LeveledPointCloud:
     """``generate_cloud`` computed coordinate by coordinate: every level
-    multiplies and divides each coordinate of each point, as a Fraction, in
-    one column per non-root vertex (the root's alone for a one-vertex graph),
-    and refuses the level when ``float`` of a coordinate, of r or of the
-    largest sup-norm distance between two of its points overflows. Each
-    point is handed to the constructor with its rounded coordinates, which it
-    checks against the shadow."""
+    multiplies each coordinate of each point, as a Fraction, in one column
+    per non-root vertex (the root's alone for a one-vertex graph), and
+    refuses the level when ``float`` of a coordinate, of r or of the largest
+    sup-norm distance between two of its points overflows. Each point is
+    handed to the constructor with its rounded coordinates, which it checks
+    against the shadow, and with the shadow over r as ``shadows_in_units``
+    puts it."""
     order = plan.graph.vertices
     columns = [v for v in order if v != plan.graph.root] or [plan.graph.root]
     differences = []
     for d in plan.family:
-        rows = [[d.get(v, w) - d.get(w, plan.graph.root) for w in columns] for v in order]
-        q = math.lcm(*(x.denominator for row in rows for x in row))
-        differences.append((q, [[int(x * q) for x in row] for row in rows]))
+        differences.append([[d.get(v, w) - d.get(w, plan.graph.root) for w in columns] for v in order])
     levels = []
     for n in range(1, plan.depth + 1):
-        r = plan.rule.value(n)
-        r_exact = Fraction(r)
-        q, rows = differences[(n - 1) % len(differences)]
-        g = math.gcd(q, r)
-        q, k = q // g, r // g
-        points = []
+        r_exact = Fraction(plan.rule.value(n))
+        rows = [[r_exact * x for x in row] for row in differences[(n - 1) % len(differences)]]
         try:
             r_float = float(r_exact)
-            for v, row in zip(order, rows):
-                exact = tuple(k * a for a in row)
-                coords = tuple(float(Fraction(a, q)) for a in exact)
-                points.append(CloudPoint(label=v, coords=coords, exact=exact))
-            widest = max(
-                (abs(a - b) for p, o in combinations(points, 2) for a, b in zip(p.exact, o.exact)),
-                default=0,
-            )
-            float(Fraction(widest, q))
+            coords = [tuple(map(float, row)) for row in rows]
+            widest = max((abs(a - b) for p, o in combinations(rows, 2) for a, b in zip(p, o)), default=0)
+            float(widest)
         except OverflowError as exc:
             raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
+        q, shadows = shadows_in_units(rows, r_exact)
+        points = [CloudPoint(label=v, coords=c, exact=e) for v, c, e in zip(order, coords, shadows)]
         levels.append(CloudLevel(n=n, r=r_float, r_exact=r_exact, points=points, q=q))
     return LeveledPointCloud(dimension=len(columns), levels=levels, period=len(plan.family))
 
 
 def point_floats(lvl: CloudLevel, p: CloudPoint) -> tuple[float, ...]:
     """A point's binary64 coordinates: its coords, or each value of its
-    shadow rounded as ``float(Fraction(a, q))`` rounds it."""
-    return p.coords if p.exact is None else tuple(float(Fraction(a, lvl.q)) for a in p.exact)
+    ``point_shadow`` rounded as ``float(Fraction)`` rounds it."""
+    return p.coords if p.exact is None else tuple(map(float, point_shadow(lvl, p)))
 
 
 def file_shadow(level: dict, point: dict) -> list[Fraction]:
@@ -544,14 +551,15 @@ def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dic
     out as ``to_json`` writes it: a point's shadow as ``exact`` values, and a
     level's ``r_exact``, where given, unless ``include_exact`` is false;
     ``coords`` and ``r`` otherwise. A level with ``r_exact`` and a shadow
-    writes each value x = (a/q) / r_exact as the integer x * over, with
-    ``over`` the least common denominator of its values x; a level without
-    ``r_exact`` writes a/q in lowest terms, as Fraction prints it."""
+    writes each value x, a coordinate of ``point_shadow`` over r_exact, as
+    the integer x * over, with ``over`` the least common denominator of its
+    values x; a level without ``r_exact`` writes each coordinate in lowest
+    terms, as Fraction prints it."""
     data = legacy_cloud_json_dict(cloud, include_exact)
     for entry, lvl in zip(data["levels"], cloud.levels):
         shadowed = [(item, p) for item, p in zip(entry["points"], lvl.points) if "exact" in item]
         if "r_exact" in entry and shadowed:
-            units = [[Fraction(a, lvl.q) / lvl.r_exact for a in p.exact] for _, p in shadowed]
+            units = [[x / lvl.r_exact for x in point_shadow(lvl, p)] for _, p in shadowed]
             over = math.lcm(*(x.denominator for x in chain.from_iterable(units)))
             for (item, _), values in zip(shadowed, units):
                 item["exact"] = [str(x * over) for x in values]
@@ -563,13 +571,14 @@ def legacy_cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True)
     """The cloud file as a dict in the layout written before shadows were
     written in units of their level's scale, which the reader still reads:
     ``cloud_json_dict`` but for a point's shadow as its absolute ``exact``
-    values a/q in lowest terms, as Fraction prints them, and no ``over``."""
+    values, the coordinates of ``point_shadow`` in lowest terms, as Fraction
+    prints them, and no ``over``."""
     levels = []
     for lvl in cloud.levels:
         points = []
         for p in lvl.points:
             if include_exact and p.exact is not None:
-                points.append({"label": p.label, "exact": [str(Fraction(a, lvl.q)) for a in p.exact]})
+                points.append({"label": p.label, "exact": list(map(str, point_shadow(lvl, p)))})
             else:
                 points.append({"label": p.label, "coords": list(point_floats(lvl, p))})
         if include_exact and lvl.r_exact is not None:

@@ -545,6 +545,19 @@ def test_diag_fn_and_psi(tmp_path, capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
+def test_diag_of_points_whose_distance_leaves_binary64_exit_2(tmp_path, capsys):
+    # two finite points 2e308 apart: no value of diag fn or diag psi is finite
+    path = tmp_path / "c.json"
+    points = [{"label": "a", "coords": [1e308]}, {"label": "b", "coords": [-1e308]}]
+    path.write_text(json.dumps({"dimension": 1, "levels": [{"n": 1, "r": 1.0, "points": points}]}), encoding="utf-8")
+    assert main(["diag", "psi", str(path), "--k", "2", "--radii", "1e308", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the annulus diameter ratio at radius 1e+308 is not finite in binary64\n"
+    assert main(["diag", "fn", str(path), "--level", "1", "--labels", "a,b"]) == 2
+    assert "not finite in binary64" in capsys.readouterr().err
+
+
 def test_diag_fn_of_a_realized_cluster_is_finite(tmp_path, capsys):
     # the largest basepoint distance of the eleven points, raised to the
     # power 11 * 10 / 2 + 1, leaves binary64

@@ -497,6 +497,18 @@ def test_weight_tolerance_near_tie_crossing():
         isomorphic(g, h, weight_tol_rel=Fraction(1, 10))
 
 
+def test_a_near_tie_at_its_boundary_is_refused():
+    # at t = 1/10 the labels 81 and 100 are a near-tie, as 81 = (1 - t)**2 * 100
+    # exactly; u to y and v to x, each label at the edge of t from its image,
+    # is an isomorphism that the label order, u to x and v to y, misses
+    g = graph(["r", "u", "v", "w"], {("r", "u"): 81, ("r", "v"): 100, ("r", "w"): 300, ("u", "w"): 7}, "r")
+    h = graph(["r", "x", "y", "z"], {("r", "x"): 90, ("r", "y"): 90, ("r", "z"): 300, ("y", "z"): 7}, "r")
+    tol = Fraction(1, 10)
+    assert isomorphic_by_networkx(g, h, tol)
+    with pytest.raises(GraphError, match="'u' and 'v' of the first graph"):
+        isomorphic(g, h, weight_tol_rel=tol)
+
+
 def test_tolerant_isomorphism_without_a_near_tie_answers_without_search():
     # labels 1 + j/(m+1) lie further apart than any tolerance below 1/(m+1)
     # can close, so the sorted pairing is the one candidate, and its failure

@@ -50,9 +50,11 @@ from oracles import (
     legacy_cloud_json_dict,
     lower_member_by_fractions,
     point_floats,
+    point_shadow,
     random_dominating_shape,
     scaled_weights,
     shadows_by_fractions,
+    shadows_in_units,
     with_unrelated_denominators,
 )
 
@@ -181,7 +183,8 @@ def test_within_level_distances_reproduce_scaled_metric_exactly():
         for u in plan.graph.vertices:
             for v in plan.graph.vertices:
                 if u < v:
-                    got = Fraction(sup_distance(pts[u].exact, pts[v].exact), lvl.q)
+                    # the shadows are held in units of r_n
+                    got = lvl.r_exact * Fraction(sup_distance(pts[u].exact, pts[v].exact), lvl.q)
                     assert got == lvl.r_exact * d.get(u, v)
 
 
@@ -192,18 +195,19 @@ def test_norm_over_scaling_equals_root_labels():
     for lvl in cloud.levels:
         pts = cloud.points_by_label(lvl)
         for v in plan.graph.vertices:
+            # over q, a shadow is in units of r_n already
             norm = Fraction(sup_distance(pts[v].exact, origin), lvl.q)
             expected = Fraction(0) if v == "r" else plan.graph.weight("r", v)
-            assert norm / lvl.r_exact == expected
+            assert norm == expected
 
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_realized_levels_are_isometric_whatever_the_columns(n):
     """Every level of a realized cloud is an isometric copy of (V, r_n * d_i),
     checked on distances, not on the coordinate layout: the sup distance of
-    two shadows over q is r_n * d_i(u, v) as a Fraction, and the root sits at
-    the origin. There is one column per non-root vertex, and one for a
-    one-vertex graph. The cloud and its alternating-period subsample, which
+    two shadows over q, which are in units of r_n, is d_i(u, v) as a
+    Fraction, and the root sits at the origin. There is one column per
+    non-root vertex, and one for a one-vertex graph. The cloud and its alternating-period subsample, which
     keeps the period, recover the graph at the default window."""
     rng = random.Random(n)
     for p in (0.2, 0.5, 0.8):
@@ -217,7 +221,7 @@ def test_realized_levels_are_isometric_whatever_the_columns(n):
                 pts = cloud.points_by_label(lvl)
                 assert not any(pts[g.root].exact)
                 for u, v in combinations(g.vertices, 2):
-                    assert Fraction(sup_distance(pts[u].exact, pts[v].exact), lvl.q) == lvl.r_exact * d.get(u, v)
+                    assert Fraction(sup_distance(pts[u].exact, pts[v].exact), lvl.q) == d.get(u, v)
             sub = subsample_levels(cloud, alternating_period_indices(cloud))
             assert sub.period == cloud.period
             assert recover_cluster(cloud).graph == g
@@ -405,6 +409,64 @@ def test_cloud_bytes_are_pinned(depth, rule, both_digest, legacy_digest, digest)
         assert LeveledPointCloud.from_json(old).to_json() == text
 
 
+# SHA-256 of the files that write no shadow in units of a scale, taken while
+# the cloud held absolute shadows: each pinned cloud written without shadows,
+# and the one-point space, whose levels have no r_exact
+PINNED_WITHOUT_UNITS = {
+    "12-None-floats": (lambda: realize(ONE_GAP, 12).to_json(include_exact=False),
+                       "d6b19cde0b1d758efd7bae4b975da92e1567e34431d05bfde17c032f643cbc63"),
+    "6-rule1-floats": (lambda: realize(ONE_GAP, 6, ScalingRule("power_square", 3)).to_json(include_exact=False),
+                       "ba8048e951f71fc98a87d743221ca223057bf45dd34042c0047aee4a60e2c78e"),
+    "single_point-12": (lambda: single_point_space(12).to_json(),
+                        "7140f7b9e677769a7c12c0e69013cf1e57082785d2131d3ed8d146df0c0d29f3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_WITHOUT_UNITS))
+def test_files_without_shadows_in_units_are_pinned(case):
+    write, digest = PINNED_WITHOUT_UNITS[case]
+    assert hashlib.sha256(write().encode()).hexdigest() == digest
+
+
+def _partly_shadowed_file_cloud():
+    """A realized cloud whose file has the coordinates of its second point,
+    rounded, in place of its shadow at every level."""
+    data = json.loads(realize(CERT_TRIANGLE, 8).to_json())
+    floats = json.loads(realize(CERT_TRIANGLE, 8).to_json(include_exact=False))
+    for entry, rounded in zip(data["levels"], floats["levels"]):
+        entry["points"][1] = rounded["points"][1]
+    return LeveledPointCloud.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "cloud, realized",
+    [
+        (realize(ONE_GAP, 12), True),
+        (realize(ONE_GAP, 6, ScalingRule("power_square", 3)), True),
+        (realize(ONE_GAP, 110), True),
+        (_partly_shadowed_file_cloud(), False),
+        (single_point_space(12), False),
+    ],
+    ids=["factorial", "power_square", "deep", "partly_shadowed", "single_point"],
+)
+def test_a_level_holds_its_shadows_as_its_file_writes_them(cloud, realized):
+    """A level with r_exact holds its written ``over`` as q and each point's
+    written values as its shadow; the levels of one family member hold equal
+    rows; and the constructor takes the cloud's own levels as they are."""
+    for entry, lvl in zip(json.loads(cloud.to_json())["levels"], cloud.levels):
+        assert ("over" in entry) == (lvl.r_exact is not None and lvl.q is not None)
+        if "over" in entry:
+            assert lvl.q == entry["over"]
+            written = [tuple(map(int, item["exact"])) if "exact" in item else None for item in entry["points"]]
+            assert [p.exact for p in lvl.points] == written
+    if realized:
+        for lvl, later in zip(cloud.levels, cloud.levels[cloud.period:]):
+            assert (lvl.q, lvl.points) == (later.q, later.points)
+    assert LeveledPointCloud(cloud.dimension, cloud.levels, cloud.period) == cloud
+    copies = [dataclasses.replace(lvl, points=[dataclasses.replace(p) for p in lvl.points]) for lvl in cloud.levels]
+    assert LeveledPointCloud(cloud.dimension, copies, cloud.period).to_json() == cloud.to_json()
+
+
 @pytest.mark.parametrize(
     "cloud",
     [
@@ -439,7 +501,7 @@ def test_shadows_are_written_in_units_of_their_level_scale(depth, rule):
         assert math.gcd(entry["over"], *values) == 1
         assert all(str(int(x)) == x for item in entry["points"] for x in item["exact"])
         for item, p in zip(entry["points"], lvl.points):
-            assert file_shadow(entry, item) == [Fraction(a, lvl.q) for a in p.exact]
+            assert file_shadow(entry, item) == list(point_shadow(lvl, p))
     assert max(len(x) for item in data["levels"][-1]["points"] for x in item["exact"]) < 4
     assert len(cloud.to_json()) < len(json.dumps(legacy_cloud_json_dict(cloud), indent=2))
 
@@ -510,8 +572,8 @@ def test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64(q):
     for (a, fits), units in product(((_PAST_BINARY64 * q - 1, True), (_PAST_BINARY64 * q, False)), (False, True)):
         shadows = {"r": (0, 0), "u": (1, 2), "v": (1, -a), "w": (-a, 0)}
         points = [CloudPoint(v, None, x) for v, x in shadows.items()]
-        level = CloudLevel(1, None, Fraction(7), points, q) if units else CloudLevel(1, 1.0, None, points, q)
         # in units of the scale 7, each numerator itself is the value over 7q
+        level = CloudLevel(1, None, Fraction(7), points, 7 * q) if units else CloudLevel(1, 1.0, None, points, q)
         entry = {"n": 1, "r_exact": "7", "over": 7 * q} if units else {"n": 1, "r": "1.0"}
         entry["points"] = [
             {"label": v, "exact": [str(c) if units else str(Fraction(c, q)) for c in x]} for v, x in shadows.items()
@@ -581,9 +643,10 @@ def check_level(shadows):
     same q and numerators, or the same GraphError message. The one pass over
     the level's values takes none that the oracle refuses, and reads those it
     takes as the oracle does."""
-    rows = [row for row in shadows if row]
+    values = list(chain.from_iterable(row for row in shadows if row))
     try:
-        at_once = _shadows_at_once(list(chain.from_iterable(rows)), 1) if rows else None
+        q, distinct, numerators = _shadows_at_once(values)
+        at_once = (q, [(dict(zip(distinct, numerators))[x],) for x in values]) if values else None
     except (TypeError, ValueError, OverflowError):
         at_once = None
     try:
@@ -929,7 +992,7 @@ def _odd_cloud():
                 CloudPoint("é\n\"µ", (0.5, -1.5), (1, -3)),
                 CloudPoint("v", (1, -5e-324), None),
                 CloudPoint("w", (2.5e-300, -0.0), ()),
-            ], q=2),
+            ], q=4),
             CloudLevel(2, 6.0, None, [], q=None),
             CloudLevel(3, 1e300, None, [CloudPoint("z", (0.1, 1e22))], q=None),
         ],
@@ -956,7 +1019,7 @@ def _equal_but_spelled_apart_cloud():
                 CloudPoint("b", (1.5, -2.5), (3, -5)),
                 CloudPoint("c", (1.5, 1.5), (3, 3)),
                 CloudPoint("d", (0.0, -2.5), (0, -5)),
-            ], q=2),
+            ], q=12),
         ],
         period=None,
     )
@@ -1000,14 +1063,18 @@ def _clouds(draw):
     for n in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True).map(sorted)):
         labels = draw(st.lists(st.text(max_size=3), unique=True, min_size=not levels, max_size=3))
         q = draw(st.integers(1, 60))
-        points = []
+        points, shadows = [], []
         for label in labels:
             # a shadow's coordinates are its numerators over q, given or derived
             shadow = draw(st.none() | st.tuples(*[st.integers(-10**30, 10**30)] * dimension))
             coords = draw(row) if shadow is None else draw(st.sampled_from([None, tuple(a / q for a in shadow)]))
-            points.append(CloudPoint(None if draw(st.booleans()) else label, coords, shadow))
+            points.append((None if draw(st.booleans()) else label, coords))
+            shadows.append(shadow and [Fraction(a, q) for a in shadow])
         r_exact = draw(st.none() | st.fractions(min_value=Fraction(1, 10**6), max_value=10**30))
         r = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)) if r_exact is None else None
+        # the level holds each shadow in units of its scale
+        q, shadows = shadows_in_units(shadows, Fraction(r) if r_exact is None else r_exact) if any(shadows) else (q, shadows)
+        points = [CloudPoint(label, coords, shadow) for (label, coords), shadow in zip(points, shadows)]
         levels.append(CloudLevel(n, r, r_exact, points, q))
     return LeveledPointCloud(dimension, levels, period=draw(st.none() | st.integers(1, 3)))
 
@@ -1212,6 +1279,7 @@ REFUSALS = {
         lambda e: e.point(0, 1, exact=(10**400, 0)),
         "point 'u' at level 1 has a coordinate beyond binary64: integer division result too large for a float",
     ),
+    # every shadow in code is in units of the scale: the scale is named first
     "exact scale beyond binary64": (
         lambda e: e.level(2, r_exact=Fraction(10**400)),
         "level 3 has a scale r that is not a binary64 number: integer division result too large for a float",
@@ -1238,12 +1306,9 @@ REFUSALS = {
 }
 
 
-# the cases refused with another text in the file as the writer writes it,
-# where r_exact scales the shadows and a level needs it for them
+# the case refused with another text in the file as the writer writes it,
+# where a level with over needs r_exact for its shadows
 IN_UNITS = {
-    "exact scale beyond binary64": (
-        "point 'u' at level 3 has a coordinate beyond binary64: integer division result too large for a float"
-    ),
     "neither r nor r_exact": "level 1 has exact values over 3 but no r_exact",
 }
 
@@ -1265,13 +1330,13 @@ def test_construction_holds_values_as_the_reader_does():
     coordinates given next to them, no q without them, a list of coordinates
     as a tuple and a level's r as a float; the reader gives the same cloud."""
     cloud = LeveledPointCloud(2, [
-        CloudLevel(1, 6, "6", [CloudPoint("a", [1, -0.5], [6, -3]), CloudPoint("b", (0, 2.0), ())], q=6),
+        CloudLevel(1, 6, "6", [CloudPoint("a", [1, -0.5], [6, -3]), CloudPoint("b", (0, 2.0), ())], q=36),
         CloudLevel(2, "3.5", None, [CloudPoint("a", [1.0, 2.0])], q=7),
     ])
     level, other = cloud.levels
     assert level == CloudLevel(1, 6.0, Fraction(6), [
         CloudPoint("a", None, (2, -1)), CloudPoint("b", (0.0, 2.0), None)
-    ], q=2)
+    ], q=12)
     assert other == CloudLevel(2, 3.5, None, [CloudPoint("a", (1.0, 2.0))], q=None)
     assert type(level.points[1].coords[0]) is float
     assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
@@ -1391,7 +1456,7 @@ def test_single_point_space_values():
     cloud = single_point_space(depth=3, base=2)
     xs = [_level_floats(lvl)[1][0] for lvl in cloud.levels]
     assert xs == [2.0, 16.0, 512.0]
-    assert [lvl.points[1].exact for lvl in cloud.levels] == [(2,), (16,), (512,)]
+    assert [point_shadow(lvl, lvl.points[1]) for lvl in cloud.levels] == [(2,), (16,), (512,)]
     assert cloud.levels[0].r == pytest.approx(math.sqrt(32), rel=1e-15)
     assert cloud.levels[1].r == pytest.approx(math.sqrt(8192), rel=1e-15)
     # the last level's scale needs x_21 = 5**441, about 1.76e308, which fits binary64

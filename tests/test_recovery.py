@@ -665,9 +665,13 @@ def test_default_window_spans_two_levels_when_the_period_is_one():
 
 def test_non_finite_float_values_rejected():
     cloud = realize(ONE_GAP, depth=12)
-    # a subnormal scale, exact and so also in binary64: every normalized
-    # distance of the level overflows binary64 where recovery reports it
-    levels = cloud.levels[:-1] + [dataclasses.replace(cloud.levels[-1], r=None, r_exact=Fraction(1, 2**1074))]
+    # a subnormal scale, exact and so also in binary64, under the same
+    # coordinates: every normalized distance of the level overflows binary64
+    # where recovery reports it
+    last, tiny_scale = cloud.levels[-1], Fraction(1, 2**1074)
+    factor = int(last.r_exact / tiny_scale)
+    points = [dataclasses.replace(p, exact=tuple(factor * a for a in p.exact)) for p in last.points]
+    levels = cloud.levels[:-1] + [dataclasses.replace(last, r=None, r_exact=tiny_scale, points=points)]
     tiny = LeveledPointCloud(cloud.dimension, levels, cloud.period)
     assert tiny.levels[-1].r == 5e-324
     # its shadows, and its floats once the shadows are gone, both decide exactly
@@ -897,6 +901,16 @@ def test_annulus_table_recovers_edge_weight():
     table = annulus_diameter_table(cloud, k=2.0, radii=[lvl.r])
     assert table[0]["points"] == 2
     assert table[0]["value"] == pytest.approx(5 / 2, rel=1e-12)
+
+
+def test_annulus_table_refuses_a_value_beyond_binary64():
+    # finite points whose distance, and so the diameter ratio, is not
+    level = CloudLevel(n=1, r=1.0, r_exact=None, points=[CloudPoint("a", (1e308,)), CloudPoint("b", (-1e308,))])
+    cloud = LeveledPointCloud(1, [level])
+    with pytest.raises(GraphError, match="^the annulus diameter ratio at radius 1e[+]308 is not finite in binary64$"):
+        annulus_diameter_table(cloud, k=2.0, radii=[1e308])
+    # a radius whose annulus holds neither point
+    assert annulus_diameter_table(cloud, k=2.0, radii=[1.0]) == [{"r": 1.0, "value": 0.0, "points": 0}]
 
 
 def test_annulus_parameter_validation():
