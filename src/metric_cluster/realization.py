@@ -175,13 +175,12 @@ class LeveledPointCloud:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
-        """The cloud of a JSON document. A level with ``over`` holds its
-        shadows in units of its scale, as the cloud does, and a level without
-        it as absolute rationals, as every file written before ``over`` does.
-        A level in a layout the writer writes is read in one pass, any other
-        by the constructor's level check. A document a check refuses goes
-        whole through the checked path, which reads every level's shadow
-        literals first and words the refusal."""
+        """The cloud of a JSON document, read once, level by level. A level
+        in a layout the writer writes for a realized cloud is read in one
+        pass; any other, absolute shadows written before ``over`` among them,
+        is unpacked and checked alone, as the constructor checks a level. A
+        refusal names a fault of the fields before any of a level, and the
+        first faulty level in level order."""
         try:
             dimension, levels = data["dimension"], data["levels"]
         except (KeyError, TypeError) as exc:
@@ -191,16 +190,9 @@ class LeveledPointCloud:
         period = data.get("period")
         try:
             # a tuple of levels, in a dict built in code, goes whole through the constructor
-            cloud = _read_by_level(dimension, levels, period) if type(levels) is list else None
-        except (KeyError, TypeError, GraphError):  # refused: the checked path words it
-            cloud = None
-        if cloud is None:
-            try:
-                if isinstance(levels, list):
-                    levels = [_unpacked_level(entry) if isinstance(entry, dict) else entry for entry in levels]
-            except KeyError as exc:
-                raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
-            cloud = cls(dimension, levels, period)
+            cloud = _read_by_level(dimension, levels, period) if isinstance(levels, list) else cls(dimension, levels, period)
+        except KeyError as exc:
+            raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
         # recovery measures every distance to the origin; JSON false loads as
         # Python's False, which equals 0
         basepoint = data.get("basepoint", [0] * dimension)
@@ -304,26 +296,27 @@ def _scale(r: float, r_exact: Optional[Fraction]) -> Fraction:
 
 def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
     """The cloud of a document's fields, each level read by ``_level_at_once``
-    or, where it declines, checked as the constructor checks it."""
+    or, where it declines, unpacked and checked as the constructor checks it."""
     dimension = _checked_fields(dimension, period, levels)
     read: list[CloudLevel] = []
     for entry in levels:
         previous = read[-1].n if read else 0
         try:
-            read.append(_level_at_once(entry, previous, dimension))
+            lvl = _level_at_once(entry, previous, dimension)
         except (KeyError, TypeError, ValueError, OverflowError):  # GraphError is a ValueError
-            read.append(_checked_level(_unpacked_level(entry), previous, dimension))
+            lvl = _checked_level(_unpacked_level(entry) if isinstance(entry, dict) else entry, previous, dimension)
+        read.append(lvl)
     return LeveledPointCloud._of_levels(dimension, read, period)
 
 
 def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
     """A level object of a file, after level ``previous``, as the checked
-    path makes it, in a layout the writer writes: each point an ``exact``
-    list of ``_shadows_at_once`` values, alone or with ``coords`` that are
-    its rounding, or each point ``coords`` of finite floats alone; labels
-    distinct strings or None; where the level has ``over``, a positive int,
-    an ``r_exact`` and integer values. KeyError, TypeError or ValueError for
-    any other, OverflowError for a shadow that rounds beyond binary64."""
+    path makes it, in one of the two layouts the writer writes for a
+    realized cloud: each point an ``exact`` list of ``_shadows_at_once``
+    values alone, over a positive int ``over``, with an ``r_exact``; or each
+    point ``coords`` of finite floats alone, without ``over``. Labels are
+    distinct strings or None. KeyError, TypeError or ValueError for any
+    other level, OverflowError for a shadow that rounds beyond binary64."""
     n, points = entry["n"], entry["points"]
     if not (type(n) is int and n > previous and type(points) is list):
         raise ValueError(n)
@@ -331,16 +324,13 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
     if type(r_exact) is str and r_exact.isascii() and r_exact.isdigit():
         r_exact = int(r_exact)  # ValueError past the digit limit
     r, r_exact = _scales(entry.get("r"), r_exact, n)
-    over = entry.get("over")
-    if "over" in entry and not (type(over) is int and over > 0 and r_exact is not None):
-        raise ValueError(over)
     # TypeError unless each point is an object
     labels, given, exacts = (list(map(dict.get, points, repeat(key))) for key in ("label", "coords", "exact"))
     named = [label for label in labels if label is not None]  # unlabeled points may repeat
     if set(map(type, named)) - {str} or len(set(named)) < len(named):
         raise ValueError(labels)
-    q, kinds = None, set(map(type, exacts))
-    if kinds <= {type(None)}:
+    over, q, kinds = entry.get("over"), None, set(map(type, exacts))
+    if kinds <= {type(None)} and "over" not in entry:
         flat = list(chain.from_iterable(given))
         if not (
             set(map(type, given)) <= {list}
@@ -350,52 +340,34 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
         ):
             raise ValueError(given)
         coords, shadows = list(map(tuple, given)), repeat(None)
-    elif kinds == {list} and set(map(len, exacts)) == {dimension}:
+    elif (
+        kinds == {list} and set(map(len, exacts)) == {dimension} and given == [None] * len(points)
+        and type(over) is int and over > 0 and r_exact is not None
+    ):
         values = list(chain.from_iterable(exacts))
-        q, distinct, numerators = _shadows_at_once(values)
-        if over is not None and q != 1:
-            raise ValueError(over)
-        scale = _scale(r, r_exact)
-        q, (numerators,) = _in_units(q, [numerators], scale) if over is None else _in_lowest_terms(over, [numerators])
-        _binary64_guard(numerators, q, scale)
+        distinct, numerators = _shadows_at_once(values)
+        q, (numerators,) = _in_lowest_terms(over, [numerators])
+        _binary64_guard(numerators, q, r_exact)
         shadows = list(zip(*[map(dict(zip(distinct, numerators)).__getitem__, values)] * dimension))
-        num, den = scale.numerator, q * scale.denominator
-        for c, shadow in zip(given, shadows):
-            if c is not None and not (type(c) is list and set(map(type, c)) <= {float} and c == [a * num / den for a in shadow]):
-                raise ValueError(c)
         coords = repeat(None)
     else:
         raise ValueError(exacts)
     return CloudLevel(n, r, r_exact, list(map(CloudPoint, labels, coords, shadows)), q)
 
 
-def _shadows_at_once(values: list) -> tuple[int, list[str], list[int]]:
-    """A level's exact values, each ``-?digits`` or ``-?digits/digits`` in
-    ASCII digits with a positive denominator, read once each, as most values
-    of a realized level repeat: their least common denominator q, the
-    distinct values and their numerators over q. TypeError or ValueError for
-    any other value."""
+def _shadows_at_once(values: list) -> tuple[list[str], list[int]]:
+    """A level's exact values in units of its scale, each ``-?digits`` in
+    ASCII digits, read once each, as most values of a realized level repeat:
+    the distinct values and their integers. TypeError or ValueError for any
+    other value."""
     distinct = list(set(values))  # TypeError for a list
     text = ",".join(distinct)  # TypeError unless each value is a string
     # int() also reads blanks, "+", "_" and other scripts' digits, which
     # Fraction may refuse; a character beyond ASCII encodes to bytes >= 0x80
-    if text.encode().translate(None, b"0123456789-/,"):
+    if text.encode().translate(None, b"0123456789-,"):
         raise ValueError(text)
-    # int() refuses "", "-", "--3", "1,2" and digits beyond the limit; the
-    # levels of a realized cloud hold integers only: no split
-    if "/" not in text:
-        q, numerators = 1, list(map(int, distinct))
-    else:
-        parts = list(map(str.partition, distinct, repeat("/")))
-        # "3/" and "1/2/3" leave a denominator int refuses
-        denominators = [int(b) if slash else 1 for _, slash, b in parts]
-        # the digits alone let "1/-2" and "1/0" through
-        if min(denominators) <= 0:
-            raise ValueError(text)
-        q = math.lcm(*set(denominators))
-        numerators = [int(a) * (q // b) for (a, _, _), b in zip(parts, denominators)]
-        q, (numerators,) = _in_lowest_terms(q, [numerators])
-    return q, distinct, numerators
+    # int() refuses "", "-", "--3", "1,2" and digits beyond the limit
+    return distinct, list(map(int, distinct))
 
 
 def _binary64_guard(numerators, q: int, scale: Fraction) -> None:

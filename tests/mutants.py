@@ -68,7 +68,7 @@ MUTANTS = [
     (RECOVERY, "k = common // (q or 1)", "k = 1",
      ["tests/test_recovery.py::test_shadows_and_binary64_values_of_a_level_share_one_denominator"]),
     (REALIZATION, "return Fraction(r) if r_exact is None else r_exact", "return Fraction(r)",
-     ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud[power_square]"]),
+     ["tests/test_recovery.py::test_exact_values_match_fraction_oracle[hand_built]"]),
     # _zero_gap: the largest integer gap within tol_abs + tol_rel * size
     (RECOVERY, "return lambda size, q: (ab * q + rel * size) // den",
      "return lambda size, q: (ab * q + rel * size) // den - 1", [THRESHOLDS.format("adjacency")]),
@@ -79,24 +79,25 @@ MUTANTS = [
      ["tests/test_recovery.py::test_a_subsample_of_whole_periods_in_order_keeps_the_period"]),
     (RECOVERY, "available[n][0] % p != k % p", "available[n][0] % p != 0",
      ["tests/test_recovery.py::test_a_subsample_of_whole_periods_in_order_keeps_the_period"]),
-    # the one-pass reader takes shadows in units of the scale over a positive
-    # over only, in lowest terms, and rounds none beyond binary64
+    # the one-pass reader takes shadows alone, in units of the scale over a
+    # positive over only, in lowest terms, and rounds none beyond binary64
     (REALIZATION, "over > 0 and r_exact is not None", "over != 0 and r_exact is not None",
      [UNITS.format("over-negative")]),
+    (REALIZATION, "over > 0 and r_exact is not None", "over >= 0 and r_exact is not None",
+     [UNITS.format("over-zero")]),
+    (REALIZATION, " and given == [None] * len(points)", "",
+     ["tests/test_cli.py::test_coordinates_or_a_scale_apart_from_their_shadows_exit_2"]),
     (REALIZATION, "over = _integer(entry[\"over\"], 1,", "over = _integer(entry[\"over\"], 0,",
      [UNITS.format("over-zero")]),
-    (REALIZATION, "if over is None else _in_lowest_terms(over, [numerators])", "if over is None else (over, [numerators])",
+    (REALIZATION, "q, (numerators,) = _in_lowest_terms(over, [numerators])", "q = over",
      ["tests/test_realization.py::test_unreduced_shadows_load_over_the_least_denominator"]),
-    (REALIZATION, "        _binary64_guard(numerators, q, scale)\n", "",
+    (REALIZATION, "        _binary64_guard(numerators, q, r_exact)\n", "",
      ["tests/test_realization.py::test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64"]),
     # a level without over holds coordinates, put over the scale in lowest terms
     (REALIZATION, "    return _in_lowest_terms(q, [tuple([k * a for a in row]) if row else None for row in rows])",
      "    return q, [tuple([k * a for a in row]) if row else None for row in rows]",
      ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud"]),
-    # a level with over is read in units of its scale, in one pass and checked
-    (REALIZATION, "q, (numerators,) = _in_units(q, [numerators], scale) if over is None else",
-     "q, (numerators,) = _in_units(q, [numerators], scale) if True else",
-     ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud"]),
+    # a level with over is read in units of its scale on the checked path
     (REALIZATION, 'if "over" in entry:\n            q = _in_units_of_scale(',
      'if False:\n            q = _in_units_of_scale(',
      ["tests/test_realization.py::test_partly_shadowed_level_loads_writes_back_and_is_not_exact"]),

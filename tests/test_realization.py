@@ -438,21 +438,24 @@ def _partly_shadowed_file_cloud():
     return LeveledPointCloud.from_json_dict(data)
 
 
-@pytest.mark.parametrize(
-    "cloud, realized",
-    [
-        (realize(ONE_GAP, 12), True),
-        (realize(ONE_GAP, 6, ScalingRule("power_square", 3)), True),
-        (realize(ONE_GAP, 110), True),
-        (_partly_shadowed_file_cloud(), False),
-        (single_point_space(12), False),
-    ],
-    ids=["factorial", "power_square", "deep", "partly_shadowed", "single_point"],
-)
-def test_a_level_holds_its_shadows_as_its_file_writes_them(cloud, realized):
+# built in the tests that take them: the partly shadowed cloud goes through
+# the reader, whose refusal then fails a test, not the module's collection
+WRITTEN_CLOUDS = {
+    "factorial": (lambda: realize(ONE_GAP, 12), True),
+    "power_square": (lambda: realize(ONE_GAP, 6, ScalingRule("power_square", 3)), True),
+    "deep": (lambda: realize(ONE_GAP, 110), True),
+    "partly_shadowed": (_partly_shadowed_file_cloud, False),
+    "single_point": (lambda: single_point_space(12), False),
+}
+
+
+@pytest.mark.parametrize("name", list(WRITTEN_CLOUDS))
+def test_a_level_holds_its_shadows_as_its_file_writes_them(name):
     """A level with r_exact holds its written ``over`` as q and each point's
     written values as its shadow; the levels of one family member hold equal
     rows; and the constructor takes the cloud's own levels as they are."""
+    build, realized = WRITTEN_CLOUDS[name]
+    cloud = build()
     for entry, lvl in zip(json.loads(cloud.to_json())["levels"], cloud.levels):
         assert ("over" in entry) == (lvl.r_exact is not None and lvl.q is not None)
         if "over" in entry:
@@ -565,10 +568,10 @@ _PAST_BINARY64 = 2**1024 - 2**970
 def test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64(q):
     """One division of the level's largest |a| by q is the guard: a shadow
     value just below the halfway point rounds to the largest binary64 number
-    and loads, and one at it is refused. The one pass declines that level and
-    the checked path names the first point beyond binary64, in a file and in
-    code alike, with the text of the per-point rounding, also where the file
-    writes the shadows in units of the level's scale."""
+    and loads, and one at it is refused. The one pass takes the level only in
+    units of its scale, and declines it there beyond binary64; the checked
+    path names the first point beyond binary64, in a file and in code alike,
+    with the text of the per-point rounding, in either layout."""
     for (a, fits), units in product(((_PAST_BINARY64 * q - 1, True), (_PAST_BINARY64 * q, False)), (False, True)):
         shadows = {"r": (0, 0), "u": (1, 2), "v": (1, -a), "w": (-a, 0)}
         points = [CloudPoint(v, None, x) for v, x in shadows.items()]
@@ -582,10 +585,10 @@ def test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64(q):
         if fits:
             in_code = LeveledPointCloud(2, [level])
             assert LeveledPointCloud.from_json_dict(document) == in_code
-            assert _level_at_once(entry, 0, 2) == in_code.levels[0]
+            assert taken_levels(document) == [units]
             assert _level_floats(in_code.levels[0])[2] == (1 / q, -sys.float_info.max)
             continue
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError if units else ValueError):
             _level_at_once(entry, 0, 2)
         text = "point 'v' at level 1 has a coordinate beyond binary64: integer division result too large for a float"
         for build in (lambda: LeveledPointCloud(2, [level]), lambda: LeveledPointCloud.from_json_dict(document)):
@@ -641,12 +644,12 @@ ONE_PASS_CASES = [
 def check_level(shadows):
     """The per-value level parse gives what the per-value oracle gives: the
     same q and numerators, or the same GraphError message. The one pass over
-    the level's values takes none that the oracle refuses, and reads those it
-    takes as the oracle does."""
+    the level's values takes integers only, none that the oracle refuses, and
+    reads those it takes as the oracle does."""
     values = list(chain.from_iterable(row for row in shadows if row))
     try:
-        q, distinct, numerators = _shadows_at_once(values)
-        at_once = (q, [(dict(zip(distinct, numerators))[x],) for x in values]) if values else None
+        distinct, numerators = _shadows_at_once(values)
+        at_once = (1, [(dict(zip(distinct, numerators))[x],) for x in values]) if values else None
     except (TypeError, ValueError, OverflowError):
         at_once = None
     try:
@@ -713,10 +716,14 @@ def test_a_malformed_shadow_is_named_before_a_later_point_fault():
 
 
 def checked_path(data):
-    """The reader's checked path, the reference for the one pass: level
-    objects unpacked as they are, and the constructor's checks."""
-    levels = [_unpacked_level(entry) for entry in data["levels"]]
-    return LeveledPointCloud(data["dimension"], levels, data.get("period"))
+    """The reader's checked path, the reference for the one pass: the
+    document's fields checked, then each level object unpacked as it is and
+    checked alone, in level order, by the constructor's level check."""
+    dimension = realization._checked_fields(data["dimension"], data.get("period"), data["levels"])
+    levels = []
+    for entry in data["levels"]:
+        levels.append(realization._checked_level(_unpacked_level(entry), levels[-1].n if levels else 0, dimension))
+    return LeveledPointCloud(dimension, levels, data.get("period"))
 
 
 def taken_levels(data) -> list[bool]:
@@ -734,8 +741,8 @@ def taken_levels(data) -> list[bool]:
 
 
 def test_a_level_checked_at_once_reads_as_point_by_point():
-    """The one pass takes unlabeled points and a shadow's rounding given as
-    coords; it leaves a level with a repeated label, an empty shadow, points
+    """The one pass takes unlabeled points; it leaves a level with a repeated
+    label, coords beside a shadow, even its rounding, an empty shadow, points
     with and without shadows or an int coordinate to the checked path, and
     takes every other level. The reader gives the checked path's cloud or
     refusal either way."""
@@ -745,7 +752,7 @@ def test_a_level_checked_at_once_reads_as_point_by_point():
         (4, lambda points: points[0].update(label=None), True),
         (4, lambda points: [point.update(label=None) for point in points], True),
         (4, lambda points: points[1].update(label=points[0]["label"]), False),  # refused
-        (5, lambda points: points[0].update(coords=[0.0] * dimension), True),  # the root's shadow rounded
+        (5, lambda points: points[0].update(coords=[0.0] * dimension), False),  # the root's shadow rounded
         (2, lambda points: points[1].update(coords=[0.5] * dimension, exact=[]), False),
         (3, lambda points: points.__setitem__(2, {"label": "v", "coords": [1.5] * dimension}), False),
         # the writer writes no int coordinate
@@ -779,18 +786,21 @@ def with_coords(cloud) -> str:
 @pytest.mark.parametrize("n", range(2, 14))
 def test_one_pass_loads_every_layout_as_the_checked_path(n):
     """Realized clouds and their alternating-period subsamples, written with
-    shadows alone, without them and with both, load through the one pass to
-    the checked path's cloud, signed zeros included, and as a value the
-    constructor keeps."""
+    shadows alone or without them, load through the one pass at every level;
+    written with both halves, in units of the scale or as absolute shadows,
+    or with absolute shadows alone, as the writer wrote them before, they
+    take the checked path at every level. Each loads to the checked path's
+    cloud, signed zeros included, and as a value the constructor keeps."""
     rng = random.Random(n)
     for p in (0.2, 0.5, 0.8):
         g = synthesize_weights(random_dominating_shape(rng, n, p))
         for rule in (ScalingRule(), ScalingRule("power_square", 2)):
             cloud = realize(g, 12, rule)
             for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
-                for text in (c.to_json(), c.to_json(include_exact=False), with_coords(c)):
+                earlier = (with_coords(c), _both_halves(c), json.dumps(legacy_cloud_json_dict(c)))
+                for text in (c.to_json(), c.to_json(include_exact=False), *earlier):
                     data = json.loads(text)
-                    assert all(taken_levels(data))
+                    assert taken_levels(data) == [text not in earlier] * c.depth
                     loaded, expected = LeveledPointCloud.from_json(text), checked_path(data)
                     assert loaded == expected
                     assert loaded.to_json(include_exact=False) == expected.to_json(include_exact=False)
@@ -875,9 +885,10 @@ def test_a_value_in_units_of_the_scale_loads_or_is_refused_as_on_the_checked_pat
 
 
 def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
-    """Shadow literals are read in every level before any level is checked,
-    and the fields before the levels; the one pass leaves each such file to
-    the checked path, which keeps that order."""
+    """The fields are checked before the levels, and the levels in level
+    order, each unpacked and checked alone: a fault of an earlier level is
+    named before a malformed shadow literal of a later one. The reader
+    refuses as the checked path does."""
 
     def faults(*edits):
         data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
@@ -888,9 +899,13 @@ def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
                 target["exact"][0] = value
             else:
                 target[field] = value
-        return refusal(data)
+        with pytest.raises(GraphError) as caught:
+            checked_path(data)
+        assert refusal(data) == str(caught.value)
+        return str(caught.value)
 
-    assert faults((0, 2, "label", "u"), (-1, 1, "exact", "3/")) == "not a rational literal: '3/'"
+    assert faults((0, 2, "label", "u"), (-1, 1, "exact", "3/")) == "duplicate label 'u' at level 1"
+    assert faults((-1, 1, "exact", "3/"), (-1, 2, "label", "u")) == "not a rational literal: '3/'"
     assert faults((1, 1, "coords", [0.5] * 2), (-1, 2, "label", "u")) == (
         "point 'u' at level 2 has coords [0.5, 0.5], but its exact shadow rounds to [-2.0, 1.0]"
     )
@@ -943,12 +958,23 @@ def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
         LeveledPointCloud.from_json_dict(data)
 
 
+@pytest.mark.parametrize("name", ["partly_shadowed", "single_point"])
+def test_a_file_of_a_cloud_not_realized_takes_the_checked_path(name):
+    """The one pass declines every level of a file the writer writes for a
+    cloud with points without a shadow, or without r_exact, as the one-point
+    space has none; the file loads to the checked path's cloud, and back."""
+    cloud = WRITTEN_CLOUDS[name][0]()
+    data = json.loads(cloud.to_json())
+    assert taken_levels(data) == [False] * cloud.depth
+    assert LeveledPointCloud.from_json_dict(data) == checked_path(data) == cloud
+
+
 def test_a_level_the_pass_declines_alone_takes_the_checked_path(monkeypatch):
     """A partly shadowed level, which the writer writes for a cloud built in
     code with partial shadows, and a level with an int coordinate reach the
     constructor's level check alone, and the pass reads every other level;
-    each file loads to the checked path's cloud. A malformed literal in a
-    later level is still named before a fault of another kind."""
+    each file loads to the checked path's cloud. A fault of an earlier level
+    is named before a malformed literal of a later one."""
     cloud = realize(ONE_GAP, 12)
     partly = json.loads(cloud.to_json())
     point = cloud.levels[0].points[1]
@@ -972,7 +998,7 @@ def test_a_level_the_pass_declines_alone_takes_the_checked_path(monkeypatch):
     assert not files[0][2].has_exact() and files[0][2].levels[0].points[1].exact is None
     partly["levels"][1]["r_exact"] = "0"
     partly["levels"][-1]["points"][1]["exact"][0] = "3/"
-    assert refusal(partly) == "not a rational literal: '3/'"
+    assert refusal(partly) == "level 2 has exact scale r_exact = 0; it must be positive"
 
 
 def check_writer(cloud):

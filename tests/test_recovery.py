@@ -154,7 +154,9 @@ def oracle_clouds():
     }
 
 
-@pytest.mark.parametrize("name", sorted(oracle_clouds()))
+# the names of oracle_clouds, whose clouds are built in the test: a cloud the
+# constructor refuses then fails that test, not the module's collection
+@pytest.mark.parametrize("name", ["alternating_periods", "factorial", "hand_built", "power_square"])
 def test_exact_values_match_fraction_oracle(name):
     cloud, window = oracle_clouds()[name]
     rc = recover_cluster(cloud, use_exact=True, window=window)
