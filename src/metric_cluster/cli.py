@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -84,18 +85,33 @@ def _number_list(text: str, kind, option: str) -> list:
         raise GraphError(f"{option} takes comma-separated numbers: {exc}") from exc
 
 
+def _say(text: str) -> None:
+    """Prints a line to stdout. Once stdout's reader has gone away, as
+    ``| head -1`` does, nobody reads the rest: stdout goes to the null
+    device, and the command goes on to its exit code."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    """Points stdout at the null device: what it still buffers, and all it
+    is given later, is written nowhere, and no write fails."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _emit(payload: dict, ns: argparse.Namespace, human: str) -> None:
-    if getattr(ns, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        print(human)
+    _say(json.dumps(payload, indent=2) if getattr(ns, "json", False) else human)
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
-        print(text)
+        _say(text)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +163,7 @@ def _cmd_complete(ns) -> int:
     added = sorted(set(completed.weights) - set(g.weights))
     _write_output(completed.to_json(), ns.out)
     if ns.out:
-        print(f"added {len(added)} forced edges: {added}")
+        _say(f"added {len(added)} forced edges: {added}")
     return 0
 
 
@@ -280,7 +296,7 @@ def _cmd_realize(ns) -> int:
     cloud = generate_cloud(plan)
     _write_output(cloud.to_json(include_exact=not ns.no_exact), ns.out)
     if ns.out:
-        print(
+        _say(
             f"wrote {cloud.depth} levels, {cloud.dimension} dimensions, "
             f"family period {cloud.period}, to {ns.out}"
         )
@@ -471,7 +487,7 @@ def _cmd_demo(ns) -> int:
     write("cert_triangle.expected.json", fpc_mod.certify_fpc(triangle).to_json())
 
     for path in written:
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
     return 0
 
 
@@ -660,10 +676,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return ns.func(ns)
+        status = ns.func(ns)
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # what stdout still buffers is written now, not at exit, where a reader
+    # gone away would be reported as an exception ignored
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return status
 
 
 if __name__ == "__main__":

@@ -180,7 +180,8 @@ class LeveledPointCloud:
         pass; any other, absolute shadows written before ``over`` among them,
         is unpacked and checked alone, as the constructor checks a level. A
         refusal names a fault of the fields before any of a level, and the
-        first faulty level in level order."""
+        first faulty level in level order. Each distinct points array that
+        the pass takes is checked once per call."""
         try:
             dimension, levels = data["dimension"], data["levels"]
         except (KeyError, TypeError) as exc:
@@ -207,12 +208,16 @@ class LeveledPointCloud:
         ``coords``, a shadow rounded, and ``r``. A level with ``r_exact``
         writes its shadows as the cloud holds them, each ``exact`` value a
         numerator over the level's q as ``over``: a coordinate is r_exact
-        times value / over. GraphError names a value past the digit limit."""
+        times value / over. GraphError names a value past the digit limit.
+        Levels of one family member hold equal points: the ``points`` of a
+        level whose every point is written as ``exact`` over ``over`` are
+        spelled once for all levels with its q, labels and shadows."""
         out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
         _array(out, ["0.0"] * self.dimension, _BASEPOINT)
         period = "null" if self.period is None else format_rational(self.period)
         out += (',\n  "period": ', period, ',\n  "levels": ')
         opening = "[\n    {"
+        written: dict[tuple, tuple[str, Optional[int]]] = {}
         for lvl in self.levels:
             out += (opening, '\n      "n": ', format_rational(lvl.n))
             opening = ",\n    {"
@@ -220,7 +225,18 @@ class LeveledPointCloud:
             if not shadowed:
                 out += (',\n      "r": ', _json_scalar(repr(lvl.r)))
             out.append(',\n      "points": ')
-            over = _write_points(out, lvl, include_exact)
+            key = None
+            if shadowed and all(p.exact is not None for p in lvl.points):
+                key = (lvl.q, tuple([(p.label, p.exact) for p in lvl.points]))
+            if key in written:
+                points, over = written[key]
+            else:
+                parts: list[str] = []
+                over = _write_points(parts, lvl, include_exact)
+                points = "".join(parts)
+                if key is not None:
+                    written[key] = points, over
+            out.append(points)
             if shadowed:
                 out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
             if over is not None:
@@ -296,27 +312,38 @@ def _scale(r: float, r_exact: Optional[Fraction]) -> Fraction:
 
 def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
     """The cloud of a document's fields, each level read by ``_level_at_once``
-    or, where it declines, unpacked and checked as the constructor checks it."""
+    or, where it declines, unpacked and checked as the constructor checks it.
+    The levels of one family member repeat their points: the pass reads a
+    level that repeats one of the last two distinct points arrays it took
+    with shadows from the earlier level."""
     dimension = _checked_fields(dimension, period, levels)
     read: list[CloudLevel] = []
+    taken: list[tuple] = []
     for entry in levels:
         previous = read[-1].n if read else 0
         try:
-            lvl = _level_at_once(entry, previous, dimension)
+            lvl = _level_at_once(entry, previous, dimension, taken)
         except (KeyError, TypeError, ValueError, OverflowError):  # GraphError is a ValueError
             lvl = _checked_level(_unpacked_level(entry) if isinstance(entry, dict) else entry, previous, dimension)
         read.append(lvl)
     return LeveledPointCloud._of_levels(dimension, read, period)
 
 
-def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
+def _level_at_once(entry: dict, previous: int, dimension: int, taken: Optional[list] = None) -> CloudLevel:
     """A level object of a file, after level ``previous``, as the checked
     path makes it, in one of the two layouts the writer writes for a
     realized cloud: each point an ``exact`` list of ``_shadows_at_once``
     values alone, over a positive int ``over``, with an ``r_exact``; or each
     point ``coords`` of finite floats alone, without ``over``. Labels are
     distinct strings or None. KeyError, TypeError or ValueError for any
-    other level, OverflowError for a shadow that rounds beyond binary64."""
+    other level, OverflowError for a shadow that rounds beyond binary64.
+
+    ``taken``, where given, holds what the pass read of the last two
+    distinct points arrays it took with shadows, the latest used last. A
+    level whose ``points`` and int ``over`` equal one of them is read from
+    it, once its own n, r, r_exact and guard are checked: in that layout
+    values are strings and labels strings or None, which compare equal
+    exactly where they read alike."""
     n, points = entry["n"], entry["points"]
     if not (type(n) is int and n > previous and type(points) is list):
         raise ValueError(n)
@@ -324,12 +351,19 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
     if type(r_exact) is str and r_exact.isascii() and r_exact.isdigit():
         r_exact = int(r_exact)  # ValueError past the digit limit
     r, r_exact = _scales(entry.get("r"), r_exact, n)
+    over = entry.get("over")
+    if taken and r_exact is not None and type(over) is int:
+        for i, (seen, seen_over, labels, shadows, q, largest) in enumerate(taken):
+            if over == seen_over and points == seen:
+                taken.append(taken.pop(i))
+                _binary64_guard((largest,), q, r_exact)
+                return CloudLevel(n, r, r_exact, list(map(CloudPoint, labels, repeat(None), shadows)), q)
     # TypeError unless each point is an object
     labels, given, exacts = (list(map(dict.get, points, repeat(key))) for key in ("label", "coords", "exact"))
     named = [label for label in labels if label is not None]  # unlabeled points may repeat
     if set(map(type, named)) - {str} or len(set(named)) < len(named):
         raise ValueError(labels)
-    over, q, kinds = entry.get("over"), None, set(map(type, exacts))
+    q, kinds = None, set(map(type, exacts))
     if kinds <= {type(None)} and "over" not in entry:
         flat = list(chain.from_iterable(given))
         if not (
@@ -347,9 +381,13 @@ def _level_at_once(entry: dict, previous: int, dimension: int) -> CloudLevel:
         values = list(chain.from_iterable(exacts))
         distinct, numerators = _shadows_at_once(values)
         q, (numerators,) = _in_lowest_terms(over, [numerators])
-        _binary64_guard(numerators, q, r_exact)
+        largest = max(map(abs, numerators), default=0)
+        _binary64_guard((largest,), q, r_exact)
         shadows = list(zip(*[map(dict(zip(distinct, numerators)).__getitem__, values)] * dimension))
         coords = repeat(None)
+        if taken is not None:
+            taken.append((points, over, labels, shadows, q, largest))
+            del taken[:-2]
     else:
         raise ValueError(exacts)
     return CloudLevel(n, r, r_exact, list(map(CloudPoint, labels, coords, shadows)), q)
@@ -523,14 +561,17 @@ def _level_numerators(
 ) -> tuple[Optional[int], list[Optional[tuple[int, ...]]]]:
     """One level's raw ``exact`` lists (or None) as integer numerators over
     the least common denominator q of their values; q is None when no point
-    has a shadow. ``parse_rational`` reads the values one by one in point
-    order, so the first malformed one names the error."""
+    has a shadow. ``parse_rational`` reads the values in point order, each
+    distinct string once, so the first malformed one names the error."""
     rows = [row for row in shadows if row]
     if not rows:
         return None, [None] * len(shadows)
+    values = list(chain.from_iterable(rows))
+    # equal strings parse alike, in order of first occurrence; 1 == 1.0 == True do not
+    distinct = list(dict.fromkeys(values)) if set(map(type, values)) <= {str} else values
     # the least common multiple of reduced denominators puts them in lowest terms
-    q, numerators = _over_lcm([parse_rational(x) for x in chain.from_iterable(rows)])
-    flat = iter(numerators)
+    q, numerators = _over_lcm(list(map(parse_rational, distinct)))
+    flat = iter(numerators if distinct is values else map(dict(zip(distinct, numerators)).__getitem__, values))
     return q, [tuple(islice(flat, len(row))) if row else None for row in shadows]
 
 

@@ -38,6 +38,7 @@ GRAPH_CORE = "metric_cluster/graph_core.py"
 THRESHOLDS = "tests/test_recovery.py::test_{}_at_its_threshold"
 UNITS = "tests/test_cli.py::test_malformed_shadows_in_units_of_the_scale_exit_2[{}]"
 LOWER = "tests/test_realization.py::test_lower_member_equals_the_fraction_construction[{}]"
+REPEATED = "tests/test_realization.py::test_a_level_that_repeats_an_earlier_one_but_for_a_fault_is_read_alone[{}]"
 
 # (file under src/, old text, new text, the tests that must fail)
 MUTANTS = [
@@ -91,8 +92,24 @@ MUTANTS = [
      [UNITS.format("over-zero")]),
     (REALIZATION, "q, (numerators,) = _in_lowest_terms(over, [numerators])", "q = over",
      ["tests/test_realization.py::test_unreduced_shadows_load_over_the_least_denominator"]),
-    (REALIZATION, "        _binary64_guard(numerators, q, r_exact)\n", "",
+    (REALIZATION, "default=0)\n        _binary64_guard((largest,), q, r_exact)\n", "default=0)\n",
      ["tests/test_realization.py::test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64"]),
+    # a level that repeats a points array the pass took is read from it only
+    # over an equal int over, and with an r_exact of its own, which its own guard checks
+    (REALIZATION, "if over == seen_over and points == seen:", "if points == seen:",
+     [REPEATED.format("another_over")]),
+    (REALIZATION, "if taken and r_exact is not None and type(over) is int:",
+     "if taken and r_exact is not None and over is not None:", [REPEATED.format("over_true")]),
+    (REALIZATION, "if taken and r_exact is not None and type(over) is int:", "if taken and type(over) is int:",
+     [REPEATED.format("r_instead_of_r_exact")]),
+    (REALIZATION, "taken.pop(i))\n                _binary64_guard((largest,), q, r_exact)\n", "taken.pop(i))\n",
+     [REPEATED.format("r_exact_beyond_the_guard")]),
+    # the checked path parses each distinct string once, and values of other types each alone
+    (REALIZATION, "if set(map(type, values)) <= {str} else values", "if True else values",
+     ["tests/test_realization.py::test_a_level_parses_each_distinct_literal_once"]),
+    # the writer spells a level's points once for all levels only where every point is written as exact
+    (REALIZATION, "if shadowed and all(p.exact is not None for p in lvl.points):", "if shadowed:",
+     ["tests/test_realization.py::test_writer_prints_what_json_dumps_prints[partly_equal_shadows]"]),
     # a level without over holds coordinates, put over the scale in lowest terms
     (REALIZATION, "    return _in_lowest_terms(q, [tuple([k * a for a in row]) if row else None for row in rows])",
      "    return q, [tuple([k * a for a in row]) if row else None for row in rows]",

@@ -3,7 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -556,6 +558,31 @@ def test_diag_of_points_whose_distance_leaves_binary64_exit_2(tmp_path, capsys):
     assert captured.err == "error: the annulus diameter ratio at radius 1e+308 is not finite in binary64\n"
     assert main(["diag", "fn", str(path), "--level", "1", "--labels", "a,b"]) == 2
     assert "not finite in binary64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, status",
+    [(["single-point"], 0), (["recover", "{cloud}"], 0), (["realize", "{graph}"], 0), (["check", "{bad}"], 1)],
+    ids=["single_point", "recover", "realize", "verdict"],
+)
+def test_a_reader_gone_away_keeps_the_exit_code(tmp_path, bad_triangle, cert_graph, command, status):
+    """The installed command's stdout is a pipe whose reader has closed, as
+    ``| grep -q`` leaves it after its match: the command prints no error,
+    nothing is reported at exit, and it exits with the code it returns."""
+    cloud = tmp_path / "p.json"
+    cloud.write_text(single_point_space(8).to_json(), encoding="utf-8")
+    argv = [arg.format(cloud=cloud, graph=cert_graph, bad=bad_triangle) for arg in command]
+    src = str(Path(sys.modules["metric_cluster"].__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "metric_cluster.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (status, b"")
 
 
 def test_diag_fn_of_a_realized_cluster_is_finite(tmp_path, capsys):

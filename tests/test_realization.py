@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metric_cluster import realization
-from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphic
+from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphic, parse_rational
 from metric_cluster.fpc import synthesize_weights
 from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
 from metric_cluster.realization import (
@@ -492,6 +493,24 @@ def test_load_and_write_reproduces_the_cloud(cloud):
     assert ('"over"' in cloud.to_json()) == any(lvl.r_exact is not None for lvl in cloud.levels)
 
 
+def test_threads_each_loading_and_writing_a_cloud_reproduce_the_serial_results():
+    """The reader's and writer's tables of repeated points live within one
+    call: threads, each loading its own file and writing the cloud back,
+    give what one thread gives."""
+    rng = random.Random(7)
+    clouds = [realize(synthesize_weights(random_dominating_shape(rng, n, 0.5)), 24) for n in range(3, 11)]
+    texts = [cloud.to_json() for cloud in clouds]
+
+    def load_and_write(text):
+        cloud = LeveledPointCloud.from_json(text)
+        return cloud, cloud.to_json(), cloud.to_json(include_exact=False)
+
+    serial = list(map(load_and_write, texts * 3))
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(load_and_write, texts * 3)) == serial
+    assert [cloud for cloud, *_ in serial[:len(clouds)]] == clouds
+
+
 @pytest.mark.parametrize("depth, rule", [(12, None), (6, ScalingRule("power_square", 3)), (110, None)])
 def test_shadows_are_written_in_units_of_their_level_scale(depth, rule):
     """Each ``exact`` value of a realized level is an integer over the level's
@@ -680,6 +699,24 @@ def test_two_faults_in_a_level_are_named_in_point_order():
         _level_numerators(shadows)
     with pytest.raises(GraphError, match="'1/-2'"):
         _level_numerators([["1/-2", "3/"]])
+
+
+def test_a_level_parses_each_distinct_literal_once(monkeypatch):
+    """Each distinct string of a level is parsed once, in order of first
+    occurrence; values of other types, where 1 == 1.0 == True, each alone."""
+    parsed = []
+    monkeypatch.setattr(realization, "parse_rational", lambda x: parsed.append(x) or parse_rational(x))
+    shadows = [["1/2", "3"], None, ["3", "1/2"], ["-1/4", "3"]]
+    assert _level_numerators(shadows) == shadows_by_fractions(shadows)
+    assert parsed == ["1/2", "3", "-1/4"]
+    parsed.clear()
+    with pytest.raises(GraphError, match="'3/'"):
+        _level_numerators([["1/2", "3/"], ["1/2", "x"]])
+    assert parsed == ["1/2", "3/"]
+    parsed.clear()
+    with pytest.raises(GraphError, match="True"):
+        _level_numerators([[1, True]])
+    assert parsed == [1, True]
 
 
 # no exponents: Fraction reads "1e9999999" as a number of ten million digits,
@@ -1001,6 +1038,66 @@ def test_a_level_the_pass_declines_alone_takes_the_checked_path(monkeypatch):
     assert refusal(partly) == "level 2 has exact scale r_exact = 0; it must be positive"
 
 
+# a fault in level 3 of ONE_GAP's file, whose points repeat level 1's, and
+# the refusal it gets, or None where the level loads
+REPEATED_LEVEL_FAULTS = {
+    "malformed_value": (lambda entry: entry["points"][1]["exact"].__setitem__(0, "3/"), "not a rational literal: '3/'"),
+    "repeated_label": (lambda entry: entry["points"][2].update(label="u"), "duplicate label 'u' at level 3"),
+    "over_true": (
+        lambda entry: entry.update(over=True),
+        "level 3 has exact values over True; over must be a positive integer",
+    ),
+    "another_over": (lambda entry: entry.update(over=3), None),
+    "r_instead_of_r_exact": (
+        lambda entry: entry.update(r=repr(float(entry.pop("r_exact")))),
+        "level 3 has exact values over 1 but no r_exact",
+    ),
+    "r_exact_beyond_the_guard": (
+        lambda entry: entry.update(r_exact=str(2**1023)),
+        "point 'v' at level 3 has a coordinate beyond binary64: integer division result too large for a float",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(REPEATED_LEVEL_FAULTS))
+def test_a_level_that_repeats_an_earlier_one_but_for_a_fault_is_read_alone(fault):
+    """The pass reads a points array that repeats the one of an earlier level
+    it took, over the same int ``over``, from that level; a level that
+    differs in a value, a label or ``over``, that has no r_exact or whose own
+    scale fails the guard loads to the checked path's cloud or is refused with its text."""
+    edit, text = REPEATED_LEVEL_FAULTS[fault]
+    data = json.loads(realize(ONE_GAP, 6).to_json())
+    assert data["levels"][2]["points"] == data["levels"][0]["points"] and data["levels"][0]["over"] == 1
+    edit(data["levels"][2])
+    if text is None:
+        assert LeveledPointCloud.from_json(json.dumps(data)) == checked_path(data)
+        return
+    with pytest.raises(GraphError) as caught:
+        checked_path(data)
+    assert refusal(data) == str(caught.value) == text
+
+
+def test_each_distinct_points_array_is_read_once(monkeypatch):
+    """Of the levels of a realized file, the pass reads the values of each
+    member's points once, and of a file whose levels all differ, every
+    level's; the cloud loaded is the checked path's either way."""
+    read, at_once = [], realization._shadows_at_once
+
+    def counted(values):
+        read.append(len(values))
+        return at_once(values)
+
+    monkeypatch.setattr(realization, "_shadows_at_once", counted)
+    data = json.loads(realize(ONE_GAP, 12).to_json())
+    assert LeveledPointCloud.from_json_dict(data) == checked_path(data)
+    assert len(read) == 2
+    for i, entry in enumerate(data["levels"]):
+        entry["over"] = i + 1
+    read.clear()
+    assert LeveledPointCloud.from_json_dict(data) == checked_path(data)
+    assert len(read) == 12
+
+
 def check_writer(cloud):
     for include_exact in (True, False):
         assert cloud.to_json(include_exact) == json.dumps(cloud_json_dict(cloud, include_exact), indent=2)
@@ -1051,6 +1148,24 @@ def _equal_but_spelled_apart_cloud():
     )
 
 
+def _equal_shadows_apart_coords_cloud():
+    """Two partly shadowed levels with equal labels, q and shadows, whose
+    point without a shadow has other coords at each: a table of written
+    points keyed on the shadows alone would write the first level's."""
+    return LeveledPointCloud(
+        dimension=2,
+        levels=[
+            CloudLevel(n, None, Fraction(r), [
+                CloudPoint("r", None, (0, 0)),
+                CloudPoint("u", (x, -x), None),
+                CloudPoint("v", None, (1, -3)),
+            ], q=2)
+            for n, r, x in ((1, 2, 0.5), (3, 6, 1.5))
+        ],
+        period=None,
+    )
+
+
 @pytest.mark.parametrize(
     "cloud",
     [
@@ -1060,8 +1175,9 @@ def _equal_but_spelled_apart_cloud():
         single_point_space(8),
         _odd_cloud(),
         _equal_but_spelled_apart_cloud(),
+        _equal_shadows_apart_coords_cloud(),
     ],
-    ids=["factorial", "subsample", "power_square", "single_point", "odd", "equal_apart"],
+    ids=["factorial", "subsample", "power_square", "single_point", "odd", "equal_apart", "partly_equal_shadows"],
 )
 def test_writer_prints_what_json_dumps_prints(cloud):
     check_writer(cloud)
