@@ -44,7 +44,7 @@ from .metrization import (
     unique_pairs,
 )
 from .realization import LeveledPointCloud, ScalingRule, build_plan, generate_cloud, single_point_space
-from .realization import _level_floats
+from .realization import _level_floats, _level_r
 from .recovery import (
     alternating_period_indices,
     annulus_diameter_table,
@@ -378,7 +378,7 @@ def _cmd_diag_psi(ns) -> int:
     if ns.radii:
         radii = _number_list(ns.radii, float, "--radii")
     else:
-        radii = [lvl.r for lvl in cloud.levels]
+        radii = [_level_r(lvl) for lvl in cloud.levels]
     table = annulus_diameter_table(cloud, ns.k, radii)
     human = "\n".join(
         [f"annulus diameter ratios (k = {ns.k}):"]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -23,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .graph_core import _format_over, _in_lowest_terms, _integer, _over_lcm
+from .graph_core import _format_over, _in_lowest_terms, _integer
 from .graph_core import _each_once, _json_document, _spelled
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
@@ -80,10 +81,10 @@ class RealizationPlan:
 
 @dataclass
 class CloudPoint:
-    """One point of a level: the integer numerators over the level's ``q`` of
-    its exact coordinates in units of the level's scale where the cloud has a
-    shadow for it, and binary64 ``coords`` otherwise. A shadowed point holds
-    no coords: a binary64 reader rounds its shadow (see ``CloudLevel``)."""
+    """One point of a level: exactly one of ``exact``, the integer numerators
+    over the level's ``q`` of its exact coordinates in units of the level's
+    ``r_exact``, and binary64 ``coords``. A binary64 reader rounds a shadow
+    when it asks for one (see ``CloudLevel``)."""
 
     label: Optional[str]
     coords: Optional[tuple[float, ...]]
@@ -92,15 +93,16 @@ class CloudPoint:
 
 @dataclass
 class CloudLevel:
-    """One level: scale r (binary64 and, optionally, exact: r is then
-    r_exact rounded, derived from it where given as None) and its points.
+    """One level: exactly one of its exact scale ``r_exact`` and its binary64
+    scale ``r``, and its points.
 
-    Shadows are held in units of the level's scale R, r_exact or r read
-    exactly, as recovery's normalized distances d / r_n are: ``q`` is their
-    least common denominator, and point p's j-th exact coordinate is
-    R * p.exact[j] / q; a file's ``over`` and values are q and the numerators.
-    q is None when no point has a shadow. A binary64 reader takes that value
-    rounded, derived when it asks; construction makes it finite.
+    Only a level with r_exact has shadows, held in units of r_exact, as
+    recovery's normalized distances d / r_n are: ``q`` is their least common
+    denominator, and point p's j-th exact coordinate is
+    r_exact * p.exact[j] / q; a file's ``over`` and values are q and the
+    numerators. q is None when no point has a shadow. A binary64 reader
+    rounds r_exact and each coordinate when it asks for them, and refuses a
+    value beyond binary64 there (see ``_level_r`` and ``_level_floats``).
     """
 
     n: int
@@ -117,15 +119,16 @@ class LeveledPointCloud:
     Points live in sup-norm coordinate space; the basepoint is the origin and
     appears at every level (as the root's image in generated clouds). A point
     holds either an exact rational shadow, integer numerators over one
-    denominator per level in units of its scale (see ``CloudLevel``), as the
-    constructor takes them, or binary64 coordinates.
+    denominator per level in units of the level's r_exact (see
+    ``CloudLevel``), as the constructor takes them, or binary64 coordinates.
 
     Construction checks ``dimension``, ``period``, then each level's ``n``,
-    points, labels, ``r``, ``r_exact`` and ``q``, and that a level has a
-    point; it holds an int coordinate as its float, shadows in lowest terms
-    and no coords next to a shadow, once they equal its rounding. Every file
-    the JSON reader refuses goes through it, so a file and the same value in
-    code are refused alike.
+    points, labels, its one scale, ``r`` or ``r_exact``, and ``q``, and that
+    a level has a point; it holds an int coordinate as its float and shadows
+    in lowest terms. It refuses a point with both coords and a shadow, a
+    level with both r and r_exact, and a shadow on a level without r_exact.
+    Every file the JSON reader refuses goes through it, so a file and the
+    same value in code are refused alike.
     """
 
     dimension: int
@@ -177,8 +180,8 @@ class LeveledPointCloud:
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
         """The cloud of a JSON document, read once, level by level. A level
         in a layout the writer writes for a realized cloud is read in one
-        pass; any other, absolute shadows written before ``over`` among them,
-        is unpacked and checked alone, as the constructor checks a level. A
+        pass; any other is unpacked and checked alone, as the constructor
+        checks a level, which refuses a layout no writer writes now. A
         refusal names a fault of the fields before any of a level, and the
         first faulty level in level order. Each distinct points array that
         the pass takes is checked once per call."""
@@ -205,10 +208,11 @@ class LeveledPointCloud:
         """The cloud file in the README's layout, byte for byte as
         ``json.dumps(..., indent=2)`` lays it out: where given, shadows as
         ``exact`` and ``r_exact`` unless ``include_exact`` is false, else
-        ``coords``, a shadow rounded, and ``r``. A level with ``r_exact``
+        ``coords``, a shadow rounded, and ``r``, r_exact rounded. A level
         writes its shadows as the cloud holds them, each ``exact`` value a
         numerator over the level's q as ``over``: a coordinate is r_exact
-        times value / over. GraphError names a value past the digit limit.
+        times value / over. GraphError names a value past the digit limit
+        and, without shadows, the first value that rounds beyond binary64.
         Levels of one family member hold equal points: the ``points`` of a
         level whose every point is written as ``exact`` over ``over`` are
         spelled once for all levels with its q, labels and shadows."""
@@ -223,7 +227,7 @@ class LeveledPointCloud:
             opening = ",\n    {"
             shadowed = include_exact and lvl.r_exact is not None
             if not shadowed:
-                out += (',\n      "r": ', _json_scalar(repr(lvl.r)))
+                out += (',\n      "r": ', _json_scalar(repr(_level_r(lvl))))
             out.append(',\n      "points": ')
             key = None
             if shadowed and all(p.exact is not None for p in lvl.points):
@@ -253,23 +257,12 @@ class LeveledPointCloud:
 def _unpacked_level(entry: dict) -> CloudLevel:
     """A level object of a cloud file as a ``CloudLevel``: its point objects
     as points, with a ``coords`` list as a tuple and an ``exact`` list as
-    numerators over one denominator in units of the level's scale, the values
-    over ``over`` or else each value over the scale, which the level check
-    names where it is malformed."""
+    ``_level_numerators`` reads it, which the level check names where it is
+    malformed."""
     points, q = entry["points"], None
     if isinstance(points, list):
         exacts = [item.get("exact") if isinstance(item, dict) else None for item in points]
-        rows = [e if isinstance(e, list) else None for e in exacts]
-        q, shadows = _level_numerators(rows)
-        if "over" in entry:
-            q = _in_units_of_scale(entry, rows, q)
-        elif q is not None:
-            try:
-                scale = _scale(*_scales(entry.get("r"), entry.get("r_exact"), entry.get("n")))
-            except GraphError:
-                pass
-            else:
-                q, shadows = _in_units(q, shadows, scale)
+        q, shadows = _level_numerators(entry, [e if isinstance(e, list) else None for e in exacts])
         points = [
             CloudPoint(
                 item.get("label"),
@@ -282,27 +275,37 @@ def _unpacked_level(entry: dict) -> CloudLevel:
     return CloudLevel(entry["n"], entry.get("r"), entry.get("r_exact"), points, q)
 
 
-def _in_units_of_scale(entry: dict, rows: list, q: Optional[int]) -> Optional[int]:
-    """The denominator ``over`` of a level's shadows in units of its scale,
-    each value an integer, or None without shadows (q None): GraphError for
-    an ``over`` that is no positive int, a level without ``r_exact`` and, in
-    point order, the first value that is no integer."""
-    level = _spelled(entry["n"])
-    over = _integer(entry["over"], 1, f"level {level} has exact values over {{value!r}}; over must be a positive integer")
-    if entry.get("r_exact") is None:
-        raise GraphError(f"level {level} has exact values over {_spelled(over)} but no r_exact")
-    if q not in (None, 1):
-        value = next(x for x in chain.from_iterable(filter(None, rows)) if parse_rational(x).denominator != 1)
-        raise GraphError(f"level {level} has exact value {value!r} over {_spelled(over)}; it must be an integer")
-    return None if q is None else over
+def _level_numerators(entry: dict, rows: list) -> tuple[Optional[int], list[Optional[tuple[int, ...]]]]:
+    """A level object's raw ``exact`` lists (or None) as integer numerators
+    over its ``over``, and that denominator, None without shadows. GraphError
+    for an ``over`` that is no positive int or has no ``r_exact`` beside it,
+    for shadows without ``over``, a retired layout, and for the first value,
+    in point order, that ``parse_rational`` refuses or reads as no integer.
+    Each distinct string is parsed once."""
+    level, over = _spelled(entry["n"]), None
+    if "over" in entry:
+        over = _integer(entry["over"], 1, f"level {level} has exact values over {{value!r}}; over must be a positive integer")
+        if entry.get("r_exact") is None:
+            raise GraphError(f"level {level} has exact values over {_spelled(over)} but no r_exact")
+    values = list(chain.from_iterable(filter(None, rows)))
+    if not values:
+        return None, [None] * len(rows)
+    if over is None:
+        raise _retired(level, "exact values without over")
+    # equal strings parse alike, in order of first occurrence; 1 == 1.0 == True do not
+    distinct = list(dict.fromkeys(values)) if set(map(type, values)) <= {str} else values
+    parsed = list(map(parse_rational, distinct))
+    for value, x in zip(distinct, parsed):
+        if x.denominator != 1:
+            raise GraphError(f"level {level} has exact value {value!r} over {_spelled(over)}; it must be an integer")
+    numerators = [x.numerator for x in parsed]
+    flat = iter(numerators if distinct is values else map(dict(zip(distinct, numerators)).__getitem__, values))
+    return over, [tuple(islice(flat, len(row))) if row else None for row in rows]
 
 
-def _in_units(q: int, rows: list, scale: Fraction) -> tuple[int, list]:
-    """Rows of numerators (or None) over q as those of each value over
-    ``scale``, in lowest terms, and their denominator."""
-    g = math.gcd(q, scale.denominator)
-    q, k = q // g * scale.numerator, scale.denominator // g
-    return _in_lowest_terms(q, [tuple([k * a for a in row]) if row else None for row in rows])
+def _retired(level: str, layout: str) -> GraphError:
+    """The refusal of a level in a layout that no writer writes any more."""
+    return GraphError(f"level {level} is in a retired layout: {layout}")
 
 
 def _scale(r: float, r_exact: Optional[Fraction]) -> Fraction:
@@ -323,7 +326,7 @@ def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
         previous = read[-1].n if read else 0
         try:
             lvl = _level_at_once(entry, previous, dimension, taken)
-        except (KeyError, TypeError, ValueError, OverflowError):  # GraphError is a ValueError
+        except (KeyError, TypeError, ValueError):  # GraphError is a ValueError
             lvl = _checked_level(_unpacked_level(entry) if isinstance(entry, dict) else entry, previous, dimension)
         read.append(lvl)
     return LeveledPointCloud._of_levels(dimension, read, period)
@@ -336,14 +339,14 @@ def _level_at_once(entry: dict, previous: int, dimension: int, taken: Optional[l
     values alone, over a positive int ``over``, with an ``r_exact``; or each
     point ``coords`` of finite floats alone, without ``over``. Labels are
     distinct strings or None. KeyError, TypeError or ValueError for any
-    other level, OverflowError for a shadow that rounds beyond binary64.
+    other level.
 
     ``taken``, where given, holds what the pass read of the last two
     distinct points arrays it took with shadows, the latest used last. A
     level whose ``points`` and int ``over`` equal one of them is read from
-    it, once its own n, r, r_exact and guard are checked: in that layout
-    values are strings and labels strings or None, which compare equal
-    exactly where they read alike."""
+    it, once its own n and r_exact are checked: in that layout values are
+    strings and labels strings or None, which compare equal exactly where
+    they read alike."""
     n, points = entry["n"], entry["points"]
     if not (type(n) is int and n > previous and type(points) is list):
         raise ValueError(n)
@@ -353,10 +356,9 @@ def _level_at_once(entry: dict, previous: int, dimension: int, taken: Optional[l
     r, r_exact = _scales(entry.get("r"), r_exact, n)
     over = entry.get("over")
     if taken and r_exact is not None and type(over) is int:
-        for i, (seen, seen_over, labels, shadows, q, largest) in enumerate(taken):
+        for i, (seen, seen_over, labels, shadows, q) in enumerate(taken):
             if over == seen_over and points == seen:
                 taken.append(taken.pop(i))
-                _binary64_guard((largest,), q, r_exact)
                 return CloudLevel(n, r, r_exact, list(map(CloudPoint, labels, repeat(None), shadows)), q)
     # TypeError unless each point is an object
     labels, given, exacts = (list(map(dict.get, points, repeat(key))) for key in ("label", "coords", "exact"))
@@ -381,12 +383,10 @@ def _level_at_once(entry: dict, previous: int, dimension: int, taken: Optional[l
         values = list(chain.from_iterable(exacts))
         distinct, numerators = _shadows_at_once(values)
         q, (numerators,) = _in_lowest_terms(over, [numerators])
-        largest = max(map(abs, numerators), default=0)
-        _binary64_guard((largest,), q, r_exact)
         shadows = list(zip(*[map(dict(zip(distinct, numerators)).__getitem__, values)] * dimension))
         coords = repeat(None)
         if taken is not None:
-            taken.append((points, over, labels, shadows, q, largest))
+            taken.append((points, over, labels, shadows, q))
             del taken[:-2]
     else:
         raise ValueError(exacts)
@@ -406,12 +406,6 @@ def _shadows_at_once(values: list) -> tuple[list[str], list[int]]:
         raise ValueError(text)
     # int() refuses "", "-", "--3", "1,2" and digits beyond the limit
     return distinct, list(map(int, distinct))
-
-
-def _binary64_guard(numerators, q: int, scale: Fraction) -> None:
-    """OverflowError exactly when some scale * a / q rounds beyond binary64:
-    rounding is monotone, so the one division for the largest |a| is the test."""
-    max(map(abs, numerators), default=0) * scale.numerator / (q * scale.denominator)
 
 
 def _checked_fields(dimension, period, levels) -> int:
@@ -451,57 +445,28 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
     q = None
     shadows = [p.exact for p in points]
     if any(shadows):
+        if r_exact is None:
+            raise _retired(level, "exact shadows without r_exact")
         refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
         q, shadows = _in_lowest_terms(_integer(lvl.q, 1, refusal), shadows)
-        points = _with_shadows(points, shadows, q, _scale(r, r_exact), level)
+        points = [CloudPoint(p.label, p.coords, shadow) for p, shadow in zip(points, shadows)]
     return CloudLevel(n, r, r_exact, points, q)
 
 
-def _scales(r, r_exact, level) -> tuple[float, Optional[Fraction]]:
-    """A level's scale r and exact scale r_exact, checked; r is r_exact
-    rounded where r_exact is given."""
-    r = None if r is None else _positive_scale(r, level)
-    r_exact = _positive_exact_scale(r_exact, level)
+def _scales(r, r_exact, level) -> tuple[Optional[float], Optional[Fraction]]:
+    """A level's one scale, checked: r, or r_exact with r None."""
     if r_exact is not None:
-        r_float = _positive_scale(r_exact, level)
-        if r not in (None, r_float):
-            raise GraphError(f"level {level} has scale r = {r!r}, but r_exact rounds to {r_float!r}")
-        r = r_float
+        if r is not None:
+            raise _retired(level, "r beside r_exact")
+        return None, _positive_exact_scale(r_exact, level)
     if r is None:
         raise GraphError(f"level {level} has neither r nor r_exact")
-    return r, r_exact
-
-
-def _with_shadows(points: list[CloudPoint], shadows: list, q: int, scale: Fraction, level: str) -> list[CloudPoint]:
-    """The points, each with its shadow over q and without coords where it
-    has one. A shadow is rounded, as int true division of scale * a by q
-    rounds it, only where coords are given or the level's guard fails:
-    GraphError names the first point whose rounding leaves binary64 or
-    differs from its coords."""
-    num, den = scale.numerator, q * scale.denominator
-    try:
-        _binary64_guard(chain.from_iterable(filter(None, shadows)), q, scale)
-        fits = True
-    except OverflowError:
-        fits = False
-    out = []
-    for p, shadow in zip(points, shadows):
-        if shadow and (p.coords is not None or not fits):
-            try:
-                coords = tuple([a * num / den for a in shadow])
-            except OverflowError as exc:
-                refusal = f"has a coordinate beyond binary64: {exc}"
-                raise GraphError(f"point {p.label!r} at level {level} {refusal}") from exc
-            if p.coords not in (None, coords):
-                refusal = f"has coords {list(p.coords)}, but its exact shadow rounds to {list(coords)}"
-                raise GraphError(f"point {p.label!r} at level {level} {refusal}")
-        out.append(CloudPoint(p.label, None if shadow else p.coords, shadow))
-    return out
+    return _positive_scale(r, level), None
 
 
 def _read_point(p, level: str, dimension: int) -> CloudPoint:
-    """One point as a cloud holds it: float coordinates, a tuple of ints for
-    its shadow, or both, and None for what it lacks."""
+    """One point as a cloud holds it: float coordinates or a tuple of ints
+    for its shadow, and None for what it lacks."""
     if not isinstance(p, CloudPoint):
         raise GraphError(f"point {p!r} at level {level} is not an object")
     label, coords, exact = p.label, p.coords, p.exact
@@ -516,6 +481,8 @@ def _read_point(p, level: str, dimension: int) -> CloudPoint:
     # an empty shadow, like a missing one, is none
     if coords is None and not exact:
         raise GraphError(f"point {label!r} at level {level} has neither coords nor an exact shadow")
+    if coords is not None and exact:
+        raise _retired(level, f"coords beside exact at point {label!r}")
     # float() would read JSON true and false as 1.0 and 0.0, and a string as
     # the number it spells
     for x in coords or ():
@@ -556,25 +523,6 @@ def _refuse_repeated_label(labels: list, level: str) -> None:
             seen.add(label)
 
 
-def _level_numerators(
-    shadows: Sequence[Optional[list]],
-) -> tuple[Optional[int], list[Optional[tuple[int, ...]]]]:
-    """One level's raw ``exact`` lists (or None) as integer numerators over
-    the least common denominator q of their values; q is None when no point
-    has a shadow. ``parse_rational`` reads the values in point order, each
-    distinct string once, so the first malformed one names the error."""
-    rows = [row for row in shadows if row]
-    if not rows:
-        return None, [None] * len(shadows)
-    values = list(chain.from_iterable(rows))
-    # equal strings parse alike, in order of first occurrence; 1 == 1.0 == True do not
-    distinct = list(dict.fromkeys(values)) if set(map(type, values)) <= {str} else values
-    # the least common multiple of reduced denominators puts them in lowest terms
-    q, numerators = _over_lcm(list(map(parse_rational, distinct)))
-    flat = iter(numerators if distinct is values else map(dict(zip(distinct, numerators)).__getitem__, values))
-    return q, [tuple(islice(flat, len(row))) if row else None for row in shadows]
-
-
 def _layout(pad: str, quote: str = "") -> tuple[str, str, str]:
     """The opening, separator and closing of a JSON array of encoded items,
     laid out as ``json.dumps(indent=2)`` nests it in a field indented by
@@ -600,19 +548,14 @@ def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> Optional[i
     """Appends the ``points`` array of a level to ``out``: each point's
     ``exact`` when it is written, and its ``coords`` otherwise. Each distinct
     exact value of the level is spelled once. Returns the level's ``over``,
-    its q, when it writes shadows in units of ``r_exact``, else None."""
+    its q, when it writes shadows, else None."""
     if not lvl.points:
         out.append("[]")
         return None
     shadowed = [include_exact and p.exact is not None for p in lvl.points]
     values = [a for p, s in zip(lvl.points, shadowed) if s for a in p.exact]
-    over = lvl.q if values and lvl.r_exact is not None else None
-    q = 1
-    if values and over is None:
-        # without r_exact, each coordinate r * a / q itself, as a rational
-        scale = _scale(lvl.r, lvl.r_exact)
-        values, q = [a * scale.numerator for a in values], lvl.q * scale.denominator
-    exact = iter(_format_over(values, q))
+    over = lvl.q if values else None
+    exact = iter(_format_over(values, 1))
     rows = [p.coords for p in lvl.points] if include_exact else _level_floats(lvl)
     opening = "[\n        {"
     for p, s, coords in zip(lvl.points, shadowed, rows):
@@ -631,15 +574,35 @@ def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> Optional[i
 
 def _level_floats(lvl: CloudLevel) -> list[tuple[float, ...]]:
     """The binary64 coordinates of the level's points, in point order: a
-    point's coords, or its shadow rounded as int true division of scale * a
-    by q rounds it, each distinct value once. The guard keeps them finite."""
+    point's coords, or its shadow rounded as int true division of
+    r_exact * a by q rounds it, each distinct value once. GraphError names
+    the first point, in point order, with a coordinate beyond binary64."""
     shadows = [p.exact for p in lvl.points if p.exact is not None]
     if not shadows:
         return [p.coords for p in lvl.points]
-    scale = _scale(lvl.r, lvl.r_exact)
-    num, den = scale.numerator, lvl.q * scale.denominator
-    rounded = iter(_each_once(lambda a: a * num / den, list(chain.from_iterable(shadows))))
+    num, den = lvl.r_exact.numerator, lvl.q * lvl.r_exact.denominator
+    try:
+        rounded = iter(_each_once(lambda a: a * num / den, list(chain.from_iterable(shadows))))
+    except OverflowError:
+        # some point's division overflowed: name the first in point order
+        for p in lvl.points:
+            try:
+                [a * num / den for a in p.exact or ()]
+            except OverflowError as exc:
+                refusal = f"has a coordinate beyond binary64: {exc}"
+                raise GraphError(f"point {p.label!r} at level {_spelled(lvl.n)} {refusal}") from exc
     return [p.coords if p.exact is None else tuple(islice(rounded, len(p.exact))) for p in lvl.points]
+
+
+def _level_r(lvl: CloudLevel) -> float:
+    """The level's binary64 scale: r, or r_exact rounded; GraphError where
+    r_exact rounds beyond binary64."""
+    if lvl.r_exact is None:
+        return lvl.r
+    try:
+        return float(lvl.r_exact)
+    except OverflowError as exc:
+        raise GraphError(f"level {_spelled(lvl.n)} has a scale r_exact beyond binary64: {exc}") from exc
 
 
 def _json_scalar(value) -> str:
@@ -660,9 +623,7 @@ def _positive_scale(value, level: str) -> float:
     return r
 
 
-def _positive_exact_scale(value, level: str) -> Optional[Fraction]:
-    if value is None:
-        return None
+def _positive_exact_scale(value, level: str) -> Fraction:
     r_exact = parse_rational(value)
     if r_exact <= 0:
         raise GraphError(f"level {level} has exact scale r_exact = {_spelled(r_exact)}; it must be positive")
@@ -745,12 +706,10 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     level the sup-norm distances reproduce r_n * d_i exactly: no column exceeds
     d_i(u, v), and that of a non-root end of the pair attains it. A point
     holds its shadow alone, over r_n: the levels of a member hold equal rows.
-
-    A level is refused with ``GraphError`` exactly when r_n, or r_n times the
-    largest distance of d_i, rounds beyond binary64: that product is the
-    level's largest sup-norm distance, and it bounds every coordinate, as
-    |d_i(v, v_j) - d_i(v_j, root)| <= d_i(v, root). A plan field it cannot
-    realize from, its depth, graph, rule or family, is named by GraphError.
+    A plan field it cannot realize from, its depth, graph, rule or family, is
+    named by GraphError, and so is the first level whose r_n has more digits
+    than the interpreter's int-to-str limit lets to_json write: no level past
+    it is built.
     """
     depth = _integer(plan.depth, 1, "depth must be at least 1")
     for name, value, kind in (("graph", plan.graph, WeightedRootedGraph), ("rule", plan.rule, ScalingRule)):
@@ -770,22 +729,19 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         cols = [at[j] for j in columns]
         to_root = [d._num[at[root]][j] for j in cols]
         rows = [tuple([d._num[i][j] - t for j, t in zip(cols, to_root)]) for i in at]
-        members.append((*_in_lowest_terms(d._q, rows), max(map(max, d._num)), d._q))
+        members.append(_in_lowest_terms(d._q, rows))
+    # a limit of 0 lets str() spell every int
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    beyond = 10**limit if limit else math.inf
     levels = []
     for n in range(1, depth + 1):
         r = plan.rule.value(n)
-        q, rows, diameter, q_diameter = members[(n - 1) % len(members)]
-        # float(int) and int / int round correctly, as float(Fraction(a, q))
-        # does, and raise OverflowError exactly when the rounded value leaves
-        # binary64: the conversion is the overflow guard, of r_n and of the
-        # level's largest distance, which bounds the coordinates
-        try:
-            r_float = float(r)
-            r * diameter / q_diameter
-        except OverflowError as exc:
-            raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
+        if r >= beyond:
+            refusal = f"has a scale r_exact of more than {limit} digits, which to_json cannot write"
+            raise GraphError(f"level {n} {refusal}")
+        q, rows = members[(n - 1) % len(members)]
         points = list(map(CloudPoint, order, repeat(None), rows))
-        levels.append(CloudLevel(n=n, r=r_float, r_exact=Fraction(r), points=points, q=q))
+        levels.append(CloudLevel(n=n, r=None, r_exact=Fraction(r), points=points, q=q))
     return LeveledPointCloud._of_levels(len(columns), levels, len(family))
 
 
@@ -825,11 +781,11 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
         raise GraphError(refusal) from exc
     levels = []
     for n, x_n, x_next in zip(range(1, depth + 1), xs, xs[1:]):
-        # factor the root so neither operand overflows binary64
-        r = math.sqrt(x_n) * math.sqrt(x_next)
-        # r is irrational (odd power of the base under a square root): no
-        # exact scale, and the shadows are taken over r as binary64 holds it
-        q, rows = _in_units(1, [(0,), (x_n,)], Fraction(r))
+        # factor the root so neither operand overflows binary64; the scale is
+        # irrational (an odd power of the base under a square root), so the
+        # exact scale is its binary64 value read exactly
+        r = Fraction(math.sqrt(x_n) * math.sqrt(x_next))
+        q, rows = _in_lowest_terms(r.numerator, [(0,), (x_n * r.denominator,)])
         points = list(map(CloudPoint, ("p", "x"), repeat(None), rows))
-        levels.append(CloudLevel(n=n, r=r, r_exact=None, points=points, q=q))
+        levels.append(CloudLevel(n=n, r=None, r_exact=r, points=points, q=q))
     return LeveledPointCloud._of_levels(1, levels, None)

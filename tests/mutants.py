@@ -1,6 +1,6 @@
-"""Mutation check for the library's decisions: recovery's, the cloud reader's,
-certification's, the admissible interval's, the isomorphism's near-ties and
-the realization plan's.
+"""Mutation check for the library's decisions: recovery's, the cloud reader's
+and constructor's, the binary64 readers', certification's, the admissible
+interval's, the isomorphism's near-ties and the realization plan's.
 
 Each mutant below changes one comparison of the library: a file under src/,
 an exact old text that must occur there once, the new text, and the tests
@@ -69,7 +69,7 @@ MUTANTS = [
     (RECOVERY, "k = common // (q or 1)", "k = 1",
      ["tests/test_recovery.py::test_shadows_and_binary64_values_of_a_level_share_one_denominator"]),
     (REALIZATION, "return Fraction(r) if r_exact is None else r_exact", "return Fraction(r)",
-     ["tests/test_recovery.py::test_exact_values_match_fraction_oracle[hand_built]"]),
+     ["tests/test_recovery.py::test_shadows_and_binary64_values_of_a_level_share_one_denominator"]),
     # _zero_gap: the largest integer gap within tol_abs + tol_rel * size
     (RECOVERY, "return lambda size, q: (ab * q + rel * size) // den",
      "return lambda size, q: (ab * q + rel * size) // den - 1", [THRESHOLDS.format("adjacency")]),
@@ -81,46 +81,60 @@ MUTANTS = [
     (RECOVERY, "available[n][0] % p != k % p", "available[n][0] % p != 0",
      ["tests/test_recovery.py::test_a_subsample_of_whole_periods_in_order_keeps_the_period"]),
     # the one-pass reader takes shadows alone, in units of the scale over a
-    # positive over only, in lowest terms, and rounds none beyond binary64
+    # positive over only, in lowest terms
     (REALIZATION, "over > 0 and r_exact is not None", "over != 0 and r_exact is not None",
      [UNITS.format("over-negative")]),
     (REALIZATION, "over > 0 and r_exact is not None", "over >= 0 and r_exact is not None",
      [UNITS.format("over-zero")]),
     (REALIZATION, " and given == [None] * len(points)", "",
-     ["tests/test_cli.py::test_coordinates_or_a_scale_apart_from_their_shadows_exit_2"]),
+     ["tests/test_cli.py::test_each_retired_layout_exit_2"]),
     (REALIZATION, "over = _integer(entry[\"over\"], 1,", "over = _integer(entry[\"over\"], 0,",
      [UNITS.format("over-zero")]),
     (REALIZATION, "q, (numerators,) = _in_lowest_terms(over, [numerators])", "q = over",
      ["tests/test_realization.py::test_unreduced_shadows_load_over_the_least_denominator"]),
-    (REALIZATION, "default=0)\n        _binary64_guard((largest,), q, r_exact)\n", "default=0)\n",
-     ["tests/test_realization.py::test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64"]),
     # a level that repeats a points array the pass took is read from it only
-    # over an equal int over, and with an r_exact of its own, which its own guard checks
+    # over an equal int over, and with an r_exact of its own
     (REALIZATION, "if over == seen_over and points == seen:", "if points == seen:",
      [REPEATED.format("another_over")]),
     (REALIZATION, "if taken and r_exact is not None and type(over) is int:",
      "if taken and r_exact is not None and over is not None:", [REPEATED.format("over_true")]),
     (REALIZATION, "if taken and r_exact is not None and type(over) is int:", "if taken and type(over) is int:",
      [REPEATED.format("r_instead_of_r_exact")]),
-    (REALIZATION, "taken.pop(i))\n                _binary64_guard((largest,), q, r_exact)\n", "taken.pop(i))\n",
-     [REPEATED.format("r_exact_beyond_the_guard")]),
     # the checked path parses each distinct string once, and values of other types each alone
     (REALIZATION, "if set(map(type, values)) <= {str} else values", "if True else values",
      ["tests/test_realization.py::test_a_level_parses_each_distinct_literal_once"]),
     # the writer spells a level's points once for all levels only where every point is written as exact
     (REALIZATION, "if shadowed and all(p.exact is not None for p in lvl.points):", "if shadowed:",
      ["tests/test_realization.py::test_writer_prints_what_json_dumps_prints[partly_equal_shadows]"]),
-    # a level without over holds coordinates, put over the scale in lowest terms
-    (REALIZATION, "    return _in_lowest_terms(q, [tuple([k * a for a in row]) if row else None for row in rows])",
-     "    return q, [tuple([k * a for a in row]) if row else None for row in rows]",
-     ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud"]),
+    # the one-point space holds its shadows over its binary64 scale in lowest terms
+    (REALIZATION, "q, rows = _in_lowest_terms(r.numerator, [(0,), (x_n * r.denominator,)])",
+     "q, rows = r.numerator, [(0,), (x_n * r.denominator,)]",
+     ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud[single_point]"]),
     # a level with over is read in units of its scale on the checked path
-    (REALIZATION, 'if "over" in entry:\n            q = _in_units_of_scale(',
-     'if False:\n            q = _in_units_of_scale(',
+    (REALIZATION, 'if "over" in entry:\n        over = _integer(', 'if False:\n        over = _integer(',
      ["tests/test_realization.py::test_partly_shadowed_level_loads_writes_back_and_is_not_exact"]),
-    # generate_cloud refuses a level whose largest distance leaves binary64
-    (REALIZATION, "            r * diameter / q_diameter\n", "",
-     ["tests/test_cli.py::test_realize_a_level_whose_points_lie_past_binary64_exit_2"]),
+    # one scale and one layout per level: shadows over over, beside r_exact
+    # alone, and a point's shadow without coords; the file and code alike
+    (REALIZATION, "        if r is not None:\n            raise _retired(", "        if False:\n            raise _retired(",
+     ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
+    (REALIZATION, "    if coords is not None and exact:", "    if False:",
+     ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
+    (REALIZATION, "        if r_exact is None:\n            raise _retired(", "        if False:\n            raise _retired(",
+     ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
+    (REALIZATION, "    if over is None:\n        raise _retired(", "    if False:\n        raise _retired(",
+     ["tests/test_realization.py::test_each_retired_layout_is_refused_at_its_level[absolute]"]),
+    # realization refuses the first level whose r_n str() cannot spell, and builds none past it
+    (REALIZATION, "        if r >= beyond:", "        if False:",
+     ["tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell[factorial]"]),
+    (REALIZATION, "beyond = 10**limit if limit", "beyond = 10 ** (limit + 1) if limit",
+     ["tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell[power_square]"]),
+    # a binary64 reader refuses a value beyond binary64 with GraphError, never OverflowError
+    (REALIZATION, "    except OverflowError:\n        # some point's division overflowed",
+     "    except ZeroDivisionError:\n        # some point's division overflowed",
+     ["tests/test_realization.py::test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader"]),
+    (REALIZATION, "        return float(lvl.r_exact)\n    except OverflowError as exc:",
+     "        return float(lvl.r_exact)\n    except ZeroDivisionError as exc:",
+     ["tests/test_realization.py::test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader"]),
     # build_plan: each non-edge goes in at c * d(u, v) - delta, c = min(m + 1, n)
     (REALIZATION, "c = min(len(non_edges) + 1, len(g))", "c = min(len(non_edges), len(g))",
      [LOWER.format(3)]),

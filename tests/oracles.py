@@ -12,7 +12,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import chain, combinations, count
+from itertools import chain, combinations, count, repeat
 from typing import Optional
 
 import networkx as nx
@@ -455,19 +455,9 @@ def recover_by_fractions(
 
 def level_from_fractions(n: int, r: Fraction, points: dict) -> CloudLevel:
     """A cloud level with exact scale r from {label: Fraction coordinates}:
-    binary64 coordinates by float(), and the shadows in units of r, as
-    ``shadows_in_units`` puts them."""
+    the shadows in units of r, as ``shadows_in_units`` puts them."""
     q, shadows = shadows_in_units(list(points.values()), r)
-    return CloudLevel(
-        n=n,
-        r=float(r),
-        r_exact=r,
-        points=[
-            CloudPoint(label, tuple(map(float, coords)), shadow)
-            for (label, coords), shadow in zip(points.items(), shadows)
-        ],
-        q=q,
-    )
+    return CloudLevel(n=n, r=None, r_exact=r, points=list(map(CloudPoint, points, repeat(None), shadows)), q=q)
 
 
 def shadows_in_units(shadows: list, scale: Fraction) -> tuple:
@@ -481,9 +471,8 @@ def shadows_in_units(shadows: list, scale: Fraction) -> tuple:
 
 def point_shadow(lvl: CloudLevel, p: CloudPoint) -> tuple[Fraction, ...]:
     """A shadowed point's exact coordinates: each numerator over the level's
-    q, times the level's scale, r_exact or the binary64 r as a Fraction."""
-    scale = Fraction(lvl.r) if lvl.r_exact is None else lvl.r_exact
-    return tuple(scale * Fraction(a, lvl.q) for a in p.exact)
+    q, times the level's r_exact."""
+    return tuple(lvl.r_exact * Fraction(a, lvl.q) for a in p.exact)
 
 
 def shadows_by_fractions(shadows: list) -> tuple:
@@ -502,12 +491,9 @@ def shadows_by_fractions(shadows: list) -> tuple:
 def cloud_by_coordinates(plan) -> LeveledPointCloud:
     """``generate_cloud`` computed coordinate by coordinate: every level
     multiplies each coordinate of each point, as a Fraction, in one column
-    per non-root vertex (the root's alone for a one-vertex graph), and
-    refuses the level when ``float`` of a coordinate, of r or of the largest
-    sup-norm distance between two of its points overflows. Each point is
-    handed to the constructor with its rounded coordinates, which it checks
-    against the shadow, and with the shadow over r as ``shadows_in_units``
-    puts it."""
+    per non-root vertex (the root's alone for a one-vertex graph). Each
+    point is handed to the constructor with its shadow over r as
+    ``shadows_in_units`` puts it."""
     order = plan.graph.vertices
     columns = [v for v in order if v != plan.graph.root] or [plan.graph.root]
     differences = []
@@ -517,16 +503,9 @@ def cloud_by_coordinates(plan) -> LeveledPointCloud:
     for n in range(1, plan.depth + 1):
         r_exact = Fraction(plan.rule.value(n))
         rows = [[r_exact * x for x in row] for row in differences[(n - 1) % len(differences)]]
-        try:
-            r_float = float(r_exact)
-            coords = [tuple(map(float, row)) for row in rows]
-            widest = max((abs(a - b) for p, o in combinations(rows, 2) for a, b in zip(p, o)), default=0)
-            float(widest)
-        except OverflowError as exc:
-            raise GraphError(f"level {n} overflows binary64; reduce depth") from exc
         q, shadows = shadows_in_units(rows, r_exact)
-        points = [CloudPoint(label=v, coords=c, exact=e) for v, c, e in zip(order, coords, shadows)]
-        levels.append(CloudLevel(n=n, r=r_float, r_exact=r_exact, points=points, q=q))
+        points = [CloudPoint(label=v, coords=None, exact=e) for v, e in zip(order, shadows)]
+        levels.append(CloudLevel(n=n, r=None, r_exact=r_exact, points=points, q=q))
     return LeveledPointCloud(dimension=len(columns), levels=levels, period=len(plan.family))
 
 
@@ -538,53 +517,38 @@ def point_floats(lvl: CloudLevel, p: CloudPoint) -> tuple[float, ...]:
 
 def file_shadow(level: dict, point: dict) -> list[Fraction]:
     """A point's exact coordinates as a cloud file's level object spells
-    them: each ``exact`` value itself or, where the level has ``over``,
-    r_exact times the value over ``over``."""
-    if "over" not in level:
-        return [parse_rational(x) for x in point["exact"]]
+    them: r_exact times each ``exact`` value over ``over``."""
     r = parse_rational(level["r_exact"])
     return [r * Fraction(int(x), level["over"]) for x in point["exact"]]
 
 
 def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dict:
     """The cloud file as a dict, which ``json.dumps(..., indent=2)`` lays
-    out as ``to_json`` writes it: a point's shadow as ``exact`` values, and a
-    level's ``r_exact``, where given, unless ``include_exact`` is false;
-    ``coords`` and ``r`` otherwise. A level with ``r_exact`` and a shadow
-    writes each value x, a coordinate of ``point_shadow`` over r_exact, as
-    the integer x * over, with ``over`` the least common denominator of its
-    values x; a level without ``r_exact`` writes each coordinate in lowest
-    terms, as Fraction prints it."""
-    data = legacy_cloud_json_dict(cloud, include_exact)
-    for entry, lvl in zip(data["levels"], cloud.levels):
-        shadowed = [(item, p) for item, p in zip(entry["points"], lvl.points) if "exact" in item]
-        if "r_exact" in entry and shadowed:
-            units = [[x / lvl.r_exact for x in point_shadow(lvl, p)] for _, p in shadowed]
-            over = math.lcm(*(x.denominator for x in chain.from_iterable(units)))
-            for (item, _), values in zip(shadowed, units):
-                item["exact"] = [str(x * over) for x in values]
-            entry["over"] = over
-    return data
-
-
-def legacy_cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dict:
-    """The cloud file as a dict in the layout written before shadows were
-    written in units of their level's scale, which the reader still reads:
-    ``cloud_json_dict`` but for a point's shadow as its absolute ``exact``
-    values, the coordinates of ``point_shadow`` in lowest terms, as Fraction
-    prints them, and no ``over``."""
+    out as ``to_json`` writes it. Unless ``include_exact`` is false, a level
+    with ``r_exact`` writes it, and each point's shadow as ``exact`` values:
+    each value x, a coordinate of ``point_shadow`` over r_exact, as the
+    integer x * over, with ``over`` the least common denominator of the
+    level's values x. Otherwise a level writes ``r``, r_exact rounded where
+    it has one, and each point's ``coords``, its shadow rounded."""
     levels = []
     for lvl in cloud.levels:
-        points = []
+        points, units = [], []
         for p in lvl.points:
             if include_exact and p.exact is not None:
-                points.append({"label": p.label, "exact": list(map(str, point_shadow(lvl, p)))})
+                units.append([x / lvl.r_exact for x in point_shadow(lvl, p)])
+                points.append({"label": p.label, "exact": units[-1]})
             else:
                 points.append({"label": p.label, "coords": list(point_floats(lvl, p))})
-        if include_exact and lvl.r_exact is not None:
-            levels.append({"n": lvl.n, "points": points, "r_exact": str(lvl.r_exact)})
-        else:
-            levels.append({"n": lvl.n, "r": repr(lvl.r), "points": points})
+        if not (include_exact and lvl.r_exact is not None):
+            levels.append({"n": lvl.n, "r": repr(float(lvl.r_exact or lvl.r)), "points": points})
+            continue
+        levels.append({"n": lvl.n, "points": points, "r_exact": str(lvl.r_exact)})
+        if units:
+            over = math.lcm(*(x.denominator for x in chain.from_iterable(units)))
+            for item in points:
+                if "exact" in item:
+                    item["exact"] = [str(x * over) for x in item["exact"]]
+            levels[-1]["over"] = over
     return {
         "norm": "sup",
         "dimension": cloud.dimension,
@@ -799,7 +763,7 @@ def cross_level_separation(cloud: LeveledPointCloud) -> dict[int, float]:
             if not ys:
                 continue
             gap = j - i
-            val = min(sup_distance(x, y) / lvl.r for x in xs for y in ys)
+            val = min(sup_distance(x, y) / float(lvl.r_exact) for x in xs for y in ys)
             out[gap] = min(out.get(gap, math.inf), val)
     return out
 

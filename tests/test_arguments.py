@@ -45,10 +45,13 @@ def _loaded(path, value):
 
 
 def _one_point(period=None, n=1, shadow=None, r_exact=None, q=1):
-    """A one-point cloud built in code with these values, at 1.0 and scale
-    1.0: a shadow over q and r_exact must round to 1.0."""
-    point = CloudPoint("a", (1.0,), shadow)
-    return mc.LeveledPointCloud(1, [CloudLevel(n, 1.0, r_exact, [point], q)], period)
+    """A one-point cloud built in code with these values: the point at 1.0
+    at scale r = 1.0, or, where a shadow or r_exact is given, the shadow,
+    (1,) if none, over q at scale r_exact, 1 if none."""
+    if shadow is None and r_exact is None:
+        return mc.LeveledPointCloud(1, [CloudLevel(n, 1.0, None, [CloudPoint("a", (1.0,))])], period)
+    point = CloudPoint("a", None, shadow or (1,))
+    return mc.LeveledPointCloud(1, [CloudLevel(n, None, r_exact or Fraction(1), [point], q)], period)
 
 
 def _recorded(**tolerances):
@@ -218,9 +221,9 @@ def test_library_fuzz_argument_types(call, data):
         lambda: mc.DistanceMatrix(["a", "b"], [[0, HUGE_INT], [HUGE_INT, 0]]).to_json(),
         lambda: mc.FpcCertificate(False, witness_cycle=mc.Cycle(("a", "b", "c"), (HUGE_INT, HUGE_INT, 1))).to_json(),
         lambda: _one_point(shadow=(1,), q=HUGE_INT).to_json(),
-        # a shadow or an exact scale beyond binary64, where its float is derived
-        lambda: _one_point(shadow=(HUGE_INT,)),
-        lambda: _one_point(r_exact=Fraction(HUGE_INT)),
+        # a shadow or an exact scale beyond binary64, where a binary64 reader rounds it
+        lambda: _one_point(shadow=(HUGE_INT,)).to_json(include_exact=False),
+        lambda: _one_point(r_exact=Fraction(HUGE_INT)).to_json(include_exact=False),
     ],
 )
 def test_arguments_refused_as_graph_error(call):
@@ -255,8 +258,8 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
         mc.moon_moser_f(-10**5000)
     # a cloud built in code may hold such a level n: its second fault names the level by its bits
     faults = {
-        "non-numeric coordinate": lambda level: level["points"][1].__setitem__("coords", [None] * 4),
-        "scale r that is not a binary64 number": lambda level: level.__setitem__("r", "x"),
+        "non-numeric coordinate": lambda level: level["points"][1].update(coords=[None] * 4, exact=None),
+        "retired layout: r beside r_exact": lambda level: level.__setitem__("r", "x"),
         "duplicate label 'u'": lambda level: level["points"].append(dict(level["points"][1])),
         "exact scale r_exact = -1": lambda level: level.__setitem__("r_exact", "-1"),
         "point label 7": lambda level: level["points"][1].__setitem__("label", 7),
@@ -274,7 +277,8 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
     for write, spelled in (
         (_one_point(n=HUGE_INT).to_json, "a positive int of 16610 bits"),
         (_one_point(period=HUGE_INT, n=HUGE_INT).to_json, "a positive int of 16610 bits"),
-        (_one_point(shadow=(HUGE_INT + 1,), q=HUGE_INT).to_json, "a positive Fraction of 16610 bits over 16610 bits"),
+        # a shadow is written as its numerators over q
+        (_one_point(shadow=(HUGE_INT + 1,), q=HUGE_INT).to_json, "a positive int of 16610 bits"),
         (_one_point(r_exact=huge).to_json, "a positive Fraction of 16610 bits over 16610 bits"),
         (mc.WeightedRootedGraph(["r", "u"], {("r", "u"): HUGE_INT}, "r").to_json, "a positive int of 16610 bits"),
         (mc.DistanceMatrix(["a", "b"], [[0, huge], [huge, 0]]).to_json, "a positive Fraction of 16610 bits over 16610 bits"),

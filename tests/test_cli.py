@@ -19,7 +19,7 @@ from metric_cluster.fpc import graph_from_metric_space, synthesize_weights
 from metric_cluster.metrization import Metrizability, extend_metric, forced_completion, shortest_path_metric
 from metric_cluster.realization import LeveledPointCloud, realize, single_point_space
 
-from oracles import file_shadow, halfway_past_binary64, legacy_cloud_json_dict, random_dominating_shape
+from oracles import file_shadow, halfway_past_binary64, random_dominating_shape
 
 
 def write_graph(path: Path, vertices, edges, root) -> Path:
@@ -368,24 +368,57 @@ def test_realize_shorter_than_the_family_period_warns(cert_graph, tmp_path, caps
     )
 
 
-def test_realize_past_binary64_exit_2(tmp_path, capsys):
+def test_realize_past_binary64_recovers_and_each_binary64_reader_exit_2(tmp_path, capsys):
+    # the coordinate of v at level 170 rounds to infinity, and r_171 = 171!
+    # is beyond binary64: the cloud is exact, and only a reader that asks
+    # for floats refuses, naming the first value it cannot round
     path = tmp_path / "halfway.json"
     path.write_text(halfway_past_binary64().to_json(), encoding="utf-8")
-    assert main(["realize", str(path), "--depth", "170"]) == 2
-    assert "level 170 overflows binary64" in capsys.readouterr().err
+    cloud, h = tmp_path / "c.json", tmp_path / "h.json"
+    assert main(["realize", str(path), "--depth", "171", "--out", str(cloud)]) == 0
+    assert main(["recover", str(cloud), "--out", str(h)]) == 0
+    assert main(["isomorphic", str(path), str(h), "--weight-tol-rel", "0"]) == 0
+    capsys.readouterr()
+    point = "point 'v' at level 170 has a coordinate beyond binary64: integer division result too large for a float"
+    scale = "level 171 has a scale r_exact beyond binary64: integer division result too large for a float"
+    for argv, message in (
+        (["realize", str(path), "--depth", "171", "--no-exact"], point),
+        (["diag", "fn", str(cloud), "--level", "170", "--labels", "r,v"], point),
+        (["diag", "psi", str(cloud), "--radii", "1"], point),
+        (["diag", "psi", str(cloud)], scale),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_realize_a_level_whose_points_lie_past_binary64_exit_2(tmp_path, capsys):
+def test_realize_a_level_whose_distances_lie_past_binary64(tmp_path, capsys):
     # every coordinate of level 170, at most 14 * 170!, fits binary64, but
-    # the distance 27 * 170! between u and v does not: a binary64 reader such
-    # as diag psi would meet an infinite distance, so realization refuses the level
+    # the distance 27 * 170! between u and v does not: the float writer writes
+    # the level, and diag psi, which meets the infinite distance, refuses it
     star = write_graph(tmp_path / "star.json", ["r", "u", "v"], {("r", "u"): 13, ("r", "v"): 14}, "r")
-    assert main(["realize", str(star), "--depth", "170"]) == 2
-    assert "level 170 overflows binary64" in capsys.readouterr().err
-    out = tmp_path / "c.json"
+    out, h = tmp_path / "c.json", tmp_path / "h.json"
     for shadows in ([], ["--no-exact"]):  # decided on shadows and on binary64 coordinates
-        assert main(["realize", str(star), "--depth", "169", "--out", str(out), *shadows]) == 0
-        assert main(["recover", str(out)]) == 0
+        assert main(["realize", str(star), "--depth", "170", "--out", str(out), *shadows]) == 0
+        assert main(["recover", str(out), "--out", str(h)]) == 0
+        assert main(["isomorphic", str(star), str(h)]) == 0
+    capsys.readouterr()
+    assert main(["diag", "psi", str(out), "--k", "2", "--radii", "1e308"]) == 2
+    assert capsys.readouterr().err == "error: the annulus diameter ratio at radius 1e+308 is not finite in binary64\n"
+
+
+@pytest.mark.parametrize(
+    "options, level", [([], 1559), (["--rule", "power_square", "--base", "1000000"], 27)], ids=["factorial", "power_square"]
+)
+def test_realize_far_past_the_digit_limit_exit_2_at_the_first_scale_beyond_it(
+    cert_graph, capsys, int_max_str_digits, options, level
+):
+    """Realization builds no level past the first whose r_n to_json cannot
+    write under the default limit of 4300 digits: 1559! has 4303 digits and
+    (10**6)**(27 * 27) has 4375, so a depth of a million exits 2 at once."""
+    int_max_str_digits(4300)
+    assert main(["realize", str(cert_graph), "--depth", "1000000", *options]) == 2
+    refusal = f"level {level} has a scale r_exact of more than 4300 digits, which to_json cannot write"
+    assert capsys.readouterr().err == f"error: {refusal}\n"
 
 
 def test_recover_diag_out(cert_graph, tmp_path, capsys):
@@ -475,11 +508,12 @@ def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_p
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
     # shadows and floats both decide exactly; --exact only refuses a cloud without shadows
     floats = "on binary64 coordinates, exactly"
+    # the one-point space has r_exact, its binary64 scale read exactly, and shadows
     for argv, arithmetic in ((["recover", c, "--exact"], "on exact shadows"), (["recover", s], "on exact shadows"),
-                             (["recover", ne], floats), (["recover", one], floats)):
+                             (["recover", ne], floats), (["recover", one, "--exact"], "on exact shadows")):
         assert main(argv) == 0, argv
         assert f"decided {arithmetic}" in capsys.readouterr().out
-    for path in (ne, nes, one):
+    for path in (ne, nes):
         assert main(["recover", path, "--exact"]) == 2
         assert "use_exact needs every point's exact shadow and every level's r_exact" in capsys.readouterr().err
     assert main(["recover", p5]) == 0
@@ -617,7 +651,7 @@ def test_demo_corpus_self_consistent(tmp_path, capsys):
     assert (out_dir / "single_point.json").read_text() == single_point_space(12).to_json() + "\n"
     assert main(["recover", str(out_dir / "single_point.json"), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["graph"]["vertices"] == ["p"] and payload["diagnostics"]["decided"] == "on binary64 coordinates, exactly"
+    assert payload["graph"]["vertices"] == ["p"] and payload["diagnostics"]["decided"] == "on exact shadows"
     tight_expected = json.loads((out_dir / "tight4.expected.json").read_text())
     assert tight_expected["line_embedding"] == {"v1": "0", "v2": "1", "v3": "2", "v4": "3"}
 
@@ -671,12 +705,6 @@ def realized_cloud(cert_graph, tmp_path, *options) -> dict:
     return json.loads(cloud.read_text(encoding="utf-8"))
 
 
-def with_absolute_shadows(data: dict) -> dict:
-    """The cloud document as the writer wrote it before it wrote shadows in
-    units of their level's scale: each ``exact`` value the coordinate itself."""
-    return legacy_cloud_json_dict(LeveledPointCloud.from_json_dict(data))
-
-
 def test_short_coordinates_exit_2(cert_graph, tmp_path, capsys):
     # a point's coords are written where it has no shadow written
     floats = realized_cloud(cert_graph, tmp_path, "--no-exact")
@@ -707,7 +735,6 @@ def test_cloud_level_missing_field_exit_2(cert_graph, tmp_path, capsys):
         (floats, ["levels", 3, "points", 1, "coords"], "point 'u' at level 4 has neither coords nor an exact shadow"),
         (data, ["levels", 3, "points", 1, "exact"], "point 'u' at level 4 has neither coords nor an exact shadow"),
         (floats, ["levels", 3, "r"], "level 4 has neither r nor r_exact"),
-        (with_absolute_shadows(data), ["levels", 3, "r_exact"], "level 4 has neither r nor r_exact"),
         # shadows in units of the level's scale need it
         (data, ["levels", 3, "r_exact"], f"level 4 has exact values over {data['levels'][3]['over']} but no r_exact"),
     ):
@@ -831,8 +858,9 @@ def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
         (["fpc", "from-metric", matrix["ragged"], "a"], "distance matrix must be square"),
         (["recover", str(tmp_path / "levels.json")], "cloud JSON levels must be a list"),
         (["realize", str(cert_graph), "--depth", "0"], "depth must be at least 1"),
-        # at level 171 the scale r = 171! itself leaves binary64
-        (["realize", str(cert_graph), "--depth", "171"], "level 171 overflows binary64; reduce depth"),
+        # at level 171 the scale r = 171! itself leaves binary64, where the float writer rounds it
+        (["realize", str(cert_graph), "--depth", "171", "--no-exact"],
+         "level 171 has a scale r_exact beyond binary64: integer division result too large for a float"),
         # x_22 = 5**484 does not fit binary64
         (["single-point", "--depth", "21", "--base", "5"], "depth 21 overflows binary64 for base 5"),
         (["recover", cloud, "--window", "0"], "window must be positive"),
@@ -932,7 +960,7 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
     dimension = json.loads(cloud.read_text(encoding="utf-8"))["dimension"]
     for edit, message in (
         (_set_coordinate(True), "non-numeric coordinate"),
-        (_set_level("r", True), "not a binary64 number"),
+        (_set_r(True), "not a binary64 number"),
         (_set_at(["basepoint"], [False] * dimension), "basepoint must be the origin"),
     ):
         data = json.loads(cloud.read_text(encoding="utf-8"))
@@ -959,11 +987,23 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
 
 
 def _set_coordinate(value):
-    """The point given coords next to its shadow, the first one ``value``: a
-    coordinate is checked before it is compared with its shadow."""
+    """The point given coords in place of its shadow, the first one ``value``."""
     def edit(data):
         point = data["levels"][3]["points"][1]
-        point["coords"] = [value] + [0.0] * (len(point["exact"]) - 1)
+        point["coords"] = [value] + [0.0] * (len(point.pop("exact")) - 1)
+    return edit
+
+
+def _set_r(value):
+    """Level 4 written without shadows, as the float writer writes it, with
+    its scale r then ``value``."""
+    def edit(data):
+        level = data["levels"][3]
+        for point in level["points"]:
+            point["coords"] = [float(x) for x in file_shadow(level, point)]
+            del point["exact"]
+        del level["r_exact"], level["over"]
+        level["r"] = value
     return edit
 
 
@@ -995,13 +1035,13 @@ def _set_at(path, value):
         (_set_coordinate("1.5"), "non-numeric coordinate"),
         (_set_coordinate(float("nan")), "NaN or infinite coordinate"),
         (_set_coordinate(float("inf")), "NaN or infinite coordinate"),
-        (_set_level("r", "0"), "finite and positive"),
-        (_set_level("r", "-24"), "finite and positive"),
-        (_set_level("r", "inf"), "finite and positive"),
+        (_set_r("0"), "finite and positive"),
+        (_set_r("-24"), "finite and positive"),
+        (_set_r("inf"), "finite and positive"),
         (_set_level("r_exact", "0"), "r_exact = 0"),
         (_set_level("r_exact", "-24"), "r_exact = -24"),
         (_set_coordinate(10**400), "coordinate beyond binary64"),
-        (_set_level("r", 10**400), "scale r that is not a binary64 number"),
+        (_set_r(10**400), "scale r that is not a binary64 number"),
         (_set_level("n", "x"), "level n must be a positive integer"),
         (_set_level("n", None), "level n must be a positive integer"),
         (_set_at(["dimension"], "x"), "dimension must be a positive integer"),
@@ -1066,40 +1106,39 @@ TINY = Fraction(1, 2**1074)  # 5e-324, the least subnormal binary64 number
 def test_tiny_scale_exit_2(cert_graph, tmp_path, capsys):
     # a subnormal scale, finite and positive, so the loader accepts it, but
     # every normalized distance of the level overflows binary64, where recovery
-    # reports it: the scale is r_exact in a cloud with absolute shadows and r
-    # in one without, and either decides exactly; shadows written in units of
-    # r_exact shrink with it
-    for options, field, value in (((), "r_exact", str(TINY)), (("--no-exact",), "r", "5e-324")):
+    # reports it: the scale is r_exact, under the same coordinates, in a
+    # cloud with shadows, whose values grow as the scale shrinks, and r in
+    # one without, and either decides exactly
+    for options, field, value in (((), "r_exact", TINY), (("--no-exact",), "r", "5e-324")):
         data = realized_cloud(cert_graph, tmp_path, *options)
-        data = with_absolute_shadows(data) if field == "r_exact" else data
-        data["levels"][-1][field] = value
+        level = data["levels"][-1]
+        if field == "r_exact":
+            factor = Fraction(level["r_exact"]) / value
+            for point in level["points"]:
+                point["exact"] = [str(int(x) * factor) for x in point["exact"]]
+        level[field] = str(value)
         path = tmp_path / "tiny_scale.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        assert main(["recover", str(path)]) == 2
-        assert "does not fit binary64: a level's coordinates are too large for its scale" in capsys.readouterr().err
+        for exact in ([], ["--exact"][:field == "r_exact"]):
+            assert main(["recover", str(path), *exact]) == 2
+            assert "does not fit binary64: a level's coordinates are too large for its scale" in capsys.readouterr().err
 
 
 def test_exact_values_beyond_binary64_exit_2(cert_graph, tmp_path, capsys):
-    # exact recovery reports its normalized distances in binary64: against a
-    # subnormal exact scale, absolute shadows are too large for it
-    data = with_absolute_shadows(realized_cloud(cert_graph, tmp_path))
-    data["levels"][-1]["r_exact"] = str(TINY)
-    path = tmp_path / "tiny_exact_scale.json"
+    # shadows 10**400 times too large for binary64 load, as any shadow does;
+    # the normalized distances that recovery reports in binary64 do not fit
+    data = realized_cloud(cert_graph, tmp_path)
+    for level in data["levels"]:
+        for point in level["points"]:
+            point["exact"] = [str(int(x) * 10**400) for x in point["exact"]]
+    path = tmp_path / "huge_exact.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["recover", str(path), "--exact"]) == 2
-    assert "does not fit binary64" in capsys.readouterr().err
-    # shadows 10**400 times too large for binary64 give no coordinates, in
-    # units of the scale and absolute
-    written = realized_cloud(cert_graph, tmp_path)
-    for data in (written, with_absolute_shadows(written)):
-        for level in data["levels"]:
-            for point in level["points"]:
-                point["exact"] = [str(Fraction(x) * 10**400) for x in point["exact"]]
-        path = tmp_path / "huge_exact.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        for exact in ([], ["--exact"]):
-            assert main(["recover", str(path), *exact]) == 2
-            assert "point 'u' at level 1 has a coordinate beyond binary64" in capsys.readouterr().err
+    for exact in ([], ["--exact"]):
+        assert main(["recover", str(path), *exact]) == 2
+        assert "does not fit binary64" in capsys.readouterr().err
+    # a binary64 reader of the level refuses its first point beyond binary64
+    assert main(["diag", "fn", str(path), "--level", "1", "--labels", "u,v"]) == 2
+    assert "point 'u' at level 1 has a coordinate beyond binary64" in capsys.readouterr().err
 
 
 def _drop_level(field):
@@ -1119,11 +1158,9 @@ def _drop_level(field):
         (_set_level("over", None), "level 4 has exact values over None; over must be a positive integer"),
         (_set_exact("1/2"), "level 4 has exact value '1/2' over {over}; it must be an integer"),
         (_drop_level("r_exact"), "level 4 has exact values over {over} but no r_exact"),
-        # r_exact * value / over rounds beyond binary64, though value / over does not
-        (_set_exact(str(10**308)), "point 'u' at level 4 has a coordinate beyond binary64"),
     ],
     ids=["over-zero", "over-negative", "over-true", "over-a-string", "over-a-float", "over-null",
-         "value-no-integer", "no-r_exact", "coordinate-beyond-binary64"],
+         "value-no-integer", "no-r_exact"],
 )
 def test_malformed_shadows_in_units_of_the_scale_exit_2(cert_graph, tmp_path, capsys, edit, message):
     data = realized_cloud(cert_graph, tmp_path)
@@ -1136,27 +1173,11 @@ def test_malformed_shadows_in_units_of_the_scale_exit_2(cert_graph, tmp_path, ca
         assert f"error: {message}" in capsys.readouterr().err
 
 
-def test_a_cloud_with_absolute_shadows_recovers(cert_graph, tmp_path, capsys):
-    # the layout written before shadows were written in units of their
-    # level's scale loads as the cloud it was written from; subsample writes
-    # it in units
-    data = realized_cloud(cert_graph, tmp_path)
-    absolute = tmp_path / "absolute.json"
-    absolute.write_text(json.dumps(with_absolute_shadows(data), indent=2) + "\n", encoding="utf-8")
-    assert "over" not in absolute.read_text(encoding="utf-8")
-    h, sub = tmp_path / "h.json", tmp_path / "sub.json"
-    assert main(["recover", str(absolute), "--exact", "--out", str(h)]) == 0
-    assert main(["isomorphic", str(cert_graph), str(h), "--weight-tol-rel", "0"]) == 0
-    assert main(["subsample", str(absolute), "--indices", "1,2,3,4,5,6,7,8,9,10,11,12", "--out", str(sub)]) == 0
-    capsys.readouterr()
-    assert json.loads(sub.read_text(encoding="utf-8")) == data
-    assert LeveledPointCloud.from_json(absolute.read_text(encoding="utf-8")) == LeveledPointCloud.from_json_dict(data)
-
-
-def test_coordinates_or_a_scale_apart_from_their_shadows_exit_2(tmp_path, capsys):
-    # both halves written, as a file may hold them: r-u 1, r-v 2 with u's
-    # coordinates 1.5 times its shadow read r-u 3/2 in float recovery and r-u
-    # 1 in exact recovery, and both exited 0
+def test_each_retired_layout_exit_2(tmp_path, capsys):
+    # layouts a writer wrote before: absolute shadows without over, which
+    # the README once let subsample rewrite, and both halves, r-u 1, r-v 2
+    # with u's coordinates 1.5 times its shadow, which read r-u 3/2 in float
+    # recovery and r-u 1 in exact recovery, and both exited 0
     g = write_graph(tmp_path / "g.json", ["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 2}, "r")
     cloud = tmp_path / "c.json"
     assert main(["realize", str(g), "--depth", "8", "--out", str(cloud)]) == 0
@@ -1180,19 +1201,26 @@ def test_coordinates_or_a_scale_apart_from_their_shadows_exit_2(tmp_path, capsys
         level = data["levels"][3]
         level["r"] = repr(math.nextafter(float(Fraction(level["r_exact"])), 0))
 
+    def absolute(data):
+        for level in data["levels"][2:]:
+            for point in level["points"]:
+                point["exact"] = list(map(str, file_shadow(level, point)))
+            del level["over"]
+
     for edit, message in (
-        (scale_u, "point 'u' at level 1 has coords [-1.5, 0.0], but its exact shadow rounds to [-1.0, 0.0]"),
-        (one_ulp, "point 'u' at level 4 has coords [-23.999999999999996, 24.0], but its exact shadow rounds to "
-                  "[-24.0, 24.0]"),
-        (scale_apart, "level 4 has scale r = 23.999999999999996, but r_exact rounds to 24.0"),
+        (scale_u, "level 1 is in a retired layout: coords beside exact at point 'u'"),
+        (one_ulp, "level 4 is in a retired layout: coords beside exact at point 'u'"),
+        (scale_apart, "level 4 is in a retired layout: r beside r_exact"),
+        (absolute, "level 3 is in a retired layout: exact values without over"),
     ):
         data = json.loads(cloud.read_text(encoding="utf-8"))
         edit(data)
-        path = tmp_path / "apart.json"
+        path = tmp_path / "retired.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        for exact in ([], ["--exact"]):
-            assert main(["recover", str(path), *exact]) == 2
-            assert message in capsys.readouterr().err
+        for argv in (["recover", str(path)], ["recover", str(path), "--exact"],
+                     ["subsample", str(path), "--indices", "1,2,3,4", "--out", str(tmp_path / "s.json")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,7 @@ from metric_cluster.realization import (
     _level_at_once,
     _level_floats,
     _level_numerators,
+    _level_r,
     _shadows_at_once,
     _unpacked_level,
     build_plan,
@@ -48,7 +49,6 @@ from oracles import (
     file_shadow,
     halfway_past_binary64,
     least_interval_width,
-    legacy_cloud_json_dict,
     lower_member_by_fractions,
     point_floats,
     point_shadow,
@@ -235,13 +235,50 @@ def test_cloud_generation_is_deterministic():
     assert a == b
 
 
-def test_depth_overflow_guard():
-    with pytest.raises(GraphError):
-        realize(CERT_TRIANGLE, depth=200)
+@pytest.mark.parametrize("n", [6, 13, 40])
+def test_a_depth_300_cloud_round_trips_exactly(n):
+    """Realization and exact recovery have no binary64 bound: r_300 = 300!
+    is far beyond it, yet a depth-300 cloud of a corpus shape, written and
+    read back, recovers g at weight tolerance 0."""
+    g = synthesize_weights(random_dominating_shape(random.Random(n), n))
+    cloud = realize(g, 300)
+    assert cloud.has_exact()
+    loaded = LeveledPointCloud.from_json(cloud.to_json())
+    assert loaded == cloud
+    assert isomorphic(g, recover_cluster(loaded).graph, weight_tol_rel=0) is not None
 
 
 # the default factorial rule and power_square
 RULES = [None, ScalingRule("power_square", 3)]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=["factorial", "power_square"])
+def test_realization_refuses_the_first_scale_the_writer_cannot_spell(int_max_str_digits, rule):
+    """Under an int-to-str digit limit one digit short of the first r_n past
+    640 digits, realization refuses that level, whose r_n str() cannot spell,
+    and the cloud one level shorter is written."""
+    rule = rule or ScalingRule()
+    last = next(n for n in range(1, 1000) if len(str(rule.value(n))) > 640)
+    limit = len(str(rule.value(last))) - 1
+    int_max_str_digits(limit)
+    with pytest.raises(ValueError):
+        str(rule.value(last))
+    refusal = f"level {last} has a scale r_exact of more than {limit} digits, which to_json cannot write"
+    with pytest.raises(GraphError, match=f"^{refusal}$"):
+        realize(CERT_TRIANGLE, last, rule)
+    assert LeveledPointCloud.from_json(realize(CERT_TRIANGLE, last - 1, rule).to_json()).depth == last - 1
+
+
+def first_level_beyond_binary64(cloud) -> int:
+    """The first level, by Fraction arithmetic, whose r_exact or some
+    coordinate rounds beyond binary64 under ``float``, or 0 for none."""
+    for lvl in cloud.levels:
+        try:
+            float(lvl.r_exact)
+            [float(x) for p in lvl.points for x in point_shadow(lvl, p)]
+        except OverflowError:
+            return lvl.n
+    return 0
 
 
 @pytest.mark.parametrize("rule", RULES, ids=["factorial", "power_square"])
@@ -254,35 +291,44 @@ RULES = [None, ScalingRule("power_square", 3)]
         # under power_square for 25769803780/3
         scaled_weights(ONE_GAP, Fraction(61, 15)),
         scaled_weights(ONE_GAP, Fraction(25769803780, 15)),
-        # the largest distance, 27 between u and v, is no coordinate: a guard
-        # on it refuses level 170 of the factorial rule, where every
-        # coordinate, at most 14 * 170!, fits
+        # the largest distance, 27 between u and v, is no coordinate: every
+        # coordinate of level 170, at most 14 * 170!, fits
         graph(["r", "u", "v"], {("r", "u"): 13, ("r", "v"): 14}, "r"),
         # a coordinate below 2**1024 that rounds to infinity at level 170
         halfway_past_binary64(),
     ],
     ids=["triangle", "largest_61/3", "largest_25769803780/3", "largest_off_the_root", "halfway"],
 )
-def test_depth_overflow_guard_at_its_boundary(g, rule):
-    # the deepest cloud the oracle accepts, refusing a level when float() of
-    # one of its coordinates or of r overflows, ends a level before the
-    # first level it refuses
-    with pytest.raises(GraphError, match="overflows binary64") as caught:
-        cloud_by_coordinates(build_plan(g, 400, rule))
-    last = int(re.search(r"level (\d+)", str(caught.value)).group(1)) - 1
-    cloud = realize(g, last, rule)
-    assert cloud == cloud_by_coordinates(build_plan(g, last, rule))
-    assert all(math.isfinite(c) for row in _level_floats(cloud.levels[-1]) for c in row)
-    with pytest.raises(GraphError, match=f"level {last + 1} overflows binary64"):
-        realize(g, last + 1, rule)
+def test_binary64_readers_refuse_at_the_first_value_beyond_binary64(g, rule):
+    """Realization has no binary64 bound; a binary64 reader rounds r_exact
+    and each coordinate when it asks, and refuses with GraphError at the
+    first level, by the Fraction oracle, where one leaves binary64: the
+    float writer at that level, and every level before it reads."""
+    cloud = realize(g, 200 if rule is None else 30, rule)
+    first = first_level_beyond_binary64(cloud)
+    assert first > 1
+    readable = LeveledPointCloud(cloud.dimension, cloud.levels[:first - 1], cloud.period)
+    assert readable.to_json(include_exact=False) == json.dumps(cloud_json_dict(readable, include_exact=False), indent=2)
+    assert all(math.isfinite(c) for lvl in readable.levels for row in _level_floats(lvl) for c in row)
+    with pytest.raises(GraphError, match=f"level {first} ") as caught:
+        cloud.to_json(include_exact=False)
+    assert "beyond binary64" in str(caught.value)
 
 
-def test_a_coordinate_that_rounds_to_infinity_is_refused_at_its_level():
+def test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader():
+    # level 170 holds it exactly; only its float is beyond binary64
     g = halfway_past_binary64()
-    cloud = realize(g, 169)
-    assert all(math.isfinite(c) for lvl in cloud.levels for row in _level_floats(lvl) for c in row)
-    with pytest.raises(GraphError, match="level 170 overflows binary64"):
-        realize(g, 170)
+    cloud = realize(g, 171)
+    assert recover_cluster(LeveledPointCloud.from_json(cloud.to_json())).graph == g
+    text = "point 'v' at level 170 has a coordinate beyond binary64: integer division result too large for a float"
+    for read in (lambda: _level_floats(cloud.levels[169]), lambda: cloud.to_json(include_exact=False)):
+        with pytest.raises(GraphError) as caught:
+            read()
+        assert str(caught.value) == text
+    assert _level_r(cloud.levels[169]) == float(math.factorial(170))
+    with pytest.raises(GraphError) as caught:
+        _level_r(cloud.levels[170])
+    assert str(caught.value) == "level 171 has a scale r_exact beyond binary64: integer division result too large for a float"
 
 
 def _generation_cases():
@@ -364,62 +410,33 @@ def test_cloud_json_round_trip():
     assert not stripped.has_exact()
 
 
-def _both_halves(cloud) -> str:
-    """The cloud's text as the writer laid it out while it wrote both halves
-    of a shadowed point: each point's coords before its exact, and each
-    level's r before its points and r_exact after them, with absolute shadows."""
-    doc, shadows = cloud_json_dict(cloud, include_exact=False), legacy_cloud_json_dict(cloud)
-    for level, shadowed in zip(doc["levels"], shadows["levels"]):
-        for point, exact in zip(level["points"], shadowed["points"]):
-            point.update({"exact": exact["exact"]} if "exact" in exact else {})
-        level.update({"r_exact": shadowed["r_exact"]} if "r_exact" in shadowed else {})
-    return json.dumps(doc, indent=2)
-
-
-# SHA-256 of the cloud bytes: of two files with absolute shadows, which the
-# writer wrote before it wrote shadows in units of their level's scale and
-# which must still load, both halves, the binary64 one rounded by the oracle
-# from Fractions, and the shadows alone; and of the text now written. The
-# binary64 half of every shadowed value is derived; a change of the
+# SHA-256 of the cloud bytes as the writer writes them; a change of the
 # realization family or of its columns (the root has none) changes them by design
 PINNED_CLOUDS = [
-    (12, None, "152c69d94c9b7f964821258481e5ec3229ad579c2f3bb24713b7b94688daada7",
-     "60f6dc067687247d1a96f66045162e9f5e69006bc1ceec2ca23e979cdfae8903",
-     "0bb619878e6a8810201dd1df17fe7c922ee4b0a18916353bdf72f12cb4191a67"),
-    (6, ScalingRule("power_square", 3), "c0b0f6e75d25ed09cea5e08bd28b2c41d24be2e346da539853e9b3fc75947a08",
-     "37064f4cecc4c822d4e692f44b4b5a7c7fb7d0f2fe3471d4ffc045a94d8d6679",
-     "7a707bbe6988d34f493b52c0df3e21b8f5e4f298949fa67c0de6cdbd9c87b68f"),
+    (12, None, "0bb619878e6a8810201dd1df17fe7c922ee4b0a18916353bdf72f12cb4191a67"),
+    (6, ScalingRule("power_square", 3), "7a707bbe6988d34f493b52c0df3e21b8f5e4f298949fa67c0de6cdbd9c87b68f"),
 ]
 
 
 @pytest.mark.parametrize(
-    "depth, rule, both_digest, legacy_digest, digest",
+    "depth, rule, digest",
     PINNED_CLOUDS,
     ids=[f"{depth}-{'rule1' if rule else None}" for depth, rule, *_ in PINNED_CLOUDS],
 )
-def test_cloud_bytes_are_pinned(depth, rule, both_digest, legacy_digest, digest):
+def test_cloud_bytes_are_pinned(depth, rule, digest):
     cloud = realize(ONE_GAP, depth, rule)
-    text, both, legacy = cloud.to_json(), _both_halves(cloud), json.dumps(legacy_cloud_json_dict(cloud), indent=2)
-    assert hashlib.sha256(both.encode()).hexdigest() == both_digest
-    assert hashlib.sha256(legacy.encode()).hexdigest() == legacy_digest
+    text = cloud.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    # the files with absolute shadows, the one with both halves, which
-    # agree, among them, load to the same cloud
-    for old in (both, legacy):
-        assert LeveledPointCloud.from_json(old) == cloud
-        assert LeveledPointCloud.from_json(old).to_json() == text
+    assert LeveledPointCloud.from_json(text) == cloud
 
 
 # SHA-256 of the files that write no shadow in units of a scale, taken while
-# the cloud held absolute shadows: each pinned cloud written without shadows,
-# and the one-point space, whose levels have no r_exact
+# the cloud held absolute shadows: each pinned cloud written without shadows
 PINNED_WITHOUT_UNITS = {
     "12-None-floats": (lambda: realize(ONE_GAP, 12).to_json(include_exact=False),
                        "d6b19cde0b1d758efd7bae4b975da92e1567e34431d05bfde17c032f643cbc63"),
     "6-rule1-floats": (lambda: realize(ONE_GAP, 6, ScalingRule("power_square", 3)).to_json(include_exact=False),
                        "ba8048e951f71fc98a87d743221ca223057bf45dd34042c0047aee4a60e2c78e"),
-    "single_point-12": (lambda: single_point_space(12).to_json(),
-                        "7140f7b9e677769a7c12c0e69013cf1e57082785d2131d3ed8d146df0c0d29f3"),
 }
 
 
@@ -427,6 +444,24 @@ PINNED_WITHOUT_UNITS = {
 def test_files_without_shadows_in_units_are_pinned(case):
     write, digest = PINNED_WITHOUT_UNITS[case]
     assert hashlib.sha256(write().encode()).hexdigest() == digest
+
+
+def test_a_single_point_file_is_pinned_and_read_in_one_pass():
+    """The one-point space has r_exact, its binary64 scale read exactly, at
+    every level, so its file writes shadows over ``over`` as a realized
+    cloud's does, and the one pass reads every level."""
+    cloud = single_point_space(12)
+    text = cloud.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_POINT_DIGEST
+    assert len(text) == 4137
+    data = json.loads(text)
+    assert all("over" in entry and "r" not in entry for entry in data["levels"])
+    assert taken_levels(data) == [True] * cloud.depth
+    assert LeveledPointCloud.from_json(text) == cloud
+    assert [_level_r(lvl) for lvl in cloud.levels] == [math.sqrt(2 ** (n * n)) * math.sqrt(2 ** ((n + 1) ** 2)) for n in range(1, 13)]
+
+
+SINGLE_POINT_DIGEST = "828398f857317e7a79d477b5f687acfa950fe78e9e2e972d29061435ddea7ac3"
 
 
 def _partly_shadowed_file_cloud():
@@ -487,10 +522,7 @@ def test_load_and_write_reproduces_the_cloud(cloud):
         again = LeveledPointCloud.from_json(text)
         assert again.to_json() == text
     assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
-    # the layout with absolute shadows, written before, loads to an equal cloud
-    legacy = json.dumps(legacy_cloud_json_dict(cloud), indent=2)
-    assert LeveledPointCloud.from_json(legacy) == cloud
-    assert ('"over"' in cloud.to_json()) == any(lvl.r_exact is not None for lvl in cloud.levels)
+    assert '"over"' in cloud.to_json()
 
 
 def test_threads_each_loading_and_writing_a_cloud_reproduce_the_serial_results():
@@ -525,22 +557,22 @@ def test_shadows_are_written_in_units_of_their_level_scale(depth, rule):
         for item, p in zip(entry["points"], lvl.points):
             assert file_shadow(entry, item) == list(point_shadow(lvl, p))
     assert max(len(x) for item in data["levels"][-1]["points"] for x in item["exact"]) < 4
-    assert len(cloud.to_json()) < len(json.dumps(legacy_cloud_json_dict(cloud), indent=2))
 
 
 def test_unreduced_shadows_load_over_the_least_denominator():
     cloud = realize(CERT_TRIANGLE, 8)
     level = next(lvl for lvl in cloud.levels if lvl.q > 1)
-    data = legacy_cloud_json_dict(cloud)
-    for item in data["levels"][level.n - 1]["points"]:
-        # a/b becomes 6a/6b, and an integer a becomes 6a/6
-        item["exact"] = [
-            "{}/{}".format(6 * x.numerator, 6 * x.denominator) for x in map(Fraction, item["exact"])
-        ]
+    # on the checked path: over times 6, and each value a as the literal 12a/2
+    data = json.loads(cloud.to_json())
+    entry = data["levels"][level.n - 1]
+    entry["over"] *= 6
+    for item in entry["points"]:
+        item["exact"] = [f"{12 * int(x)}/2" for x in item["exact"]]
+    assert taken_levels(data)[level.n - 1] is False
     again = LeveledPointCloud.from_json(json.dumps(data))
     assert again.levels[level.n - 1] == level
     assert again.to_json() == cloud.to_json()
-    # in units of the scale: every value and over times 6
+    # in the one pass: every value and over times 6
     for n in (level.n, cloud.depth // 2, cloud.depth):
         data = json.loads(cloud.to_json())
         entry = data["levels"][n - 1]
@@ -566,8 +598,6 @@ def test_partly_shadowed_level_loads_writes_back_and_is_not_exact():
     assert "over" in data["levels"][0]
     cloud = LeveledPointCloud.from_json(json.dumps(data))
     assert cloud == built and json.loads(cloud.to_json()) == data
-    # and with absolute shadows, as written before
-    assert LeveledPointCloud.from_json_dict(legacy_cloud_json_dict(built)) == cloud
     assert not cloud.has_exact()
     with pytest.raises(GraphError, match="^use_exact needs every point's exact shadow"):
         recover_cluster(cloud, use_exact=True)
@@ -584,35 +614,29 @@ _PAST_BINARY64 = 2**1024 - 2**970
 
 
 @pytest.mark.parametrize("q", [1, 3])
-def test_the_level_guard_refuses_exactly_a_shadow_beyond_binary64(q):
-    """One division of the level's largest |a| by q is the guard: a shadow
-    value just below the halfway point rounds to the largest binary64 number
-    and loads, and one at it is refused. The one pass takes the level only in
-    units of its scale, and declines it there beyond binary64; the checked
-    path names the first point beyond binary64, in a file and in code alike,
-    with the text of the per-point rounding, in either layout."""
-    for (a, fits), units in product(((_PAST_BINARY64 * q - 1, True), (_PAST_BINARY64 * q, False)), (False, True)):
+def test_a_binary64_reader_refuses_exactly_a_shadow_beyond_binary64(q):
+    """A level holds any shadow: the one pass takes it, in a file and in code
+    alike. A binary64 reader rounds a shadow just below the halfway point to
+    the largest binary64 number, and refuses one at it, naming the first
+    point beyond binary64 with the text of the per-point rounding."""
+    for a, fits in ((_PAST_BINARY64 * q - 1, True), (_PAST_BINARY64 * q, False)):
         shadows = {"r": (0, 0), "u": (1, 2), "v": (1, -a), "w": (-a, 0)}
         points = [CloudPoint(v, None, x) for v, x in shadows.items()]
         # in units of the scale 7, each numerator itself is the value over 7q
-        level = CloudLevel(1, None, Fraction(7), points, 7 * q) if units else CloudLevel(1, 1.0, None, points, q)
-        entry = {"n": 1, "r_exact": "7", "over": 7 * q} if units else {"n": 1, "r": "1.0"}
-        entry["points"] = [
-            {"label": v, "exact": [str(c) if units else str(Fraction(c, q)) for c in x]} for v, x in shadows.items()
-        ]
+        in_code = LeveledPointCloud(2, [CloudLevel(1, None, Fraction(7), points, 7 * q)])
+        entry = {"n": 1, "r_exact": "7", "over": 7 * q}
+        entry["points"] = [{"label": v, "exact": list(map(str, x))} for v, x in shadows.items()]
         document = {"dimension": 2, "levels": [entry]}
+        assert LeveledPointCloud.from_json_dict(document) == in_code
+        assert taken_levels(document) == [True]
+        assert in_code.has_exact()
         if fits:
-            in_code = LeveledPointCloud(2, [level])
-            assert LeveledPointCloud.from_json_dict(document) == in_code
-            assert taken_levels(document) == [units]
             assert _level_floats(in_code.levels[0])[2] == (1 / q, -sys.float_info.max)
             continue
-        with pytest.raises(OverflowError if units else ValueError):
-            _level_at_once(entry, 0, 2)
         text = "point 'v' at level 1 has a coordinate beyond binary64: integer division result too large for a float"
-        for build in (lambda: LeveledPointCloud(2, [level]), lambda: LeveledPointCloud.from_json_dict(document)):
+        for read in (lambda: _level_floats(in_code.levels[0]), lambda: in_code.to_json(include_exact=False)):
             with pytest.raises(GraphError) as caught:
-                build()
+                read()
             assert str(caught.value) == text
 
 
@@ -660,10 +684,16 @@ ONE_PASS_CASES = [
 ]
 
 
+# a level object whose values are over 1, as the reader unpacks its shadows
+_OVER_ONE = {"n": 1, "over": 1, "r_exact": "1"}
+
+
 def check_level(shadows):
-    """The per-value level parse gives what the per-value oracle gives: the
-    same q and numerators, or the same GraphError message. The one pass over
-    the level's values takes integers only, none that the oracle refuses, and
+    """The per-value level parse gives what the per-value oracle gives where
+    every value is an integer: the same numerators, over ``over``, here 1.
+    It refuses a value the oracle refuses with the oracle's text, and else the
+    first value, in point order, that is no integer. The one pass over the
+    level's values takes integers only, none that the oracle refuses, and
     reads those it takes as the oracle does."""
     values = list(chain.from_iterable(row for row in shadows if row))
     try:
@@ -676,10 +706,17 @@ def check_level(shadows):
     except GraphError as exc:
         assert at_once is None
         with pytest.raises(GraphError) as caught:
-            _level_numerators(shadows)
+            _level_numerators(_OVER_ONE, shadows)
         assert str(caught.value) == str(exc)
         return
-    assert _level_numerators(shadows) == expected
+    if expected[0] not in (None, 1):
+        assert at_once is None
+        first = next(x for row in shadows if row for x in row if parse_rational(x).denominator != 1)
+        with pytest.raises(GraphError) as caught:
+            _level_numerators(_OVER_ONE, shadows)
+        assert str(caught.value) == f"level 1 has exact value {first!r} over 1; it must be an integer"
+        return
+    assert _level_numerators(_OVER_ONE, shadows) == expected
     if at_once is not None:
         assert at_once == (expected[0], [(a,) for a in chain.from_iterable(filter(None, expected[1]))])
 
@@ -696,9 +733,9 @@ def test_two_faults_in_a_level_are_named_in_point_order():
     shadows = [["1/2", "3"], ["1/4", "3/"], ["1/-2", "4"]]
     check_level(shadows)
     with pytest.raises(GraphError, match="'3/'"):
-        _level_numerators(shadows)
+        _level_numerators(_OVER_ONE, shadows)
     with pytest.raises(GraphError, match="'1/-2'"):
-        _level_numerators([["1/-2", "3/"]])
+        _level_numerators(_OVER_ONE, [["1/-2", "3/"]])
 
 
 def test_a_level_parses_each_distinct_literal_once(monkeypatch):
@@ -706,16 +743,16 @@ def test_a_level_parses_each_distinct_literal_once(monkeypatch):
     occurrence; values of other types, where 1 == 1.0 == True, each alone."""
     parsed = []
     monkeypatch.setattr(realization, "parse_rational", lambda x: parsed.append(x) or parse_rational(x))
-    shadows = [["1/2", "3"], None, ["3", "1/2"], ["-1/4", "3"]]
-    assert _level_numerators(shadows) == shadows_by_fractions(shadows)
-    assert parsed == ["1/2", "3", "-1/4"]
+    shadows = [["2", "3"], None, ["3", "2"], ["-4", "3"]]
+    assert _level_numerators(_OVER_ONE, shadows) == shadows_by_fractions(shadows)
+    assert parsed == ["2", "3", "-4"]
     parsed.clear()
     with pytest.raises(GraphError, match="'3/'"):
-        _level_numerators([["1/2", "3/"], ["1/2", "x"]])
+        _level_numerators(_OVER_ONE, [["1/2", "3/"], ["1/2", "x"]])
     assert parsed == ["1/2", "3/"]
     parsed.clear()
     with pytest.raises(GraphError, match="True"):
-        _level_numerators([[1, True]])
+        _level_numerators(_OVER_ONE, [[1, True]])
     assert parsed == [1, True]
 
 
@@ -736,7 +773,7 @@ def test_one_pass_level_parse_matches_the_oracle_on_random_levels(shadows):
 def test_a_malformed_shadow_is_named_before_a_later_point_fault():
     data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
     points = data["levels"][1]["points"]
-    points[2]["coords"] = ["x", 0.0, 0.0]
+    points[2] = {"label": "v", "coords": ["x", 0.0, 0.0]}
     points[1]["exact"][0] = "1/-2"
     points[0]["exact"][1] = "3/"
 
@@ -786,58 +823,138 @@ def test_a_level_checked_at_once_reads_as_point_by_point():
     text = realize(ONE_GAP, 6).to_json()
     dimension = json.loads(text)["dimension"]
     edits = [
-        (4, lambda points: points[0].update(label=None), True),
-        (4, lambda points: [point.update(label=None) for point in points], True),
-        (4, lambda points: points[1].update(label=points[0]["label"]), False),  # refused
-        (5, lambda points: points[0].update(coords=[0.0] * dimension), False),  # the root's shadow rounded
-        (2, lambda points: points[1].update(coords=[0.5] * dimension, exact=[]), False),
-        (3, lambda points: points.__setitem__(2, {"label": "v", "coords": [1.5] * dimension}), False),
+        (4, lambda points: points[0].update(label=None), True, None),
+        (4, lambda points: [point.update(label=None) for point in points], True, None),
+        (4, lambda points: points[1].update(label=points[0]["label"]), False, "duplicate label 'r' at level 5"),
+        # the root's shadow rounded, beside it
+        (5, lambda points: points[0].update(coords=[0.0] * dimension), False,
+         "level 6 is in a retired layout: coords beside exact at point 'r'"),
+        (2, lambda points: points[1].update(coords=[0.5] * dimension, exact=[]), False, None),
+        (3, lambda points: points.__setitem__(2, {"label": "v", "coords": [1.5] * dimension}), False, None),
         # the writer writes no int coordinate
-        (0, lambda points: points[0].update(coords=[0] * dimension), False),
+        (0, lambda points: points.__setitem__(0, {"label": "r", "coords": [0] * dimension}), False, None),
     ]
-    for level, edit, taken in edits:
+    for level, edit, taken, refused in edits:
         data = json.loads(text)
         edit(data["levels"][level]["points"])
         assert taken_levels(data) == [taken or i != level for i in range(len(data["levels"]))]
         try:
             expected = checked_path(data)
         except GraphError as exc:
-            assert refusal(data) == str(exc) == "duplicate label 'r' at level 5"
+            assert refusal(data) == str(exc) == refused
             continue
+        assert refused is None
         assert LeveledPointCloud.from_json_dict(data) == expected
-    # coords next to a shadow, once they equal its rounding, are not held
-    assert LeveledPointCloud.from_json_dict(data).levels[0].points[0].coords is None
 
 
-def with_coords(cloud) -> str:
-    """The cloud's file as the writer wrote it before a shadow stood alone:
-    each shadowed point with its coords as well, and each level with r."""
-    data = cloud_json_dict(cloud)
-    for entry, lvl in zip(data["levels"], cloud.levels):
-        entry["r"] = repr(lvl.r)
-        for item, p in zip(entry["points"], lvl.points):
-            item["coords"] = list(point_floats(lvl, p))
-    return json.dumps(data, indent=2)
+def retired_files(cloud) -> dict[str, str]:
+    """The cloud's file in each layout that a writer wrote before and no
+    writer writes now, by name: each ``exact`` value the coordinate itself,
+    without ``over``, beside r_exact or r; each shadowed point with its
+    coords as well; each level with r beside r_exact; and the last two with
+    absolute shadows, as the writer wrote both halves."""
+
+    def absolute(data):
+        for entry in data["levels"]:
+            for item in entry["points"]:
+                if "exact" in item:
+                    item["exact"] = list(map(str, file_shadow(entry, item)))
+            entry.pop("over", None)
+        return data
+
+    def with_r(data, drop_r_exact=False):
+        for entry, lvl in zip(data["levels"], cloud.levels):
+            entry["r"] = repr(float(lvl.r_exact))
+            if drop_r_exact:
+                del entry["r_exact"]
+        return data
+
+    def with_coords(data):
+        for entry, lvl in zip(data["levels"], cloud.levels):
+            for item, p in zip(entry["points"], lvl.points):
+                item["coords"] = list(point_floats(lvl, p))
+        return data
+
+    layouts = {
+        "absolute": absolute(cloud_json_dict(cloud)),
+        "absolute_beside_r": with_r(absolute(cloud_json_dict(cloud)), drop_r_exact=True),
+        "coords_beside_exact": with_coords(cloud_json_dict(cloud)),
+        "r_beside_r_exact": with_r(cloud_json_dict(cloud)),
+        "both_halves": with_r(with_coords(absolute(cloud_json_dict(cloud)))),
+    }
+    return {name: json.dumps(data, indent=2) for name, data in layouts.items()}
+
+
+# the refusal of each retired layout of a realized file, at level 1, whose
+# first point is the root 'r'
+RETIRED_REFUSALS = {
+    "absolute": "level 1 is in a retired layout: exact values without over",
+    "absolute_beside_r": "level 1 is in a retired layout: exact values without over",
+    "coords_beside_exact": "level 1 is in a retired layout: coords beside exact at point 'r'",
+    "r_beside_r_exact": "level 1 is in a retired layout: r beside r_exact",
+    "both_halves": "level 1 is in a retired layout: exact values without over",
+}
+
+
+@pytest.mark.parametrize("layout", sorted(RETIRED_REFUSALS))
+def test_each_retired_layout_is_refused_at_its_level(layout):
+    """A file in a layout that no writer writes now is refused with the text
+    that names its level and layout, on the checked path as by the reader,
+    and the same shape built in code is refused alike."""
+    cloud = realize(ONE_GAP, 6)
+    data = json.loads(retired_files(cloud)[layout])
+    assert taken_levels(data) == [False] * cloud.depth
+    with pytest.raises(GraphError) as caught:
+        checked_path(data)
+    assert refusal(data) == str(caught.value) == RETIRED_REFUSALS[layout]
+    # a later level alone in the layout is named by its number
+    mixed = json.loads(cloud.to_json())
+    mixed["levels"][4] = data["levels"][4]
+    assert refusal(mixed) == RETIRED_REFUSALS[layout].replace("level 1 ", "level 5 ")
+
+
+def test_each_retired_shape_built_in_code_is_refused():
+    """The constructor refuses a point with coords beside its shadow, a
+    level with r beside r_exact, and shadows on a level without r_exact,
+    named as a file in the same layout is."""
+    first = realize(ONE_GAP, 6).levels[0]
+    shadowed = first.points[1]
+    shapes = {
+        "coords beside exact at point 'u'": dataclasses.replace(
+            first, points=[first.points[0], CloudPoint("u", point_floats(first, shadowed), shadowed.exact), *first.points[2:]]
+        ),
+        "r beside r_exact": dataclasses.replace(first, r=1.0),
+        "exact shadows without r_exact": dataclasses.replace(first, r=1.0, r_exact=None),
+    }
+    for layout, level in shapes.items():
+        with pytest.raises(GraphError) as caught:
+            LeveledPointCloud(3, [level])
+        assert str(caught.value) == f"level 1 is in a retired layout: {layout}"
 
 
 @pytest.mark.parametrize("n", range(2, 14))
 def test_one_pass_loads_every_layout_as_the_checked_path(n):
     """Realized clouds and their alternating-period subsamples, written with
-    shadows alone or without them, load through the one pass at every level;
-    written with both halves, in units of the scale or as absolute shadows,
-    or with absolute shadows alone, as the writer wrote them before, they
-    take the checked path at every level. Each loads to the checked path's
-    cloud, signed zeros included, and as a value the constructor keeps."""
+    shadows alone or without them, load through the one pass at every level,
+    to the checked path's cloud, signed zeros included, and as a value the
+    constructor keeps. In each layout the writer wrote before, they take the
+    checked path at every level, which refuses them at level 1."""
     rng = random.Random(n)
     for p in (0.2, 0.5, 0.8):
         g = synthesize_weights(random_dominating_shape(rng, n, p))
         for rule in (ScalingRule(), ScalingRule("power_square", 2)):
             cloud = realize(g, 12, rule)
             for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
-                earlier = (with_coords(c), _both_halves(c), json.dumps(legacy_cloud_json_dict(c)))
-                for text in (c.to_json(), c.to_json(include_exact=False), *earlier):
+                for text in retired_files(c).values():
                     data = json.loads(text)
-                    assert taken_levels(data) == [text not in earlier] * c.depth
+                    assert taken_levels(data) == [False] * c.depth
+                    with pytest.raises(GraphError) as caught:
+                        checked_path(data)
+                    assert refusal(data) == str(caught.value)
+                    assert str(caught.value).startswith("level 1 is in a retired layout: ")
+                for text in (c.to_json(), c.to_json(include_exact=False)):
+                    data = json.loads(text)
+                    assert taken_levels(data) == [True] * c.depth
                     loaded, expected = LeveledPointCloud.from_json(text), checked_path(data)
                     assert loaded == expected
                     assert loaded.to_json(include_exact=False) == expected.to_json(include_exact=False)
@@ -887,31 +1004,25 @@ def refusal(data):
     return str(caught.value)
 
 
-@pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
-def test_a_value_in_the_last_level_loads_or_is_refused_as_on_the_checked_path(index):
-    # absolute shadows, as the writer wrote them before it wrote them in
-    # units of their level's scale
-    assert len(ONE_PASS_REFUSALS) == len(ONE_PASS_CASES)
-    data = legacy_cloud_json_dict(realize(CERT_TRIANGLE, 4))
-    data["levels"][-1]["points"][1]["exact"][0] = ONE_PASS_CASES[index]
-    if ONE_PASS_REFUSALS[index] is None:
-        assert LeveledPointCloud.from_json(json.dumps(data)) == checked_path(data)
-    else:
-        assert refusal(data) == ONE_PASS_REFUSALS[index]
-
-
 # the cases above that read as a rational which is no integer
 _NOT_INTEGERS = ["١/٢", "2/4", "-3/9", "007/014", "1.5"]
 
 
-@pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
-def test_a_value_in_units_of_the_scale_loads_or_is_refused_as_on_the_checked_path(index):
-    """In a level with ``over``, each value is read as with absolute shadows,
-    and one that is no integer is refused too."""
+def check_value_in_the_last_level(index, partly_shadowed):
+    """The realized file of CERT_TRIANGLE with ONE_PASS_CASES[index] as a
+    value of its last level, and, where ``partly_shadowed``, the root's
+    shadow there replaced by its coordinates, which leaves the level to the
+    checked path whatever the value: it loads to the checked path's cloud or
+    is refused with the value's text of ONE_PASS_REFUSALS, or, for a value
+    that reads as no integer, as one."""
+    assert len(ONE_PASS_REFUSALS) == len(ONE_PASS_CASES)
     value = ONE_PASS_CASES[index]
     data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
     level = data["levels"][-1]
     level["points"][1]["exact"][0] = value
+    if partly_shadowed:
+        level["points"][0] = {"label": "r", "coords": [0.0] * data["dimension"]}
+        assert not taken_levels(data)[-1]
     expected = ONE_PASS_REFUSALS[index]
     if value in _NOT_INTEGERS:
         expected = f"level 4 has exact value {value!r} over {level['over']}; it must be an integer"
@@ -919,6 +1030,20 @@ def test_a_value_in_units_of_the_scale_loads_or_is_refused_as_on_the_checked_pat
         assert LeveledPointCloud.from_json(json.dumps(data)) == checked_path(data)
     else:
         assert refusal(data) == expected
+
+
+@pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
+def test_a_value_in_units_of_the_scale_loads_or_is_refused_as_on_the_checked_path(index):
+    """In a level with ``over``, each value is read as ``parse_rational``
+    reads it, and one that is no integer is refused."""
+    check_value_in_the_last_level(index, partly_shadowed=False)
+
+
+@pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
+def test_a_value_in_the_last_level_loads_or_is_refused_as_on_the_checked_path(index):
+    """A level that only the checked path reads, a partly shadowed one, reads
+    each value as a level that the one pass may take does."""
+    check_value_in_the_last_level(index, partly_shadowed=True)
 
 
 def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
@@ -944,7 +1069,7 @@ def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
     assert faults((0, 2, "label", "u"), (-1, 1, "exact", "3/")) == "duplicate label 'u' at level 1"
     assert faults((-1, 1, "exact", "3/"), (-1, 2, "label", "u")) == "not a rational literal: '3/'"
     assert faults((1, 1, "coords", [0.5] * 2), (-1, 2, "label", "u")) == (
-        "point 'u' at level 2 has coords [0.5, 0.5], but its exact shadow rounds to [-2.0, 1.0]"
+        "level 2 is in a retired layout: coords beside exact at point 'u'"
     )
     assert faults((None, None, "dimension", "2"), (0, 2, "label", "u")) == (
         "cloud dimension must be a positive integer, got '2'"
@@ -995,12 +1120,11 @@ def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
         LeveledPointCloud.from_json_dict(data)
 
 
-@pytest.mark.parametrize("name", ["partly_shadowed", "single_point"])
-def test_a_file_of_a_cloud_not_realized_takes_the_checked_path(name):
+def test_a_file_of_a_partly_shadowed_cloud_takes_the_checked_path():
     """The one pass declines every level of a file the writer writes for a
-    cloud with points without a shadow, or without r_exact, as the one-point
-    space has none; the file loads to the checked path's cloud, and back."""
-    cloud = WRITTEN_CLOUDS[name][0]()
+    cloud with points without a shadow; the file loads to the checked path's
+    cloud, and back."""
+    cloud = _partly_shadowed_file_cloud()
     data = json.loads(cloud.to_json())
     assert taken_levels(data) == [False] * cloud.depth
     assert LeveledPointCloud.from_json_dict(data) == checked_path(data) == cloud
@@ -1052,10 +1176,12 @@ REPEATED_LEVEL_FAULTS = {
         lambda entry: entry.update(r=repr(float(entry.pop("r_exact")))),
         "level 3 has exact values over 1 but no r_exact",
     ),
-    "r_exact_beyond_the_guard": (
-        lambda entry: entry.update(r_exact=str(2**1023)),
-        "point 'v' at level 3 has a coordinate beyond binary64: integer division result too large for a float",
+    "r_exact_zero": (
+        lambda entry: entry.update(r_exact="0"),
+        "level 3 has exact scale r_exact = 0; it must be positive",
     ),
+    # a level holds its shadows whatever its scale: r_exact beyond binary64 loads
+    "r_exact_beyond_binary64": (lambda entry: entry.update(r_exact=str(2**1100)), None),
 }
 
 
@@ -1063,14 +1189,17 @@ REPEATED_LEVEL_FAULTS = {
 def test_a_level_that_repeats_an_earlier_one_but_for_a_fault_is_read_alone(fault):
     """The pass reads a points array that repeats the one of an earlier level
     it took, over the same int ``over``, from that level; a level that
-    differs in a value, a label or ``over``, that has no r_exact or whose own
-    scale fails the guard loads to the checked path's cloud or is refused with its text."""
+    differs in a value, a label or ``over``, that has no r_exact or a
+    faulty one of its own loads to the checked path's cloud or is refused
+    with its text."""
     edit, text = REPEATED_LEVEL_FAULTS[fault]
     data = json.loads(realize(ONE_GAP, 6).to_json())
     assert data["levels"][2]["points"] == data["levels"][0]["points"] and data["levels"][0]["over"] == 1
     edit(data["levels"][2])
     if text is None:
-        assert LeveledPointCloud.from_json(json.dumps(data)) == checked_path(data)
+        loaded = LeveledPointCloud.from_json(json.dumps(data))
+        assert loaded == checked_path(data)
+        assert loaded.levels[2].r_exact == parse_rational(data["levels"][2]["r_exact"])
         return
     with pytest.raises(GraphError) as caught:
         checked_path(data)
@@ -1099,20 +1228,29 @@ def test_each_distinct_points_array_is_read_once(monkeypatch):
 
 
 def check_writer(cloud):
-    for include_exact in (True, False):
-        assert cloud.to_json(include_exact) == json.dumps(cloud_json_dict(cloud, include_exact), indent=2)
+    """The writer prints what json.dumps prints of the oracle's dict; where
+    the oracle's ``float`` of a value overflows, the float writer refuses
+    with GraphError."""
+    assert cloud.to_json() == json.dumps(cloud_json_dict(cloud), indent=2)
+    try:
+        expected = json.dumps(cloud_json_dict(cloud, include_exact=False), indent=2)
+    except OverflowError:
+        with pytest.raises(GraphError, match="beyond binary64"):
+            cloud.to_json(include_exact=False)
+    else:
+        assert cloud.to_json(include_exact=False) == expected
 
 
 def _odd_cloud():
-    """Unlabeled and non-ASCII points, shadowed points with and without their
-    coordinates, an int coordinate, subnormal and huge ones, an empty shadow,
-    a level without points and one without exact data."""
+    """Unlabeled and non-ASCII points, shadowed points, an int coordinate,
+    subnormal and huge ones, an empty shadow, a level without points and one
+    without exact data."""
     return LeveledPointCloud(
         dimension=2,
         levels=[
             CloudLevel(1, None, Fraction(2), [
                 CloudPoint(None, None, (0, 3)),
-                CloudPoint("é\n\"µ", (0.5, -1.5), (1, -3)),
+                CloudPoint("é\n\"µ", None, (1, -3)),
                 CloudPoint("v", (1, -5e-324), None),
                 CloudPoint("w", (2.5e-300, -0.0), ()),
             ], q=4),
@@ -1137,11 +1275,11 @@ def _equal_but_spelled_apart_cloud():
                 CloudPoint("b", (-0.0, 1)),
                 CloudPoint("c", (1.0, -0.0)),
             ]),
-            CloudLevel(2, 6.0, Fraction(6), [
+            CloudLevel(2, None, Fraction(6), [
                 CloudPoint("a", (-0.0, 0.0)),
-                CloudPoint("b", (1.5, -2.5), (3, -5)),
-                CloudPoint("c", (1.5, 1.5), (3, 3)),
-                CloudPoint("d", (0.0, -2.5), (0, -5)),
+                CloudPoint("b", None, (3, -5)),
+                CloudPoint("c", None, (3, 3)),
+                CloudPoint("d", None, (0, -5)),
             ], q=12),
         ],
         period=None,
@@ -1205,17 +1343,21 @@ def _clouds(draw):
     for n in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True).map(sorted)):
         labels = draw(st.lists(st.text(max_size=3), unique=True, min_size=not levels, max_size=3))
         q = draw(st.integers(1, 60))
+        # an exact scale within binary64 or beyond it, or a binary64 one
+        r_exact = draw(
+            st.none()
+            | st.fractions(min_value=Fraction(1, 10**6), max_value=10**30)
+            | st.integers(2**1024, 2**1100).map(Fraction)
+        )
+        r = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)) if r_exact is None else None
         points, shadows = [], []
         for label in labels:
-            # a shadow's coordinates are its numerators over q, given or derived
-            shadow = draw(st.none() | st.tuples(*[st.integers(-10**30, 10**30)] * dimension))
-            coords = draw(row) if shadow is None else draw(st.sampled_from([None, tuple(a / q for a in shadow)]))
-            points.append((None if draw(st.booleans()) else label, coords))
+            # only a level with r_exact has shadows, their numerators over q
+            shadow = None if r_exact is None else draw(st.none() | st.tuples(*[st.integers(-10**30, 10**30)] * dimension))
+            points.append((None if draw(st.booleans()) else label, draw(row) if shadow is None else None))
             shadows.append(shadow and [Fraction(a, q) for a in shadow])
-        r_exact = draw(st.none() | st.fractions(min_value=Fraction(1, 10**6), max_value=10**30))
-        r = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)) if r_exact is None else None
         # the level holds each shadow in units of its scale
-        q, shadows = shadows_in_units(shadows, Fraction(r) if r_exact is None else r_exact) if any(shadows) else (q, shadows)
+        q, shadows = shadows_in_units(shadows, r_exact) if any(shadows) else (q, shadows)
         points = [CloudPoint(label, coords, shadow) for (label, coords), shadow in zip(points, shadows)]
         levels.append(CloudLevel(n, r, r_exact, points, q))
     return LeveledPointCloud(dimension, levels, period=draw(st.none() | st.integers(1, 3)))
@@ -1231,7 +1373,6 @@ def test_writer_prints_what_json_dumps_prints_on_random_clouds(cloud):
 # r-u, r-v: the cloud that a bad cloud below is made from, in code and as JSON
 R_UV = realize(synthesize_weights(WeightedRootedGraph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 1}, "r")), 8)
 NAN, INF = float("nan"), float("inf")
-U_4 = point_floats(R_UV.levels[3], R_UV.levels[3].points[1])
 
 
 class _InCode:
@@ -1244,6 +1385,13 @@ class _InCode:
 
     def level(self, i, **values):
         self.fields["levels"][i] = dataclasses.replace(self.fields["levels"][i], **values)
+
+    def float_level(self, i, **values):
+        """Level i as the float writer writes it, r and coords, then edited."""
+        lvl = self.fields["levels"][i]
+        points = list(map(CloudPoint, [p.label for p in lvl.points], _level_floats(lvl)))
+        self.fields["levels"][i] = CloudLevel(lvl.n, _level_r(lvl), None, points)
+        self.level(i, **values)
 
     def points(self, i):
         return self.fields["levels"][i].points
@@ -1260,15 +1408,19 @@ class _InCode:
 
 
 class _InFile(_InCode):
-    """The same fields of R_UV's JSON document with absolute shadows, as the
-    writer wrote it before it wrote them in units of their level's scale, to
-    edit; a Fraction is written as its literal."""
+    """The same fields of R_UV's JSON document as the writer writes it, to
+    edit: a shadow written in code is read in units of its level's scale,
+    r_exact / over; a Fraction is written as its literal."""
 
     def __init__(self):
-        self.fields = json.loads(json.dumps(legacy_cloud_json_dict(R_UV)))
+        self.fields = json.loads(R_UV.to_json())
 
     def level(self, i, **values):
         self.fields["levels"][i].update({k: str(v) if isinstance(v, Fraction) else v for k, v in values.items()})
+
+    def float_level(self, i, **values):
+        self.fields["levels"][i] = json.loads(R_UV.to_json(include_exact=False))["levels"][i]
+        self.level(i, **values)
 
     def points(self, i):
         return self.fields["levels"][i]["points"]
@@ -1282,14 +1434,6 @@ class _InFile(_InCode):
 
     def build(self):
         return LeveledPointCloud.from_json(json.dumps(self.fields))
-
-
-class _InUnits(_InFile):
-    """R_UV's JSON document as the writer writes it, to edit: a shadow
-    written in code is read in units of its level's scale, r_exact / over."""
-
-    def __init__(self):
-        self.fields = json.loads(R_UV.to_json())
 
 
 def _cut_u(edit):
@@ -1311,7 +1455,7 @@ def _points_cleared(edit):
 REFUSALS = {
     "u cut to one entry": (_cut_u, "point 'u' at level 1 does not have 2 coordinates"),
     "last scale zero": (
-        lambda e: e.level(-1, r=0.0, r_exact=Fraction(0)),
+        lambda e: e.float_level(-1, r=0.0),
         "level 8 has scale r = 0.0; it must be finite and positive",
     ),
     "levels reversed": (
@@ -1319,28 +1463,28 @@ REFUSALS = {
         "level 7 follows level 8: levels must strictly increase",
     ),
     "NaN coordinate": (
-        lambda e: e.point(0, 1, coords=(NAN, 0.0, 1.0)),
+        lambda e: e.point(0, 1, coords=(NAN, 0.0, 1.0), exact=None),
         "point 'u' at level 1 has a NaN or infinite coordinate",
     ),
     "infinite coordinate": (
-        lambda e: e.point(2, 2, coords=(0.0, 1.0, -INF)),
+        lambda e: e.point(2, 2, coords=(0.0, 1.0, -INF), exact=None),
         "point 'v' at level 3 has a NaN or infinite coordinate",
     ),
     "coordinate a string": (
-        lambda e: e.point(0, 1, coords=("1.5", 0.0, 1.0)),
+        lambda e: e.point(0, 1, coords=("1.5", 0.0, 1.0), exact=None),
         "point 'u' at level 1 has a non-numeric coordinate: a JSON string",
     ),
     "coordinate true": (
-        lambda e: e.point(0, 1, coords=(True, 0.0, 1.0)),
+        lambda e: e.point(0, 1, coords=(True, 0.0, 1.0), exact=None),
         "point 'u' at level 1 has a non-numeric coordinate: a JSON true or false",
     ),
     "coordinate null": (
-        lambda e: e.point(0, 1, coords=(None, 0.0, 1.0)),
+        lambda e: e.point(0, 1, coords=(None, 0.0, 1.0), exact=None),
         "point 'u' at level 1 has a non-numeric coordinate: "
         "float() argument must be a string or a real number, not 'NoneType'",
     ),
     "coordinate beyond binary64": (
-        lambda e: e.point(0, 1, coords=(10**400, 0.0, 1.0)),
+        lambda e: e.point(0, 1, coords=(10**400, 0.0, 1.0), exact=None),
         "point 'u' at level 1 has a coordinate beyond binary64: int too large to convert to float",
     ),
     "coordinates a string": (
@@ -1379,19 +1523,19 @@ REFUSALS = {
         lambda e: e.level(1, n=1), "level 1 follows level 1: levels must strictly increase"
     ),
     "scale NaN": (
-        lambda e: e.level(0, r=NAN),
+        lambda e: e.float_level(0, r=NAN),
         "level 1 has scale r = nan; it must be finite and positive",
     ),
     "scale negative": (
-        lambda e: e.level(1, r=-2.0),
+        lambda e: e.float_level(1, r=-2.0),
         "level 2 has scale r = -2.0; it must be finite and positive",
     ),
     "scale a word": (
-        lambda e: e.level(1, r="x"),
+        lambda e: e.float_level(1, r="x"),
         "level 2 has a scale r that is not a binary64 number: could not convert string to float: 'x'",
     ),
     "scale true": (
-        lambda e: e.level(1, r=True),
+        lambda e: e.float_level(1, r=True),
         "level 2 has a scale r that is not a binary64 number: True",
     ),
     "exact scale zero": (
@@ -1403,28 +1547,18 @@ REFUSALS = {
         "refusing float weight 1.5: pass a string ('3/2' or '1.5') for exactness",
     ),
     "exact scale a word": (lambda e: e.level(2, r_exact="x"), "not a rational literal: 'x'"),
-    "coordinates apart from their shadow": (
-        lambda e: e.point(0, 1, coords=tuple(1.5 * x for x in point_floats(R_UV.levels[0], R_UV.levels[0].points[1]))),
-        "point 'u' at level 1 has coords [-2.0, 0.0], but its exact shadow rounds to "
-        "[-1.3333333333333333, 0.0]",
+    # the layouts no writer writes now
+    "coords beside a shadow": (
+        lambda e: e.point(0, 1, coords=point_floats(R_UV.levels[0], R_UV.levels[0].points[1])),
+        "level 1 is in a retired layout: coords beside exact at point 'u'",
     ),
-    "coordinate one ulp apart from its shadow": (
-        lambda e: e.point(3, 1, coords=(math.nextafter(U_4[0], INF), *U_4[1:])),
-        "point 'u' at level 4 has coords [-31.999999999999996, 32.0], but its exact shadow rounds to "
-        "[-32.0, 32.0]",
+    "r beside r_exact": (
+        lambda e: e.level(3, r=24.0),
+        "level 4 is in a retired layout: r beside r_exact",
     ),
-    "scale one ulp apart from r_exact": (
-        lambda e: e.level(3, r=math.nextafter(R_UV.levels[3].r, 0)),
-        "level 4 has scale r = 23.999999999999996, but r_exact rounds to 24.0",
-    ),
-    "shadow beyond binary64": (
-        lambda e: e.point(0, 1, exact=(10**400, 0)),
-        "point 'u' at level 1 has a coordinate beyond binary64: integer division result too large for a float",
-    ),
-    # every shadow in code is in units of the scale: the scale is named first
-    "exact scale beyond binary64": (
-        lambda e: e.level(2, r_exact=Fraction(10**400)),
-        "level 3 has a scale r that is not a binary64 number: integer division result too large for a float",
+    "shadows without r_exact": (
+        lambda e: e.level(0, r=1.0, r_exact=None),
+        "level 1 is in a retired layout: exact shadows without r_exact",
     ),
     "neither coords nor shadow": (
         lambda e: e.point(0, 1, coords=None, exact=None),
@@ -1448,35 +1582,36 @@ REFUSALS = {
 }
 
 
-# the case refused with another text in the file as the writer writes it,
-# where a level with over needs r_exact for its shadows
+# the cases refused with another text in the file, where a level with over
+# needs r_exact for its shadows
 IN_UNITS = {
     "neither r nor r_exact": "level 1 has exact values over 3 but no r_exact",
+    "shadows without r_exact": "level 1 has exact values over 3 but no r_exact",
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_a_file_and_code_refuse_alike(case):
     change, text = REFUSALS[case]
-    for edit in (_InCode(), _InFile(), _InUnits()):
+    for edit in (_InCode(), _InFile()):
         change(edit)
         with pytest.raises(GraphError) as caught:
             edit.build()
-        expected = IN_UNITS.get(case, text) if isinstance(edit, _InUnits) else text
+        expected = IN_UNITS.get(case, text) if isinstance(edit, _InFile) else text
         assert str(caught.value) == expected, type(edit).__name__
 
 
 def test_construction_holds_values_as_the_reader_does():
     """What a cloud holds of a value built in code: an int coordinate as its
-    float, an empty shadow as none, shadows in lowest terms and without the
-    coordinates given next to them, no q without them, a list of coordinates
-    as a tuple and a level's r as a float; the reader gives the same cloud."""
+    float, an empty shadow as none, shadows in lowest terms, no q without
+    them, a list of coordinates as a tuple, a level's r as a float and its
+    r_exact as a Fraction; the reader gives the same cloud."""
     cloud = LeveledPointCloud(2, [
-        CloudLevel(1, 6, "6", [CloudPoint("a", [1, -0.5], [6, -3]), CloudPoint("b", (0, 2.0), ())], q=36),
+        CloudLevel(1, None, "6", [CloudPoint("a", None, [6, -3]), CloudPoint("b", (0, 2.0), ())], q=36),
         CloudLevel(2, "3.5", None, [CloudPoint("a", [1.0, 2.0])], q=7),
     ])
     level, other = cloud.levels
-    assert level == CloudLevel(1, 6.0, Fraction(6), [
+    assert level == CloudLevel(1, None, Fraction(6), [
         CloudPoint("a", None, (2, -1)), CloudPoint("b", (0.0, 2.0), None)
     ], q=12)
     assert other == CloudLevel(2, 3.5, None, [CloudPoint("a", (1.0, 2.0))], q=None)
@@ -1487,17 +1622,17 @@ def test_construction_holds_values_as_the_reader_does():
 @pytest.mark.parametrize(
     "points, q, text",
     [
-        ([CloudPoint("a", (1.0,), (1.5,))], 1, "level 1 has a shadow numerator that is no int: 1.5"),
-        ([CloudPoint("a", (1.0,), (True,))], 1, "level 1 has a shadow numerator that is no int: True"),
-        ([CloudPoint("a", (1.0,), (1,))], 0, "level 1 has exact shadows over q = 0; q must be a positive integer"),
-        ([CloudPoint("a", (1.0,), (1,))], None, "level 1 has exact shadows over q = None; q must be a positive integer"),
-        ([CloudPoint("a", (1.0,), (1,))], 2.0, "level 1 has exact shadows over q = 2.0; q must be a positive integer"),
+        ([CloudPoint("a", None, (1.5,))], 1, "level 1 has a shadow numerator that is no int: 1.5"),
+        ([CloudPoint("a", None, (True,))], 1, "level 1 has a shadow numerator that is no int: True"),
+        ([CloudPoint("a", None, (1,))], 0, "level 1 has exact shadows over q = 0; q must be a positive integer"),
+        ([CloudPoint("a", None, (1,))], None, "level 1 has exact shadows over q = None; q must be a positive integer"),
+        ([CloudPoint("a", None, (1,))], 2.0, "level 1 has exact shadows over q = 2.0; q must be a positive integer"),
     ],
 )
 def test_construction_refuses_shadows_no_file_holds(points, q, text):
     # the reader makes every numerator and q itself; code may hand in others
     with pytest.raises(GraphError) as caught:
-        LeveledPointCloud(1, [CloudLevel(1, 1.0, None, points, q)])
+        LeveledPointCloud(1, [CloudLevel(1, None, Fraction(1), points, q)])
     assert str(caught.value) == text
 
 
@@ -1599,11 +1734,13 @@ def test_single_point_space_values():
     xs = [_level_floats(lvl)[1][0] for lvl in cloud.levels]
     assert xs == [2.0, 16.0, 512.0]
     assert [point_shadow(lvl, lvl.points[1]) for lvl in cloud.levels] == [(2,), (16,), (512,)]
-    assert cloud.levels[0].r == pytest.approx(math.sqrt(32), rel=1e-15)
-    assert cloud.levels[1].r == pytest.approx(math.sqrt(8192), rel=1e-15)
+    assert _level_r(cloud.levels[0]) == pytest.approx(math.sqrt(32), rel=1e-15)
+    assert _level_r(cloud.levels[1]) == pytest.approx(math.sqrt(8192), rel=1e-15)
+    # the exact scale is the binary64 one read exactly
+    assert all(lvl.r is None and lvl.r_exact == Fraction(_level_r(lvl)) for lvl in cloud.levels)
     # the last level's scale needs x_21 = 5**441, about 1.76e308, which fits binary64
     cloud = single_point_space(depth=20, base=5)
-    assert all(math.isfinite(lvl.r) and math.isfinite(_level_floats(lvl)[1][0]) for lvl in cloud.levels)
+    assert all(math.isfinite(_level_r(lvl)) and math.isfinite(_level_floats(lvl)[1][0]) for lvl in cloud.levels)
     assert len(recover_cluster(cloud).graph) == 1
     with pytest.raises(GraphError, match="^depth 21 overflows binary64 for base 5$"):
         single_point_space(depth=21, base=5)
@@ -1611,7 +1748,7 @@ def test_single_point_space_values():
 
 def test_single_point_normalized_values_decay():
     cloud = single_point_space(depth=12, base=2)
-    values = [_level_floats(lvl)[1][0] / lvl.r for lvl in cloud.levels]
+    values = [_level_floats(lvl)[1][0] / _level_r(lvl) for lvl in cloud.levels]
     for n, got in enumerate(values, start=1):
         assert got == pytest.approx(2 ** (-(2 * n + 1) / 2), rel=1e-12)
     assert all(b2 < b1 for b1, b2 in zip(values, values[1:]))

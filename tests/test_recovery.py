@@ -54,7 +54,6 @@ from oracles import (
     certifies_by_cycles,
     cloud_json_dict,
     dominating_rooted_shapes,
-    legacy_cloud_json_dict,
     level_from_fractions,
     normalized_values_by_fractions,
     nx_to_graph,
@@ -267,17 +266,17 @@ def test_exact_recovery_matches_fraction_oracle():
 
 
 def partly_shadowed(cloud: LeveledPointCloud, rng: random.Random) -> LeveledPointCloud:
-    """The cloud with half of each level's points, and about half of its
-    exact scales, replaced by their binary64 values: edits of a document with
-    absolute shadows, which need no r_exact."""
-    doc, floats = legacy_cloud_json_dict(cloud), cloud_json_dict(cloud, include_exact=False)
-    for level, rounded in zip(doc["levels"], floats["levels"]):
-        points = level["points"]
-        for i in rng.sample(range(len(points)), len(points) // 2):
-            points[i] = rounded["points"][i]
+    """The cloud with about half of its levels replaced by their binary64
+    values, scale and points, and half of the points of each other level by
+    their binary64 coordinates: edits of its document."""
+    doc, floats = cloud_json_dict(cloud), cloud_json_dict(cloud, include_exact=False)
+    for i, rounded in enumerate(floats["levels"]):
         if rng.random() < 0.5:
-            del level["r_exact"]
-            level["r"] = rounded["r"]
+            doc["levels"][i] = rounded
+            continue
+        points = doc["levels"][i]["points"]
+        for j in rng.sample(range(len(points)), len(points) // 2):
+            points[j] = rounded["points"][j]
     return LeveledPointCloud.from_json_dict(doc)
 
 
@@ -628,7 +627,7 @@ def test_basepoint_only_cloud_recovers_k1():
 
 def test_a_cloud_of_pointless_levels_is_refused_at_construction():
     # a level without points has no q, and a cloud of them no sequence to recover
-    levels = [CloudLevel(1, 1.0, Fraction(1), []), CloudLevel(2, 2.0, Fraction(2), [])]
+    levels = [CloudLevel(1, None, Fraction(1), []), CloudLevel(2, None, Fraction(2), [])]
     with pytest.raises(GraphError, match="^cloud JSON has no points$"):
         LeveledPointCloud(1, levels)
     # a subsample skips the checks its levels have passed, but not this one
@@ -675,7 +674,7 @@ def test_non_finite_float_values_rejected():
     points = [dataclasses.replace(p, exact=tuple(factor * a for a in p.exact)) for p in last.points]
     levels = cloud.levels[:-1] + [dataclasses.replace(last, r=None, r_exact=tiny_scale, points=points)]
     tiny = LeveledPointCloud(cloud.dimension, levels, cloud.period)
-    assert tiny.levels[-1].r == 5e-324
+    assert float(tiny.levels[-1].r_exact) == 5e-324
     # its shadows, and its floats once the shadows are gone, both decide exactly
     for decided in (tiny, shadowless(tiny)):
         with pytest.raises(GraphError, match="does not fit binary64: a level's coordinates are too large for its scale"):
@@ -715,7 +714,7 @@ def test_decimal_and_fraction_tolerances_read_as_their_values():
     # and raised a bare TypeError
     point = single_point_space(4)
     realized = realize(ONE_GAP, depth=12)
-    for cloud, exact in ((point, False), (shadowless(realized), False), (realized, False), (realized, True)):
+    for cloud, exact in ((point, False), (point, True), (shadowless(realized), False), (realized, False), (realized, True)):
         expected = recover_cluster(cloud, tol_rel=1e-6, use_exact=exact)
         for tol in (Decimal("1e-6"), Fraction(1, 10**6)):
             rc = recover_cluster(cloud, tol_rel=tol, use_exact=exact)
@@ -723,10 +722,10 @@ def test_decimal_and_fraction_tolerances_read_as_their_values():
             # recorded as given, and validation reads the value it equals
             assert rc.tol_rel is tol and rc.tol_abs == expected.tol_abs
             assert validate_recovered_cluster(rc) == validate_recovered_cluster(expected)
-    # the one-point space has no r_exact: use_exact refuses it alike
+    # a cloud without shadows: use_exact refuses it alike
     for tol in (1e-6, Decimal("1e-6"), Fraction(1, 10**6)):
         with pytest.raises(GraphError, match="^use_exact needs every point's exact shadow"):
-            recover_cluster(point, tol_rel=tol, use_exact=True)
+            recover_cluster(shadowless(realized), tol_rel=tol, use_exact=True)
 
 
 def test_missing_label_rejected():
@@ -884,7 +883,7 @@ def test_spread_functional_on_cloud_levels():
 def test_annulus_table_exact_sphere_counts_one_point():
     cloud = realize(CERT_TRIANGLE, depth=8)
     lvl = cloud.levels[5]
-    table = annulus_diameter_table(cloud, k=1.0, radii=[lvl.r])
+    table = annulus_diameter_table(cloud, k=1.0, radii=[float(lvl.r_exact)])
     assert table[0]["value"] == 0.0
     assert table[0]["points"] == 1  # only the norm-1 point sits on that sphere
 
@@ -900,7 +899,7 @@ def test_annulus_table_single_point_space_is_empty_between_gaps():
 def test_annulus_table_recovers_edge_weight():
     cloud = realize(CERT_TRIANGLE, depth=8)
     lvl = cloud.levels[5]
-    table = annulus_diameter_table(cloud, k=2.0, radii=[lvl.r])
+    table = annulus_diameter_table(cloud, k=2.0, radii=[float(lvl.r_exact)])
     assert table[0]["points"] == 2
     assert table[0]["value"] == pytest.approx(5 / 2, rel=1e-12)
 
