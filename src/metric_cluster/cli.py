@@ -361,7 +361,7 @@ def _cmd_diag_fn(ns) -> int:
     missing = [lbl for lbl in labels if lbl not in by_label]
     if missing:
         raise GraphError(f"labels {missing} not present at level {ns.level}")
-    floats = dict(zip([p.label for p in level.points], _level_floats(level)))
+    floats = dict(zip(level.labels, _level_floats(level)))
     points = [floats[lbl] for lbl in labels]
     basepoint = (0.0,) * cloud.dimension
     value = spread_functional(points, basepoint)

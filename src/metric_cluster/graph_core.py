@@ -162,13 +162,13 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def _in_lowest_terms(q: int, rows: list) -> tuple[int, list]:
-    """Integer rows (or None) over q, with the factor that q shares with
-    every numerator divided out: q becomes the least common denominator of
-    the values, the least common multiple of their reduced denominators."""
-    g = math.gcd(q, *chain.from_iterable(filter(None, rows))) if q > 1 else 1
+    """Integer rows over q, with the factor that q shares with every
+    numerator divided out: q becomes the least common denominator of the
+    values, the least common multiple of their reduced denominators."""
+    g = math.gcd(q, *chain.from_iterable(rows)) if q > 1 else 1
     if g == 1:
         return q, rows
-    return q // g, [tuple([a // g for a in row]) if row else None for row in rows]
+    return q // g, [tuple([a // g for a in row]) for row in rows]
 
 
 def _format_over(numerators: Sequence[int], q: int) -> list[str]:

@@ -80,35 +80,27 @@ class RealizationPlan:
 
 
 @dataclass
-class CloudPoint:
-    """One point of a level: exactly one of ``exact``, the integer numerators
-    over the level's ``q`` of its exact coordinates in units of the level's
-    ``r_exact``, and binary64 ``coords``. A binary64 reader rounds a shadow
-    when it asks for one (see ``CloudLevel``)."""
-
-    label: Optional[str]
-    coords: Optional[tuple[float, ...]]
-    exact: Optional[tuple[int, ...]] = None
-
-
-@dataclass
 class CloudLevel:
-    """One level: exactly one of its exact scale ``r_exact`` and its binary64
-    scale ``r``, and its points.
+    """One level of one kind: exactly one of its exact scale ``r_exact`` and
+    its binary64 scale ``r``, and its points, each a label and a row of
+    coordinates.
 
-    Only a level with r_exact has shadows, held in units of r_exact, as
-    recovery's normalized distances d / r_n are: ``q`` is their least common
-    denominator, and point p's j-th exact coordinate is
-    r_exact * p.exact[j] / q; a file's ``over`` and values are q and the
-    numerators. q is None when no point has a shadow. A binary64 reader
-    rounds r_exact and each coordinate when it asks for them, and refuses a
-    value beyond binary64 there (see ``_level_r`` and ``_level_floats``).
+    With r_exact, a row holds the point's exact coordinates in units of
+    r_exact, as recovery's normalized distances d / r_n are: integer
+    numerators over ``q``, the level's least common denominator, so that
+    point i's j-th coordinate is r_exact * rows[i][j] / q; a file's ``over``
+    and values are q and the numerators. With r, a row holds binary64
+    coordinates and q is None, as it is for a level without points. A binary64
+    reader rounds r_exact and each exact coordinate when it asks for them, and
+    refuses a value beyond binary64 there (see ``_level_r`` and
+    ``_level_floats``).
     """
 
     n: int
     r: Optional[float]
     r_exact: Optional[Fraction]
-    points: list[CloudPoint]
+    labels: tuple[Optional[str], ...]
+    rows: tuple[tuple, ...]
     q: Optional[int] = None
 
 
@@ -117,18 +109,17 @@ class LeveledPointCloud:
     """Finite truncation of an unbounded space, one labeled point set per level.
 
     Points live in sup-norm coordinate space; the basepoint is the origin and
-    appears at every level (as the root's image in generated clouds). A point
-    holds either an exact rational shadow, integer numerators over one
-    denominator per level in units of the level's r_exact (see
-    ``CloudLevel``), as the constructor takes them, or binary64 coordinates.
+    appears at every level (as the root's image in generated clouds). A level
+    is exact, its rows integer numerators over q in units of its r_exact, or
+    binary64, its rows coordinates beside its r (see ``CloudLevel``).
 
     Construction checks ``dimension``, ``period``, then each level's ``n``,
-    points, labels, its one scale, ``r`` or ``r_exact``, and ``q``, and that
-    a level has a point; it holds an int coordinate as its float and shadows
-    in lowest terms. It refuses a point with both coords and a shadow, a
-    level with both r and r_exact, and a shadow on a level without r_exact.
-    Every file the JSON reader refuses goes through it, so a file and the
-    same value in code are refused alike.
+    labels and rows, its one scale, ``r`` or ``r_exact``, and ``q``, and that
+    a level has a point; it holds an int coordinate as its float, rows and
+    labels as tuples and numerators in lowest terms. It refuses a level with
+    both r and r_exact, numerators over q beside r, and coordinates beside
+    r_exact. Every file the JSON reader refuses goes through it, so a file and
+    the same value in code are refused alike.
     """
 
     dimension: int
@@ -157,24 +148,21 @@ class LeveledPointCloud:
     def labels(self) -> tuple[str, ...]:
         seen = set()
         for level in self.levels:
-            for p in level.points:
-                seen.add(p.label)
+            seen.update(level.labels)
         return tuple(sorted(seen, key=lambda x: (x is None, x or "")))
 
-    def points_by_label(self, level: CloudLevel) -> dict[str, CloudPoint]:
-        """The level's labeled points by label; GraphError if a label repeats."""
-        out = {p.label: p for p in level.points}
-        if len(out) < len(level.points):
-            _refuse_repeated_label([p.label for p in level.points], level.n)
+    def points_by_label(self, level: CloudLevel) -> dict[str, tuple]:
+        """The rows of the level's labeled points by label; GraphError if a
+        label repeats."""
+        out = dict(zip(level.labels, level.rows))
+        if len(out) < len(level.labels):
+            _refuse_repeated_label(level.labels, level.n)
         out.pop(None, None)
         return out
 
     def has_exact(self) -> bool:
-        """Every level has an exact scale and every point an exact shadow."""
-        return all(
-            lvl.r_exact is not None and all(p.exact is not None for p in lvl.points)
-            for lvl in self.levels
-        )
+        """Every level is exact: it has an exact scale."""
+        return all(lvl.r_exact is not None for lvl in self.levels)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
@@ -208,20 +196,20 @@ class LeveledPointCloud:
         """The cloud file in the README's layout, byte for byte as
         ``json.dumps(..., indent=2)`` lays it out: where given, shadows as
         ``exact`` and ``r_exact`` unless ``include_exact`` is false, else
-        ``coords``, a shadow rounded, and ``r``, r_exact rounded. A level
-        writes its shadows as the cloud holds them, each ``exact`` value a
-        numerator over the level's q as ``over``: a coordinate is r_exact
-        times value / over. GraphError names a value past the digit limit
-        and, without shadows, the first value that rounds beyond binary64.
-        Levels of one family member hold equal points: the ``points`` of a
-        level whose every point is written as ``exact`` over ``over`` are
-        spelled once for all levels with its q, labels and shadows."""
+        ``coords``, an exact coordinate rounded, and ``r``, r_exact rounded.
+        An exact level writes its rows as the cloud holds them, each
+        ``exact`` value a numerator over the level's q as ``over``: a
+        coordinate is r_exact times value / over. GraphError names a value
+        past the digit limit and, without shadows, the first value that
+        rounds beyond binary64. Levels of one family member hold equal rows:
+        the ``points`` of an exact level are spelled once for all levels
+        with its q, labels and rows."""
         out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
         _array(out, ["0.0"] * self.dimension, _BASEPOINT)
         period = "null" if self.period is None else format_rational(self.period)
         out += (',\n  "period": ', period, ',\n  "levels": ')
         opening = "[\n    {"
-        written: dict[tuple, tuple[str, Optional[int]]] = {}
+        written: dict[tuple, str] = {}
         for lvl in self.levels:
             out += (opening, '\n      "n": ', format_rational(lvl.n))
             opening = ",\n    {"
@@ -229,22 +217,18 @@ class LeveledPointCloud:
             if not shadowed:
                 out += (',\n      "r": ', _json_scalar(repr(_level_r(lvl))))
             out.append(',\n      "points": ')
-            key = None
-            if shadowed and all(p.exact is not None for p in lvl.points):
-                key = (lvl.q, tuple([(p.label, p.exact) for p in lvl.points]))
-            if key in written:
-                points, over = written[key]
-            else:
-                parts: list[str] = []
-                over = _write_points(parts, lvl, include_exact)
-                points = "".join(parts)
-                if key is not None:
-                    written[key] = points, over
+            # numerators only: binary64 values such as 0.0 and -0.0 compare equal but print apart
+            key = (lvl.q, lvl.labels, lvl.rows) if shadowed else None
+            points = written.get(key)
+            if points is None:
+                points = _points_array(lvl, shadowed)
+                if shadowed:
+                    written[key] = points
             out.append(points)
             if shadowed:
                 out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
-            if over is not None:
-                out += (',\n      "over": ', format_rational(over))
+                if lvl.q is not None:
+                    out += (',\n      "over": ', format_rational(lvl.q))
             out.append("\n    }")
         out.append("\n  ]\n}")
         return "".join(out)
@@ -255,24 +239,32 @@ class LeveledPointCloud:
 
 
 def _unpacked_level(entry: dict) -> CloudLevel:
-    """A level object of a cloud file as a ``CloudLevel``: its point objects
-    as points, with a ``coords`` list as a tuple and an ``exact`` list as
-    ``_level_numerators`` reads it, which the level check names where it is
-    malformed."""
-    points, q = entry["points"], None
+    """A level object of a cloud file as a ``CloudLevel`` of the kind its
+    points give: rows of ``exact`` lists, as ``_level_numerators`` reads
+    them, over ``over``, or of ``coords``, which the level check checks;
+    labels and rows None where ``points`` is no list. GraphError names the
+    first point, in point order, that is no object, that has both, or whose
+    kind differs from that of the first point with one."""
+    points, labels, rows, q = entry["points"], None, None, None
     if isinstance(points, list):
         exacts = [item.get("exact") if isinstance(item, dict) else None for item in points]
         q, shadows = _level_numerators(entry, [e if isinstance(e, list) else None for e in exacts])
-        points = [
-            CloudPoint(
-                item.get("label"),
-                tuple(coords) if isinstance(coords := item.get("coords"), list) else coords,
-                shadow if isinstance(exact, list) else exact,
-            )
-            if isinstance(item, dict) else item
-            for item, exact, shadow in zip(points, exacts, shadows)
-        ]
-    return CloudLevel(entry["n"], entry.get("r"), entry.get("r_exact"), points, q)
+        level, labels, rows, kind = _spelled(entry["n"]), [], [], None
+        for item, exact, shadow in zip(points, exacts, shadows):
+            if not isinstance(item, dict):
+                raise GraphError(f"point {item!r} at level {level} is not an object")
+            label, coords = item.get("label"), item.get("coords")
+            # an empty or null exact list, like a missing one, is none
+            shadowed = exact not in (None, [])
+            if shadowed and coords is not None:
+                raise _retired(level, f"coords beside exact at point {label!r}")
+            if shadowed or coords is not None:  # the level check names a point with neither
+                kind = shadowed if kind is None else kind
+                if shadowed != kind:
+                    raise _retired(level, f"exact and coords mixed at point {label!r}")
+            labels.append(label)
+            rows.append((shadow or exact) if shadowed else coords)
+    return CloudLevel(entry["n"], entry.get("r"), entry.get("r_exact"), labels, rows, q)
 
 
 def _level_numerators(entry: dict, rows: list) -> tuple[Optional[int], list[Optional[tuple[int, ...]]]]:
@@ -306,11 +298,6 @@ def _level_numerators(entry: dict, rows: list) -> tuple[Optional[int], list[Opti
 def _retired(level: str, layout: str) -> GraphError:
     """The refusal of a level in a layout that no writer writes any more."""
     return GraphError(f"level {level} is in a retired layout: {layout}")
-
-
-def _scale(r: float, r_exact: Optional[Fraction]) -> Fraction:
-    """A level's scale, its shadows' unit: r_exact, or r read exactly."""
-    return Fraction(r) if r_exact is None else r_exact
 
 
 def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
@@ -356,17 +343,17 @@ def _level_at_once(entry: dict, previous: int, dimension: int, taken: Optional[l
     r, r_exact = _scales(entry.get("r"), r_exact, n)
     over = entry.get("over")
     if taken and r_exact is not None and type(over) is int:
-        for i, (seen, seen_over, labels, shadows, q) in enumerate(taken):
+        for i, (seen, seen_over, lvl) in enumerate(taken):
             if over == seen_over and points == seen:
                 taken.append(taken.pop(i))
-                return CloudLevel(n, r, r_exact, list(map(CloudPoint, labels, repeat(None), shadows)), q)
+                return CloudLevel(n, None, r_exact, lvl.labels, lvl.rows, lvl.q)
     # TypeError unless each point is an object
     labels, given, exacts = (list(map(dict.get, points, repeat(key))) for key in ("label", "coords", "exact"))
     named = [label for label in labels if label is not None]  # unlabeled points may repeat
     if set(map(type, named)) - {str} or len(set(named)) < len(named):
         raise ValueError(labels)
     q, kinds = None, set(map(type, exacts))
-    if kinds <= {type(None)} and "over" not in entry:
+    if r is not None and kinds <= {type(None)} and "over" not in entry:
         flat = list(chain.from_iterable(given))
         if not (
             set(map(type, given)) <= {list}
@@ -375,7 +362,7 @@ def _level_at_once(entry: dict, previous: int, dimension: int, taken: Optional[l
             and all(map(math.isfinite, flat))
         ):
             raise ValueError(given)
-        coords, shadows = list(map(tuple, given)), repeat(None)
+        rows = tuple(map(tuple, given))
     elif (
         kinds == {list} and set(map(len, exacts)) == {dimension} and given == [None] * len(points)
         and type(over) is int and over > 0 and r_exact is not None
@@ -383,14 +370,14 @@ def _level_at_once(entry: dict, previous: int, dimension: int, taken: Optional[l
         values = list(chain.from_iterable(exacts))
         distinct, numerators = _shadows_at_once(values)
         q, (numerators,) = _in_lowest_terms(over, [numerators])
-        shadows = list(zip(*[map(dict(zip(distinct, numerators)).__getitem__, values)] * dimension))
-        coords = repeat(None)
-        if taken is not None:
-            taken.append((points, over, labels, shadows, q))
-            del taken[:-2]
+        rows = tuple(zip(*[map(dict(zip(distinct, numerators)).__getitem__, values)] * dimension))
     else:
         raise ValueError(exacts)
-    return CloudLevel(n, r, r_exact, list(map(CloudPoint, labels, coords, shadows)), q)
+    lvl = CloudLevel(n, r, r_exact, tuple(labels), rows, q)
+    if q is not None and taken is not None:
+        taken.append((points, over, lvl))
+        del taken[:-2]
+    return lvl
 
 
 def _shadows_at_once(values: list) -> tuple[list[str], list[int]]:
@@ -421,13 +408,15 @@ def _checked_fields(dimension, period, levels) -> int:
 def _with_points(levels: list[CloudLevel]) -> list[CloudLevel]:
     """The levels, when one has a point: recovery and the writer build
     ``dimension``-long origins, and only points tie ``dimension`` to the input."""
-    if not any(lvl.points for lvl in levels):
+    if not any(lvl.labels for lvl in levels):
         raise GraphError("cloud JSON has no points")
     return levels
 
 
 def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
-    """The level as a cloud holds it, checked after level ``previous`` (0 for none)."""
+    """The level as a cloud holds it, checked after level ``previous`` (0 for
+    none): with a q, its rows are numerators over q beside r_exact, and
+    without one, binary64 coordinates beside r."""
     if not isinstance(lvl, CloudLevel):
         raise GraphError(f"cloud level {lvl!r} is not an object")
     n = _integer(lvl.n, 1, "cloud level n must be a positive integer, got {value!r}")
@@ -435,22 +424,25 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
     # recovery's window is the last levels; subsample and diag look a level up by n
     if n <= previous:
         raise GraphError(f"level {level} follows level {_spelled(previous)}: levels must strictly increase")
-    if not isinstance(lvl.points, (list, tuple)):
+    labels, rows, exact = lvl.labels, lvl.rows, lvl.q is not None
+    if not (isinstance(labels, (list, tuple)) and isinstance(rows, (list, tuple))):
         raise GraphError(f"points of level {level} must be a list")
-    points = [_read_point(p, level, dimension) for p in lvl.points]
-    labels = [p.label for p in points]
+    if len(labels) != len(rows):
+        raise GraphError(f"level {level} has {len(labels)} labels but {len(rows)} rows")
+    rows = tuple([_checked_row(label, row, level, dimension, exact) for label, row in zip(labels, rows)])
+    labels = tuple(labels)
     if len(set(labels)) < len(labels):
         _refuse_repeated_label(labels, level)
     r, r_exact = _scales(lvl.r, lvl.r_exact, level)
     q = None
-    shadows = [p.exact for p in points]
-    if any(shadows):
+    if rows and not exact and r_exact is not None:
+        raise _retired(level, f"coords beside r_exact at point {labels[0]!r}")
+    if rows and exact:
         if r_exact is None:
             raise _retired(level, "exact shadows without r_exact")
         refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
-        q, shadows = _in_lowest_terms(_integer(lvl.q, 1, refusal), shadows)
-        points = [CloudPoint(p.label, p.coords, shadow) for p, shadow in zip(points, shadows)]
-    return CloudLevel(n, r, r_exact, points, q)
+        q, rows = _in_lowest_terms(_integer(lvl.q, 1, refusal), rows)
+    return CloudLevel(n, r, r_exact, labels, tuple(rows), q)
 
 
 def _scales(r, r_exact, level) -> tuple[Optional[float], Optional[Fraction]]:
@@ -464,51 +456,40 @@ def _scales(r, r_exact, level) -> tuple[Optional[float], Optional[Fraction]]:
     return _positive_scale(r, level), None
 
 
-def _read_point(p, level: str, dimension: int) -> CloudPoint:
-    """One point as a cloud holds it: float coordinates or a tuple of ints
-    for its shadow, and None for what it lacks."""
-    if not isinstance(p, CloudPoint):
-        raise GraphError(f"point {p!r} at level {level} is not an object")
-    label, coords, exact = p.label, p.coords, p.exact
+def _checked_row(label, row, level: str, dimension: int, exact: bool) -> tuple:
+    """One point's label and row as a level holds them: the row as ints, the
+    numerators of an exact level, or else as binary64 coordinates."""
     # labels are sorted as strings; None marks an unlabeled point
     if label is not None and not isinstance(label, str):
         raise GraphError(f"point label {label!r} at level {level} is not a string")
-    # a string would be read character by character
-    if not all(isinstance(x, (list, tuple, type(None))) for x in (coords, exact)):
-        raise GraphError(
-            f"point {label!r} at level {level} has coordinates that are not a JSON list"
-        )
-    # an empty shadow, like a missing one, is none
-    if coords is None and not exact:
+    if row is None:
         raise GraphError(f"point {label!r} at level {level} has neither coords nor an exact shadow")
-    if coords is not None and exact:
-        raise _retired(level, f"coords beside exact at point {label!r}")
-    # float() would read JSON true and false as 1.0 and 0.0, and a string as
-    # the number it spells
-    for x in coords or ():
-        if isinstance(x, (bool, str)):
-            kind = "a JSON string" if isinstance(x, str) else "a JSON true or false"
-            raise GraphError(f"point {label!r} at level {level} has a non-numeric coordinate: {kind}")
-    try:
-        coords = None if coords is None else tuple(map(float, coords))
-    except TypeError as exc:
-        raise GraphError(
-            f"point {label!r} at level {level} has a non-numeric coordinate: {exc}"
-        ) from exc
-    except OverflowError as exc:
-        raise GraphError(
-            f"point {label!r} at level {level} has a coordinate beyond binary64: {exc}"
-        ) from exc
-    if not all(map(math.isfinite, coords or ())):
-        raise GraphError(f"point {label!r} at level {level} has a NaN or infinite coordinate")
-    # sup_distance zips coordinates: a short list would be cut silently
-    exact = tuple(exact) if exact else None
-    if any(x is not None and len(x) != dimension for x in (coords, exact)):
-        coordinates = f"{_spelled(dimension)} coordinates"
-        raise GraphError(f"point {label!r} at level {level} does not have {coordinates}")
-    for a in exact or ():
-        _integer(a, -math.inf, f"level {level} has a shadow numerator that is no int: {{value!r}}")
-    return CloudPoint(label, coords, exact)
+    # a string would be read character by character
+    if not isinstance(row, (list, tuple)):
+        raise GraphError(f"point {label!r} at level {level} has coordinates that are not a JSON list")
+    if exact:
+        for a in row:
+            _integer(a, -math.inf, f"level {level} has a shadow numerator that is no int: {{value!r}}")
+        row = tuple(row)
+    else:
+        # float() would read JSON true and false as 1.0 and 0.0, and a string
+        # as the number it spells
+        for x in row:
+            if isinstance(x, (bool, str)):
+                kind = "a JSON string" if isinstance(x, str) else "a JSON true or false"
+                raise GraphError(f"point {label!r} at level {level} has a non-numeric coordinate: {kind}")
+        try:
+            row = tuple(map(float, row))
+        except TypeError as exc:
+            raise GraphError(f"point {label!r} at level {level} has a non-numeric coordinate: {exc}") from exc
+        except OverflowError as exc:
+            raise GraphError(f"point {label!r} at level {level} has a coordinate beyond binary64: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise GraphError(f"point {label!r} at level {level} has a NaN or infinite coordinate")
+    # sup_distance zips coordinates: a short row would be cut silently
+    if len(row) != dimension:
+        raise GraphError(f"point {label!r} at level {level} does not have {_spelled(dimension)} coordinates")
+    return row
 
 
 def _refuse_repeated_label(labels: list, level: str) -> None:
@@ -544,54 +525,49 @@ def _array(out: list, items: list[str], layout: tuple[str, str, str]) -> None:
     out += (opening, separator.join(items), closing)
 
 
-def _write_points(out: list, lvl: CloudLevel, include_exact: bool) -> Optional[int]:
-    """Appends the ``points`` array of a level to ``out``: each point's
-    ``exact`` when it is written, and its ``coords`` otherwise. Each distinct
-    exact value of the level is spelled once. Returns the level's ``over``,
-    its q, when it writes shadows, else None."""
-    if not lvl.points:
-        out.append("[]")
-        return None
-    shadowed = [include_exact and p.exact is not None for p in lvl.points]
-    values = [a for p, s in zip(lvl.points, shadowed) if s for a in p.exact]
-    over = lvl.q if values else None
-    exact = iter(_format_over(values, 1))
-    rows = [p.coords for p in lvl.points] if include_exact else _level_floats(lvl)
-    opening = "[\n        {"
-    for p, s, coords in zip(lvl.points, shadowed, rows):
-        out += (opening, '\n          "label": ', _json_scalar(p.label))
+def _points_array(lvl: CloudLevel, shadowed: bool) -> str:
+    """The ``points`` array of a level: each point's row as ``exact`` values
+    where ``shadowed``, each distinct value spelled once, and as ``coords``
+    otherwise."""
+    if not lvl.rows:
+        return "[]"
+    if shadowed:
+        field, layout = ',\n          "exact": ', _EXACT
+        values = iter(_format_over(list(chain.from_iterable(lvl.rows)), 1))
+        rows = [list(islice(values, len(row))) for row in lvl.rows]
+    else:
+        field, layout = ',\n          "coords": ', _COORDS
+        rows = [list(map(float.__repr__, row)) for row in _level_floats(lvl)]
+    out, opening = [], "[\n        {"
+    for label, row in zip(lvl.labels, rows):
+        out += (opening, '\n          "label": ', _json_scalar(label), field)
         opening = ",\n        {"
-        if s:
-            out.append(',\n          "exact": ')
-            _array(out, list(islice(exact, len(p.exact))), _EXACT)
-        else:
-            out.append(',\n          "coords": ')
-            _array(out, list(map(float.__repr__, coords)), _COORDS)
+        _array(out, row, layout)
         out.append("\n        }")
     out.append("\n      ]")
-    return over
+    return "".join(out)
 
 
-def _level_floats(lvl: CloudLevel) -> list[tuple[float, ...]]:
-    """The binary64 coordinates of the level's points, in point order: a
-    point's coords, or its shadow rounded as int true division of
-    r_exact * a by q rounds it, each distinct value once. GraphError names
-    the first point, in point order, with a coordinate beyond binary64."""
-    shadows = [p.exact for p in lvl.points if p.exact is not None]
-    if not shadows:
-        return [p.coords for p in lvl.points]
+def _level_floats(lvl: CloudLevel) -> Sequence[tuple[float, ...]]:
+    """The binary64 coordinates of the level's points, in point order: the
+    rows of a binary64 level, or an exact level's rows rounded as int true
+    division of r_exact * a by q rounds each, each distinct value once.
+    GraphError names the first point, in point order, with a coordinate
+    beyond binary64."""
+    if lvl.q is None:
+        return lvl.rows
     num, den = lvl.r_exact.numerator, lvl.q * lvl.r_exact.denominator
     try:
-        rounded = iter(_each_once(lambda a: a * num / den, list(chain.from_iterable(shadows))))
+        rounded = iter(_each_once(lambda a: a * num / den, list(chain.from_iterable(lvl.rows))))
     except OverflowError:
         # some point's division overflowed: name the first in point order
-        for p in lvl.points:
+        for label, row in zip(lvl.labels, lvl.rows):
             try:
-                [a * num / den for a in p.exact or ()]
+                [a * num / den for a in row]
             except OverflowError as exc:
                 refusal = f"has a coordinate beyond binary64: {exc}"
-                raise GraphError(f"point {p.label!r} at level {_spelled(lvl.n)} {refusal}") from exc
-    return [p.coords if p.exact is None else tuple(islice(rounded, len(p.exact))) for p in lvl.points]
+                raise GraphError(f"point {label!r} at level {_spelled(lvl.n)} {refusal}") from exc
+    return [tuple(islice(rounded, len(row))) for row in lvl.rows]
 
 
 def _level_r(lvl: CloudLevel) -> float:
@@ -704,8 +680,8 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     for each non-root vertex v_j (the root alone in a one-vertex graph), with
     i cycling through the family. The root lands on the origin, and within a
     level the sup-norm distances reproduce r_n * d_i exactly: no column exceeds
-    d_i(u, v), and that of a non-root end of the pair attains it. A point
-    holds its shadow alone, over r_n: the levels of a member hold equal rows.
+    d_i(u, v), and that of a non-root end of the pair attains it. Each level
+    is exact, its rows over r_n; the levels of a member share their rows.
     A plan field it cannot realize from, its depth, graph, rule or family, is
     named by GraphError, and so is the first level whose r_n has more digits
     than the interpreter's int-to-str limit lets to_json write: no level past
@@ -729,19 +705,21 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         cols = [at[j] for j in columns]
         to_root = [d._num[at[root]][j] for j in cols]
         rows = [tuple([d._num[i][j] - t for j, t in zip(cols, to_root)]) for i in at]
-        members.append(_in_lowest_terms(d._q, rows))
+        q, rows = _in_lowest_terms(d._q, rows)
+        members.append((q, tuple(rows)))
     # a limit of 0 lets str() spell every int
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     beyond = 10**limit if limit else math.inf
-    levels = []
+    labels, factorial, base = tuple(order), plan.rule.name == "factorial", plan.rule.base
+    levels, r = [], 1
     for n in range(1, depth + 1):
-        r = plan.rule.value(n)
+        # r_n = r_{n-1} * n, or r_{n-1} * base**(n*n - (n-1)*(n-1))
+        r *= n if factorial else base ** (2 * n - 1)
         if r >= beyond:
             refusal = f"has a scale r_exact of more than {limit} digits, which to_json cannot write"
             raise GraphError(f"level {n} {refusal}")
         q, rows = members[(n - 1) % len(members)]
-        points = list(map(CloudPoint, order, repeat(None), rows))
-        levels.append(CloudLevel(n=n, r=None, r_exact=Fraction(r), points=points, q=q))
+        levels.append(CloudLevel(n, None, Fraction(r), labels, rows, q))
     return LeveledPointCloud._of_levels(len(columns), levels, len(family))
 
 
@@ -786,6 +764,5 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
         # exact scale is its binary64 value read exactly
         r = Fraction(math.sqrt(x_n) * math.sqrt(x_next))
         q, rows = _in_lowest_terms(r.numerator, [(0,), (x_n * r.denominator,)])
-        points = list(map(CloudPoint, ("p", "x"), repeat(None), rows))
-        levels.append(CloudLevel(n=n, r=None, r_exact=r, points=points, q=q))
+        levels.append(CloudLevel(n, None, r, ("p", "x"), tuple(rows), q))
     return LeveledPointCloud._of_levels(1, levels, None)

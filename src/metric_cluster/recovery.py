@@ -30,7 +30,7 @@ from .fpc import (
 from .graph_core import GraphError, WeightedRootedGraph, _integer, _over_lcm, _real, _root_labels
 from .graph_core import _collection, _spelled
 from .metrization import _pinning_edge
-from .realization import CloudLevel, LeveledPointCloud, _level_floats, _scale, sup_distance
+from .realization import CloudLevel, LeveledPointCloud, _level_floats, sup_distance
 
 DEFAULT_TOL_REL = 1e-6
 DEFAULT_TOL_ABS = 1e-9
@@ -83,18 +83,17 @@ def recover_cluster(
     """Quotient the cloud's labeled sequences into a weighted rooted graph.
 
     Every cloud is decided exactly, on integer coordinates in units of each
-    level's scale (r_exact, or r read exactly) over one denominator q per
-    level: the shadows, which a level holds so, where every point has one,
-    and otherwise the shadows and each binary64 coordinate, read as the
-    dyadic rational it is, over the scale. A normalized distance D / q is one
-    integer over U, the least common multiple of the window's q; window
-    sums, spreads and every threshold test are integer arithmetic, with the
-    tolerances put over one denominator. Fractions are built only for the
-    edge weights, and they equal the exact tail means of d(x_n, y_n)/r_n. A
-    tolerance left None is 0 when the cloud has every shadow
+    level's scale over one denominator q per level: an exact level's rows,
+    which it holds so over its q, and a binary64 level's coordinates, each
+    read as the dyadic rational it is, over r read exactly. A normalized
+    distance D / q is one integer over U, the least common multiple of the
+    window's q; window sums, spreads and every threshold test are integer
+    arithmetic, with the tolerances put over one denominator. Fractions are
+    built only for the edge weights, and they equal the exact tail means of
+    d(x_n, y_n)/r_n. A tolerance left None is 0 when every level is exact
     (``cloud.has_exact()``) and DEFAULT_TOL_REL or DEFAULT_TOL_ABS otherwise;
     the cluster records the values used. ``use_exact`` only refuses a cloud
-    without every shadow.
+    with a binary64 level.
     """
     exact = cloud.has_exact()
     if use_exact and not exact:
@@ -296,25 +295,18 @@ def recover_cluster(
 
 
 def _level_integers(pts: dict, lvl: CloudLevel) -> tuple[dict, int]:
-    """A level's points by label as integer coordinates in units of its scale
-    over one denominator, and that denominator: the shadows over the level's
-    q where every point has one, and otherwise the shadows and each binary64
-    coordinate x, read as the rational x / scale it gives, over their common
-    denominator."""
-    q = lvl.q
-    if all(p.exact is not None for p in pts.values()):
-        return {lbl: p.exact for lbl, p in pts.items()}, q
-    scale = _scale(lvl.r, lvl.r_exact)
-    floats = set(chain.from_iterable(p.coords for p in pts.values() if p.exact is None))
-    # x = a / b exactly, so x / scale = (a * scale.den) / (b * scale.num)
-    ratios = {x: x.as_integer_ratio() for x in floats}
-    common = math.lcm(q or 1, scale.numerator * math.lcm(*{b for _, b in ratios.values()}))
+    """A level's rows by label as integer coordinates in units of its scale
+    over one denominator, and that denominator: an exact level's rows over
+    its q, and a binary64 level's coordinates x, each read as the rational
+    x / r it gives, over their least common denominator."""
+    if lvl.r_exact is not None:
+        return pts, lvl.q
+    scale = Fraction(lvl.r)
+    # x = a / b exactly, so x / r = (a * r.den) / (b * r.num)
+    ratios = {x: x.as_integer_ratio() for x in set(chain.from_iterable(pts.values()))}
+    common = scale.numerator * math.lcm(*{b for _, b in ratios.values()})
     over = {x: a * scale.denominator * (common // (b * scale.numerator)) for x, (a, b) in ratios.items()}
-    k = common // (q or 1)
-    return {
-        lbl: tuple([over[x] for x in p.coords]) if p.exact is None else tuple([a * k for a in p.exact])
-        for lbl, p in pts.items()
-    }, common
+    return {lbl: tuple([over[x] for x in row]) for lbl, row in pts.items()}, common
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,12 @@ MUTANTS = [
     # an edge weighs the tail mean
     (RECOVERY, "edges[(name_a, name_b)] = Fraction(total, window * common)",
      "edges[(name_a, name_b)] = Fraction(total, common)", [THRESHOLDS.format("adjacency")]),
-    # the values a level holds: shadows over q, each binary64 coordinate as its
-    # dyadic rational over the scale, and r_exact as the scale where a level has one
-    (RECOVERY, "k = common // (q or 1)", "k = 1",
-     ["tests/test_recovery.py::test_shadows_and_binary64_values_of_a_level_share_one_denominator"]),
-    (REALIZATION, "return Fraction(r) if r_exact is None else r_exact", "return Fraction(r)",
-     ["tests/test_recovery.py::test_shadows_and_binary64_values_of_a_level_share_one_denominator"]),
+    # the values a binary64 level holds: each coordinate x as the rational
+    # x / r, over the least common denominator r.numerator * lcm(b)
+    (RECOVERY, "common = scale.numerator * math.lcm(", "common = math.lcm(",
+     ["tests/test_recovery.py::test_exact_and_binary64_levels_of_a_window_share_one_denominator"]),
+    (RECOVERY, "a * scale.denominator * (common", "a * (common",
+     ["tests/test_recovery.py::test_exact_and_binary64_levels_of_a_window_share_one_denominator"]),
     # _zero_gap: the largest integer gap within tol_abs + tol_rel * size
     (RECOVERY, "return lambda size, q: (ab * q + rel * size) // den",
      "return lambda size, q: (ab * q + rel * size) // den - 1", [THRESHOLDS.format("adjacency")]),
@@ -88,6 +88,10 @@ MUTANTS = [
      [UNITS.format("over-zero")]),
     (REALIZATION, " and given == [None] * len(points)", "",
      ["tests/test_cli.py::test_each_retired_layout_exit_2"]),
+    # it takes coords beside r alone
+    (REALIZATION, 'if r is not None and kinds <= {type(None)} and "over" not in entry:',
+     'if kinds <= {type(None)} and "over" not in entry:',
+     ["tests/test_realization.py::test_a_file_and_code_refuse_alike[coords beside r_exact]"]),
     (REALIZATION, "over = _integer(entry[\"over\"], 1,", "over = _integer(entry[\"over\"], 0,",
      [UNITS.format("over-zero")]),
     (REALIZATION, "q, (numerators,) = _in_lowest_terms(over, [numerators])", "q = over",
@@ -103,21 +107,26 @@ MUTANTS = [
     # the checked path parses each distinct string once, and values of other types each alone
     (REALIZATION, "if set(map(type, values)) <= {str} else values", "if True else values",
      ["tests/test_realization.py::test_a_level_parses_each_distinct_literal_once"]),
-    # the writer spells a level's points once for all levels only where every point is written as exact
-    (REALIZATION, "if shadowed and all(p.exact is not None for p in lvl.points):", "if shadowed:",
-     ["tests/test_realization.py::test_writer_prints_what_json_dumps_prints[partly_equal_shadows]"]),
+    # the writer spells a level's points once for all levels only where they are numerators
+    (REALIZATION, "                if shadowed:\n                    written[key] = points",
+     "                if True:\n                    written[key] = points",
+     ["tests/test_realization.py::test_writer_prints_what_json_dumps_prints[equal_apart]"]),
     # the one-point space holds its shadows over its binary64 scale in lowest terms
     (REALIZATION, "q, rows = _in_lowest_terms(r.numerator, [(0,), (x_n * r.denominator,)])",
      "q, rows = r.numerator, [(0,), (x_n * r.denominator,)]",
      ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud[single_point]"]),
     # a level with over is read in units of its scale on the checked path
     (REALIZATION, 'if "over" in entry:\n        over = _integer(', 'if False:\n        over = _integer(',
-     ["tests/test_realization.py::test_partly_shadowed_level_loads_writes_back_and_is_not_exact"]),
-    # one scale and one layout per level: shadows over over, beside r_exact
-    # alone, and a point's shadow without coords; the file and code alike
+     ["tests/test_realization.py::test_unreduced_shadows_load_over_the_least_denominator"]),
+    # one scale and one kind per level: numerators over q beside r_exact, and
+    # coordinates beside r; a point's shadow without coords; the file and code alike
     (REALIZATION, "        if r is not None:\n            raise _retired(", "        if False:\n            raise _retired(",
      ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
-    (REALIZATION, "    if coords is not None and exact:", "    if False:",
+    (REALIZATION, "            if shadowed and coords is not None:", "            if False:",
+     ["tests/test_realization.py::test_each_retired_layout_is_refused_at_its_level[coords_beside_exact]"]),
+    (REALIZATION, "                if shadowed != kind:", "                if False:",
+     ["tests/test_realization.py::test_each_retired_layout_is_refused_at_its_level[exact_and_coords_mixed]"]),
+    (REALIZATION, "    if rows and not exact and r_exact is not None:", "    if False:",
      ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
     (REALIZATION, "        if r_exact is None:\n            raise _retired(", "        if False:\n            raise _retired(",
      ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),

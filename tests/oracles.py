@@ -12,7 +12,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import chain, combinations, count, repeat
+from itertools import chain, combinations, count
 from typing import Optional
 
 import networkx as nx
@@ -27,7 +27,6 @@ from metric_cluster.graph_core import (
 from metric_cluster.metrization import DistanceMatrix, IntervalQ, shortest_path_metric
 from metric_cluster.realization import (
     CloudLevel,
-    CloudPoint,
     LeveledPointCloud,
     sup_distance,
 )
@@ -297,12 +296,12 @@ def recover_by_fractions(
             raise GraphError(f"level {lvl.n} is missing labels {missing}")
         per_level.append((lvl, pts))
 
-    def coordinates(lvl, p):
-        if p.exact is None:
-            return tuple(Fraction(x) for x in p.coords)
-        return point_shadow(lvl, p)
+    def coordinates(lvl, row):
+        if lvl.r_exact is None:
+            return tuple(Fraction(x) for x in row)
+        return point_shadow(lvl, row)
 
-    rows = [{lbl: coordinates(lvl, p) for lbl, p in pts.items()} for lvl, pts in per_level]
+    rows = [{lbl: coordinates(lvl, row) for lbl, row in pts.items()} for lvl, pts in per_level]
     scales = [Fraction(lvl.r) if lvl.r_exact is None else lvl.r_exact for lvl, _ in per_level]
 
     zero = 0
@@ -457,7 +456,7 @@ def level_from_fractions(n: int, r: Fraction, points: dict) -> CloudLevel:
     """A cloud level with exact scale r from {label: Fraction coordinates}:
     the shadows in units of r, as ``shadows_in_units`` puts them."""
     q, shadows = shadows_in_units(list(points.values()), r)
-    return CloudLevel(n=n, r=None, r_exact=r, points=list(map(CloudPoint, points, repeat(None), shadows)), q=q)
+    return CloudLevel(n, None, r, tuple(points), tuple(shadows), q)
 
 
 def shadows_in_units(shadows: list, scale: Fraction) -> tuple:
@@ -469,10 +468,10 @@ def shadows_in_units(shadows: list, scale: Fraction) -> tuple:
     return q, [None if row is None else tuple(int(x * q) for x in row) for row in units]
 
 
-def point_shadow(lvl: CloudLevel, p: CloudPoint) -> tuple[Fraction, ...]:
-    """A shadowed point's exact coordinates: each numerator over the level's
-    q, times the level's r_exact."""
-    return tuple(lvl.r_exact * Fraction(a, lvl.q) for a in p.exact)
+def point_shadow(lvl: CloudLevel, row: tuple) -> tuple[Fraction, ...]:
+    """The exact coordinates of a row of an exact level: each numerator over
+    the level's q, times the level's r_exact."""
+    return tuple(lvl.r_exact * Fraction(a, lvl.q) for a in row)
 
 
 def shadows_by_fractions(shadows: list) -> tuple:
@@ -504,15 +503,14 @@ def cloud_by_coordinates(plan) -> LeveledPointCloud:
         r_exact = Fraction(plan.rule.value(n))
         rows = [[r_exact * x for x in row] for row in differences[(n - 1) % len(differences)]]
         q, shadows = shadows_in_units(rows, r_exact)
-        points = [CloudPoint(label=v, coords=None, exact=e) for v, e in zip(order, shadows)]
-        levels.append(CloudLevel(n=n, r=None, r_exact=r_exact, points=points, q=q))
+        levels.append(CloudLevel(n, None, r_exact, tuple(order), tuple(shadows), q))
     return LeveledPointCloud(dimension=len(columns), levels=levels, period=len(plan.family))
 
 
-def point_floats(lvl: CloudLevel, p: CloudPoint) -> tuple[float, ...]:
-    """A point's binary64 coordinates: its coords, or each value of its
-    ``point_shadow`` rounded as ``float(Fraction)`` rounds it."""
-    return p.coords if p.exact is None else tuple(map(float, point_shadow(lvl, p)))
+def point_floats(lvl: CloudLevel, row: tuple) -> tuple[float, ...]:
+    """A row's binary64 coordinates: the row of a binary64 level, or each
+    value of its ``point_shadow`` rounded as ``float(Fraction)`` rounds it."""
+    return row if lvl.r_exact is None else tuple(map(float, point_shadow(lvl, row)))
 
 
 def file_shadow(level: dict, point: dict) -> list[Fraction]:
@@ -525,29 +523,22 @@ def file_shadow(level: dict, point: dict) -> list[Fraction]:
 def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dict:
     """The cloud file as a dict, which ``json.dumps(..., indent=2)`` lays
     out as ``to_json`` writes it. Unless ``include_exact`` is false, a level
-    with ``r_exact`` writes it, and each point's shadow as ``exact`` values:
-    each value x, a coordinate of ``point_shadow`` over r_exact, as the
-    integer x * over, with ``over`` the least common denominator of the
-    level's values x. Otherwise a level writes ``r``, r_exact rounded where
-    it has one, and each point's ``coords``, its shadow rounded."""
+    with ``r_exact`` writes it, and each row as ``exact`` values: each value
+    x, a coordinate of ``point_shadow`` over r_exact, as the integer
+    x * over, with ``over`` the least common denominator of the level's
+    values x. Otherwise a level writes ``r``, r_exact rounded where it has
+    one, and each point's ``coords``, its row rounded."""
     levels = []
     for lvl in cloud.levels:
-        points, units = [], []
-        for p in lvl.points:
-            if include_exact and p.exact is not None:
-                units.append([x / lvl.r_exact for x in point_shadow(lvl, p)])
-                points.append({"label": p.label, "exact": units[-1]})
-            else:
-                points.append({"label": p.label, "coords": list(point_floats(lvl, p))})
         if not (include_exact and lvl.r_exact is not None):
+            points = [{"label": v, "coords": list(point_floats(lvl, row))} for v, row in zip(lvl.labels, lvl.rows)]
             levels.append({"n": lvl.n, "r": repr(float(lvl.r_exact or lvl.r)), "points": points})
             continue
+        units = [[x / lvl.r_exact for x in point_shadow(lvl, row)] for row in lvl.rows]
+        over = math.lcm(*(x.denominator for x in chain.from_iterable(units)))
+        points = [{"label": v, "exact": [str(x * over) for x in xs]} for v, xs in zip(lvl.labels, units)]
         levels.append({"n": lvl.n, "points": points, "r_exact": str(lvl.r_exact)})
         if units:
-            over = math.lcm(*(x.denominator for x in chain.from_iterable(units)))
-            for item in points:
-                if "exact" in item:
-                    item["exact"] = [str(x * over) for x in item["exact"]]
             levels[-1]["over"] = over
     return {
         "norm": "sup",
@@ -737,6 +728,33 @@ def scaled_weights(g: WeightedRootedGraph, factor: Fraction) -> WeightedRootedGr
     return WeightedRootedGraph(g.vertices, {e: w * factor for e, w in g.weights.items()}, g.root)
 
 
+def line_cloud(positions: dict, depth: int = 24) -> LeveledPointCloud:
+    """A closed-form cloud on the line, as measured data is: binary64 levels
+    at the scales r_n = 2**(n*n), n = 1..depth, each holding label v at
+    r_n * f(n), rounded to binary64, for each v: f of ``positions``, where
+    f(n), a Fraction, is v's normalized position x_n / r_n."""
+    levels = []
+    for n in range(1, depth + 1):
+        r = 2 ** (n * n)
+        rows = tuple((float(r * f(n)),) for f in positions.values())
+        levels.append(CloudLevel(n, float(r), None, tuple(positions), rows))
+    return LeveledPointCloud(1, levels)
+
+
+def line_cluster_by_limits(limits: dict) -> WeightedRootedGraph:
+    """The cluster at infinity of a ``line_cloud`` by its definition, from
+    the exact limit of each label's normalized position f(n), or None where
+    f has none: d(x_n, 0) / r_n = |f(n)| and d(x_n, y_n) / r_n =
+    |f_x(n) - f_y(n)| converge to |a| and |a - b| for limits a and b, so the
+    root nu0 and the labels with a limit, distinct and nonzero, form the
+    complete graph with those weights. A label without a limit has no point
+    in the cluster."""
+    points = {"nu0": Fraction(0)} | {v: Fraction(a) for v, a in limits.items() if a is not None}
+    assert len(set(points.values())) == len(points), "limits must be distinct and nonzero"
+    edges = {(u, v): abs(points[u] - points[v]) for u, v in combinations(points, 2)}
+    return WeightedRootedGraph(list(points), edges, "nu0")
+
+
 def halfway_past_binary64() -> WeightedRootedGraph:
     """The edge r-v of weight (2**1024 - 2**969) / 170!: at level 170 of the
     factorial rule its coordinate is r_170 times the weight, halfway between
@@ -754,12 +772,12 @@ def cross_level_separation(cloud: LeveledPointCloud) -> dict[int, float]:
     """
     out: dict[int, float] = {}
     for i, lvl in enumerate(cloud.levels):
-        xs = [x for x in (point_floats(lvl, p) for p in lvl.points) if any(x)]
+        xs = [x for x in (point_floats(lvl, row) for row in lvl.rows) if any(x)]
         if not xs:
             continue
         for j in range(i + 1, len(cloud.levels)):
             other = cloud.levels[j]
-            ys = [y for y in (point_floats(other, p) for p in other.points) if any(y)]
+            ys = [y for y in (point_floats(other, row) for row in other.rows) if any(y)]
             if not ys:
                 continue
             gap = j - i

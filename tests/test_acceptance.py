@@ -340,13 +340,13 @@ def test_criterion_08_single_point_example():
             continue
         for other in cloud.levels[:i]:
             # a shadow is held over q in units of its own level's scale
-            x = other.r_exact * Fraction(other.points[1].exact[0], other.q)
+            x = other.r_exact * Fraction(other.rows[1][0], other.q)
             worst_off_level = max(worst_off_level, float(x / lvl.r_exact))
     assert worst_off_level < 1e-3
 
     # the sequence's own normalized values decay monotonically through the
     # same threshold inside the truncation
-    trace = [float(Fraction(lvl.points[1].exact[0], lvl.q)) for lvl in cloud.levels]
+    trace = [float(Fraction(lvl.rows[1][0], lvl.q)) for lvl in cloud.levels]
     assert all(b2 < b1 for b1, b2 in zip(trace, trace[1:]))
     assert trace[-1] < 1e-3
     report(

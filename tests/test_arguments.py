@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import metric_cluster as mc
 from metric_cluster import GraphError
-from metric_cluster.realization import CloudLevel, CloudPoint
+from metric_cluster.realization import CloudLevel
 
 G = mc.WeightedRootedGraph(
     ["r", "u", "v", "z"],
@@ -49,9 +49,8 @@ def _one_point(period=None, n=1, shadow=None, r_exact=None, q=1):
     at scale r = 1.0, or, where a shadow or r_exact is given, the shadow,
     (1,) if none, over q at scale r_exact, 1 if none."""
     if shadow is None and r_exact is None:
-        return mc.LeveledPointCloud(1, [CloudLevel(n, 1.0, None, [CloudPoint("a", (1.0,))])], period)
-    point = CloudPoint("a", None, shadow or (1,))
-    return mc.LeveledPointCloud(1, [CloudLevel(n, None, r_exact or Fraction(1), [point], q)], period)
+        return mc.LeveledPointCloud(1, [CloudLevel(n, 1.0, None, ("a",), ((1.0,),))], period)
+    return mc.LeveledPointCloud(1, [CloudLevel(n, None, r_exact or Fraction(1), ("a",), (shadow or (1,),), q)], period)
 
 
 def _recorded(**tolerances):
@@ -257,8 +256,15 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
     with pytest.raises(GraphError, match="got a negative int of 16610 bits$"):
         mc.moon_moser_f(-10**5000)
     # a cloud built in code may hold such a level n: its second fault names the level by its bits
+    def non_numeric(level):
+        del level["over"], level["r_exact"]
+        level.update(r="1.0", points=[{"label": "u", "coords": [None] * 4}])
+
     faults = {
-        "non-numeric coordinate": lambda level: level["points"][1].update(coords=[None] * 4, exact=None),
+        "non-numeric coordinate": non_numeric,
+        "retired layout: exact and coords mixed at point 'u'": (
+            lambda level: level["points"][1].update(coords=[None] * 4, exact=None)
+        ),
         "retired layout: r beside r_exact": lambda level: level.__setitem__("r", "x"),
         "duplicate label 'u'": lambda level: level["points"].append(dict(level["points"][1])),
         "exact scale r_exact = -1": lambda level: level.__setitem__("r_exact", "-1"),

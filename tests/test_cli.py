@@ -986,24 +986,28 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
             assert "levels must strictly increase" in capsys.readouterr().err
 
 
+def _float_level(data) -> dict:
+    """Level 4 of ``data`` as the float writer writes it, r and coords."""
+    level = data["levels"][3]
+    for point in level["points"]:
+        point["coords"] = [float(x) for x in file_shadow(level, point)]
+        del point["exact"]
+    level["r"] = repr(float(Fraction(level.pop("r_exact"))))
+    del level["over"]
+    return level
+
+
 def _set_coordinate(value):
-    """The point given coords in place of its shadow, the first one ``value``."""
+    """Level 4 written without shadows, the first coordinate of point 'u' then ``value``."""
     def edit(data):
-        point = data["levels"][3]["points"][1]
-        point["coords"] = [value] + [0.0] * (len(point.pop("exact")) - 1)
+        _float_level(data)["points"][1]["coords"][0] = value
     return edit
 
 
 def _set_r(value):
-    """Level 4 written without shadows, as the float writer writes it, with
-    its scale r then ``value``."""
+    """Level 4 written without shadows, its scale r then ``value``."""
     def edit(data):
-        level = data["levels"][3]
-        for point in level["points"]:
-            point["coords"] = [float(x) for x in file_shadow(level, point)]
-            del point["exact"]
-        del level["r_exact"], level["over"]
-        level["r"] = value
+        _float_level(data)["r"] = value
     return edit
 
 
@@ -1056,7 +1060,7 @@ def _set_at(path, value):
         (_set_at(["basepoint"], "nonsense"), "basepoint must be the origin"),
         (_set_at(["basepoint"], [1e300, 0, 0, 0]), "basepoint must be the origin"),
         (_set_at(["levels"], []), "cloud JSON has no points"),
-        (_set_at(["levels", 3, "points", 1, "coords"], "1234"), "not a JSON list"),
+        (lambda data: _float_level(data)["points"][1].update(coords="1234"), "not a JSON list"),
         (_set_at(["levels", 3, "points", 1, "exact"], "1234"), "not a JSON list"),
     ],
     ids=[

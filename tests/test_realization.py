@@ -18,7 +18,6 @@ from metric_cluster.fpc import synthesize_weights
 from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
 from metric_cluster.realization import (
     CloudLevel,
-    CloudPoint,
     LeveledPointCloud,
     ScalingRule,
     _level_at_once,
@@ -55,7 +54,6 @@ from oracles import (
     random_dominating_shape,
     scaled_weights,
     shadows_by_fractions,
-    shadows_in_units,
     with_unrelated_denominators,
 )
 
@@ -162,15 +160,15 @@ def test_shallow_depth_warns():
 def test_root_is_origin_at_every_level():
     cloud = realize(ONE_GAP, depth=10)
     for lvl in cloud.levels:
-        root_pt = cloud.points_by_label(lvl)["r"]
-        assert root_pt.coords is None
-        assert all(x == 0 for x in root_pt.exact)
+        assert lvl.q is not None
+        assert all(x == 0 for x in cloud.points_by_label(lvl)["r"])
     # a label names one point of a level; unlabeled points may repeat and are left out
     lvl = cloud.levels[0]
     labeled = cloud.points_by_label(lvl)
-    unlabeled = [CloudPoint(None, (0.0,) * cloud.dimension)] * 2
-    assert cloud.points_by_label(dataclasses.replace(lvl, points=lvl.points + unlabeled)) == labeled
-    twice = dataclasses.replace(lvl, points=lvl.points + unlabeled + [labeled["u"]])
+    origin = (0,) * cloud.dimension
+    unlabeled = dataclasses.replace(lvl, labels=lvl.labels + (None, None), rows=lvl.rows + (origin, origin))
+    assert cloud.points_by_label(unlabeled) == labeled
+    twice = dataclasses.replace(unlabeled, labels=unlabeled.labels + ("u",), rows=unlabeled.rows + (labeled["u"],))
     with pytest.raises(GraphError, match="^duplicate label 'u' at level 1$"):
         cloud.points_by_label(twice)
 
@@ -184,8 +182,8 @@ def test_within_level_distances_reproduce_scaled_metric_exactly():
         for u in plan.graph.vertices:
             for v in plan.graph.vertices:
                 if u < v:
-                    # the shadows are held in units of r_n
-                    got = lvl.r_exact * Fraction(sup_distance(pts[u].exact, pts[v].exact), lvl.q)
+                    # the rows are held in units of r_n
+                    got = lvl.r_exact * Fraction(sup_distance(pts[u], pts[v]), lvl.q)
                     assert got == lvl.r_exact * d.get(u, v)
 
 
@@ -196,8 +194,8 @@ def test_norm_over_scaling_equals_root_labels():
     for lvl in cloud.levels:
         pts = cloud.points_by_label(lvl)
         for v in plan.graph.vertices:
-            # over q, a shadow is in units of r_n already
-            norm = Fraction(sup_distance(pts[v].exact, origin), lvl.q)
+            # over q, a row is in units of r_n already
+            norm = Fraction(sup_distance(pts[v], origin), lvl.q)
             expected = Fraction(0) if v == "r" else plan.graph.weight("r", v)
             assert norm == expected
 
@@ -220,9 +218,9 @@ def test_realized_levels_are_isometric_whatever_the_columns(n):
             for i, lvl in enumerate(cloud.levels):
                 d = plan.family[i % plan.period]
                 pts = cloud.points_by_label(lvl)
-                assert not any(pts[g.root].exact)
+                assert not any(pts[g.root])
                 for u, v in combinations(g.vertices, 2):
-                    assert Fraction(sup_distance(pts[u].exact, pts[v].exact), lvl.q) == d.get(u, v)
+                    assert Fraction(sup_distance(pts[u], pts[v]), lvl.q) == d.get(u, v)
             sub = subsample_levels(cloud, alternating_period_indices(cloud))
             assert sub.period == cloud.period
             assert recover_cluster(cloud).graph == g
@@ -275,7 +273,7 @@ def first_level_beyond_binary64(cloud) -> int:
     for lvl in cloud.levels:
         try:
             float(lvl.r_exact)
-            [float(x) for p in lvl.points for x in point_shadow(lvl, p)]
+            [float(x) for row in lvl.rows for x in point_shadow(lvl, row)]
         except OverflowError:
             return lvl.n
     return 0
@@ -402,10 +400,7 @@ def test_cloud_json_round_trip():
     assert [l.n for l in again.levels] == [l.n for l in cloud.levels]
     for la, lb in zip(again.levels, cloud.levels):
         assert la.r == lb.r and la.r_exact == lb.r_exact and la.q == lb.q
-        for pa, pb in zip(la.points, lb.points):
-            assert pa.label == pb.label
-            assert pa.coords == pb.coords
-            assert pa.exact == pb.exact
+        assert la.labels == lb.labels and la.rows == lb.rows
     stripped = LeveledPointCloud.from_json(cloud.to_json(include_exact=False))
     assert not stripped.has_exact()
 
@@ -464,46 +459,50 @@ def test_a_single_point_file_is_pinned_and_read_in_one_pass():
 SINGLE_POINT_DIGEST = "828398f857317e7a79d477b5f687acfa950fe78e9e2e972d29061435ddea7ac3"
 
 
-def _partly_shadowed_file_cloud():
-    """A realized cloud whose file has the coordinates of its second point,
-    rounded, in place of its shadow at every level."""
+def _exact_and_binary64_levels_file_cloud():
+    """A realized cloud whose file has every other level, from the second,
+    as the float writer writes it: its r and rounded coordinates."""
     data = json.loads(realize(CERT_TRIANGLE, 8).to_json())
     floats = json.loads(realize(CERT_TRIANGLE, 8).to_json(include_exact=False))
-    for entry, rounded in zip(data["levels"], floats["levels"]):
-        entry["points"][1] = rounded["points"][1]
+    data["levels"][1::2] = floats["levels"][1::2]
     return LeveledPointCloud.from_json_dict(data)
 
 
-# built in the tests that take them: the partly shadowed cloud goes through
+# built in the tests that take them: a cloud read from a file goes through
 # the reader, whose refusal then fails a test, not the module's collection
 WRITTEN_CLOUDS = {
     "factorial": (lambda: realize(ONE_GAP, 12), True),
     "power_square": (lambda: realize(ONE_GAP, 6, ScalingRule("power_square", 3)), True),
     "deep": (lambda: realize(ONE_GAP, 110), True),
-    "partly_shadowed": (_partly_shadowed_file_cloud, False),
+    "exact_and_binary64_levels": (_exact_and_binary64_levels_file_cloud, False),
     "single_point": (lambda: single_point_space(12), False),
 }
 
 
 @pytest.mark.parametrize("name", list(WRITTEN_CLOUDS))
 def test_a_level_holds_its_shadows_as_its_file_writes_them(name):
-    """A level with r_exact holds its written ``over`` as q and each point's
-    written values as its shadow; the levels of one family member hold equal
-    rows; and the constructor takes the cloud's own levels as they are."""
+    """A level with r_exact holds its written ``over`` as q and its points'
+    written values as its rows, and a level with r its written coords; the
+    levels of one family member share their labels and rows; and the
+    constructor takes the cloud's own levels as they are, and fresh lists
+    of their labels and rows as equal tuples."""
     build, realized = WRITTEN_CLOUDS[name]
     cloud = build()
     for entry, lvl in zip(json.loads(cloud.to_json())["levels"], cloud.levels):
-        assert ("over" in entry) == (lvl.r_exact is not None and lvl.q is not None)
+        assert ("over" in entry) == (lvl.r_exact is not None) == (lvl.q is not None)
+        assert lvl.labels == tuple(item["label"] for item in entry["points"])
         if "over" in entry:
             assert lvl.q == entry["over"]
-            written = [tuple(map(int, item["exact"])) if "exact" in item else None for item in entry["points"]]
-            assert [p.exact for p in lvl.points] == written
+            assert lvl.rows == tuple(tuple(map(int, item["exact"])) for item in entry["points"])
+        else:
+            assert lvl.rows == tuple(tuple(item["coords"]) for item in entry["points"])
     if realized:
         for lvl, later in zip(cloud.levels, cloud.levels[cloud.period:]):
-            assert (lvl.q, lvl.points) == (later.q, later.points)
+            assert lvl.q == later.q and lvl.labels is later.labels and lvl.rows is later.rows
     assert LeveledPointCloud(cloud.dimension, cloud.levels, cloud.period) == cloud
-    copies = [dataclasses.replace(lvl, points=[dataclasses.replace(p) for p in lvl.points]) for lvl in cloud.levels]
-    assert LeveledPointCloud(cloud.dimension, copies, cloud.period).to_json() == cloud.to_json()
+    copies = [dataclasses.replace(lvl, labels=list(lvl.labels), rows=list(map(list, lvl.rows))) for lvl in cloud.levels]
+    rebuilt = LeveledPointCloud(cloud.dimension, copies, cloud.period)
+    assert rebuilt == cloud and rebuilt.to_json() == cloud.to_json()
 
 
 @pytest.mark.parametrize(
@@ -527,7 +526,8 @@ def test_load_and_write_reproduces_the_cloud(cloud):
 
 def test_threads_each_loading_and_writing_a_cloud_reproduce_the_serial_results():
     """The reader's and writer's tables of repeated points live within one
-    call: threads, each loading its own file and writing the cloud back,
+    call, and levels share their rows without writing to them: threads,
+    each loading its own file, writing the cloud back and recovering it,
     give what one thread gives."""
     rng = random.Random(7)
     clouds = [realize(synthesize_weights(random_dominating_shape(rng, n, 0.5)), 24) for n in range(3, 11)]
@@ -535,7 +535,8 @@ def test_threads_each_loading_and_writing_a_cloud_reproduce_the_serial_results()
 
     def load_and_write(text):
         cloud = LeveledPointCloud.from_json(text)
-        return cloud, cloud.to_json(), cloud.to_json(include_exact=False)
+        diagnostics = recover_cluster(cloud).diagnostics_json_dict()
+        return cloud, cloud.to_json(), cloud.to_json(include_exact=False), diagnostics
 
     serial = list(map(load_and_write, texts * 3))
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -554,8 +555,8 @@ def test_shadows_are_written_in_units_of_their_level_scale(depth, rule):
         values = [int(x) for item in entry["points"] for x in item["exact"]]
         assert math.gcd(entry["over"], *values) == 1
         assert all(str(int(x)) == x for item in entry["points"] for x in item["exact"])
-        for item, p in zip(entry["points"], lvl.points):
-            assert file_shadow(entry, item) == list(point_shadow(lvl, p))
+        for item, row in zip(entry["points"], lvl.rows):
+            assert file_shadow(entry, item) == list(point_shadow(lvl, row))
     assert max(len(x) for item in data["levels"][-1]["points"] for x in item["exact"]) < 4
 
 
@@ -585,27 +586,36 @@ def test_unreduced_shadows_load_over_the_least_denominator():
         assert again.to_json() == cloud.to_json()
 
 
-def test_partly_shadowed_level_loads_writes_back_and_is_not_exact():
+def test_a_level_whose_points_are_not_of_one_kind_is_refused():
+    """A level is exact or binary64 whole. The file of a realized cloud
+    whose first level keeps the shadow only where a coordinate has a
+    denominator, and the coordinates elsewhere, is refused at the first
+    point of the other kind; so is the file whose first level has every
+    point's coordinates beside its r_exact, and that level in code, rows
+    of coordinates without a q beside r_exact."""
     realized = realize(CERT_TRIANGLE, 12)
     first = realized.levels[0]
     assert first.q > 1
-    # keep the shadow only where a coordinate has a denominator, and the
-    # coordinates elsewhere
-    points = [p if any(a % first.q for a in p.exact) else CloudPoint(p.label, point_floats(first, p)) for p in first.points]
-    assert 0 < sum(p.exact is None for p in points) < len(points)
-    built = LeveledPointCloud(realized.dimension, [dataclasses.replace(first, points=points), *realized.levels[1:]])
-    data = cloud_json_dict(built)
-    assert "over" in data["levels"][0]
-    cloud = LeveledPointCloud.from_json(json.dumps(data))
-    assert cloud == built and json.loads(cloud.to_json()) == data
-    assert not cloud.has_exact()
-    with pytest.raises(GraphError, match="^use_exact needs every point's exact shadow"):
-        recover_cluster(cloud, use_exact=True)
-    assert isomorphic(CERT_TRIANGLE, recover_cluster(cloud).graph, weight_tol_rel=Fraction(1, 10**9))
-    # the floats derived from the shadows decide as the floats of a file without them
-    floats = LeveledPointCloud.from_json(cloud.to_json(include_exact=False))
-    assert all(p.exact is None for lvl in floats.levels for p in lvl.points)
-    assert recover_cluster(cloud) == recover_cluster(floats)
+    data = cloud_json_dict(realized)
+    entry = data["levels"][0]
+    shadowed = [any(a % first.q for a in row) for row in first.rows]
+    assert shadowed.index(False) < shadowed.index(True)
+    for item, row, keep in zip(entry["points"], first.rows, shadowed):
+        if not keep:
+            item["coords"] = list(point_floats(first, row))
+            del item["exact"]
+    other = first.labels[shadowed.index(True)]
+    assert refusal(data) == f"level 1 is in a retired layout: exact and coords mixed at point {other!r}"
+    beside = f"level 1 is in a retired layout: coords beside r_exact at point {first.labels[0]!r}"
+    for item, row in zip(entry["points"], first.rows):
+        item.pop("exact", None)
+        item["coords"] = list(point_floats(first, row))
+    del entry["over"]
+    assert refusal(data) == beside
+    coords = dataclasses.replace(first, rows=_level_floats(first), q=None)
+    with pytest.raises(GraphError) as caught:
+        LeveledPointCloud(realized.dimension, [coords, *realized.levels[1:]])
+    assert str(caught.value) == beside
 
 
 # the least integer that rounds beyond binary64, halfway between the largest
@@ -621,9 +631,8 @@ def test_a_binary64_reader_refuses_exactly_a_shadow_beyond_binary64(q):
     point beyond binary64 with the text of the per-point rounding."""
     for a, fits in ((_PAST_BINARY64 * q - 1, True), (_PAST_BINARY64 * q, False)):
         shadows = {"r": (0, 0), "u": (1, 2), "v": (1, -a), "w": (-a, 0)}
-        points = [CloudPoint(v, None, x) for v, x in shadows.items()]
         # in units of the scale 7, each numerator itself is the value over 7q
-        in_code = LeveledPointCloud(2, [CloudLevel(1, None, Fraction(7), points, 7 * q)])
+        in_code = LeveledPointCloud(2, [CloudLevel(1, None, Fraction(7), tuple(shadows), tuple(shadows.values()), 7 * q)])
         entry = {"n": 1, "r_exact": "7", "over": 7 * q}
         entry["points"] = [{"label": v, "exact": list(map(str, x))} for v, x in shadows.items()]
         document = {"dimension": 2, "levels": [entry]}
@@ -786,7 +795,7 @@ def test_a_malformed_shadow_is_named_before_a_later_point_fault():
     points[0]["exact"][1] = "0"
     assert "'1/-2'" in error()
     points[1]["exact"][0] = "0"
-    assert "non-numeric coordinate" in error()
+    assert error() == "level 2 is in a retired layout: exact and coords mixed at point 'v'"
 
 
 def checked_path(data):
@@ -816,10 +825,10 @@ def taken_levels(data) -> list[bool]:
 
 def test_a_level_checked_at_once_reads_as_point_by_point():
     """The one pass takes unlabeled points; it leaves a level with a repeated
-    label, coords beside a shadow, even its rounding, an empty shadow, points
-    with and without shadows or an int coordinate to the checked path, and
-    takes every other level. The reader gives the checked path's cloud or
-    refusal either way."""
+    label, coords beside a shadow, even its rounding, an empty shadow or
+    points with and without shadows to the checked path, and takes every
+    other level. The reader gives the checked path's cloud or refusal
+    either way."""
     text = realize(ONE_GAP, 6).to_json()
     dimension = json.loads(text)["dimension"]
     edits = [
@@ -829,10 +838,15 @@ def test_a_level_checked_at_once_reads_as_point_by_point():
         # the root's shadow rounded, beside it
         (5, lambda points: points[0].update(coords=[0.0] * dimension), False,
          "level 6 is in a retired layout: coords beside exact at point 'r'"),
-        (2, lambda points: points[1].update(coords=[0.5] * dimension, exact=[]), False, None),
-        (3, lambda points: points.__setitem__(2, {"label": "v", "coords": [1.5] * dimension}), False, None),
-        # the writer writes no int coordinate
-        (0, lambda points: points.__setitem__(0, {"label": "r", "coords": [0] * dimension}), False, None),
+        (2, lambda points: points[1].update(coords=[0.5] * dimension, exact=[]), False,
+         "level 3 is in a retired layout: exact and coords mixed at point 'u'"),
+        (3, lambda points: points.__setitem__(2, {"label": "v", "coords": [1.5] * dimension}), False,
+         "level 4 is in a retired layout: exact and coords mixed at point 'v'"),
+        # the first point's kind is the level's
+        (0, lambda points: points.__setitem__(0, {"label": "r", "coords": [0] * dimension}), False,
+         "level 1 is in a retired layout: exact and coords mixed at point 'u'"),
+        # a point with neither is named by the level check
+        (1, lambda points: points[0].update(exact=None), False, "point 'r' at level 2 has neither coords nor an exact shadow"),
     ]
     for level, edit, taken, refused in edits:
         data = json.loads(text)
@@ -851,8 +865,10 @@ def retired_files(cloud) -> dict[str, str]:
     """The cloud's file in each layout that a writer wrote before and no
     writer writes now, by name: each ``exact`` value the coordinate itself,
     without ``over``, beside r_exact or r; each shadowed point with its
-    coords as well; each level with r beside r_exact; and the last two with
-    absolute shadows, as the writer wrote both halves."""
+    coords as well; each level with r beside r_exact; the last two with
+    absolute shadows, as the writer wrote both halves; each level's second
+    point with its coords in place of its shadow; and each level's points
+    with their coords beside r_exact."""
 
     def absolute(data):
         for entry in data["levels"]:
@@ -869,10 +885,14 @@ def retired_files(cloud) -> dict[str, str]:
                 del entry["r_exact"]
         return data
 
-    def with_coords(data):
+    def with_coords(data, points=slice(None), drop_exact=False):
         for entry, lvl in zip(data["levels"], cloud.levels):
-            for item, p in zip(entry["points"], lvl.points):
-                item["coords"] = list(point_floats(lvl, p))
+            for item, row in list(zip(entry["points"], lvl.rows))[points]:
+                item["coords"] = list(point_floats(lvl, row))
+                if drop_exact:
+                    del item["exact"]
+            if drop_exact and all("coords" in item for item in entry["points"]):
+                del entry["over"]
         return data
 
     layouts = {
@@ -881,6 +901,8 @@ def retired_files(cloud) -> dict[str, str]:
         "coords_beside_exact": with_coords(cloud_json_dict(cloud)),
         "r_beside_r_exact": with_r(cloud_json_dict(cloud)),
         "both_halves": with_r(with_coords(absolute(cloud_json_dict(cloud)))),
+        "exact_and_coords_mixed": with_coords(cloud_json_dict(cloud), slice(1, 2), drop_exact=True),
+        "coords_beside_r_exact": with_coords(cloud_json_dict(cloud), drop_exact=True),
     }
     return {name: json.dumps(data, indent=2) for name, data in layouts.items()}
 
@@ -893,6 +915,8 @@ RETIRED_REFUSALS = {
     "coords_beside_exact": "level 1 is in a retired layout: coords beside exact at point 'r'",
     "r_beside_r_exact": "level 1 is in a retired layout: r beside r_exact",
     "both_halves": "level 1 is in a retired layout: exact values without over",
+    "exact_and_coords_mixed": "level 1 is in a retired layout: exact and coords mixed at point 'u'",
+    "coords_beside_r_exact": "level 1 is in a retired layout: coords beside r_exact at point 'r'",
 }
 
 
@@ -914,15 +938,12 @@ def test_each_retired_layout_is_refused_at_its_level(layout):
 
 
 def test_each_retired_shape_built_in_code_is_refused():
-    """The constructor refuses a point with coords beside its shadow, a
-    level with r beside r_exact, and shadows on a level without r_exact,
-    named as a file in the same layout is."""
+    """The constructor refuses rows of coordinates, without a q, beside
+    r_exact, a level with r beside r_exact, and numerators over a q on a
+    level without r_exact, named as a file in the same layout is."""
     first = realize(ONE_GAP, 6).levels[0]
-    shadowed = first.points[1]
     shapes = {
-        "coords beside exact at point 'u'": dataclasses.replace(
-            first, points=[first.points[0], CloudPoint("u", point_floats(first, shadowed), shadowed.exact), *first.points[2:]]
-        ),
+        "coords beside r_exact at point 'r'": dataclasses.replace(first, rows=_level_floats(first), q=None),
         "r beside r_exact": dataclasses.replace(first, r=1.0),
         "exact shadows without r_exact": dataclasses.replace(first, r=1.0, r_exact=None),
     }
@@ -1008,20 +1029,21 @@ def refusal(data):
 _NOT_INTEGERS = ["١/٢", "2/4", "-3/9", "007/014", "1.5"]
 
 
-def check_value_in_the_last_level(index, partly_shadowed):
+def check_value_in_the_last_level(index, checked):
     """The realized file of CERT_TRIANGLE with ONE_PASS_CASES[index] as a
-    value of its last level, and, where ``partly_shadowed``, the root's
-    shadow there replaced by its coordinates, which leaves the level to the
-    checked path whatever the value: it loads to the checked path's cloud or
-    is refused with the value's text of ONE_PASS_REFUSALS, or, for a value
-    that reads as no integer, as one."""
+    value of its last level, and, where ``checked``, the root's first value
+    there spelled ``0/1``, which leaves the level to the checked path
+    whatever the value: it loads to the checked path's cloud or is refused
+    with the value's text of ONE_PASS_REFUSALS, or, for a value that reads
+    as no integer, as one."""
     assert len(ONE_PASS_REFUSALS) == len(ONE_PASS_CASES)
     value = ONE_PASS_CASES[index]
     data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
     level = data["levels"][-1]
     level["points"][1]["exact"][0] = value
-    if partly_shadowed:
-        level["points"][0] = {"label": "r", "coords": [0.0] * data["dimension"]}
+    if checked:
+        assert level["points"][0]["exact"][0] == "0"
+        level["points"][0]["exact"][0] = "0/1"
         assert not taken_levels(data)[-1]
     expected = ONE_PASS_REFUSALS[index]
     if value in _NOT_INTEGERS:
@@ -1036,14 +1058,14 @@ def check_value_in_the_last_level(index, partly_shadowed):
 def test_a_value_in_units_of_the_scale_loads_or_is_refused_as_on_the_checked_path(index):
     """In a level with ``over``, each value is read as ``parse_rational``
     reads it, and one that is no integer is refused."""
-    check_value_in_the_last_level(index, partly_shadowed=False)
+    check_value_in_the_last_level(index, checked=False)
 
 
 @pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
 def test_a_value_in_the_last_level_loads_or_is_refused_as_on_the_checked_path(index):
-    """A level that only the checked path reads, a partly shadowed one, reads
-    each value as a level that the one pass may take does."""
-    check_value_in_the_last_level(index, partly_shadowed=True)
+    """A level that only the checked path reads, one with a value spelled
+    ``0/1``, reads each value as a level that the one pass may take does."""
+    check_value_in_the_last_level(index, checked=True)
 
 
 def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
@@ -1104,11 +1126,10 @@ def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
     data = edited(-1, 1, 2)
     assert taken_levels(data) == [True] * 3 + [False]
     assert LeveledPointCloud.from_json_dict(data) == checked_path(data)
-    assert LeveledPointCloud.from_json_dict(data).levels[-1].points[1].coords == (2.0, 12.0)
+    assert LeveledPointCloud.from_json_dict(data).levels[-1].rows[1] == (2.0, 12.0)
     data = json.loads(text)
     data["levels"][-1]["points"] = tuple(data["levels"][-1]["points"])
-    point = "{'label': 'r', 'coords': [0.0, 0.0]}"
-    with pytest.raises(GraphError, match=re.escape(f"point {point} at level 4 is not an object")):
+    with pytest.raises(GraphError, match="^points of level 4 must be a list$"):
         LeveledPointCloud.from_json_dict(data)
     data = json.loads(text)
     data["levels"] = tuple(data["levels"])
@@ -1120,29 +1141,27 @@ def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
         LeveledPointCloud.from_json_dict(data)
 
 
-def test_a_file_of_a_partly_shadowed_cloud_takes_the_checked_path():
-    """The one pass declines every level of a file the writer writes for a
-    cloud with points without a shadow; the file loads to the checked path's
-    cloud, and back."""
-    cloud = _partly_shadowed_file_cloud()
+def test_a_file_of_exact_and_binary64_levels_is_read_in_one_pass():
+    """The one pass takes every level of a file whose levels are of both
+    kinds; the file loads to the checked path's cloud, and back."""
+    cloud = _exact_and_binary64_levels_file_cloud()
+    assert [lvl.r_exact is None for lvl in cloud.levels] == [False, True] * (cloud.depth // 2)
     data = json.loads(cloud.to_json())
-    assert taken_levels(data) == [False] * cloud.depth
+    assert taken_levels(data) == [True] * cloud.depth
     assert LeveledPointCloud.from_json_dict(data) == checked_path(data) == cloud
 
 
 def test_a_level_the_pass_declines_alone_takes_the_checked_path(monkeypatch):
-    """A partly shadowed level, which the writer writes for a cloud built in
-    code with partial shadows, and a level with an int coordinate reach the
-    constructor's level check alone, and the pass reads every other level;
-    each file loads to the checked path's cloud. A fault of an earlier level
-    is named before a malformed literal of a later one."""
+    """A level with a value spelled ``0/1`` and a level with an int
+    coordinate reach the constructor's level check alone, and the pass reads
+    every other level; each file loads to the checked path's cloud. A fault
+    of an earlier level is named before a malformed literal of a later one."""
     cloud = realize(ONE_GAP, 12)
-    partly = json.loads(cloud.to_json())
-    point = cloud.levels[0].points[1]
-    partly["levels"][0]["points"][1] = {"label": point.label, "coords": list(point_floats(cloud.levels[0], point))}
+    spelled = json.loads(cloud.to_json())
+    spelled["levels"][0]["points"][0]["exact"][0] = "0/1"
     floats = json.loads(cloud.to_json(include_exact=False))
     floats["levels"][5]["points"][1]["coords"][0] = 2
-    files = [(partly, 0, checked_path(partly)), (floats, 5, checked_path(floats))]
+    files = [(spelled, 0, checked_path(spelled)), (floats, 5, checked_path(floats))]
     checked_level, checked = realization._checked_level, []
 
     def counted(lvl, *rest):
@@ -1156,10 +1175,10 @@ def test_a_level_the_pass_declines_alone_takes_the_checked_path(monkeypatch):
         loaded = LeveledPointCloud.from_json(json.dumps(data))
         assert checked == [level + 1]
         assert loaded == expected
-    assert not files[0][2].has_exact() and files[0][2].levels[0].points[1].exact is None
-    partly["levels"][1]["r_exact"] = "0"
-    partly["levels"][-1]["points"][1]["exact"][0] = "3/"
-    assert refusal(partly) == "level 2 has exact scale r_exact = 0; it must be positive"
+    assert files[0][2] == cloud
+    spelled["levels"][1]["r_exact"] = "0"
+    spelled["levels"][-1]["points"][1]["exact"][0] = "3/"
+    assert refusal(spelled) == "level 2 has exact scale r_exact = 0; it must be positive"
 
 
 # a fault in level 3 of ONE_GAP's file, whose points repeat level 1's, and
@@ -1242,20 +1261,15 @@ def check_writer(cloud):
 
 
 def _odd_cloud():
-    """Unlabeled and non-ASCII points, shadowed points, an int coordinate,
-    subnormal and huge ones, an empty shadow, a level without points and one
-    without exact data."""
+    """Unlabeled and non-ASCII points, an exact level, an int coordinate,
+    subnormal and huge ones, and a level without points."""
     return LeveledPointCloud(
         dimension=2,
         levels=[
-            CloudLevel(1, None, Fraction(2), [
-                CloudPoint(None, None, (0, 3)),
-                CloudPoint("é\n\"µ", None, (1, -3)),
-                CloudPoint("v", (1, -5e-324), None),
-                CloudPoint("w", (2.5e-300, -0.0), ()),
-            ], q=4),
-            CloudLevel(2, 6.0, None, [], q=None),
-            CloudLevel(3, 1e300, None, [CloudPoint("z", (0.1, 1e22))], q=None),
+            CloudLevel(1, None, Fraction(2), (None, "é\n\"µ", "v"), ((0, 3), (1, -3), (2, 5)), q=4),
+            CloudLevel(2, 6.0, None, (), ()),
+            CloudLevel(3, 1e300, None, ("z",), ((0.1, 1e22),)),
+            CloudLevel(4, 0.5, None, ("v", "w"), ((1, -5e-324), (2.5e-300, -0.0))),
         ],
         period=None,
     )
@@ -1264,41 +1278,15 @@ def _odd_cloud():
 def _equal_but_spelled_apart_cloud():
     """Values that compare equal but print apart, which a table keyed on the
     values of a level would print alike: 0.0 before -0.0 and 1.0 before an
-    int 1, which the cloud holds as 1.0, in one level; -0.0 before 0.0 among
-    repeated values and shadows in another, on a point without a shadow, as
-    a shadow's 0 is 0.0."""
+    int 1, which the cloud holds as 1.0, in one level; an exact level
+    between; and a last level whose labels and rows compare equal to the
+    first level's, with the signs of its zeros turned."""
     return LeveledPointCloud(
         dimension=2,
         levels=[
-            CloudLevel(1, 1.0, None, [
-                CloudPoint("a", (0.0, 1.0)),
-                CloudPoint("b", (-0.0, 1)),
-                CloudPoint("c", (1.0, -0.0)),
-            ]),
-            CloudLevel(2, None, Fraction(6), [
-                CloudPoint("a", (-0.0, 0.0)),
-                CloudPoint("b", None, (3, -5)),
-                CloudPoint("c", None, (3, 3)),
-                CloudPoint("d", None, (0, -5)),
-            ], q=12),
-        ],
-        period=None,
-    )
-
-
-def _equal_shadows_apart_coords_cloud():
-    """Two partly shadowed levels with equal labels, q and shadows, whose
-    point without a shadow has other coords at each: a table of written
-    points keyed on the shadows alone would write the first level's."""
-    return LeveledPointCloud(
-        dimension=2,
-        levels=[
-            CloudLevel(n, None, Fraction(r), [
-                CloudPoint("r", None, (0, 0)),
-                CloudPoint("u", (x, -x), None),
-                CloudPoint("v", None, (1, -3)),
-            ], q=2)
-            for n, r, x in ((1, 2, 0.5), (3, 6, 1.5))
+            CloudLevel(1, 1.0, None, ("a", "b", "c"), ((0.0, 1.0), (-0.0, 1), (1.0, -0.0))),
+            CloudLevel(2, None, Fraction(6), ("b", "c", "d"), ((3, -5), (3, 3), (0, -5)), q=12),
+            CloudLevel(3, 1.0, None, ("a", "b", "c"), ((-0.0, 1.0), (0.0, 1.0), (1.0, 0.0))),
         ],
         period=None,
     )
@@ -1313,9 +1301,8 @@ def _equal_shadows_apart_coords_cloud():
         single_point_space(8),
         _odd_cloud(),
         _equal_but_spelled_apart_cloud(),
-        _equal_shadows_apart_coords_cloud(),
     ],
-    ids=["factorial", "subsample", "power_square", "single_point", "odd", "equal_apart", "partly_equal_shadows"],
+    ids=["factorial", "subsample", "power_square", "single_point", "odd", "equal_apart"],
 )
 def test_writer_prints_what_json_dumps_prints(cloud):
     check_writer(cloud)
@@ -1323,11 +1310,11 @@ def test_writer_prints_what_json_dumps_prints(cloud):
 
 
 def test_signed_zeros_of_one_level_load_and_write_back_with_their_signs():
-    # the level of floats alone: the loader reads an int coordinate as a float
-    text = LeveledPointCloud(2, _equal_but_spelled_apart_cloud().levels[1:]).to_json(include_exact=False)
-    assert '"coords": [\n            -0.0,\n            0.0\n          ]' in text
+    # the last level alone, whose zeros compare equal to the first level's
+    text = LeveledPointCloud(2, _equal_but_spelled_apart_cloud().levels[2:]).to_json()
+    assert '"coords": [\n            -0.0,\n            1.0\n          ]' in text
     level = LeveledPointCloud.from_json(text).levels[0]
-    signs = [math.copysign(1.0, x) for p in level.points for x in p.coords if x == 0]
+    signs = [math.copysign(1.0, x) for row in level.rows for x in row if x == 0]
     assert signs == [-1.0, 1.0, 1.0]
     assert LeveledPointCloud.from_json(text).to_json() == text
 
@@ -1338,28 +1325,24 @@ _COORDINATE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3,
 @st.composite
 def _clouds(draw):
     dimension = draw(st.integers(1, 3))
-    row = st.tuples(*[_COORDINATE] * dimension)
     levels = []
     for n in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True).map(sorted)):
         labels = draw(st.lists(st.text(max_size=3), unique=True, min_size=not levels, max_size=3))
-        q = draw(st.integers(1, 60))
-        # an exact scale within binary64 or beyond it, or a binary64 one
+        labels = [None if draw(st.booleans()) else label for label in labels]
+        # an exact scale within binary64 or beyond it, its rows numerators
+        # over q, or a binary64 one, its rows coordinates
         r_exact = draw(
             st.none()
             | st.fractions(min_value=Fraction(1, 10**6), max_value=10**30)
             | st.integers(2**1024, 2**1100).map(Fraction)
         )
-        r = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)) if r_exact is None else None
-        points, shadows = [], []
-        for label in labels:
-            # only a level with r_exact has shadows, their numerators over q
-            shadow = None if r_exact is None else draw(st.none() | st.tuples(*[st.integers(-10**30, 10**30)] * dimension))
-            points.append((None if draw(st.booleans()) else label, draw(row) if shadow is None else None))
-            shadows.append(shadow and [Fraction(a, q) for a in shadow])
-        # the level holds each shadow in units of its scale
-        q, shadows = shadows_in_units(shadows, r_exact) if any(shadows) else (q, shadows)
-        points = [CloudPoint(label, coords, shadow) for (label, coords), shadow in zip(points, shadows)]
-        levels.append(CloudLevel(n, r, r_exact, points, q))
+        if r_exact is None:
+            r = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+            rows = [draw(st.tuples(*[_COORDINATE] * dimension)) for _ in labels]
+            levels.append(CloudLevel(n, r, None, labels, rows))
+        else:
+            rows = [draw(st.tuples(*[st.integers(-10**30, 10**30)] * dimension)) for _ in labels]
+            levels.append(CloudLevel(n, None, r_exact, labels, rows, draw(st.integers(1, 60))))
     return LeveledPointCloud(dimension, levels, period=draw(st.none() | st.integers(1, 3)))
 
 
@@ -1376,32 +1359,33 @@ NAN, INF = float("nan"), float("inf")
 
 
 class _InCode:
-    """R_UV's fields in code, to edit: ``dimension``, ``period`` and copies
-    of its levels and their point lists."""
+    """R_UV's fields in code, to edit: ``dimension``, ``period`` and its
+    levels, whose labels and rows an edit replaces."""
 
     def __init__(self):
-        levels = [dataclasses.replace(lvl, points=list(lvl.points)) for lvl in R_UV.levels]
-        self.fields = {"dimension": R_UV.dimension, "period": R_UV.period, "levels": levels}
+        self.fields = {"dimension": R_UV.dimension, "period": R_UV.period, "levels": list(R_UV.levels)}
 
     def level(self, i, **values):
+        """Level i with these fields; ``points`` stands for its labels and rows."""
+        if "points" in values:
+            values["labels"] = values["rows"] = values.pop("points")
         self.fields["levels"][i] = dataclasses.replace(self.fields["levels"][i], **values)
 
     def float_level(self, i, **values):
         """Level i as the float writer writes it, r and coords, then edited."""
         lvl = self.fields["levels"][i]
-        points = list(map(CloudPoint, [p.label for p in lvl.points], _level_floats(lvl)))
-        self.fields["levels"][i] = CloudLevel(lvl.n, _level_r(lvl), None, points)
+        self.fields["levels"][i] = CloudLevel(lvl.n, _level_r(lvl), None, lvl.labels, tuple(_level_floats(lvl)))
         self.level(i, **values)
 
-    def points(self, i):
-        return self.fields["levels"][i].points
-
     def point(self, i, j, **values):
-        self.points(i)[j] = dataclasses.replace(self.points(i)[j], **values)
+        """Point j of level i with its ``label`` or its ``row`` replaced."""
+        lvl = self.fields["levels"][i]
+        labels, rows = list(lvl.labels), list(lvl.rows)
+        labels[j], rows[j] = values.get("label", labels[j]), values.get("row", rows[j])
+        self.level(i, labels=labels, rows=rows)
 
     def cut(self, i, j, size):
-        p = self.points(i)[j]
-        self.point(i, j, exact=p.exact[:size])
+        self.point(i, j, row=self.fields["levels"][i].rows[j][:size])
 
     def build(self):
         return LeveledPointCloud(**self.fields)
@@ -1409,8 +1393,9 @@ class _InCode:
 
 class _InFile(_InCode):
     """The same fields of R_UV's JSON document as the writer writes it, to
-    edit: a shadow written in code is read in units of its level's scale,
-    r_exact / over; a Fraction is written as its literal."""
+    edit: a row written in code is a point's ``exact`` values, as strings,
+    or its ``coords``, whichever it has; a Fraction is written as its
+    literal."""
 
     def __init__(self):
         self.fields = json.loads(R_UV.to_json())
@@ -1426,11 +1411,21 @@ class _InFile(_InCode):
         return self.fields["levels"][i]["points"]
 
     def point(self, i, j, **values):
-        self.points(i)[j].update(values)
+        item = self.points(i)[j]
+        key = "coords" if "coords" in item else "exact"
+        if "label" in values:
+            item["label"] = values["label"]
+        row = values.get("row", item[key])
+        if row is None:
+            del item[key]
+        elif isinstance(row, tuple):
+            item[key] = [str(a) if key == "exact" and type(a) is int else a for a in row]
+        else:
+            item[key] = row
 
     def cut(self, i, j, size):
-        p = self.points(i)[j]
-        self.point(i, j, exact=p["exact"][:size])
+        item = self.points(i)[j]
+        item["exact"] = item["exact"][:size]
 
     def build(self):
         return LeveledPointCloud.from_json(json.dumps(self.fields))
@@ -1446,8 +1441,14 @@ def _points_cleared(edit):
         edit.level(i, points=[])
 
 
+def _coords_beside_r_exact(edit):
+    """Level 1 as the float writer writes it, but with its r_exact for r."""
+    edit.float_level(0, r=None, r_exact=R_UV.levels[0].r_exact)
+
+
 # each case is one bad cloud, as a change that makes it from R_UV in code and
-# in its JSON document alike, with the text both are refused with. Left in
+# in its JSON document alike (or in the document alone, FILE_ONLY), with the
+# text both are refused with. Left in
 # code, the first four mislead: exact recovery of the cut cloud finds an extra
 # edge u-v of weight 1/3, the zero scale divides by zero, recovery of the
 # reversed levels decides on levels 2 and 1, and annulus_diameter_table drops
@@ -1463,40 +1464,40 @@ REFUSALS = {
         "level 7 follows level 8: levels must strictly increase",
     ),
     "NaN coordinate": (
-        lambda e: e.point(0, 1, coords=(NAN, 0.0, 1.0), exact=None),
+        lambda e: (e.float_level(0), e.point(0, 1, row=(NAN, 0.0, 1.0))),
         "point 'u' at level 1 has a NaN or infinite coordinate",
     ),
     "infinite coordinate": (
-        lambda e: e.point(2, 2, coords=(0.0, 1.0, -INF), exact=None),
+        lambda e: (e.float_level(2), e.point(2, 2, row=(0.0, 1.0, -INF))),
         "point 'v' at level 3 has a NaN or infinite coordinate",
     ),
     "coordinate a string": (
-        lambda e: e.point(0, 1, coords=("1.5", 0.0, 1.0), exact=None),
+        lambda e: (e.float_level(0), e.point(0, 1, row=("1.5", 0.0, 1.0))),
         "point 'u' at level 1 has a non-numeric coordinate: a JSON string",
     ),
     "coordinate true": (
-        lambda e: e.point(0, 1, coords=(True, 0.0, 1.0), exact=None),
+        lambda e: (e.float_level(0), e.point(0, 1, row=(True, 0.0, 1.0))),
         "point 'u' at level 1 has a non-numeric coordinate: a JSON true or false",
     ),
     "coordinate null": (
-        lambda e: e.point(0, 1, coords=(None, 0.0, 1.0), exact=None),
+        lambda e: (e.float_level(0), e.point(0, 1, row=(None, 0.0, 1.0))),
         "point 'u' at level 1 has a non-numeric coordinate: "
         "float() argument must be a string or a real number, not 'NoneType'",
     ),
     "coordinate beyond binary64": (
-        lambda e: e.point(0, 1, coords=(10**400, 0.0, 1.0), exact=None),
+        lambda e: (e.float_level(0), e.point(0, 1, row=(10**400, 0.0, 1.0))),
         "point 'u' at level 1 has a coordinate beyond binary64: int too large to convert to float",
     ),
     "coordinates a string": (
-        lambda e: e.point(0, 1, coords="123"),
+        lambda e: (e.float_level(0), e.point(0, 1, row="123")),
         "point 'u' at level 1 has coordinates that are not a JSON list",
     ),
     "shadow a string": (
-        lambda e: e.point(0, 1, exact="123"),
+        lambda e: e.point(0, 1, row="123"),
         "point 'u' at level 1 has coordinates that are not a JSON list",
     ),
     "short shadow": (
-        lambda e: e.point(0, 2, exact=(0,)),
+        lambda e: e.point(0, 2, row=(0,)),
         "point 'v' at level 1 does not have 2 coordinates",
     ),
     "label an int": (
@@ -1549,9 +1550,14 @@ REFUSALS = {
     "exact scale a word": (lambda e: e.level(2, r_exact="x"), "not a rational literal: 'x'"),
     # the layouts no writer writes now
     "coords beside a shadow": (
-        lambda e: e.point(0, 1, coords=point_floats(R_UV.levels[0], R_UV.levels[0].points[1])),
+        lambda e: e.points(0)[1].update(coords=list(point_floats(R_UV.levels[0], R_UV.levels[0].rows[1]))),
         "level 1 is in a retired layout: coords beside exact at point 'u'",
     ),
+    "exact and coords mixed": (
+        lambda e: e.points(0).__setitem__(1, {"label": "u", "coords": [0.5, 0.5]}),
+        "level 1 is in a retired layout: exact and coords mixed at point 'u'",
+    ),
+    "coords beside r_exact": (_coords_beside_r_exact, "level 1 is in a retired layout: coords beside r_exact at point 'r'"),
     "r beside r_exact": (
         lambda e: e.level(3, r=24.0),
         "level 4 is in a retired layout: r beside r_exact",
@@ -1561,7 +1567,7 @@ REFUSALS = {
         "level 1 is in a retired layout: exact shadows without r_exact",
     ),
     "neither coords nor shadow": (
-        lambda e: e.point(0, 1, coords=None, exact=None),
+        lambda e: e.point(0, 1, row=None),
         "point 'u' at level 1 has neither coords nor an exact shadow",
     ),
     "neither r nor r_exact": (
@@ -1589,11 +1595,15 @@ IN_UNITS = {
     "shadows without r_exact": "level 1 has exact values over 3 but no r_exact",
 }
 
+# the cases of points that only a file spells: in code a level is its labels
+# and rows, one kind for all, without point objects
+FILE_ONLY = {"coords beside a shadow", "exact and coords mixed", "point a number"}
+
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_a_file_and_code_refuse_alike(case):
     change, text = REFUSALS[case]
-    for edit in (_InCode(), _InFile()):
+    for edit in (_InFile(),) if case in FILE_ONLY else (_InCode(), _InFile()):
         change(edit)
         with pytest.raises(GraphError) as caught:
             edit.build()
@@ -1603,36 +1613,40 @@ def test_a_file_and_code_refuse_alike(case):
 
 def test_construction_holds_values_as_the_reader_does():
     """What a cloud holds of a value built in code: an int coordinate as its
-    float, an empty shadow as none, shadows in lowest terms, no q without
-    them, a list of coordinates as a tuple, a level's r as a float and its
-    r_exact as a Fraction; the reader gives the same cloud."""
+    float, numerators in lowest terms, no q without points, lists of labels
+    and rows as tuples, a level's r as a float and its r_exact as a
+    Fraction; the reader gives the same cloud."""
     cloud = LeveledPointCloud(2, [
-        CloudLevel(1, None, "6", [CloudPoint("a", None, [6, -3]), CloudPoint("b", (0, 2.0), ())], q=36),
-        CloudLevel(2, "3.5", None, [CloudPoint("a", [1.0, 2.0])], q=7),
+        CloudLevel(1, None, "6", ["a", "b"], [[6, -3], (0, 12)], q=36),
+        CloudLevel(2, "3.5", None, ["a"], [[1, 2.0]]),
+        CloudLevel(3, None, "7", [], [], q=5),
     ])
-    level, other = cloud.levels
-    assert level == CloudLevel(1, None, Fraction(6), [
-        CloudPoint("a", None, (2, -1)), CloudPoint("b", (0.0, 2.0), None)
-    ], q=12)
-    assert other == CloudLevel(2, 3.5, None, [CloudPoint("a", (1.0, 2.0))], q=None)
-    assert type(level.points[1].coords[0]) is float
+    level, other, empty = cloud.levels
+    assert level == CloudLevel(1, None, Fraction(6), ("a", "b"), ((2, -1), (0, 4)), q=12)
+    assert other == CloudLevel(2, 3.5, None, ("a",), ((1.0, 2.0),), q=None)
+    assert empty == CloudLevel(3, None, Fraction(7), (), (), q=None)
+    assert type(other.rows[0][0]) is float
     assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
 
 
 @pytest.mark.parametrize(
-    "points, q, text",
+    "labels, rows, q, text",
     [
-        ([CloudPoint("a", None, (1.5,))], 1, "level 1 has a shadow numerator that is no int: 1.5"),
-        ([CloudPoint("a", None, (True,))], 1, "level 1 has a shadow numerator that is no int: True"),
-        ([CloudPoint("a", None, (1,))], 0, "level 1 has exact shadows over q = 0; q must be a positive integer"),
-        ([CloudPoint("a", None, (1,))], None, "level 1 has exact shadows over q = None; q must be a positive integer"),
-        ([CloudPoint("a", None, (1,))], 2.0, "level 1 has exact shadows over q = 2.0; q must be a positive integer"),
+        (["a"], [(1.5,)], 1, "level 1 has a shadow numerator that is no int: 1.5"),
+        (["a"], [(True,)], 1, "level 1 has a shadow numerator that is no int: True"),
+        (["a"], [(1,)], 0, "level 1 has exact shadows over q = 0; q must be a positive integer"),
+        (["a"], [(1,)], 2.0, "level 1 has exact shadows over q = 2.0; q must be a positive integer"),
+        # without a q, rows are coordinates, which r_exact does not take
+        (["a"], [(1,)], None, "level 1 is in a retired layout: coords beside r_exact at point 'a'"),
+        # zip would cut the longer silently
+        (["a"], [(1,), (2,)], 1, "level 1 has 1 labels but 2 rows"),
+        (["a", "b"], [(1,)], 1, "level 1 has 2 labels but 1 rows"),
     ],
 )
-def test_construction_refuses_shadows_no_file_holds(points, q, text):
+def test_construction_refuses_shadows_no_file_holds(labels, rows, q, text):
     # the reader makes every numerator and q itself; code may hand in others
     with pytest.raises(GraphError) as caught:
-        LeveledPointCloud(1, [CloudLevel(1, None, Fraction(1), points, q)])
+        LeveledPointCloud(1, [CloudLevel(1, None, Fraction(1), labels, rows, q)])
     assert str(caught.value) == text
 
 
@@ -1733,7 +1747,7 @@ def test_single_point_space_values():
     cloud = single_point_space(depth=3, base=2)
     xs = [_level_floats(lvl)[1][0] for lvl in cloud.levels]
     assert xs == [2.0, 16.0, 512.0]
-    assert [point_shadow(lvl, lvl.points[1]) for lvl in cloud.levels] == [(2,), (16,), (512,)]
+    assert [point_shadow(lvl, lvl.rows[1]) for lvl in cloud.levels] == [(2,), (16,), (512,)]
     assert _level_r(cloud.levels[0]) == pytest.approx(math.sqrt(32), rel=1e-15)
     assert _level_r(cloud.levels[1]) == pytest.approx(math.sqrt(8192), rel=1e-15)
     # the exact scale is the binary64 one read exactly
@@ -1757,8 +1771,8 @@ def test_single_point_normalized_values_decay():
 def test_single_point_basepoint_is_exact_zero():
     cloud = single_point_space(depth=5, base=3)
     for lvl in cloud.levels:
-        assert lvl.points[0].label == "p"
-        assert lvl.points[0].exact == (Fraction(0),)
+        assert lvl.labels[0] == "p"
+        assert lvl.rows[0] == (0,)
         assert _level_floats(lvl)[0] == (0.0,)
 
 
