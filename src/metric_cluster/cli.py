@@ -11,6 +11,7 @@ commands are deterministic given identical inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -361,8 +362,8 @@ def _cmd_diag_fn(ns) -> int:
     missing = [lbl for lbl in labels if lbl not in by_label]
     if missing:
         raise GraphError(f"labels {missing} not present at level {ns.level}")
-    floats = dict(zip(level.labels, _level_floats(level)))
-    points = [floats[lbl] for lbl in labels]
+    # only the requested points are rounded: another may lie beyond binary64
+    points = _level_floats(dataclasses.replace(level, labels=labels, rows=[by_label[lbl] for lbl in labels]))
     basepoint = (0.0,) * cloud.dimension
     value = spread_functional(points, basepoint)
     _emit(

@@ -19,13 +19,13 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
 from .graph_core import _format_over, _in_lowest_terms, _integer
-from .graph_core import _each_once, _json_document, _spelled
+from .graph_core import _each_once, _json_document, _refused, _spelled
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
@@ -166,13 +166,12 @@ class LeveledPointCloud:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
-        """The cloud of a JSON document, read once, level by level. A level
-        in a layout the writer writes for a realized cloud is read in one
-        pass; any other is unpacked and checked alone, as the constructor
-        checks a level, which refuses a layout no writer writes now. A
-        refusal names a fault of the fields before any of a level, and the
-        first faulty level in level order. Each distinct points array that
-        the pass takes is checked once per call."""
+        """The cloud of a JSON document, read once, level by level: each
+        level is unpacked and checked as the constructor checks a level,
+        which refuses a layout no writer writes now, and a level that
+        repeats the points of one of the last two exact levels is read from
+        it. A refusal names a fault of the fields before any of a level, and
+        the first faulty level in level order."""
         try:
             dimension, levels = data["dimension"], data["levels"]
         except (KeyError, TypeError) as exc:
@@ -272,8 +271,8 @@ def _level_numerators(entry: dict, rows: list) -> tuple[Optional[int], list[Opti
     over its ``over``, and that denominator, None without shadows. GraphError
     for an ``over`` that is no positive int or has no ``r_exact`` beside it,
     for shadows without ``over``, a retired layout, and for the first value,
-    in point order, that ``parse_rational`` refuses or reads as no integer.
-    Each distinct string is parsed once."""
+    in point order, that is not spelled as the writer spells one: a string
+    of ASCII digits, ``-?[0-9]+``. Each distinct value is read once."""
     level, over = _spelled(entry["n"]), None
     if "over" in entry:
         over = _integer(entry["over"], 1, f"level {level} has exact values over {{value!r}}; over must be a positive integer")
@@ -284,14 +283,21 @@ def _level_numerators(entry: dict, rows: list) -> tuple[Optional[int], list[Opti
         return None, [None] * len(rows)
     if over is None:
         raise _retired(level, "exact values without over")
-    # equal strings parse alike, in order of first occurrence; 1 == 1.0 == True do not
-    distinct = list(dict.fromkeys(values)) if set(map(type, values)) <= {str} else values
-    parsed = list(map(parse_rational, distinct))
-    for value, x in zip(distinct, parsed):
-        if x.denominator != 1:
-            raise GraphError(f"level {level} has exact value {value!r} over {_spelled(over)}; it must be an integer")
-    numerators = [x.numerator for x in parsed]
-    flat = iter(numerators if distinct is values else map(dict(zip(distinct, numerators)).__getitem__, values))
+    try:
+        distinct = set(values)  # TypeError for a list
+        # int() also reads blanks, "+", "_" and other scripts' digits; a
+        # character beyond ASCII encodes to bytes >= 0x80
+        if ",".join(distinct).encode().translate(None, b"0123456789-,"):  # TypeError unless each is a string
+            raise ValueError(values)
+        # int() refuses "", "-", "--3", "1,2" and digits past the limit
+        numerators = dict(zip(distinct, map(int, distinct)))
+    except (TypeError, ValueError):
+        if len(values) > 1:  # the values are refused together exactly where one of them is alone
+            for value in values:
+                _level_numerators(entry, [[value]])
+        spelling = "it must be an integer spelled -?[0-9]+ in ASCII digits, within the interpreter's digit limit"
+        raise _refused(f"level {level} has exact value {{value!r}} over {_spelled(over)}; {spelling}", values[0]) from None
+    flat = iter(map(numerators.__getitem__, values))
     return over, [tuple(islice(flat, len(row))) if row else None for row in rows]
 
 
@@ -301,98 +307,41 @@ def _retired(level: str, layout: str) -> GraphError:
 
 
 def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
-    """The cloud of a document's fields, each level read by ``_level_at_once``
-    or, where it declines, unpacked and checked as the constructor checks it.
-    The levels of one family member repeat their points: the pass reads a
-    level that repeats one of the last two distinct points arrays it took
-    with shadows from the earlier level."""
+    """The cloud of a document's fields, each level unpacked and checked as
+    the constructor checks a level, or read by ``_repeated_level``."""
     dimension = _checked_fields(dimension, period, levels)
-    read: list[CloudLevel] = []
-    taken: list[tuple] = []
+    read, exact = [], []
     for entry in levels:
         previous = read[-1].n if read else 0
-        try:
-            lvl = _level_at_once(entry, previous, dimension, taken)
-        except (KeyError, TypeError, ValueError):  # GraphError is a ValueError
+        lvl = _repeated_level(entry, previous, exact) if isinstance(entry, dict) else None
+        if lvl is None:
             lvl = _checked_level(_unpacked_level(entry) if isinstance(entry, dict) else entry, previous, dimension)
+            if lvl.q is not None:
+                exact.append((entry["points"], entry["over"], lvl))
+                del exact[:-2]
         read.append(lvl)
     return LeveledPointCloud._of_levels(dimension, read, period)
 
 
-def _level_at_once(entry: dict, previous: int, dimension: int, taken: Optional[list] = None) -> CloudLevel:
-    """A level object of a file, after level ``previous``, as the checked
-    path makes it, in one of the two layouts the writer writes for a
-    realized cloud: each point an ``exact`` list of ``_shadows_at_once``
-    values alone, over a positive int ``over``, with an ``r_exact``; or each
-    point ``coords`` of finite floats alone, without ``over``. Labels are
-    distinct strings or None. KeyError, TypeError or ValueError for any
-    other level.
-
-    ``taken``, where given, holds what the pass read of the last two
-    distinct points arrays it took with shadows, the latest used last. A
-    level whose ``points`` and int ``over`` equal one of them is read from
-    it, once its own n and r_exact are checked: in that layout values are
-    strings and labels strings or None, which compare equal exactly where
-    they read alike."""
-    n, points = entry["n"], entry["points"]
-    if not (type(n) is int and n > previous and type(points) is list):
-        raise ValueError(n)
-    r_exact = entry.get("r_exact")
-    if type(r_exact) is str and r_exact.isascii() and r_exact.isdigit():
-        r_exact = int(r_exact)  # ValueError past the digit limit
-    r, r_exact = _scales(entry.get("r"), r_exact, n)
-    over = entry.get("over")
-    if taken and r_exact is not None and type(over) is int:
-        for i, (seen, seen_over, lvl) in enumerate(taken):
+def _repeated_level(entry: dict, previous: int, exact: list) -> Optional[CloudLevel]:
+    """The level object, after level ``previous``, as the exact level whose
+    ``points`` and int ``over`` it repeats, of the ``(points, over, level)``
+    in ``exact``, the latest used last, with its own n and scale, checked;
+    None for another level or a fault, which the level check then names.
+    The levels of one family member repeat their points, whose values are
+    strings and labels strings or None: equal exactly where they read alike."""
+    n, over = entry.get("n"), entry.get("over")
+    if type(n) is int and n > previous and entry.get("r_exact") is not None and type(over) is int:
+        points = entry.get("points")
+        for i, (seen, seen_over, lvl) in enumerate(exact):
             if over == seen_over and points == seen:
-                taken.append(taken.pop(i))
-                return CloudLevel(n, None, r_exact, lvl.labels, lvl.rows, lvl.q)
-    # TypeError unless each point is an object
-    labels, given, exacts = (list(map(dict.get, points, repeat(key))) for key in ("label", "coords", "exact"))
-    named = [label for label in labels if label is not None]  # unlabeled points may repeat
-    if set(map(type, named)) - {str} or len(set(named)) < len(named):
-        raise ValueError(labels)
-    q, kinds = None, set(map(type, exacts))
-    if r is not None and kinds <= {type(None)} and "over" not in entry:
-        flat = list(chain.from_iterable(given))
-        if not (
-            set(map(type, given)) <= {list}
-            and set(map(len, given)) <= {dimension}
-            and set(map(type, flat)) <= {float}
-            and all(map(math.isfinite, flat))
-        ):
-            raise ValueError(given)
-        rows = tuple(map(tuple, given))
-    elif (
-        kinds == {list} and set(map(len, exacts)) == {dimension} and given == [None] * len(points)
-        and type(over) is int and over > 0 and r_exact is not None
-    ):
-        values = list(chain.from_iterable(exacts))
-        distinct, numerators = _shadows_at_once(values)
-        q, (numerators,) = _in_lowest_terms(over, [numerators])
-        rows = tuple(zip(*[map(dict(zip(distinct, numerators)).__getitem__, values)] * dimension))
-    else:
-        raise ValueError(exacts)
-    lvl = CloudLevel(n, r, r_exact, tuple(labels), rows, q)
-    if q is not None and taken is not None:
-        taken.append((points, over, lvl))
-        del taken[:-2]
-    return lvl
-
-
-def _shadows_at_once(values: list) -> tuple[list[str], list[int]]:
-    """A level's exact values in units of its scale, each ``-?digits`` in
-    ASCII digits, read once each, as most values of a realized level repeat:
-    the distinct values and their integers. TypeError or ValueError for any
-    other value."""
-    distinct = list(set(values))  # TypeError for a list
-    text = ",".join(distinct)  # TypeError unless each value is a string
-    # int() also reads blanks, "+", "_" and other scripts' digits, which
-    # Fraction may refuse; a character beyond ASCII encodes to bytes >= 0x80
-    if text.encode().translate(None, b"0123456789-,"):
-        raise ValueError(text)
-    # int() refuses "", "-", "--3", "1,2" and digits beyond the limit
-    return distinct, list(map(int, distinct))
+                exact.append(exact.pop(i))
+                try:
+                    r, r_exact = _scales(entry.get("r"), entry["r_exact"], n)
+                except ValueError:  # GraphError is a ValueError
+                    return None
+                return CloudLevel(n, r, r_exact, lvl.labels, lvl.rows, lvl.q)
+    return None
 
 
 def _checked_fields(dimension, period, levels) -> int:
@@ -600,6 +549,12 @@ def _positive_scale(value, level: str) -> float:
 
 
 def _positive_exact_scale(value, level: str) -> Fraction:
+    # int() reads the writer's digits faster than Fraction's parser does
+    if type(value) is str and value.isascii() and value.isdigit():
+        try:
+            value = int(value)
+        except ValueError:  # past the digit limit: parse_rational names it
+            pass
     r_exact = parse_rational(value)
     if r_exact <= 0:
         raise GraphError(f"level {level} has exact scale r_exact = {_spelled(r_exact)}; it must be positive")

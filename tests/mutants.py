@@ -80,33 +80,20 @@ MUTANTS = [
      ["tests/test_recovery.py::test_a_subsample_of_whole_periods_in_order_keeps_the_period"]),
     (RECOVERY, "available[n][0] % p != k % p", "available[n][0] % p != 0",
      ["tests/test_recovery.py::test_a_subsample_of_whole_periods_in_order_keeps_the_period"]),
-    # the one-pass reader takes shadows alone, in units of the scale over a
-    # positive over only, in lowest terms
-    (REALIZATION, "over > 0 and r_exact is not None", "over != 0 and r_exact is not None",
-     [UNITS.format("over-negative")]),
-    (REALIZATION, "over > 0 and r_exact is not None", "over >= 0 and r_exact is not None",
-     [UNITS.format("over-zero")]),
-    (REALIZATION, " and given == [None] * len(points)", "",
-     ["tests/test_cli.py::test_each_retired_layout_exit_2"]),
-    # it takes coords beside r alone
-    (REALIZATION, 'if r is not None and kinds <= {type(None)} and "over" not in entry:',
-     'if kinds <= {type(None)} and "over" not in entry:',
-     ["tests/test_realization.py::test_a_file_and_code_refuse_alike[coords beside r_exact]"]),
+    # the reader reads each level in units of its scale over a positive over
     (REALIZATION, "over = _integer(entry[\"over\"], 1,", "over = _integer(entry[\"over\"], 0,",
      [UNITS.format("over-zero")]),
-    (REALIZATION, "q, (numerators,) = _in_lowest_terms(over, [numerators])", "q = over",
-     ["tests/test_realization.py::test_unreduced_shadows_load_over_the_least_denominator"]),
-    # a level that repeats a points array the pass took is read from it only
-    # over an equal int over, and with an r_exact of its own
+    # a level that repeats the points of an exact level read before is read
+    # from it only over an equal int over, and with an r_exact of its own
     (REALIZATION, "if over == seen_over and points == seen:", "if points == seen:",
      [REPEATED.format("another_over")]),
-    (REALIZATION, "if taken and r_exact is not None and type(over) is int:",
-     "if taken and r_exact is not None and over is not None:", [REPEATED.format("over_true")]),
-    (REALIZATION, "if taken and r_exact is not None and type(over) is int:", "if taken and type(over) is int:",
+    (REALIZATION, 'entry.get("r_exact") is not None and type(over) is int:',
+     'entry.get("r_exact") is not None and over is not None:', [REPEATED.format("over_true")]),
+    (REALIZATION, 'n > previous and entry.get("r_exact") is not None and ', "n > previous and ",
      [REPEATED.format("r_instead_of_r_exact")]),
-    # the checked path parses each distinct string once, and values of other types each alone
-    (REALIZATION, "if set(map(type, values)) <= {str} else values", "if True else values",
-     ["tests/test_realization.py::test_a_level_parses_each_distinct_literal_once"]),
+    # an exact value is spelled in ASCII digits alone, which int() reads
+    (REALIZATION, 'if ",".join(distinct).encode().translate(None, b"0123456789-,"):', "if False:",
+     ["tests/test_cli.py::test_each_refused_spelling_of_an_exact_value_exit_2[plus]"]),
     # the writer spells a level's points once for all levels only where they are numerators
     (REALIZATION, "                if shadowed:\n                    written[key] = points",
      "                if True:\n                    written[key] = points",

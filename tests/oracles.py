@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import chain, combinations, count
 from typing import Optional
@@ -474,17 +475,20 @@ def point_shadow(lvl: CloudLevel, row: tuple) -> tuple[Fraction, ...]:
     return tuple(lvl.r_exact * Fraction(a, lvl.q) for a in row)
 
 
-def shadows_by_fractions(shadows: list) -> tuple:
+def shadows_by_spelling(shadows: list) -> tuple[list, list]:
     """One level's ``exact`` lists (or None for no shadow) read value by
-    value with ``parse_rational``, in point order: their least common
-    denominator q (None without shadows) and each list's numerators over q.
-    Raises the ``GraphError`` of the first value it refuses."""
-    values = [[parse_rational(x) for x in row] if row else None for row in shadows]
-    denominators = [x.denominator for row in values if row for x in row]
-    if not denominators:
-        return None, [None] * len(shadows)
-    q = math.lcm(*denominators)
-    return q, [tuple(int(x * q) for x in row) if row else None for row in values]
+    value, in point order, as the writer spells a value: a string that
+    matches ``-?[0-9]+`` and whose digits ``int`` reads. Each list's ints,
+    None for an empty list or none, and no refused value; or no rows and,
+    in a list, the first value that is refused."""
+    for x in chain.from_iterable(filter(None, shadows)):
+        if not (isinstance(x, str) and re.fullmatch("-?[0-9]+", x)):
+            return [], [x]
+        try:
+            int(x)
+        except ValueError:  # digits past the interpreter's limit
+            return [], [x]
+    return [tuple(map(int, row)) if row else None for row in shadows], []
 
 
 def cloud_by_coordinates(plan) -> LeveledPointCloud:

@@ -581,6 +581,18 @@ def test_diag_fn_and_psi(tmp_path, capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
+def test_diag_fn_rounds_only_the_requested_points(tmp_path, capsys):
+    # v lies beyond binary64; diag fn of u and w does not round it
+    points = [{"label": label, "exact": [str(x)]} for label, x in (("r", 0), ("u", 1), ("w", 2), ("v", 2**1100))]
+    level = {"n": 1, "r_exact": "1", "over": 1, "points": points}
+    path = tmp_path / "far_v.json"
+    path.write_text(json.dumps({"dimension": 1, "levels": [level]}), encoding="utf-8")
+    assert main(["diag", "fn", str(path), "--level", "1", "--labels", "u,w", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["labels"] == ["u", "w"]
+    assert main(["diag", "fn", str(path), "--level", "1", "--labels", "u,v"]) == 2
+    assert "error: point 'v' at level 1 has a coordinate beyond binary64" in capsys.readouterr().err
+
+
 def test_diag_of_points_whose_distance_leaves_binary64_exit_2(tmp_path, capsys):
     # two finite points 2e308 apart: no value of diag fn or diag psi is finite
     path = tmp_path / "c.json"
@@ -703,6 +715,10 @@ def realized_cloud(cert_graph, tmp_path, *options) -> dict:
     cloud = tmp_path / "cloud.json"
     assert main(["realize", str(cert_graph), "--depth", "12", "--out", str(cloud), *options]) == 0
     return json.loads(cloud.read_text(encoding="utf-8"))
+
+
+# the refusal of an exact value in any spelling but the writer's
+SPELLING = "it must be an integer spelled -?[0-9]+ in ASCII digits, within the interpreter's digit limit"
 
 
 def test_short_coordinates_exit_2(cert_graph, tmp_path, capsys):
@@ -918,7 +934,8 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         assert main(["recover", str(cloud), "--exact", "--tol-rel", tol]) == 2
         assert "tolerances must be finite and non-negative" in capsys.readouterr().err
     # an exponent literal would build a power of ten beyond what str() prints
-    # so would the places of a decimal without one
+    # so would the places of a decimal without one; an exact value is no literal
+    over = json.loads(cloud.read_text(encoding="utf-8"))["levels"][3]["over"]
     for value in ("1e10000000", "1e5000", "0." + "1" * 4300):
         graph = {"vertices": ["a", "b"], "root": "a", "edges": [{"u": "a", "v": "b", "w": value}]}
         path = tmp_path / "exponent_weight.json"
@@ -933,7 +950,7 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         for args in (["subsample", str(path), "--indices", "1,2", "--out", str(tmp_path / "s.json")],
                      ["recover", str(path)], ["recover", str(path), "--exact"]):
             assert main(args) == 2
-            assert "needs more than 4300 digits" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: level 4 has exact value {value!r} over {over}; {SPELLING}\n"
     # JSON true and false are no rationals, though Python's bool is an int
     graph = {"vertices": ["a", "b"], "root": "a", "edges": [{"u": "a", "v": "b", "w": True}]}
     path = tmp_path / "boolean_weight.json"
@@ -949,13 +966,14 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         path.write_text(json.dumps(matrix))
         assert main(["fpc", "from-metric", str(path), "p"]) == 2
         assert message in capsys.readouterr().err
-    for edit in (_set_exact(False), _set_level("r_exact", True)):
+    for edit, message in ((_set_exact(False), f"exact value False over {over}; {SPELLING}"),
+                          (_set_level("r_exact", True), "not a rational literal: True")):
         data = json.loads(cloud.read_text(encoding="utf-8"))
         edit(data)
         path = tmp_path / "boolean_exact.json"
         path.write_text(json.dumps(data))
         assert main(["recover", str(path), "--exact"]) == 2
-        assert "not a rational literal" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     # nor are they numbers, though float() reads them as 1.0 and 0.0
     dimension = json.loads(cloud.read_text(encoding="utf-8"))["dimension"]
     for edit, message in (
@@ -1160,7 +1178,7 @@ def _drop_level(field):
         (_set_level("over", "1"), "level 4 has exact values over '1'; over must be a positive integer"),
         (_set_level("over", 1.0), "level 4 has exact values over 1.0; over must be a positive integer"),
         (_set_level("over", None), "level 4 has exact values over None; over must be a positive integer"),
-        (_set_exact("1/2"), "level 4 has exact value '1/2' over {over}; it must be an integer"),
+        (_set_exact("1/2"), "level 4 has exact value '1/2' over {over}; " + SPELLING),
         (_drop_level("r_exact"), "level 4 has exact values over {over} but no r_exact"),
     ],
     ids=["over-zero", "over-negative", "over-true", "over-a-string", "over-a-float", "over-null",
@@ -1175,6 +1193,39 @@ def test_malformed_shadows_in_units_of_the_scale_exit_2(cert_graph, tmp_path, ca
     for args in (["recover", str(path)], ["subsample", str(path), "--indices", "1", "--out", str(tmp_path / "s.json")]):
         assert main(args) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+# spellings of an integer that the graph format reads and the cloud format
+# does not: a rational or decimal literal, a sign, a blank, a separator,
+# other scripts' digits, a JSON number and digits past the interpreter's limit
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+REFUSED_SPELLINGS = {
+    "rational": "6/2", "rational-zero": "0/1", "decimal": "3.0", "exponent": "1e3", "plus": "+3",
+    "blank-before": " 3", "blank-after": "3 ", "separator": "1_000", "arabic-indic": "٣",
+    "number": 3, "number-zero": 0, "number-negative": -1, "number-float": 3.0,
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [pytest.param(value, id=name) for name, value in REFUSED_SPELLINGS.items()]
+    + [pytest.param("1" * (_LIMIT + 1), id="past-the-digit-limit",
+                    marks=pytest.mark.skipif(not _LIMIT, reason="the interpreter has no digit limit"))],
+)
+def test_each_refused_spelling_of_an_exact_value_exit_2(cert_graph, tmp_path, capsys, value):
+    # in level 1, in level 3, whose points repeat level 1's but for the
+    # value, and in the last level
+    data = realized_cloud(cert_graph, tmp_path)
+    assert data["levels"][2]["points"] == data["levels"][0]["points"]
+    for index in (0, 2, -1):
+        edited = json.loads(json.dumps(data))
+        level = edited["levels"][index]
+        level["points"][1]["exact"][0] = value
+        path = tmp_path / "spelled.json"
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        assert main(["recover", str(path)]) == 2
+        n, over = level["n"], level["over"]
+        assert capsys.readouterr().err == f"error: level {n} has exact value {value!r} over {over}; {SPELLING}\n"
 
 
 def test_each_retired_layout_exit_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +20,9 @@ from metric_cluster.realization import (
     CloudLevel,
     LeveledPointCloud,
     ScalingRule,
-    _level_at_once,
     _level_floats,
     _level_numerators,
     _level_r,
-    _shadows_at_once,
-    _unpacked_level,
     build_plan,
     generate_cloud,
     realize,
@@ -53,7 +50,7 @@ from oracles import (
     point_shadow,
     random_dominating_shape,
     scaled_weights,
-    shadows_by_fractions,
+    shadows_by_spelling,
     with_unrelated_denominators,
 )
 
@@ -441,17 +438,16 @@ def test_files_without_shadows_in_units_are_pinned(case):
     assert hashlib.sha256(write().encode()).hexdigest() == digest
 
 
-def test_a_single_point_file_is_pinned_and_read_in_one_pass():
+def test_a_single_point_file_is_pinned_and_reads_back():
     """The one-point space has r_exact, its binary64 scale read exactly, at
     every level, so its file writes shadows over ``over`` as a realized
-    cloud's does, and the one pass reads every level."""
+    cloud's does."""
     cloud = single_point_space(12)
     text = cloud.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_POINT_DIGEST
     assert len(text) == 4137
     data = json.loads(text)
     assert all("over" in entry and "r" not in entry for entry in data["levels"])
-    assert taken_levels(data) == [True] * cloud.depth
     assert LeveledPointCloud.from_json(text) == cloud
     assert [_level_r(lvl) for lvl in cloud.levels] == [math.sqrt(2 ** (n * n)) * math.sqrt(2 ** ((n + 1) ** 2)) for n in range(1, 13)]
 
@@ -561,28 +557,18 @@ def test_shadows_are_written_in_units_of_their_level_scale(depth, rule):
 
 
 def test_unreduced_shadows_load_over_the_least_denominator():
+    """A level written over six times its ``over``, each value six times its
+    own, loads to the realized level, in lowest terms."""
     cloud = realize(CERT_TRIANGLE, 8)
     level = next(lvl for lvl in cloud.levels if lvl.q > 1)
-    # on the checked path: over times 6, and each value a as the literal 12a/2
-    data = json.loads(cloud.to_json())
-    entry = data["levels"][level.n - 1]
-    entry["over"] *= 6
-    for item in entry["points"]:
-        item["exact"] = [f"{12 * int(x)}/2" for x in item["exact"]]
-    assert taken_levels(data)[level.n - 1] is False
-    again = LeveledPointCloud.from_json(json.dumps(data))
-    assert again.levels[level.n - 1] == level
-    assert again.to_json() == cloud.to_json()
-    # in the one pass: every value and over times 6
     for n in (level.n, cloud.depth // 2, cloud.depth):
         data = json.loads(cloud.to_json())
         entry = data["levels"][n - 1]
         entry["over"] *= 6
         for item in entry["points"]:
             item["exact"] = [str(6 * int(x)) for x in item["exact"]]
-        assert taken_levels(data) == [True] * cloud.depth
         again = LeveledPointCloud.from_json(json.dumps(data))
-        assert again.levels[n - 1] == cloud.levels[n - 1] and again == checked_path(data)
+        assert again == cloud
         assert again.to_json() == cloud.to_json()
 
 
@@ -625,7 +611,7 @@ _PAST_BINARY64 = 2**1024 - 2**970
 
 @pytest.mark.parametrize("q", [1, 3])
 def test_a_binary64_reader_refuses_exactly_a_shadow_beyond_binary64(q):
-    """A level holds any shadow: the one pass takes it, in a file and in code
+    """A level holds any shadow: the reader loads it, in a file and in code
     alike. A binary64 reader rounds a shadow just below the halfway point to
     the largest binary64 number, and refuses one at it, naming the first
     point beyond binary64 with the text of the per-point rounding."""
@@ -637,7 +623,6 @@ def test_a_binary64_reader_refuses_exactly_a_shadow_beyond_binary64(q):
         entry["points"] = [{"label": v, "exact": list(map(str, x))} for v, x in shadows.items()]
         document = {"dimension": 2, "levels": [entry]}
         assert LeveledPointCloud.from_json_dict(document) == in_code
-        assert taken_levels(document) == [True]
         assert in_code.has_exact()
         if fits:
             assert _level_floats(in_code.levels[0])[2] == (1 / q, -sys.float_info.max)
@@ -649,18 +634,37 @@ def test_a_binary64_reader_refuses_exactly_a_shadow_beyond_binary64(q):
             assert str(caught.value) == text
 
 
-# what the loader's fast path reads: signs, digits from several scripts,
-# separators and the characters of decimal and exponent literals
-_RATIONAL_TEXT = st.one_of(
+# a level's values: signs, digits from several scripts, separators and the
+# characters of rational, decimal and exponent literals
+_VALUE_TEXT = st.one_of(
     st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
-    st.text(alphabet="0123456789-+/ _.eE\t٣²０", max_size=12),
+    st.text(alphabet="0123456789-+/ _.,eE\t٣²０", max_size=12),
 )
+
+# the refusal of an exact value in any spelling but the writer's
+SPELLING = "it must be an integer spelled -?[0-9]+ in ASCII digits, within the interpreter's digit limit"
+
+# a level object whose values are over 1, as the reader unpacks its shadows
+_OVER_ONE = {"n": 1, "over": 1, "r_exact": "1"}
+
+
+def check_level(shadows):
+    """The level parse reads what the per-value oracle reads: each value a
+    string of ASCII digits, ``-?[0-9]+``, as its int over ``over``, here 1.
+    It refuses the first other value, in point order, with its text."""
+    rows, refused = shadows_by_spelling(shadows)
+    if refused:
+        with pytest.raises(GraphError) as caught:
+            _level_numerators(_OVER_ONE, shadows)
+        assert str(caught.value) == f"level 1 has exact value {refused[0]!r} over 1; {SPELLING}"
+    else:
+        assert _level_numerators(_OVER_ONE, shadows) == (1 if any(rows) else None, rows)
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
-        _RATIONAL_TEXT,
+        _VALUE_TEXT,
         st.integers(),
         st.floats(),
         st.booleans(),
@@ -668,78 +672,73 @@ _RATIONAL_TEXT = st.one_of(
         st.lists(st.integers(), max_size=2),
     )
 )
-def test_exact_coordinate_parse_accepts_what_parse_rational_accepts(value):
+def test_exact_value_parse_reads_the_writers_spelling_alone(value):
     check_level([[value]])
 
 
-@pytest.mark.parametrize(
-    "value",
-    ["-0", "0/7", "2/4", "-3/9", "+3", " 3", "3 ", "1_000", "1.5", "-1.5e3", "1E-2",
-     "x/0", "3/0", "0/0", "3/-3", "-3/3", "3/", "/3", "--3", "", "-", "٣/٤", "²", "０",
-     "1" * 5000, "1/" + "1" * 5000],
-)
+# the writer's spelling with leading zeros and signs; integer-valued and other
+# rational, decimal and exponent literals; what a loose split takes ("3/",
+# "1/-2"); zero denominators; other scripts' digits; digits beyond the
+# interpreter's limit and JSON values that are not strings
+EDGE_VALUES = [
+    "-0", "007", "-007", "0/7", "2/4", "-3/9", "6/2", "0/1", "007/014", "+3", " 3", "3 ", "1_000", "1.5",
+    "3.0", "-1.5e3", "1E-2", "1e3", "x/0", "3/0", "0/0", "3/-3", "-3/3", "3/", "/3", "1/-2", "1/2/3", "1 /2",
+    "1/+2", "1,2", "3-", "1-2", "--3", "", "-", "٣", "٣/٤", "²", "０", "1" * 5000, "1/" + "1" * 5000,
+    3, 1.5, True, None, [1],
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
 def test_exact_coordinate_parse_edge_cases(value):
     check_level([[value]])
 
 
-# what int() reads but Fraction may refuse ("1_000" on Python 3.10, blanks,
-# "+"), what a loose split takes ("3/", "1/-2"), zero and unreduced
-# denominators, other scripts' digits, digits beyond the interpreter's limit
-# and JSON values that are not strings
-ONE_PASS_CASES = [
-    "1_000", "3/", "1/-2", "1/0", "1/00", " 1", "+1", "١/٢", "2/4", "1" * 5000, 3, 1.5, True,
-    "-0", "0/7", "-3/9", "007/014", "1/2/3", "", "-", "/3", "--3", "1 /2", "1/+2", "1,2",
-    "1.5", "1e3", None, [1],
-]
-
-
-# a level object whose values are over 1, as the reader unpacks its shadows
-_OVER_ONE = {"n": 1, "over": 1, "r_exact": "1"}
-
-
-def check_level(shadows):
-    """The per-value level parse gives what the per-value oracle gives where
-    every value is an integer: the same numerators, over ``over``, here 1.
-    It refuses a value the oracle refuses with the oracle's text, and else the
-    first value, in point order, that is no integer. The one pass over the
-    level's values takes integers only, none that the oracle refuses, and
-    reads those it takes as the oracle does."""
-    values = list(chain.from_iterable(row for row in shadows if row))
-    try:
-        distinct, numerators = _shadows_at_once(values)
-        at_once = (1, [(dict(zip(distinct, numerators))[x],) for x in values]) if values else None
-    except (TypeError, ValueError, OverflowError):
-        at_once = None
-    try:
-        expected = shadows_by_fractions(shadows)
-    except GraphError as exc:
-        assert at_once is None
-        with pytest.raises(GraphError) as caught:
-            _level_numerators(_OVER_ONE, shadows)
-        assert str(caught.value) == str(exc)
-        return
-    if expected[0] not in (None, 1):
-        assert at_once is None
-        first = next(x for row in shadows if row for x in row if parse_rational(x).denominator != 1)
-        with pytest.raises(GraphError) as caught:
-            _level_numerators(_OVER_ONE, shadows)
-        assert str(caught.value) == f"level 1 has exact value {first!r} over 1; it must be an integer"
-        return
-    assert _level_numerators(_OVER_ONE, shadows) == expected
-    if at_once is not None:
-        assert at_once == (expected[0], [(a,) for a in chain.from_iterable(filter(None, expected[1]))])
-
-
-@pytest.mark.parametrize("value", ONE_PASS_CASES)
-def test_one_pass_level_parse_matches_the_per_value_oracle(value):
-    check_level([[value]])
-    # one value among canonical ones, and points without a shadow
-    check_level([["1/2", value, "-3"], None, ["4", "5/6", value]])
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_a_value_among_spelled_values_is_read_or_refused_at_its_point(value):
+    # one value among spelled ones, and points without a shadow
+    check_level([["1", value, "-3"], None, ["4", "56", value]])
     check_level([None, ["10", "-20"], [value, "0"]])
 
 
+def check_value_at_level(value, index):
+    """The realized file of CERT_TRIANGLE with ``value`` as the first value
+    of u in ``levels[index]`` loads to the cloud that the constructor builds
+    of the oracle's numerators, or is refused with the value's text. Every
+    level of that file repeats the points of level 1, so level 1 is read in
+    full and the last level is one that the reader may reuse."""
+    cloud = realize(CERT_TRIANGLE, 4)
+    data = json.loads(cloud.to_json())
+    entry = data["levels"][index]
+    assert entry["points"] == data["levels"][0]["points"]
+    entry["points"][1]["exact"][0] = value
+    rows, refused = shadows_by_spelling([item["exact"] for item in entry["points"]])
+    if refused:
+        assert refusal(data) == f"level {entry['n']} has exact value {refused[0]!r} over {entry['over']}; {SPELLING}"
+        return
+    levels = list(cloud.levels)
+    level = levels[index]
+    levels[index] = CloudLevel(level.n, None, level.r_exact, level.labels, rows, entry["over"])
+    assert LeveledPointCloud.from_json(json.dumps(data)) == LeveledPointCloud(cloud.dimension, levels, cloud.period)
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_a_value_in_the_first_level_loads_or_is_refused_at_its_point(value):
+    check_value_at_level(value, 0)
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_a_value_in_the_last_level_loads_or_is_refused_at_its_point(value):
+    check_value_at_level(value, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.none() | st.lists(_VALUE_TEXT, max_size=3), max_size=4))
+def test_level_parse_matches_the_oracle_on_random_levels(shadows):
+    check_level(shadows)
+
+
 def test_two_faults_in_a_level_are_named_in_point_order():
-    shadows = [["1/2", "3"], ["1/4", "3/"], ["1/-2", "4"]]
+    shadows = [["12", "3"], ["14", "3/"], ["1/-2", "4"]]
     check_level(shadows)
     with pytest.raises(GraphError, match="'3/'"):
         _level_numerators(_OVER_ONE, shadows)
@@ -747,36 +746,12 @@ def test_two_faults_in_a_level_are_named_in_point_order():
         _level_numerators(_OVER_ONE, [["1/-2", "3/"]])
 
 
-def test_a_level_parses_each_distinct_literal_once(monkeypatch):
-    """Each distinct string of a level is parsed once, in order of first
-    occurrence; values of other types, where 1 == 1.0 == True, each alone."""
-    parsed = []
-    monkeypatch.setattr(realization, "parse_rational", lambda x: parsed.append(x) or parse_rational(x))
+def test_a_level_reads_each_distinct_value_once(monkeypatch):
+    read = []
+    monkeypatch.setattr(realization, "int", lambda x: read.append(x) or int(x), raising=False)
     shadows = [["2", "3"], None, ["3", "2"], ["-4", "3"]]
-    assert _level_numerators(_OVER_ONE, shadows) == shadows_by_fractions(shadows)
-    assert parsed == ["2", "3", "-4"]
-    parsed.clear()
-    with pytest.raises(GraphError, match="'3/'"):
-        _level_numerators(_OVER_ONE, [["1/2", "3/"], ["1/2", "x"]])
-    assert parsed == ["1/2", "3/"]
-    parsed.clear()
-    with pytest.raises(GraphError, match="True"):
-        _level_numerators(_OVER_ONE, [[1, True]])
-    assert parsed == [1, True]
-
-
-# no exponents: Fraction reads "1e9999999" as a number of ten million digits,
-# which takes seconds to build; "1e3" is one of the cases above
-_LEVEL_TEXT = st.one_of(
-    st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
-    st.text(alphabet="0123456789-+/ _.\t٣²０,", max_size=8),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.none() | st.lists(_LEVEL_TEXT, min_size=1, max_size=3), max_size=4))
-def test_one_pass_level_parse_matches_the_oracle_on_random_levels(shadows):
-    check_level(shadows)
+    assert _level_numerators(_OVER_ONE, shadows) == (1, [(2, 3), None, (3, 2), (-4, 3)])
+    assert sorted(read) == ["-4", "2", "3"]
 
 
 def test_a_malformed_shadow_is_named_before_a_later_point_fault():
@@ -798,67 +773,40 @@ def test_a_malformed_shadow_is_named_before_a_later_point_fault():
     assert error() == "level 2 is in a retired layout: exact and coords mixed at point 'v'"
 
 
-def checked_path(data):
-    """The reader's checked path, the reference for the one pass: the
-    document's fields checked, then each level object unpacked as it is and
-    checked alone, in level order, by the constructor's level check."""
-    dimension = realization._checked_fields(data["dimension"], data.get("period"), data["levels"])
-    levels = []
-    for entry in data["levels"]:
-        levels.append(realization._checked_level(_unpacked_level(entry), levels[-1].n if levels else 0, dimension))
-    return LeveledPointCloud(dimension, levels, data.get("period"))
-
-
-def taken_levels(data) -> list[bool]:
-    """Whether the one pass, ``_level_at_once``, takes each level of a
-    document, in level order."""
-    taken, previous = [], 0
-    for entry in data["levels"]:
-        try:
-            _level_at_once(entry, previous, data["dimension"])
-            taken.append(True)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            taken.append(False)
-        previous = entry["n"]
-    return taken
-
-
-def test_a_level_checked_at_once_reads_as_point_by_point():
-    """The one pass takes unlabeled points; it leaves a level with a repeated
-    label, coords beside a shadow, even its rounding, an empty shadow or
-    points with and without shadows to the checked path, and takes every
-    other level. The reader gives the checked path's cloud or refusal
-    either way."""
-    text = realize(ONE_GAP, 6).to_json()
-    dimension = json.loads(text)["dimension"]
+def test_each_point_edit_of_a_level_loads_or_is_refused_at_its_point():
+    """Unlabeled points load; a repeated label, coords beside a shadow, even
+    its rounding, an empty shadow beside coords, points with and without
+    shadows and a point with neither are refused, named by their level and
+    point."""
+    cloud = realize(ONE_GAP, 6)
+    text, dimension = cloud.to_json(), cloud.dimension
     edits = [
-        (4, lambda points: points[0].update(label=None), True, None),
-        (4, lambda points: [point.update(label=None) for point in points], True, None),
-        (4, lambda points: points[1].update(label=points[0]["label"]), False, "duplicate label 'r' at level 5"),
+        (4, lambda points: points[0].update(label=None), None),
+        (4, lambda points: [point.update(label=None) for point in points], None),
+        (4, lambda points: points[1].update(label=points[0]["label"]), "duplicate label 'r' at level 5"),
         # the root's shadow rounded, beside it
-        (5, lambda points: points[0].update(coords=[0.0] * dimension), False,
+        (5, lambda points: points[0].update(coords=[0.0] * dimension),
          "level 6 is in a retired layout: coords beside exact at point 'r'"),
-        (2, lambda points: points[1].update(coords=[0.5] * dimension, exact=[]), False,
+        (2, lambda points: points[1].update(coords=[0.5] * dimension, exact=[]),
          "level 3 is in a retired layout: exact and coords mixed at point 'u'"),
-        (3, lambda points: points.__setitem__(2, {"label": "v", "coords": [1.5] * dimension}), False,
+        (3, lambda points: points.__setitem__(2, {"label": "v", "coords": [1.5] * dimension}),
          "level 4 is in a retired layout: exact and coords mixed at point 'v'"),
         # the first point's kind is the level's
-        (0, lambda points: points.__setitem__(0, {"label": "r", "coords": [0] * dimension}), False,
+        (0, lambda points: points.__setitem__(0, {"label": "r", "coords": [0] * dimension}),
          "level 1 is in a retired layout: exact and coords mixed at point 'u'"),
         # a point with neither is named by the level check
-        (1, lambda points: points[0].update(exact=None), False, "point 'r' at level 2 has neither coords nor an exact shadow"),
+        (1, lambda points: points[0].update(exact=None), "point 'r' at level 2 has neither coords nor an exact shadow"),
     ]
-    for level, edit, taken, refused in edits:
+    for level, edit, refused in edits:
         data = json.loads(text)
-        edit(data["levels"][level]["points"])
-        assert taken_levels(data) == [taken or i != level for i in range(len(data["levels"]))]
-        try:
-            expected = checked_path(data)
-        except GraphError as exc:
-            assert refusal(data) == str(exc) == refused
+        points = data["levels"][level]["points"]
+        edit(points)
+        if refused is not None:
+            assert refusal(data) == refused
             continue
-        assert refused is None
-        assert LeveledPointCloud.from_json_dict(data) == expected
+        levels = list(cloud.levels)
+        levels[level] = dataclasses.replace(levels[level], labels=tuple(point["label"] for point in points))
+        assert LeveledPointCloud.from_json_dict(data) == LeveledPointCloud(dimension, levels, cloud.period)
 
 
 def retired_files(cloud) -> dict[str, str]:
@@ -923,14 +871,10 @@ RETIRED_REFUSALS = {
 @pytest.mark.parametrize("layout", sorted(RETIRED_REFUSALS))
 def test_each_retired_layout_is_refused_at_its_level(layout):
     """A file in a layout that no writer writes now is refused with the text
-    that names its level and layout, on the checked path as by the reader,
-    and the same shape built in code is refused alike."""
+    that names its level and layout."""
     cloud = realize(ONE_GAP, 6)
     data = json.loads(retired_files(cloud)[layout])
-    assert taken_levels(data) == [False] * cloud.depth
-    with pytest.raises(GraphError) as caught:
-        checked_path(data)
-    assert refusal(data) == str(caught.value) == RETIRED_REFUSALS[layout]
+    assert refusal(data) == RETIRED_REFUSALS[layout]
     # a later level alone in the layout is named by its number
     mixed = json.loads(cloud.to_json())
     mixed["levels"][4] = data["levels"][4]
@@ -953,13 +897,20 @@ def test_each_retired_shape_built_in_code_is_refused():
         assert str(caught.value) == f"level 1 is in a retired layout: {layout}"
 
 
+def binary64_copy(cloud):
+    """The cloud that its file without shadows spells, built by the
+    constructor: each level's r and coordinates rounded."""
+    levels = [CloudLevel(lvl.n, _level_r(lvl), None, lvl.labels, _level_floats(lvl)) for lvl in cloud.levels]
+    return LeveledPointCloud(cloud.dimension, levels, cloud.period)
+
+
 @pytest.mark.parametrize("n", range(2, 14))
-def test_one_pass_loads_every_layout_as_the_checked_path(n):
+def test_the_reader_loads_every_layout_the_writer_writes(n):
     """Realized clouds and their alternating-period subsamples, written with
-    shadows alone or without them, load through the one pass at every level,
-    to the checked path's cloud, signed zeros included, and as a value the
-    constructor keeps. In each layout the writer wrote before, they take the
-    checked path at every level, which refuses them at level 1."""
+    shadows alone or without them, load to the cloud the constructor builds
+    of the same levels, signed zeros included, and as a value the
+    constructor keeps. Each layout the writer wrote before is refused at
+    level 1."""
     rng = random.Random(n)
     for p in (0.2, 0.5, 0.8):
         g = synthesize_weights(random_dominating_shape(rng, n, p))
@@ -967,56 +918,12 @@ def test_one_pass_loads_every_layout_as_the_checked_path(n):
             cloud = realize(g, 12, rule)
             for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
                 for text in retired_files(c).values():
-                    data = json.loads(text)
-                    assert taken_levels(data) == [False] * c.depth
-                    with pytest.raises(GraphError) as caught:
-                        checked_path(data)
-                    assert refusal(data) == str(caught.value)
-                    assert str(caught.value).startswith("level 1 is in a retired layout: ")
-                for text in (c.to_json(), c.to_json(include_exact=False)):
-                    data = json.loads(text)
-                    assert taken_levels(data) == [True] * c.depth
-                    loaded, expected = LeveledPointCloud.from_json(text), checked_path(data)
+                    assert refusal(json.loads(text)).startswith("level 1 is in a retired layout: ")
+                for text, expected in ((c.to_json(), c), (c.to_json(include_exact=False), binary64_copy(c))):
+                    loaded = LeveledPointCloud.from_json(text)
                     assert loaded == expected
-                    assert loaded.to_json(include_exact=False) == expected.to_json(include_exact=False)
+                    assert loaded.to_json(include_exact=False) == c.to_json(include_exact=False)
                     assert LeveledPointCloud(loaded.dimension, loaded.levels, loaded.period) == loaded
-                assert LeveledPointCloud.from_json(c.to_json()) == c
-
-
-# the reader's refusal of each of ONE_PASS_CASES in the last level of a
-# realized file, as the checked path words it, or None where the file loads
-ONE_PASS_REFUSALS = [
-    # Fraction reads "1_000" from Python 3.11 on
-    None if sys.version_info >= (3, 11) else "not a rational literal: '1_000'",
-    "not a rational literal: '3/'",
-    "not a rational literal: '1/-2'",
-    "not a rational literal: '1/0'",
-    "not a rational literal: '1/00'",
-    None,
-    None,
-    None,
-    None,
-    "not a rational literal: '" + "1" * 5000 + "'",
-    None,
-    "refusing float weight 1.5: pass a string ('3/2' or '1.5') for exactness",
-    "not a rational literal: True",
-    None,
-    None,
-    None,
-    None,
-    "not a rational literal: '1/2/3'",
-    "not a rational literal: ''",
-    "not a rational literal: '-'",
-    "not a rational literal: '/3'",
-    "not a rational literal: '--3'",
-    "not a rational literal: '1 /2'",
-    "not a rational literal: '1/+2'",
-    "not a rational literal: '1,2'",
-    None,
-    None,
-    "not a rational literal: None",
-    "not a rational literal: [1]",
-]
 
 
 def refusal(data):
@@ -1025,57 +932,14 @@ def refusal(data):
     return str(caught.value)
 
 
-# the cases above that read as a rational which is no integer
-_NOT_INTEGERS = ["١/٢", "2/4", "-3/9", "007/014", "1.5"]
-
-
-def check_value_in_the_last_level(index, checked):
-    """The realized file of CERT_TRIANGLE with ONE_PASS_CASES[index] as a
-    value of its last level, and, where ``checked``, the root's first value
-    there spelled ``0/1``, which leaves the level to the checked path
-    whatever the value: it loads to the checked path's cloud or is refused
-    with the value's text of ONE_PASS_REFUSALS, or, for a value that reads
-    as no integer, as one."""
-    assert len(ONE_PASS_REFUSALS) == len(ONE_PASS_CASES)
-    value = ONE_PASS_CASES[index]
-    data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
-    level = data["levels"][-1]
-    level["points"][1]["exact"][0] = value
-    if checked:
-        assert level["points"][0]["exact"][0] == "0"
-        level["points"][0]["exact"][0] = "0/1"
-        assert not taken_levels(data)[-1]
-    expected = ONE_PASS_REFUSALS[index]
-    if value in _NOT_INTEGERS:
-        expected = f"level 4 has exact value {value!r} over {level['over']}; it must be an integer"
-    if expected is None:
-        assert LeveledPointCloud.from_json(json.dumps(data)) == checked_path(data)
-    else:
-        assert refusal(data) == expected
-
-
-@pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
-def test_a_value_in_units_of_the_scale_loads_or_is_refused_as_on_the_checked_path(index):
-    """In a level with ``over``, each value is read as ``parse_rational``
-    reads it, and one that is no integer is refused."""
-    check_value_in_the_last_level(index, checked=False)
-
-
-@pytest.mark.parametrize("index", range(len(ONE_PASS_CASES)))
-def test_a_value_in_the_last_level_loads_or_is_refused_as_on_the_checked_path(index):
-    """A level that only the checked path reads, one with a value spelled
-    ``0/1``, reads each value as a level that the one pass may take does."""
-    check_value_in_the_last_level(index, checked=True)
-
-
-def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
+def test_of_two_faults_in_different_levels_the_first_is_named():
     """The fields are checked before the levels, and the levels in level
     order, each unpacked and checked alone: a fault of an earlier level is
-    named before a malformed shadow literal of a later one. The reader
-    refuses as the checked path does."""
+    named before a malformed exact value of a later one."""
+    written = json.loads(realize(CERT_TRIANGLE, 4).to_json())
 
     def faults(*edits):
-        data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
+        data = json.loads(json.dumps(written))
         levels = data["levels"]
         for level, point, field, value in edits:
             target = data if level is None else levels[level] if point is None else levels[level]["points"][point]
@@ -1083,13 +947,11 @@ def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
                 target["exact"][0] = value
             else:
                 target[field] = value
-        with pytest.raises(GraphError) as caught:
-            checked_path(data)
-        assert refusal(data) == str(caught.value)
-        return str(caught.value)
+        return refusal(data)
 
+    last = written["levels"][-1]["over"]
     assert faults((0, 2, "label", "u"), (-1, 1, "exact", "3/")) == "duplicate label 'u' at level 1"
-    assert faults((-1, 1, "exact", "3/"), (-1, 2, "label", "u")) == "not a rational literal: '3/'"
+    assert faults((-1, 1, "exact", "3/"), (-1, 2, "label", "u")) == f"level 4 has exact value '3/' over {last}; {SPELLING}"
     assert faults((1, 1, "coords", [0.5] * 2), (-1, 2, "label", "u")) == (
         "level 2 is in a retired layout: coords beside exact at point 'u'"
     )
@@ -1102,12 +964,15 @@ def test_of_two_faults_in_different_levels_the_checked_path_names_the_first():
     assert faults((1, None, "r_exact", "0"), (-1, None, "n", 1)) == (
         "level 2 has exact scale r_exact = 0; it must be positive"
     )
+    assert faults((1, None, "r_exact", "0"), (-1, 1, "exact", "3/")) == (
+        "level 2 has exact scale r_exact = 0; it must be positive"
+    )
 
 
-def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
-    """The one pass takes finite float coordinates only, and JSON arrays only,
-    where a dict built in code may hold tuples; the reader loads or refuses
-    the rest as the checked path does."""
+def test_a_file_without_shadows_loads_or_is_refused_at_its_point():
+    """A level without shadows takes finite numbers only, an int as its
+    float, and JSON arrays only, where a dict built in code may hold
+    tuples."""
     text = realize(CERT_TRIANGLE, 4).to_json(include_exact=False)
 
     def edited(level, point, value):
@@ -1123,10 +988,9 @@ def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
     }
     for value, text_of_refusal in refused.items():
         assert refusal(edited(-1, 1, value)) == text_of_refusal
-    data = edited(-1, 1, 2)
-    assert taken_levels(data) == [True] * 3 + [False]
-    assert LeveledPointCloud.from_json_dict(data) == checked_path(data)
-    assert LeveledPointCloud.from_json_dict(data).levels[-1].rows[1] == (2.0, 12.0)
+    loaded = LeveledPointCloud.from_json_dict(edited(-1, 1, 2))
+    assert loaded.levels[-1].rows[1] == (2.0, 12.0) and type(loaded.levels[-1].rows[1][0]) is float
+    assert loaded.levels[:-1] == LeveledPointCloud.from_json(text).levels[:-1]
     data = json.loads(text)
     data["levels"][-1]["points"] = tuple(data["levels"][-1]["points"])
     with pytest.raises(GraphError, match="^points of level 4 must be a list$"):
@@ -1141,50 +1005,24 @@ def test_a_file_without_shadows_loads_or_is_refused_as_on_the_checked_path():
         LeveledPointCloud.from_json_dict(data)
 
 
-def test_a_file_of_exact_and_binary64_levels_is_read_in_one_pass():
-    """The one pass takes every level of a file whose levels are of both
-    kinds; the file loads to the checked path's cloud, and back."""
+def test_a_file_of_exact_and_binary64_levels_loads_to_its_levels():
+    """A file whose levels are of both kinds loads to the cloud the
+    constructor builds of its exact and its rounded levels."""
     cloud = _exact_and_binary64_levels_file_cloud()
     assert [lvl.r_exact is None for lvl in cloud.levels] == [False, True] * (cloud.depth // 2)
-    data = json.loads(cloud.to_json())
-    assert taken_levels(data) == [True] * cloud.depth
-    assert LeveledPointCloud.from_json_dict(data) == checked_path(data) == cloud
-
-
-def test_a_level_the_pass_declines_alone_takes_the_checked_path(monkeypatch):
-    """A level with a value spelled ``0/1`` and a level with an int
-    coordinate reach the constructor's level check alone, and the pass reads
-    every other level; each file loads to the checked path's cloud. A fault
-    of an earlier level is named before a malformed literal of a later one."""
-    cloud = realize(ONE_GAP, 12)
-    spelled = json.loads(cloud.to_json())
-    spelled["levels"][0]["points"][0]["exact"][0] = "0/1"
-    floats = json.loads(cloud.to_json(include_exact=False))
-    floats["levels"][5]["points"][1]["coords"][0] = 2
-    files = [(spelled, 0, checked_path(spelled)), (floats, 5, checked_path(floats))]
-    checked_level, checked = realization._checked_level, []
-
-    def counted(lvl, *rest):
-        checked.append(lvl.n)
-        return checked_level(lvl, *rest)
-
-    monkeypatch.setattr(realization, "_checked_level", counted)
-    for data, level, expected in files:
-        assert taken_levels(data) == [i != level for i in range(12)]
-        checked.clear()
-        loaded = LeveledPointCloud.from_json(json.dumps(data))
-        assert checked == [level + 1]
-        assert loaded == expected
-    assert files[0][2] == cloud
-    spelled["levels"][1]["r_exact"] = "0"
-    spelled["levels"][-1]["points"][1]["exact"][0] = "3/"
-    assert refusal(spelled) == "level 2 has exact scale r_exact = 0; it must be positive"
+    realized = realize(CERT_TRIANGLE, 8)
+    levels = [lvl if lvl.n % 2 else rounded for lvl, rounded in zip(realized.levels, binary64_copy(realized).levels)]
+    assert cloud == LeveledPointCloud(realized.dimension, levels, realized.period)
+    assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
 
 
 # a fault in level 3 of ONE_GAP's file, whose points repeat level 1's, and
 # the refusal it gets, or None where the level loads
 REPEATED_LEVEL_FAULTS = {
-    "malformed_value": (lambda entry: entry["points"][1]["exact"].__setitem__(0, "3/"), "not a rational literal: '3/'"),
+    "malformed_value": (
+        lambda entry: entry["points"][1]["exact"].__setitem__(0, "3/"),
+        f"level 3 has exact value '3/' over 1; {SPELLING}",
+    ),
     "repeated_label": (lambda entry: entry["points"][2].update(label="u"), "duplicate label 'u' at level 3"),
     "over_true": (
         lambda entry: entry.update(over=True),
@@ -1195,10 +1033,12 @@ REPEATED_LEVEL_FAULTS = {
         lambda entry: entry.update(r=repr(float(entry.pop("r_exact")))),
         "level 3 has exact values over 1 but no r_exact",
     ),
+    "r_beside_r_exact": (lambda entry: entry.update(r=6.0), "level 3 is in a retired layout: r beside r_exact"),
     "r_exact_zero": (
         lambda entry: entry.update(r_exact="0"),
         "level 3 has exact scale r_exact = 0; it must be positive",
     ),
+    "n_repeated": (lambda entry: entry.update(n=2), "level 2 follows level 2: levels must strictly increase"),
     # a level holds its shadows whatever its scale: r_exact beyond binary64 loads
     "r_exact_beyond_binary64": (lambda entry: entry.update(r_exact=str(2**1100)), None),
 }
@@ -1206,44 +1046,54 @@ REPEATED_LEVEL_FAULTS = {
 
 @pytest.mark.parametrize("fault", list(REPEATED_LEVEL_FAULTS))
 def test_a_level_that_repeats_an_earlier_one_but_for_a_fault_is_read_alone(fault):
-    """The pass reads a points array that repeats the one of an earlier level
-    it took, over the same int ``over``, from that level; a level that
-    differs in a value, a label or ``over``, that has no r_exact or a
-    faulty one of its own loads to the checked path's cloud or is refused
+    """A level whose points repeat those of an earlier exact level, over the
+    same int ``over``, is read from it; one that differs in a value, a label
+    or ``over``, or that has no r_exact or a faulty n or scale of its own,
+    loads to the cloud the constructor builds of its values or is refused
     with its text."""
     edit, text = REPEATED_LEVEL_FAULTS[fault]
-    data = json.loads(realize(ONE_GAP, 6).to_json())
-    assert data["levels"][2]["points"] == data["levels"][0]["points"] and data["levels"][0]["over"] == 1
-    edit(data["levels"][2])
-    if text is None:
-        loaded = LeveledPointCloud.from_json(json.dumps(data))
-        assert loaded == checked_path(data)
-        assert loaded.levels[2].r_exact == parse_rational(data["levels"][2]["r_exact"])
+    cloud = realize(ONE_GAP, 6)
+    data = json.loads(cloud.to_json())
+    entry = data["levels"][2]
+    assert entry["points"] == data["levels"][0]["points"] and data["levels"][0]["over"] == 1
+    edit(entry)
+    if text is not None:
+        assert refusal(data) == text
         return
-    with pytest.raises(GraphError) as caught:
-        checked_path(data)
-    assert refusal(data) == str(caught.value) == text
+    first, levels = cloud.levels[0], list(cloud.levels)
+    levels[2] = CloudLevel(3, None, parse_rational(entry["r_exact"]), first.labels, first.rows, entry["over"])
+    assert LeveledPointCloud.from_json(json.dumps(data)) == LeveledPointCloud(cloud.dimension, levels, cloud.period)
 
 
 def test_each_distinct_points_array_is_read_once(monkeypatch):
-    """Of the levels of a realized file, the pass reads the values of each
-    member's points once, and of a file whose levels all differ, every
-    level's; the cloud loaded is the checked path's either way."""
-    read, at_once = [], realization._shadows_at_once
+    """Of the levels of a realized file, the reader unpacks and checks one
+    per family member and reads each other from the earlier level with its
+    points, sharing its labels and rows; of a file whose levels all differ,
+    and of a file without shadows, it checks every level. The cloud loaded
+    is the realized one either way."""
+    checked_level, checked = realization._checked_level, []
 
-    def counted(values):
-        read.append(len(values))
-        return at_once(values)
+    def counted(lvl, *rest):
+        checked.append(lvl.n)
+        return checked_level(lvl, *rest)
 
-    monkeypatch.setattr(realization, "_shadows_at_once", counted)
-    data = json.loads(realize(ONE_GAP, 12).to_json())
-    assert LeveledPointCloud.from_json_dict(data) == checked_path(data)
-    assert len(read) == 2
-    for i, entry in enumerate(data["levels"]):
-        entry["over"] = i + 1
-    read.clear()
-    assert LeveledPointCloud.from_json_dict(data) == checked_path(data)
-    assert len(read) == 12
+    monkeypatch.setattr(realization, "_checked_level", counted)
+    cloud = realize(ONE_GAP, 12)
+    data = json.loads(cloud.to_json())
+    loaded = LeveledPointCloud.from_json_dict(data)
+    assert loaded == cloud and checked == [1, 2]
+    assert all(lvl.rows is later.rows and lvl.labels is later.labels for lvl, later in zip(loaded.levels, loaded.levels[2:]))
+    # each level over i times its over, each value i times its own
+    for i, entry in enumerate(data["levels"], 1):
+        entry["over"] *= i
+        for item in entry["points"]:
+            item["exact"] = [str(i * int(x)) for x in item["exact"]]
+    checked.clear()
+    assert LeveledPointCloud.from_json_dict(data) == cloud and checked == list(range(1, 13))
+    floats = binary64_copy(cloud)
+    checked.clear()
+    assert LeveledPointCloud.from_json(cloud.to_json(include_exact=False)) == floats
+    assert checked == list(range(1, 13))
 
 
 def check_writer(cloud):
