@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -497,17 +498,9 @@ def _cmd_demo(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-# the top-level commands, in the order the help lists them
-_COMMANDS = (
-    "check", "spm", "interval", "extend", "complete", "embed", "cliques", "isomorphic",
-    "fpc", "realize", "single-point", "recover", "subsample", "diag", "demo",
-)
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, when ``command`` names one, of that
-    command alone with its sub-commands. The usage line still lists every
-    command, so an error after the command name reads as in the full parser."""
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of every command, with the sub-commands of ``fpc`` and
+    ``diag``. ``main`` builds one per process and reuses it."""
     parser = argparse.ArgumentParser(
         prog="metric-cluster",
         description="Weighted rooted graphs as clusters of pretangent spaces at infinity",
@@ -515,165 +508,146 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
 
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", parents=[common], help="metrizability verdict for a weighted graph")
+    p.add_argument("graph")
+    p.set_defaults(func=_cmd_check)
+
+    p = sub.add_parser("spm", help="shortest-path metric of a connected graph")
+    p.add_argument("graph")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_spm)
+
+    p = sub.add_parser("interval", parents=[common], help="admissible distance interval of a non-edge")
+    p.add_argument("graph")
+    p.add_argument("u")
+    p.add_argument("v")
+    p.set_defaults(func=_cmd_interval)
+
+    p = sub.add_parser("extend", help="metric pinning a chosen non-edge distance")
+    p.add_argument("graph")
+    p.add_argument("u")
+    p.add_argument("v")
+    p.add_argument("t", help="rational distance value, e.g. 5 or 7/2")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_extend)
+
+    p = sub.add_parser("complete", help="add all forced distances as edges")
+    p.add_argument("graph")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_complete)
+
+    p = sub.add_parser("embed", parents=[common], help="embed a weighted cycle on a circle or line")
+    p.add_argument("graph", help="graph that is a single cycle")
+    p.add_argument("--mode", choices=["auto", "circle", "line"], default="auto")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_embed)
+
+    p = sub.add_parser("cliques", parents=[common], help="enumerate maximal cliques")
+    p.add_argument("graph")
+    p.set_defaults(func=_cmd_cliques)
+
+    p = sub.add_parser("isomorphic", parents=[common], help="weighted rooted isomorphism test")
+    p.add_argument("graph1")
+    p.add_argument("graph2")
+    p.add_argument(
+        "--weight-tol-rel",
+        default="1/1000000000",
+        help="relative weight tolerance (rational); 0 compares weights for equality",
     )
+    p.set_defaults(func=_cmd_isomorphic)
 
-    if command in (None, "check"):
-        p = sub.add_parser("check", parents=[common], help="metrizability verdict for a weighted graph")
-        p.add_argument("graph")
-        p.set_defaults(func=_cmd_check)
+    fpc_parser = sub.add_parser("fpc", help="finite pretangent-cluster operations")
+    fpc_sub = fpc_parser.add_subparsers(dest="fpc_command", required=True)
 
-    if command in (None, "spm"):
-        p = sub.add_parser("spm", help="shortest-path metric of a connected graph")
-        p.add_argument("graph")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_spm)
+    p = fpc_sub.add_parser("certify", parents=[common], help="certify the cluster conditions")
+    p.add_argument("graph")
+    p.set_defaults(func=_cmd_fpc_certify)
 
-    if command in (None, "interval"):
-        p = sub.add_parser("interval", parents=[common], help="admissible distance interval of a non-edge")
-        p.add_argument("graph")
-        p.add_argument("u")
-        p.add_argument("v")
-        p.set_defaults(func=_cmd_interval)
+    p = fpc_sub.add_parser("synthesize", help="deterministic certifiable weights")
+    p.add_argument("graph", help="graph whose shape is kept; weights are replaced")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_fpc_synthesize)
 
-    if command in (None, "extend"):
-        p = sub.add_parser("extend", help="metric pinning a chosen non-edge distance")
-        p.add_argument("graph")
-        p.add_argument("u")
-        p.add_argument("v")
-        p.add_argument("t", help="rational distance value, e.g. 5 or 7/2")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_extend)
+    p = fpc_sub.add_parser("from-metric", help="certified graph of a metric space")
+    p.add_argument("matrix", help="distance matrix JSON")
+    p.add_argument("basepoint")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_fpc_from_metric)
 
-    if command in (None, "complete"):
-        p = sub.add_parser("complete", help="add all forced distances as edges")
-        p.add_argument("graph")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_complete)
+    p = fpc_sub.add_parser("bound", parents=[common], help="maximal-clique bound report")
+    p.add_argument("graph")
+    p.set_defaults(func=_cmd_fpc_bound)
 
-    if command in (None, "embed"):
-        p = sub.add_parser("embed", parents=[common], help="embed a weighted cycle on a circle or line")
-        p.add_argument("graph", help="graph that is a single cycle")
-        p.add_argument("--mode", choices=["auto", "circle", "line"], default="auto")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_embed)
+    p = fpc_sub.add_parser("f", parents=[common], help="extremal number of maximal cliques")
+    p.add_argument("n", type=int)
+    p.set_defaults(func=_cmd_fpc_f)
 
-    if command in (None, "cliques"):
-        p = sub.add_parser("cliques", parents=[common], help="enumerate maximal cliques")
-        p.add_argument("graph")
-        p.set_defaults(func=_cmd_cliques)
+    p = sub.add_parser("realize", help="point cloud realizing a certified graph")
+    p.add_argument("graph")
+    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--rule", choices=["factorial", "power_square"], default="factorial")
+    p.add_argument("--base", type=int, default=2, help="base for the power_square rule")
+    p.add_argument("--no-exact", action="store_true", help="omit exact rational shadows")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_realize)
 
-    if command in (None, "isomorphic"):
-        p = sub.add_parser("isomorphic", parents=[common], help="weighted rooted isomorphism test")
-        p.add_argument("graph1")
-        p.add_argument("graph2")
-        p.add_argument(
-            "--weight-tol-rel",
-            default="1/1000000000",
-            help="relative weight tolerance (rational); 0 compares weights for equality",
-        )
-        p.set_defaults(func=_cmd_isomorphic)
+    p = sub.add_parser("single-point", help="the one-point-cluster example cloud")
+    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--base", type=int, default=2)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_single_point)
 
-    if command in (None, "fpc"):
-        fpc_parser = sub.add_parser("fpc", help="finite pretangent-cluster operations")
-        fpc_sub = fpc_parser.add_subparsers(dest="fpc_command", required=True)
+    p = sub.add_parser("recover", parents=[common], help="recover the cluster graph from a cloud")
+    p.add_argument("cloud")
+    p.add_argument("--tol-rel", type=float, help="default 0 on exact shadows, else 1e-6")
+    p.add_argument("--tol-abs", type=float, help="default 0 on exact shadows, else 1e-9")
+    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--exact", action="store_true", help="refuse a cloud without exact shadows")
+    p.add_argument("--out", help="write the recovered graph JSON here")
+    p.add_argument("--diag-out", help="write per-pair diagnostics JSON here")
+    p.set_defaults(func=_cmd_recover)
 
-        p = fpc_sub.add_parser("certify", parents=[common], help="certify the cluster conditions")
-        p.add_argument("graph")
-        p.set_defaults(func=_cmd_fpc_certify)
+    p = sub.add_parser("subsample", help="restrict a cloud to chosen levels")
+    p.add_argument("cloud")
+    selector = p.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--indices", help="comma-separated level numbers")
+    selector.add_argument("--stride-offset", type=int, help="keep one residue class per family period")
+    selector.add_argument("--alternate-periods", action="store_true", help="keep every other whole period")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_subsample)
 
-        p = fpc_sub.add_parser("synthesize", help="deterministic certifiable weights")
-        p.add_argument("graph", help="graph whose shape is kept; weights are replaced")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_fpc_synthesize)
+    diag_parser = sub.add_parser("diag", help="finite-scale diagnostics")
+    diag_sub = diag_parser.add_subparsers(dest="diag_command", required=True)
 
-        p = fpc_sub.add_parser("from-metric", help="certified graph of a metric space")
-        p.add_argument("matrix", help="distance matrix JSON")
-        p.add_argument("basepoint")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_fpc_from_metric)
+    p = diag_sub.add_parser("fn", parents=[common], help="normalized spread of labeled points")
+    p.add_argument("cloud")
+    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--labels", required=True, help="comma-separated labels")
+    p.set_defaults(func=_cmd_diag_fn)
 
-        p = fpc_sub.add_parser("bound", parents=[common], help="maximal-clique bound report")
-        p.add_argument("graph")
-        p.set_defaults(func=_cmd_fpc_bound)
+    p = diag_sub.add_parser("psi", parents=[common], help="annulus diameter ratio table")
+    p.add_argument("cloud")
+    p.add_argument("--k", type=float, default=2.0)
+    p.add_argument("--radii", help="comma-separated radii; defaults to the cloud's scaling values")
+    p.set_defaults(func=_cmd_diag_psi)
 
-        p = fpc_sub.add_parser("f", parents=[common], help="extremal number of maximal cliques")
-        p.add_argument("n", type=int)
-        p.set_defaults(func=_cmd_fpc_f)
-
-    if command in (None, "realize"):
-        p = sub.add_parser("realize", help="point cloud realizing a certified graph")
-        p.add_argument("graph")
-        p.add_argument("--depth", type=int, default=12)
-        p.add_argument("--rule", choices=["factorial", "power_square"], default="factorial")
-        p.add_argument("--base", type=int, default=2, help="base for the power_square rule")
-        p.add_argument("--no-exact", action="store_true", help="omit exact rational shadows")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_realize)
-
-    if command in (None, "single-point"):
-        p = sub.add_parser("single-point", help="the one-point-cluster example cloud")
-        p.add_argument("--depth", type=int, default=12)
-        p.add_argument("--base", type=int, default=2)
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_single_point)
-
-    if command in (None, "recover"):
-        p = sub.add_parser("recover", parents=[common], help="recover the cluster graph from a cloud")
-        p.add_argument("cloud")
-        p.add_argument("--tol-rel", type=float, help="default 0 on exact shadows, else 1e-6")
-        p.add_argument("--tol-abs", type=float, help="default 0 on exact shadows, else 1e-9")
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--exact", action="store_true", help="refuse a cloud without exact shadows")
-        p.add_argument("--out", help="write the recovered graph JSON here")
-        p.add_argument("--diag-out", help="write per-pair diagnostics JSON here")
-        p.set_defaults(func=_cmd_recover)
-
-    if command in (None, "subsample"):
-        p = sub.add_parser("subsample", help="restrict a cloud to chosen levels")
-        p.add_argument("cloud")
-        selector = p.add_mutually_exclusive_group(required=True)
-        selector.add_argument("--indices", help="comma-separated level numbers")
-        selector.add_argument("--stride-offset", type=int, help="keep one residue class per family period")
-        selector.add_argument("--alternate-periods", action="store_true", help="keep every other whole period")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_subsample)
-
-    if command in (None, "diag"):
-        diag_parser = sub.add_parser("diag", help="finite-scale diagnostics")
-        diag_sub = diag_parser.add_subparsers(dest="diag_command", required=True)
-
-        p = diag_sub.add_parser("fn", parents=[common], help="normalized spread of labeled points")
-        p.add_argument("cloud")
-        p.add_argument("--level", type=int, required=True)
-        p.add_argument("--labels", required=True, help="comma-separated labels")
-        p.set_defaults(func=_cmd_diag_fn)
-
-        p = diag_sub.add_parser("psi", parents=[common], help="annulus diameter ratio table")
-        p.add_argument("cloud")
-        p.add_argument("--k", type=float, default=2.0)
-        p.add_argument("--radii", help="comma-separated radii; defaults to the cloud's scaling values")
-        p.set_defaults(func=_cmd_diag_psi)
-
-    if command in (None, "demo"):
-        p = sub.add_parser("demo", help="write worked-example fixtures")
-        p.add_argument("--out", default="demo")
-        p.set_defaults(func=_cmd_demo)
+    p = sub.add_parser("demo", help="write worked-example fixtures")
+    p.add_argument("--out", default="demo")
+    p.set_defaults(func=_cmd_demo)
 
     return parser
 
 
+# a parse only reads the tree, so every call of a process shares one
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # one command's parser costs a fraction of all of them; help, a missing
-    # or an unknown command need the whole tree to print what they print
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        ns = parser.parse_args(argv)
+        # with argv None, parse_args reads sys.argv[1:]
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

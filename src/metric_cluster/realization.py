@@ -417,8 +417,9 @@ def _checked_row(label, row, level: str, dimension: int, exact: bool) -> tuple:
     if not isinstance(row, (list, tuple)):
         raise GraphError(f"point {label!r} at level {level} has coordinates that are not a JSON list")
     if exact:
+        refusal = f"level {level} has a shadow numerator that is no int: {{value!r}}"
         for a in row:
-            _integer(a, -math.inf, f"level {level} has a shadow numerator that is no int: {{value!r}}")
+            _integer(a, -math.inf, refusal)
         row = tuple(row)
     else:
         # float() would read JSON true and false as 1.0 and 0.0, and a string
@@ -553,8 +554,9 @@ def _positive_exact_scale(value, level: str) -> Fraction:
     if type(value) is str and value.isascii() and value.isdigit():
         try:
             value = int(value)
-        except ValueError:  # past the digit limit: parse_rational names it
-            pass
+        except ValueError:  # past the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise GraphError(f"level {level} has a scale r_exact of more than {limit} digits") from None
     r_exact = parse_rational(value)
     if r_exact <= 0:
         raise GraphError(f"level {level} has exact scale r_exact = {_spelled(r_exact)}; it must be positive")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -7,13 +8,14 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_cluster.cli import build_parser, main
+from metric_cluster.cli import _parser, build_parser, main
 from metric_cluster.graph_core import WeightedRootedGraph
 from metric_cluster.fpc import graph_from_metric_space, synthesize_weights
 from metric_cluster.metrization import Metrizability, extend_metric, forced_completion, shortest_path_metric
@@ -1228,6 +1230,17 @@ def test_each_refused_spelling_of_an_exact_value_exit_2(cert_graph, tmp_path, ca
         assert capsys.readouterr().err == f"error: level {n} has exact value {value!r} over {over}; {SPELLING}\n"
 
 
+
+@pytest.mark.skipif(not _LIMIT, reason="the interpreter has no digit limit")
+def test_a_scale_r_exact_past_the_digit_limit_exit_2_naming_its_level(cert_graph, tmp_path, capsys):
+    data = realized_cloud(cert_graph, tmp_path)
+    data["levels"][1]["r_exact"] = "1" * (_LIMIT + 1)
+    path = tmp_path / "long_scale.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["recover", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: level 2 has a scale r_exact of more than {_LIMIT} digits\n"
+
+
 def test_each_retired_layout_exit_2(tmp_path, capsys):
     # layouts a writer wrote before: absolute shadows without over, which
     # the README once let subsample rewrite, and both halves, r-u 1, r-v 2
@@ -1437,7 +1450,8 @@ def test_cli_fuzz_exit_codes(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a run builds only its own command's parser; help and usage are unchanged
+# main builds one parser tree per process and reuses it: it prints what a
+# fresh tree prints, and a parse only reads the tree
 # ---------------------------------------------------------------------------
 
 COMMANDS = (
@@ -1478,8 +1492,8 @@ def test_fpc_help_lists_its_sub_commands(capsys):
     assert "{certify,synthesize,from-metric,bound,f}" in out
 
 
-def full_parser_output(argv) -> tuple:
-    """What the parser of every command prints and returns for argv."""
+def fresh_parser_output(argv) -> tuple:
+    """What a freshly built parser prints and returns for argv."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -1498,9 +1512,59 @@ def full_parser_output(argv) -> tuple:
     + [["recover", "c.json", "--bogus"], ["fpc", "certify", "g.json", "--bogus"], ["spm", "g", "--json"]],
 )
 def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys):
-    code, out, err = full_parser_output(argv)
+    # main parses on its cached tree, which earlier calls have already used
+    code, out, err = fresh_parser_output(argv)
     assert main(argv) == (code or 0)
     assert capsys.readouterr() == (out, err)
+
+
+def test_main_builds_its_parser_tree_once_per_process(cert_graph, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser()
+    one_tree, built[:] = len(built), []
+    _parser.cache_clear()
+    for argv in (["fpc", "certify", str(cert_graph)], ["nope"], ["recover"], ["--help"], ["fpc", "f", "5"]):
+        main(argv)
+    assert len(built) == one_tree
+    assert _parser.cache_info().misses == 1
+
+
+def test_threads_parsing_on_the_cached_tree_reproduce_the_serial_results():
+    """Eight threads parse at once on main's tree, argument lists of every
+    command mixed with usage errors and help, and get what one thread gets."""
+    argvs = [
+        ["check", "g.json", "--json"], ["spm", "g.json", "--out", "d.json"],
+        ["extend", "g.json", "u", "v", "7/2"], ["embed", "g.json", "--mode", "line"],
+        ["embed", "g.json", "--mode", "x"], ["isomorphic", "a.json", "b.json", "--weight-tol-rel", "0"],
+        ["fpc", "certify", "g.json", "--json"], ["fpc", "f", "12"], ["fpc", "f", "x"], ["fpc", "nope"],
+        ["realize", "g.json", "--depth", "8", "--rule", "power_square", "--base", "3", "--no-exact"],
+        ["recover", "c.json", "--tol-rel", "1e-6", "--window", "4", "--exact"], ["recover", "c.json", "--bogus"],
+        ["subsample", "c.json", "--indices", "1,2"], ["subsample", "c.json"],
+        ["subsample", "c.json", "--stride-offset", "1", "--alternate-periods"],
+        ["diag", "fn", "c.json", "--level", "3", "--labels", "u,v"], ["diag", "psi", "c.json"],
+        ["single-point", "--depth", "5"], ["demo"], ["nope"], [], ["--help"], ["diag", "--help"],
+    ]
+
+    def parse(argv):
+        try:
+            return vars(_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        serial = list(map(parse, argvs))
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(parse, argvs * 40)) == serial * 40
+    # parsed namespaces, and the exit codes of usage errors (2) and of help (0)
+    assert {result for result in serial if isinstance(result, int)} == {0, 2}
+    assert any(isinstance(result, dict) for result in serial)
 
 
 def test_main_without_arguments_reads_sys_argv(cert_graph, monkeypatch, capsys):

@@ -150,6 +150,11 @@ def test_parse_rational_formats():
     assert parse_rational("1.5") == Fraction(3, 2)
     assert parse_rational("7") == Fraction(7)
     assert parse_rational(Fraction(2, 6)) == Fraction(1, 3)
+    # a bad exponent or bad places: no digit count, and Fraction refuses it
+    for text in ("1.5eX", "1.x"):
+        with pytest.raises(GraphError) as refused:
+            parse_rational(text)
+        assert str(refused.value) == f"not a rational literal: {text!r}"
 
 
 def test_json_round_trip_bit_exact():
