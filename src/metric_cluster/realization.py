@@ -168,10 +168,10 @@ class LeveledPointCloud:
     def from_json_dict(cls, data: dict) -> "LeveledPointCloud":
         """The cloud of a JSON document, read once, level by level: each
         level is unpacked and checked as the constructor checks a level,
-        which refuses a layout no writer writes now, and a level that
-        repeats the points of one of the last two exact levels is read from
-        it. A refusal names a fault of the fields before any of a level, and
-        the first faulty level in level order."""
+        which refuses a layout no writer writes now, or, where it names an
+        earlier exact level by ``points_of``, shares that level's labels,
+        rows and q. A refusal names a fault of the fields before any of a
+        level, and the first faulty level in level order."""
         try:
             dimension, levels = data["dimension"], data["levels"]
         except (KeyError, TypeError) as exc:
@@ -201,32 +201,33 @@ class LeveledPointCloud:
         coordinate is r_exact times value / over. GraphError names a value
         past the digit limit and, without shadows, the first value that
         rounds beyond binary64. Levels of one family member hold equal rows:
-        the ``points`` of an exact level are spelled once for all levels
-        with its q, labels and rows."""
+        an exact level with the q, labels and rows of an earlier one names
+        the first such level by ``points_of`` in place of ``points`` and ``over``."""
         out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
         _array(out, ["0.0"] * self.dimension, _BASEPOINT)
         period = "null" if self.period is None else format_rational(self.period)
         out += (',\n  "period": ', period, ',\n  "levels": ')
         opening = "[\n    {"
-        written: dict[tuple, str] = {}
+        spelled_at: dict[tuple, str] = {}
         for lvl in self.levels:
-            out += (opening, '\n      "n": ', format_rational(lvl.n))
+            n = format_rational(lvl.n)
+            out += (opening, '\n      "n": ', n)
             opening = ",\n    {"
             shadowed = include_exact and lvl.r_exact is not None
             if not shadowed:
                 out += (',\n      "r": ', _json_scalar(repr(_level_r(lvl))))
-            out.append(',\n      "points": ')
             # numerators only: binary64 values such as 0.0 and -0.0 compare equal but print apart
-            key = (lvl.q, lvl.labels, lvl.rows) if shadowed else None
-            points = written.get(key)
-            if points is None:
-                points = _points_array(lvl, shadowed)
-                if shadowed:
-                    written[key] = points
-            out.append(points)
+            key = (lvl.q, lvl.labels, lvl.rows) if shadowed and lvl.q is not None else None
+            points_of = spelled_at.get(key)
+            if points_of is not None:
+                out += (',\n      "points_of": ', points_of)
+            else:
+                out += (',\n      "points": ', _points_array(lvl, shadowed))
+                if key is not None:
+                    spelled_at[key] = n
             if shadowed:
                 out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
-                if lvl.q is not None:
+                if lvl.q is not None and points_of is None:
                     out += (',\n      "over": ', format_rational(lvl.q))
             out.append("\n    }")
         out.append("\n  ]\n}")
@@ -308,40 +309,39 @@ def _retired(level: str, layout: str) -> GraphError:
 
 def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
     """The cloud of a document's fields, each level unpacked and checked as
-    the constructor checks a level, or read by ``_repeated_level``."""
+    the constructor checks a level, or read by ``_level_points_of`` from the
+    earlier exact level it names."""
     dimension = _checked_fields(dimension, period, levels)
-    read, exact = [], []
+    read, exact = [], {}
     for entry in levels:
         previous = read[-1].n if read else 0
-        lvl = _repeated_level(entry, previous, exact) if isinstance(entry, dict) else None
-        if lvl is None:
+        if isinstance(entry, dict) and "points_of" in entry:
+            lvl = _level_points_of(entry, previous, exact)
+        else:
             lvl = _checked_level(_unpacked_level(entry) if isinstance(entry, dict) else entry, previous, dimension)
-            if lvl.q is not None:
-                exact.append((entry["points"], entry["over"], lvl))
-                del exact[:-2]
+        if lvl.q is not None:
+            exact[lvl.n] = lvl
         read.append(lvl)
     return LeveledPointCloud._of_levels(dimension, read, period)
 
 
-def _repeated_level(entry: dict, previous: int, exact: list) -> Optional[CloudLevel]:
-    """The level object, after level ``previous``, as the exact level whose
-    ``points`` and int ``over`` it repeats, of the ``(points, over, level)``
-    in ``exact``, the latest used last, with its own n and scale, checked;
-    None for another level or a fault, which the level check then names.
-    The levels of one family member repeat their points, whose values are
-    strings and labels strings or None: equal exactly where they read alike."""
-    n, over = entry.get("n"), entry.get("over")
-    if type(n) is int and n > previous and entry.get("r_exact") is not None and type(over) is int:
-        points = entry.get("points")
-        for i, (seen, seen_over, lvl) in enumerate(exact):
-            if over == seen_over and points == seen:
-                exact.append(exact.pop(i))
-                try:
-                    r, r_exact = _scales(entry.get("r"), entry["r_exact"], n)
-                except ValueError:  # GraphError is a ValueError
-                    return None
-                return CloudLevel(n, r, r_exact, lvl.labels, lvl.rows, lvl.q)
-    return None
+def _level_points_of(entry: dict, previous: int, exact: dict) -> CloudLevel:
+    """The level object, after level ``previous``, that names by ``points_of``
+    the earlier exact level with points, of ``exact`` by n, whose labels,
+    rows and q it shares, with its own n and r_exact, checked as the
+    constructor checks them; it has no ``points`` or ``over`` of its own."""
+    n, level = _level_n(entry["n"], previous)
+    points_of = entry["points_of"]
+    named = exact.get(points_of) if type(points_of) is int else None
+    if named is None:
+        raise _refused(f"level {level} has points_of {{value!r}}, which names no earlier exact level with points", points_of)
+    for field in ("points", "over"):
+        if field in entry:
+            raise GraphError(f"level {level} has {field} beside points_of")
+    if entry.get("r_exact") is None:
+        raise GraphError(f"level {level} has points_of but no r_exact")
+    r, r_exact = _scales(entry.get("r"), entry["r_exact"], level)
+    return CloudLevel(n, r, r_exact, named.labels, named.rows, named.q)
 
 
 def _checked_fields(dimension, period, levels) -> int:
@@ -368,11 +368,7 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
     without one, binary64 coordinates beside r."""
     if not isinstance(lvl, CloudLevel):
         raise GraphError(f"cloud level {lvl!r} is not an object")
-    n = _integer(lvl.n, 1, "cloud level n must be a positive integer, got {value!r}")
-    level = _spelled(n)  # n may pass the int-to-str digit limit
-    # recovery's window is the last levels; subsample and diag look a level up by n
-    if n <= previous:
-        raise GraphError(f"level {level} follows level {_spelled(previous)}: levels must strictly increase")
+    n, level = _level_n(lvl.n, previous)
     labels, rows, exact = lvl.labels, lvl.rows, lvl.q is not None
     if not (isinstance(labels, (list, tuple)) and isinstance(rows, (list, tuple))):
         raise GraphError(f"points of level {level} must be a list")
@@ -392,6 +388,16 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
         refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
         q, rows = _in_lowest_terms(_integer(lvl.q, 1, refusal), rows)
     return CloudLevel(n, r, r_exact, labels, tuple(rows), q)
+
+
+def _level_n(n, previous: int) -> tuple[int, str]:
+    """A level's n, checked after level ``previous``, and its spelling."""
+    n = _integer(n, 1, "cloud level n must be a positive integer, got {value!r}")
+    level = _spelled(n)  # n may pass the int-to-str digit limit
+    # recovery's window is the last levels; subsample and diag look a level up by n
+    if n <= previous:
+        raise GraphError(f"level {level} follows level {_spelled(previous)}: levels must strictly increase")
+    return n, level
 
 
 def _scales(r, r_exact, level) -> tuple[Optional[float], Optional[Fraction]]:

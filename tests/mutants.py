@@ -38,7 +38,7 @@ GRAPH_CORE = "metric_cluster/graph_core.py"
 THRESHOLDS = "tests/test_recovery.py::test_{}_at_its_threshold"
 UNITS = "tests/test_cli.py::test_malformed_shadows_in_units_of_the_scale_exit_2[{}]"
 LOWER = "tests/test_realization.py::test_lower_member_equals_the_fraction_construction[{}]"
-REPEATED = "tests/test_realization.py::test_a_level_that_repeats_an_earlier_one_but_for_a_fault_is_read_alone[{}]"
+NAMED = "tests/test_cli.py::test_bad_cloud_number_exit_2[{}]"
 
 # (file under src/, old text, new text, the tests that must fail)
 MUTANTS = [
@@ -83,21 +83,22 @@ MUTANTS = [
     # the reader reads each level in units of its scale over a positive over
     (REALIZATION, "over = _integer(entry[\"over\"], 1,", "over = _integer(entry[\"over\"], 0,",
      [UNITS.format("over-zero")]),
-    # a level that repeats the points of an exact level read before is read
-    # from it only over an equal int over, and with an r_exact of its own
-    (REALIZATION, "if over == seen_over and points == seen:", "if points == seen:",
-     [REPEATED.format("another_over")]),
-    (REALIZATION, 'entry.get("r_exact") is not None and type(over) is int:',
-     'entry.get("r_exact") is not None and over is not None:', [REPEATED.format("over_true")]),
-    (REALIZATION, 'n > previous and entry.get("r_exact") is not None and ', "n > previous and ",
-     [REPEATED.format("r_instead_of_r_exact")]),
+    # a level that names by points_of an earlier exact level with points,
+    # by an int that is no bool, has neither points nor over and has r_exact
+    (REALIZATION, "if type(points_of) is int else None", "if isinstance(points_of, int) else None",
+     [NAMED.format("points_of-true")]),
+    (REALIZATION, "        if lvl.q is not None:\n            exact[lvl.n] = lvl", "        if True:\n            exact[lvl.n] = lvl",
+     [NAMED.format("points_of-a-binary64-level")]),
+    (REALIZATION, 'for field in ("points", "over"):', 'for field in ("points",):',
+     [NAMED.format("over-beside-points_of")]),
+    (REALIZATION, '    if entry.get("r_exact") is None:\n        raise', '    if False:\n        raise',
+     [NAMED.format("points_of-beside-r")]),
     # an exact value is spelled in ASCII digits alone, which int() reads
     (REALIZATION, 'if ",".join(distinct).encode().translate(None, b"0123456789-,"):', "if False:",
      ["tests/test_cli.py::test_each_refused_spelling_of_an_exact_value_exit_2[plus]"]),
-    # the writer spells a level's points once for all levels only where they are numerators
-    (REALIZATION, "                if shadowed:\n                    written[key] = points",
-     "                if True:\n                    written[key] = points",
-     ["tests/test_realization.py::test_writer_prints_what_json_dumps_prints[equal_apart]"]),
+    # the writer names an earlier level by points_of only where both are written as numerators
+    (REALIZATION, "if shadowed and lvl.q is not None else None", "if lvl.q is not None else None",
+     ["tests/test_realization.py::test_files_without_shadows_in_units_are_pinned[12-None-floats]"]),
     # the one-point space holds its shadows over its binary64 scale in lowest terms
     (REALIZATION, "q, rows = _in_lowest_terms(r.numerator, [(0,), (x_n * r.denominator,)])",
      "q, rows = r.numerator, [(0,), (x_n * r.denominator,)]",

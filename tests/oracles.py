@@ -8,6 +8,7 @@ exponential enumeration oracles below.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -223,7 +224,7 @@ def normalized_values_by_fractions(cloud, window: int):
     labels = cloud.labels()
     base = {x: [] for x in labels}
     pairs = {pair: [] for pair in combinations(labels, 2)}
-    for lvl in json.loads(cloud.to_json())["levels"][-window:]:
+    for lvl in spelled_out(json.loads(cloud.to_json()))["levels"][-window:]:
         r = parse_rational(lvl["r_exact"])
         pts = {p["label"]: file_shadow(lvl, p) for p in lvl["points"]}
         for x in labels:
@@ -524,6 +525,24 @@ def file_shadow(level: dict, point: dict) -> list[Fraction]:
     return [r * Fraction(int(x), level["over"]) for x in point["exact"]]
 
 
+def spelled_out(doc: dict) -> dict:
+    """A copy of a cloud document in which each level that names an earlier
+    level by ``points_of`` spells that level's points out instead: a copy of
+    its ``points`` where ``points_of`` stood, and its ``over`` after the
+    level's own fields, as files were written before ``points_of``."""
+    doc, by_n = copy.deepcopy(doc), {}
+    for i, entry in enumerate(doc["levels"]):
+        if "points_of" in entry:
+            named, spelled = by_n[entry["points_of"]], {}
+            for key, value in entry.items():
+                if key == "points_of":
+                    key, value = "points", copy.deepcopy(named["points"])
+                spelled[key] = value
+            doc["levels"][i] = entry = dict(spelled, over=named["over"])
+        by_n[entry["n"]] = entry
+    return doc
+
+
 def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dict:
     """The cloud file as a dict, which ``json.dumps(..., indent=2)`` lays
     out as ``to_json`` writes it. Unless ``include_exact`` is false, a level
@@ -531,8 +550,10 @@ def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dic
     x, a coordinate of ``point_shadow`` over r_exact, as the integer
     x * over, with ``over`` the least common denominator of the level's
     values x. Otherwise a level writes ``r``, r_exact rounded where it has
-    one, and each point's ``coords``, its row rounded."""
-    levels = []
+    one, and each point's ``coords``, its row rounded. An exact level whose
+    ``points`` and ``over`` are spelled as an earlier exact level's has, in
+    their place, ``points_of``: the n of the first such level."""
+    levels, named = [], {}
     for lvl in cloud.levels:
         if not (include_exact and lvl.r_exact is not None):
             points = [{"label": v, "coords": list(point_floats(lvl, row))} for v, row in zip(lvl.labels, lvl.rows)]
@@ -541,9 +562,14 @@ def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dic
         units = [[x / lvl.r_exact for x in point_shadow(lvl, row)] for row in lvl.rows]
         over = math.lcm(*(x.denominator for x in chain.from_iterable(units)))
         points = [{"label": v, "exact": [str(x * over) for x in xs]} for v, xs in zip(lvl.labels, units)]
-        levels.append({"n": lvl.n, "points": points, "r_exact": str(lvl.r_exact)})
+        level = {"n": lvl.n, "points": points, "r_exact": str(lvl.r_exact)}
         if units:
-            levels[-1]["over"] = over
+            level["over"] = over
+            spelling = json.dumps([points, over])
+            if spelling in named:
+                level = {"n": lvl.n, "points_of": named[spelling], "r_exact": level["r_exact"]}
+            named.setdefault(spelling, lvl.n)
+        levels.append(level)
     return {
         "norm": "sup",
         "dimension": cloud.dimension,

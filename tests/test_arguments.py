@@ -18,6 +18,8 @@ import metric_cluster as mc
 from metric_cluster import GraphError
 from metric_cluster.realization import CloudLevel
 
+from oracles import spelled_out
+
 G = mc.WeightedRootedGraph(
     ["r", "u", "v", "z"],
     {("r", "u"): 1, ("r", "v"): 2, ("r", "z"): 3, ("u", "v"): 3, ("v", "z"): 5},
@@ -271,7 +273,7 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
         "point label 7": lambda level: level["points"][1].__setitem__("label", 7),
     }
     for message, fault in faults.items():
-        doc = json.loads(CLOUD_JSON)
+        doc = spelled_out(json.loads(CLOUD_JSON))
         doc["levels"][-1]["n"] = 10**5000
         fault(doc["levels"][-1])
         with pytest.raises(GraphError) as refused:

@@ -21,7 +21,7 @@ from metric_cluster.fpc import graph_from_metric_space, synthesize_weights
 from metric_cluster.metrization import Metrizability, extend_metric, forced_completion, shortest_path_metric
 from metric_cluster.realization import LeveledPointCloud, realize, single_point_space
 
-from oracles import file_shadow, halfway_past_binary64, random_dominating_shape
+from oracles import file_shadow, halfway_past_binary64, random_dominating_shape, spelled_out
 
 
 def write_graph(path: Path, vertices, edges, root) -> Path:
@@ -714,9 +714,15 @@ def test_disconnected_graph_exit_2(tmp_path, capsys):
 
 
 def realized_cloud(cert_graph, tmp_path, *options) -> dict:
+    """The realized file of the graph, every level's points spelled out."""
     cloud = tmp_path / "cloud.json"
     assert main(["realize", str(cert_graph), "--depth", "12", "--out", str(cloud), *options]) == 0
-    return json.loads(cloud.read_text(encoding="utf-8"))
+    return spelled_document(cloud)
+
+
+def spelled_document(path) -> dict:
+    """The cloud file at ``path``, every level's points spelled out."""
+    return spelled_out(json.loads(path.read_text(encoding="utf-8")))
 
 
 # the refusal of an exact value in any spelling but the writer's
@@ -937,7 +943,7 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         assert "tolerances must be finite and non-negative" in capsys.readouterr().err
     # an exponent literal would build a power of ten beyond what str() prints
     # so would the places of a decimal without one; an exact value is no literal
-    over = json.loads(cloud.read_text(encoding="utf-8"))["levels"][3]["over"]
+    over = spelled_document(cloud)["levels"][3]["over"]
     for value in ("1e10000000", "1e5000", "0." + "1" * 4300):
         graph = {"vertices": ["a", "b"], "root": "a", "edges": [{"u": "a", "v": "b", "w": value}]}
         path = tmp_path / "exponent_weight.json"
@@ -945,7 +951,7 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         for command in ("check", "spm"):
             assert main([command, str(path)]) == 2
             assert "needs more than 4300 digits" in capsys.readouterr().err
-        data = json.loads(cloud.read_text(encoding="utf-8"))
+        data = spelled_document(cloud)
         data["levels"][3]["points"][1]["exact"][0] = value
         path = tmp_path / "exponent_exact.json"
         path.write_text(json.dumps(data))
@@ -970,7 +976,7 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         assert message in capsys.readouterr().err
     for edit, message in ((_set_exact(False), f"exact value False over {over}; {SPELLING}"),
                           (_set_level("r_exact", True), "not a rational literal: True")):
-        data = json.loads(cloud.read_text(encoding="utf-8"))
+        data = spelled_document(cloud)
         edit(data)
         path = tmp_path / "boolean_exact.json"
         path.write_text(json.dumps(data))
@@ -983,7 +989,7 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
         (_set_r(True), "not a binary64 number"),
         (_set_at(["basepoint"], [False] * dimension), "basepoint must be the origin"),
     ):
-        data = json.loads(cloud.read_text(encoding="utf-8"))
+        data = spelled_document(cloud)
         edit(data)
         path = tmp_path / "boolean_number.json"
         path.write_text(json.dumps(data))
@@ -993,7 +999,7 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
     # find different levels by one number, and recovery would read its window
     # from the shallowest levels
     for edit in (_set_level("n", 3), lambda data: data["levels"].reverse()):
-        data = json.loads(cloud.read_text(encoding="utf-8"))
+        data = spelled_document(cloud)
         edit(data)
         path = tmp_path / "level_order.json"
         path.write_text(json.dumps(data))
@@ -1006,9 +1012,10 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
             assert "levels must strictly increase" in capsys.readouterr().err
 
 
-def _float_level(data) -> dict:
-    """Level 4 of ``data`` as the float writer writes it, r and coords."""
-    level = data["levels"][3]
+def _float_level(data, index=3) -> dict:
+    """The level at ``index`` of ``data``, level 4 unless given, as the float
+    writer writes it, r and coords."""
+    level = data["levels"][index]
     for point in level["points"]:
         point["coords"] = [float(x) for x in file_shadow(level, point)]
         del point["exact"]
@@ -1052,6 +1059,23 @@ def _set_at(path, value):
     return edit
 
 
+def _named(points_of, *drop, first=None, **fields):
+    """Level 4 as a level that names ``points_of`` by points_of, beside its
+    own n and r_exact and ``fields``, less the fields in ``drop``, after the
+    edit ``first``."""
+    def edit(data):
+        if first:
+            first(data)
+        level = data["levels"][3] = {"n": 4, "points_of": points_of, "r_exact": data["levels"][3]["r_exact"], **fields}
+        for field in drop:
+            del level[field]
+    return edit
+
+
+def _no_earlier_level(points_of) -> str:
+    return f"level 4 has points_of {points_of!r}, which names no earlier exact level with points"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -1082,6 +1106,23 @@ def _set_at(path, value):
         (_set_at(["levels"], []), "cloud JSON has no points"),
         (lambda data: _float_level(data)["points"][1].update(coords="1234"), "not a JSON list"),
         (_set_at(["levels", 3, "points", 1, "exact"], "1234"), "not a JSON list"),
+        # a level that repeats the points of an earlier exact level names it
+        (_named("2"), _no_earlier_level("2")),
+        (_named(True), _no_earlier_level(True)),
+        (_named(2.0), _no_earlier_level(2.0)),
+        (_named(None), _no_earlier_level(None)),
+        (_named(4), _no_earlier_level(4)),
+        (_named(6), _no_earlier_level(6)),
+        (_named(0), _no_earlier_level(0)),
+        (_named(2, first=lambda data: _float_level(data, 1)), _no_earlier_level(2)),
+        (_named(2, first=_set_at(["levels", 1, "points"], [])), _no_earlier_level(2)),
+        (_named(2, points=[]), "level 4 has points beside points_of"),
+        (_named(2, over=1), "level 4 has over beside points_of"),
+        (_named(2, "r_exact"), "level 4 has points_of but no r_exact"),
+        (_named(2, "r_exact", r="24"), "level 4 has points_of but no r_exact"),
+        (_named(2, r="24"), "level 4 is in a retired layout: r beside r_exact"),
+        (_named(2, r_exact="0"), "level 4 has exact scale r_exact = 0; it must be positive"),
+        (_named(2, n=2), "level 2 follows level 3: levels must strictly increase"),
     ],
     ids=[
         "coordinate-non-numeric",
@@ -1111,6 +1152,22 @@ def _set_at(path, value):
         "no-points",
         "coords-a-string",
         "exact-a-string",
+        "points_of-a-string",
+        "points_of-true",
+        "points_of-a-float",
+        "points_of-null",
+        "points_of-itself",
+        "points_of-a-later-level",
+        "points_of-a-missing-level",
+        "points_of-a-binary64-level",
+        "points_of-a-level-without-points",
+        "points-beside-points_of",
+        "over-beside-points_of",
+        "points_of-without-r_exact",
+        "points_of-beside-r",
+        "points_of-beside-r-and-r_exact",
+        "points_of-r_exact-zero",
+        "points_of-n-repeated",
     ],
 )
 def test_bad_cloud_number_exit_2(cert_graph, tmp_path, capsys, edit, message):
@@ -1250,7 +1307,7 @@ def test_each_retired_layout_exit_2(tmp_path, capsys):
     cloud = tmp_path / "c.json"
     assert main(["realize", str(g), "--depth", "8", "--out", str(cloud)]) == 0
     # the writer writes one half: the shadow and r_exact
-    written = json.loads(cloud.read_text(encoding="utf-8"))["levels"]
+    written = spelled_document(cloud)["levels"]
     assert not any("r" in level or any("coords" in p for p in level["points"]) for level in written)
 
     def rounded(level, point):
@@ -1281,7 +1338,7 @@ def test_each_retired_layout_exit_2(tmp_path, capsys):
         (scale_apart, "level 4 is in a retired layout: r beside r_exact"),
         (absolute, "level 3 is in a retired layout: exact values without over"),
     ):
-        data = json.loads(cloud.read_text(encoding="utf-8"))
+        data = spelled_document(cloud)
         edit(data)
         path = tmp_path / "retired.json"
         path.write_text(json.dumps(data), encoding="utf-8")

@@ -51,6 +51,7 @@ from oracles import (
     random_dominating_shape,
     scaled_weights,
     shadows_by_spelling,
+    spelled_out,
     with_unrelated_denominators,
 )
 
@@ -402,24 +403,30 @@ def test_cloud_json_round_trip():
     assert not stripped.has_exact()
 
 
-# SHA-256 of the cloud bytes as the writer writes them; a change of the
+# SHA-256 of the cloud bytes as the writer writes them, and of the same file
+# spelled out, as the writer wrote it before points_of; a change of the
 # realization family or of its columns (the root has none) changes them by design
 PINNED_CLOUDS = [
-    (12, None, "0bb619878e6a8810201dd1df17fe7c922ee4b0a18916353bdf72f12cb4191a67"),
-    (6, ScalingRule("power_square", 3), "7a707bbe6988d34f493b52c0df3e21b8f5e4f298949fa67c0de6cdbd9c87b68f"),
+    (12, None, "c3376c4a672abab251c948a7f2eb140a41567727c3b06f015f5de53c8489e477",
+     "0bb619878e6a8810201dd1df17fe7c922ee4b0a18916353bdf72f12cb4191a67"),
+    (6, ScalingRule("power_square", 3), "812caa68f70970bdd9e4e1602b11d681a3576adc6676655579f8005e53a717ff",
+     "7a707bbe6988d34f493b52c0df3e21b8f5e4f298949fa67c0de6cdbd9c87b68f"),
 ]
 
 
 @pytest.mark.parametrize(
-    "depth, rule, digest",
+    "depth, rule, digest, spelled_digest",
     PINNED_CLOUDS,
     ids=[f"{depth}-{'rule1' if rule else None}" for depth, rule, *_ in PINNED_CLOUDS],
 )
-def test_cloud_bytes_are_pinned(depth, rule, digest):
+def test_cloud_bytes_are_pinned(depth, rule, digest, spelled_digest):
     cloud = realize(ONE_GAP, depth, rule)
     text = cloud.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert LeveledPointCloud.from_json(text) == cloud
+    spelled = json.dumps(spelled_out(json.loads(text)), indent=2)
+    assert hashlib.sha256(spelled.encode()).hexdigest() == spelled_digest
+    assert LeveledPointCloud.from_json(spelled) == cloud
 
 
 # SHA-256 of the files that write no shadow in units of a scale, taken while
@@ -484,7 +491,7 @@ def test_a_level_holds_its_shadows_as_its_file_writes_them(name):
     of their labels and rows as equal tuples."""
     build, realized = WRITTEN_CLOUDS[name]
     cloud = build()
-    for entry, lvl in zip(json.loads(cloud.to_json())["levels"], cloud.levels):
+    for entry, lvl in zip(spelled_file(cloud)["levels"], cloud.levels):
         assert ("over" in entry) == (lvl.r_exact is not None) == (lvl.q is not None)
         assert lvl.labels == tuple(item["label"] for item in entry["points"])
         if "over" in entry:
@@ -546,7 +553,7 @@ def test_shadows_are_written_in_units_of_their_level_scale(depth, rule):
     ``over``, in lowest terms together, and r_exact times value / over is the
     shadow; r_exact's digits are not repeated in the values."""
     cloud = realize(ONE_GAP, depth, rule)
-    data = json.loads(cloud.to_json())
+    data = spelled_file(cloud)
     for entry, lvl in zip(data["levels"], cloud.levels):
         values = [int(x) for item in entry["points"] for x in item["exact"]]
         assert math.gcd(entry["over"], *values) == 1
@@ -562,7 +569,7 @@ def test_unreduced_shadows_load_over_the_least_denominator():
     cloud = realize(CERT_TRIANGLE, 8)
     level = next(lvl for lvl in cloud.levels if lvl.q > 1)
     for n in (level.n, cloud.depth // 2, cloud.depth):
-        data = json.loads(cloud.to_json())
+        data = spelled_file(cloud)
         entry = data["levels"][n - 1]
         entry["over"] *= 6
         for item in entry["points"]:
@@ -704,10 +711,11 @@ def check_value_at_level(value, index):
     """The realized file of CERT_TRIANGLE with ``value`` as the first value
     of u in ``levels[index]`` loads to the cloud that the constructor builds
     of the oracle's numerators, or is refused with the value's text. Every
-    level of that file repeats the points of level 1, so level 1 is read in
-    full and the last level is one that the reader may reuse."""
+    level of that file repeats the points of level 1, which the file spelled
+    out spells at every level, so the last level is one that names level 1
+    in the file as written."""
     cloud = realize(CERT_TRIANGLE, 4)
-    data = json.loads(cloud.to_json())
+    data = spelled_file(cloud)
     entry = data["levels"][index]
     assert entry["points"] == data["levels"][0]["points"]
     entry["points"][1]["exact"][0] = value
@@ -755,7 +763,7 @@ def test_a_level_reads_each_distinct_value_once(monkeypatch):
 
 
 def test_a_malformed_shadow_is_named_before_a_later_point_fault():
-    data = json.loads(realize(CERT_TRIANGLE, 4).to_json())
+    data = spelled_file(realize(CERT_TRIANGLE, 4))
     points = data["levels"][1]["points"]
     points[2] = {"label": "v", "coords": ["x", 0.0, 0.0]}
     points[1]["exact"][0] = "1/-2"
@@ -779,7 +787,7 @@ def test_each_point_edit_of_a_level_loads_or_is_refused_at_its_point():
     shadows and a point with neither are refused, named by their level and
     point."""
     cloud = realize(ONE_GAP, 6)
-    text, dimension = cloud.to_json(), cloud.dimension
+    text, dimension = json.dumps(spelled_file(cloud)), cloud.dimension
     edits = [
         (4, lambda points: points[0].update(label=None), None),
         (4, lambda points: [point.update(label=None) for point in points], None),
@@ -843,14 +851,17 @@ def retired_files(cloud) -> dict[str, str]:
                 del entry["over"]
         return data
 
+    def spelled():
+        return spelled_out(cloud_json_dict(cloud))
+
     layouts = {
-        "absolute": absolute(cloud_json_dict(cloud)),
-        "absolute_beside_r": with_r(absolute(cloud_json_dict(cloud)), drop_r_exact=True),
-        "coords_beside_exact": with_coords(cloud_json_dict(cloud)),
-        "r_beside_r_exact": with_r(cloud_json_dict(cloud)),
-        "both_halves": with_r(with_coords(absolute(cloud_json_dict(cloud)))),
-        "exact_and_coords_mixed": with_coords(cloud_json_dict(cloud), slice(1, 2), drop_exact=True),
-        "coords_beside_r_exact": with_coords(cloud_json_dict(cloud), drop_exact=True),
+        "absolute": absolute(spelled()),
+        "absolute_beside_r": with_r(absolute(spelled()), drop_r_exact=True),
+        "coords_beside_exact": with_coords(spelled()),
+        "r_beside_r_exact": with_r(spelled()),
+        "both_halves": with_r(with_coords(absolute(spelled()))),
+        "exact_and_coords_mixed": with_coords(spelled(), slice(1, 2), drop_exact=True),
+        "coords_beside_r_exact": with_coords(spelled(), drop_exact=True),
     }
     return {name: json.dumps(data, indent=2) for name, data in layouts.items()}
 
@@ -897,6 +908,11 @@ def test_each_retired_shape_built_in_code_is_refused():
         assert str(caught.value) == f"level 1 is in a retired layout: {layout}"
 
 
+def spelled_file(cloud) -> dict:
+    """The cloud's file with every level's points spelled out."""
+    return spelled_out(json.loads(cloud.to_json()))
+
+
 def binary64_copy(cloud):
     """The cloud that its file without shadows spells, built by the
     constructor: each level's r and coordinates rounded."""
@@ -936,7 +952,7 @@ def test_of_two_faults_in_different_levels_the_first_is_named():
     """The fields are checked before the levels, and the levels in level
     order, each unpacked and checked alone: a fault of an earlier level is
     named before a malformed exact value of a later one."""
-    written = json.loads(realize(CERT_TRIANGLE, 4).to_json())
+    written = spelled_file(realize(CERT_TRIANGLE, 4))
 
     def faults(*edits):
         data = json.loads(json.dumps(written))
@@ -1016,8 +1032,8 @@ def test_a_file_of_exact_and_binary64_levels_loads_to_its_levels():
     assert LeveledPointCloud.from_json(cloud.to_json()) == cloud
 
 
-# a fault in level 3 of ONE_GAP's file, whose points repeat level 1's, and
-# the refusal it gets, or None where the level loads
+# a fault in level 3 of ONE_GAP's file spelled out, whose points repeat level
+# 1's, and the refusal it gets, or None where the level loads
 REPEATED_LEVEL_FAULTS = {
     "malformed_value": (
         lambda entry: entry["points"][1]["exact"].__setitem__(0, "3/"),
@@ -1046,14 +1062,14 @@ REPEATED_LEVEL_FAULTS = {
 
 @pytest.mark.parametrize("fault", list(REPEATED_LEVEL_FAULTS))
 def test_a_level_that_repeats_an_earlier_one_but_for_a_fault_is_read_alone(fault):
-    """A level whose points repeat those of an earlier exact level, over the
-    same int ``over``, is read from it; one that differs in a value, a label
-    or ``over``, or that has no r_exact or a faulty n or scale of its own,
+    """A level of a file spelled out whose points repeat those of an earlier
+    exact level is read in full: one that differs in a value, a label or
+    ``over``, or that has no r_exact or a faulty n or scale of its own,
     loads to the cloud the constructor builds of its values or is refused
     with its text."""
     edit, text = REPEATED_LEVEL_FAULTS[fault]
     cloud = realize(ONE_GAP, 6)
-    data = json.loads(cloud.to_json())
+    data = spelled_file(cloud)
     entry = data["levels"][2]
     assert entry["points"] == data["levels"][0]["points"] and data["levels"][0]["over"] == 1
     edit(entry)
@@ -1066,11 +1082,12 @@ def test_a_level_that_repeats_an_earlier_one_but_for_a_fault_is_read_alone(fault
 
 
 def test_each_distinct_points_array_is_read_once(monkeypatch):
-    """Of the levels of a realized file, the reader unpacks and checks one
-    per family member and reads each other from the earlier level with its
-    points, sharing its labels and rows; of a file whose levels all differ,
-    and of a file without shadows, it checks every level. The cloud loaded
-    is the realized one either way."""
+    """Of the levels of a realized file, the reader unpacks and checks the
+    one per family member that spells its points, and reads each other from
+    the earlier level it names by points_of, sharing its labels and rows; of
+    the same file spelled out, of a file whose levels all differ, and of a
+    file without shadows, it checks every level. The cloud loaded is the
+    realized one either way."""
     checked_level, checked = realization._checked_level, []
 
     def counted(lvl, *rest):
@@ -1083,6 +1100,10 @@ def test_each_distinct_points_array_is_read_once(monkeypatch):
     loaded = LeveledPointCloud.from_json_dict(data)
     assert loaded == cloud and checked == [1, 2]
     assert all(lvl.rows is later.rows and lvl.labels is later.labels for lvl, later in zip(loaded.levels, loaded.levels[2:]))
+    assert [entry.get("points_of") for entry in data["levels"]] == [None, None] + [1, 2] * 5
+    data = spelled_out(data)
+    checked.clear()
+    assert LeveledPointCloud.from_json_dict(data) == cloud and checked == list(range(1, 13))
     # each level over i times its over, each value i times its own
     for i, entry in enumerate(data["levels"], 1):
         entry["over"] *= i
@@ -1094,6 +1115,28 @@ def test_each_distinct_points_array_is_read_once(monkeypatch):
     checked.clear()
     assert LeveledPointCloud.from_json(cloud.to_json(include_exact=False)) == floats
     assert checked == list(range(1, 13))
+
+
+@pytest.mark.parametrize("n", range(2, 30))
+def test_a_file_spelled_out_loads_and_recovers_as_the_file_written(n):
+    """The corpus clouds of n vertices (p = 0.2, 0.5 and 0.8, both scaling
+    rules, depth 12) and their alternating-period subsamples, written with
+    each distinct points array spelled once and named by points_of at every
+    later level that repeats it, load from that file and from it spelled out
+    to the cloud written, and recover equal graphs from both."""
+    for p in (0.2, 0.5, 0.8):
+        g = synthesize_weights(random_dominating_shape(random.Random(n), n, p))
+        for rule in (ScalingRule(), ScalingRule("power_square", 2)):
+            cloud = realize(g, 12, rule)
+            for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
+                text = c.to_json()
+                data = json.loads(text)
+                assert json.dumps(data, indent=2) == text
+                spelling = [entry for entry in data["levels"] if "points" in entry]
+                assert len(spelling) == len({(lvl.q, lvl.labels, lvl.rows) for lvl in c.levels}) < c.depth
+                written, spelled_out_file = LeveledPointCloud.from_json(text), LeveledPointCloud.from_json_dict(spelled_out(data))
+                assert written == spelled_out_file == c
+                assert recover_cluster(written).graph == recover_cluster(spelled_out_file).graph
 
 
 def check_writer(cloud):
@@ -1248,7 +1291,7 @@ class _InFile(_InCode):
     literal."""
 
     def __init__(self):
-        self.fields = json.loads(R_UV.to_json())
+        self.fields = spelled_file(R_UV)
 
     def level(self, i, **values):
         self.fields["levels"][i].update({k: str(v) if isinstance(v, Fraction) else v for k, v in values.items()})

@@ -63,6 +63,7 @@ from oracles import (
     random_weighting,
     recover_by_fractions,
     rooted_extremal_cluster,
+    spelled_out,
 )
 
 
@@ -270,7 +271,7 @@ def partly_shadowed(cloud: LeveledPointCloud, rng: random.Random) -> LeveledPoin
     """The cloud with half of its levels, drawn with ``rng``, replaced by
     their binary64 values, scale and points, and the others exact: edits of
     its document."""
-    doc, floats = cloud_json_dict(cloud), cloud_json_dict(cloud, include_exact=False)
+    doc, floats = spelled_out(cloud_json_dict(cloud)), cloud_json_dict(cloud, include_exact=False)
     for i in rng.sample(range(cloud.depth), cloud.depth // 2):
         doc["levels"][i] = floats["levels"][i]
     return LeveledPointCloud.from_json_dict(doc)
