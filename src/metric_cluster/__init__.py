@@ -4,8 +4,9 @@ The library decides whether a finite weighted rooted graph can arise as the
 cluster of pretangent spaces of an unbounded metric space at infinity, builds
 a finite truncation of a realizing space when it can, and recovers the cluster
 back from finite-scale point data. Every decision runs on exact rational
-arithmetic, recovery's too: a point cloud's binary64 coordinates, where it
-has no exact rational shadows, are read as the dyadic rationals they are.
+arithmetic, recovery's and the diagnostics' too: a point cloud's binary64
+coordinates, where it has no exact rational shadows, are read as the dyadic
+rationals they are.
 """
 
 from .graph_core import (

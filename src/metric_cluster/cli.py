@@ -11,7 +11,6 @@ commands are deterministic given identical inputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -46,7 +45,6 @@ from .metrization import (
     unique_pairs,
 )
 from .realization import LeveledPointCloud, ScalingRule, build_plan, generate_cloud, single_point_space
-from .realization import _level_floats, _level_r
 from .recovery import (
     alternating_period_indices,
     annulus_diameter_table,
@@ -363,10 +361,8 @@ def _cmd_diag_fn(ns) -> int:
     missing = [lbl for lbl in labels if lbl not in by_label]
     if missing:
         raise GraphError(f"labels {missing} not present at level {ns.level}")
-    # only the requested points are rounded: another may lie beyond binary64
-    points = _level_floats(dataclasses.replace(level, labels=labels, rows=[by_label[lbl] for lbl in labels]))
-    basepoint = (0.0,) * cloud.dimension
-    value = spread_functional(points, basepoint)
+    # the functional is scale-free: an exact level's rows serve as they are, in units of its scale
+    value = spread_functional([by_label[lbl] for lbl in labels], (0,) * cloud.dimension)
     _emit(
         {"level": ns.level, "labels": labels, "value": value},
         ns,
@@ -380,11 +376,12 @@ def _cmd_diag_psi(ns) -> int:
     if ns.radii:
         radii = _number_list(ns.radii, float, "--radii")
     else:
-        radii = [_level_r(lvl) for lvl in cloud.levels]
-    table = annulus_diameter_table(cloud, ns.k, radii)
+        radii = [lvl.r_exact or lvl.r for lvl in cloud.levels]
+    # a radius is spelled as a cloud file spells r_exact: past binary64, JSON has no number for it
+    table = [dict(row, r=format_rational(row["r"])) for row in annulus_diameter_table(cloud, ns.k, radii)]
     human = "\n".join(
         [f"annulus diameter ratios (k = {ns.k}):"]
-        + [f"  r = {row['r']:.6g}: {row['value']:.6g} ({row['points']} points)" for row in table]
+        + [f"  r = {row['r']}: {row['value']:.6g} ({row['points']} points)" for row in table]
     )
     _emit({"k": ns.k, "table": table}, ns, human)
     return 0

@@ -32,17 +32,16 @@ def _integer(value, least: int, refusal: str) -> int:
     return value
 
 
-def _real(value, least, refusal: str, kind=Fraction) -> Fraction | float:
-    """The one rule for real arguments, tolerances among them: a finite int,
-    float, Fraction or Decimal, read as the Fraction it equals or, with
-    ``kind=float``, as the nearest binary64 number, which must be finite, and
-    at least ``least``; GraphError otherwise, with ``refusal`` as ``_integer``
-    gives it. A bool is no number, and a string is refused, not parsed."""
+def _real(value, least, refusal: str) -> Fraction:
+    """The one rule for real arguments, tolerances, radii and coordinates
+    among them: a finite int, float, Fraction or Decimal, read as the Fraction
+    it equals, at least ``least``; GraphError otherwise, with ``refusal`` as
+    ``_integer`` gives it. A bool is no number, a string is not parsed."""
     x = None
     if not isinstance(value, bool) and isinstance(value, (int, float, Fraction, Decimal)):
         try:
-            x = kind(Fraction(value))
-        except (ValueError, OverflowError):  # a NaN, an infinity, beyond binary64
+            x = Fraction(value)
+        except (ValueError, OverflowError):  # a NaN, an infinity
             pass
     if x is None or x < least:
         raise _refused(refusal, value)

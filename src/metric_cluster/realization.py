@@ -90,10 +90,10 @@ class CloudLevel:
     numerators over ``q``, the level's least common denominator, so that
     point i's j-th coordinate is r_exact * rows[i][j] / q; a file's ``over``
     and values are q and the numerators. With r, a row holds binary64
-    coordinates and q is None, as it is for a level without points. A binary64
-    reader rounds r_exact and each exact coordinate when it asks for them, and
-    refuses a value beyond binary64 there (see ``_level_r`` and
-    ``_level_floats``).
+    coordinates and q is None, as it is for a level without points. Only the
+    float writer rounds r_exact and each exact coordinate, and refuses a value
+    beyond binary64 there (see ``_level_floats``); every other reader reads
+    the level exactly.
     """
 
     n: int
@@ -215,7 +215,11 @@ class LeveledPointCloud:
             opening = ",\n    {"
             shadowed = include_exact and lvl.r_exact is not None
             if not shadowed:
-                out += (',\n      "r": ', _json_scalar(repr(_level_r(lvl))))
+                try:
+                    r = lvl.r if lvl.r_exact is None else float(lvl.r_exact)
+                except OverflowError as exc:
+                    raise GraphError(f"level {n} has a scale r_exact beyond binary64: {exc}") from exc
+                out += (',\n      "r": ', _json_scalar(repr(r)))
             # numerators only: binary64 values such as 0.0 and -0.0 compare equal but print apart
             key = (lvl.q, lvl.labels, lvl.rows) if shadowed and lvl.q is not None else None
             points_of = spelled_at.get(key)
@@ -524,17 +528,6 @@ def _level_floats(lvl: CloudLevel) -> Sequence[tuple[float, ...]]:
                 refusal = f"has a coordinate beyond binary64: {exc}"
                 raise GraphError(f"point {label!r} at level {_spelled(lvl.n)} {refusal}") from exc
     return [tuple(islice(rounded, len(row))) for row in lvl.rows]
-
-
-def _level_r(lvl: CloudLevel) -> float:
-    """The level's binary64 scale: r, or r_exact rounded; GraphError where
-    r_exact rounds beyond binary64."""
-    if lvl.r_exact is None:
-        return lvl.r
-    try:
-        return float(lvl.r_exact)
-    except OverflowError as exc:
-        raise GraphError(f"level {_spelled(lvl.n)} has a scale r_exact beyond binary64: {exc}") from exc
 
 
 def _json_scalar(value) -> str:

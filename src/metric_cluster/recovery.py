@@ -16,6 +16,7 @@ tail minimum/maximum double as lower/upper limit estimates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, count
@@ -30,7 +31,7 @@ from .fpc import (
 from .graph_core import GraphError, WeightedRootedGraph, _integer, _over_lcm, _real, _root_labels
 from .graph_core import _collection, _spelled
 from .metrization import _pinning_edge
-from .realization import CloudLevel, LeveledPointCloud, _level_floats, sup_distance
+from .realization import CloudLevel, LeveledPointCloud, sup_distance
 
 DEFAULT_TOL_REL = 1e-6
 DEFAULT_TOL_ABS = 1e-9
@@ -431,38 +432,37 @@ def period_stride_indices(cloud: LeveledPointCloud, offset: int = 0) -> list[int
 def spread_functional(points: Sequence[Sequence[float]], basepoint: Sequence[float]) -> float:
     """Normalized spread of an n-tuple of points against a basepoint.
 
-    min_k d(x_k, p) * prod_{k<l} d(x_k, x_l) / (max_k d(x_k, p))^(n(n-1)/2+1).
-    Zero when all points coincide with the basepoint (by convention) or any
-    two points coincide. Values near zero for all large tuples indicate the
-    space cannot sustain more than n-1 separated directions at infinity.
-    A coordinate or a value that is not finite in binary64 is refused with
-    ``GraphError``.
+    min_k d(x_k, p) * prod_{k<l} d(x_k, x_l) / (max_k d(x_k, p))^(m+1), over
+    the m = n(n-1)/2 pairs. Zero when all points coincide with the basepoint
+    (by convention) or any two points coincide. Values near zero for all large
+    tuples indicate the space cannot sustain more than n-1 separated
+    directions at infinity. Read exactly, the value is rounded once, and
+    refused with ``GraphError`` past binary64.
     """
     pts = [_coordinates(p) for p in _collection(points, "points must be a sequence of points")]
-    n = len(pts)
-    if n < 2:
+    if len(pts) < 2:
         raise GraphError("the spread functional needs at least 2 points")
     base = _coordinates(basepoint)
     # sup_distance zips coordinates: a short point would be cut silently
     if any(len(p) != len(base) for p in pts):
         raise GraphError(f"every point needs {len(base)} coordinates, as the basepoint has")
-    base_dists = [sup_distance(p, base) for p in pts]
+    q = math.lcm(*(x.denominator for x in chain(base, *pts)))
+    base, *rows = [[x.numerator * (q // x.denominator) for x in p] for p in [base, *pts]]
+    base_dists = [sup_distance(p, base) for p in rows]
     top = max(base_dists)
     if top == 0:
         return 0.0
-    # the functional is scale-free: with every distance over top, no power of
-    # top is formed, which would leave binary64 at a realized level
-    ratios = (sup_distance(a, bb) / top for a, bb in combinations(pts, 2))
-    value = min(base_dists) / top * math.prod(ratios)
-    if not math.isfinite(value):
-        raise GraphError("the spread functional of these points is not finite in binary64")
-    return value
+    pairs = [sup_distance(a, bb) for a, bb in combinations(rows, 2)]
+    try:  # int / int rounds once, as float(Fraction) does
+        return min(base_dists) * math.prod(pairs) / top ** (len(pairs) + 1)
+    except OverflowError as exc:
+        raise GraphError("the spread functional of these points is past binary64") from exc
 
 
-def _coordinates(point) -> tuple[float, ...]:
-    """A point's coordinates in binary64, as the spread functional reads them."""
+def _coordinates(point) -> tuple[Fraction, ...]:
+    """A point's coordinates, each the rational it is."""
     point = _collection(point, "a point must be a sequence of coordinates")
-    return tuple(_real(c, -math.inf, _COORDINATE, float) for c in point)
+    return tuple(_real(c, -math.inf, _COORDINATE) for c in point)
 
 
 def annulus_diameter_table(
@@ -473,21 +473,30 @@ def annulus_diameter_table(
     A(p, r, k) is the annulus of points whose basepoint distance lies in
     [r/k, r*k]; an empty or one-point annulus contributes 0. The values
     staying small as r grows (for k near 1) is the finite-scale shadow of the
-    sphere-collapse condition; no limit is decided here. A value that is not
-    finite in binary64 is refused with ``GraphError``.
+    sphere-collapse condition; no limit is decided here. ``k``, the radii and
+    the coordinates are read exactly, and a row's ``r`` is its radius as a
+    Fraction. A ratio is rounded once, and refused with ``GraphError`` past
+    binary64, which only a k past it allows.
     """
-    k = _real(k, 1, "annulus parameter k must be finite and >= 1, got {value}", float)
-    pts = [coords for lvl in cloud.levels for coords in _level_floats(lvl)]
-    origin = (0.0,) * cloud.dimension
-    norms = [sup_distance(p, origin) for p in pts]
+    k = _real(k, 1, "annulus parameter k must be finite and >= 1, got {value}")
+    # recovery reads a level's coordinates as ints a over q in units of its scale s,
+    # so a coordinate is a times s / q, and with each s / q over one lcm, an int
+    read = [_level_integers(dict(enumerate(lvl.rows)), lvl) for lvl in cloud.levels]
+    common, units = _over_lcm([(lvl.r_exact or Fraction(lvl.r)) / (q or 1) for lvl, (_, q) in zip(cloud.levels, read)])
+    pts = [[a * unit for a in row] for unit, (rows, _) in zip(units, read) for row in rows.values()]
+    # the points in order of their norms, so that each annulus is a slice
+    norms, pts = zip(*sorted((max(map(abs, p)), p) for p in pts))
     table = []
     for radius in _collection(radii, "radii must be a sequence of numbers"):
-        r = _real(radius, 0, _RADIUS, float)
-        if not r:  # zero, or so small that it rounds to zero
+        r = _real(radius, 0, _RADIUS)
+        if not r:
             raise GraphError(_RADIUS.format(value=radius))
-        members = [p for p, nrm in zip(pts, norms) if r / k <= nrm <= r * k]
-        diam = max((sup_distance(a, bb) for a, bb in combinations(members, 2)), default=0.0)
-        if not math.isfinite(diam / r):
-            raise GraphError(f"the annulus diameter ratio at radius {r!r} is not finite in binary64")
-        table.append({"r": r, "value": diam / r, "points": len(members)})
+        low, high = math.ceil(r * common / k), math.floor(r * common * k)
+        members = pts[bisect_left(norms, low) : bisect_right(norms, high)]
+        # a sup-norm diameter is the widest range of one coordinate
+        diam = max((max(column) - min(column) for column in zip(*members)), default=0)
+        try:
+            table.append({"r": r, "value": diam * r.denominator / (r.numerator * common), "points": len(members)})
+        except OverflowError as exc:
+            raise GraphError(f"the annulus diameter ratio at radius {_spelled(r)} is past binary64") from exc
     return table

@@ -1,6 +1,7 @@
-"""Mutation check for the library's decisions: recovery's, the cloud reader's
-and constructor's, the binary64 readers', certification's, the admissible
-interval's, the isomorphism's near-ties and the realization plan's.
+"""Mutation check for the library's decisions: recovery's, the diagnostics',
+the cloud reader's and constructor's, the binary64 writer's, certification's,
+the admissible interval's, the isomorphism's near-ties and the realization
+plan's.
 
 Each mutant below changes one comparison of the library: a file under src/,
 an exact old text that must occur there once, the new text, and the tests
@@ -80,6 +81,14 @@ MUTANTS = [
      ["tests/test_recovery.py::test_a_subsample_of_whole_periods_in_order_keeps_the_period"]),
     (RECOVERY, "available[n][0] % p != k % p", "available[n][0] % p != 0",
      ["tests/test_recovery.py::test_a_subsample_of_whole_periods_in_order_keeps_the_period"]),
+    # an annulus holds the norms N / Q of [r / k, r * k]: from ceil(r Q / k) to floor(r Q k), both ends in
+    (RECOVERY, "low, high = math.ceil(r * common / k),", "low, high = math.floor(r * common / k),",
+     ["tests/test_recovery.py::test_an_annulus_holds_the_norms_of_its_closed_interval"]),
+    (RECOVERY, "bisect_right(norms, high)]", "bisect_left(norms, high)]",
+     ["tests/test_recovery.py::test_an_annulus_holds_the_norms_of_its_closed_interval"]),
+    # the spread functional divides by the largest basepoint distance to the power m + 1, m pairs
+    (RECOVERY, "top ** (len(pairs) + 1)", "top ** len(pairs)",
+     ["tests/test_recovery.py::test_spread_functional_is_scale_free"]),
     # the reader reads each level in units of its scale over a positive over
     (REALIZATION, "over = _integer(entry[\"over\"], 1,", "over = _integer(entry[\"over\"], 0,",
      [UNITS.format("over-zero")]),
@@ -125,12 +134,12 @@ MUTANTS = [
      ["tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell[factorial]"]),
     (REALIZATION, "beyond = 10**limit if limit", "beyond = 10 ** (limit + 1) if limit",
      ["tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell[power_square]"]),
-    # a binary64 reader refuses a value beyond binary64 with GraphError, never OverflowError
+    # the binary64 writer refuses a value beyond binary64 with GraphError, never OverflowError
     (REALIZATION, "    except OverflowError:\n        # some point's division overflowed",
      "    except ZeroDivisionError:\n        # some point's division overflowed",
      ["tests/test_realization.py::test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader"]),
-    (REALIZATION, "        return float(lvl.r_exact)\n    except OverflowError as exc:",
-     "        return float(lvl.r_exact)\n    except ZeroDivisionError as exc:",
+    (REALIZATION, "float(lvl.r_exact)\n                except OverflowError as exc:",
+     "float(lvl.r_exact)\n                except ZeroDivisionError as exc:",
      ["tests/test_realization.py::test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader"]),
     # build_plan: each non-edge goes in at c * d(u, v) - delta, c = min(m + 1, n)
     (REALIZATION, "c = min(len(non_edges) + 1, len(g))", "c = min(len(non_edges), len(g))",

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, combinations, count
 from typing import Optional
@@ -474,6 +475,41 @@ def point_shadow(lvl: CloudLevel, row: tuple) -> tuple[Fraction, ...]:
     """The exact coordinates of a row of an exact level: each numerator over
     the level's q, times the level's r_exact."""
     return tuple(lvl.r_exact * Fraction(a, lvl.q) for a in row)
+
+
+def spread_by_fractions(points: list, basepoint: tuple) -> Fraction:
+    """The spread functional of points given as Fractions, in Fractions
+    step by step: min_k d(x_k, p) / t times d(x_k, x_l) / t for each pair
+    k < l, with t = max_k d(x_k, p); 0 when every point is the basepoint."""
+    base = [sup_distance(x, basepoint) for x in points]
+    top = max(base)
+    if not top:
+        return Fraction(0)
+    value = min(base) / top
+    for a, b in combinations(points, 2):
+        value *= sup_distance(a, b) / top
+    return value
+
+
+def annulus_by_fractions(cloud: LeveledPointCloud, annuli: list) -> list[tuple[Fraction, int]]:
+    """For each (k, r) of ``annuli``, diam(A(p, r, k)) / r and the number of
+    points of the annulus, over every point of the exact cloud as
+    ``point_shadow`` reads it, in Fractions: with the points in order of
+    their sup norms, the annulus is the slice from the first norm at least
+    r / k to the last at most r * k. A sup-norm diameter is the widest range
+    of one coordinate."""
+    pts = sorted(
+        ((max(map(abs, p)), p) for p in (point_shadow(lvl, row) for lvl in cloud.levels for row in lvl.rows)),
+        key=lambda item: item[0],
+    )
+    norms = [norm for norm, _ in pts]
+    table = []
+    for k, r in annuli:
+        k, r = Fraction(k), Fraction(r)
+        members = [p for _, p in pts[bisect_left(norms, r / k) : bisect_right(norms, r * k)]]
+        diam = max((max(column) - min(column) for column in zip(*members)), default=Fraction(0))
+        table.append((diam / r, len(members)))
+    return table
 
 
 def shadows_by_spelling(shadows: list) -> tuple[list, list]:

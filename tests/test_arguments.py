@@ -18,7 +18,7 @@ import metric_cluster as mc
 from metric_cluster import GraphError
 from metric_cluster.realization import CloudLevel
 
-from oracles import spelled_out
+from oracles import point_shadow, spelled_out
 
 G = mc.WeightedRootedGraph(
     ["r", "u", "v", "z"],
@@ -158,7 +158,8 @@ def test_library_fuzz_argument_types(call, data):
         lambda: mc.subsample_levels(CLOUD, [1.0, 2]),
         lambda: mc.annulus_diameter_table(CLOUD, True, [1.0]),
         lambda: mc.annulus_diameter_table(CLOUD, 2.0, [True]),
-        lambda: mc.annulus_diameter_table(CLOUD, 10**400, [1.0]),
+        # a k below 1 by less than binary64 resolves, which it read as 1
+        lambda: mc.annulus_diameter_table(CLOUD, 1 - Fraction(1, 10**400), [1.0]),
         lambda: mc.spread_functional([("1",), (1.0,)], (0.0,)),
         # past the int-to-str digit limit, which no refusal text can spell
         lambda: mc.recover_cluster(FLOATS, tol_rel=-10**5000),
@@ -229,8 +230,8 @@ def test_library_fuzz_argument_types(call, data):
 )
 def test_arguments_refused_as_graph_error(call):
     """Values the rules refuse: a bool, though Python reads it as 1, a whole
-    float, a string, an int beyond binary64 where binary64 arithmetic takes
-    the value, an int past the digit limit, and a number or None where a
+    float, a string, a value below its least bound by less than binary64
+    resolves, an int past the digit limit, and a number or None where a
     sequence or a mapping belongs."""
     with pytest.raises(GraphError):
         call()
@@ -243,6 +244,18 @@ def test_numbers_of_every_accepted_type_read_alike():
         assert mc.annulus_diameter_table(CLOUD, k, [1.0, radius]) == table
     value = mc.spread_functional([(1.0,), (2.0,)], (0.0,))
     assert mc.spread_functional([(Decimal(1),), (Fraction(2),)], (0,)) == value
+
+
+def test_a_k_radius_or_coordinate_past_binary64_is_read_exactly():
+    # k = 10**400 at radius 1 holds every point but the basepoint: the
+    # diameter over the radius is the widest range of one coordinate
+    (row,) = mc.annulus_diameter_table(CLOUD, 10**400, [1.0])
+    pts = [point_shadow(lvl, row) for lvl in CLOUD.levels for row in lvl.rows if any(row)]
+    assert row == {"r": 1, "value": float(max(max(c) - min(c) for c in zip(*pts))), "points": len(pts)}
+    # a radius of 10**-400 holds no point, and one of 10**400 none either
+    for radius in (Fraction(1, 10**400), 10**400):
+        assert mc.annulus_diameter_table(CLOUD, 2, [radius]) == [{"r": radius, "value": 0.0, "points": 0}]
+    assert mc.spread_functional([(10**400,), (-(10**400),)], (0,)) == 2.0
     assert mc.isomorphic(G, G, weight_tol_rel=Decimal("0.5")) == mc.isomorphic(G, G, weight_tol_rel=0.5)
 
 

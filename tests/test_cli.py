@@ -19,9 +19,10 @@ from metric_cluster.cli import _parser, build_parser, main
 from metric_cluster.graph_core import WeightedRootedGraph
 from metric_cluster.fpc import graph_from_metric_space, synthesize_weights
 from metric_cluster.metrization import Metrizability, extend_metric, forced_completion, shortest_path_metric
-from metric_cluster.realization import LeveledPointCloud, realize, single_point_space
+from metric_cluster.realization import LeveledPointCloud, realize, single_point_space, sup_distance
 
-from oracles import file_shadow, halfway_past_binary64, random_dominating_shape, spelled_out
+from oracles import annulus_by_fractions, file_shadow, halfway_past_binary64, point_shadow, random_dominating_shape
+from oracles import spelled_out, spread_by_fractions
 
 
 def write_graph(path: Path, vertices, edges, root) -> Path:
@@ -372,8 +373,8 @@ def test_realize_shorter_than_the_family_period_warns(cert_graph, tmp_path, caps
 
 def test_realize_past_binary64_recovers_and_each_binary64_reader_exit_2(tmp_path, capsys):
     # the coordinate of v at level 170 rounds to infinity, and r_171 = 171!
-    # is beyond binary64: the cloud is exact, and only a reader that asks
-    # for floats refuses, naming the first value it cannot round
+    # is beyond binary64: the cloud is exact, and only the float writer, which
+    # asks for floats, refuses, naming the first value it cannot round
     path = tmp_path / "halfway.json"
     path.write_text(halfway_past_binary64().to_json(), encoding="utf-8")
     cloud, h = tmp_path / "c.json", tmp_path / "h.json"
@@ -382,30 +383,44 @@ def test_realize_past_binary64_recovers_and_each_binary64_reader_exit_2(tmp_path
     assert main(["isomorphic", str(path), str(h), "--weight-tol-rel", "0"]) == 0
     capsys.readouterr()
     point = "point 'v' at level 170 has a coordinate beyond binary64: integer division result too large for a float"
-    scale = "level 171 has a scale r_exact beyond binary64: integer division result too large for a float"
-    for argv, message in (
-        (["realize", str(path), "--depth", "171", "--no-exact"], point),
-        (["diag", "fn", str(cloud), "--level", "170", "--labels", "r,v"], point),
-        (["diag", "psi", str(cloud), "--radii", "1"], point),
-        (["diag", "psi", str(cloud)], scale),
-    ):
-        assert main(argv) == 2, argv
-        assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["realize", str(path), "--depth", "171", "--no-exact"]) == 2
+    assert capsys.readouterr().err == f"error: {point}\n"
+    # the diagnostics read the exact rows: r is the basepoint, so the spread is 0
+    assert main(["diag", "fn", str(cloud), "--level", "170", "--labels", "r,v", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0.0
+    loaded = LeveledPointCloud.from_json(cloud.read_text(encoding="utf-8"))
+    for options, radii in (([], [lvl.r_exact for lvl in loaded.levels]), (["--radii", "1"], [1])):
+        assert main(["diag", "psi", str(cloud), "--json", *options]) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        expected = annulus_by_fractions(loaded, [(2, r) for r in radii])
+        assert [(row["r"], row["value"], row["points"]) for row in table] == [
+            (str(r), float(value), count) for r, (value, count) in zip(radii, expected)
+        ]
+    assert table == [{"r": "1", "value": 0.0, "points": 0}]
 
 
 def test_realize_a_level_whose_distances_lie_past_binary64(tmp_path, capsys):
     # every coordinate of level 170, at most 14 * 170!, fits binary64, but
     # the distance 27 * 170! between u and v does not: the float writer writes
-    # the level, and diag psi, which meets the infinite distance, refuses it
+    # the level, and diag psi reads the distance exactly, about 1.96e308 over
+    # the radius 1e308
     star = write_graph(tmp_path / "star.json", ["r", "u", "v"], {("r", "u"): 13, ("r", "v"): 14}, "r")
     out, h = tmp_path / "c.json", tmp_path / "h.json"
     for shadows in ([], ["--no-exact"]):  # decided on shadows and on binary64 coordinates
         assert main(["realize", str(star), "--depth", "170", "--out", str(out), *shadows]) == 0
         assert main(["recover", str(out), "--out", str(h)]) == 0
         assert main(["isomorphic", str(star), str(h)]) == 0
-    capsys.readouterr()
-    assert main(["diag", "psi", str(out), "--k", "2", "--radii", "1e308"]) == 2
-    assert capsys.readouterr().err == "error: the annulus diameter ratio at radius 1e+308 is not finite in binary64\n"
+        # diag psi reads the distance of u and v, or of their floats, exactly
+        cloud = LeveledPointCloud.from_json(out.read_text(encoding="utf-8"))
+        level = cloud.levels[-1]
+        pts = cloud.points_by_label(level)
+        u, v = (tuple(map(Fraction, pts[x])) if shadows else point_shadow(level, pts[x]) for x in "uv")
+        if not shadows:
+            assert sup_distance(u, v) == 27 * math.factorial(170)
+        capsys.readouterr()
+        assert main(["diag", "psi", str(out), "--k", "2", "--radii", "1e308", "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["table"]
+        assert row == {"r": str(int(1e308)), "value": float(sup_distance(u, v) / Fraction(1e308)), "points": 2}
 
 
 @pytest.mark.parametrize(
@@ -571,11 +586,15 @@ def test_diag_fn_and_psi(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diag", "fn", str(cloud), "--level", "8", "--labels", "u,v", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["value"] == pytest.approx(5 / 8)
+    assert payload["value"] == 5 / 8
     assert main(["diag", "psi", str(cloud), "--k", "2.0", "--json"]) == 0
     table = json.loads(capsys.readouterr().out)["table"]
     assert len(table) == 8
-    assert table[-1]["value"] == pytest.approx(5 / 2, rel=1e-9)
+    assert table[-1]["value"] == 5 / 2
+    # a radius is spelled as a cloud file spells r_exact: the default radii are r_n = n!
+    assert [row["r"] for row in table] == [str(math.factorial(n)) for n in range(1, 9)]
+    assert main(["diag", "psi", str(cloud), "--radii", "3.5"]) == 0
+    assert capsys.readouterr().out == "annulus diameter ratios (k = 2.0):\n  r = 7/2: 2.57143 (4 points)\n"
     assert main(["diag", "psi", str(cloud), "--radii", "1,x"]) == 2
     assert "--radii takes comma-separated numbers" in capsys.readouterr().err
     for args in (["--k", "nan"], ["--k", "inf"], ["--radii", "nan,inf", "--json"], ["--radii", "1,inf"]):
@@ -583,29 +602,28 @@ def test_diag_fn_and_psi(tmp_path, capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
-def test_diag_fn_rounds_only_the_requested_points(tmp_path, capsys):
-    # v lies beyond binary64; diag fn of u and w does not round it
-    points = [{"label": label, "exact": [str(x)]} for label, x in (("r", 0), ("u", 1), ("w", 2), ("v", 2**1100))]
+def test_diag_fn_reads_each_point_exactly(tmp_path, capsys):
+    # v and x lie beyond binary64, yet diag fn reads them as the ints they
+    # are: the spread of u and v, (2**1100 - 1) / 2**2200, rounds once, to 0.0
+    coordinates = (("r", 0), ("u", 1), ("w", 2), ("v", 2**1100), ("x", 3 * 2**1099))
+    points = [{"label": label, "exact": [str(x)]} for label, x in coordinates]
     level = {"n": 1, "r_exact": "1", "over": 1, "points": points}
     path = tmp_path / "far_v.json"
     path.write_text(json.dumps({"dimension": 1, "levels": [level]}), encoding="utf-8")
-    assert main(["diag", "fn", str(path), "--level", "1", "--labels", "u,w", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["labels"] == ["u", "w"]
-    assert main(["diag", "fn", str(path), "--level", "1", "--labels", "u,v"]) == 2
-    assert "error: point 'v' at level 1 has a coordinate beyond binary64" in capsys.readouterr().err
+    for labels, value in (("u,w", 0.25), ("u,v", 0.0), ("v,x", 2 / 9)):
+        assert main(["diag", "fn", str(path), "--level", "1", "--labels", labels, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"level": 1, "labels": labels.split(","), "value": value}
 
 
-def test_diag_of_points_whose_distance_leaves_binary64_exit_2(tmp_path, capsys):
-    # two finite points 2e308 apart: no value of diag fn or diag psi is finite
+def test_diag_of_points_whose_distance_leaves_binary64_is_exact(tmp_path, capsys):
+    # two finite points 2e308 apart: each value of diag fn and diag psi is 2
     path = tmp_path / "c.json"
     points = [{"label": "a", "coords": [1e308]}, {"label": "b", "coords": [-1e308]}]
     path.write_text(json.dumps({"dimension": 1, "levels": [{"n": 1, "r": 1.0, "points": points}]}), encoding="utf-8")
-    assert main(["diag", "psi", str(path), "--k", "2", "--radii", "1e308", "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: the annulus diameter ratio at radius 1e+308 is not finite in binary64\n"
-    assert main(["diag", "fn", str(path), "--level", "1", "--labels", "a,b"]) == 2
-    assert "not finite in binary64" in capsys.readouterr().err
+    assert main(["diag", "psi", str(path), "--k", "2", "--radii", "1e308", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"k": 2.0, "table": [{"r": str(int(1e308)), "value": 2.0, "points": 2}]}
+    assert main(["diag", "fn", str(path), "--level", "1", "--labels", "a,b", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 2.0
 
 
 @pytest.mark.parametrize(
@@ -1217,9 +1235,12 @@ def test_exact_values_beyond_binary64_exit_2(cert_graph, tmp_path, capsys):
     for exact in ([], ["--exact"]):
         assert main(["recover", str(path), *exact]) == 2
         assert "does not fit binary64" in capsys.readouterr().err
-    # a binary64 reader of the level refuses its first point beyond binary64
-    assert main(["diag", "fn", str(path), "--level", "1", "--labels", "u,v"]) == 2
-    assert "point 'u' at level 1 has a coordinate beyond binary64" in capsys.readouterr().err
+    # diag fn reads the rows exactly, and the spread functional is scale-free
+    values = []
+    for cloud in (tmp_path / "cloud.json", path):
+        assert main(["diag", "fn", str(cloud), "--level", "1", "--labels", "u,v", "--json"]) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values[0] == values[1] > 0
 
 
 def _drop_level(field):

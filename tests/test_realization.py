@@ -22,7 +22,6 @@ from metric_cluster.realization import (
     ScalingRule,
     _level_floats,
     _level_numerators,
-    _level_r,
     build_plan,
     generate_cloud,
     realize,
@@ -321,9 +320,9 @@ def test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader
         with pytest.raises(GraphError) as caught:
             read()
         assert str(caught.value) == text
-    assert _level_r(cloud.levels[169]) == float(math.factorial(170))
+    # the float writer writes a level's r before its points: r_171 = 171! is refused first
     with pytest.raises(GraphError) as caught:
-        _level_r(cloud.levels[170])
+        LeveledPointCloud(1, cloud.levels[170:]).to_json(include_exact=False)
     assert str(caught.value) == "level 171 has a scale r_exact beyond binary64: integer division result too large for a float"
 
 
@@ -456,7 +455,7 @@ def test_a_single_point_file_is_pinned_and_reads_back():
     data = json.loads(text)
     assert all("over" in entry and "r" not in entry for entry in data["levels"])
     assert LeveledPointCloud.from_json(text) == cloud
-    assert [_level_r(lvl) for lvl in cloud.levels] == [math.sqrt(2 ** (n * n)) * math.sqrt(2 ** ((n + 1) ** 2)) for n in range(1, 13)]
+    assert [float(lvl.r_exact) for lvl in cloud.levels] == [math.sqrt(2 ** (n * n)) * math.sqrt(2 ** ((n + 1) ** 2)) for n in range(1, 13)]
 
 
 SINGLE_POINT_DIGEST = "828398f857317e7a79d477b5f687acfa950fe78e9e2e972d29061435ddea7ac3"
@@ -916,7 +915,7 @@ def spelled_file(cloud) -> dict:
 def binary64_copy(cloud):
     """The cloud that its file without shadows spells, built by the
     constructor: each level's r and coordinates rounded."""
-    levels = [CloudLevel(lvl.n, _level_r(lvl), None, lvl.labels, _level_floats(lvl)) for lvl in cloud.levels]
+    levels = [CloudLevel(lvl.n, float(lvl.r_exact), None, lvl.labels, _level_floats(lvl)) for lvl in cloud.levels]
     return LeveledPointCloud(cloud.dimension, levels, cloud.period)
 
 
@@ -1267,7 +1266,7 @@ class _InCode:
     def float_level(self, i, **values):
         """Level i as the float writer writes it, r and coords, then edited."""
         lvl = self.fields["levels"][i]
-        self.fields["levels"][i] = CloudLevel(lvl.n, _level_r(lvl), None, lvl.labels, tuple(_level_floats(lvl)))
+        self.fields["levels"][i] = CloudLevel(lvl.n, float(lvl.r_exact), None, lvl.labels, tuple(_level_floats(lvl)))
         self.level(i, **values)
 
     def point(self, i, j, **values):
@@ -1641,13 +1640,13 @@ def test_single_point_space_values():
     xs = [_level_floats(lvl)[1][0] for lvl in cloud.levels]
     assert xs == [2.0, 16.0, 512.0]
     assert [point_shadow(lvl, lvl.rows[1]) for lvl in cloud.levels] == [(2,), (16,), (512,)]
-    assert _level_r(cloud.levels[0]) == pytest.approx(math.sqrt(32), rel=1e-15)
-    assert _level_r(cloud.levels[1]) == pytest.approx(math.sqrt(8192), rel=1e-15)
+    assert float(cloud.levels[0].r_exact) == pytest.approx(math.sqrt(32), rel=1e-15)
+    assert float(cloud.levels[1].r_exact) == pytest.approx(math.sqrt(8192), rel=1e-15)
     # the exact scale is the binary64 one read exactly
-    assert all(lvl.r is None and lvl.r_exact == Fraction(_level_r(lvl)) for lvl in cloud.levels)
+    assert all(lvl.r is None and lvl.r_exact == Fraction(float(lvl.r_exact)) for lvl in cloud.levels)
     # the last level's scale needs x_21 = 5**441, about 1.76e308, which fits binary64
     cloud = single_point_space(depth=20, base=5)
-    assert all(math.isfinite(_level_r(lvl)) and math.isfinite(_level_floats(lvl)[1][0]) for lvl in cloud.levels)
+    assert all(math.isfinite(float(lvl.r_exact)) and math.isfinite(_level_floats(lvl)[1][0]) for lvl in cloud.levels)
     assert len(recover_cluster(cloud).graph) == 1
     with pytest.raises(GraphError, match="^depth 21 overflows binary64 for base 5$"):
         single_point_space(depth=21, base=5)
@@ -1655,7 +1654,7 @@ def test_single_point_space_values():
 
 def test_single_point_normalized_values_decay():
     cloud = single_point_space(depth=12, base=2)
-    values = [_level_floats(lvl)[1][0] / _level_r(lvl) for lvl in cloud.levels]
+    values = [_level_floats(lvl)[1][0] / float(lvl.r_exact) for lvl in cloud.levels]
     for n, got in enumerate(values, start=1):
         assert got == pytest.approx(2 ** (-(2 * n + 1) / 2), rel=1e-12)
     assert all(b2 < b1 for b1, b2 in zip(values, values[1:]))

@@ -3,6 +3,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -49,6 +50,7 @@ from metric_cluster.recovery import (
 )
 
 from oracles import (
+    annulus_by_fractions,
     atlas_connected_graphs,
     certifies_by_cycles,
     cloud_json_dict,
@@ -58,12 +60,14 @@ from oracles import (
     line_cluster_by_limits,
     normalized_values_by_fractions,
     nx_to_graph,
+    point_shadow,
     random_dominating_shape,
     random_rational,
     random_weighting,
     recover_by_fractions,
     rooted_extremal_cluster,
     spelled_out,
+    spread_by_fractions,
 )
 
 
@@ -896,20 +900,28 @@ def test_spread_functional_is_scale_free():
     exact = [Fraction(10**10 * k) for k in range(1, 11)]
     product = math.prod(abs(a - b) for i, a in enumerate(exact) for b in exact[i + 1 :])
     expected = min(exact) * product / max(exact) ** (10 * 9 // 2 + 1)
-    assert spread_functional([(float(x),) for x in exact], (0.0,)) == pytest.approx(float(expected), rel=1e-12)
-    # finite points whose distance, and so the value, is not
-    with pytest.raises(GraphError, match="not finite"):
-        spread_functional([(1e308,), (-1e308,)], (0.0,))
+    assert spread_functional([(float(x),) for x in exact], (0.0,)) == float(expected)
+    # finite points whose distance is not: the value 1e308 * 2e308 / 1e308**2 is read exactly
+    assert spread_functional([(1e308,), (-1e308,)], (0.0,)) == 2.0
+
+
+def test_the_spread_functional_refuses_a_value_past_binary64():
+    # the 64 points of {-1, 1}**6 are 1 from the origin and 2 from each
+    # other, so the value is 2 to the power of their 2016 pairs
+    points = list(product((-1, 1), repeat=6))
+    assert spread_by_fractions([tuple(map(Fraction, p)) for p in points], (Fraction(0),) * 6) == 2**2016
+    with pytest.raises(GraphError, match="^the spread functional of these points is past binary64$"):
+        spread_functional(points, (0,) * 6)
 
 
 def test_spread_functional_on_cloud_levels():
     cloud = realize(CERT_TRIANGLE, depth=8)
     lvl = cloud.levels[-1]
-    pts = dict(zip(lvl.labels, _level_floats(lvl)))
     basepoint = (0.0,) * cloud.dimension
-    # scale-free: min * d / max^2 = (r * 5r/2) / (2r)^2 = 5/8 at every level
-    val = spread_functional([pts["u"], pts["v"]], basepoint)
-    assert val == pytest.approx(5 / 8, rel=1e-9)
+    # scale-free: min * d / max^2 = (r * 5r/2) / (2r)^2 = 5/8 at every level,
+    # on the level's rows in units of r as on its rounded coordinates
+    for pts in (cloud.points_by_label(lvl), dict(zip(lvl.labels, _level_floats(lvl)))):
+        assert spread_functional([pts["u"], pts["v"]], basepoint) == 5 / 8
 
 
 def test_annulus_table_exact_sphere_counts_one_point():
@@ -937,13 +949,67 @@ def test_annulus_table_recovers_edge_weight():
 
 
 def test_annulus_table_refuses_a_value_beyond_binary64():
-    # finite points whose distance, and so the diameter ratio, is not
+    # finite points whose distance is not: the ratio 2e308 / 1e308 is read exactly
     level = CloudLevel(1, 1.0, None, ("a", "b"), ((1e308,), (-1e308,)))
     cloud = LeveledPointCloud(1, [level])
-    with pytest.raises(GraphError, match="^the annulus diameter ratio at radius 1e[+]308 is not finite in binary64$"):
-        annulus_diameter_table(cloud, k=2.0, radii=[1e308])
+    assert annulus_diameter_table(cloud, k=2.0, radii=[1e308]) == [{"r": Fraction(1e308), "value": 2.0, "points": 2}]
     # a radius whose annulus holds neither point
-    assert annulus_diameter_table(cloud, k=2.0, radii=[1.0]) == [{"r": 1.0, "value": 0.0, "points": 0}]
+    assert annulus_diameter_table(cloud, k=2.0, radii=[1.0]) == [{"r": 1, "value": 0.0, "points": 0}]
+    # a k past binary64 makes an annulus wide enough for a ratio past it
+    with pytest.raises(GraphError, match="^the annulus diameter ratio at radius 1 is past binary64$"):
+        annulus_diameter_table(cloud, k=10**400, radii=[1])
+
+
+def test_an_annulus_holds_the_norms_of_its_closed_interval():
+    # at r = 3 and k = 2 the norms 2 and 6 lie in [3/2, 6], and 1 and 7 do not;
+    # the widest coordinate range of the members, -6 to -2, is the diameter
+    level = CloudLevel(1, 1.0, None, ("a", "b", "c", "d"), ((1.0,), (-2.0,), (-6.0,), (7.0,)))
+    cloud = LeveledPointCloud(1, [level])
+    assert annulus_diameter_table(cloud, 2, [3]) == [{"r": 3, "value": 4 / 3, "points": 2}]
+    # at r = 6 and k = 1 the annulus is the sphere of norm 6
+    assert annulus_diameter_table(cloud, 1, [6]) == [{"r": 6, "value": 0.0, "points": 1}]
+
+
+def check_diagnostics(g: WeightedRootedGraph, cloud: LeveledPointCloud) -> None:
+    """The spread functional of every non-root label at the last level, read
+    from the level's rows as diag fn reads them, and each row of the annulus
+    table at k = 1 and k = 2 with the levels' r_exact as radii, as diag psi
+    defaults, equal the Fraction oracles' values rounded once, with equal
+    point counts. One non-root label is refused: the functional needs two."""
+    lvl = cloud.levels[-1]
+    pts = cloud.points_by_label(lvl)
+    labels = [v for v in g.vertices if v != g.root]
+    origin = (0,) * cloud.dimension
+    if len(labels) < 2:
+        with pytest.raises(GraphError, match="at least 2 points"):
+            spread_functional([pts[v] for v in labels], origin)
+    else:
+        expected = spread_by_fractions([point_shadow(lvl, pts[v]) for v in labels], tuple(map(Fraction, origin)))
+        assert spread_functional([pts[v] for v in labels], origin) == float(expected)
+    radii = [lvl.r_exact for lvl in cloud.levels]
+    table = [row for k in (1, 2) for row in annulus_diameter_table(cloud, k, radii)]
+    expected = annulus_by_fractions(cloud, [(k, r) for k in (1, 2) for r in radii])
+    assert [(row["r"], row["value"], row["points"]) for row in table] == [
+        (r, float(value), count) for r, (value, count) in zip(radii * 2, expected)
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 30))
+def test_the_diagnostics_equal_their_fraction_oracles_rounded_once(n):
+    """The corpus clouds of n vertices: p = 0.2, 0.5 and 0.8, both scaling
+    rules, depth 12 (see ``check_diagnostics``)."""
+    for p in (0.2, 0.5, 0.8):
+        g = synthesize_weights(random_dominating_shape(random.Random(n), n, p))
+        for rule in (ScalingRule(), ScalingRule("power_square", 2)):
+            check_diagnostics(g, realize(g, 12, rule))
+
+
+@pytest.mark.parametrize("n", [6, 13, 20])
+def test_the_diagnostics_of_a_depth_300_cloud_equal_their_fraction_oracles(n):
+    """Past binary64, from level 171 on, the diagnostics read every level as
+    they read a shallow one (see ``check_diagnostics``)."""
+    g = synthesize_weights(random_dominating_shape(random.Random(n), n, 0.5))
+    check_diagnostics(g, realize(g, 300))
 
 
 def test_annulus_parameter_validation():
