@@ -46,7 +46,6 @@ from .fpc import (
 from .realization import (
     LeveledPointCloud,
     RealizationPlan,
-    ScalingRule,
     build_plan,
     generate_cloud,
     realize,

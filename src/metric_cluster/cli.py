@@ -28,6 +28,7 @@ from .graph_core import (
     isomorphic,
     maximal_cliques,
     parse_rational,
+    _digit_limit,
     _json_document,
 )
 from .metrization import (
@@ -44,7 +45,7 @@ from .metrization import (
     shortest_path_metric,
     unique_pairs,
 )
-from .realization import LeveledPointCloud, ScalingRule, build_plan, generate_cloud, single_point_space
+from .realization import LeveledPointCloud, build_plan, generate_cloud, single_point_space
 from .recovery import (
     alternating_period_indices,
     annulus_diameter_table,
@@ -275,7 +276,7 @@ def _cmd_fpc_bound(ns) -> int:
 
 def _cmd_fpc_f(ns) -> int:
     # f(n) >= 3**(n // 3): refuse a value str() cannot print before computing it
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and ns.n // 3 * math.log10(3) > limit:
         raise GraphError(f"f({ns.n}) has too many digits to print: more than {limit}")
     value = fpc_mod.moon_moser_f(ns.n)
@@ -289,8 +290,7 @@ def _cmd_fpc_f(ns) -> int:
 
 def _cmd_realize(ns) -> int:
     g = _load_graph(ns.graph)
-    rule = ScalingRule(ns.rule, ns.base)
-    plan = build_plan(g, ns.depth, rule)
+    plan = build_plan(g, ns.depth)
     for w in plan.warnings:
         print(f"warning: {w}", file=sys.stderr)
     cloud = generate_cloud(plan)
@@ -373,17 +373,18 @@ def _cmd_diag_fn(ns) -> int:
 
 def _cmd_diag_psi(ns) -> int:
     cloud = _load_cloud(ns.cloud)
+    k = parse_rational(ns.k)
     if ns.radii:
-        radii = _number_list(ns.radii, float, "--radii")
+        radii = _number_list(ns.radii, parse_rational, "--radii")
     else:
         radii = [lvl.r_exact or lvl.r for lvl in cloud.levels]
-    # a radius is spelled as a cloud file spells r_exact: past binary64, JSON has no number for it
-    table = [dict(row, r=format_rational(row["r"])) for row in annulus_diameter_table(cloud, ns.k, radii)]
+    # k and a radius are spelled as a cloud file spells r_exact: past binary64, JSON has no number for them
+    table = [dict(row, r=format_rational(row["r"])) for row in annulus_diameter_table(cloud, k, radii)]
     human = "\n".join(
-        [f"annulus diameter ratios (k = {ns.k}):"]
+        [f"annulus diameter ratios (k = {format_rational(k)}):"]
         + [f"  r = {row['r']}: {row['value']:.6g} ({row['points']} points)" for row in table]
     )
-    _emit({"k": ns.k, "table": table}, ns, human)
+    _emit({"k": format_rational(k), "table": table}, ns, human)
     return 0
 
 
@@ -584,8 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="point cloud realizing a certified graph")
     p.add_argument("graph")
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--rule", choices=["factorial", "power_square"], default="factorial")
-    p.add_argument("--base", type=int, default=2, help="base for the power_square rule")
     p.add_argument("--no-exact", action="store_true", help="omit exact rational shadows")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_realize)
@@ -626,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = diag_sub.add_parser("psi", parents=[common], help="annulus diameter ratio table")
     p.add_argument("cloud")
-    p.add_argument("--k", type=float, default=2.0)
+    p.add_argument("--k", default="2", help="annulus parameter (rational), e.g. 2 or 3/2")
     p.add_argument("--radii", help="comma-separated radii; defaults to the cloud's scaling values")
     p.set_defaults(func=_cmd_diag_psi)
 

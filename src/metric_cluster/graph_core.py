@@ -101,6 +101,12 @@ def _json_document(text: str, source: str):
         raise GraphError(f"{source}: JSON nested too deeply") from exc
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 where it is switched off
+    or, before Python 3.11, absent."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def parse_rational(text) -> Fraction:
     """Parse an exact rational from a ``p/q`` or decimal literal (or number)."""
     if isinstance(text, Fraction):
@@ -120,7 +126,7 @@ def parse_rational(text) -> Fraction:
     # limit; its default, 4300, also bounds the work where the limit is
     # absent or switched off
     if "." in literal or "e" in literal.lower():
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        limit = _digit_limit() or 4300
         if _exponent_digits(literal) > limit:
             raise GraphError(f"rational literal {text!r} needs more than {limit} digits")
     try:

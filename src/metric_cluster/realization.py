@@ -6,7 +6,7 @@ a little shorter than in d. Both agree with the edge weights, and the lower
 one is strictly below d on every non-edge. Levels n = 1..depth place an
 isometric copy of (V, r_n * d_i) into sup-norm coordinate space via
 distance-difference coordinates, alternating i between the two members. The
-scaling sequence grows so fast (ratio of consecutive terms increasing
+scaling sequence r_n = n! grows so fast (ratio of consecutive terms increasing
 without bound) that different levels separate after rescaling, which is
 what makes the cluster recoverable from the finite truncation.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
@@ -24,43 +23,15 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .graph_core import _format_over, _in_lowest_terms, _integer
+from .graph_core import _digit_limit, _format_over, _in_lowest_terms, _integer
 from .graph_core import _each_once, _json_document, _refused, _spelled
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
 
-@dataclass(frozen=True)
-class ScalingRule:
-    """Named scaling sequence with an increasing consecutive-term ratio.
-
-    ``factorial``: r_n = n!            (ratio n+1)
-    ``power_square``: r_n = base**(n*n) (ratio base**(2n+1); faster separation
-    at shallow depth)
-    """
-
-    name: str = "factorial"
-    base: int = 2
-
-    def __post_init__(self):
-        if self.name not in ("factorial", "power_square"):
-            raise GraphError(f"unknown scaling rule {self.name!r}")
-        # base 1 keeps every scale at 1 and base <= 0 gives zero or
-        # alternating-sign scales: none of them tends to infinity; a float
-        # base gives no integer scale
-        if self.name == "power_square":
-            _integer(self.base, 2, "base must be an integer >= 2")
-
-    def value(self, n: int) -> int:
-        _integer(n, 1, "levels are numbered from 1")
-        if self.name == "factorial":
-            return math.factorial(n)
-        return self.base ** (n * n)
-
-
 @dataclass
 class RealizationPlan:
-    """Recipe for a point cloud realizing a certified graph.
+    """Recipe for a point cloud of a certified graph, level n scaled by n!.
 
     ``family`` is ``[lower, d]``: d is the shortest-path metric and lower
     (see ``build_plan``) agrees with every edge weight but lies strictly
@@ -70,7 +41,6 @@ class RealizationPlan:
 
     graph: WeightedRootedGraph
     family: list[DistanceMatrix]
-    rule: ScalingRule
     depth: int
     warnings: list[str] = field(default_factory=list)
 
@@ -554,8 +524,7 @@ def _positive_exact_scale(value, level: str) -> Fraction:
         try:
             value = int(value)
         except ValueError:  # past the interpreter's digit limit
-            limit = sys.get_int_max_str_digits()
-            raise GraphError(f"level {level} has a scale r_exact of more than {limit} digits") from None
+            raise GraphError(f"level {level} has a scale r_exact of more than {_digit_limit()} digits") from None
     r_exact = parse_rational(value)
     if r_exact <= 0:
         raise GraphError(f"level {level} has exact scale r_exact = {_spelled(r_exact)}; it must be positive")
@@ -572,12 +541,8 @@ def sup_distance(a: Sequence, b: Sequence):
 # ---------------------------------------------------------------------------
 
 
-def build_plan(
-    g: WeightedRootedGraph,
-    depth: int,
-    rule: ScalingRule | None = None,
-) -> RealizationPlan:
-    """Choose the metric family and scaling for a certified graph.
+def build_plan(g: WeightedRootedGraph, depth: int) -> RealizationPlan:
+    """Choose the metric family for a certified graph.
 
     The upper member is the shortest-path metric d. Let delta be the least
     width hi - lo of an admissible interval over the m non-edges (positive on
@@ -599,7 +564,6 @@ def build_plan(
         raise GraphError(
             f"graph does not certify (failed: {cert.failure}); realization needs a certified graph"
         )
-    rule = rule or ScalingRule()
     non_edges = list(g.non_edges())
     warnings: list[str] = []
     d = sg.matrix()
@@ -620,33 +584,26 @@ def build_plan(
                 f"({len(family)}): recovery cannot see every member"
             )
 
-    return RealizationPlan(
-        graph=g,
-        family=family,
-        rule=rule,
-        depth=depth,
-        warnings=warnings,
-    )
+    return RealizationPlan(graph=g, family=family, depth=depth, warnings=warnings)
 
 
 def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     """Materialize the plan: distance-difference coordinates per level.
 
-    Point v at level n has the coordinate r_n * (d_i(v, v_j) - d_i(v_j, root))
-    for each non-root vertex v_j (the root alone in a one-vertex graph), with
-    i cycling through the family. The root lands on the origin, and within a
-    level the sup-norm distances reproduce r_n * d_i exactly: no column exceeds
-    d_i(u, v), and that of a non-root end of the pair attains it. Each level
-    is exact, its rows over r_n; the levels of a member share their rows.
-    A plan field it cannot realize from, its depth, graph, rule or family, is
-    named by GraphError, and so is the first level whose r_n has more digits
-    than the interpreter's int-to-str limit lets to_json write: no level past
-    it is built.
+    Point v at level n, of scale r_n = n!, has the coordinate
+    r_n * (d_i(v, v_j) - d_i(v_j, root)) for each non-root vertex v_j (the
+    root alone in a one-vertex graph), with i cycling through the family.
+    The root lands on the origin, and within a level the sup-norm distances
+    reproduce r_n * d_i exactly: no column exceeds d_i(u, v), and that of a
+    non-root end of the pair attains it. Each level is exact, its rows over
+    r_n; the levels of a member share their rows. A plan field it cannot
+    realize from, its depth, graph or family, is named by GraphError, and so
+    is the first level whose r_n has more digits than the interpreter's
+    int-to-str limit lets to_json write: no level past it is built.
     """
     depth = _integer(plan.depth, 1, "depth must be at least 1")
-    for name, value, kind in (("graph", plan.graph, WeightedRootedGraph), ("rule", plan.rule, ScalingRule)):
-        if not isinstance(value, kind):
-            raise GraphError(f"plan {name} must be a {kind.__name__}, got {type(value).__name__}")
+    if not isinstance(plan.graph, WeightedRootedGraph):
+        raise GraphError(f"plan graph must be a WeightedRootedGraph, got {type(plan.graph).__name__}")
     order, family = plan.graph.vertices, plan.family
     if not (isinstance(family, (list, tuple)) and family) or any(
         not isinstance(d, DistanceMatrix) or set(d.vertices) != set(order) for d in family
@@ -664,13 +621,12 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         q, rows = _in_lowest_terms(d._q, rows)
         members.append((q, tuple(rows)))
     # a limit of 0 lets str() spell every int
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     beyond = 10**limit if limit else math.inf
-    labels, factorial, base = tuple(order), plan.rule.name == "factorial", plan.rule.base
+    labels = tuple(order)
     levels, r = [], 1
     for n in range(1, depth + 1):
-        # r_n = r_{n-1} * n, or r_{n-1} * base**(n*n - (n-1)*(n-1))
-        r *= n if factorial else base ** (2 * n - 1)
+        r *= n
         if r >= beyond:
             refusal = f"has a scale r_exact of more than {limit} digits, which to_json cannot write"
             raise GraphError(f"level {n} {refusal}")
@@ -679,13 +635,9 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     return LeveledPointCloud._of_levels(len(columns), levels, len(family))
 
 
-def realize(
-    g: WeightedRootedGraph,
-    depth: int,
-    rule: ScalingRule | None = None,
-) -> LeveledPointCloud:
+def realize(g: WeightedRootedGraph, depth: int) -> LeveledPointCloud:
     """build_plan + generate_cloud in one call."""
-    return generate_cloud(build_plan(g, depth, rule))
+    return generate_cloud(build_plan(g, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -701,14 +653,16 @@ def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
     or far above the scale r_n, so all normalized distances collapse to zero
     and the recovered cluster is the one-vertex graph.
     """
-    rule = ScalingRule("power_square", base)
+    # a base below 2 gives points that do not tend to infinity, and a float
+    # base no integer point
+    _integer(base, 2, "base must be an integer >= 2")
     _integer(depth, 2, "depth must be at least 2")
     # the last level's scale needs x_{depth+1} in binary64; as base >=
     # 2**(bit_length - 1), the bound refuses before a power beyond 2**1024 is built
     try:
         if (depth + 1) ** 2 * (base.bit_length() - 1) >= 1024:
             raise OverflowError
-        xs = [rule.value(n) for n in range(1, depth + 2)]
+        xs = [base ** (n * n) for n in range(1, depth + 2)]
         float(xs[-1])
     except OverflowError as exc:
         refusal = f"depth {_spelled(depth)} overflows binary64 for base {_spelled(base)}"

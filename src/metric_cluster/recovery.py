@@ -443,6 +443,8 @@ def spread_functional(points: Sequence[Sequence[float]], basepoint: Sequence[flo
     if len(pts) < 2:
         raise GraphError("the spread functional needs at least 2 points")
     base = _coordinates(basepoint)
+    if not base:
+        raise GraphError("the spread functional needs points with at least 1 coordinate")
     # sup_distance zips coordinates: a short point would be cut silently
     if any(len(p) != len(base) for p in pts):
         raise GraphError(f"every point needs {len(base)} coordinates, as the basepoint has")

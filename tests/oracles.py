@@ -9,6 +9,7 @@ exponential enumeration oracles below.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -529,8 +530,8 @@ def shadows_by_spelling(shadows: list) -> tuple[list, list]:
 
 
 def cloud_by_coordinates(plan) -> LeveledPointCloud:
-    """``generate_cloud`` computed coordinate by coordinate: every level
-    multiplies each coordinate of each point, as a Fraction, in one column
+    """``generate_cloud`` computed coordinate by coordinate: every level n
+    multiplies each coordinate of each point by n!, as a Fraction, in one column
     per non-root vertex (the root's alone for a one-vertex graph). Each
     point is handed to the constructor with its shadow over r as
     ``shadows_in_units`` puts it."""
@@ -541,11 +542,20 @@ def cloud_by_coordinates(plan) -> LeveledPointCloud:
         differences.append([[d.get(v, w) - d.get(w, plan.graph.root) for w in columns] for v in order])
     levels = []
     for n in range(1, plan.depth + 1):
-        r_exact = Fraction(plan.rule.value(n))
+        r_exact = Fraction(math.factorial(n))
         rows = [[r_exact * x for x in row] for row in differences[(n - 1) % len(differences)]]
         q, shadows = shadows_in_units(rows, r_exact)
         levels.append(CloudLevel(n, None, r_exact, tuple(order), tuple(shadows), q))
     return LeveledPointCloud(dimension=len(columns), levels=levels, period=len(plan.family))
+
+
+def power_square_scaled(cloud: LeveledPointCloud, base: int) -> LeveledPointCloud:
+    """The cloud with level n scaled by base**(n*n) in place of its own
+    scale: a level's rows are in units of its scale, so only r_exact changes.
+    Realization scales level n by n!, but a file may hold any positive scale,
+    and recovery reads each level's distances over its own."""
+    levels = [dataclasses.replace(lvl, r_exact=Fraction(base ** (lvl.n * lvl.n))) for lvl in cloud.levels]
+    return LeveledPointCloud._of_levels(cloud.dimension, levels, cloud.period)
 
 
 def point_floats(lvl: CloudLevel, row: tuple) -> tuple[float, ...]:
@@ -822,8 +832,8 @@ def line_cluster_by_limits(limits: dict) -> WeightedRootedGraph:
 
 
 def halfway_past_binary64() -> WeightedRootedGraph:
-    """The edge r-v of weight (2**1024 - 2**969) / 170!: at level 170 of the
-    factorial rule its coordinate is r_170 times the weight, halfway between
+    """The edge r-v of weight (2**1024 - 2**969) / 170!: at level 170, of
+    scale 170!, its coordinate is r_170 times the weight, halfway between
     the largest binary64 value and 2**1024, and it rounds to infinity; at
     level 169 it is 170 times smaller."""
     return WeightedRootedGraph(["r", "v"], {("r", "v"): Fraction(2**1024 - 2**969, math.factorial(170))}, "r")

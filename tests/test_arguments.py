@@ -63,15 +63,13 @@ def _recorded(**tolerances):
 # each public entry point with an integer or real parameter, as a function of
 # the value put in that parameter, and whether a huge int may be passed: only
 # where it is refused before the work starts. moon_moser_f(10**9) would build
-# 3**(n // 3) in full and ScalingRule().value(10**9) a factorial, and realize
-# builds 170 levels before the factorial scale leaves binary64
+# 3**(n // 3) in full, and realize builds 170 levels before the factorial
+# scale leaves binary64
 CALLS = {
     "build_plan depth": (lambda x: mc.build_plan(G, x), True),
     "realize depth": (lambda x: mc.realize(G, x), False),
     "single_point_space depth": (lambda x: mc.single_point_space(x), True),
     "single_point_space base": (lambda x: mc.single_point_space(4, x), True),
-    "ScalingRule base": (lambda x: mc.ScalingRule("power_square", x), True),
-    "ScalingRule.value n": (lambda x: mc.ScalingRule().value(x), False),
     "recover_cluster window": (lambda x: mc.recover_cluster(CLOUD, window=x), True),
     "recover_cluster tol_rel": (lambda x: mc.recover_cluster(FLOATS, tol_rel=x), True),
     "recover_cluster tol_abs": (lambda x: mc.recover_cluster(FLOATS, tol_abs=x), True),
@@ -161,6 +159,8 @@ def test_library_fuzz_argument_types(call, data):
         # a k below 1 by less than binary64 resolves, which it read as 1
         lambda: mc.annulus_diameter_table(CLOUD, 1 - Fraction(1, 10**400), [1.0]),
         lambda: mc.spread_functional([("1",), (1.0,)], (0.0,)),
+        # points without coordinates have no sup-norm distance: max() of nothing
+        lambda: mc.spread_functional([(), ()], ()),
         # past the int-to-str digit limit, which no refusal text can spell
         lambda: mc.recover_cluster(FLOATS, tol_rel=-10**5000),
         lambda: mc.moon_moser_f(-10**5000),
@@ -206,9 +206,8 @@ def test_library_fuzz_argument_types(call, data):
         lambda: mc.Cycle(("a", "b", "c"), (True, True, True)),
         lambda: mc.Cycle(("a", ["b"], "c"), (1, 1, 1)),
         lambda: mc.Cycle("abc", (1, 1, 1)),
-        # a plan generate_cloud cannot realize: AttributeError, a one-level cloud,
+        # a plan generate_cloud cannot realize: a one-level cloud,
         # "cloud JSON has no points", ZeroDivisionError and KeyError
-        lambda: mc.generate_cloud(dataclasses.replace(PLAN, rule=None)),
         lambda: mc.generate_cloud(dataclasses.replace(PLAN, depth=True)),
         lambda: mc.generate_cloud(dataclasses.replace(PLAN, depth=-3)),
         lambda: mc.generate_cloud(dataclasses.replace(PLAN, family=[])),

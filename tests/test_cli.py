@@ -358,9 +358,10 @@ def test_readme_library_quickstart_runs_as_written():
     assert exact is True
 
 
-def test_power_square_base_below_two_exit_2(cert_graph, capsys):
-    assert main(["realize", str(cert_graph), "--rule", "power_square", "--base", "1"]) == 2
-    assert "base must be an integer >= 2" in capsys.readouterr().err
+def test_power_square_base_below_two_exit_2(capsys):
+    # the one-point space's points are base**(n*n): a base below 2 does not tend to infinity
+    assert main(["single-point", "--base", "1"]) == 2
+    assert capsys.readouterr().err == "error: base must be an integer >= 2\n"
 
 
 def test_realize_shorter_than_the_family_period_warns(cert_graph, tmp_path, capsys):
@@ -403,7 +404,7 @@ def test_realize_a_level_whose_distances_lie_past_binary64(tmp_path, capsys):
     # every coordinate of level 170, at most 14 * 170!, fits binary64, but
     # the distance 27 * 170! between u and v does not: the float writer writes
     # the level, and diag psi reads the distance exactly, about 1.96e308 over
-    # the radius 1e308
+    # the radius 1e308, which it reads as 10**308
     star = write_graph(tmp_path / "star.json", ["r", "u", "v"], {("r", "u"): 13, ("r", "v"): 14}, "r")
     out, h = tmp_path / "c.json", tmp_path / "h.json"
     for shadows in ([], ["--no-exact"]):  # decided on shadows and on binary64 coordinates
@@ -420,21 +421,16 @@ def test_realize_a_level_whose_distances_lie_past_binary64(tmp_path, capsys):
         capsys.readouterr()
         assert main(["diag", "psi", str(out), "--k", "2", "--radii", "1e308", "--json"]) == 0
         (row,) = json.loads(capsys.readouterr().out)["table"]
-        assert row == {"r": str(int(1e308)), "value": float(sup_distance(u, v) / Fraction(1e308)), "points": 2}
+        assert row == {"r": str(10**308), "value": float(sup_distance(u, v) / 10**308), "points": 2}
 
 
-@pytest.mark.parametrize(
-    "options, level", [([], 1559), (["--rule", "power_square", "--base", "1000000"], 27)], ids=["factorial", "power_square"]
-)
-def test_realize_far_past_the_digit_limit_exit_2_at_the_first_scale_beyond_it(
-    cert_graph, capsys, int_max_str_digits, options, level
-):
+def test_realize_far_past_the_digit_limit_exit_2_at_the_first_scale_beyond_it(cert_graph, capsys, int_max_str_digits):
     """Realization builds no level past the first whose r_n to_json cannot
-    write under the default limit of 4300 digits: 1559! has 4303 digits and
-    (10**6)**(27 * 27) has 4375, so a depth of a million exits 2 at once."""
+    write under the default limit of 4300 digits: 1559! has 4303 digits, so
+    a depth of a million exits 2 at once."""
     int_max_str_digits(4300)
-    assert main(["realize", str(cert_graph), "--depth", "1000000", *options]) == 2
-    refusal = f"level {level} has a scale r_exact of more than 4300 digits, which to_json cannot write"
+    assert main(["realize", str(cert_graph), "--depth", "1000000"]) == 2
+    refusal = "level 1559 has a scale r_exact of more than 4300 digits, which to_json cannot write"
     assert capsys.readouterr().err == f"error: {refusal}\n"
 
 
@@ -588,18 +584,29 @@ def test_diag_fn_and_psi(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 5 / 8
     assert main(["diag", "psi", str(cloud), "--k", "2.0", "--json"]) == 0
-    table = json.loads(capsys.readouterr().out)["table"]
+    payload = json.loads(capsys.readouterr().out)
+    table = payload["table"]
+    # k is read exactly, as a radius is, and spelled as a radius is
+    assert payload["k"] == "2"
     assert len(table) == 8
     assert table[-1]["value"] == 5 / 2
     # a radius is spelled as a cloud file spells r_exact: the default radii are r_n = n!
     assert [row["r"] for row in table] == [str(math.factorial(n)) for n in range(1, 9)]
     assert main(["diag", "psi", str(cloud), "--radii", "3.5"]) == 0
-    assert capsys.readouterr().out == "annulus diameter ratios (k = 2.0):\n  r = 7/2: 2.57143 (4 points)\n"
+    assert capsys.readouterr().out == "annulus diameter ratios (k = 2):\n  r = 7/2: 2.57143 (4 points)\n"
+    # a decimal is the rational it spells, not its nearest binary64 value
+    assert main(["diag", "psi", str(cloud), "--k", "3/2", "--radii", "0.1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"k": "3/2", "table": [{"r": "1/10", "value": 0.0, "points": 0}]}
     assert main(["diag", "psi", str(cloud), "--radii", "1,x"]) == 2
-    assert "--radii takes comma-separated numbers" in capsys.readouterr().err
-    for args in (["--k", "nan"], ["--k", "inf"], ["--radii", "nan,inf", "--json"], ["--radii", "1,inf"]):
+    assert capsys.readouterr().err == "error: --radii takes comma-separated numbers: not a rational literal: 'x'\n"
+    for args, refusal in (
+        (["--k", "nan"], "not a rational literal: 'nan'"),
+        (["--k", "inf"], "not a rational literal: 'inf'"),
+        (["--radii", "nan,inf", "--json"], "--radii takes comma-separated numbers: not a rational literal: 'nan'"),
+        (["--radii", "1,inf"], "--radii takes comma-separated numbers: not a rational literal: 'inf'"),
+    ):
         assert main(["diag", "psi", str(cloud), *args]) == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {refusal}\n"
 
 
 def test_diag_fn_reads_each_point_exactly(tmp_path, capsys):
@@ -621,7 +628,7 @@ def test_diag_of_points_whose_distance_leaves_binary64_is_exact(tmp_path, capsys
     points = [{"label": "a", "coords": [1e308]}, {"label": "b", "coords": [-1e308]}]
     path.write_text(json.dumps({"dimension": 1, "levels": [{"n": 1, "r": 1.0, "points": points}]}), encoding="utf-8")
     assert main(["diag", "psi", str(path), "--k", "2", "--radii", "1e308", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"k": 2.0, "table": [{"r": str(int(1e308)), "value": 2.0, "points": 2}]}
+    assert json.loads(capsys.readouterr().out) == {"k": "2", "table": [{"r": str(10**308), "value": 2.0, "points": 2}]}
     assert main(["diag", "fn", str(path), "--level", "1", "--labels", "a,b", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 2.0
 
@@ -1411,11 +1418,7 @@ FUZZ_COMMANDS = {
     ("fpc", "from-metric"): (["matrix", VERTICES], ["--out"]),
     ("fpc", "bound"): (["graph"], ["--json"]),
     ("fpc", "f"): ([NUMBERS], ["--json"]),
-    ("realize",): (
-        ["graph"],
-        ["--out", "--no-exact", ("--depth", NUMBERS),
-         ("--rule", ["factorial", "power_square", "x"]), ("--base", NUMBERS)],
-    ),
+    ("realize",): (["graph"], ["--out", "--no-exact", ("--depth", NUMBERS)]),
     ("single-point",): ([], ["--out", ("--depth", NUMBERS), ("--base", NUMBERS)]),
     ("recover",): (
         ["cloud"],
@@ -1622,7 +1625,7 @@ def test_threads_parsing_on_the_cached_tree_reproduce_the_serial_results():
         ["extend", "g.json", "u", "v", "7/2"], ["embed", "g.json", "--mode", "line"],
         ["embed", "g.json", "--mode", "x"], ["isomorphic", "a.json", "b.json", "--weight-tol-rel", "0"],
         ["fpc", "certify", "g.json", "--json"], ["fpc", "f", "12"], ["fpc", "f", "x"], ["fpc", "nope"],
-        ["realize", "g.json", "--depth", "8", "--rule", "power_square", "--base", "3", "--no-exact"],
+        ["realize", "g.json", "--depth", "8", "--no-exact", "--out", "c.json"],
         ["recover", "c.json", "--tol-rel", "1e-6", "--window", "4", "--exact"], ["recover", "c.json", "--bogus"],
         ["subsample", "c.json", "--indices", "1,2"], ["subsample", "c.json"],
         ["subsample", "c.json", "--stride-offset", "1", "--alternate-periods"],

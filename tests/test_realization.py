@@ -19,7 +19,6 @@ from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
 from metric_cluster.realization import (
     CloudLevel,
     LeveledPointCloud,
-    ScalingRule,
     _level_floats,
     _level_numerators,
     build_plan,
@@ -47,6 +46,7 @@ from oracles import (
     lower_member_by_fractions,
     point_floats,
     point_shadow,
+    power_square_scaled,
     random_dominating_shape,
     scaled_weights,
     shadows_by_spelling,
@@ -73,38 +73,32 @@ STAR_15 = graph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 5}, "r")
 
 
 # ---------------------------------------------------------------------------
-# scaling rules
+# the scaling sequence
 # ---------------------------------------------------------------------------
 
 
 def test_factorial_rule_values_and_ratios():
-    rule = ScalingRule()
-    values = [rule.value(n) for n in range(1, 8)]
+    # level n is scaled by n!: the ratio of consecutive scales grows without bound
+    values = [lvl.r_exact for lvl in realize(CERT_TRIANGLE, 7).levels]
     assert values == [1, 2, 6, 24, 120, 720, 5040]
-    ratios = [Fraction(b, a) for a, b in zip(values, values[1:])]
+    ratios = [b / a for a, b in zip(values, values[1:])]
     assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
 
 
 def test_power_square_rule():
-    rule = ScalingRule("power_square", base=3)
-    assert [rule.value(n) for n in (1, 2, 3)] == [3, 81, 19683]
-    for base in (1, 0, -2):  # scales that do not tend to infinity
-        with pytest.raises(GraphError, match="base"):
-            ScalingRule("power_square", base)
+    # the one-point space's points are x_n = base**(n*n), whose base is an int >= 2
+    cloud = single_point_space(3, base=3)
+    assert [point_shadow(lvl, lvl.rows[1]) for lvl in cloud.levels] == [(3,), (81,), (19683,)]
+    for base in (1, 0, -2):  # points that do not tend to infinity
+        with pytest.raises(GraphError, match="^base must be an integer >= 2$"):
+            single_point_space(3, base)
     for base in (2.5, 2.0, True):  # no integer base: refused before any cloud is built
-        with pytest.raises(GraphError, match="base"):
-            ScalingRule("power_square", base)
-
-
-def test_unknown_rule_rejected():
-    with pytest.raises(GraphError):
-        ScalingRule("fibonacci").value(3)
+        with pytest.raises(GraphError, match="^base must be an integer >= 2$"):
+            single_point_space(3, base)
 
 
 def test_levels_and_depths_count_from_one():
-    for rule in (ScalingRule(), ScalingRule("power_square", 3)):
-        with pytest.raises(GraphError, match="^levels are numbered from 1$"):
-            rule.value(0)
+    assert [lvl.n for lvl in realize(CERT_TRIANGLE, 3).levels] == [1, 2, 3]
     with pytest.raises(GraphError, match="^depth must be at least 1$"):
         build_plan(CERT_TRIANGLE, 0)
 
@@ -208,20 +202,19 @@ def test_realized_levels_are_isometric_whatever_the_columns(n):
     rng = random.Random(n)
     for p in (0.2, 0.5, 0.8):
         g = synthesize_weights(random_dominating_shape(rng, n, p))
-        for rule in (ScalingRule(), ScalingRule("power_square", 2)):
-            plan = build_plan(g, 12, rule)
-            cloud = generate_cloud(plan)
-            assert cloud.dimension == max(1, n - 1)
-            for i, lvl in enumerate(cloud.levels):
-                d = plan.family[i % plan.period]
-                pts = cloud.points_by_label(lvl)
-                assert not any(pts[g.root])
-                for u, v in combinations(g.vertices, 2):
-                    assert Fraction(sup_distance(pts[u], pts[v]), lvl.q) == d.get(u, v)
-            sub = subsample_levels(cloud, alternating_period_indices(cloud))
-            assert sub.period == cloud.period
-            assert recover_cluster(cloud).graph == g
-            assert recover_cluster(sub).graph == g
+        plan = build_plan(g, 12)
+        cloud = generate_cloud(plan)
+        assert cloud.dimension == max(1, n - 1)
+        for i, lvl in enumerate(cloud.levels):
+            d = plan.family[i % plan.period]
+            pts = cloud.points_by_label(lvl)
+            assert not any(pts[g.root])
+            for u, v in combinations(g.vertices, 2):
+                assert Fraction(sup_distance(pts[u], pts[v]), lvl.q) == d.get(u, v)
+        sub = subsample_levels(cloud, alternating_period_indices(cloud))
+        assert sub.period == cloud.period
+        assert recover_cluster(cloud).graph == g
+        assert recover_cluster(sub).graph == g
 
 
 def test_cloud_generation_is_deterministic():
@@ -243,25 +236,19 @@ def test_a_depth_300_cloud_round_trips_exactly(n):
     assert isomorphic(g, recover_cluster(loaded).graph, weight_tol_rel=0) is not None
 
 
-# the default factorial rule and power_square
-RULES = [None, ScalingRule("power_square", 3)]
-
-
-@pytest.mark.parametrize("rule", RULES, ids=["factorial", "power_square"])
-def test_realization_refuses_the_first_scale_the_writer_cannot_spell(int_max_str_digits, rule):
-    """Under an int-to-str digit limit one digit short of the first r_n past
-    640 digits, realization refuses that level, whose r_n str() cannot spell,
-    and the cloud one level shorter is written."""
-    rule = rule or ScalingRule()
-    last = next(n for n in range(1, 1000) if len(str(rule.value(n))) > 640)
-    limit = len(str(rule.value(last))) - 1
+def test_realization_refuses_the_first_scale_the_writer_cannot_spell(int_max_str_digits):
+    """Under an int-to-str digit limit one digit short of the first r_n = n!
+    past 640 digits, realization refuses that level, whose r_n str() cannot
+    spell, and the cloud one level shorter is written."""
+    last = next(n for n in range(1, 1000) if len(str(math.factorial(n))) > 640)
+    limit = len(str(math.factorial(last))) - 1
     int_max_str_digits(limit)
     with pytest.raises(ValueError):
-        str(rule.value(last))
+        str(math.factorial(last))
     refusal = f"level {last} has a scale r_exact of more than {limit} digits, which to_json cannot write"
     with pytest.raises(GraphError, match=f"^{refusal}$"):
-        realize(CERT_TRIANGLE, last, rule)
-    assert LeveledPointCloud.from_json(realize(CERT_TRIANGLE, last - 1, rule).to_json()).depth == last - 1
+        realize(CERT_TRIANGLE, last)
+    assert LeveledPointCloud.from_json(realize(CERT_TRIANGLE, last - 1).to_json()).depth == last - 1
 
 
 def first_level_beyond_binary64(cloud) -> int:
@@ -276,14 +263,14 @@ def first_level_beyond_binary64(cloud) -> int:
     return 0
 
 
-@pytest.mark.parametrize("rule", RULES, ids=["factorial", "power_square"])
+@pytest.mark.parametrize("base", [None, 3], ids=["factorial", "power_square"])
 @pytest.mark.parametrize(
     "g",
     [
         CERT_TRIANGLE,
         # largest distances over 3 that bring r_n * largest within a bit of
-        # the limit at the boundary, under the factorial rule for 61/3 and
-        # under power_square for 25769803780/3
+        # the limit at the boundary, at the scales n! for 61/3 and at the
+        # scales 3**(n*n) for 25769803780/3
         scaled_weights(ONE_GAP, Fraction(61, 15)),
         scaled_weights(ONE_GAP, Fraction(25769803780, 15)),
         # the largest distance, 27 between u and v, is no coordinate: every
@@ -294,12 +281,12 @@ def first_level_beyond_binary64(cloud) -> int:
     ],
     ids=["triangle", "largest_61/3", "largest_25769803780/3", "largest_off_the_root", "halfway"],
 )
-def test_binary64_readers_refuse_at_the_first_value_beyond_binary64(g, rule):
+def test_binary64_readers_refuse_at_the_first_value_beyond_binary64(g, base):
     """Realization has no binary64 bound; a binary64 reader rounds r_exact
     and each coordinate when it asks, and refuses with GraphError at the
     first level, by the Fraction oracle, where one leaves binary64: the
     float writer at that level, and every level before it reads."""
-    cloud = realize(g, 200 if rule is None else 30, rule)
+    cloud = realize(g, 200) if base is None else power_square_scaled(realize(g, 30), base)
     first = first_level_beyond_binary64(cloud)
     assert first > 1
     readable = LeveledPointCloud(cloud.dimension, cloud.levels[:first - 1], cloud.period)
@@ -329,15 +316,12 @@ def test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader
 def _generation_cases():
     rng = random.Random(19)
     return [
-        pytest.param(WeightedRootedGraph(["r"], {}, "r"), None, id="one_vertex"),
-        pytest.param(synthesize_weights(dominating_rooted_shapes(6)[-1]), None, id="complete"),
+        pytest.param(WeightedRootedGraph(["r"], {}, "r"), id="one_vertex"),
+        pytest.param(synthesize_weights(dominating_rooted_shapes(6)[-1]), id="complete"),
+        pytest.param(ONE_GAP, id="one_gap"),
+        pytest.param(CERT_TRIANGLE, id="triangle"),
         *(
-            pytest.param(g, rule, id=f"{name}-{rule.name if rule else 'factorial'}")
-            for name, g in (("one_gap", ONE_GAP), ("triangle", CERT_TRIANGLE))
-            for rule in RULES
-        ),
-        *(
-            pytest.param(synthesize_weights(random_dominating_shape(rng, n, p)), None, id=f"random-{n}-{p}")
+            pytest.param(synthesize_weights(random_dominating_shape(rng, n, p)), id=f"random-{n}-{p}")
             for n in (12, 40)
             for p in (0.2, 0.5)
         ),
@@ -351,9 +335,9 @@ def check_generation(plan):
         assert cloud.to_json(include_exact) == expected.to_json(include_exact)
 
 
-@pytest.mark.parametrize("g, rule", _generation_cases())
-def test_generation_matches_the_coordinate_oracle(g, rule):
-    check_generation(build_plan(g, 12, rule))
+@pytest.mark.parametrize("g", _generation_cases())
+def test_generation_matches_the_coordinate_oracle(g):
+    check_generation(build_plan(g, 12))
 
 
 def test_generation_matches_the_coordinate_oracle_on_synthesized_shapes():
@@ -378,7 +362,6 @@ def test_generate_cloud_refuses_a_plan_it_cannot_realize():
         ("depth", True, "depth must be at least 1"),
         ("depth", -3, "depth must be at least 1"),
         ("graph", None, "plan graph must be a WeightedRootedGraph, got NoneType"),
-        ("rule", None, "plan rule must be a ScalingRule, got NoneType"),
         ("family", [], family),
         ("family", plan.family[0], family),
         ("family", [plan.family[0], None], family),
@@ -408,18 +391,24 @@ def test_cloud_json_round_trip():
 PINNED_CLOUDS = [
     (12, None, "c3376c4a672abab251c948a7f2eb140a41567727c3b06f015f5de53c8489e477",
      "0bb619878e6a8810201dd1df17fe7c922ee4b0a18916353bdf72f12cb4191a67"),
-    (6, ScalingRule("power_square", 3), "812caa68f70970bdd9e4e1602b11d681a3576adc6676655579f8005e53a717ff",
+    (6, 3, "812caa68f70970bdd9e4e1602b11d681a3576adc6676655579f8005e53a717ff",
      "7a707bbe6988d34f493b52c0df3e21b8f5e4f298949fa67c0de6cdbd9c87b68f"),
 ]
 
 
+def one_gap_cloud(depth, base=None):
+    """ONE_GAP realized at the scales n!, or, with a base, at base**(n*n)."""
+    cloud = realize(ONE_GAP, depth)
+    return cloud if base is None else power_square_scaled(cloud, base)
+
+
 @pytest.mark.parametrize(
-    "depth, rule, digest, spelled_digest",
+    "depth, base, digest, spelled_digest",
     PINNED_CLOUDS,
-    ids=[f"{depth}-{'rule1' if rule else None}" for depth, rule, *_ in PINNED_CLOUDS],
+    ids=[f"{depth}-{'rule1' if base else None}" for depth, base, *_ in PINNED_CLOUDS],
 )
-def test_cloud_bytes_are_pinned(depth, rule, digest, spelled_digest):
-    cloud = realize(ONE_GAP, depth, rule)
+def test_cloud_bytes_are_pinned(depth, base, digest, spelled_digest):
+    cloud = one_gap_cloud(depth, base)
     text = cloud.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert LeveledPointCloud.from_json(text) == cloud
@@ -433,7 +422,7 @@ def test_cloud_bytes_are_pinned(depth, rule, digest, spelled_digest):
 PINNED_WITHOUT_UNITS = {
     "12-None-floats": (lambda: realize(ONE_GAP, 12).to_json(include_exact=False),
                        "d6b19cde0b1d758efd7bae4b975da92e1567e34431d05bfde17c032f643cbc63"),
-    "6-rule1-floats": (lambda: realize(ONE_GAP, 6, ScalingRule("power_square", 3)).to_json(include_exact=False),
+    "6-rule1-floats": (lambda: one_gap_cloud(6, 3).to_json(include_exact=False),
                        "ba8048e951f71fc98a87d743221ca223057bf45dd34042c0047aee4a60e2c78e"),
 }
 
@@ -474,7 +463,7 @@ def _exact_and_binary64_levels_file_cloud():
 # the reader, whose refusal then fails a test, not the module's collection
 WRITTEN_CLOUDS = {
     "factorial": (lambda: realize(ONE_GAP, 12), True),
-    "power_square": (lambda: realize(ONE_GAP, 6, ScalingRule("power_square", 3)), True),
+    "power_square": (lambda: one_gap_cloud(6, 3), True),
     "deep": (lambda: realize(ONE_GAP, 110), True),
     "exact_and_binary64_levels": (_exact_and_binary64_levels_file_cloud, False),
     "single_point": (lambda: single_point_space(12), False),
@@ -511,7 +500,7 @@ def test_a_level_holds_its_shadows_as_its_file_writes_them(name):
     "cloud",
     [
         realize(ONE_GAP, 12),
-        realize(CERT_TRIANGLE, 6, ScalingRule("power_square", 3)),
+        power_square_scaled(realize(CERT_TRIANGLE, 6), 3),
         realize(synthesize_weights(next(iter(dominating_rooted_shapes(6)))), 20),
         single_point_space(8),
     ],
@@ -546,12 +535,12 @@ def test_threads_each_loading_and_writing_a_cloud_reproduce_the_serial_results()
     assert [cloud for cloud, *_ in serial[:len(clouds)]] == clouds
 
 
-@pytest.mark.parametrize("depth, rule", [(12, None), (6, ScalingRule("power_square", 3)), (110, None)])
-def test_shadows_are_written_in_units_of_their_level_scale(depth, rule):
+@pytest.mark.parametrize("depth, base", [(12, None), (6, 3), (110, None)], ids=["12-None", "6-rule1", "110-None"])
+def test_shadows_are_written_in_units_of_their_level_scale(depth, base):
     """Each ``exact`` value of a realized level is an integer over the level's
     ``over``, in lowest terms together, and r_exact times value / over is the
     shadow; r_exact's digits are not repeated in the values."""
-    cloud = realize(ONE_GAP, depth, rule)
+    cloud = one_gap_cloud(depth, base)
     data = spelled_file(cloud)
     for entry, lvl in zip(data["levels"], cloud.levels):
         values = [int(x) for item in entry["points"] for x in item["exact"]]
@@ -929,16 +918,15 @@ def test_the_reader_loads_every_layout_the_writer_writes(n):
     rng = random.Random(n)
     for p in (0.2, 0.5, 0.8):
         g = synthesize_weights(random_dominating_shape(rng, n, p))
-        for rule in (ScalingRule(), ScalingRule("power_square", 2)):
-            cloud = realize(g, 12, rule)
-            for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
-                for text in retired_files(c).values():
-                    assert refusal(json.loads(text)).startswith("level 1 is in a retired layout: ")
-                for text, expected in ((c.to_json(), c), (c.to_json(include_exact=False), binary64_copy(c))):
-                    loaded = LeveledPointCloud.from_json(text)
-                    assert loaded == expected
-                    assert loaded.to_json(include_exact=False) == c.to_json(include_exact=False)
-                    assert LeveledPointCloud(loaded.dimension, loaded.levels, loaded.period) == loaded
+        cloud = realize(g, 12)
+        for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
+            for text in retired_files(c).values():
+                assert refusal(json.loads(text)).startswith("level 1 is in a retired layout: ")
+            for text, expected in ((c.to_json(), c), (c.to_json(include_exact=False), binary64_copy(c))):
+                loaded = LeveledPointCloud.from_json(text)
+                assert loaded == expected
+                assert loaded.to_json(include_exact=False) == c.to_json(include_exact=False)
+                assert LeveledPointCloud(loaded.dimension, loaded.levels, loaded.period) == loaded
 
 
 def refusal(data):
@@ -1118,24 +1106,23 @@ def test_each_distinct_points_array_is_read_once(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 30))
 def test_a_file_spelled_out_loads_and_recovers_as_the_file_written(n):
-    """The corpus clouds of n vertices (p = 0.2, 0.5 and 0.8, both scaling
-    rules, depth 12) and their alternating-period subsamples, written with
+    """The corpus clouds of n vertices (p = 0.2, 0.5 and 0.8, depth 12) and
+    their alternating-period subsamples, written with
     each distinct points array spelled once and named by points_of at every
     later level that repeats it, load from that file and from it spelled out
     to the cloud written, and recover equal graphs from both."""
     for p in (0.2, 0.5, 0.8):
         g = synthesize_weights(random_dominating_shape(random.Random(n), n, p))
-        for rule in (ScalingRule(), ScalingRule("power_square", 2)):
-            cloud = realize(g, 12, rule)
-            for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
-                text = c.to_json()
-                data = json.loads(text)
-                assert json.dumps(data, indent=2) == text
-                spelling = [entry for entry in data["levels"] if "points" in entry]
-                assert len(spelling) == len({(lvl.q, lvl.labels, lvl.rows) for lvl in c.levels}) < c.depth
-                written, spelled_out_file = LeveledPointCloud.from_json(text), LeveledPointCloud.from_json_dict(spelled_out(data))
-                assert written == spelled_out_file == c
-                assert recover_cluster(written).graph == recover_cluster(spelled_out_file).graph
+        cloud = realize(g, 12)
+        for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
+            text = c.to_json()
+            data = json.loads(text)
+            assert json.dumps(data, indent=2) == text
+            spelling = [entry for entry in data["levels"] if "points" in entry]
+            assert len(spelling) == len({(lvl.q, lvl.labels, lvl.rows) for lvl in c.levels}) < c.depth
+            written, spelled_out_file = LeveledPointCloud.from_json(text), LeveledPointCloud.from_json_dict(spelled_out(data))
+            assert written == spelled_out_file == c
+            assert recover_cluster(written).graph == recover_cluster(spelled_out_file).graph
 
 
 def check_writer(cloud):
@@ -1189,7 +1176,7 @@ def _equal_but_spelled_apart_cloud():
     [
         realize(ONE_GAP, 12),
         subsample_levels(realize(ONE_GAP, 12), alternating_period_indices(realize(ONE_GAP, 12))),
-        realize(CERT_TRIANGLE, 6, ScalingRule("power_square", 3)),
+        power_square_scaled(realize(CERT_TRIANGLE, 6), 3),
         single_point_space(8),
         _odd_cloud(),
         _equal_but_spelled_apart_cloud(),
@@ -1549,19 +1536,16 @@ def _rebuilt(cloud):
 
 def test_the_unchecked_path_builds_only_what_construction_accepts():
     # generate_cloud, single_point_space and subsample_levels skip the checks
-    rules = [ScalingRule(), ScalingRule("power_square", 2)]
     for shape in dominating_rooted_shapes(6):
-        g = synthesize_weights(shape)
-        for rule in rules:
-            plan = build_plan(g, 12, rule)
-            for depth in range(1, 13):
-                cloud = generate_cloud(dataclasses.replace(plan, depth=depth))
-                assert _rebuilt(cloud) == cloud
-            selections = [alternating_period_indices(cloud), [1], [2, 5, 12], list(range(1, 13))]
-            selections += [period_stride_indices(cloud, k) for k in range(cloud.period)]
-            for indices in selections:
-                sub = subsample_levels(cloud, indices)
-                assert _rebuilt(sub) == sub
+        plan = build_plan(synthesize_weights(shape), 12)
+        for depth in range(1, 13):
+            cloud = generate_cloud(dataclasses.replace(plan, depth=depth))
+            assert _rebuilt(cloud) == cloud
+        selections = [alternating_period_indices(cloud), [1], [2, 5, 12], list(range(1, 13))]
+        selections += [period_stride_indices(cloud, k) for k in range(cloud.period)]
+        for indices in selections:
+            sub = subsample_levels(cloud, indices)
+            assert _rebuilt(sub) == sub
     for base in (2, 3, 5):
         for depth in range(2, 24):
             try:

@@ -29,7 +29,6 @@ from metric_cluster.fpc import (
 from metric_cluster.realization import (
     CloudLevel,
     LeveledPointCloud,
-    ScalingRule,
     _level_floats,
     build_plan,
     generate_cloud,
@@ -61,6 +60,7 @@ from oracles import (
     normalized_values_by_fractions,
     nx_to_graph,
     point_shadow,
+    power_square_scaled,
     random_dominating_shape,
     random_rational,
     random_weighting,
@@ -153,7 +153,7 @@ def oracle_clouds():
     alternating = alternating_period_indices(factorial)
     return {
         "factorial": (factorial, None),
-        "power_square": (realize(ONE_GAP, depth=6, rule=ScalingRule("power_square", 3)), None),
+        "power_square": (power_square_scaled(realize(ONE_GAP, depth=6), 3), None),
         "hand_built": (hand_built_cloud(), None),
         "alternating_periods": (subsample_levels(factorial, alternating), len(alternating)),
     }
@@ -237,7 +237,6 @@ def fraction_oracle_clouds():
         g = synthesize_weights(random_dominating_shape(rng, n))
         factorial = realize(g, depth=8)
         clouds.append(factorial)
-        clouds.append(realize(g, depth=4, rule=ScalingRule("power_square", 2)))
         clouds.append(subsample_levels(factorial, [1, 2, 4, 7]))  # no period
     return clouds
 
@@ -285,15 +284,14 @@ def partly_shadowed(cloud: LeveledPointCloud, rng: random.Random) -> LeveledPoin
 @given(
     n=st.integers(2, 9),
     p=st.sampled_from([0.2, 0.5, 0.8]),
-    rule=st.sampled_from([ScalingRule(), ScalingRule("power_square", 2)]),
     seed=st.integers(0, 2**16),
     zero=st.booleans(),
 )
-def test_binary64_coordinates_decide_as_the_fraction_oracle(n, p, rule, seed, zero):
+def test_binary64_coordinates_decide_as_the_fraction_oracle(n, p, seed, zero):
     # clouds without shadows and with some: each binary64 coordinate is the
     # rational it equals, at the default tolerances (the oracle's) and at 0
     rng = random.Random(seed)
-    cloud = realize(synthesize_weights(random_dominating_shape(rng, n, p)), 12, rule)
+    cloud = realize(synthesize_weights(random_dominating_shape(rng, n, p)), 12)
     tolerances = (0, 0) if zero else ()
     for mixed in (shadowless(cloud), partly_shadowed(cloud, rng)):
         assert not mixed.has_exact()
@@ -996,12 +994,11 @@ def check_diagnostics(g: WeightedRootedGraph, cloud: LeveledPointCloud) -> None:
 
 @pytest.mark.parametrize("n", range(2, 30))
 def test_the_diagnostics_equal_their_fraction_oracles_rounded_once(n):
-    """The corpus clouds of n vertices: p = 0.2, 0.5 and 0.8, both scaling
-    rules, depth 12 (see ``check_diagnostics``)."""
+    """The corpus clouds of n vertices: p = 0.2, 0.5 and 0.8, depth 12 (see
+    ``check_diagnostics``)."""
     for p in (0.2, 0.5, 0.8):
         g = synthesize_weights(random_dominating_shape(random.Random(n), n, p))
-        for rule in (ScalingRule(), ScalingRule("power_square", 2)):
-            check_diagnostics(g, realize(g, 12, rule))
+        check_diagnostics(g, realize(g, 12))
 
 
 @pytest.mark.parametrize("n", [6, 13, 20])

@@ -32,7 +32,7 @@ def test_library_imports_only_the_standard_library():
 PUBLIC_NAMES = [
     "CliqueBoundReport", "Cycle", "DistanceMatrix", "FpcCertificate", "GraphError", "IntervalQ",
     "LeveledPointCloud", "Metrizability", "MetrizabilityVerdict", "RealizationPlan", "RecoveredCluster",
-    "ScalingRule", "WeightedRootedGraph", "admissible_interval", "alternating_period_indices",
+    "WeightedRootedGraph", "admissible_interval", "alternating_period_indices",
     "annulus_diameter_table", "build_plan", "certify_fpc", "check_metrizable", "clique_bound_check",
     "cycle_from_graph", "embed_cycle_on_circle", "embed_tight_cycle_on_line", "extend_metric",
     "forced_completion", "generate_cloud", "graph_from_metric_space", "is_weight_preserving_homomorphism",
