@@ -79,11 +79,17 @@ def _load_cloud(path: str) -> LeveledPointCloud:
     return LeveledPointCloud.from_json_dict(_read_json_file(path))
 
 
-def _number_list(text: str, kind, option: str) -> list:
+def _read_option(read, text: str):
+    """``read(text)`` for argparse's ``type=``: a value ``read`` refuses is a usage error naming its option."""
     try:
-        return [kind(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise GraphError(f"{option} takes comma-separated numbers: {exc}") from exc
+        return read(text)
+    except ValueError as exc:  # GraphError is one
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_RATIONAL = functools.partial(_read_option, parse_rational)
+_RATIONALS = functools.partial(_read_option, lambda text: [parse_rational(x) for x in text.split(",")])
+_INTEGERS = functools.partial(_read_option, lambda text: [int(x) for x in text.split(",")])
 
 
 def _say(text: str) -> None:
@@ -153,7 +159,7 @@ def _cmd_interval(ns) -> int:
 
 def _cmd_extend(ns) -> int:
     g = _load_graph(ns.graph)
-    d = extend_metric(g, ns.u, ns.v, parse_rational(ns.t))
+    d = extend_metric(g, ns.u, ns.v, ns.t)
     _write_output(d.to_json(), ns.out)
     return 0
 
@@ -219,7 +225,7 @@ def _cmd_cliques(ns) -> int:
 def _cmd_isomorphic(ns) -> int:
     g1 = _load_graph(ns.graph1)
     g2 = _load_graph(ns.graph2)
-    witness = isomorphic(g1, g2, weight_tol_rel=parse_rational(ns.weight_tol_rel))
+    witness = isomorphic(g1, g2, weight_tol_rel=ns.weight_tol_rel)
     if witness is None:
         _emit({"isomorphic": False}, ns, "not isomorphic")
         return 1
@@ -304,7 +310,7 @@ def _cmd_realize(ns) -> int:
 
 
 def _cmd_single_point(ns) -> int:
-    cloud = single_point_space(ns.depth, ns.base)
+    cloud = single_point_space(ns.depth)
     _write_output(cloud.to_json(), ns.out)
     return 0
 
@@ -341,7 +347,7 @@ def _cmd_recover(ns) -> int:
 def _cmd_subsample(ns) -> int:
     cloud = _load_cloud(ns.cloud)
     if ns.indices is not None:
-        indices = _number_list(ns.indices, int, "--indices")
+        indices = ns.indices
     elif ns.stride_offset is not None:
         indices = period_stride_indices(cloud, ns.stride_offset)
     else:
@@ -373,18 +379,16 @@ def _cmd_diag_fn(ns) -> int:
 
 def _cmd_diag_psi(ns) -> int:
     cloud = _load_cloud(ns.cloud)
-    k = parse_rational(ns.k)
-    if ns.radii:
-        radii = _number_list(ns.radii, parse_rational, "--radii")
-    else:
+    radii = ns.radii
+    if radii is None:
         radii = [lvl.r_exact or lvl.r for lvl in cloud.levels]
     # k and a radius are spelled as a cloud file spells r_exact: past binary64, JSON has no number for them
-    table = [dict(row, r=format_rational(row["r"])) for row in annulus_diameter_table(cloud, k, radii)]
+    table = [dict(row, r=format_rational(row["r"])) for row in annulus_diameter_table(cloud, ns.k, radii)]
     human = "\n".join(
-        [f"annulus diameter ratios (k = {format_rational(k)}):"]
+        [f"annulus diameter ratios (k = {format_rational(ns.k)}):"]
         + [f"  r = {row['r']}: {row['value']:.6g} ({row['points']} points)" for row in table]
     )
-    _emit({"k": format_rational(k), "table": table}, ns, human)
+    _emit({"k": format_rational(ns.k), "table": table}, ns, human)
     return 0
 
 
@@ -465,7 +469,7 @@ def _cmd_demo(ns) -> int:
     )
 
     # the one-point space: every sequence collapses into the basepoint class
-    cloud = single_point_space(depth=12, base=2)
+    cloud = single_point_space(depth=12)
     write("single_point.json", cloud.to_json())
     rc = recover_cluster(cloud)
     write(
@@ -527,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("u")
     p.add_argument("v")
-    p.add_argument("t", help="rational distance value, e.g. 5 or 7/2")
+    p.add_argument("t", type=_RATIONAL, help="rational distance value, e.g. 5 or 7/2")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_extend)
 
@@ -551,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph2")
     p.add_argument(
         "--weight-tol-rel",
+        type=_RATIONAL,
         default="1/1000000000",
         help="relative weight tolerance (rational); 0 compares weights for equality",
     )
@@ -591,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("single-point", help="the one-point-cluster example cloud")
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--base", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_single_point)
 
@@ -608,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subsample", help="restrict a cloud to chosen levels")
     p.add_argument("cloud")
     selector = p.add_mutually_exclusive_group(required=True)
-    selector.add_argument("--indices", help="comma-separated level numbers")
+    selector.add_argument("--indices", type=_INTEGERS, help="comma-separated level numbers")
     selector.add_argument("--stride-offset", type=int, help="keep one residue class per family period")
     selector.add_argument("--alternate-periods", action="store_true", help="keep every other whole period")
     p.add_argument("--out")
@@ -625,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = diag_sub.add_parser("psi", parents=[common], help="annulus diameter ratio table")
     p.add_argument("cloud")
-    p.add_argument("--k", default="2", help="annulus parameter (rational), e.g. 2 or 3/2")
-    p.add_argument("--radii", help="comma-separated radii; defaults to the cloud's scaling values")
+    p.add_argument("--k", type=_RATIONAL, default="2", help="annulus parameter (rational), e.g. 2 or 3/2")
+    p.add_argument("--radii", type=_RATIONALS, help="comma-separated radii; defaults to the cloud's scaling values")
     p.set_defaults(func=_cmd_diag_psi)
 
     p = sub.add_parser("demo", help="write worked-example fixtures")

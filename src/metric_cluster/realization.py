@@ -8,7 +8,8 @@ isometric copy of (V, r_n * d_i) into sup-norm coordinate space via
 distance-difference coordinates, alternating i between the two members. The
 scaling sequence r_n = n! grows so fast (ratio of consecutive terms increasing
 without bound) that different levels separate after rescaling, which is
-what makes the cluster recoverable from the finite truncation.
+what makes the cluster recoverable from the finite truncation. The one-point
+space scales level n by 2**(n*n + n); both scales are running products.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
 from .graph_core import _digit_limit, _format_over, _in_lowest_terms, _integer
@@ -620,19 +621,28 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         rows = [tuple([d._num[i][j] - t for j, t in zip(cols, to_root)]) for i in at]
         q, rows = _in_lowest_terms(d._q, rows)
         members.append((q, tuple(rows)))
-    # a limit of 0 lets str() spell every int
-    limit = _digit_limit()
-    beyond = 10**limit if limit else math.inf
     labels = tuple(order)
-    levels, r = [], 1
-    for n in range(1, depth + 1):
-        r *= n
-        if r >= beyond:
-            refusal = f"has a scale r_exact of more than {limit} digits, which to_json cannot write"
-            raise GraphError(f"level {n} {refusal}")
+    levels = []
+    for n, r in _exact_scales(depth, lambda n: n):
         q, rows = members[(n - 1) % len(members)]
         levels.append(CloudLevel(n, None, Fraction(r), labels, rows, q))
     return LeveledPointCloud._of_levels(len(columns), levels, len(family))
+
+
+def _exact_scales(depth: int, factor) -> Iterator[tuple[int, int]]:
+    """Each level n = 1..depth and its scale r_n = factor(1) * ... * factor(n);
+    GraphError names the first level whose r_n has more digits than the
+    interpreter's int-to-str limit lets to_json write, and yields none past it."""
+    # a limit of 0 lets str() spell every int
+    limit = _digit_limit()
+    beyond = 10**limit if limit else math.inf
+    r = 1
+    for n in range(1, depth + 1):
+        r *= factor(n)
+        if r >= beyond:
+            refusal = f"has a scale r_exact of more than {limit} digits, which to_json cannot write"
+            raise GraphError(f"level {n} {refusal}")
+        yield n, r
 
 
 def realize(g: WeightedRootedGraph, depth: int) -> LeveledPointCloud:
@@ -645,34 +655,17 @@ def realize(g: WeightedRootedGraph, depth: int) -> LeveledPointCloud:
 # ---------------------------------------------------------------------------
 
 
-def single_point_space(depth: int, base: int = 2) -> LeveledPointCloud:
+def single_point_space(depth: int) -> LeveledPointCloud:
     """One-dimensional space whose cluster at infinity is a single point.
 
-    Points x_n = base**(n*n) on the half line with basepoint 0, rescaled by
-    r_n = sqrt(x_n * x_{n+1}). Every point of the space sits either far below
-    or far above the scale r_n, so all normalized distances collapse to zero
-    and the recovered cluster is the one-vertex graph.
+    Points x_n = 2**(n*n) on the half line with basepoint 0, level n rescaled
+    by r_n = 2**(n*n + n) = r_{n-1} * 4**n, so x_k / r_n <= 2**-n for k <= n
+    and x_k / r_n >= 2**(n + 1) for k > n: all normalized distances collapse
+    to zero and the recovered cluster is the one-vertex graph. Level n holds
+    the rows (0,) and (1,) over q = 2**n, up to the digit limit.
     """
-    # a base below 2 gives points that do not tend to infinity, and a float
-    # base no integer point
-    _integer(base, 2, "base must be an integer >= 2")
     _integer(depth, 2, "depth must be at least 2")
-    # the last level's scale needs x_{depth+1} in binary64; as base >=
-    # 2**(bit_length - 1), the bound refuses before a power beyond 2**1024 is built
-    try:
-        if (depth + 1) ** 2 * (base.bit_length() - 1) >= 1024:
-            raise OverflowError
-        xs = [base ** (n * n) for n in range(1, depth + 2)]
-        float(xs[-1])
-    except OverflowError as exc:
-        refusal = f"depth {_spelled(depth)} overflows binary64 for base {_spelled(base)}"
-        raise GraphError(refusal) from exc
     levels = []
-    for n, x_n, x_next in zip(range(1, depth + 1), xs, xs[1:]):
-        # factor the root so neither operand overflows binary64; the scale is
-        # irrational (an odd power of the base under a square root), so the
-        # exact scale is its binary64 value read exactly
-        r = Fraction(math.sqrt(x_n) * math.sqrt(x_next))
-        q, rows = _in_lowest_terms(r.numerator, [(0,), (x_n * r.denominator,)])
-        levels.append(CloudLevel(n, None, r, ("p", "x"), tuple(rows), q))
+    for n, r in _exact_scales(depth, lambda n: 4**n):
+        levels.append(CloudLevel(n, None, Fraction(r), ("p", "x"), ((0,), (1,)), 2**n))
     return LeveledPointCloud._of_levels(1, levels, None)

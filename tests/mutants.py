@@ -40,6 +40,10 @@ THRESHOLDS = "tests/test_recovery.py::test_{}_at_its_threshold"
 UNITS = "tests/test_cli.py::test_malformed_shadows_in_units_of_the_scale_exit_2[{}]"
 LOWER = "tests/test_realization.py::test_lower_member_equals_the_fraction_construction[{}]"
 NAMED = "tests/test_cli.py::test_bad_cloud_number_exit_2[{}]"
+SCALE_LIMIT = [
+    "tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell",
+    "tests/test_realization.py::test_single_point_space_refuses_the_first_scale_the_writer_cannot_spell",
+]
 
 # (file under src/, old text, new text, the tests that must fail)
 MUTANTS = [
@@ -108,10 +112,6 @@ MUTANTS = [
     # the writer names an earlier level by points_of only where both are written as numerators
     (REALIZATION, "if shadowed and lvl.q is not None else None", "if lvl.q is not None else None",
      ["tests/test_realization.py::test_files_without_shadows_in_units_are_pinned[12-None-floats]"]),
-    # the one-point space holds its shadows over its binary64 scale in lowest terms
-    (REALIZATION, "q, rows = _in_lowest_terms(r.numerator, [(0,), (x_n * r.denominator,)])",
-     "q, rows = r.numerator, [(0,), (x_n * r.denominator,)]",
-     ["tests/test_realization.py::test_load_and_write_reproduces_the_cloud[single_point]"]),
     # a level with over is read in units of its scale on the checked path
     (REALIZATION, 'if "over" in entry:\n        over = _integer(', 'if False:\n        over = _integer(',
      ["tests/test_realization.py::test_unreduced_shadows_load_over_the_least_denominator"]),
@@ -129,11 +129,13 @@ MUTANTS = [
      ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
     (REALIZATION, "    if over is None:\n        raise _retired(", "    if False:\n        raise _retired(",
      ["tests/test_realization.py::test_each_retired_layout_is_refused_at_its_level[absolute]"]),
-    # realization refuses the first level whose r_n str() cannot spell, and builds none past it
-    (REALIZATION, "        if r >= beyond:", "        if False:",
-     ["tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell"]),
-    (REALIZATION, "beyond = 10**limit if limit", "beyond = 10 ** (limit + 1) if limit",
-     ["tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell"]),
+    # the one scale loop of realization and of the one-point space refuses the
+    # first level whose r_n str() cannot spell, and builds none past it
+    (REALIZATION, "        if r >= beyond:", "        if False:", SCALE_LIMIT),
+    (REALIZATION, "beyond = 10**limit if limit", "beyond = 10 ** (limit + 1) if limit", SCALE_LIMIT),
+    # the one-point space scales level n by r_n = r_{n-1} * 4**n = 2**(n*n + n)
+    (REALIZATION, "_exact_scales(depth, lambda n: 4**n)", "_exact_scales(depth, lambda n: 2**n)",
+     ["tests/test_realization.py::test_power_square_rule"]),
     # the binary64 writer refuses a value beyond binary64 with GraphError, never OverflowError
     (REALIZATION, "    except OverflowError:\n        # some point's division overflowed",
      "    except ZeroDivisionError:\n        # some point's division overflowed",

@@ -326,7 +326,7 @@ def test_criterion_07_extremal_clique_counts():
 
 
 def test_criterion_08_single_point_example():
-    cloud = single_point_space(depth=12, base=2)
+    cloud = single_point_space(depth=12)
     rc = recover_cluster(cloud)
     assert len(rc.graph.vertices) == 1
     assert rc.graph.weights == {}  # the root alone, with no root edge
@@ -361,7 +361,7 @@ def test_criterion_09_recovered_cluster_invariants():
     data, _ = round_trip_results()
     recoveries = [rc for _, _, rc, _ in data]
     if "single_point_recovery" not in _cache:
-        _cache["single_point_recovery"] = recover_cluster(single_point_space(12, 2))
+        _cache["single_point_recovery"] = recover_cluster(single_point_space(12))
     recoveries.append(_cache["single_point_recovery"])
     failures = []
     for rc in recoveries:

@@ -63,13 +63,12 @@ def _recorded(**tolerances):
 # each public entry point with an integer or real parameter, as a function of
 # the value put in that parameter, and whether a huge int may be passed: only
 # where it is refused before the work starts. moon_moser_f(10**9) would build
-# 3**(n // 3) in full, and realize builds 170 levels before the factorial
-# scale leaves binary64
+# 3**(n // 3) in full, and realize and single_point_space build levels until
+# their scale passes the interpreter's digit limit, with none without it
 CALLS = {
     "build_plan depth": (lambda x: mc.build_plan(G, x), True),
     "realize depth": (lambda x: mc.realize(G, x), False),
-    "single_point_space depth": (lambda x: mc.single_point_space(x), True),
-    "single_point_space base": (lambda x: mc.single_point_space(4, x), True),
+    "single_point_space depth": (lambda x: mc.single_point_space(x), False),
     "recover_cluster window": (lambda x: mc.recover_cluster(CLOUD, window=x), True),
     "recover_cluster tol_rel": (lambda x: mc.recover_cluster(FLOATS, tol_rel=x), True),
     "recover_cluster tol_abs": (lambda x: mc.recover_cluster(FLOATS, tol_abs=x), True),

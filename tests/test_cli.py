@@ -107,6 +107,9 @@ def test_extend_success_and_out_of_range(quad, tmp_path, capsys):
     capsys.readouterr()
     assert main(["extend", str(quad), "nu2", "nu4", "6"]) == 2
     assert "interval" in capsys.readouterr().err
+    # the parser reads t as a rational literal, and names it when it is none
+    assert main(["extend", str(quad), "nu2", "nu4", "x"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "metric-cluster extend: error: argument t: not a rational literal: 'x'"
 
 
 def test_complete_adds_forced_edges(tmp_path, capsys):
@@ -170,10 +173,17 @@ def test_isomorphic_exit_codes(tmp_path, capsys):
     assert main(["isomorphic", str(g1), str(g2)]) == 0
     assert main(["isomorphic", str(g1), str(g3)]) == 1
     capsys.readouterr()
-    for tol in ("-1", "-1/1000000000", "nan", "inf"):
+    # the parser refuses what is no rational literal, naming the option; isomorphic a negative tolerance
+    negative = "error: weight tolerance must be finite and non-negative, got Fraction"
+    not_rational = "metric-cluster isomorphic: error: argument --weight-tol-rel: not a rational literal:"
+    for tol, refusal in (
+        ("-1", f"{negative}(-1, 1)"),
+        ("-1/1000000000", f"{negative}(-1, 1000000000)"),
+        ("nan", f"{not_rational} 'nan'"),
+        ("inf", f"{not_rational} 'inf'"),
+    ):
         assert main(["isomorphic", str(g1), str(g2), f"--weight-tol-rel={tol}"]) == 2
-        err = capsys.readouterr().err
-        assert "weight tolerance must be finite and non-negative" in err or "not a rational literal" in err
+        assert capsys.readouterr().err.splitlines()[-1] == refusal
     # what the labels do not decide is refused: two roots that miss a vertex,
     # and a pairing that fails between equal labels
     path = write_graph(tmp_path / "path.json", ["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1}, "a")
@@ -359,9 +369,11 @@ def test_readme_library_quickstart_runs_as_written():
 
 
 def test_power_square_base_below_two_exit_2(capsys):
-    # the one-point space's points are base**(n*n): a base below 2 does not tend to infinity
+    # the one-point space's points are 2**(n*n): it takes no base, and its help names none
     assert main(["single-point", "--base", "1"]) == 2
-    assert capsys.readouterr().err == "error: base must be an integer >= 2\n"
+    assert capsys.readouterr().err.splitlines()[-1] == "metric-cluster: error: unrecognized arguments: --base 1"
+    assert main(["single-point", "--help"]) == 0
+    assert "--base" not in capsys.readouterr().out
 
 
 def test_realize_shorter_than_the_family_period_warns(cert_graph, tmp_path, capsys):
@@ -491,8 +503,11 @@ def test_subsample_stride(cert_graph, tmp_path, capsys):
     payload = json.loads(sub.read_text())
     assert [lvl["n"] for lvl in payload["levels"]] == [1, 3, 5, 7, 9, 11]
     capsys.readouterr()
-    assert main(["subsample", str(cloud), "--indices", "1,x", "--out", str(sub)]) == 2
-    assert "--indices takes comma-separated numbers" in capsys.readouterr().err
+    for indices, refusal in (("1,x", "'x'"), ("", "''")):
+        assert main(["subsample", str(cloud), "--indices", indices, "--out", str(sub)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"metric-cluster subsample: error: argument --indices: invalid literal for int() with base 10: {refusal}"
+        )
     # exactly one selector: a second one is a usage error, not ignored
     for extra in (["--alternate-periods"], ["--stride-offset", "1"]):
         assert main(["subsample", str(cloud), "--indices", "1,2", *extra, "--out", str(sub)]) == 2
@@ -505,23 +520,23 @@ def test_subsample_stride(cert_graph, tmp_path, capsys):
 
 def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_path, capsys):
     # with and without shadows, their subsamples and the one-point space
-    c, s, ne, nes, one, p5 = (str(tmp_path / f"{name}.json") for name in ("c", "s", "ne", "nes", "one", "p5"))
+    c, s, ne, nes, one, deep = (str(tmp_path / f"{name}.json") for name in ("c", "s", "ne", "nes", "one", "deep"))
     for argv in (
         ["realize", str(cert_graph), "--out", c],
         ["subsample", c, "--alternate-periods", "--out", s],
         ["realize", str(cert_graph), "--no-exact", "--out", ne],
         ["subsample", ne, "--alternate-periods", "--out", nes],
         ["single-point", "--depth", "12", "--out", one],
-        # x_21 = 5**441 fits binary64
-        ["single-point", "--depth", "20", "--base", "5", "--out", p5],
+        # r_100 = 2**10100 is far past binary64, and exact
+        ["single-point", "--depth", "100", "--out", deep],
     ):
         assert main(argv) == 0, argv
-    for path in (c, s, ne, nes, one, p5):
+    for path in (c, s, ne, nes, one, deep):
         text = Path(path).read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
     # shadows and floats both decide exactly; --exact only refuses a cloud without shadows
     floats = "on binary64 coordinates, exactly"
-    # the one-point space has r_exact, its binary64 scale read exactly, and shadows
+    # the one-point space has r_exact = 2**(n*n + n) and shadows
     for argv, arithmetic in ((["recover", c, "--exact"], "on exact shadows"), (["recover", s], "on exact shadows"),
                              (["recover", ne], floats), (["recover", one, "--exact"], "on exact shadows")):
         assert main(argv) == 0, argv
@@ -529,7 +544,7 @@ def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_p
     for path in (ne, nes):
         assert main(["recover", path, "--exact"]) == 2
         assert "use_exact needs every point's exact shadow and every level's r_exact" in capsys.readouterr().err
-    assert main(["recover", p5]) == 0
+    assert main(["recover", deep, "--tol-rel", "0", "--tol-abs", "0"]) == 0
     assert "recovered 1 classes" in capsys.readouterr().out
 
 
@@ -597,16 +612,18 @@ def test_diag_fn_and_psi(tmp_path, capsys):
     # a decimal is the rational it spells, not its nearest binary64 value
     assert main(["diag", "psi", str(cloud), "--k", "3/2", "--radii", "0.1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"k": "3/2", "table": [{"r": "1/10", "value": 0.0, "points": 0}]}
-    assert main(["diag", "psi", str(cloud), "--radii", "1,x"]) == 2
-    assert capsys.readouterr().err == "error: --radii takes comma-separated numbers: not a rational literal: 'x'\n"
+    # the parser names the option it refuses, and an empty list is no list of radii
+    radii = "argument --radii: not a rational literal:"
     for args, refusal in (
-        (["--k", "nan"], "not a rational literal: 'nan'"),
-        (["--k", "inf"], "not a rational literal: 'inf'"),
-        (["--radii", "nan,inf", "--json"], "--radii takes comma-separated numbers: not a rational literal: 'nan'"),
-        (["--radii", "1,inf"], "--radii takes comma-separated numbers: not a rational literal: 'inf'"),
+        (["--radii", "1,x"], f"{radii} 'x'"),
+        (["--k", "nan"], "argument --k: not a rational literal: 'nan'"),
+        (["--k", "inf"], "argument --k: not a rational literal: 'inf'"),
+        (["--radii", "nan,inf", "--json"], f"{radii} 'nan'"),
+        (["--radii", "1,inf"], f"{radii} 'inf'"),
+        (["--radii", ""], f"{radii} ''"),
     ):
         assert main(["diag", "psi", str(cloud), *args]) == 2
-        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert capsys.readouterr().err.splitlines()[-1] == f"metric-cluster diag psi: error: {refusal}"
 
 
 def test_diag_fn_reads_each_point_exactly(tmp_path, capsys):
@@ -910,8 +927,7 @@ def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
         # at level 171 the scale r = 171! itself leaves binary64, where the float writer rounds it
         (["realize", str(cert_graph), "--depth", "171", "--no-exact"],
          "level 171 has a scale r_exact beyond binary64: integer division result too large for a float"),
-        # x_22 = 5**484 does not fit binary64
-        (["single-point", "--depth", "21", "--base", "5"], "depth 21 overflows binary64 for base 5"),
+        (["single-point", "--depth", "1"], "depth must be at least 2"),
         (["recover", cloud, "--window", "0"], "window must be positive"),
         (["recover", cloud, "--window", "13"], "window 13 exceeds cloud depth 12"),
         (["subsample", cloud, "--stride-offset", "2"], "offset must lie in [0, 2)"),
@@ -1419,7 +1435,7 @@ FUZZ_COMMANDS = {
     ("fpc", "bound"): (["graph"], ["--json"]),
     ("fpc", "f"): ([NUMBERS], ["--json"]),
     ("realize",): (["graph"], ["--out", "--no-exact", ("--depth", NUMBERS)]),
-    ("single-point",): ([], ["--out", ("--depth", NUMBERS), ("--base", NUMBERS)]),
+    ("single-point",): ([], ["--out", ("--depth", NUMBERS)]),
     ("recover",): (
         ["cloud"],
         ["--json", "--exact", "--out", "--diag-out", ("--window", NUMBERS),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metric_cluster import realization
-from metric_cluster.graph_core import GraphError, WeightedRootedGraph, isomorphic, parse_rational
+from metric_cluster.graph_core import GraphError, WeightedRootedGraph, _digit_limit, isomorphic, parse_rational
 from metric_cluster.fpc import synthesize_weights
 from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
 from metric_cluster.realization import (
@@ -32,6 +32,7 @@ from metric_cluster.recovery import (
     period_stride_indices,
     recover_cluster,
     subsample_levels,
+    validate_recovered_cluster,
 )
 
 from oracles import (
@@ -86,15 +87,12 @@ def test_factorial_rule_values_and_ratios():
 
 
 def test_power_square_rule():
-    # the one-point space's points are x_n = base**(n*n), whose base is an int >= 2
-    cloud = single_point_space(3, base=3)
-    assert [point_shadow(lvl, lvl.rows[1]) for lvl in cloud.levels] == [(3,), (81,), (19683,)]
-    for base in (1, 0, -2):  # points that do not tend to infinity
-        with pytest.raises(GraphError, match="^base must be an integer >= 2$"):
-            single_point_space(3, base)
-    for base in (2.5, 2.0, True):  # no integer base: refused before any cloud is built
-        with pytest.raises(GraphError, match="^base must be an integer >= 2$"):
-            single_point_space(3, base)
+    # the one-point space's points are x_n = 2**(n*n), level n scaled by 2**(n*n + n)
+    cloud = single_point_space(3)
+    assert [point_shadow(lvl, lvl.rows[1]) for lvl in cloud.levels] == [(2,), (16,), (512,)]
+    assert [lvl.r_exact for lvl in cloud.levels] == [4, 64, 4096]
+    ratios = [b.r_exact / a.r_exact for a, b in zip(cloud.levels, cloud.levels[1:])]
+    assert ratios == [16, 64]  # r_n = r_{n-1} * 4**n
 
 
 def test_levels_and_depths_count_from_one():
@@ -434,20 +432,19 @@ def test_files_without_shadows_in_units_are_pinned(case):
 
 
 def test_a_single_point_file_is_pinned_and_reads_back():
-    """The one-point space has r_exact, its binary64 scale read exactly, at
-    every level, so its file writes shadows over ``over`` as a realized
-    cloud's does."""
+    """The one-point space has r_exact = 2**(n*n + n) at every level, so its
+    file writes shadows over ``over`` as a realized cloud's does."""
     cloud = single_point_space(12)
     text = cloud.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_POINT_DIGEST
-    assert len(text) == 4137
+    assert len(text) == 3685
     data = json.loads(text)
     assert all("over" in entry and "r" not in entry for entry in data["levels"])
     assert LeveledPointCloud.from_json(text) == cloud
-    assert [float(lvl.r_exact) for lvl in cloud.levels] == [math.sqrt(2 ** (n * n)) * math.sqrt(2 ** ((n + 1) ** 2)) for n in range(1, 13)]
+    assert [lvl.r_exact for lvl in cloud.levels] == [2 ** (n * n + n) for n in range(1, 13)]
 
 
-SINGLE_POINT_DIGEST = "828398f857317e7a79d477b5f687acfa950fe78e9e2e972d29061435ddea7ac3"
+SINGLE_POINT_DIGEST = "075df5fc0fec9928200c96cedbd95a31629e168213ea3521c64479d84974ccb9"
 
 
 def _exact_and_binary64_levels_file_cloud():
@@ -1546,13 +1543,9 @@ def test_the_unchecked_path_builds_only_what_construction_accepts():
         for indices in selections:
             sub = subsample_levels(cloud, indices)
             assert _rebuilt(sub) == sub
-    for base in (2, 3, 5):
-        for depth in range(2, 24):
-            try:
-                cloud = single_point_space(depth, base)
-            except GraphError:
-                continue
-            assert _rebuilt(cloud) == cloud
+    for depth in range(2, 40):
+        cloud = single_point_space(depth)
+        assert _rebuilt(cloud) == cloud
 
 
 def test_realization_of_synthesized_shapes_has_full_family():
@@ -1620,32 +1613,54 @@ def test_normalized_cross_level_distances_diverge_beyond_one_gap():
 
 
 def test_single_point_space_values():
-    cloud = single_point_space(depth=3, base=2)
+    cloud = single_point_space(depth=3)
     xs = [_level_floats(lvl)[1][0] for lvl in cloud.levels]
     assert xs == [2.0, 16.0, 512.0]
     assert [point_shadow(lvl, lvl.rows[1]) for lvl in cloud.levels] == [(2,), (16,), (512,)]
-    assert float(cloud.levels[0].r_exact) == pytest.approx(math.sqrt(32), rel=1e-15)
-    assert float(cloud.levels[1].r_exact) == pytest.approx(math.sqrt(8192), rel=1e-15)
-    # the exact scale is the binary64 one read exactly
-    assert all(lvl.r is None and lvl.r_exact == Fraction(float(lvl.r_exact)) for lvl in cloud.levels)
-    # the last level's scale needs x_21 = 5**441, about 1.76e308, which fits binary64
-    cloud = single_point_space(depth=20, base=5)
-    assert all(math.isfinite(float(lvl.r_exact)) and math.isfinite(_level_floats(lvl)[1][0]) for lvl in cloud.levels)
-    assert len(recover_cluster(cloud).graph) == 1
-    with pytest.raises(GraphError, match="^depth 21 overflows binary64 for base 5$"):
-        single_point_space(depth=21, base=5)
+    # level n holds the rows (0,) and (1,) over q = 2**n: x_n / r_n = 2**-n
+    assert all(lvl.r is None and lvl.rows == ((0,), (1,)) and lvl.q == 2**lvl.n for lvl in cloud.levels)
+    # only the float writer is bounded by binary64: r_31 = 2**992 is binary64, r_32 = 2**1056 is not
+    assert len(json.loads(single_point_space(31).to_json(include_exact=False))["levels"]) == 31
+    with pytest.raises(GraphError, match="^level 32 has a scale r_exact beyond binary64: "):
+        single_point_space(32).to_json(include_exact=False)
+
+
+def test_single_point_space_is_exact_past_binary64():
+    """At every depth from 2 to 119, the deepest the default digit limit
+    lets the writer spell, x_n = 2**(n*n) and r_n = 2**(n*n + n) exactly at
+    every level, and the cluster recovered at tolerance 0 is one vertex; at
+    depth 100, far past binary64, also from the cloud's file."""
+    for depth in range(2, 120):
+        cloud = single_point_space(depth)
+        assert [point_shadow(lvl, lvl.rows[1]) for lvl in cloud.levels] == [(2 ** (n * n),) for n in range(1, depth + 1)]
+        assert [lvl.r_exact for lvl in cloud.levels] == [2 ** (n * n + n) for n in range(1, depth + 1)]
+        assert recover_cluster(cloud, tol_rel=0, tol_abs=0).graph.vertices == ("p",)
+    rc = recover_cluster(LeveledPointCloud.from_json(single_point_space(100).to_json()), tol_rel=0, tol_abs=0)
+    assert rc.graph.vertices == ("p",)
+    assert validate_recovered_cluster(rc) == []
+
+
+@pytest.mark.skipif(not _digit_limit(), reason="the interpreter has no digit limit")
+def test_single_point_space_refuses_the_first_scale_the_writer_cannot_spell(int_max_str_digits):
+    """r_119 = 2**14280 has 4299 digits and r_120 = 2**14520 has 4371: under
+    the default digit limit, 4300, and under 4370, one digit short of r_120,
+    depth 119 is written and depth 120 refused."""
+    for limit in (4300, 4370):
+        int_max_str_digits(limit)
+        assert LeveledPointCloud.from_json(single_point_space(119).to_json()).depth == 119
+        refusal = f"level 120 has a scale r_exact of more than {limit} digits, which to_json cannot write"
+        with pytest.raises(GraphError, match=f"^{refusal}$"):
+            single_point_space(120)
 
 
 def test_single_point_normalized_values_decay():
-    cloud = single_point_space(depth=12, base=2)
+    cloud = single_point_space(depth=12)
     values = [_level_floats(lvl)[1][0] / float(lvl.r_exact) for lvl in cloud.levels]
-    for n, got in enumerate(values, start=1):
-        assert got == pytest.approx(2 ** (-(2 * n + 1) / 2), rel=1e-12)
-    assert all(b2 < b1 for b1, b2 in zip(values, values[1:]))
+    assert values == [2.0**-n for n in range(1, 13)]
 
 
 def test_single_point_basepoint_is_exact_zero():
-    cloud = single_point_space(depth=5, base=3)
+    cloud = single_point_space(depth=5)
     for lvl in cloud.levels:
         assert lvl.labels[0] == "p"
         assert lvl.rows[0] == (0,)
@@ -1653,26 +1668,13 @@ def test_single_point_basepoint_is_exact_zero():
 
 
 def test_single_point_guards():
-    with pytest.raises(GraphError):
-        single_point_space(depth=1)
-    with pytest.raises(GraphError):
-        single_point_space(depth=5, base=1)
-    with pytest.raises(GraphError):
-        single_point_space(depth=40, base=2)  # overflow
-    # a depth is refused exactly when x_{depth+1} rounds beyond binary64
-    for base in range(2, 65):
-        for depth in range(2, 40):
-            try:
-                float(base ** ((depth + 1) ** 2))
-            except OverflowError:
-                with pytest.raises(GraphError, match="overflows binary64"):
-                    single_point_space(depth, base)
-            else:
-                assert single_point_space(depth, base).depth == depth
+    for depth in (1, 0, -2):
+        with pytest.raises(GraphError, match="^depth must be at least 2$"):
+            single_point_space(depth)
 
 
-def test_single_point_space_refuses_a_base_that_is_not_an_int():
-    # a float base used to build a float shadow where a cloud holds int numerators
-    for base in (2.5, True):
-        with pytest.raises(GraphError, match="base"):
-            single_point_space(3, base)
+def test_single_point_space_refuses_a_depth_that_is_not_an_int():
+    # a float depth would give no level count, and True is no integer
+    for depth in (2.5, 3.0, True, "3"):
+        with pytest.raises(GraphError, match="^depth must be at least 2$"):
+            single_point_space(depth)

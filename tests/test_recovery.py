@@ -649,7 +649,7 @@ def test_validation_enumerates_no_cliques(monkeypatch):
 
 
 def test_single_point_cloud_recovers_one_vertex():
-    rc = recover_cluster(single_point_space(depth=12, base=2))
+    rc = recover_cluster(single_point_space(depth=12))
     assert rc.graph.vertices == ("p",)
     assert rc.diagnostics_json_dict()["rho0"] == {"p": "0"}
     assert rc.merge_log  # the decaying sequence was absorbed
@@ -931,7 +931,7 @@ def test_annulus_table_exact_sphere_counts_one_point():
 
 
 def test_annulus_table_single_point_space_is_empty_between_gaps():
-    cloud = single_point_space(depth=8, base=2)
+    cloud = single_point_space(depth=8)
     radii = [3.0 * (2 ** (n * n)) for n in range(1, 8)]
     table = annulus_diameter_table(cloud, k=2.0, radii=radii)
     assert all(row["points"] <= 1 for row in table)
