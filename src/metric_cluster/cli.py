@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -87,9 +88,17 @@ def _read_option(read, text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _ascii_integer(text: str) -> int:
+    """int(text) for -?[0-9]+ in ASCII digits, as a cloud file spells an int; int() also reads "1_0", " 3" and "+3"."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)  # its own refusal for digits past the interpreter's limit
+
+
 _RATIONAL = functools.partial(_read_option, parse_rational)
 _RATIONALS = functools.partial(_read_option, lambda text: [parse_rational(x) for x in text.split(",")])
-_INTEGERS = functools.partial(_read_option, lambda text: [int(x) for x in text.split(",")])
+_INTEGER = functools.partial(_read_option, _ascii_integer)
+_INTEGERS = functools.partial(_read_option, lambda text: [_ascii_integer(x) for x in text.split(",")])
 
 
 def _say(text: str) -> None:
@@ -584,18 +593,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fpc_bound)
 
     p = fpc_sub.add_parser("f", parents=[common], help="extremal number of maximal cliques")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_INTEGER)
     p.set_defaults(func=_cmd_fpc_f)
 
     p = sub.add_parser("realize", help="point cloud realizing a certified graph")
     p.add_argument("graph")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=_INTEGER, default=12)
     p.add_argument("--no-exact", action="store_true", help="omit exact rational shadows")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("single-point", help="the one-point-cluster example cloud")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=_INTEGER, default=12)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_single_point)
 
@@ -603,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cloud")
     p.add_argument("--tol-rel", type=float, help="default 0 on exact shadows, else 1e-6")
     p.add_argument("--tol-abs", type=float, help="default 0 on exact shadows, else 1e-9")
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=_INTEGER, default=None)
     p.add_argument("--exact", action="store_true", help="refuse a cloud without exact shadows")
     p.add_argument("--out", help="write the recovered graph JSON here")
     p.add_argument("--diag-out", help="write per-pair diagnostics JSON here")
@@ -613,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cloud")
     selector = p.add_mutually_exclusive_group(required=True)
     selector.add_argument("--indices", type=_INTEGERS, help="comma-separated level numbers")
-    selector.add_argument("--stride-offset", type=int, help="keep one residue class per family period")
+    selector.add_argument("--stride-offset", type=_INTEGER, help="keep one residue class per family period")
     selector.add_argument("--alternate-periods", action="store_true", help="keep every other whole period")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_subsample)
@@ -623,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = diag_sub.add_parser("fn", parents=[common], help="normalized spread of labeled points")
     p.add_argument("cloud")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_INTEGER, required=True)
     p.add_argument("--labels", required=True, help="comma-separated labels")
     p.set_defaults(func=_cmd_diag_fn)
 

@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence
 
@@ -117,9 +117,8 @@ class LeveledPointCloud:
         return len(self.levels)
 
     def labels(self) -> tuple[str, ...]:
-        seen = set()
-        for level in self.levels:
-            seen.update(level.labels)
+        # a run of levels with equal labels, as every level of a generated cloud has, is read once
+        seen = set().union(*(labels for labels, _ in groupby(lvl.labels for lvl in self.levels)))
         return tuple(sorted(seen, key=lambda x: (x is None, x or "")))
 
     def points_by_label(self, level: CloudLevel) -> dict[str, tuple]:
@@ -633,15 +632,15 @@ def _exact_scales(depth: int, factor) -> Iterator[tuple[int, int]]:
     """Each level n = 1..depth and its scale r_n = factor(1) * ... * factor(n);
     GraphError names the first level whose r_n has more digits than the
     interpreter's int-to-str limit lets to_json write, and yields none past it."""
-    # a limit of 0 lets str() spell every int
+    # a limit of 0 lets str() spell every int; as log2(10) > 3.3219, an r of at
+    # most limit * 33219 // 10000 bits is below 10**limit, built only past that
     limit = _digit_limit()
-    beyond = 10**limit if limit else math.inf
+    bits = limit * 33219 // 10000 if limit else math.inf
     r = 1
     for n in range(1, depth + 1):
         r *= factor(n)
-        if r >= beyond:
-            refusal = f"has a scale r_exact of more than {limit} digits, which to_json cannot write"
-            raise GraphError(f"level {n} {refusal}")
+        if r.bit_length() > bits and r >= 10**limit:
+            raise GraphError(f"level {n} has a scale r_exact of more than {limit} digits, which to_json cannot write")
         yield n, r
 
 

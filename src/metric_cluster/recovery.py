@@ -38,6 +38,10 @@ DEFAULT_TOL_ABS = 1e-9
 _TOLERANCE = "tolerances must be finite and non-negative, got {value!r}"
 _RADIUS = "radii must be finite and positive, got {value}"
 _COORDINATE = "the spread functional needs finite numbers as coordinates, got {value!r}"
+_BINARY64 = (
+    "a normalized distance that recovery reports does not fit binary64: "
+    "a level's coordinates are too large for its scale"
+)
 
 _BASE = object()  # sentinel trace for the basepoint (origin at every level)
 
@@ -124,44 +128,39 @@ def recover_cluster(
             "oscillation between family members would be undetectable"
         )
 
-    rows, denominators = [], []
+    rows = []
     for lvl in cloud.levels[-window:]:
         pts = cloud.points_by_label(lvl)
         if set(pts) != set(labels):
             missing = sorted(set(labels) - set(pts))
             raise GraphError(f"level {lvl.n} is missing labels {missing}")
-        row, q = _level_integers(pts, lvl)
-        rows.append(row)
-        denominators.append(q)
+        rows.append(_level_integers(pts, lvl))
     # a normalized distance D / q is the int D * unit over U, the lcm of the window's q
-    common = math.lcm(*denominators)
-    units = [common // q for q in denominators]
+    common = math.lcm(*(q for _, q in rows))
 
     def as_float(x, count=1):
-        # int / int rounds correctly, as float(Fraction) does, and raises
-        # OverflowError when the rounded value leaves binary64
+        # int / int rounds correctly, as float(Fraction) does, and overflows past binary64
         try:
             return x / (count * common)
         except OverflowError as exc:
-            raise GraphError(
-                "a normalized distance that recovery reports does not fit binary64: "
-                "a level's coordinates are too large for its scale"
-            ) from exc
+            raise GraphError(_BINARY64) from exc
 
-    # the basepoint is one more row, at the origin
+    # the basepoint is one more trace, at the origin, before the labels; each
+    # level's pairs are measured in one pass, and each pair's window values
+    # are one tuple, kept once, under the pair in trace order
     origin = (0,) * cloud.dimension
-    for row in rows:
-        row[_BASE] = origin
-    all_traces = [_BASE] + list(labels)
-    values: dict = {}
-    for i, x in enumerate(all_traces):
-        for y in all_traces[i + 1 :]:
-            values[x, y] = values[y, x] = [
-                sup_distance(row[x], row[y]) * unit for row, unit in zip(rows, units)
-            ]
+    traces = [_BASE, *labels]
+    columns = [
+        [sup_distance(a, b) * (common // q) for a, b in combinations([origin, *map(row.__getitem__, labels)], 2)]
+        for row, q in rows
+    ]
+    values = dict(zip(combinations(traces, 2), zip(*columns)))
+    # on ints, max(vals) <= bound exactly when every value is
+    highs = list(map(max, values.values()))
 
-    # every value is an int over U and every window sum one over window U (see _zero_gap)
-    base_scale = max((max(values[_BASE, lbl]) for lbl in labels), default=0)
+    # every value is an int over U and every window sum one over window U (see
+    # _zero_gap); the first pairs are the basepoint's, one per label
+    base_scale = max(highs[: len(labels)], default=0)
     # a value is identified with another when it is at most eq_bound, the
     # largest within E = tol_abs + tol_rel * base_scale
     eq_bound = zero_gap(base_scale, common)
@@ -174,9 +173,8 @@ def recover_cluster(
 
     # --- which sequences vanish at the basepoint ---------------------------
     decayed: set = set()
-    for lbl in labels:
-        vals = values[_BASE, lbl]
-        if all(v <= eq_bound for v in vals):
+    for lbl, vals, high in zip(labels, values.values(), highs):
+        if high <= eq_bound:
             continue  # equivalence handles it below
         nonincreasing = all(vals[i + 1] <= vals[i] + eq_bound for i in range(len(vals) - 1))
         if nonincreasing and 2 * vals[-1] <= vals[0]:
@@ -187,7 +185,7 @@ def recover_cluster(
             )
 
     # --- equivalence classes ------------------------------------------------
-    parent = {t: t for t in all_traces}
+    parent = {t: t for t in traces}
 
     def find(t):
         while parent[t] != t:
@@ -196,89 +194,83 @@ def recover_cluster(
         return t
 
     def union(s, t):
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[rs] = rt
+        parent[find(s)] = find(t)
 
-    for i, x in enumerate(all_traces):
-        for y in all_traces[i + 1 :]:
-            if all(v <= eq_bound for v in values[x, y]):
-                union(x, y)
+    for (x, y), high in zip(values, highs):
+        if high <= eq_bound:
+            union(x, y)
     for lbl in decayed:
         union(lbl, _BASE)
 
     classes_by_root: dict = {}
-    for t in all_traces:
+    for t in traces:
         classes_by_root.setdefault(find(t), []).append(t)
 
     # Transitive closure must not chain far-apart sequences together. Decayed
     # sequences are exempt: they join the root by trend, not by proximity.
+    # Members are in trace order, as the pairs are.
     for members in classes_by_root.values():
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                if x in decayed or y in decayed:
-                    continue
-                vals = values[x, y]
-                if sum(vals) > zero_gap(3 * window * base_scale, 3 * window * common):
-                    raise GraphError(
-                        "equivalence closure merged sequences that are not close: "
-                        f"{x!r} and {y!r} have mean normalized distance "
-                        f"{as_float(sum(vals), window):.3g} > 3x tolerance; "
-                        "tolerances are inconsistent with this cloud"
-                    )
+        for x, y in combinations([m for m in members if m not in decayed], 2):
+            total = sum(values[x, y])
+            if total > zero_gap(3 * window * base_scale, 3 * window * common):
+                raise GraphError(
+                    "equivalence closure merged sequences that are not close: "
+                    f"{x!r} and {y!r} have mean normalized distance "
+                    f"{as_float(total, window):.3g} > 3x tolerance; "
+                    "tolerances are inconsistent with this cloud"
+                )
 
     # --- name classes, pick representatives ---------------------------------
-    root_key = find(_BASE)
     class_info: list[tuple[str, object, list]] = []  # (name, representative, members)
-    for key, members in classes_by_root.items():
+    for members in classes_by_root.values():
         real = sorted(m for m in members if m is not _BASE)
-        if key == root_key:
+        if _BASE in members:
             # a bare root class takes the first of nu0, nu1, ... that no label is
             name = real[0] if real else next(f"nu{i}" for i in count() if f"nu{i}" not in labels)
             rep = _BASE  # the origin is the cleanest root representative
         else:
-            name = real[0]
-            rep = real[0]
+            name = rep = real[0]
         class_info.append((name, rep, real))
     class_info.sort(key=lambda item: item[0])
 
     # --- drop sequences with no stable normalized basepoint distance --------
     kept: list[tuple[str, object, list]] = []
     for name, rep, members in class_info:
-        if rep is _BASE:
-            kept.append((name, rep, members))
-            continue
-        vals = values[_BASE, rep]
-        spread = max(vals) - min(vals)
-        if not stable(spread, sum(vals)):
-            warnings.append(
-                f"dropped {name!r}: normalized basepoint distance does not "
-                f"stabilize (spread {as_float(spread):.3g})"
-            )
-            continue
+        if rep is not _BASE:
+            vals = values[_BASE, rep]
+            spread = max(vals) - min(vals)
+            if not stable(spread, sum(vals)):
+                warnings.append(
+                    f"dropped {name!r}: normalized basepoint distance does not "
+                    f"stabilize (spread {as_float(spread):.3g})"
+                )
+                continue
         kept.append((name, rep, members))
 
     # --- adjacency between classes ------------------------------------------
     root_name = next(name for name, rep, _ in kept if rep is _BASE)
     diagnostics: list[dict] = []
     edges = {}
-    for i, (name_a, rep_a, _) in enumerate(kept):
-        for name_b, rep_b, _ in kept[i + 1 :]:
-            vals = values[rep_a, rep_b]
-            low, high, total = min(vals), max(vals), sum(vals)
-            adjacent = stable(high - low, total)
+    for (name_a, rep_a, _), (name_b, rep_b, _) in combinations(kept, 2):
+        # label classes sort by representative, in trace order; the root's, _BASE, is the first trace
+        vals = values[(rep_b, rep_a) if rep_b is _BASE else (rep_a, rep_b)]
+        low, high, total = min(vals), max(vals), sum(vals)
+        adjacent = stable(high - low, total)
+        try:  # int / int rounds correctly, as float(Fraction) does
             diagnostics.append(
                 {
                     "pair": f"{name_a}|{name_b}",
-                    "spread": as_float(high - low),
-                    "liminf_estimate": as_float(low),
-                    "limsup_estimate": as_float(high),
-                    "mean": as_float(total, window),
+                    "spread": (high - low) / common,
+                    "liminf_estimate": low / common,
+                    "limsup_estimate": high / common,
+                    "mean": total / (window * common),
                     "adjacent": adjacent,
                 }
             )
-            if adjacent:
-                edges[(name_a, name_b)] = Fraction(total, window * common)
+        except OverflowError as exc:
+            raise GraphError(_BINARY64) from exc
+        if adjacent:
+            edges[(name_a, name_b)] = Fraction(total, window * common)
 
     graph = WeightedRootedGraph([name for name, _, _ in kept], edges, root_name)
     classes = {name: tuple(members) or (name,) for name, _, members in kept}

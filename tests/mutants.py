@@ -43,29 +43,39 @@ NAMED = "tests/test_cli.py::test_bad_cloud_number_exit_2[{}]"
 SCALE_LIMIT = [
     "tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell",
     "tests/test_realization.py::test_single_point_space_refuses_the_first_scale_the_writer_cannot_spell",
+    "tests/test_realization.py::test_the_scale_loop_refuses_the_first_scale_past_the_digit_limit_exactly",
 ]
 
 # (file under src/, old text, new text, the tests that must fail)
 MUTANTS = [
     # identification: a value at most E = tol_abs + tol_rel * base_scale is zero
-    (RECOVERY, "if all(v <= eq_bound for v in values[x, y]):", "if all(v < eq_bound for v in values[x, y]):",
+    (RECOVERY, "if high <= eq_bound:\n            union(x, y)", "if high < eq_bound:\n            union(x, y)",
      [THRESHOLDS.format("identification")]),
     (RECOVERY, "eq_bound = zero_gap(base_scale, common)", "eq_bound = zero_gap(base_scale, 2 * common)",
+     [THRESHOLDS.format("identification")]),
+    # the base scale is the largest basepoint pair's value: the first pairs, one per label
+    (RECOVERY, "base_scale = max(highs[: len(labels)], default=0)", "base_scale = max(highs, default=0)",
      [THRESHOLDS.format("identification")]),
     # decay: non-increasing up to E, and the last value at most half the first
     (RECOVERY, "vals[i + 1] <= vals[i] + eq_bound", "vals[i + 1] <= vals[i]", [THRESHOLDS.format("decay")]),
     (RECOVERY, "2 * vals[-1] <= vals[0]", "2 * vals[-1] < vals[0]", [THRESHOLDS.format("decay")]),
     # closure: a merged pair's mean may reach 3 E, and no further
-    (RECOVERY, "if sum(vals) > zero_gap(3 * window * base_scale, 3 * window * common):",
-     "if sum(vals) >= zero_gap(3 * window * base_scale, 3 * window * common):", [THRESHOLDS.format("closure_error")]),
-    (RECOVERY, "if sum(vals) > zero_gap(3 * window * base_scale, 3 * window * common):",
-     "if sum(vals) > zero_gap(2 * window * base_scale, 2 * window * common):", [THRESHOLDS.format("closure_error")]),
-    (RECOVERY, "if sum(vals) > zero_gap(3 * window * base_scale, 3 * window * common):",
-     "if sum(vals) > zero_gap(4 * window * base_scale, 4 * window * common):", [THRESHOLDS.format("closure_error")]),
+    (RECOVERY, "if total > zero_gap(3 * window * base_scale, 3 * window * common):",
+     "if total >= zero_gap(3 * window * base_scale, 3 * window * common):", [THRESHOLDS.format("closure_error")]),
+    (RECOVERY, "if total > zero_gap(3 * window * base_scale, 3 * window * common):",
+     "if total > zero_gap(2 * window * base_scale, 2 * window * common):", [THRESHOLDS.format("closure_error")]),
+    (RECOVERY, "if total > zero_gap(3 * window * base_scale, 3 * window * common):",
+     "if total > zero_gap(4 * window * base_scale, 4 * window * common):", [THRESHOLDS.format("closure_error")]),
     # adjacency and basepoint stability: a spread at most tol_abs + tol_rel * mean
     (RECOVERY, "return spread * window <= zero_gap(total, window * common)",
      "return spread * window < zero_gap(total, window * common)",
      [THRESHOLDS.format("adjacency"), THRESHOLDS.format("basepoint_stability")]),
+    # a pair's values are kept under the pair in trace order alone, the basepoint first
+    (RECOVERY, "values[(rep_b, rep_a) if rep_b is _BASE else (rep_a, rep_b)]",
+     "values[(rep_a, rep_b) if rep_b is _BASE else (rep_b, rep_a)]", [THRESHOLDS.format("adjacency")]),
+    # a cloud's labels are every level's, each run of levels with equal labels read once
+    (REALIZATION, "groupby(lvl.labels for lvl in self.levels)", "groupby(lvl.labels for lvl in self.levels[:1])",
+     ["tests/test_recovery.py::test_the_labels_of_a_cloud_are_the_union_of_its_levels"]),
     # an edge weighs the tail mean
     (RECOVERY, "edges[(name_a, name_b)] = Fraction(total, window * common)",
      "edges[(name_a, name_b)] = Fraction(total, common)", [THRESHOLDS.format("adjacency")]),
@@ -131,8 +141,10 @@ MUTANTS = [
      ["tests/test_realization.py::test_each_retired_layout_is_refused_at_its_level[absolute]"]),
     # the one scale loop of realization and of the one-point space refuses the
     # first level whose r_n str() cannot spell, and builds none past it
-    (REALIZATION, "        if r >= beyond:", "        if False:", SCALE_LIMIT),
-    (REALIZATION, "beyond = 10**limit if limit", "beyond = 10 ** (limit + 1) if limit", SCALE_LIMIT),
+    (REALIZATION, "        if r.bit_length() > bits and r >= 10**limit:", "        if False:", SCALE_LIMIT),
+    (REALIZATION, "and r >= 10**limit:", "and r >= 10 ** (limit + 1):", SCALE_LIMIT),
+    # 10**limit is built only for an r past limit * 33219 // 10000 bits, and always then
+    (REALIZATION, "if r.bit_length() > bits and", "if r.bit_length() > bits + 64 and", SCALE_LIMIT),
     # the one-point space scales level n by r_n = r_{n-1} * 4**n = 2**(n*n + n)
     (REALIZATION, "_exact_scales(depth, lambda n: 4**n)", "_exact_scales(depth, lambda n: 2**n)",
      ["tests/test_realization.py::test_power_square_rule"]),

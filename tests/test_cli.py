@@ -495,6 +495,41 @@ def test_recover_gives_back_a_near_tight_graph(tmp_path, capsys, k):
     assert WeightedRootedGraph.from_json(h.read_text()) == WeightedRootedGraph.from_json(g.read_text())
 
 
+@pytest.mark.parametrize("value", ["1_0", " 3", "3 ", "+3", "٣", "3.0", "3-", ""])
+def test_each_integer_option_reads_ascii_digits_alone(cert_graph, tmp_path, capsys, value):
+    """int() reads 1_0, blanks, + and other scripts' digits; every integer
+    option reads -?[0-9]+ in ASCII digits, as a cloud file spells an integer,
+    and refuses the rest with int()'s own text, naming the option."""
+    cloud = tmp_path / "cloud.json"
+    assert main(["realize", str(cert_graph), "--out", str(cloud)]) == 0
+    commands = [
+        (["fpc", "f", value], "n"),
+        (["realize", str(cert_graph), "--depth", value], "--depth"),
+        (["single-point", "--depth", value], "--depth"),
+        (["recover", str(cloud), "--window", value], "--window"),
+        (["subsample", str(cloud), "--indices", f"1,{value}"], "--indices"),
+        (["subsample", str(cloud), "--stride-offset", value], "--stride-offset"),
+        (["diag", "fn", str(cloud), "--level", value, "--labels", "u,v"], "--level"),
+    ]
+    capsys.readouterr()
+    for argv, option in commands:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f": error: argument {option}: invalid literal for int() with base 10: {value!r}"
+        ), argv
+
+
+def test_integer_options_read_signed_ascii_digits(cert_graph, tmp_path, capsys):
+    cloud, sub = tmp_path / "cloud.json", tmp_path / "sub.json"
+    assert main(["realize", str(cert_graph), "--depth", "012", "--out", str(cloud)]) == 0
+    assert main(["subsample", str(cloud), "--indices", "01,3,0010", "--out", str(sub)]) == 0
+    assert [lvl["n"] for lvl in json.loads(sub.read_text())["levels"]] == [1, 3, 10]
+    capsys.readouterr()
+    # a minus sign is read, and the library refuses the value
+    assert main(["realize", str(cert_graph), "--depth", "-3"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: depth must be at least 1"
+
+
 def test_subsample_stride(cert_graph, tmp_path, capsys):
     cloud = tmp_path / "cloud.json"
     sub = tmp_path / "sub.json"

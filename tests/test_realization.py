@@ -249,6 +249,29 @@ def test_realization_refuses_the_first_scale_the_writer_cannot_spell(int_max_str
     assert LeveledPointCloud.from_json(realize(CERT_TRIANGLE, last - 1).to_json()).depth == last - 1
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit")
+def test_the_scale_loop_refuses_the_first_scale_past_the_digit_limit_exactly(int_max_str_digits):
+    """Under the least digit limit, 640, whose bit-length bound is 640 * 33219
+    // 10000 = 2126 bits: 10**640 - 1 (640 digits, 2127 bits, past the bound)
+    is built and 10**640 refused; the refusal names the first level past the
+    limit, and no factor past it is taken. 310! (640 digits, 2124 bits) is the
+    last scale of realize(g, 310), and 311! (642 digits) is refused at level 311."""
+    int_max_str_digits(640)
+    assert list(realization._exact_scales(1, lambda n: 10**640 - 1)) == [(1, 10**640 - 1)]
+    refusal = "has a scale r_exact of more than 640 digits, which to_json cannot write"
+    with pytest.raises(GraphError, match=f"^level 1 {refusal}$"):
+        list(realization._exact_scales(1, lambda n: 10**640))
+    taken, built = [], []
+    with pytest.raises(GraphError, match=f"^level 2 {refusal}$"):
+        for n, r in realization._exact_scales(5, lambda n: taken.append(n) or (10**639 if n == 1 else 10)):
+            built.append(n)
+    assert (taken, built) == ([1, 2], [1])
+    cloud = realize(CERT_TRIANGLE, 310)
+    assert (cloud.depth, cloud.levels[-1].r_exact) == (310, math.factorial(310))
+    with pytest.raises(GraphError, match=f"^level 311 {refusal}$"):
+        realize(CERT_TRIANGLE, 311)
+
+
 def first_level_beyond_binary64(cloud) -> int:
     """The first level, by Fraction arithmetic, whose r_exact or some
     coordinate rounds beyond binary64 under ``float``, or 0 for none."""

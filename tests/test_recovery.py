@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -1018,6 +1019,46 @@ def test_annulus_parameter_validation():
     for k, radii in ((math.nan, [1.0]), (math.inf, [1.0]), (2.0, [math.nan]), (2.0, [1.0, math.inf])):
         with pytest.raises(GraphError, match="finite"):
             annulus_diameter_table(cloud, k=k, radii=radii)
+
+
+def label_union_levels(kind: str) -> list[CloudLevel]:
+    """Four exact levels, each point at its index in the level: one labels tuple
+    shared by every level, two tuples in turn, or an extra label on level 1 alone."""
+    one, other, extra = ("r", "u", "v"), ("r", "u", "w"), ("r", "u", "v", "x")
+    rows = {labels: tuple((i,) for i in range(len(labels))) for labels in (one, other, extra)}
+    labels = {
+        "shared": [one] * 4,
+        "alternating": [one, other, one, other],
+        "extra-early": [extra, one, one, one],
+    }[kind]
+    return [CloudLevel(n, None, Fraction(n), lbls, rows[lbls], 1) for n, lbls in enumerate(labels, 1)]
+
+
+@pytest.mark.parametrize(
+    "kind, missing",
+    [
+        ("shared", [None, None]),
+        ("alternating", ["level 1 is missing labels ['w']", "level 2 is missing labels ['v']"]),
+        ("extra-early", ["level 2 is missing labels ['x']"] * 2),
+    ],
+)
+def test_the_labels_of_a_cloud_are_the_union_of_its_levels(kind, missing):
+    """Built in code and read from its file, where a level that repeats an
+    earlier one shares its labels tuple, a cloud's labels are every level's,
+    sorted, and recovery names the first window level that lacks one."""
+    levels = label_union_levels(kind)
+    cloud = LeveledPointCloud(1, levels)
+    loaded = LeveledPointCloud.from_json(cloud.to_json())
+    assert loaded == cloud
+    union = tuple(sorted(set().union(*(lvl.labels for lvl in levels))))
+    for c in (cloud, loaded):
+        assert c.labels() == union
+        for window, refusal in zip((None, 3), missing):
+            if refusal is None:
+                assert recover_cluster(c, window=window).graph == recover_cluster(cloud).graph
+            else:
+                with pytest.raises(GraphError, match=f"^{re.escape(refusal)}$"):
+                    recover_cluster(c, window=window)
 
 
 # ---------------------------------------------------------------------------
