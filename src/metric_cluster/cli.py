@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +28,9 @@ from .graph_core import (
     isomorphic,
     maximal_cliques,
     parse_rational,
+    _decimal,
     _digit_limit,
+    _integers,
     _json_document,
 )
 from .metrization import (
@@ -88,17 +89,11 @@ def _read_option(read, text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _ascii_integer(text: str) -> int:
-    """int(text) for -?[0-9]+ in ASCII digits, as a cloud file spells an int; int() also reads "1_0", " 3" and "+3"."""
-    if re.fullmatch("-?[0-9]+", text) is None:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)  # its own refusal for digits past the interpreter's limit
-
-
 _RATIONAL = functools.partial(_read_option, parse_rational)
 _RATIONALS = functools.partial(_read_option, lambda text: [parse_rational(x) for x in text.split(",")])
-_INTEGER = functools.partial(_read_option, _ascii_integer)
-_INTEGERS = functools.partial(_read_option, lambda text: [_ascii_integer(x) for x in text.split(",")])
+_DECIMAL = functools.partial(_read_option, _decimal)
+_INTEGER = functools.partial(_read_option, lambda text: _integers([text])[0])
+_INTEGERS = functools.partial(_read_option, lambda text: _integers(text.split(",")))
 
 
 def _say(text: str) -> None:
@@ -610,8 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", parents=[common], help="recover the cluster graph from a cloud")
     p.add_argument("cloud")
-    p.add_argument("--tol-rel", type=float, help="default 0 on exact shadows, else 1e-6")
-    p.add_argument("--tol-abs", type=float, help="default 0 on exact shadows, else 1e-9")
+    p.add_argument("--tol-rel", type=_DECIMAL, help="default 0 on exact shadows, else 1e-6")
+    p.add_argument("--tol-abs", type=_DECIMAL, help="default 0 on exact shadows, else 1e-9")
     p.add_argument("--window", type=_INTEGER, default=None)
     p.add_argument("--exact", action="store_true", help="refuse a cloud without exact shadows")
     p.add_argument("--out", help="write the recovered graph JSON here")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections import abc
 from dataclasses import dataclass
@@ -107,50 +108,77 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+# How a file or an option spells a number: in ASCII digits alone, an
+# integer, and a rational, a sign, then p, p/q, or a decimal with an optional
+# exponent. int(), float() and Fraction() read more: "_", other scripts'
+# digits and, as Python versions differ, blanks around "/".
+_INTEGER = re.compile("-?[0-9]+")
+_RATIONAL = re.compile(r"([-+]?)(?:([0-9]+)/([0-9]+)|(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)")
+
+
+def _integers(texts) -> list[int]:
+    """int() of each of the strings ``texts``, each spelled by ``_INTEGER``;
+    else ValueError, in int()'s words, naming the first that is not."""
+    # a character beyond ASCII encodes to bytes >= 0x80; int() refuses the rest but -?[0-9]+
+    for text in texts if ",".join(texts).encode().translate(None, b"0123456789-,") else ():
+        if _INTEGER.fullmatch(text) is None:
+            raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return list(map(int, texts))
+
+
+def _decimal(text: str) -> float:
+    """float(text) for a decimal literal, one of ``_RATIONAL`` without p/q; else ValueError."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match[3] is not None:
+        raise ValueError(f"not a decimal literal: {text!r}")
+    return float(text)
+
+
+def _rational(text) -> Optional[Fraction]:
+    """The Fraction that ``text`` is, as an int that is no bool, or spells,
+    stripped, by ``_RATIONAL``; None for any other value, a float among them.
+    ValueError for a literal with more digits than the interpreter's limit."""
+    if not isinstance(text, str):  # strings first: isinstance() with Fraction, an ABC, is slow
+        if isinstance(text, Fraction):
+            return text
+        if isinstance(text, (bool, float)):
+            return None
+        if isinstance(text, int):
+            return Fraction(text)
+        text = str(text)
+    literal = text.strip()
+    if _INTEGER.fullmatch(literal):  # int() refuses digits past the limit
+        return Fraction(int(literal))
+    match = _RATIONAL.fullmatch(literal)
+    if match is None:
+        return None
+    sign, p, q, whole, places, exponent = match.groups()
+    if q is None:
+        places = places or ""
+        p, shift = whole + places, int(exponent or 0) - len(places)
+        # 10**shift is built in full: the limit's default also bounds it where the limit is off
+        if (1 - shift if shift < 0 else len(p.lstrip("0")) + shift) > (_digit_limit() or 4300):
+            raise ValueError(literal)
+        p, q = int(p) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
+    else:
+        p, q = int(p), int(q)
+    return Fraction(-p if sign == "-" else p, q) if q else None
+
+
 def parse_rational(text) -> Fraction:
-    """Parse an exact rational from a ``p/q`` or decimal literal (or number)."""
-    if isinstance(text, Fraction):
-        return text
-    # bool is an int subclass, but JSON true is no rational
-    if isinstance(text, bool):
-        raise GraphError(f"not a rational literal: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        raise GraphError(
-            f"refusing float weight {text!r}: pass a string ('3/2' or '1.5') for exactness"
-        )
-    literal = str(text).strip()
-    # Fraction builds the power of ten of an exponent or of the decimal
-    # places in full, and str() prints no int over the interpreter's digit
-    # limit; its default, 4300, also bounds the work where the limit is
-    # absent or switched off
-    if "." in literal or "e" in literal.lower():
-        limit = _digit_limit() or 4300
-        if _exponent_digits(literal) > limit:
-            raise GraphError(f"rational literal {text!r} needs more than {limit} digits")
+    """An exact rational from a Fraction, an int or a literal, such as "3/2",
+    "-1.5" or "2e-3" (see ``_RATIONAL``), blanks around it ignored;
+    GraphError for anything else, a float and a literal past the digit limit
+    among them."""
     try:
-        return Fraction(literal)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GraphError(f"not a rational literal: {text!r}") from exc
-
-
-def _exponent_digits(text: str) -> int:
-    """Digits of the numerator (or denominator) that the decimal exponent
-    and places of a literal such as ``"1.5e3"`` or ``"0.25"`` make
-    ``Fraction`` build before it reduces; 0 for text that is no such
-    literal, which ``Fraction`` then refuses."""
-    mantissa, _, exponent = text.lower().partition("e")
-    unsigned = mantissa[1:] if mantissa[:1] in ("+", "-") else mantissa
-    whole, _, decimals = unsigned.partition(".")
-    digits = (whole + decimals).replace("_", "")
-    try:
-        shift = int(exponent or 0) - len(decimals.replace("_", ""))
+        value = _rational(text)
     except ValueError:
-        return 0
-    if not digits.isdecimal():
-        return 0
-    return 1 - shift if shift < 0 else len(digits.lstrip("0")) + shift
+        raise GraphError(f"rational literal {text!r} needs more than {_digit_limit() or 4300} digits") from None
+    if value is None:
+        if isinstance(text, float):
+            raise GraphError(f"refusing float weight {text!r}: pass a string ('3/2' or '1.5') for exactness")
+        raise GraphError(f"not a rational literal: {text!r}")
+    return value
 
 
 def format_rational(value: Fraction) -> str:

@@ -23,8 +23,8 @@ from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence
 
-from .graph_core import GraphError, WeightedRootedGraph, format_rational, parse_rational
-from .graph_core import _digit_limit, _format_over, _in_lowest_terms, _integer
+from .graph_core import GraphError, WeightedRootedGraph, format_rational
+from .graph_core import _decimal, _digit_limit, _format_over, _in_lowest_terms, _integer, _integers, _rational
 from .graph_core import _each_once, _json_document, _refused, _spelled
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
@@ -260,12 +260,7 @@ def _level_numerators(entry: dict, rows: list) -> tuple[Optional[int], list[Opti
         raise _retired(level, "exact values without over")
     try:
         distinct = set(values)  # TypeError for a list
-        # int() also reads blanks, "+", "_" and other scripts' digits; a
-        # character beyond ASCII encodes to bytes >= 0x80
-        if ",".join(distinct).encode().translate(None, b"0123456789-,"):  # TypeError unless each is a string
-            raise ValueError(values)
-        # int() refuses "", "-", "--3", "1,2" and digits past the limit
-        numerators = dict(zip(distinct, map(int, distinct)))
+        numerators = dict(zip(distinct, _integers(distinct)))
     except (TypeError, ValueError):
         if len(values) > 1:  # the values are refused together exactly where one of them is alone
             for value in values:
@@ -510,7 +505,7 @@ def _positive_scale(value, level: str) -> float:
     if isinstance(value, bool):
         raise GraphError(f"level {level} has a scale r that is not a binary64 number: {value!r}")
     try:
-        r = float(value)
+        r = _decimal(value) if isinstance(value, str) else float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise GraphError(f"level {level} has a scale r that is not a binary64 number: {exc}") from exc
     if not (math.isfinite(r) and r > 0):
@@ -519,13 +514,18 @@ def _positive_scale(value, level: str) -> float:
 
 
 def _positive_exact_scale(value, level: str) -> Fraction:
-    # int() reads the writer's digits faster than Fraction's parser does
-    if type(value) is str and value.isascii() and value.isdigit():
-        try:
-            value = int(value)
-        except ValueError:  # past the interpreter's digit limit
-            raise GraphError(f"level {level} has a scale r_exact of more than {_digit_limit()} digits") from None
-    r_exact = parse_rational(value)
+    """A level's exact scale r_exact: a positive rational, as
+    ``parse_rational`` reads one; GraphError naming the level otherwise."""
+    try:
+        r_exact = _rational(value)
+    except ValueError:
+        raise GraphError(f"level {level} has a scale r_exact of more than {_digit_limit() or 4300} digits") from None
+    if r_exact is None:
+        if isinstance(value, float):
+            raise GraphError(
+                f"level {level} has a float scale r_exact {value!r}: pass a string ('3/2' or '1.5') for exactness"
+            )
+        raise GraphError(f"level {level} has a scale r_exact that is not a rational literal: {value!r}")
     if r_exact <= 0:
         raise GraphError(f"level {level} has exact scale r_exact = {_spelled(r_exact)}; it must be positive")
     return r_exact

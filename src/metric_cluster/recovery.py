@@ -208,14 +208,14 @@ def recover_cluster(
 
     # Transitive closure must not chain far-apart sequences together. Decayed
     # sequences are exempt: they join the root by trend, not by proximity.
-    # Members are in trace order, as the pairs are.
+    # Members are in trace order, as the pairs are: only x can be the basepoint.
     for members in classes_by_root.values():
         for x, y in combinations([m for m in members if m not in decayed], 2):
             total = sum(values[x, y])
             if total > zero_gap(3 * window * base_scale, 3 * window * common):
                 raise GraphError(
                     "equivalence closure merged sequences that are not close: "
-                    f"{x!r} and {y!r} have mean normalized distance "
+                    f"{'the basepoint' if x is _BASE else repr(x)} and {y!r} have mean normalized distance "
                     f"{as_float(total, window):.3g} > 3x tolerance; "
                     "tolerances are inconsistent with this cloud"
                 )

@@ -1,7 +1,7 @@
 """Mutation check for the library's decisions: recovery's, the diagnostics',
 the cloud reader's and constructor's, the binary64 writer's, certification's,
-the admissible interval's, the isomorphism's near-ties and the realization
-plan's.
+the admissible interval's, the isomorphism's near-ties, the realization
+plan's and the number rules'.
 
 Each mutant below changes one comparison of the library: a file under src/,
 an exact old text that must occur there once, the new text, and the tests
@@ -40,6 +40,7 @@ THRESHOLDS = "tests/test_recovery.py::test_{}_at_its_threshold"
 UNITS = "tests/test_cli.py::test_malformed_shadows_in_units_of_the_scale_exit_2[{}]"
 LOWER = "tests/test_realization.py::test_lower_member_equals_the_fraction_construction[{}]"
 NAMED = "tests/test_cli.py::test_bad_cloud_number_exit_2[{}]"
+SPELLING = "tests/test_graph_core.py::test_{}"
 SCALE_LIMIT = [
     "tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell",
     "tests/test_realization.py::test_single_point_space_refuses_the_first_scale_the_writer_cannot_spell",
@@ -117,7 +118,7 @@ MUTANTS = [
     (REALIZATION, '    if entry.get("r_exact") is None:\n        raise', '    if False:\n        raise',
      [NAMED.format("points_of-beside-r")]),
     # an exact value is spelled in ASCII digits alone, which int() reads
-    (REALIZATION, 'if ",".join(distinct).encode().translate(None, b"0123456789-,"):', "if False:",
+    (GRAPH_CORE, 'if ",".join(texts).encode().translate(None, b"0123456789-,") else ()', "if False else ()",
      ["tests/test_cli.py::test_each_refused_spelling_of_an_exact_value_exit_2[plus]"]),
     # the writer names an earlier level by points_of only where both are written as numerators
     (REALIZATION, "if shadowed and lvl.q is not None else None", "if lvl.q is not None else None",
@@ -173,6 +174,22 @@ MUTANTS = [
     (METRIZATION, "lo = max(0, max(map(operator.sub, sg.slack(sg.index[mu]), from_nu)))",
      "lo = max(map(operator.sub, sg.slack(sg.index[mu]), from_nu))",
      ["tests/test_metrization.py::test_interval_matches_simple_path_oracle"]),
+    # a number is spelled in ASCII digits: \d also matches other scripts' digits, which int() reads
+    (GRAPH_CORE, '_INTEGER = re.compile("-?[0-9]+")', '_INTEGER = re.compile(r"-?\\d+")',
+     [SPELLING.format("a_rational_literal_is_spelled_in_ascii_digits_alone"),
+      SPELLING.format("the_bulk_integer_reader_reads_as_the_integer_rule")]),
+    (GRAPH_CORE, "([0-9]+)/([0-9]+)", "([0-9]+)/(\\d+)",
+     [SPELLING.format("a_rational_literal_is_spelled_in_ascii_digits_alone"),
+      SPELLING.format("every_short_spelling_reads_alike_on_every_python_version")]),
+    # a decimal literal has no p/q
+    (GRAPH_CORE, "if match is None or match[3] is not None:", "if match is None:",
+     [SPELLING.format("a_decimal_literal_is_a_rational_literal_without_a_ratio")]),
+    # the power of ten of an exponent or of places: 10**k has k + 1 digits, within the limit and no more
+    (GRAPH_CORE, "len(p.lstrip(\"0\")) + shift) > (_digit_limit() or 4300)",
+     "len(p.lstrip(\"0\")) + shift) >= (_digit_limit() or 4300)",
+     [SPELLING.format("a_literal_is_refused_past_the_digit_limit_at_its_bound")]),
+    (GRAPH_CORE, "if (1 - shift if shift < 0 else", "if (-shift if shift < 0 else",
+     [SPELLING.format("a_literal_is_refused_past_the_digit_limit_at_its_bound")]),
     # a near-tie: labels a <= b with a >= (1 - tol)**2 * b
     (GRAPH_CORE, "if labels[u] >= factor * labels[v]), None)", "if labels[u] > factor * labels[v]), None)",
      ["tests/test_graph_core.py::test_a_near_tie_at_its_boundary_is_refused"]),

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metric_cluster.cli import _parser, build_parser, main
-from metric_cluster.graph_core import WeightedRootedGraph
+from metric_cluster.graph_core import GraphError, WeightedRootedGraph
 from metric_cluster.fpc import graph_from_metric_space, synthesize_weights
 from metric_cluster.metrization import Metrizability, extend_metric, forced_completion, shortest_path_metric
 from metric_cluster.realization import LeveledPointCloud, realize, single_point_space, sup_distance
+from metric_cluster.recovery import recover_cluster
 
 from oracles import annulus_by_fractions, file_shadow, halfway_past_binary64, point_shadow, random_dominating_shape
 from oracles import spelled_out, spread_by_fractions
@@ -181,6 +182,7 @@ def test_isomorphic_exit_codes(tmp_path, capsys):
         ("-1/1000000000", f"{negative}(-1, 1000000000)"),
         ("nan", f"{not_rational} 'nan'"),
         ("inf", f"{not_rational} 'inf'"),
+        ("1_0", f"{not_rational} '1_0'"),
     ):
         assert main(["isomorphic", str(g1), str(g2), f"--weight-tol-rel={tol}"]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == refusal
@@ -710,6 +712,43 @@ def test_a_reader_gone_away_keeps_the_exit_code(tmp_path, bad_triangle, cert_gra
     assert (run.returncode, run.stderr) == (status, b"")
 
 
+def test_recover_reads_its_tolerances_as_decimal_literals(cert_graph, tmp_path, capsys):
+    realized_cloud(cert_graph, tmp_path)
+    cloud = str(tmp_path / "cloud.json")
+    # float() reads each of these
+    for option in ("--tol-rel", "--tol-abs"):
+        for spelled in ("1_0", "\u0663", " 6", "6 ", "3/2", "nan", "-inf", "infinity", ""):
+            assert main(["recover", cloud, f"{option}={spelled}"]) == 2
+            refusal = f"metric-cluster recover: error: argument {option}: not a decimal literal: {spelled!r}"
+            assert capsys.readouterr().err.splitlines()[-1] == refusal
+    assert main(["recover", cloud, "--tol-rel", "1e-6", "--tol-abs", "+0.", "--json"]) == 0
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert (diagnostics["tol_rel"], diagnostics["tol_abs"]) == (str(1e-6), str(0.0))
+
+
+def test_the_closure_refusal_names_the_basepoint_alike_in_every_process(tmp_path):
+    """Five points a-e at 0, 1, ..., 4, at three levels of scale 1: at
+    tol_abs 1 each is close to the next, and the chain joins the basepoint,
+    where a is, to e, 4 away."""
+    row = [{"label": label, "coords": [float(i)]} for i, label in enumerate("abcde")]
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"dimension": 1, "levels": [{"n": n, "r": 1.0, "points": row} for n in (1, 2, 3)]}))
+    with pytest.raises(GraphError) as refused:
+        recover_cluster(LeveledPointCloud.from_json(path.read_text()), tol_abs=1)
+    refusal = (
+        "equivalence closure merged sequences that are not close: the basepoint and 'e' have mean "
+        "normalized distance 4 > 3x tolerance; tolerances are inconsistent with this cloud"
+    )
+    assert str(refused.value) == refusal
+    src = str(Path(sys.modules["metric_cluster"].__file__).parent.parent)
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "metric_cluster.cli", "recover", str(path), "--tol-abs", "1"],
+                             capture_output=True, env=env)
+        assert (run.returncode, run.stdout, run.stderr.decode()) == (2, b"", f"error: {refusal}\n")
+
+
 def test_diag_fn_of_a_realized_cluster_is_finite(tmp_path, capsys):
     # the largest basepoint distance of the eleven points, raised to the
     # power 11 * 10 / 2 + 1, leaves binary64
@@ -944,6 +983,9 @@ def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
         tmp_path / "heavy.json", triangle, {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 3}, "a"
     )
     edge = write_graph(tmp_path / "edge.json", ["a", "b"], {("a", "b"): 1}, "a")
+    # 'x', the least vertex, has three neighbours
+    claw = {("x", "y1"): 1, ("x", "y2"): 1, ("x", "y3"): 1, ("y1", "y2"): 1}
+    claw = write_graph(tmp_path / "claw.json", ["x", "y1", "y2", "y3"], claw, "x")
     documents = {
         "no_matrix.json": {"vertices": ["a", "b"]},
         "repeated.json": {"vertices": ["a", "a"], "matrix": [["0", "1"], ["1", "0"]]},
@@ -973,6 +1015,7 @@ def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
         (["embed", str(zero), "--mode", "line"], "line embedding needs strictly positive weights"),
         (["embed", str(heavy), "--mode", "line"], "cycle is not metrizable"),
         (["embed", str(edge)], "a cycle needs at least 3 vertices"),
+        (["embed", str(claw)], "vertex 'x' has degree 3, expected 2"),
     ]
     for argv, message in cases:
         assert main(argv) == 2, argv
@@ -1014,9 +1057,14 @@ def test_inputs_found_by_fuzzing_exit_2(cert_graph, tmp_path, capsys):
     assert "vertices must be a list of strings" in capsys.readouterr().err
     realized_cloud(cert_graph, tmp_path)
     cloud = tmp_path / "cloud.json"
-    for tol in ("nan", "inf", "-1"):
+    # the parser reads a tolerance as a decimal literal, and names the option; recovery refuses a negative one
+    for tol, refusal in (
+        ("nan", "metric-cluster recover: error: argument --tol-rel: not a decimal literal: 'nan'"),
+        ("inf", "metric-cluster recover: error: argument --tol-rel: not a decimal literal: 'inf'"),
+        ("-1", "error: tolerances must be finite and non-negative, got -1.0"),
+    ):
         assert main(["recover", str(cloud), "--exact", "--tol-rel", tol]) == 2
-        assert "tolerances must be finite and non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == refusal
     # an exponent literal would build a power of ten beyond what str() prints
     # so would the places of a decimal without one; an exact value is no literal
     over = spelled_document(cloud)["levels"][3]["over"]
@@ -1161,7 +1209,7 @@ def _no_earlier_level(points_of) -> str:
         (_set_coordinate(float("inf")), "NaN or infinite coordinate"),
         (_set_r("0"), "finite and positive"),
         (_set_r("-24"), "finite and positive"),
-        (_set_r("inf"), "finite and positive"),
+        (_set_r("1e999"), "finite and positive"),
         (_set_level("r_exact", "0"), "r_exact = 0"),
         (_set_level("r_exact", "-24"), "r_exact = -24"),
         (_set_coordinate(10**400), "coordinate beyond binary64"),

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import math
 import random
 import types
+from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
@@ -17,6 +20,10 @@ from metric_cluster.graph_core import (
     isomorphic,
     maximal_cliques,
     parse_rational,
+    _INTEGER,
+    _decimal,
+    _digit_limit,
+    _integers,
     _undominated_vertex,
     _weights_close,
 )
@@ -150,11 +157,115 @@ def test_parse_rational_formats():
     assert parse_rational("1.5") == Fraction(3, 2)
     assert parse_rational("7") == Fraction(7)
     assert parse_rational(Fraction(2, 6)) == Fraction(1, 3)
-    # a bad exponent or bad places: no digit count, and Fraction refuses it
+    # a bad exponent or bad places
     for text in ("1.5eX", "1.x"):
         with pytest.raises(GraphError) as refused:
             parse_rational(text)
         assert str(refused.value) == f"not a rational literal: {text!r}"
+
+
+def test_a_rational_literal_is_spelled_in_ascii_digits_alone():
+    for text, value in (("3/2", Fraction(3, 2)), ("+6/4", Fraction(3, 2)), ("-1.50", Fraction(-3, 2)),
+                        (".5", Fraction(1, 2)), ("5.", 5), ("2e-3", Fraction(1, 500)), ("1E3", 1000),
+                        ("-.5e+1", -5), (" 7 ", 7), ("-0", 0), ("007", 7), ("0/9", 0), (Decimal("-2.50"), Fraction(-5, 2))):
+        assert parse_rational(text) == value, text
+    # a value that is no string, int or Fraction is read as its str()
+    for value in (None, [1], Decimal("NaN")):
+        with pytest.raises(GraphError) as refused:
+            parse_rational(value)
+        assert str(refused.value) == f"not a rational literal: {value!r}"
+    # int() and Fraction() read some of these too, as Python versions differ
+    for text in ("1_0", "1/1_0", "1.0_0", "\u0663", "3/\u0662", "\uff11", "0/ 1", "1 /2", "- 1", "1/-2",
+                 "1.5/2", ".", "e3", "5e", "1e1.5", "1/0", "nan", "inf", "0x10", "", "+-1", "1/2/3"):
+        with pytest.raises(GraphError) as refused:
+            parse_rational(text)
+        assert str(refused.value) == f"not a rational literal: {text!r}"
+
+
+def test_a_decimal_literal_is_a_rational_literal_without_a_ratio():
+    for text, value in (("1.5", 1.5), ("-2e3", -2000.0), ("+.5", 0.5), ("5.", 5.0), ("0", 0.0), ("1e999", math.inf)):
+        assert _decimal(text) == value, text
+    for text in ("3/2", "nan", "inf", "-inf", "1_0", " 6", "6 ", "\u0663", "", "."):
+        with pytest.raises(ValueError) as refused:
+            _decimal(text)
+        assert str(refused.value) == f"not a decimal literal: {text!r}"
+
+
+def test_a_literal_is_refused_past_the_digit_limit_at_its_bound():
+    """The power of ten of an exponent or of decimal places is held to the
+    digit limit, or 4300 without one: 10**(limit - 1) has limit digits."""
+    limit = _digit_limit() or 4300
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    assert parse_rational(f"0.{'0' * (limit - 2)}1") == Fraction(1, 10 ** (limit - 1))
+    assert parse_rational(f"12e{limit - 2}") == 12 * 10 ** (limit - 2)
+    for text in (f"1e{limit}", f"1e-{limit}", f"0.{'1' * limit}", f"12e{limit - 1}", f"0e{limit + 1}", "1e1" + "0" * 5000):
+        with pytest.raises(GraphError) as refused:
+            parse_rational(text)
+        assert str(refused.value) == f"rational literal {text!r} needs more than {limit} digits"
+
+
+@pytest.mark.skipif(not _digit_limit(), reason="the interpreter has no digit limit")
+def test_a_numerator_or_denominator_past_the_digit_limit_is_refused_by_its_digits():
+    limit = _digit_limit()
+    assert parse_rational("1" * limit) == int("1" * limit)
+    assert parse_rational(f"{'1' * (limit - 1)}.5") == Fraction(int("1" * (limit - 1) + "5"), 10)
+    long = "1" * (limit + 1)
+    for text in (long, f"-{long}", f"{long}.5", f"{long}e-3", f"{long}/3", f"3/{long}", f"1e{long}"):
+        with pytest.raises(GraphError) as refused:
+            parse_rational(text)
+        assert str(refused.value) == f"rational literal {text!r} needs more than {limit} digits"
+
+
+# every string of at most four of these characters: while Fraction() read the
+# literals, Python 3.10, 3.11 and 3.12 each read a different set of them
+SPELLING_ALPHABET = "01-+/.eE_ 9\u0663"
+SPELLING_DIGEST = "e4319830870ad0b94bfc6bba706c7844da23e1ba7c13e31d7cbae2f1b5eae439"
+
+
+def spelling_outcomes() -> dict[str, str]:
+    """Each string's outcome, shortest and in alphabet order first: its
+    value as p/q, or its refusal."""
+    outcomes = {}
+    for n in range(5):
+        for text in map("".join, product(SPELLING_ALPHABET, repeat=n)):
+            try:
+                value = parse_rational(text)
+                outcomes[text] = f"{value.numerator}/{value.denominator}"
+            except GraphError as exc:
+                outcomes[text] = f"! {exc}"
+    return outcomes
+
+
+def test_every_short_spelling_reads_alike_on_every_python_version():
+    outcomes = spelling_outcomes()
+    assert len(outcomes) == 22621
+    assert [outcomes[text] for text in ("1e1", " 10 ", "-.9", "+9/9")] == ["10/1", "10/1", "-9/10", "1/1"]
+    for text in ("1_0", "-1_0", "0/ 1", "1 /9", "\u0663", "9/\u0663"):
+        assert outcomes[text] == f"! not a rational literal: {text!r}"
+    assert hashlib.sha256("\n".join(outcomes.values()).encode()).hexdigest() == SPELLING_DIGEST
+
+
+def test_the_bulk_integer_reader_reads_as_the_integer_rule():
+    """The ASCII filter and int() read a text exactly where the rule does,
+    and refuse it in int()'s words."""
+    for text in ("".join(chars) for n in range(4) for chars in product("09-+,_ \u0663a", repeat=n)):
+        try:
+            value = _integers([text])[0]
+        except ValueError as exc:
+            assert str(exc) == f"invalid literal for int() with base 10: {text!r}"
+            value = None
+        assert (value is None) == (_INTEGER.fullmatch(text) is None), text
+        assert value is None or value == int(text)
+    assert _integers(["12", "-3", "007", "-0"]) == [12, -3, 7, 0]
+    # several texts are read together, or refused naming the first that is refused alone
+    for texts, first in ((["1", "1_0", "+2"], "1_0"), (["2", "1,2"], "1,2"), (["-", "3"], "-"),
+                         (["4", "", "\u0663"], ""), (["5", "1-2", "\u0663"], "1-2"), (["6", "1-2"], "1-2")):
+        with pytest.raises(ValueError) as refused:
+            _integers(texts)
+        assert str(refused.value) == f"invalid literal for int() with base 10: {first!r}"
+    with pytest.raises(TypeError):
+        _integers(["1", 2])
 
 
 def test_json_round_trip_bit_exact():

@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_cluster import realization
+from metric_cluster import graph_core, realization
 from metric_cluster.graph_core import GraphError, WeightedRootedGraph, _digit_limit, isomorphic, parse_rational
 from metric_cluster.fpc import synthesize_weights
 from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
@@ -764,7 +764,7 @@ def test_two_faults_in_a_level_are_named_in_point_order():
 
 def test_a_level_reads_each_distinct_value_once(monkeypatch):
     read = []
-    monkeypatch.setattr(realization, "int", lambda x: read.append(x) or int(x), raising=False)
+    monkeypatch.setattr(realization, "_integers", lambda texts: read.extend(texts) or graph_core._integers(texts))
     shadows = [["2", "3"], None, ["3", "2"], ["-4", "3"]]
     assert _level_numerators(_OVER_ONE, shadows) == (1, [(2, 3), None, (3, 2), (-4, 3)])
     assert sorted(read) == ["-4", "2", "3"]
@@ -1432,21 +1432,41 @@ REFUSALS = {
     ),
     "scale a word": (
         lambda e: e.float_level(1, r="x"),
-        "level 2 has a scale r that is not a binary64 number: could not convert string to float: 'x'",
+        "level 2 has a scale r that is not a binary64 number: not a decimal literal: 'x'",
     ),
     "scale true": (
         lambda e: e.float_level(1, r=True),
         "level 2 has a scale r that is not a binary64 number: True",
     ),
+    # r is read in the decimal spelling: float() also reads these
+    **{
+        f"scale {name}": (
+            lambda e, spelled=spelled: e.float_level(1, r=spelled),
+            f"level 2 has a scale r that is not a binary64 number: not a decimal literal: {spelled!r}",
+        )
+        for name, spelled in (("with a separator", "1_0"), ("of another script", "\u0663"),
+                              ("in blanks", " 6 "), ("a ratio", "3/2"), ("inf", "inf"), ("nan", "nan"))
+    },
+    # r_exact in the rational one: Fraction() also reads these, on some Python versions
+    **{
+        f"exact scale {name}": (
+            lambda e, spelled=spelled: e.level(2, r_exact=spelled),
+            f"level 3 has a scale r_exact that is not a rational literal: {spelled!r}",
+        )
+        for name, spelled in (("with a separator", "1_0"), ("of another script", "3/\u0662"),
+                              ("blanks around its slash", "6 / 1"))
+    },
     "exact scale zero": (
         lambda e: e.level(2, r_exact=Fraction(0)),
         "level 3 has exact scale r_exact = 0; it must be positive",
     ),
     "exact scale a float": (
         lambda e: e.level(2, r_exact=1.5),
-        "refusing float weight 1.5: pass a string ('3/2' or '1.5') for exactness",
+        "level 3 has a float scale r_exact 1.5: pass a string ('3/2' or '1.5') for exactness",
     ),
-    "exact scale a word": (lambda e: e.level(2, r_exact="x"), "not a rational literal: 'x'"),
+    "exact scale a word": (
+        lambda e: e.level(2, r_exact="x"), "level 3 has a scale r_exact that is not a rational literal: 'x'"
+    ),
     # the layouts no writer writes now
     "coords beside a shadow": (
         lambda e: e.points(0)[1].update(coords=list(point_floats(R_UV.levels[0], R_UV.levels[0].rows[1]))),
@@ -1497,6 +1517,17 @@ IN_UNITS = {
 # the cases of points that only a file spells: in code a level is its labels
 # and rows, one kind for all, without point objects
 FILE_ONLY = {"coords beside a shadow", "exact and coords mixed", "point a number"}
+
+
+def test_a_scale_spelled_as_a_literal_loads_as_its_value():
+    for spelled in ("2e0", "2.", "+2.000", "0.2E1"):
+        edit = _InFile()
+        edit.float_level(1, r=spelled)
+        assert edit.build().levels[1].r == 2.0, spelled
+    for spelled in ("6", " 6 ", "12/2", "6.0", "0.6e1"):
+        edit = _InFile()
+        edit.level(2, r_exact=spelled)
+        assert edit.build().levels[2].r_exact == 6, spelled
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
