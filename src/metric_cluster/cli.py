@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -32,6 +31,7 @@ from .graph_core import (
     _digit_limit,
     _integers,
     _json_document,
+    _json_text,
 )
 from .metrization import (
     DistanceMatrix,
@@ -115,7 +115,7 @@ def _drop_stdout() -> None:
 
 
 def _emit(payload: dict, ns: argparse.Namespace, human: str) -> None:
-    _say(json.dumps(payload, indent=2) if getattr(ns, "json", False) else human)
+    _say(_json_text(payload) if getattr(ns, "json", False) else human)
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -209,7 +209,7 @@ def _cmd_embed(ns) -> int:
             + [f"  {v} at arc position {x}" for v, x in sorted(positions.items())]
         )
     if ns.out:
-        _write_output(json.dumps(payload, indent=2), ns.out)
+        _write_output(_json_text(payload), ns.out)
     else:
         _emit(payload, ns, human)
     return 0
@@ -335,7 +335,7 @@ def _cmd_recover(ns) -> int:
     diag = rc.diagnostics_json_dict()
     diag["invariant_violations"] = problems
     if ns.diag_out:
-        Path(ns.diag_out).write_text(json.dumps(diag, indent=2) + "\n", encoding="utf-8")
+        Path(ns.diag_out).write_text(_json_text(diag) + "\n", encoding="utf-8")
     lines = [] if ns.out else [graph_json]
     lines.append(
         f"recovered {len(rc.graph.vertices)} classes, root {rc.graph.root!r}, "
@@ -408,14 +408,9 @@ def _cmd_demo(ns) -> int:
     except OSError as exc:
         raise GraphError(f"cannot create {out_dir}: {exc}") from exc
 
-    written = []
-
-    def write(name: str, payload) -> None:
-        # a string is a document its own writer made, as every cloud file is
-        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
-        path = out_dir / name
-        path.write_text(text + "\n", encoding="utf-8")
-        written.append(str(path))
+    def write(name: str, text: str) -> None:
+        _write_output(text, str(out_dir / name))
+        _say(f"wrote {out_dir / name}")
 
     # a quadrilateral with weights 1,2,3,4: metrizable, both diagonals free
     quad = WeightedRootedGraph(
@@ -434,7 +429,7 @@ def _cmd_demo(ns) -> int:
     i13 = admissible_interval(quad, "nu1", "nu3")
     write(
         "cycle4_1234.expected.json",
-        {
+        _json_text({
             "classification": check_metrizable(quad).classification.value,
             "intervals": {
                 "nu2|nu4": [str(i24.lo), str(i24.hi)],
@@ -444,7 +439,7 @@ def _cmd_demo(ns) -> int:
                 "nu1|nu3": str(spm.get("nu1", "nu3")),
                 "nu2|nu4": str(spm.get("nu2", "nu4")),
             },
-        },
+        }),
     )
 
     # the tight quadrilateral 1,1,1,3: forced diagonals, line embedding
@@ -462,14 +457,14 @@ def _cmd_demo(ns) -> int:
     coords = embed_tight_cycle_on_line(cycle_from_graph(tight))
     write(
         "tight4.expected.json",
-        {
+        _json_text({
             "line_embedding": {v: str(x) for v, x in sorted(coords.items())},
             "unique_pairs": [list(p) for p in unique_pairs(tight)],
             "completion_edges": [
                 {"u": u, "v": v, "w": str(w)}
                 for (u, v), w in sorted(forced_completion(tight).weights.items())
             ],
-        },
+        }),
     )
 
     # the one-point space: every sequence collapses into the basepoint class
@@ -478,11 +473,11 @@ def _cmd_demo(ns) -> int:
     rc = recover_cluster(cloud)
     write(
         "single_point.expected.json",
-        {
+        _json_text({
             "recovered_vertices": len(rc.graph.vertices),
             "root": rc.graph.root,
             "rho0": rc.diagnostics_json_dict()["rho0"],
-        },
+        }),
     )
 
     # a certifiable triangle for the certification pipeline
@@ -493,9 +488,6 @@ def _cmd_demo(ns) -> int:
     )
     write("cert_triangle.json", triangle.to_json())
     write("cert_triangle.expected.json", fpc_mod.certify_fpc(triangle).to_json())
-
-    for path in written:
-        _say(f"wrote {path}")
     return 0
 
 

@@ -15,7 +15,6 @@ the extremal bound on the number of maximal cliques.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,6 +25,7 @@ from .graph_core import (
     GraphError,
     WeightedRootedGraph,
     _integer,
+    _json_text,
     _over_lcm,
     _require_dominating_root,
     _root_labels,
@@ -74,7 +74,7 @@ class FpcCertificate:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _json_text(self.to_json_dict())
 
 
 def _label_collision(values: dict[str, Fraction]) -> Optional[tuple[str, str]]:

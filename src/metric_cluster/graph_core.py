@@ -16,7 +16,8 @@ from collections import abc
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, groupby, islice, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -102,6 +103,52 @@ def _json_document(text: str, source: str):
         raise GraphError(f"{source}: JSON nested too deeply") from exc
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, the one writer of the library's JSON
+    documents; GraphError names an int past the digit limit. A value that
+    ``_json_items`` leaves to json, or nests too deeply, goes to json.dumps whole."""
+    try:
+        return _json_items([value], "\n")[0]
+    except (TypeError, RecursionError):  # json.dumps tells a circular value from a deep one
+        return json.dumps(value, indent=2)
+
+
+def _json_items(items: Sequence, pad: str) -> list[str]:
+    """Each item as json.dumps(indent=2) spells it at the line break and indent
+    ``pad``, a run of one type together: scalars by one map, lists by all their
+    items and dicts of one key order by each key's values. TypeError leaves to
+    json a NaN, an infinity, a key that is no str and a value of another type."""
+    kinds = set(map(type, items))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is None:
+        return [text for _, run in groupby(items, type) for text in _json_items(list(run), pad)]
+    if kind is str or kind is float and all(map(math.isfinite, items)):
+        return list(map(encode_basestring_ascii if kind is str else float.__repr__, items))
+    if kind is int:
+        try:
+            return list(map(int.__repr__, items))
+        except ValueError:  # an int past the digit limit, which format_rational names
+            return list(map(format_rational, items))
+    if kind is bool or kind is type(None):
+        return list(map({True: "true", False: "false", None: "null"}.__getitem__, items))
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        opening, separator, closing = "[" + inner, "," + inner, pad + "]"
+        texts = iter(_json_items(list(chain.from_iterable(items)), inner))
+        return [opening + separator.join(islice(texts, len(x))) + closing if x else "[]" for x in items]
+    if kind is not dict:
+        raise TypeError(kind)
+    texts = []
+    for keys, run in groupby(items, tuple):
+        run = list(run)
+        # each dict's text joins its braces, its keys' texts, the layout's separators and its values' texts
+        fields = [repeat("{", len(run))]
+        for i, (key, column) in enumerate(zip(keys, zip(*map(dict.values, run)))):
+            fields += (repeat(("," if i else "") + inner + encode_basestring_ascii(key) + ": "), _json_items(column, inner))
+        texts += map("".join, zip(*fields, repeat(pad + "}" if keys else "}")))
+    return texts
+
+
 def _digit_limit() -> int:
     """The interpreter's int-to-str digit limit; 0 where it is switched off
     or, before Python 3.11, absent."""
@@ -135,8 +182,8 @@ def _decimal(text: str) -> float:
 
 
 def _rational(text) -> Optional[Fraction]:
-    """The Fraction that ``text`` is, as an int that is no bool, or spells,
-    stripped, by ``_RATIONAL``; None for any other value, a float among them.
+    """The Fraction that ``text`` is, as an int that is no bool, or spells
+    by ``_RATIONAL``; None for any other value, a float among them.
     ValueError for a literal with more digits than the interpreter's limit."""
     if not isinstance(text, str):  # strings first: isinstance() with Fraction, an ABC, is slow
         if isinstance(text, Fraction):
@@ -146,10 +193,9 @@ def _rational(text) -> Optional[Fraction]:
         if isinstance(text, int):
             return Fraction(text)
         text = str(text)
-    literal = text.strip()
-    if _INTEGER.fullmatch(literal):  # int() refuses digits past the limit
-        return Fraction(int(literal))
-    match = _RATIONAL.fullmatch(literal)
+    if _INTEGER.fullmatch(text):  # int() refuses digits past the limit
+        return Fraction(int(text))
+    match = _RATIONAL.fullmatch(text)
     if match is None:
         return None
     sign, p, q, whole, places, exponent = match.groups()
@@ -158,7 +204,7 @@ def _rational(text) -> Optional[Fraction]:
         p, shift = whole + places, int(exponent or 0) - len(places)
         # 10**shift is built in full: the limit's default also bounds it where the limit is off
         if (1 - shift if shift < 0 else len(p.lstrip("0")) + shift) > (_digit_limit() or 4300):
-            raise ValueError(literal)
+            raise ValueError(text)
         p, q = int(p) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
     else:
         p, q = int(p), int(q)
@@ -167,23 +213,33 @@ def _rational(text) -> Optional[Fraction]:
 
 def parse_rational(text) -> Fraction:
     """An exact rational from a Fraction, an int or a literal, such as "3/2",
-    "-1.5" or "2e-3" (see ``_RATIONAL``), blanks around it ignored;
-    GraphError for anything else, a float and a literal past the digit limit
-    among them."""
+    "-1.5" or "2e-3" (see ``_RATIONAL``), with no blank around it; GraphError
+    for anything else, a float, refused as a weight, and a literal past the
+    digit limit among them."""
+    return _exact(text, "weight")
+
+
+def _exact(text, place: str) -> Fraction:
+    """``parse_rational(text)``, with a float refused in the name of ``place``."""
     try:
         value = _rational(text)
     except ValueError:
         raise GraphError(f"rational literal {text!r} needs more than {_digit_limit() or 4300} digits") from None
     if value is None:
         if isinstance(text, float):
-            raise GraphError(f"refusing float weight {text!r}: pass a string ('3/2' or '1.5') for exactness")
+            raise GraphError(f"refusing float {place} {text!r}: pass a string ('3/2' or '1.5') for exactness")
         raise GraphError(f"not a rational literal: {text!r}")
     return value
 
 
 def format_rational(value: Fraction) -> str:
-    """Format a rational so that ``parse_rational`` round-trips bit-exactly."""
-    return _format_over([value.numerator], value.denominator)[0]
+    """Format a rational so that ``parse_rational`` round-trips bit-exactly;
+    GraphError names one past the int-to-str digit limit, an integer as an int."""
+    n, d = value.numerator, value.denominator
+    try:
+        return f"{n}/{d}" if d > 1 else str(n)
+    except ValueError:
+        raise GraphError(f"value {_spelled(value if d > 1 else n)} has more digits than to_json can write") from None
 
 
 def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -214,12 +270,9 @@ def _format_over(numerators: Sequence[int], q: int) -> list[str]:
 
     try:
         return _each_once(str if q == 1 else spell, numerators)
-    except ValueError:
-        for value in numerators if q == 1 else map(Fraction, numerators, repeat(q)):
-            try:
-                str(value)
-            except ValueError:
-                raise GraphError(f"value {_spelled(value)} has more digits than to_json can write") from None
+    except ValueError:  # format_rational names the first value past the digit limit
+        for value in map(Fraction, numerators, repeat(q)):
+            format_rational(value)
 
 
 def _each_once(convert, values: Sequence) -> list:
@@ -438,7 +491,7 @@ class WeightedRootedGraph:
         return cls(vertices, weights, root)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _json_text(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedRootedGraph":

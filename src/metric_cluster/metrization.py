@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import enum
 import heapq
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Optional
 
-from .graph_core import Cycle, GraphError, WeightedRootedGraph, parse_rational
-from .graph_core import _collection, _format_over, _in_lowest_terms, _json_document, _not_an_id, _over_lcm
+from .graph_core import Cycle, GraphError, WeightedRootedGraph
+from .graph_core import _collection, _exact, _format_over, _in_lowest_terms, _json_document, _json_text, _not_an_id, _over_lcm
 
 
 class DistanceMatrix:
@@ -53,7 +52,7 @@ class DistanceMatrix:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise GraphError("distance matrix must be square")
         # the lcm of reduced denominators leaves no factor to divide out
-        self._q, flat = _over_lcm([parse_rational(x) for r in rows for x in r])
+        self._q, flat = _over_lcm([_exact(x, "distance matrix entry") for r in rows for x in r])
         self._num = [tuple(flat[i * n:(i + 1) * n]) for i in range(n)]
         self.validate()
 
@@ -132,7 +131,7 @@ class DistanceMatrix:
         return cls(vertices, rows)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _json_text(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "DistanceMatrix":
@@ -411,7 +410,7 @@ def extend_metric(g: WeightedRootedGraph, mu: str, nu: str, t) -> DistanceMatrix
     {mu, nu} of weight t; admissible iff t > 0 and t lies in the pair's
     admissible interval.
     """
-    t = parse_rational(t)
+    t = _exact(t, "extension value")
     sg, interval = _admissible(g, mu, nu)
     if t <= 0:
         raise GraphError(f"extension value must be positive, got {t}")
@@ -508,7 +507,7 @@ def embed_tight_cycle_on_line(cycle: Cycle) -> dict[str, Fraction]:
 
 def line_distance_matrix(coords: dict[str, Fraction]) -> DistanceMatrix:
     verts = sorted(coords)
-    q, at = _over_lcm([parse_rational(coords[v]) for v in verts])
+    q, at = _over_lcm([_exact(coords[v], "line coordinate") for v in verts])
     return DistanceMatrix._from_numerators(verts, [[abs(a - b) for b in at] for a in at], q)
 
 

@@ -14,18 +14,16 @@ space scales level n by 2**(n*n + n); both scales are running products.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, groupby, islice
-from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence
 
 from .graph_core import GraphError, WeightedRootedGraph, format_rational
 from .graph_core import _decimal, _digit_limit, _format_over, _in_lowest_terms, _integer, _integers, _rational
-from .graph_core import _each_once, _json_document, _refused, _spelled
+from .graph_core import _each_once, _json_document, _json_text, _refused, _spelled
 from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
@@ -150,8 +148,7 @@ class LeveledPointCloud:
             raise GraphError(f"cloud norm {data['norm']!r} is not supported; only 'sup' is")
         period = data.get("period")
         try:
-            # a tuple of levels, in a dict built in code, goes whole through the constructor
-            cloud = _read_by_level(dimension, levels, period) if isinstance(levels, list) else cls(dimension, levels, period)
+            cloud = _read_by_level(dimension, levels, period)
         except KeyError as exc:
             raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
         # recovery measures every distance to the origin; JSON false loads as
@@ -162,50 +159,39 @@ class LeveledPointCloud:
         return cloud
 
     def to_json(self, include_exact: bool = True) -> str:
-        """The cloud file in the README's layout, byte for byte as
-        ``json.dumps(..., indent=2)`` lays it out: where given, shadows as
+        """The cloud file in the README's layout: where given, shadows as
         ``exact`` and ``r_exact`` unless ``include_exact`` is false, else
         ``coords``, an exact coordinate rounded, and ``r``, r_exact rounded.
         An exact level writes its rows as the cloud holds them, each
         ``exact`` value a numerator over the level's q as ``over``: a
-        coordinate is r_exact times value / over. GraphError names a value
-        past the digit limit and, without shadows, the first value that
-        rounds beyond binary64. Levels of one family member hold equal rows:
-        an exact level with the q, labels and rows of an earlier one names
-        the first such level by ``points_of`` in place of ``points`` and ``over``."""
-        out = ['{\n  "norm": "sup",\n  "dimension": ', json.dumps(self.dimension), ',\n  "basepoint": ']
-        _array(out, ["0.0"] * self.dimension, _BASEPOINT)
-        period = "null" if self.period is None else format_rational(self.period)
-        out += (',\n  "period": ', period, ',\n  "levels": ')
-        opening = "[\n    {"
-        spelled_at: dict[tuple, str] = {}
+        coordinate is r_exact times value / over. An exact level with the q,
+        labels and rows of an earlier one, as the levels of one family
+        member have, names the first such level by ``points_of`` in place of
+        ``points`` and ``over``. GraphError names a value past the digit
+        limit and, without shadows, the first value beyond binary64."""
+        levels, first_with = [], {}  # the first level with a key's points
         for lvl in self.levels:
-            n = format_rational(lvl.n)
-            out += (opening, '\n      "n": ', n)
-            opening = ",\n    {"
+            level = {"n": lvl.n}
             shadowed = include_exact and lvl.r_exact is not None
             if not shadowed:
                 try:
-                    r = lvl.r if lvl.r_exact is None else float(lvl.r_exact)
+                    level["r"] = repr(lvl.r if lvl.r_exact is None else float(lvl.r_exact))
                 except OverflowError as exc:
-                    raise GraphError(f"level {n} has a scale r_exact beyond binary64: {exc}") from exc
-                out += (',\n      "r": ', _json_scalar(repr(r)))
+                    raise GraphError(f"level {_spelled(lvl.n)} has a scale r_exact beyond binary64: {exc}") from exc
             # numerators only: binary64 values such as 0.0 and -0.0 compare equal but print apart
             key = (lvl.q, lvl.labels, lvl.rows) if shadowed and lvl.q is not None else None
-            points_of = spelled_at.get(key)
-            if points_of is not None:
-                out += (',\n      "points_of": ', points_of)
+            first = lvl.n if key is None else first_with.setdefault(key, lvl.n)
+            if first == lvl.n:
+                level["points"] = _points(lvl, shadowed)
             else:
-                out += (',\n      "points": ', _points_array(lvl, shadowed))
-                if key is not None:
-                    spelled_at[key] = n
+                level["points_of"] = first
             if shadowed:
-                out += (',\n      "r_exact": ', _json_scalar(format_rational(lvl.r_exact)))
-                if lvl.q is not None and points_of is None:
-                    out += (',\n      "over": ', format_rational(lvl.q))
-            out.append("\n    }")
-        out.append("\n  ]\n}")
-        return "".join(out)
+                level["r_exact"] = format_rational(lvl.r_exact)
+                if lvl.q is not None and first == lvl.n:
+                    level["over"] = lvl.q
+            levels.append(level)
+        return _json_text({"norm": "sup", "dimension": self.dimension, "basepoint": [0.0] * self.dimension,
+                           "period": self.period, "levels": levels})
 
     @classmethod
     def from_json(cls, text: str) -> "LeveledPointCloud":
@@ -280,7 +266,7 @@ def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
     """The cloud of a document's fields, each level unpacked and checked as
     the constructor checks a level, or read by ``_level_points_of`` from the
     earlier exact level it names."""
-    dimension = _checked_fields(dimension, period, levels)
+    dimension = _checked_fields(dimension, period, levels, list)
     read, exact = [], {}
     for entry in levels:
         previous = read[-1].n if read else 0
@@ -313,12 +299,12 @@ def _level_points_of(entry: dict, previous: int, exact: dict) -> CloudLevel:
     return CloudLevel(n, r, r_exact, named.labels, named.rows, named.q)
 
 
-def _checked_fields(dimension, period, levels) -> int:
-    """A cloud's dimension, once it, its period and its levels are checked."""
+def _checked_fields(dimension, period, levels, sequence=(list, tuple)) -> int:
+    """A cloud's dimension, once it, its period and its levels, a ``sequence``, are checked."""
     dimension = _integer(dimension, 1, "cloud dimension must be a positive integer, got {value!r}")
     if period is not None:
         _integer(period, 1, "cloud period must be a positive integer, got {value!r}")
-    if not isinstance(levels, (list, tuple)):
+    if not isinstance(levels, sequence):
         raise GraphError("cloud JSON levels must be a list")
     return dimension
 
@@ -429,48 +415,15 @@ def _refuse_repeated_label(labels: list, level: str) -> None:
             seen.add(label)
 
 
-def _layout(pad: str, quote: str = "") -> tuple[str, str, str]:
-    """The opening, separator and closing of a JSON array of encoded items,
-    laid out as ``json.dumps(indent=2)`` nests it in a field indented by
-    ``pad``; ``quote`` encloses each item, which makes strings of items json
-    needs no escape for."""
-    inner = "\n  " + pad + quote
-    return "[" + inner, quote + "," + inner, quote + "\n" + pad + "]"
-
-
-# indentation of a point's fields in the indent=2 layout, and the arrays of
-# the cloud's basepoint and of a point's coords and exact values
-_PAD_POINT = " " * 10
-_BASEPOINT, _COORDS, _EXACT = _layout(" " * 2), _layout(_PAD_POINT), _layout(_PAD_POINT, '"')
-
-
-def _array(out: list, items: list[str], layout: tuple[str, str, str]) -> None:
-    """Appends the JSON array of encoded items, at least one, in ``layout`` to ``out``."""
-    opening, separator, closing = layout
-    out += (opening, separator.join(items), closing)
-
-
-def _points_array(lvl: CloudLevel, shadowed: bool) -> str:
-    """The ``points`` array of a level: each point's row as ``exact`` values
-    where ``shadowed``, each distinct value spelled once, and as ``coords``
-    otherwise."""
-    if not lvl.rows:
-        return "[]"
+def _points(lvl: CloudLevel, shadowed: bool) -> list[dict]:
+    """The ``points`` of a level: each point's row as ``exact`` values where
+    ``shadowed``, each distinct value spelled once, and as ``coords`` otherwise."""
     if shadowed:
-        field, layout = ',\n          "exact": ', _EXACT
-        values = iter(_format_over(list(chain.from_iterable(lvl.rows)), 1))
+        field, values = "exact", iter(_format_over(list(chain.from_iterable(lvl.rows)), 1))
         rows = [list(islice(values, len(row))) for row in lvl.rows]
     else:
-        field, layout = ',\n          "coords": ', _COORDS
-        rows = [list(map(float.__repr__, row)) for row in _level_floats(lvl)]
-    out, opening = [], "[\n        {"
-    for label, row in zip(lvl.labels, rows):
-        out += (opening, '\n          "label": ', _json_scalar(label), field)
-        opening = ",\n        {"
-        _array(out, row, layout)
-        out.append("\n        }")
-    out.append("\n      ]")
-    return "".join(out)
+        field, rows = "coords", _level_floats(lvl)
+    return [{"label": label, field: row} for label, row in zip(lvl.labels, rows)]
 
 
 def _level_floats(lvl: CloudLevel) -> Sequence[tuple[float, ...]]:
@@ -493,10 +446,6 @@ def _level_floats(lvl: CloudLevel) -> Sequence[tuple[float, ...]]:
                 refusal = f"has a coordinate beyond binary64: {exc}"
                 raise GraphError(f"point {label!r} at level {_spelled(lvl.n)} {refusal}") from exc
     return [tuple(islice(rounded, len(row))) for row in lvl.rows]
-
-
-def _json_scalar(value) -> str:
-    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
 
 
 def _positive_scale(value, level: str) -> float:

@@ -1,7 +1,7 @@
 """Mutation check for the library's decisions: recovery's, the diagnostics',
 the cloud reader's and constructor's, the binary64 writer's, certification's,
 the admissible interval's, the isomorphism's near-ties, the realization
-plan's and the number rules'.
+plan's, the number rules' and the JSON writer's.
 
 Each mutant below changes one comparison of the library: a file under src/,
 an exact old text that must occur there once, the new text, and the tests
@@ -41,6 +41,7 @@ UNITS = "tests/test_cli.py::test_malformed_shadows_in_units_of_the_scale_exit_2[
 LOWER = "tests/test_realization.py::test_lower_member_equals_the_fraction_construction[{}]"
 NAMED = "tests/test_cli.py::test_bad_cloud_number_exit_2[{}]"
 SPELLING = "tests/test_graph_core.py::test_{}"
+WRITER = "tests/test_graph_core.py::test_the_writer_prints_what_json_dumps_prints"
 SCALE_LIMIT = [
     "tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell",
     "tests/test_realization.py::test_single_point_space_refuses_the_first_scale_the_writer_cannot_spell",
@@ -153,8 +154,8 @@ MUTANTS = [
     (REALIZATION, "    except OverflowError:\n        # some point's division overflowed",
      "    except ZeroDivisionError:\n        # some point's division overflowed",
      ["tests/test_realization.py::test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader"]),
-    (REALIZATION, "float(lvl.r_exact)\n                except OverflowError as exc:",
-     "float(lvl.r_exact)\n                except ZeroDivisionError as exc:",
+    (REALIZATION, "float(lvl.r_exact))\n                except OverflowError as exc:",
+     "float(lvl.r_exact))\n                except ZeroDivisionError as exc:",
      ["tests/test_realization.py::test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader"]),
     # build_plan: each non-edge goes in at c * d(u, v) - delta, c = min(m + 1, n)
     (REALIZATION, "c = min(len(non_edges) + 1, len(g))", "c = min(len(non_edges), len(g))",
@@ -193,6 +194,11 @@ MUTANTS = [
     # a near-tie: labels a <= b with a >= (1 - tol)**2 * b
     (GRAPH_CORE, "if labels[u] >= factor * labels[v]), None)", "if labels[u] > factor * labels[v]), None)",
      ["tests/test_graph_core.py::test_a_near_tie_at_its_boundary_is_refused"]),
+    # the JSON writer spells items together only where they have one type, nests by two blanks, and spells true
+    (GRAPH_CORE, "kind = kinds.pop() if len(kinds) == 1 else None", "kind = kinds.pop() if len(kinds) >= 1 else None",
+     ["tests/test_arguments.py::test_an_int_past_the_digit_limit_is_named_by_its_bits"]),
+    (GRAPH_CORE, 'inner = pad + "  "', 'inner = pad + " "', [WRITER]),
+    (GRAPH_CORE, '{True: "true",', '{True: "True",', [WRITER]),
 ]
 
 

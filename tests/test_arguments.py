@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import metric_cluster as mc
 from metric_cluster import GraphError
+from metric_cluster.graph_core import _json_text
 from metric_cluster.realization import CloudLevel
 
 from oracles import point_shadow, spelled_out
@@ -296,11 +297,19 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
     for write, spelled in (
         (_one_point(n=HUGE_INT).to_json, "a positive int of 16610 bits"),
         (_one_point(period=HUGE_INT, n=HUGE_INT).to_json, "a positive int of 16610 bits"),
+        (_one_point(period=HUGE_INT).to_json, "a positive int of 16610 bits"),
+        (lambda: _json_text(dataclasses.replace(RC, window=HUGE_INT).diagnostics_json_dict()), "a positive int of 16610 bits"),
+        # among values of other types, as in a list, or a dict's values
+        (lambda: _json_text(["a", 1.5, -HUGE_INT, True]), "a negative int of 16610 bits"),
+        (lambda: _json_text({"u": "1", "window": HUGE_INT}), "a positive int of 16610 bits"),
         # a shadow is written as its numerators over q
         (_one_point(shadow=(HUGE_INT + 1,), q=HUGE_INT).to_json, "a positive int of 16610 bits"),
         (_one_point(r_exact=huge).to_json, "a positive Fraction of 16610 bits over 16610 bits"),
         (mc.WeightedRootedGraph(["r", "u"], {("r", "u"): HUGE_INT}, "r").to_json, "a positive int of 16610 bits"),
         (mc.DistanceMatrix(["a", "b"], [[0, huge], [huge, 0]]).to_json, "a positive Fraction of 16610 bits over 16610 bits"),
+        # an integer over a matrix's common denominator is named as an int, as a graph's weight is
+        (mc.DistanceMatrix(["a", "b", "c"], [[0, HUGE_INT, HUGE_INT], [HUGE_INT, 0, "1/2"], [HUGE_INT, "1/2", 0]]).to_json,
+         "a positive int of 16610 bits"),
         (mc.Cycle(("a", "b", "c"), (1, -HUGE_INT, 1)).to_json_dict, "a negative int of 16610 bits"),
     ):
         with pytest.raises(GraphError, match=f"^value {spelled} has more digits than to_json can write$"):

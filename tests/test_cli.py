@@ -990,15 +990,18 @@ def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
         "no_matrix.json": {"vertices": ["a", "b"]},
         "repeated.json": {"vertices": ["a", "a"], "matrix": [["0", "1"], ["1", "0"]]},
         "ragged.json": {"vertices": ["a", "b"], "matrix": [["0", "1"], ["1"]]},
+        "float.json": {"vertices": ["a", "b"], "matrix": [["0", 1.5], [1.5, "0"]]},
         "levels.json": {"dimension": 1, "levels": {"n": 1}},
     }
     for name, document in documents.items():
         (tmp_path / name).write_text(json.dumps(document), encoding="utf-8")
-    matrix = {name: str(tmp_path / f"{name}.json") for name in ("no_matrix", "repeated", "ragged")}
+    matrix = {name: str(tmp_path / f"{name}.json") for name in ("no_matrix", "repeated", "ragged", "float")}
     cases = [
         (["fpc", "from-metric", matrix["no_matrix"], "a"], "distance matrix JSON is missing field: 'matrix'"),
         (["fpc", "from-metric", matrix["repeated"], "a"], "distance matrix vertices must be distinct"),
         (["fpc", "from-metric", matrix["ragged"], "a"], "distance matrix must be square"),
+        (["fpc", "from-metric", matrix["float"], "a"],
+         "refusing float distance matrix entry 1.5: pass a string ('3/2' or '1.5') for exactness"),
         (["recover", str(tmp_path / "levels.json")], "cloud JSON levels must be a list"),
         (["realize", str(cert_graph), "--depth", "0"], "depth must be at least 1"),
         # at level 171 the scale r = 171! itself leaves binary64, where the float writer rounds it

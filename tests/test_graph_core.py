@@ -9,6 +9,7 @@ from itertools import combinations, product
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metric_cluster import synthesize_weights
 from metric_cluster.graph_core import (
@@ -24,6 +25,7 @@ from metric_cluster.graph_core import (
     _decimal,
     _digit_limit,
     _integers,
+    _json_text,
     _undominated_vertex,
     _weights_close,
 )
@@ -167,7 +169,7 @@ def test_parse_rational_formats():
 def test_a_rational_literal_is_spelled_in_ascii_digits_alone():
     for text, value in (("3/2", Fraction(3, 2)), ("+6/4", Fraction(3, 2)), ("-1.50", Fraction(-3, 2)),
                         (".5", Fraction(1, 2)), ("5.", 5), ("2e-3", Fraction(1, 500)), ("1E3", 1000),
-                        ("-.5e+1", -5), (" 7 ", 7), ("-0", 0), ("007", 7), ("0/9", 0), (Decimal("-2.50"), Fraction(-5, 2))):
+                        ("-.5e+1", -5), ("-0", 0), ("007", 7), ("0/9", 0), (Decimal("-2.50"), Fraction(-5, 2))):
         assert parse_rational(text) == value, text
     # a value that is no string, int or Fraction is read as its str()
     for value in (None, [1], Decimal("NaN")):
@@ -175,7 +177,8 @@ def test_a_rational_literal_is_spelled_in_ascii_digits_alone():
             parse_rational(value)
         assert str(refused.value) == f"not a rational literal: {value!r}"
     # int() and Fraction() read some of these too, as Python versions differ
-    for text in ("1_0", "1/1_0", "1.0_0", "\u0663", "3/\u0662", "\uff11", "0/ 1", "1 /2", "- 1", "1/-2",
+    # and a blank around a literal, which no other number rule takes
+    for text in ("1_0", "1/1_0", "1.0_0", "\u0663", "3/\u0662", "\uff11", "0/ 1", "1 /2", "- 1", "1/-2", " 7 ", "7 ", "\t7",
                  "1.5/2", ".", "e3", "5e", "1e1.5", "1/0", "nan", "inf", "0x10", "", "+-1", "1/2/3"):
         with pytest.raises(GraphError) as refused:
             parse_rational(text)
@@ -220,7 +223,7 @@ def test_a_numerator_or_denominator_past_the_digit_limit_is_refused_by_its_digit
 # every string of at most four of these characters: while Fraction() read the
 # literals, Python 3.10, 3.11 and 3.12 each read a different set of them
 SPELLING_ALPHABET = "01-+/.eE_ 9\u0663"
-SPELLING_DIGEST = "e4319830870ad0b94bfc6bba706c7844da23e1ba7c13e31d7cbae2f1b5eae439"
+SPELLING_DIGEST = "aeb78254c1f4b128542627bf650892044e12955898fd8e6e70bd1e48836580de"
 
 
 def spelling_outcomes() -> dict[str, str]:
@@ -240,8 +243,8 @@ def spelling_outcomes() -> dict[str, str]:
 def test_every_short_spelling_reads_alike_on_every_python_version():
     outcomes = spelling_outcomes()
     assert len(outcomes) == 22621
-    assert [outcomes[text] for text in ("1e1", " 10 ", "-.9", "+9/9")] == ["10/1", "10/1", "-9/10", "1/1"]
-    for text in ("1_0", "-1_0", "0/ 1", "1 /9", "\u0663", "9/\u0663"):
+    assert [outcomes[text] for text in ("1e1", "10", "-.9", "+9/9")] == ["10/1", "10/1", "-9/10", "1/1"]
+    for text in ("1_0", "-1_0", "0/ 1", "1 /9", "\u0663", "9/\u0663", " 10 ", "10 "):
         assert outcomes[text] == f"! not a rational literal: {text!r}"
     assert hashlib.sha256("\n".join(outcomes.values()).encode()).hexdigest() == SPELLING_DIGEST
 
@@ -792,3 +795,44 @@ def test_weight_preserving_homomorphism_checks():
     assert not is_weight_preserving_homomorphism(g, h, {"r": "u", "u": "r"})  # root moves
     assert not is_weight_preserving_homomorphism(g, h, {"r": "r"})  # u has no image
     assert not is_weight_preserving_homomorphism(g, h, {"r": "r", "u": "x"})  # x is no vertex of h
+
+
+# the values json.dumps spells: strings with escapes and beyond ASCII, ints
+# far past binary64, signed zeros, subnormals, NaN and the infinities
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(10**100, 10**120) | st.integers(-(10**120), -(10**100))
+    | st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, math.nan, math.inf, -math.inf])
+    | st.text() | st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9\u2028\U0001f600", "{}", ', "', ""])
+)
+# containers of every kind, empty ones among them, and lists of dicts of one key order
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(max_size=3), inner)
+    | st.lists(st.fixed_dictionaries({"n": inner, "{x}": inner})),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_JSON_DOCUMENTS)
+@example({"levels": [{"n": 1, "points": [{"label": "r", "exact": ["0", "-1"]}], "over": 2},
+                     {"n": 2, "points_of": 1}, {"n": 3, "points_of": 1}], "period": None})
+@example([{"adjacent": True, "spread": 0.5}, {"adjacent": False, "spread": math.nan}, {}, {"adjacent": None}])
+@example([[], [[]], (1, "a", 2.5, True, None, [], {}), {"k": ()}])
+def test_the_writer_prints_what_json_dumps_prints(document):
+    assert _json_text(document) == json.dumps(document, indent=2)
+
+
+def test_the_writer_leaves_any_other_value_to_json():
+    """A dict key that is no string, a type derived from a JSON type, and a
+    value of no JSON type get what json.dumps gives them."""
+    class Text(str):
+        pass
+
+    class Count(int):
+        pass
+
+    for document in ({1: "a", None: [2]}, [Text("b"), {Text("c"): True}], (Count(3), [1.5, Count(2)])):
+        assert _json_text(document) == json.dumps(document, indent=2)
+    with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+        _json_text({"w": [Fraction(1, 2)]})

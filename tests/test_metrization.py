@@ -124,6 +124,20 @@ def test_distance_matrix_metric_flag_and_json():
     assert not pseudo.is_metric
 
 
+def test_a_float_is_refused_in_the_name_of_its_place():
+    """Only a graph's and a cycle's values are weights: a matrix entry, a
+    line coordinate and an extension value are named as what they are."""
+    star = graph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 1}, "r")
+    for build, place in (
+        (lambda: DistanceMatrix(["a", "b"], [[0, 1.5], [1.5, 0]]), "distance matrix entry"),
+        (lambda: line_distance_matrix({"a": 1.5, "b": "0"}), "line coordinate"),
+        (lambda: extend_metric(star, "u", "v", 1.5), "extension value"),
+    ):
+        with pytest.raises(GraphError) as refused:
+            build()
+        assert str(refused.value) == f"refusing float {place} 1.5: pass a string ('3/2' or '1.5') for exactness"
+
+
 # ---------------------------------------------------------------------------
 # shortest-path pseudometric
 # ---------------------------------------------------------------------------

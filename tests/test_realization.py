@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import random
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -1020,11 +1019,7 @@ def test_a_file_without_shadows_loads_or_is_refused_at_its_point():
         LeveledPointCloud.from_json_dict(data)
     data = json.loads(text)
     data["levels"] = tuple(data["levels"])
-    level = (
-        "{'n': 1, 'r': '1.0', 'points': [{'label': 'r', 'coords': [0.0, 0.0]}, "
-        "{'label': 'u', 'coords': [-1.0, 0.5]}, {'label': 'v', 'coords': [1.5, -2.0]}]}"
-    )
-    with pytest.raises(GraphError, match=re.escape(f"cloud level {level} is not an object")):
+    with pytest.raises(GraphError, match="^cloud JSON levels must be a list$"):
         LeveledPointCloud.from_json_dict(data)
 
 
@@ -1454,7 +1449,7 @@ REFUSALS = {
             f"level 3 has a scale r_exact that is not a rational literal: {spelled!r}",
         )
         for name, spelled in (("with a separator", "1_0"), ("of another script", "3/\u0662"),
-                              ("blanks around its slash", "6 / 1"))
+                              ("blanks around its slash", "6 / 1"), ("in blanks", " 6 "))
     },
     "exact scale zero": (
         lambda e: e.level(2, r_exact=Fraction(0)),
@@ -1524,7 +1519,7 @@ def test_a_scale_spelled_as_a_literal_loads_as_its_value():
         edit = _InFile()
         edit.float_level(1, r=spelled)
         assert edit.build().levels[1].r == 2.0, spelled
-    for spelled in ("6", " 6 ", "12/2", "6.0", "0.6e1"):
+    for spelled in ("6", "12/2", "6.0", "0.6e1"):
         edit = _InFile()
         edit.level(2, r_exact=spelled)
         assert edit.build().levels[2].r_exact == 6, spelled
