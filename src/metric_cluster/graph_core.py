@@ -61,13 +61,15 @@ def _refused(refusal: str, value) -> GraphError:
 
 def _spelled(value) -> str:
     """``str(value)``, or, for an int or a Fraction whose digits pass the
-    interpreter's int-to-str limit and so has no str, its sign and bit length."""
+    interpreter's int-to-str limit and so has no str, its sign and bit length;
+    an integral Fraction is named as the int it equals."""
     try:
         return str(value)
     except ValueError:
         n, d = value.numerator, value.denominator
         bits = f"{n.bit_length()} bits" + (f" over {d.bit_length()} bits" if d > 1 else "")
-        return f"a {'negative' if n < 0 else 'positive'} {type(value).__name__} of {bits}"
+        kind = type(value).__name__ if d > 1 else "int"
+        return f"a {'negative' if n < 0 else 'positive'} {kind} of {bits}"
 
 
 def _collection(value, refusal: str, kind=tuple):
@@ -239,7 +241,7 @@ def format_rational(value: Fraction) -> str:
     try:
         return f"{n}/{d}" if d > 1 else str(n)
     except ValueError:
-        raise GraphError(f"value {_spelled(value if d > 1 else n)} has more digits than to_json can write") from None
+        raise GraphError(f"value {_spelled(value)} has more digits than to_json can write") from None
 
 
 def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:

@@ -1,7 +1,8 @@
 """Mutation check for the library's decisions: recovery's, the diagnostics',
 the cloud reader's and constructor's, the binary64 writer's, certification's,
-the admissible interval's, the isomorphism's near-ties, the realization
-plan's, the number rules' and the JSON writer's.
+metrizability's, the admissible interval's, the forced distances', the
+isomorphism's near-ties, the realization plan's, the number rules', the JSON
+writer's and the embedding command's choice of the line or the circle.
 
 Each mutant below changes one comparison of the library: a file under src/,
 an exact old text that must occur there once, the new text, and the tests
@@ -36,6 +37,7 @@ REALIZATION = "metric_cluster/realization.py"
 FPC = "metric_cluster/fpc.py"
 METRIZATION = "metric_cluster/metrization.py"
 GRAPH_CORE = "metric_cluster/graph_core.py"
+CLI = "metric_cluster/cli.py"
 THRESHOLDS = "tests/test_recovery.py::test_{}_at_its_threshold"
 UNITS = "tests/test_cli.py::test_malformed_shadows_in_units_of_the_scale_exit_2[{}]"
 LOWER = "tests/test_realization.py::test_lower_member_equals_the_fraction_construction[{}]"
@@ -171,6 +173,11 @@ MUTANTS = [
      ["tests/test_fpc.py::test_star_labeling_injective"]),
     (FPC, "if hi - lo <= zero_gap(hi, sg.scale):", "if hi - lo < zero_gap(hi, sg.scale):",
      ["tests/test_fpc.py::test_certify_tight_cycle_not_clique"]),
+    # a graph is metrizable iff every edge weight equals the shortest-path distance, which is never more
+    (METRIZATION, "if w > sg.row(i)[j]:", "if w >= sg.row(i)[j]:",
+     ["tests/test_metrization.py::test_tight_four_cycle_is_metrizable"]),
+    # a non-edge's distance is forced only where its admissible interval is one point
+    (METRIZATION, "if lo == hi:", "if lo <= hi:", ["tests/test_metrization.py::test_strict_quad_has_no_unique_pairs"]),
     # an admissible interval's lower end is never below 0
     (METRIZATION, "lo = max(0, max(map(operator.sub, sg.slack(sg.index[mu]), from_nu)))",
      "lo = max(map(operator.sub, sg.slack(sg.index[mu]), from_nu))",
@@ -199,6 +206,9 @@ MUTANTS = [
      ["tests/test_arguments.py::test_an_int_past_the_digit_limit_is_named_by_its_bits"]),
     (GRAPH_CORE, 'inner = pad + "  "', 'inner = pad + " "', [WRITER]),
     (GRAPH_CORE, '{True: "true",', '{True: "True",', [WRITER]),
+    # embed puts a tight cycle on the line and any other on the circle
+    (CLI, "if cycle.is_tight():", "if not cycle.is_tight():",
+     ["tests/test_cli.py::test_embed_auto_picks_line_for_tight"]),
 ]
 
 

@@ -269,6 +269,13 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
         assert huge_tol["tol_rel"] == "a positive int of 16610 bits"
     with pytest.raises(GraphError, match="got a negative int of 16610 bits$"):
         mc.moon_moser_f(-10**5000)
+    # an integral Fraction is named as the int it equals, as the writers name it
+    with pytest.raises(GraphError) as refused:
+        mc.WeightedRootedGraph(["r", "u"], {("r", "u"): -HUGE_INT}, "r")
+    assert str(refused.value) == "negative weight a negative int of 16610 bits on edge ('r', 'u')"
+    with pytest.raises(GraphError) as refused:
+        mc.LeveledPointCloud(1, [CloudLevel(1, None, Fraction(-HUGE_INT), ("a",), ((0,),), 1)])
+    assert str(refused.value) == "level 1 has exact scale r_exact = a negative int of 16610 bits; it must be positive"
     # a cloud built in code may hold such a level n: its second fault names the level by its bits
     def non_numeric(level):
         del level["over"], level["r_exact"]

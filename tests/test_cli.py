@@ -150,14 +150,13 @@ def test_embed_out_writes_the_json_payload(quad, tmp_path, capsys):
 
 
 def test_embed_circle(quad, capsys):
-    assert main(["embed", str(quad), "--mode", "circle", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["circumference"] == "10"
-    assert payload["positions"]["nu3"] == "3"
     # a cycle that is not tight goes on the circle, whose matrix is the cycle's metric
     assert main(["embed", str(quad), "--json"]) == 0
-    auto = json.loads(capsys.readouterr().out)
-    assert auto == payload and auto["matrix"]["matrix"][1][3] == "5"
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mode"] == "circle"
+    assert payload["circumference"] == "10"
+    assert payload["positions"]["nu3"] == "3"
+    assert payload["matrix"]["matrix"][1][3] == "5"
 
 
 def test_cliques_json(cert_graph, capsys):
@@ -768,22 +767,37 @@ def test_demo_out_under_a_file_exit_2(tmp_path, capsys):
 
 
 def test_demo_corpus_self_consistent(tmp_path, capsys):
+    def cycle(vertices, weights):
+        edges = zip(vertices, vertices[1:] + vertices[:1])
+        return WeightedRootedGraph(vertices, dict(zip(edges, weights)), vertices[0])
+
+    fixtures = {
+        "cycle4_1234.json": cycle(["nu1", "nu2", "nu3", "nu4"], [1, 2, 3, 4]),
+        "tight4.json": cycle(["v1", "v2", "v3", "v4"], [1, 1, 1, 3]),
+        "single_point.json": single_point_space(12),
+        "cert_triangle.json": cycle(["r", "u", "v"], [1, Fraction(5, 2), 2]),
+    }
     out_dir = tmp_path / "fixtures"
     assert main(["demo", "--out", str(out_dir)]) == 0
-    capsys.readouterr()
-    expected = json.loads((out_dir / "cycle4_1234.expected.json").read_text())
-    assert expected["intervals"]["nu2|nu4"] == ["3", "5"]
-    assert expected["intervals"]["nu1|nu3"] == ["1", "3"]
-    assert main(["check", str(out_dir / "cycle4_1234.json")]) == 0
+    assert capsys.readouterr().out == "".join(f"wrote {out_dir / name}\n" for name in fixtures)
+    # the demo writes its inputs alone, each by its value's own writer
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(fixtures)
+    for name, value in fixtures.items():
+        assert (out_dir / name).read_text(encoding="utf-8") == value.to_json() + "\n"
+    # their answers come from the commands that compute them
+    quad = str(out_dir / "cycle4_1234.json")
+    for u, v, lo, hi in (("nu2", "nu4", "3", "5"), ("nu1", "nu3", "1", "3")):
+        assert main(["interval", quad, u, v, "--json"]) == 0
+        interval = json.loads(capsys.readouterr().out)
+        assert (interval["lo"], interval["hi"]) == (lo, hi)
+    assert main(["check", quad]) == 0
     assert main(["fpc", "certify", str(out_dir / "cert_triangle.json")]) == 0
     capsys.readouterr()
-    # every cloud file comes from the cloud's own writer
-    assert (out_dir / "single_point.json").read_text() == single_point_space(12).to_json() + "\n"
+    assert main(["embed", str(out_dir / "tight4.json"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["coordinates"] == {"v1": "0", "v2": "1", "v3": "2", "v4": "3"}
     assert main(["recover", str(out_dir / "single_point.json"), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["graph"]["vertices"] == ["p"] and payload["diagnostics"]["decided"] == "on exact shadows"
-    tight_expected = json.loads((out_dir / "tight4.expected.json").read_text())
-    assert tight_expected["line_embedding"] == {"v1": "0", "v2": "1", "v3": "2", "v4": "3"}
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):
@@ -976,8 +990,15 @@ def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
     cloud = str(tmp_path / "cloud.json")
     assert main(["realize", str(cert_graph), "--depth", "12", "--out", cloud]) == 0
     triangle = ["a", "b", "c"]
+    # a tight triangle goes on the line, a 4-cycle that is not tight on the circle
     zero = write_graph(
         tmp_path / "zero.json", triangle, {("a", "b"): 0, ("b", "c"): 1, ("a", "c"): 1}, "a"
+    )
+    zero4 = write_graph(
+        tmp_path / "zero4.json",
+        ["a", "b", "c", "d"],
+        {("a", "b"): 0, ("b", "c"): 1, ("c", "d"): 1, ("a", "d"): 1},
+        "a",
     )
     heavy = write_graph(
         tmp_path / "heavy.json", triangle, {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 3}, "a"
@@ -1014,9 +1035,9 @@ def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):
         (["subsample", cloud, "--stride-offset", "-1"], "offset must lie in [0, 2)"),
         (["diag", "fn", cloud, "--level", "13", "--labels", "u,v"], "level 13 not present in the cloud"),
         (["diag", "fn", cloud, "--level", "12", "--labels", "u,x"], "labels ['x'] not present at level 12"),
-        (["embed", str(zero), "--mode", "circle"], "circle embedding needs strictly positive weights"),
-        (["embed", str(zero), "--mode", "line"], "line embedding needs strictly positive weights"),
-        (["embed", str(heavy), "--mode", "line"], "cycle is not metrizable"),
+        (["embed", str(zero4)], "circle embedding needs strictly positive weights"),
+        (["embed", str(zero)], "line embedding needs strictly positive weights"),
+        (["embed", str(heavy)], "cycle is not metrizable: 2*3 > 5"),
         (["embed", str(edge)], "a cycle needs at least 3 vertices"),
         (["embed", str(claw)], "vertex 'x' has degree 3, expected 2"),
     ]
@@ -1509,7 +1530,7 @@ FUZZ_COMMANDS = {
     ("interval",): (["graph", VERTICES, VERTICES], ["--json"]),
     ("extend",): (["graph", VERTICES, VERTICES, NUMBERS], ["--out"]),
     ("complete",): (["graph"], ["--out"]),
-    ("embed",): (["graph"], ["--json", "--out", ("--mode", ["auto", "circle", "line"])]),
+    ("embed",): (["graph"], ["--json", "--out"]),
     ("cliques",): (["graph"], ["--json"]),
     ("isomorphic",): (
         ["graph", "graph"],

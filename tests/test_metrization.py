@@ -572,10 +572,19 @@ def test_tight_triangle_on_line():
 
 
 def test_strict_triangle_rejected_by_line():
+    # the CLI puts such a cycle on the circle, so only the library refuses it
     c = Cycle(("a", "b", "c"), (Fraction(1), Fraction(1), Fraction(1)))
     with pytest.raises(GraphError) as err:
         embed_tight_cycle_on_line(c)
-    assert "circle" in str(err.value)
+    assert str(err.value) == "cycle is not tight (strict inequality): use the circle embedding instead"
+
+
+def test_violating_triangle_rejected_by_line():
+    # the CLI sends a cycle that is not tight to the circle, whose refusal names the weights
+    c = Cycle(("a", "b", "c"), (Fraction(1), Fraction(1), Fraction(3)))
+    with pytest.raises(GraphError) as err:
+        embed_tight_cycle_on_line(c)
+    assert str(err.value) == "cycle is not metrizable"
 
 
 def test_embeddings_match_fraction_distances_on_mixed_denominators():
