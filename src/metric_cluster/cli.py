@@ -32,6 +32,7 @@ from .graph_core import (
     _integers,
     _json_document,
     _json_text,
+    _spelled,
 )
 from .metrization import (
     DistanceMatrix,
@@ -46,7 +47,7 @@ from .metrization import (
     line_distance_matrix,
     shortest_path_metric,
 )
-from .realization import LeveledPointCloud, build_plan, generate_cloud, single_point_space
+from .realization import LeveledPointCloud, realize, single_point_space
 from .recovery import (
     alternating_period_indices,
     annulus_diameter_table,
@@ -138,7 +139,7 @@ def _cmd_check(ns) -> int:
         c = verdict.witness_cycle
         lines.append(
             f"witness cycle: {'-'.join(c.vertices)} "
-            f"(2*{c.max_weight()} > {c.total_weight()})"
+            f"(2*{_spelled(c.max_weight())} > {_spelled(c.total_weight())})"
         )
     if verdict.zero_weight_edge is not None:
         lines.append(f"zero-weight edge: {verdict.zero_weight_edge}")
@@ -189,7 +190,7 @@ def _cmd_embed(ns) -> int:
             "matrix": matrix.to_json_dict(),
         }
         human = "\n".join(
-            [f"line embedding (circumference {cycle.total_weight()}):"]
+            [f"line embedding (circumference {_spelled(cycle.total_weight())}):"]
             + [f"  {v} -> {x}" for v, x in sorted(coords.items())]
         )
     else:
@@ -201,7 +202,7 @@ def _cmd_embed(ns) -> int:
             "matrix": matrix.to_json_dict(),
         }
         human = "\n".join(
-            [f"circle embedding, circumference {cycle.total_weight()}:"]
+            [f"circle embedding, circumference {_spelled(cycle.total_weight())}:"]
             + [f"  {v} at arc position {x}" for v, x in sorted(positions.items())]
         )
     if ns.out:
@@ -295,11 +296,7 @@ def _cmd_fpc_f(ns) -> int:
 
 
 def _cmd_realize(ns) -> int:
-    g = _load_graph(ns.graph)
-    plan = build_plan(g, ns.depth)
-    for w in plan.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    cloud = generate_cloud(plan)
+    cloud = realize(_load_graph(ns.graph), ns.depth)
     _write_output(cloud.to_json(include_exact=not ns.no_exact), ns.out)
     if ns.out:
         _say(

@@ -29,6 +29,7 @@ from .graph_core import (
     _over_lcm,
     _require_dominating_root,
     _root_labels,
+    _spelled,
     _undominated_vertex,
     maximal_cliques,
 )
@@ -244,7 +245,7 @@ def graph_from_metric_space(d: DistanceMatrix, basepoint: str) -> WeightedRooted
         u, v = collision
         raise GraphError(
             f"distances from {basepoint!r} collide: "
-            f"d({basepoint!r},{u!r}) == d({basepoint!r},{v!r}) == {d.get(basepoint, v)}"
+            f"d({basepoint!r},{u!r}) == d({basepoint!r},{v!r}) == {_spelled(d.get(basepoint, v))}"
         )
     weights = {(u, v): d.get(u, v) for u, v in combinations(sorted(d.vertices), 2)}
     return WeightedRootedGraph(d.vertices, weights, basepoint)

@@ -611,9 +611,9 @@ def _undominated_vertex(g: WeightedRootedGraph) -> Optional[str]:
 
 def _root_labels(g: WeightedRootedGraph) -> dict[str, Fraction]:
     """Distance-from-root labeling: 0 at the root and the root-edge weight at
-    each vertex the root reaches, the root first and then vertex order (the
-    order isomorphic() hands out its candidate mapping in). A vertex the root
-    misses has no label; ``_undominated_vertex`` names the least one."""
+    each vertex the root reaches, the root first and then vertex order. A
+    vertex the root misses has no label; ``_undominated_vertex`` names the
+    least one."""
     reached = g._adj[g.root]
     return {g.root: Fraction(0), **{v: g.weight(g.root, v) for v in g.vertices if v in reached}}
 
@@ -664,10 +664,7 @@ def isomorphic(
     # a stable sort: the root's 0 stays first and equal labels keep vertex order
     order1 = sorted(labels1, key=labels1.__getitem__)
     order2 = sorted(labels2, key=labels2.__getitem__)
-    pairs = dict(zip(order1, order2))
-    # the key order `isomorphic --json` prints: the root and then g1's
-    # vertex order with exact weights, increasing label under a tolerance
-    candidate = {v: pairs[v] for v in (labels1 if tol == 0 else order1)}
+    candidate = dict(zip(order1, order2))
     # a bijection between graphs with as many edges: mapping each edge onto one suffices
     if _maps_edges(g1, g2, candidate, tol):
         return candidate
@@ -677,8 +674,8 @@ def isomorphic(
     u, v = tie
     raise GraphError(
         f"the label order does not decide this isomorphism: {u!r} and {v!r} of the "
-        f"first graph have the near-tied root labels {labels1[u]} and {labels1[v]} "
-        f"under tolerance {tol}, and the second graph has a near-tie too"
+        f"first graph have the near-tied root labels {_spelled(labels1[u])} and {_spelled(labels1[v])} "
+        f"under tolerance {_spelled(tol)}, and the second graph has a near-tie too"
     )
 
 

@@ -24,7 +24,8 @@ from itertools import accumulate, repeat
 from typing import Optional
 
 from .graph_core import Cycle, GraphError, WeightedRootedGraph
-from .graph_core import _collection, _exact, _format_over, _in_lowest_terms, _json_document, _json_text, _not_an_id, _over_lcm
+from .graph_core import _collection, _exact, _format_over, _in_lowest_terms, _json_document, _json_text
+from .graph_core import _not_an_id, _over_lcm, _spelled
 
 
 class DistanceMatrix:
@@ -153,7 +154,7 @@ class IntervalQ:
         return self.lo == self.hi
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{_spelled(self.lo)}, {_spelled(self.hi)}]"
 
 
 class Metrizability(enum.Enum):
@@ -413,10 +414,10 @@ def extend_metric(g: WeightedRootedGraph, mu: str, nu: str, t) -> DistanceMatrix
     t = _exact(t, "extension value")
     sg, interval = _admissible(g, mu, nu)
     if t <= 0:
-        raise GraphError(f"extension value must be positive, got {t}")
+        raise GraphError(f"extension value must be positive, got {_spelled(t)}")
     if not interval.contains(t):
         raise GraphError(
-            f"value {t} for ({mu!r},{nu!r}) lies outside the admissible interval {interval}"
+            f"value {_spelled(t)} for ({mu!r},{nu!r}) lies outside the admissible interval {interval}"
         )
     # over the denominator q * scale, t = p/q is the integer p * scale
     q = t.denominator
@@ -466,7 +467,7 @@ def embed_cycle_on_circle(cycle: Cycle) -> tuple[dict[str, Fraction], DistanceMa
     total = cycle.total_weight()
     if not cycle.satisfies_cycle_inequality():
         raise GraphError(
-            f"cycle is not metrizable: 2*{cycle.max_weight()} > {total}"
+            f"cycle is not metrizable: 2*{_spelled(cycle.max_weight())} > {_spelled(total)}"
         )
     # arc positions and distances as integers over the lcm q of the weights
     q, scaled = _over_lcm(cycle.weights)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, islice
 from typing import Iterator, Optional, Sequence
@@ -41,7 +41,6 @@ class RealizationPlan:
     graph: WeightedRootedGraph
     family: list[DistanceMatrix]
     depth: int
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def period(self) -> int:
@@ -83,11 +82,11 @@ class LeveledPointCloud:
     binary64, its rows coordinates beside its r (see ``CloudLevel``).
 
     Construction checks ``dimension``, ``period``, then each level's ``n``,
-    labels and rows, its one scale, ``r`` or ``r_exact``, and ``q``, and that
-    a level has a point; it holds an int coordinate as its float, rows and
-    labels as tuples and numerators in lowest terms. It refuses a level with
-    both r and r_exact, numerators over q beside r, and coordinates beside
-    r_exact. Every file the JSON reader refuses goes through it, so a file and
+    labels and rows, the ``q`` of numerators, its one scale, ``r`` or
+    ``r_exact``, and that a level has a point; it holds an int coordinate as
+    its float, rows and labels as tuples and numerators in lowest terms. It
+    refuses a level with both r and r_exact, numerators over q without
+    r_exact, and coordinates beside r_exact. Every file the JSON reader refuses goes through it, so a file and
     the same value in code are refused alike.
     """
 
@@ -147,16 +146,17 @@ class LeveledPointCloud:
         if data.get("norm", "sup") != "sup":
             raise GraphError(f"cloud norm {data['norm']!r} is not supported; only 'sup' is")
         period = data.get("period")
+        dimension = _checked_fields(dimension, period, levels, list)
+        # recovery measures every distance to the origin; JSON false loads as
+        # Python's False, which equals 0; the fields are checked before any level
+        basepoint = data.get("basepoint")
+        if "basepoint" in data and not (isinstance(basepoint, list) and len(basepoint) == dimension
+                                        and all(x == 0 and type(x) is not bool for x in basepoint)):
+            raise GraphError(f"cloud basepoint must be the origin, {dimension} zeros")
         try:
-            cloud = _read_by_level(dimension, levels, period)
+            return _read_by_level(dimension, levels, period)
         except KeyError as exc:
             raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
-        # recovery measures every distance to the origin; JSON false loads as
-        # Python's False, which equals 0
-        basepoint = data.get("basepoint", [0] * dimension)
-        if basepoint != [0] * dimension or bool in map(type, basepoint):
-            raise GraphError(f"cloud basepoint must be the origin, {dimension} zeros")
-        return cloud
 
     def to_json(self, include_exact: bool = True) -> str:
         """The cloud file in the README's layout: where given, shadows as
@@ -262,11 +262,10 @@ def _retired(level: str, layout: str) -> GraphError:
     return GraphError(f"level {level} is in a retired layout: {layout}")
 
 
-def _read_by_level(dimension, levels: list, period) -> LeveledPointCloud:
-    """The cloud of a document's fields, each level unpacked and checked as
-    the constructor checks a level, or read by ``_level_points_of`` from the
-    earlier exact level it names."""
-    dimension = _checked_fields(dimension, period, levels, list)
+def _read_by_level(dimension: int, levels: list, period) -> LeveledPointCloud:
+    """The cloud of a document's checked fields, each level unpacked and
+    checked as the constructor checks a level, or read by
+    ``_level_points_of`` from the earlier exact level it names."""
     read, exact = [], {}
     for entry in levels:
         previous = read[-1].n if read else 0
@@ -333,15 +332,16 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
     labels = tuple(labels)
     if len(set(labels)) < len(labels):
         _refuse_repeated_label(labels, level)
-    r, r_exact = _scales(lvl.r, lvl.r_exact, level)
     q = None
+    if rows and exact:
+        refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
+        q = _integer(lvl.q, 1, refusal)
+        if lvl.r_exact is None:
+            raise GraphError(f"level {level} has exact values over {_spelled(q)} but no r_exact")
+        q, rows = _in_lowest_terms(q, rows)
+    r, r_exact = _scales(lvl.r, lvl.r_exact, level)
     if rows and not exact and r_exact is not None:
         raise _retired(level, f"coords beside r_exact at point {labels[0]!r}")
-    if rows and exact:
-        if r_exact is None:
-            raise _retired(level, "exact shadows without r_exact")
-        refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
-        q, rows = _in_lowest_terms(_integer(lvl.q, 1, refusal), rows)
     return CloudLevel(n, r, r_exact, labels, tuple(rows), q)
 
 
@@ -514,7 +514,6 @@ def build_plan(g: WeightedRootedGraph, depth: int) -> RealizationPlan:
             f"graph does not certify (failed: {cert.failure}); realization needs a certified graph"
         )
     non_edges = list(g.non_edges())
-    warnings: list[str] = []
     d = sg.matrix()
 
     if not non_edges:
@@ -527,13 +526,8 @@ def build_plan(g: WeightedRootedGraph, depth: int) -> RealizationPlan:
             edges.append((i, j, c * sg.row(i)[j] - delta))
         lower = _ScaledGraph(sg.vertices, edges, c * sg.scale).matrix()
         family = [lower, d]
-        if depth < len(family):
-            warnings.append(
-                f"depth {depth} is shorter than one full metric-family period "
-                f"({len(family)}): recovery cannot see every member"
-            )
 
-    return RealizationPlan(graph=g, family=family, depth=depth, warnings=warnings)
+    return RealizationPlan(graph=g, family=family, depth=depth)
 
 
 def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
@@ -546,9 +540,11 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     reproduce r_n * d_i exactly: no column exceeds d_i(u, v), and that of a
     non-root end of the pair attains it. Each level is exact, its rows over
     r_n; the levels of a member share their rows. A plan field it cannot
-    realize from, its depth, graph or family, is named by GraphError, and so
-    is the first level whose r_n has more digits than the interpreter's
-    int-to-str limit lets to_json write: no level past it is built.
+    realize from, its depth, graph or family, is named by GraphError; so is
+    a depth below the family's period, as a non-edge shows only in the
+    oscillation between the members, and so is the first level whose r_n has
+    more digits than the interpreter's int-to-str limit lets to_json write:
+    no level past it is built.
     """
     depth = _integer(plan.depth, 1, "depth must be at least 1")
     if not isinstance(plan.graph, WeightedRootedGraph):
@@ -558,6 +554,11 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
         not isinstance(d, DistanceMatrix) or set(d.vertices) != set(order) for d in family
     ):
         raise GraphError("plan family must be a non-empty list of distance matrices on the graph's vertices")
+    if depth < len(family):
+        raise GraphError(
+            f"depth {depth} is shorter than one full metric-family period "
+            f"({len(family)}): recovery cannot see every member"
+        )
     root = order.index(plan.graph.root)
     columns = [j for j in range(len(order)) if j != root] or [root]
     # over r_n, a level's coordinates are its member's differences, taken once

@@ -28,7 +28,7 @@ from .fpc import (
     FAIL_ROOT_NOT_DOMINATING,
     _violations,
 )
-from .graph_core import GraphError, WeightedRootedGraph, _integer, _over_lcm, _real, _root_labels
+from .graph_core import GraphError, WeightedRootedGraph, format_rational, _integer, _over_lcm, _real, _root_labels
 from .graph_core import _collection, _spelled
 from .metrization import _pinning_edge
 from .realization import CloudLevel, LeveledPointCloud, sup_distance
@@ -71,7 +71,7 @@ class RecoveredCluster:
             "decided": "on exact shadows" if self._exact else "on binary64 coordinates, exactly",
             "classes": {k: list(v) for k, v in self.classes.items()},
             # the root-distance values in vertex order: 0 and the root-edge weights
-            "rho0": {v: str(w) for v, w in sorted(_root_labels(self.graph).items())},
+            "rho0": {v: format_rational(w) for v, w in sorted(_root_labels(self.graph).items())},
             "pairs": self.diagnostics,
             "merge_log": self.merge_log,
             "warnings": self.warnings,

@@ -1,8 +1,9 @@
 """Mutation check for the library's decisions: recovery's, the diagnostics',
 the cloud reader's and constructor's, the binary64 writer's, certification's,
 metrizability's, the admissible interval's, the forced distances', the
-isomorphism's near-ties, the realization plan's, the number rules', the JSON
-writer's and the embedding command's choice of the line or the circle.
+isomorphism's near-ties, the realization plan's and its depth rule, the
+number rules', the JSON writer's and the embedding command's choice of the
+line or the circle.
 
 Each mutant below changes one comparison of the library: a file under src/,
 an exact old text that must occur there once, the new text, and the tests
@@ -139,7 +140,7 @@ MUTANTS = [
      ["tests/test_realization.py::test_each_retired_layout_is_refused_at_its_level[exact_and_coords_mixed]"]),
     (REALIZATION, "    if rows and not exact and r_exact is not None:", "    if False:",
      ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
-    (REALIZATION, "        if r_exact is None:\n            raise _retired(", "        if False:\n            raise _retired(",
+    (REALIZATION, "        if lvl.r_exact is None:\n            raise GraphError(", "        if False:\n            raise GraphError(",
      ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
     (REALIZATION, "    if over is None:\n        raise _retired(", "    if False:\n        raise _retired(",
      ["tests/test_realization.py::test_each_retired_layout_is_refused_at_its_level[absolute]"]),
@@ -159,6 +160,10 @@ MUTANTS = [
     (REALIZATION, "float(lvl.r_exact))\n                except OverflowError as exc:",
      "float(lvl.r_exact))\n                except ZeroDivisionError as exc:",
      ["tests/test_realization.py::test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader"]),
+    # generate_cloud refuses a depth below the family's period, and only that:
+    # a complete graph, of one member, realizes at depth 1
+    (REALIZATION, "if depth < len(family):", "if depth <= len(family):",
+     ["tests/test_realization.py::test_a_depth_shorter_than_the_family_period_is_refused"]),
     # build_plan: each non-edge goes in at c * d(u, v) - delta, c = min(m + 1, n)
     (REALIZATION, "c = min(len(non_edges) + 1, len(g))", "c = min(len(non_edges), len(g))",
      [LOWER.format(3)]),
@@ -208,7 +213,7 @@ MUTANTS = [
     (GRAPH_CORE, '{True: "true",', '{True: "True",', [WRITER]),
     # embed puts a tight cycle on the line and any other on the circle
     (CLI, "if cycle.is_tight():", "if not cycle.is_tight():",
-     ["tests/test_cli.py::test_embed_auto_picks_line_for_tight"]),
+     ["tests/test_cli.py::test_embed_puts_a_tight_cycle_on_the_line"]),
 ]
 
 

@@ -325,6 +325,19 @@ def test_an_int_past_the_digit_limit_is_named_by_its_bits():
     assert '"exact"' not in _one_point(shadow=(HUGE_INT + 1,), q=HUGE_INT).to_json(include_exact=False)
 
 
+def test_the_diagnostics_name_a_root_label_past_the_digit_limit_as_the_writer_does():
+    # two exact levels within tol_rel of each other: u's root label, the mean
+    # of 1 + 3**-8000 and 1 + 7**-4500, is past what str() can spell
+    levels = [CloudLevel(n, None, Fraction(1), ("r", "u"), ((0,), (q + 1,)), q) for n, q in ((1, 3**8000), (2, 7**4500))]
+    rc = mc.recover_cluster(mc.LeveledPointCloud(1, levels), tol_rel=1e-6)
+    for write in (rc.graph.to_json, rc.diagnostics_json_dict):
+        with pytest.raises(GraphError) as refused:
+            write()
+        assert str(refused.value) == (
+            "value a positive Fraction of 25313 bits over 25313 bits has more digits than to_json can write"
+        )
+
+
 @pytest.mark.parametrize(
     "reader, source",
     [

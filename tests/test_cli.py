@@ -127,7 +127,7 @@ def test_complete_adds_forced_edges(tmp_path, capsys):
     assert completed.weight("v1", "v3") == 2
 
 
-def test_embed_auto_picks_line_for_tight(tmp_path, capsys):
+def test_embed_puts_a_tight_cycle_on_the_line(tmp_path, capsys):
     tight = write_graph(
         tmp_path / "tight.json",
         ["v1", "v2", "v3", "v4"],
@@ -377,12 +377,34 @@ def test_power_square_base_below_two_exit_2(capsys):
     assert "--base" not in capsys.readouterr().out
 
 
-def test_realize_shorter_than_the_family_period_warns(cert_graph, tmp_path, capsys):
+def test_realize_shorter_than_the_family_period_exit_2(cert_graph, tmp_path, capsys):
+    # recovery could read no such cloud: realize refuses it and writes nothing
     out = tmp_path / "cloud.json"
-    assert main(["realize", str(cert_graph), "--depth", "1", "--out", str(out)]) == 0
+    assert main(["realize", str(cert_graph), "--depth", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "warning: depth 1 is shorter than one full metric-family period (2): recovery cannot see every member\n"
+        "error: depth 1 is shorter than one full metric-family period (2): recovery cannot see every member\n"
     )
+    assert not out.exists()
+
+
+def test_a_sum_past_the_digit_limit_is_named_by_its_bits(tmp_path, capsys):
+    # each weight has under 4300 digits, but their sum does not: str() of it
+    # raised a bare ValueError, exit 1, in each text that spelled it
+    a, b = Fraction(1, 3**9000), Fraction(1, 7**5080)
+    tri = write_graph(tmp_path / "tri.json", ["r", "u", "v"], {("r", "u"): a, ("r", "v"): b, ("u", "v"): 1}, "r")
+    path = write_graph(tmp_path / "path.json", ["r", "u", "v"], {("r", "u"): a, ("r", "v"): b}, "r")
+    total = "a positive Fraction of 28527 bits over 28527 bits"
+    assert main(["check", str(tri)]) == 1
+    assert capsys.readouterr().out == f"classification: not_pseudometrizable\nwitness cycle: u-r-v (2*1 > {total})\n"
+    assert main(["check", str(tri), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["classification"] == "not_pseudometrizable"
+    assert payload["witness_cycle"]["weights"] == ["1/" + str(3**9000), "1/" + str(7**5080), "1"]
+    end = "a positive Fraction of 14265 bits over 28527 bits"
+    assert main(["extend", str(path), "u", "v", "5"]) == 2
+    assert capsys.readouterr().err == f"error: value 5 for ('u','v') lies outside the admissible interval [{end}, {end}]\n"
+    assert main(["embed", str(tri)]) == 2
+    assert capsys.readouterr().err == f"error: cycle is not metrizable: 2*1 > {total}\n"
 
 
 def test_realize_past_binary64_recovers_and_each_binary64_reader_exit_2(tmp_path, capsys):

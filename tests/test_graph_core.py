@@ -529,6 +529,20 @@ def test_renamed_copy_recovers_the_renaming():
         assert verifies_isomorphism(g, h, witness)
 
 
+def test_the_mapping_keys_run_in_label_order_at_every_tolerance():
+    # the root, then increasing root label, ties in vertex order: the key
+    # order that `isomorphic --json` prints, with or without a tolerance
+    g = WeightedRootedGraph(
+        ["r", "a", "b", "c", "d"],
+        {("r", "a"): Fraction(3), ("r", "b"): Fraction(1), ("r", "c"): Fraction(2), ("r", "d"): Fraction(1)},
+        "r",
+    )
+    h = g.relabel({"r": "R", "a": "A", "b": "B", "c": "C", "d": "D"})
+    for tol in (0, Fraction(1, 10**9), 1e-9):
+        witness = isomorphic(g, h, weight_tol_rel=tol)
+        assert list(witness.items()) == [("r", "R"), ("b", "B"), ("d", "D"), ("c", "C"), ("a", "A")], tol
+
+
 def test_changed_weight_breaks_weighted_isomorphism():
     g = triangle("1", "2", "3")
     h = triangle("1", "2", "7/2")

@@ -134,10 +134,17 @@ def test_uncertified_graph_rejected():
         build_plan(bad, depth=6)
 
 
-def test_shallow_depth_warns():
-    plan = build_plan(ONE_GAP, depth=1)
-    assert any("period" in w for w in plan.warnings)
-    assert build_plan(ONE_GAP, depth=12).warnings == []
+def test_a_depth_shorter_than_the_family_period_is_refused():
+    # a non-edge shows only as the oscillation between the two members
+    with pytest.raises(GraphError) as caught:
+        generate_cloud(build_plan(ONE_GAP, 1))
+    assert str(caught.value) == (
+        "depth 1 is shorter than one full metric-family period (2): recovery cannot see every member"
+    )
+    # a complete graph has one member: depth 1 realizes and recovers it
+    cloud = realize(CERT_TRIANGLE, 1)
+    assert cloud.depth == 1 and cloud.period == 1
+    assert isomorphic(recover_cluster(cloud).graph, CERT_TRIANGLE)
 
 
 # ---------------------------------------------------------------------------
@@ -904,15 +911,16 @@ def test_each_retired_shape_built_in_code_is_refused():
     r_exact, a level with r beside r_exact, and numerators over a q on a
     level without r_exact, named as a file in the same layout is."""
     first = realize(ONE_GAP, 6).levels[0]
+    retired = "level 1 is in a retired layout: "
     shapes = {
-        "coords beside r_exact at point 'r'": dataclasses.replace(first, rows=_level_floats(first), q=None),
-        "r beside r_exact": dataclasses.replace(first, r=1.0),
-        "exact shadows without r_exact": dataclasses.replace(first, r=1.0, r_exact=None),
+        retired + "coords beside r_exact at point 'r'": dataclasses.replace(first, rows=_level_floats(first), q=None),
+        retired + "r beside r_exact": dataclasses.replace(first, r=1.0),
+        "level 1 has exact values over 1 but no r_exact": dataclasses.replace(first, r=1.0, r_exact=None),
     }
-    for layout, level in shapes.items():
+    for text, level in shapes.items():
         with pytest.raises(GraphError) as caught:
             LeveledPointCloud(3, [level])
-        assert str(caught.value) == f"level 1 is in a retired layout: {layout}"
+        assert str(caught.value) == text
 
 
 def spelled_file(cloud) -> dict:
@@ -1476,9 +1484,14 @@ REFUSALS = {
         lambda e: e.level(3, r=24.0),
         "level 4 is in a retired layout: r beside r_exact",
     ),
+    # a level with over needs r_exact for its shadows, in code as in the file
     "shadows without r_exact": (
         lambda e: e.level(0, r=1.0, r_exact=None),
-        "level 1 is in a retired layout: exact shadows without r_exact",
+        "level 1 has exact values over 3 but no r_exact",
+    ),
+    "neither scale on a binary64 level": (
+        lambda e: e.float_level(1, r=None),
+        "level 2 has neither r nor r_exact",
     ),
     "neither coords nor shadow": (
         lambda e: e.point(0, 1, row=None),
@@ -1486,7 +1499,7 @@ REFUSALS = {
     ),
     "neither r nor r_exact": (
         lambda e: e.level(0, r=None, r_exact=None),
-        "level 1 has neither r nor r_exact",
+        "level 1 has exact values over 3 but no r_exact",
     ),
     "no points": (_points_cleared, "cloud JSON has no points"),
     "no levels": (lambda e: e.fields.update(levels=[]), "cloud JSON has no points"),
@@ -1501,13 +1514,6 @@ REFUSALS = {
     ),
 }
 
-
-# the cases refused with another text in the file, where a level with over
-# needs r_exact for its shadows
-IN_UNITS = {
-    "neither r nor r_exact": "level 1 has exact values over 3 but no r_exact",
-    "shadows without r_exact": "level 1 has exact values over 3 but no r_exact",
-}
 
 # the cases of points that only a file spells: in code a level is its labels
 # and rows, one kind for all, without point objects
@@ -1532,8 +1538,34 @@ def test_a_file_and_code_refuse_alike(case):
         change(edit)
         with pytest.raises(GraphError) as caught:
             edit.build()
-        expected = IN_UNITS.get(case, text) if isinstance(edit, _InFile) else text
-        assert str(caught.value) == expected, type(edit).__name__
+        assert str(caught.value) == text, type(edit).__name__
+
+
+def test_a_fault_of_the_fields_is_named_before_any_of_a_level():
+    edit = _InFile()
+    edit.float_level(0, r="x")
+    edit.fields["basepoint"] = [1.0] * R_UV.dimension
+    with pytest.raises(GraphError) as caught:
+        edit.build()
+    assert str(caught.value) == f"cloud basepoint must be the origin, {R_UV.dimension} zeros"
+    edit.fields["basepoint"] = [0.0] * R_UV.dimension
+    with pytest.raises(GraphError) as caught:
+        edit.build()
+    assert str(caught.value) == "level 1 has a scale r that is not a binary64 number: not a decimal literal: 'x'"
+    # the basepoint is compared with the origin without building one of the given dimension
+    for fields, text in (
+        ({"basepoint": [0]}, "cloud basepoint must be the origin, 1000000000000 zeros"),
+        ({}, "cloud JSON has no points"),
+    ):
+        with pytest.raises(GraphError) as caught:
+            LeveledPointCloud.from_json_dict({"dimension": 10**12, "levels": [], **fields})
+        assert str(caught.value) == text
+
+
+def test_a_level_names_its_q_before_a_missing_exact_scale():
+    with pytest.raises(GraphError) as caught:
+        LeveledPointCloud(1, [CloudLevel(1, 1.0, None, ["a"], [(1,)], 0)])
+    assert str(caught.value) == "level 1 has exact shadows over q = 0; q must be a positive integer"
 
 
 def test_construction_holds_values_as_the_reader_does():
@@ -1584,7 +1616,10 @@ def test_the_unchecked_path_builds_only_what_construction_accepts():
     # generate_cloud, single_point_space and subsample_levels skip the checks
     for shape in dominating_rooted_shapes(6):
         plan = build_plan(synthesize_weights(shape), 12)
-        for depth in range(1, 13):
+        for depth in range(1, len(plan.family)):
+            with pytest.raises(GraphError, match="is shorter than one full metric-family period"):
+                generate_cloud(dataclasses.replace(plan, depth=depth))
+        for depth in range(len(plan.family), 13):
             cloud = generate_cloud(dataclasses.replace(plan, depth=depth))
             assert _rebuilt(cloud) == cloud
         selections = [alternating_period_indices(cloud), [1], [2, 5, 12], list(range(1, 13))]
