@@ -31,7 +31,6 @@ from .metrization import (
     extend_metric,
     forced_completion,
     shortest_path_metric,
-    unique_pairs,
 )
 from .fpc import (
     CliqueBoundReport,

@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import fpc as fpc_mod
 from .graph_core import (
@@ -114,8 +114,10 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
-def _emit(payload: dict, ns: argparse.Namespace, human: str) -> None:
-    _say(_json_text(payload) if getattr(ns, "json", False) else human)
+def _emit(payload: Callable[[], dict], ns: argparse.Namespace, human: str) -> None:
+    """Prints the human text, or under --json the JSON of ``payload()``: a
+    command builds the document only where it prints it."""
+    _say(_json_text(payload()) if getattr(ns, "json", False) else human)
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -133,7 +135,6 @@ def _write_output(text: str, out: Optional[str]) -> None:
 def _cmd_check(ns) -> int:
     g = _load_graph(ns.graph)
     verdict = check_metrizable(g)
-    payload = verdict.to_json_dict()
     lines = [f"classification: {verdict.classification.value}"]
     if verdict.witness_cycle is not None:
         c = verdict.witness_cycle
@@ -143,7 +144,7 @@ def _cmd_check(ns) -> int:
         )
     if verdict.zero_weight_edge is not None:
         lines.append(f"zero-weight edge: {verdict.zero_weight_edge}")
-    _emit(payload, ns, "\n".join(lines))
+    _emit(verdict.to_json_dict, ns, "\n".join(lines))
     return 0 if verdict.classification is Metrizability.METRIZABLE else 1
 
 
@@ -156,7 +157,7 @@ def _cmd_spm(ns) -> int:
 def _cmd_interval(ns) -> int:
     g = _load_graph(ns.graph)
     interval = admissible_interval(g, ns.u, ns.v)
-    payload = {"lo": format_rational(interval.lo), "hi": format_rational(interval.hi)}
+    payload = lambda: {"lo": format_rational(interval.lo), "hi": format_rational(interval.hi)}
     _emit(payload, ns, f"admissible interval for ({ns.u}, {ns.v}): {interval}")
     return 0
 
@@ -183,19 +184,18 @@ def _cmd_embed(ns) -> int:
     cycle = cycle_from_graph(g)
     if cycle.is_tight():
         coords = embed_tight_cycle_on_line(cycle)
-        matrix = line_distance_matrix(coords)
-        payload = {
+        payload = lambda: {
             "mode": "line",
             "coordinates": {v: format_rational(x) for v, x in sorted(coords.items())},
-            "matrix": matrix.to_json_dict(),
+            "matrix": line_distance_matrix(coords).to_json_dict(),
         }
         human = "\n".join(
             [f"line embedding (circumference {_spelled(cycle.total_weight())}):"]
-            + [f"  {v} -> {x}" for v, x in sorted(coords.items())]
+            + [f"  {v} -> {_spelled(x)}" for v, x in sorted(coords.items())]
         )
     else:
         positions, matrix = embed_cycle_on_circle(cycle)
-        payload = {
+        payload = lambda: {
             "mode": "circle",
             "circumference": format_rational(cycle.total_weight()),
             "positions": {v: format_rational(x) for v, x in sorted(positions.items())},
@@ -203,10 +203,10 @@ def _cmd_embed(ns) -> int:
         }
         human = "\n".join(
             [f"circle embedding, circumference {_spelled(cycle.total_weight())}:"]
-            + [f"  {v} at arc position {x}" for v, x in sorted(positions.items())]
+            + [f"  {v} at arc position {_spelled(x)}" for v, x in sorted(positions.items())]
         )
     if ns.out:
-        _write_output(_json_text(payload), ns.out)
+        _write_output(_json_text(payload()), ns.out)
     else:
         _emit(payload, ns, human)
     return 0
@@ -216,7 +216,7 @@ def _cmd_cliques(ns) -> int:
     g = _load_graph(ns.graph)
     cliques = [sorted(c) for c in maximal_cliques(g)]
     _emit(
-        {"maximal_cliques": cliques, "count": len(cliques)},
+        lambda: {"maximal_cliques": cliques, "count": len(cliques)},
         ns,
         "\n".join(["maximal cliques:"] + [f"  {{{', '.join(c)}}}" for c in cliques]),
     )
@@ -228,10 +228,10 @@ def _cmd_isomorphic(ns) -> int:
     g2 = _load_graph(ns.graph2)
     witness = isomorphic(g1, g2, weight_tol_rel=ns.weight_tol_rel)
     if witness is None:
-        _emit({"isomorphic": False}, ns, "not isomorphic")
+        _emit(lambda: {"isomorphic": False}, ns, "not isomorphic")
         return 1
     _emit(
-        {"isomorphic": True, "mapping": witness},
+        lambda: {"isomorphic": True, "mapping": witness},
         ns,
         "\n".join(["isomorphic:"] + [f"  {u} -> {v}" for u, v in sorted(witness.items())]),
     )
@@ -251,7 +251,7 @@ def _cmd_fpc_certify(ns) -> int:
             else ""
         )
     )
-    _emit(cert.to_json_dict(), ns, human)
+    _emit(cert.to_json_dict, ns, human)
     return 0 if cert.ok else 1
 
 
@@ -273,7 +273,7 @@ def _cmd_fpc_bound(ns) -> int:
     g = _load_graph(ns.graph)
     report = fpc_mod.clique_bound_check(g)
     _emit(
-        report.to_json_dict(),
+        report.to_json_dict,
         ns,
         f"maximal cliques without root: {report.clique_count}, "
         f"bound: {report.bound}, slack: {report.slack}",
@@ -291,7 +291,7 @@ def _cmd_fpc_f(ns) -> int:
         text = str(value)
     except ValueError as exc:  # beyond the interpreter's int-to-str digit limit
         raise GraphError(f"f({ns.n}) has too many digits to print: {exc}") from exc
-    _emit({"n": ns.n, "f": value}, ns, text)
+    _emit(lambda: {"n": ns.n, "f": value}, ns, text)
     return 0
 
 
@@ -337,7 +337,7 @@ def _cmd_recover(ns) -> int:
     lines += [f"  merge: {line}" for line in rc.merge_log]
     lines += [f"  warning: {line}" for line in rc.warnings]
     lines += [f"  invariant violation: {line}" for line in problems]
-    _emit({"graph": rc.graph.to_json_dict(), "diagnostics": diag}, ns, "\n".join(lines))
+    _emit(lambda: {"graph": rc.graph.to_json_dict(), "diagnostics": diag}, ns, "\n".join(lines))
     return 0
 
 
@@ -367,7 +367,7 @@ def _cmd_diag_fn(ns) -> int:
     # the functional is scale-free: an exact level's rows serve as they are, in units of its scale
     value = spread_functional([by_label[lbl] for lbl in labels], (0,) * cloud.dimension)
     _emit(
-        {"level": ns.level, "labels": labels, "value": value},
+        lambda: {"level": ns.level, "labels": labels, "value": value},
         ns,
         f"spread functional over {labels} at level {ns.level}: {value!r}",
     )
@@ -385,7 +385,7 @@ def _cmd_diag_psi(ns) -> int:
         [f"annulus diameter ratios (k = {format_rational(ns.k)}):"]
         + [f"  r = {row['r']}: {row['value']:.6g} ({row['points']} points)" for row in table]
     )
-    _emit({"k": format_rational(ns.k), "table": table}, ns, human)
+    _emit(lambda: {"k": format_rational(ns.k), "table": table}, ns, human)
     return 0
 
 

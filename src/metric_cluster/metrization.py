@@ -426,28 +426,17 @@ def extend_metric(g: WeightedRootedGraph, mu: str, nu: str, t) -> DistanceMatrix
     return _ScaledGraph(sg.vertices, edges, q * sg.scale).matrix()
 
 
-def _forced_distances(g: WeightedRootedGraph) -> list[tuple[tuple[str, str], Fraction]]:
-    """Each non-edge with a degenerate admissible interval, and its distance."""
+def forced_completion(g: WeightedRootedGraph) -> WeightedRootedGraph:
+    """Single-pass completion: add each non-edge whose distance is the same in
+    every metric extension, its admissible interval one point, as an edge
+    with that forced weight."""
     sg = _metrizable(g)
-    forced = []
+    forced = {}
     for u, v in g.non_edges():
         lo, hi = _interval(sg, u, v)
         if lo == hi:
-            forced.append(((u, v), Fraction(hi, sg.scale)))
-    return forced
-
-
-def unique_pairs(g: WeightedRootedGraph) -> tuple[tuple[str, str], ...]:
-    """Non-adjacent pairs whose distance is the same in every metric extension.
-
-    Exactly the pairs with a degenerate admissible interval.
-    """
-    return tuple(pair for pair, _ in _forced_distances(g))
-
-
-def forced_completion(g: WeightedRootedGraph) -> WeightedRootedGraph:
-    """Single-pass completion: add each unique pair as an edge with its forced weight."""
-    return WeightedRootedGraph(g.vertices, {**g.weights, **dict(_forced_distances(g))}, g.root)
+            forced[u, v] = Fraction(hi, sg.scale)
+    return WeightedRootedGraph(g.vertices, {**g.weights, **forced}, g.root)
 
 
 # ---------------------------------------------------------------------------

@@ -28,19 +28,31 @@ from .metrization import DistanceMatrix, _ScaledGraph
 from .fpc import _certify
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class RealizationPlan:
     """Recipe for a point cloud of a certified graph, level n scaled by n!.
 
-    ``family`` is ``[lower, d]``: d is the shortest-path metric and lower
+    ``family`` is ``(lower, d)``: d is the shortest-path metric and lower
     (see ``build_plan``) agrees with every edge weight but lies strictly
     below d on every non-edge, so each non-edge oscillates with period 2
-    while each edge stays put. A complete graph has the single member ``[d]``.
+    while each edge stays put. A complete graph has the single member ``(d,)``.
+    A plan is made by ``build_plan`` alone, which checks what
+    ``generate_cloud`` reads.
     """
 
     graph: WeightedRootedGraph
-    family: list[DistanceMatrix]
+    family: tuple[DistanceMatrix, ...]
     depth: int
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a RealizationPlan is made by build_plan")
+
+    @classmethod
+    def _of_family(cls, graph: WeightedRootedGraph, family: tuple, depth: int) -> "RealizationPlan":
+        """The plan of a family that ``build_plan`` built and checked."""
+        plan = cls.__new__(cls)
+        vars(plan).update(graph=graph, family=family, depth=depth)
+        return plan
 
     @property
     def period(self) -> int:
@@ -506,6 +518,8 @@ def build_plan(g: WeightedRootedGraph, depth: int) -> RealizationPlan:
     Certification hands over d and delta as integers over L, the least
     common multiple of the weight denominators; the closure runs in units of
     1/(cL), where every added weight is the integer c * d(u, v) - delta.
+    A depth below the family's period is refused, as a non-edge shows only
+    in the oscillation between the members.
     """
     _integer(depth, 1, "depth must be at least 1")
     cert, sg, delta = _certify(g)
@@ -517,7 +531,7 @@ def build_plan(g: WeightedRootedGraph, depth: int) -> RealizationPlan:
     d = sg.matrix()
 
     if not non_edges:
-        family = [d]
+        family = (d,)
     else:
         c = min(len(non_edges) + 1, len(g))
         edges = [(i, j, c * w) for i, j, w in sg.edges]
@@ -525,9 +539,13 @@ def build_plan(g: WeightedRootedGraph, depth: int) -> RealizationPlan:
             i, j = sg.index[u], sg.index[v]
             edges.append((i, j, c * sg.row(i)[j] - delta))
         lower = _ScaledGraph(sg.vertices, edges, c * sg.scale).matrix()
-        family = [lower, d]
-
-    return RealizationPlan(graph=g, family=family, depth=depth)
+        family = (lower, d)
+    if depth < len(family):
+        raise GraphError(
+            f"depth {depth} is shorter than one full metric-family period "
+            f"({len(family)}): recovery cannot see every member"
+        )
+    return RealizationPlan._of_family(g, family, depth)
 
 
 def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
@@ -539,40 +557,25 @@ def generate_cloud(plan: RealizationPlan) -> LeveledPointCloud:
     The root lands on the origin, and within a level the sup-norm distances
     reproduce r_n * d_i exactly: no column exceeds d_i(u, v), and that of a
     non-root end of the pair attains it. Each level is exact, its rows over
-    r_n; the levels of a member share their rows. A plan field it cannot
-    realize from, its depth, graph or family, is named by GraphError; so is
-    a depth below the family's period, as a non-edge shows only in the
-    oscillation between the members, and so is the first level whose r_n has
+    r_n; the levels of a member share their rows. The plan is one that
+    ``build_plan`` made, its members on the graph's vertices in their order,
+    and is not checked again; GraphError names the first level whose r_n has
     more digits than the interpreter's int-to-str limit lets to_json write:
     no level past it is built.
     """
-    depth = _integer(plan.depth, 1, "depth must be at least 1")
-    if not isinstance(plan.graph, WeightedRootedGraph):
-        raise GraphError(f"plan graph must be a WeightedRootedGraph, got {type(plan.graph).__name__}")
     order, family = plan.graph.vertices, plan.family
-    if not (isinstance(family, (list, tuple)) and family) or any(
-        not isinstance(d, DistanceMatrix) or set(d.vertices) != set(order) for d in family
-    ):
-        raise GraphError("plan family must be a non-empty list of distance matrices on the graph's vertices")
-    if depth < len(family):
-        raise GraphError(
-            f"depth {depth} is shorter than one full metric-family period "
-            f"({len(family)}): recovery cannot see every member"
-        )
     root = order.index(plan.graph.root)
     columns = [j for j in range(len(order)) if j != root] or [root]
     # over r_n, a level's coordinates are its member's differences, taken once
     members = []
     for d in family:
-        at = [d._index[v] for v in order]
-        cols = [at[j] for j in columns]
-        to_root = [d._num[at[root]][j] for j in cols]
-        rows = [tuple([d._num[i][j] - t for j, t in zip(cols, to_root)]) for i in at]
+        to_root = [d._num[root][j] for j in columns]
+        rows = [tuple([row[j] - t for j, t in zip(columns, to_root)]) for row in d._num]
         q, rows = _in_lowest_terms(d._q, rows)
         members.append((q, tuple(rows)))
     labels = tuple(order)
     levels = []
-    for n, r in _exact_scales(depth, lambda n: n):
+    for n, r in _exact_scales(plan.depth, lambda n: n):
         q, rows = members[(n - 1) % len(members)]
         levels.append(CloudLevel(n, None, Fraction(r), labels, rows, q))
     return LeveledPointCloud._of_levels(len(columns), levels, len(family))

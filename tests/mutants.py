@@ -160,8 +160,12 @@ MUTANTS = [
     (REALIZATION, "float(lvl.r_exact))\n                except OverflowError as exc:",
      "float(lvl.r_exact))\n                except ZeroDivisionError as exc:",
      ["tests/test_realization.py::test_a_coordinate_that_rounds_to_infinity_is_refused_by_each_binary64_reader"]),
-    # generate_cloud refuses a depth below the family's period, and only that:
-    # a complete graph, of one member, realizes at depth 1
+    # a plan is made by build_plan alone, whose depth rule refuses a depth below
+    # the family's period, and only that: a complete graph, of one member,
+    # realizes at depth 1
+    (REALIZATION, 'raise TypeError("a RealizationPlan is made by build_plan")',
+     'vars(self).update(zip(("graph", "family", "depth"), args), **kwargs)',
+     ["tests/test_realization.py::test_a_plan_is_made_by_build_plan_alone"]),
     (REALIZATION, "if depth < len(family):", "if depth <= len(family):",
      ["tests/test_realization.py::test_a_depth_shorter_than_the_family_period_is_refused"]),
     # build_plan: each non-edge goes in at c * d(u, v) - delta, c = min(m + 1, n)

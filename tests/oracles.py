@@ -862,15 +862,20 @@ def cross_level_separation(cloud: LeveledPointCloud) -> dict[int, float]:
     return out
 
 
-def assert_two_member_family(plan) -> None:
-    """The realization family is [lower, d]: d is the shortest-path metric,
-    and lower agrees with every edge weight and lies strictly below d on
-    every non-edge. A complete graph has the single member [d]."""
-    g = plan.graph
+def assert_two_member_family(g, family) -> None:
+    """The realization family of g is (lower, d): d is the shortest-path
+    metric, and lower agrees with every edge weight and lies strictly below d
+    on every non-edge. A complete graph has the single member (d,). Each
+    member is a metric, checked anew on its Fractions, on g's vertices in
+    g's order, as generate_cloud reads its rows."""
     d = shortest_path_metric(g)
-    assert plan.period == (2 if g.non_edges() else 1)
-    assert plan.family[-1] == d
-    lower = plan.family[0]
+    assert len(family) == (2 if g.non_edges() else 1)
+    for member in family:
+        assert member.vertices == g.vertices, "a member not on g's vertices in g's order"
+        # construction checks the diagonal, symmetry and the triangle inequality
+        assert DistanceMatrix(member.vertices, member.rows).is_metric
+    assert family[-1] == d
+    lower = family[0]
     assert metric_agrees_with_weights(lower, g)
     for u, v in g.non_edges():
         assert 0 < lower.get(u, v) < d.get(u, v), f"lower member not below d at {(u, v)}"

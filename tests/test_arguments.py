@@ -32,7 +32,6 @@ FLOATS = mc.LeveledPointCloud.from_json(CLOUD.to_json(include_exact=False))  # n
 RC = mc.recover_cluster(CLOUD)
 IDENTITY = {v: v for v in G.vertices}
 D = mc.shortest_path_metric(G)
-PLAN = mc.build_plan(mc.WeightedRootedGraph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 2}, "r"), 4)
 HUGE_INT = 10**5000  # more digits than the interpreter prints of an int by default
 
 
@@ -206,13 +205,9 @@ def test_library_fuzz_argument_types(call, data):
         lambda: mc.Cycle(("a", "b", "c"), (True, True, True)),
         lambda: mc.Cycle(("a", ["b"], "c"), (1, 1, 1)),
         lambda: mc.Cycle("abc", (1, 1, 1)),
-        # a plan generate_cloud cannot realize: a one-level cloud,
-        # "cloud JSON has no points", ZeroDivisionError and KeyError
-        lambda: mc.generate_cloud(dataclasses.replace(PLAN, depth=True)),
-        lambda: mc.generate_cloud(dataclasses.replace(PLAN, depth=-3)),
-        lambda: mc.generate_cloud(dataclasses.replace(PLAN, family=[])),
-        lambda: mc.generate_cloud(dataclasses.replace(PLAN, family=[mc.DistanceMatrix(["r", "u"], [[0, 1], [1, 0]])])),
-        lambda: mc.generate_cloud(dataclasses.replace(PLAN, graph=None)),
+        # a depth below the family's period of a graph with a non-edge, whose
+        # one-level cloud recovery could not read
+        lambda: mc.build_plan(G, 1),
         # values past the int-to-str digit limit, which the writers raised a bare ValueError for
         lambda: _one_point(n=HUGE_INT).to_json(),
         lambda: _one_point(period=HUGE_INT).to_json(),

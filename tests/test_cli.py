@@ -407,6 +407,42 @@ def test_a_sum_past_the_digit_limit_is_named_by_its_bits(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cycle is not metrizable: 2*1 > {total}\n"
 
 
+def test_a_human_line_spells_what_its_json_cannot_write(tmp_path, capsys):
+    # the --json payload was built for the human line too, so its writer's
+    # refusal ended interval and embed with exit 2, although no JSON was asked for
+    a, b = Fraction(1, 3**9000), Fraction(1, 7**5080)
+    path = write_graph(tmp_path / "path.json", ["r", "u", "v"], {("r", "u"): a, ("r", "v"): b}, "r")
+    circle = write_graph(tmp_path / "circle.json", ["r", "u", "v"], {("r", "u"): a, ("u", "v"): b, ("r", "v"): b}, "r")
+    line = write_graph(
+        tmp_path / "line.json",
+        ["r", "u", "v", "w", "x"],
+        {("r", "u"): a, ("u", "v"): b, ("v", "w"): 1 - a, ("w", "x"): 1 - b, ("r", "x"): 2},
+        "r",
+    )
+    end = "a positive Fraction of 14265 bits over 28527 bits"
+    assert main(["interval", str(path), "u", "v"]) == 0
+    assert capsys.readouterr().out == f"admissible interval for (u, v): [{end}, {end}]\n"
+    assert main(["embed", str(circle)]) == 0
+    assert capsys.readouterr().out == (
+        "circle embedding, circumference a positive Fraction of 14266 bits over 28527 bits:\n"
+        f"  r at arc position 0\n  u at arc position {a}\n  v at arc position {end}\n"
+    )
+    assert main(["embed", str(line)]) == 0
+    assert capsys.readouterr().out == (
+        f"line embedding (circumference 4):\n  r -> 0\n  u -> {a}\n  v -> {end}\n  w -> {1 + b}\n  x -> 2\n"
+    )
+    refusal = "error: value {} has more digits than to_json can write\n"
+    for args, value in (
+        (["interval", str(path), "u", "v", "--json"], end),
+        (["embed", str(circle), "--json"], "a positive Fraction of 14266 bits over 28527 bits"),
+        (["embed", str(line), "--json"], end),
+        (["embed", str(line), "--out", str(tmp_path / "embedding.json")], end),
+    ):
+        assert main(args) == 2
+        assert capsys.readouterr().err == refusal.format(value)
+    assert not (tmp_path / "embedding.json").exists()
+
+
 def test_realize_past_binary64_recovers_and_each_binary64_reader_exit_2(tmp_path, capsys):
     # the coordinate of v at level 170 rounds to infinity, and r_171 = 171!
     # is beyond binary64: the cloud is exact, and only the float writer, which

@@ -16,8 +16,8 @@ from metric_cluster.metrization import (
     Metrizability,
     admissible_interval,
     check_metrizable,
+    forced_completion,
     shortest_path_metric,
-    unique_pairs,
 )
 from metric_cluster.fpc import (
     FAIL_CYCLE_INEQUALITY,
@@ -360,11 +360,11 @@ def test_large_synthesized_graph_certifies_and_gets_a_plan():
     g = synthesize_weights(random_dominating_shape(random.Random(24), 24))
     assert certify_fpc(g).ok
     non_edges = g.non_edges()
-    assert unique_pairs(g) == ()  # every interval, none of them degenerate
+    assert forced_completion(g) == g  # every interval, none of them degenerate
     for u, v in (non_edges[0], non_edges[-1]):
         interval = admissible_interval(g, u, v)
         assert 0 <= interval.lo < interval.hi
-    assert_two_member_family(build_plan(g, depth=12))
+    assert_two_member_family(g, build_plan(g, depth=12).family)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from metric_cluster.metrization import (
     forced_completion,
     line_distance_matrix,
     shortest_path_metric,
-    unique_pairs,
 )
 
 from oracles import (
@@ -45,6 +44,11 @@ from oracles import (
 
 def graph(vertices, edges, root):
     return WeightedRootedGraph(vertices, {e: Fraction(w) for e, w in edges.items()}, root)
+
+
+def forced_pairs(g):
+    """The non-edges that forced_completion adds as edges."""
+    return set(forced_completion(g).weights) - set(g.weights)
 
 
 def quad_cycle(a, b, c, k):
@@ -403,7 +407,7 @@ def test_integer_decisions_match_fraction_oracles_on_mixed_denominators():
                 t = interval.lo + (interval.hi - interval.lo) * Fraction(4, 17)
                 expected = shortest_paths_by_fractions(g.with_edge(u, v, t))
                 assert extend_metric(g, u, v, t).rows == expected
-        assert unique_pairs(g) == tuple(forced)
+        assert forced_pairs(g) == set(forced)
         completed = g
         for (u, v), t in forced.items():
             completed = completed.with_edge(u, v, t)
@@ -479,7 +483,7 @@ def test_extension_restriction_and_domination():
 
 
 def test_tight_four_cycle_unique_pairs_and_completion():
-    assert unique_pairs(TIGHT4) == (("v1", "v3"), ("v2", "v4"))
+    assert forced_pairs(TIGHT4) == {("v1", "v3"), ("v2", "v4")}
     completed = forced_completion(TIGHT4)
     assert len(completed.weights) == 6  # complete on 4 vertices
     assert completed.weight("v1", "v3") == 2
@@ -487,14 +491,14 @@ def test_tight_four_cycle_unique_pairs_and_completion():
 
 
 def test_strict_quad_has_no_unique_pairs():
-    assert unique_pairs(quad_cycle(1, 2, 3, 4)) == ()
+    assert forced_pairs(quad_cycle(1, 2, 3, 4)) == set()
 
 
 def test_complete_graph_has_no_unique_pairs():
     g = graph(
         ["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 2, ("a", "c"): Fraction(5, 2)}, "a"
     )
-    assert unique_pairs(g) == ()
+    assert forced_pairs(g) == set()
     assert forced_completion(g) == g
 
 
@@ -504,7 +508,7 @@ def test_unique_pair_iff_tight_cycle_through_pair():
     corpus.append(TIGHT4)
     corpus.append(quad_cycle(1, 2, 3, 4))
     for g in corpus:
-        uniq = set(unique_pairs(g))
+        uniq = forced_pairs(g)
         for u, v in g.non_edges():
             assert ((u, v) in uniq) == tight_cycle_through_pair(g, u, v)
 

@@ -18,6 +18,7 @@ from metric_cluster.metrization import DistanceMatrix, shortest_path_metric
 from metric_cluster.realization import (
     CloudLevel,
     LeveledPointCloud,
+    RealizationPlan,
     _level_floats,
     _level_numerators,
     build_plan,
@@ -70,6 +71,12 @@ ONE_GAP = graph(
 )  # single non-edge (u, z)
 
 STAR_15 = graph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 5}, "r")
+
+TWO_PATHS = graph(
+    ["r", "u", "x", "z"],
+    {("r", "u"): 1, ("r", "x"): 2, ("r", "z"): Fraction(5, 2), ("u", "x"): 1, ("x", "z"): 1},
+    "r",
+)  # single non-edge (u, z), of distance 2 along u-x-z
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +144,7 @@ def test_uncertified_graph_rejected():
 def test_a_depth_shorter_than_the_family_period_is_refused():
     # a non-edge shows only as the oscillation between the two members
     with pytest.raises(GraphError) as caught:
-        generate_cloud(build_plan(ONE_GAP, 1))
+        build_plan(ONE_GAP, 1)
     assert str(caught.value) == (
         "depth 1 is shorter than one full metric-family period (2): recovery cannot see every member"
     )
@@ -145,6 +152,41 @@ def test_a_depth_shorter_than_the_family_period_is_refused():
     cloud = realize(CERT_TRIANGLE, 1)
     assert cloud.depth == 1 and cloud.period == 1
     assert isomorphic(recover_cluster(cloud).graph, CERT_TRIANGLE)
+
+
+def test_a_plan_is_made_by_build_plan_alone():
+    # a family handed in or edited after the fact made a cloud of another
+    # graph, whose exact recovery had 6 edges where TWO_PATHS has 5
+    plan = build_plan(TWO_PATHS, 12)
+    lower, d = plan.family
+    for make in (
+        lambda: RealizationPlan(TWO_PATHS, (d, d), 12),
+        lambda: RealizationPlan(graph=TWO_PATHS, family=(lower,), depth=12),
+        lambda: dataclasses.replace(plan, family=(d, d)),
+        lambda: dataclasses.replace(plan, depth=1),
+    ):
+        with pytest.raises(TypeError) as caught:
+            make()
+        assert str(caught.value) == "a RealizationPlan is made by build_plan"
+    with pytest.raises(dataclasses.FrozenInstanceError) as caught:
+        plan.family = [d, d]
+    assert str(caught.value) == "cannot assign to field 'family'"
+    with pytest.raises(TypeError) as caught:
+        plan.family[0] = d
+    assert str(caught.value) == "'tuple' object does not support item assignment"
+    assert plan.family == (lower, d)
+    assert recover_cluster(generate_cloud(plan), use_exact=True).graph == TWO_PATHS
+
+
+def test_the_family_oracle_refuses_each_family_build_plan_does_not_make():
+    lower, d = build_plan(TWO_PATHS, 12).family
+    assert_two_member_family(TWO_PATHS, (lower, d))
+    order = TWO_PATHS.vertices
+    far = DistanceMatrix(order, [[0 if a == b else 100 for b in order] for a in order])
+    backwards = DistanceMatrix(order[::-1], [row[::-1] for row in lower.rows[::-1]])
+    for family in ((d, d), (lower,), (far, d), (backwards, d)):
+        with pytest.raises(AssertionError):
+            assert_two_member_family(TWO_PATHS, family)
 
 
 # ---------------------------------------------------------------------------
@@ -370,33 +412,6 @@ def test_generation_matches_the_coordinate_oracle(g):
 def test_generation_matches_the_coordinate_oracle_on_synthesized_shapes():
     for shape in dominating_rooted_shapes(6):
         check_generation(build_plan(synthesize_weights(shape), 12))
-
-
-def test_cloud_of_a_family_loaded_from_json_is_the_same():
-    # members built from Fractions, not from the plan's integer rows
-    plan = build_plan(ONE_GAP, depth=12)
-    loaded = [DistanceMatrix.from_json(d.to_json()) for d in plan.family]
-    assert loaded == plan.family
-    cloud = generate_cloud(dataclasses.replace(plan, family=loaded))
-    assert cloud.to_json() == generate_cloud(plan).to_json()
-
-
-def test_generate_cloud_refuses_a_plan_it_cannot_realize():
-    # a plan is a mutable dataclass: each field generate_cloud reads is named
-    plan = build_plan(graph(["r", "u", "v"], {("r", "u"): 1, ("r", "v"): 2}, "r"), 4)
-    family = "plan family must be a non-empty list of distance matrices on the graph's vertices"
-    for field, value, message in (
-        ("depth", True, "depth must be at least 1"),
-        ("depth", -3, "depth must be at least 1"),
-        ("graph", None, "plan graph must be a WeightedRootedGraph, got NoneType"),
-        ("family", [], family),
-        ("family", plan.family[0], family),
-        ("family", [plan.family[0], None], family),
-        ("family", [DistanceMatrix(["r", "u"], [[0, 1], [1, 0]])], family),
-    ):
-        with pytest.raises(GraphError) as refused:
-            generate_cloud(dataclasses.replace(plan, **{field: value}))
-        assert str(refused.value) == message
 
 
 def test_cloud_json_round_trip():
@@ -1615,12 +1630,13 @@ def _rebuilt(cloud):
 def test_the_unchecked_path_builds_only_what_construction_accepts():
     # generate_cloud, single_point_space and subsample_levels skip the checks
     for shape in dominating_rooted_shapes(6):
-        plan = build_plan(synthesize_weights(shape), 12)
-        for depth in range(1, len(plan.family)):
+        g = synthesize_weights(shape)
+        period = build_plan(g, 12).period
+        for depth in range(1, period):
             with pytest.raises(GraphError, match="is shorter than one full metric-family period"):
-                generate_cloud(dataclasses.replace(plan, depth=depth))
-        for depth in range(len(plan.family), 13):
-            cloud = generate_cloud(dataclasses.replace(plan, depth=depth))
+                build_plan(g, depth)
+        for depth in range(period, 13):
+            cloud = generate_cloud(build_plan(g, depth))
             assert _rebuilt(cloud) == cloud
         selections = [alternating_period_indices(cloud), [1], [2, 5, 12], list(range(1, 13))]
         selections += [period_stride_indices(cloud, k) for k in range(cloud.period)]
@@ -1633,9 +1649,9 @@ def test_the_unchecked_path_builds_only_what_construction_accepts():
 
 
 def test_realization_of_synthesized_shapes_has_full_family():
-    rng = random.Random(83)
-    for g in rng.sample(dominating_rooted_shapes(5), 10):
-        assert_two_member_family(build_plan(synthesize_weights(g), depth=4))
+    for shape in dominating_rooted_shapes(7):
+        g = synthesize_weights(shape)
+        assert_two_member_family(g, build_plan(g, depth=4).family)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -1645,7 +1661,7 @@ def test_lower_member_equals_the_fraction_construction(n):
     while not shape.non_edges():
         shape = random_dominating_shape(rng, n)
     g = synthesize_weights(shape)
-    assert build_plan(g, depth=12).family == [lower_member_by_fractions(g), shortest_path_metric(g)]
+    assert build_plan(g, depth=12).family == (lower_member_by_fractions(g), shortest_path_metric(g))
 
 
 def test_lower_member_with_unrelated_denominators():
@@ -1658,8 +1674,8 @@ def test_lower_member_with_unrelated_denominators():
                 continue
             g = with_unrelated_denominators(rng, shape)
             plan = build_plan(g, depth=12)
-            assert plan.family == [lower_member_by_fractions(g), shortest_path_metric(g)]
-            assert_two_member_family(plan)
+            assert plan.family == (lower_member_by_fractions(g), shortest_path_metric(g))
+            assert_two_member_family(g, plan.family)
 
 
 @pytest.mark.parametrize("n, m", [(40, 374), (64, 968)], ids=["40", "64"])

@@ -38,7 +38,7 @@ PUBLIC_NAMES = [
     "forced_completion", "generate_cloud", "graph_from_metric_space", "is_weight_preserving_homomorphism",
     "is_weight_preserving_monomorphism", "isomorphic", "maximal_cliques", "moon_moser_f",
     "period_stride_indices", "realize", "recover_cluster", "shortest_path_metric", "single_point_space",
-    "spread_functional", "subsample_levels", "synthesize_weights", "unique_pairs",
+    "spread_functional", "subsample_levels", "synthesize_weights",
     "validate_recovered_cluster", "witness_is_genuine",
 ]
 
