@@ -322,14 +322,13 @@ def _cmd_recover(ns) -> int:
         use_exact=ns.exact,
     )
     problems = validate_recovered_cluster(rc)
-    graph_json = rc.graph.to_json()
     if ns.out:
-        Path(ns.out).write_text(graph_json + "\n", encoding="utf-8")
+        Path(ns.out).write_text(rc.graph.to_json() + "\n", encoding="utf-8")
     diag = rc.diagnostics_json_dict()
     diag["invariant_violations"] = problems
     if ns.diag_out:
         Path(ns.diag_out).write_text(_json_text(diag) + "\n", encoding="utf-8")
-    lines = [] if ns.out else [graph_json]
+    lines = [] if ns.out or ns.json else [rc.graph.to_json()]
     lines.append(
         f"recovered {len(rc.graph.vertices)} classes, root {rc.graph.root!r}, "
         f"{len(rc.graph.weights)} edges, window {rc.window}, decided {diag['decided']}"

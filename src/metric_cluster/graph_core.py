@@ -16,8 +16,7 @@ from collections import abc
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations, groupby, islice, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import chain, combinations, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -106,49 +105,26 @@ def _json_document(text: str, source: str):
 
 
 def _json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, the one writer of the library's JSON
-    documents; GraphError names an int past the digit limit. A value that
-    ``_json_items`` leaves to json, or nests too deeply, goes to json.dumps whole."""
+    """``json.dumps(value)``, the one writer of the library's JSON documents,
+    each on one line; GraphError names an int past the digit limit."""
     try:
-        return _json_items([value], "\n")[0]
-    except (TypeError, RecursionError):  # json.dumps tells a circular value from a deep one
-        return json.dumps(value, indent=2)
+        return json.dumps(value)
+    except ValueError:  # the first int past the digit limit, which format_rational names
+        for scalar in _scalars(value):
+            if isinstance(scalar, int):
+                format_rational(scalar)
+        raise
 
 
-def _json_items(items: Sequence, pad: str) -> list[str]:
-    """Each item as json.dumps(indent=2) spells it at the line break and indent
-    ``pad``, a run of one type together: scalars by one map, lists by all their
-    items and dicts of one key order by each key's values. TypeError leaves to
-    json a NaN, an infinity, a key that is no str and a value of another type."""
-    kinds = set(map(type, items))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is None:
-        return [text for _, run in groupby(items, type) for text in _json_items(list(run), pad)]
-    if kind is str or kind is float and all(map(math.isfinite, items)):
-        return list(map(encode_basestring_ascii if kind is str else float.__repr__, items))
-    if kind is int:
-        try:
-            return list(map(int.__repr__, items))
-        except ValueError:  # an int past the digit limit, which format_rational names
-            return list(map(format_rational, items))
-    if kind is bool or kind is type(None):
-        return list(map({True: "true", False: "false", None: "null"}.__getitem__, items))
-    inner = pad + "  "
-    if kind is list or kind is tuple:
-        opening, separator, closing = "[" + inner, "," + inner, pad + "]"
-        texts = iter(_json_items(list(chain.from_iterable(items)), inner))
-        return [opening + separator.join(islice(texts, len(x))) + closing if x else "[]" for x in items]
-    if kind is not dict:
-        raise TypeError(kind)
-    texts = []
-    for keys, run in groupby(items, tuple):
-        run = list(run)
-        # each dict's text joins its braces, its keys' texts, the layout's separators and its values' texts
-        fields = [repeat("{", len(run))]
-        for i, (key, column) in enumerate(zip(keys, zip(*map(dict.values, run)))):
-            fields += (repeat(("," if i else "") + inner + encode_basestring_ascii(key) + ": "), _json_items(column, inner))
-        texts += map("".join, zip(*fields, repeat(pad + "}" if keys else "}")))
-    return texts
+def _scalars(value):
+    """The scalars of a JSON value, in the order json.dumps writes them."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        yield value
+        return
+    for item in value:
+        yield from _scalars(item)
 
 
 def _digit_limit() -> int:

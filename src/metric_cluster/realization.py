@@ -171,9 +171,10 @@ class LeveledPointCloud:
             raise GraphError(f"cloud JSON level is missing field: {exc}") from exc
 
     def to_json(self, include_exact: bool = True) -> str:
-        """The cloud file in the README's layout: where given, shadows as
-        ``exact`` and ``r_exact`` unless ``include_exact`` is false, else
-        ``coords``, an exact coordinate rounded, and ``r``, r_exact rounded.
+        """The cloud file on one line, as ``json.dumps`` writes the README's
+        fields: where given, shadows as ``exact`` and ``r_exact`` unless
+        ``include_exact`` is false, else ``coords``, an exact coordinate
+        rounded, and ``r``, r_exact rounded.
         An exact level writes its rows as the cloud holds them, each
         ``exact`` value a numerator over the level's q as ``over``: a
         coordinate is r_exact times value / over. An exact level with the q,
@@ -249,8 +250,7 @@ def _level_numerators(entry: dict, rows: list) -> tuple[Optional[int], list[Opti
     level, over = _spelled(entry["n"]), None
     if "over" in entry:
         over = _integer(entry["over"], 1, f"level {level} has exact values over {{value!r}}; over must be a positive integer")
-        if entry.get("r_exact") is None:
-            raise GraphError(f"level {level} has exact values over {_spelled(over)} but no r_exact")
+        _require_r_exact(level, over, entry.get("r_exact"))
     values = list(chain.from_iterable(filter(None, rows)))
     if not values:
         return None, [None] * len(rows)
@@ -267,6 +267,13 @@ def _level_numerators(entry: dict, rows: list) -> tuple[Optional[int], list[Opti
         raise _refused(f"level {level} has exact value {{value!r}} over {_spelled(over)}; {spelling}", values[0]) from None
     flat = iter(map(numerators.__getitem__, values))
     return over, [tuple(islice(flat, len(row))) if row else None for row in rows]
+
+
+def _require_r_exact(level: str, q: int, r_exact) -> None:
+    """The refusal of exact values over q, in a file or in code, without the
+    scale r_exact they are in units of."""
+    if r_exact is None:
+        raise GraphError(f"level {level} has exact values over {_spelled(q)} but no r_exact")
 
 
 def _retired(level: str, layout: str) -> GraphError:
@@ -348,8 +355,7 @@ def _checked_level(lvl, previous: int, dimension: int) -> CloudLevel:
     if rows and exact:
         refusal = f"level {level} has exact shadows over q = {{value!r}}; q must be a positive integer"
         q = _integer(lvl.q, 1, refusal)
-        if lvl.r_exact is None:
-            raise GraphError(f"level {level} has exact values over {_spelled(q)} but no r_exact")
+        _require_r_exact(level, q, lvl.r_exact)
         q, rows = _in_lowest_terms(q, rows)
     r, r_exact = _scales(lvl.r, lvl.r_exact, level)
     if rows and not exact and r_exact is not None:

@@ -2,8 +2,8 @@
 the cloud reader's and constructor's, the binary64 writer's, certification's,
 metrizability's, the admissible interval's, the forced distances', the
 isomorphism's near-ties, the realization plan's and its depth rule, the
-number rules', the JSON writer's and the embedding command's choice of the
-line or the circle.
+number rules', the JSON writer's refusal of an int past the digit limit,
+and the embedding command's choice of the line or the circle.
 
 Each mutant below changes one comparison of the library: a file under src/,
 an exact old text that must occur there once, the new text, and the tests
@@ -44,7 +44,7 @@ UNITS = "tests/test_cli.py::test_malformed_shadows_in_units_of_the_scale_exit_2[
 LOWER = "tests/test_realization.py::test_lower_member_equals_the_fraction_construction[{}]"
 NAMED = "tests/test_cli.py::test_bad_cloud_number_exit_2[{}]"
 SPELLING = "tests/test_graph_core.py::test_{}"
-WRITER = "tests/test_graph_core.py::test_the_writer_prints_what_json_dumps_prints"
+DIGIT_LIMIT = "tests/test_arguments.py::test_an_int_past_the_digit_limit_is_named_by_its_bits"
 SCALE_LIMIT = [
     "tests/test_realization.py::test_realization_refuses_the_first_scale_the_writer_cannot_spell",
     "tests/test_realization.py::test_single_point_space_refuses_the_first_scale_the_writer_cannot_spell",
@@ -140,8 +140,9 @@ MUTANTS = [
      ["tests/test_realization.py::test_each_retired_layout_is_refused_at_its_level[exact_and_coords_mixed]"]),
     (REALIZATION, "    if rows and not exact and r_exact is not None:", "    if False:",
      ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
-    (REALIZATION, "        if lvl.r_exact is None:\n            raise GraphError(", "        if False:\n            raise GraphError(",
-     ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused"]),
+    (REALIZATION, "    if r_exact is None:\n        raise GraphError(", "    if False:\n        raise GraphError(",
+     ["tests/test_realization.py::test_each_retired_shape_built_in_code_is_refused",
+      "tests/test_realization.py::test_a_file_and_code_refuse_alike"]),
     (REALIZATION, "    if over is None:\n        raise _retired(", "    if False:\n        raise _retired(",
      ["tests/test_realization.py::test_each_retired_layout_is_refused_at_its_level[absolute]"]),
     # the one scale loop of realization and of the one-point space refuses the
@@ -210,11 +211,11 @@ MUTANTS = [
     # a near-tie: labels a <= b with a >= (1 - tol)**2 * b
     (GRAPH_CORE, "if labels[u] >= factor * labels[v]), None)", "if labels[u] > factor * labels[v]), None)",
      ["tests/test_graph_core.py::test_a_near_tie_at_its_boundary_is_refused"]),
-    # the JSON writer spells items together only where they have one type, nests by two blanks, and spells true
-    (GRAPH_CORE, "kind = kinds.pop() if len(kinds) == 1 else None", "kind = kinds.pop() if len(kinds) >= 1 else None",
-     ["tests/test_arguments.py::test_an_int_past_the_digit_limit_is_named_by_its_bits"]),
-    (GRAPH_CORE, 'inner = pad + "  "', 'inner = pad + " "', [WRITER]),
-    (GRAPH_CORE, '{True: "true",', '{True: "True",', [WRITER]),
+    # the JSON writer names an int past the digit limit as format_rational does: its walk tests
+    # each int it writes, goes into each list and goes into each dict's values
+    (GRAPH_CORE, "            if isinstance(scalar, int):", "            if isinstance(scalar, bool):", [DIGIT_LIMIT]),
+    (GRAPH_CORE, "        yield from _scalars(item)", "        yield item", [DIGIT_LIMIT]),
+    (GRAPH_CORE, "        value = value.values()", "        value = ()", [DIGIT_LIMIT]),
     # embed puts a tight cycle on the line and any other on the circle
     (CLI, "if cycle.is_tight():", "if not cycle.is_tight():",
      ["tests/test_cli.py::test_embed_puts_a_tight_cycle_on_the_line"]),

@@ -590,8 +590,8 @@ def spelled_out(doc: dict) -> dict:
 
 
 def cloud_json_dict(cloud: LeveledPointCloud, include_exact: bool = True) -> dict:
-    """The cloud file as a dict, which ``json.dumps(..., indent=2)`` lays
-    out as ``to_json`` writes it. Unless ``include_exact`` is false, a level
+    """The cloud file as a dict, which ``json.dumps`` writes as ``to_json``
+    writes it. Unless ``include_exact`` is false, a level
     with ``r_exact`` writes it, and each row as ``exact`` values: each value
     x, a coordinate of ``point_shadow`` over r_exact, as the integer
     x * over, with ``over`` the least common denominator of the level's

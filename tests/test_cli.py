@@ -443,6 +443,23 @@ def test_a_human_line_spells_what_its_json_cannot_write(tmp_path, capsys):
     assert not (tmp_path / "embedding.json").exists()
 
 
+def test_recover_spells_the_graph_only_where_it_writes_or_prints_it(cert_graph, tmp_path, monkeypatch, capsys):
+    # recover --json prints the graph's dict in its payload, so it spells the graph's text nowhere
+    cloud, out = str(tmp_path / "c.json"), str(tmp_path / "h.json")
+    assert main(["realize", str(cert_graph), "--out", cloud]) == 0
+    spelled = []
+    to_json = WeightedRootedGraph.to_json
+    monkeypatch.setattr(WeightedRootedGraph, "to_json", lambda g: spelled.append(g) or to_json(g))
+    for argv, texts in ((["--json"], 0), (["--json", "--out", out], 1), (["--out", out], 1), ([], 1)):
+        spelled.clear()
+        assert main(["recover", cloud, *argv]) == 0
+        assert len(spelled) == texts, argv
+    capsys.readouterr()
+    assert main(["recover", cloud, "--json"]) == 0
+    graph = json.loads(capsys.readouterr().out)["graph"]
+    assert WeightedRootedGraph.from_json_dict(graph) == WeightedRootedGraph.from_json(Path(out).read_text(encoding="utf-8"))
+
+
 def test_realize_past_binary64_recovers_and_each_binary64_reader_exit_2(tmp_path, capsys):
     # the coordinate of v at level 170 rounds to infinity, and r_171 = 171!
     # is beyond binary64: the cloud is exact, and only the float writer, which
@@ -613,8 +630,10 @@ def test_subsample_stride(cert_graph, tmp_path, capsys):
 
 
 def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_path, capsys):
-    # with and without shadows, their subsamples and the one-point space
-    c, s, ne, nes, one, deep = (str(tmp_path / f"{name}.json") for name in ("c", "s", "ne", "nes", "one", "deep"))
+    # with and without shadows, their subsamples and the one-point space, and a recovered graph and its diagnostics
+    c, s, ne, nes, one, deep, h, d = (
+        str(tmp_path / f"{name}.json") for name in ("c", "s", "ne", "nes", "one", "deep", "h", "d")
+    )
     for argv in (
         ["realize", str(cert_graph), "--out", c],
         ["subsample", c, "--alternate-periods", "--out", s],
@@ -623,11 +642,13 @@ def test_written_clouds_are_laid_out_as_json_dumps_and_recover(cert_graph, tmp_p
         ["single-point", "--depth", "12", "--out", one],
         # r_100 = 2**10100 is far past binary64, and exact
         ["single-point", "--depth", "100", "--out", deep],
+        ["recover", c, "--out", h, "--diag-out", d],
     ):
         assert main(argv) == 0, argv
-    for path in (c, s, ne, nes, one, deep):
+    capsys.readouterr()
+    for path in (c, s, ne, nes, one, deep, h, d):
         text = Path(path).read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert text == json.dumps(json.loads(text)) + "\n"
     # shadows and floats both decide exactly; --exact only refuses a cloud without shadows
     floats = "on binary64 coordinates, exactly"
     # the one-point space has r_exact = 2**(n*n + n) and shadows
@@ -1041,7 +1062,7 @@ def test_verdicts_that_no_other_test_prints(tmp_path, capsys):
         "failed_condition": "tight_cycle_not_clique",
         "witness_pair": ["u", "z"],
         "witness_cycle": {"vertices": ["r", "u", "v", "z"], "weights": ["1", "2", "3", "6"]},
-    }, indent=2) + "\n"
+    }) + "\n"
 
 
 def test_refusals_that_no_other_test_reaches(cert_graph, tmp_path, capsys):

@@ -353,7 +353,7 @@ def test_certification_matches_cycle_oracle_on_mixed_denominators():
 def test_failure_certificates_are_pinned(g, expected):
     # weights over several denominators; the witnesses name the same cycles
     # as the Fraction-valued decisions did
-    assert certify_fpc(g).to_json() == json.dumps(expected, indent=2)
+    assert certify_fpc(g).to_json() == json.dumps(expected)
 
 
 def test_large_synthesized_graph_certifies_and_gets_a_plan():
@@ -562,4 +562,4 @@ def test_cluster_cliques_match_deleted_subgraph_cliques(tmp_path, capsys):
             "maximal_cliques_without_root": count,
             "bound": bound,
             "slack": bound - count,
-        }, indent=2) + "\n"
+        }) + "\n"

@@ -9,7 +9,6 @@ from itertools import combinations, product
 
 import networkx as nx
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from metric_cluster import synthesize_weights
 from metric_cluster.graph_core import (
@@ -25,7 +24,6 @@ from metric_cluster.graph_core import (
     _decimal,
     _digit_limit,
     _integers,
-    _json_text,
     _undominated_vertex,
     _weights_close,
 )
@@ -810,43 +808,3 @@ def test_weight_preserving_homomorphism_checks():
     assert not is_weight_preserving_homomorphism(g, h, {"r": "r"})  # u has no image
     assert not is_weight_preserving_homomorphism(g, h, {"r": "r", "u": "x"})  # x is no vertex of h
 
-
-# the values json.dumps spells: strings with escapes and beyond ASCII, ints
-# far past binary64, signed zeros, subnormals, NaN and the infinities
-_JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.integers(10**100, 10**120) | st.integers(-(10**120), -(10**100))
-    | st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, math.nan, math.inf, -math.inf])
-    | st.text() | st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9\u2028\U0001f600", "{}", ', "', ""])
-)
-# containers of every kind, empty ones among them, and lists of dicts of one key order
-_JSON_DOCUMENTS = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(max_size=3), inner)
-    | st.lists(st.fixed_dictionaries({"n": inner, "{x}": inner})),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_JSON_DOCUMENTS)
-@example({"levels": [{"n": 1, "points": [{"label": "r", "exact": ["0", "-1"]}], "over": 2},
-                     {"n": 2, "points_of": 1}, {"n": 3, "points_of": 1}], "period": None})
-@example([{"adjacent": True, "spread": 0.5}, {"adjacent": False, "spread": math.nan}, {}, {"adjacent": None}])
-@example([[], [[]], (1, "a", 2.5, True, None, [], {}), {"k": ()}])
-def test_the_writer_prints_what_json_dumps_prints(document):
-    assert _json_text(document) == json.dumps(document, indent=2)
-
-
-def test_the_writer_leaves_any_other_value_to_json():
-    """A dict key that is no string, a type derived from a JSON type, and a
-    value of no JSON type get what json.dumps gives them."""
-    class Text(str):
-        pass
-
-    class Count(int):
-        pass
-
-    for document in ({1: "a", None: [2]}, [Text("b"), {Text("c"): True}], (Count(3), [1.5, Count(2)])):
-        assert _json_text(document) == json.dumps(document, indent=2)
-    with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
-        _json_text({"w": [Fraction(1, 2)]})

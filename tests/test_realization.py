@@ -359,7 +359,7 @@ def test_binary64_readers_refuse_at_the_first_value_beyond_binary64(g, base):
     first = first_level_beyond_binary64(cloud)
     assert first > 1
     readable = LeveledPointCloud(cloud.dimension, cloud.levels[:first - 1], cloud.period)
-    assert readable.to_json(include_exact=False) == json.dumps(cloud_json_dict(readable, include_exact=False), indent=2)
+    assert readable.to_json(include_exact=False) == json.dumps(cloud_json_dict(readable, include_exact=False))
     assert all(math.isfinite(c) for lvl in readable.levels for row in _level_floats(lvl) for c in row)
     with pytest.raises(GraphError, match=f"level {first} ") as caught:
         cloud.to_json(include_exact=False)
@@ -429,12 +429,13 @@ def test_cloud_json_round_trip():
 
 # SHA-256 of the cloud bytes as the writer writes them, and of the same file
 # spelled out, as the writer wrote it before points_of; a change of the
-# realization family or of its columns (the root has none) changes them by design
+# realization family, of its columns (the root has none) or of the layout,
+# json.dumps(value)'s, changes them by design
 PINNED_CLOUDS = [
-    (12, None, "c3376c4a672abab251c948a7f2eb140a41567727c3b06f015f5de53c8489e477",
-     "0bb619878e6a8810201dd1df17fe7c922ee4b0a18916353bdf72f12cb4191a67"),
-    (6, 3, "812caa68f70970bdd9e4e1602b11d681a3576adc6676655579f8005e53a717ff",
-     "7a707bbe6988d34f493b52c0df3e21b8f5e4f298949fa67c0de6cdbd9c87b68f"),
+    (12, None, "3ee8dc5a149e08d79621fc803fdc8ce95bf10d4ec4db39c46758e10878a83752",
+     "03c186f99a55f067e22219ae19804eca5fc65e77972d99cf6a9a786272ce2927"),
+    (6, 3, "c888ebaf1180722a1ea9a0e3c2d75f730b2cfa03bb41a9606184f4a9f0b8b238",
+     "beffcc9edc3aeb661d63ec44ddfb3d2af0f2141d035a663401ed3efe8eaa172e"),
 ]
 
 
@@ -454,18 +455,19 @@ def test_cloud_bytes_are_pinned(depth, base, digest, spelled_digest):
     text = cloud.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert LeveledPointCloud.from_json(text) == cloud
-    spelled = json.dumps(spelled_out(json.loads(text)), indent=2)
+    spelled = json.dumps(spelled_out(json.loads(text)))
     assert hashlib.sha256(spelled.encode()).hexdigest() == spelled_digest
     assert LeveledPointCloud.from_json(spelled) == cloud
 
 
-# SHA-256 of the files that write no shadow in units of a scale, taken while
-# the cloud held absolute shadows: each pinned cloud written without shadows
+# SHA-256 of the files that write no shadow in units of a scale, each pinned
+# cloud written without shadows: the values are those written while the cloud
+# held absolute shadows, in json.dumps(value)'s layout
 PINNED_WITHOUT_UNITS = {
     "12-None-floats": (lambda: realize(ONE_GAP, 12).to_json(include_exact=False),
-                       "d6b19cde0b1d758efd7bae4b975da92e1567e34431d05bfde17c032f643cbc63"),
+                       "55e05974466b2f37ac7386bde3f4d2c7c231206e3c8eefb6db4e876895b0b5d1"),
     "6-rule1-floats": (lambda: one_gap_cloud(6, 3).to_json(include_exact=False),
-                       "ba8048e951f71fc98a87d743221ca223057bf45dd34042c0047aee4a60e2c78e"),
+                       "a8d32d285a17cb6307551a7ad6b684a3e7431adbc296a2cc90a63fd1fd124934"),
 }
 
 
@@ -481,14 +483,14 @@ def test_a_single_point_file_is_pinned_and_reads_back():
     cloud = single_point_space(12)
     text = cloud.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_POINT_DIGEST
-    assert len(text) == 3685
+    assert len(text) == 1669
     data = json.loads(text)
     assert all("over" in entry and "r" not in entry for entry in data["levels"])
     assert LeveledPointCloud.from_json(text) == cloud
     assert [lvl.r_exact for lvl in cloud.levels] == [2 ** (n * n + n) for n in range(1, 13)]
 
 
-SINGLE_POINT_DIGEST = "075df5fc0fec9928200c96cedbd95a31629e168213ea3521c64479d84974ccb9"
+SINGLE_POINT_DIGEST = "fb494b95b667fddf20943a09ec133ba0d758faf0b639284edc60545d6807a9cd"
 
 
 def _exact_and_binary64_levels_file_cloud():
@@ -1155,7 +1157,7 @@ def test_a_file_spelled_out_loads_and_recovers_as_the_file_written(n):
         for c in (cloud, subsample_levels(cloud, alternating_period_indices(cloud))):
             text = c.to_json()
             data = json.loads(text)
-            assert json.dumps(data, indent=2) == text
+            assert json.dumps(data) == text
             spelling = [entry for entry in data["levels"] if "points" in entry]
             assert len(spelling) == len({(lvl.q, lvl.labels, lvl.rows) for lvl in c.levels}) < c.depth
             written, spelled_out_file = LeveledPointCloud.from_json(text), LeveledPointCloud.from_json_dict(spelled_out(data))
@@ -1167,9 +1169,9 @@ def check_writer(cloud):
     """The writer prints what json.dumps prints of the oracle's dict; where
     the oracle's ``float`` of a value overflows, the float writer refuses
     with GraphError."""
-    assert cloud.to_json() == json.dumps(cloud_json_dict(cloud), indent=2)
+    assert cloud.to_json() == json.dumps(cloud_json_dict(cloud))
     try:
-        expected = json.dumps(cloud_json_dict(cloud, include_exact=False), indent=2)
+        expected = json.dumps(cloud_json_dict(cloud, include_exact=False))
     except OverflowError:
         with pytest.raises(GraphError, match="beyond binary64"):
             cloud.to_json(include_exact=False)
@@ -1229,7 +1231,7 @@ def test_writer_prints_what_json_dumps_prints(cloud):
 def test_signed_zeros_of_one_level_load_and_write_back_with_their_signs():
     # the last level alone, whose zeros compare equal to the first level's
     text = LeveledPointCloud(2, _equal_but_spelled_apart_cloud().levels[2:]).to_json()
-    assert '"coords": [\n            -0.0,\n            1.0\n          ]' in text
+    assert '"coords": [-0.0, 1.0]' in text
     level = LeveledPointCloud.from_json(text).levels[0]
     signs = [math.copysign(1.0, x) for row in level.rows for x in row if x == 0]
     assert signs == [-1.0, 1.0, 1.0]
